@@ -30,9 +30,20 @@ use xdr::{Encoder, XdrCodec};
 
 use crate::config::{Design, RpcRdmaConfig};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd};
+use crate::qos::{QOS_MAX_REJECTIONS, QOS_SHED_BACKOFF};
 use crate::reg::{IoBuf, Registrar};
-use crate::rfp::{decode_slot, SlotView, SLOT_OVERHEAD};
+use crate::rfp::{decode_slot, SlotView, RFP_POLL_MAX, SLOT_OVERHEAD};
 use crate::router::CompletionRouter;
+
+/// Alignment of `RDMA_MSGP` payloads: the data rides in the Send after
+/// the RPC head, padded to this boundary so the receiver places it
+/// without a pull-up copy.
+const MSGP_ALIGN: usize = 64;
+
+/// Uniform random extra backoff `[0, RETRANS_JITTER]` added to every
+/// retransmission (and busy-reply) wait — decorrelates client retry
+/// storms.
+const RETRANS_JITTER: SimDuration = SimDuration::from_micros(500);
 
 /// Bulk-data parameters for one call.
 #[derive(Default)]
@@ -427,7 +438,7 @@ impl RdmaRpcClient {
         let inline_body: Bytes;
         if let Some(data) = &msgp_data {
             // RDMA_MSGP framing: head, padding to the alignment, data.
-            let align = inner.cfg.msgp_align as usize;
+            let align = MSGP_ALIGN;
             hdr.msg_type = MsgType::Msgp;
             hdr.msgp = Some((align as u32, rpc_msg.len() as u32));
             let pad = (align - rpc_msg.len() % align) % align;
@@ -575,7 +586,7 @@ impl RdmaRpcClient {
                                 format!("client busy-reply xid={xid} sheds={sheds}")
                             });
                             inner.pending.borrow_mut().remove(&xid);
-                            if sheds > inner.cfg.qos_max_rejections {
+                            if sheds > QOS_MAX_REJECTIONS {
                                 break Err(TransportError::Overloaded {
                                     xid,
                                     rejections: sheds,
@@ -659,34 +670,29 @@ impl RdmaRpcClient {
         let inner = &self.inner;
         let base = inner.cfg.call_timeout.as_nanos();
         let mut wait = SimDuration::from_nanos(base << attempt.min(6));
-        let jitter = inner.cfg.retrans_jitter;
-        if attempt > 0 && !jitter.is_zero() {
-            let extra = inner
-                .retrans_rng
-                .borrow_mut()
-                .gen_range(jitter.as_nanos() + 1);
-            wait += SimDuration::from_nanos(extra);
+        if attempt > 0 {
+            wait += self.jitter();
         }
         wait
     }
 
-    /// Wait after busy (shed) reply `n` (1-based): exponential on the
-    /// configured base, doubling up to 64x, plus uniform jitter so a
+    /// Wait after busy (shed) reply `n` (1-based): exponential on
+    /// [`QOS_SHED_BACKOFF`], doubling up to 64x, plus uniform jitter so a
     /// fleet of shed clients de-synchronizes instead of re-offering in
     /// lockstep — the client half of the load-shedding loop.
     fn shed_backoff(&self, sheds: u32) -> SimDuration {
-        let inner = &self.inner;
-        let base = inner.cfg.qos_shed_backoff.as_nanos().max(1);
-        let mut wait = SimDuration::from_nanos(base << sheds.min(6));
-        let jitter = inner.cfg.retrans_jitter;
-        if !jitter.is_zero() {
-            let extra = inner
-                .retrans_rng
-                .borrow_mut()
-                .gen_range(jitter.as_nanos() + 1);
-            wait += SimDuration::from_nanos(extra);
-        }
-        wait
+        let base = QOS_SHED_BACKOFF.as_nanos();
+        SimDuration::from_nanos(base << sheds.min(6)) + self.jitter()
+    }
+
+    /// One uniform draw from `[0, RETRANS_JITTER]`.
+    fn jitter(&self) -> SimDuration {
+        let extra = self
+            .inner
+            .retrans_rng
+            .borrow_mut()
+            .gen_range(RETRANS_JITTER.as_nanos() + 1);
+        SimDuration::from_nanos(extra)
     }
 
     /// Resize the outstanding-call window to the server's latest grant
@@ -938,7 +944,7 @@ fn spawn_router(sim: &Sim, hca: &Hca, qp: &Qp, cfg: &RpcRdmaConfig) -> Completio
 /// paced off an EWMA of past fetch latencies — the poller sleeps
 /// through most of the expected turnaround, then probes at the
 /// `rfp_poll_initial` floor while inside the expected window and backs
-/// off exponentially to `rfp_poll_max` once past it (cold start, with
+/// off exponentially to [`RFP_POLL_MAX`] once past it (cold start, with
 /// no estimate yet, goes straight to the exponential ladder). Spawned
 /// once per transmission attempt; exits as soon as the call is no
 /// longer pending, the connection is recovering, or the ring ad it
@@ -974,7 +980,7 @@ fn spawn_slot_poller(inner: Rc<ClientInner>, xid: u32) {
             wait = if est > SimDuration::ZERO && waited < est * 2 {
                 floor
             } else {
-                (wait + wait).min(inner.cfg.rfp_poll_max)
+                (wait + wait).min(RFP_POLL_MAX)
             };
             if inner.dead.get() || inner.recovering.get() {
                 return;

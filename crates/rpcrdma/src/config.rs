@@ -46,8 +46,6 @@ pub struct RpcRdmaConfig {
     /// receiver places it without a pull-up copy — no chunk, no
     /// registration, no server-side RDMA Read for small writes.
     pub msgp_small_writes: bool,
-    /// Alignment for `RDMA_MSGP` payloads.
-    pub msgp_align: u32,
     /// FAILURE INJECTION (Read-Read design): never send `RDMA_DONE`,
     /// modelling the paper's §4.1 malicious/malfunctioning client that
     /// pins server buffers indefinitely.
@@ -63,16 +61,9 @@ pub struct RpcRdmaConfig {
     /// Retransmissions allowed per call before it fails with
     /// [`onc_rpc::TransportError::TimedOut`].
     pub max_retransmits: u32,
-    /// Uniform random extra backoff `[0, retrans_jitter]` added to
-    /// every retransmission wait (decorrelates client retry storms).
-    pub retrans_jitter: SimDuration,
     /// Wait before rebuilding a connection after a QP error (models
     /// CM teardown + route resolution + QP re-creation).
     pub reconnect_delay: SimDuration,
-    /// Completed replies the server's duplicate request cache retains
-    /// (bounded LRU; evicted entries mean very late duplicates
-    /// re-execute).
-    pub drc_capacity: usize,
     /// ADVERSARIAL HARDENING: most segments the server accepts in any
     /// one client-advertised chunk list (read list, one write chunk,
     /// reply chunk) before declaring a protocol violation. Must sit
@@ -80,20 +71,11 @@ pub struct RpcRdmaConfig {
     /// and comfortably above the honest worst case (an all-physical
     /// 1 MiB buffer fans out into ~16 runs on the 64 KiB-mean layout).
     pub max_chunk_segments: u32,
-    /// ADVERSARIAL HARDENING: most bytes a single header may advertise
-    /// across all its chunk lists. Bounds the scratch memory + RDMA
-    /// traffic one hostile call can demand from the server.
-    pub max_chunk_bytes: u64,
     /// ADVERSARIAL HARDENING: how long a Read-Read exposure may sit
     /// un-`RDMA_DONE`d before the server force-revokes the registration
     /// (the ledger records the revocation). `ZERO` disables the reaper
     /// (the paper's original, pin-forever behavior).
     pub exposure_ttl: SimDuration,
-    /// ADVERSARIAL HARDENING: protocol violations tolerated on one
-    /// connection before the server quarantines it (forces the QP into
-    /// the error state, tearing down only that client). `0` disables
-    /// quarantine.
-    pub violation_quarantine: u32,
     /// Server zero-copy READ pipeline: gather the NFS READ reply
     /// straight from the page-cache slices the file system handed out
     /// (vectored RDMA Write), instead of flattening them into a staging
@@ -119,30 +101,6 @@ pub struct RpcRdmaConfig {
     /// spawning one handler task per call. Off by default — the direct
     /// path reproduces the historical dispatch order exactly.
     pub qos_enabled: bool,
-    /// Dispatcher tasks draining the QoS queue: the server's effective
-    /// service concurrency under overload. (The serialized task queue
-    /// still bounds per-op dispatch below this.)
-    pub qos_workers: u32,
-    /// Calls the QoS queue holds across all tenants before enqueue
-    /// itself sheds (busy reply, no dispatch).
-    pub qos_queue_cap: u32,
-    /// Calls one tenant may hold in the QoS queue before its surplus
-    /// sheds — hog isolation: one connection's burst cannot consume
-    /// the shared queue. Also the backlog at which the tenant's credit
-    /// grant is clamped, pushing back through flow control.
-    pub qos_tenant_backlog: u32,
-    /// CoDel-style sojourn target: a queued call older than this at
-    /// dispatch time is shed instead of serviced — under sustained
-    /// overload the queue delay the server adds is bounded by this
-    /// target instead of growing without bound.
-    pub qos_target_delay: SimDuration,
-    /// Base client back-off after a busy (shed) reply; rejection `n`
-    /// waits `qos_shed_backoff << min(n, 6)` plus the retransmission
-    /// jitter before re-offering the same XID.
-    pub qos_shed_backoff: SimDuration,
-    /// Busy replies tolerated per call before it fails with
-    /// [`onc_rpc::TransportError::Overloaded`].
-    pub qos_max_rejections: u32,
     /// REMOTE FETCHING PARADIGM (RFP): deposit small replies into a
     /// per-connection registered reply-slot ring instead of posting a
     /// Send, and let the *client* pull them with RDMA Read — the
@@ -152,22 +110,10 @@ pub struct RpcRdmaConfig {
     /// transparently. Off by default: the Send/Send reply path
     /// reproduces the historical figures byte-for-byte.
     pub rfp_enabled: bool,
-    /// Largest wire-format reply (RPC/RDMA header + inline body) the
-    /// server will deposit into a reply slot; anything bigger takes
-    /// the Send path. Each ring slot also carries the 16-byte seqlock
-    /// frame ([`crate::rfp`]) on top of this payload budget.
-    pub rfp_slot_size: u64,
-    /// Slots in the per-connection reply ring. Must be at least the
-    /// credit window or an in-flight call could be assigned the slot
-    /// (`xid % rfp_slots`) of another outstanding call.
-    pub rfp_slots: u32,
     /// First client poll of the reply slot fires this long after the
     /// call is posted (roughly the no-load server turnaround for a
     /// metadata op); each subsequent miss doubles the wait.
     pub rfp_poll_initial: SimDuration,
-    /// Cap on the exponential poll backoff — bounds worst-case added
-    /// latency once the reply does land.
-    pub rfp_poll_max: SimDuration,
 }
 
 impl RpcRdmaConfig {
@@ -183,40 +129,19 @@ impl RpcRdmaConfig {
             per_op_server_cpu: SimDuration::from_micros(12),
             zero_copy_read: true,
             msgp_small_writes: false,
-            msgp_align: 64,
             suppress_done: false,
             server_srq: false,
             call_timeout: SimDuration::from_millis(50),
             max_retransmits: 8,
-            retrans_jitter: SimDuration::from_micros(500),
             reconnect_delay: SimDuration::from_millis(2),
-            drc_capacity: 1024,
             max_chunk_segments: 96,
-            max_chunk_bytes: 8 << 20,
             exposure_ttl: SimDuration::ZERO,
-            violation_quarantine: 8,
             server_zero_copy: true,
             server_doorbell_batch: 1,
             server_doorbell_flush: SimDuration::from_micros(8),
             qos_enabled: false,
-            // Small on purpose: each worker occupies the serialized
-            // task queue when it dispatches, so the pool depth bounds
-            // how much in-service work a backlogged tenant can put in
-            // front of a just-arrived one — the fairness harness's
-            // honest-p99 bound depends on it. Enough workers remain to
-            // cover per-op wire/CPU latency and keep the serial stage
-            // saturated.
-            qos_workers: 8,
-            qos_queue_cap: 256,
-            qos_tenant_backlog: 64,
-            qos_target_delay: SimDuration::from_millis(2),
-            qos_shed_backoff: SimDuration::from_micros(400),
-            qos_max_rejections: 64,
             rfp_enabled: false,
-            rfp_slot_size: 512,
-            rfp_slots: 64,
             rfp_poll_initial: SimDuration::from_micros(30),
-            rfp_poll_max: SimDuration::from_micros(240),
         }
     }
 
@@ -257,8 +182,7 @@ mod tests {
         // RFP is opt-in: the Send/Send reply path stays the default so
         // every historical figure reproduces byte-for-byte.
         assert!(!s.rfp_enabled);
-        assert_eq!(s.rfp_slot_size, 512);
-        assert!(s.rfp_slots >= s.credits, "ring must cover the window");
+        assert_eq!(crate::rfp::RFP_SLOT_SIZE, 512);
         assert!(!l.rfp_enabled);
     }
 }

@@ -32,10 +32,47 @@
 //! The CoDel-style sojourn deadline (shed a call that waited longer
 //! than the target before dispatch) lives with the caller: the queued
 //! item carries its enqueue time and the dispatch worker checks it
-//! against the target, so this module stays clock-free.
+//! against [`QOS_TARGET_DELAY`], so the scheduler itself stays
+//! clock-free.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
+
+use sim_core::SimDuration;
+
+/// Dispatcher tasks draining the QoS queue: the server's effective
+/// service concurrency under overload. Small on purpose: each worker
+/// occupies the serialized task queue when it dispatches, so the pool
+/// depth bounds how much in-service work a backlogged tenant can put in
+/// front of a just-arrived one — the fairness harness's honest-p99
+/// bound depends on it. Enough workers remain to cover per-op wire/CPU
+/// latency and keep the serial stage saturated.
+pub const QOS_WORKERS: u32 = 8;
+
+/// Calls the QoS queue holds across all tenants before enqueue itself
+/// sheds (busy reply, no dispatch).
+pub const QOS_QUEUE_CAP: u32 = 256;
+
+/// Calls one tenant may hold in the QoS queue before its surplus sheds
+/// — hog isolation: one connection's burst cannot consume the shared
+/// queue. Past half of it the tenant's credit grant is clamped, pushing
+/// back through flow control before the hard cap sheds.
+pub const QOS_TENANT_BACKLOG: u32 = 64;
+
+/// CoDel-style sojourn target: a queued call older than this at
+/// dispatch time is shed instead of serviced — under sustained overload
+/// the queue delay the server adds is bounded by this target instead of
+/// growing without bound.
+pub const QOS_TARGET_DELAY: SimDuration = SimDuration::from_millis(2);
+
+/// Base client back-off after a busy (shed) reply; rejection `n` waits
+/// `QOS_SHED_BACKOFF << min(n, 6)` plus the retransmission jitter
+/// before re-offering the same XID.
+pub const QOS_SHED_BACKOFF: SimDuration = SimDuration::from_micros(400);
+
+/// Busy replies tolerated per call before it fails with
+/// [`onc_rpc::TransportError::Overloaded`].
+pub const QOS_MAX_REJECTIONS: u32 = 64;
 
 /// Why an arrival was shed instead of queued.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

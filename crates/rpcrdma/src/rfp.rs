@@ -31,10 +31,30 @@
 //! tearing / reuse properties can be tested without a simulator.
 
 use bytes::Bytes;
+use sim_core::SimDuration;
 
 /// Bytes of seqlock framing per slot on top of the reply payload:
 /// `gen + xid + len` ahead of the bytes, `gen2` behind them.
 pub const SLOT_OVERHEAD: u64 = 16;
+
+/// Largest wire-format reply (RPC/RDMA header + inline body) the
+/// server will deposit into a reply slot; anything bigger takes the
+/// Send path. Each ring slot carries [`SLOT_OVERHEAD`] on top of this
+/// payload budget.
+pub const RFP_SLOT_SIZE: u64 = 512;
+
+/// Fewest slots in a per-connection reply ring. The server builds
+/// `RFP_SLOTS.max(credits)` slots, so the ring always covers the
+/// credit window and no in-flight call is ever assigned the slot
+/// (`xid % nslots`) of another outstanding call.
+pub const RFP_SLOTS: u32 = 64;
+
+/// Cap on the client's exponential slot-poll backoff — bounds the
+/// worst-case latency added once the reply does land. The server's
+/// ring reaper reads it too: a ring must outlive its last deposit by
+/// two of these so an honest client's final backed-off fetch is never
+/// refused.
+pub const RFP_POLL_MAX: SimDuration = SimDuration::from_micros(240);
 
 /// What a fetched slot image decodes to.
 #[derive(Clone, PartialEq, Eq, Debug)]

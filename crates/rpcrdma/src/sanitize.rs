@@ -21,6 +21,11 @@
 use crate::config::RpcRdmaConfig;
 use crate::header::{MsgType, RdmaHeader, Segment};
 
+/// Most bytes a single header may advertise across all its chunk
+/// lists. Bounds the scratch memory + RDMA traffic one hostile call can
+/// demand from the server; the largest honest transfer is 1 MiB.
+pub const MAX_CHUNK_BYTES: u64 = 8 << 20;
+
 /// A malformed or hostile header, detected before the server spent
 /// memory or RDMA on it. The `metric_key` of each variant names its
 /// `server.violations.<key>` counter.
@@ -37,7 +42,7 @@ pub enum ProtocolViolation {
         cap: u32,
     },
     /// The header's chunk lists advertise more total bytes than
-    /// `cfg.max_chunk_bytes`.
+    /// [`MAX_CHUNK_BYTES`].
     ChunkBytesExceeded {
         /// Bytes the client advertised across all chunk lists.
         bytes: u64,
@@ -172,10 +177,10 @@ pub fn sanitize_header(hdr: &RdmaHeader, cfg: &RpcRdmaConfig) -> Result<(), Prot
     if let Some(chunk) = &hdr.reply_chunk {
         total = total.saturating_add(check_chunk(chunk, cap)?);
     }
-    if total > cfg.max_chunk_bytes {
+    if total > MAX_CHUNK_BYTES {
         return Err(ProtocolViolation::ChunkBytesExceeded {
             bytes: total,
-            cap: cfg.max_chunk_bytes,
+            cap: MAX_CHUNK_BYTES,
         });
     }
     Ok(())

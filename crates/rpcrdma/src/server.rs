@@ -20,44 +20,73 @@
 //! client's Read chunks with RDMA Read and *blocks* until completion,
 //! because a Send after a Read carries no ordering guarantee (§4.1).
 //!
+//! # The pipeline
+//!
+//! Every message walks one staged dataplane, each stage one function
+//! that owns its span and its counters. Per connection
+//! (`connection_loop`): **receive** from the `RecvPool` → **sanitize**
+//! → **admit** (the credit window) → **schedule** (a task per call, or
+//! the QoS queue). Per call (`handle_op`): **dispatch** (the serialized
+//! task queue) → **pull** → **service** (the duplicate request cache
+//! around the RPC program) → **push** → **reply** (Send, or an RFP
+//! deposit) → **retire**.
+//!
 //! # Adversarial hardening
 //!
 //! Every inbound header passes [`crate::sanitize::sanitize_header`]
 //! before the server allocates scratch or issues RDMA. Violations are
 //! counted (`server.violations.*`), clamp the offender's per-connection
 //! credit grant (halved per strike, restored after a streak of good
-//! calls), and — past `cfg.violation_quarantine` strikes — quarantine
+//! calls), and — past [`VIOLATION_QUARANTINE`] strikes — quarantine
 //! the connection by forcing its QP into the error state. Honest
 //! clients on other QPs keep their full windows. When
 //! `cfg.exposure_ttl` is non-zero, a per-connection reaper
 //! force-revokes Read-Read exposures whose `RDMA_DONE` never arrived,
 //! bounding how long a client can pin server memory.
 
+#![deny(clippy::too_many_lines)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Buffer, Hca, Opcode, Qp, Sge, Srq, WrId};
+use ib_verbs::{Access, Buffer, Hca, Opcode, Qp, Sge, Srq, VerbsError, WrId};
 use onc_rpc::msg::{decode_call, encode_reply};
-use onc_rpc::{AcceptStat, CallContext, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader};
+use onc_rpc::{
+    AcceptStat, CallContext, CallHeader, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader,
+};
 use sim_core::stats::Counter;
 use sim_core::sync::Semaphore;
-use sim_core::{Payload, Resource, SgList, Sim, SimDuration, SimTime};
+use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime};
 use xdr::{Encoder, XdrCodec};
 
 use crate::config::{Design, RpcRdmaConfig};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
-use crate::qos::{ShedReason, TenantScheduler};
+use crate::qos::{
+    ShedReason, TenantScheduler, QOS_QUEUE_CAP, QOS_TARGET_DELAY, QOS_TENANT_BACKLOG, QOS_WORKERS,
+};
 use crate::reg::{IoBuf, Registrar};
-use crate::rfp::{encode_slot, encode_torn_marker, RingLayout};
+use crate::rfp::{
+    encode_slot, encode_torn_marker, RingLayout, RFP_POLL_MAX, RFP_SLOTS, RFP_SLOT_SIZE,
+};
 use crate::router::CompletionRouter;
 use crate::sanitize::{sanitize_header, ProtocolViolation};
-use crate::service::RdmaService;
+use crate::service::{RdmaDispatch, RdmaService};
 
 /// Good calls a clamped connection must complete before its credit
 /// window doubles back toward the server's base grant.
 const GOOD_OPS_PER_RESTORE: u32 = 8;
+
+/// Protocol violations tolerated on one connection before the server
+/// quarantines it (forces the QP into the error state, tearing down
+/// only that client).
+pub const VIOLATION_QUARANTINE: u32 = 8;
+
+/// Completed replies the duplicate request cache retains (bounded LRU;
+/// evicted entries mean very late duplicates re-execute).
+pub const DRC_CAPACITY: usize = 1024;
 
 /// Executor scheduling class the QoS dispatch workers run in. Nothing
 /// spawns here unless `cfg.qos_enabled`, so default-configuration
@@ -66,118 +95,190 @@ const GOOD_OPS_PER_RESTORE: u32 = 8;
 /// loops instead of queueing behind whatever woke first.
 const QOS_DISPATCH_CLASS: usize = 1;
 
-/// Server-side statistics (shared across connections).
-#[derive(Default)]
+/// Server-side statistics. The monotonic fields *are* the `server.*`
+/// series of the metrics registry (named in `ServerStats::new`): one
+/// counter per series, shared by name — so fleet-wide when servers
+/// share a simulation. The gauges are per-server cells.
 pub struct ServerStats {
     /// Operations dispatched.
-    pub ops: Cell<u64>,
+    pub ops: Rc<Counter>,
     /// Bulk bytes pulled from clients (WRITE path).
-    pub bulk_in: Cell<u64>,
+    pub bulk_in: Rc<Counter>,
     /// Bulk bytes pushed/exposed to clients (READ path).
-    pub bulk_out: Cell<u64>,
+    pub bulk_out: Rc<Counter>,
     /// `RDMA_DONE` messages processed (Read-Read design).
-    pub dones: Cell<u64>,
+    pub dones: Rc<Counter>,
     /// `RDMA_MSGP` padded-inline messages received.
-    pub msgp_recvs: Cell<u64>,
-    /// Exposed buffers currently awaiting `RDMA_DONE` — a resource the
-    /// client controls (§4.1 "Malicious or Malfunctioning clients").
+    pub msgp_recvs: Rc<Counter>,
+    /// Gauge: exposed buffers currently awaiting `RDMA_DONE` — a
+    /// resource the client controls (§4.1 "Malicious or Malfunctioning
+    /// clients").
     pub exposures_pending: Cell<u64>,
     /// Server-side staging copies, bytes.
-    pub copied_bytes: Cell<u64>,
+    pub copied_bytes: Rc<Counter>,
     /// READ reply bytes gathered straight from file-system pages onto
     /// the wire (no staging write): the zero-copy pipeline's output.
-    pub zero_copy_bytes: Cell<u64>,
+    pub zero_copy_bytes: Rc<Counter>,
     /// WRITE bytes pulled from clients and handed to the file system
     /// as scatter pieces (no flattening, no staging copy): the
     /// receive-side scatter pipeline's output, mirroring
     /// [`ServerStats::zero_copy_bytes`] on the READ side.
-    pub write_zero_copy_bytes: Cell<u64>,
-    /// Operations currently being serviced.
+    pub write_zero_copy_bytes: Rc<Counter>,
+    /// Gauge: operations currently being serviced.
     pub inflight: Cell<u64>,
-    /// High-water mark of concurrent operations.
+    /// Gauge: high-water mark of concurrent operations.
     pub peak_inflight: Cell<u64>,
     /// Retransmitted calls answered from the duplicate request cache
     /// (or parked on an in-progress original) instead of re-executing.
-    pub drc_replays: Cell<u64>,
+    pub drc_replays: Rc<Counter>,
     /// DRC replays served from the *previous* service epoch: calls
     /// first executed on a failed primary and retransmitted to this
     /// server after its promotion (subset of `drc_replays`).
-    pub cross_epoch_replays: Cell<u64>,
+    pub cross_epoch_replays: Rc<Counter>,
     /// Protocol violations detected by the chunk-list sanitizer (all
     /// connections, all kinds).
-    pub violations: Cell<u64>,
+    pub violations: Rc<Counter>,
     /// Connections quarantined (QP forced to the error state) after
     /// exhausting their violation budget.
-    pub quarantines: Cell<u64>,
+    pub quarantines: Rc<Counter>,
     /// Times a connection's credit grant was halved under violation
-    /// pressure.
-    pub credit_clamps: Cell<u64>,
+    /// (or QoS hog) pressure.
+    pub credit_clamps: Rc<Counter>,
     /// Read-Read exposures force-revoked by the TTL reaper because the
     /// client never sent `RDMA_DONE`.
-    pub exposures_revoked: Cell<u64>,
+    pub exposures_revoked: Rc<Counter>,
     /// Calls shed by the overload controller (answered with a
     /// retryable busy reply instead of being serviced).
-    pub sheds: Cell<u64>,
-    /// High-water mark of the QoS dispatch queue depth.
+    pub sheds: Rc<Counter>,
+    /// Gauge: high-water mark of the QoS dispatch queue depth.
     pub qos_peak_depth: Cell<u64>,
     /// Small replies deposited into reply-slot rings instead of being
     /// sent (RFP fast path): each one is a server doorbell, a send
     /// completion and a client interrupt that never happened.
-    pub rfp_deposits: Cell<u64>,
+    pub rfp_deposits: Rc<Counter>,
     /// RFP-marked calls whose reply went out on the Send path anyway
     /// (reply too large for a slot, ring revoked mid-call, or the ring
     /// was never advertised on this connection).
-    pub rfp_fallback_sends: Cell<u64>,
+    pub rfp_fallback_sends: Rc<Counter>,
     /// Reply-slot ring advertisements piggybacked on Send replies.
-    pub rfp_ads: Cell<u64>,
+    pub rfp_ads: Rc<Counter>,
     /// Reply-slot rings revoked (idle past the exposure TTL, or at
     /// connection teardown) — each one invalidates the advertised
     /// steering tag, so later fetches are refused by the HCA.
-    pub rfp_rings_revoked: Cell<u64>,
+    pub rfp_rings_revoked: Rc<Counter>,
 }
 
-/// Registry-backed server counters (the [`ServerStats`] cells remain
-/// the accessor API; these mirror the core series onto the unified
-/// metrics registry for snapshots and dumps).
-struct ServerMetrics {
-    ops: Rc<Counter>,
-    replays: Rc<Counter>,
-    violations_total: Rc<Counter>,
-    quarantines: Rc<Counter>,
-    credit_clamps: Rc<Counter>,
-    exposures_revoked: Rc<Counter>,
-    zero_copy_bytes: Rc<Counter>,
-    write_zero_copy_bytes: Rc<Counter>,
-    qos_enqueued: Rc<Counter>,
-    qos_dispatched: Rc<Counter>,
-    qos_shed_queue_full: Rc<Counter>,
-    qos_shed_tenant_backlog: Rc<Counter>,
-    qos_shed_deadline: Rc<Counter>,
-    qos_credit_clamps: Rc<Counter>,
-    rfp_deposits: Rc<Counter>,
-    rfp_fallback_sends: Rc<Counter>,
-    rfp_ads: Rc<Counter>,
-    rfp_rings_revoked: Rc<Counter>,
+impl ServerStats {
+    fn new(registry: &MetricsRegistry) -> ServerStats {
+        let series = |name: &str| registry.counter(name);
+        ServerStats {
+            ops: series("server.ops"),
+            bulk_in: series("server.bulk_in"),
+            bulk_out: series("server.bulk_out"),
+            dones: series("server.dones"),
+            msgp_recvs: series("server.msgp_recvs"),
+            exposures_pending: Cell::new(0),
+            copied_bytes: series("server.copied_bytes"),
+            zero_copy_bytes: series("server.read.zero_copy_bytes"),
+            write_zero_copy_bytes: series("server.write.zero_copy_bytes"),
+            inflight: Cell::new(0),
+            peak_inflight: Cell::new(0),
+            drc_replays: series("server.drc.replays"),
+            cross_epoch_replays: series("server.drc.cross_epoch_replays"),
+            violations: series("server.violations.total"),
+            quarantines: series("server.quarantines"),
+            credit_clamps: series("server.credit_clamps"),
+            exposures_revoked: series("server.exposures.revoked"),
+            sheds: series("server.sheds"),
+            qos_peak_depth: Cell::new(0),
+            rfp_deposits: series("server.rfp.deposits"),
+            rfp_fallback_sends: series("server.rfp.fallback_sends"),
+            rfp_ads: series("server.rfp.ads"),
+            rfp_rings_revoked: series("server.rfp.rings_revoked"),
+        }
+    }
 }
 
 /// One admitted call parked in the QoS dispatch queue.
 struct QueuedCall {
     hdr: RdmaHeader,
     body: Bytes,
-    qp: Qp,
     conn: Rc<ConnState>,
     /// Arrival instant; the dispatch worker sheds the call if its
-    /// sojourn exceeds `cfg.qos_target_delay` (CoDel-style).
+    /// sojourn exceeds [`QOS_TARGET_DELAY`] (CoDel-style).
     enq: SimTime,
 }
 
 /// Overload-control state (present when `cfg.qos_enabled`): the
-/// per-tenant weighted fair dispatch queue plus the signal the worker
-/// pool parks on.
+/// per-tenant weighted fair dispatch queue, the signal the worker pool
+/// parks on, and the `server.qos.*` series of the schedule stage.
 struct QosState {
     sched: TenantScheduler<QueuedCall>,
     /// One permit per queued call; idle workers park here.
     work: Semaphore,
+    enqueued: Rc<Counter>,
+    dispatched: Rc<Counter>,
+    shed_queue_full: Rc<Counter>,
+    shed_tenant_backlog: Rc<Counter>,
+    shed_deadline: Rc<Counter>,
+    credit_clamps: Rc<Counter>,
+}
+
+impl QosState {
+    fn new(registry: &MetricsRegistry) -> QosState {
+        QosState {
+            sched: TenantScheduler::new(QOS_QUEUE_CAP, QOS_TENANT_BACKLOG),
+            work: Semaphore::new(0),
+            enqueued: registry.counter("server.qos.enqueued"),
+            dispatched: registry.counter("server.qos.dispatched"),
+            shed_queue_full: registry.counter("server.qos.shed.queue_full"),
+            shed_tenant_backlog: registry.counter("server.qos.shed.tenant_backlog"),
+            shed_deadline: registry.counter("server.qos.shed.deadline"),
+            credit_clamps: registry.counter("server.qos.credit_clamps"),
+        }
+    }
+}
+
+/// Where a [`RecvPool`]'s buffers are posted: one shared receive queue
+/// feeding every connection (`cfg.server_srq`), or a connection's own QP.
+enum RecvQueue {
+    Shared(Srq),
+    PerQp(Qp),
+}
+
+/// The *receive* stage's buffers: a doubled credit window (calls plus
+/// `RDMA_DONE`s) of posted receives, indexed by work-request id for
+/// re-posting — one pool per connection, or (the buffer-management
+/// direction of the paper's future work) one shared by all of them.
+struct RecvPool {
+    queue: RecvQueue,
+    bufs: Vec<Buffer>,
+}
+
+impl RecvPool {
+    /// Allocate the pool and post every buffer to `queue`.
+    fn post(hca: &Hca, cfg: &RpcRdmaConfig, queue: RecvQueue) -> Result<RecvPool, VerbsError> {
+        let bufs = Vec::new();
+        let mut pool = RecvPool { queue, bufs };
+        for i in 0..(cfg.credits as u64 * 2) {
+            pool.bufs.push(hca.mem().alloc(cfg.recv_buffer_size));
+            pool.repost(WrId(i))?;
+        }
+        Ok(pool)
+    }
+
+    /// Put buffer `wr_id` (back) on the queue: at set-up, and whenever
+    /// a receive completion has consumed it.
+    fn repost(&self, wr_id: WrId) -> Result<(), VerbsError> {
+        let Some(buf) = self.bufs.get(wr_id.0 as usize).cloned() else {
+            return Ok(());
+        };
+        let len = buf.len();
+        match &self.queue {
+            RecvQueue::Shared(srq) => srq.post_recv(buf, 0, len, wr_id),
+            RecvQueue::PerQp(qp) => qp.post_recv(buf, 0, len, wr_id),
+        }
+    }
 }
 
 /// A server endpoint shared by all client connections: the service,
@@ -195,19 +296,17 @@ pub struct RdmaRpcServer {
     /// configured window; lower it under memory pressure and clients
     /// shrink their outstanding-call windows on the next reply.
     credit_grant: Cell<u32>,
-    /// Shared receive pool when `cfg.server_srq` is set, with its
-    /// buffers (indexed by work-request id for re-posting).
-    srq: Option<(Srq, Vec<Buffer>)>,
+    /// Shared receive queue and the pool posted to it when
+    /// `cfg.server_srq` is set (otherwise each connection posts its own).
+    srq: Option<(Srq, Rc<RecvPool>)>,
     /// Duplicate request cache: retransmitted calls (same peer + XID)
     /// replay the original dispatch instead of re-executing it.
-    drc: DuplicateRequestCache<crate::service::RdmaDispatch>,
+    drc: DuplicateRequestCache<RdmaDispatch>,
     /// Service epoch qualifying DRC keys. 0 for a standalone server;
     /// a replicated cluster bumps it when this server is promoted, and
     /// calls that miss the current epoch probe the previous one so
     /// retransmissions across a failover replay instead of re-executing.
     service_epoch: Cell<u32>,
-    /// Registry-backed counters.
-    metrics: ServerMetrics,
     /// Overload control (per-tenant fair dispatch queue + shedding);
     /// `None` unless `cfg.qos_enabled`.
     qos: Option<Rc<QosState>>,
@@ -224,31 +323,20 @@ impl RdmaRpcServer {
         registrar: Registrar,
         cfg: RpcRdmaConfig,
     ) -> Rc<RdmaRpcServer> {
+        let registry = sim.metrics();
         let srq = cfg.server_srq.then(|| {
             let srq = Srq::new();
-            let mut bufs = Vec::new();
-            for i in 0..(cfg.credits as u64 * 2) {
-                let buf = hca.mem().alloc(cfg.recv_buffer_size);
-                srq.post_recv(buf.clone(), 0, cfg.recv_buffer_size, WrId(i))
-                    .expect("posting srq receives");
-                bufs.push(buf);
-            }
+            let pool = RecvPool::post(hca, &cfg, RecvQueue::Shared(srq.clone()))
+                .expect("posting srq receives");
             srq.set_limit(cfg.credits as usize / 2);
             srq.bind_metrics(
-                sim.metrics().counter("hca.srq.consumed"),
-                sim.metrics().counter("hca.srq.limit_events"),
+                registry.counter("hca.srq.consumed"),
+                registry.counter("hca.srq.limit_events"),
             );
-            (srq, bufs)
+            (srq, Rc::new(pool))
         });
-        let drc = DuplicateRequestCache::new(cfg.drc_capacity);
-        drc.bind_metrics(&sim.metrics(), "server.drc");
-        let registry = sim.metrics();
-        let qos = cfg.qos_enabled.then(|| {
-            Rc::new(QosState {
-                sched: TenantScheduler::new(cfg.qos_queue_cap, cfg.qos_tenant_backlog),
-                work: Semaphore::new(0),
-            })
-        });
+        let drc = DuplicateRequestCache::new(DRC_CAPACITY);
+        drc.bind_metrics(&registry, "server.drc");
         let server = Rc::new(RdmaRpcServer {
             sim: sim.clone(),
             hca: hca.clone(),
@@ -260,38 +348,13 @@ impl RdmaRpcServer {
             srq,
             drc,
             service_epoch: Cell::new(0),
-            metrics: ServerMetrics {
-                ops: registry.counter("server.ops"),
-                replays: registry.counter("server.drc.replays"),
-                violations_total: registry.counter("server.violations.total"),
-                quarantines: registry.counter("server.quarantines"),
-                credit_clamps: registry.counter("server.credit_clamps"),
-                exposures_revoked: registry.counter("server.exposures.revoked"),
-                zero_copy_bytes: registry.counter("server.read.zero_copy_bytes"),
-                write_zero_copy_bytes: registry.counter("server.write.zero_copy_bytes"),
-                qos_enqueued: registry.counter("server.qos.enqueued"),
-                qos_dispatched: registry.counter("server.qos.dispatched"),
-                qos_shed_queue_full: registry.counter("server.qos.shed.queue_full"),
-                qos_shed_tenant_backlog: registry.counter("server.qos.shed.tenant_backlog"),
-                qos_shed_deadline: registry.counter("server.qos.shed.deadline"),
-                qos_credit_clamps: registry.counter("server.qos.credit_clamps"),
-                rfp_deposits: registry.counter("server.rfp.deposits"),
-                rfp_fallback_sends: registry.counter("server.rfp.fallback_sends"),
-                rfp_ads: registry.counter("server.rfp.ads"),
-                rfp_rings_revoked: registry.counter("server.rfp.rings_revoked"),
-            },
-            qos,
-            stats: Rc::new(ServerStats::default()),
+            qos: cfg.qos_enabled.then(|| Rc::new(QosState::new(&registry))),
+            stats: Rc::new(ServerStats::new(&registry)),
         });
         if server.qos.is_some() {
-            for _ in 0..cfg.qos_workers.max(1) {
-                let server = server.clone();
-                server
-                    .sim
-                    .clone()
-                    .spawn_class(QOS_DISPATCH_CLASS, async move {
-                        qos_worker(server).await;
-                    });
+            for _ in 0..QOS_WORKERS {
+                let worker = qos_worker(server.clone());
+                sim.spawn_class(QOS_DISPATCH_CLASS, worker);
             }
         }
         server
@@ -343,7 +406,7 @@ impl RdmaRpcServer {
     }
 
     /// The duplicate request cache (diagnostics).
-    pub fn drc(&self) -> &DuplicateRequestCache<crate::service::RdmaDispatch> {
+    pub fn drc(&self) -> &DuplicateRequestCache<RdmaDispatch> {
         &self.drc
     }
 
@@ -373,7 +436,7 @@ impl RdmaRpcServer {
         head: Bytes,
         trace: sim_core::TraceCtx,
     ) {
-        let mut dispatch = crate::service::RdmaDispatch::success(head, None);
+        let mut dispatch = RdmaDispatch::success(head, None);
         dispatch.trace = trace;
         self.drc
             .insert_completed(DrcKey { peer, xid, epoch }, &dispatch);
@@ -381,10 +444,14 @@ impl RdmaRpcServer {
 
     /// Attach one accepted connection (a connected QP) and serve it.
     pub fn serve_connection(self: &Rc<Self>, qp: Qp) {
-        let server = self.clone();
-        self.sim.clone().spawn(async move {
-            connection_loop(server, qp).await;
-        });
+        self.sim.spawn(connection_loop(self.clone(), qp));
+    }
+
+    /// The zero-copy test *pull* (scatter WRITE chunks into the file
+    /// system) and *push* (gather READ data from its pages) share: on,
+    /// unless the registration strategy stages through bounce buffers.
+    fn zero_copy(&self) -> bool {
+        self.cfg.server_zero_copy && !self.registrar.is_staged()
     }
 }
 
@@ -396,7 +463,21 @@ struct Exposure {
     bufs: Vec<IoBuf>,
 }
 
+/// How an [`Exposure`] ends: quietly *released* (the client sent
+/// `RDMA_DONE`, or never acted on the reply that advertised it), or
+/// *revoked* on the TPT ledger because the client can no longer be
+/// trusted to let go (teardown, TTL expiry).
+#[derive(Clone, Copy)]
+enum Retire {
+    Release,
+    Revoke,
+}
+
+/// One client connection: the endpoint it belongs to, its QP, and the
+/// per-connection protocol state every stage works against.
 struct ConnState {
+    server: Rc<RdmaRpcServer>,
+    qp: Qp,
     wr_counter: Cell<u64>,
     /// Read-Read design: xid -> buffers exposed until RDMA_DONE.
     pending_exposures: RefCell<HashMap<u32, Exposure>>,
@@ -424,7 +505,7 @@ struct ConnState {
     /// teardown). The reaper parks on this while the connection has no
     /// pending exposures — an idle timer loop would keep the whole
     /// simulation from ever quiescing.
-    exposure_signal: sim_core::sync::Semaphore,
+    exposure_signal: Semaphore,
     /// The RFP reply-slot ring, once built (`cfg.rfp_enabled` only).
     rfp: RefCell<Option<RfpRing>>,
     /// Ring construction in progress (registration awaits); calls
@@ -436,7 +517,7 @@ struct ConnState {
     rfp_ad_sent: Cell<bool>,
     /// Wakes the ring reaper when a ring is created (or at teardown);
     /// it parks here while the connection has no ring.
-    rfp_signal: sim_core::sync::Semaphore,
+    rfp_signal: Semaphore,
 }
 
 /// A connection's RFP reply-slot ring: registered, remotely readable
@@ -452,70 +533,94 @@ struct RfpRing {
 }
 
 impl ConnState {
-    fn alloc_wr(&self) -> WrId {
-        let id = self.wr_counter.get();
-        self.wr_counter.set(id + 1);
-        WrId(id)
+    /// Fresh per-connection state; spawns the send-completion router.
+    fn new(server: &Rc<RdmaRpcServer>, qp: Qp) -> ConnState {
+        ConnState {
+            server: server.clone(),
+            wr_counter: Cell::new(1 << 40),
+            pending_exposures: RefCell::new(HashMap::new()),
+            router: CompletionRouter::spawn(&server.sim, qp.send_cq().clone()),
+            qp,
+            send_scratch: RefCell::new(Encoder::with_capacity(256)),
+            granted: Cell::new(server.credit_grant.get()),
+            violations: Cell::new(0),
+            good_streak: Cell::new(0),
+            closed: Cell::new(false),
+            in_flight: Cell::new(0),
+            exposure_signal: Semaphore::new(0),
+            rfp: RefCell::new(None),
+            rfp_building: Cell::new(false),
+            rfp_ad_sent: Cell::new(false),
+            rfp_signal: Semaphore::new(0),
+        }
     }
+
+    fn peer(&self) -> u32 {
+        self.qp.peer_node().0
+    }
+
+    fn alloc_wr(&self) -> WrId {
+        WrId(self.wr_counter.replace(self.wr_counter.get() + 1))
+    }
+
+    /// Assemble an outgoing wire message (reply header + inline body)
+    /// in the connection's scratch encoder; the single copy out models
+    /// staging into the registered inline send buffer.
+    fn encode_wire(&self, rhdr: &RdmaHeader, inline: &[u8]) -> Bytes {
+        let mut enc = self.send_scratch.borrow_mut();
+        rhdr.encode_into(&mut enc);
+        enc.put_raw(inline);
+        Bytes::copy_from_slice(enc.as_slice())
+    }
+
+    /// The grant this client sees in a reply header: its own
+    /// (violation-clamped) window, never more than the server-wide one.
+    fn grant(&self) -> u32 {
+        self.granted.get().min(self.server.credit_grant.get())
+    }
+}
+
+/// Halve the connection's credit grant (never below one), pushing back
+/// through flow control. Returns whether the window actually shrank.
+fn clamp_credits(conn: &ConnState) -> bool {
+    let g = conn.granted.get();
+    if g <= 1 {
+        return false;
+    }
+    conn.granted.set(g / 2);
+    conn.server.stats.credit_clamps.inc();
+    true
 }
 
 /// Charge `v` to this connection: count it, clamp the connection's
 /// credit window, and quarantine the QP once the violation budget is
 /// spent. Never touches other connections.
-fn note_violation(server: &Rc<RdmaRpcServer>, conn: &ConnState, qp: &Qp, v: ProtocolViolation) {
-    server.sim.trace("rpc", || {
-        format!("server violation peer={} {}", qp.peer_node().0, v)
-    });
-    server
-        .stats
-        .violations
-        .set(server.stats.violations.get() + 1);
-    server.metrics.violations_total.inc();
-    server
-        .sim
-        .metrics()
-        .counter(&format!("server.violations.{}", v.metric_key()))
-        .inc();
+fn note_violation(conn: &ConnState, v: ProtocolViolation) {
+    let (sim, stats) = (&conn.server.sim, &conn.server.stats);
+    let peer = conn.peer();
+    sim.trace("rpc", || format!("server violation peer={peer} {v}"));
+    stats.violations.inc();
+    let kind = format!("server.violations.{}", v.metric_key());
+    sim.metrics().counter(&kind).inc();
     conn.good_streak.set(0);
-    let g = conn.granted.get();
-    if g > 1 {
-        conn.granted.set((g / 2).max(1));
-        server
-            .stats
-            .credit_clamps
-            .set(server.stats.credit_clamps.get() + 1);
-        server.metrics.credit_clamps.inc();
-    }
+    clamp_credits(conn);
     let strikes = conn.violations.get() + 1;
     conn.violations.set(strikes);
-    let budget = server.cfg.violation_quarantine;
-    if budget > 0 && strikes >= budget && !conn.closed.get() {
-        server.sim.trace("rpc", || {
-            format!(
-                "server quarantine peer={} after {strikes} violations",
-                qp.peer_node().0
-            )
+    if strikes >= VIOLATION_QUARANTINE && !conn.closed.get() {
+        sim.trace("rpc", || {
+            format!("server quarantine peer={peer} after {strikes} violations")
         });
-        server
-            .stats
-            .quarantines
-            .set(server.stats.quarantines.get() + 1);
-        server.metrics.quarantines.inc();
-        server.sim.flight(
-            "server",
-            "quarantine",
-            qp.peer_node().0 as u64,
-            strikes as u64,
-        );
-        qp.force_error();
+        stats.quarantines.inc();
+        sim.flight("server", "quarantine", peer as u64, strikes as u64);
+        conn.qp.force_error();
     }
 }
 
 /// A clean call completed: walk the connection's credit window back up
 /// toward the server's base grant, one doubling per
 /// [`GOOD_OPS_PER_RESTORE`] streak.
-fn note_good_op(server: &RdmaRpcServer, conn: &ConnState) {
-    let base = server.credit_grant.get();
+fn note_good_op(conn: &ConnState) {
+    let base = conn.server.credit_grant.get();
     if conn.granted.get() >= base {
         conn.good_streak.set(0);
         return;
@@ -530,251 +635,214 @@ fn note_good_op(server: &RdmaRpcServer, conn: &ConnState) {
     }
 }
 
+/// Take one exposure off the books. The gauge drops now; the returned
+/// future retires the buffers (await it, or spawn it to keep a receive
+/// loop moving).
+fn retire_exposure(conn: &ConnState, exp: Exposure, how: Retire) -> impl Future<Output = ()> {
+    let server = conn.server.clone();
+    let pending = &server.stats.exposures_pending;
+    pending.set(pending.get() - exp.bufs.len() as u64);
+    async move {
+        for io in exp.bufs {
+            match how {
+                Retire::Release => server.registrar.release(io).await,
+                Retire::Revoke => {
+                    server.stats.exposures_revoked.inc();
+                    server.registrar.revoke(io).await;
+                }
+            }
+        }
+    }
+}
+
+/// One connection's receive loop: **receive → sanitize → admit →
+/// schedule** for every inbound message, then teardown.
 async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
     let cfg = server.cfg;
     // Doorbell batching on the server's send side: WQEs queue in
     // software and one doorbell flushes the batch. Safe because every
     // path below flushes before awaiting a completion.
     qp.set_doorbell_batch(cfg.server_doorbell_batch);
-    // Receive buffers: a shared pool (SRQ) across all connections, or a
-    // doubled credit window per connection (calls plus RDMA_DONEs).
-    let mut recv_bufs = Vec::new();
-    if let Some((srq, _)) = &server.srq {
-        qp.set_srq(srq.clone());
-    } else {
-        for i in 0..(cfg.credits as u64 * 2) {
-            let buf = server.hca.mem().alloc(cfg.recv_buffer_size);
-            if qp
-                .post_recv(buf.clone(), 0, cfg.recv_buffer_size, WrId(i))
-                .is_err()
-            {
-                return;
-            }
-            recv_bufs.push(buf);
+    // Receive buffers: the pool shared across all connections (SRQ), or
+    // a private one posted to this QP.
+    let pool = match &server.srq {
+        Some((srq, pool)) => {
+            qp.set_srq(srq.clone());
+            pool.clone()
         }
-    }
-    let conn = Rc::new(ConnState {
-        wr_counter: Cell::new(1 << 40),
-        pending_exposures: RefCell::new(HashMap::new()),
-        router: CompletionRouter::spawn(&server.sim, qp.send_cq().clone()),
-        send_scratch: RefCell::new(Encoder::with_capacity(256)),
-        granted: Cell::new(server.credit_grant.get()),
-        violations: Cell::new(0),
-        good_streak: Cell::new(0),
-        closed: Cell::new(false),
-        in_flight: Cell::new(0),
-        exposure_signal: sim_core::sync::Semaphore::new(0),
-        rfp: RefCell::new(None),
-        rfp_building: Cell::new(false),
-        rfp_ad_sent: Cell::new(false),
-        rfp_signal: sim_core::sync::Semaphore::new(0),
-    });
+        None => match RecvPool::post(&server.hca, &cfg, RecvQueue::PerQp(qp.clone())) {
+            Ok(pool) => Rc::new(pool),
+            Err(_) => return,
+        },
+    };
+    let conn = Rc::new(ConnState::new(&server, qp));
     if cfg.exposure_ttl > SimDuration::ZERO {
-        spawn_exposure_reaper(&server, &conn);
+        spawn_exposure_reaper(&conn);
         if cfg.rfp_enabled {
-            spawn_rfp_reaper(&server, &conn);
+            spawn_rfp_reaper(&conn);
         }
     }
 
     loop {
-        let c = qp.recv_cq().next().await;
+        let c = conn.qp.recv_cq().next().await;
         if c.opcode != Opcode::Recv || c.result.is_err() {
             break; // connection torn down
         }
-        let idx = c.wr_id.0 as usize;
-        if let Some((srq, bufs)) = &server.srq {
-            if idx < bufs.len() {
-                let _ = srq.post_recv(bufs[idx].clone(), 0, cfg.recv_buffer_size, c.wr_id);
-            }
-        } else if idx < recv_bufs.len() {
-            let _ = qp.post_recv(recv_bufs[idx].clone(), 0, cfg.recv_buffer_size, c.wr_id);
-        }
+        let _ = pool.repost(c.wr_id);
         let Some(payload) = c.payload else { continue };
-        let raw = payload.materialize();
-        let mut dec = xdr::Decoder::new(&raw);
-        let Ok(hdr) = RdmaHeader::decode(&mut dec) else {
-            // Byte soup where a header should be: charge the sender.
-            note_violation(&server, &conn, &qp, ProtocolViolation::GarbageHeader);
+        let Some((hdr, body)) = sanitize_stage(&conn, payload) else {
             continue;
         };
-        // Sanitize every client-advertised chunk list *before* any
-        // allocation or RDMA is issued on its behalf.
-        if let Err(v) = sanitize_header(&hdr, &cfg) {
-            note_violation(&server, &conn, &qp, v);
-            continue;
-        }
-        let at = dec.position();
-        let body = raw.slice(at..);
-
         match hdr.msg_type {
             MsgType::Done => {
                 // Read-Read: the client is done pulling; release the
                 // exposed buffers (finally paying deregistration).
                 let exp = conn.pending_exposures.borrow_mut().remove(&hdr.xid);
                 if let Some(exp) = exp {
-                    server.stats.dones.set(server.stats.dones.get() + 1);
-                    server
-                        .stats
-                        .exposures_pending
-                        .set(server.stats.exposures_pending.get() - exp.bufs.len() as u64);
-                    let registrar = server.registrar.clone();
-                    server.sim.spawn(async move {
-                        for io in exp.bufs {
-                            registrar.release(io).await;
-                        }
-                    });
+                    server.stats.dones.inc();
+                    let release = retire_exposure(&conn, exp, Retire::Release);
+                    server.sim.spawn(release);
                 }
             }
             // A client never sends `MsgRfpAd`; the sanitizer rejected
             // it above, so this arm is unreachable.
             MsgType::MsgRfpAd => {}
             MsgType::Msg | MsgType::Nomsg | MsgType::Msgp | MsgType::MsgRfp => {
-                // Enforce the credit window: the base grant bounds how
-                // many calls any client may have in flight, whatever it
-                // chooses to believe about its credits.
-                let window = server.credit_grant.get();
-                if conn.in_flight.get() >= window {
-                    note_violation(
-                        &server,
-                        &conn,
-                        &qp,
-                        ProtocolViolation::WindowExceeded {
-                            in_flight: conn.in_flight.get() + 1,
-                            window,
-                        },
-                    );
-                    continue;
-                }
-                conn.in_flight.set(conn.in_flight.get() + 1);
-                let peer = qp.peer_node().0;
-                if let Some(qos) = &server.qos {
-                    // Overload control: park the call in the per-tenant
-                    // fair dispatch queue (or shed it) instead of
-                    // spawning an unbounded handler task.
-                    let call = QueuedCall {
-                        hdr,
-                        body,
-                        qp: qp.clone(),
-                        conn: conn.clone(),
-                        enq: server.sim.now(),
-                    };
-                    match qos.sched.enqueue(peer, call) {
-                        Ok(backlog) => {
-                            server.metrics.qos_enqueued.inc();
-                            let depth = qos.sched.queued() as u64;
-                            if depth > server.stats.qos_peak_depth.get() {
-                                server.stats.qos_peak_depth.set(depth);
-                            }
-                            // Hog pressure: a tenant holding more than
-                            // half its backlog cap gets its credit
-                            // grant halved, pushing back through flow
-                            // control before the hard cap sheds.
-                            if backlog > cfg.qos_tenant_backlog / 2 {
-                                let g = conn.granted.get();
-                                if g > 1 {
-                                    conn.granted.set((g / 2).max(1));
-                                    server.metrics.qos_credit_clamps.inc();
-                                    server
-                                        .stats
-                                        .credit_clamps
-                                        .set(server.stats.credit_clamps.get() + 1);
-                                    server.sim.flight(
-                                        "qos",
-                                        "credit_clamp",
-                                        peer as u64,
-                                        backlog as u64,
-                                    );
-                                }
-                            }
-                            qos.work.add_permits(1);
-                        }
-                        Err((reason, call)) => {
-                            conn.in_flight.set(conn.in_flight.get() - 1);
-                            match reason {
-                                ShedReason::QueueFull => server.metrics.qos_shed_queue_full.inc(),
-                                ShedReason::TenantBacklog => {
-                                    server.metrics.qos_shed_tenant_backlog.inc()
-                                }
-                            }
-                            shed_call(&server, "shed_arrival", call);
-                        }
-                    }
-                } else {
-                    let server = server.clone();
-                    let qp = qp.clone();
-                    let conn = conn.clone();
-                    server.sim.clone().spawn(async move {
-                        handle_op(server.clone(), qp, conn.clone(), hdr, body, peer).await;
-                        conn.in_flight.set(conn.in_flight.get() - 1);
-                    });
+                if admit(&conn) {
+                    schedule(&conn, hdr, body);
                 }
             }
         }
     }
-    // Teardown: ring out anything still sitting in the software send
-    // queue so no WQE is silently dropped by the batching layer.
-    qp.flush();
-    // The peer can no longer send RDMA_DONE on this QP. The
-    // rkeys of every still-exposed buffer were advertised to that peer,
-    // so *revoke* them (registration dropped, ledger records it) rather
-    // than release them — a parked cache entry with a live registration
-    // the dead peer knows about would be a standing leak.
-    conn.closed.set(true);
-    conn.exposure_signal.add_permits(1); // unpark the reaper so it exits
-    conn.rfp_signal.add_permits(1);
-    // The reply-slot ring's rkey was advertised to the dead peer:
-    // revoke it like any other outstanding exposure.
-    let ring = conn.rfp.borrow_mut().take();
-    if let Some(ring) = ring {
-        revoke_ring(&server, &conn, ring).await;
-    }
-    let leftover: Vec<Exposure> = conn
-        .pending_exposures
-        .borrow_mut()
-        .drain()
-        .map(|(_, exp)| exp)
-        .collect();
-    for exp in leftover {
-        server
-            .stats
-            .exposures_pending
-            .set(server.stats.exposures_pending.get() - exp.bufs.len() as u64);
-        for io in exp.bufs {
-            server
-                .stats
-                .exposures_revoked
-                .set(server.stats.exposures_revoked.get() + 1);
-            server.metrics.exposures_revoked.inc();
-            server.registrar.revoke(io).await;
+    teardown(&conn).await;
+}
+
+/// *Sanitize* stage: decode the transport header and vet every
+/// client-advertised chunk list *before* any allocation or RDMA is
+/// issued on its behalf. Byte soup where a header should be is charged
+/// to the sender like any other violation.
+fn sanitize_stage(conn: &ConnState, payload: Payload) -> Option<(RdmaHeader, Bytes)> {
+    let raw = payload.materialize();
+    let mut dec = xdr::Decoder::new(&raw);
+    let checked = RdmaHeader::decode(&mut dec)
+        .map_err(|_| ProtocolViolation::GarbageHeader)
+        .and_then(|hdr| sanitize_header(&hdr, &conn.server.cfg).map(|()| hdr));
+    match checked {
+        Ok(hdr) => Some((hdr, raw.slice(dec.position()..))),
+        Err(v) => {
+            note_violation(conn, v);
+            None
         }
     }
+}
+
+/// *Admit* stage: enforce the credit window. The base grant bounds how
+/// many calls any client may have in flight, whatever it chooses to
+/// believe about its credits; a call past it is charged and dropped.
+fn admit(conn: &ConnState) -> bool {
+    let window = conn.server.credit_grant.get();
+    let in_flight = conn.in_flight.get() + 1;
+    if in_flight > window {
+        let v = ProtocolViolation::WindowExceeded { in_flight, window };
+        note_violation(conn, v);
+        return false;
+    }
+    conn.in_flight.set(in_flight);
+    true
+}
+
+/// *Schedule* stage: one spawned handler task per admitted call, or
+/// (overload control) the per-tenant fair dispatch queue the QoS
+/// workers drain — which sheds what it refuses instead of queueing.
+fn schedule(conn: &Rc<ConnState>, hdr: RdmaHeader, body: Bytes) {
+    let server = &conn.server;
+    let Some(qos) = &server.qos else {
+        server.sim.spawn(handle_op(conn.clone(), hdr, body));
+        return;
+    };
+    let peer = conn.peer();
+    let call = QueuedCall {
+        hdr,
+        body,
+        conn: conn.clone(),
+        enq: server.sim.now(),
+    };
+    match qos.sched.enqueue(peer, call) {
+        Ok(backlog) => {
+            qos.enqueued.inc();
+            let depth = qos.sched.queued() as u64;
+            if depth > server.stats.qos_peak_depth.get() {
+                server.stats.qos_peak_depth.set(depth);
+            }
+            // Hog pressure: a tenant holding more than half its
+            // backlog cap gets its credit grant halved, pushing back
+            // through flow control before the hard cap sheds.
+            if backlog > QOS_TENANT_BACKLOG / 2 && clamp_credits(conn) {
+                qos.credit_clamps.inc();
+                let sim = &server.sim;
+                sim.flight("qos", "credit_clamp", peer as u64, backlog as u64);
+            }
+            qos.work.add_permits(1);
+        }
+        Err((reason, call)) => {
+            match reason {
+                ShedReason::QueueFull => qos.shed_queue_full.inc(),
+                ShedReason::TenantBacklog => qos.shed_tenant_backlog.inc(),
+            }
+            shed_call("shed_arrival", call);
+        }
+    }
+}
+
+/// Connection teardown. Ring out anything still sitting in the
+/// software send queue so no WQE is silently dropped by the batching
+/// layer, then deal with what the dead peer still holds: it can no
+/// longer send `RDMA_DONE` on this QP, and the rkeys of the reply-slot
+/// ring and of every still-exposed buffer were advertised to it — so
+/// *revoke* them (registration dropped, ledger records it) rather than
+/// release them. A parked cache entry with a live registration the
+/// dead peer knows about would be a standing leak.
+async fn teardown(conn: &ConnState) {
+    conn.qp.flush();
+    conn.closed.set(true);
+    conn.exposure_signal.add_permits(1); // unpark the reapers so they exit
+    conn.rfp_signal.add_permits(1);
+    revoke_ring(conn).await;
+    let leftover = std::mem::take(&mut *conn.pending_exposures.borrow_mut());
+    for exp in leftover.into_values() {
+        retire_exposure(conn, exp, Retire::Revoke).await;
+    }
+}
+
+/// One turn of a per-connection reaper: park on `signal` while there is
+/// nothing to watch (instead of spinning the timer wheel), then sleep a
+/// quarter of the exposure TTL. `false` once the connection has closed.
+async fn reaper_turn(conn: &ConnState, signal: &Semaphore, watching: impl Fn() -> bool) -> bool {
+    loop {
+        if conn.closed.get() {
+            return false;
+        }
+        if watching() {
+            break;
+        }
+        signal.acquire().await.forget();
+    }
+    let tick = (conn.server.cfg.exposure_ttl / 4).max(SimDuration::from_micros(1));
+    conn.server.sim.sleep(tick).await;
+    !conn.closed.get()
 }
 
 /// Spawn the per-connection exposure reaper: every quarter-TTL it
 /// force-revokes Read-Read exposures whose `RDMA_DONE` is overdue. The
 /// TPT ledger records each invalidation as a revocation, so the attack
 /// (and the defense) shows up in `tpt.revocations`.
-fn spawn_exposure_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
-    let server = server.clone();
+fn spawn_exposure_reaper(conn: &Rc<ConnState>) {
     let conn = conn.clone();
-    let ttl = server.cfg.exposure_ttl;
-    let tick = (ttl / 4).max(SimDuration::from_micros(1));
-    let sim = server.sim.clone();
+    let sim = conn.server.sim.clone();
+    let ttl = conn.server.cfg.exposure_ttl;
     sim.clone().spawn(async move {
-        loop {
-            if conn.closed.get() {
-                break;
-            }
-            if conn.pending_exposures.borrow().is_empty() {
-                // Nothing to watch: park until the next exposure (or
-                // teardown) instead of spinning the timer wheel.
-                conn.exposure_signal.acquire().await.forget();
-                continue;
-            }
-            sim.sleep(tick).await;
-            if conn.closed.get() {
-                break;
-            }
+        let watching = || !conn.pending_exposures.borrow().is_empty();
+        while reaper_turn(&conn, &conn.exposure_signal, watching).await {
             let now = sim.now();
             let expired: Vec<(u32, Exposure)> = {
                 let mut map = conn.pending_exposures.borrow_mut();
@@ -785,50 +853,33 @@ fn spawn_exposure_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
                     .collect();
                 overdue
                     .into_iter()
-                    .map(|xid| {
-                        let exp = map.remove(&xid).expect("overdue exposure vanished");
-                        (xid, exp)
-                    })
+                    .filter_map(|xid| map.remove_entry(&xid))
                     .collect()
             };
             for (xid, exp) in expired {
-                server.sim.trace("rpc", || {
-                    format!(
-                        "server exposure ttl-revoke xid={xid} bufs={}",
-                        exp.bufs.len()
-                    )
+                let bufs = exp.bufs.len();
+                sim.trace("rpc", || {
+                    format!("server exposure ttl-revoke xid={xid} bufs={bufs}")
                 });
-                server
-                    .stats
-                    .exposures_pending
-                    .set(server.stats.exposures_pending.get() - exp.bufs.len() as u64);
-                for io in exp.bufs {
-                    server
-                        .stats
-                        .exposures_revoked
-                        .set(server.stats.exposures_revoked.get() + 1);
-                    server.metrics.exposures_revoked.inc();
-                    server.registrar.revoke(io).await;
-                }
+                retire_exposure(&conn, exp, Retire::Revoke).await;
             }
         }
     });
 }
 
 /// Build the connection's reply-slot ring if it doesn't exist yet:
-/// one registered, remotely readable buffer of `rfp_slots` seqlock
-/// slots (at least the credit window, so concurrent in-flight calls
-/// never share a slot). Registration strategies that fan the range
-/// out into multiple segments (all-physical) can't be described by a
-/// single advertisement, so RFP quietly stays off there.
-async fn ensure_rfp_ring(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
+/// one registered, remotely readable buffer of [`RFP_SLOTS`] seqlock
+/// slots — or the credit window if that is wider, so concurrent
+/// in-flight calls never share a slot. Registration strategies that
+/// fan the range out into multiple segments (all-physical) can't be
+/// described by a single advertisement, so RFP quietly stays off there.
+async fn ensure_rfp_ring(conn: &ConnState) {
     if conn.rfp.borrow().is_some() || conn.rfp_building.get() || conn.closed.get() {
         return;
     }
     conn.rfp_building.set(true);
-    let cfg = &server.cfg;
-    let nslots = cfg.rfp_slots.max(cfg.credits);
-    let layout = RingLayout::new(nslots, cfg.rfp_slot_size);
+    let server = &conn.server;
+    let layout = RingLayout::new(RFP_SLOTS.max(server.cfg.credits), RFP_SLOT_SIZE);
     let io = server
         .registrar
         .acquire_scratch(layout.ring_bytes(), Access::REMOTE_READ)
@@ -844,11 +895,9 @@ async fn ensure_rfp_ring(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
         nslots: layout.nslots(),
         slot_size: layout.slot_size() as u32,
     };
+    let (nslots, slot, rkey) = (ad.nslots, ad.slot_size, ad.seg.rkey);
     server.sim.trace("rpc", || {
-        format!(
-            "server rfp ring up nslots={} slot={}B rkey={:?}",
-            ad.nslots, ad.slot_size, ad.seg.rkey
-        )
+        format!("server rfp ring up nslots={nslots} slot={slot}B rkey={rkey:?}")
     });
     *conn.rfp.borrow_mut() = Some(RfpRing {
         io,
@@ -867,12 +916,8 @@ async fn ensure_rfp_ring(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
 /// never a splice of two occupants. Returns `false` (caller falls
 /// back to the Send path) if the ring is gone or the reply is too
 /// large for a slot.
-async fn deposit_reply(
-    server: &Rc<RdmaRpcServer>,
-    conn: &Rc<ConnState>,
-    xid: u32,
-    wire: &Bytes,
-) -> bool {
+async fn deposit_reply(conn: &ConnState, xid: u32, wire: &Bytes) -> bool {
+    let server = &conn.server;
     let len = wire.len() as u64;
     let (off, marker) = {
         let mut ring = conn.rfp.borrow_mut();
@@ -912,34 +957,26 @@ async fn deposit_reply(
         .write(off, Payload::real(encode_slot(gen, xid, wire)));
     ring.last_activity.set(server.sim.now());
     drop(ringref);
-    server
-        .stats
-        .rfp_deposits
-        .set(server.stats.rfp_deposits.get() + 1);
-    server.metrics.rfp_deposits.inc();
+    server.stats.rfp_deposits.inc();
     server
         .sim
         .trace("rpc", || format!("server rfp deposit xid={xid} len={len}"));
     true
 }
 
-/// Invalidate a reply-slot ring. The rkey was advertised to the peer,
+/// Invalidate the reply-slot ring, if any. The rkey was advertised to the peer,
 /// so this is a *revocation* (TPT ledger invalidation, counted with
 /// the other exposure revocations), not a quiet release: any fetch
 /// arriving afterwards — honest straggler or replayed advertisement —
 /// is refused by the HCA.
-async fn revoke_ring(server: &Rc<RdmaRpcServer>, conn: &ConnState, ring: RfpRing) {
+async fn revoke_ring(conn: &ConnState) {
+    let Some(ring) = conn.rfp.borrow_mut().take() else {
+        return;
+    };
+    let server = &conn.server;
     conn.rfp_ad_sent.set(false);
-    server
-        .stats
-        .rfp_rings_revoked
-        .set(server.stats.rfp_rings_revoked.get() + 1);
-    server.metrics.rfp_rings_revoked.inc();
-    server
-        .stats
-        .exposures_revoked
-        .set(server.stats.exposures_revoked.get() + 1);
-    server.metrics.exposures_revoked.inc();
+    server.stats.rfp_rings_revoked.inc();
+    server.stats.exposures_revoked.inc();
     server.sim.trace("rpc", || {
         format!("server rfp ring revoked rkey={:?}", ring.ad.seg.rkey)
     });
@@ -953,43 +990,17 @@ async fn revoke_ring(server: &Rc<RdmaRpcServer>, conn: &ConnState, ring: RfpRing
 /// client's final backed-off fetch, so a well-behaved client can
 /// never have a fetch refused; the next inline reply re-advertises a
 /// fresh ring. Gated on `cfg.exposure_ttl` like the exposure reaper.
-fn spawn_rfp_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
-    let server = server.clone();
+fn spawn_rfp_reaper(conn: &Rc<ConnState>) {
     let conn = conn.clone();
-    let ttl = server.cfg.exposure_ttl;
-    let idle = ttl + server.cfg.rfp_poll_max * 2;
-    let tick = (ttl / 4).max(SimDuration::from_micros(1));
-    let sim = server.sim.clone();
+    let sim = conn.server.sim.clone();
+    let idle = conn.server.cfg.exposure_ttl + RFP_POLL_MAX * 2;
     sim.clone().spawn(async move {
-        loop {
-            if conn.closed.get() {
-                break;
-            }
-            if conn.rfp.borrow().is_none() {
-                // No ring to watch: park until one is built (or
-                // teardown) instead of spinning the timer wheel.
-                conn.rfp_signal.acquire().await.forget();
-                continue;
-            }
-            sim.sleep(tick).await;
-            if conn.closed.get() {
-                break;
-            }
-            let expired = {
-                let ring = conn.rfp.borrow();
-                match ring.as_ref() {
-                    Some(r) => {
-                        conn.in_flight.get() == 0
-                            && sim.now().saturating_since(r.last_activity.get()) >= idle
-                    }
-                    None => false,
-                }
-            };
-            if expired {
-                let ring = conn.rfp.borrow_mut().take();
-                if let Some(ring) = ring {
-                    revoke_ring(&server, &conn, ring).await;
-                }
+        let watching = || conn.rfp.borrow().is_some();
+        while reaper_turn(&conn, &conn.rfp_signal, watching).await {
+            let last = conn.rfp.borrow().as_ref().map(|r| r.last_activity.get());
+            let idled = last.is_some_and(|t| sim.now().saturating_since(t) >= idle);
+            if idled && conn.in_flight.get() == 0 {
+                revoke_ring(&conn).await;
             }
         }
     });
@@ -1000,35 +1011,28 @@ fn spawn_rfp_reaper(server: &Rc<RdmaRpcServer>, conn: &Rc<ConnState>) {
 /// later retransmission of the same XID executes fresh. Fire-and-
 /// forget: shedding must stay cheap under exactly the load that
 /// triggers it, so no taskq pass, no CPU charge, no completion wait —
-/// just a small inline send.
-fn shed_call(server: &Rc<RdmaRpcServer>, why: &'static str, call: QueuedCall) {
-    let QueuedCall { hdr, qp, conn, .. } = call;
-    server.stats.sheds.set(server.stats.sheds.get() + 1);
-    let peer = qp.peer_node().0;
-    server.sim.flight("qos", why, peer as u64, hdr.xid as u64);
-    server.sim.trace("rpc", || {
-        format!("server {why} peer={peer} xid={}", hdr.xid)
-    });
-    let reply = encode_reply(
-        &ReplyHeader {
-            xid: hdr.xid,
-            stat: AcceptStat::SystemErr,
-        },
-        &Bytes::new(),
-    );
+/// just a small inline send. The call leaves the connection's
+/// in-flight window here.
+fn shed_call(why: &'static str, call: QueuedCall) {
+    let QueuedCall { hdr, conn, .. } = call;
+    let (server, peer, xid) = (&conn.server, conn.peer(), hdr.xid);
+    conn.in_flight.set(conn.in_flight.get() - 1);
+    server.stats.sheds.inc();
+    server.sim.flight("qos", why, peer as u64, xid as u64);
+    server
+        .sim
+        .trace("rpc", || format!("server {why} peer={peer} xid={xid}"));
+    let stat = AcceptStat::SystemErr;
+    let reply = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
     // Busy replies still carry the (possibly clamped) credit grant:
     // a shed client also learns to shrink its window.
-    let grant = conn.granted.get().min(server.credit_grant.get());
-    let rhdr = RdmaHeader::new(hdr.xid, grant, MsgType::Msg);
-    let wire = {
-        let mut enc = conn.send_scratch.borrow_mut();
-        rhdr.encode_into(&mut enc);
-        enc.put_raw(&reply);
-        Bytes::copy_from_slice(enc.as_slice())
-    };
-    let _ = qp.post_send(Payload::real(wire), conn.alloc_wr(), false);
+    let rhdr = RdmaHeader::new(xid, conn.grant(), MsgType::Msg);
+    let wire = conn.encode_wire(&rhdr, &reply);
+    let _ = conn
+        .qp
+        .post_send(Payload::real(wire), conn.alloc_wr(), false);
     if server.cfg.server_doorbell_batch > 1 {
-        qp.flush();
+        conn.qp.flush();
     }
 }
 
@@ -1038,64 +1042,55 @@ fn shed_call(server: &Rc<RdmaRpcServer>, why: &'static str, call: QueuedCall) {
 /// pool size is the server's service concurrency under overload.
 async fn qos_worker(server: Rc<RdmaRpcServer>) {
     let qos = server.qos.clone().expect("qos worker without qos state");
-    let target = server.cfg.qos_target_delay;
     loop {
         qos.work.acquire().await.forget();
-        let Some((peer, call)) = qos.sched.dequeue() else {
+        let Some((_, call)) = qos.sched.dequeue() else {
             continue;
         };
-        if !target.is_zero() && server.sim.now() - call.enq > target {
+        if server.sim.now() - call.enq > QOS_TARGET_DELAY {
             // The queue already added more delay than the target;
             // answering "busy" now is cheaper for everyone than
             // servicing stale work the client may have given up on.
-            call.conn.in_flight.set(call.conn.in_flight.get() - 1);
-            server.metrics.qos_shed_deadline.inc();
-            shed_call(&server, "shed_deadline", call);
+            qos.shed_deadline.inc();
+            shed_call("shed_deadline", call);
             continue;
         }
-        server.metrics.qos_dispatched.inc();
-        let conn = call.conn.clone();
-        handle_op(
-            server.clone(),
-            call.qp,
-            call.conn,
-            call.hdr,
-            call.body,
-            peer,
-        )
-        .await;
-        conn.in_flight.set(conn.in_flight.get() - 1);
+        qos.dispatched.inc();
+        handle_op(call.conn, call.hdr, call.body).await;
     }
 }
 
-/// Decrements the in-flight gauge on every exit path of `handle_op`.
-struct InflightGuard(Rc<ServerStats>);
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        self.0.inflight.set(self.0.inflight.get() - 1);
-    }
+/// What the *push* stage hands to *reply* and *retire*: the reply
+/// header with its chunk lists filled in, the RPC reply message, and
+/// the buffers the bulk data was staged in.
+struct Outgoing {
+    rhdr: RdmaHeader,
+    reply_msg: Bytes,
+    /// Staging buffers, released once the reply Send has completed.
+    to_release: Vec<IoBuf>,
+    /// Read-Read: buffers the reply advertises, exposed until the
+    /// client's `RDMA_DONE`.
+    to_expose: Vec<IoBuf>,
 }
 
-async fn handle_op(
-    server: Rc<RdmaRpcServer>,
-    qp: Qp,
-    conn: Rc<ConnState>,
-    hdr: RdmaHeader,
-    inline_body: Bytes,
-    peer: u32,
-) {
-    let cfg = server.cfg;
-    let cpu = server.hca.cpu().clone();
-    server.stats.inflight.set(server.stats.inflight.get() + 1);
-    server.stats.peak_inflight.set(
-        server
-            .stats
-            .peak_inflight
-            .get()
-            .max(server.stats.inflight.get()),
-    );
-    let _inflight = InflightGuard(server.stats.clone());
+/// Run one admitted call to completion, keeping the server's in-flight
+/// gauges and the connection's credit window around it.
+async fn handle_op(conn: Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) {
+    let stats = &conn.server.stats;
+    let inflight = stats.inflight.get() + 1;
+    stats.inflight.set(inflight);
+    stats
+        .peak_inflight
+        .set(stats.peak_inflight.get().max(inflight));
+    let _dropped = run_op(&conn, hdr, inline_body).await;
+    stats.inflight.set(stats.inflight.get() - 1);
+    conn.in_flight.set(conn.in_flight.get() - 1);
+}
 
+/// The per-call pipeline: **dispatch → pull → service → push → reply →
+/// retire**, all under the `op` span. `None` = the call was dropped.
+async fn run_op(conn: &Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) -> Option<()> {
+    let server = &conn.server;
     server.sim.trace("rpc", || {
         format!("server op xid={} type={:?}", hdr.xid, hdr.msg_type)
     });
@@ -1104,126 +1099,133 @@ async fn handle_op(
     // client's causal tree with a flow edge from the call span.
     let call_ctx = server
         .sim
-        .trace_adopt(((peer as u64) << 32) | hdr.xid as u64);
+        .trace_adopt(((conn.peer() as u64) << 32) | hdr.xid as u64);
     let _op_span = server.sim.span_remote("server", "op", None, call_ctx);
     {
         let _s = server.sim.span("server", "dispatch");
         // Figure 1: the serialized server task queue.
-        server.taskq.use_for(cfg.server_op_serial).await;
+        server.taskq.use_for(server.cfg.server_op_serial).await;
         // Decode + dispatch bookkeeping on a CPU core.
-        cpu.execute(cfg.per_op_server_cpu).await;
+        let cpu = server.hca.cpu();
+        cpu.execute(server.cfg.per_op_server_cpu).await;
     }
+    let (call_msg, bulk_in) = pull_stage(conn, &hdr, inline_body).await?;
+    let (xid, dispatch) = service_stage(conn, call_msg, bulk_in).await?;
+    let mut out = push_stage(conn, &hdr, xid, &dispatch).await;
+    let sent = reply_stage(conn, hdr.msg_type, &mut out).await;
+    retire_stage(conn, out, sent).await;
+    Some(())
+}
 
-    // ---- Pull read chunks (long call and/or WRITE payload). ---------
+/// Split an `RDMA_MSGP` body `[head][padding][data]` into head and
+/// data. The sanitizer vetted the static shape; what remains is the
+/// arithmetic against this message's actual length.
+fn split_msgp(hdr: &RdmaHeader, msg: &Bytes) -> Option<(Bytes, Bytes)> {
+    let (align, head_len) = hdr.msgp?;
+    let (align, head_len) = (align as usize, head_len as usize);
+    if head_len > msg.len() || align == 0 {
+        return None;
+    }
+    let data_off = head_len + (align - head_len % align) % align;
+    (data_off <= msg.len()).then(|| (msg.slice(..head_len), msg.slice(data_off..)))
+}
+
+/// *Pull* stage: fetch what did not arrive inline — the long-call RPC
+/// message (position-0 read chunks) and the WRITE payload (the other
+/// read chunks) — with RDMA Read, under the `pull_chunks` span. Returns
+/// the RPC call message and the bulk payload.
+async fn pull_stage(
+    conn: &ConnState,
+    hdr: &RdmaHeader,
+    inline_body: Bytes,
+) -> Option<(Bytes, Option<SgList>)> {
+    let server = &conn.server;
+    let stats = &server.stats;
     let mut call_msg = inline_body;
     let mut bulk_in: Option<SgList> = None;
     if hdr.msg_type == MsgType::Msgp {
-        // Padded inline: [head][padding][data]. The alignment means the
-        // data was placed directly — no pull-up copy, no RDMA Read.
-        // The sanitizer vetted the static shape; what remains is the
-        // arithmetic against this message's actual length.
-        let Some((align, head_len)) = hdr.msgp else {
-            note_violation(&server, &conn, &qp, ProtocolViolation::BadMsgp);
-            return;
+        // Padded inline: the alignment means the data was placed
+        // directly — no pull-up copy, no RDMA Read.
+        let Some((head, data)) = split_msgp(hdr, &call_msg) else {
+            note_violation(conn, ProtocolViolation::BadMsgp);
+            return None;
         };
-        let (align, head_len) = (align as usize, head_len as usize);
-        if head_len > call_msg.len() || align == 0 {
-            note_violation(&server, &conn, &qp, ProtocolViolation::BadMsgp);
-            return;
-        }
-        let pad = (align - head_len % align) % align;
-        let data_off = head_len + pad;
-        if data_off > call_msg.len() {
-            note_violation(&server, &conn, &qp, ProtocolViolation::BadMsgp);
-            return;
-        }
-        let data = call_msg.slice(data_off..);
-        server
-            .stats
-            .bulk_in
-            .set(server.stats.bulk_in.get() + data.len() as u64);
-        server
-            .stats
-            .msgp_recvs
-            .set(server.stats.msgp_recvs.get() + 1);
+        stats.bulk_in.add(data.len() as u64);
+        stats.msgp_recvs.inc();
         bulk_in = Some(SgList::from(Payload::real(data)));
-        call_msg = call_msg.slice(..head_len);
+        call_msg = head;
     }
-    {
-        let _s = server.sim.span("server", "pull_chunks");
-        let long_call: Vec<&ReadChunk> =
-            hdr.read_chunks.iter().filter(|c| c.position == 0).collect();
-        let data_chunks: Vec<&ReadChunk> =
-            hdr.read_chunks.iter().filter(|c| c.position != 0).collect();
-        if hdr.msg_type == MsgType::Nomsg && !long_call.is_empty() {
-            let total: u64 = long_call.iter().map(|c| c.segment.len).sum();
-            let io = pull_chunks(&server, &qp, &conn, &long_call).await;
-            let Some(io) = io else { return };
-            call_msg = io.read(0, total).materialize();
-            cpu.copy(total).await; // header remainder is decoded/copied
-            server.registrar.release(io).await;
-        }
-        if !data_chunks.is_empty() {
-            let total: u64 = data_chunks.iter().map(|c| c.segment.len).sum();
-            let io = pull_chunks(&server, &qp, &conn, &data_chunks).await;
-            let Some(io) = io else { return };
-            if cfg.server_zero_copy && !server.registrar.is_staged() {
-                // Receive-side scatter: each pulled chunk leaves the
-                // window as its own refcounted piece and lands in the
-                // file system (page-cache extents) as-is — no pull-up
-                // copy, no flattening. Registration work is identical
-                // to the staged path (the scratch window was still
-                // acquired), only the host data movement disappears.
-                bulk_in = Some(io.read_sg(0, total));
-                server
-                    .stats
-                    .write_zero_copy_bytes
-                    .set(server.stats.write_zero_copy_bytes.get() + total);
-                server.metrics.write_zero_copy_bytes.add(total);
-            } else {
-                bulk_in = Some(SgList::from(io.read(0, total)));
-                if server.registrar.is_staged() {
-                    // Data must move from the slab into the file system
-                    // — the Cache strategy's pre-registered bounce
-                    // buffers are the only path that still copies.
-                    cpu.copy(total).await;
-                    server
-                        .stats
-                        .copied_bytes
-                        .set(server.stats.copied_bytes.get() + total);
-                }
+    let _s = server.sim.span("server", "pull_chunks");
+    let cpu = server.hca.cpu();
+    let (long_call, data_chunks): (Vec<&ReadChunk>, Vec<&ReadChunk>) =
+        hdr.read_chunks.iter().partition(|c| c.position == 0);
+    if hdr.msg_type == MsgType::Nomsg && !long_call.is_empty() {
+        let (io, total) = pull_chunks(conn, &long_call).await?;
+        call_msg = io.read(0, total).materialize();
+        cpu.copy(total).await; // header remainder is decoded/copied
+        server.registrar.release(io).await;
+    }
+    if !data_chunks.is_empty() {
+        let (io, total) = pull_chunks(conn, &data_chunks).await?;
+        if server.zero_copy() {
+            // Receive-side scatter: each pulled chunk leaves the
+            // window as its own refcounted piece and lands in the
+            // file system (page-cache extents) as-is — no pull-up
+            // copy, no flattening. Registration work is identical
+            // to the staged path (the scratch window was still
+            // acquired), only the host data movement disappears.
+            bulk_in = Some(io.read_sg(0, total));
+            stats.write_zero_copy_bytes.add(total);
+        } else {
+            bulk_in = Some(SgList::from(io.read(0, total)));
+            if server.registrar.is_staged() {
+                // Data must move from the slab into the file system
+                // — the Cache strategy's pre-registered bounce
+                // buffers are the only path that still copies.
+                cpu.copy(total).await;
+                stats.copied_bytes.add(total);
             }
-            server.stats.bulk_in.set(server.stats.bulk_in.get() + total);
-            // Figure 4 points 8-9: server-side deregistration after the
-            // file system is done with the data.
-            server.registrar.release(io).await;
         }
+        stats.bulk_in.add(total);
+        // Figure 4 points 8-9: server-side deregistration after the
+        // file system is done with the data.
+        server.registrar.release(io).await;
     }
+    Some((call_msg, bulk_in))
+}
 
-    // ---- Dispatch to the RPC program. --------------------------------
-    let Ok((call_hdr, args)) = decode_call(call_msg) else {
+/// Count and trace one DRC replay. The retained dispatch carries the
+/// *original* execution's context: the `drc_replay` span flows from the
+/// service span that first ran the call — on the failed primary for a
+/// cross-epoch hit, stitching the epochs together.
+fn note_replay(server: &RdmaRpcServer, what: &str, call: &CallHeader, dispatch: &RdmaDispatch) {
+    server.stats.drc_replays.inc();
+    server
+        .sim
+        .trace("rpc", || format!("server drc {what} xid={}", call.xid));
+    let _s = server
+        .sim
+        .span_remote("server", "drc_replay", Some(call.proc_num), dispatch.trace);
+}
+
+/// *Service* stage, at-most-once: retransmitted calls (same peer + XID)
+/// replay the original dispatch from the duplicate request cache;
+/// duplicates of a call still executing park on it. Only a genuinely
+/// new call reaches the RPC program, under the `service` span.
+async fn service_stage(
+    conn: &ConnState,
+    call_msg: Bytes,
+    bulk_in: Option<SgList>,
+) -> Option<(u32, RdmaDispatch)> {
+    let server = &conn.server;
+    let Ok((call, args)) = decode_call(call_msg) else {
         // An RPC message that does not decode is the same class of
         // hostility as an undecodable transport header.
-        note_violation(&server, &conn, &qp, ProtocolViolation::GarbageHeader);
-        return;
+        note_violation(conn, ProtocolViolation::GarbageHeader);
+        return None;
     };
-    let mut cx = CallContext {
-        peer,
-        prog: call_hdr.prog,
-        vers: call_hdr.vers,
-        xid: call_hdr.xid,
-        trace: sim_core::TraceCtx::NONE,
-    };
-    let wildcard = server.service.program() == onc_rpc::PROG_WILDCARD;
-    // At-most-once: retransmitted calls (same peer + XID) replay the
-    // original dispatch; duplicates of a call still executing park on
-    // it. Only a genuinely new call reaches the service.
+    let (peer, xid) = (conn.peer(), call.xid);
     let epoch = server.service_epoch.get();
-    let key = DrcKey {
-        peer,
-        xid: call_hdr.xid,
-        epoch,
-    };
     // Cross-epoch fallback: after a promotion, a call the *failed*
     // primary already executed retransmits here with its original XID.
     // The replicated window carries those replies under the previous
@@ -1231,375 +1233,268 @@ async fn handle_op(
     // to probe before admitting as new: clients allocate fresh XIDs
     // for re-driven writes, so an old-epoch hit is always a genuine
     // retransmission of an executed call.
-    let prev_hit = (epoch > 0)
-        .then(|| {
-            server.drc.lookup_cached(DrcKey {
-                peer,
-                xid: call_hdr.xid,
-                epoch: epoch - 1,
-            })
-        })
-        .flatten();
-    let dispatch = if let Some(dispatch) = prev_hit {
-        server
-            .stats
-            .drc_replays
-            .set(server.stats.drc_replays.get() + 1);
-        server
-            .stats
-            .cross_epoch_replays
-            .set(server.stats.cross_epoch_replays.get() + 1);
-        server.metrics.replays.inc();
-        server.sim.trace("rpc", || {
-            format!("server drc cross-epoch replay xid={}", call_hdr.xid)
-        });
+    let prev_key = epoch
+        .checked_sub(1)
+        .map(|epoch| DrcKey { peer, xid, epoch });
+    if let Some(dispatch) = prev_key.and_then(|key| server.drc.lookup_cached(key)) {
+        server.stats.cross_epoch_replays.inc();
         server
             .sim
-            .flight("server", "xepoch_replay", peer as u64, call_hdr.xid as u64);
-        // The retained dispatch carries the *original* execution's
-        // context: the replay span flows from the service span that
-        // ran on the failed primary, stitching the epochs together.
-        let _s = server.sim.span_remote(
-            "server",
-            "drc_replay",
-            Some(call_hdr.proc_num),
-            dispatch.trace,
-        );
-        dispatch
-    } else {
-        match server.drc.begin(key) {
-            DrcOutcome::New(slot) => {
-                let mut dispatch = if !wildcard
-                    && (call_hdr.prog != server.service.program()
-                        || call_hdr.vers != server.service.version())
-                {
-                    crate::service::RdmaDispatch::error(onc_rpc::AcceptStat::ProgUnavail)
-                } else {
-                    let _s = server.sim.span_proc("server", "service", call_hdr.proc_num);
-                    // The service sees the service span as its caller:
-                    // replication records it ships inherit the client's
-                    // trace id and flow from this span.
-                    cx.trace = server.sim.current_ctx();
-                    server
-                        .service
-                        .call(cx, call_hdr.proc_num, args, bulk_in)
-                        .await
+            .flight("server", "xepoch_replay", peer as u64, xid as u64);
+        note_replay(server, "cross-epoch replay", &call, &dispatch);
+        return Some((xid, dispatch));
+    }
+    let dispatch = match server.drc.begin(DrcKey { peer, xid, epoch }) {
+        DrcOutcome::New(slot) => {
+            let service = &server.service;
+            let wildcard = service.program() == onc_rpc::PROG_WILDCARD;
+            let served = call.prog == service.program() && call.vers == service.version();
+            let dispatch = if wildcard || served {
+                let _s = server.sim.span_proc("server", "service", call.proc_num);
+                // The service sees the service span as its caller:
+                // replication records it ships inherit the client's
+                // trace id and flow from this span. The dispatch keeps
+                // the context for later replays.
+                let trace = server.sim.current_ctx();
+                let (prog, vers) = (call.prog, call.vers);
+                let cx = CallContext {
+                    peer,
+                    prog,
+                    vers,
+                    xid,
+                    trace,
                 };
-                dispatch.trace = cx.trace;
-                server.stats.ops.set(server.stats.ops.get() + 1);
-                server.metrics.ops.inc();
-                note_good_op(&server, &conn);
-                slot.fill(&dispatch);
+                let mut dispatch = service.call(cx, call.proc_num, args, bulk_in).await;
+                dispatch.trace = trace;
                 dispatch
-            }
-            DrcOutcome::Cached(dispatch) => {
-                server
-                    .stats
-                    .drc_replays
-                    .set(server.stats.drc_replays.get() + 1);
-                server.metrics.replays.inc();
-                server
-                    .sim
-                    .trace("rpc", || format!("server drc replay xid={}", call_hdr.xid));
-                let _s = server.sim.span_remote(
-                    "server",
-                    "drc_replay",
-                    Some(call_hdr.proc_num),
-                    dispatch.trace,
-                );
-                dispatch
-            }
-            DrcOutcome::InProgress(rx) => match rx.await {
-                Ok(dispatch) => {
-                    server
-                        .stats
-                        .drc_replays
-                        .set(server.stats.drc_replays.get() + 1);
-                    server.metrics.replays.inc();
-                    server.sim.trace("rpc", || {
-                        format!("server drc wait-replay xid={}", call_hdr.xid)
-                    });
-                    let _s = server.sim.span_remote(
-                        "server",
-                        "drc_replay",
-                        Some(call_hdr.proc_num),
-                        dispatch.trace,
-                    );
-                    dispatch
-                }
-                // The original aborted without replying; drop this copy too
-                // and let the client's next retransmission execute afresh.
-                Err(_) => return,
-            },
+            } else {
+                RdmaDispatch::error(AcceptStat::ProgUnavail)
+            };
+            server.stats.ops.inc();
+            note_good_op(conn);
+            slot.fill(&dispatch);
+            dispatch
+        }
+        DrcOutcome::Cached(dispatch) => {
+            note_replay(server, "replay", &call, &dispatch);
+            dispatch
+        }
+        DrcOutcome::InProgress(rx) => {
+            // If the original aborted without replying, drop this copy
+            // too and let the client's next retransmission execute
+            // afresh.
+            let dispatch = rx.await.ok()?;
+            note_replay(server, "wait-replay", &call, &dispatch);
+            dispatch
         }
     };
+    Some((xid, dispatch))
+}
 
-    let mut reply_msg = encode_reply(
-        &ReplyHeader {
-            xid: call_hdr.xid,
-            stat: dispatch.stat,
-        },
-        &dispatch.head,
-    );
-    // Read-Write long replies need a client-provisioned reply chunk; a
-    // client that sent none gets an error reply instead of a stuck RPC
-    // (kernel RPC/RDMA returns RDMA_ERROR here).
-    if cfg.design == Design::ReadWrite
-        && reply_msg.len() as u64 > cfg.inline_threshold
-        && hdr.reply_chunk.is_none()
-    {
-        reply_msg = encode_reply(
-            &ReplyHeader {
-                xid: call_hdr.xid,
-                stat: onc_rpc::AcceptStat::GarbageArgs,
-            },
-            &Bytes::new(),
-        );
-    }
-
-    // The grant this client sees is its own (violation-clamped) window,
-    // never more than the server-wide grant.
-    let grant = conn.granted.get().min(server.credit_grant.get());
-    let mut rhdr = RdmaHeader::new(call_hdr.xid, grant, MsgType::Msg);
-    let mut to_release: Vec<IoBuf> = Vec::new();
-    let mut to_expose: Vec<IoBuf> = Vec::new();
-
-    match cfg.design {
-        Design::ReadWrite => {
-            // Bulk results: RDMA Write into the client's write chunk.
-            if let Some(bulk) = &dispatch.bulk_out {
-                if !hdr.write_chunks.is_empty() {
-                    let _s = server.sim.span("server", "rdma_write");
-                    let io = if cfg.server_zero_copy && !server.registrar.is_staged() {
-                        // Zero-copy pipeline: register a window over the
-                        // source pages (same TPT cost as staging) but
-                        // gather the file-system slices straight into
-                        // vectored Writes — no placement into scratch.
-                        let io = server
-                            .registrar
-                            .acquire_scratch(bulk.len(), Access::LOCAL)
-                            .await;
-                        write_sg_into_segments(
-                            &server,
-                            &qp,
-                            &conn,
-                            &io,
-                            bulk,
-                            &hdr.write_chunks[0],
-                        )
-                        .await;
-                        server
-                            .stats
-                            .zero_copy_bytes
-                            .set(server.stats.zero_copy_bytes.get() + bulk.len());
-                        server.metrics.zero_copy_bytes.add(bulk.len());
-                        io
-                    } else {
-                        let io = stage_source(&server, bulk, Access::LOCAL).await;
-                        write_into_segments(
-                            &server,
-                            &qp,
-                            &conn,
-                            &io,
-                            bulk.len(),
-                            &hdr.write_chunks[0],
-                        )
-                        .await;
-                        io
-                    };
-                    rhdr.write_chunks
-                        .push(echo_actual(&hdr.write_chunks[0], bulk.len()));
-                    server
-                        .stats
-                        .bulk_out
-                        .set(server.stats.bulk_out.get() + bulk.len());
-                    to_release.push(io);
-                }
-            }
-            // Long reply via the client's reply chunk.
-            if reply_msg.len() as u64 > cfg.inline_threshold {
-                let Some(reply_segs) = hdr.reply_chunk.as_ref() else {
-                    return; // client provisioned no reply chunk: drop
-                };
-                let payload = SgList::from(Payload::real(reply_msg.clone()));
-                let io = stage_source(&server, &payload, Access::LOCAL).await;
-                write_into_segments(&server, &qp, &conn, &io, payload.len(), reply_segs).await;
-                rhdr.msg_type = MsgType::Nomsg;
-                rhdr.reply_chunk = Some(echo_actual(reply_segs, payload.len()));
-                to_release.push(io);
-            }
-        }
-        Design::ReadRead => {
-            // Bulk results: expose and let the client pull.
-            if let Some(bulk) = &dispatch.bulk_out {
-                let io = stage_source(&server, bulk, Access::REMOTE_READ).await;
-                let position = reply_msg.len() as u32;
-                for seg in io.segments(0, bulk.len(), &server.hca) {
-                    rhdr.read_chunks.push(ReadChunk {
-                        position,
-                        segment: seg,
-                    });
-                }
-                server
-                    .stats
-                    .bulk_out
-                    .set(server.stats.bulk_out.get() + bulk.len());
-                to_expose.push(io);
-            }
-            if reply_msg.len() as u64 > cfg.inline_threshold {
-                // Long reply: expose the whole RPC message (position 0).
-                let payload = SgList::from(Payload::real(reply_msg.clone()));
-                let io = stage_source(&server, &payload, Access::REMOTE_READ).await;
-                for seg in io.segments(0, payload.len(), &server.hca) {
-                    rhdr.read_chunks.push(ReadChunk {
-                        position: 0,
-                        segment: seg,
-                    });
-                }
-                rhdr.msg_type = MsgType::Nomsg;
-                to_expose.push(io);
-            }
-        }
-    }
-
-    // ---- RFP reply-slot fast path. ------------------------------------
-    // A small chunkless reply can be *deposited* into the reply-slot
-    // ring for the client to fetch, skipping the Send entirely; any
-    // other inline reply piggybacks the ring advertisement so the
-    // client learns (or refreshes) the ring's steering tag.
-    let mut rfp_deposit = false;
-    if cfg.rfp_enabled {
-        ensure_rfp_ring(&server, &conn).await;
-        if rhdr.msg_type == MsgType::Msg
-            && rhdr.read_chunks.is_empty()
-            && rhdr.write_chunks.is_empty()
-            && rhdr.reply_chunk.is_none()
-        {
-            let have_ring = conn.rfp.borrow().is_some();
-            if have_ring {
-                if hdr.msg_type == MsgType::MsgRfp && conn.rfp_ad_sent.get() {
-                    rfp_deposit = true;
-                } else {
-                    // Unmarked call (or a marked retransmission onto a
-                    // connection that never advertised — e.g. after
-                    // client recovery): reply via Send, ad attached.
-                    let ad = conn.rfp.borrow().as_ref().map(|r| r.ad);
-                    if let Some(ad) = ad {
-                        rhdr.msg_type = MsgType::MsgRfpAd;
-                        rhdr.rfp_ad = Some(ad);
-                        conn.rfp_ad_sent.set(true);
-                        server.stats.rfp_ads.set(server.stats.rfp_ads.get() + 1);
-                        server.metrics.rfp_ads.inc();
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- Send the RPC Reply. ------------------------------------------
-    let inline: Bytes = if rhdr.msg_type == MsgType::Nomsg {
-        Bytes::new()
-    } else {
-        reply_msg
+/// *Push* stage: marshal the RPC reply and move what does not fit
+/// inline (bulk results, long replies) the way the design says.
+async fn push_stage(
+    conn: &ConnState,
+    hdr: &RdmaHeader,
+    xid: u32,
+    dispatch: &RdmaDispatch,
+) -> Outgoing {
+    let stat = dispatch.stat;
+    let mut out = Outgoing {
+        rhdr: RdmaHeader::new(xid, conn.grant(), MsgType::Msg),
+        reply_msg: encode_reply(&ReplyHeader { xid, stat }, &dispatch.head),
+        to_release: Vec::new(),
+        to_expose: Vec::new(),
     };
-    // Header + inline body assembled in the connection's scratch
-    // encoder; the single copy out models staging into the registered
-    // inline send buffer.
-    let (wire, wire_len) = {
-        let mut enc = conn.send_scratch.borrow_mut();
-        rhdr.encode_into(&mut enc);
-        enc.put_raw(&inline);
-        (Bytes::copy_from_slice(enc.as_slice()), enc.len() as u64)
+    match conn.server.cfg.design {
+        Design::ReadWrite => push_by_write(conn, hdr, dispatch, &mut out).await,
+        Design::ReadRead => push_by_exposure(&conn.server, dispatch, &mut out).await,
+    }
+    out
+}
+
+/// Read-Write push: RDMA Write bulk results into the client's write
+/// chunk (the `rdma_write` span) and a long reply into its reply
+/// chunk. Unsignaled — the reply Send is the ordering fence.
+async fn push_by_write(
+    conn: &ConnState,
+    hdr: &RdmaHeader,
+    dispatch: &RdmaDispatch,
+    out: &mut Outgoing,
+) {
+    let server = &conn.server;
+    if let (Some(bulk), Some(segs)) = (&dispatch.bulk_out, hdr.write_chunks.first()) {
+        let _s = server.sim.span("server", "rdma_write");
+        let io = if server.zero_copy() {
+            // Zero-copy pipeline: register a window over the source
+            // pages (same TPT cost as staging) but gather the
+            // file-system slices straight into vectored Writes — no
+            // placement into scratch.
+            let io = server
+                .registrar
+                .acquire_scratch(bulk.len(), Access::LOCAL)
+                .await;
+            write_sg_into_segments(conn, &io, bulk, segs);
+            server.stats.zero_copy_bytes.add(bulk.len());
+            io
+        } else {
+            let io = stage_source(server, bulk, Access::LOCAL).await;
+            write_into_segments(conn, &io, bulk.len(), segs);
+            io
+        };
+        out.rhdr.write_chunks.push(echo_actual(segs, bulk.len()));
+        server.stats.bulk_out.add(bulk.len());
+        out.to_release.push(io);
+    }
+    if out.reply_msg.len() as u64 <= server.cfg.inline_threshold {
+        return;
+    }
+    // Long reply: it travels by the client-provisioned reply chunk. A
+    // client that sent none gets a (short, inline) error reply instead
+    // of a stuck RPC — kernel RPC/RDMA returns RDMA_ERROR here.
+    let Some(reply_segs) = &hdr.reply_chunk else {
+        let (xid, stat) = (out.rhdr.xid, AcceptStat::GarbageArgs);
+        out.reply_msg = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
+        return;
     };
-    if rfp_deposit {
-        if deposit_reply(&server, &conn, call_hdr.xid, &wire).await {
+    let payload = SgList::from(Payload::real(out.reply_msg.clone()));
+    let io = stage_source(server, &payload, Access::LOCAL).await;
+    write_into_segments(conn, &io, payload.len(), reply_segs);
+    out.rhdr.msg_type = MsgType::Nomsg;
+    out.rhdr.reply_chunk = Some(echo_actual(reply_segs, payload.len()));
+    out.to_release.push(io);
+}
+
+/// Read-Read push: stage bulk results (and a long reply, at position
+/// 0) in remotely readable buffers and advertise them as read chunks;
+/// the client pulls, then sends `RDMA_DONE`.
+async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &RdmaDispatch, out: &mut Outgoing) {
+    let mut expose = |io: &IoBuf, len: u64, position: u32| {
+        for segment in io.segments(0, len, &server.hca) {
+            out.rhdr.read_chunks.push(ReadChunk { position, segment });
+        }
+    };
+    if let Some(bulk) = &dispatch.bulk_out {
+        let io = stage_source(server, bulk, Access::REMOTE_READ).await;
+        expose(&io, bulk.len(), out.reply_msg.len() as u32);
+        server.stats.bulk_out.add(bulk.len());
+        out.to_expose.push(io);
+    }
+    if out.reply_msg.len() as u64 > server.cfg.inline_threshold {
+        let payload = SgList::from(Payload::real(out.reply_msg.clone()));
+        let io = stage_source(server, &payload, Access::REMOTE_READ).await;
+        expose(&io, payload.len(), 0);
+        out.rhdr.msg_type = MsgType::Nomsg;
+        out.to_expose.push(io);
+    }
+}
+
+/// RFP routing for one reply: `true` = a small chunkless reply to a
+/// marked call on an advertised ring, to be *deposited* for the client
+/// to fetch. Any other inline reply goes by Send and piggybacks the
+/// ring advertisement so the client learns (or refreshes) the steering
+/// tag — unmarked calls, and marked retransmissions onto a connection
+/// that never advertised (e.g. after client recovery).
+async fn rfp_route(conn: &ConnState, call_type: MsgType, rhdr: &mut RdmaHeader) -> bool {
+    ensure_rfp_ring(conn).await;
+    let chunkless = rhdr.msg_type == MsgType::Msg
+        && rhdr.read_chunks.is_empty()
+        && rhdr.write_chunks.is_empty()
+        && rhdr.reply_chunk.is_none();
+    let ad = conn.rfp.borrow().as_ref().map(|r| r.ad);
+    let (true, Some(ad)) = (chunkless, ad) else {
+        return false;
+    };
+    if call_type == MsgType::MsgRfp && conn.rfp_ad_sent.get() {
+        return true;
+    }
+    rhdr.msg_type = MsgType::MsgRfpAd;
+    rhdr.rfp_ad = Some(ad);
+    conn.rfp_ad_sent.set(true);
+    conn.server.stats.rfp_ads.inc();
+    false
+}
+
+/// *Reply* stage: put the reply header (and inline RPC message) on the
+/// wire — deposited into the RFP reply-slot ring, or by Send. Returns
+/// whether a Send completed: the proof that every preceding RDMA Write
+/// has been placed (§4.2), and what makes Read-Read buffers exposed.
+async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -> bool {
+    let server = &conn.server;
+    let deposit = server.cfg.rfp_enabled && rfp_route(conn, call_type, &mut out.rhdr).await;
+    if out.rhdr.msg_type == MsgType::Nomsg {
+        out.reply_msg = Bytes::new(); // travelled by chunk
+    }
+    let wire = conn.encode_wire(&out.rhdr, &out.reply_msg);
+    if deposit {
+        if deposit_reply(conn, out.rhdr.xid, &wire).await {
             // No Send, no doorbell, no completion: the client's Read
-            // engine does the rest. Nothing was exposed (chunkless),
-            // so only the staging buffers remain to release.
-            debug_assert!(to_expose.is_empty());
-            for io in to_release {
-                server.registrar.release(io).await;
-            }
-            return;
+            // engine does the rest. Nothing was exposed (chunkless).
+            debug_assert!(out.to_expose.is_empty());
+            return false;
         }
         // Reply outgrew the slot or the ring vanished mid-call: the
         // Send path below still delivers it.
-        server
-            .stats
-            .rfp_fallback_sends
-            .set(server.stats.rfp_fallback_sends.get() + 1);
-        server.metrics.rfp_fallback_sends.inc();
+        server.stats.rfp_fallback_sends.inc();
     }
-    cpu.copy(wire_len).await;
+    server.hca.cpu().copy(wire.len() as u64).await;
 
     let wr = conn.alloc_wr();
-    // Signaled: the reply Send's completion is the proof that every
-    // preceding RDMA Write has been placed (§4.2), and therefore the
-    // deregistration point for Read-Write source buffers.
-    let reply_span = server.sim.span("server", "reply_send");
-    let send_ok = match conn.router.expect(wr) {
-        Ok(wait) => {
-            if qp.post_send(Payload::real(wire), wr, true).is_err() {
-                false
-            } else {
-                if cfg.server_doorbell_batch > 1 {
-                    // Doorbell moderation: if the batch doesn't fill
-                    // (which rings on its own), a backstop task rings
-                    // at most `server_doorbell_flush` later, so ops
-                    // posting within the window share one doorbell.
-                    // The ring is always scheduled before the await,
-                    // so the completion cannot hang. (Depth 1 rang on
-                    // post already.) Any doorbell after this post
-                    // carries the reply with it — the backstop checks
-                    // the ring count and stands down rather than ring
-                    // a partial batch early.
-                    let qp2 = qp.clone();
-                    let sim2 = server.sim.clone();
-                    let delay = cfg.server_doorbell_flush;
-                    let rung = qp.doorbells();
-                    server.sim.spawn(async move {
-                        sim2.sleep(delay).await;
-                        if qp2.doorbells() == rung {
-                            qp2.flush();
-                        }
-                    });
-                }
-                wait.await.is_ok()
-            }
-        }
-        Err(_) => false,
+    // Signaled: the reply Send's completion is the deregistration
+    // point for Read-Write source buffers.
+    let _s = server.sim.span("server", "reply_send");
+    let Ok(wait) = conn.router.expect(wr) else {
+        return false;
     };
-    drop(reply_span);
+    if conn.qp.post_send(Payload::real(wire), wr, true).is_err() {
+        return false;
+    }
+    if server.cfg.server_doorbell_batch > 1 {
+        // Doorbell moderation: if the batch doesn't fill (which rings
+        // on its own), a backstop task rings at most
+        // `server_doorbell_flush` later, so ops posting within the
+        // window share one doorbell. The ring is always scheduled
+        // before the await, so the completion cannot hang. (Depth 1
+        // rang on post already.) Any doorbell after this post carries
+        // the reply with it — the backstop checks the ring count and
+        // stands down rather than ring a partial batch early.
+        let (qp, sim) = (conn.qp.clone(), server.sim.clone());
+        let delay = server.cfg.server_doorbell_flush;
+        let rung = qp.doorbells();
+        server.sim.spawn(async move {
+            sim.sleep(delay).await;
+            if qp.doorbells() == rung {
+                qp.flush();
+            }
+        });
+    }
+    wait.await.is_ok()
+}
 
-    if !to_expose.is_empty() && send_ok {
-        // Read-Read: buffers stay exposed until RDMA_DONE. A replayed
-        // reply re-exposes fresh buffers under the same XID; retire the
-        // originals (their rkeys were advertised in a reply the client
-        // never acted on).
-        server
-            .stats
-            .exposures_pending
-            .set(server.stats.exposures_pending.get() + to_expose.len() as u64);
-        let old = conn.pending_exposures.borrow_mut().insert(
-            call_hdr.xid,
-            Exposure {
-                since: server.sim.now(),
-                bufs: to_expose,
-            },
-        );
+/// *Retire* stage: settle the op's buffers once the reply has left.
+/// Read-Read buffers a completed Send advertised stay exposed until
+/// `RDMA_DONE`; everything else is released.
+async fn retire_stage(conn: &ConnState, out: Outgoing, sent: bool) {
+    let server = &conn.server;
+    let (xid, mut to_release) = (out.rhdr.xid, out.to_release);
+    if !out.to_expose.is_empty() && sent {
+        let pending = &server.stats.exposures_pending;
+        pending.set(pending.get() + out.to_expose.len() as u64);
+        let exposure = Exposure {
+            since: server.sim.now(),
+            bufs: out.to_expose,
+        };
+        let old = conn.pending_exposures.borrow_mut().insert(xid, exposure);
         conn.exposure_signal.add_permits(1);
         if let Some(old) = old {
-            server
-                .stats
-                .exposures_pending
-                .set(server.stats.exposures_pending.get() - old.bufs.len() as u64);
-            for io in old.bufs {
-                server.registrar.release(io).await;
-            }
+            // A replayed reply re-exposes fresh buffers under the same
+            // XID; retire the originals (their rkeys were advertised
+            // in a reply the client never acted on).
+            retire_exposure(conn, old, Retire::Release).await;
         }
     } else {
         // Reply never left (QP torn down mid-call): nothing to expose.
-        to_release.extend(to_expose);
+        to_release.extend(out.to_expose);
     }
     for io in to_release {
         server.registrar.release(io).await;
@@ -1607,61 +1502,57 @@ async fn handle_op(
 }
 
 /// Pull a set of read chunks into one scratch buffer, blocking until
-/// every RDMA Read completes (§4.1's synchronous wait).
-async fn pull_chunks(
-    server: &Rc<RdmaRpcServer>,
-    qp: &Qp,
-    conn: &Rc<ConnState>,
-    chunks: &[&ReadChunk],
-) -> Option<IoBuf> {
+/// every RDMA Read completes (§4.1's synchronous wait). Returns the
+/// buffer and the bytes pulled.
+async fn pull_chunks(conn: &ConnState, chunks: &[&ReadChunk]) -> Option<(IoBuf, u64)> {
+    let registrar = &conn.server.registrar;
     let total: u64 = chunks.iter().map(|c| c.segment.len).sum();
-    let io = server.registrar.acquire_scratch(total, Access::LOCAL).await;
+    let io = registrar.acquire_scratch(total, Access::LOCAL).await;
+    if read_into(conn, &io, chunks).await {
+        Some((io, total))
+    } else {
+        registrar.release(io).await;
+        None
+    }
+}
+
+/// Post one RDMA Read per chunk into consecutive ranges of `io`, ring
+/// the doorbell once, and wait for all of them. `false` if any Read
+/// could not be posted or failed.
+async fn read_into(conn: &ConnState, io: &IoBuf, chunks: &[&ReadChunk]) -> bool {
     let mut off = 0u64;
     let mut waits = Vec::new();
     for chunk in chunks {
+        let seg = &chunk.segment;
         let wr = conn.alloc_wr();
-        match conn.router.expect(wr) {
-            Ok(rx) => waits.push(rx),
-            Err(_) => {
-                server.registrar.release(io).await;
-                return None;
-            }
+        let Ok(rx) = conn.router.expect(wr) else {
+            return false;
+        };
+        waits.push(rx);
+        let (buf, at) = (io.buffer().clone(), io.base() + off);
+        let posted = conn
+            .qp
+            .post_rdma_read(buf, at, seg.addr, seg.rkey, seg.len, wr);
+        if posted.is_err() {
+            return false;
         }
-        if qp
-            .post_rdma_read(
-                io.buffer().clone(),
-                io.base() + off,
-                chunk.segment.addr,
-                chunk.segment.rkey,
-                chunk.segment.len,
-                wr,
-            )
-            .is_err()
-        {
-            server.registrar.release(io).await;
-            return None;
-        }
-        off += chunk.segment.len;
+        off += seg.len;
     }
     // Ring the doorbell for the whole batch of Reads before blocking.
-    qp.flush();
+    conn.qp.flush();
     for rx in waits {
-        match rx.await {
-            Ok(c) if c.result.is_ok() => {}
-            _ => {
-                server.registrar.release(io).await;
-                return None;
-            }
+        if !matches!(rx.await, Ok(c) if c.result.is_ok()) {
+            return false;
         }
     }
-    Some(io)
+    true
 }
 
 /// Stage a bulk scatter/gather list into a DMA-able buffer. Non-cache
 /// strategies reference the file-system pages directly (the pieces land
 /// in the window without flattening); the cache strategy copies into
 /// its pre-registered slab entry.
-async fn stage_source(server: &Rc<RdmaRpcServer>, data: &SgList, access: Access) -> IoBuf {
+async fn stage_source(server: &RdmaRpcServer, data: &SgList, access: Access) -> IoBuf {
     let io = server.registrar.acquire_scratch(data.len(), access).await;
     let mut off = 0u64;
     for piece in data.pieces() {
@@ -1670,42 +1561,31 @@ async fn stage_source(server: &Rc<RdmaRpcServer>, data: &SgList, access: Access)
     }
     if server.registrar.is_staged() {
         server.hca.cpu().copy(data.len()).await;
-        server
-            .stats
-            .copied_bytes
-            .set(server.stats.copied_bytes.get() + data.len());
+        server.stats.copied_bytes.add(data.len());
     }
     io
 }
 
+/// Lay `len` bytes across `segs` in order: each segment that takes
+/// bytes, with its offset into the transfer and its share.
+fn spread(segs: &[Segment], len: u64) -> impl Iterator<Item = (&Segment, u64, u64)> {
+    let mut off = 0u64;
+    segs.iter().map_while(move |seg| {
+        let (at, n) = (off, seg.len.min(len - off));
+        off += n;
+        (n > 0).then_some((seg, at, n))
+    })
+}
+
 /// RDMA Write `len` bytes of `io` into the client's segments, in order.
 /// Unsignaled: the following reply Send provides the ordering fence.
-async fn write_into_segments(
-    server: &Rc<RdmaRpcServer>,
-    qp: &Qp,
-    conn: &Rc<ConnState>,
-    io: &IoBuf,
-    len: u64,
-    segs: &[Segment],
-) {
-    let _ = server;
-    let mut remaining = len;
-    let mut off = 0u64;
-    for seg in segs {
-        if remaining == 0 {
-            break;
-        }
-        let n = seg.len.min(remaining);
-        let data = io.read(off, n);
-        let wr = conn.alloc_wr();
-        if qp
-            .post_rdma_write(data, seg.addr, seg.rkey, wr, false)
-            .is_err()
-        {
+fn write_into_segments(conn: &ConnState, io: &IoBuf, len: u64, segs: &[Segment]) {
+    for (seg, off, n) in spread(segs, len) {
+        let (data, wr) = (io.read(off, n), conn.alloc_wr());
+        let posted = conn.qp.post_rdma_write(data, seg.addr, seg.rkey, wr, false);
+        if posted.is_err() {
             return;
         }
-        off += n;
-        remaining -= n;
     }
 }
 
@@ -1716,61 +1596,36 @@ async fn write_into_segments(
 /// which the HCA refuses for multi-entry local gathers (§4.3), so they
 /// post one WQE per piece and lean on doorbell batching instead.
 /// Unsignaled either way: the reply Send is the ordering fence.
-async fn write_sg_into_segments(
-    server: &Rc<RdmaRpcServer>,
-    qp: &Qp,
-    conn: &Rc<ConnState>,
-    io: &IoBuf,
-    sgl: &SgList,
-    segs: &[Segment],
-) {
-    let lkey = io.lkey(&server.hca);
-    let no_local_sg = server.hca.global_rkey() == Some(lkey);
-    let max_sge = server.hca.config().max_send_sge.max(1);
-    let mut remaining = sgl.len();
-    let mut off = 0u64;
-    for seg in segs {
-        if remaining == 0 {
-            break;
-        }
-        let n = seg.len.min(remaining);
-        let part = sgl.slice(off, n);
+fn write_sg_into_segments(conn: &ConnState, io: &IoBuf, sgl: &SgList, segs: &[Segment]) {
+    let (hca, qp) = (&conn.server.hca, &conn.qp);
+    let lkey = io.lkey(hca);
+    let no_local_sg = hca.global_rkey() == Some(lkey);
+    let max_sge = if no_local_sg {
+        1
+    } else {
+        hca.config().max_send_sge.max(1)
+    };
+    for (seg, off, n) in spread(segs, sgl.len()) {
+        let pieces = sgl.slice(off, n).into_pieces();
         let mut addr = seg.addr;
-        if no_local_sg {
-            for piece in part.into_pieces() {
-                let plen = piece.len();
-                let wr = conn.alloc_wr();
-                if qp
-                    .post_rdma_write(piece, addr, seg.rkey, wr, false)
-                    .is_err()
-                {
-                    return;
-                }
-                addr += plen;
+        for group in pieces.chunks(max_sge) {
+            let glen: u64 = group.iter().map(Payload::len).sum();
+            let wr = conn.alloc_wr();
+            let posted = if no_local_sg {
+                qp.post_rdma_write(group[0].clone(), addr, seg.rkey, wr, false)
+            } else {
+                let sge = |data: &Payload| Sge {
+                    data: data.clone(),
+                    lkey,
+                };
+                let sges = group.iter().map(sge).collect();
+                qp.post_rdma_write_vec(sges, addr, seg.rkey, wr, false)
+            };
+            if posted.is_err() {
+                return;
             }
-        } else {
-            let pieces = part.into_pieces();
-            for group in pieces.chunks(max_sge) {
-                let glen: u64 = group.iter().map(Payload::len).sum();
-                let sges: Vec<Sge> = group
-                    .iter()
-                    .map(|p| Sge {
-                        data: p.clone(),
-                        lkey,
-                    })
-                    .collect();
-                let wr = conn.alloc_wr();
-                if qp
-                    .post_rdma_write_vec(sges, addr, seg.rkey, wr, false)
-                    .is_err()
-                {
-                    return;
-                }
-                addr += glen;
-            }
+            addr += glen;
         }
-        off += n;
-        remaining -= n;
     }
 }
 
@@ -1782,11 +1637,7 @@ fn echo_actual(segs: &[Segment], len: u64) -> Vec<Segment> {
     let mut out = Vec::new();
     for seg in segs {
         let n = seg.len.min(remaining);
-        out.push(Segment {
-            rkey: seg.rkey,
-            len: n,
-            addr: seg.addr,
-        });
+        out.push(Segment { len: n, ..*seg });
         remaining -= n;
         if remaining == 0 {
             break;

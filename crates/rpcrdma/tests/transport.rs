@@ -80,6 +80,10 @@ struct TestBed {
 }
 
 fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
+    setup_with(sim, RpcRdmaConfig::solaris().with_design(design), strategy)
+}
+
+fn setup_with(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind) -> TestBed {
     let fabric = Fabric::new(sim);
     let mk = |id: u32| {
         let node = NodeId(id);
@@ -90,7 +94,6 @@ fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
     };
     let (client_hca, client_mem) = mk(0);
     let (server_hca, _server_mem) = mk(1);
-    let cfg = RpcRdmaConfig::solaris().with_design(design);
     let (qc, qs) = connect(&client_hca, &server_hca);
     let server = RdmaRpcServer::new(
         sim,
@@ -1065,43 +1068,9 @@ fn credit_window_bounds_outstanding_calls() {
 
 /// Build a testbed with the RFP hybrid transport enabled.
 fn setup_rfp(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
-    let fabric = Fabric::new(sim);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(sim, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
-        let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (client_hca, client_mem) = mk(0);
-    let (server_hca, _server_mem) = mk(1);
     let mut cfg = RpcRdmaConfig::solaris().with_design(design);
     cfg.rfp_enabled = true;
-    let (qc, qs) = connect(&client_hca, &server_hca);
-    let server = RdmaRpcServer::new(
-        sim,
-        &server_hca,
-        Rc::new(ToyFs { seed: 42 }),
-        Registrar::new(&server_hca, strategy),
-        cfg,
-    );
-    server.serve_connection(qs);
-    let client = RdmaRpcClient::new(
-        sim,
-        &client_hca,
-        qc,
-        Registrar::new(&client_hca, strategy),
-        cfg,
-        PROG,
-        VERS,
-    );
-    TestBed {
-        client,
-        server,
-        client_hca,
-        server_hca,
-        client_mem,
-    }
+    setup_with(sim, cfg, strategy)
 }
 
 #[test]
@@ -1210,5 +1179,158 @@ fn rfp_saves_server_doorbells_and_interrupts() {
         rfp_doorbells + rfp_deposits <= rpc_doorbells,
         "every deposit should have saved (at least) a server doorbell: \
          rpc={rpc_doorbells} rfp={rfp_doorbells}"
+    );
+}
+
+/// The server pipeline's span anatomy, per design: one traced READ
+/// (bulk out), chunked WRITE (bulk in), small echo and long-reply
+/// `bigdir`. Every server stage span must sit directly under its `op`,
+/// in stage order, back to back.
+#[test]
+fn server_stage_spans_nest_in_pipeline_order_both_designs() {
+    const STAGES: [&str; 5] = [
+        "dispatch",
+        "pull_chunks",
+        "service",
+        "rdma_write",
+        "reply_send",
+    ];
+    for design in [Design::ReadWrite, Design::ReadRead] {
+        let mut sim = Simulation::new(21);
+        sim.enable_span_tracing();
+        let h = sim.handle();
+        let bed = setup(&h, design, StrategyKind::Dynamic);
+        let client = bed.client.clone();
+        let user = bed.client_mem.alloc(128 * 1024);
+        user.write(0, Payload::synthetic(7, 100_000));
+        sim.block_on(async move {
+            let read = BulkParams {
+                recv_max: Some(64 * 1024),
+                ..Default::default()
+            };
+            client.call(1, read_args(60_000), read).await.unwrap();
+            let write = BulkParams {
+                send: Some((user, 0, 100_000)),
+                ..Default::default()
+            };
+            client.call(2, Bytes::new(), write).await.unwrap();
+            let small = Bytes::from_static(b"getattr!");
+            client.call(3, small, BulkParams::default()).await.unwrap();
+            let long_reply = BulkParams {
+                long_reply_max: Some(64 * 1024),
+                ..Default::default()
+            };
+            client.call(4, read_args(20_000), long_reply).await.unwrap();
+        });
+        let spans: Vec<_> = sim
+            .take_spans()
+            .into_iter()
+            .filter(|s| s.component == "server")
+            .collect();
+        let ops: Vec<_> = spans.iter().filter(|s| s.name == "op").collect();
+        assert_eq!(ops.len(), 4, "{design:?}: one op span per call");
+        // Correct parent: no stage span anywhere but directly under an op.
+        for s in spans.iter().filter(|s| STAGES.contains(&s.name)) {
+            assert!(
+                ops.iter().any(|op| Some(op.id) == s.parent),
+                "{design:?}: {} span outside an op",
+                s.name
+            );
+        }
+        for op in ops {
+            let mut stages: Vec<_> = spans.iter().filter(|s| s.parent == Some(op.id)).collect();
+            stages.sort_by_key(|s| s.id);
+            let proc_num = stages
+                .iter()
+                .find(|s| s.name == "service")
+                .and_then(|s| s.proc_num)
+                .expect("service span tagged with its procedure");
+            // Only a Read-Write bulk READ pushes with RDMA Write inside
+            // a span; Read-Read exposes, and long replies stage outside.
+            let expect: &[&str] = if design == Design::ReadWrite && proc_num == 1 {
+                &STAGES
+            } else {
+                &["dispatch", "pull_chunks", "service", "reply_send"]
+            };
+            let names: Vec<_> = stages.iter().map(|s| s.name).collect();
+            assert_eq!(names, expect, "{design:?} proc {proc_num}");
+            for pair in stages.windows(2) {
+                assert!(pair[0].end <= pair[1].start, "{design:?}: stages overlap");
+            }
+            assert!(op.start <= stages[0].start && stages[stages.len() - 1].end <= op.end);
+        }
+    }
+}
+
+/// A credit window wider than the reply-slot ring's base size: the
+/// ring grows to cover it, so a full window of concurrent small calls
+/// all deposit without two in-flight XIDs ever sharing a slot.
+#[test]
+fn rfp_ring_covers_a_credit_window_wider_than_its_base_size() {
+    const WINDOW: u32 = 128;
+    let mut sim = Simulation::new(23);
+    sim.enable_tracing();
+    let h = sim.handle();
+    let mut cfg = RpcRdmaConfig::solaris();
+    cfg.rfp_enabled = true;
+    cfg.credits = WINDOW;
+    let bed = setup_with(&h, cfg, StrategyKind::Dynamic);
+    let client = bed.client.clone();
+    // Handshake: the first reply travels by Send and carries the ad.
+    sim.block_on(async move {
+        client
+            .call(3, Bytes::from_static(b"hi"), BulkParams::default())
+            .await
+            .unwrap();
+    });
+    let done = sim_core::sync::Semaphore::new(0);
+    for i in 0..WINDOW {
+        let client = bed.client.clone();
+        let done = done.clone();
+        sim.spawn(async move {
+            let msg = format!("ping{i:04}");
+            let got = client
+                .call(3, Bytes::from(msg.clone()), BulkParams::default())
+                .await
+                .unwrap();
+            assert_eq!(&got.body[..], msg.as_bytes());
+            done.add_permits(1);
+        });
+    }
+    sim.block_on(async move {
+        for _ in 0..WINDOW {
+            done.acquire().await.forget();
+        }
+    });
+    assert_eq!(bed.server.stats.rfp_deposits.get(), WINDOW as u64);
+    assert_eq!(bed.server.stats.rfp_fallback_sends.get(), 0);
+    assert!(
+        bed.server.stats.peak_inflight.get() > 64,
+        "calls overlapped"
+    );
+    let cs = bed.client.stats();
+    assert_eq!(cs.rfp_hits, WINDOW as u64, "every reply was fetched");
+    assert_eq!(cs.retransmits, 0, "no reply was overwritten in its slot");
+    let trace = sim.take_trace();
+    let field = |detail: &str, key: &str| -> u32 {
+        let rest = &detail[detail.find(key).expect("field present") + key.len()..];
+        let end = rest.find(' ').unwrap_or(rest.len());
+        rest[..end].parse().expect("numeric field")
+    };
+    let nslots = trace
+        .iter()
+        .find(|e| e.detail.starts_with("server rfp ring up"))
+        .map(|e| field(&e.detail, "nslots="))
+        .expect("ring built");
+    assert!(nslots >= WINDOW, "ring of {nslots} under a {WINDOW} window");
+    let slots: std::collections::HashSet<u32> = trace
+        .iter()
+        .filter(|e| e.detail.starts_with("server rfp deposit"))
+        .map(|e| field(&e.detail, "xid=") % nslots)
+        .collect();
+    assert_eq!(
+        slots.len(),
+        WINDOW as usize,
+        "two in-flight XIDs shared a slot"
     );
 }

@@ -38,6 +38,7 @@ use rpcrdma::{Design, MsgType, RdmaHeader, RdmaRpcServer, ReadChunk, RpcRdmaConf
 use sim_core::{Cpu, Payload, Sim, SimDuration, SimRng, Simulation};
 use xdr::{Encoder, XdrCodec};
 
+use crate::chaos::fingerprint;
 use crate::profiles::Profile;
 use crate::testbed::{build_rdma, Backend, Testbed};
 
@@ -172,24 +173,6 @@ pub fn run_adversary(seed: u64, profile: &Profile, params: AdversaryParams) -> A
     result.flight = sim.flight_records();
     result.metrics_snapshot = sim.metrics().snapshot();
     result
-}
-
-/// FNV-1a over every trace event (time, category, detail).
-fn fingerprint(events: &[sim_core::TraceEvent]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    for e in events {
-        eat(&e.at.as_nanos().to_le_bytes());
-        eat(e.category.as_bytes());
-        eat(e.detail.as_bytes());
-        eat(&[0xff]);
-    }
-    hash
 }
 
 /// Shared attacker accounting.

@@ -432,16 +432,10 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         corrupt_records: corrupt_total.get(),
         redriven_writes,
         verf_mismatches,
-        cross_epoch_replays: bed
-            .nodes
-            .iter()
-            .map(|n| n.rpc.stats.cross_epoch_replays.get())
-            .sum(),
-        drc_replays: bed
-            .nodes
-            .iter()
-            .map(|n| n.rpc.stats.drc_replays.get())
-            .sum(),
+        // Registry series are shared by name, so either node's handle
+        // already reads the cluster-wide total.
+        cross_epoch_replays: serving.rpc.stats.cross_epoch_replays.get(),
+        drc_replays: serving.rpc.stats.drc_replays.get(),
         shipped_records: ship.0,
         shipped_bytes: ship.1,
         ship_blocked: ship.2,

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Repo health gate: formatting, lints, build, tests, and a smoke run of
-# the executor/marshalling performance harness. Run from the repo root.
+# Repo health gate: formatting, lints, build, tests, the smoke legs of
+# every harness, the benchmark package, and a check that none of it
+# moved a recorded artifact under results/. Run from the repo root.
 #
 #   ./scripts/check.sh          # everything (tier-1 plus lints + smoke)
 #   SKIP_TESTS=1 ./scripts/check.sh   # lints and smoke only
@@ -81,5 +82,12 @@ for f in results/trace_fig5_rr.json results/trace_fig5_rw.json; do
     fi
     echo "    $f ok"
 done
+
+echo "==> benchmark --lint + --smoke (the stand-alone benchmark package compiles against these crates' public names; nothing above builds it)"
+bash benchmark/run.sh --lint
+bash benchmark/run.sh --smoke >/dev/null
+
+echo "==> results/ unchanged (simulated numbers are deterministic: a refactor that moves a figure, fingerprint or trace fails here)"
+git diff --exit-code -- results/
 
 echo "OK: all checks passed"
