@@ -14,6 +14,8 @@
 //!    the flow-control window be to keep the pipe full per thread
 //!    count?
 
+use nfs::proto::readdir_reply_max;
+use nfs::NFS_DTSIZE;
 use rpcrdma::{Design, StrategyKind};
 use sim_core::sweep::parallel_sweep;
 use sim_core::{SimDuration, Simulation};
@@ -118,62 +120,147 @@ fn ord_sensitivity() {
     );
 }
 
-fn inline_threshold_sweep() {
-    // The inline threshold decides when an RPC reply still fits in the
-    // Send and when it must become a long reply (reply-chunk RDMA
-    // Write + registration). READDIR of a populated directory is the
-    // canonical boundary case (paper §3.1).
-    let thresholds = [256u64, 1024, 4096, 16384];
-    let results = parallel_sweep(thresholds.to_vec(), |inline| {
-        let mut p = solaris_sdr();
-        p.rpc.inline_threshold = inline;
-        let mut sim = Simulation::new(0x1712);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let bed = build_rdma(
-                &h,
-                &p,
-                Design::ReadWrite,
-                StrategyKind::Dynamic,
-                Backend::Tmpfs,
-                1,
-            );
-            let root = bed.server.root_handle();
-            let c = &bed.clients[0];
-            let dir = c.nfs.mkdir(root, "crowd").await.unwrap();
-            // ~60 bytes of XDR per entry: 50 entries ≈ 3 KiB reply.
-            for i in 0..50 {
-                c.nfs
-                    .create(dir.handle(), &format!("entry-{i:04}"))
-                    .await
-                    .unwrap();
-            }
-            let t0 = h.now();
-            let rounds = 200;
-            for _ in 0..rounds {
-                let entries = c.nfs.readdir(dir.handle()).await.unwrap();
-                assert_eq!(entries.len(), 50);
-            }
-            let secs = h.now().saturating_since(t0).as_secs_f64();
-            rounds as f64 / secs
-        })
-    });
-    let mut t = Table::new(
-        "Ablation 3 — inline threshold vs READDIR throughput (50 entries, ~3 KiB reply)",
-        &["inline bytes", "readdir ops/s", "path taken"],
+/// One point of the inline-threshold ablation.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct InlineOutcome {
+    readdirs_per_s: f64,
+    /// Pages the client registered per READDIR (its reply chunk).
+    client_pages_per_op: f64,
+    /// The reply outgrew the threshold and travelled by the reply
+    /// chunk: the server registered a source buffer for the RDMA Write.
+    long_reply: bool,
+}
+
+/// The inline threshold decides when an RPC reply still fits in the
+/// Send and when it must become a long reply (a server-side
+/// registration and an RDMA Write into the client's reply chunk).
+/// READDIR of a populated directory is the canonical boundary case
+/// (paper §3.1): one call, its ~2 KiB reply on either side of the
+/// threshold. The client provisions for the READDIR's `count`
+/// (`NFS_DTSIZE`) at every threshold below it — the reply's *bound*,
+/// not its size, decides that.
+fn inline_point(inline: u64, rounds: u32) -> InlineOutcome {
+    let mut p = solaris_sdr();
+    p.rpc.inline_threshold = inline;
+    let mut sim = Simulation::new(0x1712);
+    let h = sim.handle();
+    sim.block_on(async move {
+        let bed = build_rdma(
+            &h,
+            &p,
+            Design::ReadWrite,
+            StrategyKind::Dynamic,
+            Backend::Tmpfs,
+            1,
+        );
+        let root = bed.server.root_handle();
+        let c = &bed.clients[0];
+        let dir = c.nfs.mkdir(root, "crowd").await.unwrap();
+        // 40 bytes of XDR per entry: 50 entries are a 2 KiB reply.
+        for i in 0..50 {
+            c.nfs
+                .create(dir.handle(), &format!("entry-{i:04}"))
+                .await
+                .unwrap();
+        }
+        let (client_hca, server_hca) = (c.hca.as_ref().unwrap(), bed.server_hca.as_ref().unwrap());
+        let pinned = client_hca.reg_stats().pages_pinned;
+        let server_regs = server_hca.reg_stats().dynamic_regs;
+        let t0 = h.now();
+        for _ in 0..rounds {
+            let entries = c.nfs.readdir(dir.handle()).await.unwrap();
+            assert_eq!(entries.len(), 50);
+        }
+        let secs = h.now().saturating_since(t0).as_secs_f64();
+        let pinned = client_hca.reg_stats().pages_pinned - pinned;
+        InlineOutcome {
+            readdirs_per_s: rounds as f64 / secs,
+            client_pages_per_op: pinned as f64 / rounds as f64,
+            long_reply: server_hca.reg_stats().dynamic_regs > server_regs,
+        }
+    })
+}
+
+const INLINE_THRESHOLDS: [u64; 4] = [256, 1024, 4096, 16384];
+
+/// What every point of the ablation must show: no READDIR registers
+/// more than its count's worth of pages, and every inline reply beats
+/// every long reply.
+fn check_inline(points: &[InlineOutcome]) {
+    let bound = readdir_reply_max(NFS_DTSIZE).div_ceil(ib_verbs::PAGE_SIZE) as f64;
+    for p in points {
+        assert!(
+            p.client_pages_per_op <= bound,
+            "{} pages registered per READDIR, over the NFS_DTSIZE bound of {bound}",
+            p.client_pages_per_op
+        );
+    }
+    let rate = |long| {
+        let of_path = points.iter().filter(move |p| p.long_reply == long);
+        of_path.map(|p| p.readdirs_per_s)
+    };
+    let (slowest_inline, fastest_long) = (
+        rate(false).fold(f64::INFINITY, f64::min),
+        rate(true).fold(0.0, f64::max),
     );
-    for (inline, ops) in thresholds.iter().zip(results) {
-        let path = if *inline >= 4096 {
-            "inline reply"
-        } else {
+    assert!(
+        fastest_long > 0.0 && slowest_inline.is_finite(),
+        "the sweep must straddle the reply size"
+    );
+    assert!(
+        slowest_inline > fastest_long,
+        "inline READDIR {slowest_inline:.0}/s not faster than long-reply {fastest_long:.0}/s"
+    );
+}
+
+/// Ablation 3 gate for `check.sh`.
+fn inline_smoke() {
+    let mut points: Vec<u64> = INLINE_THRESHOLDS.to_vec();
+    points.push(INLINE_THRESHOLDS[1]); // same-seed rerun
+    let runs = parallel_sweep(points, |inline| inline_point(inline, 40));
+    let (sweep, rerun) = runs.split_at(INLINE_THRESHOLDS.len());
+    check_inline(sweep);
+    assert_eq!(sweep[1], rerun[0], "same-seed inline runs diverged");
+    println!(
+        "inline smoke: long reply {:.0} -> inline {:.0} READDIR/s, {} pages registered per READDIR",
+        sweep[0].readdirs_per_s, sweep[3].readdirs_per_s, sweep[0].client_pages_per_op
+    );
+    println!("inline smoke OK");
+}
+
+fn inline_threshold_sweep() {
+    let results = parallel_sweep(INLINE_THRESHOLDS.to_vec(), |inline| {
+        inline_point(inline, 200)
+    });
+    check_inline(&results);
+    let mut t = Table::new(
+        "Ablation 3 — inline threshold vs READDIR throughput (50 entries, ~2 KiB reply)",
+        &[
+            "inline bytes",
+            "readdir ops/s",
+            "client pages registered/op",
+            "path taken",
+        ],
+    );
+    for (inline, r) in INLINE_THRESHOLDS.iter().zip(results) {
+        let path = if r.long_reply {
             "long reply (reply chunk)"
+        } else {
+            "inline reply"
         };
-        t.row(&[inline.to_string(), format!("{ops:.0}"), path.to_string()]);
+        t.row(&[
+            inline.to_string(),
+            format!("{:.0}", r.readdirs_per_s),
+            format!("{:.0}", r.client_pages_per_op),
+            path.to_string(),
+        ]);
     }
     bench::emit("ablation_inline", &t);
     println!(
-        "Takeaway: crossing the threshold adds a registration + RDMA Write \
-         to every READDIR; generous inline space is cheap insurance for \
+        "Takeaway: the client registers for the READDIR's count (9 pages, \
+         not the 256 of a 1 MiB guess) at every threshold below it; crossing \
+         the threshold adds the server's registration + RDMA Write on top, \
+         so generous inline space is still cheap insurance for \
          metadata-heavy workloads.\n"
     );
 }
@@ -995,6 +1082,14 @@ fn main() {
             write_path_smoke();
         } else {
             write_path_sweep();
+        }
+        return;
+    }
+    if args.iter().any(|a| a == "--inline") {
+        if args.iter().any(|a| a == "--smoke") {
+            inline_smoke();
+        } else {
+            inline_threshold_sweep();
         }
         return;
     }

@@ -25,5 +25,7 @@ pub mod wal;
 pub use disk::{Disk, Raid0};
 pub use pagecache::PageCache;
 pub use stores::{diskfs, diskfs_wal, tmpfs, CachedDiskStore, DiskFs, MemStore, Tmpfs};
-pub use vfs::{Attr, DataStore, DirEntry, FileId, FileKind, Fs, FsError, FsResult, FsStat, Vfs};
+pub use vfs::{
+    Attr, DataStore, DirEntry, DirPage, FileId, FileKind, Fs, FsError, FsResult, FsStat, Vfs,
+};
 pub use wal::{Wal, WalConfig, WalRecord, WalStats};

@@ -2,8 +2,9 @@
 //! namespace (inode/dentry) implementation both back ends reuse.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::future::Future;
+use std::ops::Bound;
 use std::pin::Pin;
 use std::rc::Rc;
 
@@ -55,6 +56,17 @@ pub struct DirEntry {
     pub kind: FileKind,
 }
 
+/// Where a [`Fs::readdir_from`] page ended.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DirPage {
+    /// The directory's change stamp when the page was cut. A resume
+    /// must present it; any entry added, removed or renamed since
+    /// moves it and the resume fails with [`FsError::BadCookie`].
+    pub verf: u64,
+    /// The page reached the end of the directory.
+    pub eof: bool,
+}
+
 /// File-system errors (mapped to NFS status codes by the server).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FsError {
@@ -74,6 +86,9 @@ pub enum FsError {
     NotSymlink,
     /// Out of space.
     NoSpace,
+    /// A directory-listing resume point that no longer names a place
+    /// in the directory (it changed since the page was cut).
+    BadCookie,
 }
 
 impl std::fmt::Display for FsError {
@@ -138,10 +153,25 @@ pub trait DataStore {
 
 struct Inode {
     attr: Attr,
-    /// Directory contents (name -> id), for directories.
-    children: Option<HashMap<String, FileId>>,
+    /// This inode's name in its parent directory (every inode has one
+    /// link), shared with the parent's `children` key: it is how a
+    /// listing cookie — an inode number — finds its place in name order.
+    name: Rc<str>,
+    /// Directory contents in name order, for directories.
+    children: Option<BTreeMap<Rc<str>, FileId>>,
+    /// Directories: bumped whenever an entry comes or goes. The listing
+    /// cookie verifier ([`DirPage::verf`]).
+    change: u64,
     /// Symlink target.
     target: Option<String>,
+}
+
+impl Inode {
+    /// An entry of this directory came or went.
+    fn dir_changed(&mut self, now: SimTime) {
+        self.attr.mtime = now;
+        self.change += 1;
+    }
 }
 
 struct NamespaceInner {
@@ -177,7 +207,9 @@ impl<S: DataStore> Fs<S> {
                     mtime: now,
                     ctime: now,
                 },
-                children: Some(HashMap::new()),
+                name: Rc::from(""),
+                children: Some(BTreeMap::new()),
+                change: 0,
                 target: None,
             },
         );
@@ -262,8 +294,9 @@ impl<S: DataStore> Fs<S> {
         if children.contains_key(name) {
             return Err(FsError::Exists);
         }
-        children.insert(name.to_string(), id);
-        d.attr.mtime = now;
+        let name: Rc<str> = Rc::from(name);
+        children.insert(name.clone(), id);
+        d.dir_changed(now);
         let attr = Attr {
             id,
             kind,
@@ -276,7 +309,9 @@ impl<S: DataStore> Fs<S> {
             id.0,
             Inode {
                 attr,
-                children: (kind == FileKind::Dir).then(HashMap::new),
+                name,
+                children: (kind == FileKind::Dir).then(BTreeMap::new),
+                change: 0,
                 target,
             },
         );
@@ -317,7 +352,7 @@ impl<S: DataStore> Fs<S> {
             }
             let d = inodes.get_mut(&dir.0).unwrap();
             d.children.as_mut().unwrap().remove(name);
-            d.attr.mtime = self.ns.sim.now();
+            d.dir_changed(self.ns.sim.now());
             inodes.remove(&id.0);
             id
         };
@@ -338,7 +373,7 @@ impl<S: DataStore> Fs<S> {
         }
         let d = inodes.get_mut(&dir.0).unwrap();
         d.children.as_mut().unwrap().remove(name);
-        d.attr.mtime = self.ns.sim.now();
+        d.dir_changed(self.ns.sim.now());
         inodes.remove(&id.0);
         Ok(())
     }
@@ -359,40 +394,71 @@ impl<S: DataStore> Fs<S> {
             }
         }
         let now = self.ns.sim.now();
-        inodes
-            .get_mut(&fdir.0)
-            .unwrap()
-            .children
-            .as_mut()
-            .unwrap()
-            .remove(fname);
-        inodes.get_mut(&fdir.0).unwrap().attr.mtime = now;
-        inodes
-            .get_mut(&tdir.0)
-            .unwrap()
-            .children
-            .as_mut()
-            .unwrap()
-            .insert(tname.to_string(), id);
-        inodes.get_mut(&tdir.0).unwrap().attr.mtime = now;
+        // Both directories and the entry were found above.
+        let from = inodes.get_mut(&fdir.0).expect("source directory");
+        let children = from.children.as_mut().expect("source is a directory");
+        children.remove(fname);
+        from.dir_changed(now);
+        let tname: Rc<str> = Rc::from(tname);
+        let to = inodes.get_mut(&tdir.0).expect("target directory");
+        let children = to.children.as_mut().expect("target is a directory");
+        children.insert(tname.clone(), id);
+        to.dir_changed(now);
+        inodes.get_mut(&id.0).expect("renamed inode").name = tname;
         Ok(())
     }
 
-    /// List a directory.
+    /// List a directory, whole. See [`Fs::readdir_from`] for listing it
+    /// a page at a time.
     pub fn readdir(&self, dir: FileId) -> FsResult<Vec<DirEntry>> {
+        let mut out = Vec::new();
+        self.readdir_from(dir, 0, 0, &mut |name, attr| {
+            out.push(DirEntry {
+                name: name.to_string(),
+                id: attr.id,
+                kind: attr.kind,
+            });
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// List a directory in name order from a resume point, handing each
+    /// entry to `fill` until it declines one (its page is full — that
+    /// entry starts the next page) or the directory ends. The cost is
+    /// that of the page, `O(log n)` to find the place plus the entries
+    /// visited: nothing is cloned or sorted.
+    ///
+    /// An entry's cookie is its inode number ([`Attr::id`]): `cookie`
+    /// 0 starts at the beginning, any other value resumes after the
+    /// entry it names and must come with the `verf` of the page that
+    /// returned it. `fill` runs with the inode table borrowed and must
+    /// not call back into the file system.
+    pub fn readdir_from(
+        &self,
+        dir: FileId,
+        cookie: u64,
+        verf: u64,
+        fill: &mut dyn FnMut(&str, &Attr) -> bool,
+    ) -> FsResult<DirPage> {
         let inodes = self.ns.inodes.borrow();
         let d = inodes.get(&dir.0).ok_or(FsError::Stale)?;
         let children = d.children.as_ref().ok_or(FsError::NotDir)?;
-        let mut out: Vec<DirEntry> = children
-            .iter()
-            .map(|(name, id)| DirEntry {
-                name: name.clone(),
-                id: *id,
-                kind: inodes[&id.0].attr.kind,
-            })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(out)
+        let after = if cookie == 0 {
+            Bound::Unbounded
+        } else {
+            let last = inodes.get(&cookie).ok_or(FsError::BadCookie)?;
+            if verf != d.change || children.get(&last.name) != Some(&FileId(cookie)) {
+                return Err(FsError::BadCookie);
+            }
+            Bound::Excluded(&*last.name)
+        };
+        let mut rest = children.range::<str, _>((after, Bound::Unbounded));
+        let eof = !rest.any(|(name, id)| !fill(name, &inodes[&id.0].attr));
+        Ok(DirPage {
+            verf: d.change,
+            eof,
+        })
     }
 
     /// Read file data.
@@ -482,8 +548,14 @@ pub trait Vfs {
     fn rmdir(&self, dir: FileId, name: &str) -> FsResult<()>;
     /// Rename an entry.
     fn rename(&self, fdir: FileId, fname: &str, tdir: FileId, tname: &str) -> FsResult<()>;
-    /// List a directory.
-    fn readdir(&self, dir: FileId) -> FsResult<Vec<DirEntry>>;
+    /// List a directory from a resume point (see [`Fs::readdir_from`]).
+    fn readdir_from(
+        &self,
+        dir: FileId,
+        cookie: u64,
+        verf: u64,
+        fill: &mut dyn FnMut(&str, &Attr) -> bool,
+    ) -> FsResult<DirPage>;
     /// Read file data.
     fn read(&self, id: FileId, off: u64, len: u64) -> LocalBoxFuture<FsResult<Payload>>;
     /// Read file data as zero-copy scatter/gather pieces.
@@ -532,8 +604,14 @@ impl<S: DataStore + 'static> Vfs for Rc<Fs<S>> {
     fn rename(&self, fdir: FileId, fname: &str, tdir: FileId, tname: &str) -> FsResult<()> {
         Fs::rename(self, fdir, fname, tdir, tname)
     }
-    fn readdir(&self, dir: FileId) -> FsResult<Vec<DirEntry>> {
-        Fs::readdir(self, dir)
+    fn readdir_from(
+        &self,
+        dir: FileId,
+        cookie: u64,
+        verf: u64,
+        fill: &mut dyn FnMut(&str, &Attr) -> bool,
+    ) -> FsResult<DirPage> {
+        Fs::readdir_from(self, dir, cookie, verf, fill)
     }
     fn read(&self, id: FileId, off: u64, len: u64) -> LocalBoxFuture<FsResult<Payload>> {
         let fs = self.clone();

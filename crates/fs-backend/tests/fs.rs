@@ -176,3 +176,100 @@ fn commit_is_idempotent_and_durable_timing() {
         assert_eq!(second.as_nanos(), 0, "clean commit is free");
     });
 }
+
+/// Page through `dir` taking `per_page` entries at a time; the names in
+/// the order they came.
+fn list_paged(fs: &fs_backend::Tmpfs, dir: fs_backend::FileId, per_page: usize) -> Vec<String> {
+    let (mut names, mut cookie, mut verf) = (Vec::new(), 0, 0);
+    loop {
+        let mut taken = 0;
+        let page = fs
+            .readdir_from(dir, cookie, verf, &mut |name, attr| {
+                if taken == per_page {
+                    return false;
+                }
+                taken += 1;
+                names.push(name.to_string());
+                cookie = attr.id.0;
+                true
+            })
+            .unwrap();
+        verf = page.verf;
+        if page.eof {
+            return names;
+        }
+        assert_eq!(taken, per_page, "a short page must be the last");
+    }
+}
+
+#[test]
+fn readdir_from_pages_in_name_order_without_gaps_or_repeats() {
+    let mut sim = Simulation::new(1);
+    let fs = tmpfs(&sim.handle());
+    let root = fs.root();
+    sim.block_on(async move {
+        let dir = fs.mkdir(root, "d").unwrap().id;
+        // Created out of name order; one page boundary falls on every
+        // entry for per_page = 1.
+        for i in [7, 3, 9, 0, 5, 1, 8, 2, 6, 4] {
+            fs.create(dir, &format!("n{i}")).unwrap();
+        }
+        let whole: Vec<String> = fs
+            .readdir(dir)
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(whole, (0..10).map(|i| format!("n{i}")).collect::<Vec<_>>());
+        for per_page in [1, 3, 10, 11] {
+            assert_eq!(list_paged(&fs, dir, per_page), whole, "{per_page} per page");
+        }
+        // An empty directory is one empty page at eof.
+        let empty = fs.mkdir(root, "e").unwrap().id;
+        let page = fs.readdir_from(empty, 0, 0, &mut |_, _| unreachable!());
+        assert!(page.unwrap().eof);
+    });
+}
+
+#[test]
+fn readdir_from_rejects_a_resume_across_a_directory_change() {
+    let mut sim = Simulation::new(1);
+    let fs = tmpfs(&sim.handle());
+    let root = fs.root();
+    sim.block_on(async move {
+        let dir = fs.mkdir(root, "d").unwrap().id;
+        let a = fs.create(dir, "a").unwrap().id;
+        fs.create(dir, "b").unwrap();
+        let first_only = &mut |_: &str, attr: &fs_backend::Attr| attr.id == a;
+        let page = fs.readdir_from(dir, 0, 0, first_only).unwrap();
+        assert!(!page.eof);
+        let resume = |verf| fs.readdir_from(dir, a.0, verf, &mut |_, _| true);
+        assert!(resume(page.verf).unwrap().eof);
+        // No simulated time passes here: the verifier is a change
+        // count, not a timestamp.
+        fs.create(dir, "c").unwrap();
+        assert_eq!(resume(page.verf).unwrap_err(), FsError::BadCookie);
+        let now = fs.readdir_from(dir, 0, 0, first_only).unwrap().verf;
+        assert_ne!(now, page.verf);
+        assert!(resume(now).unwrap().eof);
+        // A cookie naming an entry of another directory, or nothing.
+        assert_eq!(
+            fs.readdir_from(dir, dir.0, now, &mut |_, _| true)
+                .unwrap_err(),
+            FsError::BadCookie
+        );
+        assert_eq!(
+            fs.readdir_from(dir, 9999, now, &mut |_, _| true)
+                .unwrap_err(),
+            FsError::BadCookie
+        );
+        // A renamed entry resumes from its new place under the new stamp.
+        fs.rename(dir, "a", dir, "z").unwrap();
+        let now = fs.readdir_from(dir, 0, 0, &mut |_, _| false).unwrap().verf;
+        assert!(
+            fs.readdir_from(dir, a.0, now, &mut |_, _| unreachable!())
+                .unwrap()
+                .eof
+        );
+    });
+}

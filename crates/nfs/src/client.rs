@@ -25,6 +25,12 @@ use crate::proto::*;
 /// error (each attempt replays every pending write and re-commits).
 const MAX_REDRIVE_ROUNDS: u32 = 8;
 
+/// Times a directory listing starts over because the directory changed
+/// between two of its pages (`BadCookie`) before the change is reported
+/// to the caller: a directory that never holds still must not hold the
+/// client in a loop.
+const MAX_READDIR_RESTARTS: u32 = 4;
+
 /// Client-visible errors.
 #[derive(Debug)]
 pub enum NfsError {
@@ -104,8 +110,6 @@ pub struct NfsClientStats {
 /// An NFSv3 client handle (one mount).
 pub struct NfsClient {
     transport: Transport,
-    /// Maximum long-reply provision for READDIR/READLINK.
-    long_reply_max: u64,
     /// UNSTABLE writes not yet covered by a matching COMMIT, per file.
     pending: RefCell<HashMap<u64, PendingFile>>,
     /// Statistics.
@@ -117,7 +121,6 @@ impl NfsClient {
     pub fn over_rdma(client: RdmaRpcClient) -> NfsClient {
         NfsClient {
             transport: Transport::Rdma(client),
-            long_reply_max: 1 << 20,
             pending: RefCell::new(HashMap::new()),
             stats: NfsClientStats::default(),
         }
@@ -127,7 +130,6 @@ impl NfsClient {
     pub fn over_tcp(client: Rc<StreamRpcClient>) -> NfsClient {
         NfsClient {
             transport: Transport::Tcp(client),
-            long_reply_max: 1 << 20,
             pending: RefCell::new(HashMap::new()),
             stats: NfsClientStats::default(),
         }
@@ -252,39 +254,72 @@ impl NfsClient {
         }
     }
 
-    /// READDIRPLUS: entries with post-op attributes and handles (a
-    /// long-reply procedure over RDMA).
-    pub async fn readdirplus(
+    /// READDIRPLUS: every entry with post-op attributes and handle.
+    pub async fn readdirplus(&self, dir: FileHandle) -> NfsResult<Vec<PlusEntry>> {
+        self.list_dir(dir, true, decode_plus_entry, |(e, _, _)| e.cookie)
+            .await
+    }
+
+    /// List `dir` whole, [`NFS_DTSIZE`] bytes of reply at a time, each
+    /// call resuming at the last cookie of the one before (over RDMA
+    /// each is a long-reply call provisioned for that much). If the
+    /// directory changes between two pages the server refuses the stale
+    /// cookie and the listing starts over, [`MAX_READDIR_RESTARTS`]
+    /// times at most.
+    async fn list_dir<E>(
         &self,
         dir: FileHandle,
-    ) -> NfsResult<Vec<(WireDirEntry, Option<Fattr>, FileHandle)>> {
-        let bulk = BulkParams {
-            long_reply_max: Some(self.long_reply_max),
-            ..Default::default()
+        plus: bool,
+        entry: impl Fn(&mut xdr::Decoder) -> xdr::Result<E>,
+        cookie_of: impl Fn(&E) -> u64,
+    ) -> NfsResult<Vec<E>> {
+        let proc_id = if plus {
+            NfsProc::ReaddirPlus
+        } else {
+            NfsProc::Readdir
         };
-        let (body, _) = self
-            .call(NfsProc::ReaddirPlus, dir.to_bytes(), bulk)
-            .await?;
-        match decode_res(body, |d| {
-            let n = d.get_u32()?;
-            let mut out = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let entry = WireDirEntry::decode(d)?;
-                let attr = d.get_option(Fattr::decode)?;
-                let fh = FileHandle::decode(d)?;
-                out.push((entry, attr, fh));
+        let mut args = ReaddirArgs {
+            dir,
+            cookie: 0,
+            cookieverf: 0,
+            dircount: plus.then_some(NFS_DTSIZE),
+            count: NFS_DTSIZE,
+        };
+        let (mut out, mut restarts) = (Vec::new(), 0);
+        loop {
+            let mut enc = Encoder::new();
+            args.encode(&mut enc);
+            let bulk = BulkParams {
+                reply_max: Some(readdir_reply_max(args.count)),
+                ..Default::default()
+            };
+            let (body, _) = self.call(proc_id, enc.finish(), bulk).await?;
+            match decode_res(body, |d| DirList::decode(d, &entry))? {
+                Ok(page) => {
+                    out.extend(page.entries);
+                    if page.eof {
+                        return Ok(out);
+                    }
+                    // A page that is not the last has an entry (the
+                    // server answers TooSmall otherwise).
+                    args.cookie = out.last().map(&cookie_of).ok_or(NfsError::Protocol)?;
+                    args.cookieverf = page.cookieverf;
+                }
+                Err(NfsStat::BadCookie) if restarts < MAX_READDIR_RESTARTS => {
+                    restarts += 1;
+                    out.clear();
+                    (args.cookie, args.cookieverf) = (0, 0);
+                }
+                Err(s) => return Err(NfsError::Status(s)),
             }
-            Ok(out)
-        })? {
-            Ok(v) => Ok(v),
-            Err(s) => Err(NfsError::Status(s)),
         }
     }
 
-    /// READLINK (a long-reply procedure over RDMA).
+    /// READLINK (a long-reply procedure over RDMA when the inline
+    /// threshold is below [`READLINK_REPLY_MAX`]).
     pub async fn readlink(&self, fh: FileHandle) -> NfsResult<String> {
         let bulk = BulkParams {
-            long_reply_max: Some(self.long_reply_max),
+            reply_max: Some(READLINK_REPLY_MAX),
             ..Default::default()
         };
         let (body, _) = self.call(NfsProc::Readlink, fh.to_bytes(), bulk).await?;
@@ -346,17 +381,10 @@ impl NfsClient {
         }
     }
 
-    /// READDIR (a long-reply procedure over RDMA).
+    /// READDIR: every entry of `dir`.
     pub async fn readdir(&self, dir: FileHandle) -> NfsResult<Vec<WireDirEntry>> {
-        let bulk = BulkParams {
-            long_reply_max: Some(self.long_reply_max),
-            ..Default::default()
-        };
-        let (body, _) = self.call(NfsProc::Readdir, dir.to_bytes(), bulk).await?;
-        match decode_res(body, |d| d.get_array(WireDirEntry::decode))? {
-            Ok(v) => Ok(v),
-            Err(s) => Err(NfsError::Status(s)),
-        }
+        self.list_dir(dir, false, WireDirEntry::decode, |e| e.cookie)
+            .await
     }
 
     /// FSSTAT: (bytes_used, inodes).

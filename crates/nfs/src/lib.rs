@@ -2,8 +2,9 @@
 //!
 //! An NFSv3 implementation (RFC 1813 subset) whose server is reachable
 //! over both transports in this workspace: the paper's RPC/RDMA
-//! transport (READ/WRITE data via chunks, READDIR/READLINK via long
-//! replies) and the baseline TCP stream transport (data inline).
+//! transport (READ/WRITE data via chunks, READDIR/READLINK via reply
+//! chunks sized to the reply's bound) and the baseline TCP stream
+//! transport (data inline).
 //! Procedures round-trip through real XDR ([`proto`]).
 
 #![warn(missing_docs)]
@@ -23,6 +24,6 @@ pub use cluster::{
 pub use mount::{MountClient, Mountd, MountdHandle, MOUNT_PROGRAM, MOUNT_VERSION};
 pub use proto::{
     DirOpArgs, Fattr, FileHandle, NfsProc, NfsStat, ReadArgs, ReadResHead, WireDirEntry,
-    WriteArgsHead, WriteRes, NFS_PROGRAM, NFS_VERSION,
+    WriteArgsHead, WriteRes, NFS3_MAXPATHLEN, NFS_DTSIZE, NFS_PROGRAM, NFS_VERSION,
 };
 pub use server::{NfsServer, NfsServerHandle, NfsServerStats};

@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 use fs_backend::{Attr, FileKind, FsError};
+use onc_rpc::REPLY_HEADER_LEN;
 use sim_core::SimTime;
 use xdr::{Decoder, Encoder, Result as XdrResult, XdrCodec, XdrError};
 
@@ -15,6 +16,29 @@ use xdr::{Decoder, Encoder, Result as XdrResult, XdrCodec, XdrError};
 pub const NFS_PROGRAM: u32 = 100_003;
 /// NFS version 3.
 pub const NFS_VERSION: u32 = 3;
+
+/// The directory transfer size: the `count` (`dircount`/`maxcount`) a
+/// client asks of each READDIR/READDIRPLUS, so the most directory
+/// listing one reply carries. A listing longer than this takes several
+/// calls, each resuming at the last cookie of the one before. Fixed,
+/// like the kernel client's `dtsize`; there is no option for it.
+pub const NFS_DTSIZE: u32 = 32 * 1024;
+
+/// Longest symlink target the server stores, hence the longest string a
+/// READLINK reply carries.
+pub const NFS3_MAXPATHLEN: usize = 1024;
+
+/// Upper bound on the encoded RPC reply to a READDIR or READDIRPLUS
+/// asking for `count` bytes: `count` bounds the `resok` body, in front
+/// of which sit the RPC reply header and the NFS status.
+pub const fn readdir_reply_max(count: u32) -> u64 {
+    (REPLY_HEADER_LEN + 4) as u64 + count as u64
+}
+
+/// Upper bound on the encoded RPC reply to a READLINK: header, status
+/// and an XDR string of [`NFS3_MAXPATHLEN`] bytes.
+pub const READLINK_REPLY_MAX: u64 =
+    (REPLY_HEADER_LEN + 4 + 4 + NFS3_MAXPATHLEN.next_multiple_of(4)) as u64;
 
 /// NFSv3 procedure numbers (RFC 1813).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,8 +133,11 @@ pub enum NfsStat {
     NotDir = 20,
     IsDir = 21,
     Inval = 22,
+    NameTooLong = 63,
     NotEmpty = 66,
     Stale = 70,
+    BadCookie = 10003,
+    TooSmall = 10005,
 }
 
 impl NfsStat {
@@ -124,8 +151,11 @@ impl NfsStat {
             20 => NfsStat::NotDir,
             21 => NfsStat::IsDir,
             22 => NfsStat::Inval,
+            63 => NfsStat::NameTooLong,
             66 => NfsStat::NotEmpty,
             70 => NfsStat::Stale,
+            10003 => NfsStat::BadCookie,
+            10005 => NfsStat::TooSmall,
             d => return Err(XdrError::BadDiscriminant(d)),
         })
     }
@@ -142,6 +172,7 @@ impl From<FsError> for NfsStat {
             FsError::Stale => NfsStat::Stale,
             FsError::NotSymlink => NfsStat::Inval,
             FsError::NoSpace => NfsStat::Io,
+            FsError::BadCookie => NfsStat::BadCookie,
         }
     }
 }
@@ -282,13 +313,23 @@ pub struct WireDirEntry {
     pub name: String,
     /// Type.
     pub kind: FileKind,
+    /// Resume point: a READDIR passing this cookie (with the listing's
+    /// `cookieverf`) continues with the entry after this one.
+    pub cookie: u64,
+}
+
+/// The wire form of a [`WireDirEntry`], from borrowed parts: the server
+/// lists a directory without owning a copy of every name.
+fn encode_dir_entry(enc: &mut Encoder, fileid: u64, name: &str, kind: FileKind, cookie: u64) {
+    enc.put_u64(fileid)
+        .put_string(name)
+        .put_u32(kind_to_u32(kind))
+        .put_u64(cookie);
 }
 
 impl XdrCodec for WireDirEntry {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.fileid)
-            .put_string(&self.name)
-            .put_u32(kind_to_u32(self.kind));
+        encode_dir_entry(enc, self.fileid, &self.name, self.kind, self.cookie);
     }
 
     fn decode(dec: &mut Decoder) -> XdrResult<Self> {
@@ -296,8 +337,21 @@ impl XdrCodec for WireDirEntry {
             fileid: dec.get_u64()?,
             name: dec.get_string()?,
             kind: kind_from_u32(dec.get_u32()?)?,
+            cookie: dec.get_u64()?,
         })
     }
+}
+
+/// One READDIRPLUS entry: the name, its post-op attributes and handle.
+pub type PlusEntry = (WireDirEntry, Option<Fattr>, FileHandle);
+
+/// Decode the READDIRPLUS additions behind a [`WireDirEntry`].
+pub fn decode_plus_entry(dec: &mut Decoder) -> XdrResult<PlusEntry> {
+    Ok((
+        WireDirEntry::decode(dec)?,
+        dec.get_option(Fattr::decode)?,
+        FileHandle::decode(dec)?,
+    ))
 }
 
 /// ACCESS request/response bits (RFC 1813 §3.3.4).
@@ -368,6 +422,148 @@ impl XdrCodec for DirOpArgs {
         Ok(DirOpArgs {
             dir: FileHandle::decode(dec)?,
             name: dec.get_string()?,
+        })
+    }
+}
+
+/// READDIR / READDIRPLUS arguments (RFC 1813 §3.3.16-17).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReaddirArgs {
+    /// Directory handle.
+    pub dir: FileHandle,
+    /// Resume after the entry that carried this cookie; 0 = from the
+    /// start.
+    pub cookie: u64,
+    /// The `cookieverf` of the reply `cookie` came from (0 with cookie
+    /// 0). The server answers `BadCookie` if the directory changed since.
+    pub cookieverf: u64,
+    /// READDIRPLUS only (`None` for READDIR): most bytes of names,
+    /// fileids and cookies wanted.
+    pub dircount: Option<u32>,
+    /// Most bytes of `resok` body the reply may carry (READDIR's
+    /// `count`, READDIRPLUS's `maxcount`).
+    pub count: u32,
+}
+
+impl ReaddirArgs {
+    /// Encode for READDIR (`dircount: None`) or READDIRPLUS.
+    pub fn encode(&self, enc: &mut Encoder) {
+        self.dir.encode(enc);
+        enc.put_u64(self.cookie).put_u64(self.cookieverf);
+        if let Some(dircount) = self.dircount {
+            enc.put_u32(dircount);
+        }
+        enc.put_u32(self.count);
+    }
+
+    /// Decode READDIR arguments, or READDIRPLUS ones if `plus`.
+    pub fn decode(dec: &mut Decoder, plus: bool) -> XdrResult<Self> {
+        Ok(ReaddirArgs {
+            dir: FileHandle::decode(dec)?,
+            cookie: dec.get_u64()?,
+            cookieverf: dec.get_u64()?,
+            dircount: plus.then(|| dec.get_u32()).transpose()?,
+            count: dec.get_u32()?,
+        })
+    }
+}
+
+/// `resok` bytes around the entries: cookieverf, the list terminator
+/// and eof.
+const DIRLIST_OVERHEAD: usize = 8 + 4 + 4;
+
+/// Server side of READDIR/READDIRPLUS: builds a `resok` body that never
+/// exceeds the `count` the client asked for (RFC 1813's linked-list
+/// form: each entry behind a TRUE, then FALSE and `eof`).
+pub struct DirListEncoder {
+    entries: Encoder,
+    /// READDIRPLUS: entries carry attributes and a handle.
+    plus: bool,
+    /// Most bytes of `resok` the client takes.
+    count: usize,
+    /// Bytes of names, fileids and cookies it still takes.
+    dir_room: usize,
+}
+
+impl DirListEncoder {
+    /// A list for `args`. However much the client asks for, one reply
+    /// carries [`NFS_DTSIZE`] at most (RFC 1813 lets a server return
+    /// less than `count`): a caller cannot make the server marshal a
+    /// whole directory at once.
+    pub fn new(args: &ReaddirArgs) -> DirListEncoder {
+        DirListEncoder {
+            entries: Encoder::new(),
+            plus: args.dircount.is_some(),
+            count: args.count.min(NFS_DTSIZE) as usize,
+            dir_room: args.dircount.unwrap_or(u32::MAX) as usize,
+        }
+    }
+
+    /// Append the entry `name` with its resume `cookie`; `false` (and
+    /// nothing appended) if it does not fit what is left of the count.
+    pub fn push(&mut self, name: &str, cookie: u64, attr: &Fattr) -> bool {
+        let dir_info = 8 + 4 + name.len().next_multiple_of(4) + 8;
+        let mark = self.entries.len();
+        let e = &mut self.entries;
+        e.put_bool(true);
+        encode_dir_entry(e, attr.fileid, name, attr.kind, cookie);
+        if self.plus {
+            e.put_bool(true);
+            attr.encode(e);
+            attr.handle().encode(e);
+        }
+        if DIRLIST_OVERHEAD + e.len() > self.count || dir_info > self.dir_room {
+            e.truncate(mark);
+            return false;
+        }
+        self.dir_room -= dir_info;
+        true
+    }
+
+    /// The reply body: `Ok` + `resok`, or `TooSmall` when the count has
+    /// no room for the first entry of a listing that has one (or for an
+    /// empty list).
+    pub fn finish(self, cookieverf: u64, eof: bool) -> Bytes {
+        let nothing_fit = self.entries.is_empty() && !eof;
+        if nothing_fit || DIRLIST_OVERHEAD > self.count {
+            return encode_res(NfsStat::TooSmall, |_| {});
+        }
+        encode_res(NfsStat::Ok, |e| {
+            e.put_u64(cookieverf)
+                .put_raw(self.entries.as_slice())
+                .put_bool(false)
+                .put_bool(eof);
+        })
+    }
+}
+
+/// A decoded READDIR/READDIRPLUS `resok`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DirList<E> {
+    /// Verifier to present with any of these entries' cookies.
+    pub cookieverf: u64,
+    /// The entries, in directory order.
+    pub entries: Vec<E>,
+    /// No entries follow the last one.
+    pub eof: bool,
+}
+
+impl<E> DirList<E> {
+    /// Decode, reading each entry with `entry` ([`WireDirEntry::decode`]
+    /// for READDIR, [`decode_plus_entry`] for READDIRPLUS).
+    pub fn decode(
+        dec: &mut Decoder,
+        mut entry: impl FnMut(&mut Decoder) -> XdrResult<E>,
+    ) -> XdrResult<Self> {
+        let cookieverf = dec.get_u64()?;
+        let mut entries = Vec::new();
+        while dec.get_bool()? {
+            entries.push(entry(dec)?);
+        }
+        Ok(DirList {
+            cookieverf,
+            entries,
+            eof: dec.get_bool()?,
         })
     }
 }
@@ -602,6 +798,7 @@ mod tests {
             fileid: 7,
             name: "subdir".into(),
             kind: FileKind::Dir,
+            cookie: 9,
         };
         assert_eq!(WireDirEntry::from_bytes(&e.to_bytes()).unwrap(), e);
     }

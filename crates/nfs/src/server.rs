@@ -383,6 +383,10 @@ impl NfsServer {
                 let dir = FileHandle::decode(&mut dec).map_err(bad)?;
                 let name = dec.get_string().map_err(bad)?;
                 let target = dec.get_string().map_err(bad)?;
+                if target.len() > NFS3_MAXPATHLEN {
+                    // READLINK's reply bound rests on this.
+                    return ok(encode_res(NfsStat::NameTooLong, |_| {}));
+                }
                 let res = fs.symlink(Self::fid(dir), &name, &target);
                 ok(match res {
                     Ok(attr) => encode_res(NfsStat::Ok, |e| Fattr::from_attr(&attr).encode(e)),
@@ -415,53 +419,23 @@ impl NfsServer {
                     Err(e) => encode_res(e.into(), |_| {}),
                 })
             }
-            NfsProc::Readdir => {
+            NfsProc::Readdir | NfsProc::ReaddirPlus => {
                 self.stats.others.set(self.stats.others.get() + 1);
-                let fh = FileHandle::from_bytes(&args).map_err(bad)?;
-                let res = fs.readdir(Self::fid(fh));
-                ok(match res {
-                    Ok(entries) => encode_res(NfsStat::Ok, |e| {
-                        let wire: Vec<WireDirEntry> = entries
-                            .iter()
-                            .map(|d| WireDirEntry {
-                                fileid: d.id.0,
-                                name: d.name.clone(),
-                                kind: d.kind,
-                            })
-                            .collect();
-                        e.put_array(&wire, |e, w| w.encode(e));
-                    }),
-                    Err(e) => encode_res(e.into(), |_| {}),
-                })
-            }
-            NfsProc::ReaddirPlus => {
-                self.stats.others.set(self.stats.others.get() + 1);
-                let fh = FileHandle::from_bytes(&args).map_err(bad)?;
-                let res = fs.readdir(Self::fid(fh));
-                ok(match res {
-                    Ok(entries) => encode_res(NfsStat::Ok, |e| {
-                        // Entries with post-op attributes and handles,
-                        // saving the client a GETATTR per name.
-                        e.put_u32(entries.len() as u32);
-                        for d in &entries {
-                            WireDirEntry {
-                                fileid: d.id.0,
-                                name: d.name.clone(),
-                                kind: d.kind,
-                            }
-                            .encode(e);
-                            match fs.getattr(d.id) {
-                                Ok(a) => {
-                                    e.put_bool(true);
-                                    Fattr::from_attr(&a).encode(e);
-                                }
-                                Err(_) => {
-                                    e.put_bool(false);
-                                }
-                            }
-                            FileHandle(d.id.0).encode(e);
-                        }
-                    }),
+                let plus = proc_id == NfsProc::ReaddirPlus;
+                let a = ReaddirArgs::decode(&mut Decoder::new(&args), plus).map_err(bad)?;
+                // One page: entries in name order from the cookie on,
+                // until the next would push `resok` past the count.
+                // READDIRPLUS entries carry post-op attributes and
+                // handles, saving the client a GETATTR per name.
+                let mut list = DirListEncoder::new(&a);
+                let page = fs.readdir_from(
+                    Self::fid(a.dir),
+                    a.cookie,
+                    a.cookieverf,
+                    &mut |name, attr| list.push(name, attr.id.0, &Fattr::from_attr(attr)),
+                );
+                ok(match page {
+                    Ok(page) => list.finish(page.verf, page.eof),
                     Err(e) => encode_res(e.into(), |_| {}),
                 })
             }

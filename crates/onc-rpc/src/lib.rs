@@ -16,7 +16,7 @@ pub mod service;
 pub mod stream_transport;
 
 pub use drc::{DrcKey, DrcOutcome, DrcReservation, DuplicateRequestCache};
-pub use msg::{AcceptStat, CallHeader, ReplyHeader, RPC_VERSION};
+pub use msg::{AcceptStat, CallHeader, ReplyHeader, REPLY_HEADER_LEN, RPC_VERSION};
 pub use service::{
     BulkDispatch, BulkService, BulkServiceRef, CallContext, DispatchResult, LocalBoxFuture,
     RpcService, ServiceRef, ServiceRegistry, PROG_WILDCARD,

@@ -105,6 +105,11 @@ impl AcceptStat {
     }
 }
 
+/// Encoded size of a [`ReplyHeader`]: what an accepted reply adds in
+/// front of the program's results. Callers bounding a reply's size for a
+/// transport (RPC/RDMA reply chunks) start from it.
+pub const REPLY_HEADER_LEN: usize = 24;
+
 /// Header of an (accepted) RPC reply.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplyHeader {
@@ -152,7 +157,7 @@ pub fn encode_call(hdr: &CallHeader, args: &Bytes) -> Bytes {
 
 /// Encode a complete reply message: header + result body.
 pub fn encode_reply(hdr: &ReplyHeader, results: &Bytes) -> Bytes {
-    let mut enc = Encoder::with_capacity(24 + results.len());
+    let mut enc = Encoder::with_capacity(REPLY_HEADER_LEN + results.len());
     hdr.encode(&mut enc);
     enc.put_opaque_fixed(results);
     enc.finish()
@@ -205,7 +210,9 @@ mod tests {
         ] {
             let hdr = ReplyHeader { xid: 9, stat };
             let res = Bytes::from_static(&[0xAA, 0xBB, 0xCC, 0xDD]);
-            let (h2, body) = decode_reply(encode_reply(&hdr, &res)).unwrap();
+            let msg = encode_reply(&hdr, &res);
+            assert_eq!(msg.len(), REPLY_HEADER_LEN + res.len());
+            let (h2, body) = decode_reply(msg).unwrap();
             assert_eq!(h2, hdr);
             assert_eq!(&body[..], &res[..]);
         }

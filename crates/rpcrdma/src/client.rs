@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Buffer, Hca, Opcode, Qp, WrId};
+use ib_verbs::{Access, Buffer, Hca, Opcode, Qp, WrId, PAGE_SIZE};
 use onc_rpc::msg::{decode_reply, encode_call};
 use onc_rpc::{AcceptStat, CallHeader, RpcError, TransportError};
 use sim_core::stats::Counter;
@@ -57,9 +57,13 @@ pub struct BulkParams {
     /// User destination buffer for the bulk result (enables the
     /// zero-copy direct-I/O path in the Read-Write design).
     pub recv_user: Option<(Buffer, u64)>,
-    /// Maximum long-reply size (READDIR/READLINK): provisions a reply
-    /// chunk.
-    pub long_reply_max: Option<u64>,
+    /// Upper bound on the encoded RPC reply, computed by the caller
+    /// from the reply's XDR shape (e.g. a READDIR's `count` plus the
+    /// fixed words around it). A bound above the inline threshold
+    /// provisions a reply chunk of that size, rounded up to a page; a
+    /// reply that can only be small needs none and says `None`. A reply
+    /// that breaks its bound comes back as an error, not truncated.
+    pub reply_max: Option<u64>,
 }
 
 /// A completed call.
@@ -424,12 +428,15 @@ impl RdmaRpcClient {
                 hdr.write_chunks.push(io.segments(0, max, &inner.hca));
                 sink = Some(io);
             }
-            if let Some(max) = bulk.long_reply_max {
+            // A reply chunk only for a reply that may outgrow the inline
+            // threshold, sized to its bound, to the page.
+            if let Some(bound) = bulk.reply_max.filter(|&b| b > inner.cfg.inline_threshold) {
+                let len = bound.next_multiple_of(PAGE_SIZE);
                 let io = inner
                     .registrar
-                    .acquire_scratch(max, Access::REMOTE_WRITE)
+                    .acquire_scratch(len, Access::REMOTE_WRITE)
                     .await;
-                hdr.reply_chunk = Some(io.segments(0, max, &inner.hca));
+                hdr.reply_chunk = Some(io.segments(0, len, &inner.hca));
                 reply_sink = Some(io);
             }
         }

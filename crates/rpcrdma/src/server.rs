@@ -166,6 +166,10 @@ pub struct ServerStats {
     /// connection teardown) — each one invalidates the advertised
     /// steering tag, so later fetches are refused by the HCA.
     pub rfp_rings_revoked: Rc<Counter>,
+    /// Long replies that outgrew the reply chunk the client provisioned
+    /// (its `reply_max` was no bound): answered with an inline error,
+    /// nothing written.
+    pub reply_chunk_overflows: Rc<Counter>,
 }
 
 impl ServerStats {
@@ -195,6 +199,7 @@ impl ServerStats {
             rfp_fallback_sends: series("server.rfp.fallback_sends"),
             rfp_ads: series("server.rfp.ads"),
             rfp_rings_revoked: series("server.rfp.rings_revoked"),
+            reply_chunk_overflows: series("server.reply_chunk_overflows"),
         }
     }
 }
@@ -1350,12 +1355,21 @@ async fn push_by_write(
         return;
     }
     // Long reply: it travels by the client-provisioned reply chunk. A
-    // client that sent none gets a (short, inline) error reply instead
-    // of a stuck RPC — kernel RPC/RDMA returns RDMA_ERROR here.
-    let Some(reply_segs) = &hdr.reply_chunk else {
-        let (xid, stat) = (out.rhdr.xid, AcceptStat::GarbageArgs);
-        out.reply_msg = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
-        return;
+    // client that sent none, or one too small to hold the reply, gets a
+    // (short, inline) error reply instead of a stuck RPC or a reply cut
+    // off at the last segment — kernel RPC/RDMA returns RDMA_ERROR here.
+    // Checked before any Write is posted.
+    let room = |segs: &[Segment]| segs.iter().map(|s| s.len).sum::<u64>();
+    let reply_segs = match &hdr.reply_chunk {
+        Some(segs) if out.reply_msg.len() as u64 <= room(segs) => segs,
+        provisioned => {
+            if provisioned.is_some() {
+                server.stats.reply_chunk_overflows.inc();
+            }
+            let (xid, stat) = (out.rhdr.xid, AcceptStat::GarbageArgs);
+            out.reply_msg = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
+            return;
+        }
     };
     let payload = SgList::from(Payload::real(out.reply_msg.clone()));
     let io = stage_source(server, &payload, Access::LOCAL).await;

@@ -83,17 +83,19 @@ fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
     setup_with(sim, RpcRdmaConfig::solaris().with_design(design), strategy)
 }
 
+/// Host `id` on `fabric`: its HCA and memory.
+fn host(sim: &Sim, fabric: &Fabric<ib_verbs::WireMsg>, id: u32) -> (Hca, Rc<HostMem>) {
+    let node = NodeId(id);
+    let cpu = Cpu::new(sim, format!("cpu{id}"), 2, CpuCosts::default());
+    let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
+    let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), fabric);
+    (hca, mem)
+}
+
 fn setup_with(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind) -> TestBed {
     let fabric = Fabric::new(sim);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(sim, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
-        let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (client_hca, client_mem) = mk(0);
-    let (server_hca, _server_mem) = mk(1);
+    let (client_hca, client_mem) = host(sim, &fabric, 0);
+    let (server_hca, _server_mem) = host(sim, &fabric, 1);
     let (qc, qs) = connect(&client_hca, &server_hca);
     let server = RdmaRpcServer::new(
         sim,
@@ -245,7 +247,7 @@ fn long_reply_roundtrips_both_designs() {
                     4,
                     read_args(50_000),
                     BulkParams {
-                        long_reply_max: Some(128 * 1024),
+                        reply_max: Some(128 * 1024),
                         ..Default::default()
                     },
                 )
@@ -276,7 +278,7 @@ fn long_call_roundtrips_both_designs() {
                     3,
                     Bytes::from(big_args),
                     BulkParams {
-                        long_reply_max: Some(64 * 1024),
+                        reply_max: Some(64 * 1024),
                         ..Default::default()
                     },
                 )
@@ -302,6 +304,115 @@ fn oversize_reply_without_reply_chunk_fails_cleanly() {
             .unwrap_err()
     });
     assert!(matches!(err, onc_rpc::RpcError::Rejected(_)), "{err:?}");
+}
+
+/// A reply larger than the reply chunk provisioned for it used to be
+/// cut off at the chunk's last segment and fail in the client's XDR
+/// decode as if corrupt. Read-Write: refused before any RDMA Write,
+/// typed error, counted. Read-Read has no client-provisioned chunk to
+/// outgrow (the server exposes what the reply needs), so the same call
+/// succeeds whole.
+#[test]
+fn reply_larger_than_its_reply_chunk_is_refused_not_truncated() {
+    let hca_writes = |sim: &mut Simulation| {
+        let spans = sim.take_spans();
+        let writes = spans
+            .iter()
+            .filter(|s| (s.component, s.name) == ("hca", "rdma_write"));
+        writes.count()
+    };
+    for design in [Design::ReadWrite, Design::ReadRead] {
+        let mut sim = Simulation::new(5);
+        sim.enable_span_tracing();
+        let h = sim.handle();
+        let bed = setup(&h, design, StrategyKind::Dynamic);
+        let bigdir = |len: u32, reply_max: u64| {
+            let client = bed.client.clone();
+            let bulk = BulkParams {
+                reply_max: Some(reply_max),
+                ..Default::default()
+            };
+            async move { client.call(4, read_args(len), bulk).await }
+        };
+        // Control: a reply that fits its chunk travels by RDMA Write
+        // (Read-Write) and arrives whole.
+        let fits = sim.block_on(bigdir(20_000, 32 * 1024)).unwrap();
+        assert_eq!(fits.body.len(), 4 + 20_000, "{design:?}");
+        let control = hca_writes(&mut sim);
+        assert_eq!(control > 0, design == Design::ReadWrite, "{design:?}");
+
+        let regs_before = bed.server_hca.reg_stats().dynamic_regs;
+        let got = sim.block_on(bigdir(50_000, 32 * 1024));
+        let overflows = h.metrics().get("server.reply_chunk_overflows");
+        match design {
+            Design::ReadWrite => {
+                let err = got.unwrap_err();
+                assert!(
+                    matches!(err, onc_rpc::RpcError::Rejected(AcceptStat::GarbageArgs)),
+                    "{err:?}"
+                );
+                assert_eq!(overflows, Some(1));
+                assert_eq!(hca_writes(&mut sim), 0, "a Write was posted");
+                // Nor was the reply staged for one.
+                assert_eq!(bed.server_hca.reg_stats().dynamic_regs, regs_before);
+            }
+            Design::ReadRead => {
+                assert_eq!(got.unwrap().body.len(), 4 + 50_000);
+                assert_eq!(overflows, Some(0));
+            }
+        }
+        // The connection is still good.
+        let client = bed.client.clone();
+        let echo = sim.block_on(async move {
+            let args = Bytes::from_static(b"still here");
+            client.call(3, args, BulkParams::default()).await
+        });
+        assert_eq!(&echo.unwrap().body[..10], b"still here", "{design:?}");
+    }
+}
+
+/// The call header a client puts on the wire for `bulk`: the peer is a
+/// bare queue pair with one receive posted, and nobody answers.
+fn call_header_for(bulk: BulkParams) -> rpcrdma::RdmaHeader {
+    use xdr::XdrCodec;
+    let mut sim = Simulation::new(9);
+    let h = sim.handle();
+    let fabric = Fabric::new(&h);
+    let (client_hca, _) = host(&h, &fabric, 0);
+    let (peer_hca, _) = host(&h, &fabric, 1);
+    let (qc, qs) = connect(&client_hca, &peer_hca);
+    let cfg = RpcRdmaConfig::solaris();
+    let registrar = Registrar::new(&client_hca, StrategyKind::Dynamic);
+    let client = RdmaRpcClient::new(&h, &client_hca, qc, registrar, cfg, PROG, VERS);
+    let landing = peer_hca.mem().alloc(cfg.recv_buffer_size);
+    qs.post_recv(landing, 0, cfg.recv_buffer_size, ib_verbs::WrId(0))
+        .unwrap();
+    sim.spawn(async move {
+        let _ = client.call(3, Bytes::from_static(b"args"), bulk).await;
+    });
+    let wire = sim.block_on(async move { qs.recv_cq().next().await.payload.unwrap() });
+    rpcrdma::RdmaHeader::decode(&mut xdr::Decoder::new(&wire.materialize())).unwrap()
+}
+
+#[test]
+fn reply_chunk_is_provisioned_only_past_the_inline_threshold_and_to_the_page() {
+    let with = |reply_max| {
+        call_header_for(BulkParams {
+            reply_max,
+            ..Default::default()
+        })
+    };
+    let inline = RpcRdmaConfig::solaris().inline_threshold;
+    assert!(with(None).reply_chunk.is_none());
+    // A reply that can only arrive inline needs no chunk to land in.
+    assert!(with(Some(200)).reply_chunk.is_none());
+    assert!(with(Some(inline)).reply_chunk.is_none());
+    let provisioned = |reply_max| {
+        let segs = with(Some(reply_max)).reply_chunk.expect("a reply chunk");
+        segs.iter().map(|s| s.len).sum::<u64>()
+    };
+    assert_eq!(provisioned(inline + 1), 4096);
+    assert_eq!(provisioned(32 * 1024 + 28), 36 * 1024);
 }
 
 #[test]
@@ -1217,7 +1328,7 @@ fn server_stage_spans_nest_in_pipeline_order_both_designs() {
             let small = Bytes::from_static(b"getattr!");
             client.call(3, small, BulkParams::default()).await.unwrap();
             let long_reply = BulkParams {
-                long_reply_max: Some(64 * 1024),
+                reply_max: Some(64 * 1024),
                 ..Default::default()
             };
             client.call(4, read_args(20_000), long_reply).await.unwrap();

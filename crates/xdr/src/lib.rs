@@ -103,6 +103,12 @@ impl Encoder {
         self.buf.is_empty()
     }
 
+    /// Drop everything encoded past `len` bytes: take back an item that
+    /// turned out not to fit a size-bounded message.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Encode an unsigned 32-bit integer.
     pub fn put_u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());

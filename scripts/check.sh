@@ -31,6 +31,9 @@ cargo run --release -p bench --bin ablation -- --batching --smoke
 echo "==> ablation --write-path --smoke (zero-copy WRITE >= 1.3x; copied_bytes frozen; Cache still the one bouncing strategy)"
 cargo run --release -p bench --bin ablation -- --write-path --smoke
 
+echo "==> ablation --inline --smoke (reply-chunk gate: pages registered per READDIR within the NFS_DTSIZE bound, inline replies faster than long replies, same-seed determinism)"
+cargo run --release -p bench --bin ablation -- --inline --smoke
+
 echo "==> ablation --rfp --smoke (reply-slot gate: metadata p50 at or below Send baseline, server sends/op ~0 and doorbells/op 0 in RFP mode, same-seed determinism)"
 cargo run --release -p bench --bin ablation -- --rfp --smoke
 for f in results/BENCH_rfp.json; do
