@@ -390,7 +390,6 @@ fn batching_point(p: BatchPoint) -> BatchOutcome {
         let mut cfg = profile.rpc.with_design(Design::ReadWrite);
         cfg.server_zero_copy = p.zero_copy;
         cfg.server_doorbell_batch = p.depth;
-        cfg.server_doorbell_flush = SimDuration::from_micros(32);
         let mut server_hca = profile.hca;
         if p.depth > 1 {
             // Interrupt moderation scales with the doorbell batch: the

@@ -1,6 +1,6 @@
 //! The NFSv3 server: one protocol implementation reachable over both
 //! the RPC/RDMA transport (chunk-aware, the paper's subject) and the
-//! TCP stream transport (bulk data inline, the baseline).
+//! TCP stream transport (bulk data behind the record, the baseline).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -8,10 +8,10 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use fs_backend::Vfs;
-use onc_rpc::{AcceptStat, CallContext, DispatchResult, LocalBoxFuture, RpcService};
+use onc_rpc::{AcceptStat, CallContext, LocalBoxFuture};
 use rpcrdma::{RdmaDispatch, RdmaService};
 use sim_core::{Payload, SgList};
-use xdr::{Decoder, Encoder, XdrCodec};
+use xdr::{Decoder, XdrCodec};
 
 use crate::proto::*;
 
@@ -126,7 +126,6 @@ impl NfsServer {
                 rec.args.clone(),
                 bulk,
                 false,
-                false,
                 rec.trace,
             )
             .await;
@@ -164,9 +163,9 @@ impl NfsServer {
         fs_backend::FileId(fh.0)
     }
 
-    /// Execute one NFS procedure. `bulk_in` carries WRITE data when the
-    /// transport moved it out of band (RDMA); over TCP the data is
-    /// still inline in `args` and `bulk_in` is `None`. `peer`/`xid`
+    /// Execute one NFS procedure. `bulk_in` carries WRITE data, which
+    /// every transport moves out of band (chunks over RDMA, a trailing
+    /// segment over TCP). `peer`/`xid`
     /// identify the call for replication (the backup mirrors the DRC
     /// window under them); `replicate = false` marks the backup apply
     /// path, which must never re-ship. `trace` is the service span's
@@ -180,7 +179,6 @@ impl NfsServer {
         proc_num: u32,
         args: Bytes,
         bulk_in: Option<SgList>,
-        inline_bulk: bool,
         replicate: bool,
         trace: sim_core::TraceCtx,
     ) -> Result<OpResult, AcceptStat> {
@@ -286,22 +284,10 @@ impl NfsServer {
                             count: n as u32,
                             eof,
                         };
-                        if inline_bulk {
-                            // TCP: data inline in the XDR body.
-                            let mut enc = Encoder::new();
-                            enc.put_u32(NfsStat::Ok as u32);
-                            head.encode(&mut enc);
-                            enc.put_opaque(&data.to_payload().materialize());
-                            Ok(OpResult {
-                                head: enc.finish(),
-                                bulk: None,
-                            })
-                        } else {
-                            Ok(OpResult {
-                                head: encode_res(NfsStat::Ok, |e| head.encode(e)),
-                                bulk: Some(data),
-                            })
-                        }
+                        Ok(OpResult {
+                            head: encode_res(NfsStat::Ok, |e| head.encode(e)),
+                            bulk: Some(data),
+                        })
                     }
                     Err(e) => ok(encode_res(e.into(), |_| {})),
                 }
@@ -310,14 +296,7 @@ impl NfsServer {
                 self.stats.writes.set(self.stats.writes.get() + 1);
                 let mut dec = Decoder::new(&args);
                 let head = WriteArgsHead::decode(&mut dec).map_err(bad)?;
-                let data = if inline_bulk {
-                    // Zero-copy: re-anchor the borrowed opaque into the
-                    // args buffer rather than copying it out.
-                    let raw = dec.get_opaque().map_err(bad)?;
-                    SgList::from(Payload::real(args.slice_ref(raw)))
-                } else {
-                    bulk_in.ok_or(AcceptStat::GarbageArgs)?
-                };
+                let data = bulk_in.ok_or(AcceptStat::GarbageArgs)?;
                 if data.len() != head.count as u64 {
                     return Err(AcceptStat::GarbageArgs);
                 }
@@ -534,37 +513,11 @@ impl RdmaService for NfsServerHandle {
         let server = self.0.clone();
         Box::pin(async move {
             match server
-                .run_op(
-                    cx.peer, cx.xid, proc_num, args, bulk_in, false, true, cx.trace,
-                )
+                .run_op(cx.peer, cx.xid, proc_num, args, bulk_in, true, cx.trace)
                 .await
             {
                 Ok(r) => RdmaDispatch::success(r.head, r.bulk),
                 Err(stat) => RdmaDispatch::error(stat),
-            }
-        })
-    }
-}
-
-impl RpcService for NfsServerHandle {
-    fn program(&self) -> u32 {
-        NFS_PROGRAM
-    }
-    fn version(&self) -> u32 {
-        NFS_VERSION
-    }
-    fn call(&self, cx: CallContext, proc_num: u32, args: Bytes) -> LocalBoxFuture<DispatchResult> {
-        let server = self.0.clone();
-        Box::pin(async move {
-            match server
-                .run_op(cx.peer, cx.xid, proc_num, args, None, true, true, cx.trace)
-                .await
-            {
-                Ok(r) => {
-                    debug_assert!(r.bulk.is_none(), "TCP path returns data inline");
-                    DispatchResult::success(r.head)
-                }
-                Err(stat) => DispatchResult::error(stat),
             }
         })
     }

@@ -11,7 +11,7 @@ use net_stack::{TcpConfig, TcpNet};
 use nfs::proto::{access, decode_res, readdir_reply_max, DirList, ReaddirArgs};
 use nfs::{NfsClient, NfsError, NfsServer, NfsServerHandle, NfsStat, WireDirEntry, NFS_DTSIZE};
 use onc_rpc::{
-    serve_stream_bulk_connection, BulkServiceRef, CallContext, RpcService, StreamRpcClient,
+    serve_stream_bulk_connection, BulkService, BulkServiceRef, CallContext, StreamRpcClient,
 };
 use rpcrdma::{Design, RdmaRpcClient, RdmaRpcServer, Registrar, RpcRdmaConfig, StrategyKind};
 use sim_core::{Cpu, CpuCosts, Sim, SimDuration, Simulation};
@@ -245,15 +245,16 @@ fn readdir_once(
         trace: Default::default(),
     };
     let svc = NfsServerHandle(bed.server.clone());
-    let reply = sim.block_on(RpcService::call(
+    let reply = sim.block_on(BulkService::call(
         &svc,
         cx,
         nfs::NfsProc::Readdir as u32,
         enc.finish(),
+        None,
     ));
-    let size = reply.body.len();
+    let size = reply.head.len();
     let decode = |d: &mut xdr::Decoder| DirList::decode(d, WireDirEntry::decode);
-    (decode_res(reply.body, decode).unwrap(), size)
+    (decode_res(reply.head, decode).unwrap(), size)
 }
 
 #[test]

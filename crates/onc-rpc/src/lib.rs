@@ -5,7 +5,7 @@
 //! ([`service`]) and the record-marked stream transport
 //! ([`stream_transport`]) used for the NFS/TCP baselines. The RDMA
 //! transport — the paper's subject — lives in the `rpcrdma` crate and
-//! plugs into the same [`RpcService`] interface.
+//! plugs into the same [`BulkService`] interface.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,10 +18,9 @@ pub mod stream_transport;
 pub use drc::{DrcKey, DrcOutcome, DrcReservation, DuplicateRequestCache};
 pub use msg::{AcceptStat, CallHeader, ReplyHeader, REPLY_HEADER_LEN, RPC_VERSION};
 pub use service::{
-    BulkDispatch, BulkService, BulkServiceRef, CallContext, DispatchResult, LocalBoxFuture,
-    RpcService, ServiceRef, ServiceRegistry, PROG_WILDCARD,
+    BulkDispatch, BulkService, BulkServiceRef, CallContext, LocalBoxFuture, ServiceRegistry,
+    PROG_WILDCARD,
 };
 pub use stream_transport::{
-    serve_stream_bulk_connection, serve_stream_connection, RpcError, StreamRpcClient,
-    TransportError,
+    serve_stream_bulk_connection, RpcError, StreamRpcClient, TransportError,
 };

@@ -96,32 +96,6 @@ impl BulkService for ServiceRegistry {
     }
 }
 
-/// Result of dispatching a call.
-pub struct DispatchResult {
-    /// Accept status for the reply header.
-    pub stat: AcceptStat,
-    /// Encoded results (empty unless `stat == Success`).
-    pub body: Bytes,
-}
-
-impl DispatchResult {
-    /// Successful result with the given body.
-    pub fn success(body: Bytes) -> Self {
-        DispatchResult {
-            stat: AcceptStat::Success,
-            body,
-        }
-    }
-
-    /// Error result with no body.
-    pub fn error(stat: AcceptStat) -> Self {
-        DispatchResult {
-            stat,
-            body: Bytes::new(),
-        }
-    }
-}
-
 /// Result of a bulk-aware dispatch: an XDR head plus optional bulk
 /// payload that transports move by their own best means (chunks over
 /// RDMA, a trailing segment over streams). The bulk output is a
@@ -199,86 +173,3 @@ pub trait BulkService {
 
 /// Shared handle to a bulk-aware service.
 pub type BulkServiceRef = Rc<dyn BulkService>;
-
-/// An RPC program implementation.
-pub trait RpcService {
-    /// Program number served.
-    fn program(&self) -> u32;
-    /// Version served.
-    fn version(&self) -> u32;
-    /// Execute one procedure call.
-    fn call(&self, cx: CallContext, proc_num: u32, args: Bytes) -> LocalBoxFuture<DispatchResult>;
-}
-
-/// Shared handle to a service.
-pub type ServiceRef = Rc<dyn RpcService>;
-
-/// Dispatch a decoded call to a service, handling program/version
-/// mismatches uniformly across transports.
-pub async fn dispatch(
-    service: &ServiceRef,
-    cx: CallContext,
-    prog: u32,
-    vers: u32,
-    proc_num: u32,
-    args: Bytes,
-) -> DispatchResult {
-    if prog != service.program() || vers != service.version() {
-        return DispatchResult::error(AcceptStat::ProgUnavail);
-    }
-    service.call(cx, proc_num, args).await
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sim_core::Simulation;
-
-    struct Echo;
-    impl RpcService for Echo {
-        fn program(&self) -> u32 {
-            200_000
-        }
-        fn version(&self) -> u32 {
-            1
-        }
-        fn call(
-            &self,
-            _cx: CallContext,
-            proc_num: u32,
-            args: Bytes,
-        ) -> LocalBoxFuture<DispatchResult> {
-            Box::pin(async move {
-                match proc_num {
-                    0 => DispatchResult::success(args),
-                    _ => DispatchResult::error(AcceptStat::ProcUnavail),
-                }
-            })
-        }
-    }
-
-    #[test]
-    fn dispatch_routes_and_rejects() {
-        let mut sim = Simulation::new(1);
-        let svc: ServiceRef = Rc::new(Echo);
-        let (ok, bad_prog, bad_proc) = sim.block_on(async move {
-            let ok = dispatch(
-                &svc,
-                CallContext::default(),
-                200_000,
-                1,
-                0,
-                Bytes::from_static(b"hi"),
-            )
-            .await;
-            let bad_prog = dispatch(&svc, CallContext::default(), 999, 1, 0, Bytes::new()).await;
-            let bad_proc =
-                dispatch(&svc, CallContext::default(), 200_000, 1, 42, Bytes::new()).await;
-            (ok, bad_prog, bad_proc)
-        });
-        assert_eq!(ok.stat, AcceptStat::Success);
-        assert_eq!(&ok.body[..], b"hi");
-        assert_eq!(bad_prog.stat, AcceptStat::ProgUnavail);
-        assert_eq!(bad_proc.stat, AcceptStat::ProcUnavail);
-    }
-}

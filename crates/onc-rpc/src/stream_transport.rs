@@ -33,7 +33,7 @@ use sim_core::{Payload, Sim};
 use crate::msg::{
     decode_call, decode_reply, encode_call, encode_reply, AcceptStat, CallHeader, ReplyHeader,
 };
-use crate::service::{BulkServiceRef, CallContext, ServiceRef};
+use crate::service::{BulkServiceRef, CallContext};
 
 /// Transport-level failures, distinct from RPC-protocol rejections:
 /// these describe what happened to the *wire*, and every one of them is
@@ -257,51 +257,6 @@ impl StreamRpcClient {
     }
 }
 
-/// Serve one accepted connection with a plain (inline) [`ServiceRef`].
-/// Each call runs in its own task so slow procedures don't block the
-/// pipe (kernel NFSd uses a thread pool the same way).
-pub async fn serve_stream_connection(sim: Sim, stream: TcpStream, service: ServiceRef) {
-    let stream = Rc::new(stream);
-    let send_lock = Semaphore::new(1);
-    let peer = stream.remote().0;
-    loop {
-        let (head, _bulk) = read_record(&stream).await;
-        let (hdr, args) = match decode_call(head) {
-            Ok(x) => x,
-            Err(_) => return, // desynchronized; drop the connection
-        };
-        let service = service.clone();
-        let stream2 = stream.clone();
-        let send_lock = send_lock.clone();
-        sim.spawn(async move {
-            let result = crate::service::dispatch(
-                &service,
-                CallContext {
-                    peer,
-                    prog: hdr.prog,
-                    vers: hdr.vers,
-                    xid: hdr.xid,
-                    trace: sim_core::TraceCtx::NONE,
-                },
-                hdr.prog,
-                hdr.vers,
-                hdr.proc_num,
-                args,
-            )
-            .await;
-            let reply = encode_reply(
-                &ReplyHeader {
-                    xid: hdr.xid,
-                    stat: result.stat,
-                },
-                &result.body,
-            );
-            let _guard = send_lock.acquire().await;
-            write_record(&stream2, reply, &Payload::empty()).await;
-        });
-    }
-}
-
 /// Serve one accepted connection with a bulk-aware service: trailing
 /// request bulk becomes `bulk_in`; result bulk rides behind the reply.
 pub async fn serve_stream_bulk_connection(sim: Sim, stream: TcpStream, service: BulkServiceRef) {
@@ -356,13 +311,14 @@ pub async fn serve_stream_bulk_connection(sim: Sim, stream: TcpStream, service: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{BulkDispatch, BulkService, DispatchResult, LocalBoxFuture, RpcService};
+    use crate::service::{BulkDispatch, BulkService, LocalBoxFuture};
     use ib_verbs::types::NodeId;
     use net_stack::{TcpConfig, TcpNet};
     use sim_core::{Cpu, CpuCosts, Simulation};
 
+    /// A plain program: a bulk service that is never handed bulk.
     struct Adder;
-    impl RpcService for Adder {
+    impl BulkService for Adder {
         fn program(&self) -> u32 {
             300
         }
@@ -374,17 +330,19 @@ mod tests {
             _cx: CallContext,
             proc_num: u32,
             args: Bytes,
-        ) -> LocalBoxFuture<DispatchResult> {
+            bulk_in: Option<sim_core::SgList>,
+        ) -> LocalBoxFuture<BulkDispatch> {
             Box::pin(async move {
+                assert!(bulk_in.is_none(), "a call without bulk is a plain call");
                 if proc_num != 1 {
-                    return DispatchResult::error(AcceptStat::ProcUnavail);
+                    return BulkDispatch::error(AcceptStat::ProcUnavail);
                 }
                 let mut dec = xdr::Decoder::new(&args);
                 let a = dec.get_u32().unwrap_or(0);
                 let b = dec.get_u32().unwrap_or(0);
                 let mut enc = xdr::Encoder::new();
                 enc.put_u32(a + b);
-                DispatchResult::success(enc.finish())
+                BulkDispatch::success(enc.finish(), None)
             })
         }
     }
@@ -406,8 +364,8 @@ mod tests {
         let h2 = h.clone();
         sim.spawn(async move {
             let conn = listener.accept().await;
-            let svc: ServiceRef = Rc::new(Adder);
-            serve_stream_connection(h2.clone(), conn, svc).await;
+            let svc: BulkServiceRef = Rc::new(Adder);
+            serve_stream_bulk_connection(h2.clone(), conn, svc).await;
         });
         let net2 = net.clone();
         let sum = sim.block_on(async move {
@@ -430,7 +388,7 @@ mod tests {
         let h2 = h.clone();
         sim.spawn(async move {
             let conn = listener.accept().await;
-            serve_stream_connection(h2.clone(), conn, Rc::new(Adder) as ServiceRef).await;
+            serve_stream_bulk_connection(h2.clone(), conn, Rc::new(Adder) as BulkServiceRef).await;
         });
         let net2 = net.clone();
         let results = sim.block_on(async move {
@@ -473,7 +431,7 @@ mod tests {
         let h2 = h.clone();
         sim.spawn(async move {
             let conn = listener.accept().await;
-            serve_stream_connection(h2.clone(), conn, Rc::new(Adder) as ServiceRef).await;
+            serve_stream_bulk_connection(h2.clone(), conn, Rc::new(Adder) as BulkServiceRef).await;
         });
         let net2 = net.clone();
         let err = sim.block_on(async move {
@@ -482,6 +440,39 @@ mod tests {
             client.call(99, Bytes::new()).await.unwrap_err()
         });
         assert_eq!(err, RpcError::Rejected(AcceptStat::ProcUnavail));
+    }
+
+    #[test]
+    fn dispatch_routes_and_rejects() {
+        let mut sim = Simulation::new(1);
+        let net = net(&sim);
+        let h = sim.handle();
+        let mut listener = net.listen(NodeId(1), 2049);
+        let h2 = h.clone();
+        sim.spawn(async move {
+            let conn = listener.accept().await;
+            serve_stream_bulk_connection(h2.clone(), conn, Rc::new(Adder) as BulkServiceRef).await;
+        });
+        let net2 = net.clone();
+        let (ok, bad_prog, bad_vers, bad_proc) = sim.block_on(async move {
+            let stream = net2.connect(NodeId(0), NodeId(1), 2049).await;
+            let client = StreamRpcClient::new(&h, stream, 300, 1);
+            let mut enc = xdr::Encoder::new();
+            enc.put_u32(2).put_u32(3);
+            let args = enc.finish();
+            let ok = client.call_as(300, 1, 1, args.clone(), None).await;
+            let bad_prog = client.call_as(999, 1, 1, args.clone(), None).await;
+            let bad_vers = client.call_as(300, 2, 1, args.clone(), None).await;
+            let bad_proc = client.call_as(300, 1, 42, args, None).await;
+            (ok, bad_prog, bad_vers, bad_proc)
+        });
+        let (body, bulk) = ok.unwrap();
+        assert_eq!(xdr::Decoder::new(&body).get_u32().unwrap(), 5);
+        assert!(bulk.is_empty());
+        let rejected = |stat| Err(RpcError::Rejected(stat));
+        assert_eq!(bad_prog, rejected(AcceptStat::ProgUnavail));
+        assert_eq!(bad_vers, rejected(AcceptStat::ProgUnavail));
+        assert_eq!(bad_proc, rejected(AcceptStat::ProcUnavail));
     }
 
     struct BulkEcho;

@@ -11,29 +11,41 @@
 //!   chunks naming *server* buffers; the client pulls with RDMA Read,
 //!   copies out, and sends `RDMA_DONE` so the server can deregister.
 //!
-//! Registration points follow the paper's Figure 4: the client
-//! registers bulk buffers before the call (points 1–2) and
-//! deregisters after the reply (point 10).
+//! # The pipeline
+//!
+//! Every call walks the lifecycle of the paper's Figure 4, each stage
+//! one function that owns its span and its counters: **marshal**
+//! (syscall + RPC encode, then a flow-control credit) → **provision**
+//! (the `reg` span: register what the server will pull or push into,
+//! points 1–2) → **mark** (RFP) → **transmit** (per attempt: post →
+//! `wait_reply` → `finish`, which collects bulk data the way the design
+//! says) → **release** (deregister, point 10, and settle the credit).
+//! The connection's QP, completion router, receive window and scratch
+//! encoder live in one `endpoint::Endpoint`; recovery swaps it whole.
+
+#![deny(clippy::too_many_lines)]
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Buffer, Hca, Opcode, Qp, WrId, PAGE_SIZE};
+use ib_verbs::{Access, Buffer, Hca, Qp, VerbsError, PAGE_SIZE};
 use onc_rpc::msg::{decode_reply, encode_call};
 use onc_rpc::{AcceptStat, CallHeader, RpcError, TransportError};
 use sim_core::stats::Counter;
-use sim_core::sync::{oneshot, OneshotSender, Semaphore};
-use sim_core::{Payload, Sim, SimDuration, SimRng, SimTime};
-use xdr::{Encoder, XdrCodec};
+use sim_core::sync::{oneshot, OneshotReceiver, OneshotSender, SemPermit, Semaphore};
+use sim_core::{MetricsRegistry, Payload, Sim, SimDuration, SimRng, SimTime};
+use xdr::XdrCodec;
 
 use crate::config::{Design, RpcRdmaConfig};
-use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd};
+use crate::endpoint::{Endpoint, RecvPool, RecvQueue};
+use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
 use crate::qos::{QOS_MAX_REJECTIONS, QOS_SHED_BACKOFF};
 use crate::reg::{IoBuf, Registrar};
 use crate::rfp::{decode_slot, SlotView, RFP_POLL_MAX, SLOT_OVERHEAD};
 use crate::router::CompletionRouter;
+use crate::sanitize::MAX_CHUNK_BYTES;
 
 /// Alignment of `RDMA_MSGP` payloads: the data rides in the Send after
 /// the RPC head, padded to this boundary so the receiver places it
@@ -44,6 +56,10 @@ const MSGP_ALIGN: usize = 64;
 /// retransmission (and busy-reply) wait — decorrelates client retry
 /// storms.
 const RETRANS_JITTER: SimDuration = SimDuration::from_micros(500);
+
+/// Wait before rebuilding a connection after a QP error (models CM
+/// teardown + route resolution + QP re-creation).
+pub const RECONNECT_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// Bulk-data parameters for one call.
 #[derive(Default)]
@@ -75,40 +91,63 @@ pub struct CallReply {
     pub bulk: Option<Payload>,
 }
 
-/// Client-side transport statistics.
-#[derive(Clone, Copy, Debug, Default)]
+/// Client-side transport statistics. The fields *are* the `client.*`
+/// series of the metrics registry (named in `ClientStats::new`): one
+/// counter per series, shared by name — so fleet-wide when several
+/// client endpoints share a simulation.
 pub struct ClientStats {
     /// Calls completed.
-    pub calls: u64,
+    pub calls: Rc<Counter>,
     /// Bulk bytes sent (write path).
-    pub bulk_out: u64,
+    pub bulk_out: Rc<Counter>,
     /// Bulk bytes received (read path).
-    pub bulk_in: u64,
+    pub bulk_in: Rc<Counter>,
     /// RDMA_DONE messages sent (Read-Read design only).
-    pub dones_sent: u64,
+    pub dones_sent: Rc<Counter>,
     /// Small writes sent via the RDMA_MSGP padded-inline fast path.
-    pub msgp_sends: u64,
+    pub msgp_sends: Rc<Counter>,
     /// Client-side data copies, bytes (zero-copy path avoids these).
-    pub copied_bytes: u64,
+    pub copied_bytes: Rc<Counter>,
     /// Call retransmissions (same XID resent after a reply timeout).
-    pub retransmits: u64,
+    pub retransmits: Rc<Counter>,
     /// Reply timeouts observed (each one precedes a retransmission or
     /// the call's final failure).
-    pub timeouts: u64,
+    pub timeouts: Rc<Counter>,
     /// Busy (shed) replies received from an overloaded server; each
     /// one precedes a backed-off re-offer or the call's final
     /// [`onc_rpc::TransportError::Overloaded`] failure.
-    pub busy_replies: u64,
+    pub busy_replies: Rc<Counter>,
     /// Successful connection recoveries (fresh QP after an error).
-    pub reconnects: u64,
+    pub reconnects: Rc<Counter>,
     /// Calls sent RFP-marked: the reply was fetched from the reply
     /// slot (or fell back to the Send path) instead of arriving as an
     /// unsolicited Send.
-    pub rfp_marked: u64,
+    pub rfp_marked: Rc<Counter>,
     /// Reply-slot fetches issued (RDMA Reads by the pollers).
-    pub rfp_polls: u64,
+    pub rfp_polls: Rc<Counter>,
     /// Calls completed from a fetched reply slot.
-    pub rfp_hits: u64,
+    pub rfp_hits: Rc<Counter>,
+}
+
+impl ClientStats {
+    fn new(registry: &MetricsRegistry) -> ClientStats {
+        let series = |name: &str| registry.counter(name);
+        ClientStats {
+            calls: series("client.calls"),
+            bulk_out: series("client.bulk_out"),
+            bulk_in: series("client.bulk_in"),
+            dones_sent: series("client.dones"),
+            msgp_sends: series("client.msgp_sends"),
+            copied_bytes: series("client.copied_bytes"),
+            retransmits: series("client.retransmits"),
+            timeouts: series("client.timeouts"),
+            busy_replies: series("client.busy_replies"),
+            reconnects: series("client.reconnects"),
+            rfp_marked: series("client.rfp.marked"),
+            rfp_polls: series("client.rfp.polls"),
+            rfp_hits: series("client.rfp.hits"),
+        }
+    }
 }
 
 /// Rebuilds a client connection after a QP error: tears down the old
@@ -119,52 +158,30 @@ pub struct ClientStats {
 /// Plain single-server connectors resolve immediately.
 pub type Connector = Box<dyn Fn() -> onc_rpc::LocalBoxFuture<Qp>>;
 
-/// Registry handles for the client-side series (`client.*`). Shared by
-/// every client endpoint in the world, so they aggregate fleet-wide;
-/// [`ClientStats`] keeps the per-endpoint view.
-struct ClientMetrics {
-    calls: Rc<Counter>,
-    retransmits: Rc<Counter>,
-    timeouts: Rc<Counter>,
-    reconnects: Rc<Counter>,
-    busy_replies: Rc<Counter>,
-}
-
-impl ClientMetrics {
-    fn new(sim: &Sim) -> ClientMetrics {
-        let m = sim.metrics();
-        ClientMetrics {
-            calls: m.counter("client.calls"),
-            retransmits: m.counter("client.retransmits"),
-            timeouts: m.counter("client.timeouts"),
-            reconnects: m.counter("client.reconnects"),
-            busy_replies: m.counter("client.busy_replies"),
-        }
-    }
-}
+/// A reply as the dispatcher (or a slot poller) hands it to its call:
+/// the transport header and the inline RPC message behind it.
+type Reply = (RdmaHeader, Bytes);
 
 struct ClientInner {
     sim: Sim,
     hca: Hca,
-    qp: RefCell<Qp>,
+    /// The live connection; swapped whole on recovery.
+    ep: RefCell<Rc<Endpoint>>,
     registrar: Registrar,
     cfg: RpcRdmaConfig,
     prog: u32,
     vers: u32,
     next_xid: Cell<u32>,
-    next_wr: Cell<u64>,
-    pending: RefCell<HashMap<u32, OneshotSender<(RdmaHeader, Bytes)>>>,
+    pending: RefCell<HashMap<u32, OneshotSender<Reply>>>,
     credits: Semaphore,
     /// Credits the server last granted us.
     granted: Cell<u32>,
     /// Permits to swallow (grant was reduced below what we hold).
     credit_deficit: Cell<u32>,
-    router: RefCell<CompletionRouter>,
-    stats: RefCell<ClientStats>,
-    metrics: ClientMetrics,
+    stats: ClientStats,
     dead: Cell<bool>,
-    /// A reconnect is in flight: hold off posting until the fresh QP
-    /// is swapped in (pending calls retransmit onto it).
+    /// A reconnect is in flight: hold off posting until the fresh
+    /// endpoint is swapped in (pending calls retransmit onto it).
     recovering: Cell<bool>,
     /// Recovery path; without one, a QP error is fatal for the
     /// endpoint (every call fails with `Disconnected`).
@@ -174,10 +191,6 @@ struct ClientInner {
     /// never perturbs the rng streams existing components fork; it is
     /// only drawn when a timeout actually fires.
     retrans_rng: RefCell<SimRng>,
-    /// Per-connection scratch for assembling outgoing wire messages
-    /// (RPC/RDMA header + inline body). Reused across calls so the
-    /// steady-state encode path performs no heap allocation.
-    send_scratch: RefCell<Encoder>,
     /// The server's reply-slot ring advertisement, once received
     /// (refreshed by every `MsgRfpAd` reply; cleared on recovery —
     /// rings are per-connection).
@@ -196,6 +209,66 @@ struct ClientInner {
     /// first probe, so steady-state polls land just after the reply
     /// deposits instead of walking the whole backoff ladder.
     rfp_lat_ewma: Cell<SimDuration>,
+}
+
+impl ClientInner {
+    /// The endpoint in force right now.
+    fn endpoint(&self) -> Rc<Endpoint> {
+        self.ep.borrow().clone()
+    }
+
+    /// The endpoint is gone for good: fail every pending call (their
+    /// reply senders drop) and every later one.
+    fn fail(&self) {
+        self.dead.set(true);
+        self.recovering.set(false);
+        self.pending.borrow_mut().clear();
+    }
+}
+
+/// One call's transport state, from provisioning to release: the header
+/// going on the wire, the registrations behind its chunk lists, and
+/// what `finish` needs to collect the reply.
+struct Call {
+    /// Flow-control credit held for the call's lifetime.
+    credit: SemPermit,
+    /// The header going on the wire; `hdr.xid` names the call.
+    hdr: RdmaHeader,
+    /// What rides in the Send behind the header.
+    inline_body: Bytes,
+    /// Registrations the server pulls from (WRITE payload, long call).
+    held: Vec<IoBuf>,
+    /// Write-chunk sink the server pushes bulk results into.
+    sink: Option<IoBuf>,
+    /// Reply-chunk sink a long reply is pushed into.
+    reply_sink: Option<IoBuf>,
+    /// `sink` is the caller's own buffer: nothing to copy out.
+    zero_copy: bool,
+    /// What the caller asked for (its `send` half already provisioned).
+    bulk: BulkParams,
+}
+
+/// What one transmission attempt came to.
+enum Attempt {
+    /// The call is over: a reply, or an error resending cannot fix.
+    Done(Result<CallReply, RpcError>),
+    /// No reply in time, or the transport broke under the reply:
+    /// resend; the server replays from its DRC with fresh exposures.
+    Retransmit,
+    /// The server shed the call (overload): back off and re-offer the
+    /// same XID. The shed reply never touched the server's DRC, so the
+    /// retransmission executes fresh when admitted.
+    Shed,
+}
+
+/// Bytes a reply's chunk list names. It is the server's word: a total
+/// past `limit` — what this call provisioned for it — fails the call
+/// before a byte is copied or pulled on its strength.
+fn echoed<'a>(segs: impl IntoIterator<Item = &'a Segment>, limit: u64) -> Result<u64, RpcError> {
+    let total = segs
+        .into_iter()
+        .try_fold(0u64, |sum, s| sum.checked_add(s.len));
+    total.filter(|&n| n <= limit).ok_or(RpcError::BadReply)
 }
 
 /// Handle to an RPC/RDMA client endpoint (one per connection).
@@ -218,28 +291,25 @@ impl RdmaRpcClient {
         vers: u32,
     ) -> RdmaRpcClient {
         let retrans_seed = 0xC1_1E47u64 ^ ((qp.node().0 as u64) << 32) ^ qp.qpn().0 as u64;
+        let ep = open_endpoint(sim, hca, &cfg, qp).expect("posting initial receives");
         let inner = Rc::new(ClientInner {
             sim: sim.clone(),
             hca: hca.clone(),
-            qp: RefCell::new(qp.clone()),
+            ep: RefCell::new(ep.clone()),
             registrar,
             cfg,
             prog,
             vers,
             next_xid: Cell::new(1),
-            next_wr: Cell::new(1 << 32),
             pending: RefCell::new(HashMap::new()),
             credits: Semaphore::new(cfg.credits as usize),
             granted: Cell::new(cfg.credits),
             credit_deficit: Cell::new(0),
-            router: RefCell::new(spawn_router(sim, hca, &qp, &cfg)),
-            stats: RefCell::new(ClientStats::default()),
-            metrics: ClientMetrics::new(sim),
+            stats: ClientStats::new(&sim.metrics()),
             dead: Cell::new(false),
             recovering: Cell::new(false),
             connector: RefCell::new(None),
             retrans_rng: RefCell::new(SimRng::new(retrans_seed)),
-            send_scratch: RefCell::new(Encoder::with_capacity(256)),
             rfp_ad: RefCell::new(None),
             rfp_last: Cell::new(SimTime::ZERO),
             rfp_reads: Semaphore::new({
@@ -248,34 +318,25 @@ impl RdmaRpcClient {
             }),
             rfp_lat_ewma: Cell::new(SimDuration::ZERO),
         });
-        install_error_handler(&inner);
-        // Pre-posted receive pool; buffers are registered once at setup
-        // (amortized, so no per-op cost is charged here).
-        let mut recv_bufs = Vec::new();
-        for i in 0..cfg.credits as u64 {
-            let buf = hca.mem().alloc(cfg.recv_buffer_size);
-            qp.post_recv(buf.clone(), 0, cfg.recv_buffer_size, WrId(i))
-                .expect("posting initial receives");
-            recv_bufs.push(buf);
-        }
-        let inner2 = inner.clone();
-        sim.spawn(async move { reply_dispatcher(inner2, qp, recv_bufs).await });
+        install_error_handler(&inner, &ep);
+        sim.spawn(reply_dispatcher(inner.clone(), ep));
         RdmaRpcClient { inner }
     }
 
-    /// Statistics snapshot.
-    pub fn stats(&self) -> ClientStats {
-        *self.inner.stats.borrow()
+    /// The `client.*` counters (shared by every client endpoint of the
+    /// simulation).
+    pub fn stats(&self) -> &ClientStats {
+        &self.inner.stats
     }
 
     /// The underlying queue pair (for diagnostics; swapped on
     /// connection recovery).
     pub fn qp(&self) -> Qp {
-        self.inner.qp.borrow().clone()
+        self.inner.endpoint().qp.clone()
     }
 
     /// Install the connection-recovery path. On a QP error the client
-    /// waits `reconnect_delay`, asks the connector for a fresh
+    /// waits [`RECONNECT_DELAY`], asks the connector for a fresh
     /// connected QP (the callback also rebuilds the server side),
     /// re-registers through the registrar, and lets pending calls
     /// retransmit. Without a connector, QP errors are fatal and every
@@ -283,10 +344,10 @@ impl RdmaRpcClient {
     pub fn set_connector(&self, f: impl Fn() -> Qp + 'static) {
         // Synchronous connectors wrap into an already-resolved future,
         // so recovery timing is identical to the pre-async contract.
-        *self.inner.connector.borrow_mut() = Some(Box::new(move || {
+        self.set_connector_async(move || {
             let qp = f();
-            Box::pin(async move { qp }) as onc_rpc::LocalBoxFuture<Qp>
-        }));
+            Box::pin(async move { qp })
+        });
     }
 
     /// Like [`RdmaRpcClient::set_connector`], but the connector itself
@@ -301,13 +362,7 @@ impl RdmaRpcClient {
     /// as a cable pull or peer crash would. Posted receives flush with
     /// errors, which is how the recovery path learns of the teardown.
     pub fn inject_qp_error(&self) {
-        self.inner.qp.borrow().force_error();
-    }
-
-    fn alloc_wr(&self) -> WrId {
-        let id = self.inner.next_wr.get();
-        self.inner.next_wr.set(id + 1);
-        WrId(id)
+        self.inner.endpoint().qp.force_error();
     }
 
     /// Issue one RPC for this client's bound program.
@@ -337,181 +392,210 @@ impl RdmaRpcClient {
             return Err(RpcError::Disconnected);
         }
         let _call_span = inner.sim.span_proc("client", "call", proc_num);
-        let cpu = inner.hca.cpu().clone();
-        // Syscall + VFS + RPC marshalling.
+        let (credit, xid, rpc_msg) = self.marshal(prog, vers, proc_num, &args).await;
+        let mut call = self.provision(credit, xid, rpc_msg, bulk).await;
+        self.mark(&mut call);
+        let result = self.transmit(&call).await;
+        self.release(call).await;
+        if result.is_ok() {
+            inner.stats.calls.inc();
+        }
+        result
+    }
+
+    /// *Marshal* stage: syscall + VFS + RPC marshalling under the
+    /// `marshal` span, then a flow-control credit and the call's XID.
+    async fn marshal(
+        &self,
+        prog: u32,
+        vers: u32,
+        proc_num: u32,
+        args: &Bytes,
+    ) -> (SemPermit, u32, Bytes) {
+        let inner = &self.inner;
         {
             let _s = inner.sim.span("client", "marshal");
-            cpu.execute(inner.cfg.per_op_client_cpu).await;
+            inner.hca.cpu().execute(inner.cfg.per_op_client_cpu).await;
         }
-
         let credit = inner.credits.acquire().await;
         let xid = inner.next_xid.get();
         inner.next_xid.set(xid.wrapping_add(1));
         inner.sim.trace("rpc", || {
             format!("client call xid={xid} prog={prog} proc={proc_num}")
         });
-
-        let rpc_msg = encode_call(
-            &CallHeader {
-                xid,
-                prog,
-                vers,
-                proc_num,
-            },
-            &args,
-        );
-
-        let mut hdr = RdmaHeader::new(xid, inner.cfg.credits, MsgType::Msg);
-        let mut held: Vec<IoBuf> = Vec::new();
-        let mut sink: Option<IoBuf> = None;
-        let mut reply_sink: Option<IoBuf> = None;
-        // Covers every chunk registration below (Figure 4, points 1-2).
-        let reg_span = inner.sim.span("client", "reg");
-
-        // --- Small-write fast path: RDMA_MSGP (padded inline). --------
-        // The data rides inside the Send, aligned for direct placement:
-        // no registration, no chunk, no server-side RDMA Read.
-        let mut msgp_data: Option<Payload> = None;
-        if let Some((buffer, off, len)) = &bulk.send {
-            if inner.cfg.msgp_small_writes
-                && *len <= inner.cfg.inline_threshold
-                && rpc_msg.len() as u64 <= inner.cfg.inline_threshold
-            {
-                msgp_data = Some(buffer.read(*off, *len));
-                cpu.copy(*len).await; // staged into the inline buffer
-                inner.stats.borrow_mut().bulk_out += len;
-                inner.stats.borrow_mut().msgp_sends += 1;
-            }
-        }
-
-        // --- Read chunks: NFS WRITE payload the server will pull. ----
-        if let (Some((buffer, off, len)), None) = (&bulk.send, &msgp_data) {
-            let io = inner
-                .registrar
-                .acquire_user(buffer, *off, *len, Access::REMOTE_READ)
-                .await;
-            if inner.registrar.is_staged() {
-                // Stage into the pre-registered slab buffer.
-                io.write(0, buffer.read(*off, *len));
-                cpu.copy(*len).await;
-                inner.stats.borrow_mut().copied_bytes += len;
-            }
-            let position = rpc_msg.len() as u32;
-            for seg in io.segments(0, *len, &inner.hca) {
-                hdr.read_chunks.push(ReadChunk {
-                    position,
-                    segment: seg,
-                });
-            }
-            inner.stats.borrow_mut().bulk_out += len;
-            held.push(io);
-        }
-
-        // --- Write / reply chunks (Read-Write design only). ----------
-        if inner.cfg.design == Design::ReadWrite {
-            if let Some(max) = bulk.recv_max {
-                let zero_copy = inner.cfg.zero_copy_read
-                    && !inner.registrar.is_staged()
-                    && bulk.recv_user.is_some();
-                let io = if zero_copy {
-                    let (ubuf, uoff) = bulk.recv_user.as_ref().unwrap();
-                    inner
-                        .registrar
-                        .acquire_user(ubuf, *uoff, max, Access::REMOTE_WRITE)
-                        .await
-                } else {
-                    inner
-                        .registrar
-                        .acquire_scratch(max, Access::REMOTE_WRITE)
-                        .await
-                };
-                hdr.write_chunks.push(io.segments(0, max, &inner.hca));
-                sink = Some(io);
-            }
-            // A reply chunk only for a reply that may outgrow the inline
-            // threshold, sized to its bound, to the page.
-            if let Some(bound) = bulk.reply_max.filter(|&b| b > inner.cfg.inline_threshold) {
-                let len = bound.next_multiple_of(PAGE_SIZE);
-                let io = inner
-                    .registrar
-                    .acquire_scratch(len, Access::REMOTE_WRITE)
-                    .await;
-                hdr.reply_chunk = Some(io.segments(0, len, &inner.hca));
-                reply_sink = Some(io);
-            }
-        }
-
-        // --- Long call: the RPC message itself moves via a read chunk.
-        let inline_body: Bytes;
-        if let Some(data) = &msgp_data {
-            // RDMA_MSGP framing: head, padding to the alignment, data.
-            let align = MSGP_ALIGN;
-            hdr.msg_type = MsgType::Msgp;
-            hdr.msgp = Some((align as u32, rpc_msg.len() as u32));
-            let pad = (align - rpc_msg.len() % align) % align;
-            let mut body = Vec::with_capacity(rpc_msg.len() + pad + data.len() as usize);
-            body.extend_from_slice(&rpc_msg);
-            body.resize(rpc_msg.len() + pad, 0);
-            body.extend_from_slice(&data.materialize());
-            inline_body = Bytes::from(body);
-        } else if rpc_msg.len() as u64 > inner.cfg.inline_threshold {
-            hdr.msg_type = MsgType::Nomsg;
-            let buf = inner.hca.mem().alloc(rpc_msg.len() as u64);
-            buf.write(0, Payload::real(rpc_msg.clone()));
-            cpu.copy(rpc_msg.len() as u64).await; // marshal into DMA buffer
-            let io = inner
-                .registrar
-                .acquire_user(&buf, 0, rpc_msg.len() as u64, Access::REMOTE_READ)
-                .await;
-            for seg in io.segments(0, rpc_msg.len() as u64, &inner.hca) {
-                hdr.read_chunks.push(ReadChunk {
-                    position: 0,
-                    segment: seg,
-                });
-            }
-            held.push(io);
-            inline_body = Bytes::new();
-        } else {
-            inline_body = rpc_msg;
-        }
-        drop(reg_span);
-
-        // --- RFP marking (hybrid transport). -------------------------
-        // A chunkless inline call whose reply will also be small can be
-        // *marked*: the server deposits the reply in this client's
-        // reply-slot ring and posts no Send at all; a poller fetches it
-        // with RDMA Read. Only once the server has advertised a ring,
-        // and only while that ring is fresh enough that the server's
-        // idle reaper cannot be close to revoking it.
-        let rfp_marked = inner.cfg.rfp_enabled
-            && hdr.msg_type == MsgType::Msg
-            && hdr.read_chunks.is_empty()
-            && hdr.write_chunks.is_empty()
-            && hdr.reply_chunk.is_none()
-            && self.rfp_ready();
-        if rfp_marked {
-            hdr.msg_type = MsgType::MsgRfp;
-            inner.stats.borrow_mut().rfp_marked += 1;
-        }
-
-        // --- Send the call; retransmit on timeout. -------------------
-        // Header + inline body are assembled in the per-connection
-        // scratch encoder (no allocation in steady state); the single
-        // copy into an owned buffer models staging into the
-        // pre-registered inline send buffer.
-        let (wire, wire_len) = {
-            let mut enc = inner.send_scratch.borrow_mut();
-            hdr.encode_into(&mut enc);
-            enc.put_raw(&inline_body);
-            (Bytes::copy_from_slice(enc.as_slice()), enc.len() as u64)
+        let hdr = CallHeader {
+            xid,
+            prog,
+            vers,
+            proc_num,
         };
-        cpu.copy(wire_len).await;
+        (credit, xid, encode_call(&hdr, args))
+    }
 
-        // Every attempt resends the same wire image — same XID — so the
-        // server's duplicate request cache can absorb re-executions.
-        // Held registrations stay valid across attempts (and across QP
-        // recovery: the TPT is per-HCA, not per-QP), so advertised
-        // rkeys in the retransmitted call still work.
+    /// *Provision* stage, the `reg` span (Figure 4, points 1-2): make
+    /// everything the server will pull from or push into DMA-able and
+    /// name it in the header's chunk lists.
+    async fn provision(
+        &self,
+        credit: SemPermit,
+        xid: u32,
+        rpc_msg: Bytes,
+        mut bulk: BulkParams,
+    ) -> Call {
+        let inner = &self.inner;
+        let _s = inner.sim.span("client", "reg");
+        let send = bulk.send.take();
+        let mut call = Call {
+            credit,
+            hdr: RdmaHeader::new(xid, inner.cfg.credits, MsgType::Msg),
+            inline_body: Bytes::new(),
+            held: Vec::new(),
+            sink: None,
+            reply_sink: None,
+            // The Read-Write design can RDMA-write straight into the
+            // user buffer; the Read-Read design always copies.
+            zero_copy: inner.cfg.design == Design::ReadWrite
+                && inner.cfg.zero_copy_read
+                && !inner.registrar.is_staged()
+                && bulk.recv_user.is_some(),
+            bulk,
+        };
+        let msgp_data = match send {
+            Some(send) => self.provision_send(&mut call, &rpc_msg, send).await,
+            None => None,
+        };
+        if inner.cfg.design == Design::ReadWrite {
+            self.provision_sinks(&mut call).await;
+        }
+        self.frame(&mut call, rpc_msg, msgp_data).await;
+        call
+    }
+
+    /// The WRITE payload: small enough, it rides inside the Send
+    /// (`RDMA_MSGP`, returned for framing — no registration, no chunk,
+    /// no server-side RDMA Read); otherwise it is registered and named
+    /// in read chunks for the server to pull.
+    async fn provision_send(
+        &self,
+        call: &mut Call,
+        rpc_msg: &Bytes,
+        (buffer, off, len): (Buffer, u64, u64),
+    ) -> Option<Payload> {
+        let inner = &self.inner;
+        let (cpu, stats) = (inner.hca.cpu(), &inner.stats);
+        let threshold = inner.cfg.inline_threshold;
+        stats.bulk_out.add(len);
+        if inner.cfg.msgp_small_writes && len <= threshold && rpc_msg.len() as u64 <= threshold {
+            let data = buffer.read(off, len);
+            cpu.copy(len).await; // staged into the inline buffer
+            stats.msgp_sends.inc();
+            return Some(data);
+        }
+        let io = inner
+            .registrar
+            .acquire_user(&buffer, off, len, Access::REMOTE_READ)
+            .await;
+        if inner.registrar.is_staged() {
+            // Stage into the pre-registered slab buffer.
+            io.write(0, buffer.read(off, len));
+            cpu.copy(len).await;
+            stats.copied_bytes.add(len);
+        }
+        let position = rpc_msg.len() as u32;
+        for segment in io.segments(0, len, &inner.hca) {
+            call.hdr.read_chunks.push(ReadChunk { position, segment });
+        }
+        call.held.push(io);
+        None
+    }
+
+    /// Read-Write only: the write chunk bulk results land in (the
+    /// caller's buffer on the zero-copy path) and, for a reply that may
+    /// outgrow the inline threshold, a reply chunk sized to its bound,
+    /// to the page.
+    async fn provision_sinks(&self, call: &mut Call) {
+        let inner = &self.inner;
+        let access = Access::REMOTE_WRITE;
+        if let Some(max) = call.bulk.recv_max {
+            let io = match &call.bulk.recv_user {
+                Some((ubuf, uoff)) if call.zero_copy => {
+                    inner.registrar.acquire_user(ubuf, *uoff, max, access).await
+                }
+                _ => inner.registrar.acquire_scratch(max, access).await,
+            };
+            call.hdr.write_chunks.push(io.segments(0, max, &inner.hca));
+            call.sink = Some(io);
+        }
+        let reply_max = call.bulk.reply_max;
+        if let Some(bound) = reply_max.filter(|&b| b > inner.cfg.inline_threshold) {
+            let len = bound.next_multiple_of(PAGE_SIZE);
+            let io = inner.registrar.acquire_scratch(len, access).await;
+            call.hdr.reply_chunk = Some(io.segments(0, len, &inner.hca));
+            call.reply_sink = Some(io);
+        }
+    }
+
+    /// Decide what rides in the Send behind the header: the `RDMA_MSGP`
+    /// frame (head, padding to the alignment, data), nothing at all for
+    /// a long call (the RPC message itself moves via a position-0 read
+    /// chunk), or the RPC message.
+    async fn frame(&self, call: &mut Call, rpc_msg: Bytes, msgp_data: Option<Payload>) {
+        let inner = &self.inner;
+        let head_len = rpc_msg.len();
+        if let Some(data) = msgp_data {
+            call.hdr.msg_type = MsgType::Msgp;
+            call.hdr.msgp = Some((MSGP_ALIGN as u32, head_len as u32));
+            let pad = (MSGP_ALIGN - head_len % MSGP_ALIGN) % MSGP_ALIGN;
+            let mut body = Vec::with_capacity(head_len + pad + data.len() as usize);
+            body.extend_from_slice(&rpc_msg);
+            body.resize(head_len + pad, 0);
+            body.extend_from_slice(&data.materialize());
+            call.inline_body = Bytes::from(body);
+        } else if head_len as u64 > inner.cfg.inline_threshold {
+            call.hdr.msg_type = MsgType::Nomsg;
+            let len = head_len as u64;
+            let buf = inner.hca.mem().alloc(len);
+            buf.write(0, Payload::real(rpc_msg));
+            inner.hca.cpu().copy(len).await; // marshal into DMA buffer
+            let io = inner
+                .registrar
+                .acquire_user(&buf, 0, len, Access::REMOTE_READ)
+                .await;
+            for segment in io.segments(0, len, &inner.hca) {
+                let position = 0;
+                call.hdr.read_chunks.push(ReadChunk { position, segment });
+            }
+            call.held.push(io);
+        } else {
+            call.inline_body = rpc_msg;
+        }
+    }
+
+    /// *Mark* stage (hybrid transport): a chunkless inline call whose
+    /// reply will also be small can be RFP-marked — the server deposits
+    /// the reply in this client's reply-slot ring and posts no Send at
+    /// all; a poller fetches it with RDMA Read. Only once the server
+    /// has advertised a ring, and only while that ring is fresh enough
+    /// that the server's idle reaper cannot be close to revoking it.
+    fn mark(&self, call: &mut Call) {
+        if self.inner.cfg.rfp_enabled && call.hdr.is_chunkless() && self.rfp_ready() {
+            call.hdr.msg_type = MsgType::MsgRfp;
+            self.inner.stats.rfp_marked.inc();
+        }
+    }
+
+    /// *Transmit* stage: send the call and see it to a reply,
+    /// retransmitting on timeout. Every attempt resends the same wire
+    /// image — same XID — so the server's duplicate request cache can
+    /// absorb re-executions. Held registrations stay valid across
+    /// attempts (and across QP recovery: the TPT is per-HCA, not
+    /// per-QP), so advertised rkeys in the retransmitted call still
+    /// work.
+    async fn transmit(&self, call: &Call) -> Result<CallReply, RpcError> {
+        let inner = &self.inner;
+        let xid = call.hdr.xid;
+        let wire = inner.endpoint().encode_wire(&call.hdr, &call.inline_body);
+        inner.hca.cpu().copy(wire.len() as u64).await;
         let mut attempt: u32 = 0;
         // Busy (shed) replies answered so far: a separate budget from
         // reply timeouts — the server *is* responding, just refusing —
@@ -523,137 +607,133 @@ impl RdmaRpcClient {
         // untouched. Re-injected per attempt: after a failover the
         // retransmission reaches the *promoted* node, whose adoption
         // links the new epoch's spans into the same causal tree.
-        let trace_key = ((inner.qp.borrow().node().0 as u64) << 32) | xid as u64;
-        let result: Result<CallReply, RpcError> = loop {
-            if inner.dead.get() {
+        let trace_key = ((inner.endpoint().qp.node().0 as u64) << 32) | xid as u64;
+        let result = loop {
+            let Some(mut rx) = self.post(call, &wire, trace_key) else {
                 break Err(RpcError::Disconnected);
-            }
-            let (tx, rx) = oneshot();
-            let mut rx = rx;
-            inner.pending.borrow_mut().insert(xid, tx);
-            inner.sim.trace_inject(trace_key);
-            if !inner.recovering.get() {
-                let posted = inner.qp.borrow().post_send(
-                    Payload::real(wire.clone()),
-                    self.alloc_wr(),
-                    false,
-                );
-                if posted.is_err() {
-                    start_recovery(inner);
-                    if inner.dead.get() {
-                        inner.pending.borrow_mut().remove(&xid);
-                        break Err(RpcError::Disconnected);
-                    }
-                } else if rfp_marked {
-                    // One poller per transmission attempt; it exits as
-                    // soon as the call is no longer pending (slot hit,
-                    // Send fallback, or a retransmission taking over).
-                    inner.rfp_last.set(inner.sim.now());
-                    spawn_slot_poller(self.inner.clone(), xid);
-                }
-            }
+            };
             if attempt > 0 {
-                inner.stats.borrow_mut().retransmits += 1;
-                inner.metrics.retransmits.inc();
+                inner.stats.retransmits.inc();
                 inner.sim.trace("rpc", || {
                     format!("client retransmit xid={xid} attempt={attempt}")
                 });
             }
-
-            // --- Await the reply (bounded). --------------------------
-            let awaited = {
-                let _s = inner.sim.span("client", "wait_reply");
-                inner.sim.timeout(self.backoff(attempt), &mut rx).await
-            };
-            match awaited {
-                Some(Ok((rhdr, reply_body))) => {
+            match self.await_reply(call, &mut rx, attempt).await {
+                Attempt::Done(result) => break result,
+                Attempt::Shed => {
+                    sheds += 1;
+                    inner.stats.busy_replies.inc();
                     inner.sim.trace("rpc", || {
-                        format!("client reply xid={xid} type={:?}", rhdr.msg_type)
+                        format!("client busy-reply xid={xid} sheds={sheds}")
                     });
-                    self.apply_credit_grant(rhdr.credits);
-                    let _s = inner.sim.span("client", "finish");
-                    let fin = self
-                        .finish_call(&rhdr, reply_body, &bulk, &mut sink, &mut reply_sink, &cpu)
-                        .await;
-                    drop(_s);
-                    match fin {
-                        // Transport trouble after the reply (e.g. QP
-                        // error mid chunk-pull): retransmit; the server
-                        // replays from its DRC with fresh exposures.
-                        Err(RpcError::Disconnected) if !inner.dead.get() => {}
-                        // The server shed the call (overload): back off
-                        // and re-offer the same XID. The shed reply
-                        // never touched the server's DRC, so the
-                        // retransmission executes fresh when admitted.
-                        Err(RpcError::Rejected(AcceptStat::SystemErr)) if !inner.dead.get() => {
-                            sheds += 1;
-                            inner.stats.borrow_mut().busy_replies += 1;
-                            inner.metrics.busy_replies.inc();
-                            inner.sim.trace("rpc", || {
-                                format!("client busy-reply xid={xid} sheds={sheds}")
-                            });
-                            inner.pending.borrow_mut().remove(&xid);
-                            if sheds > QOS_MAX_REJECTIONS {
-                                break Err(TransportError::Overloaded {
-                                    xid,
-                                    rejections: sheds,
-                                }
-                                .into());
-                            }
-                            let _s = inner.sim.span("client", "shed_backoff");
-                            inner.sim.sleep(self.shed_backoff(sheds)).await;
-                            continue;
-                        }
-                        other => break other,
+                    inner.pending.borrow_mut().remove(&xid);
+                    if sheds > QOS_MAX_REJECTIONS {
+                        let rejections = sheds;
+                        break Err(TransportError::Overloaded { xid, rejections }.into());
                     }
+                    let _s = inner.sim.span("client", "shed_backoff");
+                    inner.sim.sleep(self.shed_backoff(sheds)).await;
+                    continue;
                 }
-                // Sender dropped: connection died with no recovery path.
-                Some(Err(_)) => break Err(RpcError::Disconnected),
-                None => {
-                    inner.stats.borrow_mut().timeouts += 1;
-                    inner.metrics.timeouts.inc();
-                }
+                Attempt::Retransmit => {}
             }
             inner.pending.borrow_mut().remove(&xid);
             attempt += 1;
             if attempt > inner.cfg.max_retransmits {
-                break Err(TransportError::TimedOut {
-                    xid,
-                    attempts: attempt,
-                }
-                .into());
+                let attempts = attempt;
+                break Err(TransportError::TimedOut { xid, attempts }.into());
             }
         };
         inner.pending.borrow_mut().remove(&xid);
         // Call resolved: drop any context the server never adopted (a
         // timed-out final attempt) so the in-flight map stays bounded.
         let _ = inner.sim.trace_adopt(trace_key);
+        result
+    }
 
-        // Release every held registration (Figure 4, point 10): the
-        // reply's arrival guarantees the server is done with them.
-        for io in held {
+    /// Register for the reply and put one copy of the call on the wire
+    /// (unless a reconnect is in flight: the retransmission timer then
+    /// carries the call onto the fresh endpoint). `None` once the
+    /// endpoint is dead.
+    fn post(&self, call: &Call, wire: &Bytes, trace_key: u64) -> Option<OneshotReceiver<Reply>> {
+        let inner = &self.inner;
+        if inner.dead.get() {
+            return None;
+        }
+        let (tx, rx) = oneshot();
+        inner.pending.borrow_mut().insert(call.hdr.xid, tx);
+        inner.sim.trace_inject(trace_key);
+        if inner.recovering.get() {
+            return Some(rx);
+        }
+        if inner.endpoint().send(wire.clone()).is_err() {
+            start_recovery(inner);
+            if inner.dead.get() {
+                inner.pending.borrow_mut().remove(&call.hdr.xid);
+                return None;
+            }
+        } else if call.hdr.msg_type == MsgType::MsgRfp {
+            // One poller per transmission attempt; it exits as soon as
+            // the call is no longer pending (slot hit, Send fallback,
+            // or a retransmission taking over).
+            inner.rfp_last.set(inner.sim.now());
+            inner.sim.spawn(poll_slot(inner.clone(), call.hdr.xid));
+        }
+        Some(rx)
+    }
+
+    /// Await the reply to one transmission (the `wait_reply` span,
+    /// bounded by the attempt's backoff), collect it (the `finish`
+    /// span), and say what the attempt came to.
+    async fn await_reply(
+        &self,
+        call: &Call,
+        rx: &mut OneshotReceiver<Reply>,
+        attempt: u32,
+    ) -> Attempt {
+        let inner = &self.inner;
+        let awaited = {
+            let _s = inner.sim.span("client", "wait_reply");
+            inner.sim.timeout(self.backoff(attempt), rx).await
+        };
+        let (rhdr, reply_body) = match awaited {
+            Some(Ok(reply)) => reply,
+            // Sender dropped: connection died with no recovery path.
+            Some(Err(_)) => return Attempt::Done(Err(RpcError::Disconnected)),
+            None => {
+                inner.stats.timeouts.inc();
+                return Attempt::Retransmit;
+            }
+        };
+        inner.sim.trace("rpc", || {
+            format!("client reply xid={} type={:?}", rhdr.xid, rhdr.msg_type)
+        });
+        self.apply_credit_grant(rhdr.credits);
+        let _s = inner.sim.span("client", "finish");
+        match self.finish(call, &rhdr, reply_body).await {
+            // Transport trouble after the reply (e.g. QP error mid
+            // chunk-pull).
+            Err(RpcError::Disconnected) if !inner.dead.get() => Attempt::Retransmit,
+            Err(RpcError::Rejected(AcceptStat::SystemErr)) if !inner.dead.get() => Attempt::Shed,
+            other => Attempt::Done(other),
+        }
+    }
+
+    /// *Release* stage (Figure 4, point 10): the reply's arrival
+    /// guarantees the server is done with every held registration.
+    /// Then return (or swallow, if the server shrank its grant) the
+    /// flow-control credit.
+    async fn release(&self, call: Call) {
+        let inner = &self.inner;
+        let sinks = call.sink.into_iter().chain(call.reply_sink);
+        for io in call.held.into_iter().chain(sinks) {
             inner.registrar.release(io).await;
         }
-        if let Some(io) = sink.take() {
-            inner.registrar.release(io).await;
-        }
-        if let Some(io) = reply_sink.take() {
-            inner.registrar.release(io).await;
-        }
-        // Return (or swallow, if the server shrank its grant) the
-        // flow-control credit.
         let deficit = inner.credit_deficit.get();
         if deficit > 0 {
             inner.credit_deficit.set(deficit - 1);
-            credit.forget();
-        } else {
-            drop(credit);
+            call.credit.forget();
         }
-        if result.is_ok() {
-            inner.stats.borrow_mut().calls += 1;
-            inner.metrics.calls.inc();
-        }
-        result
     }
 
     /// Whether calls may be RFP-marked right now: a ring has been
@@ -740,166 +820,162 @@ impl RdmaRpcClient {
         inner.granted.set(grant);
     }
 
-    /// Decode the reply and collect bulk data per the active design.
-    async fn finish_call(
+    /// Collect the reply per the active design: the decoded RPC result
+    /// head and whatever bulk data came with it.
+    async fn finish(
         &self,
+        call: &Call,
         rhdr: &RdmaHeader,
         reply_body: Bytes,
-        bulk: &BulkParams,
-        sink: &mut Option<IoBuf>,
-        reply_sink: &mut Option<IoBuf>,
-        cpu: &sim_core::Cpu,
     ) -> Result<CallReply, RpcError> {
-        let inner = &self.inner;
-        match inner.cfg.design {
-            Design::ReadWrite => {
-                // Long reply: the RPC message was RDMA-written into the
-                // reply chunk.
-                let rpc_reply = if rhdr.msg_type == MsgType::Nomsg {
-                    let io = reply_sink.as_ref().ok_or(RpcError::BadReply)?;
-                    let actual: u64 = rhdr
-                        .reply_chunk
-                        .as_ref()
-                        .map(|segs| segs.iter().map(|s| s.len).sum())
-                        .unwrap_or(0);
-                    cpu.copy(actual).await; // reply must be unmarshalled
-                    inner.stats.borrow_mut().copied_bytes += actual;
-                    io.read(0, actual).materialize()
-                } else {
-                    reply_body
-                };
-                let (rh, body) = decode_reply(rpc_reply).map_err(|_| RpcError::BadReply)?;
-                if rh.stat != AcceptStat::Success {
-                    return Err(RpcError::Rejected(rh.stat));
-                }
-                // Bulk data was RDMA-written into the write chunk; the
-                // echoed chunk list tells us how much (paper §4).
-                let bulk_data = if let Some(io) = sink.as_ref() {
-                    let actual = rhdr.write_chunk_bytes(0);
-                    let data = io.read(0, actual);
-                    let zero_copy = inner.cfg.zero_copy_read
-                        && !inner.registrar.is_staged()
-                        && bulk.recv_user.is_some();
-                    if !zero_copy {
-                        // Copy out of the bounce buffer to the user.
-                        cpu.copy(actual).await;
-                        inner.stats.borrow_mut().copied_bytes += actual;
-                        if let Some((ubuf, uoff)) = &bulk.recv_user {
-                            ubuf.write(*uoff, data.clone());
-                        }
-                    }
-                    inner.stats.borrow_mut().bulk_in += actual;
-                    Some(data)
-                } else {
-                    None
-                };
-                Ok(CallReply {
-                    body,
-                    bulk: bulk_data,
-                })
-            }
-            Design::ReadRead => {
-                // Bulk (and long replies) arrive as read chunks naming
-                // server memory; pull them, copy out, send RDMA_DONE.
-                let mut pulled: Option<Payload> = None;
-                if !rhdr.read_chunks.is_empty() {
-                    let total: u64 = rhdr.read_chunk_bytes();
-                    let io = inner.registrar.acquire_scratch(total, Access::LOCAL).await;
-                    // Post every read, then await; ORD throttles depth.
-                    let mut off = 0u64;
-                    let mut waits = Vec::new();
-                    for chunk in &rhdr.read_chunks {
-                        let wr = self.alloc_wr();
-                        waits.push(inner.router.borrow().expect(wr)?);
-                        inner
-                            .qp
-                            .borrow()
-                            .post_rdma_read(
-                                io.buffer().clone(),
-                                io.base() + off,
-                                chunk.segment.addr,
-                                chunk.segment.rkey,
-                                chunk.segment.len,
-                                wr,
-                            )
-                            .map_err(|_| RpcError::Disconnected)?;
-                        off += chunk.segment.len;
-                    }
-                    for rx in waits {
-                        let c = rx.await.map_err(|_| RpcError::Disconnected)?;
-                        if c.result.is_err() {
-                            return Err(RpcError::Disconnected);
-                        }
-                    }
-                    // Client-side copy: the Read-Read design has no
-                    // zero-copy path (paper §4.2 / Figure 5 CPU lines).
-                    cpu.copy(total).await;
-                    inner.stats.borrow_mut().copied_bytes += total;
-                    inner.stats.borrow_mut().bulk_in += total;
-                    let data = io.read(0, total);
-                    if let Some((ubuf, uoff)) = &bulk.recv_user {
-                        ubuf.write(*uoff, data.clone());
-                    }
-                    inner.registrar.release(io).await;
-                    // RDMA_DONE lets the server free its exposed
-                    // buffers — unless we are modelling a malicious or
-                    // crashed client (§4.1 failure injection).
-                    if !inner.cfg.suppress_done {
-                        let done = RdmaHeader::new(rhdr.xid, inner.cfg.credits, MsgType::Done);
-                        let msg = {
-                            let mut enc = inner.send_scratch.borrow_mut();
-                            done.encode_into(&mut enc);
-                            Bytes::copy_from_slice(enc.as_slice())
-                        };
-                        inner
-                            .qp
-                            .borrow()
-                            .post_send(Payload::real(msg), self.alloc_wr(), false)
-                            .map_err(|_| RpcError::Disconnected)?;
-                        inner.stats.borrow_mut().dones_sent += 1;
-                    }
-                    pulled = Some(data);
-                }
-                let rpc_reply = if rhdr.msg_type == MsgType::Nomsg {
-                    // Long reply: the pulled data IS the RPC message.
-                    pulled.take().ok_or(RpcError::BadReply)?.materialize()
-                } else {
-                    reply_body
-                };
-                let (rh, body) = decode_reply(rpc_reply).map_err(|_| RpcError::BadReply)?;
-                if rh.stat != AcceptStat::Success {
-                    return Err(RpcError::Rejected(rh.stat));
-                }
-                Ok(CallReply { body, bulk: pulled })
+        match self.inner.cfg.design {
+            Design::ReadWrite => self.finish_read_write(call, rhdr, reply_body).await,
+            Design::ReadRead => self.finish_read_read(call, rhdr, reply_body).await,
+        }
+    }
+
+    /// Read-Write: a long reply was RDMA-written into the reply chunk
+    /// and bulk data into the write chunk; the echoed chunk lists tell
+    /// us how much (paper §4) — never more than the sink holds, or a
+    /// lying reply would read past it into the caller's adjacent memory.
+    async fn finish_read_write(
+        &self,
+        call: &Call,
+        rhdr: &RdmaHeader,
+        reply_body: Bytes,
+    ) -> Result<CallReply, RpcError> {
+        let (cpu, stats) = (self.inner.hca.cpu(), &self.inner.stats);
+        let rpc_reply = if rhdr.msg_type == MsgType::Nomsg {
+            let io = call.reply_sink.as_ref().ok_or(RpcError::BadReply)?;
+            let actual = echoed(rhdr.reply_chunk.iter().flatten(), io.len())?;
+            cpu.copy(actual).await; // reply must be unmarshalled
+            stats.copied_bytes.add(actual);
+            io.read(0, actual).materialize()
+        } else {
+            reply_body
+        };
+        let body = accepted(rpc_reply)?;
+        let Some(io) = &call.sink else {
+            return Ok(CallReply { body, bulk: None });
+        };
+        let actual = echoed(rhdr.write_chunks.first().into_iter().flatten(), io.len())?;
+        let data = io.read(0, actual);
+        if !call.zero_copy {
+            // Copy out of the bounce buffer to the user.
+            cpu.copy(actual).await;
+            stats.copied_bytes.add(actual);
+            if let Some((ubuf, uoff)) = &call.bulk.recv_user {
+                ubuf.write(*uoff, data.clone());
             }
         }
+        stats.bulk_in.add(actual);
+        let bulk = Some(data);
+        Ok(CallReply { body, bulk })
+    }
+
+    /// Read-Read: bulk data (and long replies) arrive as read chunks
+    /// naming server memory; pull them, copy out, send `RDMA_DONE`. The
+    /// server names the total, so it is bounded before any scratch is
+    /// sized by it: bulk data by the caller's `recv_max`, a long reply
+    /// (the server exposes what the reply needs — there is no
+    /// client-provisioned chunk to outgrow) by the transport-wide cap
+    /// on one header's chunk bytes.
+    async fn finish_read_read(
+        &self,
+        call: &Call,
+        rhdr: &RdmaHeader,
+        reply_body: Bytes,
+    ) -> Result<CallReply, RpcError> {
+        let inner = &self.inner;
+        let long_reply = rhdr.msg_type == MsgType::Nomsg;
+        let mut pulled: Option<Payload> = None;
+        if !rhdr.read_chunks.is_empty() {
+            let segments = rhdr.read_chunks.iter().map(|c| &c.segment);
+            let limit = if long_reply {
+                MAX_CHUNK_BYTES
+            } else {
+                call.bulk.recv_max.unwrap_or(0)
+            };
+            let total = echoed(segments.clone(), limit)?;
+            let io = inner.registrar.acquire_scratch(total, Access::LOCAL).await;
+            if !inner.endpoint().read_into(&io, segments.copied()).await {
+                inner.registrar.release(io).await;
+                return Err(RpcError::Disconnected);
+            }
+            // Client-side copy: the Read-Read design has no zero-copy
+            // path (paper §4.2 / Figure 5 CPU lines).
+            inner.hca.cpu().copy(total).await;
+            inner.stats.copied_bytes.add(total);
+            inner.stats.bulk_in.add(total);
+            let data = io.read(0, total);
+            if let Some((ubuf, uoff)) = &call.bulk.recv_user {
+                ubuf.write(*uoff, data.clone());
+            }
+            inner.registrar.release(io).await;
+            // RDMA_DONE lets the server free its exposed buffers —
+            // unless we are modelling a malicious or crashed client
+            // (§4.1 failure injection).
+            if !inner.cfg.suppress_done {
+                let done = RdmaHeader::new(rhdr.xid, inner.cfg.credits, MsgType::Done);
+                let ep = inner.endpoint();
+                ep.send(ep.encode_wire(&done, &[]))
+                    .map_err(|_| RpcError::Disconnected)?;
+                inner.stats.dones_sent.inc();
+            }
+            pulled = Some(data);
+        }
+        let rpc_reply = if long_reply {
+            // Long reply: the pulled data IS the RPC message.
+            pulled.take().ok_or(RpcError::BadReply)?.materialize()
+        } else {
+            reply_body
+        };
+        let (body, bulk) = (accepted(rpc_reply)?, pulled);
+        Ok(CallReply { body, bulk })
     }
 }
 
+/// Decode an RPC reply message down to its result head; anything but
+/// `Success` fails the call.
+fn accepted(rpc_reply: Bytes) -> Result<Bytes, RpcError> {
+    let (rh, body) = decode_reply(rpc_reply).map_err(|_| RpcError::BadReply)?;
+    if rh.stat != AcceptStat::Success {
+        return Err(RpcError::Rejected(rh.stat));
+    }
+    Ok(body)
+}
+
+/// Open a client endpoint on a connected QP: post the credit window of
+/// receives (one reply per outstanding call) and start the send-CQ
+/// router for this transport mode. The classic Send-reply client is
+/// interrupt-driven: the router parks on the CQ and each wakeup costs
+/// one interrupt. In RFP mode the client follows the remote-fetching
+/// discipline end to end — a dedicated completion thread busy-polls the
+/// send CQ on a short quantum, so slot-fetch (and call-send)
+/// completions are consumed interrupt-free at the price of burning the
+/// polling core.
+fn open_endpoint(
+    sim: &Sim,
+    hca: &Hca,
+    cfg: &RpcRdmaConfig,
+    qp: Qp,
+) -> Result<Rc<Endpoint>, VerbsError> {
+    let recv = RecvPool::post(hca, cfg, 1, RecvQueue::PerQp(qp.clone()))?;
+    let cq = qp.send_cq().clone();
+    let router = if cfg.rfp_enabled {
+        CompletionRouter::spawn_polling(sim, cq, hca.cpu().clone(), SimDuration::from_micros(1))
+    } else {
+        CompletionRouter::spawn(sim, cq)
+    };
+    Ok(Rc::new(Endpoint::new(qp, Rc::new(recv), router)))
+}
+
 /// Consumes reply receives, reposts buffers, routes by XID. Bound to
-/// one QP: on connection recovery a fresh dispatcher is spawned for the
-/// fresh QP and this one exits on the old QP's flush errors.
-async fn reply_dispatcher(inner: Rc<ClientInner>, qp: Qp, recv_bufs: Vec<Buffer>) {
-    loop {
-        let c = qp.recv_cq().next().await;
-        if c.opcode != Opcode::Recv {
-            continue;
-        }
-        let Ok(_) = c.result else {
-            start_recovery(&inner);
-            return;
-        };
-        // Recycle the receive buffer immediately.
-        let idx = c.wr_id.0 as usize;
-        if idx < recv_bufs.len() {
-            let _ = qp.post_recv(
-                recv_bufs[idx].clone(),
-                0,
-                inner.cfg.recv_buffer_size,
-                c.wr_id,
-            );
-        }
-        let Some(payload) = c.payload else { continue };
+/// one endpoint: on connection recovery a fresh dispatcher is spawned
+/// for the fresh endpoint and this one exits on the old QP's flush
+/// errors.
+async fn reply_dispatcher(inner: Rc<ClientInner>, ep: Rc<Endpoint>) {
+    while let Some(payload) = ep.next_message().await {
         let raw = payload.materialize();
         let mut dec = xdr::Decoder::new(&raw);
         let Ok(hdr) = RdmaHeader::decode(&mut dec) else {
@@ -908,43 +984,22 @@ async fn reply_dispatcher(inner: Rc<ClientInner>, qp: Qp, recv_bufs: Vec<Buffer>
         // A reply carrying a reply-slot ring advertisement: capture it
         // (geometry sanity-checked) so subsequent small calls can be
         // RFP-marked, then deliver the inline reply as usual.
-        if hdr.msg_type == MsgType::MsgRfpAd {
-            if let Some(ad) = hdr.rfp_ad {
-                if ad.nslots > 0
-                    && ad.slot_size as u64 > SLOT_OVERHEAD
-                    && ad.seg.len == ad.nslots as u64 * ad.slot_size as u64
-                {
-                    *inner.rfp_ad.borrow_mut() = Some(ad);
-                    inner.rfp_last.set(inner.sim.now());
-                }
-            }
+        let ad = hdr.rfp_ad.filter(|_| hdr.msg_type == MsgType::MsgRfpAd);
+        let sane = |ad: &RfpAd| {
+            ad.nslots > 0
+                && ad.slot_size as u64 > SLOT_OVERHEAD
+                && ad.seg.len == ad.nslots as u64 * ad.slot_size as u64
+        };
+        if let Some(ad) = ad.filter(sane) {
+            *inner.rfp_ad.borrow_mut() = Some(ad);
+            inner.rfp_last.set(inner.sim.now());
         }
-        let at = dec.position();
-        let body = raw.slice(at..);
+        let body = raw.slice(dec.position()..);
         if let Some(tx) = inner.pending.borrow_mut().remove(&hdr.xid) {
             tx.send((hdr, body));
         }
     }
-}
-
-/// Build the send-CQ completion router for this transport mode. The
-/// classic Send-reply client is interrupt-driven: the router parks on
-/// the CQ and each wakeup costs one interrupt. In RFP mode the client
-/// follows the remote-fetching discipline end to end — a dedicated
-/// completion thread busy-polls the send CQ on a short quantum, so
-/// slot-fetch (and call-send) completions are consumed interrupt-free
-/// at the price of burning the polling core.
-fn spawn_router(sim: &Sim, hca: &Hca, qp: &Qp, cfg: &RpcRdmaConfig) -> CompletionRouter {
-    if cfg.rfp_enabled {
-        CompletionRouter::spawn_polling(
-            sim,
-            qp.send_cq().clone(),
-            hca.cpu().clone(),
-            SimDuration::from_micros(1),
-        )
-    } else {
-        CompletionRouter::spawn(sim, qp.send_cq().clone())
-    }
+    start_recovery(&inner);
 }
 
 /// Poll a marked call's reply slot with RDMA Read. The first probe is
@@ -957,120 +1012,111 @@ fn spawn_router(sim: &Sim, hca: &Hca, qp: &Qp, cfg: &RpcRdmaConfig) -> Completio
 /// longer pending, the connection is recovering, or the ring ad it
 /// captured at spawn is no longer current. Outstanding fetches across
 /// all of this client's pollers share the IRD/ORD-sized permit pool.
-fn spawn_slot_poller(inner: Rc<ClientInner>, xid: u32) {
-    inner.sim.clone().spawn(async move {
-        let Some(ad) = *inner.rfp_ad.borrow() else {
+async fn poll_slot(inner: Rc<ClientInner>, xid: u32) {
+    let Some(ad) = *inner.rfp_ad.borrow() else {
+        return;
+    };
+    let slot_size = ad.slot_size as u64;
+    let slot_addr = ad.seg.addr + (xid % ad.nslots.max(1)) as u64 * slot_size;
+    // Local landing buffer for the fetched slot image (allocation is
+    // outside the per-op cost model, like the recv pool).
+    let fetch_buf = inner.hca.mem().alloc(slot_size);
+    let t0 = inner.sim.now();
+    let floor = inner.cfg.rfp_poll_initial.max(SimDuration::from_nanos(1));
+    let est = inner.rfp_lat_ewma.get();
+    let mut waited = SimDuration::ZERO;
+    // `est` tracks when past replies became fetchable (the post time of
+    // the earliest probe that hit). Aim one floor-interval early: a hit
+    // at the shaved time walks the estimate down toward true readiness,
+    // the occasional miss pulls it back up.
+    let mut wait = if est > SimDuration::ZERO {
+        (est - floor).max(floor)
+    } else {
+        floor
+    };
+    loop {
+        inner.sim.sleep(wait).await;
+        waited += wait;
+        wait = if est > SimDuration::ZERO && waited < est * 2 {
+            floor
+        } else {
+            (wait + wait).min(RFP_POLL_MAX)
+        };
+        if inner.dead.get() || inner.recovering.get() {
+            return;
+        }
+        if (*inner.rfp_ad.borrow()).map(|a| a.seg.rkey) != Some(ad.seg.rkey) {
+            return; // ring changed under us (recovery / re-ad)
+        }
+        if !inner.pending.borrow().contains_key(&xid) {
+            return; // reply already delivered, or between attempts
+        }
+        // IRD/ORD pacing: a fetch holds a permit until it completes.
+        let permit = inner.rfp_reads.acquire().await;
+        if !inner.pending.borrow().contains_key(&xid) {
+            return;
+        }
+        let ep = inner.endpoint();
+        let wr = ep.alloc_wr();
+        let Ok(rx) = ep.router.expect(wr) else {
             return;
         };
-        let nslots = ad.nslots.max(1);
-        let slot_size = ad.slot_size as u64;
-        let slot_addr = ad.seg.addr + (xid % nslots) as u64 * slot_size;
-        // Local landing buffer for the fetched slot image (allocation
-        // is outside the per-op cost model, like the recv pool).
-        let fetch_buf = inner.hca.mem().alloc(slot_size);
-        let t0 = inner.sim.now();
-        let floor = inner.cfg.rfp_poll_initial.max(SimDuration::from_nanos(1));
-        let est = inner.rfp_lat_ewma.get();
-        let mut waited = SimDuration::ZERO;
-        // `est` tracks when past replies became fetchable (the post
-        // time of the earliest probe that hit). Aim one floor-interval
-        // early: a hit at the shaved time walks the estimate down
-        // toward true readiness, the occasional miss pulls it back up.
-        let mut wait = if est > SimDuration::ZERO {
-            (est - floor).max(floor)
-        } else {
-            floor
-        };
-        loop {
-            inner.sim.sleep(wait).await;
-            waited += wait;
-            wait = if est > SimDuration::ZERO && waited < est * 2 {
-                floor
-            } else {
-                (wait + wait).min(RFP_POLL_MAX)
-            };
-            if inner.dead.get() || inner.recovering.get() {
-                return;
-            }
-            if (*inner.rfp_ad.borrow()).map(|a| a.seg.rkey) != Some(ad.seg.rkey) {
-                return; // ring changed under us (recovery / re-ad)
-            }
-            if !inner.pending.borrow().contains_key(&xid) {
-                return; // reply already delivered, or between attempts
-            }
-            // IRD/ORD pacing: a fetch holds a permit until it completes.
-            let permit = inner.rfp_reads.acquire().await;
-            if !inner.pending.borrow().contains_key(&xid) {
-                return;
-            }
-            let wr = {
-                let id = inner.next_wr.get();
-                inner.next_wr.set(id + 1);
-                WrId(id)
-            };
-            let Ok(rx) = inner.router.borrow().expect(wr) else {
-                return;
-            };
-            let posted_rel = inner.sim.now().saturating_since(t0);
-            if inner
-                .qp
-                .borrow()
-                .post_rdma_read(fetch_buf.clone(), 0, slot_addr, ad.seg.rkey, slot_size, wr)
-                .is_err()
-            {
-                return;
-            }
-            inner.stats.borrow_mut().rfp_polls += 1;
-            let Ok(c) = rx.await else { return };
-            drop(permit);
-            if c.result.is_err() {
-                // The fetch was refused (ring revoked): the router's
-                // error handler is already driving recovery, and the
-                // retransmit machinery re-delivers the call.
-                return;
-            }
-            let image = fetch_buf.read(0, slot_size).materialize();
-            if let SlotView::Valid {
-                xid: sxid, payload, ..
-            } = decode_slot(&image)
-            {
-                if sxid != xid {
-                    continue; // slot held by another call (ring reuse)
-                }
-                let mut dec = xdr::Decoder::new(&payload);
-                let Ok(rhdr) = RdmaHeader::decode(&mut dec) else {
-                    continue;
-                };
-                if rhdr.xid != xid {
-                    continue;
-                }
-                let body = payload.slice(dec.position()..);
-                inner.rfp_last.set(inner.sim.now());
-                // Fold this hit's post time into the pacing estimate
-                // (3:1 EWMA): it bounds when the reply was fetchable.
-                let sample = posted_rel;
-                let prev = inner.rfp_lat_ewma.get();
-                inner.rfp_lat_ewma.set(if prev == SimDuration::ZERO {
-                    sample
-                } else {
-                    (prev * 3 + sample) / 4
-                });
-                let tx = inner.pending.borrow_mut().remove(&xid);
-                if let Some(tx) = tx {
-                    inner.stats.borrow_mut().rfp_hits += 1;
-                    tx.send((rhdr, body));
-                }
-                return;
-            }
+        let posted_rel = inner.sim.now().saturating_since(t0);
+        let (buf, rkey) = (fetch_buf.clone(), ad.seg.rkey);
+        let posted = ep.qp.post_rdma_read(buf, 0, slot_addr, rkey, slot_size, wr);
+        if posted.is_err() {
+            return;
         }
-    });
+        inner.stats.rfp_polls.inc();
+        let Ok(c) = rx.await else { return };
+        drop(permit);
+        if c.result.is_err() {
+            // The fetch was refused (ring revoked): the router's error
+            // handler is already driving recovery, and the retransmit
+            // machinery re-delivers the call.
+            return;
+        }
+        let image = fetch_buf.read(0, slot_size).materialize();
+        let SlotView::Valid {
+            xid: sxid, payload, ..
+        } = decode_slot(&image)
+        else {
+            continue;
+        };
+        if sxid != xid {
+            continue; // slot held by another call (ring reuse)
+        }
+        let mut dec = xdr::Decoder::new(&payload);
+        let Ok(rhdr) = RdmaHeader::decode(&mut dec) else {
+            continue;
+        };
+        if rhdr.xid != xid {
+            continue;
+        }
+        let body = payload.slice(dec.position()..);
+        inner.rfp_last.set(inner.sim.now());
+        // Fold this hit's post time into the pacing estimate (3:1
+        // EWMA): it bounds when the reply was fetchable.
+        let prev = inner.rfp_lat_ewma.get();
+        inner.rfp_lat_ewma.set(if prev == SimDuration::ZERO {
+            posted_rel
+        } else {
+            (prev * 3 + posted_rel) / 4
+        });
+        let tx = inner.pending.borrow_mut().remove(&xid);
+        if let Some(tx) = tx {
+            inner.stats.rfp_hits.inc();
+            tx.send((rhdr, body));
+        }
+        return;
+    }
 }
 
-/// Route error completions on the current send CQ into the recovery
-/// path (or fail-fast teardown when no connector is installed).
-fn install_error_handler(inner: &Rc<ClientInner>) {
+/// Route error completions on `ep`'s send CQ into the recovery path (or
+/// fail-fast teardown when no connector is installed).
+fn install_error_handler(inner: &Rc<ClientInner>, ep: &Endpoint) {
     let weak = Rc::downgrade(inner);
-    inner.router.borrow().set_error_handler(move |_c| {
+    ep.router.set_error_handler(move |_c| {
         if let Some(inner) = weak.upgrade() {
             start_recovery(&inner);
         }
@@ -1078,22 +1124,21 @@ fn install_error_handler(inner: &Rc<ClientInner>) {
 }
 
 /// React to a QP error. Without a connector the endpoint dies
-/// immediately: pending calls are failed (their reply senders drop)
-/// and every later call returns `Disconnected` — the pre-recovery
-/// fail-fast behaviour. With a connector, tear down and re-establish:
-/// wait out the reconnect delay, obtain a fresh connected QP (the
-/// connector also rebuilds the server side), flush cached
-/// registrations so bulk buffers re-register on the new connection,
-/// repost the receive window, and swap QP + completion router. Pending
-/// calls are *not* failed — their retransmission timers carry them
-/// onto the new connection with the same XID.
+/// immediately: pending calls are failed and every later call returns
+/// `Disconnected` — the pre-recovery fail-fast behaviour. With a
+/// connector, tear down and re-establish: wait out the reconnect delay,
+/// obtain a fresh connected QP (the connector also rebuilds the server
+/// side), flush cached registrations so bulk buffers re-register on the
+/// new connection, and swap in a fresh endpoint (receive window and
+/// completion router included). Pending calls are *not* failed — their
+/// retransmission timers carry them onto the new connection with the
+/// same XID.
 fn start_recovery(inner: &Rc<ClientInner>) {
     if inner.dead.get() || inner.recovering.get() {
         return;
     }
     if inner.connector.borrow().is_none() {
-        inner.dead.set(true);
-        inner.pending.borrow_mut().clear();
+        inner.fail();
         return;
     }
     inner.recovering.set(true);
@@ -1106,61 +1151,32 @@ fn start_recovery(inner: &Rc<ClientInner>) {
         .trace("rpc", || "client starting qp recovery".to_string());
     let inner = inner.clone();
     inner.sim.clone().spawn(async move {
-        inner.sim.sleep(inner.cfg.reconnect_delay).await;
+        inner.sim.sleep(RECONNECT_DELAY).await;
         // Build the reconnect future while holding the borrow, await
         // it after releasing it: a cluster connector may park here
         // until a promotion gate opens, and set_connector must stay
         // callable meanwhile.
-        let reconnect = {
-            let connector = inner.connector.borrow();
-            match connector.as_ref() {
-                Some(f) => f(),
-                None => {
-                    drop(connector);
-                    inner.dead.set(true);
-                    inner.recovering.set(false);
-                    inner.pending.borrow_mut().clear();
-                    return;
-                }
-            }
+        let reconnect = inner.connector.borrow().as_ref().map(|f| f());
+        let Some(reconnect) = reconnect else {
+            inner.fail();
+            return;
         };
         let qp = reconnect.await;
         // Registrations cached against the torn-down connection are
         // conservatively dropped and re-established on demand.
         inner.registrar.flush_cache().await;
-        let mut recv_bufs = Vec::new();
-        let mut posted_ok = true;
-        for i in 0..inner.cfg.credits as u64 {
-            let buf = inner.hca.mem().alloc(inner.cfg.recv_buffer_size);
-            if qp
-                .post_recv(buf.clone(), 0, inner.cfg.recv_buffer_size, WrId(i))
-                .is_err()
-            {
-                posted_ok = false;
-                break;
-            }
-            recv_bufs.push(buf);
-        }
-        if !posted_ok {
+        let Ok(ep) = open_endpoint(&inner.sim, &inner.hca, &inner.cfg, qp) else {
             // The replacement QP is already dead; give up.
-            inner.dead.set(true);
-            inner.recovering.set(false);
-            inner.pending.borrow_mut().clear();
+            inner.fail();
             return;
-        }
-        *inner.router.borrow_mut() = spawn_router(&inner.sim, &inner.hca, &qp, &inner.cfg);
-        install_error_handler(&inner);
-        *inner.qp.borrow_mut() = qp.clone();
-        inner.stats.borrow_mut().reconnects += 1;
-        inner.metrics.reconnects.inc();
+        };
+        install_error_handler(&inner, &ep);
+        *inner.ep.borrow_mut() = ep.clone();
+        inner.stats.reconnects.inc();
         inner.recovering.set(false);
         inner
             .sim
             .trace("rpc", || "client qp recovery complete".to_string());
-        let inner2 = inner.clone();
-        inner
-            .sim
-            .clone()
-            .spawn(async move { reply_dispatcher(inner2, qp, recv_bufs).await });
+        inner.sim.spawn(reply_dispatcher(inner.clone(), ep));
     });
 }

@@ -61,16 +61,6 @@ pub struct RpcRdmaConfig {
     /// Retransmissions allowed per call before it fails with
     /// [`onc_rpc::TransportError::TimedOut`].
     pub max_retransmits: u32,
-    /// Wait before rebuilding a connection after a QP error (models
-    /// CM teardown + route resolution + QP re-creation).
-    pub reconnect_delay: SimDuration,
-    /// ADVERSARIAL HARDENING: most segments the server accepts in any
-    /// one client-advertised chunk list (read list, one write chunk,
-    /// reply chunk) before declaring a protocol violation. Must sit
-    /// below the wire-decode cap ([`crate::header::MAX_WIRE_SEGMENTS`])
-    /// and comfortably above the honest worst case (an all-physical
-    /// 1 MiB buffer fans out into ~16 runs on the 64 KiB-mean layout).
-    pub max_chunk_segments: u32,
     /// ADVERSARIAL HARDENING: how long a Read-Read exposure may sit
     /// un-`RDMA_DONE`d before the server force-revokes the registration
     /// (the ledger records the revocation). `ZERO` disables the reaper
@@ -91,11 +81,6 @@ pub struct RpcRdmaConfig {
     /// backstop flush before awaiting a completion, so no depth can
     /// deadlock an op.
     pub server_doorbell_batch: usize,
-    /// Backstop for doorbell batching (depth > 1 only): a WQE posted
-    /// without filling the batch rings at most this much later, so
-    /// concurrent ops posting within the window share the doorbell.
-    /// The latency each op trades for the shared ring.
-    pub server_doorbell_flush: SimDuration,
     /// OVERLOAD CONTROL: route admitted calls through the per-tenant
     /// weighted fair dispatch queue ([`crate::qos`]) instead of
     /// spawning one handler task per call. Off by default — the direct
@@ -133,12 +118,9 @@ impl RpcRdmaConfig {
             server_srq: false,
             call_timeout: SimDuration::from_millis(50),
             max_retransmits: 8,
-            reconnect_delay: SimDuration::from_millis(2),
-            max_chunk_segments: 96,
             exposure_ttl: SimDuration::ZERO,
             server_zero_copy: true,
             server_doorbell_batch: 1,
-            server_doorbell_flush: SimDuration::from_micros(8),
             qos_enabled: false,
             rfp_enabled: false,
             rfp_poll_initial: SimDuration::from_micros(30),

@@ -1,0 +1,184 @@
+//! The connection endpoint both engines stand on.
+//!
+//! One value per connection owns what a kernel ULP keeps per QP: the
+//! queue pair, the router that demultiplexes its send CQ, the posted
+//! receive window, the work-request-id counter and the scratch encoder
+//! outgoing wire messages are assembled in. The client holds one per
+//! connection *epoch* — recovery builds a fresh endpoint and swaps it
+//! in whole — and the server one per accepted connection.
+//!
+//! The endpoint does not choose its own shape. Its caller sizes the
+//! receive window (one credit window on the client: a reply per
+//! outstanding call; two on the server: calls plus `RDMA_DONE`s; or the
+//! server-wide pool behind a shared receive queue) and picks the router
+//! mode (interrupt-driven, or busy-polling when RFP is on).
+
+#![deny(clippy::too_many_lines)]
+
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use bytes::Bytes;
+use ib_verbs::{Buffer, Hca, Opcode, Qp, Srq, VerbsError, WrId};
+use sim_core::Payload;
+use xdr::{Encoder, XdrCodec};
+
+use crate::config::RpcRdmaConfig;
+use crate::header::{RdmaHeader, Segment};
+use crate::reg::IoBuf;
+use crate::router::CompletionRouter;
+
+/// Where a [`RecvPool`]'s buffers are posted: one shared receive queue
+/// feeding every connection (`cfg.server_srq`), or a connection's own QP.
+pub(crate) enum RecvQueue {
+    Shared(Srq),
+    PerQp(Qp),
+}
+
+/// A window of posted receive buffers, indexed by work-request id for
+/// re-posting — one pool per connection, or (the buffer-management
+/// direction of the paper's future work) one shared by all of a
+/// server's connections. Buffers are registered once at set-up
+/// (amortized, so no per-op cost is charged).
+pub(crate) struct RecvPool {
+    queue: RecvQueue,
+    bufs: Vec<Buffer>,
+}
+
+impl RecvPool {
+    /// Allocate `windows` credit windows of receive buffers and post
+    /// every one to `queue`. The caller sizes it: one window on the
+    /// client (a reply per outstanding call), two on the server (calls,
+    /// plus the `RDMA_DONE` a Read-Read client adds to each bulk reply).
+    pub(crate) fn post(
+        hca: &Hca,
+        cfg: &RpcRdmaConfig,
+        windows: u32,
+        queue: RecvQueue,
+    ) -> Result<RecvPool, VerbsError> {
+        let bufs = Vec::new();
+        let mut pool = RecvPool { queue, bufs };
+        for i in 0..(cfg.credits * windows) as u64 {
+            pool.bufs.push(hca.mem().alloc(cfg.recv_buffer_size));
+            pool.repost(WrId(i))?;
+        }
+        Ok(pool)
+    }
+
+    /// Put buffer `wr_id` (back) on the queue: at set-up, and whenever
+    /// a receive completion has consumed it.
+    fn repost(&self, wr_id: WrId) -> Result<(), VerbsError> {
+        let Some(buf) = self.bufs.get(wr_id.0 as usize).cloned() else {
+            return Ok(());
+        };
+        let len = buf.len();
+        match &self.queue {
+            RecvQueue::Shared(srq) => srq.post_recv(buf, 0, len, wr_id),
+            RecvQueue::PerQp(qp) => qp.post_recv(buf, 0, len, wr_id),
+        }
+    }
+}
+
+/// One connection's transport resources (see the module docs).
+pub(crate) struct Endpoint {
+    pub(crate) qp: Qp,
+    /// Demultiplexes `qp`'s send CQ to per-work-request waiters.
+    pub(crate) router: CompletionRouter,
+    recv: Rc<RecvPool>,
+    /// Next send-side work-request id. Starts far above any receive
+    /// window, whose ids are the pool's buffer indices.
+    next_wr: Cell<u64>,
+    /// Scratch for assembling outgoing wire messages (RPC/RDMA header +
+    /// inline body), reused so the steady-state encode path performs no
+    /// heap allocation.
+    scratch: RefCell<Encoder>,
+}
+
+impl Endpoint {
+    /// Bundle a connected QP with the receive window feeding it and the
+    /// router draining its send CQ.
+    pub(crate) fn new(qp: Qp, recv: Rc<RecvPool>, router: CompletionRouter) -> Endpoint {
+        Endpoint {
+            qp,
+            router,
+            recv,
+            next_wr: Cell::new(1 << 32),
+            scratch: RefCell::new(Encoder::with_capacity(256)),
+        }
+    }
+
+    /// A fresh send-side work-request id.
+    pub(crate) fn alloc_wr(&self) -> WrId {
+        WrId(self.next_wr.replace(self.next_wr.get() + 1))
+    }
+
+    /// Assemble an outgoing wire message (header + inline body) in the
+    /// scratch encoder; the single copy out models staging into the
+    /// pre-registered inline send buffer.
+    pub(crate) fn encode_wire(&self, hdr: &RdmaHeader, inline: &[u8]) -> Bytes {
+        let mut enc = self.scratch.borrow_mut();
+        hdr.encode_into(&mut enc);
+        enc.put_raw(inline);
+        Bytes::copy_from_slice(enc.as_slice())
+    }
+
+    /// Post `wire` as an unsignaled Send.
+    pub(crate) fn send(&self, wire: Bytes) -> Result<(), VerbsError> {
+        self.qp
+            .post_send(Payload::real(wire), self.alloc_wr(), false)
+    }
+
+    /// The next inbound message, its receive buffer already back on the
+    /// queue; `None` once the connection has been torn down (posted
+    /// receives flush with errors).
+    pub(crate) async fn next_message(&self) -> Option<Payload> {
+        loop {
+            let c = self.qp.recv_cq().next().await;
+            if c.opcode != Opcode::Recv || c.result.is_err() {
+                return None;
+            }
+            // Fails only on a QP already dead, whose flush is next.
+            let _ = self.recv.repost(c.wr_id);
+            if c.payload.is_some() {
+                return c.payload;
+            }
+        }
+    }
+
+    /// Pull a chunk list into `io`: post one RDMA Read per segment into
+    /// consecutive ranges of it, ring the doorbell once for the batch (a
+    /// no-op on a depth-1 QP, which rang on every post), and wait for
+    /// all of them — §4.1's synchronous wait. `false` if any Read could
+    /// not be posted or failed; `io` is the caller's to release either
+    /// way.
+    pub(crate) async fn read_into(
+        &self,
+        io: &IoBuf,
+        segments: impl IntoIterator<Item = Segment>,
+    ) -> bool {
+        let mut off = 0u64;
+        let mut waits = Vec::new();
+        for seg in segments {
+            let wr = self.alloc_wr();
+            let Ok(rx) = self.router.expect(wr) else {
+                return false;
+            };
+            waits.push(rx);
+            let (buf, at) = (io.buffer().clone(), io.base() + off);
+            let posted = self
+                .qp
+                .post_rdma_read(buf, at, seg.addr, seg.rkey, seg.len, wr);
+            if posted.is_err() {
+                return false;
+            }
+            off += seg.len;
+        }
+        self.qp.flush();
+        for rx in waits {
+            if !matches!(rx.await, Ok(c) if c.result.is_ok()) {
+                return false;
+            }
+        }
+        true
+    }
+}

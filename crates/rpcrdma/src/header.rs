@@ -201,6 +201,15 @@ impl RdmaHeader {
         }
     }
 
+    /// A plain inline message that names no chunk at all — the only
+    /// shape the RFP reply-slot path carries.
+    pub fn is_chunkless(&self) -> bool {
+        self.msg_type == MsgType::Msg
+            && self.read_chunks.is_empty()
+            && self.write_chunks.is_empty()
+            && self.reply_chunk.is_none()
+    }
+
     /// Total bytes advertised in the read chunk list.
     pub fn read_chunk_bytes(&self) -> u64 {
         self.read_chunks.iter().map(|c| c.segment.len).sum()

@@ -21,6 +21,7 @@
 
 pub mod client;
 pub mod config;
+mod endpoint;
 pub mod header;
 pub mod qos;
 pub mod reg;

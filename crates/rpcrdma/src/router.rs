@@ -14,9 +14,6 @@ type ErrorHandler = Box<dyn Fn(&Completion)>;
 
 struct RouterInner {
     waiters: RefCell<HashMap<u64, OneshotSender<Completion>>>,
-    /// Completions that arrived with no waiter registered (normally
-    /// unsignaled successes flushed on error paths).
-    orphans: RefCell<Vec<Completion>>,
     /// Callback invoked on any error completion (e.g. fail-all).
     on_error: RefCell<Option<ErrorHandler>>,
     /// Parked busy-poll consumer waiting for a waiter to register
@@ -32,16 +29,20 @@ pub struct CompletionRouter {
 }
 
 impl CompletionRouter {
-    /// Spawn the router task draining `cq`.
-    pub fn spawn(sim: &Sim, cq: Cq) -> CompletionRouter {
-        let router = CompletionRouter {
+    /// A router with nothing registered and no task draining for it yet.
+    fn new() -> CompletionRouter {
+        CompletionRouter {
             inner: Rc::new(RouterInner {
                 waiters: RefCell::new(HashMap::new()),
-                orphans: RefCell::new(Vec::new()),
                 on_error: RefCell::new(None),
                 spin_wake: RefCell::new(None),
             }),
-        };
+        }
+    }
+
+    /// Spawn the router task draining `cq`.
+    pub fn spawn(sim: &Sim, cq: Cq) -> CompletionRouter {
+        let router = CompletionRouter::new();
         let r2 = router.clone();
         sim.spawn(async move {
             loop {
@@ -64,14 +65,7 @@ impl CompletionRouter {
     /// client neither spins forever nor keeps the simulation's timer
     /// wheel populated.
     pub fn spawn_polling(sim: &Sim, cq: Cq, cpu: Cpu, quantum: SimDuration) -> CompletionRouter {
-        let router = CompletionRouter {
-            inner: Rc::new(RouterInner {
-                waiters: RefCell::new(HashMap::new()),
-                orphans: RefCell::new(Vec::new()),
-                on_error: RefCell::new(None),
-                spin_wake: RefCell::new(None),
-            }),
-        };
+        let router = CompletionRouter::new();
         let r2 = router.clone();
         let sim2 = sim.clone();
         let quantum = quantum.max(SimDuration::from_nanos(100));
@@ -127,8 +121,9 @@ impl CompletionRouter {
         router
     }
 
-    /// Route one completion to its registered waiter (or the orphan
-    /// list), running the error observer first.
+    /// Route one completion to its registered waiter, running the error
+    /// observer first. One nobody waits for (an unsignaled work request
+    /// flushed on an error path) has told the observer all it had to.
     fn dispatch(&self, c: Completion) {
         if c.is_err() {
             if let Some(cb) = self.inner.on_error.borrow().as_ref() {
@@ -136,9 +131,8 @@ impl CompletionRouter {
             }
         }
         let waiter = self.inner.waiters.borrow_mut().remove(&c.wr_id.0);
-        match waiter {
-            Some(tx) => tx.send(c),
-            None => self.inner.orphans.borrow_mut().push(c),
+        if let Some(tx) = waiter {
+            tx.send(c);
         }
     }
 
@@ -166,10 +160,5 @@ impl CompletionRouter {
     /// Install an error observer (used to fail pending RPCs).
     pub fn set_error_handler(&self, f: impl Fn(&Completion) + 'static) {
         *self.inner.on_error.borrow_mut() = Some(Box::new(f));
-    }
-
-    /// Completions that arrived with no waiter (diagnostics).
-    pub fn orphan_count(&self) -> usize {
-        self.inner.orphans.borrow().len()
     }
 }

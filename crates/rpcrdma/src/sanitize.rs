@@ -26,6 +26,14 @@ use crate::header::{MsgType, RdmaHeader, Segment};
 /// demand from the server; the largest honest transfer is 1 MiB.
 pub const MAX_CHUNK_BYTES: u64 = 8 << 20;
 
+/// Most segments the server accepts in any one client-advertised chunk
+/// list (read list, one write chunk, reply chunk) before declaring a
+/// protocol violation. Sits below the wire-decode cap
+/// ([`crate::header::MAX_WIRE_SEGMENTS`]) and comfortably above the
+/// honest worst case (an all-physical 1 MiB buffer fans out into ~16
+/// runs on the 64 KiB-mean layout).
+pub const MAX_CHUNK_SEGMENTS: u32 = 96;
+
 /// A malformed or hostile header, detected before the server spent
 /// memory or RDMA on it. The `metric_key` of each variant names its
 /// `server.violations.<key>` counter.
@@ -34,7 +42,7 @@ pub enum ProtocolViolation {
     /// The header failed to decode at all (byte soup, bad version,
     /// truncated chunk lists, or counts beyond the wire caps).
     GarbageHeader,
-    /// More segments in one chunk list than `cfg.max_chunk_segments`.
+    /// More segments in one chunk list than [`MAX_CHUNK_SEGMENTS`].
     TooManySegments {
         /// Segments the client advertised.
         count: u32,
@@ -159,7 +167,7 @@ pub fn sanitize_header(hdr: &RdmaHeader, cfg: &RpcRdmaConfig) -> Result<(), Prot
             _ => return Err(ProtocolViolation::BadMsgp),
         }
     }
-    let cap = cfg.max_chunk_segments;
+    let cap = MAX_CHUNK_SEGMENTS;
     if hdr.read_chunks.len() as u32 > cap {
         return Err(ProtocolViolation::TooManySegments {
             count: hdr.read_chunks.len() as u32,
@@ -253,7 +261,7 @@ mod tests {
     fn segment_count_capped() {
         let c = cfg();
         let mut h = RdmaHeader::new(1, 1, MsgType::Msg);
-        for i in 0..=c.max_chunk_segments as u64 {
+        for i in 0..=MAX_CHUNK_SEGMENTS as u64 {
             h.read_chunks.push(ReadChunk {
                 position: 0,
                 segment: seg(8, i * 8),
@@ -265,7 +273,7 @@ mod tests {
         ));
         let mut h = RdmaHeader::new(1, 1, MsgType::Msg);
         h.write_chunks.push(
-            (0..=c.max_chunk_segments as u64)
+            (0..=MAX_CHUNK_SEGMENTS as u64)
                 .map(|i| seg(8, i * 8))
                 .collect(),
         );

@@ -52,7 +52,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Buffer, Hca, Opcode, Qp, Sge, Srq, VerbsError, WrId};
+use ib_verbs::{Access, Hca, Qp, Sge, Srq};
 use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{
     AcceptStat, CallContext, CallHeader, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader,
@@ -60,9 +60,10 @@ use onc_rpc::{
 use sim_core::stats::Counter;
 use sim_core::sync::Semaphore;
 use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime};
-use xdr::{Encoder, XdrCodec};
+use xdr::XdrCodec;
 
 use crate::config::{Design, RpcRdmaConfig};
+use crate::endpoint::{Endpoint, RecvPool, RecvQueue};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
 use crate::qos::{
     ShedReason, TenantScheduler, QOS_QUEUE_CAP, QOS_TARGET_DELAY, QOS_TENANT_BACKLOG, QOS_WORKERS,
@@ -87,6 +88,12 @@ pub const VIOLATION_QUARANTINE: u32 = 8;
 /// Completed replies the duplicate request cache retains (bounded LRU;
 /// evicted entries mean very late duplicates re-execute).
 pub const DRC_CAPACITY: usize = 1024;
+
+/// Backstop for doorbell batching (`cfg.server_doorbell_batch` > 1): a
+/// WQE posted without filling the batch rings at most this much later,
+/// so concurrent ops posting within the window share the doorbell. The
+/// latency each op trades for the shared ring.
+pub const DOORBELL_FLUSH: SimDuration = SimDuration::from_micros(32);
 
 /// Executor scheduling class the QoS dispatch workers run in. Nothing
 /// spawns here unless `cfg.qos_enabled`, so default-configuration
@@ -244,48 +251,6 @@ impl QosState {
     }
 }
 
-/// Where a [`RecvPool`]'s buffers are posted: one shared receive queue
-/// feeding every connection (`cfg.server_srq`), or a connection's own QP.
-enum RecvQueue {
-    Shared(Srq),
-    PerQp(Qp),
-}
-
-/// The *receive* stage's buffers: a doubled credit window (calls plus
-/// `RDMA_DONE`s) of posted receives, indexed by work-request id for
-/// re-posting — one pool per connection, or (the buffer-management
-/// direction of the paper's future work) one shared by all of them.
-struct RecvPool {
-    queue: RecvQueue,
-    bufs: Vec<Buffer>,
-}
-
-impl RecvPool {
-    /// Allocate the pool and post every buffer to `queue`.
-    fn post(hca: &Hca, cfg: &RpcRdmaConfig, queue: RecvQueue) -> Result<RecvPool, VerbsError> {
-        let bufs = Vec::new();
-        let mut pool = RecvPool { queue, bufs };
-        for i in 0..(cfg.credits as u64 * 2) {
-            pool.bufs.push(hca.mem().alloc(cfg.recv_buffer_size));
-            pool.repost(WrId(i))?;
-        }
-        Ok(pool)
-    }
-
-    /// Put buffer `wr_id` (back) on the queue: at set-up, and whenever
-    /// a receive completion has consumed it.
-    fn repost(&self, wr_id: WrId) -> Result<(), VerbsError> {
-        let Some(buf) = self.bufs.get(wr_id.0 as usize).cloned() else {
-            return Ok(());
-        };
-        let len = buf.len();
-        match &self.queue {
-            RecvQueue::Shared(srq) => srq.post_recv(buf, 0, len, wr_id),
-            RecvQueue::PerQp(qp) => qp.post_recv(buf, 0, len, wr_id),
-        }
-    }
-}
-
 /// A server endpoint shared by all client connections: the service,
 /// the serialized task queue, and counters.
 pub struct RdmaRpcServer {
@@ -331,7 +296,7 @@ impl RdmaRpcServer {
         let registry = sim.metrics();
         let srq = cfg.server_srq.then(|| {
             let srq = Srq::new();
-            let pool = RecvPool::post(hca, &cfg, RecvQueue::Shared(srq.clone()))
+            let pool = RecvPool::post(hca, &cfg, 2, RecvQueue::Shared(srq.clone()))
                 .expect("posting srq receives");
             srq.set_limit(cfg.credits as usize / 2);
             srq.bind_metrics(
@@ -478,18 +443,14 @@ enum Retire {
     Revoke,
 }
 
-/// One client connection: the endpoint it belongs to, its QP, and the
-/// per-connection protocol state every stage works against.
+/// One client connection: the server it belongs to, its transport
+/// endpoint, and the per-connection protocol state every stage works
+/// against.
 struct ConnState {
     server: Rc<RdmaRpcServer>,
-    qp: Qp,
-    wr_counter: Cell<u64>,
+    ep: Endpoint,
     /// Read-Read design: xid -> buffers exposed until RDMA_DONE.
     pending_exposures: RefCell<HashMap<u32, Exposure>>,
-    router: CompletionRouter,
-    /// Per-connection scratch for assembling outgoing reply wire
-    /// messages (header + inline body) without steady-state allocation.
-    send_scratch: RefCell<Encoder>,
     /// Per-connection credit grant: starts at the server's base grant,
     /// halves on every protocol violation, doubles back after a streak
     /// of clean calls. Never exceeds the server-wide grant.
@@ -538,15 +499,12 @@ struct RfpRing {
 }
 
 impl ConnState {
-    /// Fresh per-connection state; spawns the send-completion router.
-    fn new(server: &Rc<RdmaRpcServer>, qp: Qp) -> ConnState {
+    /// Fresh per-connection state on `ep`.
+    fn new(server: &Rc<RdmaRpcServer>, ep: Endpoint) -> ConnState {
         ConnState {
             server: server.clone(),
-            wr_counter: Cell::new(1 << 40),
+            ep,
             pending_exposures: RefCell::new(HashMap::new()),
-            router: CompletionRouter::spawn(&server.sim, qp.send_cq().clone()),
-            qp,
-            send_scratch: RefCell::new(Encoder::with_capacity(256)),
             granted: Cell::new(server.credit_grant.get()),
             violations: Cell::new(0),
             good_streak: Cell::new(0),
@@ -561,21 +519,7 @@ impl ConnState {
     }
 
     fn peer(&self) -> u32 {
-        self.qp.peer_node().0
-    }
-
-    fn alloc_wr(&self) -> WrId {
-        WrId(self.wr_counter.replace(self.wr_counter.get() + 1))
-    }
-
-    /// Assemble an outgoing wire message (reply header + inline body)
-    /// in the connection's scratch encoder; the single copy out models
-    /// staging into the registered inline send buffer.
-    fn encode_wire(&self, rhdr: &RdmaHeader, inline: &[u8]) -> Bytes {
-        let mut enc = self.send_scratch.borrow_mut();
-        rhdr.encode_into(&mut enc);
-        enc.put_raw(inline);
-        Bytes::copy_from_slice(enc.as_slice())
+        self.ep.qp.peer_node().0
     }
 
     /// The grant this client sees in a reply header: its own
@@ -617,7 +561,7 @@ fn note_violation(conn: &ConnState, v: ProtocolViolation) {
         });
         stats.quarantines.inc();
         sim.flight("server", "quarantine", peer as u64, strikes as u64);
-        conn.qp.force_error();
+        conn.ep.qp.force_error();
     }
 }
 
@@ -675,12 +619,13 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
             qp.set_srq(srq.clone());
             pool.clone()
         }
-        None => match RecvPool::post(&server.hca, &cfg, RecvQueue::PerQp(qp.clone())) {
+        None => match RecvPool::post(&server.hca, &cfg, 2, RecvQueue::PerQp(qp.clone())) {
             Ok(pool) => Rc::new(pool),
             Err(_) => return,
         },
     };
-    let conn = Rc::new(ConnState::new(&server, qp));
+    let router = CompletionRouter::spawn(&server.sim, qp.send_cq().clone());
+    let conn = Rc::new(ConnState::new(&server, Endpoint::new(qp, pool, router)));
     if cfg.exposure_ttl > SimDuration::ZERO {
         spawn_exposure_reaper(&conn);
         if cfg.rfp_enabled {
@@ -688,13 +633,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
         }
     }
 
-    loop {
-        let c = conn.qp.recv_cq().next().await;
-        if c.opcode != Opcode::Recv || c.result.is_err() {
-            break; // connection torn down
-        }
-        let _ = pool.repost(c.wr_id);
-        let Some(payload) = c.payload else { continue };
+    while let Some(payload) = conn.ep.next_message().await {
         let Some((hdr, body)) = sanitize_stage(&conn, payload) else {
             continue;
         };
@@ -808,7 +747,7 @@ fn schedule(conn: &Rc<ConnState>, hdr: RdmaHeader, body: Bytes) {
 /// release them. A parked cache entry with a live registration the
 /// dead peer knows about would be a standing leak.
 async fn teardown(conn: &ConnState) {
-    conn.qp.flush();
+    conn.ep.qp.flush();
     conn.closed.set(true);
     conn.exposure_signal.add_permits(1); // unpark the reapers so they exit
     conn.rfp_signal.add_permits(1);
@@ -1032,12 +971,9 @@ fn shed_call(why: &'static str, call: QueuedCall) {
     // Busy replies still carry the (possibly clamped) credit grant:
     // a shed client also learns to shrink its window.
     let rhdr = RdmaHeader::new(xid, conn.grant(), MsgType::Msg);
-    let wire = conn.encode_wire(&rhdr, &reply);
-    let _ = conn
-        .qp
-        .post_send(Payload::real(wire), conn.alloc_wr(), false);
+    let _ = conn.ep.send(conn.ep.encode_wire(&rhdr, &reply));
     if server.cfg.server_doorbell_batch > 1 {
-        conn.qp.flush();
+        conn.ep.qp.flush();
     }
 }
 
@@ -1411,12 +1347,8 @@ async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &RdmaDispatch, out: 
 /// that never advertised (e.g. after client recovery).
 async fn rfp_route(conn: &ConnState, call_type: MsgType, rhdr: &mut RdmaHeader) -> bool {
     ensure_rfp_ring(conn).await;
-    let chunkless = rhdr.msg_type == MsgType::Msg
-        && rhdr.read_chunks.is_empty()
-        && rhdr.write_chunks.is_empty()
-        && rhdr.reply_chunk.is_none();
     let ad = conn.rfp.borrow().as_ref().map(|r| r.ad);
-    let (true, Some(ad)) = (chunkless, ad) else {
+    let (true, Some(ad)) = (rhdr.is_chunkless(), ad) else {
         return false;
     };
     if call_type == MsgType::MsgRfp && conn.rfp_ad_sent.get() {
@@ -1439,7 +1371,7 @@ async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -
     if out.rhdr.msg_type == MsgType::Nomsg {
         out.reply_msg = Bytes::new(); // travelled by chunk
     }
-    let wire = conn.encode_wire(&out.rhdr, &out.reply_msg);
+    let wire = conn.ep.encode_wire(&out.rhdr, &out.reply_msg);
     if deposit {
         if deposit_reply(conn, out.rhdr.xid, &wire).await {
             // No Send, no doorbell, no completion: the client's Read
@@ -1453,30 +1385,29 @@ async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -
     }
     server.hca.cpu().copy(wire.len() as u64).await;
 
-    let wr = conn.alloc_wr();
+    let (qp, wr) = (&conn.ep.qp, conn.ep.alloc_wr());
     // Signaled: the reply Send's completion is the deregistration
     // point for Read-Write source buffers.
     let _s = server.sim.span("server", "reply_send");
-    let Ok(wait) = conn.router.expect(wr) else {
+    let Ok(wait) = conn.ep.router.expect(wr) else {
         return false;
     };
-    if conn.qp.post_send(Payload::real(wire), wr, true).is_err() {
+    if qp.post_send(Payload::real(wire), wr, true).is_err() {
         return false;
     }
     if server.cfg.server_doorbell_batch > 1 {
         // Doorbell moderation: if the batch doesn't fill (which rings
         // on its own), a backstop task rings at most
-        // `server_doorbell_flush` later, so ops posting within the
+        // [`DOORBELL_FLUSH`] later, so ops posting within the
         // window share one doorbell. The ring is always scheduled
         // before the await, so the completion cannot hang. (Depth 1
         // rang on post already.) Any doorbell after this post carries
         // the reply with it — the backstop checks the ring count and
         // stands down rather than ring a partial batch early.
-        let (qp, sim) = (conn.qp.clone(), server.sim.clone());
-        let delay = server.cfg.server_doorbell_flush;
+        let (qp, sim) = (qp.clone(), server.sim.clone());
         let rung = qp.doorbells();
         server.sim.spawn(async move {
-            sim.sleep(delay).await;
+            sim.sleep(DOORBELL_FLUSH).await;
             if qp.doorbells() == rung {
                 qp.flush();
             }
@@ -1522,44 +1453,13 @@ async fn pull_chunks(conn: &ConnState, chunks: &[&ReadChunk]) -> Option<(IoBuf, 
     let registrar = &conn.server.registrar;
     let total: u64 = chunks.iter().map(|c| c.segment.len).sum();
     let io = registrar.acquire_scratch(total, Access::LOCAL).await;
-    if read_into(conn, &io, chunks).await {
+    let segments = chunks.iter().map(|c| c.segment);
+    if conn.ep.read_into(&io, segments).await {
         Some((io, total))
     } else {
         registrar.release(io).await;
         None
     }
-}
-
-/// Post one RDMA Read per chunk into consecutive ranges of `io`, ring
-/// the doorbell once, and wait for all of them. `false` if any Read
-/// could not be posted or failed.
-async fn read_into(conn: &ConnState, io: &IoBuf, chunks: &[&ReadChunk]) -> bool {
-    let mut off = 0u64;
-    let mut waits = Vec::new();
-    for chunk in chunks {
-        let seg = &chunk.segment;
-        let wr = conn.alloc_wr();
-        let Ok(rx) = conn.router.expect(wr) else {
-            return false;
-        };
-        waits.push(rx);
-        let (buf, at) = (io.buffer().clone(), io.base() + off);
-        let posted = conn
-            .qp
-            .post_rdma_read(buf, at, seg.addr, seg.rkey, seg.len, wr);
-        if posted.is_err() {
-            return false;
-        }
-        off += seg.len;
-    }
-    // Ring the doorbell for the whole batch of Reads before blocking.
-    conn.qp.flush();
-    for rx in waits {
-        if !matches!(rx.await, Ok(c) if c.result.is_ok()) {
-            return false;
-        }
-    }
-    true
 }
 
 /// Stage a bulk scatter/gather list into a DMA-able buffer. Non-cache
@@ -1594,9 +1494,10 @@ fn spread(segs: &[Segment], len: u64) -> impl Iterator<Item = (&Segment, u64, u6
 /// RDMA Write `len` bytes of `io` into the client's segments, in order.
 /// Unsignaled: the following reply Send provides the ordering fence.
 fn write_into_segments(conn: &ConnState, io: &IoBuf, len: u64, segs: &[Segment]) {
+    let ep = &conn.ep;
     for (seg, off, n) in spread(segs, len) {
-        let (data, wr) = (io.read(off, n), conn.alloc_wr());
-        let posted = conn.qp.post_rdma_write(data, seg.addr, seg.rkey, wr, false);
+        let (data, wr) = (io.read(off, n), ep.alloc_wr());
+        let posted = ep.qp.post_rdma_write(data, seg.addr, seg.rkey, wr, false);
         if posted.is_err() {
             return;
         }
@@ -1611,7 +1512,7 @@ fn write_into_segments(conn: &ConnState, io: &IoBuf, len: u64, segs: &[Segment])
 /// post one WQE per piece and lean on doorbell batching instead.
 /// Unsignaled either way: the reply Send is the ordering fence.
 fn write_sg_into_segments(conn: &ConnState, io: &IoBuf, sgl: &SgList, segs: &[Segment]) {
-    let (hca, qp) = (&conn.server.hca, &conn.qp);
+    let (hca, qp) = (&conn.server.hca, &conn.ep.qp);
     let lkey = io.lkey(hca);
     let no_local_sg = hca.global_rkey() == Some(lkey);
     let max_sge = if no_local_sg {
@@ -1624,7 +1525,7 @@ fn write_sg_into_segments(conn: &ConnState, io: &IoBuf, sgl: &SgList, segs: &[Se
         let mut addr = seg.addr;
         for group in pieces.chunks(max_sge) {
             let glen: u64 = group.iter().map(Payload::len).sum();
-            let wr = conn.alloc_wr();
+            let wr = conn.ep.alloc_wr();
             let posted = if no_local_sg {
                 qp.post_rdma_write(group[0].clone(), addr, seg.rkey, wr, false)
             } else {

@@ -77,6 +77,9 @@ struct TestBed {
     client_hca: Hca,
     server_hca: Hca,
     client_mem: Rc<HostMem>,
+    fabric: Fabric<ib_verbs::WireMsg>,
+    /// The server's end of the first connection.
+    server_qp: ib_verbs::Qp,
 }
 
 fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
@@ -104,7 +107,7 @@ fn setup_with(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind) -> TestBed 
         Registrar::new(&server_hca, strategy),
         cfg,
     );
-    server.serve_connection(qs);
+    server.serve_connection(qs.clone());
     let client = RdmaRpcClient::new(
         sim,
         &client_hca,
@@ -120,7 +123,24 @@ fn setup_with(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind) -> TestBed 
         client_hca,
         server_hca,
         client_mem,
+        fabric,
+        server_qp: qs,
     }
+}
+
+/// Give the client a recovery path: tear down the server's half of the
+/// dead connection, connect a fresh pair, hand the server its end.
+fn install_connector(bed: &TestBed) {
+    let old = std::cell::RefCell::new(bed.server_qp.clone());
+    let (chca, shca) = (bed.client_hca.clone(), bed.server_hca.clone());
+    let server = bed.server.clone();
+    bed.client.set_connector(move || {
+        old.borrow().force_error();
+        let (qc, qs) = connect(&chca, &shca);
+        server.serve_connection(qs.clone());
+        *old.borrow_mut() = qs;
+        qc
+    });
 }
 
 fn all_strategies() -> [StrategyKind; 4] {
@@ -504,8 +524,8 @@ fn read_read_eliminated_messages_show_up_as_more_interrupts() {
             }
         });
         (
-            bed.client.stats().dones_sent,
-            bed.client.stats().copied_bytes,
+            bed.client.stats().dones_sent.get(),
+            bed.client.stats().copied_bytes.get(),
         )
     };
     let (dones_rr, copies_rr) = run(Design::ReadRead);
@@ -1015,7 +1035,7 @@ fn msgp_small_writes_skip_registration_and_rdma_read() {
     let mut dec = xdr::Decoder::new(&got.body);
     assert_eq!(dec.get_u32().unwrap(), 700);
     assert_eq!(dec.get_u64().unwrap(), expect_sum, "MSGP data corrupted");
-    assert_eq!(client.stats().msgp_sends, 1);
+    assert_eq!(client.stats().msgp_sends.get(), 1);
     assert_eq!(server.stats.msgp_recvs.get(), 1);
     // No registration happened for the bulk data on either side.
     assert_eq!(
@@ -1081,7 +1101,7 @@ fn msgp_large_writes_still_use_chunks() {
             .await
             .unwrap();
     });
-    assert_eq!(client.stats().msgp_sends, 0);
+    assert_eq!(client.stats().msgp_sends.get(), 0);
     assert!(
         chca.reg_stats().dynamic_regs > 0,
         "large write must register"
@@ -1214,11 +1234,15 @@ fn rfp_small_replies_are_fetched_not_sent() {
         );
         assert_eq!(bed.server.stats.rfp_fallback_sends.get(), 0);
         let cs = bed.client.stats();
-        assert_eq!(cs.rfp_marked, 19, "{design:?}");
-        assert_eq!(cs.rfp_hits, 19, "{design:?}: every marked call slot-hit");
-        assert!(cs.rfp_polls >= cs.rfp_hits, "{design:?}");
-        assert_eq!(cs.calls, 20, "{design:?}");
-        assert_eq!(cs.retransmits, 0, "{design:?}");
+        assert_eq!(cs.rfp_marked.get(), 19, "{design:?}");
+        assert_eq!(
+            cs.rfp_hits.get(),
+            19,
+            "{design:?}: every marked call slot-hit"
+        );
+        assert!(cs.rfp_polls.get() >= cs.rfp_hits.get(), "{design:?}");
+        assert_eq!(cs.calls.get(), 20, "{design:?}");
+        assert_eq!(cs.retransmits.get(), 0, "{design:?}");
     }
 }
 
@@ -1249,10 +1273,10 @@ fn rfp_large_replies_fall_back_to_send() {
     assert_eq!(bed.server.stats.rfp_fallback_sends.get(), 1);
     assert_eq!(bed.server.stats.rfp_deposits.get(), 0);
     let cs = bed.client.stats();
-    assert_eq!(cs.rfp_marked, 1);
-    assert_eq!(cs.rfp_hits, 0);
-    assert_eq!(cs.calls, 2);
-    assert_eq!(cs.retransmits, 0, "fallback must not cost a timeout");
+    assert_eq!(cs.rfp_marked.get(), 1);
+    assert_eq!(cs.rfp_hits.get(), 0);
+    assert_eq!(cs.calls.get(), 2);
+    assert_eq!(cs.retransmits.get(), 0, "fallback must not cost a timeout");
 }
 
 #[test]
@@ -1297,6 +1321,420 @@ fn rfp_saves_server_doorbells_and_interrupts() {
 /// (bulk out), chunked WRITE (bulk in), small echo and long-reply
 /// `bigdir`. Every server stage span must sit directly under its `op`,
 /// in stage order, back to back.
+/// The client's per-call lifecycle (paper Figure 4) as spans: `marshal`,
+/// `reg`, then one `wait_reply` per transmission and a `finish` for each
+/// reply that arrived — directly under `client/call`, in that order,
+/// never overlapping, whatever shape the call takes.
+#[test]
+fn client_stage_spans_nest_in_pipeline_order_both_designs() {
+    const STAGES: [&str; 4] = ["marshal", "reg", "wait_reply", "finish"];
+    for design in [Design::ReadWrite, Design::ReadRead] {
+        let mut sim = Simulation::new(22);
+        sim.enable_span_tracing();
+        let h = sim.handle();
+        let mut cfg = RpcRdmaConfig::solaris().with_design(design);
+        cfg.msgp_small_writes = true;
+        let bed = setup_with(&h, cfg, StrategyKind::Dynamic);
+        let (client, fabric) = (bed.client.clone(), bed.fabric.clone());
+        let user = bed.client_mem.alloc(128 * 1024);
+        user.write(0, Payload::synthetic(7, 128 * 1024));
+        sim.block_on(async move {
+            let read = BulkParams {
+                recv_max: Some(128 * 1024),
+                recv_user: Some((user.clone(), 0)),
+                ..Default::default()
+            };
+            client.call(1, read_args(128 * 1024), read).await.unwrap();
+            for len in [100_000, 512] {
+                // A chunked WRITE, then one small enough for RDMA_MSGP.
+                let write = BulkParams {
+                    send: Some((user.clone(), 0, len)),
+                    ..Default::default()
+                };
+                client.call(2, Bytes::new(), write).await.unwrap();
+            }
+            // Long call: 3 KB of arguments, a 20-byte reply.
+            let mut enc = xdr::Encoder::new();
+            enc.put_u32(16).put_opaque(&[0u8; 3000]);
+            let long_call = enc.finish();
+            client
+                .call(4, long_call, BulkParams::default())
+                .await
+                .unwrap();
+            let long_reply = BulkParams {
+                reply_max: Some(64 * 1024),
+                ..Default::default()
+            };
+            client.call(4, read_args(20_000), long_reply).await.unwrap();
+            let small = || Bytes::from_static(b"getattr!");
+            client
+                .call(3, small(), BulkParams::default())
+                .await
+                .unwrap();
+            // The next reply is lost: the call times out, retransmits,
+            // and is answered from the server's duplicate request cache.
+            fabric.drop_next_to(NodeId(0), 1);
+            client
+                .call(3, small(), BulkParams::default())
+                .await
+                .unwrap();
+        });
+        assert_eq!(bed.client.stats().retransmits.get(), 1, "{design:?}");
+        let spans: Vec<_> = sim
+            .take_spans()
+            .into_iter()
+            .filter(|s| s.component == "client")
+            .collect();
+        let calls: Vec<_> = spans.iter().filter(|s| s.name == "call").collect();
+        assert_eq!(calls.len(), 7, "{design:?}: one call span per call");
+        for s in spans.iter().filter(|s| STAGES.contains(&s.name)) {
+            assert!(
+                calls.iter().any(|call| Some(call.id) == s.parent),
+                "{design:?}: {} span outside a call",
+                s.name
+            );
+        }
+        for (i, call) in calls.iter().enumerate() {
+            let mut stages: Vec<_> = spans.iter().filter(|s| s.parent == Some(call.id)).collect();
+            stages.sort_by_key(|s| s.id);
+            let expect: &[&str] = if i == 6 {
+                &["marshal", "reg", "wait_reply", "wait_reply", "finish"]
+            } else {
+                &STAGES
+            };
+            let names: Vec<_> = stages.iter().map(|s| s.name).collect();
+            assert_eq!(names, expect, "{design:?} call {i}");
+            for pair in stages.windows(2) {
+                assert!(pair[0].end <= pair[1].start, "{design:?}: stages overlap");
+            }
+            assert!(call.start <= stages[0].start && stages[stages.len() - 1].end <= call.end);
+        }
+    }
+}
+
+/// A QP error with a window of calls in flight: one recovery, every
+/// call carried onto the fresh connection by its retransmission timer,
+/// the dead QP left with nothing posted and the new one with exactly a
+/// credit window of receives.
+#[test]
+fn recovery_swaps_one_endpoint() {
+    let mut sim = Simulation::new(31);
+    let h = sim.handle();
+    let bed = setup(&h, Design::ReadWrite, StrategyKind::Dynamic);
+    install_connector(&bed);
+    let old_qp = bed.client.qp();
+    let done = sim_core::sync::Semaphore::new(0);
+    for i in 0..8u32 {
+        let (client, done) = (bed.client.clone(), done.clone());
+        sim.spawn(async move {
+            let args = Bytes::from(i.to_be_bytes().to_vec());
+            let got = client.call(3, args.clone(), BulkParams::default()).await;
+            assert_eq!(got.unwrap().body, args);
+            done.add_permits(1);
+        });
+    }
+    let client = bed.client.clone();
+    sim.block_on(async move {
+        h.sleep(sim_core::SimDuration::from_micros(20)).await;
+        client.inject_qp_error();
+        for _ in 0..8 {
+            done.acquire().await.forget();
+        }
+    });
+    sim.run();
+    let cs = bed.client.stats();
+    assert_eq!((cs.calls.get(), cs.reconnects.get()), (8, 1));
+    assert!(cs.retransmits.get() >= 8, "in-flight calls retransmit");
+    let new_qp = bed.client.qp();
+    assert_ne!(old_qp.qpn(), new_qp.qpn());
+    assert_eq!(
+        old_qp.posted_recvs(),
+        0,
+        "receives re-posted to the dead QP"
+    );
+    let credits = RpcRdmaConfig::solaris().credits as usize;
+    assert_eq!(new_qp.posted_recvs(), credits);
+}
+
+/// How the bare peer of [`lying_server_bed`] answers a call.
+#[derive(Clone, Copy)]
+enum Lie {
+    /// Inline echo of `b"fine"`.
+    None,
+    /// Echo the call's write chunk as `len` bytes written.
+    WriteChunk(u64),
+    /// Long reply: echo the call's reply chunk as `len` bytes written.
+    ReplyChunk(u64),
+    /// Name `len` bytes of (made-up) server memory in a read chunk.
+    ReadChunk(u64),
+}
+
+/// A client whose peer is a bare queue pair playing the server: every
+/// call is answered at once, shaped by whatever `Lie` is set.
+fn lying_server_bed(
+    sim: &Sim,
+    design: Design,
+) -> (RdmaRpcClient, Rc<HostMem>, Rc<std::cell::Cell<Lie>>) {
+    use onc_rpc::msg::encode_reply;
+    use rpcrdma::{MsgType, RdmaHeader, ReadChunk, Segment};
+    use xdr::XdrCodec;
+    let fabric = Fabric::new(sim);
+    let (client_hca, client_mem) = host(sim, &fabric, 0);
+    let (peer_hca, _) = host(sim, &fabric, 1);
+    let (qc, qs) = connect(&client_hca, &peer_hca);
+    let cfg = RpcRdmaConfig::solaris().with_design(design);
+    let registrar = Registrar::new(&client_hca, StrategyKind::Dynamic);
+    let client = RdmaRpcClient::new(sim, &client_hca, qc, registrar, cfg, PROG, VERS);
+    let lie = Rc::new(std::cell::Cell::new(Lie::None));
+    let mode = lie.clone();
+    sim.spawn(async move {
+        let landing = peer_hca.mem().alloc(cfg.recv_buffer_size);
+        for n in 0u64.. {
+            let posted = qs.post_recv(landing.clone(), 0, cfg.recv_buffer_size, ib_verbs::WrId(n));
+            posted.unwrap();
+            let wire = qs.recv_cq().next().await.payload.unwrap().materialize();
+            let call = RdmaHeader::decode(&mut xdr::Decoder::new(&wire)).unwrap();
+            if call.msg_type == MsgType::Done {
+                continue;
+            }
+            let stat = AcceptStat::Success;
+            let reply = onc_rpc::ReplyHeader {
+                xid: call.xid,
+                stat,
+            };
+            let mut msg = encode_reply(&reply, &Bytes::from_static(b"fine"));
+            let mut rhdr = RdmaHeader::new(call.xid, cfg.credits, MsgType::Msg);
+            let resized = |segs: &[Segment], len| vec![Segment { len, ..segs[0] }];
+            match mode.get() {
+                Lie::None => {}
+                Lie::WriteChunk(len) => rhdr.write_chunks.push(resized(&call.write_chunks[0], len)),
+                Lie::ReplyChunk(len) => {
+                    rhdr.msg_type = MsgType::Nomsg;
+                    rhdr.reply_chunk = Some(resized(call.reply_chunk.as_ref().unwrap(), len));
+                    msg = Bytes::new();
+                }
+                Lie::ReadChunk(len) => rhdr.read_chunks.push(ReadChunk {
+                    position: msg.len() as u32,
+                    segment: Segment {
+                        rkey: ib_verbs::Rkey(0x5eed),
+                        len,
+                        addr: 0x10_0000,
+                    },
+                }),
+            }
+            let mut enc = xdr::Encoder::new();
+            rhdr.encode(&mut enc);
+            enc.put_raw(&msg);
+            qs.post_send(
+                Payload::real(enc.finish()),
+                ib_verbs::WrId(1 << 20 | n),
+                false,
+            )
+            .unwrap();
+        }
+    });
+    (client, client_mem, lie)
+}
+
+/// The lengths a reply header echoes are the server's word. One that
+/// claims more than the call provisioned fails the call with a typed
+/// error — before the client copies past its sink (for a zero-copy READ
+/// that is the caller's adjacent memory), sizes scratch by it, or posts
+/// an RDMA Read on its strength.
+#[test]
+fn over_long_echo_is_refused_before_any_copy_or_read() {
+    for design in [Design::ReadWrite, Design::ReadRead] {
+        let mut sim = Simulation::new(17);
+        sim.enable_span_tracing();
+        let h = sim.handle();
+        let (client, mem, lie) = lying_server_bed(&h, design);
+        // A 4 KiB READ into the head of a larger user buffer.
+        let user = mem.alloc(64 * 1024);
+        let read = |client: RdmaRpcClient| {
+            let bulk = BulkParams {
+                recv_max: Some(4096),
+                recv_user: Some((user.clone(), 0)),
+                ..Default::default()
+            };
+            async move { client.call(1, read_args(4096), bulk).await }
+        };
+        let lies: &[Lie] = match design {
+            Design::ReadWrite => &[Lie::WriteChunk(8192), Lie::ReplyChunk(1 << 20)],
+            Design::ReadRead => &[Lie::ReadChunk(1 << 20)],
+        };
+        for &told in lies {
+            lie.set(told);
+            let got = match told {
+                Lie::ReplyChunk(_) => {
+                    let bulk = BulkParams {
+                        reply_max: Some(8192),
+                        ..Default::default()
+                    };
+                    let client = client.clone();
+                    sim.block_on(async move { client.call(4, read_args(6000), bulk).await })
+                }
+                _ => sim.block_on(read(client.clone())),
+            };
+            let err = got.expect_err("an over-long echo was believed");
+            assert_eq!(err, onc_rpc::RpcError::BadReply, "{design:?}");
+        }
+        let reads = sim.take_spans();
+        let reads = reads
+            .iter()
+            .filter(|s| (s.component, s.name) == ("hca", "rdma_read"));
+        assert_eq!(reads.count(), 0, "{design:?}: pulled on a lie");
+        // The connection is still good, and an honest READ still lands.
+        lie.set(Lie::None);
+        let echo = client.clone();
+        let echo = sim.block_on(async move {
+            let args = Bytes::from_static(b"still here");
+            echo.call(3, args, BulkParams::default()).await
+        });
+        assert_eq!(&echo.unwrap().body[..], b"fine", "{design:?}");
+        assert_eq!(client.stats().calls.get(), 1, "{design:?}");
+        assert_eq!(client.stats().retransmits.get(), 0, "{design:?}");
+    }
+}
+
+/// A Read-Read pull that fails part-way (here: the QP dies while the
+/// scratch buffer is still registering, so no Read can be posted) must
+/// give its scratch registration back. The call completes by
+/// retransmission on the recovered connection.
+#[test]
+fn read_read_pull_error_releases_its_scratch_registration() {
+    let strategies = [
+        StrategyKind::Dynamic,
+        StrategyKind::Cache,
+        StrategyKind::AllPhysical,
+    ];
+    for strategy in strategies {
+        let read = |client: RdmaRpcClient| async move {
+            let bulk = BulkParams {
+                recv_max: Some(128 * 1024),
+                ..Default::default()
+            };
+            client.call(1, read_args(128 * 1024), bulk).await.unwrap()
+        };
+        // Dry run: when does the client start collecting the reply,
+        // and when does its first Read go out?
+        let mut sim = Simulation::new(41);
+        sim.enable_span_tracing();
+        let bed = setup(&sim.handle(), Design::ReadRead, strategy);
+        sim.block_on(read(bed.client.clone()));
+        let spans = sim.take_spans();
+        let start_of = |component, name| {
+            let mut named = spans
+                .iter()
+                .filter(|s| (s.component, s.name) == (component, name));
+            named.next().expect("span recorded").start
+        };
+        let (finish, pull) = (start_of("client", "finish"), start_of("hca", "rdma_read"));
+        assert!(
+            finish < pull,
+            "{strategy:?}: scratch registration takes time"
+        );
+        let strike = finish + (pull - finish) / 2;
+
+        // Same seed, same schedule — and the QP dies in between.
+        let mut sim = Simulation::new(41);
+        let h = sim.handle();
+        let bed = setup(&h, Design::ReadRead, strategy);
+        install_connector(&bed);
+        let (client, victim) = (bed.client.clone(), bed.client.clone());
+        sim.spawn(async move {
+            h.sleep_until(strike).await;
+            victim.inject_qp_error();
+        });
+        let got = sim.block_on(read(client));
+        let data = got.bulk.expect("bulk read data");
+        assert!(data.content_eq(&Payload::synthetic(42, 128 * 1024)));
+        sim.run();
+        let cs = bed.client.stats();
+        assert_eq!(cs.reconnects.get(), 1, "{strategy:?}");
+        assert!(cs.retransmits.get() >= 1, "{strategy:?}");
+        let leaked = bed.client_hca.reg_stats().leaked_mrs;
+        assert_eq!(leaked, 0, "{strategy:?}: pull error leaked its scratch");
+    }
+}
+
+/// `ClientStats` is the registry: every field is the `client.*` series
+/// of the same name, so a reader of either sees the same number.
+#[test]
+fn client_counters_are_registry_series() {
+    let mut sim = Simulation::new(23);
+    let h = sim.handle();
+    let mut cfg = RpcRdmaConfig::solaris().with_design(Design::ReadRead);
+    cfg.msgp_small_writes = true;
+    cfg.rfp_enabled = true;
+    let bed = setup_with(&h, cfg, StrategyKind::Cache);
+    install_connector(&bed);
+    let (client, fabric) = (bed.client.clone(), bed.fabric.clone());
+    let user = bed.client_mem.alloc(128 * 1024);
+    user.write(0, Payload::synthetic(7, 128 * 1024));
+    sim.block_on(async move {
+        let small = || Bytes::from_static(b"getattr!");
+        for _ in 0..3 {
+            // The first reply advertises the ring; the rest are fetched.
+            client
+                .call(3, small(), BulkParams::default())
+                .await
+                .unwrap();
+        }
+        let read = BulkParams {
+            recv_max: Some(64 * 1024),
+            ..Default::default()
+        };
+        client.call(1, read_args(60_000), read).await.unwrap();
+        for len in [100_000, 512] {
+            let write = BulkParams {
+                send: Some((user.clone(), 0, len)),
+                ..Default::default()
+            };
+            client.call(2, Bytes::new(), write).await.unwrap();
+        }
+        fabric.drop_next_to(NodeId(0), 1);
+        let read = BulkParams {
+            recv_max: Some(4096),
+            ..Default::default()
+        };
+        client.call(1, read_args(4096), read).await.unwrap();
+        client.inject_qp_error();
+        client
+            .call(3, small(), BulkParams::default())
+            .await
+            .unwrap();
+    });
+    let cs = bed.client.stats();
+    let series = [
+        ("client.calls", &cs.calls),
+        ("client.bulk_in", &cs.bulk_in),
+        ("client.bulk_out", &cs.bulk_out),
+        ("client.dones", &cs.dones_sent),
+        ("client.msgp_sends", &cs.msgp_sends),
+        ("client.copied_bytes", &cs.copied_bytes),
+        ("client.retransmits", &cs.retransmits),
+        ("client.timeouts", &cs.timeouts),
+        ("client.reconnects", &cs.reconnects),
+        ("client.busy_replies", &cs.busy_replies),
+        ("client.rfp.marked", &cs.rfp_marked),
+        ("client.rfp.polls", &cs.rfp_polls),
+        ("client.rfp.hits", &cs.rfp_hits),
+    ];
+    for (name, counter) in series {
+        assert_eq!(sim.metrics().get(name), Some(counter.get()), "{name}");
+        // No shed ever happens here; everything else did.
+        assert_eq!(counter.get() > 0, name != "client.busy_replies", "{name}");
+    }
+    assert_eq!(cs.calls.get(), 8);
+    assert_eq!(cs.bulk_in.get(), 60_000 + 4096);
+    assert_eq!(cs.bulk_out.get(), 100_000 + 512);
+    assert_eq!((cs.dones_sent.get(), cs.msgp_sends.get()), (2, 1));
+    assert_eq!(
+        (cs.reconnects.get(), cs.timeouts.get()),
+        (1, cs.retransmits.get())
+    );
+}
+
 #[test]
 fn server_stage_spans_nest_in_pipeline_order_both_designs() {
     const STAGES: [&str; 5] = [
@@ -1420,8 +1858,12 @@ fn rfp_ring_covers_a_credit_window_wider_than_its_base_size() {
         "calls overlapped"
     );
     let cs = bed.client.stats();
-    assert_eq!(cs.rfp_hits, WINDOW as u64, "every reply was fetched");
-    assert_eq!(cs.retransmits, 0, "no reply was overwritten in its slot");
+    assert_eq!(cs.rfp_hits.get(), WINDOW as u64, "every reply was fetched");
+    assert_eq!(
+        cs.retransmits.get(),
+        0,
+        "no reply was overwritten in its slot"
+    );
     let trace = sim.take_trace();
     let field = |detail: &str, key: &str| -> u32 {
         let rest = &detail[detail.find(key).expect("field present") + key.len()..];

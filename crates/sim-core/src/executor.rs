@@ -491,6 +491,27 @@ impl Simulation {
     }
 }
 
+/// Every parked future holds a [`Sim`], and so the core that owns the
+/// future: a reference cycle that would outlive the simulation. Break
+/// it by dropping the tasks while the core is still alive, so span,
+/// timer and semaphore destructors run against working state.
+impl Drop for Simulation {
+    fn drop(&mut self) {
+        // A destructor that panicked during an unwind would abort the
+        // process and bury the failure being reported.
+        if std::thread::panicking() {
+            return;
+        }
+        loop {
+            // Out of the `RefCell` first: a destructor may spawn.
+            let slab = std::mem::take(&mut *self.core.tasks.borrow_mut());
+            if slab.slots.is_empty() {
+                break;
+            }
+        }
+    }
+}
+
 impl Sim {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {

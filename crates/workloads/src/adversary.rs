@@ -34,6 +34,8 @@ use bytes::Bytes;
 use ib_verbs::{connect, Buffer, Hca, HostMem, NodeId, Qp, Rkey, WrId};
 use nfs::proto::{FileHandle, ReadArgs};
 use onc_rpc::msg::{encode_call, CallHeader};
+use rpcrdma::client::RECONNECT_DELAY;
+use rpcrdma::sanitize::MAX_CHUNK_SEGMENTS;
 use rpcrdma::{Design, MsgType, RdmaHeader, RdmaRpcServer, ReadChunk, RpcRdmaConfig, Segment};
 use sim_core::{Cpu, Payload, Sim, SimDuration, SimRng, Simulation};
 use xdr::{Encoder, XdrCodec};
@@ -456,7 +458,7 @@ impl AttackerTask {
                 // crafted chunk lists — enough sanitizer rejections to
                 // spend the connection's whole quarantine budget.
                 let mut strikes = vec![garbage(&mut rng)];
-                strikes.extend(hostile_headers(&self.cfg, base_xid + 0x80));
+                strikes.extend(hostile_headers(base_xid + 0x80));
                 while strikes.len() < 9 {
                     strikes.push(garbage(&mut rng));
                 }
@@ -594,7 +596,7 @@ impl AttackerTask {
 
     /// Replace a dead QP pair after the polite reconnect delay.
     async fn reconnect(&self, recv_bufs: &[Buffer]) -> Qp {
-        self.sim.sleep(self.cfg.reconnect_delay).await;
+        self.sim.sleep(RECONNECT_DELAY).await;
         self.ledger.reconnects.set(self.ledger.reconnects.get() + 1);
         self.connect_qp(recv_bufs)
     }
@@ -728,7 +730,7 @@ fn read_call(cfg: &RpcRdmaConfig, xid: u32, file: FileHandle, count: u32) -> Byt
 /// The crafted-header arm of the catalog: each decodes cleanly at the
 /// wire layer but violates a server cap, so each costs the server one
 /// sanitizer rejection and the attacker one strike.
-fn hostile_headers(cfg: &RpcRdmaConfig, base_xid: u32) -> Vec<Bytes> {
+fn hostile_headers(base_xid: u32) -> Vec<Bytes> {
     let seg = |rkey: u32, len: u64, addr: u64| Segment {
         rkey: Rkey(rkey),
         len,
@@ -737,7 +739,7 @@ fn hostile_headers(cfg: &RpcRdmaConfig, base_xid: u32) -> Vec<Bytes> {
     let mut out = Vec::new();
     // Too many segments (past the sanitizer cap, inside the wire cap).
     let mut h = RdmaHeader::new(base_xid + 1, 1, MsgType::Msg);
-    for i in 0..=cfg.max_chunk_segments.min(rpcrdma::MAX_WIRE_SEGMENTS - 1) {
+    for i in 0..=MAX_CHUNK_SEGMENTS.min(rpcrdma::MAX_WIRE_SEGMENTS - 1) {
         h.read_chunks.push(ReadChunk {
             position: 4,
             segment: seg(i, 8, 0x1000 + i as u64 * 8),

@@ -264,16 +264,11 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosRe
     let corrupt_records = corrupt_total.get();
 
     let rpc_server = bed.rpc_server.as_ref().expect("rdma testbed");
-    let mut rpc_retransmits = 0;
-    let mut timeouts = 0;
-    let mut reconnects = 0;
+    // The `client.*` series are fleet-wide: any mount reads them.
+    let client = bed.clients[0].nfs.rdma().expect("rdma mount").stats();
     let mut redriven_writes = 0;
     let mut verf_mismatches = 0;
     for c in &bed.clients {
-        let s = c.nfs.rdma().expect("rdma mount").stats();
-        rpc_retransmits += s.retransmits;
-        timeouts += s.timeouts;
-        reconnects += s.reconnects;
         redriven_writes += c.nfs.stats.redriven_writes.get();
         verf_mismatches += c.nfs.stats.verf_mismatches.get();
     }
@@ -288,9 +283,9 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosRe
         fs_writes: bed.server.stats.writes.get(),
         drops: sim.metrics().sum_matching("fabric.", ".dropped"),
         link_retransmits: sim.metrics().sum_matching("fabric.", ".retransmits"),
-        rpc_retransmits,
-        timeouts,
-        reconnects,
+        rpc_retransmits: client.retransmits.get(),
+        timeouts: client.timeouts.get(),
+        reconnects: client.reconnects.get(),
         corrupt_records,
         redriven_writes,
         verf_mismatches,

@@ -844,20 +844,9 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
         Vec::new()
     };
 
-    let busy_replies = sim
-        .metrics()
-        .snapshot()
-        .iter()
-        .find(|(k, _)| k == "client.busy_replies")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    let deadline_sheds = sim
-        .metrics()
-        .snapshot()
-        .iter()
-        .find(|(k, _)| k == "server.qos.shed.deadline")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
+    let series = |name| sim.metrics().get(name).unwrap_or(0);
+    let busy_replies = series("client.busy_replies");
+    let deadline_sheds = series("server.qos.shed.deadline");
 
     OpenLoopResult {
         offered: shared.offered.get(),

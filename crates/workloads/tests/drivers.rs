@@ -198,7 +198,6 @@ fn batched_read_run(seed: u64) -> (Vec<(String, u64)>, f64) {
     sim.block_on(async move {
         let mut cfg = profile.rpc.with_design(Design::ReadWrite);
         cfg.server_doorbell_batch = 4;
-        cfg.server_doorbell_flush = SimDuration::from_micros(32);
         let mut server_hca = profile.hca;
         server_hca.cq_coalesce_count = 4;
         server_hca.cq_coalesce_delay = SimDuration::from_micros(64);

@@ -90,7 +90,15 @@ echo "==> benchmark --lint + --smoke (the stand-alone benchmark package compiles
 bash benchmark/run.sh --lint
 bash benchmark/run.sh --smoke >/dev/null
 
-echo "==> results/ unchanged (simulated numbers are deterministic: a refactor that moves a figure, fingerprint or trace fails here)"
+echo "==> results/benchmark_smoke_pin.txt (schedule pin: every simulated end-to-end number and the polls per op of the four benchmark beds)"
+# Host, ladder, set-up and memory numbers are wall clock and stay out.
+for f in benchmark/out/*.trace[01].json; do
+    grep -o '"sim[-_][a-z0-9_.-]*": {"value": [^,]*' "$f" |
+        sed "s|^\"\([^\"]*\)\": {\"value\": |$(basename "$f" .json) \1 |"
+done | LC_ALL=C sort >results/benchmark_smoke_pin.txt
+[ -s results/benchmark_smoke_pin.txt ] || { echo "empty benchmark pin" >&2; exit 1; }
+
+echo "==> results/ unchanged (simulated numbers are deterministic: a refactor that moves a figure, fingerprint, trace or benchmark schedule fails here)"
 git diff --exit-code -- results/
 
 echo "OK: all checks passed"
