@@ -170,16 +170,17 @@ impl<M: 'static> Fabric<M> {
     /// loss, as for two-sided Sends) or retransmit
     /// ([`Fabric::send_reliable`]).
     pub async fn send(&self, from: NodeId, to: NodeId, wire_bytes: u64, msg: M) -> Option<M> {
-        self.raw_transfer(from, to, wire_bytes).await;
+        let (src, dst) = (self.port(from), self.port(to));
+        self.transfer(&src, &dst, to, wire_bytes).await;
         if self.arrival_dropped(to) {
-            self.port(to).dropped.inc();
+            dst.dropped.inc();
             self.inner.sim.trace("fault", || {
                 format!("drop {wire_bytes}B node{} -> node{}", from.0, to.0)
             });
             return Some(msg);
         }
         // Receiver may have shut down (e.g. crash-injection tests).
-        let _ = self.port(to).inbox.send(msg);
+        let _ = dst.inbox.send(msg);
         None
     }
 
@@ -205,8 +206,13 @@ impl<M: 'static> Fabric<M> {
     /// (used for RDMA Read response data, which completes a waiting
     /// requester directly).
     pub async fn raw_transfer(&self, from: NodeId, to: NodeId, wire_bytes: u64) {
-        let src = self.port(from);
-        let dst = self.port(to);
+        let (src, dst) = (self.port(from), self.port(to));
+        self.transfer(&src, &dst, to, wire_bytes).await;
+    }
+
+    /// The wire occupancy and delay of one transfer between two
+    /// resolved ports (`to` keys the destination's fault state).
+    async fn transfer(&self, src: &Port<M>, dst: &Port<M>, to: NodeId, wire_bytes: u64) {
         let bw = src.bandwidth.min(dst.bandwidth);
         let occupancy = transfer_time(wire_bytes, bw);
         if !occupancy.is_zero() {

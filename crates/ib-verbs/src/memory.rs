@@ -22,11 +22,29 @@ use sim_core::ExtentMap;
 /// Default small page size (bytes).
 pub const PAGE_SIZE: u64 = 4096;
 
+/// Live buffers of one host by start address: `(len, buffer)`.
+type Index = RefCell<BTreeMap<u64, (u64, Weak<BufferInner>)>>;
+
 struct BufferInner {
     data: RefCell<ExtentMap>,
     /// Byte lengths of the physically-contiguous runs making up the
     /// buffer, in order. Sums to `len` (rounded up to pages).
     phys_runs: Vec<u64>,
+    addr: u64,
+    /// The owning host's index. Shared, not borrowed: a buffer may
+    /// outlive its [`HostMem`].
+    index: Rc<Index>,
+}
+
+/// The last handle is gone: the host forgets the buffer. `HostMem`
+/// never drops a `Buffer` while it holds the index, so the borrow
+/// succeeds; were it ever to fail, the dead entry still cannot upgrade.
+impl Drop for BufferInner {
+    fn drop(&mut self) {
+        if let Ok(mut index) = self.index.try_borrow_mut() {
+            index.remove(&self.addr);
+        }
+    }
 }
 
 /// A virtually contiguous, physically fragmented memory buffer.
@@ -35,7 +53,6 @@ pub struct Buffer {
     // Debug impl below keeps output compact (no content dump).
     inner: Rc<BufferInner>,
     host: NodeId,
-    addr: u64,
     len: u64,
 }
 
@@ -44,7 +61,9 @@ impl std::fmt::Debug for Buffer {
         write!(
             f,
             "Buffer(host={}, addr={:#x}, len={})",
-            self.host.0, self.addr, self.len
+            self.host.0,
+            self.addr(),
+            self.len
         )
     }
 }
@@ -57,7 +76,7 @@ impl Buffer {
 
     /// Starting virtual address.
     pub fn addr(&self) -> u64 {
-        self.addr
+        self.inner.addr
     }
 
     /// Length in bytes.
@@ -128,13 +147,13 @@ impl Buffer {
     /// True if `[addr, addr+len)` (virtual addresses) lies inside this
     /// buffer.
     pub fn contains(&self, addr: u64, len: u64) -> bool {
-        addr >= self.addr && addr + len <= self.addr + self.len
+        addr >= self.addr() && addr + len <= self.addr() + self.len
     }
 
     /// Translate a virtual address to a byte offset within the buffer.
     pub fn offset_of(&self, addr: u64) -> u64 {
-        debug_assert!(addr >= self.addr);
-        addr - self.addr
+        debug_assert!(addr >= self.addr());
+        addr - self.addr()
     }
 }
 
@@ -163,7 +182,8 @@ pub struct HostMem {
     rng: RefCell<SimRng>,
     allocated: Cell<u64>,
     /// Live buffers by start address, for global-steering-tag lookup.
-    registry: RefCell<BTreeMap<u64, (u64, Weak<BufferInner>)>>,
+    /// An entry lives exactly as long as its buffer.
+    index: Rc<Index>,
 }
 
 impl HostMem {
@@ -176,7 +196,7 @@ impl HostMem {
             layout,
             rng: RefCell::new(rng),
             allocated: Cell::new(0),
-            registry: RefCell::new(BTreeMap::new()),
+            index: Rc::default(),
         }
     }
 
@@ -193,14 +213,15 @@ impl HostMem {
         let inner = Rc::new(BufferInner {
             data: RefCell::new(ExtentMap::new()),
             phys_runs,
+            addr,
+            index: self.index.clone(),
         });
-        self.registry
+        self.index
             .borrow_mut()
             .insert(addr, (len, Rc::downgrade(&inner)));
         Buffer {
             inner,
             host: self.host,
-            addr,
             len,
         }
     }
@@ -209,18 +230,21 @@ impl HostMem {
     /// privileged all-physical steering tag grants). Returns `None` for
     /// unmapped or freed memory, or ranges spanning buffer boundaries.
     pub fn lookup(&self, addr: u64, len: u64) -> Option<Buffer> {
-        let registry = self.registry.borrow();
-        let (&start, (blen, weak)) = registry.range(..=addr).next_back()?;
+        let index = self.index.borrow();
+        let (&start, (blen, weak)) = index.range(..=addr).next_back()?;
         if addr + len > start + blen {
             return None;
         }
-        let inner = weak.upgrade()?;
         Some(Buffer {
-            inner,
+            inner: weak.upgrade()?,
             host: self.host,
-            addr: start,
             len: *blen,
         })
+    }
+
+    /// Buffers currently alive on this host (diagnostic).
+    pub fn live_buffers(&self) -> usize {
+        self.index.borrow().len()
     }
 
     /// Allocate and fill with a payload.
@@ -334,10 +358,11 @@ mod tests {
         assert!(m.lookup(a.addr(), 4096).is_some());
         // Range spanning past the buffer end fails.
         assert!(m.lookup(b.addr() + 8000, 400).is_none());
-        // Freed buffers are unreachable.
-        drop(a);
+        assert_eq!(m.live_buffers(), 2);
+        // Freed buffers are unreachable, and forgotten.
+        drop((a, hit));
         assert!(m.lookup(b.addr(), 1).is_some());
-        // (a's address may still be in the registry but can't upgrade)
+        assert_eq!(m.live_buffers(), 1);
     }
 
     #[test]

@@ -151,6 +151,9 @@ pub(crate) struct QpInner {
     pub(crate) read_engine: Semaphore,
     /// Software pending queue: posted WQEs awaiting a doorbell ring.
     pending: RefCell<Vec<Wqe>>,
+    /// Batch vectors the engine has drained, for `flush` to refill: as
+    /// many as were ever in flight at once.
+    drained: RefCell<Vec<Vec<Wqe>>>,
     /// Rings per doorbell batch (see [`HcaConfig::doorbell_batch`]);
     /// runtime-adjustable per QP so a server can batch while its peer
     /// stays unbatched.
@@ -208,6 +211,7 @@ impl Qp {
                 ord: Semaphore::new(cfg.max_ord),
                 read_engine: Semaphore::new(1),
                 pending: RefCell::new(Vec::new()),
+                drained: RefCell::new(Vec::new()),
                 doorbell_batch: Cell::new(cfg.doorbell_batch.max(1)),
                 doorbells: Cell::new(0),
                 doorbell_metric: RefCell::new(None),
@@ -448,10 +452,13 @@ impl Qp {
     /// waiting on any completion of a pending WQE, and on connection
     /// quiesce.
     pub fn flush(&self) {
-        let batch: Vec<Wqe> = std::mem::take(&mut *self.inner.pending.borrow_mut());
-        if batch.is_empty() {
+        let mut pending = self.inner.pending.borrow_mut();
+        if pending.is_empty() {
             return;
         }
+        let next = self.inner.drained.borrow_mut().pop().unwrap_or_default();
+        let batch = std::mem::replace(&mut *pending, next);
+        drop(pending);
         self.inner.doorbells.set(self.inner.doorbells.get() + 1);
         if let Some(m) = self.inner.doorbell_metric.borrow().as_ref() {
             m.inc();
@@ -483,15 +490,16 @@ impl Qp {
 /// setup) is paid once per doorbell ring — amortizing it across the
 /// batch is the point of doorbell batching.
 pub(crate) async fn sender_loop(qp: Rc<QpInner>, mut wqe_rx: Receiver<Vec<Wqe>>) {
-    while let Ok(batch) = wqe_rx.recv().await {
+    while let Ok(mut batch) = wqe_rx.recv().await {
         // HCA processing for this doorbell (skipped when the QP is
         // already flushing errors).
         if !qp.error.get() {
             qp.sim.sleep(qp.cfg.wqe_process).await;
         }
-        for wqe in batch {
+        for wqe in batch.drain(..) {
             run_wqe(&qp, wqe).await;
         }
+        qp.drained.borrow_mut().push(batch);
     }
 }
 

@@ -494,6 +494,87 @@ fn all_physical_global_rkey_reaches_memory_without_tpt_cost() {
 }
 
 #[test]
+fn registry_forgets_dropped_buffers() {
+    // The host's index follows buffer lifetime: the last handle — a
+    // clone, one `lookup` made, a registration — removes the entry, so
+    // the index is as large as what is live, not as what ever was.
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let (a, _b) = two_hosts(&h);
+    let before = a.mem.live_buffers();
+    let mut freed = Vec::new();
+    for i in 0..10_000u64 {
+        let buf = a.mem.alloc(1 + i % 9000);
+        let found = a.mem.lookup(buf.addr(), 1).expect("live");
+        freed.push(buf.addr());
+        drop((buf.clone(), buf));
+        assert_eq!(a.mem.live_buffers(), before + 1);
+        drop(found);
+    }
+    let buf = a.mem.alloc(4096);
+    freed.push(buf.addr());
+    let mr = sim.block_on({
+        let hca = a.hca.clone();
+        async move { hca.register(&buf, 0, 4096, Access::LOCAL).await }
+    });
+    assert_eq!(a.mem.live_buffers(), before + 1, "the Mr holds it");
+    sim.block_on(mr.deregister());
+    assert_eq!(a.mem.live_buffers(), before);
+    assert!(freed.iter().all(|&addr| a.mem.lookup(addr, 1).is_none()));
+
+    // A buffer may outlive its host's memory manager.
+    let m = HostMem::new(NodeId(7), PhysLayout::default(), h.fork_rng());
+    let survivor = m.alloc(64);
+    drop(m);
+    survivor.write(0, Payload::real(vec![1; 8]));
+}
+
+#[test]
+fn all_physical_reaches_exactly_what_is_still_held() {
+    // The host's buffer index forgets a buffer with its last handle. A
+    // registration or a posted receive is such a handle: memory they
+    // alone keep alive stays reachable through the global steering tag,
+    // and stops being reachable (and indexed) once they let go.
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, qb) = connect(&a.hca, &b.hca);
+    let g = b.hca.enable_all_physical();
+    let before = b.mem.live_buffers();
+
+    let registered = b.mem.alloc(4096);
+    registered.write(0, Payload::real(vec![0xCD; 64]));
+    let posted = b.mem.alloc(4096);
+    let (reg_addr, posted_addr) = (registered.addr(), posted.addr());
+    qb.post_recv(posted, 0, 4096, WrId(9)).unwrap();
+    let dst = a.mem.alloc(4096);
+
+    let (read, write, after_dereg) = sim.block_on({
+        let (bh, qa, dst) = (b.hca.clone(), qa.clone(), dst.clone());
+        async move {
+            let mr = bh.register(&registered, 0, 4096, Access::LOCAL).await;
+            drop(registered); // the registration is now the only holder
+            qa.post_rdma_read(dst.clone(), 0, reg_addr, g, 64, WrId(1))
+                .unwrap();
+            let read = qa.send_cq().next().await;
+            qa.post_rdma_write(Payload::real(vec![7; 16]), posted_addr, g, WrId(2), true)
+                .unwrap();
+            let write = qa.send_cq().next().await;
+            mr.deregister().await;
+            qa.post_rdma_read(dst, 0, reg_addr, g, 64, WrId(3)).unwrap();
+            (read, write, qa.send_cq().next().await)
+        }
+    });
+    assert_eq!(read.result, Ok(64));
+    assert_eq!(&dst.read(0, 64).materialize()[..], &[0xCD; 64]);
+    assert_eq!(write.result, Ok(16));
+    assert!(after_dereg.is_err(), "freed memory must not be reachable");
+    assert!(b.mem.lookup(reg_addr, 1).is_none());
+    // Only the posted receive is left of what this test allocated.
+    assert_eq!(b.mem.live_buffers(), before + 1);
+}
+
+#[test]
 fn exposure_ledger_distinguishes_designs() {
     // Read-Read style (server exposes, remote-read) accumulates
     // exposure; Read-Write style (server registers local-only for its

@@ -28,7 +28,11 @@
 //! - **Cached wakers.** Each slot holds one `Arc`-backed [`Waker`],
 //!   created at spawn; polls clone it (a refcount bump) instead of
 //!   allocating a fresh waker per poll. Steady-state polling performs
-//!   zero heap allocations (pinned by `tests/zero_alloc.rs`).
+//!   zero heap allocations (pinned by `tests/zero_alloc.rs`). A
+//!   finished task leaves its `Arc` in the slot, and the next tenant
+//!   re-addresses it unless a stale clone (a timer, a channel) still
+//!   shares it — then that clone keeps the old id and a fresh `Arc` is
+//!   allocated, so a stale wake is dropped by generation as before.
 //! - **Wake dedup.** The waker carries an "already scheduled" flag;
 //!   waking a task that is still queued is a no-op rather than a
 //!   duplicate queue entry and a wasted poll. The flag clears *before*
@@ -244,10 +248,13 @@ struct LiveTask {
     waker: Waker,
 }
 
+#[derive(Default)]
 struct TaskSlot {
     /// Bumped when the slot is freed, invalidating outstanding ids.
     gen: u32,
     live: Option<LiveTask>,
+    /// The last tenant's waker state, for the next tenant to reuse.
+    spare: Option<Arc<TaskWaker>>,
 }
 
 #[derive(Default)]
@@ -485,7 +492,7 @@ impl Simulation {
             }
         } else {
             slot.gen = slot.gen.wrapping_add(1);
-            slot.live = None;
+            slot.spare = slot.live.take().map(|live| live.flag);
             slab.free.push(task_slot(id) as u32);
         }
     }
@@ -534,19 +541,30 @@ impl Sim {
             let idx = match slab.free.pop() {
                 Some(i) => i,
                 None => {
-                    slab.slots.push(TaskSlot { gen: 0, live: None });
+                    slab.slots.push(TaskSlot::default());
                     (slab.slots.len() - 1) as u32
                 }
             };
             let slot = &mut slab.slots[idx as usize];
             let id = ((slot.gen as u64) << 32) | idx as u64;
-            let flag = Arc::new(TaskWaker {
-                id,
-                class,
-                ready: self.ready.clone(),
-                // Born scheduled: pushed directly below.
-                scheduled: AtomicBool::new(true),
-            });
+            let fresh = || {
+                Arc::new(TaskWaker {
+                    id,
+                    class,
+                    ready: self.ready.clone(),
+                    // Born scheduled: pushed directly below.
+                    scheduled: AtomicBool::new(true),
+                })
+            };
+            let mut flag = slot.spare.take().unwrap_or_else(fresh);
+            match Arc::get_mut(&mut flag) {
+                // Sole owner: no waker of the last tenant survives.
+                Some(w) => {
+                    (w.id, w.class) = (id, class);
+                    *w.scheduled.get_mut() = true;
+                }
+                None => flag = fresh(),
+            }
             let waker = Waker::from(flag.clone());
             slot.live = Some(LiveTask {
                 fut: Some(Box::pin(fut)),

@@ -30,16 +30,17 @@ impl ExtentMap {
         }
         let end = offset + len;
 
-        // Find every extent overlapping [offset, end).
-        let overlapping: Vec<u64> = self
-            .extents
-            .range(..end)
-            .rev()
-            .take_while(|(start, p)| **start + p.len() > offset)
-            .map(|(start, _)| *start)
-            .collect();
-
-        for start in overlapping {
+        // Remove every extent overlapping [offset, end), last first.
+        while let Some((&start, p)) = self.extents.range_mut(..end).next_back() {
+            if start + p.len() <= offset {
+                break;
+            }
+            // Exactly covered (every receive lands on the same posted
+            // range): the extent keeps its node in the tree.
+            if (start, p.len()) == (offset, len) {
+                *p = data;
+                return;
+            }
             let existing = self.extents.remove(&start).expect("extent vanished");
             let e_end = start + existing.len();
             // Keep the prefix before our write.

@@ -11,6 +11,7 @@
 
 use bytes::Bytes;
 use core::fmt;
+use std::cell::RefCell;
 
 /// Decoding errors.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,22 +57,55 @@ pub type Result<T> = std::result::Result<T, XdrError>;
 /// assert_eq!(&dec.get_opaque().unwrap()[..], &[1, 2, 3]);
 /// dec.expect_end().unwrap();
 /// ```
+///
+/// A dropped or finished encoder leaves its buffer to the thread's next
+/// [`Encoder::new`], so once warm, `new()` … [`Encoder::finish`] is one
+/// allocation: the returned `Bytes`.
 #[derive(Default)]
 pub struct Encoder {
     buf: Vec<u8>,
 }
 
+/// How many buffers a thread keeps (encoders nest: a reply body inside
+/// a directory listing) and the largest worth keeping.
+const SPARE_BUFS: usize = 4;
+const SPARE_CAPACITY: usize = 64 << 10;
+
+thread_local! {
+    static SPARE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Drop for Encoder {
+    fn drop(&mut self) {
+        let mut buf = std::mem::take(&mut self.buf);
+        if buf.capacity() == 0 || buf.capacity() > SPARE_CAPACITY {
+            return;
+        }
+        buf.clear();
+        // Gone with an exiting thread's locals: just free the buffer.
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() < SPARE_BUFS {
+                spare.push(buf);
+            }
+        });
+    }
+}
+
 impl Encoder {
     /// Empty encoder.
     pub fn new() -> Self {
-        Encoder { buf: Vec::new() }
+        let spare = SPARE.try_with(|spare| spare.borrow_mut().pop());
+        Encoder {
+            buf: spare.ok().flatten().unwrap_or_default(),
+        }
     }
 
     /// Encoder with reserved capacity.
     pub fn with_capacity(n: usize) -> Self {
-        Encoder {
-            buf: Vec::with_capacity(n),
-        }
+        let mut enc = Encoder::new();
+        enc.buf.reserve(n);
+        enc
     }
 
     /// Clear the encoder for reuse, keeping its capacity. A scratch
@@ -90,7 +124,7 @@ impl Encoder {
 
     /// Finish and take the encoded bytes.
     pub fn finish(self) -> Bytes {
-        Bytes::from(self.buf)
+        Bytes::copy_from_slice(&self.buf)
     }
 
     /// Current encoded length.

@@ -90,10 +90,12 @@ echo "==> benchmark --lint + --smoke (the stand-alone benchmark package compiles
 bash benchmark/run.sh --lint
 bash benchmark/run.sh --smoke >/dev/null
 
-echo "==> results/benchmark_smoke_pin.txt (schedule pin: every simulated end-to-end number and the polls per op of the four benchmark beds)"
-# Host, ladder, set-up and memory numbers are wall clock and stay out.
+echo "==> results/benchmark_smoke_pin.txt (schedule and allocation pin: every simulated end-to-end number, the polls per op and the heap allocations and bytes per op of the four benchmark beds)"
+# Host speed, ladder, set-up and peak-RSS numbers are wall clock (or the
+# kernel's page accounting) and stay out; allocations are counted, and
+# repeat to the last digit.
 for f in benchmark/out/*.trace[01].json; do
-    grep -o '"sim[-_][a-z0-9_.-]*": {"value": [^,]*' "$f" |
+    grep -oE '"(sim[-_][a-z0-9_.-]*|host\.alloc[a-z_]*_per_op)": \{"value": [^,]*' "$f" |
         sed "s|^\"\([^\"]*\)\": {\"value\": |$(basename "$f" .json) \1 |"
 done | LC_ALL=C sort >results/benchmark_smoke_pin.txt
 [ -s results/benchmark_smoke_pin.txt ] || { echo "empty benchmark pin" >&2; exit 1; }

@@ -5,6 +5,12 @@
 //!
 //! - RPC/RDMA header encode into a warmed per-connection scratch
 //!   encoder must perform **zero** heap allocations.
+//! - An owned encode, `Encoder::new()` … `finish()`, must perform
+//!   exactly **one**: the `Bytes` it returns. The encoder's own buffer
+//!   is the one the thread's last encoder left behind.
+//! - Rewriting a range an `ExtentMap` already holds (every receive
+//!   lands on the same posted buffer) must perform **zero** beyond the
+//!   payload's own.
 //! - A warmed executor (slab, ready queue, timer wheel and all bucket
 //!   vectors at capacity) must poll tasks without per-event
 //!   allocations; only the `run()`-scoped batch buffer may grow, so the
@@ -26,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ib_verbs::Rkey;
 use rpcrdma::{Design, MsgType, RdmaHeader, ReadChunk, Segment, StrategyKind};
-use sim_core::{yield_now, Payload, SimDuration, Simulation};
+use sim_core::{yield_now, ExtentMap, Payload, SimDuration, Simulation};
 use workloads::{build_rdma_custom, solaris_sdr, Backend, RdmaOpts};
 use xdr::{Encoder, XdrCodec};
 
@@ -131,6 +137,40 @@ fn steady_state_hot_paths_do_not_allocate() {
     assert_eq!(
         encode_allocs, 0,
         "header encode_into must not allocate in steady state"
+    );
+
+    // ---- Owned encode: one allocation, the bytes handed back. -------
+    let wire = hdr.to_bytes(); // leaves a message-sized buffer behind
+    assert_eq!(wire.len(), wire_len);
+    let mut owned_allocs = u64::MAX;
+    for _ in 0..5 {
+        let before = allocs();
+        for _ in 0..1_000 {
+            assert_eq!(hdr.to_bytes().len(), wire_len);
+        }
+        owned_allocs = owned_allocs.min(allocs() - before);
+    }
+    assert_eq!(
+        owned_allocs, 1_000,
+        "Encoder::new() .. finish() must cost exactly one allocation"
+    );
+
+    // ---- Rewriting a held extent: the tree node is reused. ----------
+    let mut map = ExtentMap::new();
+    let data = Payload::real(vec![7u8; 4096]);
+    map.write(64, data.clone());
+    let mut rewrite_allocs = u64::MAX;
+    for _ in 0..5 {
+        let before = allocs();
+        for _ in 0..1_000 {
+            map.write(64, data.clone());
+        }
+        rewrite_allocs = rewrite_allocs.min(allocs() - before);
+    }
+    assert_eq!(map.extent_count(), 1);
+    assert_eq!(
+        rewrite_allocs, 0,
+        "rewriting an extent in place must not allocate"
     );
 
     // ---- Executor poll/timer churn after warmup passes. -------------
