@@ -16,7 +16,7 @@
 
 use nfs::proto::readdir_reply_max;
 use nfs::NFS_DTSIZE;
-use rpcrdma::{Design, StrategyKind};
+use rpcrdma::{Design, RfpConfig, StrategyKind};
 use sim_core::sweep::parallel_sweep;
 use sim_core::{SimDuration, Simulation};
 use workloads::{
@@ -308,11 +308,10 @@ fn msgp_small_write_fast_path() {
             // Linux profile: the lean task queue leaves registration as
             // the binding constraint, which is what MSGP removes.
             let mut p = workloads::linux_sdr();
-            p.rpc.msgp_small_writes = msgp;
-            // MSGP only helps below the inline threshold; lift it so
-            // every swept size qualifies when enabled.
-            p.rpc.inline_threshold = 16 * 1024;
-            p.rpc.recv_buffer_size = 64 * 1024;
+            // The transport picks MSGP for a payload within the inline
+            // threshold: lift it so every swept size qualifies, or drop
+            // it below the smallest so every one is chunked.
+            p.rpc.inline_threshold = if msgp { 16 * 1024 } else { 256 };
             iozone(
                 p,
                 Design::ReadWrite,
@@ -888,7 +887,6 @@ fn rfp_point(
 ) -> OpenLoopResult {
     let mut profile = linux_sdr();
     profile.hca.read_turnaround = SimDuration::from_micros(2);
-    profile.rpc.rfp_poll_initial = SimDuration::from_micros(2);
     run_openloop(
         0xAB1A,
         &profile,
@@ -902,7 +900,9 @@ fn rfp_point(
             grace: SimDuration::from_millis(5),
             qos: false,
             waiting_room: 0,
-            rfp,
+            rfp: rfp.then_some(RfpConfig {
+                poll_initial: SimDuration::from_micros(2),
+            }),
             ..OpenLoopParams::default()
         },
     )

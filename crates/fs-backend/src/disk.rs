@@ -100,11 +100,6 @@ impl Raid0 {
         self.disks.len()
     }
 
-    /// Aggregate sequential bandwidth, bytes/second.
-    pub fn aggregate_rate(&self) -> u64 {
-        self.disks.iter().map(|d| d.rate).sum()
-    }
-
     /// Transfer `[addr, addr+len)` of the array's address space,
     /// striping across members and waiting for the slowest.
     pub async fn transfer(&self, addr: u64, len: u64) {

@@ -59,14 +59,15 @@ impl CacheInner {
     }
 }
 
+/// Pages fetched per miss (sequential readahead, like the kernel's
+/// readahead window); amortizes disk positioning across streams.
+const READAHEAD_PAGES: u64 = 8;
+
 /// LRU page cache over a RAID-0 array.
 pub struct PageCache {
     raid: Raid0,
     page_size: u64,
     capacity_pages: u64,
-    /// Pages fetched per miss (sequential readahead, like the kernel's
-    /// readahead window); amortizes disk positioning across streams.
-    readahead_pages: Cell<u64>,
     /// Per-file next expected page, for classifying access patterns.
     next_expected: RefCell<HashMap<u64, u64>>,
     inner: RefCell<CacheInner>,
@@ -94,7 +95,6 @@ impl PageCache {
             raid,
             page_size,
             capacity_pages: (capacity_bytes / page_size).max(1),
-            readahead_pages: Cell::new(8),
             next_expected: RefCell::new(HashMap::new()),
             inner: RefCell::new(CacheInner {
                 pages: HashMap::new(),
@@ -109,16 +109,6 @@ impl PageCache {
             ra_sequential: Cell::new(0),
             metrics: RefCell::new(None),
         }
-    }
-
-    /// Current readahead window, in pages.
-    pub fn readahead(&self) -> u64 {
-        self.readahead_pages.get()
-    }
-
-    /// Set the readahead window (clamped to at least one page).
-    pub fn set_readahead(&self, pages: u64) {
-        self.readahead_pages.set(pages.max(1));
     }
 
     /// Mirror readahead statistics into the shared metrics registry as
@@ -205,7 +195,7 @@ impl PageCache {
             // Miss: fetch a readahead window of consecutive missing
             // pages in one disk request.
             let mut run = 1u64;
-            while run < self.readahead_pages.get() {
+            while run < READAHEAD_PAGES {
                 let next = (file.0, page + run);
                 if self.inner.borrow().pages.contains_key(&next) {
                     break;

@@ -57,12 +57,6 @@ pub struct HcaConfig {
     /// Maximum bytes one FMR entry can map; larger regions must fall
     /// back to dynamic registration.
     pub fmr_max_len: u64,
-    /// Work requests accumulated per doorbell ring. Posts collect in a
-    /// software pending queue and ring the HCA once the queue reaches
-    /// this depth (callers flush explicitly at operation boundaries).
-    /// `1` rings on every post — the classic one-doorbell-per-WQE
-    /// behavior the batching ablation measures against.
-    pub doorbell_batch: usize,
     /// Maximum scatter/gather entries one WQE may carry. Posting more
     /// is an immediate `InvalidRequest`.
     pub max_send_sge: usize,
@@ -98,7 +92,6 @@ impl HcaConfig {
             fmr_unmap: SimDuration::from_micros(80),
             fmr_pool_size: 512,
             fmr_max_len: 1 << 20,
-            doorbell_batch: 1,
             max_send_sge: 16,
             cq_coalesce_count: 1,
             cq_coalesce_delay: SimDuration::from_micros(4),
@@ -168,7 +161,6 @@ mod tests {
         // Defaults must preserve the unbatched per-WQE behavior so
         // every calibrated curve is unchanged until a profile opts in.
         let c = HcaConfig::sdr();
-        assert_eq!(c.doorbell_batch, 1);
         assert_eq!(c.cq_coalesce_count, 1);
         assert!(c.max_send_sge >= 2);
     }

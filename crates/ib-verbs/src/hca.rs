@@ -161,11 +161,6 @@ impl Hca {
         self.inner.tpt.borrow().guess_hit_probability()
     }
 
-    /// Live TPT entries.
-    pub fn tpt_entries(&self) -> usize {
-        self.inner.tpt.borrow().len()
-    }
-
     /// Utilization of the TPT engine since its window opened.
     pub fn tpt_engine_utilization(&self) -> f64 {
         self.inner.tpt_engine.utilization()

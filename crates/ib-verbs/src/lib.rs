@@ -38,7 +38,6 @@ pub mod memory;
 pub mod mr;
 pub mod ops;
 pub mod qp;
-pub mod srq;
 pub mod tpt;
 pub mod types;
 
@@ -50,6 +49,5 @@ pub use memory::{Buffer, HostMem, PhysLayout, PAGE_SIZE};
 pub use mr::{FmrPool, Mr};
 pub use qp::{Qp, Sge, WireMsg};
 pub use sim_core::extent;
-pub use srq::Srq;
 pub use tpt::{ExposureReport, RemoteOp};
 pub use types::{Access, NodeId, Opcode, QpNum, Rkey, VerbsError, WrId};

@@ -180,7 +180,6 @@ pub struct HostMem {
     next_addr: Cell<u64>,
     layout: PhysLayout,
     rng: RefCell<SimRng>,
-    allocated: Cell<u64>,
     /// Live buffers by start address, for global-steering-tag lookup.
     /// An entry lives exactly as long as its buffer.
     index: Rc<Index>,
@@ -195,7 +194,6 @@ impl HostMem {
             next_addr: Cell::new(0x1000_0000),
             layout,
             rng: RefCell::new(rng),
-            allocated: Cell::new(0),
             index: Rc::default(),
         }
     }
@@ -207,7 +205,6 @@ impl HostMem {
         // Page-align the next allocation.
         let span = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
         self.next_addr.set(addr + span + PAGE_SIZE); // guard page
-        self.allocated.set(self.allocated.get() + span);
 
         let phys_runs = self.draw_runs(span);
         let inner = Rc::new(BufferInner {
@@ -245,20 +242,6 @@ impl HostMem {
     /// Buffers currently alive on this host (diagnostic).
     pub fn live_buffers(&self) -> usize {
         self.index.borrow().len()
-    }
-
-    /// Allocate and fill with a payload.
-    pub fn alloc_from(&self, data: Payload) -> Buffer {
-        let b = self.alloc(data.len().max(1));
-        if !data.is_empty() {
-            b.write(0, data);
-        }
-        b
-    }
-
-    /// Total bytes allocated so far (diagnostic).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated.get()
     }
 
     fn draw_runs(&self, span: u64) -> Vec<u64> {

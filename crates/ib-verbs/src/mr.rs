@@ -94,11 +94,6 @@ impl Mr {
         &self.buffer
     }
 
-    /// True until deregistered/dropped.
-    pub fn is_valid(&self) -> bool {
-        self.valid.get()
-    }
-
     /// Deregister, paying the TPT invalidate transaction and the unpin
     /// cost. FMR regions pay the (cheaper, batched) FMR unmap cost and
     /// return their steering tag to the pool.

@@ -16,12 +16,12 @@
 //!   the next Read WQE stalls the entire send queue.
 //!
 //! Work requests are submitted to the HCA through a software pending
-//! queue that models **doorbell batching**: with
-//! [`HcaConfig::doorbell_batch`] > 1, posts accumulate and one doorbell
-//! ring (one WQE-processing charge) submits the whole batch. Callers
-//! must [`Qp::flush`] at operation boundaries before waiting on a
-//! completion; the default depth of 1 rings on every post, preserving
-//! the classic behavior.
+//! queue that models **doorbell batching**: past
+//! [`Qp::set_doorbell_batch`]`(n > 1)`, posts accumulate and one
+//! doorbell ring (one WQE-processing charge) submits the whole batch.
+//! Callers must [`Qp::flush`] at operation boundaries before waiting on
+//! a completion; a QP starts at depth 1, which rings on every post —
+//! the classic one-doorbell-per-WQE behavior.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -139,9 +139,6 @@ pub(crate) struct QpInner {
     pub(crate) send_cq: Cq,
     pub(crate) recv_cq: Cq,
     pub(crate) recv_queue: RefCell<VecDeque<PostedRecv>>,
-    /// Shared receive queue; when set, arrivals consume from it instead
-    /// of the per-QP queue.
-    pub(crate) srq: RefCell<Option<crate::srq::Srq>>,
     /// Outstanding outbound RDMA Reads (requester side).
     pub(crate) ord: Semaphore,
     /// Responder-side read execution engine. RC responders return read
@@ -154,9 +151,8 @@ pub(crate) struct QpInner {
     /// Batch vectors the engine has drained, for `flush` to refill: as
     /// many as were ever in flight at once.
     drained: RefCell<Vec<Vec<Wqe>>>,
-    /// Rings per doorbell batch (see [`HcaConfig::doorbell_batch`]);
-    /// runtime-adjustable per QP so a server can batch while its peer
-    /// stays unbatched.
+    /// WQEs per doorbell ring ([`Qp::set_doorbell_batch`]): per QP, so
+    /// a server can batch while its peer stays unbatched.
     doorbell_batch: Cell<usize>,
     /// Doorbells rung on this QP.
     doorbells: Cell<u64>,
@@ -207,12 +203,11 @@ impl Qp {
                 send_cq,
                 recv_cq,
                 recv_queue: RefCell::new(VecDeque::new()),
-                srq: RefCell::new(None),
                 ord: Semaphore::new(cfg.max_ord),
                 read_engine: Semaphore::new(1),
                 pending: RefCell::new(Vec::new()),
                 drained: RefCell::new(Vec::new()),
-                doorbell_batch: Cell::new(cfg.doorbell_batch.max(1)),
+                doorbell_batch: Cell::new(1),
                 doorbells: Cell::new(0),
                 doorbell_metric: RefCell::new(None),
                 global_rkey,
@@ -238,11 +233,6 @@ impl Qp {
         self.inner.peer_node.get()
     }
 
-    /// True once [`crate::hca::connect`] has paired this QP.
-    pub fn is_connected(&self) -> bool {
-        self.inner.connected.get()
-    }
-
     /// True if the QP has transitioned to the error state.
     pub fn is_error(&self) -> bool {
         self.inner.error.get()
@@ -258,24 +248,13 @@ impl Qp {
         &self.inner.recv_cq
     }
 
-    /// Number of receives currently posted (per-QP queue only; SRQ
-    /// buffers are counted by [`crate::srq::Srq::posted`]).
+    /// Number of receives currently posted.
     pub fn posted_recvs(&self) -> usize {
         self.inner.recv_queue.borrow().len()
     }
 
-    /// Attach a shared receive queue: subsequent arrivals consume SRQ
-    /// buffers. Real verbs fix this at creation time; attach before
-    /// any traffic for the same effect.
-    pub fn set_srq(&self, srq: crate::srq::Srq) {
-        *self.inner.srq.borrow_mut() = Some(srq);
-    }
-
-    /// Take the next posted receive: SRQ first if attached.
+    /// Take the next posted receive.
     pub(crate) fn take_recv(&self) -> Option<PostedRecv> {
-        if let Some(srq) = self.inner.srq.borrow().as_ref() {
-            return srq.pop();
-        }
         self.inner.recv_queue.borrow_mut().pop_front()
     }
 
@@ -468,7 +447,7 @@ impl Qp {
         let _ = self.inner.wqe_tx.send(batch);
     }
 
-    /// Override the doorbell batch depth for this QP (takes effect for
+    /// Set the doorbell batch depth for this QP (takes effect for
     /// subsequent posts; depth 0 is clamped to 1).
     pub fn set_doorbell_batch(&self, depth: usize) {
         self.inner.doorbell_batch.set(depth.max(1));

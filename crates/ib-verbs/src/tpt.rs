@@ -307,16 +307,6 @@ impl Tpt {
         }
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no entries are installed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Probability that a uniformly guessed 32-bit steering tag hits a
     /// live remotely-readable entry (used by the security audit).
     pub fn guess_hit_probability(&self) -> f64 {

@@ -606,78 +606,6 @@ fn exposure_ledger_distinguishes_designs() {
 }
 
 #[test]
-fn srq_shares_buffers_across_connections() {
-    // Two clients, one server SRQ: sends from both consume the shared
-    // pool, in arrival order, and completions land on each QP's own
-    // receive CQ.
-    let mut sim = Simulation::new(51);
-    let h = sim.handle();
-    let fabric = Fabric::new(&h);
-    let server = host(&h, &fabric, 0, HcaConfig::sdr());
-    let c1 = host(&h, &fabric, 1, HcaConfig::sdr());
-    let c2 = host(&h, &fabric, 2, HcaConfig::sdr());
-
-    let (q1, s1) = connect(&c1.hca, &server.hca);
-    let (q2, s2) = connect(&c2.hca, &server.hca);
-    let srq = ib_verbs::Srq::new();
-    s1.set_srq(srq.clone());
-    s2.set_srq(srq.clone());
-    // Only 3 shared buffers serve both connections.
-    for i in 0..3 {
-        let buf = server.mem.alloc(4096);
-        srq.post_recv(buf, 0, 4096, WrId(100 + i)).unwrap();
-    }
-    srq.set_limit(2);
-
-    sim.block_on({
-        let s1 = s1.clone();
-        let s2 = s2.clone();
-        async move {
-            q1.post_send(Payload::real(vec![1u8; 64]), WrId(1), false)
-                .unwrap();
-            q2.post_send(Payload::real(vec![2u8; 64]), WrId(2), false)
-                .unwrap();
-            q1.post_send(Payload::real(vec![3u8; 64]), WrId(3), false)
-                .unwrap();
-            // Each connection's arrivals complete on its own recv CQ.
-            let a = s1.recv_cq().next().await;
-            let b = s2.recv_cq().next().await;
-            let c = s1.recv_cq().next().await;
-            assert!(a.result.is_ok() && b.result.is_ok() && c.result.is_ok());
-            assert_eq!(a.payload.unwrap().materialize()[0], 1);
-            assert_eq!(b.payload.unwrap().materialize()[0], 2);
-            assert_eq!(c.payload.unwrap().materialize()[0], 3);
-        }
-    });
-    assert_eq!(srq.posted(), 0);
-    assert_eq!(srq.consumed(), 3);
-    assert!(srq.limit_events() >= 1, "low-water mark never tripped");
-}
-
-#[test]
-fn srq_exhaustion_is_receiver_not_ready() {
-    let mut sim = Simulation::new(52);
-    let h = sim.handle();
-    let fabric = Fabric::new(&h);
-    let server = host(&h, &fabric, 0, HcaConfig::sdr());
-    let c1 = host(&h, &fabric, 1, HcaConfig::sdr());
-    let (q1, s1) = connect(&c1.hca, &server.hca);
-    let srq = ib_verbs::Srq::new();
-    s1.set_srq(srq.clone());
-    // Empty SRQ: the send must fail exactly like an unposted receive.
-    let comp = sim.block_on({
-        let q1 = q1.clone();
-        async move {
-            q1.post_send(Payload::real(vec![9u8; 16]), WrId(1), true)
-                .unwrap();
-            q1.send_cq().next().await
-        }
-    });
-    assert_eq!(comp.result, Err(VerbsError::ReceiverNotReady));
-    assert!(q1.is_error());
-}
-
-#[test]
 fn concurrent_registrations_queue_on_tpt_engine() {
     // Eight "server threads" registering concurrently serialize on the
     // single TPT engine — the contention behind Figure 7.

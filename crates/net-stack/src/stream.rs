@@ -69,8 +69,6 @@ pub struct TcpStream {
     /// Send window in segments; permits return when a segment is
     /// delivered and its ACK has propagated back.
     window: Semaphore,
-    tx_bytes: Cell<u64>,
-    rx_bytes: Cell<u64>,
 }
 
 impl TcpStream {
@@ -85,8 +83,6 @@ impl TcpStream {
             remote,
             rx,
             window: Semaphore::new(window_segments),
-            tx_bytes: Cell::new(0),
-            rx_bytes: Cell::new(0),
         }
     }
 
@@ -114,7 +110,6 @@ impl TcpStream {
         let cfg = *self.net.config();
         let node = self.net.node(self.local);
         let total = data.len();
-        self.tx_bytes.set(self.tx_bytes.get() + total);
         let mut off = 0u64;
         while off < total {
             let chunk = cfg.mtu.min(total - off);
@@ -168,18 +163,7 @@ impl TcpStream {
             }
         })
         .await;
-        self.rx_bytes.set(self.rx_bytes.get() + n);
         self.rx.pop_exact(n)
-    }
-
-    /// Bytes written into this stream so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.tx_bytes.get()
-    }
-
-    /// Bytes read from this stream so far.
-    pub fn bytes_received(&self) -> u64 {
-        self.rx_bytes.get()
     }
 }
 

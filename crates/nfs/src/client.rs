@@ -135,15 +135,6 @@ impl NfsClient {
         }
     }
 
-    /// UNSTABLE writes recorded for `fh` and not yet confirmed durable
-    /// by a verifier-matching COMMIT.
-    pub fn pending_writes(&self, fh: FileHandle) -> usize {
-        self.pending
-            .borrow()
-            .get(&fh.0)
-            .map_or(0, |p| p.writes.len())
-    }
-
     /// The underlying RPC/RDMA client, when mounted over RDMA (fault
     /// injection and transport statistics).
     pub fn rdma(&self) -> Option<&RdmaRpcClient> {

@@ -36,7 +36,7 @@ use rpcrdma::{LogRing, RdmaRpcServer, ReplError, RingTarget, Shipper, RING_SENTI
 use sim_core::sync::{Notify, SemPermit, Semaphore};
 use sim_core::{Payload, Sim, TraceCtx};
 
-use crate::proto::{NfsProc, NFS_PROGRAM, NFS_VERSION};
+use crate::proto::NfsProc;
 use crate::server::{NfsServer, WRITE_VERF_BASE};
 
 /// Fixed wire header of a [`ReplRecord`]: seq (8) + six u32 fields +
@@ -658,11 +658,6 @@ impl ClusterMount {
         self.epoch.get()
     }
 
-    /// Whether `idx` is marked failed.
-    pub fn is_killed(&self, idx: usize) -> bool {
-        self.killed.borrow()[idx]
-    }
-
     /// Mark `idx` failed.
     pub fn kill(&self, idx: usize) {
         self.killed.borrow_mut()[idx] = true;
@@ -735,16 +730,4 @@ pub async fn promote_backup(
     server.install_boot_verf(verf);
     rpc.set_service_epoch(epoch);
     repl.set_epoch(epoch);
-}
-
-/// Build the `CallContext` a replicated record executes under on the
-/// backup.
-pub fn replica_context(rec: &ReplRecord) -> onc_rpc::CallContext {
-    onc_rpc::CallContext {
-        peer: rec.peer,
-        prog: NFS_PROGRAM,
-        vers: NFS_VERSION,
-        xid: rec.xid,
-        trace: rec.trace,
-    }
 }

@@ -132,17 +132,6 @@ impl NfsServer {
         debug_assert!(res.is_ok(), "replicated record failed to apply");
     }
 
-    /// The write verifier currently in force.
-    pub fn write_verf(&self) -> u64 {
-        self.verf.get()
-    }
-
-    /// Uncommitted UNSTABLE-written bytes tracked for `file` (0 when
-    /// clean). Diagnostic view of the dirty/commit ledger.
-    pub fn dirty_bytes(&self, file: FileHandle) -> u64 {
-        self.dirty.borrow().get(&file.0).copied().unwrap_or(0)
-    }
-
     /// Simulate an NFS server reboot after a power failure: bump the
     /// write verifier to a fresh boot-instance value and forget the
     /// dirty ledger (whatever was uncommitted is gone — the backend's

@@ -18,6 +18,16 @@ struct Bed {
 }
 
 fn rdma_bed(sim: &Sim, design: Design, strategy: StrategyKind) -> Bed {
+    rdma_bed_parts(sim, design, strategy).0
+}
+
+/// [`rdma_bed`] with the fabric + RPC server it stands on.
+#[allow(clippy::type_complexity)]
+fn rdma_bed_parts(
+    sim: &Sim,
+    design: Design,
+    strategy: StrategyKind,
+) -> (Bed, Fabric<ib_verbs::WireMsg>, Rc<RdmaRpcServer>) {
     let fabric = Fabric::new(sim);
     let mk = |id: u32| {
         let node = NodeId(id);
@@ -30,7 +40,7 @@ fn rdma_bed(sim: &Sim, design: Design, strategy: StrategyKind) -> Bed {
     let (shca, _) = mk(1);
     let fs = Rc::new(tmpfs(sim));
     let server = NfsServer::new(Rc::new(fs.clone()));
-    let cfg = RpcRdmaConfig::solaris().with_design(design);
+    let cfg = RpcRdmaConfig::default().with_design(design);
     let (qc, qs) = connect(&chca, &shca);
     let rpc_server = RdmaRpcServer::new(
         sim,
@@ -49,11 +59,12 @@ fn rdma_bed(sim: &Sim, design: Design, strategy: StrategyKind) -> Bed {
         nfs::NFS_PROGRAM,
         nfs::NFS_VERSION,
     );
-    Bed {
+    let bed = Bed {
         client: Rc::new(NfsClient::over_rdma(rpc_client)),
         server,
         client_mem: cmem,
-    }
+    };
+    (bed, fabric, rpc_server)
 }
 
 /// Async-friendly TCP testbed: must be awaited inside the simulation.
@@ -335,56 +346,17 @@ fn tcp_and_rdma_agree_on_contents() {
     assert_eq!(rdma, tcp);
 }
 
-/// Like [`rdma_bed`] but with MSGP small writes enabled (so a small
-/// NFS WRITE is pure Send/reply traffic — no RDMA Read legs — and a
-/// single forced drop can target the call or the reply exactly) and
-/// with the fabric + RPC server exposed for fault injection.
+/// [`rdma_bed`] with the fabric + RPC server exposed for fault
+/// injection. The tests on it issue small NFS WRITEs, which ride
+/// `RDMA_MSGP`: pure Send/reply traffic — no RDMA Read legs — so a
+/// single forced drop can target the call or the reply exactly.
 #[allow(clippy::type_complexity)]
 fn fault_bed(sim: &Sim, design: Design) -> (Bed, Fabric<ib_verbs::WireMsg>, Rc<RdmaRpcServer>) {
-    let fabric = Fabric::new(sim);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(sim, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
-        let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (chca, cmem) = mk(0);
-    let (shca, _) = mk(1);
-    let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(Rc::new(fs.clone()));
-    let mut cfg = RpcRdmaConfig::solaris().with_design(design);
-    cfg.msgp_small_writes = true;
-    let (qc, qs) = connect(&chca, &shca);
-    let rpc_server = RdmaRpcServer::new(
-        sim,
-        &shca,
-        Rc::new(NfsServerHandle(server.clone())),
-        Registrar::new(&shca, StrategyKind::Dynamic),
-        cfg,
-    );
-    rpc_server.serve_connection(qs);
-    let rpc_client = RdmaRpcClient::new(
-        sim,
-        &chca,
-        qc,
-        Registrar::new(&chca, StrategyKind::Dynamic),
-        cfg,
-        nfs::NFS_PROGRAM,
-        nfs::NFS_VERSION,
-    );
+    let parts = rdma_bed_parts(sim, design, StrategyKind::Dynamic);
     // Forced drops only: no per-link probability, so nothing else in
     // the run is perturbed.
-    fabric.enable_faults(sim.fork_rng());
-    (
-        Bed {
-            client: Rc::new(NfsClient::over_rdma(rpc_client)),
-            server,
-            client_mem: cmem,
-        },
-        fabric,
-        rpc_server,
-    )
+    parts.1.enable_faults(sim.fork_rng());
+    parts
 }
 
 #[test]

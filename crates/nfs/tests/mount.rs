@@ -37,7 +37,7 @@ fn mount_then_io_over_rdma() {
     let mountd = Mountd::new();
     mountd.export("/export/data", server.root_handle());
 
-    let cfg = RpcRdmaConfig::solaris().with_design(Design::ReadWrite);
+    let cfg = RpcRdmaConfig::default().with_design(Design::ReadWrite);
     let (qc, qs) = connect(&chca, &shca);
     let rpc_server = RdmaRpcServer::new(
         &h,

@@ -38,7 +38,7 @@ fn rdma_bed(sim: &Sim, design: Design, strategy: StrategyKind) -> Bed {
     let (chca, shca) = (mk(0), mk(1));
     let fs = Rc::new(tmpfs(sim));
     let server = NfsServer::new(Rc::new(fs.clone()));
-    let cfg = RpcRdmaConfig::solaris().with_design(design);
+    let cfg = RpcRdmaConfig::default().with_design(design);
     let (qc, qs) = connect(&chca, &shca);
     let handle = Rc::new(NfsServerHandle(server.clone()));
     RdmaRpcServer::new(sim, &shca, handle, Registrar::new(&shca, strategy), cfg)

@@ -39,7 +39,7 @@ use sim_core::{MetricsRegistry, Payload, Sim, SimDuration, SimRng, SimTime};
 use xdr::XdrCodec;
 
 use crate::config::{Design, RpcRdmaConfig};
-use crate::endpoint::{Endpoint, RecvPool, RecvQueue};
+use crate::endpoint::{Endpoint, RecvPool};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
 use crate::qos::{QOS_MAX_REJECTIONS, QOS_SHED_BACKOFF};
 use crate::reg::{IoBuf, Registrar};
@@ -50,7 +50,7 @@ use crate::sanitize::MAX_CHUNK_BYTES;
 /// Alignment of `RDMA_MSGP` payloads: the data rides in the Send after
 /// the RPC head, padded to this boundary so the receiver places it
 /// without a pull-up copy.
-const MSGP_ALIGN: usize = 64;
+pub(crate) const MSGP_ALIGN: usize = 64;
 
 /// Uniform random extra backoff `[0, RETRANS_JITTER]` added to every
 /// retransmission (and busy-reply) wait — decorrelates client retry
@@ -415,7 +415,8 @@ impl RdmaRpcClient {
         let inner = &self.inner;
         {
             let _s = inner.sim.span("client", "marshal");
-            inner.hca.cpu().execute(inner.cfg.per_op_client_cpu).await;
+            let cpu = inner.hca.cpu();
+            cpu.execute(cpu.costs().per_op_client_cpu).await;
         }
         let credit = inner.credits.acquire().await;
         let xid = inner.next_xid.get();
@@ -471,10 +472,11 @@ impl RdmaRpcClient {
         call
     }
 
-    /// The WRITE payload: small enough, it rides inside the Send
-    /// (`RDMA_MSGP`, returned for framing — no registration, no chunk,
-    /// no server-side RDMA Read); otherwise it is registered and named
-    /// in read chunks for the server to pull.
+    /// The WRITE payload: when it and the RPC head each fit the inline
+    /// threshold, it rides inside the Send (`RDMA_MSGP`, returned for
+    /// framing — no registration, no chunk, no server-side RDMA Read);
+    /// otherwise it is registered and named in read chunks for the
+    /// server to pull.
     async fn provision_send(
         &self,
         call: &mut Call,
@@ -485,7 +487,7 @@ impl RdmaRpcClient {
         let (cpu, stats) = (inner.hca.cpu(), &inner.stats);
         let threshold = inner.cfg.inline_threshold;
         stats.bulk_out.add(len);
-        if inner.cfg.msgp_small_writes && len <= threshold && rpc_msg.len() as u64 <= threshold {
+        if len <= threshold && rpc_msg.len() as u64 <= threshold {
             let data = buffer.read(off, len);
             cpu.copy(len).await; // staged into the inline buffer
             stats.msgp_sends.inc();
@@ -578,7 +580,7 @@ impl RdmaRpcClient {
     /// has advertised a ring, and only while that ring is fresh enough
     /// that the server's idle reaper cannot be close to revoking it.
     fn mark(&self, call: &mut Call) {
-        if self.inner.cfg.rfp_enabled && call.hdr.is_chunkless() && self.rfp_ready() {
+        if self.inner.cfg.rfp.is_some() && call.hdr.is_chunkless() && self.rfp_ready() {
             call.hdr.msg_type = MsgType::MsgRfp;
             self.inner.stats.rfp_marked.inc();
         }
@@ -912,16 +914,12 @@ impl RdmaRpcClient {
                 ubuf.write(*uoff, data.clone());
             }
             inner.registrar.release(io).await;
-            // RDMA_DONE lets the server free its exposed buffers —
-            // unless we are modelling a malicious or crashed client
-            // (§4.1 failure injection).
-            if !inner.cfg.suppress_done {
-                let done = RdmaHeader::new(rhdr.xid, inner.cfg.credits, MsgType::Done);
-                let ep = inner.endpoint();
-                ep.send(ep.encode_wire(&done, &[]))
-                    .map_err(|_| RpcError::Disconnected)?;
-                inner.stats.dones_sent.inc();
-            }
+            // RDMA_DONE lets the server free its exposed buffers.
+            let done = RdmaHeader::new(rhdr.xid, inner.cfg.credits, MsgType::Done);
+            let ep = inner.endpoint();
+            ep.send(ep.encode_wire(&done, &[]))
+                .map_err(|_| RpcError::Disconnected)?;
+            inner.stats.dones_sent.inc();
             pulled = Some(data);
         }
         let rpc_reply = if long_reply {
@@ -960,14 +958,14 @@ fn open_endpoint(
     cfg: &RpcRdmaConfig,
     qp: Qp,
 ) -> Result<Rc<Endpoint>, VerbsError> {
-    let recv = RecvPool::post(hca, cfg, 1, RecvQueue::PerQp(qp.clone()))?;
+    let recv = RecvPool::post(hca, cfg, 1, &qp)?;
     let cq = qp.send_cq().clone();
-    let router = if cfg.rfp_enabled {
+    let router = if cfg.rfp.is_some() {
         CompletionRouter::spawn_polling(sim, cq, hca.cpu().clone(), SimDuration::from_micros(1))
     } else {
         CompletionRouter::spawn(sim, cq)
     };
-    Ok(Rc::new(Endpoint::new(qp, Rc::new(recv), router)))
+    Ok(Rc::new(Endpoint::new(qp, recv, router)))
 }
 
 /// Consumes reply receives, reposts buffers, routes by XID. Bound to
@@ -1005,7 +1003,7 @@ async fn reply_dispatcher(inner: Rc<ClientInner>, ep: Rc<Endpoint>) {
 /// Poll a marked call's reply slot with RDMA Read. The first probe is
 /// paced off an EWMA of past fetch latencies — the poller sleeps
 /// through most of the expected turnaround, then probes at the
-/// `rfp_poll_initial` floor while inside the expected window and backs
+/// `poll_initial` floor while inside the expected window and backs
 /// off exponentially to [`RFP_POLL_MAX`] once past it (cold start, with
 /// no estimate yet, goes straight to the exponential ladder). Spawned
 /// once per transmission attempt; exits as soon as the call is no
@@ -1013,7 +1011,7 @@ async fn reply_dispatcher(inner: Rc<ClientInner>, ep: Rc<Endpoint>) {
 /// captured at spawn is no longer current. Outstanding fetches across
 /// all of this client's pollers share the IRD/ORD-sized permit pool.
 async fn poll_slot(inner: Rc<ClientInner>, xid: u32) {
-    let Some(ad) = *inner.rfp_ad.borrow() else {
+    let (Some(ad), Some(rfp)) = (*inner.rfp_ad.borrow(), inner.cfg.rfp) else {
         return;
     };
     let slot_size = ad.slot_size as u64;
@@ -1022,7 +1020,7 @@ async fn poll_slot(inner: Rc<ClientInner>, xid: u32) {
     // outside the per-op cost model, like the recv pool).
     let fetch_buf = inner.hca.mem().alloc(slot_size);
     let t0 = inner.sim.now();
-    let floor = inner.cfg.rfp_poll_initial.max(SimDuration::from_nanos(1));
+    let floor = rfp.poll_initial.max(SimDuration::from_nanos(1));
     let est = inner.rfp_lat_ewma.get();
     let mut waited = SimDuration::ZERO;
     // `est` tracks when past replies became fetchable (the post time of

@@ -1,5 +1,14 @@
-//! RPC/RDMA transport configuration.
+//! RPC/RDMA transport configuration: only what two callers set
+//! differently. Sizes that follow from another field are derived
+//! ([`RpcRdmaConfig::recv_size`]), per-op stack costs belong to the
+//! modelled host ([`sim_core::CpuCosts`]), and everything no caller
+//! ever varied is a constant in the module that owns the decision.
 
+// A fourth on/off switch needs a better reason than a third: each one
+// doubles the configurations the harnesses have to compose.
+#![deny(clippy::struct_excessive_bools)]
+
+use ib_verbs::PAGE_SIZE;
 use sim_core::SimDuration;
 
 /// Which bulk-transfer design the transport runs (paper §4).
@@ -14,47 +23,43 @@ pub enum Design {
     ReadWrite,
 }
 
+/// The RFP reply-slot fast path's one setting (see
+/// [`RpcRdmaConfig::rfp`]).
+#[derive(Clone, Copy, Debug)]
+pub struct RfpConfig {
+    /// First client poll of the reply slot fires this long after the
+    /// call is posted (roughly the no-load server turnaround for a
+    /// metadata op); each subsequent miss doubles the wait.
+    pub poll_initial: SimDuration,
+}
+
+impl Default for RfpConfig {
+    fn default() -> Self {
+        RfpConfig {
+            poll_initial: SimDuration::from_micros(30),
+        }
+    }
+}
+
 /// Transport parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct RpcRdmaConfig {
     /// Bulk-transfer design.
     pub design: Design,
     /// Messages up to this size travel inline in the Send (paper §3.1).
+    /// A WRITE whose payload and RPC head each fit rides inline too, as
+    /// `RDMA_MSGP` (the paper's Figure 2 message type 2): aligned so
+    /// the receiver places it without a pull-up copy — no chunk, no
+    /// registration, no server-side RDMA Read.
     pub inline_threshold: u64,
     /// Credit window: max outstanding calls per connection; also the
     /// number of pre-posted receive buffers on each side.
     pub credits: u32,
-    /// Size of each pre-posted receive buffer (must hold the RPC/RDMA
-    /// header plus an inline message).
-    pub recv_buffer_size: u64,
-    /// Serialized per-operation time in the server's RPC task queue
-    /// (Figure 1's "server task queue": interrupt handler hand-off,
-    /// transport walkers, dispatch). A property of the OS stack, not
-    /// the HCA — large on 2007 OpenSolaris, small on Linux.
-    pub server_op_serial: SimDuration,
-    /// Per-call client CPU (syscall, VFS, RPC marshalling).
-    pub per_op_client_cpu: SimDuration,
-    /// Per-call server CPU (decode, NFS dispatch bookkeeping).
-    pub per_op_server_cpu: SimDuration,
     /// Client zero-copy direct-I/O path for NFS READ (paper §3.1,
     /// "Zero Copy Path for Direct I/O"): the Read-Write design can
     /// RDMA-write straight into the user buffer. The Read-Read design
     /// always copies on the client.
     pub zero_copy_read: bool,
-    /// Use `RDMA_MSGP` (padded inline) for bulk sends that fit the
-    /// inline threshold: the data rides in the Send, aligned so the
-    /// receiver places it without a pull-up copy — no chunk, no
-    /// registration, no server-side RDMA Read for small writes.
-    pub msgp_small_writes: bool,
-    /// FAILURE INJECTION (Read-Read design): never send `RDMA_DONE`,
-    /// modelling the paper's §4.1 malicious/malfunctioning client that
-    /// pins server buffers indefinitely.
-    pub suppress_done: bool,
-    /// Server-side shared receive queue: one pool of `2 x credits`
-    /// posted buffers serves *all* client connections instead of a full
-    /// window per connection — the buffer-management direction of the
-    /// paper's future work (and of later Linux NFS/RDMA servers).
-    pub server_srq: bool,
     /// Base per-call reply timeout; attempt `n` waits
     /// `call_timeout << min(n, 6)` plus jitter before retransmitting.
     pub call_timeout: SimDuration,
@@ -92,79 +97,113 @@ pub struct RpcRdmaConfig {
     /// server pays zero doorbells, zero Send completions and zero
     /// interrupts per small reply. Replies that don't fit a slot (or
     /// that carry chunks/exposures) fall back to the Send path
-    /// transparently. Off by default: the Send/Send reply path
-    /// reproduces the historical figures byte-for-byte.
-    pub rfp_enabled: bool,
-    /// First client poll of the reply slot fires this long after the
-    /// call is posted (roughly the no-load server turnaround for a
-    /// metadata op); each subsequent miss doubles the wait.
-    pub rfp_poll_initial: SimDuration,
+    /// transparently. `None` (the default) is off: the Send/Send reply
+    /// path reproduces the historical figures byte-for-byte.
+    pub rfp: Option<RfpConfig>,
 }
 
-impl RpcRdmaConfig {
-    /// Defaults for the paper's OpenSolaris/SDR testbed.
-    pub fn solaris() -> Self {
+/// What a receive buffer holds beyond the inline message and the
+/// `RDMA_MSGP` data behind it: the RPC/RDMA header with the chunk lists
+/// of the largest honest call, and the padding that aligns MSGP data.
+const RECV_HEADER_ROOM: u64 = 2048;
+
+impl Default for RpcRdmaConfig {
+    /// The paper's transport: Read-Write, 1 KiB inline, 32 credits,
+    /// every later extension off.
+    fn default() -> Self {
         RpcRdmaConfig {
             design: Design::ReadWrite,
             inline_threshold: 1024,
             credits: 32,
-            recv_buffer_size: 4096,
-            server_op_serial: SimDuration::from_micros(180),
-            per_op_client_cpu: SimDuration::from_micros(18),
-            per_op_server_cpu: SimDuration::from_micros(12),
             zero_copy_read: true,
-            msgp_small_writes: false,
-            suppress_done: false,
-            server_srq: false,
             call_timeout: SimDuration::from_millis(50),
             max_retransmits: 8,
             exposure_ttl: SimDuration::ZERO,
             server_zero_copy: true,
             server_doorbell_batch: 1,
             qos_enabled: false,
-            rfp_enabled: false,
-            rfp_poll_initial: SimDuration::from_micros(30),
+            rfp: None,
         }
     }
+}
 
-    /// Defaults for the paper's Linux testbed.
-    pub fn linux() -> Self {
-        RpcRdmaConfig {
-            server_op_serial: SimDuration::from_micros(22),
-            per_op_client_cpu: SimDuration::from_micros(10),
-            per_op_server_cpu: SimDuration::from_micros(7),
-            ..Self::solaris()
-        }
-    }
-
+impl RpcRdmaConfig {
     /// Switch the design.
     pub fn with_design(mut self, design: Design) -> Self {
         self.design = design;
         self
+    }
+
+    /// Size of each pre-posted receive buffer: the largest message an
+    /// honest peer sends under this threshold — header, RPC head up to
+    /// the threshold, and (`RDMA_MSGP`) padded data up to the threshold
+    /// again — rounded up to a page.
+    pub fn recv_size(&self) -> u64 {
+        (2 * self.inline_threshold + RECV_HEADER_ROOM).next_multiple_of(PAGE_SIZE)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::{MsgType, RdmaHeader, ReadChunk, Segment};
+    use crate::sanitize::{sanitize_header, ProtocolViolation};
+    use xdr::XdrCodec;
 
+    const ALIGN: u64 = crate::client::MSGP_ALIGN as u64;
+
+    /// What the default says, and what it derives.
     #[test]
     fn profiles() {
-        let s = RpcRdmaConfig::solaris();
-        assert_eq!(s.design, Design::ReadWrite);
-        let l = RpcRdmaConfig::linux();
-        assert!(l.server_op_serial < s.server_op_serial);
-        let rr = s.with_design(Design::ReadRead);
-        assert_eq!(rr.design, Design::ReadRead);
-        // Batching defaults preserve paper-era behavior: one doorbell
-        // per WQE; zero-copy gather is on (it changes host copies, not
-        // simulated timing).
-        assert_eq!(s.server_doorbell_batch, 1);
-        assert!(s.server_zero_copy);
-        // RFP is opt-in: the Send/Send reply path stays the default so
-        // every historical figure reproduces byte-for-byte.
-        assert!(!s.rfp_enabled);
-        assert_eq!(crate::rfp::RFP_SLOT_SIZE, 512);
-        assert!(!l.rfp_enabled);
+        let d = RpcRdmaConfig::default();
+        assert_eq!(d.design, Design::ReadWrite);
+        assert_eq!(d.with_design(Design::ReadRead).design, Design::ReadRead);
+        // Paper-era defaults: one doorbell per WQE, Send/Send replies;
+        // zero-copy gather is on (it changes host copies, not simulated
+        // timing).
+        assert_eq!(d.server_doorbell_batch, 1);
+        assert!(d.server_zero_copy);
+        assert!(d.rfp.is_none());
+        assert_eq!(d.recv_size(), 4096);
+
+        // The largest honest headers: a 1 MiB all-physical WRITE with a
+        // long reply provisioned (~16 runs on the 64 KiB-mean layout;
+        // twice that here), and an MSGP call.
+        let seg = |i: u64| Segment {
+            rkey: ib_verbs::Rkey(7),
+            len: 32 << 10,
+            addr: i << 20,
+        };
+        let mut chunked = RdmaHeader::new(1, d.credits, MsgType::Msg);
+        chunked.read_chunks = (0..32)
+            .map(|i| ReadChunk {
+                position: 128,
+                segment: seg(i),
+            })
+            .collect();
+        chunked.write_chunks = vec![(0..32).map(seg).collect()];
+        chunked.reply_chunk = Some((0..9).map(seg).collect());
+        let msgp = |align: u64| {
+            let mut h = RdmaHeader::new(1, d.credits, MsgType::Msgp);
+            h.msgp = Some((align as u32, 128));
+            h
+        };
+        let wire_len = |h: &RdmaHeader| h.to_bytes().len() as u64;
+
+        for threshold in [256, 512, 1024, 4096, 16 * 1024] {
+            let cfg = RpcRdmaConfig {
+                inline_threshold: threshold,
+                ..d
+            };
+            let size = cfg.recv_size();
+            assert_eq!(size % PAGE_SIZE, 0);
+            assert!(wire_len(&chunked) + threshold <= size);
+            // Head, padding up to the alignment, data.
+            assert!(wire_len(&msgp(ALIGN)) + threshold + ALIGN + threshold <= size);
+            // The sanitizer's MSGP alignment bound is the same value.
+            assert_eq!(sanitize_header(&msgp(size), &cfg), Ok(()));
+            let over = sanitize_header(&msgp(size + 1), &cfg);
+            assert_eq!(over, Err(ProtocolViolation::BadMsgp));
+        }
     }
 }

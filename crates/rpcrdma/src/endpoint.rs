@@ -7,19 +7,20 @@
 //! connection *epoch* — recovery builds a fresh endpoint and swaps it
 //! in whole — and the server one per accepted connection.
 //!
-//! The endpoint does not choose its own shape. Its caller sizes the
+//! The endpoint does not choose its own shape. Its caller counts the
 //! receive window (one credit window on the client: a reply per
-//! outstanding call; two on the server: calls plus `RDMA_DONE`s; or the
-//! server-wide pool behind a shared receive queue) and picks the router
-//! mode (interrupt-driven, or busy-polling when RFP is on).
+//! outstanding call; two on the server: calls plus `RDMA_DONE`s) and
+//! picks the router mode (interrupt-driven, or busy-polling when RFP is
+//! on). What the endpoint does decide is how big a receive buffer is:
+//! [`RpcRdmaConfig::recv_size`], derived from the inline threshold, so
+//! no caller can post buffers smaller than the messages it agreed to.
 
 #![deny(clippy::too_many_lines)]
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Buffer, Hca, Opcode, Qp, Srq, VerbsError, WrId};
+use ib_verbs::{Buffer, Hca, Opcode, Qp, VerbsError, WrId};
 use sim_core::Payload;
 use xdr::{Encoder, XdrCodec};
 
@@ -28,54 +29,40 @@ use crate::header::{RdmaHeader, Segment};
 use crate::reg::IoBuf;
 use crate::router::CompletionRouter;
 
-/// Where a [`RecvPool`]'s buffers are posted: one shared receive queue
-/// feeding every connection (`cfg.server_srq`), or a connection's own QP.
-pub(crate) enum RecvQueue {
-    Shared(Srq),
-    PerQp(Qp),
-}
-
-/// A window of posted receive buffers, indexed by work-request id for
-/// re-posting — one pool per connection, or (the buffer-management
-/// direction of the paper's future work) one shared by all of a
-/// server's connections. Buffers are registered once at set-up
-/// (amortized, so no per-op cost is charged).
+/// A connection's window of posted receive buffers, indexed by
+/// work-request id for re-posting. Buffers are registered once at
+/// set-up (amortized, so no per-op cost is charged).
 pub(crate) struct RecvPool {
-    queue: RecvQueue,
     bufs: Vec<Buffer>,
 }
 
 impl RecvPool {
     /// Allocate `windows` credit windows of receive buffers and post
-    /// every one to `queue`. The caller sizes it: one window on the
+    /// every one to `qp`. The caller counts them: one window on the
     /// client (a reply per outstanding call), two on the server (calls,
     /// plus the `RDMA_DONE` a Read-Read client adds to each bulk reply).
     pub(crate) fn post(
         hca: &Hca,
         cfg: &RpcRdmaConfig,
         windows: u32,
-        queue: RecvQueue,
+        qp: &Qp,
     ) -> Result<RecvPool, VerbsError> {
-        let bufs = Vec::new();
-        let mut pool = RecvPool { queue, bufs };
+        let mut pool = RecvPool { bufs: Vec::new() };
         for i in 0..(cfg.credits * windows) as u64 {
-            pool.bufs.push(hca.mem().alloc(cfg.recv_buffer_size));
-            pool.repost(WrId(i))?;
+            pool.bufs.push(hca.mem().alloc(cfg.recv_size()));
+            pool.repost(qp, WrId(i))?;
         }
         Ok(pool)
     }
 
-    /// Put buffer `wr_id` (back) on the queue: at set-up, and whenever
-    /// a receive completion has consumed it.
-    fn repost(&self, wr_id: WrId) -> Result<(), VerbsError> {
+    /// Put buffer `wr_id` (back) on `qp`'s receive queue: at set-up,
+    /// and whenever a receive completion has consumed it.
+    fn repost(&self, qp: &Qp, wr_id: WrId) -> Result<(), VerbsError> {
         let Some(buf) = self.bufs.get(wr_id.0 as usize).cloned() else {
             return Ok(());
         };
         let len = buf.len();
-        match &self.queue {
-            RecvQueue::Shared(srq) => srq.post_recv(buf, 0, len, wr_id),
-            RecvQueue::PerQp(qp) => qp.post_recv(buf, 0, len, wr_id),
-        }
+        qp.post_recv(buf, 0, len, wr_id)
     }
 }
 
@@ -84,7 +71,7 @@ pub(crate) struct Endpoint {
     pub(crate) qp: Qp,
     /// Demultiplexes `qp`'s send CQ to per-work-request waiters.
     pub(crate) router: CompletionRouter,
-    recv: Rc<RecvPool>,
+    recv: RecvPool,
     /// Next send-side work-request id. Starts far above any receive
     /// window, whose ids are the pool's buffer indices.
     next_wr: Cell<u64>,
@@ -97,7 +84,7 @@ pub(crate) struct Endpoint {
 impl Endpoint {
     /// Bundle a connected QP with the receive window feeding it and the
     /// router draining its send CQ.
-    pub(crate) fn new(qp: Qp, recv: Rc<RecvPool>, router: CompletionRouter) -> Endpoint {
+    pub(crate) fn new(qp: Qp, recv: RecvPool, router: CompletionRouter) -> Endpoint {
         Endpoint {
             qp,
             router,
@@ -138,7 +125,7 @@ impl Endpoint {
                 return None;
             }
             // Fails only on a QP already dead, whose flush is next.
-            let _ = self.recv.repost(c.wr_id);
+            let _ = self.recv.repost(&self.qp, c.wr_id);
             if c.payload.is_some() {
                 return c.payload;
             }

@@ -33,7 +33,7 @@ pub mod server;
 pub mod service;
 
 pub use client::{BulkParams, CallReply, ClientStats, RdmaRpcClient};
-pub use config::{Design, RpcRdmaConfig};
+pub use config::{Design, RfpConfig, RpcRdmaConfig};
 pub use header::{
     MsgType, RdmaHeader, ReadChunk, RfpAd, Segment, MAX_WIRE_CHUNKS, MAX_WIRE_SEGMENTS,
     RPCRDMA_VERSION,

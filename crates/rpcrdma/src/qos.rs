@@ -226,11 +226,6 @@ impl<T> TenantScheduler<T> {
             .map(|t| t.dispatched)
             .unwrap_or(0)
     }
-
-    /// Tenants ever seen (set via weight or arrival).
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.borrow().len()
-    }
 }
 
 #[cfg(test)]

@@ -155,7 +155,7 @@ pub fn sanitize_header(hdr: &RdmaHeader, cfg: &RpcRdmaConfig) -> Result<(), Prot
         // Ring advertisements only ever flow server -> client.
         return Err(ProtocolViolation::RfpAdFromClient);
     }
-    if hdr.msg_type == MsgType::MsgRfp && !cfg.rfp_enabled {
+    if hdr.msg_type == MsgType::MsgRfp && cfg.rfp.is_none() {
         return Err(ProtocolViolation::RfpNotAdvertised);
     }
     if hdr.msg_type == MsgType::Msgp {
@@ -163,7 +163,7 @@ pub fn sanitize_header(hdr: &RdmaHeader, cfg: &RpcRdmaConfig) -> Result<(), Prot
         // reject the statically-absurd shapes (alignment of zero or
         // beyond the receive buffer).
         match hdr.msgp {
-            Some((align, _)) if align > 0 && align as u64 <= cfg.recv_buffer_size => {}
+            Some((align, _)) if align > 0 && align as u64 <= cfg.recv_size() => {}
             _ => return Err(ProtocolViolation::BadMsgp),
         }
     }
@@ -229,6 +229,7 @@ fn check_chunk(segs: &[Segment], cap: u32) -> Result<u64, ProtocolViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RfpConfig;
     use crate::header::ReadChunk;
     use ib_verbs::Rkey;
 
@@ -241,7 +242,7 @@ mod tests {
     }
 
     fn cfg() -> RpcRdmaConfig {
-        RpcRdmaConfig::solaris()
+        RpcRdmaConfig::default()
     }
 
     #[test]
@@ -339,14 +340,14 @@ mod tests {
 
     #[test]
     fn rfp_call_rejected_when_disabled() {
-        // rfp_enabled defaults to false: an RFP-marked call is a probe.
+        // RFP defaults to off: an RFP-marked call is a probe.
         let h = RdmaHeader::new(1, 1, MsgType::MsgRfp);
         assert_eq!(
             sanitize_header(&h, &cfg()),
             Err(ProtocolViolation::RfpNotAdvertised)
         );
         let mut on = cfg();
-        on.rfp_enabled = true;
+        on.rfp = Some(RfpConfig::default());
         assert!(sanitize_header(&h, &on).is_ok());
     }
 
@@ -360,7 +361,7 @@ mod tests {
             slot_size: 512,
         });
         let mut on = cfg();
-        on.rfp_enabled = true;
+        on.rfp = Some(RfpConfig::default());
         // Forged even with RFP on: the ad direction is server->client.
         assert_eq!(
             sanitize_header(&h, &on),

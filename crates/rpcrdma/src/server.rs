@@ -52,7 +52,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Hca, Qp, Sge, Srq};
+use ib_verbs::{Access, Hca, Qp, Sge};
 use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{
     AcceptStat, CallContext, CallHeader, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader,
@@ -63,7 +63,7 @@ use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, Sim
 use xdr::XdrCodec;
 
 use crate::config::{Design, RpcRdmaConfig};
-use crate::endpoint::{Endpoint, RecvPool, RecvQueue};
+use crate::endpoint::{Endpoint, RecvPool};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
 use crate::qos::{
     ShedReason, TenantScheduler, QOS_QUEUE_CAP, QOS_TARGET_DELAY, QOS_TENANT_BACKLOG, QOS_WORKERS,
@@ -266,9 +266,6 @@ pub struct RdmaRpcServer {
     /// configured window; lower it under memory pressure and clients
     /// shrink their outstanding-call windows on the next reply.
     credit_grant: Cell<u32>,
-    /// Shared receive queue and the pool posted to it when
-    /// `cfg.server_srq` is set (otherwise each connection posts its own).
-    srq: Option<(Srq, Rc<RecvPool>)>,
     /// Duplicate request cache: retransmitted calls (same peer + XID)
     /// replay the original dispatch instead of re-executing it.
     drc: DuplicateRequestCache<RdmaDispatch>,
@@ -294,17 +291,6 @@ impl RdmaRpcServer {
         cfg: RpcRdmaConfig,
     ) -> Rc<RdmaRpcServer> {
         let registry = sim.metrics();
-        let srq = cfg.server_srq.then(|| {
-            let srq = Srq::new();
-            let pool = RecvPool::post(hca, &cfg, 2, RecvQueue::Shared(srq.clone()))
-                .expect("posting srq receives");
-            srq.set_limit(cfg.credits as usize / 2);
-            srq.bind_metrics(
-                registry.counter("hca.srq.consumed"),
-                registry.counter("hca.srq.limit_events"),
-            );
-            (srq, Rc::new(pool))
-        });
         let drc = DuplicateRequestCache::new(DRC_CAPACITY);
         drc.bind_metrics(&registry, "server.drc");
         let server = Rc::new(RdmaRpcServer {
@@ -315,7 +301,6 @@ impl RdmaRpcServer {
             cfg,
             taskq: Resource::new(sim, "rpc-taskq", 1),
             credit_grant: Cell::new(cfg.credits),
-            srq,
             drc,
             service_epoch: Cell::new(0),
             qos: cfg.qos_enabled.then(|| Rc::new(QosState::new(&registry))),
@@ -328,11 +313,6 @@ impl RdmaRpcServer {
             }
         }
         server
-    }
-
-    /// The shared receive queue, when enabled.
-    pub fn srq(&self) -> Option<&Srq> {
-        self.srq.as_ref().map(|(s, _)| s)
     }
 
     /// The serialized task-queue resource (for utilization reports).
@@ -365,14 +345,6 @@ impl RdmaRpcServer {
     /// disabled) — the telemetry probe's queue-depth series.
     pub fn qos_depth(&self) -> u32 {
         self.qos.as_ref().map(|q| q.sched.queued()).unwrap_or(0)
-    }
-
-    /// One tenant's lifetime QoS dispatch count (fairness accounting).
-    pub fn qos_dispatched(&self, peer: u32) -> u64 {
-        self.qos
-            .as_ref()
-            .map(|q| q.sched.dispatched(peer))
-            .unwrap_or(0)
     }
 
     /// The duplicate request cache (diagnostics).
@@ -472,7 +444,7 @@ struct ConnState {
     /// pending exposures — an idle timer loop would keep the whole
     /// simulation from ever quiescing.
     exposure_signal: Semaphore,
-    /// The RFP reply-slot ring, once built (`cfg.rfp_enabled` only).
+    /// The RFP reply-slot ring, once built (`cfg.rfp` only).
     rfp: RefCell<Option<RfpRing>>,
     /// Ring construction in progress (registration awaits); calls
     /// arriving meanwhile just reply without an advertisement.
@@ -493,8 +465,9 @@ struct RfpRing {
     io: IoBuf,
     layout: RingLayout,
     ad: RfpAd,
-    /// Last deposit (or creation) instant; the ring reaper revokes a
-    /// ring that has idled past the exposure TTL.
+    /// Last deposit, advertisement (or creation) instant — whatever
+    /// keeps the ring fresh in the client's eyes; the ring reaper
+    /// revokes a ring that has idled past the exposure TTL.
     last_activity: Cell<SimTime>,
 }
 
@@ -612,23 +585,14 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
     // software and one doorbell flushes the batch. Safe because every
     // path below flushes before awaiting a completion.
     qp.set_doorbell_batch(cfg.server_doorbell_batch);
-    // Receive buffers: the pool shared across all connections (SRQ), or
-    // a private one posted to this QP.
-    let pool = match &server.srq {
-        Some((srq, pool)) => {
-            qp.set_srq(srq.clone());
-            pool.clone()
-        }
-        None => match RecvPool::post(&server.hca, &cfg, 2, RecvQueue::PerQp(qp.clone())) {
-            Ok(pool) => Rc::new(pool),
-            Err(_) => return,
-        },
+    let Ok(pool) = RecvPool::post(&server.hca, &cfg, 2, &qp) else {
+        return;
     };
     let router = CompletionRouter::spawn(&server.sim, qp.send_cq().clone());
     let conn = Rc::new(ConnState::new(&server, Endpoint::new(qp, pool, router)));
     if cfg.exposure_ttl > SimDuration::ZERO {
         spawn_exposure_reaper(&conn);
-        if cfg.rfp_enabled {
+        if cfg.rfp.is_some() {
             spawn_rfp_reaper(&conn);
         }
     }
@@ -928,12 +892,14 @@ async fn revoke_ring(conn: &ConnState) {
 }
 
 /// Spawn the per-connection ring reaper: once the connection has gone
-/// fully idle — no calls in flight and no deposit for an exposure TTL
-/// *plus two poll periods* — revoke the ring's registration. The
-/// margin covers the largest gap between a deposit and the honest
-/// client's final backed-off fetch, so a well-behaved client can
-/// never have a fetch refused; the next inline reply re-advertises a
-/// fresh ring. Gated on `cfg.exposure_ttl` like the exposure reaper.
+/// fully idle — no calls in flight and no deposit or advertisement for
+/// an exposure TTL *plus two poll periods* — revoke the ring's
+/// registration. The client stops marking calls half a TTL after the
+/// last deposit or advertisement it saw, and the margin covers the
+/// largest gap between a deposit and its final backed-off fetch, so a
+/// well-behaved client can never have a fetch refused; the next inline
+/// reply re-advertises a fresh ring. Gated on `cfg.exposure_ttl` like
+/// the exposure reaper.
 fn spawn_rfp_reaper(conn: &Rc<ConnState>) {
     let conn = conn.clone();
     let sim = conn.server.sim.clone();
@@ -1044,11 +1010,11 @@ async fn run_op(conn: &Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) -> Op
     let _op_span = server.sim.span_remote("server", "op", None, call_ctx);
     {
         let _s = server.sim.span("server", "dispatch");
-        // Figure 1: the serialized server task queue.
-        server.taskq.use_for(server.cfg.server_op_serial).await;
-        // Decode + dispatch bookkeeping on a CPU core.
         let cpu = server.hca.cpu();
-        cpu.execute(server.cfg.per_op_server_cpu).await;
+        // Figure 1: the serialized server task queue.
+        server.taskq.use_for(cpu.costs().server_op_serial).await;
+        // Decode + dispatch bookkeeping on a CPU core.
+        cpu.execute(cpu.costs().per_op_server_cpu).await;
     }
     let (call_msg, bulk_in) = pull_stage(conn, &hdr, inline_body).await?;
     let (xid, dispatch) = service_stage(conn, call_msg, bulk_in).await?;
@@ -1347,15 +1313,18 @@ async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &RdmaDispatch, out: 
 /// that never advertised (e.g. after client recovery).
 async fn rfp_route(conn: &ConnState, call_type: MsgType, rhdr: &mut RdmaHeader) -> bool {
     ensure_rfp_ring(conn).await;
-    let ad = conn.rfp.borrow().as_ref().map(|r| r.ad);
-    let (true, Some(ad)) = (rhdr.is_chunkless(), ad) else {
+    let ring = conn.rfp.borrow();
+    let (true, Some(ring)) = (rhdr.is_chunkless(), ring.as_ref()) else {
         return false;
     };
     if call_type == MsgType::MsgRfp && conn.rfp_ad_sent.get() {
         return true;
     }
     rhdr.msg_type = MsgType::MsgRfpAd;
-    rhdr.rfp_ad = Some(ad);
+    rhdr.rfp_ad = Some(ring.ad);
+    // The client counts every advertisement as ring activity and keeps
+    // marking calls on the strength of it; so must the reaper.
+    ring.last_activity.set(conn.server.sim.now());
     conn.rfp_ad_sent.set(true);
     conn.server.stats.rfp_ads.inc();
     false
@@ -1367,7 +1336,7 @@ async fn rfp_route(conn: &ConnState, call_type: MsgType, rhdr: &mut RdmaHeader) 
 /// has been placed (§4.2), and what makes Read-Read buffers exposed.
 async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -> bool {
     let server = &conn.server;
-    let deposit = server.cfg.rfp_enabled && rfp_route(conn, call_type, &mut out.rhdr).await;
+    let deposit = server.cfg.rfp.is_some() && rfp_route(conn, call_type, &mut out.rhdr).await;
     if out.rhdr.msg_type == MsgType::Nomsg {
         out.reply_msg = Bytes::new(); // travelled by chunk
     }

@@ -61,7 +61,7 @@ fn run(design: Design, strategy: StrategyKind, write: bool, threads: u32) -> f64
     };
     let (chca, cmem) = mk(0);
     let (shca, _smem) = mk(1);
-    let cfg = RpcRdmaConfig::solaris().with_design(design);
+    let cfg = RpcRdmaConfig::default().with_design(design);
     let (qc, qs) = connect(&chca, &shca);
     let server = RdmaRpcServer::new(
         &h,

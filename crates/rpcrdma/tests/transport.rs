@@ -9,7 +9,7 @@ use ib_verbs::{connect, Fabric, Hca, HcaConfig, HostMem, NodeId, PhysLayout};
 use onc_rpc::{AcceptStat, CallContext, LocalBoxFuture};
 use rpcrdma::{
     BulkParams, Design, RdmaDispatch, RdmaRpcClient, RdmaRpcServer, RdmaService, Registrar,
-    RpcRdmaConfig, StrategyKind,
+    RfpConfig, RpcRdmaConfig, StrategyKind,
 };
 use sim_core::{Cpu, CpuCosts, Payload, Sim, Simulation};
 
@@ -83,7 +83,7 @@ struct TestBed {
 }
 
 fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
-    setup_with(sim, RpcRdmaConfig::solaris().with_design(design), strategy)
+    setup_with(sim, RpcRdmaConfig::default().with_design(design), strategy)
 }
 
 /// Host `id` on `fabric`: its HCA and memory.
@@ -401,11 +401,11 @@ fn call_header_for(bulk: BulkParams) -> rpcrdma::RdmaHeader {
     let (client_hca, _) = host(&h, &fabric, 0);
     let (peer_hca, _) = host(&h, &fabric, 1);
     let (qc, qs) = connect(&client_hca, &peer_hca);
-    let cfg = RpcRdmaConfig::solaris();
+    let cfg = RpcRdmaConfig::default();
     let registrar = Registrar::new(&client_hca, StrategyKind::Dynamic);
     let client = RdmaRpcClient::new(&h, &client_hca, qc, registrar, cfg, PROG, VERS);
-    let landing = peer_hca.mem().alloc(cfg.recv_buffer_size);
-    qs.post_recv(landing, 0, cfg.recv_buffer_size, ib_verbs::WrId(0))
+    let landing = peer_hca.mem().alloc(cfg.recv_size());
+    qs.post_recv(landing, 0, cfg.recv_size(), ib_verbs::WrId(0))
         .unwrap();
     sim.spawn(async move {
         let _ = client.call(3, Bytes::from_static(b"args"), bulk).await;
@@ -422,7 +422,7 @@ fn reply_chunk_is_provisioned_only_past_the_inline_threshold_and_to_the_page() {
             ..Default::default()
         })
     };
-    let inline = RpcRdmaConfig::solaris().inline_threshold;
+    let inline = RpcRdmaConfig::default().inline_threshold;
     assert!(with(None).reply_chunk.is_none());
     // A reply that can only arrive inline needs no chunk to land in.
     assert!(with(Some(200)).reply_chunk.is_none());
@@ -725,91 +725,6 @@ fn no_leaked_registrations_after_quiesce() {
 }
 
 #[test]
-fn server_srq_serves_many_connections_from_one_pool() {
-    // Three clients on an SRQ-backed server: total posted buffers are
-    // 2x credits regardless of connection count (vs 3 x 2 x credits
-    // with per-QP queues), and traffic still flows correctly.
-    let mut sim = Simulation::new(93);
-    let h = sim.handle();
-    let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (s_hca, _) = mk(0);
-    let mut cfg = RpcRdmaConfig::solaris();
-    cfg.server_srq = true;
-    let server = RdmaRpcServer::new(
-        &h,
-        &s_hca,
-        Rc::new(ToyFs { seed: 3 }),
-        Registrar::new(&s_hca, StrategyKind::Dynamic),
-        cfg,
-    );
-    assert_eq!(
-        server.srq().unwrap().posted(),
-        cfg.credits as usize * 2,
-        "one shared pool"
-    );
-    let mut clients = Vec::new();
-    for i in 1..=3 {
-        let (c_hca, c_mem) = mk(i);
-        let (qc, qs) = connect(&c_hca, &s_hca);
-        server.serve_connection(qs);
-        clients.push((
-            RdmaRpcClient::new(
-                &h,
-                &c_hca,
-                qc,
-                Registrar::new(&c_hca, StrategyKind::Dynamic),
-                cfg,
-                PROG,
-                VERS,
-            ),
-            c_mem,
-        ));
-    }
-    let done = sim_core::sync::Semaphore::new(0);
-    for (ci, (client, mem)) in clients.iter().enumerate() {
-        for k in 0..8u64 {
-            let client = client.clone();
-            let done = done.clone();
-            let user = mem.alloc(32 * 1024);
-            user.write(0, Payload::synthetic(ci as u64 * 100 + k, 32 * 1024));
-            h.spawn(async move {
-                let got = client
-                    .call(
-                        2,
-                        Bytes::new(),
-                        BulkParams {
-                            send: Some((user, 0, 32 * 1024)),
-                            ..Default::default()
-                        },
-                    )
-                    .await
-                    .unwrap();
-                let mut dec = xdr::Decoder::new(&got.body);
-                assert_eq!(dec.get_u32().unwrap(), 32 * 1024);
-                done.add_permits(1);
-            });
-        }
-    }
-    sim.block_on(async move {
-        for _ in 0..24 {
-            done.acquire().await.forget();
-        }
-    });
-    assert_eq!(server.stats.ops.get(), 24);
-    let srq = server.srq().unwrap();
-    assert_eq!(srq.consumed(), 24, "all arrivals came from the shared pool");
-    // Buffers recycled: the pool is full again.
-    assert_eq!(srq.posted(), cfg.credits as usize * 2);
-}
-
-#[test]
 fn dynamic_credit_grant_resizes_client_window() {
     // The paper's future work: the server adjusts its credit grant and
     // clients shrink/grow their outstanding-call windows accordingly.
@@ -914,7 +829,7 @@ fn client_crash_does_not_disturb_other_connections() {
     let (c1_hca, _) = mk(1);
     let (c2_hca, _) = mk(2);
     let (s_hca, _) = mk(0);
-    let cfg = RpcRdmaConfig::solaris();
+    let cfg = RpcRdmaConfig::default();
     let server = RdmaRpcServer::new(
         &h,
         &s_hca,
@@ -980,47 +895,17 @@ fn client_crash_does_not_disturb_other_connections() {
 }
 
 #[test]
-fn msgp_small_writes_skip_registration_and_rdma_read() {
+fn small_writes_ride_msgp_and_skip_registration_and_rdma_read() {
     let mut sim = Simulation::new(88);
     let h = sim.handle();
-    // Custom bed with MSGP enabled.
-    let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (chca, cmem) = mk(0);
-    let (shca, _) = mk(1);
-    let mut cfg = RpcRdmaConfig::solaris();
-    cfg.msgp_small_writes = true;
-    let (qc, qs) = connect(&chca, &shca);
-    let server = RdmaRpcServer::new(
-        &h,
-        &shca,
-        Rc::new(ToyFs { seed: 42 }),
-        Registrar::new(&shca, StrategyKind::Dynamic),
-        cfg,
-    );
-    server.serve_connection(qs);
-    let client = RdmaRpcClient::new(
-        &h,
-        &chca,
-        qc,
-        Registrar::new(&chca, StrategyKind::Dynamic),
-        cfg,
-        PROG,
-        VERS,
-    );
-    let user = cmem.alloc(4096);
+    let bed = setup(&h, Design::ReadWrite, StrategyKind::Dynamic);
+    let user = bed.client_mem.alloc(4096);
     let data: Vec<u8> = (0..700u32).map(|i| (i % 97) as u8).collect();
     user.write(0, Payload::real(data.clone()));
     let expect_sum: u64 = data.iter().map(|&b| b as u64).sum();
-    let client2 = client.clone();
+    let client = bed.client.clone();
     let got = sim.block_on(async move {
-        client2
+        client
             .call(
                 2,
                 Bytes::new(),
@@ -1035,16 +920,16 @@ fn msgp_small_writes_skip_registration_and_rdma_read() {
     let mut dec = xdr::Decoder::new(&got.body);
     assert_eq!(dec.get_u32().unwrap(), 700);
     assert_eq!(dec.get_u64().unwrap(), expect_sum, "MSGP data corrupted");
-    assert_eq!(client.stats().msgp_sends.get(), 1);
-    assert_eq!(server.stats.msgp_recvs.get(), 1);
+    assert_eq!(bed.client.stats().msgp_sends.get(), 1);
+    assert_eq!(bed.server.stats.msgp_recvs.get(), 1);
     // No registration happened for the bulk data on either side.
     assert_eq!(
-        chca.reg_stats().dynamic_regs,
+        bed.client_hca.reg_stats().dynamic_regs,
         0,
         "client registered for MSGP"
     );
     assert_eq!(
-        shca.reg_stats().dynamic_regs,
+        bed.server_hca.reg_stats().dynamic_regs,
         0,
         "server registered for MSGP"
     );
@@ -1054,42 +939,13 @@ fn msgp_small_writes_skip_registration_and_rdma_read() {
 fn msgp_large_writes_still_use_chunks() {
     let mut sim = Simulation::new(89);
     let h = sim.handle();
-    let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (chca, cmem) = mk(0);
-    let (shca, _) = mk(1);
-    let mut cfg = RpcRdmaConfig::solaris();
-    cfg.msgp_small_writes = true;
-    let (qc, qs) = connect(&chca, &shca);
-    let server = RdmaRpcServer::new(
-        &h,
-        &shca,
-        Rc::new(ToyFs { seed: 42 }),
-        Registrar::new(&shca, StrategyKind::Dynamic),
-        cfg,
-    );
-    server.serve_connection(qs);
-    let client = RdmaRpcClient::new(
-        &h,
-        &chca,
-        qc,
-        Registrar::new(&chca, StrategyKind::Dynamic),
-        cfg,
-        PROG,
-        VERS,
-    );
+    let bed = setup(&h, Design::ReadWrite, StrategyKind::Dynamic);
     // 64 KiB exceeds the inline threshold: must go via read chunks.
-    let user = cmem.alloc(65536);
+    let user = bed.client_mem.alloc(65536);
     user.write(0, Payload::synthetic(4, 65536));
-    let client2 = client.clone();
+    let client = bed.client.clone();
     sim.block_on(async move {
-        client2
+        client
             .call(
                 2,
                 Bytes::new(),
@@ -1101,9 +957,9 @@ fn msgp_large_writes_still_use_chunks() {
             .await
             .unwrap();
     });
-    assert_eq!(client.stats().msgp_sends.get(), 0);
+    assert_eq!(bed.client.stats().msgp_sends.get(), 0);
     assert!(
-        chca.reg_stats().dynamic_regs > 0,
+        bed.client_hca.reg_stats().dynamic_regs > 0,
         "large write must register"
     );
 }
@@ -1111,60 +967,45 @@ fn msgp_large_writes_still_use_chunks() {
 #[test]
 fn suppressed_done_pins_server_buffers_indefinitely() {
     // The §4.1 attack, end to end: a Read-Read client that never sends
-    // RDMA_DONE leaves the server's buffers registered and exposed.
+    // RDMA_DONE leaves the server's buffers registered and exposed. The
+    // transport's own client cannot be told to misbehave, so the
+    // attacker is a bare queue pair: genuine READ calls, each reply
+    // received, its read chunks never acknowledged.
+    use onc_rpc::msg::encode_call;
+    use rpcrdma::{MsgType, RdmaHeader};
+    use xdr::XdrCodec;
     let mut sim = Simulation::new(90);
     let h = sim.handle();
-    let fabric = Fabric::new(&h);
-    let mk = |id: u32| {
-        let node = NodeId(id);
-        let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
-        let mem = Rc::new(HostMem::new(node, PhysLayout::default(), h.fork_rng()));
-        let hca = Hca::new(&h, node, HcaConfig::sdr(), cpu, mem.clone(), &fabric);
-        (hca, mem)
-    };
-    let (chca, _cmem) = mk(0);
-    let (shca, _) = mk(1);
-    let mut cfg = RpcRdmaConfig::solaris().with_design(Design::ReadRead);
-    cfg.suppress_done = true;
-    let (qc, qs) = connect(&chca, &shca);
-    let server = RdmaRpcServer::new(
-        &h,
-        &shca,
-        Rc::new(ToyFs { seed: 42 }),
-        Registrar::new(&shca, StrategyKind::Dynamic),
-        cfg,
-    );
-    server.serve_connection(qs);
-    let client = RdmaRpcClient::new(
-        &h,
-        &chca,
-        qc,
-        Registrar::new(&chca, StrategyKind::Dynamic),
-        cfg,
-        PROG,
-        VERS,
-    );
-    let client2 = client.clone();
+    let bed = setup(&h, Design::ReadRead, StrategyKind::Dynamic);
+    let cfg = RpcRdmaConfig::default();
+    let (qc, qs) = connect(&bed.client_hca, &bed.server_hca);
+    bed.server.serve_connection(qs);
+    let landing = bed.client_mem.alloc(cfg.recv_size());
     sim.block_on(async move {
-        for _ in 0..6 {
-            client2
-                .call(
-                    1,
-                    read_args(100_000),
-                    BulkParams {
-                        recv_max: Some(128 * 1024),
-                        ..Default::default()
-                    },
-                )
-                .await
+        for xid in 1..=6u32 {
+            let posted = qc.post_recv(landing.clone(), 0, cfg.recv_size(), ib_verbs::WrId(0));
+            posted.unwrap();
+            let call = onc_rpc::CallHeader {
+                xid,
+                prog: PROG,
+                vers: VERS,
+                proc_num: 1,
+            };
+            let mut enc = xdr::Encoder::new();
+            RdmaHeader::new(xid, cfg.credits, MsgType::Msg).encode(&mut enc);
+            enc.put_raw(&encode_call(&call, &read_args(100_000)));
+            qc.post_send(Payload::real(enc.finish()), ib_verbs::WrId(1), false)
                 .unwrap();
+            let reply = qc.recv_cq().next().await.payload.unwrap().materialize();
+            let rhdr = RdmaHeader::decode(&mut xdr::Decoder::new(&reply)).unwrap();
+            assert_eq!(rhdr.read_chunk_bytes(), 100_000);
         }
     });
     sim.run();
     // Every READ's buffer is still pinned and remotely readable.
-    assert_eq!(server.stats.dones.get(), 0);
-    assert_eq!(server.stats.exposures_pending.get(), 6);
-    let report = shca.exposure_report();
+    assert_eq!(bed.server.stats.dones.get(), 0);
+    assert_eq!(bed.server.stats.exposures_pending.get(), 6);
+    let report = bed.server_hca.exposure_report();
     assert_eq!(report.current_bytes, 600_000);
     assert!(report.byte_ns > 0);
 }
@@ -1199,8 +1040,8 @@ fn credit_window_bounds_outstanding_calls() {
 
 /// Build a testbed with the RFP hybrid transport enabled.
 fn setup_rfp(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
-    let mut cfg = RpcRdmaConfig::solaris().with_design(design);
-    cfg.rfp_enabled = true;
+    let mut cfg = RpcRdmaConfig::default().with_design(design);
+    cfg.rfp = Some(RfpConfig::default());
     setup_with(sim, cfg, strategy)
 }
 
@@ -1332,9 +1173,7 @@ fn client_stage_spans_nest_in_pipeline_order_both_designs() {
         let mut sim = Simulation::new(22);
         sim.enable_span_tracing();
         let h = sim.handle();
-        let mut cfg = RpcRdmaConfig::solaris().with_design(design);
-        cfg.msgp_small_writes = true;
-        let bed = setup_with(&h, cfg, StrategyKind::Dynamic);
+        let bed = setup(&h, design, StrategyKind::Dynamic);
         let (client, fabric) = (bed.client.clone(), bed.fabric.clone());
         let user = bed.client_mem.alloc(128 * 1024);
         user.write(0, Payload::synthetic(7, 128 * 1024));
@@ -1452,7 +1291,7 @@ fn recovery_swaps_one_endpoint() {
         0,
         "receives re-posted to the dead QP"
     );
-    let credits = RpcRdmaConfig::solaris().credits as usize;
+    let credits = RpcRdmaConfig::default().credits as usize;
     assert_eq!(new_qp.posted_recvs(), credits);
 }
 
@@ -1482,15 +1321,15 @@ fn lying_server_bed(
     let (client_hca, client_mem) = host(sim, &fabric, 0);
     let (peer_hca, _) = host(sim, &fabric, 1);
     let (qc, qs) = connect(&client_hca, &peer_hca);
-    let cfg = RpcRdmaConfig::solaris().with_design(design);
+    let cfg = RpcRdmaConfig::default().with_design(design);
     let registrar = Registrar::new(&client_hca, StrategyKind::Dynamic);
     let client = RdmaRpcClient::new(sim, &client_hca, qc, registrar, cfg, PROG, VERS);
     let lie = Rc::new(std::cell::Cell::new(Lie::None));
     let mode = lie.clone();
     sim.spawn(async move {
-        let landing = peer_hca.mem().alloc(cfg.recv_buffer_size);
+        let landing = peer_hca.mem().alloc(cfg.recv_size());
         for n in 0u64.. {
-            let posted = qs.post_recv(landing.clone(), 0, cfg.recv_buffer_size, ib_verbs::WrId(n));
+            let posted = qs.post_recv(landing.clone(), 0, cfg.recv_size(), ib_verbs::WrId(n));
             posted.unwrap();
             let wire = qs.recv_cq().next().await.payload.unwrap().materialize();
             let call = RdmaHeader::decode(&mut xdr::Decoder::new(&wire)).unwrap();
@@ -1663,10 +1502,7 @@ fn read_read_pull_error_releases_its_scratch_registration() {
 fn client_counters_are_registry_series() {
     let mut sim = Simulation::new(23);
     let h = sim.handle();
-    let mut cfg = RpcRdmaConfig::solaris().with_design(Design::ReadRead);
-    cfg.msgp_small_writes = true;
-    cfg.rfp_enabled = true;
-    let bed = setup_with(&h, cfg, StrategyKind::Cache);
+    let bed = setup_rfp(&h, Design::ReadRead, StrategyKind::Cache);
     install_connector(&bed);
     let (client, fabric) = (bed.client.clone(), bed.fabric.clone());
     let user = bed.client_mem.alloc(128 * 1024);
@@ -1820,9 +1656,11 @@ fn rfp_ring_covers_a_credit_window_wider_than_its_base_size() {
     let mut sim = Simulation::new(23);
     sim.enable_tracing();
     let h = sim.handle();
-    let mut cfg = RpcRdmaConfig::solaris();
-    cfg.rfp_enabled = true;
-    cfg.credits = WINDOW;
+    let cfg = RpcRdmaConfig {
+        rfp: Some(RfpConfig::default()),
+        credits: WINDOW,
+        ..Default::default()
+    };
     let bed = setup_with(&h, cfg, StrategyKind::Dynamic);
     let client = bed.client.clone();
     // Handshake: the first reply travels by Send and carries the ad.
@@ -1886,4 +1724,85 @@ fn rfp_ring_covers_a_credit_window_wider_than_its_base_size() {
         WINDOW as usize,
         "two in-flight XIDs shared a slot"
     );
+}
+
+/// The reply-slot ring has two idle clocks — the client's, which decides
+/// whether the next small call may be marked, and the server reaper's,
+/// which decides when the ring's registration goes — and both must
+/// count the same events. An advertisement piggybacked on a Send reply
+/// is one: a connection kept busy with chunked WRITEs (never marked,
+/// their small replies sent, each carrying the ad) keeps its ring on
+/// both ends, so the small call that follows is fetched, not refused.
+/// And a connection left truly idle past the horizon does lose the
+/// ring; its next small call goes unmarked and is answered by Send with
+/// a fresh advertisement.
+#[test]
+fn rfp_ring_idle_clocks_agree_on_advertisements_and_true_idleness_revokes() {
+    use rpcrdma::rfp::RFP_POLL_MAX;
+    use sim_core::SimDuration;
+    let ttl = SimDuration::from_millis(5);
+    let horizon = ttl + RFP_POLL_MAX * 2;
+    let mut sim = Simulation::new(29);
+    let h = sim.handle();
+    let cfg = RpcRdmaConfig {
+        rfp: Some(RfpConfig::default()),
+        exposure_ttl: ttl,
+        ..Default::default()
+    };
+    let bed = setup_with(&h, cfg, StrategyKind::Dynamic);
+    install_connector(&bed);
+    let (client, server, mem) = (
+        bed.client.clone(),
+        bed.server.clone(),
+        bed.client_mem.clone(),
+    );
+    let metric = {
+        let registry = h.metrics();
+        move |name: &str| registry.get(name).unwrap_or(0)
+    };
+    let sim2 = h.clone();
+    sim.block_on(async move {
+        let small = || client.call(3, Bytes::from_static(b"ping"), BulkParams::default());
+        let (cs, ss) = (client.stats(), &server.stats);
+        // The handshake call learns the ring; the next one is deposited.
+        small().await.unwrap();
+        small().await.unwrap();
+        assert_eq!((ss.rfp_deposits.get(), cs.rfp_hits.get()), (1, 1));
+        let last_deposit = sim2.now();
+
+        // Only chunked WRITEs from here, well past the reaper's horizon,
+        // each followed by a gap in which the connection has nothing in
+        // flight. The gap is under TTL/2, so by the client's clock the
+        // ring stays fresh throughout.
+        let gap = SimDuration::from_millis(2);
+        let user = mem.alloc(32 * 1024);
+        user.write(0, Payload::synthetic(5, 32 * 1024));
+        while ss.rfp_rings_revoked.get() == 0 && sim2.now() - last_deposit < horizon * 3 {
+            let bulk = BulkParams {
+                send: Some((user.clone(), 0, 32 * 1024)),
+                ..Default::default()
+            };
+            client.call(2, Bytes::new(), bulk).await.unwrap();
+            sim2.sleep(gap).await;
+        }
+        small().await.unwrap();
+        assert_eq!(metric("tpt.violations"), 0, "an honest fetch was refused");
+        assert_eq!((cs.reconnects.get(), cs.timeouts.get()), (0, 0));
+        assert_eq!(ss.rfp_rings_revoked.get(), 0, "ring revoked while fresh");
+        assert_eq!((cs.rfp_marked.get(), cs.rfp_hits.get()), (2, 2));
+
+        // Truly idle past the horizon (plus a reaper tick): the ring goes,
+        // on the ledger; the client's clock has run out too.
+        let (revocations, ads) = (metric("tpt.revocations"), ss.rfp_ads.get());
+        sim2.sleep(horizon + ttl).await;
+        assert_eq!(ss.rfp_rings_revoked.get(), 1);
+        assert_eq!(metric("tpt.revocations"), revocations + 1);
+        small().await.unwrap();
+        assert_eq!(cs.rfp_marked.get(), 2, "marked onto a revoked ring");
+        assert_eq!(ss.rfp_ads.get(), ads + 1, "no fresh advertisement");
+        small().await.unwrap();
+        assert_eq!(cs.rfp_hits.get(), 3, "the fresh ring does not serve");
+        assert_eq!(metric("tpt.violations"), 0);
+        assert_eq!((cs.reconnects.get(), cs.timeouts.get()), (0, 0));
+    });
 }

@@ -10,24 +10,39 @@ use crate::executor::Sim;
 use crate::resource::Resource;
 use crate::time::{SimDuration, SimTime};
 
-/// Cost constants for a host's CPU-bound operations, in nanoseconds.
+/// Cost constants for a host's CPU-bound operations: properties of the
+/// modelled machine and its OS stack, not of any protocol run on it.
 #[derive(Clone, Copy, Debug)]
 pub struct CpuCosts {
-    /// Cost to copy one byte between buffers (memcpy through cache).
+    /// Cost to copy one byte between buffers (memcpy through cache), in
+    /// nanoseconds.
     pub copy_ns_per_byte: f64,
-    /// Cost to take and service one interrupt.
+    /// Cost to take and service one interrupt, in nanoseconds.
     pub interrupt_ns: u64,
-    /// Cost of a syscall / context-switch boundary.
+    /// Cost of a syscall / context-switch boundary, in nanoseconds.
     pub syscall_ns: u64,
+    /// Serialized per-operation time in an RPC server's task queue
+    /// (the paper's Figure 1 "server task queue": interrupt handler
+    /// hand-off, transport walkers, dispatch) — large on 2007
+    /// OpenSolaris, small on Linux.
+    pub server_op_serial: SimDuration,
+    /// Per-call RPC client CPU (syscall, VFS, RPC marshalling).
+    pub per_op_client_cpu: SimDuration,
+    /// Per-call RPC server CPU (decode, dispatch bookkeeping).
+    pub per_op_server_cpu: SimDuration,
 }
 
 impl Default for CpuCosts {
     fn default() -> Self {
-        // Mid-2000s server-class defaults; profiles override these.
+        // Mid-2000s server-class defaults with the OpenSolaris RPC
+        // stack's per-op costs; profiles override these.
         CpuCosts {
             copy_ns_per_byte: 0.5,
             interrupt_ns: 5_000,
             syscall_ns: 1_000,
+            server_op_serial: SimDuration::from_micros(180),
+            per_op_client_cpu: SimDuration::from_micros(18),
+            per_op_server_cpu: SimDuration::from_micros(12),
         }
     }
 }

@@ -36,7 +36,9 @@ use nfs::proto::{FileHandle, ReadArgs};
 use onc_rpc::msg::{encode_call, CallHeader};
 use rpcrdma::client::RECONNECT_DELAY;
 use rpcrdma::sanitize::MAX_CHUNK_SEGMENTS;
-use rpcrdma::{Design, MsgType, RdmaHeader, RdmaRpcServer, ReadChunk, RpcRdmaConfig, Segment};
+use rpcrdma::{
+    Design, MsgType, RdmaHeader, RdmaRpcServer, ReadChunk, RfpConfig, RpcRdmaConfig, Segment,
+};
 use sim_core::{Cpu, Payload, Sim, SimDuration, SimRng, Simulation};
 use xdr::{Encoder, XdrCodec};
 
@@ -167,7 +169,7 @@ pub fn run_adversary(seed: u64, profile: &Profile, params: AdversaryParams) -> A
     let h = sim.handle();
     let mut profile = *profile;
     profile.rpc.exposure_ttl = params.exposure_ttl;
-    profile.rpc.rfp_enabled = params.rfp;
+    profile.rpc.rfp = params.rfp.then(RfpConfig::default);
     let mut result = sim.block_on(async move { run_inner(&h, &profile, params).await });
     if params.fingerprint {
         result.fingerprint = fingerprint(&sim.take_trace());
@@ -387,7 +389,7 @@ struct AttackerTask {
 impl AttackerTask {
     async fn run(&self, mut rng: SimRng) {
         let recv_bufs: Vec<Buffer> = (0..ATTACKER_RECVS)
-            .map(|_| self.mem.alloc(self.cfg.recv_buffer_size))
+            .map(|_| self.mem.alloc(self.cfg.recv_size()))
             .collect();
         let probe_buf = self.mem.alloc(8192);
         let mut qp = self.connect_qp(&recv_bufs);
@@ -589,7 +591,7 @@ impl AttackerTask {
         let (qc, qs) = connect(&self.hca, &self.server_hca);
         self.rpc_server.serve_connection(qs);
         for (i, buf) in recv_bufs.iter().enumerate() {
-            let _ = qc.post_recv(buf.clone(), 0, self.cfg.recv_buffer_size, WrId(i as u64));
+            let _ = qc.post_recv(buf.clone(), 0, self.cfg.recv_size(), WrId(i as u64));
         }
         qc
     }
@@ -655,12 +657,7 @@ impl AttackerTask {
         }
         let idx = c.wr_id.0 as usize;
         if idx < recv_bufs.len() {
-            let _ = qp.post_recv(
-                recv_bufs[idx].clone(),
-                0,
-                self.cfg.recv_buffer_size,
-                c.wr_id,
-            );
+            let _ = qp.post_recv(recv_bufs[idx].clone(), 0, self.cfg.recv_size(), c.wr_id);
         }
         c.payload.map(|p| p.materialize())
     }

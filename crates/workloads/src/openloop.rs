@@ -30,7 +30,7 @@ use sim_core::{FlightRecord, Payload, Sim, SimDuration, SimRng, SimTime, Simulat
 use ib_verbs::Buffer;
 use nfs::{FileHandle, NfsClient, NfsError};
 use onc_rpc::{RpcError, TransportError};
-use rpcrdma::{Design, StrategyKind};
+use rpcrdma::{Design, RfpConfig, StrategyKind};
 
 use crate::chaos::fingerprint;
 use crate::profiles::Profile;
@@ -199,9 +199,9 @@ pub struct OpenLoopParams {
     pub timeline: bool,
     /// Record a trace and return its FNV-1a fingerprint.
     pub fingerprint: bool,
-    /// Enable the RFP reply-slot fast path ([`rpcrdma`]'s
-    /// `rfp_enabled`) on the run's transport config.
-    pub rfp: bool,
+    /// The RFP reply-slot fast path on the run's transport config
+    /// ([`rpcrdma::RpcRdmaConfig::rfp`]; `None` = off).
+    pub rfp: Option<RfpConfig>,
 }
 
 impl Default for OpenLoopParams {
@@ -223,7 +223,7 @@ impl Default for OpenLoopParams {
             honest_weight: 1,
             timeline: false,
             fingerprint: false,
-            rfp: false,
+            rfp: None,
         }
     }
 }
@@ -529,7 +529,7 @@ pub fn run_openloop(seed: u64, profile: &Profile, params: OpenLoopParams) -> Ope
 async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> OpenLoopResult {
     let mut cfg = profile.rpc.with_design(params.design);
     cfg.qos_enabled = params.qos;
-    cfg.rfp_enabled = params.rfp;
+    cfg.rfp = params.rfp;
     let bed: Rc<Testbed> = Rc::new(build_rdma_custom(
         sim,
         profile,

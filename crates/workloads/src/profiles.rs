@@ -16,7 +16,8 @@ pub struct Profile {
     pub name: &'static str,
     /// HCA/link parameters.
     pub hca: HcaConfig,
-    /// RPC/RDMA transport parameters.
+    /// RPC/RDMA transport parameters (protocol policy; the per-op stack
+    /// costs of the host running it are in the CPU cost tables).
     pub rpc: RpcRdmaConfig,
     /// Client CPU cores.
     pub client_cores: usize,
@@ -37,20 +38,11 @@ pub fn solaris_sdr() -> Profile {
     Profile {
         name: "opensolaris-sdr",
         hca: HcaConfig::sdr(),
-        rpc: RpcRdmaConfig::solaris(),
+        rpc: RpcRdmaConfig::default(),
         client_cores: 2,
         server_cores: 2,
-        client_cpu: CpuCosts {
-            // 2.2 GHz Opteron memcpy through registered buffers.
-            copy_ns_per_byte: 0.9,
-            interrupt_ns: 6_000,
-            syscall_ns: 1_500,
-        },
-        server_cpu: CpuCosts {
-            copy_ns_per_byte: 0.9,
-            interrupt_ns: 6_000,
-            syscall_ns: 1_500,
-        },
+        client_cpu: opteron_cpu(),
+        server_cpu: opteron_cpu(),
         phys: PhysLayout {
             mean_run_bytes: 64 * 1024,
         },
@@ -63,7 +55,7 @@ pub fn linux_sdr() -> Profile {
     Profile {
         name: "linux-sdr",
         hca: linux_hca_costs(HcaConfig::sdr()),
-        rpc: RpcRdmaConfig::linux(),
+        rpc: RpcRdmaConfig::default(),
         client_cores: 2,
         server_cores: 2,
         client_cpu: xeon_cpu(),
@@ -84,7 +76,7 @@ pub fn linux_ddr_raid() -> Profile {
     Profile {
         name: "linux-ddr-raid",
         hca,
-        rpc: RpcRdmaConfig::linux(),
+        rpc: RpcRdmaConfig::default(),
         client_cores: 2,
         server_cores: 2,
         client_cpu: xeon_cpu(),
@@ -95,11 +87,28 @@ pub fn linux_ddr_raid() -> Profile {
     }
 }
 
+/// 2.2 GHz Opteron under OpenSolaris build 33: memcpy through
+/// registered buffers, and the heavyweight kRPC task queue.
+fn opteron_cpu() -> CpuCosts {
+    CpuCosts {
+        copy_ns_per_byte: 0.9,
+        interrupt_ns: 6_000,
+        syscall_ns: 1_500,
+        server_op_serial: SimDuration::from_micros(180),
+        per_op_client_cpu: SimDuration::from_micros(18),
+        per_op_server_cpu: SimDuration::from_micros(12),
+    }
+}
+
+/// 3.6 GHz Xeon under Linux: the lean RPC stack.
 fn xeon_cpu() -> CpuCosts {
     CpuCosts {
         copy_ns_per_byte: 0.45,
         interrupt_ns: 4_000,
         syscall_ns: 1_000,
+        server_op_serial: SimDuration::from_micros(22),
+        per_op_client_cpu: SimDuration::from_micros(10),
+        per_op_server_cpu: SimDuration::from_micros(7),
     }
 }
 
@@ -125,7 +134,7 @@ mod tests {
         let s = solaris_sdr();
         let l = linux_sdr();
         let d = linux_ddr_raid();
-        assert!(l.rpc.server_op_serial < s.rpc.server_op_serial);
+        assert!(l.server_cpu.server_op_serial < s.server_cpu.server_op_serial);
         assert!(l.hca.reg_cost(32) < s.hca.reg_cost(32));
         assert!(d.hca.link_bandwidth > s.hca.link_bandwidth);
     }

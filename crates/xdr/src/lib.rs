@@ -236,7 +236,8 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// Sanity cap for length prefixes (default 64 MiB).
+    /// Sanity cap for length prefixes: 64 MiB, checked before anything
+    /// is sized by a length read from the input.
     max_len: u32,
 }
 
@@ -248,12 +249,6 @@ impl<'a> Decoder<'a> {
             pos: 0,
             max_len: 64 << 20,
         }
-    }
-
-    /// Override the length sanity cap.
-    pub fn with_max_len(mut self, max: u32) -> Self {
-        self.max_len = max;
-        self
     }
 
     /// Bytes remaining.
