@@ -14,19 +14,25 @@
 //!    the flow-control window be to keep the pipe full per thread
 //!    count?
 
+use bench::{
+    axis_table, bandwidth, iozone_on, run_iozone_point, BenchJson, IozonePoint, ServerCounts,
+};
 use nfs::proto::readdir_reply_max;
 use nfs::NFS_DTSIZE;
-use rpcrdma::{Design, RfpConfig, StrategyKind};
+use rpcrdma::{Design, RfpConfig, RpcRdmaConfig, StrategyKind};
 use sim_core::sweep::parallel_sweep;
-use sim_core::{SimDuration, Simulation};
+use sim_core::SimDuration;
+use workloads::scenario::{self, Capture};
 use workloads::{
-    build_rdma, build_rdma_custom, linux_sdr, mb, pct, run_iozone, run_openloop, solaris_sdr,
-    Arrival, Backend, IoMode, IozoneParams, OpMix, OpenLoopParams, OpenLoopResult, Profile,
-    RdmaOpts, Table,
+    build_rdma, linux_sdr, mb, pct, run_openloop, solaris_sdr, Arrival, Backend, IoMode,
+    IozoneParams, IozoneResult, OpMix, OpenLoopParams, OpenLoopResult, Profile, RdmaOpts, Run,
+    Table,
 };
 
-const FILE: u64 = 32 << 20;
+const SEED: u64 = 0xAB1A;
 
+/// One 32 MiB-per-thread IOzone run on the profile's own transport
+/// config, the same registration strategy on both sides.
 fn iozone(
     profile: Profile,
     design: Design,
@@ -34,24 +40,15 @@ fn iozone(
     mode: IoMode,
     threads: u32,
     record: u64,
-) -> workloads::IozoneResult {
-    let mut sim = Simulation::new(0xAB1A);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let bed = build_rdma(&h, &profile, design, strategy, Backend::Tmpfs, 1);
-        run_iozone(
-            &h,
-            &bed,
-            IozoneParams {
-                threads_per_client: threads,
-                file_size: FILE,
-                record,
-                mode,
-                ..Default::default()
-            },
-        )
-        .await
-    })
+) -> IozoneResult {
+    let point = IozonePoint {
+        profile,
+        design,
+        strategy,
+        mode,
+        record,
+    };
+    run_iozone_point(SEED, &point, threads, 32 << 20)
 }
 
 fn zero_copy_decomposition() {
@@ -90,28 +87,23 @@ fn zero_copy_decomposition() {
 }
 
 fn ord_sensitivity() {
-    let orders = [1usize, 2, 4, 8, 16, 32];
-    let results = parallel_sweep(orders.to_vec(), |ord| {
+    let run = |(), ord| {
         let mut p = solaris_sdr();
         p.hca.max_ord = ord;
         p.hca.max_ird = ord;
-        iozone(
-            p,
-            Design::ReadWrite,
-            StrategyKind::Cache,
-            IoMode::Write,
-            8,
-            128 * 1024,
-        )
-    });
-    let mut t = Table::new(
-        "Ablation 2 — ORD/IRD window vs NFS WRITE bandwidth (8 threads, cache)",
-        &["ord/ird", "write MB/s"],
+        let (design, strategy) = (Design::ReadWrite, StrategyKind::Cache);
+        iozone(p, design, strategy, IoMode::Write, 8, 128 * 1024)
+    };
+    axis_table(
+        (
+            "ablation_ord",
+            "Ablation 2 — ORD/IRD window vs NFS WRITE bandwidth (8 threads, cache)",
+        ),
+        ("ord/ird", &[1usize, 2, 4, 8, 16, 32]),
+        &[()],
+        run,
+        &[("write MB/s", 0, bandwidth)],
     );
-    for (ord, r) in orders.iter().zip(results) {
-        t.row(&[ord.to_string(), mb(r.bandwidth_mb)]);
-    }
-    bench::emit("ablation_ord", &t);
     println!(
         "Takeaway: because an RC responder executes reads in order, the \
          window stops mattering once request latency is covered — the \
@@ -142,9 +134,7 @@ struct InlineOutcome {
 fn inline_point(inline: u64, rounds: u32) -> InlineOutcome {
     let mut p = solaris_sdr();
     p.rpc.inline_threshold = inline;
-    let mut sim = Simulation::new(0x1712);
-    let h = sim.handle();
-    sim.block_on(async move {
+    let run = scenario::run(0x1712, Capture::default(), |h| async move {
         let bed = build_rdma(
             &h,
             &p,
@@ -178,7 +168,8 @@ fn inline_point(inline: u64, rounds: u32) -> InlineOutcome {
             client_pages_per_op: pinned as f64 / rounds as f64,
             long_reply: server_hca.reg_stats().dynamic_regs > server_regs,
         }
-    })
+    });
+    run.out
 }
 
 const INLINE_THRESHOLDS: [u64; 4] = [256, 1024, 4096, 16384];
@@ -229,33 +220,28 @@ fn inline_smoke() {
 }
 
 fn inline_threshold_sweep() {
-    let results = parallel_sweep(INLINE_THRESHOLDS.to_vec(), |inline| {
-        inline_point(inline, 200)
-    });
-    check_inline(&results);
-    let mut t = Table::new(
-        "Ablation 3 — inline threshold vs READDIR throughput (50 entries, ~2 KiB reply)",
+    type Cell = fn(&InlineOutcome) -> String;
+    let rate: Cell = |r| format!("{:.0}", r.readdirs_per_s);
+    let pages: Cell = |r| format!("{:.0}", r.client_pages_per_op);
+    let path: Cell = |r| match r.long_reply {
+        true => "long reply (reply chunk)".to_string(),
+        false => "inline reply".to_string(),
+    };
+    let results = axis_table(
+        (
+            "ablation_inline",
+            "Ablation 3 — inline threshold vs READDIR throughput (50 entries, ~2 KiB reply)",
+        ),
+        ("inline bytes", &INLINE_THRESHOLDS),
+        &[()],
+        |(), inline| inline_point(inline, 200),
         &[
-            "inline bytes",
-            "readdir ops/s",
-            "client pages registered/op",
-            "path taken",
+            ("readdir ops/s", 0, rate),
+            ("client pages registered/op", 0, pages),
+            ("path taken", 0, path),
         ],
     );
-    for (inline, r) in INLINE_THRESHOLDS.iter().zip(results) {
-        let path = if r.long_reply {
-            "long reply (reply chunk)"
-        } else {
-            "inline reply"
-        };
-        t.row(&[
-            inline.to_string(),
-            format!("{:.0}", r.readdirs_per_s),
-            format!("{:.0}", r.client_pages_per_op),
-            path.to_string(),
-        ]);
-    }
-    bench::emit("ablation_inline", &t);
+    check_inline(&results);
     println!(
         "Takeaway: the client registers for the READDIR's count (9 pages, \
          not the 256 of a 1 MiB guess) at every threshold below it; crossing \
@@ -266,27 +252,22 @@ fn inline_threshold_sweep() {
 }
 
 fn credit_window_sweep() {
-    let credits = [1u32, 2, 4, 8, 16, 32, 64];
-    let results = parallel_sweep(credits.to_vec(), |cr| {
+    let run = |(), credits| {
         let mut p = solaris_sdr();
-        p.rpc.credits = cr;
-        iozone(
-            p,
-            Design::ReadWrite,
-            StrategyKind::Cache,
-            IoMode::Read,
-            8,
-            128 * 1024,
-        )
-    });
-    let mut t = Table::new(
-        "Ablation 4 — credit window vs READ bandwidth (8 threads, cache)",
-        &["credits", "read MB/s"],
+        p.rpc.credits = credits;
+        let (design, strategy) = (Design::ReadWrite, StrategyKind::Cache);
+        iozone(p, design, strategy, IoMode::Read, 8, 128 * 1024)
+    };
+    axis_table(
+        (
+            "ablation_credits",
+            "Ablation 4 — credit window vs READ bandwidth (8 threads, cache)",
+        ),
+        ("credits", &[1u32, 2, 4, 8, 16, 32, 64]),
+        &[()],
+        run,
+        &[("read MB/s", 0, bandwidth)],
     );
-    for (cr, r) in credits.iter().zip(results) {
-        t.row(&[cr.to_string(), mb(r.bandwidth_mb)]);
-    }
-    bench::emit("ablation_credits", &t);
     println!(
         "Takeaway (the paper's future work): the window must cover the \
          pipeline depth of the bottleneck stage (~4 ops here); beyond \
@@ -298,45 +279,35 @@ fn msgp_small_write_fast_path() {
     // RDMA_MSGP (the paper's Figure-2 message type 2, implemented as an
     // extension): small writes ride inline instead of paying a
     // registration plus a server-side RDMA Read.
-    let sizes = [512u64, 1024, 4096, 16384];
-    let results = parallel_sweep(
-        sizes
-            .iter()
-            .flat_map(|&s| [(s, false), (s, true)])
-            .collect::<Vec<_>>(),
-        |(record, msgp)| {
-            // Linux profile: the lean task queue leaves registration as
-            // the binding constraint, which is what MSGP removes.
-            let mut p = workloads::linux_sdr();
-            // The transport picks MSGP for a payload within the inline
-            // threshold: lift it so every swept size qualifies, or drop
-            // it below the smallest so every one is chunked.
-            p.rpc.inline_threshold = if msgp { 16 * 1024 } else { 256 };
-            iozone(
-                p,
-                Design::ReadWrite,
-                StrategyKind::Dynamic,
-                IoMode::Write,
-                8,
-                record,
-            )
-        },
+    let write_mb = |record, inline_threshold| {
+        // Linux profile: the lean task queue leaves registration as
+        // the binding constraint, which is what MSGP removes.
+        let mut p = linux_sdr();
+        p.rpc.inline_threshold = inline_threshold;
+        let (design, strategy) = (Design::ReadWrite, StrategyKind::Dynamic);
+        iozone(p, design, strategy, IoMode::Write, 8, record).bandwidth_mb
+    };
+    // The transport picks MSGP for a payload within the inline
+    // threshold: drop it below the smallest swept size so every one is
+    // chunked, or lift it so every one qualifies.
+    let run = |(), record| (write_mb(record, 256), write_mb(record, 16 * 1024));
+    type Cell = fn(&(f64, f64)) -> String;
+    let (chunked, msgp): (Cell, Cell) = (|r| mb(r.0), |r| mb(r.1));
+    let speedup: Cell = |r| format!("{:.2}x", r.1 / r.0);
+    axis_table(
+        (
+            "ablation_msgp",
+            "Ablation 5 — RDMA_MSGP padded-inline small writes (8 threads)",
+        ),
+        ("record", &[512u64, 1024, 4096, 16384]),
+        &[()],
+        run,
+        &[
+            ("chunked MB/s", 0, chunked),
+            ("MSGP MB/s", 0, msgp),
+            ("speedup", 0, speedup),
+        ],
     );
-    let mut t = Table::new(
-        "Ablation 5 — RDMA_MSGP padded-inline small writes (8 threads)",
-        &["record", "chunked MB/s", "MSGP MB/s", "speedup"],
-    );
-    for (i, record) in sizes.iter().enumerate() {
-        let base = &results[i * 2];
-        let msgp = &results[i * 2 + 1];
-        t.row(&[
-            record.to_string(),
-            mb(base.bandwidth_mb),
-            mb(msgp.bandwidth_mb),
-            format!("{:.2}x", msgp.bandwidth_mb / base.bandwidth_mb),
-        ]);
-    }
-    bench::emit("ablation_msgp", &t);
     println!(
         "Takeaway: below the inline threshold, MSGP removes both per-op \
          registrations and the serialized RDMA Read — the small-write \
@@ -351,15 +322,11 @@ struct BatchPoint {
     depth: usize,
     /// Client threads.
     threads: u32,
-    /// Server-side zero-copy gather on/off (off = staged copy path).
-    zero_copy: bool,
     /// Server registration strategy.
     server_strategy: StrategyKind,
-    /// Client registration strategy (Dynamic for the bandwidth rows;
-    /// the cache for the 4K IOPS rows, per the paper's small-I/O
-    /// recommendation).
+    /// Client registration strategy.
     client_strategy: StrategyKind,
-    /// Record size (1M streams bandwidth; 4K stresses per-op rates).
+    /// Record size.
     record: u64,
     /// File size per thread.
     file_size: u64,
@@ -367,72 +334,66 @@ struct BatchPoint {
     linux: bool,
 }
 
-/// Measured outcome: bandwidth plus per-RPC doorbell/interrupt rates
-/// read off the server HCA after the run.
-struct BatchOutcome {
-    bandwidth_mb: f64,
-    doorbells_per_op: f64,
-    interrupts_per_op: f64,
-    coalesced_per_op: f64,
-    zero_copy_mb: f64,
+impl BatchPoint {
+    /// Section 1, the bandwidth story: Solaris, 1M records, clients on
+    /// Dynamic — fig5's Read-Write configuration.
+    fn streaming(depth: usize, threads: u32, server_strategy: StrategyKind) -> BatchPoint {
+        BatchPoint {
+            depth,
+            threads,
+            server_strategy,
+            client_strategy: StrategyKind::Dynamic,
+            record: 1 << 20,
+            file_size: 64 << 20,
+            linux: false,
+        }
+    }
+
+    /// Section 2, the per-op rate story: Linux, 4K records, 8 threads,
+    /// clients on the cache (the paper's small-I/O recommendation) —
+    /// ops arrive every ~25us, so depth-4+ batches actually fill.
+    fn small_io(depth: usize, server_strategy: StrategyKind) -> BatchPoint {
+        BatchPoint {
+            depth,
+            threads: 8,
+            server_strategy,
+            client_strategy: StrategyKind::Cache,
+            record: 4 << 10,
+            file_size: 16 << 20,
+            linux: true,
+        }
+    }
 }
 
-fn batching_point(p: BatchPoint) -> BatchOutcome {
-    let profile = if p.linux {
-        workloads::linux_sdr()
-    } else {
-        solaris_sdr()
+/// Bandwidth, and the server's counters for the per-RPC doorbell and
+/// interrupt rates (over every op it served: the READ pass plus one
+/// CREATE per thread).
+fn batching_point(p: BatchPoint) -> (IozoneResult, ServerCounts) {
+    let profile = if p.linux { linux_sdr() } else { solaris_sdr() };
+    let mut server_hca = profile.hca;
+    if p.depth > 1 {
+        // Interrupt moderation scales with the doorbell batch: the
+        // completion side coalesces as deeply as the posting side.
+        server_hca.cq_coalesce_count = p.depth;
+        server_hca.cq_coalesce_delay = SimDuration::from_micros(64);
+    }
+    let opts = RdmaOpts {
+        cfg: RpcRdmaConfig {
+            server_doorbell_batch: p.depth,
+            ..profile.rpc.with_design(Design::ReadWrite)
+        },
+        client_strategy: p.client_strategy,
+        server_strategy: p.server_strategy,
+        server_hca: Some(server_hca),
     };
-    let mut sim = Simulation::new(0xAB1A);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let mut cfg = profile.rpc.with_design(Design::ReadWrite);
-        cfg.server_zero_copy = p.zero_copy;
-        cfg.server_doorbell_batch = p.depth;
-        let mut server_hca = profile.hca;
-        if p.depth > 1 {
-            // Interrupt moderation scales with the doorbell batch: the
-            // completion side coalesces as deeply as the posting side.
-            server_hca.cq_coalesce_count = p.depth;
-            server_hca.cq_coalesce_delay = SimDuration::from_micros(64);
-        }
-        let bed = build_rdma_custom(
-            &h,
-            &profile,
-            RdmaOpts {
-                cfg,
-                client_strategy: p.client_strategy,
-                server_strategy: p.server_strategy,
-                server_hca: Some(server_hca),
-            },
-            Backend::Tmpfs,
-            1,
-        );
-        let r = run_iozone(
-            &h,
-            &bed,
-            IozoneParams {
-                threads_per_client: p.threads,
-                file_size: p.file_size,
-                record: p.record,
-                mode: IoMode::Read,
-                ..Default::default()
-            },
-        )
-        .await;
-        let hca = bed.server_hca.as_ref().expect("rdma testbed");
-        let rpc = bed.rpc_server.as_ref().expect("rdma testbed");
-        // Per-RPC rates over every op the server served (the READ pass
-        // plus one CREATE per thread; the counters span the whole run).
-        let ops = rpc.stats.ops.get().max(1) as f64;
-        BatchOutcome {
-            bandwidth_mb: r.bandwidth_mb,
-            doorbells_per_op: hca.doorbells() as f64 / ops,
-            interrupts_per_op: hca.cq_interrupts() as f64 / ops,
-            coalesced_per_op: hca.cq_coalesced() as f64 / ops,
-            zero_copy_mb: rpc.stats.zero_copy_bytes.get() as f64 / 1e6,
-        }
-    })
+    let params = IozoneParams {
+        threads_per_client: p.threads,
+        file_size: p.file_size,
+        record: p.record,
+        mode: IoMode::Read,
+        ..Default::default()
+    };
+    iozone_on(SEED, profile, opts, params)
 }
 
 /// Fast subset of the batching sweep for `check.sh`: one baseline and
@@ -440,149 +401,85 @@ fn batching_point(p: BatchPoint) -> BatchOutcome {
 /// asserted in-process (exit code carries the verdict).
 fn batching_smoke() {
     let points = [
-        BatchPoint {
-            depth: 1,
-            threads: 1,
-            zero_copy: false,
-            server_strategy: StrategyKind::Dynamic,
-            client_strategy: StrategyKind::Dynamic,
-            record: 1 << 20,
-            file_size: 64 << 20,
-            linux: false,
-        },
-        BatchPoint {
-            depth: 1,
-            threads: 1,
-            zero_copy: true,
-            server_strategy: StrategyKind::AllPhysical,
-            client_strategy: StrategyKind::Dynamic,
-            record: 1 << 20,
-            file_size: 64 << 20,
-            linux: false,
-        },
-        BatchPoint {
-            depth: 4,
-            threads: 8,
-            zero_copy: true,
-            server_strategy: StrategyKind::AllPhysical,
-            client_strategy: StrategyKind::Cache,
-            record: 4 << 10,
-            file_size: 16 << 20,
-            linux: true,
-        },
+        BatchPoint::streaming(1, 1, StrategyKind::Dynamic),
+        BatchPoint::streaming(1, 1, StrategyKind::AllPhysical),
+        BatchPoint::small_io(4, StrategyKind::AllPhysical),
     ];
     let r = parallel_sweep(points.to_vec(), batching_point);
-    let speedup = r[1].bandwidth_mb / r[0].bandwidth_mb;
+    let (base_mb, zc_mb) = (r[0].0.bandwidth_mb, r[1].0.bandwidth_mb);
+    let speedup = zc_mb / base_mb;
+    let batched = r[2].1;
+    let (doorbells, interrupts) = (
+        batched.per_op(batched.doorbells),
+        batched.per_op(batched.interrupts),
+    );
     println!(
-        "batching smoke: zero-copy 1M speedup {:.2}x ({:.0} vs {:.0} MB/s); \
-         depth-4 doorbells/op {:.3}, interrupts/op {:.3}",
-        speedup,
-        r[1].bandwidth_mb,
-        r[0].bandwidth_mb,
-        r[2].doorbells_per_op,
-        r[2].interrupts_per_op
+        "batching smoke: zero-copy 1M speedup {speedup:.2}x ({zc_mb:.0} vs {base_mb:.0} MB/s); \
+         depth-4 doorbells/op {doorbells:.3}, interrupts/op {interrupts:.3}"
     );
     assert!(
         speedup >= 1.3,
         "zero-copy READ speedup {speedup:.2}x below the 1.3x acceptance floor"
     );
     assert!(
-        r[2].doorbells_per_op < 1.0,
-        "doorbells/op {:.3} not < 1 at batch depth 4",
-        r[2].doorbells_per_op
+        doorbells < 1.0,
+        "doorbells/op {doorbells:.3} not < 1 at batch depth 4"
     );
     assert!(
-        r[2].interrupts_per_op < 1.0,
-        "interrupts/op {:.3} not < 1 at batch depth 4",
-        r[2].interrupts_per_op
+        interrupts < 1.0,
+        "interrupts/op {interrupts:.3} not < 1 at batch depth 4"
     );
-    bench::emit_bench_json(
-        "read",
-        &format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"read\",\n",
-                "  \"mode\": \"smoke\",\n",
-                "  \"baseline_mb_s\": {:.3},\n",
-                "  \"zero_copy_mb_s\": {:.3},\n",
-                "  \"speedup\": {:.3},\n",
-                "  \"batched\": {{\n",
-                "    \"doorbells_per_op\": {:.4},\n",
-                "    \"interrupts_per_op\": {:.4},\n",
-                "    \"coalesced_per_op\": {:.4}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            r[0].bandwidth_mb,
-            r[1].bandwidth_mb,
-            speedup,
-            r[2].doorbells_per_op,
-            r[2].interrupts_per_op,
-            r[2].coalesced_per_op,
-        ),
-    );
+    let coalesced = batched.per_op(batched.coalesced);
+    BenchJson::new("read", true)
+        .num("baseline_mb_s", format_args!("{base_mb:.3}"))
+        .num("zero_copy_mb_s", format_args!("{zc_mb:.3}"))
+        .num("speedup", format_args!("{speedup:.3}"))
+        .section(
+            "batched",
+            1,
+            &[
+                ("doorbells_per_op", &format_args!("{doorbells:.4}")),
+                ("interrupts_per_op", &format_args!("{interrupts:.4}")),
+                ("coalesced_per_op", &format_args!("{coalesced:.4}")),
+            ],
+        )
+        .write();
     println!("batching smoke OK");
 }
 
 fn batching_sweep() {
-    // Baseline: the pre-batching server (staged copy, per-WQE
-    // doorbells, symmetric Dynamic registration) — the configuration
-    // behind the shipped fig5 Read-Write 1M numbers. Tentpole: the
-    // zero-copy pipeline on an all-physical server (no per-op TPT work
-    // on the READ critical path) under increasing doorbell batch
-    // depths, clients unchanged on Dynamic.
-    // Section 1 (Solaris, 1M records): the bandwidth story — fig5's
-    // Read-Write single-thread config, measured against the shipped
-    // 171 MB/s. Section 2 (Linux, 4K records): the per-op rate story —
-    // ops arrive every ~25us, so the depth-4+ batches actually fill
-    // and the doorbell/interrupt rates drop below one per RPC.
-    let sol = |depth, threads, zero_copy, server_strategy| BatchPoint {
-        depth,
-        threads,
-        zero_copy,
-        server_strategy,
-        client_strategy: StrategyKind::Dynamic,
-        record: 1 << 20,
-        file_size: 64 << 20,
-        linux: false,
-    };
-    let lin = |depth, threads, zero_copy, server_strategy| BatchPoint {
-        depth,
-        threads,
-        zero_copy,
-        server_strategy,
-        client_strategy: StrategyKind::Cache,
-        record: 4 << 10,
-        file_size: 16 << 20,
-        linux: true,
-    };
+    // Baseline: per-WQE doorbells and symmetric Dynamic registration —
+    // the configuration behind the shipped fig5 Read-Write 1M numbers.
+    // Both sides gather straight from file-system pages; what the
+    // tentpole rows change is the server's registration: an
+    // all-physical server (no per-op TPT work on the READ critical
+    // path) under increasing doorbell batch depths, clients unchanged
+    // on Dynamic.
+    // Section 1 is measured against the shipped 171 MB/s; in section
+    // 2 the doorbell/interrupt rates drop below one per RPC.
+    let (dynamic, all_phys) = (StrategyKind::Dynamic, StrategyKind::AllPhysical);
+    let baseline = "dynamic-registration baseline";
     let mut points = vec![
-        ("staged baseline", sol(1, 1, false, StrategyKind::Dynamic)),
-        ("staged baseline", sol(1, 8, false, StrategyKind::Dynamic)),
+        (baseline, BatchPoint::streaming(1, 1, dynamic)),
+        (baseline, BatchPoint::streaming(1, 8, dynamic)),
     ];
     for depth in [1usize, 2, 4, 8, 16] {
         for threads in [1u32, 8] {
-            points.push((
-                "zero-copy all-phys",
-                sol(depth, threads, true, StrategyKind::AllPhysical),
-            ));
+            let point = BatchPoint::streaming(depth, threads, all_phys);
+            points.push(("zero-copy all-phys", point));
         }
     }
     let lin_start = points.len();
-    points.push((
-        "staged baseline 4K",
-        lin(1, 8, false, StrategyKind::Dynamic),
-    ));
+    let baseline_4k = "dynamic-registration baseline 4K";
+    points.push((baseline_4k, BatchPoint::small_io(1, dynamic)));
     for depth in [1usize, 2, 4, 8, 16] {
-        points.push((
-            "zero-copy all-phys 4K",
-            lin(depth, 8, true, StrategyKind::AllPhysical),
-        ));
+        let point = BatchPoint::small_io(depth, all_phys);
+        points.push(("zero-copy all-phys 4K", point));
     }
     let results = parallel_sweep(points.clone(), |(_, p)| batching_point(p));
-    let base_1t = results[0].bandwidth_mb;
-    let base_8t = results[1].bandwidth_mb;
-    let base_4k = results[lin_start].bandwidth_mb;
+    let base_1t = results[0].0.bandwidth_mb;
+    let base_8t = results[1].0.bandwidth_mb;
+    let base_4k = results[lin_start].0.bandwidth_mb;
     let mut t = Table::new(
         "Ablation 6 — zero-copy READ pipeline + doorbell/completion batching \
          (RW design; clients Dynamic at 1M, Cache at 4K)",
@@ -599,7 +496,7 @@ fn batching_sweep() {
             "zero-copy MB",
         ],
     );
-    for (i, ((label, p), r)) in points.iter().zip(&results).enumerate() {
+    for (i, ((label, p), (r, c))) in points.iter().zip(&results).enumerate() {
         let base = if i >= lin_start {
             base_4k
         } else if p.threads == 1 {
@@ -614,17 +511,17 @@ fn batching_sweep() {
             p.threads.to_string(),
             mb(r.bandwidth_mb),
             format!("{:.2}x", r.bandwidth_mb / base),
-            format!("{:.3}", r.doorbells_per_op),
-            format!("{:.3}", r.interrupts_per_op),
-            format!("{:.3}", r.coalesced_per_op),
-            format!("{:.1}", r.zero_copy_mb),
+            format!("{:.3}", c.per_op(c.doorbells)),
+            format!("{:.3}", c.per_op(c.interrupts)),
+            format!("{:.3}", c.per_op(c.coalesced)),
+            format!("{:.1}", c.read_zero_copy_bytes as f64 / 1e6),
         ]);
     }
     bench::emit("ablation_batching", &t);
     println!(
         "Takeaway: removing server-side TPT work from the READ critical \
-         path (zero-copy gather from an all-physical window) buys the \
-         bandwidth; doorbell batching plus interrupt moderation then push \
+         path (gathering from an all-physical window instead of a \
+         per-op registration) buys the bandwidth; doorbell batching plus interrupt moderation then push \
          the per-RPC doorbell and interrupt rates below one at depth >= 4 \
          under concurrency.\n"
     );
@@ -633,200 +530,127 @@ fn batching_sweep() {
 /// One measured point of the WRITE-path ablation.
 #[derive(Clone, Copy)]
 struct WritePoint {
-    /// Server-side zero-copy scatter on/off (off = staged copy of
-    /// every pulled read chunk before the VFS write).
-    zero_copy: bool,
     /// Server registration strategy.
     server_strategy: StrategyKind,
     /// Client threads.
     threads: u32,
-    /// Record size.
-    record: u64,
     /// Batch UNSTABLE writes and COMMIT once per file at close.
     commit_on_close: bool,
 }
 
-/// Measured outcome: bandwidth plus the server's data-movement and
-/// UNSTABLE/COMMIT accounting after the run.
-struct WriteOutcome {
-    bandwidth_mb: f64,
-    copied_mb: f64,
-    write_zero_copy_mb: f64,
-    unstable_writes: u64,
-    commits: u64,
-}
-
-fn write_point(p: WritePoint) -> WriteOutcome {
+/// Bandwidth, and the server's data-movement and UNSTABLE/COMMIT
+/// accounting after the run.
+fn write_point(p: WritePoint) -> (IozoneResult, ServerCounts) {
     let profile = solaris_sdr();
-    let mut sim = Simulation::new(0xAB1A);
-    let h = sim.handle();
-    sim.block_on(async move {
-        let mut cfg = profile.rpc.with_design(Design::ReadWrite);
-        cfg.server_zero_copy = p.zero_copy;
-        let bed = build_rdma_custom(
-            &h,
-            &profile,
-            RdmaOpts {
-                cfg,
-                client_strategy: StrategyKind::Dynamic,
-                server_strategy: p.server_strategy,
-                server_hca: None,
-            },
-            Backend::Tmpfs,
-            1,
-        );
-        let r = run_iozone(
-            &h,
-            &bed,
-            IozoneParams {
-                threads_per_client: p.threads,
-                file_size: 64 << 20,
-                record: p.record,
-                mode: IoMode::Write,
-                commit_on_close: p.commit_on_close,
-            },
-        )
-        .await;
-        let rpc = bed.rpc_server.as_ref().expect("rdma testbed");
-        WriteOutcome {
-            bandwidth_mb: r.bandwidth_mb,
-            copied_mb: rpc.stats.copied_bytes.get() as f64 / 1e6,
-            write_zero_copy_mb: rpc.stats.write_zero_copy_bytes.get() as f64 / 1e6,
-            unstable_writes: bed.server.stats.unstable_writes.get(),
-            commits: bed.server.stats.commits.get(),
-        }
-    })
+    let opts = RdmaOpts {
+        cfg: profile.rpc.with_design(Design::ReadWrite),
+        client_strategy: StrategyKind::Dynamic,
+        server_strategy: p.server_strategy,
+        server_hca: None,
+    };
+    let params = IozoneParams {
+        threads_per_client: p.threads,
+        file_size: 64 << 20,
+        record: 1 << 20,
+        mode: IoMode::Write,
+        commit_on_close: p.commit_on_close,
+    };
+    iozone_on(SEED, profile, opts, params)
 }
 
-/// The WRITE-path acceptance gates for `check.sh`: zero-copy scatter
-/// on an all-physical server must beat the staged Dynamic baseline by
+/// Decimal megabytes, as the tables print byte counters.
+fn mbytes(bytes: u64) -> f64 {
+    bytes as f64 / 1e6
+}
+
+/// The WRITE-path acceptance gates for `check.sh`: scattering into an
+/// all-physical server must beat the Dynamic-registration baseline by
 /// at least 1.3x at 1M records, with zero staged bytes at steady state
 /// and every WRITE byte accounted by the zero-copy counter.
 fn write_path_smoke() {
     let baseline = WritePoint {
-        zero_copy: false,
         server_strategy: StrategyKind::Dynamic,
         threads: 1,
-        record: 1 << 20,
         commit_on_close: false,
     };
     let zc = WritePoint {
         server_strategy: StrategyKind::AllPhysical,
-        zero_copy: true,
         ..baseline
     };
     // The Cache strategy's pre-registered slabs are the one path that
-    // must still bounce, even with the zero-copy knob on.
+    // must still bounce.
     let cache = WritePoint {
         server_strategy: StrategyKind::Cache,
-        zero_copy: true,
         ..baseline
     };
     let r = parallel_sweep(vec![baseline, zc, cache], write_point);
-    let speedup = r[1].bandwidth_mb / r[0].bandwidth_mb;
+    let (base_mb, zc_mb) = (r[0].0.bandwidth_mb, r[1].0.bandwidth_mb);
+    let speedup = zc_mb / base_mb;
+    let zc = r[1].1;
+    let (staged_mb, scattered_mb) = (mbytes(zc.copied_bytes), mbytes(zc.write_zero_copy_bytes));
     println!(
-        "write-path smoke: zero-copy 1M speedup {:.2}x ({:.0} vs {:.0} MB/s); \
-         staged {:.1} MB copied, zero-copy counter {:.1} MB",
-        speedup, r[1].bandwidth_mb, r[0].bandwidth_mb, r[1].copied_mb, r[1].write_zero_copy_mb
+        "write-path smoke: zero-copy 1M speedup {speedup:.2}x ({zc_mb:.0} vs {base_mb:.0} MB/s); \
+         staged {staged_mb:.1} MB copied, zero-copy counter {scattered_mb:.1} MB"
     );
     assert!(
         speedup >= 1.3,
         "zero-copy WRITE speedup {speedup:.2}x below the 1.3x acceptance floor"
     );
     assert!(
-        r[1].copied_mb == 0.0,
-        "zero-copy WRITE path staged {:.1} MB (must be 0)",
-        r[1].copied_mb
+        zc.copied_bytes == 0,
+        "zero-copy WRITE path staged {staged_mb:.1} MB (must be 0)"
     );
-    let expect_mb = (64u64 << 20) as f64 / 1e6;
+    let expect_mb = mbytes(64 << 20);
     assert!(
-        (r[1].write_zero_copy_mb - expect_mb).abs() < 0.01,
-        "write.zero_copy_bytes {:.1} MB != {expect_mb:.1} MB transferred",
-        r[1].write_zero_copy_mb
+        zc.write_zero_copy_bytes == 64 << 20,
+        "write.zero_copy_bytes {scattered_mb:.1} MB != {expect_mb:.1} MB transferred"
     );
+    let bounced_mb = mbytes(r[2].1.copied_bytes);
     assert!(
-        r[0].write_zero_copy_mb == 0.0,
-        "staged baseline must not touch the zero-copy counter, got {:.1} MB",
-        r[0].write_zero_copy_mb
+        bounced_mb >= expect_mb,
+        "Cache slabs must remain the one bouncing strategy: copied {bounced_mb:.1} MB, \
+         expected >= {expect_mb:.1} MB"
     );
-    assert!(
-        r[2].copied_mb >= expect_mb,
-        "Cache slabs must remain the one bouncing strategy: copied {:.1} MB, \
-         expected >= {expect_mb:.1} MB",
-        r[2].copied_mb
-    );
-    bench::emit_bench_json(
-        "write",
-        &format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"write\",\n",
-                "  \"mode\": \"smoke\",\n",
-                "  \"baseline_mb_s\": {:.3},\n",
-                "  \"zero_copy_mb_s\": {:.3},\n",
-                "  \"speedup\": {:.3},\n",
-                "  \"zero_copy\": {{\n",
-                "    \"staged_mb\": {:.3},\n",
-                "    \"zero_copy_mb\": {:.3},\n",
-                "    \"unstable_writes\": {},\n",
-                "    \"commits\": {}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            r[0].bandwidth_mb,
-            r[1].bandwidth_mb,
-            speedup,
-            r[1].copied_mb,
-            r[1].write_zero_copy_mb,
-            r[1].unstable_writes,
-            r[1].commits,
-        ),
-    );
+    BenchJson::new("write", true)
+        .num("baseline_mb_s", format_args!("{base_mb:.3}"))
+        .num("zero_copy_mb_s", format_args!("{zc_mb:.3}"))
+        .num("speedup", format_args!("{speedup:.3}"))
+        .section(
+            "zero_copy",
+            1,
+            &[
+                ("staged_mb", &format_args!("{staged_mb:.3}")),
+                ("zero_copy_mb", &format_args!("{scattered_mb:.3}")),
+                ("unstable_writes", &zc.unstable_writes),
+                ("commits", &zc.commits),
+            ],
+        )
+        .write();
     println!("write-path smoke OK");
 }
 
 fn write_path_sweep() {
-    // Baseline: the pre-PR server (every pulled read chunk staged
-    // through a bounce buffer, symmetric Dynamic registration).
-    // Tentpole: receive-side scatter straight into page-cache pages on
-    // an all-physical server, with and without close-to-commit
-    // UNSTABLE batching.
-    let point = |zero_copy, server_strategy, threads, commit_on_close| WritePoint {
-        zero_copy,
+    // Baseline: symmetric Dynamic registration. Both sides scatter the
+    // pulled read chunks straight into page-cache pages; the tentpole
+    // rows move the server to all-physical registration (no per-op TPT
+    // work), with and without close-to-commit UNSTABLE batching.
+    let point = |server_strategy, threads, commit_on_close| WritePoint {
         server_strategy,
         threads,
-        record: 1 << 20,
         commit_on_close,
     };
+    let (dynamic, all_phys) = (StrategyKind::Dynamic, StrategyKind::AllPhysical);
     let points = vec![
-        (
-            "staged baseline",
-            point(false, StrategyKind::Dynamic, 1, false),
-        ),
-        (
-            "staged baseline",
-            point(false, StrategyKind::Dynamic, 8, false),
-        ),
-        (
-            "zero-copy all-phys",
-            point(true, StrategyKind::AllPhysical, 1, false),
-        ),
-        (
-            "zero-copy all-phys",
-            point(true, StrategyKind::AllPhysical, 8, false),
-        ),
-        (
-            "zero-copy + commit-on-close",
-            point(true, StrategyKind::AllPhysical, 1, true),
-        ),
-        (
-            "zero-copy + commit-on-close",
-            point(true, StrategyKind::AllPhysical, 8, true),
-        ),
+        ("dynamic-registration baseline", point(dynamic, 1, false)),
+        ("dynamic-registration baseline", point(dynamic, 8, false)),
+        ("zero-copy all-phys", point(all_phys, 1, false)),
+        ("zero-copy all-phys", point(all_phys, 8, false)),
+        ("zero-copy + commit-on-close", point(all_phys, 1, true)),
+        ("zero-copy + commit-on-close", point(all_phys, 8, true)),
     ];
     let results = parallel_sweep(points.clone(), |(_, p)| write_point(p));
-    let base_1t = results[0].bandwidth_mb;
-    let base_8t = results[1].bandwidth_mb;
+    let base_1t = results[0].0.bandwidth_mb;
+    let base_8t = results[1].0.bandwidth_mb;
     let mut t = Table::new(
         "Ablation 7 — zero-copy WRITE pipeline: receive-side scatter + \
          UNSTABLE/COMMIT batching (RW design, 1M records, clients Dynamic)",
@@ -841,24 +665,24 @@ fn write_path_sweep() {
             "commits",
         ],
     );
-    for ((label, p), r) in points.iter().zip(&results) {
+    for ((label, p), (r, c)) in points.iter().zip(&results) {
         let base = if p.threads == 1 { base_1t } else { base_8t };
         t.row(&[
             label.to_string(),
             p.threads.to_string(),
             mb(r.bandwidth_mb),
             format!("{:.2}x", r.bandwidth_mb / base),
-            format!("{:.1}", r.copied_mb),
-            format!("{:.1}", r.write_zero_copy_mb),
-            r.unstable_writes.to_string(),
-            r.commits.to_string(),
+            format!("{:.1}", mbytes(c.copied_bytes)),
+            format!("{:.1}", mbytes(c.write_zero_copy_bytes)),
+            c.unstable_writes.to_string(),
+            c.commits.to_string(),
         ]);
     }
     bench::emit("ablation_write", &t);
     println!(
-        "Takeaway: scattering pulled read chunks straight into page-cache \
-         pages removes the server bounce copy and, with an all-physical \
-         window, the per-op TPT work — the WRITE mirror of the READ \
+        "Takeaway: pulled read chunks scatter straight into page-cache \
+         pages on every non-Cache server; an all-physical window then \
+         removes the per-op TPT work — the WRITE mirror of the READ \
          pipeline win. COMMIT-on-close adds one cheap group commit per \
          file on top of the UNSTABLE burst.\n"
     );
@@ -884,11 +708,11 @@ fn rfp_point(
     duration_ms: u64,
     connections: usize,
     workers: u32,
-) -> OpenLoopResult {
+) -> Run<OpenLoopResult> {
     let mut profile = linux_sdr();
     profile.hca.read_turnaround = SimDuration::from_micros(2);
     run_openloop(
-        0xAB1A,
+        SEED,
         &profile,
         OpenLoopParams {
             design: Design::ReadWrite,
@@ -905,6 +729,7 @@ fn rfp_point(
             }),
             ..OpenLoopParams::default()
         },
+        Capture::default(),
     )
 }
 
@@ -977,40 +802,41 @@ fn rfp_smoke() {
         rfp.p50_us,
         rpc.p50_us
     );
-    assert!(
-        rfp.p50_us == rfp2.p50_us
-            && rfp.p99_us == rfp2.p99_us
-            && rfp.completed == rfp2.completed
-            && rfp.metrics_snapshot == rfp2.metrics_snapshot,
-        "same-seed RFP runs diverged"
-    );
-    bench::emit_bench_json(
-        "rfp",
-        &format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"rfp\",\n",
-                "  \"mode\": \"smoke\",\n",
-                "  \"rpc\": {{ \"p50_us\": {}, \"p99_us\": {}, \"goodput_ops\": {:.0}, ",
-                "\"sends_per_op\": {:.4}, \"doorbells_per_op\": {:.4} }},\n",
-                "  \"rfp\": {{ \"p50_us\": {}, \"p99_us\": {}, \"goodput_ops\": {:.0}, ",
-                "\"sends_per_op\": {:.4}, \"doorbells_per_op\": {:.4}, ",
-                "\"deposits_per_op\": {:.4} }}\n",
-                "}}\n"
-            ),
-            rpc.p50_us,
-            rpc.p99_us,
-            rpc.goodput_ops,
-            rr.sends_per_op,
-            rr.doorbells_per_op,
-            rfp.p50_us,
-            rfp.p99_us,
-            rfp.goodput_ops,
-            fr.sends_per_op,
-            fr.doorbells_per_op,
-            fr.deposits_per_op,
-        ),
-    );
+    assert!(rfp == rfp2, "same-seed RFP runs diverged");
+    BenchJson::new("rfp", true)
+        .section(
+            "rpc",
+            0,
+            &[
+                ("p50_us", &rpc.p50_us),
+                ("p99_us", &rpc.p99_us),
+                ("goodput_ops", &format_args!("{:.0}", rpc.goodput_ops)),
+                ("sends_per_op", &format_args!("{:.4}", rr.sends_per_op)),
+                (
+                    "doorbells_per_op",
+                    &format_args!("{:.4}", rr.doorbells_per_op),
+                ),
+            ],
+        )
+        .section(
+            "rfp",
+            0,
+            &[
+                ("p50_us", &rfp.p50_us),
+                ("p99_us", &rfp.p99_us),
+                ("goodput_ops", &format_args!("{:.0}", rfp.goodput_ops)),
+                ("sends_per_op", &format_args!("{:.4}", fr.sends_per_op)),
+                (
+                    "doorbells_per_op",
+                    &format_args!("{:.4}", fr.doorbells_per_op),
+                ),
+                (
+                    "deposits_per_op",
+                    &format_args!("{:.4}", fr.deposits_per_op),
+                ),
+            ],
+        )
+        .write();
     println!("rfp smoke OK");
 }
 
@@ -1066,46 +892,51 @@ fn rfp_sweep() {
     );
 }
 
+/// One ablation: the flag that runs it alone (the four with a
+/// `check.sh` gate have one), that gate, and the full sweep.
+struct Sweep {
+    flag: Option<&'static str>,
+    smoke: Option<fn()>,
+    full: fn(),
+}
+
+const fn unflagged(full: fn()) -> Sweep {
+    Sweep {
+        flag: None,
+        smoke: None,
+        full,
+    }
+}
+
+const fn gated(flag: &'static str, smoke: fn(), full: fn()) -> Sweep {
+    Sweep {
+        flag: Some(flag),
+        smoke: Some(smoke),
+        full,
+    }
+}
+
+/// Ablations 1–8, in the order a flagless run prints them.
+const SWEEPS: &[Sweep] = &[
+    unflagged(zero_copy_decomposition),
+    unflagged(ord_sensitivity),
+    gated("--inline", inline_smoke, inline_threshold_sweep),
+    unflagged(credit_window_sweep),
+    unflagged(msgp_small_write_fast_path),
+    gated("--batching", batching_smoke, batching_sweep),
+    gated("--write-path", write_path_smoke, write_path_sweep),
+    gated("--rfp", rfp_smoke, rfp_sweep),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--batching") {
-        if args.iter().any(|a| a == "--smoke") {
-            batching_smoke();
-        } else {
-            batching_sweep();
+    let given = |flag: &str| args.iter().any(|a| a == flag);
+    let named = |s: &Sweep| s.flag.is_some_and(given);
+    let everything = !SWEEPS.iter().any(named);
+    for sweep in SWEEPS.iter().filter(|s| everything || named(s)) {
+        match sweep.smoke {
+            Some(smoke) if !everything && given("--smoke") => smoke(),
+            _ => (sweep.full)(),
         }
-        return;
     }
-    if args.iter().any(|a| a == "--write-path") {
-        if args.iter().any(|a| a == "--smoke") {
-            write_path_smoke();
-        } else {
-            write_path_sweep();
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--inline") {
-        if args.iter().any(|a| a == "--smoke") {
-            inline_smoke();
-        } else {
-            inline_threshold_sweep();
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--rfp") {
-        if args.iter().any(|a| a == "--smoke") {
-            rfp_smoke();
-        } else {
-            rfp_sweep();
-        }
-        return;
-    }
-    zero_copy_decomposition();
-    ord_sensitivity();
-    inline_threshold_sweep();
-    credit_window_sweep();
-    msgp_small_write_fast_path();
-    batching_sweep();
-    write_path_sweep();
-    rfp_sweep();
 }

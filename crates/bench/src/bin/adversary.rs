@@ -16,116 +16,100 @@
 //! goodput bound, zero corruption, and full revocation accounting
 //! between the server's counters and the TPT ledger.
 
+use bench::Gate;
 use rpcrdma::{Design, StrategyKind};
-use workloads::{linux_sdr, run_adversary, AdversaryParams, AdversaryResult, Table};
+use workloads::{linux_sdr, run_adversary, AdversaryParams, AdversaryResult, Capture, Run, Table};
 
 const SEED: u64 = 0xAD5A11;
 
+/// The harness's default contest: 2 honest clients writing 24 records
+/// each against 2 attackers cycling the catalog 6 times.
 fn params(design: Design, strategy: StrategyKind) -> AdversaryParams {
     AdversaryParams {
         design,
         strategy,
-        honest_clients: 2,
-        attackers: 2,
-        records_per_client: 24,
-        attack_rounds: 6,
         ..AdversaryParams::default()
     }
 }
 
-/// Fail a gate: dump the node's flight-recorder ring (the always-on
-/// last-N event log) to `results/` for postmortem, then exit nonzero.
-fn fail(tag: &str, msg: &str, flight: &[sim_core::FlightRecord]) -> ! {
-    if !flight.is_empty() {
-        let name = format!(
-            "flight_adversary_{}.txt",
-            tag.to_ascii_lowercase().replace(['/', ' '], "_")
-        );
-        bench::emit_results_file(&name, &sim_core::format_flight(flight));
-    }
-    eprintln!("FAIL {tag}: {msg}");
-    std::process::exit(1);
+/// One point: the attacker-free baseline and the attacked run.
+fn pair(p: AdversaryParams) -> (Run<AdversaryResult>, Run<AdversaryResult>) {
+    let run = |p| run_adversary(SEED, &linux_sdr(), p, Capture::default());
+    (run(AdversaryParams { attackers: 0, ..p }), run(p))
 }
 
-/// Invariants every point of the sweep must hold.
-fn check(tag: &str, base: &AdversaryResult, atk: &AdversaryResult) {
-    if atk.corrupt_records != 0 {
-        fail(
-            tag,
-            &format!("{} corrupt honest records", atk.corrupt_records),
-            &atk.flight,
-        );
-    }
-    if base.violations != 0 || base.quarantines != 0 {
-        fail(
-            tag,
-            "honest-only baseline charged with violations",
-            &base.flight,
-        );
-    }
-    if atk.violations == 0 || atk.quarantines == 0 {
-        fail(
-            tag,
-            "attack catalog never tripped the defenses",
-            &atk.flight,
-        );
-    }
-    if atk.tpt_revocations != atk.exposures_revoked {
-        fail(
-            tag,
-            &format!(
-                "{} exposures revoked but the TPT ledger records {}",
-                atk.exposures_revoked, atk.tpt_revocations
-            ),
-            &atk.flight,
-        );
-    }
+/// Invariants every point of the sweep must hold — with `rfp`, also
+/// that every reply-slot probe of a dead session was refused. The
+/// caller chains its own onto the returned gate (which dumps the
+/// attacked run's ring).
+fn check<'a>(
+    tag: &str,
+    rfp: bool,
+    base: &Run<AdversaryResult>,
+    atk: &'a Run<AdversaryResult>,
+) -> Gate<'a> {
+    let tag = format!("adversary {tag}{}", if rfp { "+rfp" } else { "" });
+    let (landed, refused) = (atk.rfp_stale_ok, atk.rfp_stale_refused);
+    let (violations, quarantines) = ("server.violations.total", "server.quarantines");
+    Gate::new(&*tag, &base.flight).require(
+        base.metric(violations) == 0 && base.metric(quarantines) == 0,
+        || "honest-only baseline charged with violations".into(),
+    );
+    let (revoked, ledger) = (
+        atk.metric("server.exposures.revoked"),
+        atk.metric("tpt.revocations"),
+    );
     let ratio = atk.goodput_mb_s / base.goodput_mb_s;
-    if ratio < 0.8 {
-        fail(
-            tag,
-            &format!(
-                "honest goodput degraded {:.1}% under attack (bound 20%)",
-                (1.0 - ratio) * 100.0
-            ),
-            &atk.flight,
-        );
-    }
+    let gate = Gate::new(tag, &atk.flight);
+    gate.require(atk.corrupt_records == 0, || {
+        format!("{} corrupt honest records", atk.corrupt_records)
+    })
+    .require(
+        atk.metric(violations) != 0 && atk.metric(quarantines) != 0,
+        || "attack catalog never tripped the defenses".into(),
+    )
+    .require(ledger == revoked, || {
+        format!("{revoked} exposures revoked but the TPT ledger records {ledger}")
+    })
+    .require(ratio >= 0.8, || {
+        format!(
+            "honest goodput degraded {:.1}% under attack (bound 20%)",
+            (1.0 - ratio) * 100.0
+        )
+    })
+    .require(!rfp || (landed == 0 && refused != 0), || {
+        format!(
+            "dead-session reply-slot probes: {landed} landed, {refused} refused \
+             (want 0 landed, > 0 refused)"
+        )
+    });
+    gate
 }
 
 fn smoke() {
-    let profile = linux_sdr();
+    let quick = |design| AdversaryParams {
+        records_per_client: 16,
+        attack_rounds: 4,
+        ..params(design, StrategyKind::Dynamic)
+    };
     for design in [Design::ReadWrite, Design::ReadRead] {
-        let mut p = params(design, StrategyKind::Dynamic);
-        p.records_per_client = 16;
-        p.attack_rounds = 4;
-        let base = run_adversary(SEED, &profile, AdversaryParams { attackers: 0, ..p });
-        let atk = run_adversary(SEED, &profile, p);
-        check(&format!("{design:?}"), &base, &atk);
-        if design == Design::ReadRead && atk.exposures_revoked == 0 {
-            fail(
-                "ReadRead",
-                "TTL reaper never revoked a withheld exposure",
-                &atk.flight,
-            );
-        }
-        if atk.stale_reads_ok != 0 {
-            fail(
-                &format!("{design:?}"),
-                &format!(
-                    "{} stale steering-tag probes read server memory",
-                    atk.stale_reads_ok
-                ),
-                &atk.flight,
-            );
-        }
+        let (base, atk) = pair(quick(design));
+        let revoked = atk.metric("server.exposures.revoked");
+        check(&format!("{design:?}"), false, &base, &atk)
+            .require(design != Design::ReadRead || revoked != 0, || {
+                "TTL reaper never revoked a withheld exposure".into()
+            })
+            .require(atk.stale_reads_ok == 0, || {
+                let landed = atk.stale_reads_ok;
+                format!("{landed} stale steering-tag probes read server memory")
+            });
         println!(
             "adversary smoke {design:?}: ok (goodput {:.0}%, {} violations, {} quarantines, \
              {} revocations, {} stale probes refused)",
             100.0 * atk.goodput_mb_s / base.goodput_mb_s,
-            atk.violations,
-            atk.quarantines,
-            atk.exposures_revoked,
+            atk.metric("server.violations.total"),
+            atk.metric("server.quarantines"),
+            revoked,
             atk.stale_reads_refused,
         );
     }
@@ -135,30 +119,11 @@ fn smoke() {
     // have revoked the ring (every probe NAKs, none lands), and the
     // same hygiene invariants hold with the fast path on.
     for design in [Design::ReadWrite, Design::ReadRead] {
-        let mut p = params(design, StrategyKind::Dynamic);
-        p.records_per_client = 16;
-        p.attack_rounds = 4;
-        p.rfp = true;
-        let base = run_adversary(SEED, &profile, AdversaryParams { attackers: 0, ..p });
-        let atk = run_adversary(SEED, &profile, p);
-        check(&format!("{design:?}+rfp"), &base, &atk);
-        if atk.rfp_stale_ok != 0 {
-            fail(
-                &format!("{design:?}+rfp"),
-                &format!(
-                    "{} dead-session reply-slot probes read server memory",
-                    atk.rfp_stale_ok
-                ),
-                &atk.flight,
-            );
-        }
-        if atk.rfp_stale_refused == 0 {
-            fail(
-                &format!("{design:?}+rfp"),
-                "no reply-slot probe was ever fired and refused",
-                &atk.flight,
-            );
-        }
+        let (base, atk) = pair(AdversaryParams {
+            rfp: true,
+            ..quick(design)
+        });
+        check(&format!("{design:?}"), true, &base, &atk);
         println!(
             "adversary smoke {design:?}+rfp: ok (goodput {:.0}%, {} ring probes refused, 0 landed)",
             100.0 * atk.goodput_mb_s / base.goodput_mb_s,
@@ -173,7 +138,6 @@ fn main() {
         smoke();
         return;
     }
-    let profile = linux_sdr();
     let mut t = Table::new(
         "Adversary sweep — 2 honest clients + 2 attackers, full catalog, 200 us exposure TTL",
         &[
@@ -212,37 +176,17 @@ fn main() {
     for (design, strategy, rfp) in points {
         let mut p = params(design, strategy);
         p.rfp = rfp;
-        let tag = if rfp {
-            format!("{design:?}/{strategy:?}+rfp")
-        } else {
-            format!("{design:?}/{strategy:?}")
-        };
-        let base = run_adversary(SEED, &profile, AdversaryParams { attackers: 0, ..p });
-        let atk = run_adversary(SEED, &profile, p);
-        check(&tag, &base, &atk);
-        if rfp && (atk.rfp_stale_ok != 0 || atk.rfp_stale_refused == 0) {
-            fail(
-                &tag,
-                &format!(
-                    "reply-slot probes: {} landed, {} refused (want 0 landed, > 0 refused)",
-                    atk.rfp_stale_ok, atk.rfp_stale_refused
-                ),
-                &atk.flight,
-            );
-        }
+        let (base, atk) = pair(p);
+        check(&format!("{design:?}/{strategy:?}"), rfp, &base, &atk);
         t.row(&[
             format!("{design:?}"),
-            if rfp {
-                format!("{strategy:?}+RFP")
-            } else {
-                format!("{strategy:?}")
-            },
+            format!("{strategy:?}{}", if rfp { "+RFP" } else { "" }),
             format!("{:.1}", base.goodput_mb_s),
             format!("{:.1}", atk.goodput_mb_s),
             format!("{:.2}", atk.goodput_mb_s / base.goodput_mb_s),
-            atk.violations.to_string(),
-            atk.quarantines.to_string(),
-            atk.exposures_revoked.to_string(),
+            atk.metric("server.violations.total").to_string(),
+            atk.metric("server.quarantines").to_string(),
+            atk.metric("server.exposures.revoked").to_string(),
             atk.stale_reads_ok.to_string(),
             atk.stale_reads_refused.to_string(),
             atk.scan_reads_ok.to_string(),

@@ -10,21 +10,21 @@
 //! `scripts/check.sh`: both designs at 1% drop with a forced QP error,
 //! plus a same-seed double run that must produce identical traces.
 
+use bench::{same_seed, write_result, BenchJson, Gate};
 use rpcrdma::Design;
 use sim_core::SimDuration;
 use workloads::{
-    linux_sdr, run_chaos, run_failover, Backend, ChaosParams, ChaosResult, FailoverParams,
-    FailoverResult, Table,
+    linux_sdr, run_chaos, run_failover, Backend, Capture, ChaosParams, ChaosResult, FailoverParams,
+    FailoverResult, Run, Table,
 };
 
+/// The harness's default workload (3 clients, 16 x 1 KiB records each,
+/// 5 us of delivery jitter) at one drop rate.
 fn params(design: Design, drop: f64, qp_errors: u32) -> ChaosParams {
     ChaosParams {
         design,
         drop_probability: drop,
-        delay_jitter: SimDuration::from_micros(5),
         qp_errors,
-        clients: 3,
-        records_per_client: 16,
         ..ChaosParams::default()
     }
 }
@@ -40,73 +40,46 @@ fn crash_params(design: Design, drop: f64, crash_us: u64) -> ChaosParams {
     }
 }
 
-fn expected_writes(p: &ChaosParams) -> u64 {
-    p.clients as u64 * p.records_per_client
+fn chaos(p: ChaosParams) -> Run<ChaosResult> {
+    run_chaos(0xC0FFEE, &linux_sdr(), p, Capture::FINGERPRINT)
 }
 
-/// Dump the run's flight-recorder ring next to the failure message and
-/// exit: the last [`sim_core::FLIGHT_CAPACITY`] records of what the
-/// protocol machinery did, sim-time stamped, always captured.
-fn fail_with_flight(tag: &str, msg: &str, flight: &[sim_core::FlightRecord]) -> ! {
-    if !flight.is_empty() {
-        let name = format!(
-            "flight_{}.txt",
-            tag.replace([' ', '/', '@', '%'], "_").replace('.', "_")
-        );
-        bench::emit_results_file(&name, &sim_core::format_flight(flight));
-    }
-    eprintln!("FAIL {tag}: {msg}");
-    std::process::exit(1);
-}
-
-fn check(tag: &str, p: &ChaosParams, r: &ChaosResult) {
-    if r.corrupt_records != 0 {
-        fail_with_flight(
-            tag,
-            &format!("{} corrupt records", r.corrupt_records),
-            &r.flight,
-        );
-    }
-    if r.fs_writes != expected_writes(p) {
-        fail_with_flight(
-            tag,
-            &format!(
-                "{} WRITEs applied, expected {} (lost or double-applied)",
-                r.fs_writes,
-                expected_writes(p)
-            ),
-            &r.flight,
-        );
-    }
+/// Zero corruption, and every record applied at least once — exactly
+/// once unless a power-fail made the clients re-drive some.
+fn check(tag: &str, p: &ChaosParams, r: &Run<ChaosResult>) {
+    let expected = p.clients as u64 * p.records_per_client;
+    let applied = match p.server_crash_at {
+        Some(_) => r.fs_writes >= expected,
+        None => r.fs_writes == expected,
+    };
+    Gate::new(tag, &r.flight)
+        .require(r.corrupt_records == 0, || {
+            format!("{} corrupt records", r.corrupt_records)
+        })
+        .require(applied, || {
+            let applied = r.fs_writes;
+            format!("{applied} WRITEs applied, expected {expected} (lost or double-applied)")
+        });
 }
 
 fn smoke() {
-    let profile = linux_sdr();
     for design in [Design::ReadWrite, Design::ReadRead] {
         let p = params(design, 0.01, 1);
-        let a = run_chaos(0xC0FFEE, &profile, p);
-        check(&format!("{design:?}"), &p, &a);
-        if a.reconnects == 0 {
-            fail_with_flight(
-                &format!("{design:?}"),
-                "forced QP error was not recovered",
-                &a.flight,
-            );
-        }
-        let b = run_chaos(0xC0FFEE, &profile, p);
-        if a.fingerprint != b.fingerprint {
-            fail_with_flight(
-                &format!("{design:?}"),
-                &format!(
-                    "same seed, different traces ({:#x} vs {:#x})",
-                    a.fingerprint, b.fingerprint
-                ),
-                &b.flight,
-            );
-        }
+        let a = chaos(p);
+        let tag = format!("{design:?}");
+        check(&tag, &p, &a);
+        let reconnects = a.metric("client.reconnects");
+        Gate::new(&*tag, &a.flight).require(reconnects > 0, || {
+            "forced QP error was not recovered".into()
+        });
+        same_seed(&tag, &a, &chaos(p));
         println!(
             "chaos smoke {design:?}: ok ({} drops, {} rpc retransmits, {} drc replays, {} reconnects, trace {:#018x})",
-            a.drops, a.rpc_retransmits, a.drc_replays, a.reconnects, a.fingerprint
+            a.metric("fabric.*.dropped"),
+            a.metric("client.retransmits"),
+            a.metric("server.drc.replays"),
+            reconnects,
+            a.fingerprint
         );
     }
     // Crash-matrix gate: server storage power-fails mid-UNSTABLE-burst
@@ -114,42 +87,19 @@ fn smoke() {
     // COMMIT, re-drive, and read back with zero corruption — twice,
     // with identical traces.
     let p = crash_params(Design::ReadWrite, 0.01, 400);
-    let a = run_chaos(0xC0FFEE, &profile, p);
-    if a.corrupt_records != 0 {
-        fail_with_flight(
-            "crash",
-            &format!("{} corrupt records", a.corrupt_records),
-            &a.flight,
-        );
-    }
-    if a.verf_mismatches == 0 || a.redriven_writes == 0 {
-        fail_with_flight(
-            "crash",
-            &format!(
+    let a = chaos(p);
+    check("crash", &p, &a);
+    Gate::new("crash", &a.flight)
+        .require(a.verf_mismatches != 0 && a.redriven_writes != 0, || {
+            format!(
                 "crash landed outside the burst ({} mismatches, {} re-driven)",
                 a.verf_mismatches, a.redriven_writes
-            ),
-            &a.flight,
-        );
-    }
-    if a.wal_committed_records == 0 {
-        fail_with_flight(
-            "crash",
-            "final COMMIT landed no WAL commit marker",
-            &a.flight,
-        );
-    }
-    let b = run_chaos(0xC0FFEE, &profile, p);
-    if a.fingerprint != b.fingerprint {
-        fail_with_flight(
-            "crash",
-            &format!(
-                "same seed, different traces ({:#x} vs {:#x})",
-                a.fingerprint, b.fingerprint
-            ),
-            &b.flight,
-        );
-    }
+            )
+        })
+        .require(a.wal_committed_records != 0, || {
+            "final COMMIT landed no WAL commit marker".into()
+        });
+    same_seed("crash", &a, &chaos(p));
     println!(
         "chaos smoke crash: ok ({} re-driven, {} mismatches, {} WAL-committed, trace {:#018x})",
         a.redriven_writes, a.verf_mismatches, a.wal_committed_records, a.fingerprint
@@ -176,38 +126,37 @@ const KILL_FLUSH_MARKER_US: u64 = 1860;
 /// backoff plus detection; anything past this is a hang, not a stall.
 const STALL_BOUND_US: u64 = 300_000;
 
-fn failover_fail(tag: &str, msg: &str, flight: &[sim_core::FlightRecord]) -> ! {
-    fail_with_flight(&format!("failover_{tag}"), msg, flight);
+fn failover(seed: u64, p: FailoverParams) -> Run<FailoverResult> {
+    run_failover(seed, &linux_sdr(), p, Capture::FINGERPRINT)
 }
 
-fn failover_check(tag: &str, r: &FailoverResult, expect_kill: bool) {
-    if r.corrupt_records != 0 {
-        failover_fail(
-            tag,
-            &format!("{} corrupt records", r.corrupt_records),
-            &r.flight,
-        );
-    }
-    if expect_kill {
-        if !r.promoted {
-            failover_fail(tag, "backup never promoted after the kill", &r.flight);
-        }
-        if r.stall_p99_us > STALL_BOUND_US {
-            failover_fail(
-                tag,
-                &format!(
-                    "p99 client stall {}us exceeds bound {STALL_BOUND_US}us",
-                    r.stall_p99_us
-                ),
-                &r.flight,
-            );
-        }
-    } else if r.promoted {
-        failover_fail(tag, "spurious promotion without a kill", &r.flight);
+fn kill_at(us: u64) -> FailoverParams {
+    FailoverParams {
+        kill_at: Some(SimDuration::from_micros(us)),
+        ..FailoverParams::default()
     }
 }
 
-fn failover_row(t: &mut Table, tag: &str, kill_us: Option<u64>, r: &FailoverResult) {
+/// The gate on one failover run, past what every row must show: zero
+/// corruption, promotion iff a kill was scheduled, a bounded stall. The
+/// caller adds its row's own proof that the kill landed where aimed.
+fn failover_gate<'a>(tag: &str, r: &'a Run<FailoverResult>, expect_kill: bool) -> Gate<'a> {
+    let gate = Gate::new(format!("failover_{tag}"), &r.flight);
+    gate.require(r.corrupt_records == 0, || {
+        format!("{} corrupt records", r.corrupt_records)
+    })
+    .require(r.promoted == expect_kill, || match expect_kill {
+        true => "backup never promoted after the kill".into(),
+        false => "spurious promotion without a kill".into(),
+    })
+    .require(r.stall_p99_us <= STALL_BOUND_US, || {
+        let p99 = r.stall_p99_us;
+        format!("p99 client stall {p99}us exceeds bound {STALL_BOUND_US}us")
+    });
+    gate
+}
+
+fn failover_row(t: &mut Table, tag: &str, kill_us: Option<u64>, r: &Run<FailoverResult>) {
     t.row(&[
         tag.to_string(),
         kill_us.map_or_else(|| "-".into(), |k| format!("{k}us")),
@@ -219,7 +168,7 @@ fn failover_row(t: &mut Table, tag: &str, kill_us: Option<u64>, r: &FailoverResu
         format!("{:.2}ms", r.stall_p99_us as f64 / 1000.0),
         r.interrupted_markers.to_string(),
         r.redriven_writes.to_string(),
-        r.cross_epoch_replays.to_string(),
+        r.metric("server.drc.cross_epoch_replays").to_string(),
         format!("{}", r.resync_bytes / 1024),
         r.shipped_records.to_string(),
         format!("{:.1}", r.write_mbps),
@@ -227,55 +176,28 @@ fn failover_row(t: &mut Table, tag: &str, kill_us: Option<u64>, r: &FailoverResu
     ]);
 }
 
-/// The determinism gate the CI satellite requires: same seed, same
-/// scenario — byte-identical trace fingerprint *and* metrics snapshot.
-fn failover_determinism(tag: &str, p: FailoverParams, a: &FailoverResult) {
-    let b = run_failover(FAILOVER_SEED, &linux_sdr(), p);
-    if a.fingerprint != b.fingerprint {
-        failover_fail(
-            tag,
-            &format!(
-                "same seed, different traces ({:#x} vs {:#x})",
-                a.fingerprint, b.fingerprint
-            ),
-            &b.flight,
-        );
-    }
-    if a.metrics_snapshot != b.metrics_snapshot {
-        failover_fail(tag, "same seed, different metrics snapshots", &b.flight);
-    }
-}
-
 /// Replication overhead gate: with no kill, the replicated cluster's
 /// WRITE throughput must stay within 15% of the same workload with
 /// replication disabled.
 fn failover_overhead(t: &mut Table) -> (f64, f64) {
-    let on = run_failover(FAILOVER_SEED, &linux_sdr(), FailoverParams::default());
-    failover_check("steady", &on, false);
-    if on.shipped_records == 0 || on.backup_applied != on.log_len {
-        failover_fail(
-            "steady",
-            "replication idle or backup lagging in steady state",
-            &on.flight,
-        );
-    }
+    let on = failover(FAILOVER_SEED, FailoverParams::default());
+    let shipping = on.shipped_records != 0 && on.backup_applied == on.log_len;
+    failover_gate("steady", &on, false).require(shipping, || {
+        "replication idle or backup lagging in steady state".into()
+    });
     let mut p = FailoverParams::default();
     p.cluster.replicate = false;
-    let off = run_failover(FAILOVER_SEED, &linux_sdr(), p);
-    failover_check("repl-off", &off, false);
+    let off = failover(FAILOVER_SEED, p);
+    failover_gate("repl-off", &off, false);
     failover_row(t, "steady (repl on)", None, &on);
     failover_row(t, "ablation (repl off)", None, &off);
     let ratio = on.write_mbps / off.write_mbps;
-    if ratio < 0.85 {
-        failover_fail(
-            "overhead",
-            &format!(
-                "replication costs {:.1}% of WRITE throughput (> 15% budget)",
-                (1.0 - ratio) * 100.0
-            ),
-            &on.flight,
-        );
-    }
+    Gate::new("failover_overhead", &on.flight).require(ratio >= 0.85, || {
+        format!(
+            "replication costs {:.1}% of WRITE throughput (> 15% budget)",
+            (1.0 - ratio) * 100.0
+        )
+    });
     (on.write_mbps, off.write_mbps)
 }
 
@@ -296,24 +218,9 @@ fn timeline_phase(t_us: u64, r: &FailoverResult) -> &'static str {
 /// `results/timeline_failover.{csv,md}` with the promotion stall
 /// window phase-annotated.
 fn emit_timeline(r: &FailoverResult) {
-    let mut csv = String::from(
-        "t_us,phase,ops,goodput_mbps,p99_us,in_flight,ring_occupancy,wal_lag,credit_grants\n",
-    );
-    for b in &r.timeline {
-        csv.push_str(&format!(
-            "{},{},{},{:.3},{},{},{},{},{}\n",
-            b.t_us,
-            timeline_phase(b.t_us, r),
-            b.ops,
-            b.goodput_mbps,
-            b.p99_us,
-            b.in_flight,
-            b.ring_occupancy,
-            b.wal_lag,
-            b.credit_grants
-        ));
-    }
-    bench::emit_results_file("timeline_failover.csv", &csv);
+    let phase = |t_us| timeline_phase(t_us, r);
+    let csv = r.timeline.csv(Some(("phase", &phase)));
+    println!("  wrote {}", write_result("timeline_failover.csv", &csv));
 
     let mut md = String::from("# Failover telemetry timeline\n\n");
     md.push_str(&format!(
@@ -327,21 +234,18 @@ fn emit_timeline(r: &FailoverResult) {
         "| t (µs) | phase | ops | goodput MB/s | p99 (µs) | in-flight | ring occ | WAL lag | credits |\n\
          |---:|---|---:|---:|---:|---:|---:|---:|---:|\n",
     );
-    for b in &r.timeline {
+    for b in &r.timeline.buckets {
+        let (t_us, ops, goodput, p99) = (b.t_us, b.ops, b.goodput_mbps, b.p99_us);
         md.push_str(&format!(
-            "| {} | {} | {} | {:.1} | {} | {} | {} | {} | {} |\n",
-            b.t_us,
-            timeline_phase(b.t_us, r),
-            b.ops,
-            b.goodput_mbps,
-            b.p99_us,
-            b.in_flight,
-            b.ring_occupancy,
-            b.wal_lag,
-            b.credit_grants
+            "| {t_us} | {} | {ops} | {goodput:.1} | {p99} |",
+            phase(t_us)
         ));
+        for gauge in &b.gauges {
+            md.push_str(&format!(" {gauge} |"));
+        }
+        md.push('\n');
     }
-    bench::emit_results_file("timeline_failover.md", &md);
+    println!("  wrote {}", write_result("timeline_failover.md", &md));
 }
 
 /// The observability acceptance run: the mid-burst kill with span
@@ -350,90 +254,62 @@ fn emit_timeline(r: &FailoverResult) {
 /// cross-node causal tree, and double-runs for byte-identical
 /// tracing-enabled determinism. Returns the result for the benchmark
 /// JSON.
-fn failover_observability(profile: &workloads::Profile) -> FailoverResult {
+fn failover_observability() -> Run<FailoverResult> {
     let p = FailoverParams {
-        kill_at: Some(SimDuration::from_micros(KILL_MID_BURST_US)),
-        span_trace: true,
         timeline: true,
-        ..FailoverParams::default()
+        ..kill_at(KILL_MID_BURST_US)
     };
-    let r = run_failover(FAILOVER_SEED, profile, p);
-    failover_check("observability", &r, true);
+    let everything = Capture {
+        fingerprint: true,
+        spans: true,
+    };
+    let run = || run_failover(FAILOVER_SEED, &linux_sdr(), p, everything);
+    let r = run();
+    let gate = failover_gate("observability", &r, true);
     let json = sim_core::chrome_trace_json(&r.spans);
-    if let Err(e) = sim_core::validate_json(&json) {
-        failover_fail(
-            "observability",
-            &format!("cluster trace JSON invalid: {e}"),
-            &r.flight,
-        );
-    }
-    if !json.contains("\"ph\":\"s\"") || !json.contains("\"ph\":\"f\",\"bp\":\"e\"") {
-        failover_fail(
-            "observability",
-            "cluster trace carries no flow events",
-            &r.flight,
-        );
-    }
     // One client op's causal tree must span client → primary → backup,
     // across the epoch bump.
-    {
+    let links_all_roles = {
         use std::collections::{HashMap, HashSet};
         let mut roles: HashMap<u64, HashSet<&str>> = HashMap::new();
-        for s in &r.spans {
-            if s.trace_id != 0 {
-                roles.entry(s.trace_id).or_default().insert(s.component);
-            }
+        for s in r.spans.iter().filter(|s| s.trace_id != 0) {
+            roles.entry(s.trace_id).or_default().insert(s.component);
         }
-        if !roles
-            .values()
-            .any(|c| c.contains("client") && c.contains("server") && c.contains("backup"))
-        {
-            failover_fail(
-                "observability",
-                "no trace id links client, primary and backup spans",
-                &r.flight,
-            );
-        }
-    }
-    if r.timeline.is_empty()
-        || r.promoted_at_us <= r.killed_at_us
-        || !r
-            .timeline
-            .iter()
-            .any(|b| timeline_phase(b.t_us, &r) == "stall")
-    {
-        failover_fail(
-            "observability",
-            "timeline missed the promotion stall window",
-            &r.flight,
-        );
-    }
-    // Tracing-enabled determinism: every export byte-identical on a
-    // same-seed rerun.
-    let b = run_failover(FAILOVER_SEED, profile, p);
-    if sim_core::chrome_trace_json(&b.spans) != json
-        || format!("{:?}", b.timeline) != format!("{:?}", r.timeline)
-        || sim_core::format_flight(&b.flight) != sim_core::format_flight(&r.flight)
-    {
-        failover_fail(
-            "observability",
-            "tracing-enabled same-seed runs diverged",
-            &b.flight,
-        );
-    }
-    bench::emit_results_file("trace_failover_cluster.json", &json);
+        let all = |c: &HashSet<&str>| ["client", "server", "backup"].iter().all(|r| c.contains(r));
+        roles.values().any(all)
+    };
+    let buckets = &r.timeline.buckets;
+    let saw_stall = r.promoted_at_us > r.killed_at_us
+        && (buckets.iter()).any(|b| timeline_phase(b.t_us, &r) == "stall");
+    gate.require(sim_core::validate_json(&json).is_ok(), || {
+        "cluster trace JSON invalid".into()
+    })
+    .require(
+        json.contains("\"ph\":\"s\"") && json.contains("\"ph\":\"f\",\"bp\":\"e\""),
+        || "cluster trace carries no flow events".into(),
+    )
+    .require(links_all_roles, || {
+        "no trace id links client, primary and backup spans".into()
+    })
+    .require(saw_stall, || {
+        "timeline missed the promotion stall window".into()
+    });
+    // Tracing-enabled determinism: spans, timeline and flight ring all
+    // equal on a same-seed rerun.
+    same_seed("failover_observability", &r, &run());
+    let path = write_result("trace_failover_cluster.json", &json);
+    println!("  wrote {path}");
     emit_timeline(&r);
     println!(
         "failover observability: {} spans, {} timeline buckets, stall window {} µs",
         r.spans.len(),
-        r.timeline.len(),
+        buckets.len(),
         r.promoted_at_us - r.killed_at_us
     );
     r
 }
 
 fn failover_matrix(smoke: bool) {
-    let profile = linux_sdr();
     let mut t = Table::new(
         "Failover matrix — 2-node replicated cluster, 3 clients, 8 KiB UNSTABLE records, COMMIT every 8",
         &[
@@ -455,37 +331,20 @@ fn failover_matrix(smoke: bool) {
 
     // Kill point 1: mid-UNSTABLE-burst, with the same-seed determinism
     // double-run (the replication CI gate).
-    let p = FailoverParams {
-        kill_at: Some(SimDuration::from_micros(KILL_MID_BURST_US)),
-        ..FailoverParams::default()
-    };
-    let mid = run_failover(FAILOVER_SEED, &profile, p);
-    failover_check("mid-burst", &mid, true);
-    if mid.redriven_writes == 0 {
-        failover_fail(
-            "mid-burst",
-            "kill landed outside the UNSTABLE burst",
-            &mid.flight,
-        );
-    }
-    failover_determinism("mid-burst", p, &mid);
+    let p = kill_at(KILL_MID_BURST_US);
+    let mid = failover(FAILOVER_SEED, p);
+    failover_gate("mid-burst", &mid, true).require(mid.redriven_writes != 0, || {
+        "kill landed outside the UNSTABLE burst".into()
+    });
+    same_seed("failover_mid-burst", &mid, &failover(FAILOVER_SEED, p));
     failover_row(&mut t, "kill mid-burst", Some(KILL_MID_BURST_US), &mid);
 
     // Kill point 2: between a client's local group commit (WAL flush +
     // marker) and the backup's commit-marker acknowledgement.
-    let p = FailoverParams {
-        kill_at: Some(SimDuration::from_micros(KILL_FLUSH_MARKER_US)),
-        ..FailoverParams::default()
-    };
-    let flush = run_failover(FAILOVER_SEED, &profile, p);
-    failover_check("flush-marker", &flush, true);
-    if flush.interrupted_markers == 0 {
-        failover_fail(
-            "flush-marker",
-            "kill missed the flush-to-marker window (no interrupted markers)",
-            &flush.flight,
-        );
-    }
+    let flush = failover(FAILOVER_SEED, kill_at(KILL_FLUSH_MARKER_US));
+    failover_gate("flush-marker", &flush, true).require(flush.interrupted_markers != 0, || {
+        "kill missed the flush-to-marker window (no interrupted markers)".into()
+    });
     failover_row(
         &mut t,
         "kill flush-to-marker",
@@ -499,18 +358,13 @@ fn failover_matrix(smoke: bool) {
         // promoted backup's replicated DRC window (cross-epoch replays).
         let p = FailoverParams {
             drop_probability: 0.05,
-            kill_at: Some(SimDuration::from_micros(2000)),
-            ..FailoverParams::default()
+            ..kill_at(2000)
         };
-        let r = run_failover(3, &profile, p);
-        failover_check("drop-storm", &r, true);
-        if r.cross_epoch_replays == 0 {
-            failover_fail(
-                "drop-storm",
-                "no retransmission hit the replicated DRC window",
-                &r.flight,
-            );
-        }
+        let r = failover(3, p);
+        let replayed = r.metric("server.drc.cross_epoch_replays") != 0;
+        failover_gate("drop-storm", &r, true).require(replayed, || {
+            "no retransmission hit the replicated DRC window".into()
+        });
         failover_row(&mut t, "kill + 5% drops", Some(2000), &r);
 
         // Kill point 4: the killed node rejoins as a backup while the
@@ -518,19 +372,13 @@ fn failover_matrix(smoke: bool) {
         // live traffic overlap.
         let p = FailoverParams {
             records_per_client: 48,
-            kill_at: Some(SimDuration::from_micros(KILL_MID_BURST_US)),
             rejoin_after: Some(SimDuration::from_millis(1)),
-            ..FailoverParams::default()
+            ..kill_at(KILL_MID_BURST_US)
         };
-        let r = run_failover(FAILOVER_SEED, &profile, p);
-        failover_check("rejoin", &r, true);
-        if r.resync_bytes == 0 {
-            failover_fail(
-                "rejoin",
-                "rejoined node never re-synced the log tail",
-                &r.flight,
-            );
-        }
+        let r = failover(FAILOVER_SEED, p);
+        failover_gate("rejoin", &r, true).require(r.resync_bytes != 0, || {
+            "rejoined node never re-synced the log tail".into()
+        });
         failover_row(&mut t, "kill + rejoin/resync", Some(KILL_MID_BURST_US), &r);
 
         bench::emit("failover_matrix", &t);
@@ -541,61 +389,56 @@ fn failover_matrix(smoke: bool) {
     // The observability acceptance run: Perfetto trace + telemetry
     // timeline exports, cross-node causal-tree and tracing-enabled
     // determinism gates.
-    let obs = failover_observability(&profile);
+    let obs = failover_observability();
 
-    bench::emit_bench_json(
-        "failover",
-        &format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"failover\",\n",
-                "  \"mode\": \"{}\",\n",
-                "  \"steady\": {{\n",
-                "    \"write_mbps_repl_on\": {:.3},\n",
-                "    \"write_mbps_repl_off\": {:.3},\n",
-                "    \"overhead_pct\": {:.2}\n",
-                "  }},\n",
-                "  \"mid_burst\": {{\n",
-                "    \"failover_us\": {},\n",
-                "    \"stall_p99_us\": {},\n",
-                "    \"redriven_writes\": {},\n",
-                "    \"cross_epoch_replays\": {}\n",
-                "  }},\n",
-                "  \"flush_marker\": {{\n",
-                "    \"failover_us\": {},\n",
-                "    \"stall_p99_us\": {},\n",
-                "    \"interrupted_markers\": {}\n",
-                "  }},\n",
-                "  \"observability\": {{\n",
-                "    \"spans\": {},\n",
-                "    \"timeline_buckets\": {},\n",
-                "    \"stall_window_us\": {},\n",
-                "    \"flight_records\": {}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            if smoke { "smoke" } else { "full" },
-            on_mbps,
-            off_mbps,
-            (1.0 - on_mbps / off_mbps) * 100.0,
-            mid.failover_us,
-            mid.stall_p99_us,
-            mid.redriven_writes,
-            mid.cross_epoch_replays,
-            flush.failover_us,
-            flush.stall_p99_us,
-            flush.interrupted_markers,
-            obs.spans.len(),
-            obs.timeline.len(),
-            obs.promoted_at_us - obs.killed_at_us,
-            obs.flight.len(),
-        ),
-    );
+    let overhead_pct = (1.0 - on_mbps / off_mbps) * 100.0;
+    BenchJson::new("failover", smoke)
+        .section(
+            "steady",
+            1,
+            &[
+                ("write_mbps_repl_on", &format_args!("{on_mbps:.3}")),
+                ("write_mbps_repl_off", &format_args!("{off_mbps:.3}")),
+                ("overhead_pct", &format_args!("{overhead_pct:.2}")),
+            ],
+        )
+        .section(
+            "mid_burst",
+            1,
+            &[
+                ("failover_us", &mid.failover_us),
+                ("stall_p99_us", &mid.stall_p99_us),
+                ("redriven_writes", &mid.redriven_writes),
+                (
+                    "cross_epoch_replays",
+                    &mid.metric("server.drc.cross_epoch_replays"),
+                ),
+            ],
+        )
+        .section(
+            "flush_marker",
+            1,
+            &[
+                ("failover_us", &flush.failover_us),
+                ("stall_p99_us", &flush.stall_p99_us),
+                ("interrupted_markers", &flush.interrupted_markers),
+            ],
+        )
+        .section(
+            "observability",
+            1,
+            &[
+                ("spans", &obs.spans.len()),
+                ("timeline_buckets", &obs.timeline.buckets.len()),
+                ("stall_window_us", &(obs.promoted_at_us - obs.killed_at_us)),
+                ("flight_records", &obs.flight.len()),
+            ],
+        )
+        .write();
 
     println!(
         "failover matrix: all kill points recovered with zero corruption \
-         (replication overhead {:.1}% of {off_mbps:.1} MB/s)",
-        (1.0 - on_mbps / off_mbps) * 100.0
+         (replication overhead {overhead_pct:.1}% of {off_mbps:.1} MB/s)"
     );
 }
 
@@ -610,7 +453,6 @@ fn main() {
         smoke();
         return;
     }
-    let profile = linux_sdr();
     let drops = [0.0, 0.001, 0.005, 0.01, 0.02, 0.05];
     let mut t = Table::new(
         "Chaos sweep — 3 clients, 16 x 1 KiB records each, 1 forced QP error",
@@ -630,17 +472,17 @@ fn main() {
     for design in [Design::ReadWrite, Design::ReadRead] {
         for drop in drops {
             let p = params(design, drop, 1);
-            let r = run_chaos(0xC0FFEE, &profile, p);
+            let r = chaos(p);
             check(&format!("{design:?}@{drop}"), &p, &r);
             t.row(&[
                 format!("{design:?}"),
                 format!("{:.1}%", drop * 100.0),
-                r.drops.to_string(),
-                r.link_retransmits.to_string(),
-                r.rpc_retransmits.to_string(),
-                r.timeouts.to_string(),
-                r.drc_replays.to_string(),
-                r.reconnects.to_string(),
+                r.metric("fabric.*.dropped").to_string(),
+                r.metric("fabric.*.retransmits").to_string(),
+                r.metric("client.retransmits").to_string(),
+                r.metric("client.timeouts").to_string(),
+                r.metric("server.drc.replays").to_string(),
+                r.metric("client.reconnects").to_string(),
                 r.fs_writes.to_string(),
                 r.corrupt_records.to_string(),
             ]);
@@ -672,28 +514,13 @@ fn main() {
     for design in [Design::ReadWrite, Design::ReadRead] {
         for (drop, crash_us) in [(0.0, 100u64), (0.0, 400), (0.01, 400), (0.01, 800)] {
             let p = crash_params(design, drop, crash_us);
-            let r = run_chaos(0xC0FFEE, &profile, p);
-            if r.corrupt_records != 0 {
-                eprintln!(
-                    "FAIL crash {design:?}@{drop}/{crash_us}us: {} corrupt records",
-                    r.corrupt_records
-                );
-                std::process::exit(1);
-            }
-            if r.fs_writes < expected_writes(&p) {
-                eprintln!(
-                    "FAIL crash {design:?}@{drop}/{crash_us}us: {} WRITEs applied, \
-                     expected at least {}",
-                    r.fs_writes,
-                    expected_writes(&p)
-                );
-                std::process::exit(1);
-            }
+            let r = chaos(p);
+            check(&format!("crash {design:?}@{drop}/{crash_us}us"), &p, &r);
             ct.row(&[
                 format!("{design:?}"),
                 format!("{:.1}%", drop * 100.0),
                 format!("{crash_us}us"),
-                r.rpc_retransmits.to_string(),
+                r.metric("client.retransmits").to_string(),
                 r.verf_mismatches.to_string(),
                 r.redriven_writes.to_string(),
                 r.wal_committed_records.to_string(),

@@ -6,8 +6,10 @@
 //! segments a full-size GigE run is millions of simulation events for
 //! an identical (wire-saturated) result. Noted in EXPERIMENTS.md.
 
-use sim_core::sweep::parallel_sweep;
-use workloads::{linux_ddr_raid, mb, pct, run_multiclient, McTransport, MultiClientParams, Table};
+use bench::axis_table;
+use workloads::{
+    linux_ddr_raid, mb, pct, run_multiclient, McTransport, MultiClientParams, MultiClientResult,
+};
 
 fn main() {
     let profile = linux_ddr_raid();
@@ -16,7 +18,6 @@ fn main() {
     let gige_file: u64 = 256 << 20;
     let ram_a: u64 = if quick { 1 << 30 } else { 4 << 30 };
     let ram_b: u64 = if quick { 2 << 30 } else { 8 << 30 };
-    let client_counts = [1usize, 2, 3, 4, 5, 6, 7, 8];
 
     for (ram, name, paper) in [
         (
@@ -32,64 +33,38 @@ fn main() {
              saturates ~360 MB/s.",
         ),
     ] {
-        let mut points = Vec::new();
-        for transport in [McTransport::Rdma, McTransport::IpoIb, McTransport::GigE] {
-            for clients in client_counts {
-                points.push((transport, clients));
-            }
-        }
-        let results = parallel_sweep(points.clone(), |(transport, clients)| {
+        let run = |transport, clients| {
             let file_size = if transport == McTransport::GigE {
                 gige_file
             } else {
                 full_file
             };
-            run_multiclient(
-                0xCAFE,
-                &profile,
-                MultiClientParams {
-                    transport,
-                    clients,
-                    server_ram: ram,
-                    file_size,
-                    record: 1 << 20,
-                },
-            )
-        });
-        let results: Vec<_> = points.into_iter().zip(results).collect();
-
-        let mut t = Table::new(
-            format!(
-                "Figure 10 — multi-client IOzone read bandwidth, server RAM {} GB",
-                ram >> 30
-            ),
+            let params = MultiClientParams {
+                transport,
+                clients,
+                server_ram: ram,
+                file_size,
+                record: 1 << 20,
+            };
+            run_multiclient(0xCAFE, &profile, params)
+        };
+        let read_mb: fn(&MultiClientResult) -> String = |r| mb(r.read_bandwidth_mb);
+        let title = format!(
+            "Figure 10 — multi-client IOzone read bandwidth, server RAM {} GB",
+            ram >> 30
+        );
+        axis_table(
+            (name, &title),
+            ("clients", &[1usize, 2, 3, 4, 5, 6, 7, 8]),
+            &[McTransport::Rdma, McTransport::IpoIb, McTransport::GigE],
+            run,
             &[
-                "clients",
-                "RDMA MB/s",
-                "IPoIB MB/s",
-                "GigE MB/s",
-                "RDMA cache-hit",
+                ("RDMA MB/s", 0, read_mb),
+                ("IPoIB MB/s", 1, read_mb),
+                ("GigE MB/s", 2, read_mb),
+                ("RDMA cache-hit", 0, |r| pct(r.cache_hit_rate)),
             ],
         );
-        for clients in client_counts {
-            let get = |tr: McTransport| {
-                results
-                    .iter()
-                    .find(|((t2, c), _)| *t2 == tr && *c == clients)
-                    .map(|(_, r)| r)
-            };
-            let rdma = get(McTransport::Rdma).unwrap();
-            let ipoib = get(McTransport::IpoIb).unwrap();
-            let gige = get(McTransport::GigE).unwrap();
-            t.row(&[
-                clients.to_string(),
-                mb(rdma.read_bandwidth_mb),
-                mb(ipoib.read_bandwidth_mb),
-                mb(gige.read_bandwidth_mb),
-                pct(rdma.cache_hit_rate),
-            ]);
-        }
-        bench::emit(name, &t);
         println!("{paper}\n");
     }
 }

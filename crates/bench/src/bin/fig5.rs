@@ -7,34 +7,31 @@
 //! backend I/O → RDMA data movement → reply) plus Perfetto-loadable
 //! Chrome traces in `results/trace_fig5_{rr,rw}.json`.
 
-use bench::{emit, file_size_scaled, sweep_iozone, IozonePoint, THREADS};
+use bench::{bandwidth, emit, threads_table, write_result, IozonePoint};
 use nfs::proto::NfsProc;
 use rpcrdma::{Design, StrategyKind};
-use sim_core::{aggregate_phases, chrome_trace_json, validate_json, Simulation, SpanRecord};
-use workloads::{build_rdma, mb, run_iozone, solaris_sdr, Backend, IoMode, IozoneParams, Table};
+use sim_core::{aggregate_phases, chrome_trace_json, validate_json, SpanRecord};
+use workloads::scenario::{self, Capture};
+use workloads::{build_rdma, run_iozone, solaris_sdr, Backend, IoMode, IozoneParams, Table};
 
 /// Run one short traced pass and return its spans.
 fn traced_pass(design: Design, strategy: StrategyKind, mode: IoMode) -> Vec<SpanRecord> {
-    let profile = solaris_sdr();
-    let mut sim = Simulation::new(0xF00D);
-    sim.enable_span_tracing();
-    let h = sim.handle();
-    sim.block_on(async move {
-        let bed = build_rdma(&h, &profile, design, strategy, Backend::Tmpfs, 1);
-        run_iozone(
-            &h,
-            &bed,
-            IozoneParams {
-                threads_per_client: 2,
-                file_size: 8 * 128 * 1024,
-                record: 128 * 1024,
-                mode,
-                ..Default::default()
-            },
-        )
-        .await
+    let spans = Capture {
+        spans: true,
+        ..Capture::default()
+    };
+    let run = scenario::run(0xF00D, spans, |sim| async move {
+        let bed = build_rdma(&sim, &solaris_sdr(), design, strategy, Backend::Tmpfs, 1);
+        let params = IozoneParams {
+            threads_per_client: 2,
+            file_size: 8 * 128 * 1024,
+            record: 128 * 1024,
+            mode,
+            ..Default::default()
+        };
+        run_iozone(&sim, &bed, params).await
     });
-    sim.take_spans()
+    run.spans
 }
 
 fn proc_label(proc_num: Option<u32>) -> String {
@@ -71,9 +68,8 @@ fn anatomy() {
             if strategy == StrategyKind::Dynamic {
                 let json = chrome_trace_json(&read_spans);
                 validate_json(&json).expect("trace JSON must parse");
-                let path = format!("results/trace_fig5_{}.json", dlabel.to_lowercase());
-                let _ = std::fs::create_dir_all("results");
-                std::fs::write(&path, &json).expect("writing trace");
+                let file = format!("trace_fig5_{}.json", dlabel.to_lowercase());
+                let path = write_result(&file, &json);
                 println!("wrote {path} ({} spans)", read_spans.len());
             }
             let write_spans = traced_pass(design, strategy, IoMode::Write);
@@ -113,48 +109,29 @@ fn main() {
         anatomy();
         return;
     }
-    let profile = solaris_sdr();
-    let mut points = Vec::new();
-    for (dlabel, design) in [("RR", Design::ReadRead), ("RW", Design::ReadWrite)] {
-        for (rlabel, record) in [("128K", 128 * 1024u64), ("1M", 1 << 20)] {
-            for threads in THREADS {
-                points.push(IozonePoint {
-                    label: format!("{dlabel}-{rlabel}"),
-                    profile,
-                    design,
-                    strategy: StrategyKind::Dynamic,
-                    mode: IoMode::Read,
-                    threads,
-                    record,
-                    file_size: file_size_scaled(),
-                });
-            }
-        }
-    }
-    let results = sweep_iozone(points);
-
-    let mut t = Table::new(
+    let point = |design, record| IozonePoint {
+        profile: solaris_sdr(),
+        design,
+        strategy: StrategyKind::Dynamic,
+        mode: IoMode::Read,
+        record,
+    };
+    threads_table(
+        "fig5",
         "Figure 5 — IOzone Read Bandwidth on Solaris (MB/s)",
-        &["threads", "RR-128K", "RW-128K", "RR-1M", "RW-1M"],
+        &[
+            point(Design::ReadRead, 128 << 10),
+            point(Design::ReadWrite, 128 << 10),
+            point(Design::ReadRead, 1 << 20),
+            point(Design::ReadWrite, 1 << 20),
+        ],
+        &[
+            ("RR-128K", 0, bandwidth),
+            ("RW-128K", 1, bandwidth),
+            ("RR-1M", 2, bandwidth),
+            ("RW-1M", 3, bandwidth),
+        ],
     );
-    for (i, threads) in THREADS.iter().enumerate() {
-        let col = |series: &str| -> String {
-            results
-                .iter()
-                .find(|(p, _)| p.label == series && p.threads == *threads)
-                .map(|(_, r)| mb(r.bandwidth_mb))
-                .unwrap_or_default()
-        };
-        let _ = i;
-        t.row(&[
-            threads.to_string(),
-            col("RR-128K"),
-            col("RW-128K"),
-            col("RR-1M"),
-            col("RW-1M"),
-        ]);
-    }
-    emit("fig5", &t);
     println!(
         "Paper headline: RR saturates ~375 MB/s; RW ~400 MB/s; RW ~47% faster at 1 thread (128K)."
     );

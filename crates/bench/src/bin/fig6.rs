@@ -1,81 +1,42 @@
 //! Figure 6: IOzone Write bandwidth on OpenSolaris — Read-Read vs
 //! Read-Write — plus the client CPU utilization lines.
 
-use bench::{emit, file_size_scaled, sweep_iozone, IozonePoint, THREADS};
+use bench::{bandwidth, client_cpu, threads_table, IozonePoint};
 use rpcrdma::{Design, StrategyKind};
-use workloads::{mb, pct, solaris_sdr, IoMode, Table};
+use workloads::{solaris_sdr, IoMode};
 
 fn main() {
-    let profile = solaris_sdr();
-    let mut points = Vec::new();
-    for (dlabel, design) in [("RR", Design::ReadRead), ("RW", Design::ReadWrite)] {
-        for (rlabel, record) in [("128K", 128 * 1024u64), ("1M", 1 << 20)] {
-            for threads in THREADS {
-                points.push(IozonePoint {
-                    label: format!("{dlabel}-{rlabel}"),
-                    profile,
-                    design,
-                    strategy: StrategyKind::Dynamic,
-                    mode: IoMode::Write,
-                    threads,
-                    record,
-                    file_size: file_size_scaled(),
-                });
-            }
-        }
-    }
+    let point = |design, mode, record| IozonePoint {
+        profile: solaris_sdr(),
+        design,
+        strategy: StrategyKind::Dynamic,
+        mode,
+        record,
+    };
+    let (rr, rw) = (Design::ReadRead, Design::ReadWrite);
     // CPU lines come from the read path (as in the paper's Figure 6,
     // which plots the READ-procedure client CPU for both designs).
-    let mut cpu_points = Vec::new();
-    for (dlabel, design) in [("RR", Design::ReadRead), ("RW", Design::ReadWrite)] {
-        for threads in THREADS {
-            cpu_points.push(IozonePoint {
-                label: format!("cpu-{dlabel}"),
-                profile,
-                design,
-                strategy: StrategyKind::Dynamic,
-                mode: IoMode::Read,
-                threads,
-                record: 128 * 1024,
-                file_size: file_size_scaled(),
-            });
-        }
-    }
-    let results = sweep_iozone(points);
-    let cpu_results = sweep_iozone(cpu_points);
-
-    let mut t = Table::new(
+    let points = [
+        point(rr, IoMode::Write, 128 << 10),
+        point(rw, IoMode::Write, 128 << 10),
+        point(rr, IoMode::Write, 1 << 20),
+        point(rw, IoMode::Write, 1 << 20),
+        point(rr, IoMode::Read, 128 << 10),
+        point(rw, IoMode::Read, 128 << 10),
+    ];
+    threads_table(
+        "fig6",
         "Figure 6 — IOzone Write Bandwidth on Solaris (MB/s) + client CPU",
+        &points,
         &[
-            "threads", "RR-128K", "RW-128K", "RR-1M", "RW-1M", "RR CPU", "RW CPU",
+            ("RR-128K", 0, bandwidth),
+            ("RW-128K", 1, bandwidth),
+            ("RR-1M", 2, bandwidth),
+            ("RW-1M", 3, bandwidth),
+            ("RR CPU", 4, client_cpu),
+            ("RW CPU", 5, client_cpu),
         ],
     );
-    for threads in THREADS {
-        let col = |series: &str| -> String {
-            results
-                .iter()
-                .find(|(p, _)| p.label == series && p.threads == threads)
-                .map(|(_, r)| mb(r.bandwidth_mb))
-                .unwrap_or_default()
-        };
-        let cpu = |series: &str| -> String {
-            cpu_results
-                .iter()
-                .find(|(p, _)| p.label == series && p.threads == threads)
-                .map(|(_, r)| pct(r.client_cpu))
-                .unwrap_or_default()
-        };
-        t.row(&[
-            threads.to_string(),
-            col("RR-128K"),
-            col("RW-128K"),
-            col("RR-1M"),
-            col("RW-1M"),
-            cpu("cpu-RR"),
-            cpu("cpu-RW"),
-        ]);
-    }
-    emit("fig6", &t);
     println!(
         "Paper headline: write bandwidths similar for RR/RW (RDMA Read path \
          is shared); client CPU ~4%→24% for RR vs flat 2–5% for RW."

@@ -2,76 +2,50 @@
 //! Register vs FMR vs buffer registration cache, IOzone read and
 //! write bandwidth plus client CPU.
 
-use bench::{emit, file_size_scaled, sweep_iozone, IozonePoint, THREADS};
+use bench::{bandwidth, client_cpu, threads_table, IozonePoint};
 use rpcrdma::{Design, StrategyKind};
-use workloads::{mb, pct, solaris_sdr, IoMode, Table};
+use workloads::{solaris_sdr, IoMode};
 
 fn main() {
-    let profile = solaris_sdr();
-    let strategies = [
-        ("Register", StrategyKind::Dynamic),
-        ("FMR", StrategyKind::Fmr),
-        ("Cache", StrategyKind::Cache),
-    ];
-    for (mode, name, paper) in [
+    for (mode, name, which, paper) in [
         (
             IoMode::Read,
             "fig7a",
+            "Read",
             "Paper: Register ~350, FMR ~400, Cache ~730 MB/s.",
         ),
         (
             IoMode::Write,
             "fig7b",
+            "Write",
             "Paper: Cache reaches ~515 MB/s; FMR improvement modest (RDMA Read serialization).",
         ),
     ] {
-        let mut points = Vec::new();
-        for (label, strategy) in strategies {
-            for threads in THREADS {
-                points.push(IozonePoint {
-                    label: label.to_string(),
-                    profile,
-                    design: Design::ReadWrite,
-                    strategy,
-                    mode,
-                    threads,
-                    record: 128 * 1024,
-                    file_size: file_size_scaled(),
-                });
-            }
-        }
-        let results = sweep_iozone(points);
-        let which = if mode == IoMode::Read {
-            "Read"
-        } else {
-            "Write"
-        };
-        let mut t = Table::new(
-            format!("Figure 7 ({which}) — registration strategies on Solaris"),
+        let strategies = [
+            StrategyKind::Dynamic,
+            StrategyKind::Fmr,
+            StrategyKind::Cache,
+        ];
+        let points = strategies.map(|strategy| IozonePoint {
+            profile: solaris_sdr(),
+            design: Design::ReadWrite,
+            strategy,
+            mode,
+            record: 128 << 10,
+        });
+        threads_table(
+            name,
+            &format!("Figure 7 ({which}) — registration strategies on Solaris"),
+            &points,
             &[
-                "threads",
-                "Register MB/s",
-                "FMR MB/s",
-                "Cache MB/s",
-                "Register CPU",
-                "FMR CPU",
-                "Cache CPU",
+                ("Register MB/s", 0, bandwidth),
+                ("FMR MB/s", 1, bandwidth),
+                ("Cache MB/s", 2, bandwidth),
+                ("Register CPU", 0, client_cpu),
+                ("FMR CPU", 1, client_cpu),
+                ("Cache CPU", 2, client_cpu),
             ],
         );
-        for threads in THREADS {
-            let get = |series: &str| {
-                results
-                    .iter()
-                    .find(|(p, _)| p.label == series && p.threads == threads)
-                    .map(|(_, r)| (mb(r.bandwidth_mb), pct(r.client_cpu)))
-                    .unwrap_or_default()
-            };
-            let (r_bw, r_cpu) = get("Register");
-            let (f_bw, f_cpu) = get("FMR");
-            let (c_bw, c_cpu) = get("Cache");
-            t.row(&[threads.to_string(), r_bw, f_bw, c_bw, r_cpu, f_cpu, c_cpu]);
-        }
-        emit(name, &t);
         println!("{paper}\n");
     }
 }

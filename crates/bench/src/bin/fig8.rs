@@ -2,79 +2,59 @@
 //! per operation (lines) for each registration strategy, 50–200
 //! readers, 128 KB mean I/O.
 
+use bench::axis_table;
 use rpcrdma::{Design, StrategyKind};
-use sim_core::sweep::parallel_sweep;
-use sim_core::{SimDuration, Simulation};
-use workloads::{build_rdma, run_oltp, solaris_sdr, Backend, OltpParams, Table};
+use sim_core::SimDuration;
+use workloads::scenario::{self, Capture};
+use workloads::{build_rdma, run_oltp, solaris_sdr, Backend, OltpParams, OltpResult};
 
 fn main() {
-    let profile = solaris_sdr();
-    let strategies = [
-        ("Register", StrategyKind::Dynamic),
-        ("FMR", StrategyKind::Fmr),
-        ("Cache", StrategyKind::Cache),
-    ];
-    let readers = [50u32, 100, 150, 200];
-
-    let mut points = Vec::new();
-    for (label, strategy) in strategies {
-        for r in readers {
-            points.push((label.to_string(), strategy, r));
-        }
-    }
-    let results = parallel_sweep(points.clone(), |(_, strategy, r)| {
-        let mut sim = Simulation::new(0xB0B);
-        let h = sim.handle();
-        sim.block_on(async move {
-            let bed = build_rdma(&h, &profile, Design::ReadWrite, strategy, Backend::Tmpfs, 1);
-            run_oltp(
-                &h,
-                &bed,
-                OltpParams {
-                    readers: r,
-                    writers: 10,
-                    io_size: 128 * 1024,
-                    db_size: 512 << 20,
-                    duration: SimDuration::from_millis(400),
-                    ..Default::default()
-                },
-            )
-            .await
-        })
-    });
-    let results: Vec<_> = points.into_iter().zip(results).collect();
-
-    let mut t = Table::new(
-        "Figure 8 — FileBench OLTP (ops/s and client CPU us/op)",
+    let run = |strategy, readers| {
+        let run = scenario::run(0xB0B, Capture::default(), |sim| async move {
+            let profile = solaris_sdr();
+            let bed = build_rdma(
+                &sim,
+                &profile,
+                Design::ReadWrite,
+                strategy,
+                Backend::Tmpfs,
+                1,
+            );
+            let params = OltpParams {
+                readers,
+                writers: 10,
+                io_size: 128 * 1024,
+                db_size: 512 << 20,
+                duration: SimDuration::from_millis(400),
+                ..Default::default()
+            };
+            run_oltp(&sim, &bed, params).await
+        });
+        run.out
+    };
+    let ops: fn(&OltpResult) -> String = |r| format!("{:.0}", r.ops_per_sec);
+    let cpu: fn(&OltpResult) -> String = |r| format!("{:.0}", r.cpu_us_per_op);
+    axis_table(
+        (
+            "fig8",
+            "Figure 8 — FileBench OLTP (ops/s and client CPU us/op)",
+        ),
+        ("readers", &[50u32, 100, 150, 200]),
         &[
-            "readers",
-            "Register ops/s",
-            "FMR ops/s",
-            "Cache ops/s",
-            "Register us/op",
-            "FMR us/op",
-            "Cache us/op",
+            StrategyKind::Dynamic,
+            StrategyKind::Fmr,
+            StrategyKind::Cache,
+        ],
+        run,
+        &[
+            ("Register ops/s", 0, ops),
+            ("FMR ops/s", 1, ops),
+            ("Cache ops/s", 2, ops),
+            ("Register us/op", 0, cpu),
+            ("FMR us/op", 1, cpu),
+            ("Cache us/op", 2, cpu),
         ],
     );
-    for r in readers {
-        let get = |series: &str| {
-            results
-                .iter()
-                .find(|((l, _, rr), _)| l == series && *rr == r)
-                .map(|(_, res)| {
-                    (
-                        format!("{:.0}", res.ops_per_sec),
-                        format!("{:.0}", res.cpu_us_per_op),
-                    )
-                })
-                .unwrap_or_default()
-        };
-        let (reg_t, reg_c) = get("Register");
-        let (fmr_t, fmr_c) = get("FMR");
-        let (cache_t, cache_c) = get("Cache");
-        t.row(&[r.to_string(), reg_t, fmr_t, cache_t, reg_c, fmr_c, cache_c]);
-    }
-    bench::emit("fig8", &t);
     println!(
         "Paper headline: the registration cache improves throughput up to \
          ~50% over dynamic registration; FMR performs comparably to dynamic."

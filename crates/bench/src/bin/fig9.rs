@@ -1,78 +1,52 @@
 //! Figure 9: registration strategies on Linux — Register vs FMR vs
 //! all-physical, IOzone read and write bandwidth plus client CPU.
 
-use bench::{emit, file_size_scaled, sweep_iozone, IozonePoint, THREADS};
+use bench::{bandwidth, client_cpu, threads_table, IozonePoint};
 use rpcrdma::{Design, StrategyKind};
-use workloads::{linux_sdr, mb, pct, IoMode, Table};
+use workloads::{linux_sdr, IoMode};
 
 fn main() {
-    let profile = linux_sdr();
-    let strategies = [
-        ("Register", StrategyKind::Dynamic),
-        ("FMR", StrategyKind::Fmr),
-        ("All-Physical", StrategyKind::AllPhysical),
-    ];
-    for (mode, name, paper) in [
+    for (mode, name, which, paper) in [
         (
             IoMode::Read,
             "fig9a",
+            "Read",
             "Paper: all-physical yields the best read throughput (~900 MB/s).",
         ),
         (
             IoMode::Write,
             "fig9b",
+            "Write",
             "Paper: all-physical degrades writes vs FMR — no local \
              scatter/gather, so each write fans into multiple read chunks \
              and hits the RDMA Read limits.",
         ),
     ] {
-        let mut points = Vec::new();
-        for (label, strategy) in strategies {
-            for threads in THREADS {
-                points.push(IozonePoint {
-                    label: label.to_string(),
-                    profile,
-                    design: Design::ReadWrite,
-                    strategy,
-                    mode,
-                    threads,
-                    record: 128 * 1024,
-                    file_size: file_size_scaled(),
-                });
-            }
-        }
-        let results = sweep_iozone(points);
-        let which = if mode == IoMode::Read {
-            "Read"
-        } else {
-            "Write"
-        };
-        let mut t = Table::new(
-            format!("Figure 9 ({which}) — registration strategies on Linux"),
+        let strategies = [
+            StrategyKind::Dynamic,
+            StrategyKind::Fmr,
+            StrategyKind::AllPhysical,
+        ];
+        let points = strategies.map(|strategy| IozonePoint {
+            profile: linux_sdr(),
+            design: Design::ReadWrite,
+            strategy,
+            mode,
+            record: 128 << 10,
+        });
+        threads_table(
+            name,
+            &format!("Figure 9 ({which}) — registration strategies on Linux"),
+            &points,
             &[
-                "threads",
-                "Register MB/s",
-                "FMR MB/s",
-                "All-Phys MB/s",
-                "Register CPU",
-                "FMR CPU",
-                "All-Phys CPU",
+                ("Register MB/s", 0, bandwidth),
+                ("FMR MB/s", 1, bandwidth),
+                ("All-Phys MB/s", 2, bandwidth),
+                ("Register CPU", 0, client_cpu),
+                ("FMR CPU", 1, client_cpu),
+                ("All-Phys CPU", 2, client_cpu),
             ],
         );
-        for threads in THREADS {
-            let get = |series: &str| {
-                results
-                    .iter()
-                    .find(|(p, _)| p.label == series && p.threads == threads)
-                    .map(|(_, r)| (mb(r.bandwidth_mb), pct(r.client_cpu)))
-                    .unwrap_or_default()
-            };
-            let (r_bw, r_cpu) = get("Register");
-            let (f_bw, f_cpu) = get("FMR");
-            let (a_bw, a_cpu) = get("All-Physical");
-            t.row(&[threads.to_string(), r_bw, f_bw, a_bw, r_cpu, f_cpu, a_cpu]);
-        }
-        emit(name, &t);
         println!("{paper}\n");
     }
 }

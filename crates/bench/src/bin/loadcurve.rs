@@ -19,10 +19,10 @@
 //! flight-recorder ring and the tail of the telemetry timeline to
 //! `results/` for postmortem.
 
+use bench::{same_seed, write_result, BenchJson, Gate};
 use sim_core::sweep::parallel_sweep;
 use workloads::{
-    linux_sdr, load_timeline_csv, run_openloop, Arrival, OpMix, OpenLoopParams, OpenLoopResult,
-    Table,
+    linux_sdr, run_openloop, Arrival, Capture, OpenLoopParams, OpenLoopResult, Run, Table,
 };
 
 const SEED: u64 = 0x10AD;
@@ -40,43 +40,32 @@ const COLLAPSE_FACTOR: u64 = 3;
 /// Honest p99 inflation allowed when the hog arrives, percent.
 const FAIRNESS_INFLATION_PCT: f64 = 20.0;
 
+/// The harness's default population (2000 Zipf-0.9 tenants on 4
+/// connections, the OLTP mix) over one arrival window.
 fn base_params(duration_ms: u64) -> OpenLoopParams {
     OpenLoopParams {
-        connections: 4,
-        tenants: 2000,
-        zipf_theta: 0.9,
-        mix: OpMix::oltp(),
         duration: sim_core::SimDuration::from_millis(duration_ms),
         grace: sim_core::SimDuration::from_millis(duration_ms / 4 + 1),
         ..OpenLoopParams::default()
     }
 }
 
-/// Fail a gate: dump the flight ring and the timeline tail, then exit.
-fn fail(tag: &str, msg: &str, r: &OpenLoopResult) -> ! {
-    if !r.flight.is_empty() {
-        bench::emit_results_file("flight_loadcurve.txt", &sim_core::format_flight(&r.flight));
-    }
-    if !r.timeline.is_empty() {
-        bench::emit_results_file("loadcurve_timeline.csv", &load_timeline_csv(&r.timeline));
-        let b = r.timeline.last().unwrap();
-        eprintln!(
-            "  last bucket: t={}us completions={} p99={}us in_flight={} \
-             queue_depth={} server_sheds={} client_sheds={}",
-            b.t_us,
-            b.completions,
-            b.p99_us,
-            b.in_flight,
-            b.queue_depth,
-            b.server_sheds,
-            b.client_sheds
-        );
-    }
-    eprintln!("FAIL {tag}: {msg}");
-    std::process::exit(1);
+fn openloop(p: OpenLoopParams) -> Run<OpenLoopResult> {
+    run_openloop(SEED, &linux_sdr(), p, Capture::default())
 }
 
-fn row(t: &mut Table, label: &str, frac: f64, r: &OpenLoopResult) {
+/// One gate on run `r`: a failure dumps its flight ring to
+/// `results/flight_loadcurve.txt` and prints the last timeline row.
+fn gate(name: &str, r: &Run<OpenLoopResult>, holds: bool, why: String) {
+    Gate::new("loadcurve", &r.flight).require(holds, || {
+        let csv = r.timeline.csv(None);
+        let (header, last) = (csv.lines().next(), csv.lines().last());
+        let (header, last) = (header.unwrap_or(""), last.unwrap_or(""));
+        format!("{name}: {why}\n  last timeline row ({header}): {last}")
+    });
+}
+
+fn row(t: &mut Table, label: &str, frac: f64, r: &Run<OpenLoopResult>) {
     t.row(&[
         label.to_string(),
         format!("{frac:.2}"),
@@ -84,7 +73,7 @@ fn row(t: &mut Table, label: &str, frac: f64, r: &OpenLoopResult) {
         format!("{:.0}", r.goodput_ops),
         r.p50_us.to_string(),
         r.p99_us.to_string(),
-        r.server_sheds.to_string(),
+        r.metric("server.sheds").to_string(),
         r.client_sheds.to_string(),
         r.overload_failures.to_string(),
         r.unfinished.to_string(),
@@ -92,36 +81,8 @@ fn row(t: &mut Table, label: &str, frac: f64, r: &OpenLoopResult) {
     ]);
 }
 
-/// Serialize the result fields the determinism gate compares.
-fn determinism_key(r: &OpenLoopResult) -> String {
-    format!(
-        "offered={} completed={} in_window={} client_sheds={} overload_failures={} \
-         other_errors={} unfinished={} server_sheds={} deadline_sheds={} busy={} \
-         peak={} clamps={} p50={} p99={} max={} honest_p99={} hog_p99={} metrics={:?}",
-        r.offered,
-        r.completed,
-        r.completed_in_window,
-        r.client_sheds,
-        r.overload_failures,
-        r.other_errors,
-        r.unfinished,
-        r.server_sheds,
-        r.deadline_sheds,
-        r.busy_replies,
-        r.qos_peak_depth,
-        r.credit_clamps,
-        r.p50_us,
-        r.p99_us,
-        r.max_us,
-        r.honest_p99_us,
-        r.hog_p99_us,
-        r.metrics_snapshot,
-    )
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let profile = linux_sdr();
     let (duration_ms, fracs): (u64, &[f64]) = if smoke {
         (60, &[0.5, 1.0, 2.0])
     } else {
@@ -130,28 +91,19 @@ fn main() {
 
     // --- Capacity probe: closed loop, overload control off. ----------
     println!("loadcurve: probing capacity (closed loop)...");
-    let cap_r = run_openloop(
-        SEED,
-        &profile,
-        OpenLoopParams {
-            arrival: Arrival::ClosedLoop { workers: 8 },
-            qos: false,
-            waiting_room: 0,
-            ..base_params(duration_ms)
-        },
-    );
+    let cap_r = openloop(OpenLoopParams {
+        arrival: Arrival::ClosedLoop { workers: 8 },
+        qos: false,
+        waiting_room: 0,
+        ..base_params(duration_ms)
+    });
     let capacity = cap_r.goodput_ops;
     println!(
         "  capacity ~{capacity:.0} ops/s (p99 {} us, {} ops)",
         cap_r.p99_us, cap_r.completed_in_window
     );
-    if capacity <= 0.0 {
-        fail(
-            "capacity",
-            "closed-loop probe produced no completions",
-            &cap_r,
-        );
-    }
+    let none = "closed-loop probe produced no completions";
+    gate("capacity", &cap_r, capacity > 0.0, none.into());
 
     // --- The sweep: every (rate, shedding on/off) point. -------------
     let mut points: Vec<(f64, bool)> = Vec::new();
@@ -159,24 +111,19 @@ fn main() {
         points.push((f, true));
         points.push((f, false));
     }
-    let results: Vec<OpenLoopResult> = parallel_sweep(points.clone(), |(frac, qos)| {
-        run_openloop(
-            SEED,
-            &profile,
-            OpenLoopParams {
-                arrival: Arrival::Poisson {
-                    rate: capacity * frac,
-                },
-                qos,
-                // With shedding the client host also bounds its own
-                // waiting room; the unprotected mode queues patiently
-                // without limit — that is the collapse under test.
-                waiting_room: if qos { 64 } else { 0 },
-                timeline: true,
-                ..base_params(duration_ms)
-            },
-        )
-    });
+    // With shedding the client host also bounds its own waiting room;
+    // the unprotected mode queues patiently without limit — that is the
+    // collapse under test.
+    let point = |frac: f64, qos: bool| OpenLoopParams {
+        arrival: Arrival::Poisson {
+            rate: capacity * frac,
+        },
+        qos,
+        waiting_room: if qos { 64 } else { 0 },
+        timeline: true,
+        ..base_params(duration_ms)
+    };
+    let results = parallel_sweep(points.clone(), |(frac, qos)| openloop(point(frac, qos)));
 
     let mut t = Table::new(
         "Open-loop load sweep (Poisson arrivals, 2000 Zipf tenants on 4 connections)",
@@ -194,8 +141,8 @@ fn main() {
             "peak_q",
         ],
     );
-    let mut on_2x: Option<&OpenLoopResult> = None;
-    let mut off_2x: Option<&OpenLoopResult> = None;
+    let mut on_2x: Option<&Run<OpenLoopResult>> = None;
+    let mut off_2x: Option<&Run<OpenLoopResult>> = None;
     for ((frac, qos), r) in points.iter().zip(&results) {
         row(&mut t, if *qos { "shed-on" } else { "shed-off" }, *frac, r);
         if (*frac - 2.0).abs() < 1e-9 {
@@ -209,58 +156,53 @@ fn main() {
     let on_2x = on_2x.expect("2x point present");
     let off_2x = off_2x.expect("2x point present");
     bench::emit("loadcurve", &t);
-    bench::emit_results_file(
-        "loadcurve_timeline.csv",
-        &load_timeline_csv(&on_2x.timeline),
-    );
+    let timeline = write_result("loadcurve_timeline.csv", &on_2x.timeline.csv(None));
+    println!("  wrote {timeline}");
 
     // --- Hockey-stick gates. -----------------------------------------
-    if on_2x.p99_us > P99_BOUND_US {
-        fail(
+    let (on_p99, off_p99) = (on_2x.p99_us, off_2x.p99_us);
+    let (on_goodput, plateau_pct) = (on_2x.goodput_ops, PLATEAU_FRACTION * 100.0);
+    for (name, r, holds, why) in [
+        (
             "bounded-p99",
-            &format!(
-                "shedding on: p99 {} us at 2x capacity exceeds the {} us bound",
-                on_2x.p99_us, P99_BOUND_US
-            ),
             on_2x,
-        );
-    }
-    if on_2x.goodput_ops < PLATEAU_FRACTION * capacity {
-        fail(
+            on_p99 <= P99_BOUND_US,
+            format!(
+                "shedding on: p99 {on_p99} us at 2x capacity exceeds the {P99_BOUND_US} us bound"
+            ),
+        ),
+        (
             "goodput-plateau",
-            &format!(
-                "shedding on: goodput {:.0} ops/s at 2x fell below {:.0}% of capacity {:.0}",
-                on_2x.goodput_ops,
-                PLATEAU_FRACTION * 100.0,
-                capacity
-            ),
             on_2x,
-        );
-    }
-    if on_2x.server_sheds == 0 {
-        fail(
+            on_goodput >= PLATEAU_FRACTION * capacity,
+            format!(
+                "shedding on: goodput {on_goodput:.0} ops/s at 2x fell below \
+                 {plateau_pct:.0}% of capacity {capacity:.0}"
+            ),
+        ),
+        (
             "shed-active",
-            "shedding on: 2x overload never tripped the controller",
             on_2x,
-        );
-    }
-    if off_2x.server_sheds != 0 {
-        fail(
+            on_2x.metric("server.sheds") != 0,
+            "shedding on: 2x overload never tripped the controller".into(),
+        ),
+        (
             "shed-disabled",
-            "shedding off: the controller shed work while disabled",
             off_2x,
-        );
-    }
-    if off_2x.p99_us < COLLAPSE_FACTOR * on_2x.p99_us.max(1) {
-        fail(
+            off_2x.metric("server.sheds") == 0,
+            "shedding off: the controller shed work while disabled".into(),
+        ),
+        (
             "collapse-shown",
-            &format!(
-                "shedding off: p99 {} us at 2x does not demonstrate collapse \
-                 (>= {}x the shedded {} us)",
-                off_2x.p99_us, COLLAPSE_FACTOR, on_2x.p99_us
-            ),
             off_2x,
-        );
+            off_p99 >= COLLAPSE_FACTOR * on_p99.max(1),
+            format!(
+                "shedding off: p99 {off_p99} us at 2x does not demonstrate collapse \
+                 (>= {COLLAPSE_FACTOR}x the shedded {on_p99} us)"
+            ),
+        ),
+    ] {
+        gate(name, r, holds, why);
     }
 
     // --- Fairness sweep: 3 honest connections vs 1 hog. --------------
@@ -281,22 +223,14 @@ fn main() {
         honest_weight: 4,
         ..base_params(duration_ms)
     };
-    let baseline = run_openloop(
-        SEED,
-        &profile,
-        OpenLoopParams {
-            hog_rate: 1e-9, // reserve conn 0, effectively no arrivals
-            ..fair_base
-        },
-    );
-    let hogged = run_openloop(
-        SEED,
-        &profile,
-        OpenLoopParams {
-            hog_rate: capacity * 1.5,
-            ..fair_base
-        },
-    );
+    let baseline = openloop(OpenLoopParams {
+        hog_rate: 1e-9, // reserve conn 0, effectively no arrivals
+        ..fair_base
+    });
+    let hogged = openloop(OpenLoopParams {
+        hog_rate: capacity * 1.5,
+        ..fair_base
+    });
     let mut ft = Table::new(
         "Fairness under a hog (QoS on, honest load 0.5x capacity)",
         &[
@@ -316,8 +250,8 @@ fn main() {
             r.honest_p99_us.to_string(),
             r.hog_completed.to_string(),
             r.hog_p99_us.to_string(),
-            r.server_sheds.to_string(),
-            r.credit_clamps.to_string(),
+            r.metric("server.sheds").to_string(),
+            r.metric("server.credit_clamps").to_string(),
         ]);
     }
     bench::emit("loadcurve_fairness", &ft);
@@ -327,101 +261,79 @@ fn main() {
     } else {
         (hogged.honest_p99_us as f64 / baseline.honest_p99_us as f64 - 1.0) * 100.0
     };
-    if inflation_pct > FAIRNESS_INFLATION_PCT {
-        fail(
-            "fairness",
-            &format!(
-                "hog inflated honest p99 {} -> {} us ({inflation_pct:.1}% > {}%)",
-                baseline.honest_p99_us, hogged.honest_p99_us, FAIRNESS_INFLATION_PCT
-            ),
-            &hogged,
-        );
-    }
-    if hogged.honest_completed == 0 || hogged.hog_completed == 0 {
-        fail(
-            "fairness-liveness",
-            "a tenant class finished zero ops under the hog scenario",
-            &hogged,
-        );
-    }
+    let (base_p99, hog_p99) = (baseline.honest_p99_us, hogged.honest_p99_us);
+    gate(
+        "fairness",
+        &hogged,
+        inflation_pct <= FAIRNESS_INFLATION_PCT,
+        format!(
+            "hog inflated honest p99 {base_p99} -> {hog_p99} us \
+             ({inflation_pct:.1}% > {FAIRNESS_INFLATION_PCT}%)"
+        ),
+    );
+    gate(
+        "fairness-liveness",
+        &hogged,
+        hogged.honest_completed != 0 && hogged.hog_completed != 0,
+        "a tenant class finished zero ops under the hog scenario".into(),
+    );
 
     // --- Determinism: the 2x shedding-on point, same seed, again. ----
-    let rerun = run_openloop(
-        SEED,
-        &profile,
-        OpenLoopParams {
-            arrival: Arrival::Poisson {
-                rate: capacity * 2.0,
-            },
-            qos: true,
-            waiting_room: 64,
-            timeline: true,
-            ..base_params(duration_ms)
-        },
-    );
-    if determinism_key(&rerun) != determinism_key(on_2x) {
-        fail(
-            "determinism",
-            "same-seed rerun of the 2x shedding-on point diverged",
-            &rerun,
-        );
-    }
+    same_seed("loadcurve", on_2x, &openloop(point(2.0, true)));
 
     // --- Artifact. ----------------------------------------------------
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"loadcurve\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"capacity_ops\": {cap:.0},\n",
-            "  \"shed_on_2x\": {{\n",
-            "    \"offered\": {on_off}, \"goodput_ops\": {on_gp:.0},\n",
-            "    \"p50_us\": {on_p50}, \"p99_us\": {on_p99},\n",
-            "    \"server_sheds\": {on_shed}, \"client_sheds\": {on_cs},\n",
-            "    \"overload_failures\": {on_of}, \"qos_peak_depth\": {on_pk}\n",
-            "  }},\n",
-            "  \"shed_off_2x\": {{\n",
-            "    \"offered\": {off_off}, \"goodput_ops\": {off_gp:.0},\n",
-            "    \"p50_us\": {off_p50}, \"p99_us\": {off_p99},\n",
-            "    \"unfinished\": {off_un}\n",
-            "  }},\n",
-            "  \"fairness\": {{\n",
-            "    \"honest_p99_base_us\": {fb}, \"honest_p99_hog_us\": {fh},\n",
-            "    \"inflation_pct\": {fi:.1}, \"hog_completed\": {hc},\n",
-            "    \"credit_clamps\": {cc}\n",
-            "  }},\n",
-            "  \"gates\": {{\n",
-            "    \"p99_bound_us\": {gb}, \"plateau_fraction\": {gp},\n",
-            "    \"collapse_factor\": {gc}, \"fairness_inflation_pct\": {gf}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        mode = if smoke { "smoke" } else { "full" },
-        cap = capacity,
-        on_off = on_2x.offered,
-        on_gp = on_2x.goodput_ops,
-        on_p50 = on_2x.p50_us,
-        on_p99 = on_2x.p99_us,
-        on_shed = on_2x.server_sheds,
-        on_cs = on_2x.client_sheds,
-        on_of = on_2x.overload_failures,
-        on_pk = on_2x.qos_peak_depth,
-        off_off = off_2x.offered,
-        off_gp = off_2x.goodput_ops,
-        off_p50 = off_2x.p50_us,
-        off_p99 = off_2x.p99_us,
-        off_un = off_2x.unfinished,
-        fb = baseline.honest_p99_us,
-        fh = hogged.honest_p99_us,
-        fi = inflation_pct,
-        hc = hogged.hog_completed,
-        cc = hogged.credit_clamps,
-        gb = P99_BOUND_US,
-        gp = PLATEAU_FRACTION,
-        gc = COLLAPSE_FACTOR,
-        gf = FAIRNESS_INFLATION_PCT,
-    );
-    bench::emit_bench_json("loadcurve", &json);
+    // Arrivals offered per second of the arrival window: a rate, like
+    // the goodput beside it.
+    let offered_ops = |r: &OpenLoopResult| r.offered as f64 * 1e3 / duration_ms as f64;
+    BenchJson::new("loadcurve", smoke)
+        .num("capacity_ops", format_args!("{capacity:.0}"))
+        .section(
+            "shed_on_2x",
+            2,
+            &[
+                ("offered_ops", &format_args!("{:.0}", offered_ops(on_2x))),
+                ("goodput_ops", &format_args!("{:.0}", on_2x.goodput_ops)),
+                ("p50_us", &on_2x.p50_us),
+                ("p99_us", &on_2x.p99_us),
+                ("server_sheds", &on_2x.metric("server.sheds")),
+                ("client_sheds", &on_2x.client_sheds),
+                ("overload_failures", &on_2x.overload_failures),
+                ("qos_peak_depth", &on_2x.qos_peak_depth),
+            ],
+        )
+        .section(
+            "shed_off_2x",
+            2,
+            &[
+                ("offered_ops", &format_args!("{:.0}", offered_ops(off_2x))),
+                ("goodput_ops", &format_args!("{:.0}", off_2x.goodput_ops)),
+                ("p50_us", &off_2x.p50_us),
+                ("p99_us", &off_2x.p99_us),
+                ("unfinished", &off_2x.unfinished),
+            ],
+        )
+        .section(
+            "fairness",
+            2,
+            &[
+                ("honest_p99_base_us", &baseline.honest_p99_us),
+                ("honest_p99_hog_us", &hogged.honest_p99_us),
+                ("inflation_pct", &format_args!("{inflation_pct:.1}")),
+                ("hog_completed", &hogged.hog_completed),
+                ("credit_clamps", &hogged.metric("server.credit_clamps")),
+            ],
+        )
+        .section(
+            "gates",
+            2,
+            &[
+                ("p99_bound_us", &P99_BOUND_US),
+                ("plateau_fraction", &PLATEAU_FRACTION),
+                ("collapse_factor", &COLLAPSE_FACTOR),
+                ("fairness_inflation_pct", &FAIRNESS_INFLATION_PCT),
+            ],
+        )
+        .write();
     println!(
         "loadcurve: OK — capacity {capacity:.0} ops/s, shedded p99 {} us at 2x \
          (unshedded {} us), honest p99 inflation {inflation_pct:.1}%",

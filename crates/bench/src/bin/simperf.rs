@@ -16,158 +16,114 @@
 
 use std::time::Instant;
 
+use bench::{BenchJson, Gate};
 use sim_core::{yield_now, Payload, SimDuration, Simulation};
 use workloads::{build_rdma, solaris_sdr, Backend};
 
-struct Config {
-    /// Tasks in the executor churn pool.
-    tasks: u64,
-    /// Timer-sleep iterations per task.
-    iters: u64,
-    /// Sequential 128 KiB NFS READs.
-    rpc_ops: u64,
-    smoke: bool,
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let cfg = if smoke {
-        Config {
-            tasks: 1_000,
-            iters: 20,
-            rpc_ops: 64,
-            smoke,
-        }
-    } else {
-        // 1000 tasks keep the pool cache-resident so the measurement
-        // tracks executor overhead, not DRAM latency. Override via env
-        // (SIMPERF_TASKS / SIMPERF_ITERS) to probe other regimes.
-        Config {
-            tasks: env_u64("SIMPERF_TASKS", 1_000),
-            iters: env_u64("SIMPERF_ITERS", 1_000),
-            rpc_ops: 4_096,
-            smoke,
-        }
+    // Tasks in the executor churn pool, timer-sleep iterations per
+    // task, sequential 128 KiB NFS READs. 1000 tasks keep the pool
+    // cache-resident so the measurement tracks executor overhead, not
+    // DRAM latency; override via env (SIMPERF_TASKS / SIMPERF_ITERS) to
+    // probe other regimes.
+    let (tasks, iters, rpc_ops) = match smoke {
+        true => (1_000, 20, 64),
+        false => (
+            env_u64("SIMPERF_TASKS", 1_000),
+            env_u64("SIMPERF_ITERS", 1_000),
+            4_096,
+        ),
     };
 
-    let (polls, events_per_sec, exec_ms) = executor_throughput(&cfg);
-    let (rpc_ops_per_sec, rpc_ms) = rpc_throughput(cfg.rpc_ops, false);
-    let (traced_ops_per_sec, traced_overhead_pct) = trace_overhead();
+    let (polls, events_per_sec, exec_ms) = executor_throughput(tasks, iters);
+    let (rpc_ops_per_sec, rpc_ms) = rpc_throughput(rpc_ops, false);
+    let (untraced_ops_per_sec, traced_ops_per_sec, traced_overhead_pct) = trace_overhead();
 
-    println!(
-        "simperf ({} mode)",
-        if cfg.smoke { "smoke" } else { "full" }
-    );
+    println!("simperf ({} mode)", if smoke { "smoke" } else { "full" });
     println!("  executor: {polls} polls in {exec_ms:.1} ms  ->  {events_per_sec:.0} events/sec");
-    println!(
-        "  rpc:      {} READs in {rpc_ms:.1} ms  ->  {rpc_ops_per_sec:.0} ops/sec",
-        cfg.rpc_ops
-    );
+    println!("  rpc:      {rpc_ops} READs in {rpc_ms:.1} ms  ->  {rpc_ops_per_sec:.0} ops/sec");
     println!(
         "  traced:   {traced_ops_per_sec:.0} ops/sec with span tracing on \
          ({traced_overhead_pct:.1}% overhead vs disabled)"
     );
 
-    if cfg.smoke {
+    if smoke {
         // Regression gate: the disabled-tracing hot path must stay in
         // the same league as the published full-mode numbers. Smoke
         // runs are short and noisy, so the bar is a fraction of the
-        // recorded rate (override with SIMPERF_GATE_RATIO; 0 disables).
+        // recorded rate.
         gate_against_recorded(events_per_sec);
-        // Observability gate: span tracing enabled may cost at most
-        // SIMPERF_TRACE_GATE_PCT percent of RPC throughput (default
-        // 10; 0 disables).
+        // Observability gate: what span tracing may cost the RPC path.
         gate_trace_overhead(traced_overhead_pct);
         return; // don't clobber the full-mode results file
     }
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"hotpath\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"executor\": {{\n",
-            "    \"tasks\": {},\n",
-            "    \"iters_per_task\": {},\n",
-            "    \"polls\": {},\n",
-            "    \"wall_ms\": {:.3},\n",
-            "    \"events_per_sec\": {:.0}\n",
-            "  }},\n",
-            "  \"rpc\": {{\n",
-            "    \"ops\": {},\n",
-            "    \"wall_ms\": {:.3},\n",
-            "    \"ops_per_sec\": {:.0}\n",
-            "  }},\n",
-            "  \"traced\": {{\n",
-            "    \"ops_per_sec\": {:.0},\n",
-            "    \"overhead_pct\": {:.1}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        if cfg.smoke { "smoke" } else { "full" },
-        cfg.tasks,
-        cfg.iters,
-        polls,
-        exec_ms,
-        events_per_sec,
-        cfg.rpc_ops,
-        rpc_ms,
-        rpc_ops_per_sec,
-        traced_ops_per_sec,
-        traced_overhead_pct,
-    );
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join("BENCH_hotpath.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("  wrote {}", path.display()),
-        Err(e) => eprintln!("  could not write {}: {e}", path.display()),
-    }
+    // Both rates of the traced section's comparison come from the one
+    // estimator that made it, so they can be read against each other;
+    // the long run keeps its own wall time.
+    BenchJson::new("hotpath", smoke)
+        .section(
+            "executor",
+            1,
+            &[
+                ("tasks", &tasks),
+                ("iters_per_task", &iters),
+                ("polls", &polls),
+                ("wall_ms", &format_args!("{exec_ms:.3}")),
+                ("events_per_sec", &format_args!("{events_per_sec:.0}")),
+            ],
+        )
+        .section(
+            "rpc",
+            1,
+            &[
+                ("ops", &rpc_ops),
+                ("wall_ms", &format_args!("{rpc_ms:.3}")),
+                ("ops_per_sec", &format_args!("{untraced_ops_per_sec:.0}")),
+            ],
+        )
+        .section(
+            "traced",
+            1,
+            &[
+                ("ops_per_sec", &format_args!("{traced_ops_per_sec:.0}")),
+                ("overhead_pct", &format_args!("{traced_overhead_pct:.1}")),
+            ],
+        )
+        .write();
 }
+
+/// The smoke gate's floor, as a fraction of the recorded full-mode
+/// events/sec.
+const GATE_RATIO: f64 = 0.1;
+
+/// Most the RPC path may slow down with span tracing on, percent.
+const TRACE_GATE_PCT: f64 = 10.0;
 
 /// Compare a smoke-mode events/sec measurement against the recorded
 /// full-mode `results/BENCH_hotpath.json`, exiting nonzero when it
-/// falls below `SIMPERF_GATE_RATIO` (default 0.1) of the published
-/// rate. Missing file or field means there is nothing to gate against.
+/// falls below [`GATE_RATIO`] of the published rate. Missing file or
+/// field means there is nothing to gate against.
 fn gate_against_recorded(events_per_sec: f64) {
-    let ratio = std::env::var("SIMPERF_GATE_RATIO")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.1);
-    if ratio <= 0.0 {
-        return;
-    }
     let Ok(json) = std::fs::read_to_string("results/BENCH_hotpath.json") else {
         println!("  gate:     no recorded results/BENCH_hotpath.json; skipping");
         return;
     };
-    let Some(recorded) = json_field_f64(&json, "events_per_sec") else {
+    // As `BenchJson` writes it: `"events_per_sec": <digits>`.
+    let after_key = json.split("\"events_per_sec\": ").nth(1);
+    let digits = after_key.and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next());
+    let Some(recorded) = digits.and_then(|n| n.parse::<f64>().ok()) else {
         println!("  gate:     events_per_sec not found in recorded file; skipping");
         return;
     };
-    let floor = recorded * ratio;
-    if events_per_sec < floor {
-        eprintln!(
-            "  gate:     FAIL — {events_per_sec:.0} events/sec < {floor:.0} \
-             ({ratio} x recorded {recorded:.0})"
-        );
-        std::process::exit(1);
-    }
+    let (ratio, floor) = (GATE_RATIO, recorded * GATE_RATIO);
+    Gate::new("simperf", &[]).require(events_per_sec >= floor, || {
+        format!("{events_per_sec:.0} events/sec < {floor:.0} ({ratio} x recorded {recorded:.0})")
+    });
     println!(
         "  gate:     ok — {events_per_sec:.0} events/sec >= {floor:.0} \
          ({ratio} x recorded {recorded:.0})"
     );
-}
-
-/// Extract `"key": <number>` from a flat JSON document (first match).
-fn json_field_f64(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = json[at + needle.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Measure span-tracing overhead on the RPC hot path. Runs the
@@ -179,9 +135,9 @@ fn json_field_f64(json: &str, key: &str) -> Option<f64> {
 /// used rather than the outright minimum, which is one lucky
 /// undisturbed window away from skewing the comparison. Runs are kept
 /// short (~12 ms) so whole runs fit between scheduler ticks. Returns
-/// (traced ops/sec, overhead percent — negative when noise still
-/// favored the traced side).
-fn trace_overhead() -> (f64, f64) {
+/// (untraced ops/sec, traced ops/sec, overhead percent — negative when
+/// noise still favored the traced side).
+fn trace_overhead() -> (f64, f64, f64) {
     const OPS: u64 = 1_024;
     const ROUNDS: usize = 20;
     let mut offs = Vec::with_capacity(ROUNDS);
@@ -202,32 +158,26 @@ fn trace_overhead() -> (f64, f64) {
     ons.sort_by(|a, b| a.total_cmp(b));
     let (off, on) = (offs[1], ons[1]);
     let overhead = (on - off) / off * 100.0;
-    (OPS as f64 / (on * 1e-3), overhead)
+    let rate = |ms: f64| OPS as f64 / (ms * 1e-3);
+    (rate(off), rate(on), overhead)
 }
 
-/// Gate the tracing-enabled overhead at `SIMPERF_TRACE_GATE_PCT`
-/// percent (default 10; 0 disables). A reading over the limit is
-/// re-measured from scratch before failing: noise can only inflate an
-/// estimate, never deflate it, so the smaller of two independent
-/// estimates is still an upper bound on the true overhead and a
-/// transient busy spell on the box doesn't fail the gate.
+/// Gate the tracing-enabled overhead at [`TRACE_GATE_PCT`] percent. A
+/// reading over the limit is re-measured from scratch before failing:
+/// noise can only inflate an estimate, never deflate it, so the smaller
+/// of two independent estimates is still an upper bound on the true
+/// overhead and a transient busy spell on the box doesn't fail the
+/// gate.
 fn gate_trace_overhead(overhead_pct: f64) {
-    let limit = std::env::var("SIMPERF_TRACE_GATE_PCT")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(10.0);
-    if limit <= 0.0 {
-        return;
-    }
+    let limit = TRACE_GATE_PCT;
     let mut pct = overhead_pct;
     if pct > limit {
         println!("  gate:     tracing overhead {pct:.1}% > {limit:.0}%; re-measuring");
-        pct = pct.min(trace_overhead().1);
+        pct = pct.min(trace_overhead().2);
     }
-    if pct > limit {
-        eprintln!("  gate:     FAIL — tracing overhead {pct:.1}% > {limit:.0}%");
-        std::process::exit(1);
-    }
+    Gate::new("simperf", &[]).require(pct <= limit, || {
+        format!("tracing overhead {pct:.1}% > {limit:.0}%")
+    });
     println!("  gate:     ok — tracing overhead {pct:.1}% <= {limit:.0}%");
 }
 
@@ -240,11 +190,10 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 /// Timer/ready-queue churn: `tasks` tasks each sleep with scattered
 /// deadlines and yield, `iters` times. Returns (polls, events/sec, ms).
-fn executor_throughput(cfg: &Config) -> (u64, f64, f64) {
+fn executor_throughput(tasks: u64, iters: u64) -> (u64, f64, f64) {
     let mut sim = Simulation::new(42);
-    for t in 0..cfg.tasks {
+    for t in 0..tasks {
         let h = sim.handle();
-        let iters = cfg.iters;
         sim.spawn(async move {
             for i in 0..iters {
                 // Scattered short deadlines: most land near each other

@@ -382,6 +382,7 @@ impl<M: 'static> Fabric<M> {
 
     /// Reset port accounting for all nodes (exclude warmup).
     pub fn reset_accounting(&self) {
+        #[allow(clippy::iter_over_hash_type)] // zeroes every port: order-free
         for p in self.inner.ports.borrow().values() {
             p.tx.reset_accounting();
             p.rx.reset_accounting();

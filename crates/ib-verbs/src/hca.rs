@@ -329,6 +329,7 @@ impl Hca {
     fn fold_cqs(&self, f: impl Fn(&Cq) -> u64) -> u64 {
         let mut seen = Vec::new();
         let mut total = 0;
+        #[allow(clippy::iter_over_hash_type)] // a sum over distinct CQs: order-free
         for qp in self.inner.qps.borrow().values() {
             for cq in [qp.send_cq(), qp.recv_cq()] {
                 let id = cq.id();

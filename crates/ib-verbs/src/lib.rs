@@ -28,6 +28,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Hash order differs per map instance: walking it diverges same-seed runs (DESIGN.md §3).
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod config;
 pub mod cq;

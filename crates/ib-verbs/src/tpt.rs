@@ -292,6 +292,7 @@ impl Tpt {
     pub fn exposure_report(&self, now: SimTime) -> ExposureReport {
         let mut byte_ns = self.closed_byte_ns;
         let mut current = 0u64;
+        #[allow(clippy::iter_over_hash_type)] // integer sums: order-free
         for e in self.entries.values() {
             if e.access.remotely_exposed() {
                 current += e.len;

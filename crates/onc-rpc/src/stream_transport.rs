@@ -188,7 +188,7 @@ impl StreamRpcClient {
                     Err(_) => {
                         // Malformed reply: the connection is
                         // unsynchronized beyond repair; fail everyone.
-                        for (_, tx) in pending.borrow_mut().drain() {
+                        for (_, tx) in sim_core::key_order(pending.borrow_mut().drain()) {
                             tx.send(Err(RpcError::BadReply));
                         }
                         return;

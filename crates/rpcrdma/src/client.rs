@@ -222,7 +222,8 @@ impl ClientInner {
     fn fail(&self) {
         self.dead.set(true);
         self.recovering.set(false);
-        self.pending.borrow_mut().clear();
+        // Dropped in XID order, so the callers wake in XID order.
+        drop(sim_core::key_order(self.pending.borrow_mut().drain()));
     }
 }
 

@@ -71,14 +71,6 @@ pub struct RpcRdmaConfig {
     /// (the ledger records the revocation). `ZERO` disables the reaper
     /// (the paper's original, pin-forever behavior).
     pub exposure_ttl: SimDuration,
-    /// Server zero-copy READ pipeline: gather the NFS READ reply
-    /// straight from the page-cache slices the file system handed out
-    /// (vectored RDMA Write), instead of flattening them into a staging
-    /// buffer first. Registration work is identical either way — the
-    /// scratch window is still acquired — only the host data movement
-    /// disappears. The `Cache` registration strategy always stages (its
-    /// pre-registered bounce buffers are the whole point).
-    pub server_zero_copy: bool,
     /// Doorbell batch depth for server-side QPs: the server enqueues up
     /// to this many WQEs (RDMA Writes plus the reply Send) before
     /// ringing the doorbell once for the whole batch. `1` rings per
@@ -119,7 +111,6 @@ impl Default for RpcRdmaConfig {
             call_timeout: SimDuration::from_millis(50),
             max_retransmits: 8,
             exposure_ttl: SimDuration::ZERO,
-            server_zero_copy: true,
             server_doorbell_batch: 1,
             qos_enabled: false,
             rfp: None,
@@ -158,11 +149,8 @@ mod tests {
         let d = RpcRdmaConfig::default();
         assert_eq!(d.design, Design::ReadWrite);
         assert_eq!(d.with_design(Design::ReadRead).design, Design::ReadRead);
-        // Paper-era defaults: one doorbell per WQE, Send/Send replies;
-        // zero-copy gather is on (it changes host copies, not simulated
-        // timing).
+        // Paper-era defaults: one doorbell per WQE, Send/Send replies.
         assert_eq!(d.server_doorbell_batch, 1);
-        assert!(d.server_zero_copy);
         assert!(d.rfp.is_none());
         assert_eq!(d.recv_size(), 4096);
 

@@ -266,7 +266,8 @@ impl RegCache {
     pub async fn flush(&self) {
         let entries: Vec<CacheEntry> = {
             let mut classes = self.inner.classes.borrow_mut();
-            classes.drain().flat_map(|(_, v)| v).collect()
+            let by_class = sim_core::key_order(classes.drain());
+            by_class.into_iter().flat_map(|(_, v)| v).collect()
         };
         self.inner.free_bytes.set(0);
         for e in entries {
@@ -582,6 +583,40 @@ mod tests {
             assert_eq!(cache.free_bytes(), 256 * 1024);
             assert_eq!(cache.evictions(), 2);
         });
+    }
+
+    /// The deregistrations of a flush occupy the TPT one after another,
+    /// so their order is part of the schedule: it has to come from the
+    /// class keys, not from the map's hasher.
+    #[test]
+    fn flush_deregisters_in_class_key_order() {
+        let mut sim = Simulation::new(1);
+        sim.enable_tracing();
+        let h = sim.handle();
+        let (reg, _mem) = setup(&h, StrategyKind::Cache);
+        let cache = reg.cache().unwrap().clone();
+        let parked = sim.block_on(async move {
+            let mut held = Vec::new();
+            for access in [Access::REMOTE_READ, Access::LOCAL] {
+                for pages in [8, 1, 4, 2] {
+                    held.push(cache.acquire(pages * PAGE_SIZE, access).await);
+                }
+            }
+            held.sort_by_key(|e| e.class);
+            let parked: Vec<String> = held.iter().map(|e| format!("{:?}", e.mr.rkey())).collect();
+            for e in held {
+                cache.release(e).await;
+            }
+            cache.flush().await;
+            parked
+        });
+        let trace = sim.take_trace();
+        let flushed: Vec<&str> = trace
+            .iter()
+            .filter_map(|e| e.detail.split_once(" deregister "))
+            .map(|(_, rkey)| rkey)
+            .collect();
+        assert_eq!(flushed, parked);
     }
 
     #[test]

@@ -390,10 +390,11 @@ impl RdmaRpcServer {
     }
 
     /// The zero-copy test *pull* (scatter WRITE chunks into the file
-    /// system) and *push* (gather READ data from its pages) share: on,
-    /// unless the registration strategy stages through bounce buffers.
+    /// system) and *push* (gather READ data from its pages) share:
+    /// always, unless the registration strategy stages through bounce
+    /// buffers.
     fn zero_copy(&self) -> bool {
-        self.cfg.server_zero_copy && !self.registrar.is_staged()
+        !self.registrar.is_staged()
     }
 }
 
@@ -717,7 +718,7 @@ async fn teardown(conn: &ConnState) {
     conn.rfp_signal.add_permits(1);
     revoke_ring(conn).await;
     let leftover = std::mem::take(&mut *conn.pending_exposures.borrow_mut());
-    for exp in leftover.into_values() {
+    for (_, exp) in sim_core::key_order(leftover) {
         retire_exposure(conn, exp, Retire::Revoke).await;
     }
 }
@@ -754,11 +755,12 @@ fn spawn_exposure_reaper(conn: &Rc<ConnState>) {
             let now = sim.now();
             let expired: Vec<(u32, Exposure)> = {
                 let mut map = conn.pending_exposures.borrow_mut();
-                let overdue: Vec<u32> = map
+                let mut overdue: Vec<u32> = map
                     .iter()
                     .filter(|(_, exp)| now - exp.since >= ttl)
                     .map(|(xid, _)| *xid)
                     .collect();
+                overdue.sort_unstable();
                 overdue
                     .into_iter()
                     .filter_map(|xid| map.remove_entry(&xid))
@@ -1084,14 +1086,12 @@ async fn pull_stage(
             bulk_in = Some(io.read_sg(0, total));
             stats.write_zero_copy_bytes.add(total);
         } else {
+            // Data must move from the slab into the file system — the
+            // Cache strategy's pre-registered bounce buffers are the
+            // only path that still copies.
             bulk_in = Some(SgList::from(io.read(0, total)));
-            if server.registrar.is_staged() {
-                // Data must move from the slab into the file system
-                // — the Cache strategy's pre-registered bounce
-                // buffers are the only path that still copies.
-                cpu.copy(total).await;
-                stats.copied_bytes.add(total);
-            }
+            cpu.copy(total).await;
+            stats.copied_bytes.add(total);
         }
         stats.bulk_in.add(total);
         // Figure 4 points 8-9: server-side deregistration after the

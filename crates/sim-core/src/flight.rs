@@ -31,7 +31,7 @@ pub const FLIGHT_CAPACITY: usize = 1024;
 
 /// One flight-recorder entry. Plain old data: recording one is two
 /// pointer copies and four integer stores.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightRecord {
     /// Virtual time the event was recorded.
     pub at: SimTime,

@@ -40,6 +40,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Hash order differs per map instance: walking it diverges same-seed runs (DESIGN.md §3).
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod cpu;
 pub mod executor;
@@ -69,3 +71,13 @@ pub use time::{transfer_time, SimDuration, SimTime};
 pub use trace::{
     aggregate_phases, chrome_trace_json, validate_json, PhaseStats, SpanRecord, TraceCtx,
 };
+
+/// The entries of a hash map, in key order. A `HashMap` yields them in
+/// its hasher's order, which differs between two maps in one process:
+/// wherever the order decides which task wakes or which TPT operation
+/// runs first, walk `key_order(map.drain())` instead.
+pub fn key_order<K: Ord, V>(entries: impl IntoIterator<Item = (K, V)>) -> Vec<(K, V)> {
+    let mut entries: Vec<(K, V)> = entries.into_iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    entries
+}

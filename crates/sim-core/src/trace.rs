@@ -52,7 +52,7 @@ impl TraceCtx {
 }
 
 /// One completed span.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Unique id (creation order).
     pub id: u64,

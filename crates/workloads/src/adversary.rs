@@ -39,11 +39,11 @@ use rpcrdma::sanitize::MAX_CHUNK_SEGMENTS;
 use rpcrdma::{
     Design, MsgType, RdmaHeader, RdmaRpcServer, ReadChunk, RfpConfig, RpcRdmaConfig, Segment,
 };
-use sim_core::{Cpu, Payload, Sim, SimDuration, SimRng, Simulation};
+use sim_core::{Cpu, Payload, Sim, SimDuration, SimRng};
 use xdr::{Encoder, XdrCodec};
 
-use crate::chaos::fingerprint;
 use crate::profiles::Profile;
+use crate::scenario::{self, Capture, Run, WriterSpec};
 use crate::testbed::{build_rdma, Backend, Testbed};
 
 /// Parameters of one adversary run.
@@ -73,8 +73,6 @@ pub struct AdversaryParams {
     /// ring advertisement and probe it after teardown should have
     /// revoked it.
     pub rfp: bool,
-    /// Record a trace and return its FNV-1a fingerprint.
-    pub fingerprint: bool,
 }
 
 impl Default for AdversaryParams {
@@ -89,32 +87,20 @@ impl Default for AdversaryParams {
             attack_rounds: 6,
             exposure_ttl: SimDuration::from_micros(200),
             rfp: false,
-            fingerprint: false,
         }
     }
 }
 
-/// What one adversary run produced.
-#[derive(Clone, Debug, Default)]
+/// What one adversary run produced. What the defenses did is in the
+/// run's registry: `server.violations.total` (charged by the
+/// sanitizer), `server.quarantines`, `server.credit_clamps`,
+/// `server.exposures.revoked` (by the TTL reaper or a teardown; must
+/// equal the TPT ledger's `tpt.revocations`), `tpt.violations` (rkey
+/// probes refused with a NAK), `server.ops`, `server.drc.replays`.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdversaryResult {
-    /// RPC operations the server executed (fresh, not replayed).
-    pub server_ops: u64,
-    /// Retransmitted/replayed calls answered from the DRC.
-    pub drc_replays: u64,
-    /// Protocol violations the sanitizer charged to attackers.
-    pub violations: u64,
-    /// Connections quarantined (attacker QPs forced into error).
-    pub quarantines: u64,
-    /// Credit-grant halvings under violation pressure.
-    pub credit_clamps: u64,
-    /// Exposures force-revoked by the TTL reaper.
-    pub exposures_revoked: u64,
     /// Exposures still pinned when the honest workload finished.
     pub exposures_pending: u64,
-    /// HCA-level TPT violations (rkey probes refused with a NAK).
-    pub tpt_violations: u64,
-    /// TPT-ledger revocations (must equal `exposures_revoked`).
-    pub tpt_revocations: u64,
     /// Bytes × time the server's memory sat remotely readable.
     pub exposure_byte_ns: u128,
     /// Attack messages the attackers fired.
@@ -146,37 +132,21 @@ pub struct AdversaryResult {
     pub elapsed: SimDuration,
     /// Honest goodput in MB/s of virtual time.
     pub goodput_mb_s: f64,
-    /// FNV-1a hash of the run's trace (0 when fingerprinting is off).
-    pub fingerprint: u64,
-    /// Sorted `(name, value)` dump of the whole metrics registry.
-    pub metrics_snapshot: Vec<(String, u64)>,
-    /// Flight-recorder snapshot — always captured (the ring is always
-    /// armed), bounded by [`sim_core::FLIGHT_CAPACITY`].
-    pub flight: Vec<sim_core::FlightRecord>,
-}
-
-/// Seed for the synthetic payload of client `ci`'s record `r`.
-fn record_seed(ci: usize, r: u64) -> u64 {
-    1 + ci as u64 * 1_000_003 + r
 }
 
 /// Run one adversary workload inside a fresh simulation.
-pub fn run_adversary(seed: u64, profile: &Profile, params: AdversaryParams) -> AdversaryResult {
-    let mut sim = Simulation::new(seed);
-    if params.fingerprint {
-        sim.enable_tracing();
-    }
-    let h = sim.handle();
+pub fn run_adversary(
+    seed: u64,
+    profile: &Profile,
+    params: AdversaryParams,
+    capture: Capture,
+) -> Run<AdversaryResult> {
     let mut profile = *profile;
     profile.rpc.exposure_ttl = params.exposure_ttl;
     profile.rpc.rfp = params.rfp.then(RfpConfig::default);
-    let mut result = sim.block_on(async move { run_inner(&h, &profile, params).await });
-    if params.fingerprint {
-        result.fingerprint = fingerprint(&sim.take_trace());
-    }
-    result.flight = sim.flight_records();
-    result.metrics_snapshot = sim.metrics().snapshot();
-    result
+    scenario::run(seed, capture, |sim| async move {
+        run_inner(&sim, &profile, params).await
+    })
 }
 
 /// Shared attacker accounting.
@@ -189,6 +159,10 @@ struct Ledger {
     scan_ok: Cell<u64>,
     rfp_stale_ok: Cell<u64>,
     rfp_stale_refused: Cell<u64>,
+}
+
+fn bump(count: &Cell<u64>) {
+    count.set(count.get() + 1);
 }
 
 /// Bottom of the simulated server's virtual address space: the first
@@ -280,46 +254,15 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> Adv
 
     // Honest workload: write/commit/read-verify, seeded payloads.
     let start = sim.now();
-    let done = sim_core::sync::Semaphore::new(0);
-    let corrupt_total = Rc::new(Cell::new(0u64));
-    for (ci, client) in bed.clients.iter().enumerate() {
-        let nfs = client.nfs.clone();
-        let mem = client.mem.clone();
-        let done = done.clone();
-        let sim2 = sim.clone();
-        let corrupt_total = corrupt_total.clone();
-        let (records, record) = (params.records_per_client, params.record);
-        sim.spawn(async move {
-            let f = nfs
-                .create(root, &format!("honest-{ci}"))
-                .await
-                .expect("create survives attack");
-            let fh = f.handle();
-            let buf = mem.alloc(record);
-            for r in 0..records {
-                buf.write(0, Payload::synthetic(record_seed(ci, r), record));
-                nfs.write(fh, r * record, &buf, 0, record as u32, false)
-                    .await
-                    .expect("write survives attack");
-            }
-            nfs.commit(fh).await.expect("commit survives attack");
-            for r in 0..records {
-                let (data, _) = nfs
-                    .read(fh, r * record, record as u32, None)
-                    .await
-                    .expect("read survives attack");
-                let want = Payload::synthetic(record_seed(ci, r), record);
-                if !data.content_eq(&want) {
-                    corrupt_total.set(corrupt_total.get() + 1);
-                    sim2.trace("attack", || format!("CORRUPT client={ci} record={r}"));
-                }
-            }
-            done.add_permits(1);
-        });
-    }
-    for _ in 0..bed.clients.len() {
-        done.acquire().await.forget();
-    }
+    let spec = WriterSpec {
+        prefix: "honest",
+        records: params.records_per_client,
+        record: params.record,
+        seed_base: 1,
+        commit_every: 0,
+    };
+    let corrupt_records =
+        scenario::verified_writers(sim, &bed.clients, root, spec, &Default::default()).await;
     let elapsed = sim.now() - start;
 
     // Let the attackers finish the catalog (goodput is already
@@ -334,19 +277,9 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> Adv
 
     let honest_bytes = 2 * params.honest_clients as u64 * params.records_per_client * params.record;
     let secs = elapsed.as_secs_f64();
-    let report = server_hca.exposure_report();
-    let stats = &rpc_server.stats;
     AdversaryResult {
-        server_ops: stats.ops.get(),
-        drc_replays: stats.drc_replays.get(),
-        violations: stats.violations.get(),
-        quarantines: stats.quarantines.get(),
-        credit_clamps: stats.credit_clamps.get(),
-        exposures_revoked: stats.exposures_revoked.get(),
-        exposures_pending: stats.exposures_pending.get(),
-        tpt_violations: report.violations,
-        tpt_revocations: report.revocations,
-        exposure_byte_ns: report.byte_ns,
+        exposures_pending: rpc_server.stats.exposures_pending.get(),
+        exposure_byte_ns: server_hca.exposure_report().byte_ns,
         attack_probes: ledger.probes.get(),
         attacker_reconnects: ledger.reconnects.get(),
         stale_reads_ok: ledger.stale_ok.get(),
@@ -354,7 +287,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> Adv
         rfp_stale_ok: ledger.rfp_stale_ok.get(),
         rfp_stale_refused: ledger.rfp_stale_refused.get(),
         scan_reads_ok: ledger.scan_ok.get(),
-        corrupt_records: corrupt_total.get(),
+        corrupt_records,
         honest_bytes,
         elapsed,
         goodput_mb_s: if secs > 0.0 {
@@ -362,9 +295,6 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> Adv
         } else {
             0.0
         },
-        fingerprint: 0,
-        metrics_snapshot: Vec::new(),
-        flight: Vec::new(),
     }
 }
 
@@ -545,7 +475,7 @@ impl AttackerTask {
                     qp = self.reconnect(&recv_bufs).await;
                     dead = false;
                 }
-                self.ledger.probes.set(self.ledger.probes.get() + 1);
+                bump(&self.ledger.probes);
                 let len = seg.len.min(8192);
                 let w = WrId(wr);
                 wr += 1;
@@ -556,28 +486,19 @@ impl AttackerTask {
                     dead = true;
                     continue;
                 }
+                let ledger = &self.ledger;
                 if self.await_wr(&qp, w).await {
                     match kind {
-                        ProbeKind::Stale => {
-                            self.ledger.stale_ok.set(self.ledger.stale_ok.get() + 1)
-                        }
-                        ProbeKind::Scan => self.ledger.scan_ok.set(self.ledger.scan_ok.get() + 1),
-                        ProbeKind::RfpSlot => self
-                            .ledger
-                            .rfp_stale_ok
-                            .set(self.ledger.rfp_stale_ok.get() + 1),
+                        ProbeKind::Stale => bump(&ledger.stale_ok),
+                        ProbeKind::Scan => bump(&ledger.scan_ok),
+                        ProbeKind::RfpSlot => bump(&ledger.rfp_stale_ok),
                         ProbeKind::Guess => {}
                     }
                 } else {
-                    if kind == ProbeKind::Stale {
-                        self.ledger
-                            .stale_refused
-                            .set(self.ledger.stale_refused.get() + 1);
-                    }
-                    if kind == ProbeKind::RfpSlot {
-                        self.ledger
-                            .rfp_stale_refused
-                            .set(self.ledger.rfp_stale_refused.get() + 1);
+                    match kind {
+                        ProbeKind::Stale => bump(&ledger.stale_refused),
+                        ProbeKind::RfpSlot => bump(&ledger.rfp_stale_refused),
+                        ProbeKind::Scan | ProbeKind::Guess => {}
                     }
                     dead = true; // the NAK killed this QP
                 }
@@ -599,7 +520,7 @@ impl AttackerTask {
     /// Replace a dead QP pair after the polite reconnect delay.
     async fn reconnect(&self, recv_bufs: &[Buffer]) -> Qp {
         self.sim.sleep(RECONNECT_DELAY).await;
-        self.ledger.reconnects.set(self.ledger.reconnects.get() + 1);
+        bump(&self.ledger.reconnects);
         self.connect_qp(recv_bufs)
     }
 
@@ -607,7 +528,7 @@ impl AttackerTask {
     /// (A send that fails in flight errors the QP asynchronously and is
     /// caught at the next `is_error` check.)
     fn fire(&self, qp: &Qp, wire: Bytes, wr: &mut u64) -> bool {
-        self.ledger.probes.set(self.ledger.probes.get() + 1);
+        bump(&self.ledger.probes);
         let w = WrId(*wr);
         *wr += 1;
         qp.post_send(Payload::real(wire), w, false).is_ok()
@@ -624,7 +545,7 @@ impl AttackerTask {
         recv_bufs: &[Buffer],
         wr: &mut u64,
     ) -> Option<Bytes> {
-        self.ledger.probes.set(self.ledger.probes.get() + 1);
+        bump(&self.ledger.probes);
         let w = WrId(*wr);
         *wr += 1;
         qp.post_send(Payload::real(wire), w, true).ok()?;
@@ -679,22 +600,26 @@ fn decode_header_prefix(raw: &Bytes) -> Option<RdmaHeader> {
     RdmaHeader::decode(&mut dec).ok()
 }
 
-/// A well-formed NFS NULL call on the wire.
-fn null_call(cfg: &RpcRdmaConfig, xid: u32) -> Bytes {
-    let call = encode_call(
-        &CallHeader {
-            xid,
-            prog: nfs::NFS_PROGRAM,
-            vers: nfs::NFS_VERSION,
-            proc_num: 0,
-        },
-        &Bytes::new(),
-    );
+/// A well-formed, chunkless NFS call on the wire.
+fn call_wire(cfg: &RpcRdmaConfig, xid: u32, proc_num: u32, args: &Bytes) -> Bytes {
+    let (prog, vers) = (nfs::NFS_PROGRAM, nfs::NFS_VERSION);
+    let header = CallHeader {
+        xid,
+        prog,
+        vers,
+        proc_num,
+    };
+    let call = encode_call(&header, args);
     let hdr = RdmaHeader::new(xid, cfg.credits, MsgType::Msg);
     let mut enc = Encoder::with_capacity(64 + call.len());
     hdr.encode(&mut enc);
     enc.put_raw(&call);
     enc.finish()
+}
+
+/// A well-formed NFS NULL call on the wire.
+fn null_call(cfg: &RpcRdmaConfig, xid: u32) -> Bytes {
+    call_wire(cfg, xid, 0, &Bytes::new())
 }
 
 /// A well-formed NFS READ call (no write chunks: under Read-Read the
@@ -708,20 +633,7 @@ fn read_call(cfg: &RpcRdmaConfig, xid: u32, file: FileHandle, count: u32) -> Byt
         count,
     }
     .encode(&mut args);
-    let call = encode_call(
-        &CallHeader {
-            xid,
-            prog: nfs::NFS_PROGRAM,
-            vers: nfs::NFS_VERSION,
-            proc_num: 6,
-        },
-        &args.finish(),
-    );
-    let hdr = RdmaHeader::new(xid, cfg.credits, MsgType::Msg);
-    let mut enc = Encoder::with_capacity(64 + call.len());
-    hdr.encode(&mut enc);
-    enc.put_raw(&call);
-    enc.finish()
+    call_wire(cfg, xid, 6, &args.finish())
 }
 
 /// The crafted-header arm of the catalog: each decodes cleanly at the

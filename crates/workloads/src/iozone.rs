@@ -53,7 +53,7 @@ impl Default for IozoneParams {
 }
 
 /// Measured results.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IozoneResult {
     /// Aggregate bandwidth over the timed pass, decimal MB/s.
     pub bandwidth_mb: f64,

@@ -10,6 +10,20 @@
 //!   (Figure 8);
 //! * [`multiclient`] — N clients against the RAID-backed server
 //!   (Figure 10).
+//!
+//! Beside them, four harnesses put the same testbeds under faults and
+//! load the paper never applied, all through the one run shape of
+//! [`scenario`] (`run` → [`Run`]: the typed outcome plus fingerprint,
+//! metrics registry, flight ring and spans):
+//!
+//! * [`chaos`] — drops, jitter, forced QP errors and a storage
+//!   power-fail under a verified write/read-back workload;
+//! * [`adversary`] — hostile clients running the attack catalog beside
+//!   honest ones;
+//! * [`failover`] — the replicated two-node cluster ([`cluster`]) under
+//!   a seeded primary kill and rejoin;
+//! * [`openloop`] — open-loop arrival-rate load with per-tenant skew
+//!   (overload, QoS, RFP and the composition floor).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,22 +38,20 @@ pub mod oltp;
 pub mod openloop;
 pub mod profiles;
 pub mod report;
+pub mod scenario;
 pub mod testbed;
 
 pub use adversary::{run_adversary, AdversaryParams, AdversaryResult};
 pub use chaos::{run_chaos, ChaosParams, ChaosResult};
 pub use cluster::{build_cluster, ClusterConfig, ClusterTestbed, ServerNode};
-pub use failover::{
-    run_failover, FailoverParams, FailoverResult, TimelineBucket, TIMELINE_BUCKET_US,
-};
+pub use failover::{run_failover, FailoverParams, FailoverResult};
 pub use iozone::{run_iozone, IoMode, IozoneParams, IozoneResult};
 pub use multiclient::{run_multiclient, McTransport, MultiClientParams, MultiClientResult};
 pub use oltp::{run_oltp, OltpParams, OltpResult};
-pub use openloop::{
-    load_timeline_csv, run_openloop, Arrival, LoadBucket, OpMix, OpenLoopParams, OpenLoopResult,
-};
+pub use openloop::{run_openloop, Arrival, OpMix, OpenLoopParams, OpenLoopResult};
 pub use profiles::{linux_ddr_raid, linux_sdr, solaris_sdr, Profile};
 pub use report::{mb, pct, Table};
+pub use scenario::{Capture, Run, Timeline, TIMELINE_BUCKET_US};
 pub use testbed::{
     build_rdma, build_rdma_custom, build_tcp, Backend, ClientHost, RdmaOpts, Testbed, OS_RESERVE,
 };

@@ -10,9 +10,10 @@
 
 use net_stack::TcpConfig;
 use rpcrdma::{Design, StrategyKind};
-use sim_core::{Payload, Sim, Simulation};
+use sim_core::{Payload, Sim};
 
 use crate::profiles::Profile;
+use crate::scenario::{self, Capture};
 use crate::testbed::{build_rdma, build_tcp, Backend, Testbed};
 
 /// Which transport the clients mount over.
@@ -54,7 +55,7 @@ pub struct MultiClientParams {
 }
 
 /// Result of one run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MultiClientResult {
     /// Aggregate read bandwidth, decimal MB/s.
     pub read_bandwidth_mb: f64,
@@ -70,13 +71,14 @@ pub fn run_multiclient(
     profile: &Profile,
     params: MultiClientParams,
 ) -> MultiClientResult {
-    let mut sim = Simulation::new(seed);
-    let h = sim.handle();
     let profile = *profile;
     let backend = Backend::Raid {
         ram_bytes: params.server_ram,
     };
-    sim.block_on(async move { run_inner(&h, &profile, params, backend).await })
+    let run = scenario::run(seed, Capture::default(), |sim| async move {
+        run_inner(&sim, &profile, params, backend).await
+    });
+    run.out
 }
 
 async fn run_inner(

@@ -42,7 +42,7 @@ impl Default for OltpParams {
 }
 
 /// Measured OLTP results.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OltpResult {
     /// Operations per second (reads + writes + log appends).
     pub ops_per_sec: f64,

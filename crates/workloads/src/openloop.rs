@@ -25,15 +25,15 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use sim_core::{FlightRecord, Payload, Sim, SimDuration, SimRng, SimTime, Simulation};
+use sim_core::{Payload, Sim, SimDuration, SimRng, SimTime};
 
 use ib_verbs::Buffer;
 use nfs::{FileHandle, NfsClient, NfsError};
 use onc_rpc::{RpcError, TransportError};
 use rpcrdma::{Design, RfpConfig, StrategyKind};
 
-use crate::chaos::fingerprint;
 use crate::profiles::Profile;
+use crate::scenario::{self, percentile_us, Capture, Completion, Run, Timeline};
 use crate::testbed::{build_rdma_custom, Backend, RdmaOpts, Testbed};
 
 /// How arrivals are generated.
@@ -197,8 +197,6 @@ pub struct OpenLoopParams {
     pub honest_weight: u32,
     /// Sample the streaming telemetry timeline.
     pub timeline: bool,
-    /// Record a trace and return its FNV-1a fingerprint.
-    pub fingerprint: bool,
     /// The RFP reply-slot fast path on the run's transport config
     /// ([`rpcrdma::RpcRdmaConfig::rfp`]; `None` = off).
     pub rfp: Option<RfpConfig>,
@@ -222,37 +220,24 @@ impl Default for OpenLoopParams {
             hog_weight: 1,
             honest_weight: 1,
             timeline: false,
-            fingerprint: false,
             rfp: None,
         }
     }
 }
 
-/// One bucket of the load-sweep telemetry timeline
-/// ([`crate::TIMELINE_BUCKET_US`] of virtual time each).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LoadBucket {
-    /// Bucket start, virtual µs.
-    pub t_us: u64,
-    /// Ops completing in the bucket.
-    pub completions: u64,
-    /// Goodput over the bucket, MB/s (READ+WRITE payload bytes).
-    pub goodput_mbps: f64,
-    /// 99th-percentile latency of ops completing in the bucket, µs.
-    pub p99_us: u64,
-    /// Ops outstanding (all connections) at the sample point.
-    pub in_flight: u64,
-    /// Server QoS dispatch-queue depth at the sample point.
-    pub queue_depth: u64,
-    /// Cumulative server sheds (arrival + deadline) at the sample
-    /// point.
-    pub server_sheds: u64,
-    /// Cumulative client-side waiting-room sheds at the sample point.
-    pub client_sheds: u64,
-}
+/// Gauge columns of [`OpenLoopResult::timeline`]: ops outstanding on
+/// all connections; server QoS dispatch-queue depth; cumulative server
+/// sheds (arrival + deadline); cumulative client-side waiting-room
+/// sheds.
+const TIMELINE_GAUGES: [&str; 4] = ["in_flight", "queue_depth", "server_sheds", "client_sheds"];
 
-/// What one open-loop run produced.
-#[derive(Clone, Debug, Default)]
+/// What one open-loop run produced. Whole-run server and client
+/// counters are in the run's registry: `server.sheds` (busy replies
+/// sent), `server.qos.shed.deadline` (of those, sheds at dispatch for
+/// missing the sojourn target; registered only with QoS on),
+/// `client.busy_replies` (as clients saw them, retransmit dupes
+/// included), `server.credit_clamps` (charged to hogs).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OpenLoopResult {
     /// Arrivals generated (including ones shed client-side).
     pub offered: u64,
@@ -270,16 +255,8 @@ pub struct OpenLoopResult {
     pub other_errors: u64,
     /// Ops still pending when the grace period expired.
     pub unfinished: u64,
-    /// Server-side sheds (busy replies sent).
-    pub server_sheds: u64,
-    /// Of those, sheds at dispatch for missing the sojourn target.
-    pub deadline_sheds: u64,
-    /// Busy replies observed by clients (includes retransmit dupes).
-    pub busy_replies: u64,
     /// High-water mark of the server QoS queue depth.
     pub qos_peak_depth: u64,
-    /// Credit-grant clamps charged to hogs.
-    pub credit_clamps: u64,
     /// Successful ops per second over the arrival window.
     pub goodput_ops: f64,
     /// READ+WRITE payload MB/s over the arrival window.
@@ -312,15 +289,9 @@ pub struct OpenLoopResult {
     pub rfp_deposits: u64,
     /// RFP-marked calls whose replies fell back to Send.
     pub rfp_fallbacks: u64,
-    /// Telemetry timeline (empty unless [`OpenLoopParams::timeline`]).
-    pub timeline: Vec<LoadBucket>,
-    /// Flight-recorder snapshot (always captured).
-    pub flight: Vec<FlightRecord>,
-    /// Full metrics-registry dump, byte-identical across same-seed
-    /// runs.
-    pub metrics_snapshot: Vec<(String, u64)>,
-    /// FNV-1a trace fingerprint (0 when tracing is off).
-    pub fingerprint: u64,
+    /// Telemetry timeline (no buckets unless
+    /// [`OpenLoopParams::timeline`]).
+    pub timeline: Timeline,
 }
 
 /// Zipf sampler over `n` ranks: precomputed CDF, binary-search draw.
@@ -366,43 +337,29 @@ impl OpMix {
         // shares consume the RNG identically to the pre-metadata code,
         // so existing mixes stay trace-identical.
         let p = rng.gen_range(100) as u32;
-        let mut edge = self.getattr_pct;
-        if p < edge {
-            return Op::Getattr;
+        let shares = [
+            (self.getattr_pct, Op::Getattr),
+            (self.lookup_pct, Op::Lookup),
+            (self.readdir_pct, Op::Readdir),
+            (self.access_pct, Op::Access),
+            (self.read_pct, Op::Read),
+        ];
+        let mut edge = 0;
+        for (pct, op) in shares {
+            edge += pct;
+            if p < edge {
+                return op;
+            }
         }
-        edge += self.lookup_pct;
-        if p < edge {
-            return Op::Lookup;
-        }
-        edge += self.readdir_pct;
-        if p < edge {
-            return Op::Readdir;
-        }
-        edge += self.access_pct;
-        if p < edge {
-            return Op::Access;
-        }
-        if p < edge + self.read_pct {
-            Op::Read
-        } else {
-            Op::Write
-        }
+        Op::Write
     }
-}
-
-/// One completed op.
-#[derive(Clone, Copy)]
-struct OpSample {
-    conn: usize,
-    start: SimTime,
-    end: SimTime,
-    bytes: u64,
 }
 
 /// Shared mutable state between the arrival processes, op tasks, and
 /// the telemetry sampler.
 struct Shared {
-    samples: RefCell<Vec<OpSample>>,
+    /// Every successful op with the connection it ran on.
+    samples: RefCell<Vec<(usize, Completion)>>,
     outstanding: Vec<Cell<u32>>,
     offered: Cell<u64>,
     client_sheds: Cell<u64>,
@@ -439,6 +396,12 @@ struct OpCtx {
     /// One tree per connection; empty unless the mix draws metadata
     /// ops, so non-metadata runs skip the prepopulation entirely.
     meta: Vec<MetaTree>,
+    /// The mix arrivals draw their op from.
+    mix: OpMix,
+    /// When the arrival window closes.
+    t_end: SimTime,
+    /// Per-connection waiting room of the open-loop processes.
+    room: u32,
     shared: Rc<Shared>,
 }
 
@@ -479,12 +442,11 @@ impl OpCtx {
         let o = &self.shared.outstanding[conn];
         o.set(o.get() - 1);
         match r {
-            Ok(bytes) => self.shared.samples.borrow_mut().push(OpSample {
-                conn,
-                start: t0,
-                end: self.sim.now(),
-                bytes,
-            }),
+            Ok(bytes) => {
+                let (start, end) = (t0, self.sim.now());
+                let done = Completion { start, end, bytes };
+                self.shared.samples.borrow_mut().push((conn, done));
+            }
             Err(NfsError::Rpc(RpcError::Transport(TransportError::Overloaded { .. }))) => self
                 .shared
                 .overload_failures
@@ -503,6 +465,51 @@ impl OpCtx {
             ctx.run_op(conn, tenant, op).await;
         });
     }
+
+    /// Spawn one open-loop arrival process: Poisson at `rate` until the
+    /// window closes (silent for `off` after every `on` of `bursts`),
+    /// each arrival sent where `aim` says — a `(connection, tenant)` —
+    /// unless that connection's waiting room is full.
+    fn spawn_arrivals(
+        self: &Rc<Self>,
+        rate: f64,
+        bursts: Option<(SimDuration, SimDuration)>,
+        mut aim: impl FnMut(&mut SimRng) -> (usize, u32) + 'static,
+        done: &sim_core::sync::Semaphore,
+    ) {
+        let (ctx, done, sim) = (self.clone(), done.clone(), self.sim.clone());
+        let mut rng = sim.fork_rng();
+        self.sim.spawn(async move {
+            let (t_end, room, shared) = (ctx.t_end, ctx.room, &ctx.shared);
+            let mut burst_left = bursts.map(|(on, _)| sim.now() + on);
+            while sim.now() < t_end {
+                let gap = rng.gen_exp(1e9 / rate.max(1.0)); // ns
+                sim.sleep(SimDuration::from_nanos((gap as u64).max(1)))
+                    .await;
+                if sim.now() >= t_end {
+                    break;
+                }
+                if let (Some((on, off)), Some(until)) = (bursts, burst_left.as_mut()) {
+                    if sim.now() >= *until {
+                        sim.sleep(off).await;
+                        *until = sim.now() + on;
+                        if sim.now() >= t_end {
+                            break;
+                        }
+                    }
+                }
+                let (conn, tenant) = aim(&mut rng);
+                shared.offered.set(shared.offered.get() + 1);
+                if room > 0 && shared.outstanding[conn].get() >= room {
+                    shared.client_sheds.set(shared.client_sheds.get() + 1);
+                    continue;
+                }
+                shared.outstanding[conn].set(shared.outstanding[conn].get() + 1);
+                ctx.fire(conn, tenant, ctx.mix.draw(&mut rng));
+            }
+            done.add_permits(1);
+        });
+    }
 }
 
 /// Slots each per-connection file is divided into; an op's offset is
@@ -510,20 +517,16 @@ impl OpCtx {
 const FILE_SLOTS: u64 = 128;
 
 /// Run one open-loop scenario inside a fresh simulation.
-pub fn run_openloop(seed: u64, profile: &Profile, params: OpenLoopParams) -> OpenLoopResult {
-    let mut sim = Simulation::new(seed);
-    if params.fingerprint {
-        sim.enable_tracing();
-    }
-    let h = sim.handle();
+pub fn run_openloop(
+    seed: u64,
+    profile: &Profile,
+    params: OpenLoopParams,
+    capture: Capture,
+) -> Run<OpenLoopResult> {
     let profile = *profile;
-    let mut result = sim.block_on(async move { run_inner(&h, &profile, params).await });
-    if params.fingerprint {
-        result.fingerprint = fingerprint(&sim.take_trace());
-    }
-    result.flight = sim.flight_records();
-    result.metrics_snapshot = sim.metrics().snapshot();
-    result
+    scenario::run(seed, capture, |sim| async move {
+        run_inner(&sim, &profile, params).await
+    })
 }
 
 async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> OpenLoopResult {
@@ -649,31 +652,21 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
     let start = sim.now();
     let t_end = start + params.duration;
 
-    // Streaming telemetry sampler (PR-8 pattern: one deterministic
-    // probe per bucket reading shared counters only).
-    let probes = Rc::new(RefCell::new(Vec::<Probe>::new()));
-    if params.timeline {
-        let sim2 = sim.clone();
-        let rpc2 = rpc.clone();
-        let shared2 = shared.clone();
-        let probes2 = probes.clone();
-        sim.spawn(async move {
-            loop {
-                sim2.sleep(SimDuration::from_micros(crate::TIMELINE_BUCKET_US))
-                    .await;
-                if shared2.stop.get() {
-                    break;
-                }
-                probes2.borrow_mut().push(Probe {
-                    at: sim2.now(),
-                    in_flight: shared2.outstanding.iter().map(|c| c.get() as u64).sum(),
-                    queue_depth: rpc2.qos_depth() as u64,
-                    server_sheds: rpc2.stats.sheds.get(),
-                    client_sheds: shared2.client_sheds.get(),
-                });
-            }
-        });
-    }
+    let probes = params.timeline.then(|| {
+        let (stopped, shared, rpc) = (shared.clone(), shared.clone(), rpc.clone());
+        Timeline::sample(
+            sim,
+            move || stopped.stop.get(),
+            move || {
+                vec![
+                    shared.outstanding.iter().map(|c| c.get() as u64).sum(),
+                    rpc.qos_depth() as u64,
+                    rpc.stats.sheds.get(),
+                    shared.client_sheds.get(),
+                ]
+            },
+        )
+    });
 
     let ctx = Rc::new(OpCtx {
         sim: sim.clone(),
@@ -683,6 +676,9 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
         write_bufs,
         io,
         meta,
+        mix: params.mix,
+        t_end,
+        room: params.waiting_room,
         shared: shared.clone(),
     });
 
@@ -701,44 +697,13 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
                 Arrival::Bursty { on, off, .. } => Some((on, off)),
                 _ => None,
             };
-            let zipf = Rc::new(Zipf::new(params.tenants.max(1), params.zipf_theta));
-            let mut rng = sim.fork_rng();
-            let sim2 = sim.clone();
-            let ctx2 = ctx.clone();
-            let (mix, room) = (params.mix, params.waiting_room);
-            let done2 = done.clone();
+            let zipf = Zipf::new(params.tenants.max(1), params.zipf_theta);
+            let aim = move |rng: &mut SimRng| {
+                let tenant = zipf.draw(rng);
+                (honest_conns[tenant as usize % honest_conns.len()], tenant)
+            };
             waited += 1;
-            sim.spawn(async move {
-                let mut burst_left = bursts.map(|(on, _)| sim2.now() + on);
-                while sim2.now() < t_end {
-                    let gap = rng.gen_exp(1e9 / rate.max(1.0)); // ns
-                    sim2.sleep(SimDuration::from_nanos((gap as u64).max(1)))
-                        .await;
-                    if sim2.now() >= t_end {
-                        break;
-                    }
-                    if let (Some((on, off)), Some(until)) = (bursts, burst_left.as_mut()) {
-                        if sim2.now() >= *until {
-                            sim2.sleep(off).await;
-                            *until = sim2.now() + on;
-                            if sim2.now() >= t_end {
-                                break;
-                            }
-                        }
-                    }
-                    let tenant = zipf.draw(&mut rng);
-                    let conn = honest_conns[tenant as usize % honest_conns.len()];
-                    let shared2 = &ctx2.shared;
-                    shared2.offered.set(shared2.offered.get() + 1);
-                    if room > 0 && shared2.outstanding[conn].get() >= room {
-                        shared2.client_sheds.set(shared2.client_sheds.get() + 1);
-                        continue;
-                    }
-                    shared2.outstanding[conn].set(shared2.outstanding[conn].get() + 1);
-                    ctx2.fire(conn, tenant, mix.draw(&mut rng));
-                }
-                done2.add_permits(1);
-            });
+            ctx.spawn_arrivals(rate, bursts, aim, &done);
         }
         Arrival::ClosedLoop { workers } => {
             for conn in 0..params.connections {
@@ -768,31 +733,8 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
 
     // The hog: a second open-loop process aimed only at connection 0.
     if params.hog_rate > 0.0 {
-        let mut rng = sim.fork_rng();
-        let sim2 = sim.clone();
-        let ctx2 = ctx.clone();
-        let (mix, room, rate) = (params.mix, params.waiting_room, params.hog_rate);
-        let done2 = done.clone();
         waited += 1;
-        sim.spawn(async move {
-            while sim2.now() < t_end {
-                let gap = rng.gen_exp(1e9 / rate.max(1.0));
-                sim2.sleep(SimDuration::from_nanos((gap as u64).max(1)))
-                    .await;
-                if sim2.now() >= t_end {
-                    break;
-                }
-                let shared2 = &ctx2.shared;
-                shared2.offered.set(shared2.offered.get() + 1);
-                if room > 0 && shared2.outstanding[0].get() >= room {
-                    shared2.client_sheds.set(shared2.client_sheds.get() + 1);
-                    continue;
-                }
-                shared2.outstanding[0].set(shared2.outstanding[0].get() + 1);
-                ctx2.fire(0, 0, mix.draw(&mut rng));
-            }
-            done2.add_permits(1);
-        });
+        ctx.spawn_arrivals(params.hog_rate, None, |_| (0, 0), &done);
     }
 
     for _ in 0..waited {
@@ -805,48 +747,28 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
     let elapsed = sim.now() - start;
     let unfinished: u64 = shared.outstanding.iter().map(|c| c.get() as u64).sum();
 
-    // Percentiles.
+    // Percentiles: everyone, and the honest and hog populations apart.
     let samples = shared.samples.borrow();
-    let pick = |lat: &[SimDuration], q: f64| -> u64 {
-        if lat.is_empty() {
-            return 0;
-        }
-        let i = ((lat.len() - 1) as f64 * q) as usize;
-        lat[i].as_micros()
-    };
-    let mut all: Vec<SimDuration> = samples.iter().map(|s| s.end - s.start).collect();
-    all.sort();
     let hog_active = params.hog_rate > 0.0 && params.connections > 1;
-    let mut honest: Vec<SimDuration> = samples
-        .iter()
-        .filter(|s| !hog_active || s.conn != 0)
-        .map(|s| s.end - s.start)
-        .collect();
-    honest.sort();
-    let mut hog: Vec<SimDuration> = if hog_active {
-        samples
-            .iter()
-            .filter(|s| s.conn == 0)
-            .map(|s| s.end - s.start)
-            .collect()
-    } else {
-        Vec::new()
+    let sorted_latencies = |of: &dyn Fn(usize) -> bool| {
+        let picked = samples.iter().filter(|(conn, _)| of(*conn));
+        let mut lat: Vec<SimDuration> = picked.map(|(_, c)| c.latency()).collect();
+        lat.sort();
+        lat
     };
-    hog.sort();
+    let all = sorted_latencies(&|_| true);
+    let honest = sorted_latencies(&|conn| !hog_active || conn != 0);
+    let hog = sorted_latencies(&|conn| hog_active && conn == 0);
 
-    let in_window: Vec<&OpSample> = samples.iter().filter(|s| s.end <= t_end).collect();
+    let ops: Vec<Completion> = samples.iter().map(|(_, c)| *c).collect();
+    let in_window: Vec<&Completion> = ops.iter().filter(|c| c.end <= t_end).collect();
     let window_secs = params.duration.as_nanos() as f64 / 1e9;
-    let window_bytes: u64 = in_window.iter().map(|s| s.bytes).sum();
+    let window_bytes: u64 = in_window.iter().map(|c| c.bytes).sum();
 
-    let timeline = if params.timeline {
-        build_load_timeline(&samples, &probes.borrow(), start)
-    } else {
-        Vec::new()
-    };
-
-    let series = |name| sim.metrics().get(name).unwrap_or(0);
-    let busy_replies = series("client.busy_replies");
-    let deadline_sheds = series("server.qos.shed.deadline");
+    let timeline = probes.map_or_else(Timeline::default, |probes| {
+        let probes = probes.borrow();
+        Timeline::build(start, "completions", &ops, &TIMELINE_GAUGES, &probes)
+    });
 
     OpenLoopResult {
         offered: shared.offered.get(),
@@ -856,18 +778,14 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
         overload_failures: shared.overload_failures.get(),
         other_errors: shared.other_errors.get(),
         unfinished,
-        server_sheds: rpc.stats.sheds.get(),
-        deadline_sheds,
-        busy_replies,
         qos_peak_depth: rpc.stats.qos_peak_depth.get(),
-        credit_clamps: rpc.stats.credit_clamps.get(),
         goodput_ops: in_window.len() as f64 / window_secs,
         goodput_mbps: window_bytes as f64 / window_secs / 1e6,
-        p50_us: pick(&all, 0.50),
-        p99_us: pick(&all, 0.99),
+        p50_us: percentile_us(&all, 0.50),
+        p99_us: percentile_us(&all, 0.99),
         max_us: all.last().map_or(0, |d| d.as_micros()),
-        honest_p99_us: pick(&honest, 0.99),
-        hog_p99_us: pick(&hog, 0.99),
+        honest_p99_us: percentile_us(&honest, 0.99),
+        hog_p99_us: percentile_us(&hog, 0.99),
         honest_completed: honest.len() as u64,
         hog_completed: hog.len() as u64,
         elapsed_us: elapsed.as_micros(),
@@ -883,87 +801,5 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
         rfp_deposits: rpc.stats.rfp_deposits.get() - deposits0,
         rfp_fallbacks: rpc.stats.rfp_fallback_sends.get() - fallbacks0,
         timeline,
-        flight: Vec::new(),
-        metrics_snapshot: Vec::new(),
-        fingerprint: 0,
     }
-}
-
-/// One sampler probe of the shared load counters.
-#[derive(Clone, Copy)]
-struct Probe {
-    at: SimTime,
-    in_flight: u64,
-    queue_depth: u64,
-    server_sheds: u64,
-    client_sheds: u64,
-}
-
-/// Merge completion samples and probes into the fixed-width timeline.
-fn build_load_timeline(ops: &[OpSample], probes: &[Probe], start: SimTime) -> Vec<LoadBucket> {
-    let width_us = crate::TIMELINE_BUCKET_US;
-    let end = ops
-        .iter()
-        .map(|s| s.end)
-        .chain(probes.iter().map(|p| p.at))
-        .max()
-        .unwrap_or(start);
-    let n = ((end - start).as_micros() / width_us + 1) as usize;
-    let mut out: Vec<LoadBucket> = (0..n)
-        .map(|i| LoadBucket {
-            t_us: i as u64 * width_us,
-            ..LoadBucket::default()
-        })
-        .collect();
-    let mut lats: Vec<Vec<SimDuration>> = vec![Vec::new(); n];
-    for s in ops {
-        let i = ((s.end - start).as_micros() / width_us) as usize;
-        out[i].completions += 1;
-        out[i].goodput_mbps += s.bytes as f64;
-        lats[i].push(s.end - s.start);
-    }
-    let bucket_secs = width_us as f64 / 1e6;
-    for (b, mut l) in out.iter_mut().zip(lats) {
-        b.goodput_mbps = b.goodput_mbps / bucket_secs / 1e6;
-        l.sort();
-        if !l.is_empty() {
-            b.p99_us = l[(l.len() - 1) * 99 / 100].as_micros();
-        }
-    }
-    let mut pi = 0;
-    let mut last: Option<Probe> = None;
-    for (i, b) in out.iter_mut().enumerate() {
-        while pi < probes.len() && ((probes[pi].at - start).as_micros() / width_us) as usize <= i {
-            last = Some(probes[pi]);
-            pi += 1;
-        }
-        if let Some(p) = last {
-            b.in_flight = p.in_flight;
-            b.queue_depth = p.queue_depth;
-            b.server_sheds = p.server_sheds;
-            b.client_sheds = p.client_sheds;
-        }
-    }
-    out
-}
-
-/// Render the timeline as CSV (forensics artifact).
-pub fn load_timeline_csv(tl: &[LoadBucket]) -> String {
-    let mut s = String::from(
-        "t_us,completions,goodput_mbps,p99_us,in_flight,queue_depth,server_sheds,client_sheds\n",
-    );
-    for b in tl {
-        s.push_str(&format!(
-            "{},{},{:.2},{},{},{},{},{}\n",
-            b.t_us,
-            b.completions,
-            b.goodput_mbps,
-            b.p99_us,
-            b.in_flight,
-            b.queue_depth,
-            b.server_sheds,
-            b.client_sheds
-        ));
-    }
-    s
 }

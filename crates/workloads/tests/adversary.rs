@@ -6,7 +6,7 @@
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::SimDuration;
-use workloads::{linux_sdr, run_adversary, AdversaryParams};
+use workloads::{linux_sdr, run_adversary, AdversaryParams, Capture};
 
 fn base() -> AdversaryParams {
     AdversaryParams {
@@ -30,32 +30,35 @@ fn attack_catalog_survived_with_bounded_damage_both_designs() {
                 attackers: 0,
                 ..params
             },
+            Capture::default(),
         );
-        let attacked = run_adversary(3, &profile, params);
+        let attacked = run_adversary(3, &profile, params, Capture::default());
 
         assert_eq!(attacked.corrupt_records, 0, "{design:?}: corrupted data");
         assert!(
-            attacked.violations > 0,
+            attacked.metric("server.violations.total") > 0,
             "{design:?}: catalog never tripped the sanitizer"
         );
         assert!(
-            attacked.quarantines > 0,
+            attacked.metric("server.quarantines") > 0,
             "{design:?}: no attacker QP quarantined"
         );
         assert!(
-            attacked.credit_clamps > 0,
+            attacked.metric("server.credit_clamps") > 0,
             "{design:?}: admission control never clamped"
         );
         assert!(
-            attacked.drc_replays > 0,
+            attacked.metric("server.drc.replays") > 0,
             "{design:?}: XID replay not absorbed by the DRC"
         );
         assert_eq!(
-            baseline.violations, 0,
+            baseline.metric("server.violations.total"),
+            0,
             "{design:?}: honest clients charged with violations"
         );
         assert_eq!(
-            baseline.quarantines, 0,
+            baseline.metric("server.quarantines"),
+            0,
             "{design:?}: honest clients quarantined"
         );
 
@@ -83,10 +86,12 @@ fn exposure_ttl_reaper_revokes_withheld_done_exposures() {
         strategy: StrategyKind::Dynamic,
         ..base()
     };
-    let r = run_adversary(5, &profile, params);
-    assert!(r.exposures_revoked > 0, "reaper never fired");
+    let r = run_adversary(5, &profile, params, Capture::default());
+    let revoked = r.metric("server.exposures.revoked");
+    assert!(revoked > 0, "reaper never fired");
     assert_eq!(
-        r.tpt_revocations, r.exposures_revoked,
+        r.metric("tpt.revocations"),
+        revoked,
         "revocations not accounted in the TPT ledger"
     );
     assert_eq!(
@@ -99,7 +104,7 @@ fn exposure_ttl_reaper_revokes_withheld_done_exposures() {
         "no stale probe was ever attempted"
     );
     assert!(
-        r.tpt_violations > 0,
+        r.metric("tpt.violations") > 0,
         "refused probes not counted by the TPT"
     );
 }
@@ -119,6 +124,7 @@ fn without_ttl_read_read_leaks_and_read_write_does_not() {
             exposure_ttl: SimDuration::ZERO,
             ..base()
         },
+        Capture::default(),
     );
     // Quarantine teardowns still revoke, but exposures on connections
     // that just went quiet are pinned forever — and their steering
@@ -137,6 +143,7 @@ fn without_ttl_read_read_leaks_and_read_write_does_not() {
             exposure_ttl: SimDuration::ZERO,
             ..base()
         },
+        Capture::default(),
     );
     assert_eq!(rw.stale_reads_ok, 0, "Read-Write leaked a steering tag");
     assert_eq!(rw.exposures_pending, 0, "Read-Write pinned server buffers");
@@ -148,13 +155,13 @@ fn adversary_runs_are_deterministic() {
     let profile = linux_sdr();
     let params = AdversaryParams {
         design: Design::ReadRead,
-        fingerprint: true,
         ..base()
     };
-    let a = run_adversary(21, &profile, params);
-    let b = run_adversary(21, &profile, params);
+    let a = run_adversary(21, &profile, params, Capture::FINGERPRINT);
+    let b = run_adversary(21, &profile, params, Capture::FINGERPRINT);
     assert_eq!(a.fingerprint, b.fingerprint, "trace fingerprints diverge");
-    assert_eq!(a.metrics_snapshot, b.metrics_snapshot, "metrics diverge");
+    assert_eq!(a.metrics, b.metrics, "metrics diverge");
+    assert_eq!(a, b);
     assert!(a.fingerprint != 0);
 }
 
@@ -178,12 +185,14 @@ fn all_registration_strategies_survive_the_catalog() {
                     attack_rounds: 3,
                     ..base()
                 },
+                Capture::default(),
             );
             assert_eq!(
                 r.corrupt_records, 0,
                 "{design:?}/{strategy:?}: corrupted data"
             );
-            assert!(r.violations > 0, "{design:?}/{strategy:?}: sanitizer idle");
+            let violations = r.metric("server.violations.total");
+            assert!(violations > 0, "{design:?}/{strategy:?}: sanitizer idle");
             // With the TTL armed no aged tag works anywhere — even
             // all-physical revokes the scratch buffer behind it. But
             // the all-physical *global* rkey captured from any exposure

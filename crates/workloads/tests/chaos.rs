@@ -4,7 +4,7 @@
 
 use rpcrdma::Design;
 use sim_core::SimDuration;
-use workloads::{linux_sdr, run_chaos, Backend, ChaosParams};
+use workloads::{linux_sdr, run_chaos, Backend, Capture, ChaosParams};
 
 fn base() -> ChaosParams {
     ChaosParams {
@@ -24,7 +24,7 @@ fn one_percent_drop_completes_with_zero_corruption_both_designs() {
             qp_errors: 1,
             ..base()
         };
-        let r = run_chaos(7, &profile, params);
+        let r = run_chaos(7, &profile, params, Capture::FINGERPRINT);
         assert_eq!(r.corrupt_records, 0, "{design:?}: corrupted data");
         // Exactly-once: every record applied once despite retransmits.
         assert_eq!(
@@ -33,7 +33,7 @@ fn one_percent_drop_completes_with_zero_corruption_both_designs() {
             "{design:?}: lost or double-applied WRITE"
         );
         assert!(
-            r.reconnects >= 1,
+            r.metric("client.reconnects") >= 1,
             "{design:?}: forced QP error not recovered"
         );
     }
@@ -51,10 +51,10 @@ fn heavy_drop_forces_recovery_machinery_and_still_no_corruption() {
         qp_errors: 2,
         ..base()
     };
-    let r = run_chaos(11, &profile, params);
-    assert!(r.drops > 0, "fault layer never fired");
-    assert!(r.timeouts > 0, "no reply timeout at 5% drop");
-    assert!(r.rpc_retransmits > 0, "no RPC retransmission at 5% drop");
+    let r = run_chaos(11, &profile, params, Capture::FINGERPRINT);
+    assert!(r.metric("fabric.*.dropped") > 0, "fault layer never fired");
+    assert!(r.metric("client.timeouts") > 0, "no reply timeout");
+    assert!(r.metric("client.retransmits") > 0, "no RPC retransmission");
     assert_eq!(r.corrupt_records, 0);
     assert_eq!(
         r.fs_writes,
@@ -70,18 +70,16 @@ fn same_seed_replays_identically() {
         qp_errors: 1,
         ..base()
     };
-    let a = run_chaos(42, &profile, params);
-    let b = run_chaos(42, &profile, params);
+    let a = run_chaos(42, &profile, params, Capture::FINGERPRINT);
+    let b = run_chaos(42, &profile, params, Capture::FINGERPRINT);
     assert_eq!(
         a.fingerprint, b.fingerprint,
         "trace diverged across replays"
     );
-    assert_eq!(a.drops, b.drops);
-    assert_eq!(a.rpc_retransmits, b.rpc_retransmits);
-    assert_eq!(a.server_ops, b.server_ops);
+    assert_eq!(a, b, "outcome, registry or flight ring diverged");
     // A different seed takes a different path (sanity that the
     // fingerprint actually discriminates).
-    let c = run_chaos(43, &profile, params);
+    let c = run_chaos(43, &profile, params, Capture::FINGERPRINT);
     assert_ne!(a.fingerprint, c.fingerprint);
 }
 
@@ -93,32 +91,22 @@ fn metrics_registry_snapshot_is_deterministic_across_replays() {
         qp_errors: 1,
         ..base()
     };
-    let a = run_chaos(21, &profile, params);
-    let b = run_chaos(21, &profile, params);
-    assert!(
-        !a.metrics_snapshot.is_empty(),
-        "registry never saw a counter"
-    );
+    let a = run_chaos(21, &profile, params, Capture::FINGERPRINT);
+    let b = run_chaos(21, &profile, params, Capture::FINGERPRINT);
+    assert!(!a.metrics.is_empty(), "registry never saw a counter");
     assert_eq!(
-        a.metrics_snapshot, b.metrics_snapshot,
+        a.metrics, b.metrics,
         "metrics diverged across same-seed replays"
     );
-    // The registry's totals back the result's summary fields.
-    let get = |name: &str| {
-        a.metrics_snapshot
-            .iter()
-            .filter(|(k, _)| k.starts_with("fabric.") && k.ends_with(name))
-            .map(|(_, v)| v)
-            .sum::<u64>()
-    };
-    assert_eq!(get(".dropped"), a.drops);
-    assert_eq!(get(".retransmits"), a.link_retransmits);
-    // Core series all registered.
-    for series in ["executor.polls", "server.drc.hits"] {
-        assert!(
-            a.metrics_snapshot.iter().any(|(k, _)| k == series),
-            "missing {series}"
-        );
+    assert_eq!(a, b);
+    // A wildcard totals the per-port series it selects.
+    let ports = a.metrics.iter().filter(|(k, _)| k.ends_with(".dropped"));
+    let dropped: u64 = ports.map(|(_, v)| v).sum();
+    assert!(dropped > 0, "3% drop never fired");
+    assert_eq!(a.metric("fabric.*.dropped"), dropped);
+    // Core series all registered (`metric` panics on a missing one).
+    for series in ["executor.polls", "server.drc.hits", "fabric.*.retransmits"] {
+        a.metric(series);
     }
 }
 
@@ -139,7 +127,7 @@ fn server_power_failure_mid_unstable_burst_re_drives_cleanly() {
         server_crash_at: Some(SimDuration::from_micros(400)),
         ..base()
     };
-    let r = run_chaos(13, &profile, params);
+    let r = run_chaos(13, &profile, params, Capture::FINGERPRINT);
     assert_eq!(r.corrupt_records, 0, "crash+re-drive corrupted data");
     assert!(
         r.verf_mismatches >= params.clients as u64,
@@ -159,13 +147,12 @@ fn server_power_failure_mid_unstable_burst_re_drives_cleanly() {
         "the final COMMIT must land a WAL commit marker"
     );
     // Crash scenarios replay bit-for-bit like everything else.
-    let b = run_chaos(13, &profile, params);
+    let b = run_chaos(13, &profile, params, Capture::FINGERPRINT);
     assert_eq!(
         r.fingerprint, b.fingerprint,
         "crash run is not deterministic"
     );
-    assert_eq!(r.redriven_writes, b.redriven_writes);
-    assert_eq!(r.metrics_snapshot, b.metrics_snapshot);
+    assert_eq!(r, b);
 }
 
 #[test]
@@ -182,8 +169,9 @@ fn qp_error_alone_recovers_without_data_loss() {
             qp_errors: 1,
             ..base()
         };
-        let r = run_chaos(5, &profile, params);
-        assert!(r.reconnects >= 1, "{design:?}: no recovery happened");
+        let r = run_chaos(5, &profile, params, Capture::FINGERPRINT);
+        let reconnects = r.metric("client.reconnects");
+        assert!(reconnects >= 1, "{design:?}: no recovery happened");
         assert_eq!(r.corrupt_records, 0, "{design:?}");
         assert_eq!(
             r.fs_writes,

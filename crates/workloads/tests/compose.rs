@@ -5,17 +5,31 @@
 //! under both designs and two mix/registration pairings, and each run
 //! must look like a healthy one: every offered op completes, and no
 //! client ever times out, reconnects, or has an RDMA access refused.
-//! Fault families on top of this floor are `bench --bin chaos` and
-//! friends; this file only asks that turning things on together breaks
-//! nothing. `wide_matrix` is the same floor over every registration
-//! strategy and a third mix (EXPERIMENTS.md, "Composition floor").
+//! `wide_matrix` is the same floor over every registration strategy and
+//! a third mix. The second half puts the same subsets under the chaos
+//! harness's fault families — drops, forced QP errors, a storage
+//! power-fail — and asks for what must survive them: no corruption,
+//! exactly-once WRITEs, and a same-seed rerun equal as a whole run
+//! (`fault_floor` gated, `fault_matrix` the 640-point form;
+//! EXPERIMENTS.md, "Composition floor").
 
 use rpcrdma::{Design, RfpConfig, StrategyKind};
 use sim_core::SimDuration;
-use workloads::{linux_sdr, run_openloop, Arrival, OpMix, OpenLoopParams, OpenLoopResult};
+use workloads::{
+    linux_sdr, run_chaos, run_openloop, Arrival, Backend, Capture, ChaosParams, OpMix,
+    OpenLoopParams, OpenLoopResult, Profile, Run,
+};
 
-/// One point of the matrix: bit `i` of `subset` turns extension `i` on.
-fn run(subset: u32, design: Design, mix: OpMix, strategy: StrategyKind) -> OpenLoopResult {
+const STRATEGIES: [StrategyKind; 4] = [
+    StrategyKind::Dynamic,
+    StrategyKind::Fmr,
+    StrategyKind::Cache,
+    StrategyKind::AllPhysical,
+];
+
+/// Bit `i` of `subset` turns extension `i` on: doorbell batch 4,
+/// `exposure_ttl` 5 ms, QoS, RFP.
+fn extensions(subset: u32) -> Profile {
     let on = |bit: u32| subset & (1 << bit) != 0;
     let mut profile = linux_sdr();
     if on(0) {
@@ -24,6 +38,14 @@ fn run(subset: u32, design: Design, mix: OpMix, strategy: StrategyKind) -> OpenL
     if on(1) {
         profile.rpc.exposure_ttl = SimDuration::from_millis(5);
     }
+    profile.rpc.qos_enabled = on(2);
+    profile.rpc.rfp = on(3).then(RfpConfig::default);
+    profile
+}
+
+/// One point of the fault-free matrix.
+fn run(subset: u32, design: Design, mix: OpMix, strategy: StrategyKind) -> Run<OpenLoopResult> {
+    let profile = extensions(subset);
     run_openloop(
         7,
         &profile,
@@ -35,10 +57,11 @@ fn run(subset: u32, design: Design, mix: OpMix, strategy: StrategyKind) -> OpenL
             mix,
             duration: SimDuration::from_millis(50),
             grace: SimDuration::from_secs(2),
-            qos: on(2),
-            rfp: on(3).then(RfpConfig::default),
+            qos: profile.rpc.qos_enabled,
+            rfp: profile.rpc.rfp,
             ..OpenLoopParams::default()
         },
+        Capture::default(),
     )
 }
 
@@ -48,15 +71,11 @@ fn unhealthy_subsets(design: Design, mix: OpMix, strategy: StrategyKind) -> Vec<
     let mut unhealthy = Vec::new();
     for subset in 0..16 {
         let r = run(subset, design, mix, strategy);
-        let metric = |name: &str| {
-            let found = r.metrics_snapshot.iter().find(|(k, _)| k == name);
-            found.map_or(0, |(_, v)| *v)
-        };
         assert!(r.offered > 0, "nothing offered");
         let lost = r.offered - r.completed;
         let errors = r.overload_failures + r.other_errors + r.unfinished + r.client_sheds;
-        let (timeouts, reconnects) = (metric("client.timeouts"), metric("client.reconnects"));
-        let refused = metric("tpt.violations");
+        let (timeouts, reconnects) = (r.metric("client.timeouts"), r.metric("client.reconnects"));
+        let refused = r.metric("tpt.violations");
         if lost + errors + timeouts + reconnects + refused != 0 {
             unhealthy.push(format!(
                 "{design:?}/{strategy:?} rfp|qos|ttl|batch = {subset:04b}: {lost} ops lost, \
@@ -77,11 +96,7 @@ fn every_subset_runs_clean(design: Design, mix: OpMix, strategy: StrategyKind) {
         run(15, design, mix, strategy),
         run(15, design, mix, strategy),
     );
-    assert_eq!(a.metrics_snapshot, b.metrics_snapshot);
-    assert_eq!(
-        (a.p50_us, a.p99_us, a.max_us),
-        (b.p50_us, b.p99_us, b.max_us)
-    );
+    assert_eq!(a, b);
 }
 
 #[test]
@@ -110,11 +125,10 @@ fn read_read_metadata_cache() {
 #[test]
 #[ignore = "384 runs; the four tests above are the gated slice of it"]
 fn wide_matrix() {
-    use StrategyKind::{AllPhysical, Cache, Dynamic, Fmr};
     let mut unhealthy = Vec::new();
     for design in [Design::ReadRead, Design::ReadWrite] {
         for mix in [OpMix::oltp(), OpMix::metadata(), OpMix::varmail()] {
-            for strategy in [Dynamic, Fmr, Cache, AllPhysical] {
+            for strategy in STRATEGIES {
                 unhealthy.extend(unhealthy_subsets(design, mix, strategy));
             }
         }
@@ -124,4 +138,147 @@ fn wide_matrix() {
         "{} of 384: {unhealthy:#?}",
         unhealthy.len()
     );
+}
+
+/// One fault family of the chaos harness, at one record size.
+#[derive(Clone, Copy, Debug)]
+struct Faults {
+    record: u64,
+    drop: f64,
+    qp_errors: u32,
+    /// Power-fail the server's storage (a WAL back end) at 400 µs.
+    power_fail: bool,
+}
+
+const fn faults(record: u64, drop: f64, qp_errors: u32) -> Faults {
+    Faults {
+        record,
+        drop,
+        qp_errors,
+        power_fail: false,
+    }
+}
+
+const POWER_FAIL: Faults = Faults {
+    power_fail: true,
+    ..faults(8 << 10, 0.01, 0)
+};
+
+/// The gated shapes, then the rest of the matrix's five.
+const SHAPES: [Faults; 5] = [
+    faults(8 << 10, 0.05, 2),
+    POWER_FAIL,
+    faults(1 << 10, 0.01, 1),
+    faults(64 << 10, 0.01, 1),
+    faults(64 << 10, 0.05, 2),
+];
+
+const RECORDS: u64 = 3 * 12;
+
+/// RFP and the exposure TTL both on: the fault-only seam of DESIGN.md
+/// §16, held to the lighter predicate everywhere but in
+/// `rfp_ttl_under_faults_never_refuses_an_honest_fetch`.
+fn rfp_with_ttl(subset: u32) -> bool {
+    subset & 0b1010 == 0b1010
+}
+
+/// One point under faults, run twice on seed 7. `None` if it held:
+/// nothing corrupt, every WRITE applied exactly once (plus the ones a
+/// power-fail made the clients re-drive), the rerun equal as a whole
+/// run — and, with `honest_fetches`, no RDMA access of these honest
+/// clients refused and no reconnect beyond the forced QP errors.
+fn broken_under_faults(
+    subset: u32,
+    design: Design,
+    strategy: StrategyKind,
+    f: Faults,
+    honest_fetches: bool,
+) -> Option<String> {
+    let params = ChaosParams {
+        design,
+        strategy,
+        clients: 3,
+        records_per_client: RECORDS / 3,
+        record: f.record,
+        drop_probability: f.drop,
+        qp_errors: f.qp_errors,
+        ..ChaosParams::default()
+    };
+    let params = match f.power_fail {
+        true => ChaosParams {
+            backend: Backend::WalRaid { ram_bytes: 1 << 30 },
+            server_crash_at: Some(SimDuration::from_micros(400)),
+            ..params
+        },
+        false => params,
+    };
+    let run = || run_chaos(7, &extensions(subset), params, Capture::FINGERPRINT);
+    let (r, rerun) = (run(), run());
+    let mut wrong = Vec::new();
+    if r.corrupt_records != 0 {
+        wrong.push(format!("{} corrupt records", r.corrupt_records));
+    }
+    if r.fs_writes != RECORDS + r.redriven_writes || (r.redriven_writes != 0 && !f.power_fail) {
+        let (applied, redriven) = (r.fs_writes, r.redriven_writes);
+        wrong.push(format!("{applied} WRITEs applied, {redriven} re-driven"));
+    }
+    if r != rerun {
+        let (a, b) = (r.fingerprint, rerun.fingerprint);
+        wrong.push(format!("same seed, different run ({a:#x} vs {b:#x})"));
+    }
+    let (refused, reconnects) = (r.metric("tpt.violations"), r.metric("client.reconnects"));
+    if honest_fetches && (refused != 0 || reconnects > f.qp_errors as u64) {
+        wrong.push(format!(
+            "{refused} accesses refused, {reconnects} reconnects"
+        ));
+    }
+    let what = wrong.join("; ");
+    (!wrong.is_empty())
+        .then(|| format!("{design:?}/{strategy:?} rfp|qos|ttl|batch = {subset:04b} {f:?}: {what}"))
+}
+
+/// Every subset × both designs over `strategies` × `shapes`, the
+/// RFP × TTL points excused from the honest-fetch half — or, `pinned`,
+/// only those points, held to all of it.
+fn broken_points(strategies: &[StrategyKind], shapes: &[Faults], pinned: bool) -> Vec<String> {
+    let mut broken = Vec::new();
+    for subset in (0..16).filter(|&s| !pinned || rfp_with_ttl(s)) {
+        for design in [Design::ReadRead, Design::ReadWrite] {
+            for &strategy in strategies {
+                for &f in shapes {
+                    let honest = pinned || !rfp_with_ttl(subset);
+                    broken.extend(broken_under_faults(subset, design, strategy, f, honest));
+                }
+            }
+        }
+    }
+    broken
+}
+
+#[test]
+fn fault_floor() {
+    let broken = broken_points(&STRATEGIES[..1], &SHAPES[..2], false);
+    assert!(broken.is_empty(), "{} of 64: {broken:#?}", broken.len());
+}
+
+/// 16 subsets x 2 designs x 4 strategies x 5 shapes = 640 points, each
+/// run twice: `cargo test --release -p workloads --test compose --
+/// --ignored fault_matrix`.
+#[test]
+#[ignore = "1280 runs; fault_floor is the gated slice of it"]
+fn fault_matrix() {
+    let broken = broken_points(&STRATEGIES, &SHAPES, false);
+    assert!(broken.is_empty(), "{} of 640: {broken:#?}", broken.len());
+}
+
+/// The 160 points the two tests above excuse, held to the whole
+/// predicate. An honest client's RDMA fetch from its reply-slot ring is
+/// refused (each refusal a QP error and a reconnect) because the
+/// server's idle clock for the ring runs behind the client's on three
+/// paths, written up in DESIGN.md §16.
+#[test]
+#[ignore = "known defect, 74 of 160 on seed 7 — see DESIGN.md §16"]
+fn rfp_ttl_under_faults_never_refuses_an_honest_fetch() {
+    let broken = broken_points(&STRATEGIES, &SHAPES, true);
+    assert!(broken.is_empty(), "{} of 160: {broken:#?}", broken.len());
 }

@@ -3,7 +3,7 @@
 //! node, and replays identically under the same seed.
 
 use sim_core::SimDuration;
-use workloads::{linux_sdr, run_failover, FailoverParams};
+use workloads::{linux_sdr, run_failover, Capture, FailoverParams};
 
 fn base() -> FailoverParams {
     FailoverParams::default()
@@ -11,7 +11,7 @@ fn base() -> FailoverParams {
 
 #[test]
 fn replicated_steady_state_ships_everything() {
-    let r = run_failover(11, &linux_sdr(), base());
+    let r = run_failover(11, &linux_sdr(), base(), Capture::FINGERPRINT);
     assert_eq!(
         r.corrupt_records, 0,
         "read-back must match what was written"
@@ -30,7 +30,7 @@ fn replicated_steady_state_ships_everything() {
 fn overhead_baseline_runs_without_replication() {
     let mut p = base();
     p.cluster.replicate = false;
-    let r = run_failover(11, &linux_sdr(), p);
+    let r = run_failover(11, &linux_sdr(), p, Capture::FINGERPRINT);
     assert_eq!(r.corrupt_records, 0);
     assert_eq!(r.shipped_records, 0);
     assert_eq!(r.log_len, 0);
@@ -41,12 +41,12 @@ fn overhead_baseline_runs_without_replication() {
 fn mid_burst_kill_fails_over_without_corruption() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(23, &linux_sdr(), p);
+    let r = run_failover(23, &linux_sdr(), p, Capture::FINGERPRINT);
     assert!(r.promoted, "backup must promote after the kill");
     assert_eq!(r.corrupt_records, 0, "zero corruption across failover");
     assert!(r.failover_us > 0);
     assert!(
-        r.fs_writes[0] + r.redriven_writes + r.drc_replays > 0,
+        r.fs_writes[0] + r.redriven_writes + r.metric("server.drc.replays") > 0,
         "the cluster must have made progress through the kill"
     );
 }
@@ -61,18 +61,19 @@ fn retransmitted_write_across_promotion_replays_from_drc() {
     let mut p = base();
     p.drop_probability = 0.05;
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(3, &linux_sdr(), p);
+    let r = run_failover(3, &linux_sdr(), p, Capture::FINGERPRINT);
     assert!(r.promoted);
     assert_eq!(
         r.corrupt_records, 0,
         "replay must preserve exactly-once contents"
     );
+    let cross_epoch = r.metric("server.drc.cross_epoch_replays");
     assert!(
-        r.cross_epoch_replays >= 1,
+        cross_epoch >= 1,
         "at least one retransmission must hit the replicated DRC window"
     );
     assert!(
-        r.drc_replays >= r.cross_epoch_replays,
+        r.metric("server.drc.replays") >= cross_epoch,
         "cross-epoch hits are a subset of all DRC replays"
     );
 }
@@ -81,10 +82,11 @@ fn retransmitted_write_across_promotion_replays_from_drc() {
 fn same_seed_failover_replays_bit_for_bit() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let a = run_failover(42, &linux_sdr(), p);
-    let b = run_failover(42, &linux_sdr(), p);
+    let a = run_failover(42, &linux_sdr(), p, Capture::FINGERPRINT);
+    let b = run_failover(42, &linux_sdr(), p, Capture::FINGERPRINT);
     assert_eq!(a.fingerprint, b.fingerprint, "trace fingerprints diverged");
-    assert_eq!(a.metrics_snapshot, b.metrics_snapshot);
+    assert_eq!(a.metrics, b.metrics);
+    assert_eq!(a, b);
     assert_eq!(a.corrupt_records, 0);
 }
 
@@ -95,10 +97,13 @@ fn same_seed_failover_replays_bit_for_bit() {
 fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    p.span_trace = true;
     p.timeline = true;
-    let a = run_failover(42, &linux_sdr(), p);
-    let b = run_failover(42, &linux_sdr(), p);
+    let everything = Capture {
+        fingerprint: true,
+        spans: true,
+    };
+    let a = run_failover(42, &linux_sdr(), p, everything);
+    let b = run_failover(42, &linux_sdr(), p, everything);
 
     // Every exported artifact is byte-identical across same-seed runs
     // with tracing on.
@@ -109,17 +114,13 @@ fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
         sim_core::chrome_trace_json(&b.spans),
         "span exports diverged"
     );
-    assert_eq!(
-        format!("{:?}", a.timeline),
-        format!("{:?}", b.timeline),
-        "timelines diverged"
-    );
+    assert_eq!(a.timeline, b.timeline, "timelines diverged");
     assert_eq!(
         sim_core::format_flight(&a.flight),
         sim_core::format_flight(&b.flight),
         "flight recordings diverged"
     );
-    assert_eq!(a.metrics_snapshot, b.metrics_snapshot);
+    assert_eq!(a, b);
 
     // One trace id collects spans from all three roles: the client's
     // call, the (possibly promoted) server's op, and the backup apply.
@@ -145,7 +146,7 @@ fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
     // timeline saw the stall window.
     assert!(a.flight.iter().any(|f| f.event == "promoted"));
     assert!(a.flight.iter().any(|f| f.event == "kill_primary"));
-    assert!(!a.timeline.is_empty());
+    assert!(!a.timeline.buckets.is_empty());
     assert!(a.promoted_at_us > a.killed_at_us && a.killed_at_us > 0);
 }
 
@@ -155,9 +156,9 @@ fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
 fn untraced_failover_exports_nothing_but_flight_records() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(23, &linux_sdr(), p);
+    let r = run_failover(23, &linux_sdr(), p, Capture::FINGERPRINT);
     assert!(r.spans.is_empty());
-    assert!(r.timeline.is_empty());
+    assert!(r.timeline.buckets.is_empty());
     assert!(r.flight.iter().any(|f| f.event == "promoted"));
 }
 
@@ -167,7 +168,7 @@ fn killed_node_rejoins_and_resyncs() {
     p.records_per_client = 48;
     p.kill_at = Some(SimDuration::from_millis(2));
     p.rejoin_after = Some(SimDuration::from_millis(1));
-    let r = run_failover(31, &linux_sdr(), p);
+    let r = run_failover(31, &linux_sdr(), p, Capture::FINGERPRINT);
     assert!(r.promoted);
     assert_eq!(r.corrupt_records, 0);
     assert!(

@@ -212,14 +212,15 @@ fn adversary_alongside_honest() {
                 attack_rounds: 4,
                 ..workloads::AdversaryParams::default()
             },
+            workloads::Capture::default(),
         );
         println!(
             "  {:<10} {:>5.1} MB/s {:>8} {:>11} {:>11} {:>9} {:>8}",
             format!("{design:?}"),
             r.goodput_mb_s,
-            r.violations,
-            r.quarantines,
-            r.exposures_revoked,
+            r.metric("server.violations.total"),
+            r.metric("server.quarantines"),
+            r.metric("server.exposures.revoked"),
             r.stale_reads_ok,
             r.corrupt_records,
         );

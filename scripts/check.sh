@@ -9,6 +9,15 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every artifact a leg must leave behind, non-empty. (That the JSON ones
+# parse is checked where they are written: `BenchJson::render` and the
+# trace exporters run `sim_core::trace::validate_json` first.)
+need() {
+    for f in "$@"; do
+        [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
+    done
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -20,6 +29,8 @@ if [ "${SKIP_TESTS:-0}" != "1" ]; then
     cargo build --release
     echo "==> cargo test -q"
     cargo test -q
+    echo "==> compose --ignored wide_matrix fault_matrix (the release-only composition matrices: 384 fault-free runs, 640 points under faults each run twice; named, so the pinned known-defect test stays out)"
+    cargo test -q --release -p workloads --test compose -- --ignored wide_matrix fault_matrix
 fi
 
 echo "==> simperf --smoke (disabled-tracing hot-path gate + span-tracing overhead gate <=10%)"
@@ -36,12 +47,7 @@ cargo run --release -p bench --bin ablation -- --inline --smoke
 
 echo "==> ablation --rfp --smoke (reply-slot gate: metadata p50 at or below Send baseline, server sends/op ~0 and doorbells/op 0 in RFP mode, same-seed determinism)"
 cargo run --release -p bench --bin ablation -- --rfp --smoke
-for f in results/BENCH_rfp.json; do
-    [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
-done
-if command -v python3 >/dev/null 2>&1; then
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" results/BENCH_rfp.json
-fi
+need results/BENCH_rfp.json
 
 echo "==> chaos --smoke (fault sweep + crash-matrix gate: power-fail mid-burst, WAL replay, re-drive, zero corruption)"
 cargo run --release -p bench --bin chaos -- --smoke
@@ -54,37 +60,18 @@ cargo run --release -p bench --bin chaos -- --failover --smoke
 # The observability leg of the failover gate exports the cluster-wide
 # causal trace and the promotion timeline; make sure they landed and
 # the trace carries Perfetto flow events (client -> primary -> backup).
-for f in results/trace_failover_cluster.json results/timeline_failover.csv results/BENCH_failover.json; do
-    [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
-done
-if command -v python3 >/dev/null 2>&1; then
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" results/trace_failover_cluster.json
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" results/BENCH_failover.json
-fi
+need results/trace_failover_cluster.json results/timeline_failover.csv results/BENCH_failover.json
 grep -q '"ph":"s"' results/trace_failover_cluster.json || {
     echo "trace_failover_cluster.json has no flow events" >&2; exit 1; }
 echo "    results/trace_failover_cluster.json ok (flow events present)"
 
 echo "==> loadcurve --smoke (open-loop overload gate: p99 bounded past saturation, goodput plateau, collapse demonstrated with shedding off, 1-hog fairness, same-seed determinism)"
 cargo run --release -p bench --bin loadcurve -- --smoke
-for f in results/loadcurve.csv results/BENCH_loadcurve.json; do
-    [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
-done
-if command -v python3 >/dev/null 2>&1; then
-    python3 -c "import json,sys; json.load(open(sys.argv[1]))" results/BENCH_loadcurve.json
-fi
+need results/loadcurve.csv results/BENCH_loadcurve.json
 
 echo "==> fig5 --anatomy (traced-workload smoke + trace JSON validation)"
 cargo run --release -p bench --bin fig5 -- --anatomy >/dev/null
-for f in results/trace_fig5_rr.json results/trace_fig5_rw.json; do
-    [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
-    # The binary self-validates with sim_core::trace::validate_json
-    # before writing; double-check with python's parser when present.
-    if command -v python3 >/dev/null 2>&1; then
-        python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$f"
-    fi
-    echo "    $f ok"
-done
+need results/trace_fig5_rr.json results/trace_fig5_rw.json
 
 echo "==> benchmark --lint + --smoke (the stand-alone benchmark package compiles against these crates' public names; nothing above builds it)"
 bash benchmark/run.sh --lint

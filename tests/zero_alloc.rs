@@ -347,8 +347,7 @@ fn steady_state_hot_paths_do_not_allocate() {
     let h = sim.handle();
     sim.block_on(async move {
         let profile = solaris_sdr();
-        let mut cfg = profile.rpc.with_design(Design::ReadWrite);
-        cfg.server_zero_copy = true;
+        let cfg = profile.rpc.with_design(Design::ReadWrite);
         let bed = build_rdma_custom(
             &h,
             &profile,
