@@ -1,18 +1,24 @@
-//! `simperf` — simulator hot-path throughput benchmark.
+//! `simperf` — simulator hot-path benchmark: what an event costs the
+//! host, counted and timed.
 //!
-//! Measures the two rates the executor/marshalling overhaul targets:
+//! Two loops:
 //!
-//! - **events/sec**: task polls retired per wall-clock second while a
-//!   pool of tasks churns timers and yields (exercises the ready queue,
-//!   waker path and timer structure).
-//! - **RPC ops/sec**: full-stack NFS READs per wall-clock second through
-//!   the simulated RPC/RDMA transport (exercises header encode/decode
-//!   and the per-connection send path).
+//! - **executor**: a pool of tasks churns timers and yields (the ready
+//!   queue, the wake path and the timer structure) — polls, and polls
+//!   retired per wall-clock second.
+//! - **rpc**: full-stack NFS READs through the simulated RPC/RDMA
+//!   transport — polls per READ, and READs per wall-clock second.
+//!
+//! The *counts* are deterministic and are the gate: both modes check
+//! them by equality against the pins below, so one poll more per op
+//! fails `scripts/check.sh`. The *rates* are this box's wall clock, for
+//! orientation only; nothing is gated on them except the relative cost
+//! of span tracing.
 //!
 //! Full mode writes `results/BENCH_hotpath.json` and prints a summary.
-//! Run with `--smoke` for a seconds-scale sanity pass (used by
+//! Run with `--smoke` for a seconds-scale pass (used by
 //! scripts/check.sh) that only prints — it never overwrites the
-//! published full-mode numbers.
+//! recorded full-mode numbers.
 
 use std::time::Instant;
 
@@ -27,33 +33,38 @@ fn main() {
     // cache-resident so the measurement tracks executor overhead, not
     // DRAM latency; override via env (SIMPERF_TASKS / SIMPERF_ITERS) to
     // probe other regimes.
-    let (tasks, iters, rpc_ops) = match smoke {
-        true => (1_000, 20, 64),
+    let (tasks, iters) = match smoke {
+        true => (1_000, 20),
         false => (
             env_u64("SIMPERF_TASKS", 1_000),
             env_u64("SIMPERF_ITERS", 1_000),
-            4_096,
         ),
     };
+    let (rpc_ops, rpc_pin) = RPC_POLLS[usize::from(!smoke)];
 
     let (polls, events_per_sec, exec_ms) = executor_throughput(tasks, iters);
-    let (rpc_ops_per_sec, rpc_ms) = rpc_throughput(rpc_ops, false);
+    let rpc = rpc_throughput(rpc_ops, false);
+    let (rpc_ops_per_sec, rpc_ms) = (rpc.ops_per_sec, rpc.wall_ms);
+    let rpc_polls_per_op = rpc.polls as f64 / rpc_ops as f64;
     let (untraced_ops_per_sec, traced_ops_per_sec, traced_overhead_pct) = trace_overhead();
 
     println!("simperf ({} mode)", if smoke { "smoke" } else { "full" });
     println!("  executor: {polls} polls in {exec_ms:.1} ms  ->  {events_per_sec:.0} events/sec");
-    println!("  rpc:      {rpc_ops} READs in {rpc_ms:.1} ms  ->  {rpc_ops_per_sec:.0} ops/sec");
+    println!(
+        "  rpc:      {rpc_ops} READs, {} polls ({rpc_polls_per_op:.3}/op) in {rpc_ms:.1} ms  \
+         ->  {rpc_ops_per_sec:.0} ops/sec",
+        rpc.polls
+    );
     println!(
         "  traced:   {traced_ops_per_sec:.0} ops/sec with span tracing on \
          ({traced_overhead_pct:.1}% overhead vs disabled)"
     );
 
+    // The gate: counts, by equality. Each task is polled once to start
+    // and twice per iteration (the sleep, the yield).
+    gate_count("executor.polls", polls, tasks * (2 * iters + 1));
+    gate_count("rpc.polls", rpc.polls, rpc_pin);
     if smoke {
-        // Regression gate: the disabled-tracing hot path must stay in
-        // the same league as the published full-mode numbers. Smoke
-        // runs are short and noisy, so the bar is a fraction of the
-        // recorded rate.
-        gate_against_recorded(events_per_sec);
         // Observability gate: what span tracing may cost the RPC path.
         gate_trace_overhead(traced_overhead_pct);
         return; // don't clobber the full-mode results file
@@ -78,6 +89,7 @@ fn main() {
             1,
             &[
                 ("ops", &rpc_ops),
+                ("polls_per_op", &format_args!("{rpc_polls_per_op:.3}")),
                 ("wall_ms", &format_args!("{rpc_ms:.3}")),
                 ("ops_per_sec", &format_args!("{untraced_ops_per_sec:.0}")),
             ],
@@ -93,37 +105,22 @@ fn main() {
         .write();
 }
 
-/// The smoke gate's floor, as a fraction of the recorded full-mode
-/// events/sec.
-const GATE_RATIO: f64 = 0.1;
-
 /// Most the RPC path may slow down with span tracing on, percent.
 const TRACE_GATE_PCT: f64 = 10.0;
 
-/// Compare a smoke-mode events/sec measurement against the recorded
-/// full-mode `results/BENCH_hotpath.json`, exiting nonzero when it
-/// falls below [`GATE_RATIO`] of the published rate. Missing file or
-/// field means there is nothing to gate against.
-fn gate_against_recorded(events_per_sec: f64) {
-    let Ok(json) = std::fs::read_to_string("results/BENCH_hotpath.json") else {
-        println!("  gate:     no recorded results/BENCH_hotpath.json; skipping");
-        return;
-    };
-    // As `BenchJson` writes it: `"events_per_sec": <digits>`.
-    let after_key = json.split("\"events_per_sec\": ").nth(1);
-    let digits = after_key.and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next());
-    let Some(recorded) = digits.and_then(|n| n.parse::<f64>().ok()) else {
-        println!("  gate:     events_per_sec not found in recorded file; skipping");
-        return;
-    };
-    let (ratio, floor) = (GATE_RATIO, recorded * GATE_RATIO);
-    Gate::new("simperf", &[]).require(events_per_sec >= floor, || {
-        format!("{events_per_sec:.0} events/sec < {floor:.0} ({ratio} x recorded {recorded:.0})")
+/// `(READs, polls)` of the READ loop, smoke then full: what it takes
+/// from its first call to its last reply. It repeats exactly;
+/// the loop's first READ finds a cold connection, so the total is not a
+/// multiple of the op count. One poll more per READ is +64 on the
+/// first pin.
+const RPC_POLLS: [(u64, u64); 2] = [(64, 1_862), (4_096, 118_790)];
+
+/// Exit nonzero unless a deterministic count is exactly its pin.
+fn gate_count(what: &str, got: u64, pin: u64) {
+    Gate::new("simperf", &[]).require(got == pin, || {
+        format!("{what} = {got}, pinned at {pin}: the schedule of this loop changed")
     });
-    println!(
-        "  gate:     ok — {events_per_sec:.0} events/sec >= {floor:.0} \
-         ({ratio} x recorded {recorded:.0})"
-    );
+    println!("  gate:     ok — {what} = {got}");
 }
 
 /// Measure span-tracing overhead on the RPC hot path. Runs the
@@ -147,11 +144,11 @@ fn trace_overhead() -> (f64, f64, f64) {
         // warmth drift monotonically within a burst, so a fixed order
         // would bias one side.
         if i % 2 == 0 {
-            offs.push(rpc_throughput(OPS, false).1);
-            ons.push(rpc_throughput(OPS, true).1);
+            offs.push(rpc_throughput(OPS, false).wall_ms);
+            ons.push(rpc_throughput(OPS, true).wall_ms);
         } else {
-            ons.push(rpc_throughput(OPS, true).1);
-            offs.push(rpc_throughput(OPS, false).1);
+            ons.push(rpc_throughput(OPS, true).wall_ms);
+            offs.push(rpc_throughput(OPS, false).wall_ms);
         }
     }
     offs.sort_by(|a, b| a.total_cmp(b));
@@ -217,8 +214,8 @@ fn executor_throughput(tasks: u64, iters: u64) -> (u64, f64, f64) {
 /// timed — testbed construction and the prepopulating write are
 /// excluded. With `traced`, span tracing is enabled for the whole run
 /// so the measurement includes TraceCtx plumbing + span record append
-/// costs. Returns (ops/sec, ms).
-fn rpc_throughput(ops: u64, traced: bool) -> (f64, f64) {
+/// costs.
+fn rpc_throughput(ops: u64, traced: bool) -> RpcLoop {
     const RECORD: u32 = 131_072;
     const FILE: u64 = 8 << 20;
     let mut sim = Simulation::new(5);
@@ -227,7 +224,7 @@ fn rpc_throughput(ops: u64, traced: bool) -> (f64, f64) {
     }
     let h = sim.handle();
     let profile = solaris_sdr();
-    let secs = sim.block_on(async move {
+    let (secs, polls) = sim.block_on(async move {
         let bed = build_rdma(
             &h,
             &profile,
@@ -247,6 +244,8 @@ fn rpc_throughput(ops: u64, traced: bool) -> (f64, f64) {
             .await
             .unwrap();
         let buf = bed.clients[0].mem.alloc(RECORD as u64);
+        let polls = h.metrics().counter("executor.polls");
+        let polls_before = polls.get();
         let start = Instant::now();
         for i in 0..ops {
             let off = (i % (FILE / RECORD as u64)) * RECORD as u64;
@@ -256,7 +255,19 @@ fn rpc_throughput(ops: u64, traced: bool) -> (f64, f64) {
                 .await
                 .unwrap();
         }
-        start.elapsed().as_secs_f64()
+        (start.elapsed().as_secs_f64(), polls.get() - polls_before)
     });
-    (ops as f64 / secs, secs * 1e3)
+    RpcLoop {
+        ops_per_sec: ops as f64 / secs,
+        wall_ms: secs * 1e3,
+        polls,
+    }
+}
+
+/// One timed pass of the READ loop.
+struct RpcLoop {
+    ops_per_sec: f64,
+    wall_ms: f64,
+    /// Task polls between the first READ's call and the last's reply.
+    polls: u64,
 }

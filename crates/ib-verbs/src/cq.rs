@@ -18,9 +18,8 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::task::Waker;
 
-use sim_core::{Counter, Cpu, Payload, Sim, SimDuration};
+use sim_core::{Counter, Cpu, Payload, Sim, SimDuration, WakeSlot};
 
 use crate::types::{Opcode, VerbsError, WrId};
 
@@ -47,7 +46,8 @@ impl Completion {
 
 struct CqInner {
     queue: VecDeque<Completion>,
-    waker: Option<Waker>,
+    /// The consumer parked in [`Cq::next`], if any.
+    waker: WakeSlot,
     pushed: u64,
     interrupts: u64,
     /// Completions that rode an interrupt another completion paid for
@@ -67,9 +67,7 @@ impl CqInner {
     fn fire(&mut self) {
         self.timer_gen += 1;
         self.timer_armed = false;
-        if let Some(w) = self.waker.take() {
-            w.wake();
-        }
+        self.waker.wake();
     }
 }
 
@@ -94,7 +92,7 @@ impl Cq {
         Cq {
             inner: Rc::new(RefCell::new(CqInner {
                 queue: VecDeque::new(),
-                waker: None,
+                waker: WakeSlot::new(),
                 pushed: 0,
                 interrupts: 0,
                 coalesced: 0,
@@ -137,7 +135,7 @@ impl Cq {
         let mut inner = self.inner.borrow_mut();
         inner.queue.push_back(c);
         inner.pushed += 1;
-        if inner.waker.is_none() {
+        if !inner.waker.is_parked() {
             // Consumer is not parked (polling or mid-drain): nothing to
             // moderate.
             return;
@@ -184,7 +182,7 @@ impl Cq {
         std::future::poll_fn(|cx| {
             let mut inner = self.inner.borrow_mut();
             if inner.queue.is_empty() {
-                inner.waker = Some(cx.waker().clone());
+                inner.waker.park(cx);
                 std::task::Poll::Pending
             } else {
                 std::task::Poll::Ready(())

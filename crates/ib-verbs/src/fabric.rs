@@ -23,6 +23,14 @@
 //! disabled (the default) the fabric draws **zero** random numbers and
 //! behaves bit-for-bit as before, so existing schedules are unchanged.
 //!
+//! ## Delivery
+//!
+//! A port hands an arriving message to its node by a direct call at
+//! the arrival instant ([`Fabric::attach_with`]): no queue, no task
+//! hop. The HCA's responder runs there. A consumer whose handling
+//! genuinely waits (the TCP stack's softirq) takes the queued form,
+//! [`Fabric::attach`], and drains an inbox from its own task.
+//!
 //! Two delivery disciplines are offered on top of the verdict:
 //!
 //! * [`Fabric::send`] hands a dropped message back to the caller
@@ -37,7 +45,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use sim_core::stats::Counter;
-use sim_core::sync::{channel, Receiver, Sender};
+use sim_core::sync::{channel, Receiver};
 use sim_core::{transfer_time, Resource, Sim, SimDuration, SimRng, SimTime};
 
 use crate::types::NodeId;
@@ -85,7 +93,8 @@ struct Port<M> {
     rx: Resource,
     bandwidth: u64,
     latency: SimDuration,
-    inbox: Sender<M>,
+    /// The node's consumer, called with each message as it arrives.
+    deliver: Box<dyn Fn(M)>,
     rx_bytes: Cell<u64>,
     tx_bytes: Cell<u64>,
     /// Messages dropped on arrival at this port (cumulative; not reset
@@ -98,7 +107,9 @@ struct Port<M> {
 
 struct FabricInner<M> {
     sim: Sim,
-    ports: RefCell<HashMap<NodeId, Rc<Port<M>>>>,
+    /// Indexed by node id: ids are small and dense (a testbed numbers
+    /// its hosts from 0), and a transfer resolves two ports.
+    ports: RefCell<Vec<Option<Rc<Port<M>>>>>,
     faults: RefCell<Option<FaultState>>,
     /// Mirrors `faults.is_some()` so the per-arrival checks stay off
     /// the hot path entirely until the fault layer is armed.
@@ -124,7 +135,7 @@ impl<M: 'static> Fabric<M> {
         Fabric {
             inner: Rc::new(FabricInner {
                 sim: sim.clone(),
-                ports: RefCell::new(HashMap::new()),
+                ports: RefCell::new(Vec::new()),
                 faults: RefCell::new(None),
                 faults_armed: Cell::new(false),
             }),
@@ -132,37 +143,65 @@ impl<M: 'static> Fabric<M> {
     }
 
     /// Attach `node` with the given port rate (bytes/s) and one-way
-    /// latency. Returns the node's inbound message stream.
+    /// latency. Returns the node's inbound message stream, for a
+    /// consumer that drains it from a task of its own.
     pub fn attach(&self, node: NodeId, bandwidth: u64, latency: SimDuration) -> Receiver<M> {
         let (inbox, rx_inbox) = channel();
+        self.attach_with(node, bandwidth, latency, move |msg| {
+            // Receiver may have shut down (e.g. crash-injection tests).
+            let _ = inbox.send(msg);
+        });
+        rx_inbox
+    }
+
+    /// Attach `node`, handing each arriving message to `deliver` by a
+    /// direct call at the arrival instant (from inside the sending
+    /// task's poll). `deliver` must not keep the node's owner alive —
+    /// hold a `Weak` — or the fabric and the owner form a cycle; a
+    /// message it drops is simply lost.
+    pub fn attach_with(
+        &self,
+        node: NodeId,
+        bandwidth: u64,
+        latency: SimDuration,
+        deliver: impl Fn(M) + 'static,
+    ) {
         let metrics = self.inner.sim.metrics();
         let port = Rc::new(Port {
             tx: Resource::new(&self.inner.sim, format!("node{}.tx", node.0), 1),
             rx: Resource::new(&self.inner.sim, format!("node{}.rx", node.0), 1),
             bandwidth,
             latency,
-            inbox,
+            deliver: Box::new(deliver),
             rx_bytes: Cell::new(0),
             tx_bytes: Cell::new(0),
             dropped: metrics.counter(&format!("fabric.port{}.dropped", node.0)),
             retransmits: metrics.counter(&format!("fabric.port{}.retransmits", node.0)),
         });
-        let prev = self.inner.ports.borrow_mut().insert(node, port);
-        assert!(prev.is_none(), "node {node:?} attached twice");
-        rx_inbox
+        let mut ports = self.inner.ports.borrow_mut();
+        let at = node.0 as usize;
+        if ports.len() <= at {
+            ports.resize_with(at + 1, || None);
+        }
+        assert!(ports[at].is_none(), "node {node:?} attached twice");
+        ports[at] = Some(port);
     }
 
+    /// `f` on the port of `node`.
+    fn with_port<T>(&self, node: NodeId, f: impl FnOnce(&Rc<Port<M>>) -> T) -> T {
+        match self.inner.ports.borrow().get(node.0 as usize) {
+            Some(Some(port)) => f(port),
+            _ => panic!("node {node:?} not attached"),
+        }
+    }
+
+    /// A handle on the port of `node`, to hold across an await.
     fn port(&self, node: NodeId) -> Rc<Port<M>> {
-        self.inner
-            .ports
-            .borrow()
-            .get(&node)
-            .unwrap_or_else(|| panic!("node {node:?} not attached"))
-            .clone()
+        self.with_port(node, Rc::clone)
     }
 
     /// Move `wire_bytes` from `from` to `to` and deliver `msg` to the
-    /// destination inbox when the last byte lands.
+    /// destination's consumer when the last byte lands.
     ///
     /// Returns `None` on delivery. If the fault layer drops the message
     /// on arrival the message is handed **back** (`Some(msg)`) so the
@@ -179,8 +218,7 @@ impl<M: 'static> Fabric<M> {
             });
             return Some(msg);
         }
-        // Receiver may have shut down (e.g. crash-injection tests).
-        let _ = dst.inbox.send(msg);
+        (dst.deliver)(msg);
         None
     }
 
@@ -195,7 +233,7 @@ impl<M: 'static> Fabric<M> {
                 None => return,
                 Some(returned) => {
                     msg = returned;
-                    self.port(to).retransmits.inc();
+                    self.with_port(to, |p| p.retransmits.inc());
                     self.inner.sim.sleep(self.retry_delay(to)).await;
                 }
             }
@@ -357,7 +395,7 @@ impl<M: 'static> Fabric<M> {
 
     /// One-way latency into `node`.
     pub fn latency_to(&self, node: NodeId) -> SimDuration {
-        self.port(node).latency
+        self.with_port(node, |p| p.latency)
     }
 
     /// Transmit-side wire utilization of a node's port.
@@ -382,8 +420,7 @@ impl<M: 'static> Fabric<M> {
 
     /// Reset port accounting for all nodes (exclude warmup).
     pub fn reset_accounting(&self) {
-        #[allow(clippy::iter_over_hash_type)] // zeroes every port: order-free
-        for p in self.inner.ports.borrow().values() {
+        for p in self.inner.ports.borrow().iter().flatten() {
             p.tx.reset_accounting();
             p.rx.reset_accounting();
             p.rx_bytes.set(0);

@@ -1,5 +1,5 @@
 //! The Host Channel Adapter: TPT, registration engine, QP management
-//! and the inbound-message dispatcher.
+//! and the responder side of every inbound message.
 //!
 //! Cost structure (paper §4.3): a dynamic registration pins pages on
 //! the host CPU, then performs one serialized transaction against the
@@ -10,7 +10,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use sim_core::sync::{Receiver, Sender};
 use sim_core::{Cpu, Payload, Resource, Sim, SimDuration};
@@ -75,8 +75,8 @@ pub struct Hca {
 }
 
 impl Hca {
-    /// Create an HCA for `node`, attach it to `fabric` and start its
-    /// inbound dispatcher.
+    /// Create an HCA for `node` and attach it to `fabric` as the
+    /// node's responder.
     pub fn new(
         sim: &Sim,
         node: NodeId,
@@ -85,14 +85,22 @@ impl Hca {
         mem: Rc<HostMem>,
         fabric: &Fabric<WireMsg>,
     ) -> Hca {
-        let inbox = fabric.attach(node, cfg.link_bandwidth, cfg.link_latency);
-        // The security ledger's violation/revocation counters feed the
-        // shared `tpt.*` registry series from day one, so chaos and
-        // adversary snapshots always carry them.
-        let mut tpt = Tpt::new(sim.fork_rng());
-        tpt.bind_metrics(&sim.metrics());
-        let hca = Hca {
-            inner: Rc::new(HcaInner {
+        let inner = Rc::new_cyclic(|responder: &Weak<HcaInner>| {
+            // The port holds the HCA weakly (the HCA holds the fabric):
+            // a message arriving after the last handle is gone is
+            // dropped, and its `Ack` flushes the work request.
+            let responder = responder.clone();
+            fabric.attach_with(node, cfg.link_bandwidth, cfg.link_latency, move |msg| {
+                if let Some(hca) = responder.upgrade() {
+                    respond(&Hca { inner: hca }, msg);
+                }
+            });
+            // The security ledger's violation/revocation counters feed
+            // the shared `tpt.*` registry series from day one, so chaos
+            // and adversary snapshots always carry them.
+            let mut tpt = Tpt::new(sim.fork_rng());
+            tpt.bind_metrics(&sim.metrics());
+            HcaInner {
                 sim: sim.clone(),
                 node,
                 cfg,
@@ -106,11 +114,9 @@ impl Hca {
                 stats: RefCell::new(RegStats::default()),
                 global_rkey_cell: Rc::new(Cell::new(None)),
                 watches: RefCell::new(HashMap::new()),
-            }),
-        };
-        let h2 = hca.clone();
-        sim.spawn(async move { dispatch_loop(h2, inbox).await });
-        hca
+            }
+        });
+        Hca { inner }
     }
 
     /// The node this HCA serves.
@@ -360,137 +366,141 @@ pub fn connect(a: &Hca, b: &Hca) -> (Qp, Qp) {
     (qa, qb)
 }
 
-/// Inbound message dispatcher: the responder side of every operation.
-async fn dispatch_loop(hca: Hca, mut inbox: Receiver<WireMsg>) {
-    while let Ok(msg) = inbox.recv().await {
-        match msg {
-            WireMsg::Send { dst_qpn, data, ack } => {
-                let qp = hca.inner.qps.borrow().get(&dst_qpn.0).cloned();
-                let Some(qp) = qp else {
-                    ack.send(Err(VerbsError::NotConnected));
-                    continue;
-                };
-                let posted = qp.take_recv();
-                let Some(recv) = posted else {
-                    qp.inner.set_error();
-                    ack.send(Err(VerbsError::ReceiverNotReady));
-                    continue;
-                };
-                if data.len() > recv.len {
-                    qp.inner.set_error();
-                    ack.send(Err(VerbsError::ReceiveTooSmall {
-                        needed: data.len(),
-                        have: recv.len,
-                    }));
-                    continue;
-                }
-                // DMA placement into the posted buffer: no host CPU.
-                recv.buffer.write(recv.offset, data.clone());
-                qp.inner.recv_cq.push(Completion {
-                    wr_id: recv.wr_id,
-                    opcode: Opcode::Recv,
-                    result: Ok(data.len()),
-                    payload: Some(data),
-                });
-                ack.send(Ok(()));
+/// The responder side of every operation, run by the fabric at the
+/// instant a message arrives — inside the sending task's poll, so it
+/// must not wait. A Send or RDMA Write is judged and placed on the
+/// spot; an RDMA Read spawns the task that occupies the read engine and
+/// the wire for its response.
+///
+/// Each arm answers the requester (`ack.complete`) *before* it wakes
+/// any local consumer, so the requester's completion task is queued
+/// ahead of the consumer exactly as it was when a dispatcher task stood
+/// between the two.
+fn respond(hca: &Hca, msg: WireMsg) {
+    match msg {
+        WireMsg::Send { dst_qpn, data, ack } => {
+            let qp = hca.inner.qps.borrow().get(&dst_qpn.0).cloned();
+            let Some(qp) = qp else {
+                return ack.complete(Err(VerbsError::NotConnected));
+            };
+            let posted = qp.take_recv();
+            let Some(recv) = posted else {
+                qp.inner.set_error();
+                return ack.complete(Err(VerbsError::ReceiverNotReady));
+            };
+            if data.len() > recv.len {
+                qp.inner.set_error();
+                return ack.complete(Err(VerbsError::ReceiveTooSmall {
+                    needed: data.len(),
+                    have: recv.len,
+                }));
             }
-            WireMsg::Write {
-                dst_qpn,
-                raddr,
+            ack.complete(Ok(()));
+            // DMA placement into the posted buffer: no host CPU.
+            recv.buffer.write(recv.offset, data.clone());
+            qp.inner.recv_cq.push(Completion {
+                wr_id: recv.wr_id,
+                opcode: Opcode::Recv,
+                result: Ok(data.len()),
+                payload: Some(data),
+            });
+        }
+        WireMsg::Write {
+            dst_qpn,
+            raddr,
+            rkey,
+            data,
+            ack,
+        } => {
+            let mem = hca.inner.mem.clone();
+            let total: u64 = data.iter().map(|p| p.len()).sum();
+            // One protection check covers the whole gathered range;
+            // the pieces then DMA back to back, each placed without
+            // flattening (zero-copy on both ends).
+            let check = hca.inner.tpt.borrow_mut().check_remote(
                 rkey,
-                data,
-                ack,
-            } => {
-                let mem = hca.inner.mem.clone();
-                let total: u64 = data.iter().map(|p| p.len()).sum();
-                // One protection check covers the whole gathered range;
-                // the pieces then DMA back to back, each placed without
-                // flattening (zero-copy on both ends).
-                let check = hca.inner.tpt.borrow_mut().check_remote(
-                    rkey,
-                    raddr,
-                    total,
-                    RemoteOp::Write,
-                    hca.inner.sim.now(),
-                    move |a, l| mem.lookup(a, l),
-                );
-                match check {
-                    Ok((buffer, off)) => {
-                        let mut at = off;
-                        for piece in data {
-                            let n = piece.len();
-                            buffer.write(at, piece);
-                            at += n;
-                        }
-                        // Placement watch: wake any local consumer
-                        // polling this region (see `watch_writes`).
-                        if !hca.inner.watches.borrow().is_empty() {
-                            if let Some(tx) = hca.inner.watches.borrow().get(&rkey) {
-                                // A gone consumer just stops polling.
-                                let _ = tx.send((raddr, total));
-                            }
-                        }
-                        ack.send(Ok(()));
+                raddr,
+                total,
+                RemoteOp::Write,
+                hca.inner.sim.now(),
+                move |a, l| mem.lookup(a, l),
+            );
+            match check {
+                Ok((buffer, off)) => {
+                    ack.complete(Ok(()));
+                    let mut at = off;
+                    for piece in data {
+                        let n = piece.len();
+                        buffer.write(at, piece);
+                        at += n;
                     }
-                    Err(e) => {
-                        if let Some(qp) = hca.inner.qps.borrow().get(&dst_qpn.0) {
-                            qp.inner.set_error();
+                    // Placement watch: wake any local consumer
+                    // polling this region (see `watch_writes`).
+                    if !hca.inner.watches.borrow().is_empty() {
+                        if let Some(tx) = hca.inner.watches.borrow().get(&rkey) {
+                            // A gone consumer just stops polling.
+                            let _ = tx.send((raddr, total));
                         }
-                        ack.send(Err(e));
                     }
                 }
+                Err(e) => {
+                    if let Some(qp) = hca.inner.qps.borrow().get(&dst_qpn.0) {
+                        qp.inner.set_error();
+                    }
+                    ack.complete(Err(e));
+                }
             }
-            WireMsg::ReadReq {
-                dst_qpn,
-                raddr,
+        }
+        WireMsg::ReadReq {
+            dst_qpn,
+            raddr,
+            rkey,
+            len,
+            resp,
+        } => {
+            let mem = hca.inner.mem.clone();
+            let check = hca.inner.tpt.borrow_mut().check_remote(
                 rkey,
+                raddr,
                 len,
-                resp,
-            } => {
-                let mem = hca.inner.mem.clone();
-                let check = hca.inner.tpt.borrow_mut().check_remote(
-                    rkey,
-                    raddr,
-                    len,
-                    RemoteOp::Read,
-                    hca.inner.sim.now(),
-                    move |a, l| mem.lookup(a, l),
-                );
-                let qp = hca.inner.qps.borrow().get(&dst_qpn.0).cloned();
-                match (check, qp) {
-                    (Ok((buffer, off)), Some(qp)) => {
-                        // Service the read concurrently, bounded by IRD.
-                        let hca2 = hca.clone();
-                        hca.inner.sim.spawn(async move {
-                            let _slot = qp.inner.read_engine.acquire().await;
-                            hca2.inner.sim.sleep(hca2.inner.cfg.read_turnaround).await;
-                            let payload = buffer.read(off, len);
-                            let requester = qp.inner.peer_node.get();
-                            hca2.inner
-                                .fabric
-                                .raw_transfer(
-                                    hca2.inner.node,
-                                    requester,
-                                    hca2.inner.cfg.wire_header_bytes + len,
-                                )
-                                .await;
-                            resp.send(Ok(payload));
-                        });
+                RemoteOp::Read,
+                hca.inner.sim.now(),
+                move |a, l| mem.lookup(a, l),
+            );
+            let qp = hca.inner.qps.borrow().get(&dst_qpn.0).cloned();
+            match (check, qp) {
+                (Ok((buffer, off)), Some(qp)) => {
+                    // Service the read concurrently, bounded by IRD.
+                    let hca2 = hca.clone();
+                    hca.inner.sim.spawn(async move {
+                        let _slot = qp.inner.read_engine.acquire().await;
+                        hca2.inner.sim.sleep(hca2.inner.cfg.read_turnaround).await;
+                        let payload = buffer.read(off, len);
+                        let requester = qp.inner.peer_node.get();
+                        hca2.inner
+                            .fabric
+                            .raw_transfer(
+                                hca2.inner.node,
+                                requester,
+                                hca2.inner.cfg.wire_header_bytes + len,
+                            )
+                            .await;
+                        resp.send(Ok(payload));
+                    });
+                }
+                (Err(e), qp) => {
+                    if let Some(qp) = qp {
+                        qp.inner.set_error();
                     }
-                    (Err(e), qp) => {
-                        if let Some(qp) = qp {
-                            qp.inner.set_error();
-                        }
-                        // Nak propagation delay.
-                        let hca2 = hca.clone();
-                        hca.inner.sim.spawn(async move {
-                            hca2.inner.sim.sleep(hca2.inner.cfg.link_latency).await;
-                            resp.send(Err(e));
-                        });
-                    }
-                    (Ok(_), None) => {
-                        resp.send(Err(VerbsError::NotConnected));
-                    }
+                    // Nak propagation delay.
+                    let hca2 = hca.clone();
+                    hca.inner.sim.spawn(async move {
+                        hca2.inner.sim.sleep(hca2.inner.cfg.link_latency).await;
+                        resp.send(Err(e));
+                    });
+                }
+                (Ok(_), None) => {
+                    resp.send(Err(VerbsError::NotConnected));
                 }
             }
         }

@@ -49,7 +49,7 @@ pub use fabric::{Fabric, FaultConfig};
 pub use hca::{connect, Hca, RegStats};
 pub use memory::{Buffer, HostMem, PhysLayout, PAGE_SIZE};
 pub use mr::{FmrPool, Mr};
-pub use qp::{Qp, Sge, WireMsg};
+pub use qp::{Ack, Qp, Sge, WireMsg};
 pub use sim_core::extent;
 pub use tpt::{ExposureReport, RemoteOp};
 pub use types::{Access, NodeId, Opcode, QpNum, Rkey, VerbsError, WrId};

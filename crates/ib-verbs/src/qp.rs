@@ -45,7 +45,7 @@ pub enum WireMsg {
         /// Message body.
         data: Payload,
         /// Ack/nak path back to the requester.
-        ack: OneshotSender<Result<(), VerbsError>>,
+        ack: Ack,
     },
     /// One-sided RDMA Write (possibly gathered from several local
     /// pieces; placed contiguously at `raddr` in order).
@@ -62,7 +62,7 @@ pub enum WireMsg {
         /// copy-free.
         data: Vec<Payload>,
         /// Ack/nak path back to the requester.
-        ack: OneshotSender<Result<(), VerbsError>>,
+        ack: Ack,
     },
     /// RDMA Read request (the response returns via `resp`).
     ReadReq {
@@ -77,6 +77,73 @@ pub enum WireMsg {
         /// Response path carrying the data (or a nak).
         resp: OneshotSender<Result<Payload, VerbsError>>,
     },
+}
+
+/// The acknowledgement a Send or RDMA Write carries back to its
+/// requester: the responder's verdict, turned into the work request's
+/// completion one propagation latency later.
+///
+/// Nobody waits on most work requests — an unsignaled one that succeeds
+/// completes silently — so the acknowledgement is not a channel with a
+/// task parked on it. `Ack::complete` is called by the responder at
+/// the arrival instant and does nothing at all for an unsignaled
+/// success; only a signaled or failed work request spawns the short
+/// task that models the ack's flight home and posts the completion. An
+/// `Ack` dropped unanswered (the message was lost with its responder
+/// gone) completes as [`VerbsError::Flushed`], so a work request can
+/// fail but never vanish.
+pub struct Ack(Option<Pending>);
+
+/// What the requester remembers about a work request in flight.
+struct Pending {
+    qp: Rc<QpInner>,
+    wr_id: WrId,
+    opcode: Opcode,
+    len: u64,
+    signaled: bool,
+}
+
+impl Ack {
+    fn new(qp: &Rc<QpInner>, wr_id: WrId, opcode: Opcode, len: u64, signaled: bool) -> Ack {
+        Ack(Some(Pending {
+            qp: qp.clone(),
+            wr_id,
+            opcode,
+            len,
+            signaled,
+        }))
+    }
+
+    /// Deliver the responder's verdict, at the instant it is reached.
+    pub(crate) fn complete(mut self, verdict: Result<(), VerbsError>) {
+        if let Some(wr) = self.0.take() {
+            wr.settle(verdict);
+        }
+    }
+}
+
+impl Drop for Ack {
+    fn drop(&mut self) {
+        if let Some(wr) = self.0.take() {
+            wr.settle(Err(VerbsError::Flushed));
+        }
+    }
+}
+
+impl Pending {
+    fn settle(self, verdict: Result<(), VerbsError>) {
+        if verdict.is_ok() && !self.signaled {
+            return;
+        }
+        let sim = self.qp.sim.clone();
+        sim.spawn(async move {
+            let qp = &self.qp;
+            // Ack propagation back to the requester.
+            qp.sim.sleep(qp.fabric.latency_to(qp.node)).await;
+            let result = verdict.map(|()| self.len);
+            finish(qp, self.wr_id, self.opcode, result, self.signaled);
+        });
+    }
 }
 
 /// A posted receive buffer.
@@ -482,7 +549,10 @@ pub(crate) async fn sender_loop(qp: Rc<QpInner>, mut wqe_rx: Receiver<Vec<Wqe>>)
     }
 }
 
-/// Execute one WQE (fabric hand-off plus async completion).
+/// Execute one WQE: hand it to the fabric, which delivers it to the
+/// responder at the arrival instant. A Send or Write completes through
+/// the [`Ack`] it carries; a Read spawns the task that awaits its
+/// response.
 async fn run_wqe(qp: &Rc<QpInner>, wqe: Wqe) {
     if qp.error.get() {
         flush_wqe(qp, wqe);
@@ -516,36 +586,21 @@ async fn run_wqe(qp: &Rc<QpInner>, wqe: Wqe) {
             data,
             signaled,
         } => {
-            let (ack_tx, ack_rx) = oneshot();
             let bytes = qp.cfg.wire_header_bytes + data.len();
-            let lost = qp
-                .fabric
-                .send(
-                    qp.node,
-                    peer,
-                    bytes,
-                    WireMsg::Send {
-                        dst_qpn: qp.peer_qpn.get(),
-                        data: data.clone(),
-                        ack: ack_tx,
-                    },
-                )
-                .await;
+            let ack = Ack::new(qp, wr_id, Opcode::Send, data.len(), signaled);
+            let msg = WireMsg::Send {
+                dst_qpn: qp.peer_qpn.get(),
+                data,
+                ack,
+            };
+            let lost = qp.fabric.send(qp.node, peer, bytes, msg).await;
             if let Some(WireMsg::Send { ack, .. }) = lost {
                 // Lost above the link layer: the requester still
                 // sees a successful completion while the peer's ULP
                 // never receives the message. Recovery is the RPC
                 // layer's job (timeout + retransmission).
-                ack.send(Ok(()));
+                ack.complete(Ok(()));
             }
-            let qp2 = qp.clone();
-            let dlen = data.len();
-            qp.sim.clone().spawn(async move {
-                let res = ack_rx.await.unwrap_or(Err(VerbsError::Flushed));
-                // Ack propagation back to the requester.
-                qp2.sim.sleep(qp2.fabric.latency_to(qp2.node)).await;
-                finish(&qp2, wr_id, Opcode::Send, res.map(|()| dlen), signaled);
-            });
         }
         Wqe::Write {
             wr_id,
@@ -554,31 +609,18 @@ async fn run_wqe(qp: &Rc<QpInner>, wqe: Wqe) {
             rkey,
             signaled,
         } => {
-            let (ack_tx, ack_rx) = oneshot();
             let dlen: u64 = sgl.iter().map(|p| p.len()).sum();
             let bytes = qp.cfg.wire_header_bytes + dlen;
+            let msg = WireMsg::Write {
+                dst_qpn: qp.peer_qpn.get(),
+                raddr,
+                rkey,
+                data: sgl,
+                ack: Ack::new(qp, wr_id, Opcode::RdmaWrite, dlen, signaled),
+            };
             // RDMA data placement is guaranteed by the RC transport:
             // drops are retransmitted at link level, never surfaced.
-            qp.fabric
-                .send_reliable(
-                    qp.node,
-                    peer,
-                    bytes,
-                    WireMsg::Write {
-                        dst_qpn: qp.peer_qpn.get(),
-                        raddr,
-                        rkey,
-                        data: sgl,
-                        ack: ack_tx,
-                    },
-                )
-                .await;
-            let qp2 = qp.clone();
-            qp.sim.clone().spawn(async move {
-                let res = ack_rx.await.unwrap_or(Err(VerbsError::Flushed));
-                qp2.sim.sleep(qp2.fabric.latency_to(qp2.node)).await;
-                finish(&qp2, wr_id, Opcode::RdmaWrite, res.map(|()| dlen), signaled);
-            });
+            qp.fabric.send_reliable(qp.node, peer, bytes, msg).await;
         }
         Wqe::Read {
             wr_id,

@@ -813,3 +813,249 @@ fn doorbell_batching_rings_once_per_batch() {
     });
     assert_eq!(a.hca.doorbells(), 2);
 }
+
+// ---------------------------------------------------------------------
+// Completion semantics of work requests nobody waits on. The instants
+// are exact: an acknowledgement reaches the requester one propagation
+// latency after the message arrives at the responder, and an
+// unsignaled work request surfaces only if it failed.
+// ---------------------------------------------------------------------
+
+/// When a message of `len` payload bytes posted at t=0 on an idle QP
+/// arrives at the responder: doorbell processing, one serialization,
+/// one propagation latency.
+fn arrival(cfg: &HcaConfig, len: u64) -> SimDuration {
+    cfg.wqe_process
+        + sim_core::transfer_time(cfg.wire_header_bytes + len, cfg.link_bandwidth)
+        + cfg.link_latency
+}
+
+fn at(d: SimDuration) -> sim_core::SimTime {
+    sim_core::SimTime::ZERO + d
+}
+
+const TICK: SimDuration = SimDuration::from_nanos(1);
+
+#[test]
+fn unsignaled_write_to_bad_rkey_errors_one_latency_after_arrival() {
+    let mut sim = Simulation::new(3);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, qb) = connect(&a.hca, &b.hca);
+    let cfg = HcaConfig::sdr();
+
+    qa.post_rdma_write(
+        Payload::synthetic(1, 1024),
+        0x10_0000,
+        ib_verbs::Rkey(0xBAD),
+        WrId(1),
+        false,
+    )
+    .unwrap();
+    let arrives = arrival(&cfg, 1024);
+    let fails = arrives + cfg.link_latency;
+
+    sim.run_until(at(arrives - TICK));
+    assert!(!qb.is_error(), "responder judged before the data arrived");
+    sim.run_until(at(arrives));
+    assert!(qb.is_error(), "responder QP errors at the arrival instant");
+    sim.run_until(at(fails - TICK));
+    assert_eq!(qa.send_cq().depth(), 0, "nak surfaced before it propagated");
+    assert!(!qa.is_error());
+    sim.run_until(at(fails));
+    assert!(qa.is_error());
+    assert_eq!(qa.send_cq().depth(), 1);
+    let c = qa.send_cq().poll().unwrap();
+    assert_eq!((c.wr_id, c.opcode), (WrId(1), Opcode::RdmaWrite));
+    assert!(matches!(c.result, Err(VerbsError::RemoteAccess { .. })));
+    sim.run();
+    assert_eq!(qa.send_cq().depth(), 0, "exactly one error completion");
+    assert_eq!(b.hca.exposure_report().violations, 1);
+}
+
+#[test]
+fn unsignaled_send_without_posted_recv_errors_one_latency_after_arrival() {
+    let mut sim = Simulation::new(3);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, qb) = connect(&a.hca, &b.hca);
+    let cfg = HcaConfig::sdr();
+
+    qa.post_send(Payload::synthetic(2, 64), WrId(7), false)
+        .unwrap();
+    let fails = arrival(&cfg, 64) + cfg.link_latency;
+
+    sim.run_until(at(fails - TICK));
+    assert_eq!(qa.send_cq().depth(), 0);
+    assert!(!qa.is_error());
+    assert!(qb.is_error(), "responder errored at arrival");
+    sim.run_until(at(fails));
+    assert!(qa.is_error());
+    let c = qa.send_cq().poll().expect("one error completion");
+    assert_eq!((c.wr_id, c.opcode), (WrId(7), Opcode::Send));
+    assert_eq!(c.result, Err(VerbsError::ReceiverNotReady));
+    sim.run();
+    assert_eq!(qa.send_cq().depth(), 0);
+}
+
+#[test]
+fn unsignaled_send_to_a_dropped_hca_flushes_instead_of_vanishing() {
+    let mut sim = Simulation::new(3);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, qb) = connect(&a.hca, &b.hca);
+    let cfg = HcaConfig::sdr();
+    // The responder's host goes away: HCA, memory and its QP handle.
+    drop((b, qb));
+
+    qa.post_send(Payload::synthetic(2, 64), WrId(9), false)
+        .unwrap();
+    let fails = arrival(&cfg, 64) + cfg.link_latency;
+
+    sim.run_until(at(fails - TICK));
+    assert_eq!(qa.send_cq().depth(), 0);
+    assert!(!qa.is_error());
+    sim.run_until(at(fails));
+    assert!(qa.is_error());
+    let c = qa.send_cq().poll().expect("the lost send must flush");
+    assert_eq!((c.wr_id, c.opcode), (WrId(9), Opcode::Send));
+    assert_eq!(c.result, Err(VerbsError::Flushed));
+    sim.run();
+    assert_eq!(qa.send_cq().depth(), 0);
+}
+
+#[test]
+fn fault_dropped_send_completes_ok_and_is_never_delivered() {
+    let mut sim = Simulation::new(3);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, qb) = connect(&a.hca, &b.hca);
+    let cfg = HcaConfig::sdr();
+    let rbuf = b.mem.alloc(64);
+    qb.post_recv(rbuf, 0, 64, WrId(100)).unwrap();
+    a.hca.fabric().drop_next_to(NodeId(1), 1);
+
+    qa.post_send(Payload::synthetic(2, 64), WrId(1), true)
+        .unwrap();
+    let completes = arrival(&cfg, 64) + cfg.link_latency;
+
+    sim.run_until(at(completes - TICK));
+    assert_eq!(qa.send_cq().depth(), 0);
+    sim.run_until(at(completes));
+    let c = qa.send_cq().poll().expect("loss above the link is silent");
+    assert_eq!((c.wr_id, c.result), (WrId(1), Ok(64)));
+    sim.run();
+    assert!(!qa.is_error() && !qb.is_error());
+    assert_eq!(qb.recv_cq().depth(), 0, "dropped message was delivered");
+    assert_eq!(qb.posted_recvs(), 1, "dropped message consumed a receive");
+    assert_eq!(a.hca.fabric().dropped(NodeId(1)), 1);
+}
+
+#[test]
+fn signaled_send_completes_one_latency_after_arrival() {
+    let mut sim = Simulation::new(3);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, qb) = connect(&a.hca, &b.hca);
+    let cfg = HcaConfig::sdr();
+    let rbuf = b.mem.alloc(4096);
+    qb.post_recv(rbuf, 0, 4096, WrId(100)).unwrap();
+
+    qa.post_send(Payload::synthetic(2, 256), WrId(1), true)
+        .unwrap();
+    let arrives = arrival(&cfg, 256);
+    let completes = arrives + cfg.link_latency;
+
+    sim.run_until(at(arrives - TICK));
+    assert_eq!(qb.recv_cq().depth(), 0);
+    sim.run_until(at(arrives));
+    assert_eq!(qb.recv_cq().depth(), 1, "placed at the arrival instant");
+    sim.run_until(at(completes - TICK));
+    assert_eq!(qa.send_cq().depth(), 0);
+    sim.run_until(at(completes));
+    let c = qa.send_cq().poll().expect("signaled completion");
+    assert_eq!(
+        (c.wr_id, c.opcode, c.result),
+        (WrId(1), Opcode::Send, Ok(256))
+    );
+    sim.run();
+    assert_eq!(qa.send_cq().depth(), 0);
+}
+
+#[test]
+fn unsignaled_write_then_send_keeps_the_ordering_guarantee() {
+    // §4.2: the reply Send may be trusted to mean "the data is there"
+    // even though nobody ever sees the Write complete.
+    let mut sim = Simulation::new(3);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, qb) = connect(&a.hca, &b.hca);
+    let cfg = HcaConfig::sdr();
+    const LEN: u64 = 64 * 1024;
+    let data = b.mem.alloc(LEN);
+    let reply = b.mem.alloc(64);
+    qb.post_recv(reply, 0, 64, WrId(200)).unwrap();
+    let rkey = b.hca.enable_all_physical();
+
+    qa.post_rdma_write(
+        Payload::synthetic(5, LEN),
+        data.addr(),
+        rkey,
+        WrId(1),
+        false,
+    )
+    .unwrap();
+    qa.post_send(Payload::synthetic(6, 8), WrId(2), false)
+        .unwrap();
+    let written = arrival(&cfg, LEN);
+    // The Send's doorbell is processed once the Write has left the
+    // send queue, i.e. after its arrival.
+    let replied = written + arrival(&cfg, 8);
+
+    sim.run_until(at(written - TICK));
+    assert!(!data.read(0, LEN).content_eq(&Payload::synthetic(5, LEN)));
+    sim.run_until(at(written));
+    assert!(data.read(0, LEN).content_eq(&Payload::synthetic(5, LEN)));
+    sim.run_until(at(replied - TICK));
+    assert_eq!(qb.recv_cq().depth(), 0, "send arrived early");
+    sim.run_until(at(replied));
+    assert_eq!(qb.recv_cq().depth(), 1);
+    sim.run();
+    assert_eq!(qa.send_cq().depth(), 0, "unsignaled successes are silent");
+    assert!(!qa.is_error() && !qb.is_error());
+}
+
+#[test]
+fn successful_unsignaled_write_spawns_no_task() {
+    let mut sim = Simulation::new(3);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, _qb) = connect(&a.hca, &b.hca);
+    let data = b.mem.alloc(4096);
+    let rkey = b.hca.enable_all_physical();
+    sim.run();
+    let slots = sim.task_slots();
+    let polls = sim.polls();
+    for i in 0..8 {
+        qa.post_rdma_write(
+            Payload::synthetic(i, 512),
+            data.addr(),
+            rkey,
+            WrId(i),
+            false,
+        )
+        .unwrap();
+    }
+    sim.run();
+    assert!(data.read(0, 512).content_eq(&Payload::synthetic(7, 512)));
+    assert_eq!(
+        sim.task_slots(),
+        slots,
+        "an unsignaled work request that succeeds must not spawn a task"
+    );
+    // Only the send queue's own task ran: woken once by the burst of
+    // doorbells, then doorbell processing, serialization and
+    // propagation — three sleeps a WQE.
+    assert_eq!(sim.polls() - polls, 1 + 8 * 3);
+    assert_eq!(qa.send_cq().depth(), 0);
+}

@@ -3,11 +3,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
-use std::task::Waker;
 
 use ib_verbs::types::NodeId;
 use sim_core::sync::Semaphore;
-use sim_core::{Payload, SimDuration};
+use sim_core::{Payload, SimDuration, WakeSlot};
 
 use crate::tcp::{Segment, TcpNet};
 
@@ -20,16 +19,14 @@ pub struct StreamId(pub u64);
 pub struct RxBuf {
     pieces: RefCell<VecDeque<Payload>>,
     avail: Cell<u64>,
-    waker: RefCell<Option<Waker>>,
+    waker: RefCell<WakeSlot>,
 }
 
 impl RxBuf {
     pub(crate) fn push(&self, data: Payload) {
         self.avail.set(self.avail.get() + data.len());
         self.pieces.borrow_mut().push_back(data);
-        if let Some(w) = self.waker.borrow_mut().take() {
-            w.wake();
-        }
+        self.waker.borrow_mut().wake();
     }
 
     fn pop_exact(&self, n: u64) -> Payload {
@@ -158,7 +155,7 @@ impl TcpStream {
             if rx.avail.get() >= n {
                 std::task::Poll::Ready(())
             } else {
-                *rx.waker.borrow_mut() = Some(cx.waker().clone());
+                rx.waker.borrow_mut().park(cx);
                 std::task::Poll::Pending
             }
         })

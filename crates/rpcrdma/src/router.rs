@@ -19,7 +19,7 @@ struct RouterInner {
     /// Parked busy-poll consumer waiting for a waiter to register
     /// (polling routers only; a registration wake is a local task
     /// switch, not an interrupt).
-    spin_wake: RefCell<Option<std::task::Waker>>,
+    spin_wake: RefCell<sim_core::WakeSlot>,
 }
 
 /// Demultiplexes one CQ to per-WR waiters.
@@ -35,7 +35,7 @@ impl CompletionRouter {
             inner: Rc::new(RouterInner {
                 waiters: RefCell::new(HashMap::new()),
                 on_error: RefCell::new(None),
-                spin_wake: RefCell::new(None),
+                spin_wake: RefCell::default(),
             }),
         }
     }
@@ -82,7 +82,7 @@ impl CompletionRouter {
                         let inner = r2.inner.clone();
                         std::future::poll_fn(move |cx| {
                             if inner.waiters.borrow().is_empty() {
-                                *inner.spin_wake.borrow_mut() = Some(cx.waker().clone());
+                                inner.spin_wake.borrow_mut().park(cx);
                                 std::task::Poll::Pending
                             } else {
                                 std::task::Poll::Ready(())
@@ -151,9 +151,7 @@ impl CompletionRouter {
             }
             waiters.insert(wr_id.0, tx);
         }
-        if let Some(w) = self.inner.spin_wake.borrow_mut().take() {
-            w.wake();
-        }
+        self.inner.spin_wake.borrow_mut().wake();
         Ok(rx)
     }
 

@@ -17,7 +17,10 @@
 //! ## Hot-path internals
 //!
 //! Simulated seconds cost millions of polls of host time, so the
-//! per-poll constants here dominate every benchmark harness:
+//! per-poll constants here dominate every benchmark harness. The
+//! executor is thread-confined (see [`crate::wake`]) and pays for no
+//! thread safety: no lock and no atomic read-modify-write on the wake,
+//! poll or sleep path.
 //!
 //! - **Slab task table.** Tasks live in a `Vec` of slots indexed by the
 //!   low half of the task id, with a free list for reuse — no hashing on
@@ -25,25 +28,28 @@
 //!   (e.g. from a timer outliving its task) addresses a reused slot
 //!   harmlessly: the generation no longer matches and the wake is
 //!   dropped.
-//! - **Cached wakers.** Each slot holds one `Arc`-backed [`Waker`],
-//!   created at spawn; polls clone it (a refcount bump) instead of
-//!   allocating a fresh waker per poll. Steady-state polling performs
-//!   zero heap allocations (pinned by `tests/zero_alloc.rs`). A
-//!   finished task leaves its `Arc` in the slot, and the next tenant
-//!   re-addresses it unless a stale clone (a timer, a channel) still
-//!   shares it — then that clone keeps the old id and a fresh `Arc` is
-//!   allocated, so a stale wake is dropped by generation as before.
-//! - **Wake dedup.** The waker carries an "already scheduled" flag;
-//!   waking a task that is still queued is a no-op rather than a
-//!   duplicate queue entry and a wasted poll. The flag clears *before*
-//!   the poll runs so a task that wakes itself (`yield_now`) re-queues
-//!   correctly.
-//! - **Batched ready-queue drain.** The ready queue is `Mutex`-guarded
-//!   only because `Waker` must be `Send + Sync`; the executor swaps the
-//!   whole queue into a local buffer and takes the lock once per batch
-//!   instead of once per task. FIFO order is preserved: wakes raised
-//!   while a batch runs land in the (empty) shared queue and form the
-//!   next batch, exactly the order the one-pop-per-lock loop produced.
+//! - **A wake is a push.** The ready queue is plain data beside the
+//!   slab, behind one `RefCell`. Waking task `id` checks the slot's
+//!   generation and its "already scheduled" flag (a `bool`), sets the
+//!   flag and pushes the id onto its class lane. Waking a task that is
+//!   still queued is a no-op rather than a duplicate entry and a wasted
+//!   poll. The flag clears *before* the poll runs so a task that wakes
+//!   itself (`yield_now`) re-queues correctly.
+//! - **Park by id.** Timers and this crate's primitives record the id
+//!   of the task being polled (`wake::Parked`) — two integers
+//!   — not a cloned `Waker`. Each slot still caches one `Arc`-backed
+//!   `Waker` for its [`Context`]; it is lent to the poll by reference
+//!   and cloned only by a future that asks for it, the compatibility
+//!   path. Both paths push onto the same FIFO in call order.
+//! - **A spawn on a reused slot allocates the boxed future only.** A
+//!   finished task leaves its waker in the slot, and the next tenant
+//!   re-addresses it unless a stale clone still shares it — then that
+//!   clone keeps the old id and a fresh waker is allocated, so a stale
+//!   wake is dropped by generation as before.
+//! - **Batched ready-queue drain.** The executor swaps the whole queue
+//!   into a local buffer once per batch. FIFO order is preserved: wakes
+//!   raised while a batch runs land in the (empty) queue and form the
+//!   next batch.
 //! - **Timer wheel.** Pending timers live in a bucketed wheel with a
 //!   far-future heap and O(1) lazy cancellation ([`crate::timer_wheel`])
 //!   instead of a `BinaryHeap` + `HashMap` pair.
@@ -56,11 +62,7 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
-
-use parking_lot::Mutex;
+use std::task::{Context, Poll};
 
 use crate::flight::{FlightRecord, FlightRing, FLIGHT_CAPACITY};
 use crate::metrics::MetricsRegistry;
@@ -69,14 +71,15 @@ use crate::stats::Counter;
 use crate::time::{SimDuration, SimTime};
 use crate::timer_wheel::{TimerHandle, TimerWheel};
 use crate::trace::{SpanRecord, TraceCtx, Tracer};
+use crate::wake::{self, Parked, SlotWaker};
 
 /// Packed task id: `generation << 32 | slot index`.
-type TaskId = u64;
+pub(crate) type TaskId = u64;
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
 /// Sentinel for "no task is being polled" (code running outside the
 /// executor, e.g. between `run()` calls).
-const NO_TASK: TaskId = u64::MAX;
+pub(crate) const NO_TASK: TaskId = u64::MAX;
 
 pub(crate) fn task_slot(id: TaskId) -> usize {
     (id & u32::MAX as u64) as usize
@@ -98,10 +101,37 @@ struct ClassLane {
     weight: u32,
 }
 
-/// Queue of tasks woken and awaiting a poll, partitioned into weighted
-/// scheduling classes. Shared with [`Waker`]s, which must be
-/// `Send + Sync`, hence the `Mutex` — it is never contended because the
-/// executor is single-threaded.
+impl ClassLane {
+    fn new() -> ClassLane {
+        ClassLane {
+            queue: Vec::new(),
+            weight: 1,
+        }
+    }
+}
+
+/// One slab slot: a task's scheduling state, its future while parked,
+/// and the waker every tenant of the slot shares.
+#[derive(Default)]
+struct TaskSlot {
+    /// Bumped when the slot is freed, invalidating outstanding ids.
+    gen: u32,
+    /// True while the tenant sits in the ready queue; extra wakes are
+    /// no-ops. Cleared by the executor just before polling.
+    scheduled: bool,
+    /// Scheduling class of the tenant; fixed for its life.
+    class: usize,
+    /// The tenant's future. `None` on a free slot, and while the task
+    /// is being polled (taken out so the body can re-entrantly spawn).
+    fut: Option<BoxFuture>,
+    /// The slot's cached `Waker`, kept across tenants. Lent out with
+    /// the future during a poll.
+    waker: Option<SlotWaker>,
+}
+
+/// The task slab and the queue of tasks woken and awaiting a poll,
+/// partitioned into weighted scheduling classes. Thread-confined, so
+/// plain data: wakes reach it through [`Core::wake_task`].
 ///
 /// Class [`DEFAULT_CLASS`] always exists. When it is the only class
 /// with queued tasks (the overwhelmingly common case — every component
@@ -112,63 +142,58 @@ struct ClassLane {
 /// per round, in ascending class index — deterministic, starvation-free
 /// (every positive-weight class contributes to every round), and
 /// proportional to the configured weights within a batch.
-struct ReadyQueue {
-    lanes: Mutex<Vec<ClassLane>>,
-    /// Mirrors the total queued count across lanes; lets the executor's
-    /// drain loop detect emptiness with one atomic load instead of a
-    /// lock round-trip.
-    len: AtomicUsize,
+struct Sched {
+    slots: Vec<TaskSlot>,
+    free: Vec<u32>,
+    lanes: Vec<ClassLane>,
+    /// Ids queued across all lanes.
+    queued: usize,
 }
 
-impl Default for ReadyQueue {
-    fn default() -> Self {
-        ReadyQueue {
-            lanes: Mutex::new(vec![ClassLane {
-                queue: Vec::new(),
-                weight: 1,
-            }]),
-            len: AtomicUsize::new(0),
+impl Sched {
+    fn new() -> Sched {
+        Sched {
+            slots: Vec::new(),
+            free: Vec::new(),
+            lanes: vec![ClassLane::new()],
+            queued: 0,
         }
     }
-}
 
-impl ReadyQueue {
-    fn push(&self, class: usize, id: TaskId) {
-        let mut lanes = self.lanes.lock();
-        // Wakes can outlive weight configuration; grow on demand.
-        while lanes.len() <= class {
-            lanes.push(ClassLane {
-                queue: Vec::new(),
-                weight: 1,
-            });
+    /// The lane of `class`; classes are created on first use.
+    fn lane(&mut self, class: usize) -> &mut ClassLane {
+        while self.lanes.len() <= class {
+            self.lanes.push(ClassLane::new());
         }
-        lanes[class].queue.push(id);
-        self.len.fetch_add(1, Ordering::Release);
+        &mut self.lanes[class]
     }
 
-    fn set_weight(&self, class: usize, weight: u32) {
-        let mut lanes = self.lanes.lock();
-        while lanes.len() <= class {
-            lanes.push(ClassLane {
-                queue: Vec::new(),
-                weight: 1,
-            });
+    /// Queue task `id` unless it is gone (stale generation) or already
+    /// queued.
+    fn wake(&mut self, id: TaskId) {
+        let Some(slot) = self.slots.get_mut(task_slot(id)) else {
+            return;
+        };
+        if slot.gen != task_gen(id) || slot.scheduled {
+            return;
         }
-        lanes[class].weight = weight.max(1);
+        slot.scheduled = true;
+        let class = slot.class;
+        self.lane(class).queue.push(id);
+        self.queued += 1;
     }
 
-    /// Move the queued batch into `buf` (cleared first), taking the
-    /// lock once — or zero locks when the queue is empty. With a single
+    /// Move the queued batch into `buf` (cleared first). With a single
     /// non-empty lane this swaps the whole queue (the historical FIFO
     /// drain, zero-alloc in steady state); with several it interleaves
     /// them weight-proportionally.
-    fn drain_into(&self, buf: &mut Vec<TaskId>) {
+    fn drain_into(&mut self, buf: &mut Vec<TaskId>) {
         buf.clear();
-        if self.len.load(Ordering::Acquire) == 0 {
+        if self.queued == 0 {
             return;
         }
-        let mut lanes = self.lanes.lock();
-        let mut nonempty = lanes.iter_mut().filter(|l| !l.queue.is_empty());
+        self.queued = 0;
+        let mut nonempty = self.lanes.iter_mut().filter(|l| !l.queue.is_empty());
         let (first, second) = (nonempty.next(), nonempty.next());
         match (first, second) {
             (Some(only), None) => std::mem::swap(&mut only.queue, buf),
@@ -200,29 +225,6 @@ impl ReadyQueue {
             }
             (None, _) => {}
         }
-        self.len.store(0, Ordering::Release);
-    }
-}
-
-/// One waker per task, created at spawn and cached in the task's slot.
-struct TaskWaker {
-    id: TaskId,
-    /// Scheduling class the task was spawned into; fixed for life.
-    class: usize,
-    ready: Arc<ReadyQueue>,
-    /// True while the task sits in the ready queue; extra wakes are
-    /// no-ops. Cleared by the executor just before polling.
-    scheduled: AtomicBool,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        if !self.scheduled.swap(true, Ordering::Relaxed) {
-            self.ready.push(self.class, self.id);
-        }
     }
 }
 
@@ -237,36 +239,12 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
-/// A live task's state; `None` in [`TaskSlot::live`] marks a free slot.
-struct LiveTask {
-    /// Taken out during a poll so the task body can re-entrantly spawn.
-    fut: Option<BoxFuture>,
-    /// Shared with every clone of the task's waker; lets the executor
-    /// clear the scheduled flag without allocating.
-    flag: Arc<TaskWaker>,
-    /// Cached waker backed by `flag`; cloned (refcount bump) per poll.
-    waker: Waker,
-}
-
-#[derive(Default)]
-struct TaskSlot {
-    /// Bumped when the slot is freed, invalidating outstanding ids.
-    gen: u32,
-    live: Option<LiveTask>,
-    /// The last tenant's waker state, for the next tenant to reuse.
-    spare: Option<Arc<TaskWaker>>,
-}
-
-#[derive(Default)]
-struct TaskSlab {
-    slots: Vec<TaskSlot>,
-    free: Vec<u32>,
-}
-
-struct Core {
+pub(crate) struct Core {
+    /// This simulation's number in its thread's wake registry.
+    id: u64,
     now: Cell<SimTime>,
-    tasks: RefCell<TaskSlab>,
-    timers: RefCell<TimerWheel>,
+    sched: RefCell<Sched>,
+    timers: RefCell<TimerWheel<Parked>>,
     rng: RefCell<SimRng>,
     /// Count of task polls, a cheap progress metric for tests/benches.
     /// Registered as `executor.polls` in the metrics registry.
@@ -285,11 +263,27 @@ struct Core {
     metrics: MetricsRegistry,
 }
 
+impl Core {
+    /// Queue task `id` for a poll; stale ids and tasks already queued
+    /// are ignored.
+    pub(crate) fn wake_task(&self, id: TaskId) {
+        self.sched.borrow_mut().wake(id);
+    }
+
+    /// Wake whoever `parked` names — by a direct push when it is a task
+    /// of this simulation (a fired timer's usual case).
+    fn wake(&self, parked: Parked) {
+        match parked {
+            Parked::Task { sim, id } if sim == self.id => self.wake_task(id),
+            other => other.wake(),
+        }
+    }
+}
+
 /// The simulation world: owns all tasks, the virtual clock and the
 /// deterministic RNG. Create one per experiment run.
 pub struct Simulation {
     core: Rc<Core>,
-    ready: Arc<ReadyQueue>,
 }
 
 /// A cheap, clonable handle onto a [`Simulation`], usable from inside
@@ -298,7 +292,6 @@ pub struct Simulation {
 #[derive(Clone)]
 pub struct Sim {
     core: Rc<Core>,
-    ready: Arc<ReadyQueue>,
 }
 
 impl Simulation {
@@ -307,9 +300,10 @@ impl Simulation {
         let metrics = MetricsRegistry::new();
         let polls = metrics.counter("executor.polls");
         Simulation {
-            core: Rc::new(Core {
+            core: Rc::new_cyclic(|core| Core {
+                id: wake::register(core),
                 now: Cell::new(SimTime::ZERO),
-                tasks: RefCell::new(TaskSlab::default()),
+                sched: RefCell::new(Sched::new()),
                 timers: RefCell::new(TimerWheel::new()),
                 rng: RefCell::new(SimRng::new(seed)),
                 polls,
@@ -319,7 +313,6 @@ impl Simulation {
                 flight: FlightRing::new(FLIGHT_CAPACITY),
                 metrics,
             }),
-            ready: Arc::new(ReadyQueue::default()),
         }
     }
 
@@ -327,7 +320,6 @@ impl Simulation {
     pub fn handle(&self) -> Sim {
         Sim {
             core: self.core.clone(),
-            ready: self.ready.clone(),
         }
     }
 
@@ -344,7 +336,7 @@ impl Simulation {
 
     /// Set a scheduling class's weight (see [`Sim::set_class_weight`]).
     pub fn set_class_weight(&self, class: usize, weight: u32) {
-        self.ready.set_weight(class, weight);
+        self.handle().set_class_weight(class, weight);
     }
 
     /// Current virtual time.
@@ -355,6 +347,13 @@ impl Simulation {
     /// Number of task polls performed so far.
     pub fn polls(&self) -> u64 {
         self.core.polls.get()
+    }
+
+    /// Task slots ever allocated: the slab's high-water mark, i.e. the
+    /// most tasks that were alive at once. A budget test that expects
+    /// "this spawns nothing" compares it before and after.
+    pub fn task_slots(&self) -> usize {
+        self.core.sched.borrow().slots.len()
     }
 
     /// Turn on event tracing (off by default; ~zero cost when off).
@@ -412,11 +411,11 @@ impl Simulation {
     pub fn run_until(&mut self, deadline: SimTime) {
         let mut batch: Vec<TaskId> = Vec::new();
         loop {
-            // Drain every ready task at the current instant, one lock
-            // acquisition per batch. Wakes raised while the batch runs
-            // form the next batch, preserving FIFO order.
+            // Drain every ready task at the current instant, a batch at
+            // a time. Wakes raised while the batch runs form the next
+            // batch, preserving FIFO order.
             loop {
-                self.ready.drain_into(&mut batch);
+                self.core.sched.borrow_mut().drain_into(&mut batch);
                 if batch.is_empty() {
                     break;
                 }
@@ -432,10 +431,10 @@ impl Simulation {
                 .borrow_mut()
                 .pop_due(deadline, self.core.now.get());
             match fired {
-                Some((at, waker)) => {
+                Some((at, parked)) => {
                     debug_assert!(at >= self.core.now.get());
                     self.core.now.set(at);
-                    waker.wake();
+                    self.core.wake(parked);
                 }
                 None => return,
             }
@@ -458,43 +457,51 @@ impl Simulation {
     }
 
     fn poll_task(&self, id: TaskId) {
-        // Take the future out while polling so the task body can call
-        // spawn() (which borrows the slab) without re-entrancy.
+        // Take the future (and the waker it is polled with) out of the
+        // slot so the task body can call spawn(), which borrows and may
+        // grow the slab, without re-entrancy.
         let (mut fut, waker) = {
-            let mut slab = self.core.tasks.borrow_mut();
-            let Some(slot) = slab.slots.get_mut(task_slot(id)) else {
+            let mut sched = self.core.sched.borrow_mut();
+            let Some(slot) = sched.slots.get_mut(task_slot(id)) else {
                 return;
             };
             if slot.gen != task_gen(id) {
-                return; // stale wake: slot was freed (and maybe reused)
+                return; // stale id: slot was freed (and maybe reused)
             }
-            let Some(live) = slot.live.as_mut() else {
-                return;
-            };
             // Clear before polling: a task that wakes itself mid-poll
             // (yield_now) must land back in the queue.
-            live.flag.scheduled.store(false, Ordering::Relaxed);
-            let Some(fut) = live.fut.take() else {
+            slot.scheduled = false;
+            let Some(fut) = slot.fut.take() else {
                 return;
             };
-            (fut, live.waker.clone())
+            (fut, slot.waker.take().expect("a live task has a waker"))
         };
         self.core.polls.inc();
         let prev_task = self.core.current_task.replace(id);
-        let mut cx = Context::from_waker(&waker);
-        let pending = fut.as_mut().poll(&mut cx).is_pending();
+        let pending = {
+            let _polling = wake::enter_poll(self.core.id, id, waker.waker());
+            let mut cx = Context::from_waker(waker.waker());
+            fut.as_mut().poll(&mut cx).is_pending()
+        };
         self.core.current_task.set(prev_task);
-        let mut slab = self.core.tasks.borrow_mut();
-        let slot = &mut slab.slots[task_slot(id)];
-        if pending {
-            if let Some(live) = slot.live.as_mut() {
-                live.fut = Some(fut);
+        let finished = {
+            let mut sched = self.core.sched.borrow_mut();
+            let slot = &mut sched.slots[task_slot(id)];
+            // Finished or not, the waker stays with the slot: the next
+            // tenant re-addresses it.
+            slot.waker = Some(waker);
+            if pending {
+                slot.fut = Some(fut);
+                None
+            } else {
+                slot.gen = slot.gen.wrapping_add(1);
+                sched.free.push(task_slot(id) as u32);
+                Some(fut)
             }
-        } else {
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.spare = slot.live.take().map(|live| live.flag);
-            slab.free.push(task_slot(id) as u32);
-        }
+        };
+        // Outside the borrow: a finished future's destructors (permits,
+        // channel halves) wake other tasks.
+        drop(finished);
     }
 }
 
@@ -504,6 +511,8 @@ impl Simulation {
 /// timer and semaphore destructors run against working state.
 impl Drop for Simulation {
     fn drop(&mut self) {
+        // From here on a wake addressed to this simulation is dropped.
+        wake::unregister(self.core.id);
         // A destructor that panicked during an unwind would abort the
         // process and bury the failure being reported.
         if std::thread::panicking() {
@@ -511,8 +520,12 @@ impl Drop for Simulation {
         }
         loop {
             // Out of the `RefCell` first: a destructor may spawn.
-            let slab = std::mem::take(&mut *self.core.tasks.borrow_mut());
-            if slab.slots.is_empty() {
+            let slots = {
+                let mut sched = self.core.sched.borrow_mut();
+                sched.free.clear();
+                std::mem::take(&mut sched.slots)
+            };
+            if slots.is_empty() {
                 break;
             }
         }
@@ -536,44 +549,27 @@ impl Sim {
     /// ready at the same instant are polled interleaved in proportion
     /// to their class weights instead of global FIFO order.
     pub fn spawn_class(&self, class: usize, fut: impl Future<Output = ()> + 'static) {
-        let id = {
-            let mut slab = self.core.tasks.borrow_mut();
-            let idx = match slab.free.pop() {
-                Some(i) => i,
-                None => {
-                    slab.slots.push(TaskSlot::default());
-                    (slab.slots.len() - 1) as u32
-                }
-            };
-            let slot = &mut slab.slots[idx as usize];
-            let id = ((slot.gen as u64) << 32) | idx as u64;
-            let fresh = || {
-                Arc::new(TaskWaker {
-                    id,
-                    class,
-                    ready: self.ready.clone(),
-                    // Born scheduled: pushed directly below.
-                    scheduled: AtomicBool::new(true),
-                })
-            };
-            let mut flag = slot.spare.take().unwrap_or_else(fresh);
-            match Arc::get_mut(&mut flag) {
-                // Sole owner: no waker of the last tenant survives.
-                Some(w) => {
-                    (w.id, w.class) = (id, class);
-                    *w.scheduled.get_mut() = true;
-                }
-                None => flag = fresh(),
+        let fut: BoxFuture = Box::pin(fut);
+        let mut sched = self.core.sched.borrow_mut();
+        let idx = match sched.free.pop() {
+            Some(i) => i,
+            None => {
+                sched.slots.push(TaskSlot::default());
+                (sched.slots.len() - 1) as u32
             }
-            let waker = Waker::from(flag.clone());
-            slot.live = Some(LiveTask {
-                fut: Some(Box::pin(fut)),
-                flag,
-                waker,
-            });
-            id
         };
-        self.ready.push(class, id);
+        let slot = &mut sched.slots[idx as usize];
+        let id = ((slot.gen as u64) << 32) | idx as u64;
+        // Inherit the last tenant's waker unless a clone of it survives
+        // somewhere (it must keep waking the old, stale id).
+        if !matches!(&slot.waker, Some(last) if last.readdress(id)) {
+            slot.waker = Some(SlotWaker::new(self.core.id, id));
+        }
+        slot.fut = Some(fut);
+        slot.class = class;
+        // Born queued.
+        slot.scheduled = false;
+        sched.wake(id);
     }
 
     /// Set the weight of scheduling class `class` (clamped to ≥ 1):
@@ -582,7 +578,7 @@ impl Sim {
     /// default) reproduce round-robin; the default class alone
     /// reproduces the historical FIFO drain exactly.
     pub fn set_class_weight(&self, class: usize, weight: u32) {
-        self.ready.set_weight(class, weight);
+        self.core.sched.borrow_mut().lane(class).weight = weight.max(1);
     }
 
     /// Sleep for a span of virtual time.
@@ -592,9 +588,6 @@ impl Sim {
 
     /// Sleep until an absolute virtual instant.
     pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
-        // `Sleep` only needs the clock and the timer wheel, so it holds
-        // the core alone — cheaper to create per-await than a full
-        // handle clone (skips the ready queue's atomic refcount).
         Sleep {
             core: self.core.clone(),
             deadline,
@@ -813,18 +806,14 @@ impl Future for Sleep {
             }
             return Poll::Ready(());
         }
-        match self.timer {
-            // Spurious poll: keep the registration, refresh the stored
-            // waker in place only if it would wake a different task.
-            Some(h) => self.core.timers.borrow_mut().update_waker(h, cx.waker()),
-            None => {
-                let h = self
-                    .core
-                    .timers
-                    .borrow_mut()
-                    .register(self.deadline, cx.waker().clone());
-                self.timer = Some(h);
-            }
+        let parked = Parked::current(cx);
+        let this = &mut *self;
+        let mut timers = this.core.timers.borrow_mut();
+        match this.timer {
+            // Polled again before firing (spuriously, or moved to
+            // another task): keep the registration, wake the new poller.
+            Some(h) => timers.retarget(h, parked),
+            None => this.timer = Some(timers.register(this.deadline, parked)),
         }
         Poll::Pending
     }
@@ -876,7 +865,7 @@ impl Future for YieldNow {
             Poll::Ready(())
         } else {
             self.yielded = true;
-            cx.waker().wake_by_ref();
+            Parked::current(cx).wake();
             Poll::Pending
         }
     }
@@ -887,6 +876,7 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use std::task::Waker;
 
     #[test]
     fn block_on_returns_value() {
@@ -1129,11 +1119,10 @@ mod tests {
             }
             sim.run();
         }
-        let slab = sim.core.tasks.borrow();
         assert!(
-            slab.slots.len() <= 8,
+            sim.task_slots() <= 8,
             "slab grew to {} slots for 4 concurrent tasks",
-            slab.slots.len()
+            sim.task_slots()
         );
     }
 
@@ -1157,7 +1146,7 @@ mod tests {
                 });
             }
             sim.run();
-            let slots = sim.core.tasks.borrow().slots.len();
+            let slots = sim.task_slots();
             (Rc::try_unwrap(order).unwrap().into_inner(), slots)
         };
         let (order, slots) = run();

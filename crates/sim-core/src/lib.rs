@@ -57,6 +57,7 @@ pub mod sync;
 pub mod time;
 pub mod timer_wheel;
 pub mod trace;
+pub mod wake;
 
 pub use cpu::{Cpu, CpuCosts};
 pub use executor::{yield_now, Sim, Simulation, Span, Timeout, TraceEvent, DEFAULT_CLASS};
@@ -71,6 +72,7 @@ pub use time::{transfer_time, SimDuration, SimTime};
 pub use trace::{
     aggregate_phases, chrome_trace_json, validate_json, PhaseStats, SpanRecord, TraceCtx,
 };
+pub use wake::WakeSlot;
 
 /// The entries of a hash map, in key order. A `HashMap` yields them in
 /// its hasher's order, which differs between two maps in one process:

@@ -4,15 +4,17 @@
 //! systems use — message queues between interrupt handlers and worker
 //! threads, counted semaphores for resource slots, completion
 //! notifications — but operate purely in virtual time. All are
-//! single-threaded (`Rc`-based); only the `Waker`s they store cross the
-//! (nonexistent) thread boundary.
+//! single-threaded (`Rc`-based), and a waiter is recorded as the id of
+//! the task being polled, not a cloned `Waker` (see [`crate::wake`]).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
+
+use crate::wake::{Parked, WakeSlot};
 
 // ---------------------------------------------------------------------------
 // mpsc channel
@@ -20,7 +22,7 @@ use std::task::{Context, Poll, Waker};
 
 struct ChanInner<T> {
     queue: VecDeque<T>,
-    recv_wakers: VecDeque<Waker>,
+    recv_wakers: VecDeque<Parked>,
     senders: usize,
     receiver_alive: bool,
 }
@@ -151,7 +153,7 @@ impl<T> Future for Recv<'_, T> {
         if inner.senders == 0 {
             return Poll::Ready(Err(RecvError));
         }
-        inner.recv_wakers.push_back(cx.waker().clone());
+        inner.recv_wakers.push_back(Parked::current(cx));
         Poll::Pending
     }
 }
@@ -162,7 +164,7 @@ impl<T> Future for Recv<'_, T> {
 
 struct OneshotInner<T> {
     value: Option<T>,
-    waker: Option<Waker>,
+    waker: WakeSlot,
     sender_alive: bool,
 }
 
@@ -171,7 +173,7 @@ struct OneshotInner<T> {
 pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
     let inner = Rc::new(RefCell::new(OneshotInner {
         value: None,
-        waker: None,
+        waker: WakeSlot::new(),
         sender_alive: true,
     }));
     (
@@ -209,9 +211,7 @@ impl<T> Drop for OneshotSender<T> {
     fn drop(&mut self) {
         let mut inner = self.inner.borrow_mut();
         inner.sender_alive = false;
-        if let Some(w) = inner.waker.take() {
-            w.wake();
-        }
+        inner.waker.wake();
     }
 }
 
@@ -225,7 +225,7 @@ impl<T> Future for OneshotReceiver<T> {
         if !inner.sender_alive {
             return Poll::Ready(Err(RecvError));
         }
-        inner.waker = Some(cx.waker().clone());
+        inner.waker.park(cx);
         Poll::Pending
     }
 }
@@ -236,7 +236,7 @@ impl<T> Future for OneshotReceiver<T> {
 
 struct SemWaiter {
     ticket: u64,
-    waker: Option<Waker>,
+    waker: Parked,
 }
 
 struct SemInner {
@@ -252,14 +252,12 @@ impl SemInner {
     /// Hand available permits to queued waiters, FIFO.
     fn dispatch(&mut self) {
         while self.permits > 0 {
-            let Some(mut w) = self.waiters.pop_front() else {
+            let Some(w) = self.waiters.pop_front() else {
                 break;
             };
             self.permits -= 1;
             self.granted.push(w.ticket);
-            if let Some(waker) = w.waker.take() {
-                waker.wake();
-            }
+            w.waker.wake();
         }
     }
 }
@@ -299,7 +297,9 @@ impl Semaphore {
         let mut inner = self.inner.borrow_mut();
         if inner.permits > 0 && inner.waiters.is_empty() {
             inner.permits -= 1;
-            Some(SemPermit { sem: self.clone() })
+            Some(SemPermit {
+                sem: Some(self.clone()),
+            })
         } else {
             None
         }
@@ -330,21 +330,27 @@ impl Semaphore {
 /// RAII permit from [`Semaphore::acquire`]; releasing wakes the next
 /// FIFO waiter.
 pub struct SemPermit {
-    sem: Semaphore,
+    /// `None` once [`SemPermit::forget`] has consumed the permit.
+    sem: Option<Semaphore>,
 }
 
 impl SemPermit {
     /// Consume the permit without returning it to the semaphore.
     /// Used for credit-style accounting where replenishment happens
-    /// explicitly via [`Semaphore::add_permits`].
-    pub fn forget(self) {
-        std::mem::forget(self);
+    /// explicitly via [`Semaphore::add_permits`]. The permit's handle
+    /// on the semaphore is dropped normally — only the slot is kept —
+    /// so a semaphore whose permits were all forgotten is still freed
+    /// with its last user.
+    pub fn forget(mut self) {
+        self.sem = None;
     }
 }
 
 impl Drop for SemPermit {
     fn drop(&mut self) {
-        self.sem.release();
+        if let Some(sem) = self.sem.take() {
+            sem.release();
+        }
     }
 }
 
@@ -363,7 +369,7 @@ impl Future for Acquire {
                 if inner.permits > 0 && inner.waiters.is_empty() {
                     inner.permits -= 1;
                     drop(inner);
-                    let sem = self.sem.clone();
+                    let sem = Some(self.sem.clone());
                     self.ticket = Some(u64::MAX); // sentinel: already granted+consumed
                     Poll::Ready(SemPermit { sem })
                 } else {
@@ -371,7 +377,7 @@ impl Future for Acquire {
                     inner.next_ticket += 1;
                     inner.waiters.push_back(SemWaiter {
                         ticket,
-                        waker: Some(cx.waker().clone()),
+                        waker: Parked::current(cx),
                     });
                     drop(inner);
                     self.ticket = Some(ticket);
@@ -382,13 +388,13 @@ impl Future for Acquire {
                 if let Some(pos) = inner.granted.iter().position(|&t| t == ticket) {
                     inner.granted.swap_remove(pos);
                     drop(inner);
-                    let sem = self.sem.clone();
+                    let sem = Some(self.sem.clone());
                     self.ticket = Some(u64::MAX);
                     Poll::Ready(SemPermit { sem })
                 } else {
-                    // Refresh the stored waker.
+                    // Polled again while queued: wake whoever polls now.
                     if let Some(w) = inner.waiters.iter_mut().find(|w| w.ticket == ticket) {
-                        w.waker = Some(cx.waker().clone());
+                        w.waker = Parked::current(cx);
                     }
                     Poll::Pending
                 }
@@ -422,7 +428,7 @@ impl Drop for Acquire {
 #[derive(Default)]
 struct NotifyInner {
     generation: u64,
-    wakers: Vec<Waker>,
+    wakers: Vec<Parked>,
 }
 
 /// Broadcast notification: every task parked in [`Notify::notified`]
@@ -469,7 +475,7 @@ impl Future for Notified {
         if inner.generation != self.generation {
             Poll::Ready(())
         } else {
-            inner.wakers.push(cx.waker().clone());
+            inner.wakers.push(Parked::current(cx));
             Poll::Pending
         }
     }
@@ -661,6 +667,17 @@ mod tests {
         });
         sim.run();
         assert_eq!(count.get(), 3);
+    }
+
+    #[test]
+    fn forgotten_permit_lets_go_of_the_semaphore() {
+        // `forget` keeps the slot, not the handle: a completion
+        // semaphore whose permits are all forgotten (`Raid0::transfer`)
+        // must still be freed with its last user.
+        let sem = Semaphore::new(2);
+        sem.try_acquire().unwrap().forget();
+        assert_eq!(Rc::strong_count(&sem.inner), 1);
+        assert_eq!(sem.available(), 1);
     }
 
     #[test]

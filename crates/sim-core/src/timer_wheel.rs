@@ -34,7 +34,7 @@
 //!
 //! ## Cancellation
 //!
-//! [`TimerWheel::cancel`] is O(1) and lazy: it clears the slot's waker;
+//! [`TimerWheel::cancel`] is O(1) and lazy: it clears the slot's wakee;
 //! the dead key is dropped when its tier is next traversed. Generation
 //! counters on slots make stale handles (a fired timer's `Sleep`
 //! dropped later) harmless. Lazy deletion is *bounded*: cancelled
@@ -45,7 +45,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::task::Waker;
 
 use crate::time::SimTime;
 
@@ -54,7 +53,7 @@ const BUCKETS: usize = 256;
 /// Nanoseconds per bucket (power of two so index math is a shift).
 const GRAIN: u64 = 1024;
 
-/// Handle to a registered timer; needed to cancel it or swap its waker.
+/// Handle to a registered timer; needed to cancel or retarget it.
 /// Stale handles (timer already fired) are detected by generation and
 /// ignored.
 #[derive(Clone, Copy, Debug)]
@@ -103,16 +102,20 @@ impl Ord for Key {
     }
 }
 
-struct Slot {
+struct Slot<W> {
     gen: u32,
-    /// `Some` while the timer is live; cleared by cancel/fire.
-    waker: Option<Waker>,
+    /// Who the timer wakes; `Some` while it is live, cleared by
+    /// cancel/fire.
+    wakee: Option<W>,
     tier: Tier,
 }
 
-/// The three-tier pending-timer structure. See the module docs.
-pub struct TimerWheel {
-    slots: Vec<Slot>,
+/// The three-tier pending-timer structure. See the module docs. `W` is
+/// whatever the owner wants handed back when a timer fires — the
+/// executor stores who to wake (a task id, usually), the wheel never
+/// looks inside.
+pub struct TimerWheel<W> {
+    slots: Vec<Slot<W>>,
     free: Vec<u32>,
     /// Global registration counter; ties on deadline fire in seq order.
     seq: u64,
@@ -122,6 +125,9 @@ pub struct TimerWheel {
     /// Deadlines below this are in (or past) the drain.
     drain_end: u64,
     buckets: Vec<Vec<Key>>,
+    /// One bit per bucket, set while the bucket holds keys: the cursor
+    /// jumps to the next occupied bucket instead of scanning empty ones.
+    occupied: [u64; BUCKETS / 64],
     /// Start of the wheel window (multiple of `GRAIN`).
     base: u64,
     /// Next bucket to collect into the drain.
@@ -136,15 +142,15 @@ pub struct TimerWheel {
     live: usize,
 }
 
-impl Default for TimerWheel {
+impl<W> Default for TimerWheel<W> {
     fn default() -> Self {
         TimerWheel::new()
     }
 }
 
-impl TimerWheel {
+impl<W> TimerWheel<W> {
     /// An empty wheel based at t=0.
-    pub fn new() -> TimerWheel {
+    pub fn new() -> TimerWheel<W> {
         TimerWheel {
             slots: Vec::new(),
             free: Vec::new(),
@@ -152,6 +158,7 @@ impl TimerWheel {
             drain: Vec::new(),
             drain_end: 0,
             buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: [0; BUCKETS / 64],
             base: 0,
             cursor: 0,
             wheel_len: 0,
@@ -168,20 +175,20 @@ impl TimerWheel {
 
     /// Register a timer. Steady-state cost is O(1) and allocation-free
     /// (slab slots and bucket capacity are reused).
-    pub fn register(&mut self, deadline: SimTime, waker: Waker) -> TimerHandle {
+    pub fn register(&mut self, deadline: SimTime, wakee: W) -> TimerHandle {
         let slot = match self.free.pop() {
             Some(i) => i,
             None => {
                 self.slots.push(Slot {
                     gen: 0,
-                    waker: None,
+                    wakee: None,
                     tier: Tier::Heap,
                 });
                 (self.slots.len() - 1) as u32
             }
         };
         let gen = self.slots[slot as usize].gen;
-        self.slots[slot as usize].waker = Some(waker);
+        self.slots[slot as usize].wakee = Some(wakee);
         self.seq += 1;
         let key = Key {
             deadline: deadline.as_nanos(),
@@ -204,8 +211,7 @@ impl TimerWheel {
         } else {
             let off = (d - self.base) / GRAIN;
             if off < BUCKETS as u64 {
-                self.buckets[off as usize].push(key);
-                self.wheel_len += 1;
+                self.fill_bucket(off as usize, key);
                 Tier::Wheel
             } else {
                 self.heap.push(Reverse(key));
@@ -215,15 +221,34 @@ impl TimerWheel {
         self.slots[key.slot as usize].tier = tier;
     }
 
+    fn fill_bucket(&mut self, bucket: usize, key: Key) {
+        self.buckets[bucket].push(key);
+        self.occupied[bucket / 64] |= 1 << (bucket % 64);
+        self.wheel_len += 1;
+    }
+
+    /// The first occupied bucket at or after `from`. Every key in the
+    /// wheel sits at or after the cursor, so with `wheel_len > 0` there
+    /// is one.
+    fn next_occupied(&self, from: usize) -> usize {
+        let mut word = from / 64;
+        let mut bits = self.occupied[word] & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = self.occupied[word];
+        }
+        word * 64 + bits.trailing_zeros() as usize
+    }
+
     /// Cancel a timer: O(1), lazy. A stale handle is a no-op.
     pub fn cancel(&mut self, h: TimerHandle) {
         let Some(slot) = self.slots.get_mut(h.slot as usize) else {
             return;
         };
-        if slot.gen != h.gen || slot.waker.is_none() {
+        if slot.gen != h.gen || slot.wakee.is_none() {
             return;
         }
-        slot.waker = None;
+        slot.wakee = None;
         self.live -= 1;
         if slot.tier == Tier::Heap {
             self.heap_dead += 1;
@@ -231,20 +256,14 @@ impl TimerWheel {
         }
     }
 
-    /// Replace a live timer's waker (used by `Sleep::poll` on spurious
-    /// polls). No-op on stale handles or when the stored waker would
-    /// already wake the same task.
-    pub fn update_waker(&mut self, h: TimerHandle, waker: &Waker) {
+    /// Replace who a live timer wakes (used by `Sleep::poll` when it is
+    /// polled again before firing). No-op on stale or cancelled handles.
+    pub fn retarget(&mut self, h: TimerHandle, wakee: W) {
         let Some(slot) = self.slots.get_mut(h.slot as usize) else {
             return;
         };
-        if slot.gen != h.gen {
-            return;
-        }
-        if let Some(w) = &slot.waker {
-            if !w.will_wake(waker) {
-                slot.waker = Some(waker.clone());
-            }
+        if slot.gen == h.gen && slot.wakee.is_some() {
+            slot.wakee = Some(wakee);
         }
     }
 
@@ -256,11 +275,11 @@ impl TimerWheel {
     /// window when the far heap has to be consulted (see
     /// [`TimerWheel::refill`]), so a pending long timeout never drags
     /// the window away from the present.
-    pub fn pop_due(&mut self, limit: SimTime, now: SimTime) -> Option<(SimTime, Waker)> {
+    pub fn pop_due(&mut self, limit: SimTime, now: SimTime) -> Option<(SimTime, W)> {
         loop {
             self.refill(now.as_nanos());
             let key = *self.drain.last()?;
-            if self.slots[key.slot as usize].waker.is_none() {
+            if self.slots[key.slot as usize].wakee.is_none() {
                 self.drain.pop();
                 self.free_slot(key.slot);
                 continue;
@@ -269,13 +288,13 @@ impl TimerWheel {
                 return None;
             }
             self.drain.pop();
-            let waker = self.slots[key.slot as usize]
-                .waker
+            let wakee = self.slots[key.slot as usize]
+                .wakee
                 .take()
                 .expect("checked live above");
             self.live -= 1;
             self.free_slot(key.slot);
-            return Some((SimTime::from_nanos(key.deadline), waker));
+            return Some((SimTime::from_nanos(key.deadline), wakee));
         }
     }
 
@@ -292,15 +311,14 @@ impl TimerWheel {
     fn refill(&mut self, now: u64) {
         while self.drain.is_empty() {
             if self.wheel_len > 0 {
-                while self.buckets[self.cursor].is_empty() {
-                    self.cursor += 1;
-                }
+                self.cursor = self.next_occupied(self.cursor);
+                self.occupied[self.cursor / 64] &= !(1 << (self.cursor % 64));
                 // Collect one bucket, dropping dead keys; `extend` +
                 // `drain(..)` keeps both vecs' capacity.
                 let mut bucket = std::mem::take(&mut self.buckets[self.cursor]);
                 self.wheel_len -= bucket.len();
                 for key in bucket.drain(..) {
-                    if self.slots[key.slot as usize].waker.is_some() {
+                    if self.slots[key.slot as usize].wakee.is_some() {
                         self.slots[key.slot as usize].tier = Tier::Drain;
                         self.drain.push(key);
                     } else {
@@ -349,10 +367,9 @@ impl TimerWheel {
             }
             let Reverse(key) = self.heap.pop().expect("peeked");
             moved = true;
-            if self.slots[key.slot as usize].waker.is_some() {
+            if self.slots[key.slot as usize].wakee.is_some() {
                 self.slots[key.slot as usize].tier = Tier::Wheel;
-                self.buckets[off as usize].push(key);
-                self.wheel_len += 1;
+                self.fill_bucket(off as usize, key);
             } else {
                 self.heap_dead -= 1;
                 self.free_slot(key.slot);
@@ -371,7 +388,7 @@ impl TimerWheel {
         let keys = std::mem::take(&mut self.heap).into_vec();
         let mut kept = Vec::with_capacity(keys.len() - self.heap_dead);
         for Reverse(key) in keys {
-            if self.slots[key.slot as usize].waker.is_some() {
+            if self.slots[key.slot as usize].wakee.is_some() {
                 kept.push(Reverse(key));
             } else {
                 self.free_slot(key.slot);
@@ -384,7 +401,7 @@ impl TimerWheel {
     fn free_slot(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
         s.gen = s.gen.wrapping_add(1);
-        s.waker = None;
+        s.wakee = None;
         self.free.push(slot);
     }
 }
@@ -393,8 +410,11 @@ impl TimerWheel {
 mod tests {
     use super::*;
 
-    fn w() -> Waker {
-        Waker::noop().clone()
+    /// The tests only watch deadlines; nobody is woken.
+    struct Nobody;
+
+    fn w() -> Nobody {
+        Nobody
     }
 
     fn t(ns: u64) -> SimTime {
@@ -404,7 +424,7 @@ mod tests {
     /// Pop everything due by `limit`, returning deadlines in fire order.
     /// Tracks the virtual clock the way the executor does: `now`
     /// advances to each fired deadline.
-    fn drain_all(wheel: &mut TimerWheel, limit: u64) -> Vec<u64> {
+    fn drain_all(wheel: &mut TimerWheel<Nobody>, limit: u64) -> Vec<u64> {
         let mut out = Vec::new();
         let mut now = 0;
         while let Some((at, _)) = wheel.pop_due(t(limit), t(now)) {

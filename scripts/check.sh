@@ -33,7 +33,7 @@ if [ "${SKIP_TESTS:-0}" != "1" ]; then
     cargo test -q --release -p workloads --test compose -- --ignored wide_matrix fault_matrix
 fi
 
-echo "==> simperf --smoke (disabled-tracing hot-path gate + span-tracing overhead gate <=10%)"
+echo "==> simperf --smoke (poll counts of the executor and READ loops by equality + span-tracing overhead gate <=10%)"
 cargo run --release -p bench --bin simperf -- --smoke
 
 echo "==> ablation --batching --smoke (zero-copy >= 1.3x; doorbells/op and interrupts/op < 1 at depth 4)"
@@ -77,15 +77,23 @@ echo "==> benchmark --lint + --smoke (the stand-alone benchmark package compiles
 bash benchmark/run.sh --lint
 bash benchmark/run.sh --smoke >/dev/null
 
-echo "==> results/benchmark_smoke_pin.txt (schedule and allocation pin: every simulated end-to-end number, the polls per op and the heap allocations and bytes per op of the four benchmark beds)"
-# Host speed, ladder, set-up and peak-RSS numbers are wall clock (or the
-# kernel's page accounting) and stay out; allocations are counted, and
-# repeat to the last digit.
-for f in benchmark/out/*.trace[01].json; do
-    grep -oE '"(sim[-_][a-z0-9_.-]*|host\.alloc[a-z_]*_per_op)": \{"value": [^,]*' "$f" |
-        sed "s|^\"\([^\"]*\)\": {\"value\": |$(basename "$f" .json) \1 |"
-done | LC_ALL=C sort >results/benchmark_smoke_pin.txt
-[ -s results/benchmark_smoke_pin.txt ] || { echo "empty benchmark pin" >&2; exit 1; }
+echo "==> results/benchmark_smoke_pin.txt + benchmark_smoke_counts.txt (the four benchmark beds: every simulated end-to-end number in the first, the host's counted work — polls, heap allocations and bytes per op — in the second)"
+# Two files so that "nothing simulated moved" is a file nobody touched:
+# a change that makes the simulator cheaper re-records the counts and
+# leaves the pin alone. Host speed, ladder, set-up and peak-RSS numbers
+# are wall clock (or the kernel's page accounting) and stay out of
+# both; the counts repeat to the last digit.
+pin() { # $1: which metric names, as an ERE
+    for f in benchmark/out/*.trace[01].json; do
+        grep -oE "\"($1)\": \{\"value\": [^,]*" "$f" |
+            sed "s|^\"\([^\"]*\)\": {\"value\": |$(basename "$f" .json) \1 |"
+    done | LC_ALL=C sort
+}
+pin 'sim_[a-z0-9_]*' >results/benchmark_smoke_pin.txt
+pin 'sim-core\.polls_per_op|host\.alloc[a-z_]*_per_op' >results/benchmark_smoke_counts.txt
+for f in results/benchmark_smoke_pin.txt results/benchmark_smoke_counts.txt; do
+    [ -s "$f" ] || { echo "empty $f" >&2; exit 1; }
+done
 
 echo "==> results/ unchanged (simulated numbers are deterministic: a refactor that moves a figure, fingerprint, trace or benchmark schedule fails here)"
 git diff --exit-code -- results/

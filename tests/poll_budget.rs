@@ -1,0 +1,238 @@
+//! Poll and allocation budgets of the five rungs the benchmark's host
+//! ladder *times*, here *counted*: the executor alone, a raw send/recv
+//! ping-pong, a NULL call, a GETATTR and a cached 1 MiB READ.
+//!
+//! Both counts are deterministic — polls always, allocations once the
+//! beds are warm — so every budget is an equality: a change that adds a
+//! task hop, a wake or a boxed future to one of these paths has to
+//! change a number here (and the table in DESIGN.md §3 with it).
+//! A cheaper path changes it too, downwards.
+//!
+//! Allocations are counted per thread, so the libtest harness cannot
+//! leak a stray one into a window; a window that straddles a hash
+//! table's one-off doubling (the duplicate-request cache, whose
+//! randomly keyed hasher decides at which op it happens) is why each
+//! allocation budget is the least of three consecutive windows.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::future::Future;
+
+use ib_verbs::{connect, WrId};
+use rpcrdma::{Design, StrategyKind};
+use sim_core::{yield_now, Payload, Sim, SimDuration, Simulation};
+use workloads::{build_rdma, linux_ddr_raid, linux_sdr, Backend};
+
+struct PerThread;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local without a destructor, so touching it never allocates.
+unsafe impl GlobalAlloc for PerThread {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc`
+        // with this same `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: PerThread = PerThread;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Operations per measured window.
+const OPS: u64 = 64;
+
+/// Polls and allocations of `OPS` calls of `op`, after a warm-up: polls
+/// must repeat exactly over three windows; allocations are the least.
+async fn budget<F: Future<Output = ()>>(sim: &Sim, mut op: impl FnMut(u64) -> F) -> (u64, u64) {
+    for i in 0..2 * OPS {
+        op(i).await;
+    }
+    let polls_of = sim.metrics().counter("executor.polls");
+    let mut windows = Vec::new();
+    for w in 0..3 {
+        let (p0, a0) = (polls_of.get(), allocs());
+        for i in 0..OPS {
+            op(w * OPS + i).await;
+        }
+        windows.push((polls_of.get() - p0, allocs() - a0));
+    }
+    let polls = windows[0].0;
+    assert!(
+        windows.iter().all(|w| w.0 == polls),
+        "polls per window differ: {windows:?}"
+    );
+    (polls, windows.iter().map(|w| w.1).min().expect("three"))
+}
+
+/// (a) The executor alone: 1 000 tasks that each sleep, then yield,
+/// twenty times over, spawn to quiescence. Two passes warm the slab,
+/// the queue and the timer wheel's buckets; the third is counted.
+fn executor_alone() -> (u64, u64) {
+    let mut sim = Simulation::new(1);
+    let mut counted = (0, 0);
+    for _pass in 0..3 {
+        for t in 0..1_000u64 {
+            let h = sim.handle();
+            sim.spawn(async move {
+                for i in 0..20u64 {
+                    let d = (t.wrapping_mul(7919) ^ i.wrapping_mul(104_729)) % 4096 + 1;
+                    h.sleep(SimDuration::from_nanos(d)).await;
+                    yield_now().await;
+                }
+            });
+        }
+        let (p0, a0) = (sim.polls(), allocs());
+        sim.run();
+        counted = (sim.polls() - p0, allocs() - a0);
+    }
+    counted
+}
+
+/// (b)–(d) on the `meta_mix` bed: Linux SDR, all-physical.
+fn small_ops() -> [(u64, u64); 3] {
+    let mut sim = Simulation::new(2);
+    let h = sim.handle();
+    sim.block_on(async move {
+        let profile = linux_sdr();
+        let bed = build_rdma(
+            &h,
+            &profile,
+            Design::ReadWrite,
+            StrategyKind::AllPhysical,
+            Backend::Tmpfs,
+            1,
+        );
+        let client = &bed.clients[0];
+        let nfs = &client.nfs;
+        let root = bed.server.root_handle();
+        let fh = nfs.create(root, "f").await.expect("create").handle();
+
+        // A 64-byte unsignaled ping-pong on a QP pair the RPC layer
+        // never sees: HCA, fabric and completion queues only.
+        let (qa, qb) = connect(
+            client.hca.as_ref().expect("hca"),
+            bed.server_hca.as_ref().expect("hca"),
+        );
+        let (ra, rb) = (client.mem.alloc(64), client.mem.alloc(64));
+        let echo = qb.clone();
+        h.spawn(async move {
+            for i in 0.. {
+                echo.post_recv(rb.clone(), 0, 64, WrId(i)).expect("recv");
+                let got = echo.recv_cq().next().await;
+                let data = got.payload.expect("payload");
+                echo.post_send(data, WrId(i), false).expect("send");
+            }
+        });
+        yield_now().await;
+        let (qa, ra) = (&qa, &ra);
+        let send_recv = budget(&h, |i| async move {
+            qa.post_recv(ra.clone(), 0, 64, WrId(i)).expect("recv");
+            qa.post_send(Payload::synthetic(2, 64), WrId(i), false)
+                .expect("send");
+            qa.recv_cq().next().await;
+        })
+        .await;
+
+        let null = budget(&h, |_| async move { nfs.null().await.expect("null") }).await;
+        let getattr = budget(&h, |_| async move {
+            nfs.getattr(fh).await.expect("getattr");
+        })
+        .await;
+        [send_recv, null, getattr]
+    })
+}
+
+/// (e) A 1 MiB READ served from the page cache on the `raid_read` bed.
+fn cached_read() -> (u64, u64) {
+    const RECORD: u64 = 1 << 20;
+    const RECORDS: u64 = 8;
+    let mut sim = Simulation::new(3);
+    let h = sim.handle();
+    sim.block_on(async move {
+        let profile = linux_ddr_raid();
+        let bed = build_rdma(
+            &h,
+            &profile,
+            Design::ReadWrite,
+            StrategyKind::AllPhysical,
+            Backend::Raid {
+                ram_bytes: 704 << 20,
+            },
+            1,
+        );
+        let client = &bed.clients[0];
+        let nfs = &client.nfs;
+        let root = bed.server.root_handle();
+        let fh = nfs.create(root, "f").await.expect("create").handle();
+        let buf = client.mem.alloc(RECORD);
+        buf.write(0, Payload::synthetic(3, RECORD));
+        for r in 0..RECORDS {
+            let n = nfs.write(fh, r * RECORD, &buf, 0, RECORD as u32, false);
+            assert_eq!(n.await.expect("populate"), RECORD as u32);
+        }
+        nfs.commit(fh).await.expect("commit");
+        let buf = &buf;
+        budget(&h, |i| async move {
+            let off = (i % RECORDS) * RECORD;
+            let (data, _eof) = nfs
+                .read(fh, off, RECORD as u32, Some((buf, 0)))
+                .await
+                .expect("read");
+            assert_eq!(data.len(), RECORD);
+        })
+        .await
+    })
+}
+
+/// One `#[test]`: the budgets share nothing, but one thread keeps the
+/// per-thread counter's story simple.
+#[test]
+fn polls_and_allocations_per_rung_are_pinned() {
+    let [send_recv, null, getattr] = small_ops();
+    let got = [
+        (
+            "executor: 1000 tasks x 20 x (sleep + yield)",
+            executor_alone(),
+        ),
+        ("64 B unsignaled send/recv ping-pong x 64", send_recv),
+        ("NULL x 64", null),
+        ("GETATTR x 64 (linux_sdr, all-physical)", getattr),
+        (
+            "1 MiB cached READ x 64 (linux_ddr_raid, all-physical)",
+            cached_read(),
+        ),
+    ];
+    // (polls, heap allocations). DESIGN.md §3 carries the same table.
+    let want = [
+        (41_000, 358), // allocations: timer-wheel buckets finding new load maxima
+        (768, 0),      // 12 polls a round trip
+        (1_536, 582),  // 24 polls a call
+        (1_536, 710),
+        (4_672, 4_602), // 73 polls a READ
+    ];
+    for ((rung, got), want) in got.iter().zip(want) {
+        println!("{rung}: {got:?}");
+        assert_eq!(*got, want, "{rung}: (polls, allocations) moved");
+    }
+}

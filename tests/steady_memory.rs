@@ -10,6 +10,14 @@
 //! last time lands in one half only — the server's 1 024-entry
 //! duplicate-request cache does (210 KiB), at whatever op its randomly
 //! keyed hasher has used up the free slots, near the 10 000th here.
+//!
+//! A third case counts what a *finished* simulation leaves behind:
+//! fifty testbeds built, run and dropped in a row. The model has
+//! reference cycles of its own (a server and its handlers), so the
+//! figure is not zero; it is pinned at what each bed leaked before the
+//! fabric delivered to its HCAs by direct call, so a cycle through the
+//! fabric — an HCA the port keeps alive, and with it every buffer and
+//! queue pair of the bed — fails here by two orders of magnitude.
 //! One `#[test]`, so no sibling test thread allocates inside a window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -150,8 +158,65 @@ async fn all_physical_mix(sim: Sim) -> i64 {
     .await
 }
 
+/// Build a two-client bed, push a few operations through every layer
+/// (registration, RDMA Write and Read, the page cache), drop it.
+fn one_short_lived_testbed(seed: u64) {
+    const RECORD: u64 = 64 << 10;
+    let mut sim = Simulation::new(seed);
+    let h = sim.handle();
+    sim.block_on(async move {
+        let profile = solaris_sdr();
+        let bed = build_rdma(
+            &h,
+            &profile,
+            Design::ReadWrite,
+            StrategyKind::Dynamic,
+            Backend::Tmpfs,
+            2,
+        );
+        let root = bed.server.root_handle();
+        for (i, c) in bed.clients.iter().enumerate() {
+            let f = c.nfs.create(root, &format!("f{i}")).await.expect("create");
+            let buf = c.mem.alloc(RECORD);
+            buf.write(0, Payload::synthetic(seed, RECORD));
+            for r in 0..4 {
+                let n = c
+                    .nfs
+                    .write(f.handle(), r * RECORD, &buf, 0, RECORD as u32, true);
+                assert_eq!(n.await.expect("write"), RECORD as u32);
+                let user = Some((&buf, 0));
+                let read = c.nfs.read(f.handle(), r * RECORD, RECORD as u32, user);
+                assert_eq!(read.await.expect("read").0.len(), RECORD);
+            }
+        }
+    });
+}
+
+/// Live bytes each of `BEDS` consecutive short-lived testbeds leaves
+/// behind, past the first (which also pays for one-off thread-locals).
+fn leak_per_testbed() -> i64 {
+    const BEDS: i64 = 50;
+    one_short_lived_testbed(0xBED);
+    let after_first = LIVE.load(Ordering::Relaxed);
+    for i in 1..BEDS {
+        one_short_lived_testbed(0xBED + i as u64);
+    }
+    (LIVE.load(Ordering::Relaxed) - after_first) / (BEDS - 1)
+}
+
+/// What one such bed may leave behind. It left 9 bytes at the parent
+/// of the change that removed the HCA's dispatcher task (PR 20) and
+/// leaves 9 after it; one HCA the fabric kept alive is 170 KB.
+const LEAK_PER_BED: i64 = 1 << 10;
+
 #[test]
 fn live_bytes_do_not_grow_with_operations() {
+    let leaked = leak_per_testbed();
+    println!("leak per short-lived testbed: {leaked} bytes");
+    assert!(
+        leaked <= LEAK_PER_BED,
+        "a finished testbed leaves {leaked} live bytes behind (was {LEAK_PER_BED})"
+    );
     let mut sim = Simulation::new(0x51EAD);
     let grew = sim.block_on(dynamic_reads(sim.handle()));
     assert!(

@@ -15,6 +15,9 @@
 //!   vectors at capacity) must poll tasks without per-event
 //!   allocations; only the `run()`-scoped batch buffer may grow, so the
 //!   bound is a small constant independent of the poll count.
+//! - Waking is by task id: a timer firing and a channel hand-off in a
+//!   warmed simulation perform **zero** allocations, and a spawn into
+//!   a recycled task slot performs exactly **one**, the boxed future.
 //! - With span tracing **disabled**, the observability hooks on the
 //!   RPC hot path (span/inject/adopt/current_ctx) and the always-on
 //!   flight-recorder ring must perform **zero** heap allocations.
@@ -108,6 +111,20 @@ fn spawn_churn(sim: &mut Simulation) {
                 yield_now().await;
             }
         });
+    }
+}
+
+/// `rounds` hand-offs to the echo task and back, a sleep on each leg.
+async fn ping_pong(
+    h: &sim_core::Sim,
+    to_peer: &sim_core::sync::Sender<u64>,
+    from_peer: &mut sim_core::sync::Receiver<u64>,
+    rounds: u64,
+) {
+    for i in 0..rounds {
+        to_peer.send(i).expect("peer alive");
+        h.sleep(SimDuration::from_nanos(700)).await;
+        assert_eq!(from_peer.recv().await, Ok(i + 1));
     }
 }
 
@@ -205,6 +222,68 @@ fn steady_state_hot_paths_do_not_allocate() {
         run_allocs <= 64,
         "steady-state executor run allocated {run_allocs} times for {polls} polls"
     );
+
+    // ---- Wakes by id, spawns into recycled slots. -------------------
+    // Two tasks hand a token back and forth over a pair of channels,
+    // sleeping in between: every wake (timer -> task, sender ->
+    // receiver) is a push of a task id, and nothing on the way clones a
+    // waker or boxes anything. Then a thousand short-lived tasks, one
+    // after another through the same slab slot: each costs its boxed
+    // future and nothing else — the slot's waker is re-addressed, not
+    // re-made.
+    let mut sim = Simulation::new(0xA11C);
+    let h = sim.handle();
+    sim.spawn(async move {
+        let (to_b, mut from_a) = sim_core::sync::channel::<u64>();
+        let (to_a, mut from_b) = sim_core::sync::channel::<u64>();
+        let hb = h.clone();
+        h.spawn(async move {
+            while let Ok(v) = from_a.recv().await {
+                hb.sleep(SimDuration::from_nanos(300)).await;
+                if to_a.send(v + 1).is_err() {
+                    break;
+                }
+            }
+        });
+        // Warm: queues, wheel buckets, drain vector.
+        ping_pong(&h, &to_b, &mut from_b, 4_096).await;
+        let mut wake_allocs = u64::MAX;
+        for _ in 0..5 {
+            let before = allocs();
+            ping_pong(&h, &to_b, &mut from_b, 1_000).await;
+            wake_allocs = wake_allocs.min(allocs() - before);
+            if wake_allocs == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            wake_allocs, 0,
+            "sleep and channel wakes allocated in a warmed simulation"
+        );
+
+        let done = std::rc::Rc::new(std::cell::Cell::new(0u64));
+        let spawn_one = |h: &sim_core::Sim| {
+            let done = done.clone();
+            h.spawn(async move { done.set(done.get() + 1) });
+        };
+        spawn_one(&h); // warm: the slot and its waker exist from here on
+        yield_now().await;
+        let mut spawn_allocs = u64::MAX;
+        for _ in 0..5 {
+            let before = allocs();
+            for _ in 0..1_000 {
+                spawn_one(&h);
+                yield_now().await;
+            }
+            spawn_allocs = spawn_allocs.min(allocs() - before);
+        }
+        assert!(done.get() > 5_000);
+        assert_eq!(
+            spawn_allocs, 1_000,
+            "a spawn into a recycled slot must cost exactly its boxed future"
+        );
+    });
+    sim.run();
 
     // ---- Tracing plumbing + flight recorder, tracing DISABLED. ------
     // The observability hooks ride every RPC leg and replication
