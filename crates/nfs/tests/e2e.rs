@@ -403,6 +403,67 @@ fn write_reply_drop_retransmits_without_double_apply() {
     }
 }
 
+/// The same reply drop under a WRITE whose payload the server fetches
+/// by RDMA Read (128 KiB, chunked): the retransmission is fetched
+/// again — the fetch runs beside dispatch, and the duplicate request
+/// cache only meets a call in the service stage — and then replayed,
+/// not applied. Every registration strategy, both designs.
+#[test]
+fn chunked_write_reply_drop_replays_and_applies_once() {
+    const LEN: u32 = 128 * 1024;
+    for design in [Design::ReadWrite, Design::ReadRead] {
+        for strategy in [StrategyKind::Dynamic, StrategyKind::Cache] {
+            // `arm`: when to tell the fabric to swallow the next arrival
+            // at the client. `None` is the dry run that finds the
+            // instant — the WRITE's service span, when its Reads are
+            // done and only the reply Send is still to come.
+            let run = |arm: Option<sim_core::SimTime>| {
+                let mut sim = Simulation::new(19);
+                sim.enable_span_tracing();
+                let h = sim.handle();
+                let parts = rdma_bed_parts(&h, design, strategy);
+                parts.1.enable_faults(h.fork_rng());
+                let (bed, fabric, rpc_server) = parts;
+                if let Some(at) = arm {
+                    let h = h.clone();
+                    sim.spawn(async move {
+                        h.sleep_until(at).await;
+                        fabric.drop_next_to(NodeId(0), 1);
+                    });
+                }
+                let nfs_server = bed.server.clone();
+                sim.block_on(async move {
+                    let root = bed.server.root_handle();
+                    let fh = bed.client.create(root, "f").await.unwrap().handle();
+                    let buf = bed.client_mem.alloc(LEN as u64);
+                    buf.write(0, Payload::synthetic(3, LEN as u64));
+                    let n = bed.client.write(fh, 0, &buf, 0, LEN, false).await.unwrap();
+                    assert_eq!(n, LEN, "{design:?}/{strategy:?}");
+                    let (data, _) = bed.client.read(fh, 0, LEN, None).await.unwrap();
+                    let intact = data.content_eq(&Payload::synthetic(3, LEN as u64));
+                    assert!(intact, "{design:?}/{strategy:?}: corrupt contents");
+                });
+                (sim, nfs_server, rpc_server)
+            };
+            let (dry, ..) = run(None);
+            let write = nfs::NfsProc::Write as u32;
+            let service = dry
+                .take_spans()
+                .into_iter()
+                .find(|s| (s.component, s.name, s.proc_num) == ("server", "service", Some(write)));
+            let (sim, nfs_server, rpc_server) = run(Some(service.expect("a WRITE").start));
+
+            let tag = format!("{design:?}/{strategy:?}");
+            assert_eq!(sim.metrics().get("client.retransmits"), Some(1), "{tag}");
+            assert_eq!(nfs_server.stats.writes.get(), 1, "{tag}");
+            assert_eq!(nfs_server.stats.bytes_written.get(), LEN as u64, "{tag}");
+            assert_eq!(rpc_server.stats.drc_replays.get(), 1, "{tag}");
+            // Fetched twice, landed in the file system once.
+            assert_eq!(rpc_server.stats.bulk_in.get(), 2 * LEN as u64, "{tag}");
+        }
+    }
+}
+
 #[test]
 fn write_call_drop_retransmits_and_applies_once() {
     // The WRITE call itself is lost before the server sees it: the

@@ -19,6 +19,8 @@
 //! NFS WRITE is identical in both designs: the server pulls the
 //! client's Read chunks with RDMA Read and *blocks* until completion,
 //! because a Send after a Read carries no ordering guarantee (§4.1).
+//! What it does not wait for is its own task queue: the chunk list is
+//! in the transport header, so the pull starts when the call does.
 //!
 //! # The pipeline
 //!
@@ -27,8 +29,10 @@
 //! (`connection_loop`): **receive** from the `RecvPool` → **sanitize**
 //! → **admit** (the credit window) → **schedule** (a task per call, or
 //! the QoS queue). Per call (`handle_op`): **dispatch** (the serialized
-//! task queue) → **pull** → **service** (the duplicate request cache
-//! around the RPC program) → **push** → **reply** (Send, or an RFP
+//! task queue) beside **fetch** (scratch provisioning and the RDMA Reads
+//! of what did not arrive inline) → **land** (what the service thread
+//! does with the fetched bytes) → **service** (the duplicate request
+//! cache around the RPC program) → **push** → **reply** (Send, or an RFP
 //! deposit) → **retire**.
 //!
 //! # Adversarial hardening
@@ -49,6 +53,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::future::Future;
+use std::pin::pin;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -996,8 +1001,17 @@ async fn handle_op(conn: Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) {
     conn.in_flight.set(conn.in_flight.get() - 1);
 }
 
-/// The per-call pipeline: **dispatch → pull → service → push → reply →
-/// retire**, all under the `op` span. `None` = the call was dropped.
+/// The per-call pipeline: **(dispatch ∥ fetch) → land → service → push
+/// → reply → retire**, all under the `op` span. `None` = the call was
+/// dropped.
+///
+/// The chunk list arrived in the transport header, which *sanitize* and
+/// *admit* have already vetted, so the HCA can fetch the payload while
+/// the call waits its turn in the task queue: the two lanes use
+/// disjoint resources (task queue and a core; TPT, read engine and
+/// wire) and neither reads the other's result. Both always run to
+/// completion — a failed fetch has released its scratch and the task
+/// queue has been paid before the call is dropped.
 async fn run_op(conn: &Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) -> Option<()> {
     let server = &conn.server;
     server.sim.trace("rpc", || {
@@ -1010,20 +1024,30 @@ async fn run_op(conn: &Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) -> Op
         .sim
         .trace_adopt(((conn.peer() as u64) << 32) | hdr.xid as u64);
     let _op_span = server.sim.span_remote("server", "op", None, call_ctx);
-    {
-        let _s = server.sim.span("server", "dispatch");
-        let cpu = server.hca.cpu();
-        // Figure 1: the serialized server task queue.
-        server.taskq.use_for(cpu.costs().server_op_serial).await;
-        // Decode + dispatch bookkeeping on a CPU core.
-        cpu.execute(cpu.costs().per_op_server_cpu).await;
-    }
-    let (call_msg, bulk_in) = pull_stage(conn, &hdr, inline_body).await?;
+    let (call_msg, inline_bulk) = split_inline(conn, &hdr, inline_body)?;
+    let fetched = {
+        // Dispatch lane first: its span is the one open when the fetch
+        // lane's `pull_chunks` opens, so the overlap is attributed once.
+        // (A block, so the lanes' frames are dead — and their room in
+        // this task's future reusable — once both have finished.)
+        let (dispatch, fetch) = (pin!(dispatch_stage(server)), pin!(fetch_stage(conn, &hdr)));
+        sim_core::join(dispatch, fetch).await.1?
+    };
+    let (call_msg, bulk_in) = land_stage(server, fetched, call_msg, inline_bulk).await;
     let (xid, dispatch) = service_stage(conn, call_msg, bulk_in).await?;
     let mut out = push_stage(conn, &hdr, xid, &dispatch).await;
     let sent = reply_stage(conn, hdr.msg_type, &mut out).await;
     retire_stage(conn, out, sent).await;
     Some(())
+}
+
+/// *Dispatch* lane: the call's turn in the serialized server task queue
+/// of Figure 1, then decode + dispatch bookkeeping on a CPU core.
+async fn dispatch_stage(server: &RdmaRpcServer) {
+    let _s = server.sim.span("server", "dispatch");
+    let cpu = server.hca.cpu();
+    server.taskq.use_for(cpu.costs().server_op_serial).await;
+    cpu.execute(cpu.costs().per_op_server_cpu).await;
 }
 
 /// Split an `RDMA_MSGP` body `[head][padding][data]` into head and
@@ -1039,43 +1063,90 @@ fn split_msgp(hdr: &RdmaHeader, msg: &Bytes) -> Option<(Bytes, Bytes)> {
     (data_off <= msg.len()).then(|| (msg.slice(..head_len), msg.slice(data_off..)))
 }
 
-/// *Pull* stage: fetch what did not arrive inline — the long-call RPC
-/// message (position-0 read chunks) and the WRITE payload (the other
-/// read chunks) — with RDMA Read, under the `pull_chunks` span. Returns
-/// the RPC call message and the bulk payload.
-async fn pull_stage(
+/// What arrived inline: the RPC call message and, for `RDMA_MSGP`, the
+/// bulk data behind its padding — the alignment means it was placed
+/// directly, no pull-up copy, no RDMA Read. A padding that does not fit
+/// the message is the last header check; it drops the call before
+/// anything is queued or fetched for it.
+fn split_inline(
     conn: &ConnState,
     hdr: &RdmaHeader,
-    inline_body: Bytes,
+    body: Bytes,
 ) -> Option<(Bytes, Option<SgList>)> {
-    let server = &conn.server;
-    let stats = &server.stats;
-    let mut call_msg = inline_body;
-    let mut bulk_in: Option<SgList> = None;
-    if hdr.msg_type == MsgType::Msgp {
-        // Padded inline: the alignment means the data was placed
-        // directly — no pull-up copy, no RDMA Read.
-        let Some((head, data)) = split_msgp(hdr, &call_msg) else {
-            note_violation(conn, ProtocolViolation::BadMsgp);
-            return None;
-        };
-        stats.bulk_in.add(data.len() as u64);
-        stats.msgp_recvs.inc();
-        bulk_in = Some(SgList::from(Payload::real(data)));
-        call_msg = head;
+    if hdr.msg_type != MsgType::Msgp {
+        return Some((body, None));
     }
-    let _s = server.sim.span("server", "pull_chunks");
-    let cpu = server.hca.cpu();
+    let Some((head, data)) = split_msgp(hdr, &body) else {
+        note_violation(conn, ProtocolViolation::BadMsgp);
+        return None;
+    };
+    let stats = &conn.server.stats;
+    stats.bulk_in.add(data.len() as u64);
+    stats.msgp_recvs.inc();
+    Some((head, Some(SgList::from(Payload::real(data)))))
+}
+
+/// What the *fetch* lane hands to *land*: the scratch windows its RDMA
+/// Reads filled, each with the bytes pulled, and the `pull_chunks` span
+/// — open from the first provisioning step until the payload has
+/// landed (closed at once when there was nothing to fetch).
+struct Fetched {
+    /// The long-call RPC message (position-0 read chunks).
+    long_call: Option<(IoBuf, u64)>,
+    /// The WRITE payload (the other read chunks).
+    data: Option<(IoBuf, u64)>,
+    _span: Option<sim_core::Span>,
+}
+
+/// *Fetch* lane: the HCA's share of a pull — provision scratch and
+/// RDMA Read what did not arrive inline. Nothing here runs on the
+/// service thread, which is why it need not wait for dispatch. `None` =
+/// a Read failed (stale rkey, QP error, teardown): every scratch window
+/// is already released.
+async fn fetch_stage(conn: &ConnState, hdr: &RdmaHeader) -> Option<Fetched> {
+    let span = conn.server.sim.span("server", "pull_chunks");
     let (long_call, data_chunks): (Vec<&ReadChunk>, Vec<&ReadChunk>) =
         hdr.read_chunks.iter().partition(|c| c.position == 0);
+    let mut fetched = Fetched {
+        long_call: None,
+        data: None,
+        _span: None,
+    };
     if hdr.msg_type == MsgType::Nomsg && !long_call.is_empty() {
-        let (io, total) = pull_chunks(conn, &long_call).await?;
+        fetched.long_call = Some(pull_chunks(conn, &long_call).await?);
+    }
+    if !data_chunks.is_empty() {
+        fetched.data = pull_chunks(conn, &data_chunks).await;
+        if fetched.data.is_none() {
+            if let Some((io, _)) = fetched.long_call {
+                conn.server.registrar.release(io).await;
+            }
+            return None;
+        }
+    }
+    if fetched.long_call.is_some() || fetched.data.is_some() {
+        fetched._span = Some(span);
+    }
+    Some(fetched)
+}
+
+/// *Land* stage: what the dispatched service thread does with the
+/// fetched bytes — a CPU copy cannot start before the thread that
+/// performs it has been handed the call. Returns the RPC call message
+/// and the bulk payload.
+async fn land_stage(
+    server: &RdmaRpcServer,
+    fetched: Fetched,
+    mut call_msg: Bytes,
+    mut bulk_in: Option<SgList>,
+) -> (Bytes, Option<SgList>) {
+    let (stats, cpu) = (&server.stats, server.hca.cpu());
+    if let Some((io, total)) = fetched.long_call {
         call_msg = io.read(0, total).materialize();
         cpu.copy(total).await; // header remainder is decoded/copied
         server.registrar.release(io).await;
     }
-    if !data_chunks.is_empty() {
-        let (io, total) = pull_chunks(conn, &data_chunks).await?;
+    if let Some((io, total)) = fetched.data {
         if server.zero_copy() {
             // Receive-side scatter: each pulled chunk leaves the
             // window as its own refcounted piece and lands in the
@@ -1098,7 +1169,7 @@ async fn pull_stage(
         // file system is done with the data.
         server.registrar.release(io).await;
     }
-    Some((call_msg, bulk_in))
+    (call_msg, bulk_in)
 }
 
 /// Count and trace one DRC replay. The retained dispatch carries the

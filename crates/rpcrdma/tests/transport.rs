@@ -11,7 +11,7 @@ use rpcrdma::{
     BulkParams, Design, RdmaDispatch, RdmaRpcClient, RdmaRpcServer, RdmaService, Registrar,
     RfpConfig, RpcRdmaConfig, StrategyKind,
 };
-use sim_core::{Cpu, CpuCosts, Payload, Sim, Simulation};
+use sim_core::{Cpu, CpuCosts, Payload, Sim, SimDuration, Simulation, SpanRecord};
 
 const PROG: u32 = 100003;
 const VERS: u32 = 3;
@@ -77,6 +77,7 @@ struct TestBed {
     client_hca: Hca,
     server_hca: Hca,
     client_mem: Rc<HostMem>,
+    server_mem: Rc<HostMem>,
     fabric: Fabric<ib_verbs::WireMsg>,
     /// The server's end of the first connection.
     server_qp: ib_verbs::Qp,
@@ -88,17 +89,50 @@ fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
 
 /// Host `id` on `fabric`: its HCA and memory.
 fn host(sim: &Sim, fabric: &Fabric<ib_verbs::WireMsg>, id: u32) -> (Hca, Rc<HostMem>) {
+    host_on(sim, fabric, id, CpuCosts::default())
+}
+
+fn host_on(
+    sim: &Sim,
+    fabric: &Fabric<ib_verbs::WireMsg>,
+    id: u32,
+    costs: CpuCosts,
+) -> (Hca, Rc<HostMem>) {
     let node = NodeId(id);
-    let cpu = Cpu::new(sim, format!("cpu{id}"), 2, CpuCosts::default());
+    let cpu = Cpu::new(sim, format!("cpu{id}"), 2, costs);
     let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
     let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), fabric);
     (hca, mem)
 }
 
 fn setup_with(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind) -> TestBed {
+    setup_on(sim, cfg, strategy, CpuCosts::default())
+}
+
+/// The `solaris_sdr` profile's CPU cost table (`workloads::profiles`),
+/// for tests that pin simulated durations.
+fn solaris_sdr_cpu() -> CpuCosts {
+    CpuCosts {
+        copy_ns_per_byte: 0.9,
+        interrupt_ns: 6_000,
+        syscall_ns: 1_500,
+        server_op_serial: SimDuration::from_micros(180),
+        per_op_client_cpu: SimDuration::from_micros(18),
+        per_op_server_cpu: SimDuration::from_micros(12),
+    }
+}
+
+/// The completed spans of the server's pipeline stages, in id order.
+fn server_spans(sim: &Simulation) -> Vec<SpanRecord> {
+    let mut spans = sim.take_spans();
+    spans.retain(|s| s.component == "server");
+    spans
+}
+
+fn setup_on(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind, costs: CpuCosts) -> TestBed {
     let fabric = Fabric::new(sim);
-    let (client_hca, client_mem) = host(sim, &fabric, 0);
-    let (server_hca, _server_mem) = host(sim, &fabric, 1);
+    let (client_hca, client_mem) = host_on(sim, &fabric, 0, costs);
+    let (server_hca, server_mem) = host_on(sim, &fabric, 1, costs);
     let (qc, qs) = connect(&client_hca, &server_hca);
     let server = RdmaRpcServer::new(
         sim,
@@ -123,6 +157,7 @@ fn setup_with(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind) -> TestBed 
         client_hca,
         server_hca,
         client_mem,
+        server_mem,
         fabric,
         server_qp: qs,
     }
@@ -150,6 +185,11 @@ fn all_strategies() -> [StrategyKind; 4] {
         StrategyKind::Cache,
         StrategyKind::AllPhysical,
     ]
+}
+
+/// Strategies whose scratch windows cost TPT transactions per use.
+fn strategy_registers(strategy: StrategyKind) -> bool {
+    matches!(strategy, StrategyKind::Dynamic | StrategyKind::Fmr)
 }
 
 fn read_args(len: u32) -> Bytes {
@@ -1571,15 +1611,13 @@ fn client_counters_are_registry_series() {
     );
 }
 
+/// The span contract of the per-call pipeline, *(dispatch ∥ fetch) →
+/// land → service → push → reply*: every stage but `pull_chunks` is a
+/// direct child of `op`, in pipeline order and never overlapping;
+/// `pull_chunks` opens when the fetch lane starts — at the instant
+/// `dispatch` does, and under it — and closes before `service` opens.
 #[test]
 fn server_stage_spans_nest_in_pipeline_order_both_designs() {
-    const STAGES: [&str; 5] = [
-        "dispatch",
-        "pull_chunks",
-        "service",
-        "rdma_write",
-        "reply_send",
-    ];
     for design in [Design::ReadWrite, Design::ReadRead] {
         let mut sim = Simulation::new(21);
         sim.enable_span_tracing();
@@ -1607,21 +1645,11 @@ fn server_stage_spans_nest_in_pipeline_order_both_designs() {
             };
             client.call(4, read_args(20_000), long_reply).await.unwrap();
         });
-        let spans: Vec<_> = sim
-            .take_spans()
-            .into_iter()
-            .filter(|s| s.component == "server")
-            .collect();
+        let spans = server_spans(&sim);
         let ops: Vec<_> = spans.iter().filter(|s| s.name == "op").collect();
         assert_eq!(ops.len(), 4, "{design:?}: one op span per call");
-        // Correct parent: no stage span anywhere but directly under an op.
-        for s in spans.iter().filter(|s| STAGES.contains(&s.name)) {
-            assert!(
-                ops.iter().any(|op| Some(op.id) == s.parent),
-                "{design:?}: {} span outside an op",
-                s.name
-            );
-        }
+        let stage_spans = spans.iter().filter(|s| s.name != "op").count();
+        let mut seen = 0;
         for op in ops {
             let mut stages: Vec<_> = spans.iter().filter(|s| s.parent == Some(op.id)).collect();
             stages.sort_by_key(|s| s.id);
@@ -1633,9 +1661,9 @@ fn server_stage_spans_nest_in_pipeline_order_both_designs() {
             // Only a Read-Write bulk READ pushes with RDMA Write inside
             // a span; Read-Read exposes, and long replies stage outside.
             let expect: &[&str] = if design == Design::ReadWrite && proc_num == 1 {
-                &STAGES
+                &["dispatch", "service", "rdma_write", "reply_send"]
             } else {
-                &["dispatch", "pull_chunks", "service", "reply_send"]
+                &["dispatch", "service", "reply_send"]
             };
             let names: Vec<_> = stages.iter().map(|s| s.name).collect();
             assert_eq!(names, expect, "{design:?} proc {proc_num}");
@@ -1643,8 +1671,331 @@ fn server_stage_spans_nest_in_pipeline_order_both_designs() {
                 assert!(pair[0].end <= pair[1].start, "{design:?}: stages overlap");
             }
             assert!(op.start <= stages[0].start && stages[stages.len() - 1].end <= op.end);
+            // The fetch lane: one `pull_chunks`, under this op's
+            // `dispatch`, opened second and at the same instant.
+            let (dispatch, service) = (stages[0], stages[1]);
+            let pulls: Vec<_> = spans
+                .iter()
+                .filter(|s| s.parent == Some(dispatch.id))
+                .collect();
+            assert_eq!(pulls.len(), 1, "{design:?} proc {proc_num}");
+            let pull = pulls[0];
+            assert_eq!(pull.name, "pull_chunks");
+            assert!(dispatch.id < pull.id && pull.id < service.id);
+            assert_eq!(pull.start, dispatch.start, "{design:?} proc {proc_num}");
+            assert!(pull.end <= service.start, "{design:?} proc {proc_num}");
+            seen += stages.len() + 1;
+        }
+        // No stage span anywhere else.
+        assert_eq!(seen, stage_spans, "{design:?}: a stage span outside its op");
+    }
+}
+
+/// The overlap, as time: the fetch of a WRITE's payload (scratch
+/// provisioning + RDMA Reads) starts with the call's wait in the task
+/// queue, not after it, so the `op` span lasts `max(dispatch, fetch) +
+/// land + service + reply` instead of their sum — and what the service
+/// thread does with the bytes (the Cache strategy's bounce copy) still
+/// starts only once the thread has the call. A call with nothing to
+/// fetch takes exactly as long as it always did.
+#[test]
+fn write_fetch_overlaps_dispatch_and_lands_after_it() {
+    let us = SimDuration::from_micros;
+    // server_op_serial + per_op_server_cpu on `solaris_sdr`.
+    let queue = us(180) + us(12);
+    for strategy in [StrategyKind::Dynamic, StrategyKind::Cache] {
+        let mut sim = Simulation::new(21);
+        sim.enable_span_tracing();
+        let h = sim.handle();
+        let bed = setup_on(&h, RpcRdmaConfig::default(), strategy, solaris_sdr_cpu());
+        let client = bed.client.clone();
+        let user = bed.client_mem.alloc(128 * 1024);
+        user.write(0, Payload::synthetic(7, 100_000));
+        sim.block_on(async move {
+            let small = Bytes::from_static(b"getattr!");
+            client.call(3, small, BulkParams::default()).await.unwrap();
+            for len in [100_000, 4096] {
+                let write = BulkParams {
+                    send: Some((user.clone(), 0, len)),
+                    ..Default::default()
+                };
+                client.call(2, Bytes::new(), write).await.unwrap();
+            }
+        });
+        let spans = server_spans(&sim);
+        let child = |parent: &SpanRecord, name: &str| {
+            let of = |s: &&SpanRecord| s.name == name && s.parent == Some(parent.id);
+            spans.iter().find(of).expect(name).clone()
+        };
+        let took = |s: &SpanRecord| s.end.saturating_since(s.start);
+        let ops: Vec<_> = spans.iter().filter(|s| s.name == "op").collect();
+        let [getattr, large, small] = ops[..] else {
+            panic!("{strategy:?}: {} op spans", ops.len());
+        };
+
+        // Nothing to fetch: the queue, the service, the reply — the
+        // same nanoseconds as before the lanes existed.
+        let dispatch = child(getattr, "dispatch");
+        assert_eq!(took(&dispatch), queue, "{strategy:?}");
+        assert_eq!(took(&child(&dispatch, "pull_chunks")), us(0));
+        assert_eq!(took(getattr).as_nanos(), 201_781, "{strategy:?}");
+
+        for (op, len) in [(large, 100_000u64), (small, 4096)] {
+            let dispatch = child(op, "dispatch");
+            let pull = child(&dispatch, "pull_chunks");
+            assert_eq!(dispatch.start, op.start, "{strategy:?} {len}");
+            assert_eq!(took(&dispatch), queue, "{strategy:?} {len}");
+            assert_eq!(
+                pull.start, dispatch.start,
+                "{strategy:?} {len}: fetch waited"
+            );
+            // The payload lands after the service thread has the call,
+            // and the service follows at once: the op is the longer
+            // lane plus what comes after, not the sum of the lanes.
+            assert!(dispatch.end <= pull.end, "{strategy:?} {len}");
+            assert_eq!(child(op, "service").start, pull.end, "{strategy:?} {len}");
+            let tail = op.end.saturating_since(pull.end);
+            assert_eq!(took(op), took(&pull) + tail, "{strategy:?} {len}");
+            if strategy == StrategyKind::Cache {
+                // Landing is the bounce copy (0.9 ns/B). 4 KiB arrive
+                // inside the queue wait, so the copy starts the moment
+                // dispatch ends; 100 000 bytes outlast the queue.
+                let copy = SimDuration::from_nanos(len * 9 / 10);
+                let fetch = took(&pull) - copy;
+                assert_eq!(fetch > queue, len == 100_000, "{strategy:?} {len}");
+                assert_eq!(took(&pull), queue.max(fetch) + copy, "{strategy:?} {len}");
+            }
         }
     }
+}
+
+/// A chunked WRITE (proc 2) on the wire, its one read chunk naming
+/// `segment` — whatever that points at.
+fn write_call_wire(xid: u32, segment: rpcrdma::Segment) -> Bytes {
+    use xdr::XdrCodec;
+    let (prog, vers, proc_num) = (PROG, VERS, 2);
+    let call = onc_rpc::CallHeader {
+        xid,
+        prog,
+        vers,
+        proc_num,
+    };
+    let call = onc_rpc::msg::encode_call(&call, &Bytes::new());
+    let credits = RpcRdmaConfig::default().credits;
+    let mut hdr = rpcrdma::RdmaHeader::new(xid, credits, rpcrdma::MsgType::Msg);
+    hdr.read_chunks.push(rpcrdma::ReadChunk {
+        position: call.len() as u32,
+        segment,
+    });
+    let mut enc = xdr::Encoder::new();
+    hdr.encode(&mut enc);
+    enc.put_raw(&call);
+    enc.finish()
+}
+
+/// Two lanes in flight, one fails: a WRITE whose read chunk names a
+/// stale rkey is refused by the client's HCA microseconds into a fetch
+/// that started while the call was still queued for dispatch. Both
+/// lanes run out — the task queue is paid, the scratch window is
+/// released — and then the call is dropped: no service, no reply, no
+/// leak, and the queue serves the next caller.
+#[test]
+fn stale_rkey_fails_the_fetch_lane_while_dispatch_is_still_queued() {
+    for strategy in all_strategies() {
+        let mut sim = Simulation::new(29);
+        sim.enable_span_tracing();
+        let h = sim.handle();
+        let bed = setup_on(&h, RpcRdmaConfig::default(), strategy, solaris_sdr_cpu());
+        let write = |len| {
+            let client = bed.client.clone();
+            let user = bed.client_mem.alloc(128 * 1024);
+            user.write(0, Payload::synthetic(7, len));
+            let bulk = BulkParams {
+                send: Some((user, 0, len)),
+                ..Default::default()
+            };
+            async move { client.call(2, Bytes::new(), bulk).await.unwrap() }
+        };
+        // Warm the honest path (slab entries, FMR pool) so the baseline
+        // below is the steady state, not first-use growth.
+        sim.block_on(write(100_000));
+        sim.run();
+        sim.take_spans();
+        let ops = bed.server.stats.ops.get();
+        let hostile = {
+            let (qc, qs) = connect(&bed.client_hca, &bed.server_hca);
+            bed.server.serve_connection(qs.clone());
+            let landing = bed.client_mem.alloc(4096);
+            qc.post_recv(landing, 0, 4096, ib_verbs::WrId(0)).unwrap();
+            (qc, qs)
+        };
+        sim.run();
+        let live = bed.server_mem.live_buffers();
+        let stale = rpcrdma::Segment {
+            rkey: ib_verbs::Rkey(0x5eed),
+            addr: 0x10_0000,
+            len: 100_000,
+        };
+        let wire = Payload::real(write_call_wire(77, stale));
+        hostile.0.post_send(wire, ib_verbs::WrId(1), false).unwrap();
+        sim.run();
+
+        // The fetch died first; the op ended when dispatch did.
+        let spans = server_spans(&sim);
+        let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+        let (op, dispatch, pull) = (named("op"), named("dispatch"), named("pull_chunks"));
+        assert_eq!((op.len(), dispatch.len(), pull.len()), (1, 1, 1));
+        assert_eq!(pull[0].start, dispatch[0].start, "{strategy:?}");
+        let queue = SimDuration::from_micros(192);
+        assert_eq!(dispatch[0].end.saturating_since(dispatch[0].start), queue);
+        // (Unless provisioning the scratch window and taking it down
+        // again was itself TPT work that outlasts the queue.)
+        let queued = pull[0].end < dispatch[0].end;
+        assert_eq!(queued, !strategy_registers(strategy), "{strategy:?}");
+        assert_eq!(op[0].end, dispatch[0].end.max(pull[0].end), "{strategy:?}");
+        // Dropped: never serviced, never answered.
+        assert!(named("service").is_empty() && named("reply_send").is_empty());
+        assert_eq!(bed.server.stats.ops.get(), ops, "{strategy:?}");
+        assert_eq!(bed.server.stats.bulk_in.get(), 100_000, "{strategy:?}");
+        assert!(hostile.0.recv_cq().poll().is_none_or(|c| c.result.is_err()));
+        // Charged where the parent charged it: the HCA refused the
+        // access and the connection died of it; the header itself was
+        // well formed.
+        assert_eq!(h.metrics().get("tpt.violations"), Some(1), "{strategy:?}");
+        assert_eq!(bed.server.stats.violations.get(), 0, "{strategy:?}");
+        assert!(hostile.1.is_error(), "{strategy:?}");
+        // Nothing held: the scratch window and the dead connection's
+        // receive buffers are gone.
+        assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0, "{strategy:?}");
+        assert_eq!(bed.server_mem.live_buffers(), live, "{strategy:?}");
+        // And the task queue is not wedged.
+        let got = sim.block_on(write(60_000));
+        assert_eq!(xdr::Decoder::new(&got.body).get_u32().unwrap(), 60_000);
+        assert_eq!(bed.server.stats.ops.get(), ops + 1, "{strategy:?}");
+    }
+}
+
+/// Two lanes in flight, the connection dies under both: the fetch's
+/// Reads flush in error, dispatch still runs out, the scratch goes back
+/// — and the client's retransmission on a fresh connection is the one
+/// execution of the WRITE.
+#[test]
+fn teardown_mid_overlap_releases_the_fetch_and_the_write_applies_once() {
+    for strategy in all_strategies() {
+        let write = |bed: &TestBed| {
+            let client = bed.client.clone();
+            let user = bed.client_mem.alloc(128 * 1024);
+            user.write(0, Payload::synthetic(7, 100_000));
+            let bulk = BulkParams {
+                send: Some((user, 0, 100_000)),
+                ..Default::default()
+            };
+            async move { client.call(2, Bytes::new(), bulk).await.unwrap() }
+        };
+        // Dry run: when are both lanes of the second WRITE in flight?
+        let mut sim = Simulation::new(31);
+        sim.enable_span_tracing();
+        let bed = setup_on(
+            &sim.handle(),
+            RpcRdmaConfig::default(),
+            strategy,
+            solaris_sdr_cpu(),
+        );
+        sim.block_on(write(&bed));
+        sim.run();
+        sim.take_spans();
+        sim.block_on(write(&bed));
+        let spans = server_spans(&sim);
+        let dispatch = spans.iter().find(|s| s.name == "dispatch").unwrap();
+        let strike = dispatch.start + (dispatch.end - dispatch.start) / 4;
+
+        // Same seed, same schedule — and the server's QP dies there.
+        let mut sim = Simulation::new(31);
+        let h = sim.handle();
+        let bed = setup_on(&h, RpcRdmaConfig::default(), strategy, solaris_sdr_cpu());
+        install_connector(&bed);
+        sim.block_on(write(&bed));
+        sim.run();
+        let (live, ops) = (bed.server_mem.live_buffers(), bed.server.stats.ops.get());
+        let victim = bed.server_qp.clone();
+        sim.spawn(async move {
+            h.sleep_until(strike).await;
+            victim.force_error();
+        });
+        let got = sim.block_on(write(&bed));
+        assert_eq!(xdr::Decoder::new(&got.body).get_u32().unwrap(), 100_000);
+        sim.run();
+        let cs = bed.client.stats();
+        assert_eq!(cs.reconnects.get(), 1, "{strategy:?}");
+        assert!(cs.retransmits.get() >= 1, "{strategy:?}");
+        // Exactly one execution. Where the strike caught the fetch
+        // still provisioning (Dynamic, FMR) no Read was ever posted and
+        // the torn call was dropped: the retransmission executed. Where
+        // the Read was already on the wire it completed, the call was
+        // serviced into a dead QP, and the retransmission — fetched
+        // again, the DRC only sees a call in `service` — was replayed.
+        let replays = bed.server.stats.drc_replays.get();
+        assert_eq!(bed.server.stats.ops.get(), ops + 1, "{strategy:?}");
+        assert_eq!(
+            replays,
+            u64::from(!strategy_registers(strategy)),
+            "{strategy:?}"
+        );
+        let landed = 100_000 * (2 + replays);
+        assert_eq!(bed.server.stats.bulk_in.get(), landed, "{strategy:?}");
+        assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0, "{strategy:?}");
+        assert_eq!(bed.server_mem.live_buffers(), live, "{strategy:?}");
+    }
+}
+
+/// Under overload control the overlap starts when a worker dequeues the
+/// call, so a call shed at arrival or at its deadline has fetched
+/// nothing: every RDMA Read the server issues belongs to a WRITE it then
+/// services, however many times the others were turned away first.
+#[test]
+fn shed_writes_fetch_nothing() {
+    const WRITES: u64 = 96;
+    const LEN: u64 = 128 * 1024;
+    let mut sim = Simulation::new(37);
+    sim.enable_span_tracing();
+    let h = sim.handle();
+    let cfg = RpcRdmaConfig {
+        qos_enabled: true,
+        credits: 128,
+        ..Default::default()
+    };
+    let bed = setup_on(&h, cfg, StrategyKind::Dynamic, solaris_sdr_cpu());
+    let done = sim_core::sync::Semaphore::new(0);
+    for _ in 0..WRITES {
+        let (client, done) = (bed.client.clone(), done.clone());
+        let user = bed.client_mem.alloc(LEN);
+        user.write(0, Payload::synthetic(7, LEN));
+        sim.spawn(async move {
+            let bulk = BulkParams {
+                send: Some((user, 0, LEN)),
+                ..Default::default()
+            };
+            client.call(2, Bytes::new(), bulk).await.unwrap();
+            done.add_permits(1);
+        });
+    }
+    sim.block_on(async move {
+        for _ in 0..WRITES {
+            done.acquire().await.forget();
+        }
+    });
+    let stats = &bed.server.stats;
+    assert!(stats.sheds.get() > 0, "the burst never overran the queue");
+    assert_eq!(bed.client.stats().busy_replies.get(), stats.sheds.get());
+    assert_eq!(stats.ops.get(), WRITES);
+    assert_eq!(stats.bulk_in.get(), WRITES * LEN);
+    // One contiguous registration per WRITE, so one Read per fetch.
+    let reads = sim.take_spans();
+    let reads = reads
+        .iter()
+        .filter(|s| (s.component, s.name) == ("hca", "rdma_read"));
+    assert_eq!(reads.count() as u64, WRITES, "a shed call posted a Read");
+    assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0);
 }
 
 /// A credit window wider than the reply-slot ring's base size: the

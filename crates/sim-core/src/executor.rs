@@ -871,6 +871,43 @@ impl Future for YieldNow {
     }
 }
 
+/// Run two futures side by side on the calling task and return both
+/// outputs once both have finished. No task is spawned and nothing is
+/// allocated: the two lanes share the caller's wakes. The poll order is
+/// fixed — `first`, then `second`, on every poll, each until it
+/// completes — so what either lane does at an instant (queue for a
+/// resource, open a span) is a function of the seed, and a lane that
+/// finishes early simply waits for the other: neither is ever dropped
+/// half-run. The futures are borrowed pinned (`std::pin::pin!`), like
+/// [`Sim::timeout`]'s, so they are stored once, in the caller's frame.
+pub async fn join<A: Future, B: Future>(
+    mut first: Pin<&mut A>,
+    mut second: Pin<&mut B>,
+) -> (A::Output, B::Output) {
+    let (mut a, mut b) = (None, None);
+    std::future::poll_fn(move |cx| {
+        drive(&mut first, &mut a, cx);
+        drive(&mut second, &mut b, cx);
+        match (a.take(), b.take()) {
+            (Some(a), Some(b)) => Poll::Ready((a, b)),
+            unfinished => {
+                (a, b) = unfinished;
+                Poll::Pending
+            }
+        }
+    })
+    .await
+}
+
+/// Poll one lane of a [`join`] unless it has already produced `out`.
+fn drive<F: Future>(lane: &mut Pin<&mut F>, out: &mut Option<F::Output>, cx: &mut Context<'_>) {
+    if out.is_none() {
+        if let Poll::Ready(v) = lane.as_mut().poll(cx) {
+            *out = Some(v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,18 +69,6 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Sum every counter whose name starts with `prefix` and ends with
-    /// `suffix` (e.g. `sum_matching("fabric.", ".dropped")` totals the
-    /// per-port drop counters).
-    pub fn sum_matching(&self, prefix: &str, suffix: &str) -> u64 {
-        self.inner
-            .borrow()
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix) && k.ends_with(suffix))
-            .map(|(_, v)| v.get())
-            .sum()
-    }
-
     /// Zero every registered counter (exclude warmup from a report).
     pub fn reset(&self) {
         for c in self.inner.borrow().values() {
@@ -163,17 +151,6 @@ mod tests {
         assert_eq!(names, vec!["a.first", "m.mid", "z.last"]);
         assert_eq!(reg.to_text(), "a.first 2\nm.mid 3\nz.last 1\n");
         assert_eq!(reg.to_json(), r#"{"a.first":2,"m.mid":3,"z.last":1}"#);
-    }
-
-    #[test]
-    fn sum_matching_filters_prefix_and_suffix() {
-        let reg = MetricsRegistry::new();
-        reg.counter("fabric.port0.dropped").add(2);
-        reg.counter("fabric.port1.dropped").add(3);
-        reg.counter("fabric.port1.retransmits").add(7);
-        reg.counter("client.dropped").add(100);
-        assert_eq!(reg.sum_matching("fabric.", ".dropped"), 5);
-        assert_eq!(reg.sum_matching("fabric.", ".retransmits"), 7);
     }
 
     #[test]

@@ -201,3 +201,45 @@ fn waking_from_another_thread_panics_naming_the_contract() {
         "panic does not name the contract: {message}"
     );
 }
+
+/// `sim_core::join`: two lanes on the caller's task, sharing its wakes.
+#[test]
+fn join_overlaps_two_lanes_in_fixed_order_on_one_task() {
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let log: Rc<RefCell<Vec<(&str, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+    // Each case: the two lanes' sleeps, and who logs what when
+    // (microseconds since the join began).
+    let cases = [
+        ((30, 10), [("a", 0), ("b", 0), ("b", 10), ("a", 30)]),
+        ((10, 30), [("a", 0), ("b", 0), ("a", 10), ("b", 30)]),
+        ((0, 20), [("a", 0), ("a", 0), ("b", 0), ("b", 20)]),
+    ];
+    for ((a, b), expect) in cases {
+        let (start, polls) = (sim.now(), sim.polls());
+        let lane = |name: &'static str, us: u64| {
+            let (h, log) = (h.clone(), log.clone());
+            async move {
+                for sleep in [SimDuration::ZERO, SimDuration::from_micros(us)] {
+                    h.sleep(sleep).await;
+                    let at = h.now().saturating_since(start).as_nanos() / 1_000;
+                    log.borrow_mut().push((name, at));
+                }
+                us
+            }
+        };
+        let (first, second) = (lane("a", a), lane("b", b));
+        let out = sim.block_on(async move {
+            let (first, second) = (std::pin::pin!(first), std::pin::pin!(second));
+            sim_core::join(first, second).await
+        });
+        assert_eq!(out, (a, b));
+        // First lane first; the longer lane sets the time, not the
+        // sum; a finished lane is not polled again.
+        assert_eq!(std::mem::take(&mut *log.borrow_mut()), expect);
+        // One task, one poll per wake.
+        assert_eq!(sim.task_slots(), 1);
+        let wakes = [a, b].iter().filter(|&&us| us > 0).count() as u64;
+        assert_eq!(sim.polls() - polls, 1 + wakes);
+    }
+}

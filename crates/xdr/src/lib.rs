@@ -236,19 +236,16 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    /// Sanity cap for length prefixes: 64 MiB, checked before anything
-    /// is sized by a length read from the input.
-    max_len: u32,
 }
+
+/// Sanity cap for length prefixes: 64 MiB, checked before anything is
+/// sized by a length read from the input.
+const MAX_LEN: u32 = 64 << 20;
 
 impl<'a> Decoder<'a> {
     /// Decode from `buf`. Accepts `&Bytes` via deref coercion.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder {
-            buf,
-            pos: 0,
-            max_len: 64 << 20,
-        }
+        Decoder { buf, pos: 0 }
     }
 
     /// Bytes remaining.
@@ -317,7 +314,7 @@ impl<'a> Decoder<'a> {
     /// Decode variable-length opaque data, borrowed from the input.
     pub fn get_opaque(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()?;
-        if len > self.max_len {
+        if len > MAX_LEN {
             return Err(XdrError::LengthOutOfRange(len));
         }
         self.get_opaque_fixed(len as usize)
@@ -344,7 +341,7 @@ impl<'a> Decoder<'a> {
     /// Decode a counted array.
     pub fn get_array<T>(&mut self, mut f: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         let n = self.get_u32()?;
-        if n > self.max_len {
+        if n > MAX_LEN {
             return Err(XdrError::LengthOutOfRange(n));
         }
         // Each element is at least 4 bytes; cheap pre-check against

@@ -1,6 +1,8 @@
 //! Poll and allocation budgets of the five rungs the benchmark's host
 //! ladder *times*, here *counted*: the executor alone, a raw send/recv
-//! ping-pong, a NULL call, a GETATTR and a cached 1 MiB READ.
+//! ping-pong, a NULL call, a GETATTR and a cached 1 MiB READ — plus the
+//! one path none of them walks, a chunked 128 KiB WRITE (the server's
+//! two-lane dispatch ∥ fetch).
 //!
 //! Both counts are deterministic — polls always, allocations once the
 //! beds are warm — so every budget is an equality: a change that adds a
@@ -21,7 +23,7 @@ use std::future::Future;
 use ib_verbs::{connect, WrId};
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{yield_now, Payload, Sim, SimDuration, Simulation};
-use workloads::{build_rdma, linux_ddr_raid, linux_sdr, Backend};
+use workloads::{build_rdma, linux_ddr_raid, linux_sdr, solaris_sdr, Backend};
 
 struct PerThread;
 
@@ -205,6 +207,40 @@ fn cached_read() -> (u64, u64) {
     })
 }
 
+/// (f) A 128 KiB UNSTABLE WRITE on the `seq_write` bed (Solaris SDR,
+/// registration cache): the server fetches the payload by RDMA Read
+/// beside the call's wait in the task queue, on the one handler task.
+fn chunked_write() -> (u64, u64) {
+    const RECORD: u64 = 128 << 10;
+    const RECORDS: u64 = 8;
+    let mut sim = Simulation::new(4);
+    let h = sim.handle();
+    sim.block_on(async move {
+        let profile = solaris_sdr();
+        let bed = build_rdma(
+            &h,
+            &profile,
+            Design::ReadWrite,
+            StrategyKind::Cache,
+            Backend::Tmpfs,
+            1,
+        );
+        let client = &bed.clients[0];
+        let nfs = &client.nfs;
+        let root = bed.server.root_handle();
+        let fh = nfs.create(root, "f").await.expect("create").handle();
+        let buf = client.mem.alloc(RECORD);
+        buf.write(0, Payload::synthetic(4, RECORD));
+        let buf = &buf;
+        budget(&h, |i| async move {
+            let off = (i % RECORDS) * RECORD;
+            let n = nfs.write(fh, off, buf, 0, RECORD as u32, false);
+            assert_eq!(n.await.expect("write"), RECORD as u32);
+        })
+        .await
+    })
+}
+
 /// One `#[test]`: the budgets share nothing, but one thread keeps the
 /// per-thread counter's story simple.
 #[test]
@@ -222,6 +258,10 @@ fn polls_and_allocations_per_rung_are_pinned() {
             "1 MiB cached READ x 64 (linux_ddr_raid, all-physical)",
             cached_read(),
         ),
+        (
+            "128 KiB chunked WRITE x 64 (solaris_sdr, cache)",
+            chunked_write(),
+        ),
     ];
     // (polls, heap allocations). DESIGN.md §3 carries the same table.
     let want = [
@@ -230,6 +270,7 @@ fn polls_and_allocations_per_rung_are_pinned() {
         (1_536, 582),  // 24 polls a call
         (1_536, 710),
         (4_672, 4_602), // 73 polls a READ
+        (2_496, 1_799), // 39 polls a WRITE
     ];
     for ((rung, got), want) in got.iter().zip(want) {
         println!("{rung}: {got:?}");
