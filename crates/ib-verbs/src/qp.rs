@@ -19,6 +19,9 @@
 //! queue that models **doorbell batching**: past
 //! [`Qp::set_doorbell_batch`]`(n > 1)`, posts accumulate and one
 //! doorbell ring (one WQE-processing charge) submits the whole batch.
+//! A caller with a list of work requests in hand posts it as one
+//! [`Qp::chain`] — the verbs API's own linked-list post: the depth rule
+//! is applied to the list once, so at depth 1 it is a single doorbell.
 //! Callers must [`Qp::flush`] at operation boundaries before waiting on
 //! a completion; a QP starts at depth 1, which rings on every post —
 //! the classic one-doorbell-per-WQE behavior.
@@ -221,6 +224,8 @@ pub(crate) struct QpInner {
     /// WQEs per doorbell ring ([`Qp::set_doorbell_batch`]): per QP, so
     /// a server can batch while its peer stays unbatched.
     doorbell_batch: Cell<usize>,
+    /// Inside a [`Qp::chain`]: posts queue without ringing.
+    chaining: Cell<bool>,
     /// Doorbells rung on this QP.
     doorbells: Cell<u64>,
     /// Shared registry counter (bound by the owning HCA).
@@ -275,6 +280,7 @@ impl Qp {
                 pending: RefCell::new(Vec::new()),
                 drained: RefCell::new(Vec::new()),
                 doorbell_batch: Cell::new(1),
+                chaining: Cell::new(false),
                 doorbells: Cell::new(0),
                 doorbell_metric: RefCell::new(None),
                 global_rkey,
@@ -479,17 +485,38 @@ impl Qp {
     }
 
     /// Queue a WQE in the software pending queue, ringing the doorbell
-    /// when the batch depth is reached.
+    /// when the batch depth is reached (a chain decides that once, when
+    /// it closes).
     fn enqueue(&self, wqe: Wqe) -> Result<(), VerbsError> {
-        let depth = {
-            let mut pending = self.inner.pending.borrow_mut();
-            pending.push(wqe);
-            pending.len()
-        };
-        if depth >= self.inner.doorbell_batch.get() {
-            self.flush();
+        self.inner.pending.borrow_mut().push(wqe);
+        if !self.inner.chaining.get() {
+            self.ring_if_due();
         }
         Ok(())
+    }
+
+    fn ring_if_due(&self) {
+        if self.inner.pending.borrow().len() >= self.inner.doorbell_batch.get() {
+            self.flush();
+        }
+    }
+
+    /// Post a list of work requests as one WR chain (what
+    /// `ibv_post_send` does with a linked list): the WQEs `posts`
+    /// enqueues do not ring individually, and the batch-depth rule is
+    /// applied once when it returns — at depth 1 the whole chain goes
+    /// out behind one doorbell, past it the chain counts toward the
+    /// batch like any other posts. `posts` is synchronous, so a chain
+    /// can never hold the doorbell across an await while other tasks
+    /// post on the same QP.
+    pub fn chain<R>(&self, posts: impl FnOnce() -> R) -> R {
+        let outer = self.inner.chaining.replace(true);
+        let posted = posts();
+        self.inner.chaining.set(outer);
+        if !outer {
+            self.ring_if_due();
+        }
+        posted
     }
 
     /// Ring the doorbell: submit every pending WQE to the HCA engine as

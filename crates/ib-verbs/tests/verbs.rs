@@ -814,6 +814,64 @@ fn doorbell_batching_rings_once_per_batch() {
     assert_eq!(a.hca.doorbells(), 2);
 }
 
+/// A WR chain is one doorbell at depth 1 however long it is, pays the
+/// doorbell's processing once, and at a deeper batch counts toward the
+/// depth like any other posts: decided once, when the chain closes.
+#[test]
+fn wr_chain_rings_once_when_it_closes() {
+    let mut sim = Simulation::new(14);
+    sim.enable_span_tracing();
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, _qb) = connect(&a.hca, &b.hca);
+    let target = b.mem.alloc(64 * 1024);
+    let mr = sim.block_on({
+        let bh = b.hca.clone();
+        async move {
+            bh.register(&target, 0, 64 * 1024, Access::REMOTE_WRITE)
+                .await
+        }
+    });
+    let post = |i: u64| {
+        let data = Payload::synthetic(3, 1024);
+        qa.post_rdma_write(data, mr.addr() + i * 1024, mr.rkey(), WrId(i), true)
+    };
+    // Drain `n` completions; the send queue's idle time between the
+    // Writes that produced them.
+    let mut gaps = |n: usize| {
+        let cq = qa.send_cq().clone();
+        sim.block_on(async move {
+            for _ in 0..n {
+                assert_eq!(cq.next().await.result, Ok(1024));
+            }
+        });
+        let mut spans = sim.take_spans();
+        spans.retain(|s| s.name == "rdma_write");
+        let gap = |w: &[sim_core::SpanRecord]| w[1].start.saturating_since(w[0].end);
+        spans.windows(2).map(gap).collect::<Vec<_>>()
+    };
+    // Unchained, depth 1: a doorbell and its processing each.
+    (0..3).try_for_each(post).unwrap();
+    assert_eq!(qa.doorbells(), 3);
+    assert_eq!(gaps(3), [HcaConfig::sdr().wqe_process; 2]);
+    // Chained: one of each, and nothing rings before it closes.
+    qa.chain(|| {
+        (3..6).try_for_each(post).unwrap();
+        assert_eq!(qa.doorbells(), 3, "rang inside the chain");
+    });
+    assert_eq!(qa.doorbells(), 4);
+    assert_eq!(gaps(3), [SimDuration::ZERO; 2]);
+
+    // Depth 4: a short chain waits like any partial batch, a chain
+    // that fills the batch rings once for all of it.
+    qa.set_doorbell_batch(4);
+    qa.chain(|| (6..8).try_for_each(post)).unwrap();
+    assert_eq!(qa.doorbells(), 4, "partial batch must not ring");
+    qa.chain(|| (8..11).try_for_each(post)).unwrap();
+    assert_eq!(qa.doorbells(), 5, "five WQEs, one doorbell");
+    assert_eq!(gaps(5), [SimDuration::ZERO; 4]);
+}
+
 // ---------------------------------------------------------------------
 // Completion semantics of work requests nobody waits on. The instants
 // are exact: an acknowledgement reaches the requester one propagation

@@ -7,8 +7,11 @@
 //! USENIX '89) is an XID-keyed cache with two entry kinds:
 //!
 //! * **in-progress** — the first copy of the call is still executing;
-//!   duplicates park on the entry and receive the same reply when it
-//!   completes, instead of racing a second execution;
+//!   a duplicate is dropped unanswered (Linux nfsd's `RC_DROPIT`)
+//!   instead of racing a second execution: the original's reply is on
+//!   its way, and answering twice means moving the bulk data twice —
+//!   the second time into buffers the client released when the first
+//!   reply arrived;
 //! * **completed** — the reply is retained (bounded LRU) and replayed
 //!   byte-identically to any later retransmission.
 //!
@@ -23,7 +26,6 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use sim_core::stats::Counter;
-use sim_core::sync::{oneshot, OneshotReceiver, OneshotSender};
 use sim_core::MetricsRegistry;
 
 /// Cache key: requesting peer plus the call's XID, qualified by the
@@ -43,8 +45,8 @@ pub struct DrcKey {
 }
 
 enum Entry<V> {
-    /// First copy executing; queued senders are duplicate arrivals.
-    InProgress(Vec<OneshotSender<V>>),
+    /// First copy executing.
+    InProgress,
     Done(V),
 }
 
@@ -52,7 +54,7 @@ enum Entry<V> {
 /// [`DuplicateRequestCache::bind_metrics`]).
 struct DrcMetrics {
     hits: Rc<Counter>,
-    waits: Rc<Counter>,
+    inprogress_drops: Rc<Counter>,
     inserts: Rc<Counter>,
     evictions: Rc<Counter>,
 }
@@ -63,7 +65,7 @@ struct DrcInner<V> {
     order: VecDeque<DrcKey>,
     capacity: usize,
     hits: u64,
-    waits: u64,
+    inprogress_drops: u64,
     inserts: u64,
     evictions: u64,
     /// When bound, every statistic bump mirrors into the registry.
@@ -87,10 +89,10 @@ impl<V> Clone for DuplicateRequestCache<V> {
 pub enum DrcOutcome<V: Clone> {
     /// First sighting: execute, then [`DrcReservation::fill`].
     New(DrcReservation<V>),
-    /// Duplicate of a call still executing: await the original's reply.
-    /// An error means the original aborted without replying — drop the
-    /// duplicate too and let the client retransmit afresh.
-    InProgress(OneshotReceiver<V>),
+    /// Duplicate of a call still executing: drop it. The original
+    /// answers; a retransmission after that finds the reply cached, or
+    /// executes afresh if the original aborted.
+    InProgress,
     /// Duplicate of a completed call: replay this reply verbatim.
     Cached(V),
 }
@@ -105,8 +107,7 @@ pub struct DrcReservation<V: Clone> {
 }
 
 impl<V: Clone> DrcReservation<V> {
-    /// Publish the reply: wake parked duplicates with clones and retain
-    /// it for later retransmissions.
+    /// Publish the reply: retain it for later retransmissions.
     pub fn fill(mut self, value: &V) {
         self.filled = true;
         self.cache.complete(self.key, value);
@@ -130,7 +131,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
                 order: VecDeque::new(),
                 capacity: capacity.max(1),
                 hits: 0,
-                waits: 0,
+                inprogress_drops: 0,
                 inserts: 0,
                 evictions: 0,
                 metrics: None,
@@ -140,18 +141,19 @@ impl<V: Clone> DuplicateRequestCache<V> {
 
     /// Register this cache's statistics under `prefix` (e.g.
     /// `server.drc`) in `registry`, yielding `prefix.hits`,
-    /// `prefix.waits`, `prefix.inserts`, `prefix.evictions`. Bumps made
-    /// before binding are carried over.
+    /// `prefix.inprogress_drops`, `prefix.inserts`, `prefix.evictions`.
+    /// Bumps made before binding are carried over.
     pub fn bind_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
         let mut g = self.inner.borrow_mut();
         let m = DrcMetrics {
             hits: registry.counter(&format!("{prefix}.hits")),
-            waits: registry.counter(&format!("{prefix}.waits")),
+            inprogress_drops: registry.counter(&format!("{prefix}.inprogress_drops")),
             inserts: registry.counter(&format!("{prefix}.inserts")),
             evictions: registry.counter(&format!("{prefix}.evictions")),
         };
         m.hits.add(g.hits.saturating_sub(m.hits.get()));
-        m.waits.add(g.waits.saturating_sub(m.waits.get()));
+        m.inprogress_drops
+            .add(g.inprogress_drops.saturating_sub(m.inprogress_drops.get()));
         m.inserts.add(g.inserts.saturating_sub(m.inserts.get()));
         m.evictions
             .add(g.evictions.saturating_sub(m.evictions.get()));
@@ -175,17 +177,15 @@ impl<V: Clone> DuplicateRequestCache<V> {
                 }
                 DrcOutcome::Cached(v)
             }
-            Some(Entry::InProgress(waiters)) => {
-                let (tx, rx) = oneshot();
-                waiters.push(tx);
-                g.waits += 1;
+            Some(Entry::InProgress) => {
+                g.inprogress_drops += 1;
                 if let Some(m) = &g.metrics {
-                    m.waits.inc();
+                    m.inprogress_drops.inc();
                 }
-                DrcOutcome::InProgress(rx)
+                DrcOutcome::InProgress
             }
             None => {
-                g.entries.insert(key, Entry::InProgress(Vec::new()));
+                g.entries.insert(key, Entry::InProgress);
                 DrcOutcome::New(DrcReservation {
                     cache: self.clone(),
                     key,
@@ -197,12 +197,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
 
     fn complete(&self, key: DrcKey, value: &V) {
         let mut g = self.inner.borrow_mut();
-        let prev = g.entries.insert(key, Entry::Done(value.clone()));
-        if let Some(Entry::InProgress(waiters)) = prev {
-            for w in waiters {
-                w.send(value.clone());
-            }
-        }
+        g.entries.insert(key, Entry::Done(value.clone()));
         g.order.push_back(key);
         g.inserts += 1;
         if let Some(m) = &g.metrics {
@@ -253,8 +248,8 @@ impl<V: Clone> DuplicateRequestCache<V> {
     fn abort(&self, key: DrcKey) {
         let mut g = self.inner.borrow_mut();
         // Only an in-progress entry can belong to an unfilled
-        // reservation; dropping its waiters aborts parked duplicates.
-        if matches!(g.entries.get(&key), Some(Entry::InProgress(_))) {
+        // reservation.
+        if matches!(g.entries.get(&key), Some(Entry::InProgress)) {
             g.entries.remove(&key);
         }
     }
@@ -279,9 +274,9 @@ impl<V: Clone> DuplicateRequestCache<V> {
         self.inner.borrow().hits
     }
 
-    /// Duplicates that parked on an in-progress entry.
-    pub fn waits(&self) -> u64 {
-        self.inner.borrow().waits
+    /// Duplicates that found their call still executing (dropped).
+    pub fn inprogress_drops(&self) -> u64 {
+        self.inner.borrow().inprogress_drops
     }
 
     /// Replies published into the cache.
@@ -322,22 +317,22 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_of_in_progress_call_parks_and_gets_same_reply() {
-        let mut sim = sim_core::Simulation::new(1);
+    fn duplicate_of_in_progress_call_is_dropped_until_the_reply_is_cached() {
         let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(8);
         let DrcOutcome::New(slot) = drc.begin(k(7)) else {
             panic!()
         };
-        let DrcOutcome::InProgress(rx) = drc.begin(k(7)) else {
-            panic!("second copy must park")
-        };
-        let DrcOutcome::InProgress(rx2) = drc.begin(k(7)) else {
-            panic!("third copy must park too")
-        };
+        for _ in 0..2 {
+            assert!(
+                matches!(drc.begin(k(7)), DrcOutcome::InProgress),
+                "a copy of an executing call is neither run nor answered"
+            );
+        }
+        assert_eq!((drc.inprogress_drops(), drc.hits()), (2, 0));
         slot.fill(&9);
-        let got = sim.block_on(async move { (rx.await.unwrap(), rx2.await.unwrap()) });
-        assert_eq!(got, (9, 9));
-        assert_eq!(drc.waits(), 2);
+        // The retransmission after the reply went out replays it.
+        assert!(matches!(drc.begin(k(7)), DrcOutcome::Cached(9)));
+        assert_eq!((drc.inprogress_drops(), drc.hits()), (2, 1));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the duplicate request cache: under *any*
 //! interleaving of first arrivals, retransmissions, completions, and
 //! aborted executions, the DRC admits at most one live execution per
-//! XID, replays completed replies byte-identically, and wakes parked
-//! duplicates with exactly the original's reply.
+//! XID, replays completed replies byte-identically, and drops — never
+//! answers, never counts as an execution — every duplicate of a call
+//! still executing.
 //!
 //! The test drives the real cache next to an exact model of its
 //! contract (in-progress set + LRU of completed replies) and checks
@@ -69,16 +70,13 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..120),
         cap in 1usize..5,
     ) {
-        let mut sim = sim_core::Simulation::new(1);
         let drc: DuplicateRequestCache<u64> = DuplicateRequestCache::new(cap);
         let mut model = Model { in_progress: Vec::new(), completed: Vec::new(), capacity: cap };
 
-        // Open executions: (xid, reservation, id). `outcomes[id]`
-        // records what each execution eventually did.
-        let mut open: Vec<(u32, DrcReservation<u64>, usize)> = Vec::new();
-        let mut outcomes: Vec<Option<u64>> = Vec::new();
-        // Parked duplicates: (execution id they parked on, receiver).
-        let mut parked = Vec::new();
+        // Open executions: (xid, reservation).
+        let mut open: Vec<(u32, DrcReservation<u64>)> = Vec::new();
+        // Duplicates dropped because their call was still executing.
+        let mut dropped = 0u64;
         let mut executions = 0u64;
 
         for op in ops {
@@ -95,9 +93,7 @@ proptest! {
                             "second live execution admitted for xid {xid}"
                         );
                         model.in_progress.push(xid);
-                        let id = outcomes.len();
-                        outcomes.push(None);
-                        open.push((xid, slot, id));
+                        open.push((xid, slot));
                         executions += 1;
                     }
                     DrcOutcome::Cached(v) => {
@@ -106,20 +102,23 @@ proptest! {
                         prop_assert_eq!(v, want.unwrap().1, "replay not byte-identical");
                         model.touch(xid);
                     }
-                    DrcOutcome::InProgress(rx) => {
+                    DrcOutcome::InProgress => {
                         prop_assert!(
                             model.in_progress.contains(&xid),
-                            "parked on a xid with no live execution"
+                            "dropped a duplicate of a xid with no live execution"
                         );
-                        let id = open.iter().find(|(x, _, _)| *x == xid).unwrap().2;
-                        parked.push((id, rx));
+                        // The drop changes nothing: the one execution
+                        // stays open and is still the one that answers.
+                        prop_assert!(drc.contains(key(xid)));
+                        prop_assert_eq!(open.iter().filter(|(x, _)| *x == xid).count(), 1);
+                        dropped += 1;
                     }
                 },
                 Op::Finish { sel, abort } => {
                     if open.is_empty() {
                         continue;
                     }
-                    let (xid, slot, id) = open.remove(sel % open.len());
+                    let (xid, slot) = open.remove(sel % open.len());
                     if abort {
                         drop(slot);
                         model.in_progress.retain(|x| *x != xid);
@@ -128,29 +127,20 @@ proptest! {
                         // reply from an earlier execution being replayed.
                         let v = (xid as u64) << 32 | executions;
                         slot.fill(&v);
-                        outcomes[id] = Some(v);
                         model.complete(xid, v);
                     }
                 }
             }
         }
         // Abort everything still open.
-        for (xid, slot, _) in open {
+        for (xid, slot) in open {
             drop(slot);
             model.in_progress.retain(|x| *x != xid);
         }
 
-        // Every parked duplicate got exactly its original's reply —
-        // or an error if that execution aborted.
-        sim.block_on(async move {
-            for (id, rx) in parked {
-                match (outcomes[id], rx.await) {
-                    (Some(want), Ok(got)) => assert_eq!(got, want, "parked duplicate got a different reply"),
-                    (None, Err(_)) => {}
-                    (Some(_), Err(_)) => panic!("duplicate dropped though its execution replied"),
-                    (None, Ok(v)) => panic!("duplicate woken with {v} though its execution aborted"),
-                }
-            }
-        });
+        // Every such duplicate was counted, and none of them became a
+        // hit or an execution.
+        prop_assert_eq!(drc.inprogress_drops(), dropped);
+        prop_assert!(model.in_progress.is_empty());
     }
 }

@@ -58,7 +58,12 @@ impl StrategyKind {
 enum Handle {
     Mr(Mr),
     Cached(CacheEntry),
-    Pinned { pages: u64 },
+    /// All-physical: the leading `pages` of the window are pinned — all
+    /// of them once [`Registrar::provision`] has been asked for the
+    /// whole window, fewer while a push is still feeding the wire.
+    Pinned {
+        pages: u64,
+    },
 }
 
 /// A transport I/O buffer: a registered window of host memory ready
@@ -80,6 +85,16 @@ impl IoBuf {
     /// True if zero-length.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Leading bytes of the window the HCA may gather from right now:
+    /// all of it for a TPT-backed or slab window, the pinned prefix for
+    /// an all-physical one (see [`Registrar::provision`]).
+    pub fn provisioned(&self) -> u64 {
+        match &self.handle {
+            Handle::Pinned { pages } => self.len.min(pages * PAGE_SIZE),
+            _ => self.len,
+        }
     }
 
     /// Read out of the window.
@@ -368,20 +383,51 @@ impl Registrar {
     /// buffer — the caller must copy via [`IoBuf::write`]/[`IoBuf::read`]
     /// and charge the CPU accordingly (use [`Registrar::is_staged`]).
     pub async fn acquire_user(&self, buffer: &Buffer, off: u64, len: u64, access: Access) -> IoBuf {
-        match self.kind {
+        let mut io = match self.kind {
             StrategyKind::Cache => self.cache_acquire(len, access).await,
             _ => self.register_window(buffer, off, len, access).await,
-        }
+        };
+        self.provision(&mut io, len).await;
+        io
     }
 
     /// Acquire a transport-owned buffer of `len` bytes (server-side
-    /// staging, receive sinks). The cache strategy reuses slab entries.
+    /// staging, receive sinks), all of it DMA-able on return: reserve,
+    /// then provision everything. The cache strategy reuses slab
+    /// entries.
     pub async fn acquire_scratch(&self, len: u64, access: Access) -> IoBuf {
+        let mut io = self.reserve_scratch(len, access).await;
+        self.provision(&mut io, len).await;
+        io
+    }
+
+    /// *Reserve* a transport-owned window of `len` bytes: it exists and
+    /// has its steering tag. A TPT registration or a slab hit is
+    /// DMA-able as a whole from here on; an all-physical window has
+    /// nothing pinned yet — [`Registrar::provision`] before the HCA
+    /// touches it.
+    pub async fn reserve_scratch(&self, len: u64, access: Access) -> IoBuf {
         match self.kind {
             StrategyKind::Cache => self.cache_acquire(len, access).await,
             _ => {
                 let buffer = self.hca.mem().alloc(len.max(1));
                 self.register_window(&buffer, 0, len, access).await
+            }
+        }
+    }
+
+    /// *Provision* the window through byte `upto`: pin the all-physical
+    /// pages below it that are not pinned yet (CPU work, charged here);
+    /// nothing to do for the strategies whose reservation already made
+    /// the whole window DMA-able. A push calls this just ahead of each
+    /// doorbell, so the wire starts after the first WQE's pages instead
+    /// of the window's.
+    pub async fn provision(&self, io: &mut IoBuf, upto: u64) {
+        if let Handle::Pinned { pages } = io.handle {
+            let want = upto.min(io.len).div_ceil(PAGE_SIZE).max(1);
+            if want > pages {
+                self.hca.pin_pages(want - pages).await;
+                io.handle = Handle::Pinned { pages: want };
             }
         }
     }
@@ -430,16 +476,12 @@ impl Registrar {
                     }
                 }
             }
-            StrategyKind::AllPhysical => {
-                let pages = len.div_ceil(PAGE_SIZE).max(1);
-                self.hca.pin_pages(pages).await;
-                IoBuf {
-                    buffer: buffer.clone(),
-                    base: off,
-                    len,
-                    handle: Handle::Pinned { pages },
-                }
-            }
+            StrategyKind::AllPhysical => IoBuf {
+                buffer: buffer.clone(),
+                base: off,
+                len,
+                handle: Handle::Pinned { pages: 0 },
+            },
             StrategyKind::Cache => unreachable!("cache handled by cache_acquire"),
         }
     }
@@ -647,6 +689,68 @@ mod tests {
         // No TPT transactions at all.
         assert_eq!(reg.hca().reg_stats().dynamic_regs, 0);
         assert_eq!(reg.hca().reg_stats().fmr_maps, 0);
+    }
+
+    /// Reserve pins nothing, provision pins the pages it is asked for
+    /// and no page twice, release unpins what the window holds — not
+    /// what it spans.
+    #[test]
+    fn all_physical_window_pins_as_provisioned_and_unpins_what_it_holds() {
+        let mut sim = Simulation::new(3);
+        let h = sim.handle();
+        let (reg, _mem) = setup(&h, StrategyKind::AllPhysical);
+        let hca = reg.hca().clone();
+        let (cpu, pin) = (hca.cpu().clone(), hca.config().pin_per_page);
+        sim.block_on(async move {
+            let mut io = reg.reserve_scratch(1 << 20, Access::LOCAL).await;
+            assert_eq!((io.provisioned(), hca.reg_stats().pages_pinned), (0, 0));
+            assert_eq!(cpu.busy_time(), SimDuration::ZERO);
+            reg.provision(&mut io, 100_000).await;
+            assert_eq!(io.provisioned(), 25 * PAGE_SIZE);
+            reg.provision(&mut io, 50_000).await; // already covered
+            reg.provision(&mut io, 25 * PAGE_SIZE + 1).await;
+            assert_eq!(
+                (io.provisioned(), hca.reg_stats().pages_pinned),
+                (26 * PAGE_SIZE, 26)
+            );
+            assert_eq!(cpu.busy_time(), pin * 26);
+            reg.release(io).await;
+            assert_eq!(cpu.busy_time(), pin * 26 + pin * 26 / 2);
+            // Whole at once is the two steps back to back.
+            let io = reg.acquire_scratch(1 << 20, Access::LOCAL).await;
+            assert_eq!(
+                (io.provisioned(), hca.reg_stats().pages_pinned),
+                (1 << 20, 26 + 256)
+            );
+            reg.release(io).await;
+        });
+    }
+
+    /// A TPT registration or a slab entry is DMA-able as a whole once
+    /// reserved: provisioning it is free and instant.
+    #[test]
+    fn tpt_backed_windows_have_nothing_to_provision() {
+        for kind in [
+            StrategyKind::Dynamic,
+            StrategyKind::Fmr,
+            StrategyKind::Cache,
+        ] {
+            let mut sim = Simulation::new(3);
+            let h = sim.handle();
+            let (reg, _mem) = setup(&h, kind);
+            sim.block_on(async move {
+                let mut io = reg.reserve_scratch(1 << 20, Access::LOCAL).await;
+                assert_eq!(io.provisioned(), 1 << 20, "{kind:?}");
+                let (at, busy) = (h.now(), reg.hca().cpu().busy_time());
+                reg.provision(&mut io, 1 << 20).await;
+                assert_eq!(
+                    (h.now(), reg.hca().cpu().busy_time()),
+                    (at, busy),
+                    "{kind:?}"
+                );
+                reg.release(io).await;
+            });
+        }
     }
 
     #[test]

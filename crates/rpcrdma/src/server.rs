@@ -57,7 +57,7 @@ use std::pin::pin;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Hca, Qp, Sge};
+use ib_verbs::{Access, Hca, Qp, Sge, VerbsError};
 use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{
     AcceptStat, CallContext, CallHeader, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader,
@@ -141,7 +141,8 @@ pub struct ServerStats {
     /// Gauge: high-water mark of concurrent operations.
     pub peak_inflight: Cell<u64>,
     /// Retransmitted calls answered from the duplicate request cache
-    /// (or parked on an in-progress original) instead of re-executing.
+    /// instead of re-executing. (A duplicate of a call still executing
+    /// is dropped unanswered: `server.drc.inprogress_drops`.)
     pub drc_replays: Rc<Counter>,
     /// DRC replays served from the *previous* service epoch: calls
     /// first executed on a failed primary and retransmitted to this
@@ -1188,8 +1189,8 @@ fn note_replay(server: &RdmaRpcServer, what: &str, call: &CallHeader, dispatch: 
 
 /// *Service* stage, at-most-once: retransmitted calls (same peer + XID)
 /// replay the original dispatch from the duplicate request cache;
-/// duplicates of a call still executing park on it. Only a genuinely
-/// new call reaches the RPC program, under the `service` span.
+/// duplicates of a call still executing are dropped (`None`). Only a
+/// genuinely new call reaches the RPC program, under the `service` span.
 async fn service_stage(
     conn: &ConnState,
     call_msg: Bytes,
@@ -1257,13 +1258,16 @@ async fn service_stage(
             note_replay(server, "replay", &call, &dispatch);
             dispatch
         }
-        DrcOutcome::InProgress(rx) => {
-            // If the original aborted without replying, drop this copy
-            // too and let the client's next retransmission execute
-            // afresh.
-            let dispatch = rx.await.ok()?;
-            note_replay(server, "wait-replay", &call, &dispatch);
-            dispatch
+        DrcOutcome::InProgress => {
+            // Dropped, as nfsd's RC_DROPIT: the original answers. Its
+            // reply releases the client's chunks, so a second push — a
+            // replay once the original finished — would write into
+            // memory the client has taken back. Should that one reply
+            // be lost, the next retransmission finds the cached entry.
+            server
+                .sim
+                .trace("rpc", || format!("server drc in-progress drop xid={xid}"));
+            return None;
         }
     };
     Some((xid, dispatch))
@@ -1304,15 +1308,16 @@ async fn push_by_write(
     if let (Some(bulk), Some(segs)) = (&dispatch.bulk_out, hdr.write_chunks.first()) {
         let _s = server.sim.span("server", "rdma_write");
         let io = if server.zero_copy() {
-            // Zero-copy pipeline: register a window over the source
+            // Zero-copy pipeline: reserve a window over the source
             // pages (same TPT cost as staging) but gather the
             // file-system slices straight into vectored Writes — no
-            // placement into scratch.
-            let io = server
+            // placement into scratch — provisioning the window as the
+            // Writes go out, not ahead of them.
+            let mut io = server
                 .registrar
-                .acquire_scratch(bulk.len(), Access::LOCAL)
+                .reserve_scratch(bulk.len(), Access::LOCAL)
                 .await;
-            write_sg_into_segments(conn, &io, bulk, segs);
+            write_sg_into_segments(conn, &mut io, bulk, segs).await;
             server.stats.zero_copy_bytes.add(bulk.len());
             io
         } else {
@@ -1549,9 +1554,21 @@ fn write_into_segments(conn: &ConnState, io: &IoBuf, len: u64, segs: &[Segment])
 /// the SG entries of one vectored WQE (split at the HCA's `max_send_sge`
 /// limit). All-physical windows only hold the global steering tag,
 /// which the HCA refuses for multi-entry local gathers (§4.3), so they
-/// post one WQE per piece and lean on doorbell batching instead.
-/// Unsignaled either way: the reply Send is the ordering fence.
-fn write_sg_into_segments(conn: &ConnState, io: &IoBuf, sgl: &SgList, segs: &[Segment]) {
+/// post one WQE per piece. Unsignaled either way: the reply Send is the
+/// ordering fence.
+///
+/// The push is one loop, *provision → post a chain → next chain*: the
+/// WQEs the window already covers go out as one WR chain behind one
+/// doorbell, and when the next one — payload bytes `[a, b)` — is not
+/// covered, the provisioned prefix `p ≥ a` is doubled, or taken to `b`
+/// if that is further: through `max(b, 2p)`. So the wire starts after
+/// one WQE's pages, no step pins more than the window already holds
+/// (and the HCA mostly still has to send: pinning runs six times faster
+/// than the link), and a push of `len` bytes is provisioned in at most
+/// `⌈log₂(len / first WQE)⌉ + 1` steps. A window that was DMA-able as a
+/// whole when reserved goes out as a single chain. No chain is ever
+/// open across the provisioning await — other calls post on this QP.
+async fn write_sg_into_segments(conn: &ConnState, io: &mut IoBuf, sgl: &SgList, segs: &[Segment]) {
     let (hca, qp) = (&conn.server.hca, &conn.ep.qp);
     let lkey = io.lkey(hca);
     let no_local_sg = hca.global_rkey() == Some(lkey);
@@ -1560,28 +1577,49 @@ fn write_sg_into_segments(conn: &ConnState, io: &IoBuf, sgl: &SgList, segs: &[Se
     } else {
         hca.config().max_send_sge.max(1)
     };
-    for (seg, off, n) in spread(segs, sgl.len()) {
-        let pieces = sgl.slice(off, n).into_pieces();
-        let mut addr = seg.addr;
-        for group in pieces.chunks(max_sge) {
-            let glen: u64 = group.iter().map(Payload::len).sum();
+    let mut segs = spread(segs, sgl.len());
+    // The remote segment being filled: its pieces, the next one to
+    // post, where it lands, and its offset in the payload.
+    let (mut pieces, mut next, mut addr, mut rkey, mut at) = (Vec::new(), 0, 0, lkey, 0);
+    loop {
+        let covered = io.provisioned();
+        let uncovered: Result<_, VerbsError> = qp.chain(|| loop {
+            if next == pieces.len() {
+                let Some((seg, off, n)) = segs.next() else {
+                    return Ok(None);
+                };
+                pieces = sgl.slice(off, n).into_pieces();
+                (next, addr, rkey, at) = (0, seg.addr, seg.rkey, off);
+            }
+            let group = &pieces[next..pieces.len().min(next + max_sge)];
+            let end = at + group.iter().map(Payload::len).sum::<u64>();
+            if end > covered {
+                return Ok(Some(end.max(2 * covered)));
+            }
+            debug_assert!(end <= io.provisioned(), "WQE gathers past what is pinned");
             let wr = conn.ep.alloc_wr();
-            let posted = if no_local_sg {
-                qp.post_rdma_write(group[0].clone(), addr, seg.rkey, wr, false)
+            if no_local_sg {
+                qp.post_rdma_write(group[0].clone(), addr, rkey, wr, false)?;
             } else {
                 let sge = |data: &Payload| Sge {
                     data: data.clone(),
                     lkey,
                 };
                 let sges = group.iter().map(sge).collect();
-                qp.post_rdma_write_vec(sges, addr, seg.rkey, wr, false)
-            };
-            if posted.is_err() {
-                return;
+                qp.post_rdma_write_vec(sges, addr, rkey, wr, false)?;
             }
-            addr += glen;
+            (next, addr, at) = (next + group.len(), addr + (end - at), end);
+        });
+        match uncovered {
+            Ok(Some(upto)) => conn.server.registrar.provision(io, upto).await,
+            Ok(None) => break,
+            // The QP is gone: nothing more is pinned, the reply Send
+            // fails next and *retire* unpins what was pinned so far.
+            Err(_) => return,
         }
     }
+    // (An empty READ posts nothing and still owns a one-page window.)
+    conn.server.registrar.provision(io, sgl.len()).await;
 }
 
 /// Echo a chunk's segments with the actual byte counts written, so the

@@ -89,7 +89,7 @@ fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
 
 /// Host `id` on `fabric`: its HCA and memory.
 fn host(sim: &Sim, fabric: &Fabric<ib_verbs::WireMsg>, id: u32) -> (Hca, Rc<HostMem>) {
-    host_on(sim, fabric, id, CpuCosts::default())
+    host_on(sim, fabric, id, CpuCosts::default(), HcaConfig::sdr())
 }
 
 fn host_on(
@@ -97,11 +97,12 @@ fn host_on(
     fabric: &Fabric<ib_verbs::WireMsg>,
     id: u32,
     costs: CpuCosts,
+    hca: HcaConfig,
 ) -> (Hca, Rc<HostMem>) {
     let node = NodeId(id);
     let cpu = Cpu::new(sim, format!("cpu{id}"), 2, costs);
     let mem = Rc::new(HostMem::new(node, PhysLayout::default(), sim.fork_rng()));
-    let hca = Hca::new(sim, node, HcaConfig::sdr(), cpu, mem.clone(), fabric);
+    let hca = Hca::new(sim, node, hca, cpu, mem.clone(), fabric);
     (hca, mem)
 }
 
@@ -130,14 +131,43 @@ fn server_spans(sim: &Simulation) -> Vec<SpanRecord> {
 }
 
 fn setup_on(sim: &Sim, cfg: RpcRdmaConfig, strategy: StrategyKind, costs: CpuCosts) -> TestBed {
+    let service = Rc::new(ToyFs { seed: 42 });
+    setup_serving(sim, cfg, strategy, (costs, HcaConfig::sdr()), service)
+}
+
+/// The `linux_ddr_raid` profile's CPU and HCA cost tables
+/// (`workloads::profiles`): the Fig 10 / `raid_read` machines.
+fn linux_ddr_raid_costs() -> (CpuCosts, HcaConfig) {
+    let cpu = CpuCosts {
+        copy_ns_per_byte: 0.45,
+        interrupt_ns: 4_000,
+        syscall_ns: 1_000,
+        server_op_serial: SimDuration::from_micros(22),
+        per_op_client_cpu: SimDuration::from_micros(10),
+        per_op_server_cpu: SimDuration::from_micros(7),
+    };
+    let hca = HcaConfig {
+        link_bandwidth: 950_000_000,
+        ..HcaConfig::ddr()
+    };
+    (cpu, hca)
+}
+
+fn setup_serving(
+    sim: &Sim,
+    cfg: RpcRdmaConfig,
+    strategy: StrategyKind,
+    (costs, hca): (CpuCosts, HcaConfig),
+    service: Rc<dyn RdmaService>,
+) -> TestBed {
     let fabric = Fabric::new(sim);
-    let (client_hca, client_mem) = host_on(sim, &fabric, 0, costs);
-    let (server_hca, server_mem) = host_on(sim, &fabric, 1, costs);
+    let (client_hca, client_mem) = host_on(sim, &fabric, 0, costs, hca);
+    let (server_hca, server_mem) = host_on(sim, &fabric, 1, costs, hca);
     let (qc, qs) = connect(&client_hca, &server_hca);
     let server = RdmaRpcServer::new(
         sim,
         &server_hca,
-        Rc::new(ToyFs { seed: 42 }),
+        service,
         Registrar::new(&server_hca, strategy),
         cfg,
     );
@@ -2156,4 +2186,322 @@ fn rfp_ring_idle_clocks_agree_on_advertisements_and_true_idleness_revokes() {
         assert_eq!(metric("tpt.violations"), 0);
         assert_eq!((cs.reconnects.get(), cs.timeouts.get()), (0, 0));
     });
+}
+
+/// One 1 MiB READ on the `linux_ddr_raid` machines, in the terms the
+/// push's timing contract is stated in.
+struct MibRead {
+    /// The server's `op` and `rdma_write` (push) spans.
+    op: SpanRecord,
+    push: SpanRecord,
+    /// The HCA's RDMA Write spans, in wire order (a READ has no others).
+    writes: Vec<SpanRecord>,
+    /// Bytes per segment of the client's sink: one WQE each.
+    segments: Vec<u64>,
+    server_cpu: SimDuration,
+    server_pages_pinned: u64,
+    /// Server doorbells of the call, the reply Send's included.
+    doorbells: u64,
+}
+
+const MIB: u64 = 1 << 20;
+
+/// A bed of `linux_ddr_raid` machines, span tracing on, and a 1 MiB
+/// user buffer on the client for READs to land in.
+fn mib_bed(strategy: StrategyKind) -> (Simulation, TestBed, ib_verbs::Buffer) {
+    let sim = Simulation::new(53);
+    sim.enable_span_tracing();
+    let service = Rc::new(ToyFs { seed: 42 });
+    let cfg = RpcRdmaConfig::default();
+    let costs = linux_ddr_raid_costs();
+    let bed = setup_serving(&sim.handle(), cfg, strategy, costs, service);
+    let user = bed.client_mem.alloc(MIB);
+    (sim, bed, user)
+}
+
+/// READ 1 MiB into `user`, checked.
+async fn read_mib(client: RdmaRpcClient, user: ib_verbs::Buffer) {
+    let bulk = BulkParams {
+        recv_max: Some(MIB),
+        recv_user: Some((user, 0)),
+        ..Default::default()
+    };
+    let got = client.call(1, read_args(MIB as u32), bulk).await.unwrap();
+    assert!(got.bulk.unwrap().content_eq(&Payload::synthetic(42, MIB)));
+}
+
+fn mib_read(strategy: StrategyKind) -> MibRead {
+    let (mut sim, bed, user) = mib_bed(strategy);
+    let segments = match strategy {
+        StrategyKind::AllPhysical => user.phys_runs(0, MIB).iter().map(|r| r.1).collect(),
+        _ => vec![MIB],
+    };
+    // Once to warm the slab and the FMR pool; the second is measured.
+    sim.block_on(read_mib(bed.client.clone(), user.clone()));
+    sim.run();
+    sim.take_spans();
+    let cpu = bed.server_hca.cpu();
+    let before = (
+        cpu.busy_time(),
+        bed.server_hca.reg_stats().pages_pinned,
+        bed.server_qp.doorbells(),
+    );
+    sim.block_on(read_mib(bed.client.clone(), user));
+    sim.run();
+    let spans = sim.take_spans();
+    let named = |component, name| {
+        let is = |s: &&SpanRecord| (s.component, s.name) == (component, name);
+        spans.iter().filter(is).cloned().collect::<Vec<_>>()
+    };
+    let [op] = &named("server", "op")[..] else {
+        panic!("{strategy:?}: one op")
+    };
+    let [push] = &named("server", "rdma_write")[..] else {
+        panic!("{strategy:?}: one push")
+    };
+    MibRead {
+        op: op.clone(),
+        push: push.clone(),
+        writes: named("hca", "rdma_write"),
+        segments,
+        server_cpu: cpu.busy_time() - before.0,
+        server_pages_pinned: bed.server_hca.reg_stats().pages_pinned - before.1,
+        doorbells: bed.server_qp.doorbells() - before.2,
+    }
+}
+
+/// The push's timing contract, on an all-physical window. At the
+/// parent the whole window was pinned before the first Write and every
+/// Write had its own doorbell; now the first Write leaves after its own
+/// pages, the rest are pinned while the link is busy — the HCA never
+/// waits for a page — and each provisioning step is one WR chain behind
+/// one doorbell. Same pages, same CPU time; the call is shorter by the
+/// pinning that moved behind the wire.
+#[test]
+fn all_physical_read_push_pins_ahead_of_each_doorbell_not_of_the_first() {
+    /// The `op` span of this READ at 7ddf056, and its server CPU time.
+    const PARENT_OP_NS: u64 = 1_443_949;
+    const PARENT_SERVER_CPU_NS: u64 = 283_951;
+    let (_, hca) = linux_ddr_raid_costs();
+    let pin = |bytes: u64| hca.pin_per_page * bytes.div_ceil(4096);
+    let r = mib_read(StrategyKind::AllPhysical);
+    let wqes = r.segments.len();
+    assert!(wqes >= 8, "a sink of {wqes} segments shows no doubling");
+    assert_eq!(r.writes.len(), wqes, "one WQE per physical run");
+
+    // The first Write: its own pages, then its doorbell. (The parent:
+    // all 256 pages.)
+    let lead = r.writes[0].start.saturating_since(r.push.start);
+    assert_eq!(lead, pin(r.segments[0]) + hca.wqe_process);
+    // From there the send queue is never idle: a Write follows the one
+    // before at once, or one doorbell's processing later.
+    let gap = |w: &[SpanRecord]| w[1].start.saturating_since(w[0].end);
+    let gaps: Vec<_> = r.writes.windows(2).map(gap).collect();
+    let chains = 1 + gaps.iter().filter(|g| **g == hca.wqe_process).count();
+    let fed = |g: &SimDuration| g.is_zero() || *g == hca.wqe_process;
+    assert!(gaps.iter().all(fed), "the wire waited for a pin: {gaps:?}");
+    // One doorbell per provisioning step, and the reply Send's; the
+    // provisioned prefix at least doubles per step.
+    assert_eq!(r.doorbells as usize, chains + 1);
+    assert_eq!(chains, provisioning_steps(&r.segments).len());
+    let doublings = (MIB / r.segments[0]).next_power_of_two().trailing_zeros();
+    assert!(chains <= doublings as usize + 1, "{chains} chains");
+    assert!(chains <= wqes.next_power_of_two().trailing_zeros() as usize + 1);
+
+    // Moved, not removed: every page pinned once, the same CPU time.
+    assert_eq!(r.server_pages_pinned, MIB / 4096);
+    assert_eq!(r.server_cpu.as_nanos(), PARENT_SERVER_CPU_NS);
+    let push = r.push.end.saturating_since(r.push.start);
+    assert_eq!(push, pin(MIB), "the push span is the pinning");
+    // The call is shorter by the pinning now hidden behind the wire and
+    // by the doorbells the chains saved.
+    let saved = pin(MIB) - pin(r.segments[0]) + hca.wqe_process * (wqes - chains) as u64;
+    let op = r.op.end.saturating_since(r.op.start);
+    assert_eq!(op.as_nanos(), PARENT_OP_NS - saved.as_nanos());
+}
+
+/// A window that is DMA-able as a whole when reserved — a TPT
+/// registration, a slab entry — has nothing to provision: one remote
+/// segment, one WQE, one chain, and the call takes what it took at
+/// 7ddf056 to the nanosecond.
+#[test]
+fn tpt_backed_read_push_is_one_chain_and_takes_what_it_took() {
+    let parent_op_ns = [
+        (StrategyKind::Dynamic, 3_119_764),
+        (StrategyKind::Fmr, 2_361_764),
+        (StrategyKind::Cache, 1_613_823),
+    ];
+    for (strategy, parent_ns) in parent_op_ns {
+        let r = mib_read(strategy);
+        assert_eq!(r.writes.len(), 1, "{strategy:?}");
+        assert_eq!(r.doorbells, 2, "{strategy:?}: the Write, the reply");
+        let op = r.op.end.saturating_since(r.op.start);
+        assert_eq!(op.as_nanos(), parent_ns, "{strategy:?}");
+    }
+}
+
+/// The provisioned prefix after each step of pushing `wqes` (bytes per
+/// WQE) through an all-physical window: the rule `max(b, 2p)`, restated.
+fn provisioning_steps(wqes: &[u64]) -> Vec<u64> {
+    let (mut at, mut steps) = (0, Vec::new());
+    for len in wqes {
+        let p = steps.last().copied().unwrap_or(0);
+        if at + len > p {
+            steps.push((at + len).max(2 * p));
+        }
+        at += len;
+    }
+    steps
+}
+
+/// A push that dies half-provisioned. The server's QP is forced into
+/// error while the pages of step `k` are being pinned: that step
+/// finishes, its chain is refused, and the push stops — no step `k+1`,
+/// no page pinned for a Write that will never be posted. *Retire* gives
+/// back exactly what was taken (so a push torn one step later costs the
+/// pin and the half-price unpin of that step's pages more, and nothing
+/// else), and the client's retransmission is served on a fresh
+/// connection.
+#[test]
+fn qp_error_between_chains_stops_the_push_and_unpins_only_what_was_pinned() {
+    let (_, hca) = linux_ddr_raid_costs();
+    let dry = mib_read(StrategyKind::AllPhysical);
+    let pin = |bytes: u64| hca.pin_per_page * bytes.div_ceil(4096);
+    let steps = provisioning_steps(&dry.segments);
+    assert!(steps[2] < MIB / 2, "the strikes must leave most unpinned");
+
+    // Tear the push during step `k`; the server's pages pinned and CPU
+    // time from the call's arrival until the torn op has long retired.
+    let torn_during = |k: usize| {
+        let strike = dry.push.start + pin(steps[k - 1]) + SimDuration::from_nanos(1);
+        let (mut sim, bed, user) = mib_bed(StrategyKind::AllPhysical);
+        install_connector(&bed);
+        sim.block_on(read_mib(bed.client.clone(), user.clone()));
+        sim.run();
+        let (live, hca) = (bed.server_mem.live_buffers(), bed.server_hca.clone());
+        let before = (hca.reg_stats().pages_pinned, hca.cpu().busy_time());
+        let spent = Rc::new(std::cell::Cell::new((0, SimDuration::ZERO)));
+        let (h, victim, seen) = (sim.handle(), bed.server_qp.clone(), spent.clone());
+        sim.spawn(async move {
+            h.sleep_until(strike).await;
+            victim.force_error();
+            // Well before the client's retransmission timer.
+            h.sleep(SimDuration::from_millis(1)).await;
+            let pinned = hca.reg_stats().pages_pinned - before.0;
+            seen.set((pinned, hca.cpu().busy_time() - before.1));
+        });
+        sim.block_on(read_mib(bed.client.clone(), user));
+        sim.run();
+        // The retransmission found the reply in the DRC and was pushed
+        // in full on the fresh connection.
+        let cs = bed.client.stats();
+        assert_eq!(cs.reconnects.get(), 1, "step {k}");
+        assert!(cs.retransmits.get() >= 1, "step {k}");
+        assert_eq!(bed.server.stats.ops.get(), 2, "step {k}");
+        assert_eq!(bed.server.stats.drc_replays.get(), 1, "step {k}");
+        assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0, "step {k}");
+        assert_eq!(bed.server_mem.live_buffers(), live, "step {k}");
+        spent.get()
+    };
+    let (pages_1, cpu_1) = torn_during(1);
+    let (pages_2, cpu_2) = torn_during(2);
+    assert_eq!(pages_1, steps[1].div_ceil(4096), "pinned past the failure");
+    assert_eq!(pages_2, steps[2].div_ceil(4096), "pinned past the failure");
+    let step = pin(steps[2]) - pin(steps[1]);
+    assert_eq!(
+        cpu_2 - cpu_1,
+        step + step / 2,
+        "unpinned what was not pinned"
+    );
+}
+
+/// [`ToyFs`], every call `delay` late: a server slower than the
+/// client's retransmission timer.
+struct SlowFs {
+    sim: Sim,
+    delay: SimDuration,
+    fs: ToyFs,
+}
+
+impl RdmaService for SlowFs {
+    fn program(&self) -> u32 {
+        PROG
+    }
+    fn version(&self) -> u32 {
+        VERS
+    }
+    fn call(
+        &self,
+        cx: CallContext,
+        proc_num: u32,
+        args: Bytes,
+        bulk_in: Option<sim_core::SgList>,
+    ) -> LocalBoxFuture<RdmaDispatch> {
+        let (sim, delay) = (self.sim.clone(), self.delay);
+        let served = self.fs.call(cx, proc_num, args, bulk_in);
+        Box::pin(async move {
+            sim.sleep(delay).await;
+            served.await
+        })
+    }
+}
+
+/// An honest slow READ must not kill its connection. The server takes
+/// 60 ms, the client retransmits at 50: the copy finds its original
+/// still executing and is dropped, the original answers both. (At
+/// 7ddf056 the copy parked and was *replayed* when the original
+/// finished — a second push into chunks the client had released the
+/// moment the first reply arrived: a TPT violation, the server's QP in
+/// error, the next call `Disconnected`. Under the global steering tag
+/// the stale Write landed instead.)
+#[test]
+fn duplicate_of_a_slow_read_is_dropped_not_replayed_into_released_chunks() {
+    for strategy in [StrategyKind::Dynamic, StrategyKind::AllPhysical] {
+        let mut sim = Simulation::new(59);
+        let h = sim.handle();
+        let service = Rc::new(SlowFs {
+            sim: h.clone(),
+            delay: SimDuration::from_millis(60),
+            fs: ToyFs { seed: 42 },
+        });
+        let cfg = RpcRdmaConfig::default();
+        assert!(cfg.call_timeout < service.delay);
+        let costs = (CpuCosts::default(), HcaConfig::sdr());
+        let bed = setup_serving(&h, cfg, strategy, costs, service);
+        let client = bed.client.clone();
+        let pinned = bed.server_hca.reg_stats().pages_pinned;
+        sim.block_on(async move {
+            for _ in 0..2 {
+                let bulk = BulkParams {
+                    recv_max: Some(128 * 1024),
+                    ..Default::default()
+                };
+                let got = client.call(1, read_args(128 * 1024), bulk).await;
+                let data = got.expect("a slow READ is still a served READ").bulk;
+                assert!(data
+                    .unwrap()
+                    .content_eq(&Payload::synthetic(42, 128 * 1024)));
+            }
+        });
+        sim.run();
+        let (cs, ss) = (bed.client.stats(), &bed.server.stats);
+        assert_eq!(
+            (cs.timeouts.get(), cs.retransmits.get()),
+            (2, 2),
+            "{strategy:?}"
+        );
+        assert_eq!(cs.reconnects.get(), 0, "{strategy:?}");
+        assert_eq!(ss.ops.get(), 2, "{strategy:?}");
+        let drops = h.metrics().get("server.drc.inprogress_drops");
+        assert_eq!((drops, ss.drc_replays.get()), (Some(2), 0), "{strategy:?}");
+        assert_eq!(h.metrics().get("tpt.violations"), Some(0), "{strategy:?}");
+        assert!(!bed.server_qp.is_error(), "{strategy:?}");
+        // One push per READ: nothing written, or pinned, twice.
+        assert_eq!(ss.bulk_out.get(), 2 * 128 * 1024, "{strategy:?}");
+        if strategy == StrategyKind::AllPhysical {
+            let pushed = bed.server_hca.reg_stats().pages_pinned - pinned;
+            assert_eq!(pushed, 2 * 32, "{strategy:?}");
+        }
+        assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0, "{strategy:?}");
+    }
 }

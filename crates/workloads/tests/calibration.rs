@@ -184,9 +184,19 @@ fn fig10_cache_capacity_crossover() {
     let small_thrash = point(6, (3 << 29) as u64);
     let big_fit = point(6, (5 << 29) as u64);
     assert!(
-        small_fit.read_bandwidth_mb > 700.0,
-        "3 clients in-cache: {:.0} MB/s",
+        small_fit.read_bandwidth_mb > 900.0,
+        "3 clients in-cache: {:.0} MB/s (paper: 883)",
         small_fit.read_bandwidth_mb
+    );
+    // In cache the limit is the wire, not a core pinning pages with the
+    // link idle: one and two clients already get most of it. (With the
+    // whole window pinned before the first Write these were 632 / 863.)
+    let (one, two) = (point(1, (3 << 29) as u64), point(2, (3 << 29) as u64));
+    assert!(
+        one.read_bandwidth_mb > 670.0 && two.read_bandwidth_mb > 880.0,
+        "1 / 2 clients in-cache: {:.0} / {:.0} MB/s",
+        one.read_bandwidth_mb,
+        two.read_bandwidth_mb
     );
     assert!(
         small_thrash.read_bandwidth_mb < 0.6 * small_fit.read_bandwidth_mb,
@@ -195,7 +205,7 @@ fn fig10_cache_capacity_crossover() {
         small_fit.read_bandwidth_mb
     );
     assert!(
-        big_fit.read_bandwidth_mb > 700.0,
+        big_fit.read_bandwidth_mb > 900.0,
         "6 clients fit an 2 GiB cache: {:.0} MB/s",
         big_fit.read_bandwidth_mb
     );

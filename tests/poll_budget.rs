@@ -269,7 +269,7 @@ fn polls_and_allocations_per_rung_are_pinned() {
         (768, 0),      // 12 polls a round trip
         (1_536, 582),  // 24 polls a call
         (1_536, 710),
-        (4_672, 4_602), // 73 polls a READ
+        (4_416, 4_602), // 69 polls a READ (73 with a doorbell per Write)
         (2_496, 1_799), // 39 polls a WRITE
     ];
     for ((rung, got), want) in got.iter().zip(want) {
