@@ -113,7 +113,7 @@ const TRACE_GATE_PCT: f64 = 10.0;
 /// the loop's first READ finds a cold connection, so the total is not a
 /// multiple of the op count. One poll more per READ is +64 on the
 /// first pin.
-const RPC_POLLS: [(u64, u64); 2] = [(64, 1_862), (4_096, 118_790)];
+const RPC_POLLS: [(u64, u64); 2] = [(64, 1_860), (4_096, 118_788)];
 
 /// Exit nonzero unless a deterministic count is exactly its pin.
 fn gate_count(what: &str, got: u64, pin: u64) {

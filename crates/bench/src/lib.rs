@@ -373,7 +373,7 @@ mod tests {
                 1,
                 &[
                     ("doorbells_per_op", &format_args!("{:.4}", 0.66667)),
-                    ("interrupts_per_op", &format_args!("{:.4}", 0.5004)),
+                    ("interrupts_per_op", &format_args!("{:.4}", 0.5002)),
                     ("coalesced_per_op", &format_args!("{:.4}", 0.9998)),
                 ],
             )

@@ -1056,16 +1056,12 @@ async fn poll_slot(inner: Rc<ClientInner>, xid: u32) {
             return;
         }
         let ep = inner.endpoint();
-        let wr = ep.alloc_wr();
-        let Ok(rx) = ep.router.expect(wr) else {
-            return;
-        };
         let posted_rel = inner.sim.now().saturating_since(t0);
         let (buf, rkey) = (fetch_buf.clone(), ad.seg.rkey);
-        let posted = ep.qp.post_rdma_read(buf, 0, slot_addr, rkey, slot_size, wr);
-        if posted.is_err() {
+        let fetch = |wr| ep.qp.post_rdma_read(buf, 0, slot_addr, rkey, slot_size, wr);
+        let Some(rx) = ep.signaled(fetch) else {
             return;
-        }
+        };
         inner.stats.rfp_polls.inc();
         let Ok(c) = rx.await else { return };
         drop(permit);

@@ -20,7 +20,8 @@
 use std::cell::{Cell, RefCell};
 
 use bytes::Bytes;
-use ib_verbs::{Buffer, Hca, Opcode, Qp, VerbsError, WrId};
+use ib_verbs::{Buffer, Completion, Hca, Opcode, Qp, VerbsError, WrId};
+use sim_core::sync::OneshotReceiver;
 use sim_core::Payload;
 use xdr::{Encoder, XdrCodec};
 
@@ -109,10 +110,31 @@ impl Endpoint {
         Bytes::copy_from_slice(enc.as_slice())
     }
 
-    /// Post `wire` as an unsignaled Send.
+    /// Post `wire` as an unsignaled Send: nobody waits for it, and only a
+    /// failure ever completes (in error, to the router's observer).
     pub(crate) fn send(&self, wire: Bytes) -> Result<(), VerbsError> {
         self.qp
             .post_send(Payload::real(wire), self.alloc_wr(), false)
+    }
+
+    /// Post `wire` as a signaled Send and hand back its completion — for
+    /// a sender that holds something the completion releases.
+    pub(crate) fn send_signaled(&self, wire: Bytes) -> Option<OneshotReceiver<Completion>> {
+        self.signaled(|wr| self.qp.post_send(Payload::real(wire), wr, true))
+    }
+
+    /// Post one signaled work request and hand back its completion. The
+    /// router must know the id before the HCA does, so `post` is given
+    /// one already registered. `None` if it could not be posted (the QP
+    /// is dead).
+    pub(crate) fn signaled(
+        &self,
+        post: impl FnOnce(WrId) -> Result<(), VerbsError>,
+    ) -> Option<OneshotReceiver<Completion>> {
+        let wr = self.alloc_wr();
+        let wait = self.router.expect(wr).ok()?;
+        post(wr).ok()?;
+        Some(wait)
     }
 
     /// The next inbound message, its receive buffer already back on the
@@ -146,18 +168,12 @@ impl Endpoint {
         let mut off = 0u64;
         let mut waits = Vec::new();
         for seg in segments {
-            let wr = self.alloc_wr();
-            let Ok(rx) = self.router.expect(wr) else {
+            let (qp, buf, at) = (&self.qp, io.buffer().clone(), io.base() + off);
+            let read = |wr| qp.post_rdma_read(buf, at, seg.addr, seg.rkey, seg.len, wr);
+            let Some(rx) = self.signaled(read) else {
                 return false;
             };
             waits.push(rx);
-            let (buf, at) = (io.buffer().clone(), io.base() + off);
-            let posted = self
-                .qp
-                .post_rdma_read(buf, at, seg.addr, seg.rkey, seg.len, wr);
-            if posted.is_err() {
-                return false;
-            }
             off += seg.len;
         }
         self.qp.flush();

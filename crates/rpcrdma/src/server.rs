@@ -183,6 +183,9 @@ pub struct ServerStats {
     /// (its `reply_max` was no bound): answered with an inline error,
     /// nothing written.
     pub reply_chunk_overflows: Rc<Counter>,
+    /// Bulk results that outgrew the write chunk the client provisioned
+    /// (its `recv_max` was no bound): same answer, nothing written.
+    pub write_chunk_overflows: Rc<Counter>,
 }
 
 impl ServerStats {
@@ -213,6 +216,7 @@ impl ServerStats {
             rfp_ads: series("server.rfp.ads"),
             rfp_rings_revoked: series("server.rfp.rings_revoked"),
             reply_chunk_overflows: series("server.reply_chunk_overflows"),
+            write_chunk_overflows: series("server.write_chunk_overflows"),
         }
     }
 }
@@ -981,11 +985,11 @@ async fn qos_worker(server: Rc<RdmaRpcServer>) {
 struct Outgoing {
     rhdr: RdmaHeader,
     reply_msg: Bytes,
-    /// Staging buffers, released once the reply Send has completed.
-    to_release: Vec<IoBuf>,
-    /// Read-Read: buffers the reply advertises, exposed until the
-    /// client's `RDMA_DONE`.
-    to_expose: Vec<IoBuf>,
+    /// What the op holds until its reply Send has completed. Read-Write:
+    /// the source windows of its RDMA Writes, then released. Read-Read:
+    /// the buffers the reply advertises, from then exposed until the
+    /// client's `RDMA_DONE`. Empty for a reply that is all inline.
+    held: Vec<IoBuf>,
 }
 
 /// Run one admitted call to completion, keeping the server's in-flight
@@ -1038,7 +1042,7 @@ async fn run_op(conn: &Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) -> Op
     let (xid, dispatch) = service_stage(conn, call_msg, bulk_in).await?;
     let mut out = push_stage(conn, &hdr, xid, &dispatch).await;
     let sent = reply_stage(conn, hdr.msg_type, &mut out).await;
-    retire_stage(conn, out, sent).await;
+    retire_stage(conn, out, sent.is_some()).await;
     Some(())
 }
 
@@ -1285,8 +1289,7 @@ async fn push_stage(
     let mut out = Outgoing {
         rhdr: RdmaHeader::new(xid, conn.grant(), MsgType::Msg),
         reply_msg: encode_reply(&ReplyHeader { xid, stat }, &dispatch.head),
-        to_release: Vec::new(),
-        to_expose: Vec::new(),
+        held: Vec::new(),
     };
     match conn.server.cfg.design {
         Design::ReadWrite => push_by_write(conn, hdr, dispatch, &mut out).await,
@@ -1298,6 +1301,12 @@ async fn push_stage(
 /// Read-Write push: RDMA Write bulk results into the client's write
 /// chunk (the `rdma_write` span) and a long reply into its reply
 /// chunk. Unsignaled — the reply Send is the ordering fence.
+///
+/// A result that outgrew the chunk the client provisioned for it — or a
+/// long reply with no chunk to travel by — gets a (short, inline) error
+/// reply instead of a stuck RPC or a result cut off at the last segment:
+/// kernel RPC/RDMA returns RDMA_ERROR here. Checked before a window is
+/// reserved or a Write posted for that chunk.
 async fn push_by_write(
     conn: &ConnState,
     hdr: &RdmaHeader,
@@ -1305,7 +1314,16 @@ async fn push_by_write(
     out: &mut Outgoing,
 ) {
     let server = &conn.server;
+    let room = |segs: &[Segment]| segs.iter().map(|s| s.len).sum::<u64>();
+    let refuse = |out: &mut Outgoing| {
+        let (xid, stat) = (out.rhdr.xid, AcceptStat::GarbageArgs);
+        out.reply_msg = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
+    };
     if let (Some(bulk), Some(segs)) = (&dispatch.bulk_out, hdr.write_chunks.first()) {
+        if bulk.len() > room(segs) {
+            server.stats.write_chunk_overflows.inc();
+            return refuse(out);
+        }
         let _s = server.sim.span("server", "rdma_write");
         let io = if server.zero_copy() {
             // Zero-copy pipeline: reserve a window over the source
@@ -1327,26 +1345,18 @@ async fn push_by_write(
         };
         out.rhdr.write_chunks.push(echo_actual(segs, bulk.len()));
         server.stats.bulk_out.add(bulk.len());
-        out.to_release.push(io);
+        out.held.push(io);
     }
     if out.reply_msg.len() as u64 <= server.cfg.inline_threshold {
         return;
     }
-    // Long reply: it travels by the client-provisioned reply chunk. A
-    // client that sent none, or one too small to hold the reply, gets a
-    // (short, inline) error reply instead of a stuck RPC or a reply cut
-    // off at the last segment — kernel RPC/RDMA returns RDMA_ERROR here.
-    // Checked before any Write is posted.
-    let room = |segs: &[Segment]| segs.iter().map(|s| s.len).sum::<u64>();
     let reply_segs = match &hdr.reply_chunk {
         Some(segs) if out.reply_msg.len() as u64 <= room(segs) => segs,
         provisioned => {
             if provisioned.is_some() {
                 server.stats.reply_chunk_overflows.inc();
             }
-            let (xid, stat) = (out.rhdr.xid, AcceptStat::GarbageArgs);
-            out.reply_msg = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
-            return;
+            return refuse(out);
         }
     };
     let payload = SgList::from(Payload::real(out.reply_msg.clone()));
@@ -1354,7 +1364,7 @@ async fn push_by_write(
     write_into_segments(conn, &io, payload.len(), reply_segs);
     out.rhdr.msg_type = MsgType::Nomsg;
     out.rhdr.reply_chunk = Some(echo_actual(reply_segs, payload.len()));
-    out.to_release.push(io);
+    out.held.push(io);
 }
 
 /// Read-Read push: stage bulk results (and a long reply, at position
@@ -1370,14 +1380,14 @@ async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &RdmaDispatch, out: 
         let io = stage_source(server, bulk, Access::REMOTE_READ).await;
         expose(&io, bulk.len(), out.reply_msg.len() as u32);
         server.stats.bulk_out.add(bulk.len());
-        out.to_expose.push(io);
+        out.held.push(io);
     }
     if out.reply_msg.len() as u64 > server.cfg.inline_threshold {
         let payload = SgList::from(Payload::real(out.reply_msg.clone()));
         let io = stage_source(server, &payload, Access::REMOTE_READ).await;
         expose(&io, payload.len(), 0);
         out.rhdr.msg_type = MsgType::Nomsg;
-        out.to_expose.push(io);
+        out.held.push(io);
     }
 }
 
@@ -1407,10 +1417,11 @@ async fn rfp_route(conn: &ConnState, call_type: MsgType, rhdr: &mut RdmaHeader) 
 }
 
 /// *Reply* stage: put the reply header (and inline RPC message) on the
-/// wire — deposited into the RFP reply-slot ring, or by Send. Returns
-/// whether a Send completed: the proof that every preceding RDMA Write
-/// has been placed (§4.2), and what makes Read-Read buffers exposed.
-async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -> bool {
+/// wire — deposited into the RFP reply-slot ring, or by Send. `Some` =
+/// a Send the op waited for completed: the proof that every preceding
+/// RDMA Write has been placed (§4.2), and what makes Read-Read buffers
+/// exposed.
+async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -> Option<()> {
     let server = &conn.server;
     let deposit = server.cfg.rfp.is_some() && rfp_route(conn, call_type, &mut out.rhdr).await;
     if out.rhdr.msg_type == MsgType::Nomsg {
@@ -1421,8 +1432,8 @@ async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -
         if deposit_reply(conn, out.rhdr.xid, &wire).await {
             // No Send, no doorbell, no completion: the client's Read
             // engine does the rest. Nothing was exposed (chunkless).
-            debug_assert!(out.to_expose.is_empty());
-            return false;
+            debug_assert!(out.held.is_empty());
+            return None;
         }
         // Reply outgrew the slot or the ring vanished mid-call: the
         // Send path below still delivers it.
@@ -1430,16 +1441,16 @@ async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -
     }
     server.hca.cpu().copy(wire.len() as u64).await;
 
-    let (qp, wr) = (&conn.ep.qp, conn.ep.alloc_wr());
-    // Signaled: the reply Send's completion is the deregistration
-    // point for Read-Write source buffers.
     let _s = server.sim.span("server", "reply_send");
-    let Ok(wait) = conn.ep.router.expect(wr) else {
-        return false;
+    // The reply Send's completion is the deregistration point for what
+    // the op holds (§4.2) — and for nothing else: a reply that holds no
+    // buffer is posted unsignaled, and its handler ends here.
+    let completion = if out.held.is_empty() {
+        conn.ep.send(wire).ok()?;
+        None
+    } else {
+        Some(conn.ep.send_signaled(wire)?)
     };
-    if qp.post_send(Payload::real(wire), wr, true).is_err() {
-        return false;
-    }
     if server.cfg.server_doorbell_batch > 1 {
         // Doorbell moderation: if the batch doesn't fill (which rings
         // on its own), a backstop task rings at most
@@ -1449,7 +1460,7 @@ async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -
         // rang on post already.) Any doorbell after this post carries
         // the reply with it — the backstop checks the ring count and
         // stands down rather than ring a partial batch early.
-        let (qp, sim) = (qp.clone(), server.sim.clone());
+        let (qp, sim) = (conn.ep.qp.clone(), server.sim.clone());
         let rung = qp.doorbells();
         server.sim.spawn(async move {
             sim.sleep(DOORBELL_FLUSH).await;
@@ -1458,22 +1469,23 @@ async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -
             }
         });
     }
-    wait.await.is_ok()
+    completion?.await.ok().map(drop)
 }
 
-/// *Retire* stage: settle the op's buffers once the reply has left.
+/// *Retire* stage: settle what the op held once the reply has left
+/// (`sent`: its signaled Send completed, so it held something).
 /// Read-Read buffers a completed Send advertised stay exposed until
 /// `RDMA_DONE`; everything else is released.
 async fn retire_stage(conn: &ConnState, out: Outgoing, sent: bool) {
     let server = &conn.server;
-    let (xid, mut to_release) = (out.rhdr.xid, out.to_release);
-    if !out.to_expose.is_empty() && sent {
+    if server.cfg.design == Design::ReadRead && sent {
         let pending = &server.stats.exposures_pending;
-        pending.set(pending.get() + out.to_expose.len() as u64);
+        pending.set(pending.get() + out.held.len() as u64);
         let exposure = Exposure {
             since: server.sim.now(),
-            bufs: out.to_expose,
+            bufs: out.held,
         };
+        let xid = out.rhdr.xid;
         let old = conn.pending_exposures.borrow_mut().insert(xid, exposure);
         conn.exposure_signal.add_permits(1);
         if let Some(old) = old {
@@ -1482,11 +1494,11 @@ async fn retire_stage(conn: &ConnState, out: Outgoing, sent: bool) {
             // in a reply the client never acted on).
             retire_exposure(conn, old, Retire::Release).await;
         }
-    } else {
-        // Reply never left (QP torn down mid-call): nothing to expose.
-        to_release.extend(out.to_expose);
+        return;
     }
-    for io in to_release {
+    // Read-Write source windows — or a reply that never left (QP torn
+    // down mid-call): nothing to expose.
+    for io in out.held {
         server.registrar.release(io).await;
     }
 }

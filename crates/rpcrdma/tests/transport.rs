@@ -1727,7 +1727,7 @@ fn server_stage_spans_nest_in_pipeline_order_both_designs() {
 /// land + service + reply` instead of their sum — and what the service
 /// thread does with the bytes (the Cache strategy's bounce copy) still
 /// starts only once the thread has the call. A call with nothing to
-/// fetch takes exactly as long as it always did.
+/// fetch takes the queue, the service and the reply's post.
 #[test]
 fn write_fetch_overlaps_dispatch_and_lands_after_it() {
     let us = SimDuration::from_micros;
@@ -1763,12 +1763,13 @@ fn write_fetch_overlaps_dispatch_and_lands_after_it() {
             panic!("{strategy:?}: {} op spans", ops.len());
         };
 
-        // Nothing to fetch: the queue, the service, the reply — the
-        // same nanoseconds as before the lanes existed.
+        // Nothing to fetch: the queue, the service, the reply's post —
+        // the same nanoseconds as before the lanes existed, less the
+        // 9 727 the handler used to wait for the Send's completion.
         let dispatch = child(getattr, "dispatch");
         assert_eq!(took(&dispatch), queue, "{strategy:?}");
         assert_eq!(took(&child(&dispatch, "pull_chunks")), us(0));
-        assert_eq!(took(getattr).as_nanos(), 201_781, "{strategy:?}");
+        assert_eq!(took(getattr).as_nanos(), 192_054, "{strategy:?}");
 
         for (op, len) in [(large, 100_000u64), (small, 4096)] {
             let dispatch = child(op, "dispatch");
@@ -2503,5 +2504,356 @@ fn duplicate_of_a_slow_read_is_dropped_not_replayed_into_released_chunks() {
             assert_eq!(pushed, 2 * 32, "{strategy:?}");
         }
         assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0, "{strategy:?}");
+    }
+}
+
+/// The five shapes of call the reply-signaling rule tells apart.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Shape {
+    /// Chunkless call, chunkless reply (GETATTR, LOOKUP, ACCESS).
+    Echo,
+    /// 100 000 bytes pulled by RDMA Read; the window is released in
+    /// *land*, before the reply.
+    ChunkedWrite,
+    /// 512 bytes behind `RDMA_MSGP` padding.
+    InlineWrite,
+    /// 128 KiB pushed into the write chunk, or exposed.
+    Read,
+    /// A 20 000-byte reply head (READDIR): reply chunk, or exposed.
+    LongReply,
+}
+
+impl Shape {
+    const ALL: [Shape; 5] = [
+        Shape::Echo,
+        Shape::ChunkedWrite,
+        Shape::InlineWrite,
+        Shape::Read,
+        Shape::LongReply,
+    ];
+
+    /// Whether the op holds a buffer that its reply Send's completion
+    /// releases (Read-Write) or exposes (Read-Read).
+    fn holds_a_buffer(self) -> bool {
+        matches!(self, Shape::Read | Shape::LongReply)
+    }
+
+    async fn call(self, client: RdmaRpcClient, user: ib_verbs::Buffer) {
+        let write = |len| BulkParams {
+            send: Some((user.clone(), 0, len)),
+            ..Default::default()
+        };
+        let (proc_num, args, bulk) = match self {
+            Shape::Echo => (3, Bytes::from_static(b"getattr!"), BulkParams::default()),
+            Shape::ChunkedWrite => (2, Bytes::new(), write(100_000)),
+            Shape::InlineWrite => (2, Bytes::new(), write(512)),
+            Shape::Read => {
+                let bulk = BulkParams {
+                    recv_max: Some(128 * 1024),
+                    ..Default::default()
+                };
+                (1, read_args(128 * 1024), bulk)
+            }
+            Shape::LongReply => {
+                let bulk = BulkParams {
+                    reply_max: Some(64 * 1024),
+                    ..Default::default()
+                };
+                (4, read_args(20_000), bulk)
+            }
+        };
+        client.call(proc_num, args, bulk).await.unwrap();
+    }
+}
+
+/// What serving one call cost the server: its spans, and what its send
+/// CQ counted meanwhile.
+struct Served {
+    op: SpanRecord,
+    reply_send: SpanRecord,
+    /// The reply Send on the wire: from the HCA picking the WQE up to
+    /// the last byte landing at the client.
+    wire: SpanRecord,
+    /// RDMA Reads on the wire meanwhile, always signaled: the server's
+    /// for a chunked WRITE (a Read-Read client's pulls are its own).
+    reads: u64,
+    completions: u64,
+    interrupts: u64,
+}
+
+/// Serve one warmed-up `shape` call on a `solaris_sdr` bed and account
+/// for it.
+fn serve(cfg: RpcRdmaConfig, strategy: StrategyKind, shape: Shape) -> Served {
+    let mut sim = Simulation::new(61);
+    sim.enable_span_tracing();
+    let h = sim.handle();
+    let bed = setup_on(&h, cfg, strategy, solaris_sdr_cpu());
+    let user = bed.client_mem.alloc(128 * 1024);
+    user.write(0, Payload::synthetic(7, 100_000));
+    // Once to warm the slab and the FMR pool; the second is measured.
+    sim.block_on(shape.call(bed.client.clone(), user.clone()));
+    sim.run();
+    sim.take_spans();
+    let cq = bed.server_qp.send_cq();
+    let before = (cq.delivered(), cq.interrupts());
+    sim.block_on(shape.call(bed.client.clone(), user));
+    sim.run();
+    let spans = sim.take_spans();
+    let named = |component, name| {
+        let is = |s: &&SpanRecord| (s.component, s.name) == (component, name);
+        spans.iter().filter(is).cloned().collect::<Vec<_>>()
+    };
+    let ([op], [reply_send]) = (
+        &named("server", "op")[..],
+        &named("server", "reply_send")[..],
+    ) else {
+        panic!("{shape:?}: one op, one reply");
+    };
+    let sends = named("hca", "send");
+    let wire = sends.iter().find(|s| s.start >= reply_send.start);
+    Served {
+        op: op.clone(),
+        reply_send: reply_send.clone(),
+        wire: wire.expect("the reply on the wire").clone(),
+        reads: named("hca", "rdma_read").len() as u64,
+        completions: cq.delivered() - before.0,
+        interrupts: cq.interrupts() - before.1,
+    }
+}
+
+/// The reply Send is signaled iff the op holds something its completion
+/// releases. A GETATTR-shaped call and a WRITE (its window went back in
+/// *land*) hold nothing: the Send is posted unsignaled, `reply_send` is
+/// a zero-wait span, the `op` span ends at the post — shorter than at
+/// 056c230, where every reply was signaled, by exactly the flight nobody
+/// waits for any more — and the send CQ sees no completion and takes no
+/// interrupt for it. A READ's source window, a staged long reply and
+/// every Read-Read exposure are held: the handler resumes at the Send's
+/// completion, retires inside the `op` span, and the span is what it
+/// was to the nanosecond. The rule reads the op, not the configuration:
+/// the same at doorbell batch depth 4, where an unsignaled reply leaves
+/// with the 32 us backstop and the handler does not wait for that
+/// either.
+#[test]
+fn reply_send_is_signaled_iff_the_op_holds_a_buffer() {
+    use Design::{ReadRead, ReadWrite};
+    use StrategyKind::{AllPhysical, Cache, Dynamic, Fmr};
+    /// `(server_doorbell_batch, design, strategy, the op span of each
+    /// [`Shape::ALL`] at 056c230 in ns)`.
+    type Row = (usize, Design, StrategyKind, [u64; 5]);
+    #[rustfmt::skip]
+    const PARENT_OP_NS: [Row; 10] = [
+        (1, ReadWrite, Dynamic,     [201_781, 548_904, 201_790, 734_145, 328_578]),
+        (1, ReadWrite, Fmr,         [201_781, 523_904, 201_790, 686_745, 367_578]),
+        (1, ReadWrite, Cache,       [201_781, 327_654, 201_790, 467_710, 244_353]),
+        (1, ReadWrite, AllPhysical, [201_781, 372_264, 201_790, 375_240, 233_957]),
+        (1, ReadRead,  Dynamic,     [201_781, 548_904, 201_790, 478_221, 270_265]),
+        (1, ReadRead,  Fmr,         [201_781, 523_904, 201_790, 447_621, 261_265]),
+        (1, ReadRead,  Cache,       [201_781, 327_654, 201_790, 319_786, 219_790]),
+        (1, ReadRead,  AllPhysical, [201_781, 372_264, 201_790, 224_270, 205_265]),
+        (4, ReadWrite, Dynamic,     [233_781, 580_904, 233_790, 765_217, 359_621]),
+        (4, ReadRead,  Cache,       [233_781, 359_654, 233_790, 351_786, 251_790]),
+    ];
+    let hca = HcaConfig::sdr();
+    // What follows the reply's last byte landing at the client, for a
+    // handler that waits: the ack's flight back, the completion
+    // interrupt.
+    let completion = hca.link_latency + SimDuration::from_nanos(solaris_sdr_cpu().interrupt_ns);
+    let took = |s: &SpanRecord| s.end.saturating_since(s.start);
+    for (batch, design, strategy, parent_ns) in PARENT_OP_NS {
+        for (shape, parent_ns) in Shape::ALL.into_iter().zip(parent_ns) {
+            let cfg = RpcRdmaConfig {
+                server_doorbell_batch: batch,
+                ..RpcRdmaConfig::default().with_design(design)
+            };
+            let s = serve(cfg, strategy, shape);
+            let tag = format!("{design:?}/{strategy:?}/{shape:?} at depth {batch}");
+            if shape.holds_a_buffer() {
+                assert_eq!((s.completions, s.interrupts), (1, 1), "{tag}");
+                assert_eq!(s.reply_send.end, s.wire.end + completion, "{tag}");
+                assert!(s.reply_send.end <= s.op.end, "{tag}");
+                assert_eq!(took(&s.op).as_nanos(), parent_ns, "{tag}");
+            } else {
+                // Only a chunked WRITE's RDMA Reads complete.
+                assert_eq!((s.completions, s.interrupts), (s.reads, s.reads), "{tag}");
+                assert!(took(&s.reply_send).is_zero(), "{tag}");
+                assert_eq!(s.op.end, s.reply_send.end, "{tag}");
+                // Nobody waits, and the reply is no later for it: depth
+                // 1 rang on the post, past it the backstop rings.
+                let rung = s.wire.start.saturating_since(s.reply_send.start);
+                let backstop = rpcrdma::server::DOORBELL_FLUSH * (batch > 1) as u64;
+                assert_eq!(rung, backstop + hca.wqe_process, "{tag}");
+                let flight = s.wire.end.saturating_since(s.reply_send.start) + completion;
+                assert_eq!(
+                    took(&s.op).as_nanos(),
+                    parent_ns - flight.as_nanos(),
+                    "{tag}"
+                );
+            }
+        }
+    }
+}
+
+/// A Send nobody waits on can fail but never vanish. The server's QP is
+/// forced into error the nanosecond after a WRITE's unsignaled reply was
+/// posted — its handler already gone: the WQE flushes as an error
+/// completion, the connection tears down with nothing in flight and
+/// nothing held, and the client's same-XID retransmission on the fresh
+/// connection is answered from the duplicate request cache, the WRITE
+/// applied once.
+#[test]
+fn qp_error_under_an_unsignaled_reply_tears_down_clean_and_replays_once() {
+    let bed_on = |sim: &Simulation| {
+        let bed = setup(&sim.handle(), Design::ReadWrite, StrategyKind::Dynamic);
+        let user = bed.client_mem.alloc(4096);
+        user.write(0, Payload::synthetic(7, 512));
+        (bed, user)
+    };
+    // Dry run: when is the second WRITE's reply posted?
+    let mut sim = Simulation::new(67);
+    sim.enable_span_tracing();
+    let (bed, user) = bed_on(&sim);
+    sim.block_on(Shape::InlineWrite.call(bed.client.clone(), user.clone()));
+    sim.run();
+    sim.take_spans();
+    sim.block_on(Shape::InlineWrite.call(bed.client.clone(), user));
+    let spans = server_spans(&sim);
+    let reply = spans.iter().find(|s| s.name == "reply_send").unwrap();
+    assert_eq!(reply.start, reply.end, "the handler waited");
+    let strike = reply.end + SimDuration::from_nanos(1);
+
+    // Same seed, same schedule — and the server's QP dies there.
+    let mut sim = Simulation::new(67);
+    let h = sim.handle();
+    let (bed, user) = bed_on(&sim);
+    install_connector(&bed);
+    sim.block_on(Shape::InlineWrite.call(bed.client.clone(), user.clone()));
+    sim.run();
+    let (live, ops) = (bed.server_mem.live_buffers(), bed.server.stats.ops.get());
+    let (victim, cq) = (bed.server_qp.clone(), bed.server_qp.send_cq().clone());
+    let completions = cq.delivered();
+    let (server, struck) = (bed.server.clone(), Rc::new(std::cell::Cell::new(None)));
+    let seen = struck.clone();
+    sim.spawn(async move {
+        h.sleep_until(strike).await;
+        // Executed, answered, retired: the handler is not parked on
+        // the Send.
+        seen.set(Some((server.stats.ops.get(), server.stats.inflight.get())));
+        victim.force_error();
+    });
+    sim.block_on(Shape::InlineWrite.call(bed.client.clone(), user));
+    sim.run();
+    assert_eq!(struck.get(), Some((ops + 1, 0)));
+    // The flushed Send surfaced as one (error) completion, and the
+    // router consumed it.
+    assert_eq!((cq.delivered() - completions, cq.depth()), (1, 0));
+    let (cs, ss) = (bed.client.stats(), &bed.server.stats);
+    assert_eq!(cs.reconnects.get(), 1);
+    assert!(cs.retransmits.get() >= 1);
+    assert_eq!((ss.ops.get(), ss.drc_replays.get()), (ops + 1, 1));
+    assert_eq!(ss.inflight.get(), 0);
+    assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0);
+    assert_eq!(bed.server_mem.live_buffers(), live);
+}
+
+/// A dropped unsignaled reply costs what a dropped signaled one did:
+/// one timeout, one retransmission, one replay from the duplicate
+/// request cache — the WRITE applied once, the connection kept.
+#[test]
+fn dropped_unsignaled_reply_costs_one_timeout_and_one_replay() {
+    let mut sim = Simulation::new(71);
+    let bed = setup(&sim.handle(), Design::ReadWrite, StrategyKind::Dynamic);
+    let user = bed.client_mem.alloc(4096);
+    user.write(0, Payload::synthetic(7, 512));
+    // The next message arriving at the client is the WRITE's reply.
+    bed.fabric.drop_next_to(NodeId(0), 1);
+    sim.block_on(Shape::InlineWrite.call(bed.client.clone(), user));
+    sim.run();
+    let (cs, ss) = (bed.client.stats(), &bed.server.stats);
+    assert_eq!((cs.timeouts.get(), cs.retransmits.get()), (1, 1));
+    assert_eq!(cs.reconnects.get(), 0);
+    assert_eq!((ss.ops.get(), ss.drc_replays.get()), (1, 1));
+    assert_eq!(
+        bed.server_qp.send_cq().delivered(),
+        0,
+        "a reply was signaled"
+    );
+    assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0);
+}
+
+/// The write chunk is a bound like the reply chunk is. A READ result
+/// larger than the sink provisioned for it used to be laid across the
+/// chunk's segments until they ran out and answered OK — 8 192 of
+/// 50 000 bytes, the reply head still saying 50 000. Read-Write: refused
+/// before a window is reserved or a Write posted, typed error, counted.
+/// Read-Read has no client-provisioned chunk for the server to outgrow;
+/// there the client refuses the over-long exposure itself.
+#[test]
+fn bulk_larger_than_its_write_chunk_is_refused_not_truncated() {
+    let strategies = [
+        StrategyKind::Dynamic,
+        StrategyKind::AllPhysical,
+        StrategyKind::Cache,
+    ];
+    for design in [Design::ReadWrite, Design::ReadRead] {
+        for strategy in strategies {
+            let tag = format!("{design:?}/{strategy:?}");
+            let mut sim = Simulation::new(73);
+            sim.enable_span_tracing();
+            let h = sim.handle();
+            let bed = setup(&h, design, strategy);
+            let read = |len: u32| {
+                let client = bed.client.clone();
+                let bulk = BulkParams {
+                    recv_max: Some(8192),
+                    ..Default::default()
+                };
+                async move { client.call(1, read_args(len), bulk).await }
+            };
+            // Control: a result that fits its chunk arrives whole.
+            let fits = sim.block_on(read(8192)).unwrap();
+            assert!(fits.bulk.unwrap().content_eq(&Payload::synthetic(42, 8192)));
+            sim.run();
+            sim.take_spans();
+            let before = bed.server_hca.reg_stats();
+            let bulk_out = bed.server.stats.bulk_out.get();
+
+            let got = sim.block_on(read(50_000));
+            let overflows = h.metrics().get("server.write_chunk_overflows");
+            if design == Design::ReadRead {
+                // No sink to overrun: the client holds the exposure to
+                // the bound it asked for, before pulling a byte.
+                assert_eq!(got.unwrap_err(), onc_rpc::RpcError::BadReply, "{tag}");
+                assert_eq!(overflows, Some(0), "{tag}");
+                continue;
+            }
+            let err = got.expect_err("a cut-off READ was answered OK");
+            assert!(
+                matches!(err, onc_rpc::RpcError::Rejected(AcceptStat::GarbageArgs)),
+                "{tag}: {err:?}"
+            );
+            assert_eq!(overflows, Some(1), "{tag}");
+            let writes = sim.take_spans();
+            let writes = writes
+                .iter()
+                .filter(|s| (s.component, s.name) == ("hca", "rdma_write"));
+            assert_eq!(writes.count(), 0, "{tag}: a Write was posted");
+            let after = bed.server_hca.reg_stats();
+            assert_eq!(
+                (after.dynamic_regs, after.pages_pinned),
+                (before.dynamic_regs, before.pages_pinned),
+                "{tag}: a window was reserved"
+            );
+            assert_eq!(bed.server.stats.bulk_out.get(), bulk_out, "{tag}");
+            // The connection is still good.
+            let echo = bed.client.clone();
+            let echo = sim.block_on(async move {
+                let args = Bytes::from_static(b"still here");
+                echo.call(3, args, BulkParams::default()).await
+            });
+            assert_eq!(&echo.unwrap().body[..10], b"still here", "{tag}");
+            sim.run();
+            assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0, "{tag}");
+        }
     }
 }

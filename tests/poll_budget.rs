@@ -267,10 +267,10 @@ fn polls_and_allocations_per_rung_are_pinned() {
     let want = [
         (41_000, 358), // allocations: timer-wheel buckets finding new load maxima
         (768, 0),      // 12 polls a round trip
-        (1_536, 582),  // 24 polls a call
-        (1_536, 710),
+        (1_216, 454),  // 19 polls a call (24 with every reply Send signaled)
+        (1_216, 582),
         (4_416, 4_602), // 69 polls a READ (73 with a doorbell per Write)
-        (2_496, 1_799), // 39 polls a WRITE
+        (2_176, 1_671), // 34 polls a WRITE (39 with its reply Send signaled)
     ];
     for ((rung, got), want) in got.iter().zip(want) {
         println!("{rung}: {got:?}");
