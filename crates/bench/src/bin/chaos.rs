@@ -8,7 +8,8 @@
 //!
 //! Run with `--smoke` for the fixed-seed gate used by
 //! `scripts/check.sh`: both designs at 1% drop with a forced QP error,
-//! plus a same-seed double run that must produce identical traces.
+//! plus a same-seed double run that must produce identical span and
+//! flight records.
 
 use bench::{same_seed, write_result, BenchJson, Gate};
 use rpcrdma::Design;
@@ -41,7 +42,7 @@ fn crash_params(design: Design, drop: f64, crash_us: u64) -> ChaosParams {
 }
 
 fn chaos(p: ChaosParams) -> Run<ChaosResult> {
-    run_chaos(0xC0FFEE, &linux_sdr(), p, Capture::FINGERPRINT)
+    run_chaos(0xC0FFEE, &linux_sdr(), p, Capture::SPANS)
 }
 
 /// Zero corruption, and every record applied at least once — exactly
@@ -79,7 +80,7 @@ fn smoke() {
             a.metric("client.retransmits"),
             a.metric("server.drc.replays"),
             reconnects,
-            a.fingerprint
+            a.fingerprint()
         );
     }
     // Crash-matrix gate: server storage power-fails mid-UNSTABLE-burst
@@ -102,7 +103,10 @@ fn smoke() {
     same_seed("crash", &a, &chaos(p));
     println!(
         "chaos smoke crash: ok ({} re-driven, {} mismatches, {} WAL-committed, trace {:#018x})",
-        a.redriven_writes, a.verf_mismatches, a.wal_committed_records, a.fingerprint
+        a.redriven_writes,
+        a.verf_mismatches,
+        a.wal_committed_records,
+        a.fingerprint()
     );
     println!("chaos smoke: all invariants held");
 }
@@ -127,7 +131,7 @@ const KILL_FLUSH_MARKER_US: u64 = 1860;
 const STALL_BOUND_US: u64 = 300_000;
 
 fn failover(seed: u64, p: FailoverParams) -> Run<FailoverResult> {
-    run_failover(seed, &linux_sdr(), p, Capture::FINGERPRINT)
+    run_failover(seed, &linux_sdr(), p, Capture::SPANS)
 }
 
 fn kill_at(us: u64) -> FailoverParams {
@@ -259,11 +263,7 @@ fn failover_observability() -> Run<FailoverResult> {
         timeline: true,
         ..kill_at(KILL_MID_BURST_US)
     };
-    let everything = Capture {
-        fingerprint: true,
-        spans: true,
-    };
-    let run = || run_failover(FAILOVER_SEED, &linux_sdr(), p, everything);
+    let run = || failover(FAILOVER_SEED, p);
     let r = run();
     let gate = failover_gate("observability", &r, true);
     let json = sim_core::chrome_trace_json(&r.spans);

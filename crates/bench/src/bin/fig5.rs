@@ -16,11 +16,7 @@ use workloads::{build_rdma, run_iozone, solaris_sdr, Backend, IoMode, IozonePara
 
 /// Run one short traced pass and return its spans.
 fn traced_pass(design: Design, strategy: StrategyKind, mode: IoMode) -> Vec<SpanRecord> {
-    let spans = Capture {
-        spans: true,
-        ..Capture::default()
-    };
-    let run = scenario::run(0xF00D, spans, |sim| async move {
+    let run = scenario::run(0xF00D, Capture::SPANS, |sim| async move {
         let bed = build_rdma(&sim, &solaris_sdr(), design, strategy, Backend::Tmpfs, 1);
         let params = IozoneParams {
             threads_per_client: 2,

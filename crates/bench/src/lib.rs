@@ -275,23 +275,32 @@ impl<'a> Gate<'a> {
 }
 
 /// The determinism gate: two runs of one seed and one scenario must be
-/// equal as whole runs — trace fingerprint, metrics registry, typed
-/// outcome, spans and flight ring.
+/// equal as whole runs — spans, flight ring, metrics registry and typed
+/// outcome. A failure names the first record where the runs part.
 pub fn same_seed<T: Debug + PartialEq>(tag: &str, a: &Run<T>, b: &Run<T>) {
-    let (fa, fb) = (a.fingerprint, b.fingerprint);
     Gate::new(tag, &b.flight)
-        .require(fa == fb, || {
-            format!("same seed, different traces ({fa:#x} vs {fb:#x})")
+        .require(a.spans == b.spans, || {
+            first_divergence("span", &a.spans, &b.spans)
+        })
+        .require(a.flight == b.flight, || {
+            first_divergence("flight record", &a.flight, &b.flight)
         })
         .require(a.metrics == b.metrics, || {
             "same seed, different metrics snapshots".into()
         })
         .require(a.out == b.out, || {
             format!("same seed, different outcomes:\n{:?}\n{:?}", a.out, b.out)
-        })
-        .require(a == b, || {
-            "same seed, different span or flight records".into()
         });
+}
+
+/// The index and both sides of the first record at which two unequal
+/// streams differ (`None` where one stream has already ended).
+fn first_divergence<R: Debug + PartialEq>(what: &str, a: &[R], b: &[R]) -> String {
+    let i = (0..=a.len().max(b.len()))
+        .find(|&i| a.get(i) != b.get(i))
+        .expect("the streams differ");
+    let (ra, rb) = (a.get(i), b.get(i));
+    format!("same seed, runs part at {what} #{i}:\n  {ra:?}\n  {rb:?}")
 }
 
 /// A `results/BENCH_<name>.json` artifact: a `"bench"` tag, a `"mode"`
@@ -406,6 +415,20 @@ mod tests {
             \"two\": {\n    \"a\": 7, \"b\": 0.9,\n    \"c\": 7\n  },\n  \
             \"flat\": { \"a\": 7, \"b\": 1.0000 }\n}\n";
         assert_eq!(json, expected);
+    }
+
+    #[test]
+    fn a_divergence_names_the_first_record_that_differs() {
+        let msg = first_divergence("span", &[1, 2, 3], &[1, 2, 4, 5]);
+        assert_eq!(
+            msg,
+            "same seed, runs part at span #2:\n  Some(3)\n  Some(4)"
+        );
+        let msg = first_divergence("flight record", &[7], &[7, 8]);
+        assert!(
+            msg.ends_with("flight record #1:\n  None\n  Some(8)"),
+            "{msg}"
+        );
     }
 
     #[test]

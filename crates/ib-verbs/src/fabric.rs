@@ -213,9 +213,6 @@ impl<M: 'static> Fabric<M> {
         self.transfer(&src, &dst, to, wire_bytes).await;
         if self.arrival_dropped(to) {
             dst.dropped.inc();
-            self.inner.sim.trace("fault", || {
-                format!("drop {wire_bytes}B node{} -> node{}", from.0, to.0)
-            });
             return Some(msg);
         }
         (dst.deliver)(msg);

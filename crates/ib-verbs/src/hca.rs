@@ -205,13 +205,6 @@ impl Hca {
             self.inner.sim.now(),
         );
         self.inner.stats.borrow_mut().dynamic_regs += 1;
-        self.inner.sim.trace("reg", || {
-            format!(
-                "node{} register {len}B ({pages} pages) -> {rkey:?} exposed={}",
-                self.inner.node.0,
-                access.remotely_exposed()
-            )
-        });
         crate::mr::Mr::new_dynamic(self.clone(), rkey, buffer.clone(), base, len, access, pages)
     }
 

@@ -113,14 +113,6 @@ impl Mr {
         debug_assert!(self.valid.get(), "double deregistration");
         self.valid.set(false);
         let hca = self.hca.clone();
-        hca.inner.sim.trace("reg", || {
-            format!(
-                "node{} {} {:?}",
-                hca.inner.node.0,
-                if forced { "revoke" } else { "deregister" },
-                self.rkey
-            )
-        });
         // Remove from the TPT first (the security-relevant step), then
         // pay the costs.
         {

@@ -586,17 +586,6 @@ async fn run_wqe(qp: &Rc<QpInner>, wqe: Wqe) {
         return;
     }
     let peer = qp.peer_node.get();
-    qp.sim.trace("wire", || {
-        let (kind, len) = match &wqe {
-            Wqe::Send { data, .. } => ("send", data.len()),
-            Wqe::Write { sgl, .. } => ("rdma-write", sgl.iter().map(|p| p.len()).sum()),
-            Wqe::Read { len, .. } => ("rdma-read", *len),
-        };
-        format!(
-            "node{} qp{} {kind} {len}B -> node{}",
-            qp.node.0, qp.qpn.0, peer.0
-        )
-    });
     // Span covers WQE execution up to fabric hand-off; completion
     // propagation is async and traced by the RPC-layer spans.
     let _wqe_span = qp.sim.span(

@@ -43,14 +43,13 @@ use crate::server::{NfsServer, WRITE_VERF_BASE};
 /// bulk length (8).
 const RECORD_HDR: u64 = 8 + 6 * 4 + 8;
 
-/// Flags bit marking a record that carries a 16-byte [`TraceCtx`]
-/// trailer after the bulk data. Conditional so untraced encodes stay
-/// byte-identical to the pre-tracing wire format (and so tracing off
-/// perturbs no modeled transfer time).
-const FLAG_TRACED: u32 = 4;
-
-/// Byte length of the optional trace trailer: trace id + parent span.
-const TRACE_TRAILER: u64 = 16;
+/// The tracer key a record's [`TraceCtx`] rides under, out of band like
+/// an RPC call's: the record's bytes, and so the modeled deposit time,
+/// are the same with tracing on or off. Bit 63 keeps the key apart from
+/// the RPC legs' `(client_node << 32) | xid`.
+fn trace_key(seq: u64) -> u64 {
+    1 << 63 | seq
+}
 
 /// One replicated mutation, exactly as the primary executed it.
 #[derive(Clone)]
@@ -78,15 +77,14 @@ pub struct ReplRecord {
     pub bulk: Option<Payload>,
     /// Trace context of the primary's service span
     /// ([`TraceCtx::NONE`] when span tracing was off): the backup's
-    /// apply span joins the client's causal tree through it.
+    /// apply span joins the client's causal tree through it. Not part
+    /// of the encoding — it travels under [`trace_key`].
     pub trace: TraceCtx,
 }
 
 impl ReplRecord {
     /// Serialize into one contiguous payload for the ring deposit. The
-    /// bulk piece rides as-is (no flattening of synthetic content). A
-    /// non-empty trace context appends a [`TRACE_TRAILER`] behind the
-    /// bulk, gated by [`FLAG_TRACED`].
+    /// bulk piece rides as-is (no flattening of synthetic content).
     pub fn encode(&self) -> Payload {
         let bulk_len = self.bulk.as_ref().map_or(0, Payload::len);
         let mut flags = 0u32;
@@ -95,10 +93,6 @@ impl ReplRecord {
         }
         if self.is_write {
             flags |= 2;
-        }
-        let traced = self.trace.trace_id != 0;
-        if traced {
-            flags |= FLAG_TRACED;
         }
         let mut h =
             Vec::with_capacity(RECORD_HDR as usize + self.args.len() + self.reply_head.len());
@@ -112,22 +106,15 @@ impl ReplRecord {
         h.extend_from_slice(&bulk_len.to_be_bytes());
         h.extend_from_slice(&self.args);
         h.extend_from_slice(&self.reply_head);
-        let trailer = traced.then(|| {
-            let mut t = Vec::with_capacity(TRACE_TRAILER as usize);
-            t.extend_from_slice(&self.trace.trace_id.to_be_bytes());
-            t.extend_from_slice(&self.trace.parent_span.to_be_bytes());
-            Payload::real(Bytes::from(t))
-        });
         let head = Payload::real(Bytes::from(h));
-        match (&self.bulk, trailer) {
-            (Some(b), Some(t)) => Payload::concat(&[head, b.clone(), t]),
-            (Some(b), None) => Payload::concat(&[head, b.clone()]),
-            (None, Some(t)) => Payload::concat(&[head, t]),
-            (None, None) => head,
+        match &self.bulk {
+            Some(b) => Payload::concat(&[head, b.clone()]),
+            None => head,
         }
     }
 
-    /// Decode a ring deposit produced by [`ReplRecord::encode`].
+    /// Decode a ring deposit produced by [`ReplRecord::encode`], with an
+    /// empty trace context (the consumer adopts the real one).
     pub fn decode(p: &Payload) -> ReplRecord {
         let hdr = p.slice(0, RECORD_HDR).materialize();
         let u64_at = |i: usize| u64::from_be_bytes(hdr[i..i + 8].try_into().unwrap());
@@ -140,26 +127,10 @@ impl ReplRecord {
         let flags = u32_at(24);
         let args_len = u32_at(28) as u64;
         let bulk_len = u64_at(32);
-        let trailer_len = if flags & FLAG_TRACED != 0 {
-            TRACE_TRAILER
-        } else {
-            0
-        };
         let args = p.slice(RECORD_HDR, args_len).materialize();
-        let reply_len = p.len() - RECORD_HDR - args_len - bulk_len - trailer_len;
+        let reply_len = p.len() - RECORD_HDR - args_len - bulk_len;
         let reply_head = p.slice(RECORD_HDR + args_len, reply_len).materialize();
         let bulk = (bulk_len > 0).then(|| p.slice(RECORD_HDR + args_len + reply_len, bulk_len));
-        let trace = if trailer_len > 0 {
-            let t = p
-                .slice(p.len() - TRACE_TRAILER, TRACE_TRAILER)
-                .materialize();
-            TraceCtx {
-                trace_id: u64::from_be_bytes(t[0..8].try_into().unwrap()),
-                parent_span: u64::from_be_bytes(t[8..16].try_into().unwrap()),
-            }
-        } else {
-            TraceCtx::NONE
-        };
         ReplRecord {
             seq,
             proc_num,
@@ -171,7 +142,7 @@ impl ReplRecord {
             args,
             reply_head,
             bulk,
-            trace,
+            trace: TraceCtx::NONE,
         }
     }
 }
@@ -183,6 +154,8 @@ struct LogEntry {
     /// Local-WAL committed-record count snapshot at this marker (0 for
     /// non-markers): the rejoin truncation point.
     wal_cut: u64,
+    /// The record's trace context, re-stashed when a resync re-ships it.
+    trace: TraceCtx,
 }
 
 /// Replicator statistics (plain cells; the wire-side counters live in
@@ -209,6 +182,7 @@ pub struct ReplicatorStats {
 /// wait for). This is the mode a freshly promoted primary runs in
 /// until the crashed node rejoins.
 pub struct Replicator {
+    sim: Sim,
     shipper: RefCell<Option<Rc<Shipper>>>,
     /// Serializes sequence assignment + ring deposit so ring order is
     /// log order; markers additionally hold it across their local
@@ -228,8 +202,9 @@ pub struct Replicator {
 
 impl Replicator {
     /// A detached (logging-only) replicator at epoch 0.
-    pub fn new() -> Rc<Replicator> {
+    pub fn new(sim: &Sim) -> Rc<Replicator> {
         Rc::new(Replicator {
+            sim: sim.clone(),
             shipper: RefCell::new(None),
             lock: Semaphore::new(1),
             log: RefCell::new(Vec::new()),
@@ -346,11 +321,15 @@ impl Replicator {
         self.log.borrow_mut().push(LogEntry {
             bytes: bytes.clone(),
             wal_cut,
+            trace,
         });
         self.stats.logged.set(self.stats.logged.get() + 1);
         let shipper = self.shipper.borrow().clone();
         let shipped = match &shipper {
-            Some(s) => s.ship(bytes).await.is_ok(),
+            Some(s) => {
+                self.sim.trace_inject(trace_key(seq), trace);
+                s.ship(bytes).await.is_ok()
+            }
             None => false,
         };
         drop(permit);
@@ -397,7 +376,11 @@ impl Replicator {
         } else {
             0
         };
-        self.log.borrow_mut().push(LogEntry { bytes, wal_cut });
+        self.log.borrow_mut().push(LogEntry {
+            bytes,
+            wal_cut,
+            trace: rec.trace,
+        });
         self.stats.logged.set(self.stats.logged.get() + 1);
     }
 
@@ -415,13 +398,14 @@ impl Replicator {
         let _permit = self.lock.acquire().await;
         shipper.attach(ring);
         *self.shipper.borrow_mut() = Some(shipper.clone());
-        let suffix: Vec<Payload> = self.log.borrow()[from_seq as usize..]
+        let suffix: Vec<(Payload, TraceCtx)> = self.log.borrow()[from_seq as usize..]
             .iter()
-            .map(|e| e.bytes.clone())
+            .map(|e| (e.bytes.clone(), e.trace))
             .collect();
         let mut bytes = 0;
-        for p in suffix {
+        for (seq, (p, trace)) in (from_seq + 1..).zip(suffix) {
             bytes += p.len();
+            self.sim.trace_inject(trace_key(seq), trace);
             shipper.ship(p).await?;
             self.stats
                 .resync_records
@@ -504,7 +488,8 @@ pub async fn run_backup(
             break;
         }
         let p = ring.consume(addr, len);
-        let rec = ReplRecord::decode(&p);
+        let mut rec = ReplRecord::decode(&p);
+        rec.trace = sim.trace_adopt(trace_key(rec.seq));
         let marker = rec.needs_ack;
         if rec.is_write && !marker {
             // Mirror in consume order (the log must match the

@@ -422,9 +422,6 @@ impl RdmaRpcClient {
         let credit = inner.credits.acquire().await;
         let xid = inner.next_xid.get();
         inner.next_xid.set(xid.wrapping_add(1));
-        inner.sim.trace("rpc", || {
-            format!("client call xid={xid} prog={prog} proc={proc_num}")
-        });
         let hdr = CallHeader {
             xid,
             prog,
@@ -617,18 +614,12 @@ impl RdmaRpcClient {
             };
             if attempt > 0 {
                 inner.stats.retransmits.inc();
-                inner.sim.trace("rpc", || {
-                    format!("client retransmit xid={xid} attempt={attempt}")
-                });
             }
             match self.await_reply(call, &mut rx, attempt).await {
                 Attempt::Done(result) => break result,
                 Attempt::Shed => {
                     sheds += 1;
                     inner.stats.busy_replies.inc();
-                    inner.sim.trace("rpc", || {
-                        format!("client busy-reply xid={xid} sheds={sheds}")
-                    });
                     inner.pending.borrow_mut().remove(&xid);
                     if sheds > QOS_MAX_REJECTIONS {
                         let rejections = sheds;
@@ -665,7 +656,7 @@ impl RdmaRpcClient {
         }
         let (tx, rx) = oneshot();
         inner.pending.borrow_mut().insert(call.hdr.xid, tx);
-        inner.sim.trace_inject(trace_key);
+        inner.sim.trace_inject(trace_key, inner.sim.current_ctx());
         if inner.recovering.get() {
             return Some(rx);
         }
@@ -708,9 +699,6 @@ impl RdmaRpcClient {
                 return Attempt::Retransmit;
             }
         };
-        inner.sim.trace("rpc", || {
-            format!("client reply xid={} type={:?}", rhdr.xid, rhdr.msg_type)
-        });
         self.apply_credit_grant(rhdr.credits);
         let _s = inner.sim.span("client", "finish");
         match self.finish(call, &rhdr, reply_body).await {
@@ -1141,9 +1129,10 @@ fn start_recovery(inner: &Rc<ClientInner>) {
     // QP, so forget its ad. The first inline reply on the fresh
     // connection re-advertises before any call is marked again.
     *inner.rfp_ad.borrow_mut() = None;
+    let (node, pending) = (inner.hca.node().0 as u64, inner.pending.borrow().len());
     inner
         .sim
-        .trace("rpc", || "client starting qp recovery".to_string());
+        .flight("client", "recovery_start", node, pending as u64);
     let inner = inner.clone();
     inner.sim.clone().spawn(async move {
         inner.sim.sleep(RECONNECT_DELAY).await;
@@ -1169,9 +1158,10 @@ fn start_recovery(inner: &Rc<ClientInner>) {
         *inner.ep.borrow_mut() = ep.clone();
         inner.stats.reconnects.inc();
         inner.recovering.set(false);
+        let reconnects = inner.stats.reconnects.get();
         inner
             .sim
-            .trace("rpc", || "client qp recovery complete".to_string());
+            .flight("client", "recovery_done", node, reconnects);
         inner.sim.spawn(reply_dispatcher(inner.clone(), ep));
     });
 }

@@ -285,8 +285,11 @@ impl RegCache {
             by_class.into_iter().flat_map(|(_, v)| v).collect()
         };
         self.inner.free_bytes.set(0);
+        let sim = self.inner.hca.sim();
         for e in entries {
             self.inner.evictions.inc();
+            let pages = Self::class_size(e.class) / PAGE_SIZE;
+            sim.flight("regcache", "flush", e.mr.rkey().0 as u64, pages);
             e.mr.deregister().await;
         }
     }
@@ -633,7 +636,6 @@ mod tests {
     #[test]
     fn flush_deregisters_in_class_key_order() {
         let mut sim = Simulation::new(1);
-        sim.enable_tracing();
         let h = sim.handle();
         let (reg, _mem) = setup(&h, StrategyKind::Cache);
         let cache = reg.cache().unwrap().clone();
@@ -645,20 +647,21 @@ mod tests {
                 }
             }
             held.sort_by_key(|e| e.class);
-            let parked: Vec<String> = held.iter().map(|e| format!("{:?}", e.mr.rkey())).collect();
+            let parked: Vec<(u64, u64)> = (held.iter())
+                .map(|e| (e.mr.rkey().0 as u64, e.mr.len() / PAGE_SIZE))
+                .collect();
             for e in held {
                 cache.release(e).await;
             }
             cache.flush().await;
             parked
         });
-        let trace = sim.take_trace();
-        let flushed: Vec<&str> = trace
-            .iter()
-            .filter_map(|e| e.detail.split_once(" deregister "))
-            .map(|(_, rkey)| rkey)
+        let flushed: Vec<(u64, u64)> = (sim.flight_records().iter())
+            .filter(|f| (f.component, f.event) == ("regcache", "flush"))
+            .map(|f| (f.a, f.b))
             .collect();
         assert_eq!(flushed, parked);
+        assert_eq!(reg.hca().reg_stats().deregs, 8);
     }
 
     #[test]

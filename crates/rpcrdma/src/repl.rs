@@ -267,7 +267,6 @@ struct ShipperMetrics {
 /// Primary-side record shipper: owns the ring head cursor, the byte
 /// credits, and the control block the backup writes its counters into.
 pub struct Shipper {
-    sim: Sim,
     qp: Qp,
     ring: Cell<Option<RingTarget>>,
     /// Ring offset of the next deposit.
@@ -309,7 +308,6 @@ impl Shipper {
         hca.watch_writes(ctrl_mr.rkey(), tx);
         let registry = sim.metrics();
         let shipper = Rc::new(Shipper {
-            sim: sim.clone(),
             qp,
             ring: Cell::new(None),
             head: Cell::new(0),
@@ -445,8 +443,6 @@ impl Shipper {
             }
             self.stats.blocked.set(self.stats.blocked.get() + 1);
             self.metrics.blocked.inc();
-            self.sim
-                .trace("repl", || format!("ship blocked need={need}B"));
             self.credit_notify.notified().await;
         }
         if self.poisoned.get() {

@@ -530,8 +530,6 @@ fn clamp_credits(conn: &ConnState) -> bool {
 /// spent. Never touches other connections.
 fn note_violation(conn: &ConnState, v: ProtocolViolation) {
     let (sim, stats) = (&conn.server.sim, &conn.server.stats);
-    let peer = conn.peer();
-    sim.trace("rpc", || format!("server violation peer={peer} {v}"));
     stats.violations.inc();
     let kind = format!("server.violations.{}", v.metric_key());
     sim.metrics().counter(&kind).inc();
@@ -540,11 +538,8 @@ fn note_violation(conn: &ConnState, v: ProtocolViolation) {
     let strikes = conn.violations.get() + 1;
     conn.violations.set(strikes);
     if strikes >= VIOLATION_QUARANTINE && !conn.closed.get() {
-        sim.trace("rpc", || {
-            format!("server quarantine peer={peer} after {strikes} violations")
-        });
         stats.quarantines.inc();
-        sim.flight("server", "quarantine", peer as u64, strikes as u64);
+        sim.flight("server", "quarantine", conn.peer() as u64, strikes as u64);
         conn.ep.qp.force_error();
     }
 }
@@ -777,10 +772,7 @@ fn spawn_exposure_reaper(conn: &Rc<ConnState>) {
                     .collect()
             };
             for (xid, exp) in expired {
-                let bufs = exp.bufs.len();
-                sim.trace("rpc", || {
-                    format!("server exposure ttl-revoke xid={xid} bufs={bufs}")
-                });
+                sim.flight("server", "ttl_revoke", xid as u64, exp.bufs.len() as u64);
                 retire_exposure(&conn, exp, Retire::Revoke).await;
             }
         }
@@ -815,10 +807,8 @@ async fn ensure_rfp_ring(conn: &ConnState) {
         nslots: layout.nslots(),
         slot_size: layout.slot_size() as u32,
     };
-    let (nslots, slot, rkey) = (ad.nslots, ad.slot_size, ad.seg.rkey);
-    server.sim.trace("rpc", || {
-        format!("server rfp ring up nslots={nslots} slot={slot}B rkey={rkey:?}")
-    });
+    let (rkey, nslots) = (ad.seg.rkey.0 as u64, ad.nslots as u64);
+    server.sim.flight("rfp", "ring_up", rkey, nslots);
     *conn.rfp.borrow_mut() = Some(RfpRing {
         io,
         layout,
@@ -878,9 +868,6 @@ async fn deposit_reply(conn: &ConnState, xid: u32, wire: &Bytes) -> bool {
     ring.last_activity.set(server.sim.now());
     drop(ringref);
     server.stats.rfp_deposits.inc();
-    server
-        .sim
-        .trace("rpc", || format!("server rfp deposit xid={xid} len={len}"));
     true
 }
 
@@ -897,9 +884,8 @@ async fn revoke_ring(conn: &ConnState) {
     conn.rfp_ad_sent.set(false);
     server.stats.rfp_rings_revoked.inc();
     server.stats.exposures_revoked.inc();
-    server.sim.trace("rpc", || {
-        format!("server rfp ring revoked rkey={:?}", ring.ad.seg.rkey)
-    });
+    let (rkey, peer) = (ring.ad.seg.rkey.0 as u64, conn.peer() as u64);
+    server.sim.flight("rfp", "ring_revoked", rkey, peer);
     server.registrar.revoke(ring.io).await;
 }
 
@@ -941,9 +927,6 @@ fn shed_call(why: &'static str, call: QueuedCall) {
     conn.in_flight.set(conn.in_flight.get() - 1);
     server.stats.sheds.inc();
     server.sim.flight("qos", why, peer as u64, xid as u64);
-    server
-        .sim
-        .trace("rpc", || format!("server {why} peer={peer} xid={xid}"));
     let stat = AcceptStat::SystemErr;
     let reply = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
     // Busy replies still carry the (possibly clamped) credit grant:
@@ -1019,9 +1002,6 @@ async fn handle_op(conn: Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) {
 /// queue has been paid before the call is dropped.
 async fn run_op(conn: &Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) -> Option<()> {
     let server = &conn.server;
-    server.sim.trace("rpc", || {
-        format!("server op xid={} type={:?}", hdr.xid, hdr.msg_type)
-    });
     // Adopt the caller's trace context (stashed out-of-band under the
     // same (node, xid) key the client injected): the op span joins the
     // client's causal tree with a flow edge from the call span.
@@ -1181,11 +1161,8 @@ async fn land_stage(
 /// *original* execution's context: the `drc_replay` span flows from the
 /// service span that first ran the call — on the failed primary for a
 /// cross-epoch hit, stitching the epochs together.
-fn note_replay(server: &RdmaRpcServer, what: &str, call: &CallHeader, dispatch: &RdmaDispatch) {
+fn note_replay(server: &RdmaRpcServer, call: &CallHeader, dispatch: &RdmaDispatch) {
     server.stats.drc_replays.inc();
-    server
-        .sim
-        .trace("rpc", || format!("server drc {what} xid={}", call.xid));
     let _s = server
         .sim
         .span_remote("server", "drc_replay", Some(call.proc_num), dispatch.trace);
@@ -1224,7 +1201,7 @@ async fn service_stage(
         server
             .sim
             .flight("server", "xepoch_replay", peer as u64, xid as u64);
-        note_replay(server, "cross-epoch replay", &call, &dispatch);
+        note_replay(server, &call, &dispatch);
         return Some((xid, dispatch));
     }
     let dispatch = match server.drc.begin(DrcKey { peer, xid, epoch }) {
@@ -1259,7 +1236,7 @@ async fn service_stage(
             dispatch
         }
         DrcOutcome::Cached(dispatch) => {
-            note_replay(server, "replay", &call, &dispatch);
+            note_replay(server, &call, &dispatch);
             dispatch
         }
         DrcOutcome::InProgress => {
@@ -1268,9 +1245,6 @@ async fn service_stage(
             // replay once the original finished — would write into
             // memory the client has taken back. Should that one reply
             // be lost, the next retransmission finds the cached entry.
-            server
-                .sim
-                .trace("rpc", || format!("server drc in-progress drop xid={xid}"));
             return None;
         }
     };

@@ -2036,7 +2036,6 @@ fn shed_writes_fetch_nothing() {
 fn rfp_ring_covers_a_credit_window_wider_than_its_base_size() {
     const WINDOW: u32 = 128;
     let mut sim = Simulation::new(23);
-    sim.enable_tracing();
     let h = sim.handle();
     let cfg = RpcRdmaConfig {
         rfp: Some(RfpConfig::default()),
@@ -2084,23 +2083,20 @@ fn rfp_ring_covers_a_credit_window_wider_than_its_base_size() {
         0,
         "no reply was overwritten in its slot"
     );
-    let trace = sim.take_trace();
-    let field = |detail: &str, key: &str| -> u32 {
-        let rest = &detail[detail.find(key).expect("field present") + key.len()..];
-        let end = rest.find(' ').unwrap_or(rest.len());
-        rest[..end].parse().expect("numeric field")
-    };
-    let nslots = trace
+    // `rfp/ring_up` is (rkey, nslots). No retransmission means the
+    // window's calls took the consecutive xids after the handshake's 1,
+    // and a reply lands in slot `xid % nslots`.
+    let flight = sim.flight_records();
+    let ring_up = flight
         .iter()
-        .find(|e| e.detail.starts_with("server rfp ring up"))
-        .map(|e| field(&e.detail, "nslots="))
-        .expect("ring built");
-    assert!(nslots >= WINDOW, "ring of {nslots} under a {WINDOW} window");
-    let slots: std::collections::HashSet<u32> = trace
-        .iter()
-        .filter(|e| e.detail.starts_with("server rfp deposit"))
-        .map(|e| field(&e.detail, "xid=") % nslots)
-        .collect();
+        .find(|f| (f.component, f.event) == ("rfp", "ring_up"));
+    let nslots = ring_up.expect("ring built").b;
+    assert!(
+        nslots >= WINDOW as u64,
+        "ring of {nslots} under a {WINDOW} window"
+    );
+    let slots: std::collections::HashSet<u64> =
+        (2..2 + WINDOW as u64).map(|xid| xid % nslots).collect();
     assert_eq!(
         slots.len(),
         WINDOW as usize,

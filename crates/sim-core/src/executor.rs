@@ -228,17 +228,6 @@ impl Sched {
     }
 }
 
-/// One recorded trace event.
-#[derive(Clone, Debug)]
-pub struct TraceEvent {
-    /// When it happened (virtual time).
-    pub at: SimTime,
-    /// Short category ("reg", "rpc", "nfs", ...).
-    pub category: &'static str,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
 pub(crate) struct Core {
     /// This simulation's number in its thread's wake registry.
     id: u64,
@@ -249,8 +238,6 @@ pub(crate) struct Core {
     /// Count of task polls, a cheap progress metric for tests/benches.
     /// Registered as `executor.polls` in the metrics registry.
     polls: Rc<Counter>,
-    /// Event trace; `None` when tracing is off (the default).
-    trace: RefCell<Option<Vec<TraceEvent>>>,
     /// Task currently being polled ([`NO_TASK`] outside a poll); spans
     /// entered during the poll attach to it.
     current_task: Cell<TaskId>,
@@ -307,7 +294,6 @@ impl Simulation {
                 timers: RefCell::new(TimerWheel::new()),
                 rng: RefCell::new(SimRng::new(seed)),
                 polls,
-                trace: RefCell::new(None),
                 current_task: Cell::new(NO_TASK),
                 tracer: Tracer::default(),
                 flight: FlightRing::new(FLIGHT_CAPACITY),
@@ -354,19 +340,6 @@ impl Simulation {
     /// "this spawns nothing" compares it before and after.
     pub fn task_slots(&self) -> usize {
         self.core.sched.borrow().slots.len()
-    }
-
-    /// Turn on event tracing (off by default; ~zero cost when off).
-    pub fn enable_tracing(&self) {
-        *self.core.trace.borrow_mut() = Some(Vec::new());
-    }
-
-    /// Take the recorded trace, leaving tracing enabled.
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        match self.core.trace.borrow_mut().as_mut() {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
     }
 
     /// Turn on structured span tracing (off by default; entering a span
@@ -607,11 +580,6 @@ impl Sim {
         self.core.rng.borrow_mut().fork()
     }
 
-    /// True when event tracing is enabled.
-    pub fn tracing(&self) -> bool {
-        self.core.trace.borrow().is_some()
-    }
-
     /// Race `fut` against a span of virtual time: `Some(output)` if the
     /// future completes first, `None` if the deadline fires first. The
     /// future is borrowed (`&mut`), so on timeout the caller still owns
@@ -624,19 +592,6 @@ impl Sim {
         Timeout {
             sleep: self.sleep(limit),
             fut,
-        }
-    }
-
-    /// Record a trace event; the detail closure only runs when tracing
-    /// is on, so instrumented hot paths stay free by default.
-    pub fn trace(&self, category: &'static str, detail: impl FnOnce() -> String) {
-        let mut trace = self.core.trace.borrow_mut();
-        if let Some(events) = trace.as_mut() {
-            events.push(TraceEvent {
-                at: self.now(),
-                category,
-                detail: detail(),
-            });
         }
     }
 
@@ -717,14 +672,14 @@ impl Sim {
         self.core.tracer.current_ctx(self.core.current_task.get())
     }
 
-    /// Stash the current task's [`TraceCtx`] for the in-flight RPC
-    /// `key` (conventionally `(client_node << 32) | xid`) — the
-    /// out-of-band channel the receiver's [`Sim::trace_adopt`] reads,
-    /// keeping modeled wire bytes untouched. Retransmissions overwrite.
+    /// Stash `ctx` for the in-flight message `key` — the out-of-band
+    /// channel the receiver's [`Sim::trace_adopt`] reads, keeping
+    /// modeled wire bytes untouched. RPC calls key by
+    /// `(client_node << 32) | xid`; replication records set bit 63.
+    /// A later stash under the same key overwrites (retransmissions).
     /// One flag read when span tracing is off.
-    pub fn trace_inject(&self, key: u64) {
+    pub fn trace_inject(&self, key: u64, ctx: TraceCtx) {
         if self.core.tracer.enabled() {
-            let ctx = self.core.tracer.current_ctx(self.core.current_task.get());
             self.core.tracer.inject(key, ctx);
         }
     }
@@ -1047,46 +1002,12 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_and_is_free_when_off() {
-        let mut sim = Simulation::new(1);
-        let h = sim.handle();
-        let ran = Rc::new(Cell::new(0u32));
-        // Off: the detail closure must never run.
-        let r2 = ran.clone();
-        h.trace("test", move || {
-            r2.set(r2.get() + 1);
-            String::new()
-        });
-        assert_eq!(ran.get(), 0);
-        assert!(!h.tracing());
-        assert!(sim.take_trace().is_empty());
-
-        sim.enable_tracing();
-        assert!(h.tracing());
-        let h2 = h.clone();
-        sim.block_on(async move {
-            h2.trace("alpha", || "first".into());
-            h2.sleep(SimDuration::from_micros(5)).await;
-            h2.trace("beta", || "second".into());
-        });
-        let events = sim.take_trace();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].category, "alpha");
-        assert_eq!(events[0].at, SimTime::ZERO);
-        assert_eq!(events[1].detail, "second");
-        assert_eq!(events[1].at, SimTime::from_nanos(5_000));
-        // Taking drains but keeps tracing on.
-        assert!(sim.take_trace().is_empty());
-        assert!(h.tracing());
-    }
-
-    #[test]
     fn trace_ctx_rides_out_of_band_between_tasks() {
         let mut sim = Simulation::new(1);
         // Off: everything is inert and ctx-free.
         let h = sim.handle();
         assert_eq!(h.current_ctx(), TraceCtx::NONE);
-        h.trace_inject(7);
+        h.trace_inject(7, h.current_ctx());
         assert_eq!(h.trace_adopt(7), TraceCtx::NONE);
 
         sim.enable_span_tracing();
@@ -1094,7 +1015,7 @@ mod tests {
         let h2 = h.clone();
         sim.block_on(async move {
             let _call = h2.span_proc("client", "call", 7);
-            h2.trace_inject(42);
+            h2.trace_inject(42, h2.current_ctx());
             let h3 = h2.clone();
             h2.spawn(async move {
                 // "Server" task: adopt the caller's context.

@@ -60,7 +60,7 @@ pub mod trace;
 pub mod wake;
 
 pub use cpu::{Cpu, CpuCosts};
-pub use executor::{join, yield_now, Sim, Simulation, Span, Timeout, TraceEvent, DEFAULT_CLASS};
+pub use executor::{join, yield_now, Sim, Simulation, Span, Timeout, DEFAULT_CLASS};
 pub use extent::ExtentMap;
 pub use flight::{format_flight, FlightRecord, FLIGHT_CAPACITY};
 pub use metrics::MetricsRegistry;

@@ -31,10 +31,10 @@ use crate::time::SimTime;
 
 /// Compact cross-node trace context: the correlation id of one causal
 /// tree plus the span the next hop should link from. Carried
-/// *out-of-band* with RPC calls (so modeled wire bytes never change)
-/// and in-band on replication records (behind a flag bit, so untraced
-/// encodes are byte-identical). `(0, 0)` means "no context" — tracing
-/// disabled, or an untraced root.
+/// *out-of-band* with RPC calls and replication records, so modeled
+/// wire bytes — and with them every simulated time — are the same with
+/// tracing on or off. `(0, 0)` means "no context" — tracing disabled,
+/// or an untraced root.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Correlation id shared by every span of one causal tree.
@@ -214,9 +214,10 @@ struct TracerState {
     /// distinct literals with equal text intern separately, which only
     /// costs a duplicate table entry.
     name_ids: FxMap<(StrKey, StrKey), u32>,
-    /// Trace contexts of in-flight RPCs, keyed by
-    /// `(client_node << 32) | xid` — the out-of-band channel that lets
-    /// the server adopt the caller's context without a single byte of
+    /// Trace contexts of in-flight messages, keyed by
+    /// `(client_node << 32) | xid` for RPCs and `1 << 63 | seq` for
+    /// replication records — the out-of-band channel that lets the
+    /// receiver adopt the sender's context without a single byte of
     /// modeled wire growth.
     inflight: FxMap<u64, TraceCtx>,
 }

@@ -6,22 +6,28 @@
 //! while changing every simulated result. This test pins the exact
 //! schedule of a workload that exercises the ready queue, wake dedup,
 //! timer registration/cancellation and nested spawns, as an FNV-1a hash
-//! of the first [`GOLDEN_EVENTS`] trace events.
+//! of the first [`GOLDEN_EVENTS`] `(at, category, detail)` events the
+//! workload logs as it runs.
 //!
 //! If this hash changes, the executor's schedule changed. That is only
 //! acceptable in a PR that *intends* to change scheduling semantics —
 //! update the constant there and say so loudly in the PR description.
 
-use sim_core::executor::TraceEvent;
-use sim_core::{yield_now, SimDuration, Simulation};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// Number of trace events folded into the golden hash.
+use sim_core::{yield_now, SimDuration, SimTime, Simulation};
+
+/// Number of logged events folded into the golden hash.
 const GOLDEN_EVENTS: usize = 4096;
 
 /// Pinned hash, captured from the pre-overhaul executor (HashMap task
 /// table + BinaryHeap timers). The slab/timer-wheel rewrite must
 /// reproduce the identical schedule.
 const GOLDEN_HASH: u64 = 0x9d8a13b2e8ec18f7;
+
+/// One logged step: when, which kind, which task and round.
+type Event = (SimTime, &'static str, String);
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -30,12 +36,12 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn hash_events(events: &[TraceEvent]) -> u64 {
+fn hash_events(events: &[Event]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in events.iter().take(GOLDEN_EVENTS) {
-        fnv1a(&mut h, &e.at.as_nanos().to_le_bytes());
-        fnv1a(&mut h, e.category.as_bytes());
-        fnv1a(&mut h, e.detail.as_bytes());
+    for (at, category, detail) in events.iter().take(GOLDEN_EVENTS) {
+        fnv1a(&mut h, &at.as_nanos().to_le_bytes());
+        fnv1a(&mut h, category.as_bytes());
+        fnv1a(&mut h, detail.as_bytes());
     }
     h
 }
@@ -46,12 +52,12 @@ fn hash_events(events: &[TraceEvent]) -> u64 {
 /// - nested spawns mid-run (task table growth while polling);
 /// - sleeps raced against shorter sleeps and dropped (timer cancel);
 /// - equal deadlines across distinct tasks (sequence-order ties).
-fn run_workload() -> Vec<TraceEvent> {
+fn run_workload() -> Vec<Event> {
     let mut sim = Simulation::new(0xD00D);
-    sim.enable_tracing();
+    let log: Rc<RefCell<Vec<Event>>> = Rc::default();
 
     for t in 0..128u64 {
-        let h = sim.handle();
+        let (h, log) = (sim.handle(), log.clone());
         sim.spawn(async move {
             let mut rng = h.fork_rng();
             for round in 0..32u64 {
@@ -62,28 +68,30 @@ fn run_workload() -> Vec<TraceEvent> {
                     rng.gen_range(2000) + 1
                 };
                 h.sleep(SimDuration::from_nanos(d)).await;
-                h.trace("worker", || format!("t{t} r{round}"));
+                log.borrow_mut()
+                    .push((h.now(), "worker", format!("t{t} r{round}")));
                 yield_now().await;
 
                 if round == 4 {
                     // Nested spawn while the pool is mid-flight.
-                    let h2 = h.clone();
+                    let (h2, log2) = (h.clone(), log.clone());
                     h.spawn(async move {
                         h2.sleep(SimDuration::from_nanos(50 + t)).await;
-                        h2.trace("nested", || format!("n{t}"));
+                        log2.borrow_mut()
+                            .push((h2.now(), "nested", format!("n{t}")));
                     });
                 }
                 if round == 7 {
                     // Start a long sleep, then drop it: timer cancel.
                     let long = h.sleep(SimDuration::from_secs(10));
                     drop(long);
-                    h.trace("cancel", || format!("c{t}"));
+                    log.borrow_mut().push((h.now(), "cancel", format!("c{t}")));
                 }
             }
         });
     }
     sim.run();
-    sim.take_trace()
+    log.take()
 }
 
 #[test]

@@ -6,9 +6,10 @@
 //! payload, so the read-back pass detects any corruption — a dropped
 //! reply that caused a double-applied WRITE, a replayed reply with the
 //! wrong bytes, a recovery that lost a call. The whole run is driven
-//! by [`sim_core::SimRng`], so a given seed replays bit-for-bit; the
-//! returned trace fingerprint makes "identical run" checkable with one
-//! integer compare.
+//! by [`sim_core::SimRng`], so a given seed replays bit-for-bit: two
+//! same-seed [`Run`]s compare equal, spans and flight records included.
+//! Each injected fault is a flight record (`chaos/qp_error`,
+//! `chaos/power_fail`), so a failing gate's dump shows where it landed.
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Sim, SimDuration};
@@ -138,7 +139,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosRe
                 if k > 0 {
                     sim2.sleep(spacing).await;
                 }
-                sim2.trace("fault", || "forcing client qp error".into());
+                sim2.flight("chaos", "qp_error", 0, k as u64);
                 victim.inject_qp_error();
             }
         });
@@ -158,7 +159,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosRe
         let sim2 = sim.clone();
         sim.spawn(async move {
             sim2.sleep(at).await;
-            sim2.trace("fault", || "server power failure + restart".into());
+            sim2.flight("chaos", "power_fail", 0, 0);
             store.store().power_fail_restart().await;
             server.server_reboot();
         });

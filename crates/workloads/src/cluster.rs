@@ -134,7 +134,7 @@ fn build_server_node(
         Registrar::new(&hca, StrategyKind::Cache),
         profile.rpc,
     );
-    let repl = Replicator::new();
+    let repl = Replicator::new(sim);
     if let Some(d) = &disk {
         if let Some(wal) = d.store().wal() {
             let wal = wal.clone();
@@ -264,9 +264,6 @@ pub async fn build_cluster(
                     if misses < limit {
                         continue;
                     }
-                    sim2.trace("cluster", || {
-                        format!("failure detector: {misses} missed heartbeats, promoting backup")
-                    });
                     promote_backup(
                         &mount2,
                         1,
@@ -285,13 +282,6 @@ pub async fn build_cluster(
                         mount2.epoch() as u64,
                         session2.applied.get(),
                     );
-                    sim2.trace("cluster", || {
-                        format!(
-                            "promotion complete: epoch={} applied={}",
-                            mount2.epoch(),
-                            session2.applied.get()
-                        )
-                    });
                     break;
                 }
             });
@@ -383,7 +373,6 @@ impl ClusterTestbed {
         let p = self.mount.primary();
         let node = &self.nodes[p];
         sim.flight("cluster", "kill_primary", p as u64, node.repl.log_len());
-        sim.trace("cluster", || format!("killing primary node {p}"));
         self.mount.kill(p);
         node.server.set_dead(true);
         for qp in node.qps.borrow().iter() {
@@ -421,9 +410,6 @@ impl ClusterTestbed {
         joiner.rpc.set_service_epoch(self.mount.epoch());
         joiner.repl.set_epoch(self.mount.epoch());
         sim.flight("cluster", "rejoin", idx as u64, durable);
-        sim.trace("cluster", || {
-            format!("node {idx} rejoining: durable_seq={durable} wal_keep={keep}")
-        });
 
         // Fresh replication channel, reversed: current primary ships.
         let (qp_p, qp_j) = connect(&primary.hca, &joiner.hca);
@@ -460,8 +446,5 @@ impl ClusterTestbed {
         *self.ring.borrow_mut() = Some(ring);
         *self.session.borrow_mut() = Some(session);
         sim.flight("cluster", "resynced", bytes, from);
-        sim.trace("cluster", || {
-            format!("node {idx} resynced: {bytes} bytes re-shipped from seq {from}")
-        });
     }
 }

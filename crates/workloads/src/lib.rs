@@ -13,8 +13,8 @@
 //!
 //! Beside them, four harnesses put the same testbeds under faults and
 //! load the paper never applied, all through the one run shape of
-//! [`scenario`] (`run` → [`Run`]: the typed outcome plus fingerprint,
-//! metrics registry, flight ring and spans):
+//! [`scenario`] (`run` → [`Run`]: the typed outcome plus metrics
+//! registry, flight ring and spans):
 //!
 //! * [`chaos`] — drops, jitter, forced QP errors and a storage
 //!   power-fail under a verified write/read-back workload;

@@ -1,8 +1,8 @@
 //! The one run shape behind the fault and load harnesses.
 //!
 //! [`run`] is the only place in this crate that builds a
-//! [`Simulation`], turns a tracer on, hashes the trace, and snapshots
-//! the metrics registry and the flight ring; a harness is a closure
+//! [`Simulation`], turns the span tracer on, and snapshots the metrics
+//! registry and the flight ring; a harness is a closure
 //! from a [`Sim`] handle to its typed outcome, and comes back wrapped
 //! in a [`Run`]. Whole-run counters are read off the run's registry by
 //! series name ([`Run::metric`]) instead of being copied into result
@@ -19,32 +19,26 @@ use std::rc::Rc;
 
 use ib_verbs::{Fabric, FaultConfig, NodeId, WireMsg};
 use nfs::FileHandle;
-use sim_core::{
-    FlightRecord, Payload, Sim, SimDuration, SimTime, Simulation, SpanRecord, TraceEvent,
-};
+use sim_core::{FlightRecord, Payload, Sim, SimDuration, SimTime, Simulation, SpanRecord};
 
 use crate::testbed::ClientHost;
 
 /// What a run records beyond its registry and flight ring (both always
 /// captured: the registry is how counters exist, the ring is always
-/// armed). Both tracers only append to host-side buffers, so neither
-/// moves simulated time.
+/// armed). The span tracer appends to a host-side buffer and moves no
+/// simulated time: trace contexts cross nodes out of band, so a traced
+/// run's metrics, outcome and flight ring equal the untraced run's.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Capture {
-    /// Record the string trace and hash it into [`Run::fingerprint`]
-    /// (one `format!` per traced event).
-    pub fingerprint: bool,
     /// Record hierarchical spans into [`Run::spans`] (one packed
     /// 48-byte record per span).
     pub spans: bool,
 }
 
 impl Capture {
-    /// The string trace only: what a same-seed comparison needs.
-    pub const FINGERPRINT: Capture = Capture {
-        fingerprint: true,
-        spans: false,
-    };
+    /// Span tracing on — what a same-seed comparison takes, so two equal
+    /// [`Run`]s agree on every timed step of every op.
+    pub const SPANS: Capture = Capture { spans: true };
 }
 
 /// One finished run: the harness's typed outcome plus everything the
@@ -55,9 +49,6 @@ pub struct Run<T> {
     /// What the harness computed (percentiles, goodput, corruption
     /// counts — values no registry series holds).
     pub out: T,
-    /// FNV-1a hash of the string trace (0 unless
-    /// [`Capture::fingerprint`]).
-    pub fingerprint: u64,
     /// Sorted `(name, value)` dump of the run's whole metrics registry.
     pub metrics: Vec<(String, u64)>,
     /// Flight-recorder snapshot, bounded by
@@ -87,6 +78,32 @@ impl<T> Run<T> {
         );
         hits.map(|(_, v)| v).sum()
     }
+
+    /// FNV-1a over every span record, then every flight record. Labels
+    /// are hashed by their bytes, not their addresses, so the value can
+    /// be compared across processes and builds. Equal runs print equal
+    /// fingerprints; `==` on whole runs is the check itself.
+    pub fn fingerprint(&self) -> u64 {
+        let words = |h, ws: &[u64]| ws.iter().fold(h, |h, w| fnv1a(h, &w.to_le_bytes()));
+        let text = |h, s: &str| fnv1a(fnv1a(h, s.as_bytes()), &[0xff]);
+        let spans = self.spans.iter().fold(0xcbf2_9ce4_8422_2325, |h, s| {
+            let h = text(text(h, s.component), s.name);
+            let parent = s.parent.map_or(u64::MAX, |p| p);
+            let proc_num = s.proc_num.map_or(u64::MAX, u64::from);
+            let (start, end) = (s.start.as_nanos(), s.end.as_nanos());
+            let ids = [s.id, parent, s.task, proc_num, s.trace_id, s.flow_from];
+            words(words(h, &ids), &[start, end])
+        });
+        self.flight.iter().fold(spans, |h, f| {
+            let h = text(text(h, f.component), f.event);
+            words(h, &[f.at.as_nanos(), f.task, f.a, f.b])
+        })
+    }
+}
+
+/// One FNV-1a step over `bytes`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    (bytes.iter()).fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x1_0000_01b3))
 }
 
 impl<T> Deref for Run<T> {
@@ -104,42 +121,16 @@ where
     Fut: Future<Output = T> + 'static,
 {
     let mut sim = Simulation::new(seed);
-    if capture.fingerprint {
-        sim.enable_tracing();
-    }
     if capture.spans {
         sim.enable_span_tracing();
     }
     let out = sim.block_on(body(sim.handle()));
     Run {
         out,
-        fingerprint: if capture.fingerprint {
-            fingerprint(&sim.take_trace())
-        } else {
-            0
-        },
         metrics: sim.metrics().snapshot(),
         flight: sim.flight_records(),
         spans: sim.take_spans(),
     }
-}
-
-/// FNV-1a over every trace event (time, category, detail).
-fn fingerprint(events: &[TraceEvent]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    for e in events {
-        eat(&e.at.as_nanos().to_le_bytes());
-        eat(e.category.as_bytes());
-        eat(e.detail.as_bytes());
-        eat(&[0xff]);
-    }
-    hash
 }
 
 /// Arm the fabric's fault layer (drawing its RNG from `sim`) and set
@@ -280,7 +271,7 @@ pub async fn verified_writers(
                 let (data, _) = read.expect("read survives the faults");
                 if !data.content_eq(&payload(r)) {
                     corrupt.set(corrupt.get() + 1);
-                    sim.trace("fault", || format!("CORRUPT record client={ci} record={r}"));
+                    sim.flight("verify", "corrupt", ci as u64, r);
                 }
             }
             done.add_permits(1);
@@ -515,12 +506,14 @@ mod tests {
         );
     }
 
+    /// [`Run::fingerprint`] of `tiny_run(Capture::SPANS)`.
+    const TINY_FINGERPRINT: u64 = 0xef12_a706_69d1_0302;
+
     fn tiny_run(capture: Capture) -> Run<u64> {
         run(3, capture, |sim| async move {
             sim.metrics().counter("tiny.ticks").add(2);
             sim.metrics().counter("tiny.port1.drops").add(3);
             sim.metrics().counter("tiny.port2.drops").add(4);
-            sim.trace("tiny", || "tick".into());
             sim.flight("tiny", "tick", 1, 2);
             let _span = sim.span("tiny", "tick");
             sim.sleep(SimDuration::from_micros(1)).await;
@@ -545,19 +538,26 @@ mod tests {
     #[test]
     fn capture_decides_what_a_run_carries_beyond_registry_and_flight() {
         let bare = tiny_run(Capture::default());
-        assert_eq!((bare.fingerprint, bare.spans.len()), (0, 0));
+        assert!(bare.spans.is_empty());
         assert!(!bare.metrics.is_empty());
         assert_eq!(bare.flight.len(), 1);
         assert_eq!(*bare, 1_000, "the outcome reads through the run");
 
-        let everything = Capture {
-            fingerprint: true,
-            spans: true,
-        };
-        let full = tiny_run(everything);
-        assert_ne!(full.fingerprint, 0);
+        let full = tiny_run(Capture::SPANS);
         assert_eq!(full.spans.len(), 1);
         assert_eq!((full.out, &full.metrics), (bare.out, &bare.metrics));
-        assert_eq!(full, tiny_run(everything));
+        assert_eq!(full, tiny_run(Capture::SPANS));
+        assert_ne!(full.fingerprint(), bare.fingerprint(), "spans are hashed");
+    }
+
+    /// The fingerprint is a function of the records' contents alone —
+    /// labels by their bytes — so a printed value means the same run in
+    /// every process and on every build.
+    #[test]
+    fn fingerprint_is_pinned_by_record_contents() {
+        assert_eq!(tiny_run(Capture::SPANS).fingerprint(), TINY_FINGERPRINT);
+        let mut relabelled = tiny_run(Capture::SPANS);
+        relabelled.flight[0].event = "tock";
+        assert_ne!(relabelled.fingerprint(), TINY_FINGERPRINT);
     }
 }

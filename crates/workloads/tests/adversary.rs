@@ -157,12 +157,11 @@ fn adversary_runs_are_deterministic() {
         design: Design::ReadRead,
         ..base()
     };
-    let a = run_adversary(21, &profile, params, Capture::FINGERPRINT);
-    let b = run_adversary(21, &profile, params, Capture::FINGERPRINT);
-    assert_eq!(a.fingerprint, b.fingerprint, "trace fingerprints diverge");
+    let a = run_adversary(21, &profile, params, Capture::SPANS);
+    let b = run_adversary(21, &profile, params, Capture::SPANS);
     assert_eq!(a.metrics, b.metrics, "metrics diverge");
     assert_eq!(a, b);
-    assert!(a.fingerprint != 0);
+    assert!(!a.spans.is_empty(), "the comparison covered every span");
 }
 
 #[test]

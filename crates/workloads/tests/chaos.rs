@@ -3,7 +3,7 @@
 //! bit-for-bit deterministic replays.
 
 use rpcrdma::Design;
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimTime};
 use workloads::{linux_sdr, run_chaos, Backend, Capture, ChaosParams};
 
 fn base() -> ChaosParams {
@@ -24,7 +24,7 @@ fn one_percent_drop_completes_with_zero_corruption_both_designs() {
             qp_errors: 1,
             ..base()
         };
-        let r = run_chaos(7, &profile, params, Capture::FINGERPRINT);
+        let r = run_chaos(7, &profile, params, Capture::default());
         assert_eq!(r.corrupt_records, 0, "{design:?}: corrupted data");
         // Exactly-once: every record applied once despite retransmits.
         assert_eq!(
@@ -51,7 +51,7 @@ fn heavy_drop_forces_recovery_machinery_and_still_no_corruption() {
         qp_errors: 2,
         ..base()
     };
-    let r = run_chaos(11, &profile, params, Capture::FINGERPRINT);
+    let r = run_chaos(11, &profile, params, Capture::default());
     assert!(r.metric("fabric.*.dropped") > 0, "fault layer never fired");
     assert!(r.metric("client.timeouts") > 0, "no reply timeout");
     assert!(r.metric("client.retransmits") > 0, "no RPC retransmission");
@@ -70,17 +70,59 @@ fn same_seed_replays_identically() {
         qp_errors: 1,
         ..base()
     };
-    let a = run_chaos(42, &profile, params, Capture::FINGERPRINT);
-    let b = run_chaos(42, &profile, params, Capture::FINGERPRINT);
-    assert_eq!(
-        a.fingerprint, b.fingerprint,
-        "trace diverged across replays"
-    );
-    assert_eq!(a, b, "outcome, registry or flight ring diverged");
+    let a = run_chaos(42, &profile, params, Capture::SPANS);
+    let b = run_chaos(42, &profile, params, Capture::SPANS);
+    assert_eq!(a, b, "outcome, registry, spans or flight ring diverged");
+    assert_eq!(a.fingerprint(), b.fingerprint());
     // A different seed takes a different path (sanity that the
     // fingerprint actually discriminates).
-    let c = run_chaos(43, &profile, params, Capture::FINGERPRINT);
-    assert_ne!(a.fingerprint, c.fingerprint);
+    let c = run_chaos(43, &profile, params, Capture::SPANS);
+    assert_ne!(a.fingerprint(), c.fingerprint());
+}
+
+/// Every injected fault is a flight record, so a failing gate's dump
+/// shows where it landed: the `chaos --smoke` points (seed 0xC0FFEE,
+/// 1 % drop, one forced QP error, both designs) end with the error and
+/// the client's recovery from it, and the crash-matrix point records
+/// its power failure at the scheduled instant.
+#[test]
+fn injected_faults_reach_the_flight_ring() {
+    let profile = linux_sdr();
+    let at = |us| SimTime::ZERO + SimDuration::from_micros(us);
+    for design in [Design::ReadWrite, Design::ReadRead] {
+        let params = ChaosParams {
+            design,
+            drop_probability: 0.01,
+            qp_errors: 1,
+            ..ChaosParams::default()
+        };
+        let r = run_chaos(0xC0FFEE, &profile, params, Capture::default());
+        let faults: Vec<_> = (r.flight.iter())
+            .filter(|f| matches!(f.component, "chaos" | "client"))
+            .map(|f| (f.component, f.event))
+            .collect();
+        let recovery = [
+            ("chaos", "qp_error"),
+            ("client", "recovery_start"),
+            ("client", "recovery_done"),
+        ];
+        assert_eq!(faults, recovery, "{design:?}");
+        let last = r.flight.last().expect("flight records");
+        assert_eq!((last.component, last.event), recovery[2], "{design:?}");
+        let error = (r.flight.iter()).find(|f| f.component == "chaos");
+        assert_eq!(error.map(|f| f.at), Some(at(200)), "{design:?}");
+    }
+    let crash = ChaosParams {
+        records_per_client: 48,
+        backend: Backend::WalRaid { ram_bytes: 1 << 30 },
+        server_crash_at: Some(SimDuration::from_micros(400)),
+        drop_probability: 0.01,
+        qp_errors: 0,
+        ..ChaosParams::default()
+    };
+    let r = run_chaos(0xC0FFEE, &profile, crash, Capture::default());
+    let power = (r.flight.iter()).find(|f| (f.component, f.event) == ("chaos", "power_fail"));
+    assert_eq!(power.map(|f| f.at), Some(at(400)));
 }
 
 #[test]
@@ -91,8 +133,8 @@ fn metrics_registry_snapshot_is_deterministic_across_replays() {
         qp_errors: 1,
         ..base()
     };
-    let a = run_chaos(21, &profile, params, Capture::FINGERPRINT);
-    let b = run_chaos(21, &profile, params, Capture::FINGERPRINT);
+    let a = run_chaos(21, &profile, params, Capture::SPANS);
+    let b = run_chaos(21, &profile, params, Capture::SPANS);
     assert!(!a.metrics.is_empty(), "registry never saw a counter");
     assert_eq!(
         a.metrics, b.metrics,
@@ -127,7 +169,7 @@ fn server_power_failure_mid_unstable_burst_re_drives_cleanly() {
         server_crash_at: Some(SimDuration::from_micros(400)),
         ..base()
     };
-    let r = run_chaos(13, &profile, params, Capture::FINGERPRINT);
+    let r = run_chaos(13, &profile, params, Capture::SPANS);
     assert_eq!(r.corrupt_records, 0, "crash+re-drive corrupted data");
     assert!(
         r.verf_mismatches >= params.clients as u64,
@@ -147,12 +189,8 @@ fn server_power_failure_mid_unstable_burst_re_drives_cleanly() {
         "the final COMMIT must land a WAL commit marker"
     );
     // Crash scenarios replay bit-for-bit like everything else.
-    let b = run_chaos(13, &profile, params, Capture::FINGERPRINT);
-    assert_eq!(
-        r.fingerprint, b.fingerprint,
-        "crash run is not deterministic"
-    );
-    assert_eq!(r, b);
+    let b = run_chaos(13, &profile, params, Capture::SPANS);
+    assert_eq!(r, b, "crash run is not deterministic");
 }
 
 #[test]
@@ -169,7 +207,7 @@ fn qp_error_alone_recovers_without_data_loss() {
             qp_errors: 1,
             ..base()
         };
-        let r = run_chaos(5, &profile, params, Capture::FINGERPRINT);
+        let r = run_chaos(5, &profile, params, Capture::default());
         let reconnects = r.metric("client.reconnects");
         assert!(reconnects >= 1, "{design:?}: no recovery happened");
         assert_eq!(r.corrupt_records, 0, "{design:?}");

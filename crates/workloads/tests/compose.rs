@@ -212,7 +212,7 @@ fn broken_under_faults(
         },
         false => params,
     };
-    let run = || run_chaos(7, &extensions(subset), params, Capture::FINGERPRINT);
+    let run = || run_chaos(7, &extensions(subset), params, Capture::SPANS);
     let (r, rerun) = (run(), run());
     let mut wrong = Vec::new();
     if r.corrupt_records != 0 {
@@ -223,7 +223,7 @@ fn broken_under_faults(
         wrong.push(format!("{applied} WRITEs applied, {redriven} re-driven"));
     }
     if r != rerun {
-        let (a, b) = (r.fingerprint, rerun.fingerprint);
+        let (a, b) = (r.fingerprint(), rerun.fingerprint());
         wrong.push(format!("same seed, different run ({a:#x} vs {b:#x})"));
     }
     let (refused, reconnects) = (r.metric("tpt.violations"), r.metric("client.reconnects"));

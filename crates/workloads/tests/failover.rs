@@ -11,7 +11,7 @@ fn base() -> FailoverParams {
 
 #[test]
 fn replicated_steady_state_ships_everything() {
-    let r = run_failover(11, &linux_sdr(), base(), Capture::FINGERPRINT);
+    let r = run_failover(11, &linux_sdr(), base(), Capture::default());
     assert_eq!(
         r.corrupt_records, 0,
         "read-back must match what was written"
@@ -30,7 +30,7 @@ fn replicated_steady_state_ships_everything() {
 fn overhead_baseline_runs_without_replication() {
     let mut p = base();
     p.cluster.replicate = false;
-    let r = run_failover(11, &linux_sdr(), p, Capture::FINGERPRINT);
+    let r = run_failover(11, &linux_sdr(), p, Capture::default());
     assert_eq!(r.corrupt_records, 0);
     assert_eq!(r.shipped_records, 0);
     assert_eq!(r.log_len, 0);
@@ -41,7 +41,7 @@ fn overhead_baseline_runs_without_replication() {
 fn mid_burst_kill_fails_over_without_corruption() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(23, &linux_sdr(), p, Capture::FINGERPRINT);
+    let r = run_failover(23, &linux_sdr(), p, Capture::default());
     assert!(r.promoted, "backup must promote after the kill");
     assert_eq!(r.corrupt_records, 0, "zero corruption across failover");
     assert!(r.failover_us > 0);
@@ -61,7 +61,7 @@ fn retransmitted_write_across_promotion_replays_from_drc() {
     let mut p = base();
     p.drop_probability = 0.05;
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(3, &linux_sdr(), p, Capture::FINGERPRINT);
+    let r = run_failover(3, &linux_sdr(), p, Capture::default());
     assert!(r.promoted);
     assert_eq!(
         r.corrupt_records, 0,
@@ -78,16 +78,26 @@ fn retransmitted_write_across_promotion_replays_from_drc() {
     );
 }
 
+/// Same seed, same run, spans included — and the spans only observe:
+/// the untraced run of that seed is the traced one minus its spans, so
+/// a same-seed check with spans on covers the schedule the untraced
+/// figures run.
 #[test]
 fn same_seed_failover_replays_bit_for_bit() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let a = run_failover(42, &linux_sdr(), p, Capture::FINGERPRINT);
-    let b = run_failover(42, &linux_sdr(), p, Capture::FINGERPRINT);
-    assert_eq!(a.fingerprint, b.fingerprint, "trace fingerprints diverged");
+    let a = run_failover(42, &linux_sdr(), p, Capture::SPANS);
+    let b = run_failover(42, &linux_sdr(), p, Capture::SPANS);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a, b);
     assert_eq!(a.corrupt_records, 0);
+    let untraced = run_failover(42, &linux_sdr(), p, Capture::default());
+    assert!(untraced.spans.is_empty() && !a.spans.is_empty());
+    assert_eq!(
+        (&untraced.out, &untraced.metrics, &untraced.flight),
+        (&a.out, &a.metrics, &a.flight),
+        "span tracing moved the replicated run"
+    );
 }
 
 /// Tentpole acceptance: with span tracing *enabled*, a seeded failover
@@ -98,16 +108,11 @@ fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
     p.timeline = true;
-    let everything = Capture {
-        fingerprint: true,
-        spans: true,
-    };
-    let a = run_failover(42, &linux_sdr(), p, everything);
-    let b = run_failover(42, &linux_sdr(), p, everything);
+    let a = run_failover(42, &linux_sdr(), p, Capture::SPANS);
+    let b = run_failover(42, &linux_sdr(), p, Capture::SPANS);
 
     // Every exported artifact is byte-identical across same-seed runs
     // with tracing on.
-    assert_eq!(a.fingerprint, b.fingerprint, "trace fingerprints diverged");
     let json = sim_core::chrome_trace_json(&a.spans);
     assert_eq!(
         json,
@@ -156,7 +161,7 @@ fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
 fn untraced_failover_exports_nothing_but_flight_records() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(23, &linux_sdr(), p, Capture::FINGERPRINT);
+    let r = run_failover(23, &linux_sdr(), p, Capture::default());
     assert!(r.spans.is_empty());
     assert!(r.timeline.buckets.is_empty());
     assert!(r.flight.iter().any(|f| f.event == "promoted"));
@@ -168,11 +173,25 @@ fn killed_node_rejoins_and_resyncs() {
     p.records_per_client = 48;
     p.kill_at = Some(SimDuration::from_millis(2));
     p.rejoin_after = Some(SimDuration::from_millis(1));
-    let r = run_failover(31, &linux_sdr(), p, Capture::FINGERPRINT);
+    let r = run_failover(31, &linux_sdr(), p, Capture::SPANS);
     assert!(r.promoted);
     assert_eq!(r.corrupt_records, 0);
     assert!(
         r.resync_bytes > 0,
         "rejoin must re-ship the missing log tail"
+    );
+    // A re-shipped record keeps the trace of the call that wrote it, so
+    // every backup apply — live or resync — joins some client's tree.
+    let client_traces: std::collections::HashSet<u64> = (r.spans.iter())
+        .filter(|s| s.component == "client")
+        .map(|s| s.trace_id)
+        .collect();
+    let applies: Vec<_> = (r.spans.iter())
+        .filter(|s| (s.component, s.name) == ("backup", "apply"))
+        .collect();
+    assert!(!applies.is_empty());
+    assert!(
+        applies.iter().all(|s| client_traces.contains(&s.trace_id)),
+        "a backup apply lost its client's trace"
     );
 }

@@ -73,6 +73,9 @@ echo "==> fig5 --anatomy (traced-workload smoke + trace JSON validation)"
 cargo run --release -p bench --bin fig5 -- --anatomy >/dev/null
 need results/trace_fig5_rr.json results/trace_fig5_rw.json
 
+echo "==> trace_one_op example (Figure 4 as one READ's span tree; exits non-zero if a step is missing)"
+cargo run --release -p bench --example trace_one_op >/dev/null
+
 echo "==> benchmark --lint + --smoke (the stand-alone benchmark package compiles against these crates' public names; nothing above builds it)"
 bash benchmark/run.sh --lint
 bash benchmark/run.sh --smoke >/dev/null

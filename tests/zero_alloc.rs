@@ -308,7 +308,7 @@ fn steady_state_hot_paths_do_not_allocate() {
             let before_bytes = alloc_bytes();
             for i in 0..10_000u64 {
                 let _op = h.span_remote("test", "op", Some(7), h.current_ctx());
-                h.trace_inject(i);
+                h.trace_inject(i, h.current_ctx());
                 let _ctx = h.trace_adopt(i);
                 h.flight("test", "event", i, i ^ 0xFF);
             }
