@@ -374,9 +374,9 @@ mod tests {
     #[test]
     fn bench_read_json_round_trips() {
         let json = BenchJson::new("read", true)
-            .num("baseline_mb_s", format_args!("{:.3}", 171.308))
-            .num("zero_copy_mb_s", format_args!("{:.3}", 243.912))
-            .num("speedup", format_args!("{:.3}", 1.4238))
+            .num("baseline_mb_s", format_args!("{:.3}", 173.853))
+            .num("zero_copy_mb_s", format_args!("{:.3}", 249.104))
+            .num("speedup", format_args!("{:.3}", 1.4328))
             .section(
                 "batched",
                 1,

@@ -40,7 +40,9 @@ pub struct HcaConfig {
     /// turnaround). Because RC responders execute in PSN order, this is
     /// serialized per QP — the paper's "serialization of RDMA Reads".
     pub read_turnaround: SimDuration,
-    /// CPU cost per page for pinning host memory (unpinning costs half).
+    /// CPU cost per page for pinning host memory, on the pinner's clock.
+    /// Unpinning costs half, charged to a free core of the same CPU
+    /// without anyone waiting for it (`Hca::unpin_pages`).
     pub pin_per_page: SimDuration,
     /// Dynamic registration: fixed TPT transaction cost.
     pub tpt_register_base: SimDuration,

@@ -3,7 +3,8 @@
 //!
 //! Cost structure (paper §4.3): a dynamic registration pins pages on
 //! the host CPU, then performs one serialized transaction against the
-//! HCA's TPT engine across the I/O bus; deregistration reverses both.
+//! HCA's TPT engine across the I/O bus; deregistration reverses both,
+//! and its caller waits for the TPT half only (the unpin gates no reuse).
 //! The TPT engine is a single-slot [`Resource`], so concurrent
 //! registrations from many server threads queue — this contention is
 //! the dominant bottleneck the paper's registration strategies attack.
@@ -39,6 +40,10 @@ pub struct RegStats {
     pub leaked_mrs: u64,
     /// Pages pinned (all modes).
     pub pages_pinned: u64,
+    /// Pages unpinned (all modes), counted when the deferred unpin's CPU
+    /// charge completes: at quiescence `pages_pinned - pages_unpinned`
+    /// is what is still held.
+    pub pages_unpinned: u64,
 }
 
 pub(crate) struct HcaInner {
@@ -219,14 +224,19 @@ impl Hca {
             .await;
     }
 
-    /// Charge the CPU for unpinning `pages` pages (half the pin cost).
-    pub async fn unpin_pages(&self, pages: u64) {
-        self.inner
-            .cpu
-            .execute(SimDuration::from_nanos(
-                self.inner.cfg.pin_per_page.as_nanos() * pages / 2,
-            ))
-            .await;
+    /// Unpin `pages` pages: half the pin cost, charged to a core of this
+    /// HCA's CPU as soon as one is free, in release order. Nothing waits
+    /// for it — an unpin gates no reuse (the revocation that does, a TPT
+    /// invalidate or FMR unmap, is the caller's to await) — so the
+    /// caller resumes at once. [`RegStats::pages_unpinned`] counts the
+    /// pages when the charge completes.
+    pub fn unpin_pages(&self, pages: u64) {
+        let inner = self.inner.clone();
+        self.inner.sim.spawn(async move {
+            let ns = inner.cfg.pin_per_page.as_nanos() * pages / 2;
+            inner.cpu.execute(SimDuration::from_nanos(ns)).await;
+            inner.stats.borrow_mut().pages_unpinned += pages;
+        });
     }
 
     /// Record a forced teardown of a registration that has no TPT entry

@@ -94,9 +94,9 @@ impl Mr {
         &self.buffer
     }
 
-    /// Deregister, paying the TPT invalidate transaction and the unpin
-    /// cost. FMR regions pay the (cheaper, batched) FMR unmap cost and
-    /// return their steering tag to the pool.
+    /// Deregister: the caller waits for the TPT invalidate transaction
+    /// (FMR regions: the cheaper, batched FMR unmap, and their steering
+    /// tag goes back to the pool), not for the unpin that follows it.
     pub async fn deregister(self) {
         self.retire(false).await;
     }
@@ -109,12 +109,15 @@ impl Mr {
         self.retire(true).await;
     }
 
+    /// The step that gates reuse, then the step that does not. The
+    /// ledger entry goes first (the security-relevant step), then the
+    /// revocation's engine time, both on the caller's clock; the unpin
+    /// is handed to a free core ([`Hca::unpin_pages`]) and the caller
+    /// resumes without it.
     async fn retire(self, forced: bool) {
         debug_assert!(self.valid.get(), "double deregistration");
         self.valid.set(false);
         let hca = self.hca.clone();
-        // Remove from the TPT first (the security-relevant step), then
-        // pay the costs.
         {
             let mut tpt = hca.inner.tpt.borrow_mut();
             let now = hca.inner.sim.now();
@@ -140,7 +143,7 @@ impl Mr {
                 }
             }
         }
-        hca.unpin_pages(self.pages).await;
+        hca.unpin_pages(self.pages);
     }
 }
 

@@ -489,8 +489,12 @@ impl Registrar {
         }
     }
 
-    /// Release an [`IoBuf`], paying the strategy's teardown cost
-    /// (deregistration, FMR unmap, unpin, or a free-list push).
+    /// Release an [`IoBuf`]. The caller waits for what gates reuse of
+    /// the window — a TPT deregistration, an FMR unmap — and for nothing
+    /// else: the unpin behind it goes to a free core
+    /// ([`Hca::unpin_pages`]), a slab hit is a free-list push, and an
+    /// all-physical window, whose global steering tag is never revoked,
+    /// returns at once.
     pub async fn release(&self, io: IoBuf) {
         match io.handle {
             Handle::Mr(mr) => mr.deregister().await,
@@ -501,10 +505,7 @@ impl Registrar {
                     .release(e)
                     .await;
             }
-            Handle::Pinned { pages } => {
-                // Unpin: CPU work only, no TPT transaction.
-                self.hca.unpin_pages(pages).await;
-            }
+            Handle::Pinned { pages } => self.hca.unpin_pages(pages),
         }
     }
 
@@ -519,7 +520,7 @@ impl Registrar {
             Handle::Cached(e) => e.mr.revoke().await,
             Handle::Pinned { pages } => {
                 self.hca.note_forced_revocation();
-                self.hca.unpin_pages(pages).await;
+                self.hca.unpin_pages(pages);
             }
         }
     }
@@ -696,7 +697,8 @@ mod tests {
 
     /// Reserve pins nothing, provision pins the pages it is asked for
     /// and no page twice, release unpins what the window holds — not
-    /// what it spans.
+    /// what it spans — and returns at once: the unpin is charged to a
+    /// free core behind the caller's back.
     #[test]
     fn all_physical_window_pins_as_provisioned_and_unpins_what_it_holds() {
         let mut sim = Simulation::new(3);
@@ -704,6 +706,7 @@ mod tests {
         let (reg, _mem) = setup(&h, StrategyKind::AllPhysical);
         let hca = reg.hca().clone();
         let (cpu, pin) = (hca.cpu().clone(), hca.config().pin_per_page);
+        let stats = hca.clone();
         sim.block_on(async move {
             let mut io = reg.reserve_scratch(1 << 20, Access::LOCAL).await;
             assert_eq!((io.provisioned(), hca.reg_stats().pages_pinned), (0, 0));
@@ -717,8 +720,16 @@ mod tests {
                 (26 * PAGE_SIZE, 26)
             );
             assert_eq!(cpu.busy_time(), pin * 26);
+            let at = h.now();
             reg.release(io).await;
+            assert_eq!(h.now(), at, "release waited for the unpin");
+            assert_eq!(hca.reg_stats().pages_unpinned, 0);
+            // A core is free, so the unpin (queued behind this task: let
+            // it start) ends half a pin per page from now.
+            sim_core::yield_now().await;
+            h.sleep(pin * 26 / 2).await;
             assert_eq!(cpu.busy_time(), pin * 26 + pin * 26 / 2);
+            assert_eq!(hca.reg_stats().pages_unpinned, 26);
             // Whole at once is the two steps back to back.
             let io = reg.acquire_scratch(1 << 20, Access::LOCAL).await;
             assert_eq!(
@@ -727,6 +738,9 @@ mod tests {
             );
             reg.release(io).await;
         });
+        sim.run();
+        let s = stats.reg_stats();
+        assert_eq!((s.pages_pinned, s.pages_unpinned), (26 + 256, 26 + 256));
     }
 
     /// A TPT registration or a slab entry is DMA-able as a whole once

@@ -2,7 +2,7 @@
 //! operation cross every layer — the RPC call, the client's exposed
 //! write-chunk registration, the server's op with its file-system read,
 //! the RDMA Write push, the ordered reply Send, the client's finish and
-//! both deregistrations (the tails of the call and the op). This is the
+//! both TPT invalidations (the tails of the call and the op). This is the
 //! paper's Figure 4, as the spans that time each step.
 //!
 //! ```text
@@ -116,6 +116,7 @@ fn main() {
          pushes it with RDMA Write from a locally registered source, then sends\n\
          the reply whose arrival guarantees placement. Past client/finish and\n\
          server/reply_send, the tails of client/call and server/op are the two\n\
-         deregistrations."
+         TPT invalidations and nothing else: the unpin behind each runs on a\n\
+         free core, and nobody waits for it."
     );
 }

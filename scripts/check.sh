@@ -98,6 +98,10 @@ for f in results/benchmark_smoke_pin.txt results/benchmark_smoke_counts.txt; do
     [ -s "$f" ] || { echo "empty $f" >&2; exit 1; }
 done
 
+echo "==> bench --bin all (regenerates what the diff below compares and no leg above writes: Figures 5-10, Table 1, the full ablations)"
+cargo build --release -p bench --bins
+cargo run --release -p bench --bin all >/dev/null
+
 echo "==> results/ unchanged (simulated numbers are deterministic: a refactor that moves a figure, fingerprint, trace or benchmark schedule fails here)"
 git diff --exit-code -- results/
 
