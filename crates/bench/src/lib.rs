@@ -56,6 +56,8 @@ pub struct ServerCounts {
     pub read_zero_copy_bytes: u64,
     /// WRITE bytes scattered straight into file-system pages.
     pub write_zero_copy_bytes: u64,
+    /// WRITEs whose data rode the call's Send (`RDMA_MSGP`).
+    pub msgp_writes: u64,
     /// Bytes staged through a bounce buffer.
     pub copied_bytes: u64,
     /// UNSTABLE WRITEs the NFS server applied.
@@ -92,6 +94,7 @@ pub fn iozone_on(
             coalesced: hca.cq_coalesced(),
             read_zero_copy_bytes: rpc.zero_copy_bytes.get(),
             write_zero_copy_bytes: rpc.write_zero_copy_bytes.get(),
+            msgp_writes: rpc.msgp_recvs.get(),
             copied_bytes: rpc.copied_bytes.get(),
             unstable_writes: bed.server.stats.unstable_writes.get(),
             commits: bed.server.stats.commits.get(),

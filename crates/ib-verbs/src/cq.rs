@@ -35,6 +35,10 @@ pub struct Completion {
     /// For receive completions: the arrived data (also placed in the
     /// posted buffer).
     pub payload: Option<Payload>,
+    /// For the receive completion of a gathered Send
+    /// ([`crate::Qp::post_send_gather`]): its second piece, placed in
+    /// the posted buffer right behind `payload`.
+    pub tail: Option<Payload>,
 }
 
 impl Completion {
@@ -257,6 +261,7 @@ mod tests {
             opcode: Opcode::Send,
             result: Ok(0),
             payload: None,
+            tail: None,
         }
     }
 

@@ -381,7 +381,12 @@ pub fn connect(a: &Hca, b: &Hca) -> (Qp, Qp) {
 /// between the two.
 fn respond(hca: &Hca, msg: WireMsg) {
     match msg {
-        WireMsg::Send { dst_qpn, data, ack } => {
+        WireMsg::Send {
+            dst_qpn,
+            data,
+            tail,
+            ack,
+        } => {
             let qp = hca.inner.qps.borrow().get(&dst_qpn.0).cloned();
             let Some(qp) = qp else {
                 return ack.complete(Err(VerbsError::NotConnected));
@@ -391,21 +396,27 @@ fn respond(hca: &Hca, msg: WireMsg) {
                 qp.inner.set_error();
                 return ack.complete(Err(VerbsError::ReceiverNotReady));
             };
-            if data.len() > recv.len {
+            let len = data.len() + tail.as_ref().map_or(0, Payload::len);
+            if len > recv.len {
                 qp.inner.set_error();
                 return ack.complete(Err(VerbsError::ReceiveTooSmall {
-                    needed: data.len(),
+                    needed: len,
                     have: recv.len,
                 }));
             }
             ack.complete(Ok(()));
-            // DMA placement into the posted buffer: no host CPU.
+            // DMA placement into the posted buffer, the pieces back to
+            // back: no host CPU.
             recv.buffer.write(recv.offset, data.clone());
+            if let Some(tail) = &tail {
+                recv.buffer.write(recv.offset + data.len(), tail.clone());
+            }
             qp.inner.recv_cq.push(Completion {
                 wr_id: recv.wr_id,
                 opcode: Opcode::Recv,
-                result: Ok(data.len()),
+                result: Ok(len),
                 payload: Some(data),
+                tail,
             });
         }
         WireMsg::Write {

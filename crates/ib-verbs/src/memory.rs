@@ -200,13 +200,32 @@ impl HostMem {
 
     /// Allocate a buffer of `len` bytes.
     pub fn alloc(&self, len: u64) -> Buffer {
+        self.place(len, |span| self.draw_runs(span))
+    }
+
+    /// Allocate a buffer of `len` bytes that is one physically
+    /// contiguous run — slab (kmalloc) memory, what a driver's receive
+    /// buffers are. It takes the single layout draw a one-page
+    /// [`HostMem::alloc`] takes, whatever its length, so the buffers
+    /// allocated after it see the layout they would after a one-page
+    /// buffer.
+    pub fn alloc_contiguous(&self, len: u64) -> Buffer {
+        self.place(len, |span| {
+            self.draw_runs(PAGE_SIZE);
+            vec![span]
+        })
+    }
+
+    /// Reserve the next page-aligned virtual range for `len` bytes,
+    /// laid out physically by `runs` (given the page-rounded span).
+    fn place(&self, len: u64, runs: impl FnOnce(u64) -> Vec<u64>) -> Buffer {
         assert!(len > 0, "zero-length allocation");
         let addr = self.next_addr.get();
         // Page-align the next allocation.
         let span = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
         self.next_addr.set(addr + span + PAGE_SIZE); // guard page
 
-        let phys_runs = self.draw_runs(span);
+        let phys_runs = runs(span);
         let inner = Rc::new(BufferInner {
             data: RefCell::new(ExtentMap::new()),
             phys_runs,
@@ -355,6 +374,17 @@ mod tests {
         let addr = a.addr();
         drop(a);
         assert!(m.lookup(addr, 16).is_none());
+    }
+
+    #[test]
+    fn contiguous_allocation_is_one_run_and_draws_like_one_page() {
+        let (a, b) = (mem(), mem());
+        let slab = a.alloc_contiguous(8192);
+        assert_eq!(slab.phys_runs(0, slab.len()), vec![(0, 8192)]);
+        b.alloc(4096);
+        // Same stream position afterwards: the next buffers lay out alike.
+        let (x, y) = (a.alloc(1 << 20), b.alloc(1 << 20));
+        assert_eq!(x.phys_runs(0, x.len()), y.phys_runs(0, y.len()));
     }
 
     #[test]

@@ -47,6 +47,8 @@ pub enum WireMsg {
         dst_qpn: QpNum,
         /// Message body.
         data: Payload,
+        /// A second gathered piece, placed right behind `data`.
+        tail: Option<Payload>,
         /// Ack/nak path back to the requester.
         ack: Ack,
     },
@@ -177,6 +179,7 @@ pub(crate) enum Wqe {
     Send {
         wr_id: WrId,
         data: Payload,
+        tail: Option<Payload>,
         signaled: bool,
     },
     Write {
@@ -349,6 +352,7 @@ impl Qp {
                 opcode: Opcode::Recv,
                 result: Err(VerbsError::Flushed),
                 payload: None,
+                tail: None,
             });
         }
     }
@@ -392,6 +396,29 @@ impl Qp {
         self.enqueue(Wqe::Send {
             wr_id,
             data,
+            tail: None,
+            signaled,
+        })
+    }
+
+    /// Post a two-sided Send gathered from two pieces: `data`, then
+    /// `tail` placed right behind it in the peer's receive buffer. The
+    /// receive completion hands `tail` over as its own piece
+    /// ([`Completion::tail`](crate::Completion::tail)), never joined to
+    /// `data` — the way a ULP sends bulk bytes it has not staged into
+    /// its inline buffer.
+    pub fn post_send_gather(
+        &self,
+        data: Payload,
+        tail: Payload,
+        wr_id: WrId,
+        signaled: bool,
+    ) -> Result<(), VerbsError> {
+        self.check_postable()?;
+        self.enqueue(Wqe::Send {
+            wr_id,
+            data,
+            tail: Some(tail),
             signaled,
         })
     }
@@ -600,13 +627,16 @@ async fn run_wqe(qp: &Rc<QpInner>, wqe: Wqe) {
         Wqe::Send {
             wr_id,
             data,
+            tail,
             signaled,
         } => {
-            let bytes = qp.cfg.wire_header_bytes + data.len();
-            let ack = Ack::new(qp, wr_id, Opcode::Send, data.len(), signaled);
+            let len = data.len() + tail.as_ref().map_or(0, Payload::len);
+            let bytes = qp.cfg.wire_header_bytes + len;
+            let ack = Ack::new(qp, wr_id, Opcode::Send, len, signaled);
             let msg = WireMsg::Send {
                 dst_qpn: qp.peer_qpn.get(),
                 data,
+                tail,
                 ack,
             };
             let lost = qp.fabric.send(qp.node, peer, bytes, msg).await;
@@ -700,6 +730,7 @@ fn finish(
             opcode,
             result,
             payload: None,
+            tail: None,
         });
     }
 }
@@ -715,5 +746,6 @@ fn flush_wqe(qp: &Rc<QpInner>, wqe: Wqe) {
         opcode,
         result: Err(VerbsError::Flushed),
         payload: None,
+        tail: None,
     });
 }

@@ -53,6 +53,42 @@ fn send_recv_roundtrip_delivers_bytes() {
     assert_eq!(send.result, Ok(256));
 }
 
+/// A gathered Send lands its two pieces back to back in the receive
+/// buffer, and the completion hands the second one over as it was sent:
+/// a synthetic piece stays synthetic. The receive buffer must hold both.
+#[test]
+fn gathered_send_delivers_its_tail_as_its_own_piece() {
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let (a, b) = two_hosts(&h);
+    let (qa, qb) = connect(&a.hca, &b.hca);
+
+    let rbuf = b.mem.alloc(4096);
+    qb.post_recv(rbuf.clone(), 0, 4096, WrId(100)).unwrap();
+    let tail = Payload::synthetic(9, 1000);
+    qa.post_send_gather(Payload::real(vec![7u8; 96]), tail.clone(), WrId(1), true)
+        .unwrap();
+    let (recv, send) = sim.block_on({
+        let (qa, qb) = (qa.clone(), qb.clone());
+        async move { (qb.recv_cq().next().await, qa.send_cq().next().await) }
+    });
+    assert_eq!((recv.result, send.result), (Ok(1096), Ok(1096)));
+    assert_eq!(recv.payload.unwrap().len(), 96);
+    assert_eq!(recv.tail, Some(tail.clone()));
+    assert!(rbuf.read(96, 1000).content_eq(&tail));
+
+    // The receive buffer is sized for the whole message, not its head.
+    qb.post_recv(rbuf, 0, 1095, WrId(101)).unwrap();
+    qa.post_send_gather(Payload::real(vec![7u8; 96]), tail, WrId(2), true)
+        .unwrap();
+    let s = sim.block_on(async move { qa.send_cq().next().await });
+    let too_small = VerbsError::ReceiveTooSmall {
+        needed: 1096,
+        have: 1095,
+    };
+    assert_eq!(s.result, Err(too_small));
+}
+
 #[test]
 fn send_without_posted_recv_errors_both_sides() {
     let mut sim = Simulation::new(1);

@@ -245,8 +245,18 @@ struct Call {
     reply_sink: Option<IoBuf>,
     /// `sink` is the caller's own buffer: nothing to copy out.
     zero_copy: bool,
-    /// What the caller asked for (its `send` half already provisioned).
+    /// What the caller asked for.
     bulk: BulkParams,
+}
+
+impl Call {
+    /// The caller's window an `RDMA_MSGP` call's data comes from: every
+    /// post gathers it into the Send behind the inline bytes as the
+    /// caller's own piece, never flattened into them.
+    fn msgp_window(&self) -> Option<&(Buffer, u64, u64)> {
+        let msgp = self.hdr.msg_type == MsgType::Msgp;
+        self.bulk.send.as_ref().filter(|_| msgp)
+    }
 }
 
 /// What one transmission attempt came to.
@@ -439,11 +449,10 @@ impl RdmaRpcClient {
         credit: SemPermit,
         xid: u32,
         rpc_msg: Bytes,
-        mut bulk: BulkParams,
+        bulk: BulkParams,
     ) -> Call {
         let inner = &self.inner;
         let _s = inner.sim.span("client", "reg");
-        let send = bulk.send.take();
         let mut call = Call {
             credit,
             hdr: RdmaHeader::new(xid, inner.cfg.credits, MsgType::Msg),
@@ -459,37 +468,35 @@ impl RdmaRpcClient {
                 && bulk.recv_user.is_some(),
             bulk,
         };
-        let msgp_data = match send {
+        let msgp = match call.bulk.send.clone() {
             Some(send) => self.provision_send(&mut call, &rpc_msg, send).await,
-            None => None,
+            None => false,
         };
         if inner.cfg.design == Design::ReadWrite {
             self.provision_sinks(&mut call).await;
         }
-        self.frame(&mut call, rpc_msg, msgp_data).await;
+        self.frame(&mut call, rpc_msg, msgp).await;
         call
     }
 
-    /// The WRITE payload: when it and the RPC head each fit the inline
-    /// threshold, it rides inside the Send (`RDMA_MSGP`, returned for
-    /// framing — no registration, no chunk, no server-side RDMA Read);
-    /// otherwise it is registered and named in read chunks for the
-    /// server to pull.
+    /// The WRITE payload: when it fits [`RpcRdmaConfig::msgp_max`] (a
+    /// page, or the inline threshold if larger) and the RPC head fits
+    /// the threshold, it rides inside the Send (`RDMA_MSGP`: `true`, for
+    /// framing — no registration, no chunk, no server-side RDMA Read;
+    /// its one staging copy is the Send's, in *transmit*); otherwise it
+    /// is registered and named in read chunks for the server to pull.
     async fn provision_send(
         &self,
         call: &mut Call,
         rpc_msg: &Bytes,
         (buffer, off, len): (Buffer, u64, u64),
-    ) -> Option<Payload> {
+    ) -> bool {
         let inner = &self.inner;
         let (cpu, stats) = (inner.hca.cpu(), &inner.stats);
-        let threshold = inner.cfg.inline_threshold;
         stats.bulk_out.add(len);
-        if len <= threshold && rpc_msg.len() as u64 <= threshold {
-            let data = buffer.read(off, len);
-            cpu.copy(len).await; // staged into the inline buffer
+        if len <= inner.cfg.msgp_max() && rpc_msg.len() as u64 <= inner.cfg.inline_threshold {
             stats.msgp_sends.inc();
-            return Some(data);
+            return true;
         }
         let io = inner
             .registrar
@@ -506,7 +513,7 @@ impl RdmaRpcClient {
             call.hdr.read_chunks.push(ReadChunk { position, segment });
         }
         call.held.push(io);
-        None
+        false
     }
 
     /// Read-Write only: the write chunk bulk results land in (the
@@ -536,21 +543,21 @@ impl RdmaRpcClient {
     }
 
     /// Decide what rides in the Send behind the header: the `RDMA_MSGP`
-    /// frame (head, padding to the alignment, data), nothing at all for
-    /// a long call (the RPC message itself moves via a position-0 read
-    /// chunk), or the RPC message.
-    async fn frame(&self, call: &mut Call, rpc_msg: Bytes, msgp_data: Option<Payload>) {
+    /// frame (head and padding to the alignment inline; the data is
+    /// gathered behind them at each post), nothing at all for a long
+    /// call (the RPC message itself moves via a position-0 read chunk),
+    /// or the RPC message.
+    async fn frame(&self, call: &mut Call, rpc_msg: Bytes, msgp: bool) {
         let inner = &self.inner;
         let head_len = rpc_msg.len();
-        if let Some(data) = msgp_data {
+        if msgp {
             call.hdr.msg_type = MsgType::Msgp;
             call.hdr.msgp = Some((MSGP_ALIGN as u32, head_len as u32));
             let pad = (MSGP_ALIGN - head_len % MSGP_ALIGN) % MSGP_ALIGN;
-            let mut body = Vec::with_capacity(head_len + pad + data.len() as usize);
-            body.extend_from_slice(&rpc_msg);
-            body.resize(head_len + pad, 0);
-            body.extend_from_slice(&data.materialize());
-            call.inline_body = Bytes::from(body);
+            let mut head = Vec::with_capacity(head_len + pad);
+            head.extend_from_slice(&rpc_msg);
+            head.resize(head_len + pad, 0);
+            call.inline_body = Bytes::from(head);
         } else if head_len as u64 > inner.cfg.inline_threshold {
             call.hdr.msg_type = MsgType::Nomsg;
             let len = head_len as u64;
@@ -595,7 +602,8 @@ impl RdmaRpcClient {
         let inner = &self.inner;
         let xid = call.hdr.xid;
         let wire = inner.endpoint().encode_wire(&call.hdr, &call.inline_body);
-        inner.hca.cpu().copy(wire.len() as u64).await;
+        let data_len = call.msgp_window().map_or(0, |&(_, _, len)| len);
+        inner.hca.cpu().copy(wire.len() as u64 + data_len).await;
         let mut attempt: u32 = 0;
         // Busy (shed) replies answered so far: a separate budget from
         // reply timeouts — the server *is* responding, just refusing —
@@ -660,7 +668,12 @@ impl RdmaRpcClient {
         if inner.recovering.get() {
             return Some(rx);
         }
-        if inner.endpoint().send(wire.clone()).is_err() {
+        let ep = inner.endpoint();
+        let sent = match call.msgp_window() {
+            Some((buffer, off, len)) => ep.send_gather(wire.clone(), buffer.read(*off, *len)),
+            None => ep.send(wire.clone()),
+        };
+        if sent.is_err() {
             start_recovery(inner);
             if inner.dead.get() {
                 inner.pending.borrow_mut().remove(&call.hdr.xid);
@@ -962,7 +975,7 @@ fn open_endpoint(
 /// for the fresh endpoint and this one exits on the old QP's flush
 /// errors.
 async fn reply_dispatcher(inner: Rc<ClientInner>, ep: Rc<Endpoint>) {
-    while let Some(payload) = ep.next_message().await {
+    while let Some((payload, _)) = ep.next_message().await {
         let raw = payload.materialize();
         let mut dec = xdr::Decoder::new(&raw);
         let Ok(hdr) = RdmaHeader::decode(&mut dec) else {

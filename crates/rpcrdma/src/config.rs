@@ -11,6 +11,8 @@
 use ib_verbs::PAGE_SIZE;
 use sim_core::SimDuration;
 
+use crate::client::MSGP_ALIGN;
+
 /// Which bulk-transfer design the transport runs (paper §4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Design {
@@ -47,10 +49,11 @@ pub struct RpcRdmaConfig {
     /// Bulk-transfer design.
     pub design: Design,
     /// Messages up to this size travel inline in the Send (paper §3.1).
-    /// A WRITE whose payload and RPC head each fit rides inline too, as
-    /// `RDMA_MSGP` (the paper's Figure 2 message type 2): aligned so
-    /// the receiver places it without a pull-up copy — no chunk, no
-    /// registration, no server-side RDMA Read.
+    /// A WRITE whose RPC head fits rides inline too when its payload
+    /// fits [`RpcRdmaConfig::msgp_max`], as `RDMA_MSGP` (the paper's
+    /// Figure 2 message type 2): aligned so the receiver places it
+    /// without a pull-up copy — no chunk, no registration, no
+    /// server-side RDMA Read.
     pub inline_threshold: u64,
     /// Credit window: max outstanding calls per connection; also the
     /// number of pre-posted receive buffers on each side.
@@ -95,8 +98,8 @@ pub struct RpcRdmaConfig {
 }
 
 /// What a receive buffer holds beyond the inline message and the
-/// `RDMA_MSGP` data behind it: the RPC/RDMA header with the chunk lists
-/// of the largest honest call, and the padding that aligns MSGP data.
+/// padded `RDMA_MSGP` data behind it: the RPC/RDMA header with the
+/// chunk lists of the largest honest call.
 const RECV_HEADER_ROOM: u64 = 2048;
 
 impl Default for RpcRdmaConfig {
@@ -125,12 +128,21 @@ impl RpcRdmaConfig {
         self
     }
 
+    /// Most WRITE data one `RDMA_MSGP` carries: the inline threshold,
+    /// but never less than a page — a page-sized write fits the
+    /// message, and one that fits should not buy a registration and a
+    /// second round trip. The server refuses MSGP data past it.
+    pub fn msgp_max(&self) -> u64 {
+        self.inline_threshold.max(PAGE_SIZE)
+    }
+
     /// Size of each pre-posted receive buffer: the largest message an
     /// honest peer sends under this threshold — header, RPC head up to
-    /// the threshold, and (`RDMA_MSGP`) padded data up to the threshold
-    /// again — rounded up to a page.
+    /// the threshold, and (`RDMA_MSGP`) padding to the alignment and
+    /// data up to [`RpcRdmaConfig::msgp_max`] — rounded up to a page.
     pub fn recv_size(&self) -> u64 {
-        (2 * self.inline_threshold + RECV_HEADER_ROOM).next_multiple_of(PAGE_SIZE)
+        let msgp = MSGP_ALIGN as u64 + self.msgp_max();
+        (RECV_HEADER_ROOM + self.inline_threshold + msgp).next_multiple_of(PAGE_SIZE)
     }
 }
 
@@ -152,7 +164,8 @@ mod tests {
         // Paper-era defaults: one doorbell per WQE, Send/Send replies.
         assert_eq!(d.server_doorbell_batch, 1);
         assert!(d.rfp.is_none());
-        assert_eq!(d.recv_size(), 4096);
+        // A page of MSGP data rides behind a 1 KiB head: two pages.
+        assert_eq!(d.recv_size(), 8192);
 
         // The largest honest headers: a 1 MiB all-physical WRITE with a
         // long reply provisioned (~16 runs on the 64 KiB-mean layout;
@@ -178,16 +191,25 @@ mod tests {
         };
         let wire_len = |h: &RdmaHeader| h.to_bytes().len() as u64;
 
-        for threshold in [256, 512, 1024, 4096, 16 * 1024] {
+        // The MSGP bound: a page, or the threshold once it is larger.
+        let bounds = [
+            (256, 4096),
+            (512, 4096),
+            (1024, 4096),
+            (4096, 4096),
+            (16 << 10, 16 << 10),
+        ];
+        for (threshold, bound) in bounds {
             let cfg = RpcRdmaConfig {
                 inline_threshold: threshold,
                 ..d
             };
+            assert_eq!(cfg.msgp_max(), bound, "threshold {threshold}");
             let size = cfg.recv_size();
             assert_eq!(size % PAGE_SIZE, 0);
             assert!(wire_len(&chunked) + threshold <= size);
             // Head, padding up to the alignment, data.
-            assert!(wire_len(&msgp(ALIGN)) + threshold + ALIGN + threshold <= size);
+            assert!(wire_len(&msgp(ALIGN)) + threshold + ALIGN + bound <= size);
             // The sanitizer's MSGP alignment bound is the same value.
             assert_eq!(sanitize_header(&msgp(size), &cfg), Ok(()));
             let over = sanitize_header(&msgp(size + 1), &cfg);

@@ -32,7 +32,8 @@ use crate::router::CompletionRouter;
 
 /// A connection's window of posted receive buffers, indexed by
 /// work-request id for re-posting. Buffers are registered once at
-/// set-up (amortized, so no per-op cost is charged).
+/// set-up (amortized, so no per-op cost is charged) and, being kmalloc'd
+/// slab memory, each is one physically contiguous run.
 pub(crate) struct RecvPool {
     bufs: Vec<Buffer>,
 }
@@ -50,7 +51,7 @@ impl RecvPool {
     ) -> Result<RecvPool, VerbsError> {
         let mut pool = RecvPool { bufs: Vec::new() };
         for i in 0..(cfg.credits * windows) as u64 {
-            pool.bufs.push(hca.mem().alloc(cfg.recv_size()));
+            pool.bufs.push(hca.mem().alloc_contiguous(cfg.recv_size()));
             pool.repost(qp, WrId(i))?;
         }
         Ok(pool)
@@ -117,6 +118,14 @@ impl Endpoint {
             .post_send(Payload::real(wire), self.alloc_wr(), false)
     }
 
+    /// Post `wire` with `data` gathered behind it as one unsignaled Send
+    /// (an `RDMA_MSGP` call: the data rides as its own piece, never
+    /// staged into the wire bytes).
+    pub(crate) fn send_gather(&self, wire: Bytes, data: Payload) -> Result<(), VerbsError> {
+        let (wire, wr) = (Payload::real(wire), self.alloc_wr());
+        self.qp.post_send_gather(wire, data, wr, false)
+    }
+
     /// Post `wire` as a signaled Send and hand back its completion — for
     /// a sender that holds something the completion releases.
     pub(crate) fn send_signaled(&self, wire: Bytes) -> Option<OneshotReceiver<Completion>> {
@@ -137,10 +146,11 @@ impl Endpoint {
         Some(wait)
     }
 
-    /// The next inbound message, its receive buffer already back on the
-    /// queue; `None` once the connection has been torn down (posted
-    /// receives flush with errors).
-    pub(crate) async fn next_message(&self) -> Option<Payload> {
+    /// The next inbound message — its first piece, and the piece a
+    /// gathered Send carried behind it — its receive buffer already back
+    /// on the queue; `None` once the connection has been torn down
+    /// (posted receives flush with errors).
+    pub(crate) async fn next_message(&self) -> Option<(Payload, Option<Payload>)> {
         loop {
             let c = self.qp.recv_cq().next().await;
             if c.opcode != Opcode::Recv || c.result.is_err() {
@@ -148,8 +158,8 @@ impl Endpoint {
             }
             // Fails only on a QP already dead, whose flush is next.
             let _ = self.recv.repost(&self.qp, c.wr_id);
-            if c.payload.is_some() {
-                return c.payload;
+            if let Some(payload) = c.payload {
+                return Some((payload, c.tail));
             }
         }
     }
@@ -183,5 +193,50 @@ impl Endpoint {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::rc::Rc;
+
+    use ib_verbs::{connect, Fabric, HcaConfig, HostMem, NodeId, PhysLayout};
+    use sim_core::{Cpu, CpuCosts, Simulation};
+
+    use super::*;
+
+    /// Receive buffers are slab memory: one physical run each, at every
+    /// threshold, on a host whose page-at-a-time layout fragments an
+    /// ordinary buffer of the same size.
+    #[test]
+    fn a_receive_buffer_is_one_physical_run() {
+        let sim = Simulation::new(1);
+        let h = sim.handle();
+        let fabric = Fabric::new(&h);
+        let host = |id: u32| {
+            let cpu = Cpu::new(&h, format!("cpu{id}"), 2, CpuCosts::default());
+            let layout = PhysLayout {
+                mean_run_bytes: 4096,
+            };
+            let mem = Rc::new(HostMem::new(NodeId(id), layout, h.fork_rng()));
+            Hca::new(&h, NodeId(id), HcaConfig::sdr(), cpu, mem, &fabric)
+        };
+        let (hca, peer) = (host(0), host(1));
+        let (qp, _peer_qp) = connect(&hca, &peer);
+        let one_run = |buf: &Buffer| buf.phys_runs(0, buf.len()).len() == 1;
+        for inline_threshold in [1024, 16 << 10] {
+            let cfg = RpcRdmaConfig {
+                inline_threshold,
+                ..Default::default()
+            };
+            let pool = RecvPool::post(&hca, &cfg, 1, &qp).expect("posted");
+            assert_eq!(pool.bufs.len(), cfg.credits as usize);
+            for buf in &pool.bufs {
+                assert_eq!(buf.len(), cfg.recv_size());
+                assert!(one_run(buf), "{inline_threshold}: {buf:?} is fragmented");
+            }
+            let ordinary: Vec<_> = (0..8).map(|_| hca.mem().alloc(cfg.recv_size())).collect();
+            assert!(!ordinary.iter().all(one_run), "the layout never fragments");
+        }
     }
 }

@@ -63,7 +63,8 @@ pub enum ProtocolViolation {
     /// Writes would collide.
     OverlappingSegments,
     /// An `RDMA_MSGP` header whose padding arithmetic does not fit the
-    /// message it arrived in.
+    /// message it arrived in, or whose data passes
+    /// [`RpcRdmaConfig::msgp_max`].
     BadMsgp,
     /// The client's advertised credit request is absurd (beyond any
     /// window this server would ever grant).
@@ -121,7 +122,7 @@ impl std::fmt::Display for ProtocolViolation {
             }
             ProtocolViolation::ZeroLengthSegment => write!(f, "zero-length segment"),
             ProtocolViolation::OverlappingSegments => write!(f, "overlapping segments"),
-            ProtocolViolation::BadMsgp => write!(f, "malformed RDMA_MSGP padding"),
+            ProtocolViolation::BadMsgp => write!(f, "malformed or oversized RDMA_MSGP"),
             ProtocolViolation::CreditOverflow { requested } => {
                 write!(f, "absurd credit request ({requested})")
             }

@@ -221,10 +221,19 @@ impl ServerStats {
     }
 }
 
-/// One admitted call parked in the QoS dispatch queue.
-struct QueuedCall {
+/// A call as it arrived: the vetted transport header, the inline bytes
+/// behind it, and the piece a gathered Send carried after them — an
+/// `RDMA_MSGP` call's data, as the client sent it (the one message the
+/// protocol gathers; `tail` is read for no other).
+struct Inbound {
     hdr: RdmaHeader,
     body: Bytes,
+    tail: Option<Payload>,
+}
+
+/// One admitted call parked in the QoS dispatch queue.
+struct QueuedCall {
+    call: Inbound,
     conn: Rc<ConnState>,
     /// Arrival instant; the dispatch worker sheds the call if its
     /// sojourn exceeds [`QOS_TARGET_DELAY`] (CoDel-style).
@@ -603,15 +612,15 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
         }
     }
 
-    while let Some(payload) = conn.ep.next_message().await {
-        let Some((hdr, body)) = sanitize_stage(&conn, payload) else {
+    while let Some((payload, tail)) = conn.ep.next_message().await {
+        let Some(call) = sanitize_stage(&conn, payload, tail) else {
             continue;
         };
-        match hdr.msg_type {
+        match call.hdr.msg_type {
             MsgType::Done => {
                 // Read-Read: the client is done pulling; release the
                 // exposed buffers (finally paying deregistration).
-                let exp = conn.pending_exposures.borrow_mut().remove(&hdr.xid);
+                let exp = conn.pending_exposures.borrow_mut().remove(&call.hdr.xid);
                 if let Some(exp) = exp {
                     server.stats.dones.inc();
                     let release = retire_exposure(&conn, exp, Retire::Release);
@@ -623,7 +632,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
             MsgType::MsgRfpAd => {}
             MsgType::Msg | MsgType::Nomsg | MsgType::Msgp | MsgType::MsgRfp => {
                 if admit(&conn) {
-                    schedule(&conn, hdr, body);
+                    schedule(&conn, call);
                 }
             }
         }
@@ -635,14 +644,17 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
 /// client-advertised chunk list *before* any allocation or RDMA is
 /// issued on its behalf. Byte soup where a header should be is charged
 /// to the sender like any other violation.
-fn sanitize_stage(conn: &ConnState, payload: Payload) -> Option<(RdmaHeader, Bytes)> {
+fn sanitize_stage(conn: &ConnState, payload: Payload, tail: Option<Payload>) -> Option<Inbound> {
     let raw = payload.materialize();
     let mut dec = xdr::Decoder::new(&raw);
     let checked = RdmaHeader::decode(&mut dec)
         .map_err(|_| ProtocolViolation::GarbageHeader)
         .and_then(|hdr| sanitize_header(&hdr, &conn.server.cfg).map(|()| hdr));
     match checked {
-        Ok(hdr) => Some((hdr, raw.slice(dec.position()..))),
+        Ok(hdr) => {
+            let body = raw.slice(dec.position()..);
+            Some(Inbound { hdr, body, tail })
+        }
         Err(v) => {
             note_violation(conn, v);
             None
@@ -668,16 +680,15 @@ fn admit(conn: &ConnState) -> bool {
 /// *Schedule* stage: one spawned handler task per admitted call, or
 /// (overload control) the per-tenant fair dispatch queue the QoS
 /// workers drain — which sheds what it refuses instead of queueing.
-fn schedule(conn: &Rc<ConnState>, hdr: RdmaHeader, body: Bytes) {
+fn schedule(conn: &Rc<ConnState>, call: Inbound) {
     let server = &conn.server;
     let Some(qos) = &server.qos else {
-        server.sim.spawn(handle_op(conn.clone(), hdr, body));
+        server.sim.spawn(handle_op(conn.clone(), call));
         return;
     };
     let peer = conn.peer();
     let call = QueuedCall {
-        hdr,
-        body,
+        call,
         conn: conn.clone(),
         enq: server.sim.now(),
     };
@@ -922,8 +933,8 @@ fn spawn_rfp_reaper(conn: &Rc<ConnState>) {
 /// just a small inline send. The call leaves the connection's
 /// in-flight window here.
 fn shed_call(why: &'static str, call: QueuedCall) {
-    let QueuedCall { hdr, conn, .. } = call;
-    let (server, peer, xid) = (&conn.server, conn.peer(), hdr.xid);
+    let QueuedCall { call, conn, .. } = call;
+    let (server, peer, xid) = (&conn.server, conn.peer(), call.hdr.xid);
     conn.in_flight.set(conn.in_flight.get() - 1);
     server.stats.sheds.inc();
     server.sim.flight("qos", why, peer as u64, xid as u64);
@@ -958,7 +969,7 @@ async fn qos_worker(server: Rc<RdmaRpcServer>) {
             continue;
         }
         qos.dispatched.inc();
-        handle_op(call.conn, call.hdr, call.body).await;
+        handle_op(call.conn, call.call).await;
     }
 }
 
@@ -977,14 +988,14 @@ struct Outgoing {
 
 /// Run one admitted call to completion, keeping the server's in-flight
 /// gauges and the connection's credit window around it.
-async fn handle_op(conn: Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) {
+async fn handle_op(conn: Rc<ConnState>, mut call: Inbound) {
     let stats = &conn.server.stats;
     let inflight = stats.inflight.get() + 1;
     stats.inflight.set(inflight);
     stats
         .peak_inflight
         .set(stats.peak_inflight.get().max(inflight));
-    let _dropped = run_op(&conn, hdr, inline_body).await;
+    let _dropped = run_op(&conn, &mut call).await;
     stats.inflight.set(stats.inflight.get() - 1);
     conn.in_flight.set(conn.in_flight.get() - 1);
 }
@@ -1000,8 +1011,12 @@ async fn handle_op(conn: Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) {
 /// wire) and neither reads the other's result. Both always run to
 /// completion — a failed fetch has released its scratch and the task
 /// queue has been paid before the call is dropped.
-async fn run_op(conn: &Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) -> Option<()> {
-    let server = &conn.server;
+///
+/// The call is borrowed from `handle_op`, not moved in: a parameter of
+/// each nested async fn is stored in the handler's future, so a call
+/// taken by value here would be carried twice by every op's task.
+async fn run_op(conn: &Rc<ConnState>, call: &mut Inbound) -> Option<()> {
+    let (server, hdr) = (&conn.server, &call.hdr);
     // Adopt the caller's trace context (stashed out-of-band under the
     // same (node, xid) key the client injected): the op span joins the
     // client's causal tree with a flow edge from the call span.
@@ -1009,18 +1024,19 @@ async fn run_op(conn: &Rc<ConnState>, hdr: RdmaHeader, inline_body: Bytes) -> Op
         .sim
         .trace_adopt(((conn.peer() as u64) << 32) | hdr.xid as u64);
     let _op_span = server.sim.span_remote("server", "op", None, call_ctx);
-    let (call_msg, inline_bulk) = split_inline(conn, &hdr, inline_body)?;
+    let body = std::mem::take(&mut call.body);
+    let (call_msg, inline_bulk) = split_inline(conn, hdr, body, call.tail.take())?;
     let fetched = {
         // Dispatch lane first: its span is the one open when the fetch
         // lane's `pull_chunks` opens, so the overlap is attributed once.
         // (A block, so the lanes' frames are dead — and their room in
         // this task's future reusable — once both have finished.)
-        let (dispatch, fetch) = (pin!(dispatch_stage(server)), pin!(fetch_stage(conn, &hdr)));
+        let (dispatch, fetch) = (pin!(dispatch_stage(server)), pin!(fetch_stage(conn, hdr)));
         sim_core::join(dispatch, fetch).await.1?
     };
     let (call_msg, bulk_in) = land_stage(server, fetched, call_msg, inline_bulk).await;
     let (xid, dispatch) = service_stage(conn, call_msg, bulk_in).await?;
-    let mut out = push_stage(conn, &hdr, xid, &dispatch).await;
+    let mut out = push_stage(conn, hdr, xid, &dispatch).await;
     let sent = reply_stage(conn, hdr.msg_type, &mut out).await;
     retire_stage(conn, out, sent.is_some()).await;
     Some(())
@@ -1035,40 +1051,58 @@ async fn dispatch_stage(server: &RdmaRpcServer) {
     cpu.execute(cpu.costs().per_op_server_cpu).await;
 }
 
-/// Split an `RDMA_MSGP` body `[head][padding][data]` into head and
-/// data. The sanitizer vetted the static shape; what remains is the
-/// arithmetic against this message's actual length.
-fn split_msgp(hdr: &RdmaHeader, msg: &Bytes) -> Option<(Bytes, Bytes)> {
+/// Split an `RDMA_MSGP` message `[head][padding][data]` into head and
+/// data, where `msg` is the inline bytes and `tail` the data piece
+/// gathered behind them (the transport's own client puts all the data
+/// there; a peer that inlines it is read the same). The sanitizer vetted
+/// the static shape; what remains is the arithmetic against this
+/// message's actual length, and the data against `max`.
+fn split_msgp(
+    hdr: &RdmaHeader,
+    msg: &Bytes,
+    tail: Option<Payload>,
+    max: u64,
+) -> Option<(Bytes, SgList)> {
     let (align, head_len) = hdr.msgp?;
     let (align, head_len) = (align as usize, head_len as usize);
     if head_len > msg.len() || align == 0 {
         return None;
     }
     let data_off = head_len + (align - head_len % align) % align;
-    (data_off <= msg.len()).then(|| (msg.slice(..head_len), msg.slice(data_off..)))
+    if data_off > msg.len() {
+        return None;
+    }
+    let mut data = SgList::from(Payload::real(msg.slice(data_off..)));
+    if let Some(tail) = tail {
+        data.push(tail);
+    }
+    (data.len() <= max).then(|| (msg.slice(..head_len), data))
 }
 
-/// What arrived inline: the RPC call message and, for `RDMA_MSGP`, the
-/// bulk data behind its padding — the alignment means it was placed
-/// directly, no pull-up copy, no RDMA Read. A padding that does not fit
-/// the message is the last header check; it drops the call before
-/// anything is queued or fetched for it.
+/// What arrived in the Send: the RPC call message and, for `RDMA_MSGP`,
+/// the bulk data behind its padding — the alignment means it was placed
+/// directly, no pull-up copy, no RDMA Read, and it reaches the service
+/// as the piece the client sent. A padding that does not fit the
+/// message, or data past [`RpcRdmaConfig::msgp_max`], is the last header
+/// check; it drops the call before anything is queued or fetched for it.
 fn split_inline(
     conn: &ConnState,
     hdr: &RdmaHeader,
     body: Bytes,
+    tail: Option<Payload>,
 ) -> Option<(Bytes, Option<SgList>)> {
     if hdr.msg_type != MsgType::Msgp {
         return Some((body, None));
     }
-    let Some((head, data)) = split_msgp(hdr, &body) else {
+    let max = conn.server.cfg.msgp_max();
+    let Some((head, data)) = split_msgp(hdr, &body, tail, max) else {
         note_violation(conn, ProtocolViolation::BadMsgp);
         return None;
     };
     let stats = &conn.server.stats;
-    stats.bulk_in.add(data.len() as u64);
+    stats.bulk_in.add(data.len());
     stats.msgp_recvs.inc();
-    Some((head, Some(SgList::from(Payload::real(data)))))
+    Some((head, Some(data)))
 }
 
 /// What the *fetch* lane hands to *land*: the scratch windows its RDMA

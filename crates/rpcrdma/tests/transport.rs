@@ -91,10 +91,6 @@ fn setup(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
 }
 
 /// Host `id` on `fabric`: its HCA and memory.
-fn host(sim: &Sim, fabric: &Fabric<ib_verbs::WireMsg>, id: u32) -> (Hca, Rc<HostMem>) {
-    host_on(sim, fabric, id, CpuCosts::default(), HcaConfig::sdr())
-}
-
 fn host_on(
     sim: &Sim,
     fabric: &Fabric<ib_verbs::WireMsg>,
@@ -154,6 +150,23 @@ fn linux_ddr_raid_costs() -> (CpuCosts, HcaConfig) {
         ..HcaConfig::ddr()
     };
     (cpu, hca)
+}
+
+/// The `linux_sdr` profile's CPU and HCA cost tables
+/// (`workloads::profiles`): the `meta_mix` machines.
+fn linux_sdr_costs() -> (CpuCosts, HcaConfig) {
+    let us = SimDuration::from_micros;
+    let hca = HcaConfig {
+        tpt_register_base: us(25),
+        tpt_register_per_page: us(5),
+        tpt_invalidate_base: us(20),
+        tpt_invalidate_per_page: SimDuration::from_nanos(1_500),
+        fmr_map_base: us(20),
+        fmr_map_per_page: SimDuration::from_nanos(3_500),
+        fmr_unmap: us(35),
+        ..HcaConfig::sdr()
+    };
+    (linux_ddr_raid_costs().0, hca)
 }
 
 fn setup_serving(
@@ -457,26 +470,57 @@ fn reply_larger_than_its_reply_chunk_is_refused_not_truncated() {
     }
 }
 
-/// The call header a client puts on the wire for `bulk`: the peer is a
-/// bare queue pair with one receive posted, and nobody answers.
-fn call_header_for(bulk: BulkParams) -> rpcrdma::RdmaHeader {
-    use xdr::XdrCodec;
+/// The first call a client sends, as it lands: the receive completion
+/// (the header and inline bytes, and the piece a gathered Send carried
+/// behind them), and the client's CPU busy time and registration counts
+/// at that instant.
+struct Landed {
+    recv: ib_verbs::Completion,
+    busy: SimDuration,
+    client: ib_verbs::RegStats,
+}
+
+/// Issue call `proc_num` with `bulk` (built on the client's memory) from
+/// a (`strategy`, `costs`) client whose peer is a bare queue pair with
+/// one receive posted, and nobody answers.
+fn first_send(
+    (strategy, costs): (StrategyKind, (CpuCosts, HcaConfig)),
+    proc_num: u32,
+    bulk: impl FnOnce(&HostMem) -> BulkParams,
+) -> Landed {
     let mut sim = Simulation::new(9);
     let h = sim.handle();
     let fabric = Fabric::new(&h);
-    let (client_hca, _) = host(&h, &fabric, 0);
-    let (peer_hca, _) = host(&h, &fabric, 1);
+    let (client_hca, client_mem) = host_on(&h, &fabric, 0, costs.0, costs.1);
+    let (peer_hca, _) = host_on(&h, &fabric, 1, costs.0, costs.1);
     let (qc, qs) = connect(&client_hca, &peer_hca);
     let cfg = RpcRdmaConfig::default();
-    let registrar = Registrar::new(&client_hca, StrategyKind::Dynamic);
+    let registrar = Registrar::new(&client_hca, strategy);
     let client = RdmaRpcClient::new(&h, &client_hca, qc, registrar, cfg, PROG, VERS);
     let landing = peer_hca.mem().alloc(cfg.recv_size());
     qs.post_recv(landing, 0, cfg.recv_size(), ib_verbs::WrId(0))
         .unwrap();
+    let bulk = bulk(&client_mem);
     sim.spawn(async move {
-        let _ = client.call(3, Bytes::from_static(b"args"), bulk).await;
+        let _ = client.call(proc_num, Bytes::new(), bulk).await;
     });
-    let wire = sim.block_on(async move { qs.recv_cq().next().await.payload.unwrap() });
+    sim.block_on(async move {
+        let recv = qs.recv_cq().next().await;
+        let busy = client_hca.cpu().busy_time();
+        let client = client_hca.reg_stats();
+        Landed { recv, busy, client }
+    })
+}
+
+/// The call header a client puts on the wire for `bulk`.
+fn call_header_for(bulk: BulkParams) -> rpcrdma::RdmaHeader {
+    let costs = (CpuCosts::default(), HcaConfig::sdr());
+    let landed = first_send((StrategyKind::Dynamic, costs), 3, |_| bulk);
+    decode_header(&landed.recv.payload.unwrap())
+}
+
+fn decode_header(wire: &Payload) -> rpcrdma::RdmaHeader {
+    use xdr::XdrCodec;
     rpcrdma::RdmaHeader::decode(&mut xdr::Decoder::new(&wire.materialize())).unwrap()
 }
 
@@ -863,6 +907,93 @@ fn every_pinned_page_is_unpinned_or_parked_at_quiescence() {
     }
 }
 
+/// Host-memory closure at quiescence, beside the pinned-page one, for
+/// every strategy and both designs: bursts of WRITEs on both sides of
+/// the page boundary — `RDMA_MSGP` Sends gathering the caller's data into
+/// the peer's receive buffers, and chunked ones the server fetches into
+/// scratch windows — the client's QP forced into error mid-burst and the
+/// connection recovered, then the server's live connection torn down.
+/// Once the simulation has drained and the registration caches are
+/// flushed, each host holds exactly the buffers it held once mounted:
+/// the callers' own and one connection's receive windows — after the
+/// teardown, the server's one window fewer. A receive window, fetch
+/// window or slab entry stranded anywhere fails here by bed and host.
+#[test]
+fn every_buffer_is_freed_or_owned_at_quiescence() {
+    const TASKS: u64 = 4;
+    for design in [Design::ReadWrite, Design::ReadRead] {
+        for strategy in all_strategies() {
+            let tag = format!("{design:?}/{strategy:?}");
+            let mut sim = Simulation::new(85);
+            let h = sim.handle();
+            let bed = setup(&h, design, strategy);
+            let live = install_connector(&bed);
+            let users: Vec<_> = (0..TASKS)
+                .map(|t| {
+                    let user = bed.client_mem.alloc(64 * 1024);
+                    user.write(0, Payload::synthetic(t, 64 * 1024));
+                    user
+                })
+                .collect();
+            sim.run();
+            let hosts = [("client", &bed.client_mem), ("server", &bed.server_mem)];
+            let mounted = hosts.map(|(_, mem)| mem.live_buffers());
+            let done = sim_core::sync::Semaphore::new(0);
+            for (t, user) in (0..).zip(users.iter().cloned()) {
+                let (client, done) = (bed.client.clone(), done.clone());
+                sim.spawn(async move {
+                    for i in 0..6 {
+                        let len = [512, 4096, 4097, 2048, 64 * 1024, 1][(t + i) as usize % 6];
+                        let write = BulkParams {
+                            send: Some((user.clone(), 0, len)),
+                            ..Default::default()
+                        };
+                        client.call(2, Bytes::new(), write).await.unwrap();
+                        let read = BulkParams {
+                            recv_max: Some(len),
+                            ..Default::default()
+                        };
+                        client.call(1, read_args(len as u32), read).await.unwrap();
+                    }
+                    done.add_permits(1);
+                });
+            }
+            let client = bed.client.clone();
+            sim.block_on(async move {
+                h.sleep(SimDuration::from_micros(300)).await;
+                client.inject_qp_error();
+                for _ in 0..TASKS {
+                    done.acquire().await.forget();
+                }
+            });
+            sim.run();
+            assert_eq!(bed.client.stats().reconnects.get(), 1, "{tag}");
+            assert!(bed.client.stats().msgp_sends.get() > 0, "{tag}");
+            let regs = [bed.client_reg.clone(), bed.server_reg.clone()];
+            let flush = |sim: &mut Simulation| {
+                let regs = regs.clone();
+                sim.block_on(async move {
+                    for reg in regs {
+                        reg.flush_cache().await;
+                    }
+                });
+            };
+            flush(&mut sim);
+            for ((host, mem), want) in hosts.iter().zip(mounted) {
+                assert_eq!(mem.live_buffers(), want, "{tag}: the {host}'s buffers");
+            }
+            live.borrow().force_error();
+            sim.run();
+            flush(&mut sim);
+            let window = 2 * RpcRdmaConfig::default().credits as usize;
+            let torn_down = [mounted[0], mounted[1] - window];
+            for ((host, mem), want) in hosts.iter().zip(torn_down) {
+                assert_eq!(mem.live_buffers(), want, "{tag}: the {host} after teardown");
+            }
+        }
+    }
+}
+
 #[test]
 fn dynamic_credit_grant_resizes_client_window() {
     // The paper's future work: the server adjusts its credit grant and
@@ -1101,6 +1232,213 @@ fn msgp_large_writes_still_use_chunks() {
         bed.client_hca.reg_stats().dynamic_regs > 0,
         "large write must register"
     );
+}
+
+/// Keeps the data of every WRITE (proc 2) as the service was handed it,
+/// and answers with its length.
+#[derive(Default)]
+struct Keeper {
+    writes: std::cell::RefCell<Vec<sim_core::SgList>>,
+}
+
+impl RdmaService for Keeper {
+    fn program(&self) -> u32 {
+        PROG
+    }
+    fn version(&self) -> u32 {
+        VERS
+    }
+    fn call(
+        &self,
+        _cx: CallContext,
+        proc_num: u32,
+        _args: Bytes,
+        bulk_in: Option<sim_core::SgList>,
+    ) -> LocalBoxFuture<RdmaDispatch> {
+        let dispatch = match (proc_num, bulk_in) {
+            (2, Some(data)) => {
+                let mut enc = xdr::Encoder::new();
+                enc.put_u32(data.len() as u32);
+                self.writes.borrow_mut().push(data);
+                RdmaDispatch::success(enc.finish(), None)
+            }
+            _ => RdmaDispatch::error(AcceptStat::ProcUnavail),
+        };
+        Box::pin(async move { dispatch })
+    }
+}
+
+/// A page of WRITE data rides the Send: on the `meta_mix` machines
+/// (`linux_sdr`, all-physical) a 4 096-byte WRITE goes as `RDMA_MSGP` —
+/// no read chunk, no RDMA Read, no page pinned on either side — and the
+/// service is handed the client's synthetic piece as it was, never
+/// flattened into bytes. One byte more and it goes by read chunk.
+#[test]
+fn page_write_rides_msgp_and_one_byte_more_goes_by_read_chunk() {
+    let bed_costs = (StrategyKind::AllPhysical, linux_sdr_costs());
+    let data = Payload::synthetic(7, 4097);
+    let write = |len: u64| {
+        let data = data.clone();
+        move |mem: &HostMem| {
+            let user = mem.alloc(4097);
+            user.write(0, data);
+            BulkParams {
+                send: Some((user, 0, len)),
+                ..Default::default()
+            }
+        }
+    };
+    // On the wire.
+    let page = first_send(bed_costs, 2, write(4096));
+    let hdr = decode_header(page.recv.payload.as_ref().unwrap());
+    assert_eq!(hdr.msg_type, rpcrdma::MsgType::Msgp);
+    assert!(hdr.read_chunks.is_empty());
+    assert_eq!(page.recv.tail, Some(data.slice(0, 4096)), "flattened");
+    assert_eq!(page.client.pages_pinned, 0);
+    let over = first_send(bed_costs, 2, write(4097));
+    let hdr = decode_header(over.recv.payload.as_ref().unwrap());
+    assert_eq!(hdr.msg_type, rpcrdma::MsgType::Msg);
+    assert_eq!(hdr.read_chunk_bytes(), 4097);
+    assert!(over.recv.tail.is_none());
+    assert!(over.client.pages_pinned > 0);
+
+    // End to end.
+    let mut sim = Simulation::new(88);
+    sim.enable_span_tracing();
+    let h = sim.handle();
+    let keeper = Rc::new(Keeper::default());
+    let (strategy, costs) = bed_costs;
+    let cfg = RpcRdmaConfig::default();
+    let bed = setup_serving(&h, cfg, strategy, costs, keeper.clone());
+    let user = bed.client_mem.alloc(4097);
+    user.write(0, data.clone());
+    let call = |len: u64| {
+        let (client, user) = (bed.client.clone(), user.clone());
+        let bulk = BulkParams {
+            send: Some((user, 0, len)),
+            ..Default::default()
+        };
+        async move { client.call(2, Bytes::new(), bulk).await.unwrap() }
+    };
+    let pinned = |hca: &Hca| hca.reg_stats().pages_pinned;
+    let (cs, ss) = (bed.client.stats(), &bed.server.stats);
+    let got = sim.block_on(call(4096));
+    assert_eq!(xdr::Decoder::new(&got.body).get_u32().unwrap(), 4096);
+    assert_eq!((cs.msgp_sends.get(), ss.msgp_recvs.get()), (1, 1));
+    assert_eq!((pinned(&bed.client_hca), pinned(&bed.server_hca)), (0, 0));
+    assert_eq!(ss.bulk_in.get(), 4096);
+    let rdma_reads = |sim: &mut Simulation| {
+        let spans = sim.take_spans();
+        let is_read = |s: &&SpanRecord| (s.component, s.name) == ("hca", "rdma_read");
+        spans.iter().filter(is_read).count()
+    };
+    assert_eq!(rdma_reads(&mut sim), 0);
+    let kept = keeper.writes.borrow()[0].clone();
+    assert_eq!(kept.pieces(), [data.slice(0, 4096)], "flattened");
+
+    let got = sim.block_on(call(4097));
+    assert_eq!(xdr::Decoder::new(&got.body).get_u32().unwrap(), 4097);
+    assert_eq!((cs.msgp_sends.get(), ss.msgp_recvs.get()), (1, 1));
+    assert!(pinned(&bed.client_hca) > 0 && pinned(&bed.server_hca) > 0);
+    assert!(rdma_reads(&mut sim) > 0);
+    assert!(keeper.writes.borrow()[1].to_payload().content_eq(&data));
+}
+
+/// An `RDMA_MSGP` WRITE pays its staging copy once: the Send's, of its
+/// whole wire image — header, RPC head, padding and data. The client's
+/// CPU has done nothing else by the time the message lands but marshal
+/// the call. Nothing pinned: MSGP needs no registration.
+#[test]
+fn msgp_write_copies_its_wire_once() {
+    let (cpu, hca) = linux_sdr_costs();
+    for (strategy, len) in [
+        (StrategyKind::AllPhysical, 4096),
+        (StrategyKind::Dynamic, 1000),
+    ] {
+        let landed = first_send((strategy, (cpu, hca)), 2, |mem| {
+            let user = mem.alloc(4096);
+            user.write(0, Payload::synthetic(5, 4096));
+            BulkParams {
+                send: Some((user, 0, len)),
+                ..Default::default()
+            }
+        });
+        let tail = landed.recv.tail.as_ref().map_or(0, Payload::len);
+        assert_eq!(tail, len, "{strategy:?}: the data rode inline");
+        let wire = landed.recv.result.unwrap();
+        let copy = (wire as f64 * cpu.copy_ns_per_byte).round() as u64;
+        let want = cpu.per_op_client_cpu + SimDuration::from_nanos(copy);
+        assert_eq!(landed.busy, want, "{strategy:?} {len}");
+        assert_eq!(landed.client.pages_pinned, 0, "{strategy:?} {len}");
+    }
+}
+
+/// The wire image of a hand-built `RDMA_MSGP` WRITE (proc 2) carrying
+/// `data` inline behind the padded RPC head, all in one piece.
+fn msgp_write_wire(xid: u32, data: &[u8]) -> Bytes {
+    use xdr::XdrCodec;
+    let (prog, vers, proc_num) = (PROG, VERS, 2);
+    let call = onc_rpc::CallHeader {
+        xid,
+        prog,
+        vers,
+        proc_num,
+    };
+    let head = onc_rpc::msg::encode_call(&call, &Bytes::new());
+    let credits = RpcRdmaConfig::default().credits;
+    let mut hdr = rpcrdma::RdmaHeader::new(xid, credits, rpcrdma::MsgType::Msgp);
+    hdr.msgp = Some((64, head.len() as u32));
+    let mut enc = xdr::Encoder::new();
+    hdr.encode(&mut enc);
+    enc.put_raw(&head);
+    enc.put_raw(&vec![0; head.len().next_multiple_of(64) - head.len()]);
+    enc.put_raw(data);
+    enc.finish()
+}
+
+/// The receive buffers hold a page of MSGP data, and a page is what the
+/// server takes: a peer that inlines its data (one piece, no gather) is
+/// read like the transport's own client, and one byte past the bound is
+/// `BadMsgp` — charged to the sender like any violation (counted, its
+/// credit window clamped), the call dropped unserviced, the connection
+/// kept.
+#[test]
+fn msgp_data_past_a_page_is_bad_msgp() {
+    let mut sim = Simulation::new(93);
+    let h = sim.handle();
+    let keeper = Rc::new(Keeper::default());
+    let cfg = RpcRdmaConfig::default();
+    let costs = linux_sdr_costs();
+    let bed = setup_serving(&h, cfg, StrategyKind::AllPhysical, costs, keeper.clone());
+    let (qc, qs) = connect(&bed.client_hca, &bed.server_hca);
+    bed.server.serve_connection(qs.clone());
+    let landing = bed.client_mem.alloc(cfg.recv_size());
+    let ss = &bed.server.stats;
+    let page: Vec<u8> = (0..4097u32).map(|i| (i % 251) as u8).collect();
+    let reply = sim.block_on({
+        let qc = qc.clone();
+        let wire = Payload::real(msgp_write_wire(1, &page[..4096]));
+        async move {
+            qc.post_recv(landing, 0, cfg.recv_size(), ib_verbs::WrId(0))
+                .unwrap();
+            qc.post_send(wire, ib_verbs::WrId(1), false).unwrap();
+            qc.recv_cq().next().await
+        }
+    });
+    assert!(reply.result.is_ok(), "{reply:?}");
+    assert_eq!((ss.ops.get(), ss.msgp_recvs.get()), (1, 1));
+    let kept = keeper.writes.borrow()[0].materialize();
+    assert_eq!(&kept[..], &page[..4096]);
+
+    let wire = Payload::real(msgp_write_wire(2, &page));
+    qc.post_send(wire, ib_verbs::WrId(2), false).unwrap();
+    sim.run();
+    assert_eq!(h.metrics().get("server.violations.bad_msgp"), Some(1));
+    assert_eq!(ss.violations.get(), 1);
+    assert_eq!(ss.credit_clamps.get(), 1);
+    assert_eq!((ss.ops.get(), ss.msgp_recvs.get()), (1, 1));
+    assert_eq!(keeper.writes.borrow().len(), 1);
+    assert!(!qs.is_error() && !qc.is_error());
 }
 
 #[test]
@@ -1827,7 +2165,9 @@ fn server_stage_spans_nest_in_pipeline_order_both_designs() {
 /// land + service + reply` instead of their sum — and what the service
 /// thread does with the bytes (the Cache strategy's bounce copy) still
 /// starts only once the thread has the call. A call with nothing to
-/// fetch takes the queue, the service and the reply's post.
+/// fetch takes the queue, the service and the reply's post. (The small
+/// WRITE is 8 KiB: a page or less rides the Send as `RDMA_MSGP`, with
+/// nothing to fetch.)
 #[test]
 fn write_fetch_overlaps_dispatch_and_lands_after_it() {
     let us = SimDuration::from_micros;
@@ -1844,7 +2184,7 @@ fn write_fetch_overlaps_dispatch_and_lands_after_it() {
         sim.block_on(async move {
             let small = Bytes::from_static(b"getattr!");
             client.call(3, small, BulkParams::default()).await.unwrap();
-            for len in [100_000, 4096] {
+            for len in [100_000, 8192] {
                 let write = BulkParams {
                     send: Some((user.clone(), 0, len)),
                     ..Default::default()
@@ -1871,7 +2211,7 @@ fn write_fetch_overlaps_dispatch_and_lands_after_it() {
         assert_eq!(took(&child(&dispatch, "pull_chunks")), us(0));
         assert_eq!(took(getattr).as_nanos(), 192_054, "{strategy:?}");
 
-        for (op, len) in [(large, 100_000u64), (small, 4096)] {
+        for (op, len) in [(large, 100_000u64), (small, 8192)] {
             let dispatch = child(op, "dispatch");
             let pull = child(&dispatch, "pull_chunks");
             assert_eq!(dispatch.start, op.start, "{strategy:?} {len}");
@@ -1888,10 +2228,10 @@ fn write_fetch_overlaps_dispatch_and_lands_after_it() {
             let tail = op.end.saturating_since(pull.end);
             assert_eq!(took(op), took(&pull) + tail, "{strategy:?} {len}");
             if strategy == StrategyKind::Cache {
-                // Landing is the bounce copy (0.9 ns/B). 4 KiB arrive
+                // Landing is the bounce copy (0.9 ns/B). 8 KiB arrive
                 // inside the queue wait, so the copy starts the moment
                 // dispatch ends; 100 000 bytes outlast the queue.
-                let copy = SimDuration::from_nanos(len * 9 / 10);
+                let copy = SimDuration::from_nanos((len * 9 + 5) / 10); // to the ns
                 let fetch = took(&pull) - copy;
                 assert_eq!(fetch > queue, len == 100_000, "{strategy:?} {len}");
                 assert_eq!(took(&pull), queue.max(fetch) + copy, "{strategy:?} {len}");

@@ -319,7 +319,7 @@ struct AttackerTask {
 impl AttackerTask {
     async fn run(&self, mut rng: SimRng) {
         let recv_bufs: Vec<Buffer> = (0..ATTACKER_RECVS)
-            .map(|_| self.mem.alloc(self.cfg.recv_size()))
+            .map(|_| self.mem.alloc_contiguous(self.cfg.recv_size()))
             .collect();
         let probe_buf = self.mem.alloc(8192);
         let mut qp = self.connect_qp(&recv_bufs);

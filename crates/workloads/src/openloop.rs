@@ -33,7 +33,7 @@ use onc_rpc::{RpcError, TransportError};
 use rpcrdma::{Design, RfpConfig, StrategyKind};
 
 use crate::profiles::Profile;
-use crate::scenario::{self, percentile_us, Capture, Completion, Run, Timeline};
+use crate::scenario::{self, fnv1a, percentile_us, Capture, Completion, Run, Timeline, FNV_BASIS};
 use crate::testbed::{build_rdma_custom, Backend, RdmaOpts, Testbed};
 
 /// How arrivals are generated.
@@ -241,6 +241,11 @@ const TIMELINE_GAUGES: [&str; 4] = ["in_flight", "queue_depth", "server_sheds", 
 pub struct OpenLoopResult {
     /// Arrivals generated (including ones shed client-side).
     pub offered: u64,
+    /// FNV-1a over the `(connection, tenant, op)` of every open-loop
+    /// arrival in the order offered, shed or fired: same-seed runs whose
+    /// waiting rooms let different arrivals through were still offered
+    /// the same ones, and print the same digest.
+    pub offered_digest: u64,
     /// Ops that completed successfully (any time before the cutoff).
     pub completed: u64,
     /// Successful completions inside the arrival window — the goodput
@@ -322,6 +327,7 @@ impl Zipf {
 
 /// The op an arrival performs.
 #[derive(Clone, Copy)]
+#[repr(u8)]
 enum Op {
     Getattr,
     Lookup,
@@ -362,10 +368,22 @@ struct Shared {
     samples: RefCell<Vec<(usize, Completion)>>,
     outstanding: Vec<Cell<u32>>,
     offered: Cell<u64>,
+    offered_digest: Cell<u64>,
     client_sheds: Cell<u64>,
     overload_failures: Cell<u64>,
     other_errors: Cell<u64>,
     stop: Cell<bool>,
+}
+
+impl Shared {
+    /// Count one open-loop arrival, before the waiting room decides
+    /// whether it is fired or shed.
+    fn offer(&self, conn: usize, tenant: u32, op: Op) {
+        self.offered.set(self.offered.get() + 1);
+        let h = fnv1a(self.offered_digest.get(), &(conn as u64).to_le_bytes());
+        let h = fnv1a(fnv1a(h, &tenant.to_le_bytes()), &[op as u8]);
+        self.offered_digest.set(h);
+    }
 }
 
 /// Per-connection slice of the metadata tree: the directory chain plus
@@ -498,14 +516,17 @@ impl OpCtx {
                         }
                     }
                 }
+                // Every arrival draws its op, shed or not: the stream of
+                // arrivals offered must not depend on who got through.
                 let (conn, tenant) = aim(&mut rng);
-                shared.offered.set(shared.offered.get() + 1);
+                let op = ctx.mix.draw(&mut rng);
+                shared.offer(conn, tenant, op);
                 if room > 0 && shared.outstanding[conn].get() >= room {
                     shared.client_sheds.set(shared.client_sheds.get() + 1);
                     continue;
                 }
                 shared.outstanding[conn].set(shared.outstanding[conn].get() + 1);
-                ctx.fire(conn, tenant, ctx.mix.draw(&mut rng));
+                ctx.fire(conn, tenant, op);
             }
             done.add_permits(1);
         });
@@ -643,6 +664,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
         samples: RefCell::new(Vec::new()),
         outstanding: (0..params.connections).map(|_| Cell::new(0)).collect(),
         offered: Cell::new(0),
+        offered_digest: Cell::new(FNV_BASIS),
         client_sheds: Cell::new(0),
         overload_failures: Cell::new(0),
         other_errors: Cell::new(0),
@@ -772,6 +794,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
 
     OpenLoopResult {
         offered: shared.offered.get(),
+        offered_digest: shared.offered_digest.get(),
         completed: samples.len() as u64,
         completed_in_window: in_window.len() as u64,
         client_sheds: shared.client_sheds.get(),

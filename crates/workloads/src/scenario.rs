@@ -86,7 +86,7 @@ impl<T> Run<T> {
     pub fn fingerprint(&self) -> u64 {
         let words = |h, ws: &[u64]| ws.iter().fold(h, |h, w| fnv1a(h, &w.to_le_bytes()));
         let text = |h, s: &str| fnv1a(fnv1a(h, s.as_bytes()), &[0xff]);
-        let spans = self.spans.iter().fold(0xcbf2_9ce4_8422_2325, |h, s| {
+        let spans = self.spans.iter().fold(FNV_BASIS, |h, s| {
             let h = text(text(h, s.component), s.name);
             let parent = s.parent.map_or(u64::MAX, |p| p);
             let proc_num = s.proc_num.map_or(u64::MAX, u64::from);
@@ -101,8 +101,11 @@ impl<T> Run<T> {
     }
 }
 
+/// The FNV-1a offset basis: the hash of nothing.
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// One FNV-1a step over `bytes`.
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     (bytes.iter()).fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x1_0000_01b3))
 }
 

@@ -277,7 +277,7 @@ fn fault_matrix() {
 /// server's idle clock for the ring runs behind the client's on three
 /// paths, written up in DESIGN.md §16.
 #[test]
-#[ignore = "known defect, 66 of 160 on seed 7 — see DESIGN.md §16"]
+#[ignore = "known defect, 68 of 160 on seed 7 — see DESIGN.md §16"]
 fn rfp_ttl_under_faults_never_refuses_an_honest_fetch() {
     let broken = broken_points(&STRATEGIES, &SHAPES, true);
     assert!(broken.is_empty(), "{} of 160: {broken:#?}", broken.len());

@@ -4,8 +4,8 @@
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, SimDuration, Simulation};
 use workloads::{
-    build_rdma, build_tcp, run_iozone, run_oltp, solaris_sdr, Backend, IoMode, IozoneParams,
-    OltpParams,
+    build_rdma, build_tcp, linux_sdr, run_iozone, run_oltp, run_openloop, solaris_sdr, Arrival,
+    Backend, Capture, IoMode, IozoneParams, OltpParams, OpMix, OpenLoopParams,
 };
 
 #[test]
@@ -261,5 +261,36 @@ fn batched_read_pipeline_same_seed_metrics_fingerprint() {
     assert!(
         get("hca.doorbells") < 2 * ops,
         "doorbell batching never amortized a ring"
+    );
+}
+
+/// The load an open-loop run is offered is the seed's, not the waiting
+/// room's: every arrival draws its op before the room decides whether to
+/// fire or shed it, so a same-seed pair that sheds differently is still
+/// offered the same `(connection, tenant, op)` sequence — a shed-on load
+/// curve row compares service, not two different streams.
+#[test]
+fn waiting_room_sheds_arrivals_without_changing_what_is_offered() {
+    let offered = |waiting_room| {
+        let params = OpenLoopParams {
+            connections: 2,
+            arrival: Arrival::Poisson { rate: 60_000.0 },
+            mix: OpMix::oltp(),
+            duration: SimDuration::from_millis(5),
+            waiting_room,
+            ..OpenLoopParams::default()
+        };
+        let run = run_openloop(11, &linux_sdr(), params, Capture::default());
+        (run.offered, run.offered_digest, run.client_sheds)
+    };
+    let (tight, roomy) = (offered(1), offered(64));
+    assert!(
+        tight.2 > roomy.2,
+        "room 1 shed no more than room 64: {tight:?} {roomy:?}"
+    );
+    assert_eq!(
+        (tight.0, tight.1),
+        (roomy.0, roomy.1),
+        "offered streams differ"
     );
 }

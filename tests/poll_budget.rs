@@ -1,8 +1,10 @@
 //! Poll and allocation budgets of the five rungs the benchmark's host
 //! ladder *times*, here *counted*: the executor alone, a raw send/recv
 //! ping-pong, a NULL call, a GETATTR and a cached 1 MiB READ — plus the
-//! one path none of them walks, a chunked 128 KiB WRITE (the server's
-//! two-lane dispatch ∥ fetch).
+//! two WRITE paths none of them walks, a chunked 128 KiB WRITE (the
+//! server's two-lane dispatch ∥ fetch) and a 4 KiB one that rides the
+//! Send as `RDMA_MSGP` (its heap bytes bounded too: the page must never
+//! be copied onto the heap).
 //!
 //! Both counts are deterministic — polls always, allocations once the
 //! beds are warm — so every budget is an equality: a change that adds a
@@ -29,6 +31,12 @@ struct PerThread;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    ALLOC_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -36,7 +44,7 @@ thread_local! {
 // thread-local without a destructor, so touching it never allocates.
 unsafe impl GlobalAlloc for PerThread {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -48,7 +56,7 @@ unsafe impl GlobalAlloc for PerThread {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,34 +65,40 @@ unsafe impl GlobalAlloc for PerThread {
 #[global_allocator]
 static GLOBAL: PerThread = PerThread;
 
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
+fn allocs() -> (u64, u64) {
+    (ALLOCS.with(Cell::get), ALLOC_BYTES.with(Cell::get))
 }
 
 /// Operations per measured window.
 const OPS: u64 = 64;
 
-/// Polls and allocations of `OPS` calls of `op`, after a warm-up: polls
-/// must repeat exactly over three windows; allocations are the least.
-async fn budget<F: Future<Output = ()>>(sim: &Sim, mut op: impl FnMut(u64) -> F) -> (u64, u64) {
+/// Polls, allocations and heap bytes of `OPS` calls of `op`, after a
+/// warm-up: polls must repeat exactly over three windows; allocations
+/// (and their bytes) are the window with the fewest.
+async fn budget<F: Future<Output = ()>>(
+    sim: &Sim,
+    mut op: impl FnMut(u64) -> F,
+) -> ((u64, u64), u64) {
     for i in 0..2 * OPS {
         op(i).await;
     }
     let polls_of = sim.metrics().counter("executor.polls");
     let mut windows = Vec::new();
     for w in 0..3 {
-        let (p0, a0) = (polls_of.get(), allocs());
+        let (p0, (a0, b0)) = (polls_of.get(), allocs());
         for i in 0..OPS {
             op(w * OPS + i).await;
         }
-        windows.push((polls_of.get() - p0, allocs() - a0));
+        let (a1, b1) = allocs();
+        windows.push((polls_of.get() - p0, a1 - a0, b1 - b0));
     }
     let polls = windows[0].0;
     assert!(
         windows.iter().all(|w| w.0 == polls),
         "polls per window differ: {windows:?}"
     );
-    (polls, windows.iter().map(|w| w.1).min().expect("three"))
+    let (_, allocs, bytes) = windows.iter().min_by_key(|w| w.1).expect("three");
+    ((polls, *allocs), *bytes)
 }
 
 /// (a) The executor alone: 1 000 tasks that each sleep, then yield,
@@ -104,15 +118,18 @@ fn executor_alone() -> (u64, u64) {
                 }
             });
         }
-        let (p0, a0) = (sim.polls(), allocs());
+        let (p0, (a0, _)) = (sim.polls(), allocs());
         sim.run();
-        counted = (sim.polls() - p0, allocs() - a0);
+        counted = (sim.polls() - p0, allocs().0 - a0);
     }
     counted
 }
 
-/// (b)–(d) on the `meta_mix` bed: Linux SDR, all-physical.
-fn small_ops() -> [(u64, u64); 3] {
+/// (b)–(d) and (g) on the `meta_mix` bed: Linux SDR, all-physical.
+/// (g), a 4 KiB FILE_SYNC WRITE, rides the Send as `RDMA_MSGP`: the
+/// caller's page is gathered behind the inline bytes, never flattened
+/// into them. Also returns the heap bytes an op of (d) and of (g) take.
+fn small_ops() -> ([(u64, u64); 4], (u64, u64)) {
     let mut sim = Simulation::new(2);
     let h = sim.handle();
     sim.block_on(async move {
@@ -148,7 +165,7 @@ fn small_ops() -> [(u64, u64); 3] {
         });
         yield_now().await;
         let (qa, ra) = (&qa, &ra);
-        let send_recv = budget(&h, |i| async move {
+        let (send_recv, _) = budget(&h, |i| async move {
             qa.post_recv(ra.clone(), 0, 64, WrId(i)).expect("recv");
             qa.post_send(Payload::synthetic(2, 64), WrId(i), false)
                 .expect("send");
@@ -156,12 +173,22 @@ fn small_ops() -> [(u64, u64); 3] {
         })
         .await;
 
-        let null = budget(&h, |_| async move { nfs.null().await.expect("null") }).await;
-        let getattr = budget(&h, |_| async move {
+        let (null, _) = budget(&h, |_| async move { nfs.null().await.expect("null") }).await;
+        let (getattr, getattr_bytes) = budget(&h, |_| async move {
             nfs.getattr(fh).await.expect("getattr");
         })
         .await;
-        [send_recv, null, getattr]
+
+        let page = client.mem.alloc(4096);
+        page.write(0, Payload::synthetic(5, 4096));
+        let page = &page;
+        let (write, bytes) = budget(&h, |_| async move {
+            let n = nfs.write(fh, 0, page, 0, 4096, true);
+            assert_eq!(n.await.expect("write"), 4096);
+        })
+        .await;
+        let per_op = (getattr_bytes / OPS, bytes / OPS);
+        ([send_recv, null, getattr, write], per_op)
     })
 }
 
@@ -195,7 +222,7 @@ fn cached_read() -> (u64, u64) {
         }
         nfs.commit(fh).await.expect("commit");
         let buf = &buf;
-        budget(&h, |i| async move {
+        let (counted, _) = budget(&h, |i| async move {
             let off = (i % RECORDS) * RECORD;
             let (data, _eof) = nfs
                 .read(fh, off, RECORD as u32, Some((buf, 0)))
@@ -203,7 +230,8 @@ fn cached_read() -> (u64, u64) {
                 .expect("read");
             assert_eq!(data.len(), RECORD);
         })
-        .await
+        .await;
+        counted
     })
 }
 
@@ -232,12 +260,13 @@ fn chunked_write() -> (u64, u64) {
         let buf = client.mem.alloc(RECORD);
         buf.write(0, Payload::synthetic(4, RECORD));
         let buf = &buf;
-        budget(&h, |i| async move {
+        let (counted, _) = budget(&h, |i| async move {
             let off = (i % RECORDS) * RECORD;
             let n = nfs.write(fh, off, buf, 0, RECORD as u32, false);
             assert_eq!(n.await.expect("write"), RECORD as u32);
         })
-        .await
+        .await;
+        counted
     })
 }
 
@@ -245,7 +274,7 @@ fn chunked_write() -> (u64, u64) {
 /// per-thread counter's story simple.
 #[test]
 fn polls_and_allocations_per_rung_are_pinned() {
-    let [send_recv, null, getattr] = small_ops();
+    let ([send_recv, null, getattr, page_write], (getattr_bytes, page_bytes)) = small_ops();
     let got = [
         (
             "executor: 1000 tasks x 20 x (sleep + yield)",
@@ -262,6 +291,10 @@ fn polls_and_allocations_per_rung_are_pinned() {
             "128 KiB chunked WRITE x 64 (solaris_sdr, cache)",
             chunked_write(),
         ),
+        (
+            "4 KiB FILE_SYNC MSGP WRITE x 64 (linux_sdr, all-physical)",
+            page_write,
+        ),
     ];
     // (polls, heap allocations). DESIGN.md §3 carries the same table.
     let want = [
@@ -275,9 +308,20 @@ fn polls_and_allocations_per_rung_are_pinned() {
         // caller 1 poll (69 then; 73 with a doorbell per Write)
         (4_544, 4_730),
         (2_176, 1_671), // 34 polls a WRITE (39 with its reply Send signaled)
+        // 19 polls a WRITE, a GETATTR's: nothing to pin, nothing to
+        // fetch. 8 allocations more, none of them the page.
+        (1_216, 1_094),
     ];
     for ((rung, got), want) in got.iter().zip(want) {
         println!("{rung}: {got:?}");
         assert_eq!(*got, want, "{rung}: (polls, allocations) moved");
     }
+    // A page of data copied onto the heap anywhere on the MSGP path (the
+    // Send flattened, the data staged into the wire bytes) is a page more
+    // than a GETATTR takes.
+    println!("heap bytes an op: GETATTR {getattr_bytes}, 4 KiB MSGP WRITE {page_bytes}");
+    assert!(
+        page_bytes < getattr_bytes + 4096 / 2,
+        "a 4 KiB MSGP WRITE took {page_bytes} heap bytes an op, a GETATTR {getattr_bytes}"
+    );
 }
