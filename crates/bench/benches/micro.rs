@@ -9,7 +9,7 @@ use std::hint::black_box;
 use ib_verbs::Rkey;
 use rpcrdma::{Design, MsgType, RdmaHeader, ReadChunk, Segment, StrategyKind};
 use sim_core::{yield_now, ExtentMap, Payload, SimDuration, Simulation};
-use workloads::{build_rdma, solaris_sdr, Backend};
+use workloads::{solaris_sdr, Bed};
 use xdr::XdrCodec;
 
 fn bench_header_codec(c: &mut Criterion) {
@@ -165,7 +165,7 @@ fn bench_end_to_end(c: &mut Criterion) {
                 let h = sim.handle();
                 let profile = solaris_sdr();
                 sim.block_on(async move {
-                    let bed = build_rdma(&h, &profile, Design::ReadWrite, s, Backend::Tmpfs, 1);
+                    let bed = Bed::new(&profile, Design::ReadWrite, s).build(&h).await;
                     let root = bed.server.root_handle();
                     let f = bed.clients[0].nfs.create(root, "bench").await.unwrap();
                     bed.fs

@@ -19,14 +19,13 @@ use bench::{
 };
 use nfs::proto::readdir_reply_max;
 use nfs::NFS_DTSIZE;
-use rpcrdma::{Design, RfpConfig, RpcRdmaConfig, StrategyKind};
+use rpcrdma::{Design, RfpConfig, StrategyKind};
 use sim_core::sweep::parallel_sweep;
 use sim_core::SimDuration;
 use workloads::scenario::{self, Capture};
 use workloads::{
-    build_rdma, linux_sdr, mb, pct, run_openloop, solaris_sdr, Arrival, Backend, IoMode,
-    IozoneParams, IozoneResult, OpMix, OpenLoopParams, OpenLoopResult, Profile, RdmaOpts, Run,
-    Table,
+    linux_sdr, mb, pct, run_openloop, solaris_sdr, Arrival, Bed, IoMode, IozoneParams,
+    IozoneResult, OpMix, OpenLoopParams, OpenLoopResult, Profile, Run, Table,
 };
 
 const SEED: u64 = 0xAB1A;
@@ -42,9 +41,7 @@ fn iozone(
     record: u64,
 ) -> IozoneResult {
     let point = IozonePoint {
-        profile,
-        design,
-        strategy,
+        bed: Bed::new(&profile, design, strategy),
         mode,
         record,
     };
@@ -135,14 +132,8 @@ fn inline_point(inline: u64, rounds: u32) -> InlineOutcome {
     let mut p = solaris_sdr();
     p.rpc.inline_threshold = inline;
     let run = scenario::run(0x1712, Capture::default(), |h| async move {
-        let bed = build_rdma(
-            &h,
-            &p,
-            Design::ReadWrite,
-            StrategyKind::Dynamic,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&p, Design::ReadWrite, StrategyKind::Dynamic);
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         let c = &bed.clients[0];
         let dir = c.nfs.mkdir(root, "crowd").await.unwrap();
@@ -282,12 +273,7 @@ fn msgp_write(record: u64, inline_threshold: u64) -> (IozoneResult, ServerCounts
     // binding constraint, which is what MSGP removes.
     let mut p = linux_sdr();
     p.rpc.inline_threshold = inline_threshold;
-    let opts = RdmaOpts {
-        cfg: p.rpc,
-        client_strategy: StrategyKind::Dynamic,
-        server_strategy: StrategyKind::Dynamic,
-        server_hca: None,
-    };
+    let bed = Bed::new(&p, Design::ReadWrite, StrategyKind::Dynamic);
     let params = IozoneParams {
         threads_per_client: 8,
         file_size: 32 << 20,
@@ -295,7 +281,7 @@ fn msgp_write(record: u64, inline_threshold: u64) -> (IozoneResult, ServerCounts
         mode: IoMode::Write,
         ..Default::default()
     };
-    iozone_on(SEED, p, opts, params)
+    iozone_on(SEED, bed, params)
 }
 
 fn msgp_small_write_fast_path() {
@@ -396,7 +382,8 @@ impl BatchPoint {
 /// interrupt rates (over every op it served: the READ pass plus one
 /// CREATE per thread).
 fn batching_point(p: BatchPoint) -> (IozoneResult, ServerCounts) {
-    let profile = if p.linux { linux_sdr() } else { solaris_sdr() };
+    let mut profile = if p.linux { linux_sdr() } else { solaris_sdr() };
+    profile.rpc.server_doorbell_batch = p.depth;
     let mut server_hca = profile.hca;
     if p.depth > 1 {
         // Interrupt moderation scales with the doorbell batch: the
@@ -404,14 +391,10 @@ fn batching_point(p: BatchPoint) -> (IozoneResult, ServerCounts) {
         server_hca.cq_coalesce_count = p.depth;
         server_hca.cq_coalesce_delay = SimDuration::from_micros(64);
     }
-    let opts = RdmaOpts {
-        cfg: RpcRdmaConfig {
-            server_doorbell_batch: p.depth,
-            ..profile.rpc.with_design(Design::ReadWrite)
-        },
+    let bed = Bed {
         client_strategy: p.client_strategy,
-        server_strategy: p.server_strategy,
         server_hca: Some(server_hca),
+        ..Bed::new(&profile, Design::ReadWrite, p.server_strategy)
     };
     let params = IozoneParams {
         threads_per_client: p.threads,
@@ -420,7 +403,7 @@ fn batching_point(p: BatchPoint) -> (IozoneResult, ServerCounts) {
         mode: IoMode::Read,
         ..Default::default()
     };
-    iozone_on(SEED, profile, opts, params)
+    iozone_on(SEED, bed, params)
 }
 
 /// Fast subset of the batching sweep for `check.sh`: one baseline and
@@ -568,12 +551,9 @@ struct WritePoint {
 /// Bandwidth, and the server's data-movement and UNSTABLE/COMMIT
 /// accounting after the run.
 fn write_point(p: WritePoint) -> (IozoneResult, ServerCounts) {
-    let profile = solaris_sdr();
-    let opts = RdmaOpts {
-        cfg: profile.rpc.with_design(Design::ReadWrite),
+    let bed = Bed {
         client_strategy: StrategyKind::Dynamic,
-        server_strategy: p.server_strategy,
-        server_hca: None,
+        ..Bed::new(&solaris_sdr(), Design::ReadWrite, p.server_strategy)
     };
     let params = IozoneParams {
         threads_per_client: p.threads,
@@ -582,7 +562,7 @@ fn write_point(p: WritePoint) -> (IozoneResult, ServerCounts) {
         mode: IoMode::Write,
         commit_on_close: p.commit_on_close,
     };
-    iozone_on(SEED, profile, opts, params)
+    iozone_on(SEED, bed, params)
 }
 
 /// Decimal megabytes, as the tables print byte counters.
@@ -738,26 +718,22 @@ fn rfp_point(
 ) -> Run<OpenLoopResult> {
     let mut profile = linux_sdr();
     profile.hca.read_turnaround = SimDuration::from_micros(2);
-    run_openloop(
-        SEED,
-        &profile,
-        OpenLoopParams {
-            design: Design::ReadWrite,
-            strategy: StrategyKind::AllPhysical,
-            connections,
-            arrival: Arrival::ClosedLoop { workers },
-            mix,
-            duration: SimDuration::from_millis(duration_ms),
-            grace: SimDuration::from_millis(5),
-            qos: false,
-            waiting_room: 0,
-            rfp: rfp.then_some(RfpConfig {
-                poll_initial: SimDuration::from_micros(2),
-            }),
-            ..OpenLoopParams::default()
-        },
-        Capture::default(),
-    )
+    profile.rpc.rfp = rfp.then_some(RfpConfig {
+        poll_initial: SimDuration::from_micros(2),
+    });
+    let bed = Bed {
+        clients: connections,
+        ..Bed::new(&profile, Design::ReadWrite, StrategyKind::AllPhysical)
+    };
+    let params = OpenLoopParams {
+        arrival: Arrival::ClosedLoop { workers },
+        mix,
+        duration: SimDuration::from_millis(duration_ms),
+        grace: SimDuration::from_millis(5),
+        waiting_room: 0,
+        ..OpenLoopParams::default()
+    };
+    run_openloop(SEED, &bed, params, Capture::default())
 }
 
 /// Derived per-op rates for one RFP ablation point. Server counters

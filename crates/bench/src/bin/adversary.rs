@@ -17,24 +17,29 @@
 //! between the server's counters and the TPT ledger.
 
 use bench::Gate;
-use rpcrdma::{Design, StrategyKind};
-use workloads::{linux_sdr, run_adversary, AdversaryParams, AdversaryResult, Capture, Run, Table};
+use rpcrdma::{Design, RfpConfig, StrategyKind};
+use sim_core::SimDuration;
+use workloads::{
+    linux_sdr, run_adversary, AdversaryParams, AdversaryResult, Bed, Capture, Run, Table,
+};
 
 const SEED: u64 = 0xAD5A11;
 
-/// The harness's default contest: 2 honest clients writing 24 records
-/// each against 2 attackers cycling the catalog 6 times.
-fn params(design: Design, strategy: StrategyKind) -> AdversaryParams {
-    AdversaryParams {
-        design,
-        strategy,
-        ..AdversaryParams::default()
+/// The contest's bed: 2 honest clients against a server whose exposure
+/// TTL is 200 us, with or without the RFP reply-slot fast path.
+fn bed(design: Design, strategy: StrategyKind, rfp: bool) -> Bed {
+    let mut profile = linux_sdr();
+    profile.rpc.exposure_ttl = SimDuration::from_micros(200);
+    profile.rpc.rfp = rfp.then(RfpConfig::default);
+    Bed {
+        clients: 2,
+        ..Bed::new(&profile, design, strategy)
     }
 }
 
 /// One point: the attacker-free baseline and the attacked run.
-fn pair(p: AdversaryParams) -> (Run<AdversaryResult>, Run<AdversaryResult>) {
-    let run = |p| run_adversary(SEED, &linux_sdr(), p, Capture::default());
+fn pair(bed: &Bed, p: AdversaryParams) -> (Run<AdversaryResult>, Run<AdversaryResult>) {
+    let run = |p| run_adversary(SEED, bed, p, Capture::default());
     (run(AdversaryParams { attackers: 0, ..p }), run(p))
 }
 
@@ -87,13 +92,13 @@ fn check<'a>(
 }
 
 fn smoke() {
-    let quick = |design| AdversaryParams {
+    let quick = AdversaryParams {
         records_per_client: 16,
         attack_rounds: 4,
-        ..params(design, StrategyKind::Dynamic)
+        ..AdversaryParams::default()
     };
     for design in [Design::ReadWrite, Design::ReadRead] {
-        let (base, atk) = pair(quick(design));
+        let (base, atk) = pair(&bed(design, StrategyKind::Dynamic, false), quick);
         let revoked = atk.metric("server.exposures.revoked");
         check(&format!("{design:?}"), false, &base, &atk)
             .require(design != Design::ReadRead || revoked != 0, || {
@@ -119,10 +124,7 @@ fn smoke() {
     // have revoked the ring (every probe NAKs, none lands), and the
     // same hygiene invariants hold with the fast path on.
     for design in [Design::ReadWrite, Design::ReadRead] {
-        let (base, atk) = pair(AdversaryParams {
-            rfp: true,
-            ..quick(design)
-        });
+        let (base, atk) = pair(&bed(design, StrategyKind::Dynamic, true), quick);
         check(&format!("{design:?}"), true, &base, &atk);
         println!(
             "adversary smoke {design:?}+rfp: ok (goodput {:.0}%, {} ring probes refused, 0 landed)",
@@ -175,9 +177,7 @@ fn main() {
     }
     let mut runs = Vec::new();
     for (design, strategy, rfp) in points {
-        let mut p = params(design, strategy);
-        p.rfp = rfp;
-        let (base, atk) = pair(p);
+        let (base, atk) = pair(&bed(design, strategy, rfp), AdversaryParams::default());
         t.row(&[
             format!("{design:?}"),
             format!("{strategy:?}{}", if rfp { "+RFP" } else { "" }),

@@ -12,43 +12,55 @@
 //! flight records.
 
 use bench::{same_seed, write_result, BenchJson, Gate};
-use rpcrdma::Design;
+use rpcrdma::{Design, StrategyKind};
 use sim_core::SimDuration;
 use workloads::{
-    linux_sdr, run_chaos, run_failover, Backend, Capture, ChaosParams, ChaosResult, FailoverParams,
-    FailoverResult, Run, Table,
+    failover_bed, linux_sdr, run_chaos, run_failover, Backend, Bed, Capture, ChaosParams,
+    ChaosResult, ClusterConfig, FailoverParams, FailoverResult, Run, Table,
 };
 
-/// The harness's default workload (3 clients, 16 x 1 KiB records each,
-/// 5 us of delivery jitter) at one drop rate.
-fn params(design: Design, drop: f64, qp_errors: u32) -> ChaosParams {
-    ChaosParams {
-        design,
+/// One chaos point: the bed and its workload.
+type Point = (Bed, ChaosParams);
+
+/// The harness's default point (3 clients on a tmpfs server, 16 x 1 KiB
+/// records each, 5 us of delivery jitter) at one drop rate.
+fn point(design: Design, drop: f64, qp_errors: u32) -> Point {
+    let bed = Bed {
+        clients: 3,
+        ..Bed::new(&linux_sdr(), design, StrategyKind::Cache)
+    };
+    let params = ChaosParams {
         drop_probability: drop,
         qp_errors,
         ..ChaosParams::default()
-    }
+    };
+    (bed, params)
 }
 
 /// A crash-matrix point: fabric faults stay on, and on top the server's
 /// storage power-fails mid-run (WAL replay + verifier bump + re-drive).
-fn crash_params(design: Design, drop: f64, crash_us: u64) -> ChaosParams {
-    ChaosParams {
-        records_per_client: 48,
+fn crash_point(design: Design, drop: f64, crash_us: u64) -> Point {
+    let (bed, params) = point(design, drop, 0);
+    let bed = Bed {
         backend: Backend::WalRaid { ram_bytes: 1 << 30 },
+        ..bed
+    };
+    let params = ChaosParams {
+        records_per_client: 48,
         server_crash_at: Some(SimDuration::from_micros(crash_us)),
-        ..params(design, drop, 0)
-    }
+        ..params
+    };
+    (bed, params)
 }
 
-fn chaos(p: ChaosParams) -> Run<ChaosResult> {
-    run_chaos(0xC0FFEE, &linux_sdr(), p, Capture::SPANS)
+fn chaos((bed, params): &Point) -> Run<ChaosResult> {
+    run_chaos(0xC0FFEE, bed, *params, Capture::SPANS)
 }
 
 /// Zero corruption, and every record applied at least once — exactly
 /// once unless a power-fail made the clients re-drive some.
-fn check(tag: &str, p: &ChaosParams, r: &Run<ChaosResult>) {
-    let expected = p.clients as u64 * p.records_per_client;
+fn check(tag: &str, (bed, p): &Point, r: &Run<ChaosResult>) {
+    let expected = bed.clients as u64 * p.records_per_client;
     let applied = match p.server_crash_at {
         Some(_) => r.fs_writes >= expected,
         None => r.fs_writes == expected,
@@ -65,15 +77,15 @@ fn check(tag: &str, p: &ChaosParams, r: &Run<ChaosResult>) {
 
 fn smoke() {
     for design in [Design::ReadWrite, Design::ReadRead] {
-        let p = params(design, 0.01, 1);
-        let a = chaos(p);
+        let p = point(design, 0.01, 1);
+        let a = chaos(&p);
         let tag = format!("{design:?}");
         check(&tag, &p, &a);
         let reconnects = a.metric("client.reconnects");
         Gate::new(&*tag, &a.flight).require(reconnects > 0, || {
             "forced QP error was not recovered".into()
         });
-        same_seed(&tag, &a, &chaos(p));
+        same_seed(&tag, &a, &chaos(&p));
         println!(
             "chaos smoke {design:?}: ok ({} drops, {} rpc retransmits, {} drc replays, {} reconnects, trace {:#018x})",
             a.metric("fabric.*.dropped"),
@@ -87,8 +99,8 @@ fn smoke() {
     // under 1% drop. Clients must observe the verifier change at
     // COMMIT, re-drive, and read back with zero corruption — twice,
     // with identical traces.
-    let p = crash_params(Design::ReadWrite, 0.01, 400);
-    let a = chaos(p);
+    let p = crash_point(Design::ReadWrite, 0.01, 400);
+    let a = chaos(&p);
     check("crash", &p, &a);
     Gate::new("crash", &a.flight)
         .require(a.verf_mismatches != 0 && a.redriven_writes != 0, || {
@@ -100,7 +112,7 @@ fn smoke() {
         .require(a.wal_committed_records != 0, || {
             "final COMMIT landed no WAL commit marker".into()
         });
-    same_seed("crash", &a, &chaos(p));
+    same_seed("crash", &a, &chaos(&p));
     println!(
         "chaos smoke crash: ok ({} re-driven, {} mismatches, {} WAL-committed, trace {:#018x})",
         a.redriven_writes,
@@ -131,7 +143,8 @@ const KILL_FLUSH_MARKER_US: u64 = 1860;
 const STALL_BOUND_US: u64 = 300_000;
 
 fn failover(seed: u64, p: FailoverParams) -> Run<FailoverResult> {
-    run_failover(seed, &linux_sdr(), p, Capture::SPANS)
+    let bed = failover_bed(&linux_sdr(), ClusterConfig::default());
+    run_failover(seed, &bed, p, Capture::SPANS)
 }
 
 fn kill_at(us: u64) -> FailoverParams {
@@ -189,9 +202,17 @@ fn failover_overhead(t: &mut Table) -> (f64, f64) {
     failover_gate("steady", &on, false).require(shipping, || {
         "replication idle or backup lagging in steady state".into()
     });
-    let mut p = FailoverParams::default();
-    p.cluster.replicate = false;
-    let off = failover(FAILOVER_SEED, p);
+    let cluster = ClusterConfig {
+        replicate: false,
+        ..ClusterConfig::default()
+    };
+    let bed = failover_bed(&linux_sdr(), cluster);
+    let off = run_failover(
+        FAILOVER_SEED,
+        &bed,
+        FailoverParams::default(),
+        Capture::SPANS,
+    );
     failover_gate("repl-off", &off, false);
     failover_row(t, "steady (repl on)", None, &on);
     failover_row(t, "ablation (repl off)", None, &off);
@@ -471,8 +492,8 @@ fn main() {
     );
     for design in [Design::ReadWrite, Design::ReadRead] {
         for drop in drops {
-            let p = params(design, drop, 1);
-            let r = chaos(p);
+            let p = point(design, drop, 1);
+            let r = chaos(&p);
             check(&format!("{design:?}@{drop}"), &p, &r);
             t.row(&[
                 format!("{design:?}"),
@@ -513,8 +534,8 @@ fn main() {
     );
     for design in [Design::ReadWrite, Design::ReadRead] {
         for (drop, crash_us) in [(0.0, 100u64), (0.0, 400), (0.01, 400), (0.01, 800)] {
-            let p = crash_params(design, drop, crash_us);
-            let r = chaos(p);
+            let p = crash_point(design, drop, crash_us);
+            let r = chaos(&p);
             check(&format!("crash {design:?}@{drop}/{crash_us}us"), &p, &r);
             ct.row(&[
                 format!("{design:?}"),

@@ -7,8 +7,10 @@
 //! an identical (wire-saturated) result. Noted in EXPERIMENTS.md.
 
 use bench::axis_table;
+use net_stack::TcpConfig;
 use workloads::{
-    linux_ddr_raid, mb, pct, run_multiclient, McTransport, MultiClientParams, MultiClientResult,
+    linux_ddr_raid, mb, pct, raid_bed, run_multiclient, MultiClientParams, MultiClientResult,
+    Topology,
 };
 
 fn main() {
@@ -33,20 +35,12 @@ fn main() {
              saturates ~360 MB/s.",
         ),
     ] {
-        let run = |transport, clients| {
-            let file_size = if transport == McTransport::GigE {
-                gige_file
-            } else {
-                full_file
-            };
+        let run = |(topology, file_size), clients| {
             let params = MultiClientParams {
-                transport,
-                clients,
-                server_ram: ram,
                 file_size,
                 record: 1 << 20,
             };
-            run_multiclient(0xCAFE, &profile, params)
+            run_multiclient(0xCAFE, &raid_bed(&profile, topology, clients, ram), params)
         };
         let read_mb: fn(&MultiClientResult) -> String = |r| mb(r.read_bandwidth_mb);
         let title = format!(
@@ -56,7 +50,11 @@ fn main() {
         axis_table(
             (name, &title),
             ("clients", &[1usize, 2, 3, 4, 5, 6, 7, 8]),
-            &[McTransport::Rdma, McTransport::IpoIb, McTransport::GigE],
+            &[
+                (Topology::Rdma, full_file),
+                (Topology::Tcp(TcpConfig::ipoib()), full_file),
+                (Topology::Tcp(TcpConfig::gige()), gige_file),
+            ],
             run,
             &[
                 ("RDMA MB/s", 0, read_mb),

@@ -12,12 +12,12 @@ use nfs::proto::NfsProc;
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{aggregate_phases, chrome_trace_json, validate_json, SpanRecord};
 use workloads::scenario::{self, Capture};
-use workloads::{build_rdma, run_iozone, solaris_sdr, Backend, IoMode, IozoneParams, Table};
+use workloads::{run_iozone, solaris_sdr, Bed, IoMode, IozoneParams, Table};
 
 /// Run one short traced pass and return its spans.
 fn traced_pass(design: Design, strategy: StrategyKind, mode: IoMode) -> Vec<SpanRecord> {
     let run = scenario::run(0xF00D, Capture::SPANS, |sim| async move {
-        let bed = build_rdma(&sim, &solaris_sdr(), design, strategy, Backend::Tmpfs, 1);
+        let bed = Bed::new(&solaris_sdr(), design, strategy).build(&sim).await;
         let params = IozoneParams {
             threads_per_client: 2,
             file_size: 8 * 128 * 1024,
@@ -106,9 +106,7 @@ fn main() {
         return;
     }
     let point = |design, record| IozonePoint {
-        profile: solaris_sdr(),
-        design,
-        strategy: StrategyKind::Dynamic,
+        bed: Bed::new(&solaris_sdr(), design, StrategyKind::Dynamic),
         mode: IoMode::Read,
         record,
     };

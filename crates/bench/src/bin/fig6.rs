@@ -3,13 +3,11 @@
 
 use bench::{bandwidth, client_cpu, threads_table, IozonePoint};
 use rpcrdma::{Design, StrategyKind};
-use workloads::{solaris_sdr, IoMode};
+use workloads::{solaris_sdr, Bed, IoMode};
 
 fn main() {
     let point = |design, mode, record| IozonePoint {
-        profile: solaris_sdr(),
-        design,
-        strategy: StrategyKind::Dynamic,
+        bed: Bed::new(&solaris_sdr(), design, StrategyKind::Dynamic),
         mode,
         record,
     };

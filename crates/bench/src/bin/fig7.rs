@@ -4,7 +4,7 @@
 
 use bench::{bandwidth, client_cpu, threads_table, IozonePoint};
 use rpcrdma::{Design, StrategyKind};
-use workloads::{solaris_sdr, IoMode};
+use workloads::{solaris_sdr, Bed, IoMode};
 
 fn main() {
     for (mode, name, which, paper) in [
@@ -27,9 +27,7 @@ fn main() {
             StrategyKind::Cache,
         ];
         let points = strategies.map(|strategy| IozonePoint {
-            profile: solaris_sdr(),
-            design: Design::ReadWrite,
-            strategy,
+            bed: Bed::new(&solaris_sdr(), Design::ReadWrite, strategy),
             mode,
             record: 128 << 10,
         });

@@ -6,20 +6,13 @@ use bench::axis_table;
 use rpcrdma::{Design, StrategyKind};
 use sim_core::SimDuration;
 use workloads::scenario::{self, Capture};
-use workloads::{build_rdma, run_oltp, solaris_sdr, Backend, OltpParams, OltpResult};
+use workloads::{run_oltp, solaris_sdr, Bed, OltpParams, OltpResult};
 
 fn main() {
     let run = |strategy, readers| {
         let run = scenario::run(0xB0B, Capture::default(), |sim| async move {
-            let profile = solaris_sdr();
-            let bed = build_rdma(
-                &sim,
-                &profile,
-                Design::ReadWrite,
-                strategy,
-                Backend::Tmpfs,
-                1,
-            );
+            let bed = Bed::new(&solaris_sdr(), Design::ReadWrite, strategy);
+            let bed = bed.build(&sim).await;
             let params = OltpParams {
                 readers,
                 writers: 10,

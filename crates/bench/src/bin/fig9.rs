@@ -3,7 +3,7 @@
 
 use bench::{bandwidth, client_cpu, threads_table, IozonePoint};
 use rpcrdma::{Design, StrategyKind};
-use workloads::{linux_sdr, IoMode};
+use workloads::{linux_sdr, Bed, IoMode};
 
 fn main() {
     for (mode, name, which, paper) in [
@@ -28,9 +28,7 @@ fn main() {
             StrategyKind::AllPhysical,
         ];
         let points = strategies.map(|strategy| IozonePoint {
-            profile: linux_sdr(),
-            design: Design::ReadWrite,
-            strategy,
+            bed: Bed::new(&linux_sdr(), Design::ReadWrite, strategy),
             mode,
             record: 128 << 10,
         });

@@ -20,9 +20,10 @@
 //! `results/` for postmortem.
 
 use bench::{same_seed, write_result, BenchJson, Gate};
+use rpcrdma::{Design, StrategyKind};
 use sim_core::sweep::parallel_sweep;
 use workloads::{
-    linux_sdr, run_openloop, Arrival, Capture, OpenLoopParams, OpenLoopResult, Run, Table,
+    linux_sdr, run_openloop, Arrival, Bed, Capture, OpenLoopParams, OpenLoopResult, Run, Table,
 };
 
 const SEED: u64 = 0x10AD;
@@ -40,8 +41,8 @@ const COLLAPSE_FACTOR: u64 = 3;
 /// Honest p99 inflation allowed when the hog arrives, percent.
 const FAIRNESS_INFLATION_PCT: f64 = 20.0;
 
-/// The harness's default population (2000 Zipf-0.9 tenants on 4
-/// connections, the OLTP mix) over one arrival window.
+/// The harness's default population (2000 Zipf-0.9 tenants, the OLTP
+/// mix) over one arrival window.
 fn base_params(duration_ms: u64) -> OpenLoopParams {
     OpenLoopParams {
         duration: sim_core::SimDuration::from_millis(duration_ms),
@@ -50,8 +51,16 @@ fn base_params(duration_ms: u64) -> OpenLoopParams {
     }
 }
 
-fn openloop(p: OpenLoopParams) -> Run<OpenLoopResult> {
-    run_openloop(SEED, &linux_sdr(), p, Capture::default())
+/// One run on 4 connections to an all-physical Read-Write server, its
+/// overload control (QoS) on or off.
+fn openloop(qos: bool, p: OpenLoopParams) -> Run<OpenLoopResult> {
+    let mut profile = linux_sdr();
+    profile.rpc.qos_enabled = qos;
+    let bed = Bed {
+        clients: 4,
+        ..Bed::new(&profile, Design::ReadWrite, StrategyKind::AllPhysical)
+    };
+    run_openloop(SEED, &bed, p, Capture::default())
 }
 
 /// One gate on run `r`: a failure dumps its flight ring to
@@ -91,12 +100,14 @@ fn main() {
 
     // --- Capacity probe: closed loop, overload control off. ----------
     println!("loadcurve: probing capacity (closed loop)...");
-    let cap_r = openloop(OpenLoopParams {
-        arrival: Arrival::ClosedLoop { workers: 8 },
-        qos: false,
-        waiting_room: 0,
-        ..base_params(duration_ms)
-    });
+    let cap_r = openloop(
+        false,
+        OpenLoopParams {
+            arrival: Arrival::ClosedLoop { workers: 8 },
+            waiting_room: 0,
+            ..base_params(duration_ms)
+        },
+    );
     let capacity = cap_r.goodput_ops;
     println!(
         "  capacity ~{capacity:.0} ops/s (p99 {} us, {} ops)",
@@ -118,12 +129,13 @@ fn main() {
         arrival: Arrival::Poisson {
             rate: capacity * frac,
         },
-        qos,
         waiting_room: if qos { 64 } else { 0 },
         timeline: true,
         ..base_params(duration_ms)
     };
-    let results = parallel_sweep(points.clone(), |(frac, qos)| openloop(point(frac, qos)));
+    let results = parallel_sweep(points.clone(), |(frac, qos)| {
+        openloop(qos, point(frac, qos))
+    });
 
     let mut t = Table::new(
         "Open-loop load sweep (Poisson arrivals, 2000 Zipf tenants on 4 connections)",
@@ -211,7 +223,6 @@ fn main() {
         arrival: Arrival::Poisson {
             rate: capacity * 0.5,
         },
-        qos: true,
         waiting_room: 64,
         timeline: true,
         // Reserve connection 0 for the hog in both runs so the honest
@@ -223,14 +234,20 @@ fn main() {
         honest_weight: 4,
         ..base_params(duration_ms)
     };
-    let baseline = openloop(OpenLoopParams {
-        hog_rate: 1e-9, // reserve conn 0, effectively no arrivals
-        ..fair_base
-    });
-    let hogged = openloop(OpenLoopParams {
-        hog_rate: capacity * 1.5,
-        ..fair_base
-    });
+    let baseline = openloop(
+        true,
+        OpenLoopParams {
+            hog_rate: 1e-9, // reserve conn 0, effectively no arrivals
+            ..fair_base
+        },
+    );
+    let hogged = openloop(
+        true,
+        OpenLoopParams {
+            hog_rate: capacity * 1.5,
+            ..fair_base
+        },
+    );
     let mut ft = Table::new(
         "Fairness under a hog (QoS on, honest load 0.5x capacity)",
         &[
@@ -279,7 +296,7 @@ fn main() {
     );
 
     // --- Determinism: the 2x shedding-on point, same seed, again. ----
-    same_seed("loadcurve", on_2x, &openloop(point(2.0, true)));
+    same_seed("loadcurve", on_2x, &openloop(true, point(2.0, true)));
 
     // --- Artifact. ----------------------------------------------------
     // Arrivals offered per second of the arrival window: a rate, like

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use bench::{BenchJson, Gate};
 use sim_core::{yield_now, Payload, SimDuration, Simulation};
-use workloads::{build_rdma, solaris_sdr, Backend};
+use workloads::{solaris_sdr, Bed};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -225,14 +225,12 @@ fn rpc_throughput(ops: u64, traced: bool) -> RpcLoop {
     let h = sim.handle();
     let profile = solaris_sdr();
     let (secs, polls) = sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
+        let bed = Bed::new(
             &profile,
             rpcrdma::Design::ReadWrite,
             rpcrdma::StrategyKind::Cache,
-            Backend::Tmpfs,
-            1,
         );
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         let f = bed.clients[0].nfs.create(root, "simperf").await.unwrap();
         bed.fs

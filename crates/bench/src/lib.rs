@@ -32,12 +32,10 @@
 
 use std::fmt::{Debug, Display};
 
-use rpcrdma::{Design, StrategyKind};
 use sim_core::sweep::parallel_sweep;
 use sim_core::FlightRecord;
 use workloads::{
-    build_rdma_custom, run_iozone, scenario, Backend, Capture, IoMode, IozoneParams, IozoneResult,
-    Profile, RdmaOpts, Run, Table,
+    run_iozone, scenario, Bed, Capture, IoMode, IozoneParams, IozoneResult, Run, Table,
 };
 
 /// What the server did over one [`iozone_on`] run (the timed pass plus
@@ -73,17 +71,11 @@ impl ServerCounts {
     }
 }
 
-/// One IOzone run on one single-client tmpfs testbed, in a fresh
-/// simulation: the run every figure point and every single-bed
-/// ablation point is.
-pub fn iozone_on(
-    seed: u64,
-    profile: Profile,
-    opts: RdmaOpts,
-    params: IozoneParams,
-) -> (IozoneResult, ServerCounts) {
+/// One IOzone run on `bed` (an RDMA bed), in a fresh simulation: the
+/// run every figure point and every single-bed ablation point is.
+pub fn iozone_on(seed: u64, bed: Bed, params: IozoneParams) -> (IozoneResult, ServerCounts) {
     let run = scenario::run(seed, Capture::default(), |sim| async move {
-        let bed = build_rdma_custom(&sim, &profile, opts, Backend::Tmpfs, 1);
+        let bed = bed.build(&sim).await;
         let result = run_iozone(&sim, &bed, params).await;
         let hca = bed.server_hca.as_ref().expect("rdma testbed");
         let rpc = &bed.rpc_server.as_ref().expect("rdma testbed").stats;
@@ -107,12 +99,8 @@ pub fn iozone_on(
 /// The testbed and access pattern behind one series of a figure.
 #[derive(Clone, Copy, Debug)]
 pub struct IozonePoint {
-    /// Host profile.
-    pub profile: Profile,
-    /// Transport design.
-    pub design: Design,
-    /// Registration strategy (both sides).
-    pub strategy: StrategyKind,
+    /// The testbed.
+    pub bed: Bed,
     /// Read or write.
     pub mode: IoMode,
     /// Record size.
@@ -121,12 +109,6 @@ pub struct IozonePoint {
 
 /// Run one IOzone point at `threads` threads, `file_size` bytes each.
 pub fn run_iozone_point(seed: u64, p: &IozonePoint, threads: u32, file_size: u64) -> IozoneResult {
-    let opts = RdmaOpts {
-        cfg: p.profile.rpc.with_design(p.design),
-        client_strategy: p.strategy,
-        server_strategy: p.strategy,
-        server_hca: None,
-    };
     let params = IozoneParams {
         threads_per_client: threads,
         file_size,
@@ -134,7 +116,7 @@ pub fn run_iozone_point(seed: u64, p: &IozonePoint, threads: u32, file_size: u64
         mode: p.mode,
         ..Default::default()
     };
-    iozone_on(seed, p.profile, opts, params).0
+    iozone_on(seed, p.bed, params).0
 }
 
 /// One column of an axis × series figure: its header, the index of the

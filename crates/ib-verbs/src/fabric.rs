@@ -28,8 +28,9 @@
 //! A port hands an arriving message to its node by a direct call at
 //! the arrival instant ([`Fabric::attach_with`]): no queue, no task
 //! hop. The HCA's responder runs there. A consumer whose handling
-//! genuinely waits (the TCP stack's softirq) takes the queued form,
-//! [`Fabric::attach`], and drains an inbox from its own task.
+//! genuinely waits keeps its own queue behind that call: the TCP
+//! stack's softirq (`net-stack`'s `TcpNet::attach`) drains one from a
+//! task per host.
 //!
 //! Two delivery disciplines are offered on top of the verdict:
 //!
@@ -45,7 +46,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use sim_core::stats::Counter;
-use sim_core::sync::{channel, Receiver};
 use sim_core::{transfer_time, Resource, Sim, SimDuration, SimRng, SimTime};
 
 use crate::types::NodeId;
@@ -143,22 +143,11 @@ impl<M: 'static> Fabric<M> {
     }
 
     /// Attach `node` with the given port rate (bytes/s) and one-way
-    /// latency. Returns the node's inbound message stream, for a
-    /// consumer that drains it from a task of its own.
-    pub fn attach(&self, node: NodeId, bandwidth: u64, latency: SimDuration) -> Receiver<M> {
-        let (inbox, rx_inbox) = channel();
-        self.attach_with(node, bandwidth, latency, move |msg| {
-            // Receiver may have shut down (e.g. crash-injection tests).
-            let _ = inbox.send(msg);
-        });
-        rx_inbox
-    }
-
-    /// Attach `node`, handing each arriving message to `deliver` by a
-    /// direct call at the arrival instant (from inside the sending
-    /// task's poll). `deliver` must not keep the node's owner alive —
-    /// hold a `Weak` — or the fabric and the owner form a cycle; a
-    /// message it drops is simply lost.
+    /// latency, handing each arriving message to `deliver` by a direct
+    /// call at the arrival instant (from inside the sending task's
+    /// poll). `deliver` must not keep the node's owner alive — hold a
+    /// `Weak` — or the fabric and the owner form a cycle; a message it
+    /// drops is simply lost.
     pub fn attach_with(
         &self,
         node: NodeId,
@@ -437,20 +426,45 @@ mod tests {
         SimDuration::from_micros(n)
     }
 
+    /// Attach `node` as a port whose arrivals go nowhere.
+    fn sink<M: 'static>(fab: &Fabric<M>, node: NodeId, bandwidth: u64, latency: SimDuration) {
+        fab.attach_with(node, bandwidth, latency, drop);
+    }
+
+    /// Attach `node` and log each arrival with its instant (ns).
+    fn inbox<M: 'static>(
+        fab: &Fabric<M>,
+        node: NodeId,
+        bandwidth: u64,
+        latency: SimDuration,
+    ) -> Rc<RefCell<Vec<(u64, M)>>> {
+        let (got, sim) = (Rc::new(RefCell::new(Vec::new())), fab.inner.sim.clone());
+        let log = got.clone();
+        fab.attach_with(node, bandwidth, latency, move |m| {
+            log.borrow_mut().push((sim.now().as_nanos(), m));
+        });
+        got
+    }
+
+    /// The messages in `got`, without their instants.
+    fn messages(got: &RefCell<Vec<(u64, u32)>>) -> Vec<u32> {
+        got.borrow().iter().map(|&(_, m)| m).collect()
+    }
+
     #[test]
     fn point_to_point_delivery_time() {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<u32> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, us(2));
-        let mut inbox = fab.attach(NodeId(1), GB, us(2));
+        sink(&fab, NodeId(0), GB, us(2));
+        let got = inbox(&fab, NodeId(1), GB, us(2));
         let f2 = fab.clone();
         sim.spawn(async move {
             f2.send(NodeId(0), NodeId(1), 1_000_000, 7).await;
         });
-        let msg = sim.block_on(async move { inbox.recv().await.unwrap() });
-        assert_eq!(msg, 7);
+        sim.run();
         // 1 MB at 1 GB/s = 1 ms serialization + 2 us latency.
+        assert_eq!(*got.borrow(), [(1_002_000, 7)]);
         assert_eq!(sim.now(), SimTime::from_nanos(1_002_000));
     }
 
@@ -459,8 +473,8 @@ mod tests {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<()> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
-        let _i = fab.attach(NodeId(1), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(1), GB, SimDuration::ZERO);
         let f2 = fab.clone();
         sim.block_on(async move { f2.raw_transfer(NodeId(0), NodeId(1), 1_000_000).await });
         // One serialization, not two.
@@ -473,9 +487,9 @@ mod tests {
         let h = sim.handle();
         let fab: Fabric<()> = Fabric::new(&h);
         let server = NodeId(0);
-        let _si = fab.attach(server, GB, SimDuration::ZERO);
+        sink(&fab, server, GB, SimDuration::ZERO);
         for c in 1..=4 {
-            fab.attach(NodeId(c), GB, SimDuration::ZERO);
+            sink(&fab, NodeId(c), GB, SimDuration::ZERO);
         }
         for c in 1..=4u32 {
             let f = fab.clone();
@@ -493,8 +507,8 @@ mod tests {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<()> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
-        fab.attach(NodeId(1), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(1), GB, SimDuration::ZERO);
         let f1 = fab.clone();
         let f2 = fab.clone();
         sim.spawn(async move { f1.raw_transfer(NodeId(0), NodeId(1), 1_000_000).await });
@@ -509,8 +523,8 @@ mod tests {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<()> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
-        fab.attach(NodeId(1), 125_000_000, SimDuration::ZERO); // GigE-ish
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(1), 125_000_000, SimDuration::ZERO); // GigE-ish
         let f = fab.clone();
         sim.block_on(async move { f.raw_transfer(NodeId(0), NodeId(1), 1_000_000).await });
         assert_eq!(sim.now(), SimTime::from_nanos(8_000_000));
@@ -521,8 +535,8 @@ mod tests {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<()> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
-        fab.attach(NodeId(1), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(1), GB, SimDuration::ZERO);
         let f = fab.clone();
         sim.block_on(async move {
             f.raw_transfer(NodeId(0), NodeId(1), 500).await;
@@ -538,8 +552,8 @@ mod tests {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<u32> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
-        let mut inbox = fab.attach(NodeId(1), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+        let got = inbox(&fab, NodeId(1), GB, SimDuration::ZERO);
         fab.drop_next_to(NodeId(1), 2);
         let f = fab.clone();
         sim.spawn(async move {
@@ -548,11 +562,7 @@ mod tests {
             }
         });
         sim.run();
-        let mut got = Vec::new();
-        while let Some(m) = inbox.try_recv() {
-            got.push(m);
-        }
-        assert_eq!(got, vec![2, 3]);
+        assert_eq!(messages(&got), [2, 3]);
         assert_eq!(fab.dropped(NodeId(1)), 2);
         assert_eq!(h.metrics().get("fabric.port1.dropped"), Some(2));
     }
@@ -562,21 +572,17 @@ mod tests {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<u32> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
-        let mut inbox = fab.attach(NodeId(1), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+        let got = inbox(&fab, NodeId(1), GB, SimDuration::ZERO);
         fab.drop_next_to(NodeId(1), 3);
         let f = fab.clone();
         sim.spawn(async move {
             f.send_reliable(NodeId(0), NodeId(1), 1000, 9).await;
         });
         sim.run();
-        assert_eq!(inbox.try_recv(), Some(9));
         assert_eq!(fab.retransmits(NodeId(1)), 3);
         // 4 serializations of 1000 B at 1 GB/s + 3 retry delays.
-        assert_eq!(
-            sim.now(),
-            SimTime::ZERO + SimDuration::from_micros(4) + SimDuration::from_micros(30)
-        );
+        assert_eq!(*got.borrow(), [(4_000 + 30_000, 9)]);
     }
 
     #[test]
@@ -584,8 +590,8 @@ mod tests {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<u32> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
-        let mut inbox = fab.attach(NodeId(1), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+        let got = inbox(&fab, NodeId(1), GB, SimDuration::ZERO);
         // 1000 B serialize in 1 us; messages land at t=1,2,3,4 us.
         fab.flap_link(
             NodeId(1),
@@ -599,11 +605,7 @@ mod tests {
             }
         });
         sim.run();
-        let mut got = Vec::new();
-        while let Some(m) = inbox.try_recv() {
-            got.push(m);
-        }
-        assert_eq!(got, vec![0, 3]);
+        assert_eq!(*got.borrow(), [(1_000, 0), (4_000, 3)]);
     }
 
     #[test]
@@ -612,8 +614,8 @@ mod tests {
             let mut sim = Simulation::new(seed);
             let h = sim.handle();
             let fab: Fabric<u32> = Fabric::new(&h);
-            fab.attach(NodeId(0), GB, SimDuration::ZERO);
-            let mut inbox = fab.attach(NodeId(1), GB, SimDuration::ZERO);
+            sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+            let got = inbox(&fab, NodeId(1), GB, SimDuration::ZERO);
             fab.enable_faults(h.fork_rng());
             fab.set_link_faults(
                 NodeId(1),
@@ -630,10 +632,7 @@ mod tests {
                 }
             });
             sim.run();
-            let mut got = Vec::new();
-            while let Some(m) = inbox.try_recv() {
-                got.push(m);
-            }
+            let got = got.borrow().clone();
             (got, fab.dropped(NodeId(1)), sim.now())
         };
         let a = run(7);
@@ -649,18 +648,17 @@ mod tests {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let fab: Fabric<u32> = Fabric::new(&h);
-        fab.attach(NodeId(0), GB, us(2));
-        let mut inbox = fab.attach(NodeId(1), GB, us(2));
+        sink(&fab, NodeId(0), GB, us(2));
+        let got = inbox(&fab, NodeId(1), GB, us(2));
         let f2 = fab.clone();
         sim.spawn(async move {
             f2.send(NodeId(0), NodeId(1), 1_000_000, 7).await;
         });
-        let msg = sim.block_on(async move { inbox.recv().await.unwrap() });
-        assert_eq!(msg, 7);
+        sim.run();
         assert!(!fab.faults_enabled());
         assert_eq!(fab.dropped(NodeId(0)) + fab.dropped(NodeId(1)), 0);
-        // Same arrival time as `point_to_point_delivery_time`.
-        assert_eq!(sim.now(), SimTime::from_nanos(1_002_000));
+        // Same arrival as `point_to_point_delivery_time`.
+        assert_eq!(*got.borrow(), [(1_002_000, 7)]);
     }
 
     #[test]
@@ -668,7 +666,7 @@ mod tests {
     fn double_attach_panics() {
         let sim = Simulation::new(1);
         let fab: Fabric<()> = Fabric::new(&sim.handle());
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
-        fab.attach(NodeId(0), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
+        sink(&fab, NodeId(0), GB, SimDuration::ZERO);
     }
 }

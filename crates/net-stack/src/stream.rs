@@ -320,6 +320,36 @@ mod tests {
         });
     }
 
+    /// The receive path to the nanosecond: when each segment of a
+    /// two-node stream reaches the socket, and how long the receiver's
+    /// `tcp-rx` softirq worked to put it there.
+    #[test]
+    fn segment_delivery_instants_and_rx_softirq_time_are_pinned() {
+        let mut sim = Simulation::new(1);
+        let h = sim.handle();
+        let (net, _c0, _c1) = setup(&h, TcpConfig::gige());
+        let mut listener = net.listen(NodeId(1), 1);
+        let mss = TcpConfig::gige().mtu;
+        let landed = Rc::new(RefCell::new(Vec::new()));
+        let (log, h2) = (landed.clone(), h.clone());
+        sim.spawn(async move {
+            let server = listener.accept().await;
+            for len in [mss, mss, mss, 100] {
+                server.recv_exact(len).await;
+                log.borrow_mut().push(h2.now().as_nanos());
+            }
+        });
+        let net2 = net.clone();
+        sim.block_on(async move {
+            let client = net2.connect(NodeId(0), NodeId(1), 1).await;
+            client.send(Payload::synthetic(1, 3 * mss + 100)).await;
+        });
+        sim.run();
+        assert_eq!(*landed.borrow(), [119_355, 132_186, 145_017, 149_307]);
+        let rx = net.node(NodeId(1)).rx_softirq.busy_time();
+        assert_eq!(rx.as_nanos(), 3 * (4_199 + 4_000) + (290 + 4_000));
+    }
+
     #[test]
     fn two_streams_share_the_wire() {
         let mut sim = Simulation::new(1);

@@ -138,13 +138,18 @@ impl TcpNet {
         }
     }
 
-    /// Attach a host; its TCP processing is charged to `cpu`.
+    /// Attach a host; its TCP processing is charged to `cpu`. Arriving
+    /// segments queue for the host's softirq task, which handles them
+    /// one at a time: receive-path work waits, where the fabric's own
+    /// delivery is a direct call at the arrival instant.
     pub fn attach(&self, node: NodeId, cpu: Cpu) {
-        let inbox = self.inner.fabric.attach(
-            node,
-            self.inner.cfg.link_bandwidth,
-            self.inner.cfg.link_latency,
-        );
+        let (queue, inbox) = channel();
+        let cfg = self.inner.cfg;
+        self.inner
+            .fabric
+            .attach_with(node, cfg.link_bandwidth, cfg.link_latency, move |seg| {
+                let _ = queue.send(seg);
+            });
         let state = Rc::new(NodeState {
             cpu,
             tx_softirq: sim_core::Resource::new(

@@ -342,6 +342,15 @@ impl Simulation {
         self.core.sched.borrow().slots.len()
     }
 
+    /// Tasks alive now: the slab slots occupied, where
+    /// [`Simulation::task_slots`] is the high-water mark. A closure test
+    /// compares it at two quiescent points — what a component spawned
+    /// and never ended shows up here.
+    pub fn live_tasks(&self) -> usize {
+        let sched = self.core.sched.borrow();
+        sched.slots.len() - sched.free.len()
+    }
+
     /// Turn on structured span tracing (off by default; entering a span
     /// while off costs one flag read and no allocation).
     pub fn enable_span_tracing(&self) {
@@ -1082,6 +1091,17 @@ mod tests {
             "slab grew to {} slots for 4 concurrent tasks",
             sim.task_slots()
         );
+        // Live tasks are the occupied slots, not the high-water mark.
+        assert_eq!(sim.live_tasks(), 0, "every sleeper ended");
+        let (tx, mut rx) = crate::sync::channel::<()>();
+        sim.spawn(async move {
+            let _ = rx.recv().await;
+        });
+        sim.run();
+        assert_eq!(sim.live_tasks(), 1, "a parked task stays live");
+        drop(tx);
+        sim.run();
+        assert_eq!(sim.live_tasks(), 0, "a woken task ends");
     }
 
     #[test]

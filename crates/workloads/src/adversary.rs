@@ -36,25 +36,20 @@ use nfs::proto::{FileHandle, ReadArgs};
 use onc_rpc::msg::{encode_call, CallHeader};
 use rpcrdma::client::RECONNECT_DELAY;
 use rpcrdma::sanitize::MAX_CHUNK_SEGMENTS;
-use rpcrdma::{
-    Design, MsgType, RdmaHeader, RdmaRpcServer, ReadChunk, RfpConfig, RpcRdmaConfig, Segment,
-};
-use sim_core::{Cpu, Payload, Sim, SimDuration, SimRng};
+use rpcrdma::{MsgType, RdmaHeader, RdmaRpcServer, ReadChunk, RpcRdmaConfig, Segment};
+use sim_core::{Payload, Sim, SimDuration, SimRng};
 use xdr::{Encoder, XdrCodec};
 
-use crate::profiles::Profile;
 use crate::scenario::{self, Capture, Run, WriterSpec};
-use crate::testbed::{build_rdma, Backend, Testbed};
+use crate::testbed::{host, Bed, Nic, Testbed};
 
-/// Parameters of one adversary run.
+/// Parameters of one adversary run. The bed's clients are the honest
+/// ones; its transport config's exposure TTL (`ZERO` = reaper off, the
+/// paper's original pin-forever behavior) also paces the attackers, and
+/// with RFP on they capture their session's ring advertisement and
+/// probe it after teardown should have revoked it.
 #[derive(Clone, Copy, Debug)]
 pub struct AdversaryParams {
-    /// Bulk-transfer design under test.
-    pub design: Design,
-    /// Registration strategy.
-    pub strategy: rpcrdma::StrategyKind,
-    /// Honest client hosts.
-    pub honest_clients: usize,
     /// Attacker hosts (0 = baseline run).
     pub attackers: usize,
     /// Records each honest client writes, then reads back.
@@ -65,28 +60,15 @@ pub struct AdversaryParams {
     /// Catalog iterations per attacker (each round fires every attack
     /// in the catalog once).
     pub attack_rounds: u64,
-    /// Exposure TTL installed on the server (`ZERO` = reaper off,
-    /// the paper's original pin-forever behavior).
-    pub exposure_ttl: SimDuration,
-    /// Enable the RFP reply-slot fast path on the server and the
-    /// honest clients. Attackers then also capture their session's
-    /// ring advertisement and probe it after teardown should have
-    /// revoked it.
-    pub rfp: bool,
 }
 
 impl Default for AdversaryParams {
     fn default() -> Self {
         AdversaryParams {
-            design: Design::ReadWrite,
-            strategy: rpcrdma::StrategyKind::Dynamic,
-            honest_clients: 2,
             attackers: 2,
             records_per_client: 24,
             record: 8192,
             attack_rounds: 6,
-            exposure_ttl: SimDuration::from_micros(200),
-            rfp: false,
         }
     }
 }
@@ -134,18 +116,17 @@ pub struct AdversaryResult {
     pub goodput_mb_s: f64,
 }
 
-/// Run one adversary workload inside a fresh simulation.
+/// Run one adversary workload on `bed` (a single-server RDMA bed)
+/// inside a fresh simulation.
 pub fn run_adversary(
     seed: u64,
-    profile: &Profile,
+    bed: &Bed,
     params: AdversaryParams,
     capture: Capture,
 ) -> Run<AdversaryResult> {
-    let mut profile = *profile;
-    profile.rpc.exposure_ttl = params.exposure_ttl;
-    profile.rpc.rfp = params.rfp.then(RfpConfig::default);
+    let spec = *bed;
     scenario::run(seed, capture, |sim| async move {
-        run_inner(&sim, &profile, params).await
+        run_inner(&sim, &spec, params).await
     })
 }
 
@@ -187,18 +168,11 @@ enum ProbeKind {
     RfpSlot,
 }
 
-async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> AdversaryResult {
-    let bed: Testbed = build_rdma(
-        sim,
-        profile,
-        params.design,
-        params.strategy,
-        Backend::Tmpfs,
-        params.honest_clients,
-    );
+async fn run_inner(sim: &Sim, spec: &Bed, params: AdversaryParams) -> AdversaryResult {
+    let bed: Testbed = spec.build(sim).await;
     let server_hca = bed.server_hca.as_ref().expect("rdma testbed").clone();
     let rpc_server = bed.rpc_server.as_ref().expect("rdma testbed").clone();
-    let cfg = profile.rpc.with_design(params.design);
+    let cfg = spec.profile.rpc;
 
     // Bait: a real file the attackers will READ (and then sit on the
     // exposure). Created through the honest path before the clock that
@@ -223,24 +197,21 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> Adv
     let ledger = Rc::new(Ledger::default());
 
     // Attackers: their own hosts (nodes honest+1..), their own HCAs.
+    let fabric = bed.fabric.as_ref().expect("rdma testbed");
     for a in 0..params.attackers {
-        let node = NodeId((params.honest_clients + 1 + a) as u32);
-        let cpu = Cpu::new(
-            sim,
+        let node = NodeId((spec.clients + 1 + a) as u32);
+        let (name, nic) = (
             format!("attacker{a}-cpu"),
-            profile.client_cores,
-            profile.client_cpu,
+            Nic::Hca(fabric, spec.profile.hca),
         );
-        let mem = Rc::new(HostMem::new(node, profile.phys, sim.fork_rng()));
-        let fabric = bed.fabric.as_ref().expect("rdma testbed");
-        let hca = Hca::new(sim, node, profile.hca, cpu, mem.clone(), fabric);
+        let h = host(sim, &spec.profile, node, name, false, nic);
         let rng = sim.fork_rng();
         let t = AttackerTask {
             sim: sim.clone(),
-            hca,
+            hca: h.hca.expect("an RDMA host has an HCA"),
             server_hca: server_hca.clone(),
             rpc_server: rpc_server.clone(),
-            mem,
+            mem: h.mem.expect("an RDMA host holds memory"),
             cfg,
             victim: victim_fh,
             rounds: params.attack_rounds,
@@ -254,7 +225,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> Adv
 
     // Honest workload: write/commit/read-verify, seeded payloads.
     let start = sim.now();
-    let spec = WriterSpec {
+    let writers = WriterSpec {
         prefix: "honest",
         records: params.records_per_client,
         record: params.record,
@@ -262,7 +233,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> Adv
         commit_every: 0,
     };
     let corrupt_records =
-        scenario::verified_writers(sim, &bed.clients, root, spec, &Default::default()).await;
+        scenario::verified_writers(sim, &bed.clients, root, writers, &Default::default()).await;
     let elapsed = sim.now() - start;
 
     // Let the attackers finish the catalog (goodput is already
@@ -271,11 +242,11 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: AdversaryParams) -> Adv
     for _ in 0..params.attackers {
         attackers_done.acquire().await.forget();
     }
-    if params.exposure_ttl > SimDuration::ZERO {
-        sim.sleep(params.exposure_ttl * 2).await;
+    if cfg.exposure_ttl > SimDuration::ZERO {
+        sim.sleep(cfg.exposure_ttl * 2).await;
     }
 
-    let honest_bytes = 2 * params.honest_clients as u64 * params.records_per_client * params.record;
+    let honest_bytes = 2 * spec.clients as u64 * params.records_per_client * params.record;
     let secs = elapsed.as_secs_f64();
     AdversaryResult {
         exposures_pending: rpc_server.stats.exposures_pending.get(),

@@ -11,22 +11,14 @@
 //! Each injected fault is a flight record (`chaos/qp_error`,
 //! `chaos/power_fail`), so a failing gate's dump shows where it landed.
 
-use rpcrdma::{Design, StrategyKind};
 use sim_core::{Sim, SimDuration};
 
-use crate::profiles::Profile;
 use crate::scenario::{self, Capture, Run, WriterSpec};
-use crate::testbed::{build_rdma, Backend, Testbed};
+use crate::testbed::{Bed, Testbed};
 
 /// Parameters of one chaos run.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosParams {
-    /// Bulk-transfer design under test.
-    pub design: Design,
-    /// Registration strategy.
-    pub strategy: StrategyKind,
-    /// Number of client hosts.
-    pub clients: usize,
     /// Records each client writes, then reads back.
     pub records_per_client: u64,
     /// Record size in bytes. Keep it at or under the inline threshold
@@ -45,11 +37,9 @@ pub struct ChaosParams {
     pub first_qp_error: SimDuration,
     /// Spacing between consecutive forced QP errors.
     pub qp_error_spacing: SimDuration,
-    /// Storage behind the server. Crash scenarios need a WAL backend
-    /// ([`Backend::WalRaid`]) so committed data can be recovered.
-    pub backend: Backend,
     /// Power-fail the server's storage at this virtual time and
-    /// restart it (WAL replay + write-verifier bump). Clients notice
+    /// restart it (WAL replay + write-verifier bump); the bed needs a
+    /// WAL back end ([`crate::Backend::WalRaid`]). Clients notice
     /// the verifier change on their next COMMIT and re-drive every
     /// pending UNSTABLE write.
     pub server_crash_at: Option<SimDuration>,
@@ -58,9 +48,6 @@ pub struct ChaosParams {
 impl Default for ChaosParams {
     fn default() -> Self {
         ChaosParams {
-            design: Design::ReadWrite,
-            strategy: StrategyKind::Cache,
-            clients: 3,
             records_per_client: 16,
             record: 1024,
             drop_probability: 0.01,
@@ -68,7 +55,6 @@ impl Default for ChaosParams {
             qp_errors: 1,
             first_qp_error: SimDuration::from_micros(200),
             qp_error_spacing: SimDuration::from_millis(1),
-            backend: Backend::Tmpfs,
             server_crash_at: None,
         }
     }
@@ -95,33 +81,21 @@ pub struct ChaosResult {
     pub wal_committed_records: u64,
 }
 
-/// Run one chaos workload inside a fresh simulation.
-pub fn run_chaos(
-    seed: u64,
-    profile: &Profile,
-    params: ChaosParams,
-    capture: Capture,
-) -> Run<ChaosResult> {
-    let profile = *profile;
+/// Run one chaos workload on `bed` inside a fresh simulation.
+pub fn run_chaos(seed: u64, bed: &Bed, params: ChaosParams, capture: Capture) -> Run<ChaosResult> {
+    let spec = *bed;
     scenario::run(seed, capture, |sim| async move {
-        run_inner(&sim, &profile, params).await
+        run_inner(&sim, &spec, params).await
     })
 }
 
-async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosResult {
-    let bed: Testbed = build_rdma(
-        sim,
-        profile,
-        params.design,
-        params.strategy,
-        params.backend,
-        params.clients,
-    );
+async fn run_inner(sim: &Sim, spec: &Bed, params: ChaosParams) -> ChaosResult {
+    let bed: Testbed = spec.build(sim).await;
     let fabric = bed.fabric.as_ref().expect("rdma testbed has a fabric");
     scenario::arm_link_faults(
         sim,
         fabric,
-        params.clients as u32,
+        spec.clients as u32,
         params.drop_probability,
         params.delay_jitter,
     );
@@ -165,7 +139,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosRe
         });
     }
 
-    let spec = WriterSpec {
+    let writers = WriterSpec {
         prefix: "chaos",
         records: params.records_per_client,
         record: params.record,
@@ -174,8 +148,9 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: ChaosParams) -> ChaosRe
     };
     let root = bed.server.root_handle();
     let corrupt_records =
-        scenario::verified_writers(sim, &bed.clients, root, spec, &Default::default()).await;
+        scenario::verified_writers(sim, &bed.clients, root, writers, &Default::default()).await;
 
+    bed.stop();
     let (redriven_writes, verf_mismatches) = scenario::redrive_counts(&bed.clients);
     let wal = bed.disk_store.as_ref().and_then(|fs| fs.store().wal());
     ChaosResult {

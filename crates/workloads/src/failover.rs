@@ -11,24 +11,31 @@
 //! verdict. Optionally, the crashed node rejoins as backup and
 //! re-syncs the WAL tail.
 
-use sim_core::{Sim, SimDuration};
+use std::rc::Rc;
 
 use rpcrdma::{Design, StrategyKind};
+use sim_core::{Sim, SimDuration};
 
-use crate::cluster::{build_cluster, ClusterConfig, ClusterTestbed};
+use crate::cluster::ClusterConfig;
 use crate::profiles::Profile;
 use crate::scenario::{self, Capture, OpLog, Run, Timeline, WriterSpec};
-use crate::testbed::Backend;
+use crate::testbed::{Backend, Bed, Testbed, Topology};
+
+/// The failover matrix's bed: 3 clients against a primary/backup pair
+/// joined as `cluster` says, each server a WAL-backed RAID with 4 GiB
+/// of RAM, Read-Write, both sides on the registration cache.
+pub fn failover_bed(profile: &Profile, cluster: ClusterConfig) -> Bed {
+    Bed {
+        backend: Backend::WalRaid { ram_bytes: 4 << 30 },
+        clients: 3,
+        topology: Topology::Replicated(cluster),
+        ..Bed::new(profile, Design::ReadWrite, StrategyKind::Cache)
+    }
+}
 
 /// Parameters of one failover run.
 #[derive(Clone, Copy, Debug)]
 pub struct FailoverParams {
-    /// Bulk-transfer design.
-    pub design: Design,
-    /// Registration strategy.
-    pub strategy: StrategyKind,
-    /// Client hosts.
-    pub clients: usize,
     /// Records each client writes (then reads back).
     pub records_per_client: u64,
     /// Record size in bytes.
@@ -39,12 +46,6 @@ pub struct FailoverParams {
     pub drop_probability: f64,
     /// Extra delivery jitter.
     pub delay_jitter: SimDuration,
-    /// Storage backend on *both* nodes (WAL scenarios need
-    /// [`Backend::WalRaid`]).
-    pub backend: Backend,
-    /// Cluster knobs (ring size, heartbeat cadence, replication
-    /// on/off).
-    pub cluster: ClusterConfig,
     /// Kill the primary at this virtual time.
     pub kill_at: Option<SimDuration>,
     /// Rejoin the killed node this long after promotion completes.
@@ -57,21 +58,11 @@ pub struct FailoverParams {
 impl Default for FailoverParams {
     fn default() -> Self {
         FailoverParams {
-            design: Design::ReadWrite,
-            strategy: StrategyKind::Cache,
-            clients: 3,
             records_per_client: 24,
             record: 8192,
             commit_every: 8,
             drop_probability: 0.0,
             delay_jitter: SimDuration::ZERO,
-            backend: Backend::WalRaid { ram_bytes: 4 << 30 },
-            cluster: ClusterConfig {
-                ring_bytes: 256 * 1024,
-                hb_interval: SimDuration::from_micros(500),
-                hb_miss_limit: 3,
-                replicate: true,
-            },
             kill_at: None,
             rejoin_after: None,
             timeline: false,
@@ -140,31 +131,27 @@ pub struct FailoverResult {
     pub timeline: Timeline,
 }
 
-/// Run one failover scenario inside a fresh simulation.
+/// Run one failover scenario on `bed` — the replicated topology, with
+/// a WAL back end if a rejoin is to replay one — inside a fresh
+/// simulation.
 pub fn run_failover(
     seed: u64,
-    profile: &Profile,
+    bed: &Bed,
     params: FailoverParams,
     capture: Capture,
 ) -> Run<FailoverResult> {
-    let profile = *profile;
+    let spec = *bed;
     scenario::run(seed, capture, |sim| async move {
-        run_inner(&sim, &profile, params).await
+        run_inner(&sim, &spec, params).await
     })
 }
 
-async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> FailoverResult {
-    let bed: ClusterTestbed = build_cluster(
-        sim,
-        profile,
-        profile.rpc.with_design(params.design),
-        params.strategy,
-        params.backend,
-        params.clients,
-        params.cluster,
-    )
-    .await;
-    let bed = std::rc::Rc::new(bed);
+async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverResult {
+    let testbed: Testbed = spec.build(sim).await;
+    let cluster = testbed
+        .cluster
+        .clone()
+        .expect("failover runs on a replicated bed");
 
     if params.drop_probability > 0.0 || params.delay_jitter > SimDuration::ZERO {
         // Client and primary ports only: the replication channel rides
@@ -172,8 +159,8 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         // the failure detector's signal, not noise to inject.
         scenario::arm_link_faults(
             sim,
-            &bed.fabric,
-            params.clients as u32,
+            testbed.fabric.as_ref().expect("rdma testbed has a fabric"),
+            spec.clients as u32,
             params.drop_probability,
             params.delay_jitter,
         );
@@ -181,44 +168,48 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
 
     // The seeded kill.
     if let Some(at) = params.kill_at {
-        let bed2 = bed.clone();
+        let cluster2 = cluster.clone();
         let sim2 = sim.clone();
         sim.spawn(async move {
             sim2.sleep(at).await;
-            bed2.kill_primary(&sim2);
+            cluster2.kill_primary(&sim2);
         });
     }
 
     // The rejoin: wait for promotion, then bring node 0 back.
     if let (Some(after), Some(_)) = (params.rejoin_after, params.kill_at) {
-        let bed2 = bed.clone();
+        let cluster2 = cluster.clone();
         let sim2 = sim.clone();
         sim.spawn(async move {
-            while !bed2.promoted.get() {
-                if bed2.stop.get() {
+            while !cluster2.promoted.get() {
+                if cluster2.stop.get() {
                     return;
                 }
                 sim2.sleep(SimDuration::from_micros(100)).await;
             }
             sim2.sleep(after).await;
-            if !bed2.stop.get() {
-                bed2.rejoin(&sim2, 0).await;
+            if !cluster2.stop.get() {
+                cluster2.rejoin(&sim2, 0).await;
             }
         });
     }
 
-    let log = std::rc::Rc::new(OpLog::default());
+    let log = Rc::new(OpLog::default());
     let start = sim.now();
 
     let probes = params.timeline.then(|| {
-        let (stopped, bed, log) = (bed.clone(), bed.clone(), log.clone());
+        let (stopped, cluster, log) = (cluster.clone(), cluster.clone(), log.clone());
         Timeline::sample(
             sim,
             move || stopped.stop.get(),
             move || {
-                let serving = &bed.nodes[bed.mount.primary()];
+                let serving = &cluster.nodes[cluster.mount.primary()];
                 let log_len = serving.repl.log_len();
-                let applied = bed.session.borrow().as_ref().map_or(0, |s| s.applied.get());
+                let applied = cluster
+                    .session
+                    .borrow()
+                    .as_ref()
+                    .map_or(0, |s| s.applied.get());
                 let shipper = serving.shipper.borrow();
                 let credits = shipper.as_ref().map_or(0, |s| s.stats.credit_returns.get());
                 vec![
@@ -231,7 +222,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         )
     });
 
-    let spec = WriterSpec {
+    let writers = WriterSpec {
         prefix: "fo",
         records: params.records_per_client,
         record: params.record,
@@ -239,23 +230,24 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         seed_base: 0x0fa1_0000,
         commit_every: params.commit_every,
     };
-    let root = bed.nodes[0].server.root_handle();
-    let corrupt_records = scenario::verified_writers(sim, &bed.clients, root, spec, &log).await;
+    let root = testbed.server.root_handle();
+    let clients = &testbed.clients;
+    let corrupt_records = scenario::verified_writers(sim, clients, root, writers, &log).await;
     let elapsed = sim.now() - start;
-    bed.stop.set(true);
+    testbed.stop();
 
     // Marker flushes on the backup run behind the ack; in steady state
     // let the consumer catch the tail so `backup_applied` reflects the
     // full log. (After a promotion the session already drained at the
     // sentinel.)
-    if !bed.promoted.get() {
-        let session = bed.session.borrow().clone();
+    if !cluster.promoted.get() {
+        let session = cluster.session.borrow().clone();
         if let Some(s) = session {
-            s.caught_up(bed.nodes[0].repl.log_len()).await;
+            s.caught_up(cluster.nodes[0].repl.log_len()).await;
         }
     }
 
-    let (redriven_writes, verf_mismatches) = scenario::redrive_counts(&bed.clients);
+    let (redriven_writes, verf_mismatches) = scenario::redrive_counts(clients);
     let ops = log.take();
     let mut lat: Vec<SimDuration> = ops.iter().map(|c| c.latency()).collect();
     lat.sort();
@@ -263,23 +255,27 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         Timeline::build(start, "ops", &ops, &TIMELINE_GAUGES, &probes.borrow())
     });
 
-    let serving = bed.nodes[bed.mount.primary()].clone();
+    let serving = cluster.nodes[cluster.mount.primary()].clone();
     let mut ship = (0u64, 0u64, 0u64);
-    for n in &bed.nodes {
+    for n in &cluster.nodes {
         if let Some(s) = n.shipper.borrow().as_ref() {
             ship.0 += s.stats.shipped_records.get();
             ship.1 += s.stats.shipped_bytes.get();
             ship.2 += s.stats.blocked.get();
         }
     }
-    let failover_us = match (bed.killed_at.get(), bed.promoted_at.get()) {
+    let failover_us = match (cluster.killed_at.get(), cluster.promoted_at.get()) {
         (Some(k), Some(p)) => (p - k).as_micros(),
         _ => 0,
     };
-    let wrote = params.clients as u64 * params.records_per_client * params.record;
-    let backup_applied = bed.session.borrow().as_ref().map_or(0, |s| s.applied.get());
+    let wrote = spec.clients as u64 * params.records_per_client * params.record;
+    let backup_applied = cluster
+        .session
+        .borrow()
+        .as_ref()
+        .map_or(0, |s| s.applied.get());
     FailoverResult {
-        promoted: bed.promoted.get(),
+        promoted: cluster.promoted.get(),
         failover_us,
         stall_p99_us: scenario::percentile_us(&lat, 0.99),
         stall_max_us: lat.last().map_or(0, |d| d.as_micros()),
@@ -289,18 +285,18 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         shipped_records: ship.0,
         shipped_bytes: ship.1,
         ship_blocked: ship.2,
-        resync_bytes: bed.resync_bytes.get(),
+        resync_bytes: cluster.resync_bytes.get(),
         backup_applied,
         log_len: serving.repl.log_len(),
         durable_seq: serving.repl.durable_seq(),
-        interrupted_markers: bed
+        interrupted_markers: cluster
             .nodes
             .iter()
             .map(|n| n.repl.stats.interrupted_markers.get())
             .sum(),
         fs_writes: [
-            bed.nodes[0].server.stats.writes.get(),
-            bed.nodes[1].server.stats.writes.get(),
+            cluster.nodes[0].server.stats.writes.get(),
+            cluster.nodes[1].server.stats.writes.get(),
         ],
         elapsed_us: elapsed.as_micros(),
         write_mbps: if elapsed.as_micros() == 0 {
@@ -308,8 +304,14 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: FailoverParams) -> Fail
         } else {
             wrote as f64 / (elapsed.as_nanos() as f64 / 1e9) / 1e6
         },
-        killed_at_us: bed.killed_at.get().map_or(0, |t| (t - start).as_micros()),
-        promoted_at_us: bed.promoted_at.get().map_or(0, |t| (t - start).as_micros()),
+        killed_at_us: cluster
+            .killed_at
+            .get()
+            .map_or(0, |t| (t - start).as_micros()),
+        promoted_at_us: cluster
+            .promoted_at
+            .get()
+            .map_or(0, |t| (t - start).as_micros()),
         timeline,
     }
 }

@@ -1,7 +1,10 @@
 //! # workloads — the paper's benchmark drivers and testbeds
 //!
 //! Assembles complete testbeds (server, clients, fabric, file system)
-//! from calibrated [`profiles`] and drives them with the paper's three
+//! from one [`Bed`] description — a calibrated [`profiles`] entry plus
+//! strategies, storage, client count and topology: the single-server
+//! RDMA bed, the replicated primary/backup pair, or TCP over IPoIB or
+//! GigE ([`testbed`]) — and drives them with the paper's three
 //! workloads:
 //!
 //! * [`iozone`] — multithreaded sequential read/write bandwidth with
@@ -14,7 +17,8 @@
 //! Beside them, four harnesses put the same testbeds under faults and
 //! load the paper never applied, all through the one run shape of
 //! [`scenario`] (`run` → [`Run`]: the typed outcome plus metrics
-//! registry, flight ring and spans):
+//! registry, flight ring and spans). Each takes the [`Bed`] it runs on
+//! and parameters that describe only its workload:
 //!
 //! * [`chaos`] — drops, jitter, forced QP errors and a storage
 //!   power-fail under a verified write/read-back workload;
@@ -43,15 +47,15 @@ pub mod testbed;
 
 pub use adversary::{run_adversary, AdversaryParams, AdversaryResult};
 pub use chaos::{run_chaos, ChaosParams, ChaosResult};
-pub use cluster::{build_cluster, ClusterConfig, ClusterTestbed, ServerNode};
-pub use failover::{run_failover, FailoverParams, FailoverResult};
+pub use cluster::{Cluster, ClusterConfig};
+pub use failover::{failover_bed, run_failover, FailoverParams, FailoverResult};
 pub use iozone::{run_iozone, IoMode, IozoneParams, IozoneResult};
-pub use multiclient::{run_multiclient, McTransport, MultiClientParams, MultiClientResult};
+pub use multiclient::{raid_bed, run_multiclient, MultiClientParams, MultiClientResult};
 pub use oltp::{run_oltp, OltpParams, OltpResult};
 pub use openloop::{run_openloop, Arrival, OpMix, OpenLoopParams, OpenLoopResult};
 pub use profiles::{linux_ddr_raid, linux_sdr, solaris_sdr, Profile};
 pub use report::{mb, pct, Table};
 pub use scenario::{Capture, Run, Timeline, TIMELINE_BUCKET_US};
 pub use testbed::{
-    build_rdma, build_rdma_custom, build_tcp, Backend, ClientHost, RdmaOpts, Testbed, OS_RESERVE,
+    build_rdma, Backend, Bed, ClientHost, ServerNode, Testbed, Topology, OS_RESERVE,
 };

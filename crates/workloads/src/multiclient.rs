@@ -8,46 +8,29 @@
 //! near three clients and falls to disk rates; with 8 GB it holds the
 //! wire rate through seven.
 
-use net_stack::TcpConfig;
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, Sim};
 
 use crate::profiles::Profile;
 use crate::scenario::{self, Capture};
-use crate::testbed::{build_rdma, build_tcp, Backend, Testbed};
+use crate::testbed::{Backend, Bed, Testbed, Topology};
 
-/// Which transport the clients mount over.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum McTransport {
-    /// NFS/RDMA (the Linux design with all-physical registration, as
-    /// the paper uses for §5.3).
-    Rdma,
-    /// NFS over TCP over InfiniBand.
-    IpoIb,
-    /// NFS over TCP over Gigabit Ethernet.
-    GigE,
-}
-
-impl McTransport {
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            McTransport::Rdma => "RDMA",
-            McTransport::IpoIb => "IPoIB",
-            McTransport::GigE => "GigE",
-        }
+/// The §5.3 bed: `clients` hosts against the RAID server with
+/// `ram_bytes` of RAM (4 or 8 GiB in the paper), mounting over
+/// `topology` — on RDMA the Linux design with all-physical
+/// registration, as the paper ran it; TCP over IPoIB or GigE otherwise.
+pub fn raid_bed(profile: &Profile, topology: Topology, clients: usize, ram_bytes: u64) -> Bed {
+    Bed {
+        backend: Backend::Raid { ram_bytes },
+        clients,
+        topology,
+        ..Bed::new(profile, Design::ReadWrite, StrategyKind::AllPhysical)
     }
 }
 
 /// Parameters of one Figure-10 run.
 #[derive(Clone, Copy, Debug)]
 pub struct MultiClientParams {
-    /// Transport under test.
-    pub transport: McTransport,
-    /// Number of client hosts.
-    pub clients: usize,
-    /// Server page-cache RAM (4 or 8 GiB in the paper).
-    pub server_ram: u64,
     /// Per-client file size (1 GB in the paper).
     pub file_size: u64,
     /// Record size (1 MB in the paper).
@@ -65,44 +48,18 @@ pub struct MultiClientResult {
     pub server_cpu: f64,
 }
 
-/// Run one multi-client point inside a fresh simulation.
-pub fn run_multiclient(
-    seed: u64,
-    profile: &Profile,
-    params: MultiClientParams,
-) -> MultiClientResult {
-    let profile = *profile;
-    let backend = Backend::Raid {
-        ram_bytes: params.server_ram,
-    };
+/// Run one multi-client point on `bed` ([`raid_bed`]) inside a fresh
+/// simulation.
+pub fn run_multiclient(seed: u64, bed: &Bed, params: MultiClientParams) -> MultiClientResult {
+    let spec = *bed;
     let run = scenario::run(seed, Capture::default(), |sim| async move {
-        run_inner(&sim, &profile, params, backend).await
+        run_inner(&sim, &spec, params).await
     });
     run.out
 }
 
-async fn run_inner(
-    sim: &Sim,
-    profile: &Profile,
-    params: MultiClientParams,
-    backend: Backend,
-) -> MultiClientResult {
-    let bed: Testbed = match params.transport {
-        McTransport::Rdma => build_rdma(
-            sim,
-            profile,
-            Design::ReadWrite,
-            StrategyKind::AllPhysical,
-            backend,
-            params.clients,
-        ),
-        McTransport::IpoIb => {
-            build_tcp(sim, profile, TcpConfig::ipoib(), backend, params.clients).await
-        }
-        McTransport::GigE => {
-            build_tcp(sim, profile, TcpConfig::gige(), backend, params.clients).await
-        }
-    };
+async fn run_inner(sim: &Sim, spec: &Bed, params: MultiClientParams) -> MultiClientResult {
+    let bed: Testbed = spec.build(sim).await;
 
     let root = bed.server.root_handle();
 

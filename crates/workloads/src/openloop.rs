@@ -30,11 +30,9 @@ use sim_core::{Payload, Sim, SimDuration, SimRng, SimTime};
 use ib_verbs::Buffer;
 use nfs::{FileHandle, NfsClient, NfsError};
 use onc_rpc::{RpcError, TransportError};
-use rpcrdma::{Design, RfpConfig, StrategyKind};
 
-use crate::profiles::Profile;
 use crate::scenario::{self, fnv1a, percentile_us, Capture, Completion, Run, Timeline, FNV_BASIS};
-use crate::testbed::{build_rdma_custom, Backend, RdmaOpts, Testbed};
+use crate::testbed::{Bed, Testbed};
 
 /// How arrivals are generated.
 #[derive(Clone, Copy, Debug)]
@@ -159,15 +157,12 @@ impl OpMix {
     }
 }
 
-/// Parameters of one open-loop run.
+/// Parameters of one open-loop run. Each of the bed's clients is one
+/// mounted connection (one server tenant); the server's overload
+/// control ([`rpcrdma::qos`]) and the RFP reply-slot fast path are the
+/// bed's transport config.
 #[derive(Clone, Copy, Debug)]
 pub struct OpenLoopParams {
-    /// Bulk-transfer design.
-    pub design: Design,
-    /// Registration strategy (both sides).
-    pub strategy: StrategyKind,
-    /// Mounted client connections (server tenants).
-    pub connections: usize,
     /// Simulated tenant population behind the connections.
     pub tenants: u32,
     /// Zipf skew of tenant popularity (0 = uniform).
@@ -181,8 +176,6 @@ pub struct OpenLoopParams {
     /// Extra drain time after arrivals stop; ops still pending at the
     /// end of it are counted [`OpenLoopResult::unfinished`].
     pub grace: SimDuration,
-    /// Server-side overload control ([`rpcrdma::qos`]) on/off.
-    pub qos: bool,
     /// Per-connection waiting room: open-loop arrivals finding this
     /// many ops already outstanding on the connection are shed
     /// client-side. 0 = unbounded (the patient queue that collapses).
@@ -191,36 +184,28 @@ pub struct OpenLoopParams {
     /// connection 0 (the hog). 0 disables; when set, honest arrivals
     /// use only connections 1.. so the hog's tenant is isolated.
     pub hog_rate: f64,
-    /// QoS weight for the hog's tenant (connection 0).
+    /// QoS weight for the hog's tenant (connection 0), with QoS on.
     pub hog_weight: u32,
     /// QoS weight for honest tenants.
     pub honest_weight: u32,
     /// Sample the streaming telemetry timeline.
     pub timeline: bool,
-    /// The RFP reply-slot fast path on the run's transport config
-    /// ([`rpcrdma::RpcRdmaConfig::rfp`]; `None` = off).
-    pub rfp: Option<RfpConfig>,
 }
 
 impl Default for OpenLoopParams {
     fn default() -> Self {
         OpenLoopParams {
-            design: Design::ReadWrite,
-            strategy: StrategyKind::AllPhysical,
-            connections: 4,
             tenants: 2000,
             zipf_theta: 0.9,
             arrival: Arrival::Poisson { rate: 20_000.0 },
             mix: OpMix::oltp(),
             duration: SimDuration::from_millis(100),
             grace: SimDuration::from_millis(20),
-            qos: true,
             waiting_room: 64,
             hog_rate: 0.0,
             hog_weight: 1,
             honest_weight: 1,
             timeline: false,
-            rfp: None,
         }
     }
 }
@@ -537,40 +522,28 @@ impl OpCtx {
 /// its tenant hashed onto a slot, so hot tenants hit hot file ranges.
 const FILE_SLOTS: u64 = 128;
 
-/// Run one open-loop scenario inside a fresh simulation.
+/// Run one open-loop scenario on `bed` (an RDMA bed, single-server or
+/// replicated) inside a fresh simulation.
 pub fn run_openloop(
     seed: u64,
-    profile: &Profile,
+    bed: &Bed,
     params: OpenLoopParams,
     capture: Capture,
 ) -> Run<OpenLoopResult> {
-    let profile = *profile;
+    let spec = *bed;
     scenario::run(seed, capture, |sim| async move {
-        run_inner(&sim, &profile, params).await
+        run_inner(&sim, &spec, params).await
     })
 }
 
-async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> OpenLoopResult {
-    let mut cfg = profile.rpc.with_design(params.design);
-    cfg.qos_enabled = params.qos;
-    cfg.rfp = params.rfp;
-    let bed: Rc<Testbed> = Rc::new(build_rdma_custom(
-        sim,
-        profile,
-        RdmaOpts {
-            cfg,
-            client_strategy: params.strategy,
-            server_strategy: params.strategy,
-            server_hca: None,
-        },
-        Backend::Tmpfs,
-        params.connections,
-    ));
+async fn run_inner(sim: &Sim, spec: &Bed, params: OpenLoopParams) -> OpenLoopResult {
+    let bed: Testbed = spec.build(sim).await;
     let rpc = bed.rpc_server.clone().expect("rdma testbed");
+    let connections = spec.clients;
 
     // Tenant weights: connection i is server tenant (peer node) i+1.
-    if params.qos {
-        for i in 0..params.connections {
+    if spec.profile.rpc.qos_enabled {
+        for i in 0..connections {
             let w = if params.hog_rate > 0.0 && i == 0 {
                 params.hog_weight
             } else {
@@ -662,7 +635,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
 
     let shared = Rc::new(Shared {
         samples: RefCell::new(Vec::new()),
-        outstanding: (0..params.connections).map(|_| Cell::new(0)).collect(),
+        outstanding: (0..connections).map(|_| Cell::new(0)).collect(),
         offered: Cell::new(0),
         offered_digest: Cell::new(FNV_BASIS),
         client_sheds: Cell::new(0),
@@ -705,10 +678,10 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
     });
 
     // Honest arrivals: hog mode reserves connection 0 for the hog.
-    let honest_conns: Vec<usize> = if params.hog_rate > 0.0 && params.connections > 1 {
-        (1..params.connections).collect()
+    let honest_conns: Vec<usize> = if params.hog_rate > 0.0 && connections > 1 {
+        (1..connections).collect()
     } else {
-        (0..params.connections).collect()
+        (0..connections).collect()
     };
 
     let done = sim_core::sync::Semaphore::new(0);
@@ -728,7 +701,7 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
             ctx.spawn_arrivals(rate, bursts, aim, &done);
         }
         Arrival::ClosedLoop { workers } => {
-            for conn in 0..params.connections {
+            for conn in 0..connections {
                 for w in 0..workers.max(1) {
                     let mut rng = sim.fork_rng();
                     let sim2 = sim.clone();
@@ -766,12 +739,13 @@ async fn run_inner(sim: &Sim, profile: &Profile, params: OpenLoopParams) -> Open
     // keeps a backlog far past any reasonable grace).
     sim.sleep(params.grace).await;
     shared.stop.set(true);
+    bed.stop();
     let elapsed = sim.now() - start;
     let unfinished: u64 = shared.outstanding.iter().map(|c| c.get() as u64).sum();
 
     // Percentiles: everyone, and the honest and hog populations apart.
     let samples = shared.samples.borrow();
-    let hog_active = params.hog_rate > 0.0 && params.connections > 1;
+    let hog_active = params.hog_rate > 0.0 && connections > 1;
     let sorted_latencies = |of: &dyn Fn(usize) -> bool| {
         let picked = samples.iter().filter(|(conn, _)| of(*conn));
         let mut lat: Vec<SimDuration> = picked.map(|(_, c)| c.latency()).collect();

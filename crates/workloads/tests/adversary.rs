@@ -6,11 +6,23 @@
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::SimDuration;
-use workloads::{linux_sdr, run_adversary, AdversaryParams, Capture};
+use workloads::{linux_sdr, run_adversary, AdversaryParams, Bed, Capture};
+
+/// The exposure TTL the server runs unless a test turns the reaper off.
+const TTL: SimDuration = SimDuration::from_micros(200);
+
+/// Two honest clients against a server whose exposure TTL is `ttl`.
+fn bed(design: Design, strategy: StrategyKind, ttl: SimDuration) -> Bed {
+    let mut profile = linux_sdr();
+    profile.rpc.exposure_ttl = ttl;
+    Bed {
+        clients: 2,
+        ..Bed::new(&profile, design, strategy)
+    }
+}
 
 fn base() -> AdversaryParams {
     AdversaryParams {
-        honest_clients: 2,
         attackers: 2,
         records_per_client: 16,
         attack_rounds: 4,
@@ -20,19 +32,18 @@ fn base() -> AdversaryParams {
 
 #[test]
 fn attack_catalog_survived_with_bounded_damage_both_designs() {
-    let profile = linux_sdr();
     for design in [Design::ReadWrite, Design::ReadRead] {
-        let params = AdversaryParams { design, ..base() };
+        let bed = bed(design, StrategyKind::Dynamic, TTL);
         let baseline = run_adversary(
             3,
-            &profile,
+            &bed,
             AdversaryParams {
                 attackers: 0,
-                ..params
+                ..base()
             },
             Capture::default(),
         );
-        let attacked = run_adversary(3, &profile, params, Capture::default());
+        let attacked = run_adversary(3, &bed, base(), Capture::default());
 
         assert_eq!(attacked.corrupt_records, 0, "{design:?}: corrupted data");
         assert!(
@@ -80,13 +91,8 @@ fn exposure_ttl_reaper_revokes_withheld_done_exposures() {
     // Read-Read + TTL: the attacker's withheld-DONE exposures must be
     // force-revoked, the revocations must land in the TPT ledger, and
     // every aged steering-tag probe must be refused.
-    let profile = linux_sdr();
-    let params = AdversaryParams {
-        design: Design::ReadRead,
-        strategy: StrategyKind::Dynamic,
-        ..base()
-    };
-    let r = run_adversary(5, &profile, params, Capture::default());
+    let bed = bed(Design::ReadRead, StrategyKind::Dynamic, TTL);
+    let r = run_adversary(5, &bed, base(), Capture::default());
     let revoked = r.metric("server.exposures.revoked");
     assert!(revoked > 0, "reaper never fired");
     assert_eq!(
@@ -115,17 +121,8 @@ fn without_ttl_read_read_leaks_and_read_write_does_not() {
     // stay pinned forever without the TTL, and the attacker's aged
     // steering tags still read server memory. Read-Write never puts
     // server tags on the wire, so there is nothing to probe.
-    let profile = linux_sdr();
-    let rr = run_adversary(
-        9,
-        &profile,
-        AdversaryParams {
-            design: Design::ReadRead,
-            exposure_ttl: SimDuration::ZERO,
-            ..base()
-        },
-        Capture::default(),
-    );
+    let no_ttl = |design| bed(design, StrategyKind::Dynamic, SimDuration::ZERO);
+    let rr = run_adversary(9, &no_ttl(Design::ReadRead), base(), Capture::default());
     // Quarantine teardowns still revoke, but exposures on connections
     // that just went quiet are pinned forever — and their steering
     // tags still read server memory.
@@ -135,16 +132,7 @@ fn without_ttl_read_read_leaks_and_read_write_does_not() {
         "withheld DONEs should pin exposures"
     );
 
-    let rw = run_adversary(
-        9,
-        &profile,
-        AdversaryParams {
-            design: Design::ReadWrite,
-            exposure_ttl: SimDuration::ZERO,
-            ..base()
-        },
-        Capture::default(),
-    );
+    let rw = run_adversary(9, &no_ttl(Design::ReadWrite), base(), Capture::default());
     assert_eq!(rw.stale_reads_ok, 0, "Read-Write leaked a steering tag");
     assert_eq!(rw.exposures_pending, 0, "Read-Write pinned server buffers");
     assert_eq!(rw.corrupt_records, 0);
@@ -152,13 +140,9 @@ fn without_ttl_read_read_leaks_and_read_write_does_not() {
 
 #[test]
 fn adversary_runs_are_deterministic() {
-    let profile = linux_sdr();
-    let params = AdversaryParams {
-        design: Design::ReadRead,
-        ..base()
-    };
-    let a = run_adversary(21, &profile, params, Capture::SPANS);
-    let b = run_adversary(21, &profile, params, Capture::SPANS);
+    let bed = bed(Design::ReadRead, StrategyKind::Dynamic, TTL);
+    let a = run_adversary(21, &bed, base(), Capture::SPANS);
+    let b = run_adversary(21, &bed, base(), Capture::SPANS);
     assert_eq!(a.metrics, b.metrics, "metrics diverge");
     assert_eq!(a, b);
     assert!(!a.spans.is_empty(), "the comparison covered every span");
@@ -166,7 +150,6 @@ fn adversary_runs_are_deterministic() {
 
 #[test]
 fn all_registration_strategies_survive_the_catalog() {
-    let profile = linux_sdr();
     for strategy in [
         StrategyKind::Dynamic,
         StrategyKind::Fmr,
@@ -174,18 +157,12 @@ fn all_registration_strategies_survive_the_catalog() {
         StrategyKind::AllPhysical,
     ] {
         for design in [Design::ReadWrite, Design::ReadRead] {
-            let r = run_adversary(
-                13,
-                &profile,
-                AdversaryParams {
-                    design,
-                    strategy,
-                    records_per_client: 8,
-                    attack_rounds: 3,
-                    ..base()
-                },
-                Capture::default(),
-            );
+            let params = AdversaryParams {
+                records_per_client: 8,
+                attack_rounds: 3,
+                ..base()
+            };
+            let r = run_adversary(13, &bed(design, strategy, TTL), params, Capture::default());
             assert_eq!(
                 r.corrupt_records, 0,
                 "{design:?}/{strategy:?}: corrupted data"

@@ -5,11 +5,12 @@
 //! Run sizes are scaled down from the figure harnesses (smaller files)
 //! but large enough to reach steady state.
 
+use net_stack::TcpConfig;
 use rpcrdma::{Design, StrategyKind};
 use sim_core::Simulation;
 use workloads::{
-    build_rdma, run_iozone, run_multiclient, solaris_sdr, Backend, IoMode, IozoneParams,
-    McTransport, MultiClientParams,
+    raid_bed, run_iozone, run_multiclient, solaris_sdr, Bed, IoMode, IozoneParams,
+    MultiClientParams, Topology,
 };
 
 fn iozone_solaris(
@@ -22,7 +23,7 @@ fn iozone_solaris(
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_rdma(&h, &profile, design, strategy, Backend::Tmpfs, 1);
+        let bed = Bed::new(&profile, design, strategy).build(&h).await;
         run_iozone(
             &h,
             &bed,
@@ -121,7 +122,8 @@ fn fig9_linux_allphysical_read_near_wire_and_write_degraded() {
         let mut sim = Simulation::new(43);
         let h = sim.handle();
         sim.block_on(async move {
-            let bed = build_rdma(&h, &profile, Design::ReadWrite, strategy, Backend::Tmpfs, 1);
+            let bed = Bed::new(&profile, Design::ReadWrite, strategy);
+            let bed = bed.build(&h).await;
             run_iozone(
                 &h,
                 &bed,
@@ -166,17 +168,11 @@ fn fig10_cache_capacity_crossover() {
     // With 1 GiB, three clients fit; beyond that reads go to disk.
     let profile = workloads::linux_ddr_raid();
     let point = |clients: usize, ram: u64| {
-        run_multiclient(
-            7,
-            &profile,
-            MultiClientParams {
-                transport: McTransport::Rdma,
-                clients,
-                server_ram: ram,
-                file_size: 256 << 20,
-                record: 1 << 20,
-            },
-        )
+        let params = MultiClientParams {
+            file_size: 256 << 20,
+            record: 1 << 20,
+        };
+        run_multiclient(7, &raid_bed(&profile, Topology::Rdma, clients, ram), params)
     };
     // Backend::Raid reserves 512 MiB for the OS, so 1.5 GiB of RAM
     // gives a 1 GiB page cache.
@@ -218,22 +214,16 @@ fn fig10_cache_capacity_crossover() {
 #[test]
 fn fig10_transport_ordering_rdma_ipoib_gige() {
     let profile = workloads::linux_ddr_raid();
-    let point = |transport: McTransport| {
-        run_multiclient(
-            9,
-            &profile,
-            MultiClientParams {
-                transport,
-                clients: 3,
-                server_ram: 2 << 30,
-                file_size: 128 << 20,
-                record: 1 << 20,
-            },
-        )
+    let point = |topology: Topology| {
+        let params = MultiClientParams {
+            file_size: 128 << 20,
+            record: 1 << 20,
+        };
+        run_multiclient(9, &raid_bed(&profile, topology, 3, 2 << 30), params)
     };
-    let rdma = point(McTransport::Rdma);
-    let ipoib = point(McTransport::IpoIb);
-    let gige = point(McTransport::GigE);
+    let rdma = point(Topology::Rdma);
+    let ipoib = point(Topology::Tcp(TcpConfig::ipoib()));
+    let gige = point(Topology::Tcp(TcpConfig::gige()));
     assert!(
         rdma.read_bandwidth_mb > 2.0 * ipoib.read_bandwidth_mb,
         "RDMA {:.0} vs IPoIB {:.0} (paper: 883 vs 326)",

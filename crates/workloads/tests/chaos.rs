@@ -2,13 +2,32 @@
 //! with zero corruption, exactly-once WRITE application, and
 //! bit-for-bit deterministic replays.
 
-use rpcrdma::Design;
+use rpcrdma::{Design, StrategyKind};
 use sim_core::{SimDuration, SimTime};
-use workloads::{linux_sdr, run_chaos, Backend, Capture, ChaosParams};
+use workloads::{linux_sdr, run_chaos, Backend, Bed, Capture, ChaosParams};
+
+/// Client hosts of every bed here.
+const CLIENTS: u64 = 3;
+
+/// Three clients on a tmpfs server, both sides on the registration
+/// cache: the harness's default bed.
+fn bed(design: Design) -> Bed {
+    Bed {
+        clients: CLIENTS as usize,
+        ..Bed::new(&linux_sdr(), design, StrategyKind::Cache)
+    }
+}
+
+/// The default bed on a WAL-backed RAID server (crash scenarios).
+fn wal_bed() -> Bed {
+    Bed {
+        backend: Backend::WalRaid { ram_bytes: 1 << 30 },
+        ..bed(Design::ReadWrite)
+    }
+}
 
 fn base() -> ChaosParams {
     ChaosParams {
-        clients: 3,
         records_per_client: 12,
         ..ChaosParams::default()
     }
@@ -16,20 +35,18 @@ fn base() -> ChaosParams {
 
 #[test]
 fn one_percent_drop_completes_with_zero_corruption_both_designs() {
-    let profile = linux_sdr();
     for design in [Design::ReadWrite, Design::ReadRead] {
         let params = ChaosParams {
-            design,
             drop_probability: 0.01,
             qp_errors: 1,
             ..base()
         };
-        let r = run_chaos(7, &profile, params, Capture::default());
+        let r = run_chaos(7, &bed(design), params, Capture::default());
         assert_eq!(r.corrupt_records, 0, "{design:?}: corrupted data");
         // Exactly-once: every record applied once despite retransmits.
         assert_eq!(
             r.fs_writes,
-            (params.clients as u64) * params.records_per_client,
+            CLIENTS * params.records_per_client,
             "{design:?}: lost or double-applied WRITE"
         );
         assert!(
@@ -44,39 +61,35 @@ fn heavy_drop_forces_recovery_machinery_and_still_no_corruption() {
     // 5% drop leaves essentially no chance that zero messages are lost:
     // the run must visibly exercise timeouts, retransmissions, and the
     // duplicate request cache, and still come out clean.
-    let profile = linux_sdr();
     let params = ChaosParams {
         drop_probability: 0.05,
         delay_jitter: SimDuration::from_micros(20),
         qp_errors: 2,
         ..base()
     };
-    let r = run_chaos(11, &profile, params, Capture::default());
+    let r = run_chaos(11, &bed(Design::ReadWrite), params, Capture::default());
     assert!(r.metric("fabric.*.dropped") > 0, "fault layer never fired");
     assert!(r.metric("client.timeouts") > 0, "no reply timeout");
     assert!(r.metric("client.retransmits") > 0, "no RPC retransmission");
     assert_eq!(r.corrupt_records, 0);
-    assert_eq!(
-        r.fs_writes,
-        (params.clients as u64) * params.records_per_client
-    );
+    assert_eq!(r.fs_writes, CLIENTS * params.records_per_client);
 }
 
 #[test]
 fn same_seed_replays_identically() {
-    let profile = linux_sdr();
     let params = ChaosParams {
         drop_probability: 0.02,
         qp_errors: 1,
         ..base()
     };
-    let a = run_chaos(42, &profile, params, Capture::SPANS);
-    let b = run_chaos(42, &profile, params, Capture::SPANS);
+    let bed = bed(Design::ReadWrite);
+    let a = run_chaos(42, &bed, params, Capture::SPANS);
+    let b = run_chaos(42, &bed, params, Capture::SPANS);
     assert_eq!(a, b, "outcome, registry, spans or flight ring diverged");
     assert_eq!(a.fingerprint(), b.fingerprint());
     // A different seed takes a different path (sanity that the
     // fingerprint actually discriminates).
-    let c = run_chaos(43, &profile, params, Capture::SPANS);
+    let c = run_chaos(43, &bed, params, Capture::SPANS);
     assert_ne!(a.fingerprint(), c.fingerprint());
 }
 
@@ -87,16 +100,14 @@ fn same_seed_replays_identically() {
 /// its power failure at the scheduled instant.
 #[test]
 fn injected_faults_reach_the_flight_ring() {
-    let profile = linux_sdr();
     let at = |us| SimTime::ZERO + SimDuration::from_micros(us);
     for design in [Design::ReadWrite, Design::ReadRead] {
         let params = ChaosParams {
-            design,
             drop_probability: 0.01,
             qp_errors: 1,
             ..ChaosParams::default()
         };
-        let r = run_chaos(0xC0FFEE, &profile, params, Capture::default());
+        let r = run_chaos(0xC0FFEE, &bed(design), params, Capture::default());
         let faults: Vec<_> = (r.flight.iter())
             .filter(|f| matches!(f.component, "chaos" | "client"))
             .map(|f| (f.component, f.event))
@@ -114,27 +125,26 @@ fn injected_faults_reach_the_flight_ring() {
     }
     let crash = ChaosParams {
         records_per_client: 48,
-        backend: Backend::WalRaid { ram_bytes: 1 << 30 },
         server_crash_at: Some(SimDuration::from_micros(400)),
         drop_probability: 0.01,
         qp_errors: 0,
         ..ChaosParams::default()
     };
-    let r = run_chaos(0xC0FFEE, &profile, crash, Capture::default());
+    let r = run_chaos(0xC0FFEE, &wal_bed(), crash, Capture::default());
     let power = (r.flight.iter()).find(|f| (f.component, f.event) == ("chaos", "power_fail"));
     assert_eq!(power.map(|f| f.at), Some(at(400)));
 }
 
 #[test]
 fn metrics_registry_snapshot_is_deterministic_across_replays() {
-    let profile = linux_sdr();
     let params = ChaosParams {
         drop_probability: 0.03,
         qp_errors: 1,
         ..base()
     };
-    let a = run_chaos(21, &profile, params, Capture::SPANS);
-    let b = run_chaos(21, &profile, params, Capture::SPANS);
+    let bed = bed(Design::ReadWrite);
+    let a = run_chaos(21, &bed, params, Capture::SPANS);
+    let b = run_chaos(21, &bed, params, Capture::SPANS);
     assert!(!a.metrics.is_empty(), "registry never saw a counter");
     assert_eq!(
         a.metrics, b.metrics,
@@ -159,20 +169,18 @@ fn server_power_failure_mid_unstable_burst_re_drives_cleanly() {
     // prefix (nothing yet), and the write verifier changes. Clients
     // must notice the mismatch at COMMIT, re-drive every pending
     // write, and the read-back pass must see zero corruption.
-    let profile = linux_sdr();
     let params = ChaosParams {
         drop_probability: 0.0,
         delay_jitter: SimDuration::ZERO,
         qp_errors: 0,
         records_per_client: 48,
-        backend: Backend::WalRaid { ram_bytes: 1 << 30 },
         server_crash_at: Some(SimDuration::from_micros(400)),
         ..base()
     };
-    let r = run_chaos(13, &profile, params, Capture::SPANS);
+    let r = run_chaos(13, &wal_bed(), params, Capture::SPANS);
     assert_eq!(r.corrupt_records, 0, "crash+re-drive corrupted data");
     assert!(
-        r.verf_mismatches >= params.clients as u64,
+        r.verf_mismatches >= CLIENTS,
         "every client's COMMIT must observe the verifier change, got {}",
         r.verf_mismatches
     );
@@ -180,7 +188,7 @@ fn server_power_failure_mid_unstable_burst_re_drives_cleanly() {
     // Re-driven records are applied a second time, so the server sees
     // strictly more WRITE calls than the logical record count.
     assert!(
-        r.fs_writes > (params.clients as u64) * params.records_per_client,
+        r.fs_writes > CLIENTS * params.records_per_client,
         "re-drive must re-apply lost records (fs_writes={})",
         r.fs_writes
     );
@@ -189,7 +197,7 @@ fn server_power_failure_mid_unstable_burst_re_drives_cleanly() {
         "the final COMMIT must land a WAL commit marker"
     );
     // Crash scenarios replay bit-for-bit like everything else.
-    let b = run_chaos(13, &profile, params, Capture::SPANS);
+    let b = run_chaos(13, &wal_bed(), params, Capture::SPANS);
     assert_eq!(r, b, "crash run is not deterministic");
 }
 
@@ -198,22 +206,20 @@ fn qp_error_alone_recovers_without_data_loss() {
     // No drops, no jitter: the only fault is a forced QP error per
     // design. Recovery must re-establish the connection and the
     // workload must finish exactly-once.
-    let profile = linux_sdr();
     for design in [Design::ReadWrite, Design::ReadRead] {
         let params = ChaosParams {
-            design,
             drop_probability: 0.0,
             delay_jitter: SimDuration::ZERO,
             qp_errors: 1,
             ..base()
         };
-        let r = run_chaos(5, &profile, params, Capture::default());
+        let r = run_chaos(5, &bed(design), params, Capture::default());
         let reconnects = r.metric("client.reconnects");
         assert!(reconnects >= 1, "{design:?}: no recovery happened");
         assert_eq!(r.corrupt_records, 0, "{design:?}");
         assert_eq!(
             r.fs_writes,
-            (params.clients as u64) * params.records_per_client,
+            CLIENTS * params.records_per_client,
             "{design:?}"
         );
     }

@@ -5,8 +5,9 @@
 //! under both designs and two mix/registration pairings, and each run
 //! must look like a healthy one: every offered op completes, and no
 //! client ever times out, reconnects, or has an RDMA access refused.
-//! `wide_matrix` is the same floor over every registration strategy and
-//! a third mix. The second half puts the same subsets under the chaos
+//! One more row runs the subsets on a replicated bed (a primary with one
+//! backup, replication on). `wide_matrix` is the single-server floor
+//! over every registration strategy and a third mix. The second half puts the same subsets under the chaos
 //! harness's fault families — drops, forced QP errors, a storage
 //! power-fail — and asks for what must survive them: no corruption,
 //! exactly-once WRITEs, and a same-seed rerun equal as a whole run
@@ -16,8 +17,8 @@
 use rpcrdma::{Design, RfpConfig, StrategyKind};
 use sim_core::SimDuration;
 use workloads::{
-    linux_sdr, run_chaos, run_openloop, Arrival, Backend, Capture, ChaosParams, OpMix,
-    OpenLoopParams, OpenLoopResult, Profile, Run,
+    linux_sdr, run_chaos, run_openloop, Arrival, Backend, Bed, Capture, ChaosParams, ClusterConfig,
+    OpMix, OpenLoopParams, OpenLoopResult, Profile, Run, Topology,
 };
 
 const STRATEGIES: [StrategyKind; 4] = [
@@ -43,34 +44,41 @@ fn extensions(subset: u32) -> Profile {
     profile
 }
 
-/// One point of the fault-free matrix.
-fn run(subset: u32, design: Design, mix: OpMix, strategy: StrategyKind) -> Run<OpenLoopResult> {
-    let profile = extensions(subset);
-    run_openloop(
-        7,
-        &profile,
-        OpenLoopParams {
-            design,
-            strategy,
-            connections: 4,
-            arrival: Arrival::Poisson { rate: 15_000.0 },
-            mix,
-            duration: SimDuration::from_millis(50),
-            grace: SimDuration::from_secs(2),
-            qos: profile.rpc.qos_enabled,
-            rfp: profile.rpc.rfp,
-            ..OpenLoopParams::default()
-        },
-        Capture::default(),
-    )
+/// One point of the fault-free matrix: four connections.
+fn run(
+    subset: u32,
+    design: Design,
+    mix: OpMix,
+    strategy: StrategyKind,
+    topology: Topology,
+) -> Run<OpenLoopResult> {
+    let bed = Bed {
+        clients: 4,
+        topology,
+        ..Bed::new(&extensions(subset), design, strategy)
+    };
+    let params = OpenLoopParams {
+        arrival: Arrival::Poisson { rate: 15_000.0 },
+        mix,
+        duration: SimDuration::from_millis(50),
+        grace: SimDuration::from_secs(2),
+        ..OpenLoopParams::default()
+    };
+    run_openloop(7, &bed, params, Capture::default())
 }
 
-/// All sixteen subsets at one (design, mix, strategy) point. Returns the
-/// unhealthy ones by name, so a failure shows which extensions clash.
-fn unhealthy_subsets(design: Design, mix: OpMix, strategy: StrategyKind) -> Vec<String> {
+/// All sixteen subsets at one (design, mix, strategy, topology) point.
+/// Returns the unhealthy ones by name, so a failure shows which
+/// extensions clash.
+fn unhealthy_subsets(
+    design: Design,
+    mix: OpMix,
+    strategy: StrategyKind,
+    topology: Topology,
+) -> Vec<String> {
     let mut unhealthy = Vec::new();
     for subset in 0..16 {
-        let r = run(subset, design, mix, strategy);
+        let r = run(subset, design, mix, strategy, topology);
         assert!(r.offered > 0, "nothing offered");
         let lost = r.offered - r.completed;
         let errors = r.overload_failures + r.other_errors + r.unfinished + r.client_sheds;
@@ -78,9 +86,9 @@ fn unhealthy_subsets(design: Design, mix: OpMix, strategy: StrategyKind) -> Vec<
         let refused = r.metric("tpt.violations");
         if lost + errors + timeouts + reconnects + refused != 0 {
             unhealthy.push(format!(
-                "{design:?}/{strategy:?} rfp|qos|ttl|batch = {subset:04b}: {lost} ops lost, \
-                 {errors} failed, {timeouts} reply timeouts, {reconnects} reconnects, \
-                 {refused} accesses refused"
+                "{design:?}/{strategy:?} on {topology:?} rfp|qos|ttl|batch = {subset:04b}: \
+                 {lost} ops lost, {errors} failed, {timeouts} reply timeouts, \
+                 {reconnects} reconnects, {refused} accesses refused"
             ));
         }
     }
@@ -88,35 +96,51 @@ fn unhealthy_subsets(design: Design, mix: OpMix, strategy: StrategyKind) -> Vec<
 }
 
 /// The gated floor at one point: every subset healthy, and everything
-/// on at once still deterministic.
-fn every_subset_runs_clean(design: Design, mix: OpMix, strategy: StrategyKind) {
-    let unhealthy = unhealthy_subsets(design, mix, strategy);
+/// on at once still deterministic — and, on a replicated bed, shipping
+/// to the backup.
+fn every_subset_runs_clean(design: Design, mix: OpMix, strategy: StrategyKind, topology: Topology) {
+    let unhealthy = unhealthy_subsets(design, mix, strategy, topology);
     assert!(unhealthy.is_empty(), "{unhealthy:#?}");
-    let (a, b) = (
-        run(15, design, mix, strategy),
-        run(15, design, mix, strategy),
-    );
-    assert_eq!(a, b);
+    let run = || run(15, design, mix, strategy, topology);
+    let all_on = run();
+    assert_eq!(all_on, run());
+    if let Topology::Replicated(_) = topology {
+        assert!(all_on.metric("repl.shipped_records") > 0, "nothing shipped");
+    }
 }
 
 #[test]
 fn read_write_oltp_dynamic() {
-    every_subset_runs_clean(Design::ReadWrite, OpMix::oltp(), StrategyKind::Dynamic);
+    let (mix, strategy) = (OpMix::oltp(), StrategyKind::Dynamic);
+    every_subset_runs_clean(Design::ReadWrite, mix, strategy, Topology::Rdma);
 }
 
 #[test]
 fn read_read_oltp_dynamic() {
-    every_subset_runs_clean(Design::ReadRead, OpMix::oltp(), StrategyKind::Dynamic);
+    let (mix, strategy) = (OpMix::oltp(), StrategyKind::Dynamic);
+    every_subset_runs_clean(Design::ReadRead, mix, strategy, Topology::Rdma);
 }
 
 #[test]
 fn read_write_metadata_cache() {
-    every_subset_runs_clean(Design::ReadWrite, OpMix::metadata(), StrategyKind::Cache);
+    let (mix, strategy) = (OpMix::metadata(), StrategyKind::Cache);
+    every_subset_runs_clean(Design::ReadWrite, mix, strategy, Topology::Rdma);
 }
 
 #[test]
 fn read_read_metadata_cache() {
-    every_subset_runs_clean(Design::ReadRead, OpMix::metadata(), StrategyKind::Cache);
+    let (mix, strategy) = (OpMix::metadata(), StrategyKind::Cache);
+    every_subset_runs_clean(Design::ReadRead, mix, strategy, Topology::Rdma);
+}
+
+/// The first run with replication and the transport extensions on
+/// together (ROADMAP item 2(f)'s untried seams): a primary with one
+/// backup, replication on.
+#[test]
+fn read_write_oltp_dynamic_replicated() {
+    let (mix, strategy) = (OpMix::oltp(), StrategyKind::Dynamic);
+    let backup = Topology::Replicated(ClusterConfig::default());
+    every_subset_runs_clean(Design::ReadWrite, mix, strategy, backup);
 }
 
 /// 2 designs x 3 mixes x 4 strategies x 16 subsets = 384 runs (~10 s in
@@ -129,7 +153,7 @@ fn wide_matrix() {
     for design in [Design::ReadRead, Design::ReadWrite] {
         for mix in [OpMix::oltp(), OpMix::metadata(), OpMix::varmail()] {
             for strategy in STRATEGIES {
-                unhealthy.extend(unhealthy_subsets(design, mix, strategy));
+                unhealthy.extend(unhealthy_subsets(design, mix, strategy, Topology::Rdma));
             }
         }
     }
@@ -194,25 +218,31 @@ fn broken_under_faults(
     f: Faults,
     honest_fetches: bool,
 ) -> Option<String> {
-    let params = ChaosParams {
-        design,
-        strategy,
+    let bed = Bed {
         clients: 3,
+        ..Bed::new(&extensions(subset), design, strategy)
+    };
+    let params = ChaosParams {
         records_per_client: RECORDS / 3,
         record: f.record,
         drop_probability: f.drop,
         qp_errors: f.qp_errors,
         ..ChaosParams::default()
     };
-    let params = match f.power_fail {
-        true => ChaosParams {
-            backend: Backend::WalRaid { ram_bytes: 1 << 30 },
-            server_crash_at: Some(SimDuration::from_micros(400)),
-            ..params
-        },
-        false => params,
+    let (bed, params) = match f.power_fail {
+        true => (
+            Bed {
+                backend: Backend::WalRaid { ram_bytes: 1 << 30 },
+                ..bed
+            },
+            ChaosParams {
+                server_crash_at: Some(SimDuration::from_micros(400)),
+                ..params
+            },
+        ),
+        false => (bed, params),
     };
-    let run = || run_chaos(7, &extensions(subset), params, Capture::SPANS);
+    let run = || run_chaos(7, &bed, params, Capture::SPANS);
     let (r, rerun) = (run(), run());
     let mut wrong = Vec::new();
     if r.corrupt_records != 0 {

@@ -4,8 +4,8 @@
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, SimDuration, Simulation};
 use workloads::{
-    build_rdma, build_tcp, linux_sdr, run_iozone, run_oltp, run_openloop, solaris_sdr, Arrival,
-    Backend, Capture, IoMode, IozoneParams, OltpParams, OpMix, OpenLoopParams,
+    linux_sdr, run_iozone, run_oltp, run_openloop, solaris_sdr, Arrival, Bed, Capture, IoMode,
+    IozoneParams, OltpParams, OpMix, OpenLoopParams, Topology,
 };
 
 #[test]
@@ -14,14 +14,8 @@ fn iozone_write_pass_stores_correct_bytes() {
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::Dynamic,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&profile, Design::ReadWrite, StrategyKind::Dynamic);
+        let bed = bed.build(&h).await;
         let params = IozoneParams {
             threads_per_client: 2,
             file_size: 1 << 20,
@@ -55,14 +49,8 @@ fn iozone_read_pass_counts_and_cpu() {
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::Cache,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&profile, Design::ReadWrite, StrategyKind::Cache);
+        let bed = bed.build(&h).await;
         let r = run_iozone(
             &h,
             &bed,
@@ -93,14 +81,12 @@ fn iozone_runs_over_tcp_testbed_too() {
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_tcp(
-            &h,
-            &profile,
-            net_stack::TcpConfig::ipoib(),
-            Backend::Tmpfs,
-            2,
-        )
-        .await;
+        let bed = Bed {
+            clients: 2,
+            topology: Topology::Tcp(net_stack::TcpConfig::ipoib()),
+            ..Bed::new(&profile, Design::ReadWrite, StrategyKind::Dynamic)
+        };
+        let bed = bed.build(&h).await;
         let r = run_iozone(
             &h,
             &bed,
@@ -125,14 +111,8 @@ fn oltp_mix_produces_reads_writes_and_log_appends() {
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::Cache,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&profile, Design::ReadWrite, StrategyKind::Cache);
+        let bed = bed.build(&h).await;
         let r = run_oltp(
             &h,
             &bed,
@@ -165,14 +145,8 @@ fn testbed_reset_accounting_clears_utilization() {
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::Dynamic,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&profile, Design::ReadWrite, StrategyKind::Dynamic);
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         let c = &bed.clients[0];
         let f = c.nfs.create(root, "x").await.unwrap();
@@ -196,23 +170,17 @@ fn batched_read_run(seed: u64) -> (Vec<(String, u64)>, f64) {
     let h = sim.handle();
     let profile = workloads::linux_sdr();
     sim.block_on(async move {
-        let mut cfg = profile.rpc.with_design(Design::ReadWrite);
-        cfg.server_doorbell_batch = 4;
+        let mut profile = profile;
+        profile.rpc.server_doorbell_batch = 4;
         let mut server_hca = profile.hca;
         server_hca.cq_coalesce_count = 4;
         server_hca.cq_coalesce_delay = SimDuration::from_micros(64);
-        let bed = workloads::build_rdma_custom(
-            &h,
-            &profile,
-            workloads::RdmaOpts {
-                cfg,
-                client_strategy: StrategyKind::Cache,
-                server_strategy: StrategyKind::AllPhysical,
-                server_hca: Some(server_hca),
-            },
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed {
+            client_strategy: StrategyKind::Cache,
+            server_hca: Some(server_hca),
+            ..Bed::new(&profile, Design::ReadWrite, StrategyKind::AllPhysical)
+        };
+        let bed = bed.build(&h).await;
         let r = run_iozone(
             &h,
             &bed,
@@ -271,16 +239,21 @@ fn batched_read_pipeline_same_seed_metrics_fingerprint() {
 /// curve row compares service, not two different streams.
 #[test]
 fn waiting_room_sheds_arrivals_without_changing_what_is_offered() {
+    let mut profile = linux_sdr();
+    profile.rpc.qos_enabled = true;
+    let bed = Bed {
+        clients: 2,
+        ..Bed::new(&profile, Design::ReadWrite, StrategyKind::AllPhysical)
+    };
     let offered = |waiting_room| {
         let params = OpenLoopParams {
-            connections: 2,
             arrival: Arrival::Poisson { rate: 60_000.0 },
             mix: OpMix::oltp(),
             duration: SimDuration::from_millis(5),
             waiting_room,
             ..OpenLoopParams::default()
         };
-        let run = run_openloop(11, &linux_sdr(), params, Capture::default());
+        let run = run_openloop(11, &bed, params, Capture::default());
         (run.offered, run.offered_digest, run.client_sheds)
     };
     let (tight, roomy) = (offered(1), offered(64));

@@ -3,7 +3,13 @@
 //! node, and replays identically under the same seed.
 
 use sim_core::SimDuration;
-use workloads::{linux_sdr, run_failover, Capture, FailoverParams};
+use workloads::{
+    failover_bed, linux_sdr, run_failover, Bed, Capture, ClusterConfig, FailoverParams,
+};
+
+fn bed() -> Bed {
+    failover_bed(&linux_sdr(), ClusterConfig::default())
+}
 
 fn base() -> FailoverParams {
     FailoverParams::default()
@@ -11,7 +17,7 @@ fn base() -> FailoverParams {
 
 #[test]
 fn replicated_steady_state_ships_everything() {
-    let r = run_failover(11, &linux_sdr(), base(), Capture::default());
+    let r = run_failover(11, &bed(), base(), Capture::default());
     assert_eq!(
         r.corrupt_records, 0,
         "read-back must match what was written"
@@ -28,9 +34,12 @@ fn replicated_steady_state_ships_everything() {
 
 #[test]
 fn overhead_baseline_runs_without_replication() {
-    let mut p = base();
-    p.cluster.replicate = false;
-    let r = run_failover(11, &linux_sdr(), p, Capture::default());
+    let cluster = ClusterConfig {
+        replicate: false,
+        ..ClusterConfig::default()
+    };
+    let bed = failover_bed(&linux_sdr(), cluster);
+    let r = run_failover(11, &bed, base(), Capture::default());
     assert_eq!(r.corrupt_records, 0);
     assert_eq!(r.shipped_records, 0);
     assert_eq!(r.log_len, 0);
@@ -41,7 +50,7 @@ fn overhead_baseline_runs_without_replication() {
 fn mid_burst_kill_fails_over_without_corruption() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(23, &linux_sdr(), p, Capture::default());
+    let r = run_failover(23, &bed(), p, Capture::default());
     assert!(r.promoted, "backup must promote after the kill");
     assert_eq!(r.corrupt_records, 0, "zero corruption across failover");
     assert!(r.failover_us > 0);
@@ -61,7 +70,7 @@ fn retransmitted_write_across_promotion_replays_from_drc() {
     let mut p = base();
     p.drop_probability = 0.05;
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(3, &linux_sdr(), p, Capture::default());
+    let r = run_failover(3, &bed(), p, Capture::default());
     assert!(r.promoted);
     assert_eq!(
         r.corrupt_records, 0,
@@ -86,12 +95,12 @@ fn retransmitted_write_across_promotion_replays_from_drc() {
 fn same_seed_failover_replays_bit_for_bit() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let a = run_failover(42, &linux_sdr(), p, Capture::SPANS);
-    let b = run_failover(42, &linux_sdr(), p, Capture::SPANS);
+    let a = run_failover(42, &bed(), p, Capture::SPANS);
+    let b = run_failover(42, &bed(), p, Capture::SPANS);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a, b);
     assert_eq!(a.corrupt_records, 0);
-    let untraced = run_failover(42, &linux_sdr(), p, Capture::default());
+    let untraced = run_failover(42, &bed(), p, Capture::default());
     assert!(untraced.spans.is_empty() && !a.spans.is_empty());
     assert_eq!(
         (&untraced.out, &untraced.metrics, &untraced.flight),
@@ -108,8 +117,8 @@ fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
     p.timeline = true;
-    let a = run_failover(42, &linux_sdr(), p, Capture::SPANS);
-    let b = run_failover(42, &linux_sdr(), p, Capture::SPANS);
+    let a = run_failover(42, &bed(), p, Capture::SPANS);
+    let b = run_failover(42, &bed(), p, Capture::SPANS);
 
     // Every exported artifact is byte-identical across same-seed runs
     // with tracing on.
@@ -161,7 +170,7 @@ fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
 fn untraced_failover_exports_nothing_but_flight_records() {
     let mut p = base();
     p.kill_at = Some(SimDuration::from_millis(2));
-    let r = run_failover(23, &linux_sdr(), p, Capture::default());
+    let r = run_failover(23, &bed(), p, Capture::default());
     assert!(r.spans.is_empty());
     assert!(r.timeline.buckets.is_empty());
     assert!(r.flight.iter().any(|f| f.event == "promoted"));
@@ -173,7 +182,7 @@ fn killed_node_rejoins_and_resyncs() {
     p.records_per_client = 48;
     p.kill_at = Some(SimDuration::from_millis(2));
     p.rejoin_after = Some(SimDuration::from_millis(1));
-    let r = run_failover(31, &linux_sdr(), p, Capture::SPANS);
+    let r = run_failover(31, &bed(), p, Capture::SPANS);
     assert!(r.promoted);
     assert_eq!(r.corrupt_records, 0);
     assert!(

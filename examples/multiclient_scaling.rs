@@ -6,7 +6,8 @@
 //! cargo run --release -p bench --example multiclient_scaling
 //! ```
 
-use workloads::{linux_ddr_raid, run_multiclient, McTransport, MultiClientParams};
+use net_stack::TcpConfig;
+use workloads::{linux_ddr_raid, raid_bed, run_multiclient, MultiClientParams, Topology};
 
 fn main() {
     let profile = linux_ddr_raid();
@@ -25,19 +26,19 @@ fn main() {
     for clients in [1usize, 2, 3, 4, 6, 8] {
         let mut row = vec![format!("{clients:>8}")];
         let mut hit = 0.0;
-        for transport in [McTransport::Rdma, McTransport::IpoIb, McTransport::GigE] {
-            let r = run_multiclient(
-                11,
-                &profile,
-                MultiClientParams {
-                    transport,
-                    clients,
-                    server_ram: ram,
-                    file_size,
-                    record: 1 << 20,
-                },
-            );
-            if transport == McTransport::Rdma {
+        let topologies = [
+            Topology::Rdma,
+            Topology::Tcp(TcpConfig::ipoib()),
+            Topology::Tcp(TcpConfig::gige()),
+        ];
+        for topology in topologies {
+            let bed = raid_bed(&profile, topology, clients, ram);
+            let params = MultiClientParams {
+                file_size,
+                record: 1 << 20,
+            };
+            let r = run_multiclient(11, &bed, params);
+            if let Topology::Rdma = topology {
                 hit = r.cache_hit_rate;
             }
             row.push(format!("{:>12.0}", r.read_bandwidth_mb));

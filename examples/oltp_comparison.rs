@@ -13,14 +13,15 @@
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{SimDuration, Simulation};
-use workloads::{build_rdma, run_oltp, solaris_sdr, Backend, OltpParams};
+use workloads::{run_oltp, solaris_sdr, Bed, OltpParams};
 
 fn run(strategy: StrategyKind) -> workloads::OltpResult {
     let mut sim = Simulation::new(4242);
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_rdma(&h, &profile, Design::ReadWrite, strategy, Backend::Tmpfs, 1);
+        let bed = Bed::new(&profile, Design::ReadWrite, strategy);
+        let bed = bed.build(&h).await;
         run_oltp(
             &h,
             &bed,

@@ -7,7 +7,7 @@
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, Simulation};
-use workloads::{build_rdma, solaris_sdr, Backend};
+use workloads::{solaris_sdr, Bed};
 
 fn main() {
     // A deterministic virtual world: one NFS server (tmpfs-backed), one
@@ -17,14 +17,10 @@ fn main() {
     let profile = solaris_sdr();
 
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,   // the paper's design
-            StrategyKind::Cache, // its fastest registration strategy
-            Backend::Tmpfs,
-            1, // one client host
-        );
+        // One client host on a tmpfs server: the paper's design with
+        // its fastest registration strategy.
+        let bed = Bed::new(&profile, Design::ReadWrite, StrategyKind::Cache);
+        let bed = bed.build(&h).await;
         let client = &bed.clients[0];
         let root = bed.server.root_handle();
 

@@ -17,8 +17,8 @@
 //! ```
 
 use rpcrdma::{Design, StrategyKind};
-use sim_core::{Payload, Simulation};
-use workloads::{build_rdma, solaris_sdr, Backend};
+use sim_core::{Payload, SimDuration, Simulation};
+use workloads::{solaris_sdr, Bed};
 
 fn audit(design: Design) {
     let mut sim = Simulation::new(99);
@@ -30,14 +30,8 @@ fn audit(design: Design) {
     };
 
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            design,
-            StrategyKind::Dynamic,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&profile, design, StrategyKind::Dynamic);
+        let bed = bed.build(&h).await;
         let client = &bed.clients[0];
         let root = bed.server.root_handle();
         let server_hca = bed.server_hca.as_ref().unwrap();
@@ -87,14 +81,11 @@ fn guessing_attack() {
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadRead,
-            StrategyKind::Dynamic,
-            Backend::Tmpfs,
-            2, // client 1 is honest, client 2 is the attacker
-        );
+        let bed = Bed {
+            clients: 2, // client 1 is honest, client 2 is the attacker
+            ..Bed::new(&profile, Design::ReadRead, StrategyKind::Dynamic)
+        };
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         let honest = &bed.clients[0];
         let server_hca = bed.server_hca.as_ref().unwrap();
@@ -141,14 +132,8 @@ fn withheld_done() {
     let h = sim.handle();
     let profile = solaris_sdr();
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadRead,
-            StrategyKind::Dynamic,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&profile, Design::ReadRead, StrategyKind::Dynamic);
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         let client = &bed.clients[0];
         let file = client.nfs.create(root, "x").await.unwrap();
@@ -199,21 +184,20 @@ fn adversary_alongside_honest() {
         "  {:<10} {:>8} {:>10} {:>11} {:>11} {:>9} {:>8}",
         "design", "goodput", "violations", "quarantines", "revocations", "stale ok", "corrupt"
     );
-    let profile = workloads::linux_sdr();
+    let mut profile = workloads::linux_sdr();
+    profile.rpc.exposure_ttl = SimDuration::from_micros(200);
     for design in [Design::ReadRead, Design::ReadWrite] {
-        let r = workloads::run_adversary(
-            42,
-            &profile,
-            workloads::AdversaryParams {
-                design,
-                attackers: 1,
-                honest_clients: 2,
-                records_per_client: 16,
-                attack_rounds: 4,
-                ..workloads::AdversaryParams::default()
-            },
-            workloads::Capture::default(),
-        );
+        let bed = Bed {
+            clients: 2,
+            ..Bed::new(&profile, design, StrategyKind::Dynamic)
+        };
+        let params = workloads::AdversaryParams {
+            attackers: 1,
+            records_per_client: 16,
+            attack_rounds: 4,
+            ..workloads::AdversaryParams::default()
+        };
+        let r = workloads::run_adversary(42, &bed, params, workloads::Capture::default());
         println!(
             "  {:<10} {:>5.1} MB/s {:>8} {:>11} {:>11} {:>9} {:>8}",
             format!("{design:?}"),

@@ -14,7 +14,7 @@
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, SimTime, Simulation, SpanRecord};
-use workloads::{build_rdma, solaris_sdr, Backend};
+use workloads::{solaris_sdr, Bed};
 
 /// NFSv3 READ's procedure number.
 const READ: u32 = 6;
@@ -59,14 +59,8 @@ fn main() {
     let profile = solaris_sdr();
 
     sim.block_on(async move {
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::Dynamic,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&profile, Design::ReadWrite, StrategyKind::Dynamic);
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         let c = &bed.clients[0];
         let f = c.nfs.create(root, "traced").await.unwrap();

@@ -8,18 +8,14 @@ use std::rc::Rc;
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, SimRng, Simulation};
-use workloads::{build_rdma, solaris_sdr, Backend, Testbed};
+use workloads::{solaris_sdr, Bed, Testbed};
 
 fn bed(sim: &Simulation, design: Design, strategy: StrategyKind, clients: usize) -> Testbed {
-    let profile = solaris_sdr();
-    build_rdma(
-        &sim.handle(),
-        &profile,
-        design,
-        strategy,
-        Backend::Tmpfs,
+    let bed = Bed {
         clients,
-    )
+        ..Bed::new(&solaris_sdr(), design, strategy)
+    };
+    bed.build_now(&sim.handle())
 }
 
 #[test]

@@ -25,7 +25,7 @@ use std::future::Future;
 use ib_verbs::{connect, WrId};
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{yield_now, Payload, Sim, SimDuration, Simulation};
-use workloads::{build_rdma, linux_ddr_raid, linux_sdr, solaris_sdr, Backend};
+use workloads::{linux_ddr_raid, linux_sdr, solaris_sdr, Backend, Bed};
 
 struct PerThread;
 
@@ -133,15 +133,8 @@ fn small_ops() -> ([(u64, u64); 4], (u64, u64)) {
     let mut sim = Simulation::new(2);
     let h = sim.handle();
     sim.block_on(async move {
-        let profile = linux_sdr();
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::AllPhysical,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&linux_sdr(), Design::ReadWrite, StrategyKind::AllPhysical);
+        let bed = bed.build(&h).await;
         let client = &bed.clients[0];
         let nfs = &client.nfs;
         let root = bed.server.root_handle();
@@ -199,17 +192,17 @@ fn cached_read() -> (u64, u64) {
     let mut sim = Simulation::new(3);
     let h = sim.handle();
     sim.block_on(async move {
-        let profile = linux_ddr_raid();
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::AllPhysical,
-            Backend::Raid {
+        let bed = Bed {
+            backend: Backend::Raid {
                 ram_bytes: 704 << 20,
             },
-            1,
-        );
+            ..Bed::new(
+                &linux_ddr_raid(),
+                Design::ReadWrite,
+                StrategyKind::AllPhysical,
+            )
+        };
+        let bed = bed.build(&h).await;
         let client = &bed.clients[0];
         let nfs = &client.nfs;
         let root = bed.server.root_handle();
@@ -244,15 +237,8 @@ fn chunked_write() -> (u64, u64) {
     let mut sim = Simulation::new(4);
     let h = sim.handle();
     sim.block_on(async move {
-        let profile = solaris_sdr();
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::Cache,
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed::new(&solaris_sdr(), Design::ReadWrite, StrategyKind::Cache);
+        let bed = bed.build(&h).await;
         let client = &bed.clients[0];
         let nfs = &client.nfs;
         let root = bed.server.root_handle();

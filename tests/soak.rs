@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, SimRng, Simulation};
-use workloads::{build_rdma, solaris_sdr, Backend};
+use workloads::{solaris_sdr, Bed};
 
 #[test]
 fn mixed_load_soak_leaves_no_residue() {
@@ -19,15 +19,11 @@ fn mixed_load_soak_leaves_no_residue() {
     ] {
         let mut sim = Simulation::new(seed);
         let h = sim.handle();
-        let profile = solaris_sdr();
-        let bed = Rc::new(build_rdma(
-            &h,
-            &profile,
-            design,
-            strategy,
-            Backend::Tmpfs,
-            3,
-        ));
+        let bed = Bed {
+            clients: 3,
+            ..Bed::new(&solaris_sdr(), design, strategy)
+        };
+        let bed = Rc::new(bed.build_now(&h));
         let bed2 = bed.clone();
         let h2 = h.clone();
         sim.block_on(async move {

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, Sim, Simulation};
-use workloads::{build_rdma, linux_sdr, solaris_sdr, Backend};
+use workloads::{linux_sdr, solaris_sdr, Bed};
 
 struct LiveBytes;
 
@@ -83,15 +83,8 @@ async fn growth<F: Future<Output = ()>>(mut op: impl FnMut(u64) -> F) -> i64 {
 async fn dynamic_reads(sim: Sim) -> i64 {
     const RECORD: u64 = 128 << 10;
     const RECORDS: u64 = 16;
-    let profile = solaris_sdr();
-    let bed = build_rdma(
-        &sim,
-        &profile,
-        Design::ReadWrite,
-        StrategyKind::Dynamic,
-        Backend::Tmpfs,
-        1,
-    );
+    let bed = Bed::new(&solaris_sdr(), Design::ReadWrite, StrategyKind::Dynamic);
+    let bed = bed.build(&sim).await;
     let c = &bed.clients[0];
     let root = bed.server.root_handle();
     let fh = c.nfs.create(root, "f").await.expect("create").handle();
@@ -117,15 +110,8 @@ async fn dynamic_reads(sim: Sim) -> i64 {
 /// `meta_mix`'s bed: small operations under the all-physical tag.
 async fn all_physical_mix(sim: Sim) -> i64 {
     const IO: u64 = 4096;
-    let profile = linux_sdr();
-    let bed = build_rdma(
-        &sim,
-        &profile,
-        Design::ReadWrite,
-        StrategyKind::AllPhysical,
-        Backend::Tmpfs,
-        1,
-    );
+    let bed = Bed::new(&linux_sdr(), Design::ReadWrite, StrategyKind::AllPhysical);
+    let bed = bed.build(&sim).await;
     let c = &bed.clients[0];
     let root = bed.server.root_handle();
     let dir = c.nfs.mkdir(root, "d").await.expect("mkdir").handle();
@@ -165,15 +151,11 @@ fn one_short_lived_testbed(seed: u64) {
     let mut sim = Simulation::new(seed);
     let h = sim.handle();
     sim.block_on(async move {
-        let profile = solaris_sdr();
-        let bed = build_rdma(
-            &h,
-            &profile,
-            Design::ReadWrite,
-            StrategyKind::Dynamic,
-            Backend::Tmpfs,
-            2,
-        );
+        let bed = Bed {
+            clients: 2,
+            ..Bed::new(&solaris_sdr(), Design::ReadWrite, StrategyKind::Dynamic)
+        };
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         for (i, c) in bed.clients.iter().enumerate() {
             let f = c.nfs.create(root, &format!("f{i}")).await.expect("create");

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ib_verbs::Rkey;
 use rpcrdma::{Design, MsgType, RdmaHeader, ReadChunk, Segment, StrategyKind};
 use sim_core::{yield_now, ExtentMap, Payload, SimDuration, Simulation};
-use workloads::{build_rdma_custom, solaris_sdr, Backend, RdmaOpts};
+use workloads::{solaris_sdr, Bed};
 use xdr::{Encoder, XdrCodec};
 
 struct CountingAlloc;
@@ -339,19 +339,11 @@ fn steady_state_hot_paths_do_not_allocate() {
     let mut sim = Simulation::new(0x2C07);
     let h = sim.handle();
     sim.block_on(async move {
-        let profile = solaris_sdr();
-        let bed = build_rdma_custom(
-            &h,
-            &profile,
-            RdmaOpts {
-                cfg: profile.rpc.with_design(Design::ReadWrite),
-                client_strategy: StrategyKind::Dynamic,
-                server_strategy: StrategyKind::AllPhysical,
-                server_hca: None,
-            },
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed {
+            client_strategy: StrategyKind::Dynamic,
+            ..Bed::new(&solaris_sdr(), Design::ReadWrite, StrategyKind::AllPhysical)
+        };
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         let c = &bed.clients[0];
         let fh = c
@@ -425,20 +417,11 @@ fn steady_state_hot_paths_do_not_allocate() {
     let mut sim = Simulation::new(0x2C08);
     let h = sim.handle();
     sim.block_on(async move {
-        let profile = solaris_sdr();
-        let cfg = profile.rpc.with_design(Design::ReadWrite);
-        let bed = build_rdma_custom(
-            &h,
-            &profile,
-            RdmaOpts {
-                cfg,
-                client_strategy: StrategyKind::Dynamic,
-                server_strategy: StrategyKind::AllPhysical,
-                server_hca: None,
-            },
-            Backend::Tmpfs,
-            1,
-        );
+        let bed = Bed {
+            client_strategy: StrategyKind::Dynamic,
+            ..Bed::new(&solaris_sdr(), Design::ReadWrite, StrategyKind::AllPhysical)
+        };
+        let bed = bed.build(&h).await;
         let root = bed.server.root_handle();
         let c = &bed.clients[0];
         let fh = c
