@@ -61,17 +61,17 @@ fn chaos((bed, params): &Point) -> Run<ChaosResult> {
 /// once unless a power-fail made the clients re-drive some.
 fn check(tag: &str, (bed, p): &Point, r: &Run<ChaosResult>) {
     let expected = bed.clients as u64 * p.records_per_client;
+    let writes = r.metric("nfs.node0.writes");
     let applied = match p.server_crash_at {
-        Some(_) => r.fs_writes >= expected,
-        None => r.fs_writes == expected,
+        Some(_) => writes >= expected,
+        None => writes == expected,
     };
     Gate::new(tag, &r.flight)
         .require(r.corrupt_records == 0, || {
             format!("{} corrupt records", r.corrupt_records)
         })
         .require(applied, || {
-            let applied = r.fs_writes;
-            format!("{applied} WRITEs applied, expected {expected} (lost or double-applied)")
+            format!("{writes} WRITEs applied, expected {expected} (lost or double-applied)")
         });
 }
 
@@ -102,11 +102,12 @@ fn smoke() {
     let p = crash_point(Design::ReadWrite, 0.01, 400);
     let a = chaos(&p);
     check("crash", &p, &a);
+    let mismatches = a.metric("nfs.client.verf_mismatches");
+    let redriven = a.metric("nfs.client.redriven_writes");
     Gate::new("crash", &a.flight)
-        .require(a.verf_mismatches != 0 && a.redriven_writes != 0, || {
+        .require(mismatches != 0 && redriven != 0, || {
             format!(
-                "crash landed outside the burst ({} mismatches, {} re-driven)",
-                a.verf_mismatches, a.redriven_writes
+                "crash landed outside the burst ({mismatches} mismatches, {redriven} re-driven)"
             )
         })
         .require(a.wal_committed_records != 0, || {
@@ -114,9 +115,7 @@ fn smoke() {
         });
     same_seed("crash", &a, &chaos(&p));
     println!(
-        "chaos smoke crash: ok ({} re-driven, {} mismatches, {} WAL-committed, trace {:#018x})",
-        a.redriven_writes,
-        a.verf_mismatches,
+        "chaos smoke crash: ok ({redriven} re-driven, {mismatches} mismatches, {} WAL-committed, trace {:#018x})",
         a.wal_committed_records,
         a.fingerprint()
     );
@@ -174,6 +173,11 @@ fn failover_gate<'a>(tag: &str, r: &'a Run<FailoverResult>, expect_kill: bool) -
 }
 
 fn failover_row(t: &mut Table, tag: &str, kill_us: Option<u64>, r: &Run<FailoverResult>) {
+    // A bed without replication never builds a shipper, so it has no
+    // `repl.shipped_records` series: it shipped nothing.
+    let shipped = (r.metrics.iter())
+        .find(|(name, _)| name == "repl.shipped_records")
+        .map_or(0, |(_, v)| *v);
     t.row(&[
         tag.to_string(),
         kill_us.map_or_else(|| "-".into(), |k| format!("{k}us")),
@@ -183,11 +187,11 @@ fn failover_row(t: &mut Table, tag: &str, kill_us: Option<u64>, r: &Run<Failover
             "-".into()
         },
         format!("{:.2}ms", r.stall_p99_us as f64 / 1000.0),
-        r.interrupted_markers.to_string(),
-        r.redriven_writes.to_string(),
+        r.metric("repl.interrupted_markers").to_string(),
+        r.metric("nfs.client.redriven_writes").to_string(),
         r.metric("server.drc.cross_epoch_replays").to_string(),
-        format!("{}", r.resync_bytes / 1024),
-        r.shipped_records.to_string(),
+        format!("{}", r.metric("fs.wal.resync_bytes") / 1024),
+        shipped.to_string(),
         format!("{:.1}", r.write_mbps),
         r.corrupt_records.to_string(),
     ]);
@@ -198,7 +202,7 @@ fn failover_row(t: &mut Table, tag: &str, kill_us: Option<u64>, r: &Run<Failover
 /// replication disabled.
 fn failover_overhead(t: &mut Table) -> (f64, f64) {
     let on = failover(FAILOVER_SEED, FailoverParams::default());
-    let shipping = on.shipped_records != 0 && on.backup_applied == on.log_len;
+    let shipping = on.metric("repl.shipped_records") != 0 && on.backup_applied == on.log_len;
     failover_gate("steady", &on, false).require(shipping, || {
         "replication idle or backup lagging in steady state".into()
     });
@@ -354,7 +358,8 @@ fn failover_matrix(smoke: bool) {
     // double-run (the replication CI gate).
     let p = kill_at(KILL_MID_BURST_US);
     let mid = failover(FAILOVER_SEED, p);
-    failover_gate("mid-burst", &mid, true).require(mid.redriven_writes != 0, || {
+    let mid_redriven = mid.metric("nfs.client.redriven_writes");
+    failover_gate("mid-burst", &mid, true).require(mid_redriven != 0, || {
         "kill landed outside the UNSTABLE burst".into()
     });
     same_seed("failover_mid-burst", &mid, &failover(FAILOVER_SEED, p));
@@ -363,7 +368,8 @@ fn failover_matrix(smoke: bool) {
     // Kill point 2: between a client's local group commit (WAL flush +
     // marker) and the backup's commit-marker acknowledgement.
     let flush = failover(FAILOVER_SEED, kill_at(KILL_FLUSH_MARKER_US));
-    failover_gate("flush-marker", &flush, true).require(flush.interrupted_markers != 0, || {
+    let interrupted = flush.metric("repl.interrupted_markers");
+    failover_gate("flush-marker", &flush, true).require(interrupted != 0, || {
         "kill missed the flush-to-marker window (no interrupted markers)".into()
     });
     failover_row(
@@ -397,7 +403,7 @@ fn failover_matrix(smoke: bool) {
             ..kill_at(KILL_MID_BURST_US)
         };
         let r = failover(FAILOVER_SEED, p);
-        failover_gate("rejoin", &r, true).require(r.resync_bytes != 0, || {
+        failover_gate("rejoin", &r, true).require(r.metric("fs.wal.resync_bytes") != 0, || {
             "rejoined node never re-synced the log tail".into()
         });
         failover_row(&mut t, "kill + rejoin/resync", Some(KILL_MID_BURST_US), &r);
@@ -429,7 +435,7 @@ fn failover_matrix(smoke: bool) {
             &[
                 ("failover_us", &mid.failover_us),
                 ("stall_p99_us", &mid.stall_p99_us),
-                ("redriven_writes", &mid.redriven_writes),
+                ("redriven_writes", &mid_redriven),
                 (
                     "cross_epoch_replays",
                     &mid.metric("server.drc.cross_epoch_replays"),
@@ -442,7 +448,7 @@ fn failover_matrix(smoke: bool) {
             &[
                 ("failover_us", &flush.failover_us),
                 ("stall_p99_us", &flush.stall_p99_us),
-                ("interrupted_markers", &flush.interrupted_markers),
+                ("interrupted_markers", &interrupted),
             ],
         )
         .section(
@@ -504,7 +510,7 @@ fn main() {
                 r.metric("client.timeouts").to_string(),
                 r.metric("server.drc.replays").to_string(),
                 r.metric("client.reconnects").to_string(),
-                r.fs_writes.to_string(),
+                r.metric("nfs.node0.writes").to_string(),
                 r.corrupt_records.to_string(),
             ]);
         }
@@ -542,10 +548,10 @@ fn main() {
                 format!("{:.1}%", drop * 100.0),
                 format!("{crash_us}us"),
                 r.metric("client.retransmits").to_string(),
-                r.verf_mismatches.to_string(),
-                r.redriven_writes.to_string(),
+                r.metric("nfs.client.verf_mismatches").to_string(),
+                r.metric("nfs.client.redriven_writes").to_string(),
                 r.wal_committed_records.to_string(),
-                r.fs_writes.to_string(),
+                r.metric("nfs.node0.writes").to_string(),
                 r.corrupt_records.to_string(),
             ]);
         }

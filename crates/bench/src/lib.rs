@@ -76,24 +76,22 @@ impl ServerCounts {
 pub fn iozone_on(seed: u64, bed: Bed, params: IozoneParams) -> (IozoneResult, ServerCounts) {
     let run = scenario::run(seed, Capture::default(), |sim| async move {
         let bed = bed.build(&sim).await;
-        let result = run_iozone(&sim, &bed, params).await;
-        let hca = bed.server_hca.as_ref().expect("rdma testbed");
-        let rpc = &bed.rpc_server.as_ref().expect("rdma testbed").stats;
-        let counts = ServerCounts {
-            ops: rpc.ops.get(),
-            doorbells: hca.doorbells(),
-            interrupts: hca.cq_interrupts(),
-            coalesced: hca.cq_coalesced(),
-            read_zero_copy_bytes: rpc.zero_copy_bytes.get(),
-            write_zero_copy_bytes: rpc.write_zero_copy_bytes.get(),
-            msgp_writes: rpc.msgp_recvs.get(),
-            copied_bytes: rpc.copied_bytes.get(),
-            unstable_writes: bed.server.stats.unstable_writes.get(),
-            commits: bed.server.stats.commits.get(),
-        };
-        (result, counts)
+        run_iozone(&sim, &bed, params).await
     });
-    run.out
+    // The one server is node 0.
+    let counts = ServerCounts {
+        ops: run.metric("server.ops"),
+        doorbells: run.metric("hca.node0.doorbells"),
+        interrupts: run.metric("hca.node0.cq_interrupts"),
+        coalesced: run.metric("hca.node0.cq_coalesced"),
+        read_zero_copy_bytes: run.metric("server.read.zero_copy_bytes"),
+        write_zero_copy_bytes: run.metric("server.write.zero_copy_bytes"),
+        msgp_writes: run.metric("server.msgp_recvs"),
+        copied_bytes: run.metric("server.copied_bytes"),
+        unstable_writes: run.metric("nfs.node0.unstable_writes"),
+        commits: run.metric("nfs.node0.commits"),
+    };
+    (run.out, counts)
 }
 
 /// The testbed and access pattern behind one series of a figure.

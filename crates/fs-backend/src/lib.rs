@@ -30,4 +30,4 @@ pub use stores::{diskfs, diskfs_wal, tmpfs, CachedDiskStore, DiskFs, MemStore, T
 pub use vfs::{
     Attr, DataStore, DirEntry, DirPage, FileId, FileKind, Fs, FsError, FsResult, FsStat, Vfs,
 };
-pub use wal::{Wal, WalConfig, WalRecord, WalStats};
+pub use wal::{Wal, WalConfig, WalRecord};

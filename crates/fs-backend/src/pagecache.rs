@@ -8,11 +8,11 @@
 //! server RAM read at wire speed; bigger ones collapse to the RAID's
 //! aggregate rate.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use sim_core::Counter;
+use sim_core::{Counter, Sim};
 
 use crate::disk::Raid0;
 use crate::vfs::FileId;
@@ -71,26 +71,38 @@ pub struct PageCache {
     /// Per-file next expected page, for classifying access patterns.
     next_expected: RefCell<HashMap<u64, u64>>,
     inner: RefCell<CacheInner>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    writebacks: Cell<u64>,
-    ra_windows: Cell<u64>,
-    ra_pages: Cell<u64>,
-    ra_sequential: Cell<u64>,
-    metrics: RefCell<Option<RaMetrics>>,
-}
-
-/// Registry counters mirroring the readahead statistics.
-struct RaMetrics {
-    windows: Rc<Counter>,
-    pages: Rc<Counter>,
-    sequential: Rc<Counter>,
+    /// `pagecache.node{N}.hits`: pages found resident.
+    hits: Rc<Counter>,
+    /// `pagecache.node{N}.misses`: demanded pages that cost a disk read.
+    misses: Rc<Counter>,
+    /// `pagecache.node{N}.writebacks`: dirty pages written to the array.
+    writebacks: Rc<Counter>,
+    /// `pagecache.readahead.windows` (every cache of the simulation):
+    /// miss fetches that pulled more than the demanded pages.
+    ra_windows: Rc<Counter>,
+    /// `pagecache.readahead.pages`: speculative pages fetched beyond
+    /// demand.
+    ra_pages: Rc<Counter>,
+    /// `pagecache.readahead.sequential`: reads that continued a file's
+    /// sequential stream.
+    ra_sequential: Rc<Counter>,
 }
 
 impl PageCache {
-    /// A cache of `capacity_bytes` RAM in `page_size` units over `raid`.
-    pub fn new(raid: Raid0, capacity_bytes: u64, page_size: u64) -> PageCache {
+    /// A cache of `capacity_bytes` RAM in `page_size` units over `raid`,
+    /// on server node `node` (its hit, miss and write-back series carry
+    /// the node).
+    pub fn new(
+        sim: &Sim,
+        node: u32,
+        raid: Raid0,
+        capacity_bytes: u64,
+        page_size: u64,
+    ) -> PageCache {
         assert!(page_size.is_power_of_two());
+        let registry = sim.metrics();
+        let series = |name: &str| registry.counter(&format!("pagecache.{name}"));
+        let own = |name: &str| registry.counter(&format!("pagecache.node{node}.{name}"));
         PageCache {
             raid,
             page_size,
@@ -101,40 +113,13 @@ impl PageCache {
                 order: BTreeMap::new(),
                 next_stamp: 0,
             }),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-            writebacks: Cell::new(0),
-            ra_windows: Cell::new(0),
-            ra_pages: Cell::new(0),
-            ra_sequential: Cell::new(0),
-            metrics: RefCell::new(None),
+            hits: own("hits"),
+            misses: own("misses"),
+            writebacks: own("writebacks"),
+            ra_windows: series("readahead.windows"),
+            ra_pages: series("readahead.pages"),
+            ra_sequential: series("readahead.sequential"),
         }
-    }
-
-    /// Mirror readahead statistics into the shared metrics registry as
-    /// `pagecache.readahead.{windows,pages,sequential}`.
-    pub fn bind_metrics(&self, metrics: &sim_core::MetricsRegistry) {
-        *self.metrics.borrow_mut() = Some(RaMetrics {
-            windows: metrics.counter("pagecache.readahead.windows"),
-            pages: metrics.counter("pagecache.readahead.pages"),
-            sequential: metrics.counter("pagecache.readahead.sequential"),
-        });
-    }
-
-    /// Readahead windows issued (miss fetches that pulled more than the
-    /// demanded pages).
-    pub fn readahead_windows(&self) -> u64 {
-        self.ra_windows.get()
-    }
-
-    /// Speculative pages fetched beyond demand.
-    pub fn readahead_pages_fetched(&self) -> u64 {
-        self.ra_pages.get()
-    }
-
-    /// Reads that continued a file's sequential stream.
-    pub fn sequential_reads(&self) -> u64 {
-        self.ra_sequential.get()
     }
 
     /// Cache page size.
@@ -150,11 +135,6 @@ impl PageCache {
     /// Misses so far (each cost a disk read).
     pub fn misses(&self) -> u64 {
         self.misses.get()
-    }
-
-    /// Dirty evictions so far (each cost a disk write).
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks.get()
     }
 
     /// Resident pages.
@@ -176,10 +156,7 @@ impl PageCache {
         // readahead window exists to serve).
         let sequential = self.next_expected.borrow().get(&file.0) == Some(&first);
         if sequential {
-            self.ra_sequential.set(self.ra_sequential.get() + 1);
-            if let Some(m) = self.metrics.borrow().as_ref() {
-                m.sequential.inc();
-            }
+            self.ra_sequential.inc();
         }
         self.next_expected.borrow_mut().insert(file.0, last + 1);
         let mut page = first;
@@ -187,7 +164,7 @@ impl PageCache {
             let key = (file.0, page);
             let state = self.inner.borrow().pages.get(&key).map(|(s, _)| *s);
             if let Some(state) = state {
-                self.hits.set(self.hits.get() + 1);
+                self.hits.inc();
                 self.inner.borrow_mut().touch(key, state);
                 page += 1;
                 continue;
@@ -205,14 +182,10 @@ impl PageCache {
             // Only the demanded pages count as misses; readahead pages
             // beyond `last` are speculative.
             let demanded = (last.min(page + run - 1) - page) + 1;
-            self.misses.set(self.misses.get() + demanded);
+            self.misses.add(demanded);
             if run > demanded {
-                self.ra_windows.set(self.ra_windows.get() + 1);
-                self.ra_pages.set(self.ra_pages.get() + (run - demanded));
-                if let Some(m) = self.metrics.borrow().as_ref() {
-                    m.windows.inc();
-                    m.pages.add(run - demanded);
-                }
+                self.ra_windows.inc();
+                self.ra_pages.add(run - demanded);
             }
             self.evict_for(run).await;
             self.raid
@@ -260,8 +233,7 @@ impl PageCache {
         if dirty.is_empty() {
             return;
         }
-        self.writebacks
-            .set(self.writebacks.get() + dirty.len() as u64);
+        self.writebacks.add(dirty.len() as u64);
         // Coalesce into one sequential sweep per commit.
         let bytes = dirty.len() as u64 * self.page_size;
         self.raid.transfer(disk_base, bytes).await;
@@ -330,7 +302,7 @@ impl PageCache {
             };
             let Some((key, state)) = victim else { return };
             if state == PageState::Dirty {
-                self.writebacks.set(self.writebacks.get() + 1);
+                self.writebacks.inc();
                 self.raid
                     .transfer(key.1 * self.page_size, self.page_size)
                     .await;
@@ -347,7 +319,13 @@ mod tests {
 
     fn cache(sim: &Simulation, capacity: u64) -> PageCache {
         let raid = Raid0::paper_array(&sim.handle());
-        PageCache::new(raid, capacity, 256 * 1024)
+        PageCache::new(&sim.handle(), 0, raid, capacity, 256 * 1024)
+    }
+
+    /// Reads the series `pagecache.{name}` of `sim`.
+    fn counts(sim: &Simulation) -> impl Fn(&str) -> u64 {
+        let registry = sim.metrics();
+        move |name| registry.get(&format!("pagecache.{name}")).unwrap()
     }
 
     #[test]
@@ -412,13 +390,18 @@ mod tests {
         let mut sim = Simulation::new(1);
         let c = std::rc::Rc::new(cache(&sim, 2 << 20));
         let c2 = c.clone();
+        let count = counts(&sim);
         sim.block_on(async move {
             c2.write_range(FileId(1), 0, 2 << 20).await; // 8 dirty pages
             let t0 = SimTime::ZERO;
             let _ = t0;
             // Displace them with reads.
             c2.read_range(FileId(2), 1 << 30, 0, 2 << 20).await;
-            assert!(c2.writebacks() >= 8, "writebacks {}", c2.writebacks());
+            assert!(
+                count("node0.writebacks") >= 8,
+                "writebacks {}",
+                count("node0.writebacks")
+            );
         });
     }
 
@@ -427,13 +410,14 @@ mod tests {
         let mut sim = Simulation::new(1);
         let c = std::rc::Rc::new(cache(&sim, 64 << 20));
         let c2 = c.clone();
+        let count = counts(&sim);
         sim.block_on(async move {
             c2.write_range(FileId(1), 0, 1 << 20).await;
             c2.commit(FileId(1), 0).await;
-            assert_eq!(c2.writebacks(), 4);
+            assert_eq!(count("node0.writebacks"), 4);
             // Second commit: nothing dirty.
             c2.commit(FileId(1), 0).await;
-            assert_eq!(c2.writebacks(), 4);
+            assert_eq!(count("node0.writebacks"), 4);
         });
     }
 
@@ -442,22 +426,23 @@ mod tests {
         let mut sim = Simulation::new(1);
         let c = std::rc::Rc::new(cache(&sim, 64 << 20));
         let c2 = c.clone();
+        let count = counts(&sim);
         sim.block_on(async move {
             // First read of 2 pages: a miss whose window (8 pages)
             // prefetches 6 beyond demand.
             c2.read_range(FileId(1), 0, 0, 512 * 1024).await;
             assert_eq!(c2.misses(), 2);
-            assert_eq!(c2.readahead_windows(), 1);
-            assert_eq!(c2.readahead_pages_fetched(), 6);
-            assert_eq!(c2.sequential_reads(), 0, "first read has no stream");
+            assert_eq!(count("readahead.windows"), 1);
+            assert_eq!(count("readahead.pages"), 6);
+            assert_eq!(count("readahead.sequential"), 0, "first read has no stream");
             // Continuing where the last read ended: classified
             // sequential, and the readahead already made it a pure hit.
             c2.read_range(FileId(1), 0, 512 * 1024, 512 * 1024).await;
-            assert_eq!(c2.sequential_reads(), 1);
+            assert_eq!(count("readahead.sequential"), 1);
             assert_eq!(c2.misses(), 2, "prefetched pages must hit");
             // A jump elsewhere in the file is not sequential.
             c2.read_range(FileId(1), 0, 8 << 20, 256 * 1024).await;
-            assert_eq!(c2.sequential_reads(), 1);
+            assert_eq!(count("readahead.sequential"), 1);
         });
     }
 

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use sim_core::{ExtentMap, Payload, SgList};
+use sim_core::{ExtentMap, Payload, SgList, Sim};
 
 use crate::disk::Raid0;
 use crate::pagecache::PageCache;
@@ -107,7 +107,7 @@ impl DataStore for MemStore {
 pub type Tmpfs = Fs<MemStore>;
 
 /// Create a tmpfs.
-pub fn tmpfs(sim: &sim_core::Sim) -> Tmpfs {
+pub fn tmpfs(sim: &Sim) -> Tmpfs {
     Fs::new(sim, MemStore::default())
 }
 
@@ -126,11 +126,18 @@ pub struct CachedDiskStore {
 }
 
 impl CachedDiskStore {
-    /// Build over a RAID array with `ram_bytes` of page cache.
-    pub fn new(raid: Raid0, ram_bytes: u64, cache_page: u64) -> CachedDiskStore {
+    /// Build over a RAID array with `ram_bytes` of page cache, on server
+    /// node `node` (the page cache's series carry it).
+    pub fn new(
+        sim: &Sim,
+        node: u32,
+        raid: Raid0,
+        ram_bytes: u64,
+        cache_page: u64,
+    ) -> CachedDiskStore {
         CachedDiskStore {
             contents: Rc::default(),
-            cache: Rc::new(PageCache::new(raid, ram_bytes, cache_page)),
+            cache: Rc::new(PageCache::new(sim, node, raid, ram_bytes, cache_page)),
             wal: None,
             layout: RefCell::new(HashMap::new()),
             next_base: std::cell::Cell::new(0),
@@ -142,8 +149,15 @@ impl CachedDiskStore {
     /// device instead of a page-granular RAID sweep, and
     /// [`CachedDiskStore::power_fail_restart`] recovers committed data
     /// by replay.
-    pub fn with_wal(raid: Raid0, ram_bytes: u64, cache_page: u64, wal: Rc<Wal>) -> CachedDiskStore {
-        let mut store = CachedDiskStore::new(raid, ram_bytes, cache_page);
+    pub fn with_wal(
+        sim: &Sim,
+        node: u32,
+        raid: Raid0,
+        ram_bytes: u64,
+        cache_page: u64,
+        wal: Rc<Wal>,
+    ) -> CachedDiskStore {
+        let mut store = CachedDiskStore::new(sim, node, raid, ram_bytes, cache_page);
         store.wal = Some(wal);
         store
     }
@@ -288,20 +302,23 @@ impl DataStore for CachedDiskStore {
 pub type DiskFs = Fs<CachedDiskStore>;
 
 /// Create the paper's §5.3 configuration: 8 × 30 MB/s RAID-0 with
-/// `ram_bytes` of server page cache.
-pub fn diskfs(sim: &sim_core::Sim, ram_bytes: u64) -> DiskFs {
+/// `ram_bytes` of server page cache, as node 0's store.
+pub fn diskfs(sim: &Sim, ram_bytes: u64) -> DiskFs {
     let raid = Raid0::paper_array(sim);
-    Fs::new(sim, CachedDiskStore::new(raid, ram_bytes, 256 * 1024))
+    Fs::new(
+        sim,
+        CachedDiskStore::new(sim, 0, raid, ram_bytes, 256 * 1024),
+    )
 }
 
 /// The §5.3 array plus a write-ahead log on a dedicated log disk:
 /// COMMIT group-commits sequentially instead of sweeping the RAID, and
 /// power failures recover committed data by replay.
-pub fn diskfs_wal(sim: &sim_core::Sim, ram_bytes: u64, cfg: WalConfig) -> DiskFs {
+pub fn diskfs_wal(sim: &Sim, ram_bytes: u64, cfg: WalConfig) -> DiskFs {
     let raid = Raid0::paper_array(sim);
     let wal = Wal::new(sim, cfg);
     Fs::new(
         sim,
-        CachedDiskStore::with_wal(raid, ram_bytes, 256 * 1024, wal),
+        CachedDiskStore::with_wal(sim, 0, raid, ram_bytes, 256 * 1024, wal),
     )
 }

@@ -67,50 +67,6 @@ impl Default for WalConfig {
     }
 }
 
-/// Counters (also mirrored into the metrics registry as `fs.wal.*`).
-#[derive(Default)]
-pub struct WalStats {
-    /// Records appended to the volatile tail.
-    pub appends: Cell<u64>,
-    /// Data bytes appended.
-    pub appended_bytes: Cell<u64>,
-    /// Tail flushes to the log device.
-    pub flushes: Cell<u64>,
-    /// Bytes written to the log device by flushes (with framing).
-    pub flushed_bytes: Cell<u64>,
-    /// Group commits (marker appended, batch made durable).
-    pub commits: Cell<u64>,
-    /// Records covered by commit markers.
-    pub committed_records: Cell<u64>,
-    /// Records dropped by power failure (volatile tail plus
-    /// flushed-but-unmarked records truncated at recovery).
-    pub truncated_records: Cell<u64>,
-    /// Records replayed by recovery.
-    pub replayed_records: Cell<u64>,
-    /// Data bytes replayed by recovery.
-    pub replayed_bytes: Cell<u64>,
-    /// Committed records discarded at cluster rejoin because the new
-    /// primary's replicated log does not contain them (the node died
-    /// after committing locally but before the backup acknowledged).
-    pub rejoin_truncated_records: Cell<u64>,
-    /// Bytes re-shipped by the primary during rejoin catch-up (the
-    /// bounded WAL-tail resync, as opposed to a full cold start).
-    pub resync_bytes: Cell<u64>,
-}
-
-struct WalMetrics {
-    appends: Rc<Counter>,
-    appended_bytes: Rc<Counter>,
-    flushes: Rc<Counter>,
-    flushed_bytes: Rc<Counter>,
-    commits: Rc<Counter>,
-    committed_records: Rc<Counter>,
-    truncated_records: Rc<Counter>,
-    replayed_records: Rc<Counter>,
-    replayed_bytes: Rc<Counter>,
-    resync_bytes: Rc<Counter>,
-}
-
 /// The write-ahead log. One per store; owns its own (sequential) log
 /// device so data traffic on the array never forces a log seek.
 pub struct Wal {
@@ -130,9 +86,33 @@ pub struct Wal {
     flushed: RefCell<Vec<WalRecord>>,
     /// Behind a commit marker: survives power failure.
     committed: RefCell<Vec<WalRecord>>,
-    /// Statistics.
-    pub stats: WalStats,
-    metrics: RefCell<Option<WalMetrics>>,
+    // The `fs.wal.*` series, shared by every log of a simulation.
+    /// Records appended to the volatile tail.
+    appends: Rc<Counter>,
+    /// Data bytes appended.
+    appended_bytes: Rc<Counter>,
+    /// Tail flushes to the log device.
+    flushes: Rc<Counter>,
+    /// Bytes written to the log device by flushes (with framing).
+    flushed_bytes: Rc<Counter>,
+    /// Group commits (marker appended, batch made durable).
+    commits: Rc<Counter>,
+    /// Records covered by commit markers.
+    committed_records: Rc<Counter>,
+    /// Records dropped by power failure (volatile tail plus
+    /// flushed-but-unmarked records truncated at recovery).
+    truncated_records: Rc<Counter>,
+    /// Records replayed by recovery.
+    replayed_records: Rc<Counter>,
+    /// Data bytes replayed by recovery.
+    replayed_bytes: Rc<Counter>,
+    /// Committed records discarded at cluster rejoin because the new
+    /// primary's replicated log does not contain them (the node died
+    /// after committing locally but before the backup acknowledged).
+    rejoin_truncated_records: Rc<Counter>,
+    /// Bytes re-shipped by the primary during rejoin catch-up (the
+    /// bounded WAL-tail resync, as opposed to a full cold start).
+    resync_bytes: Rc<Counter>,
 }
 
 impl Wal {
@@ -144,6 +124,8 @@ impl Wal {
 
     /// A WAL over an explicit log device.
     pub fn with_disk(sim: &Sim, disk: Disk, cfg: WalConfig) -> Rc<Wal> {
+        let registry = sim.metrics();
+        let series = |name: &str| registry.counter(&format!("fs.wal.{name}"));
         Rc::new(Wal {
             sim: sim.clone(),
             disk,
@@ -155,37 +137,18 @@ impl Wal {
             tail_bytes: Cell::new(0),
             flushed: RefCell::new(Vec::new()),
             committed: RefCell::new(Vec::new()),
-            stats: WalStats::default(),
-            metrics: RefCell::new(None),
+            appends: series("appends"),
+            appended_bytes: series("appended_bytes"),
+            flushes: series("flushes"),
+            flushed_bytes: series("flushed_bytes"),
+            commits: series("commits"),
+            committed_records: series("committed_records"),
+            truncated_records: series("truncated_records"),
+            replayed_records: series("replayed_records"),
+            replayed_bytes: series("replayed_bytes"),
+            rejoin_truncated_records: series("rejoin_truncated_records"),
+            resync_bytes: series("resync_bytes"),
         })
-    }
-
-    /// Mirror counters into `metrics` as `fs.wal.*`.
-    pub fn bind_metrics(&self, metrics: &sim_core::MetricsRegistry) {
-        *self.metrics.borrow_mut() = Some(WalMetrics {
-            appends: metrics.counter("fs.wal.appends"),
-            appended_bytes: metrics.counter("fs.wal.appended_bytes"),
-            flushes: metrics.counter("fs.wal.flushes"),
-            flushed_bytes: metrics.counter("fs.wal.flushed_bytes"),
-            commits: metrics.counter("fs.wal.commits"),
-            committed_records: metrics.counter("fs.wal.committed_records"),
-            truncated_records: metrics.counter("fs.wal.truncated_records"),
-            replayed_records: metrics.counter("fs.wal.replayed_records"),
-            replayed_bytes: metrics.counter("fs.wal.replayed_bytes"),
-            resync_bytes: metrics.counter("fs.wal.resync_bytes"),
-        });
-    }
-
-    fn bump(
-        &self,
-        f: impl Fn(&WalStats) -> &Cell<u64>,
-        m: impl Fn(&WalMetrics) -> &Rc<Counter>,
-        by: u64,
-    ) {
-        f(&self.stats).set(f(&self.stats).get() + by);
-        if let Some(metrics) = self.metrics.borrow().as_ref() {
-            m(metrics).add(by);
-        }
     }
 
     fn framed(&self, data_len: u64) -> u64 {
@@ -213,8 +176,8 @@ impl Wal {
         let n = data.len();
         self.tail.borrow_mut().push(WalRecord { file, off, data });
         self.tail_bytes.set(self.tail_bytes.get() + self.framed(n));
-        self.bump(|s| &s.appends, |m| &m.appends, 1);
-        self.bump(|s| &s.appended_bytes, |m| &m.appended_bytes, n);
+        self.appends.inc();
+        self.appended_bytes.add(n);
         let over_size = self.tail_bytes.get() >= self.cfg.flush_watermark_bytes;
         let over_time = self
             .cfg
@@ -242,15 +205,11 @@ impl Wal {
         if self.epoch.get() != epoch {
             // Power failed while the burst was in flight: the batch
             // never became durable.
-            self.bump(
-                |s| &s.truncated_records,
-                |m| &m.truncated_records,
-                batch.len() as u64,
-            );
+            self.truncated_records.add(batch.len() as u64);
             return;
         }
-        self.bump(|s| &s.flushes, |m| &m.flushes, 1);
-        self.bump(|s| &s.flushed_bytes, |m| &m.flushed_bytes, bytes);
+        self.flushes.inc();
+        self.flushed_bytes.add(bytes);
         self.flushed.borrow_mut().extend(batch);
     }
 
@@ -275,12 +234,8 @@ impl Wal {
             return;
         }
         let batch: Vec<WalRecord> = std::mem::take(&mut *self.flushed.borrow_mut());
-        self.bump(|s| &s.commits, |m| &m.commits, 1);
-        self.bump(
-            |s| &s.committed_records,
-            |m| &m.committed_records,
-            batch.len() as u64,
-        );
+        self.commits.inc();
+        self.committed_records.add(batch.len() as u64);
         self.committed.borrow_mut().extend(batch);
     }
 
@@ -291,11 +246,7 @@ impl Wal {
     pub fn power_fail(&self) {
         self.epoch.set(self.epoch.get() + 1);
         let lost = self.tail.borrow().len() + self.flushed.borrow().len();
-        self.bump(
-            |s| &s.truncated_records,
-            |m| &m.truncated_records,
-            lost as u64,
-        );
+        self.truncated_records.add(lost as u64);
         self.tail.borrow_mut().clear();
         self.tail_bytes.set(0);
         self.flushed.borrow_mut().clear();
@@ -316,18 +267,14 @@ impl Wal {
         }
         let dropped = committed.len() as u64 - keep_records;
         committed.truncate(keep_records as usize);
-        self.bump(
-            |s| &s.rejoin_truncated_records,
-            |m| &m.truncated_records,
-            dropped,
-        );
+        self.rejoin_truncated_records.add(dropped);
     }
 
     /// Cluster rejoin, step 2 accounting: `bytes` of log records were
     /// re-shipped by the primary to catch this node's WAL tail up
     /// (bounded catch-up instead of a cold start).
     pub fn note_resync(&self, bytes: u64) {
-        self.bump(|s| &s.resync_bytes, |m| &m.resync_bytes, bytes);
+        self.resync_bytes.add(bytes);
     }
 
     /// Recovery replay: scan the log sequentially (charged as one
@@ -340,13 +287,9 @@ impl Wal {
         if bytes > 0 {
             self.disk.transfer(bytes).await;
         }
-        self.bump(
-            |s| &s.replayed_records,
-            |m| &m.replayed_records,
-            records.len() as u64,
-        );
-        let data: u64 = records.iter().map(|r| r.data.len()).sum();
-        self.bump(|s| &s.replayed_bytes, |m| &m.replayed_bytes, data);
+        self.replayed_records.add(records.len() as u64);
+        self.replayed_bytes
+            .add(records.iter().map(|r| r.data.len()).sum());
         records
     }
 }

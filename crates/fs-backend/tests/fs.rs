@@ -103,7 +103,7 @@ fn diskfs_contents_survive_cache_pressure() {
     let raid = fs_backend::Raid0::paper_array(&h);
     let fs = fs_backend::Fs::new(
         &h,
-        fs_backend::CachedDiskStore::new(raid, 1 << 20, 256 * 1024),
+        fs_backend::CachedDiskStore::new(&h, 0, raid, 1 << 20, 256 * 1024),
     );
     let root = fs.root();
     sim.block_on(async move {

@@ -41,7 +41,7 @@ proptest! {
         let mut sim = Simulation::new(77);
         let h = sim.handle();
         let raid = Raid0::paper_array(&h);
-        let cache = std::rc::Rc::new(PageCache::new(raid, CAP_PAGES * PAGE, PAGE));
+        let cache = std::rc::Rc::new(PageCache::new(&h, 0, raid, CAP_PAGES * PAGE, PAGE));
         let c2 = cache.clone();
         sim.block_on(async move {
             // Reference model of *which pages could possibly be
@@ -95,7 +95,7 @@ proptest! {
         let mut sim = Simulation::new(5);
         let h = sim.handle();
         let raid = Raid0::paper_array(&h);
-        let cache = std::rc::Rc::new(PageCache::new(raid, CAP_PAGES * PAGE, PAGE));
+        let cache = std::rc::Rc::new(PageCache::new(&h, 0, raid, CAP_PAGES * PAGE, PAGE));
         let c2 = cache.clone();
         sim.block_on(async move {
             c2.read_range(FileId(1), 0, 0, pages * PAGE).await;

@@ -5,12 +5,19 @@
 use proptest::prelude::*;
 
 use fs_backend::{diskfs_wal, FileId, Wal, WalConfig};
-use sim_core::{ExtentMap, Payload, SimDuration, Simulation};
+use sim_core::{ExtentMap, Payload, Sim, SimDuration, Simulation};
+
+/// Reads the series `fs.wal.{name}` of the simulation behind `h`.
+fn wal_count(h: &Sim) -> impl Fn(&str) -> u64 {
+    let registry = h.metrics();
+    move |name| registry.get(&format!("fs.wal.{name}")).unwrap()
+}
 
 #[test]
 fn committed_survives_uncommitted_cleanly_lost() {
     let mut sim = Simulation::new(7);
     let h = sim.handle();
+    let count = wal_count(&h);
     let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30, WalConfig::default()));
     let root = fs.root();
     sim.block_on(async move {
@@ -33,9 +40,8 @@ fn committed_survives_uncommitted_cleanly_lost() {
             got_b.content_eq(&Payload::zeros(1 << 20)),
             "uncommitted data must be cleanly lost (zeros), not torn"
         );
-        let wal = fs.store().wal().unwrap();
-        assert!(wal.stats.replayed_records.get() > 0, "recovery replayed");
-        assert!(wal.stats.truncated_records.get() > 0, "tail truncated");
+        assert!(count("replayed_records") > 0, "recovery replayed");
+        assert!(count("truncated_records") > 0, "tail truncated");
     });
 }
 
@@ -43,6 +49,7 @@ fn committed_survives_uncommitted_cleanly_lost() {
 fn group_commit_covers_all_files_in_one_batch() {
     let mut sim = Simulation::new(9);
     let h = sim.handle();
+    let count = wal_count(&h);
     let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30, WalConfig::default()));
     let root = fs.root();
     sim.block_on(async move {
@@ -57,7 +64,7 @@ fn group_commit_covers_all_files_in_one_batch() {
         // Committing ONE file group-commits the whole pending tail.
         fs.commit(a.id).await.unwrap();
         let wal = fs.store().wal().unwrap();
-        assert_eq!(wal.stats.commits.get(), 1);
+        assert_eq!(count("commits"), 1);
         assert_eq!(wal.committed_records(), 2);
         fs.store().power_fail_restart().await;
         let got_b = fs.read(b.id, 0, 256 * 1024).await.unwrap();
@@ -98,6 +105,7 @@ fn clean_commit_costs_no_time_with_wal() {
 fn seeded_midcommit_run(seed: u64) -> (u64, u64, u64, u64, bool) {
     let mut sim = Simulation::new(seed);
     let h = sim.handle();
+    let count = wal_count(&h);
     let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30, WalConfig::default()));
     let root = fs.root();
     let out = sim.block_on({
@@ -136,9 +144,9 @@ fn seeded_midcommit_run(seed: u64) -> (u64, u64, u64, u64, bool) {
                 .unwrap()
                 .content_eq(&Payload::synthetic(77, rec));
             (
-                wal.stats.commits.get(),
+                count("commits"),
                 wal.committed_records(),
-                wal.stats.truncated_records.get(),
+                count("truncated_records"),
                 delay.as_nanos(),
                 survived,
             )
@@ -279,6 +287,7 @@ proptest! {
 fn size_watermark_triggers_flush_on_append() {
     let mut sim = Simulation::new(1);
     let h = sim.handle();
+    let count = wal_count(&h);
     let cfg = WalConfig {
         flush_watermark_bytes: 64 * 1024,
         ..Default::default()
@@ -290,7 +299,7 @@ fn size_watermark_triggers_flush_on_append() {
                 .await;
         }
         assert!(
-            wal.stats.flushes.get() >= 1,
+            count("flushes") >= 1,
             "watermark must flush the tail during appends"
         );
         assert!(wal.tail_records() < 8);

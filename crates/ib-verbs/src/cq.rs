@@ -7,8 +7,8 @@
 //! elimination of the `RDMA_DONE` message shows up as reduced server
 //! CPU load (paper §4.2).
 //!
-//! With coalescing enabled ([`Cq::with_coalescing`]) a parked consumer
-//! is not interrupted per completion: the HCA holds the interrupt until
+//! With coalescing enabled (the HCA's `cq_coalesce_count` above one) a
+//! parked consumer is not interrupted per completion: the HCA holds the interrupt until
 //! either `count` completions have accumulated or the moderation timer
 //! expires, so a burst of server RDMA Writes costs one interrupt
 //! instead of N. Completions still drain from one FIFO in push (post)
@@ -21,6 +21,7 @@ use std::rc::Rc;
 
 use sim_core::{Counter, Cpu, Payload, Sim, SimDuration, WakeSlot};
 
+use crate::hca::HcaSeries;
 use crate::types::{Opcode, VerbsError, WrId};
 
 /// A work completion.
@@ -53,17 +54,21 @@ struct CqInner {
     /// The consumer parked in [`Cq::next`], if any.
     waker: WakeSlot,
     pushed: u64,
-    interrupts: u64,
-    /// Completions that rode an interrupt another completion paid for
-    /// (everything beyond the first drained per parked wakeup).
-    coalesced: u64,
+    /// Queue pairs completing into this CQ.
+    producers: usize,
+    /// Set when the last producer is gone: nothing can arrive any more,
+    /// and a parked consumer is woken to see it ([`Cq::next_open`]).
+    closed: bool,
     /// Generation of the armed moderation timer; bumping it cancels the
     /// in-flight timer without tracking the task.
     timer_gen: u64,
     timer_armed: bool,
-    /// Shared registry counters (bound by the owning HCA).
-    interrupts_metric: Option<Rc<Counter>>,
-    coalesced_metric: Option<Rc<Counter>>,
+    /// The owning HCA's `cq_interrupts` series.
+    interrupts: Rc<Counter>,
+    /// The owning HCA's `cq_coalesced` series: completions that rode an
+    /// interrupt another completion paid for (everything beyond the
+    /// first drained per parked wakeup).
+    coalesced: Rc<Counter>,
 }
 
 impl CqInner {
@@ -90,20 +95,21 @@ pub struct Cq {
 }
 
 impl Cq {
-    /// Create a CQ whose interrupts are charged to `cpu`. Interrupt
-    /// moderation is off: every completion wakes a parked consumer.
-    pub fn new(cpu: Cpu) -> Self {
+    /// Create a CQ whose interrupts are charged to `cpu` and counted in
+    /// `series`. Interrupt moderation is off: every completion wakes a
+    /// parked consumer.
+    pub(crate) fn new(cpu: Cpu, series: &HcaSeries) -> Self {
         Cq {
             inner: Rc::new(RefCell::new(CqInner {
                 queue: VecDeque::new(),
                 waker: WakeSlot::new(),
                 pushed: 0,
-                interrupts: 0,
-                coalesced: 0,
+                producers: 0,
+                closed: false,
                 timer_gen: 0,
                 timer_armed: false,
-                interrupts_metric: None,
-                coalesced_metric: None,
+                interrupts: series.cq_interrupts.clone(),
+                coalesced: series.cq_coalesced.clone(),
             })),
             cpu,
             coalesce_count: 1,
@@ -116,22 +122,20 @@ impl Cq {
     /// interrupted once `count` completions are pending, or `delay`
     /// after the first pending completion, whichever comes first.
     /// `count <= 1` behaves exactly like [`Cq::new`].
-    pub fn with_coalescing(cpu: Cpu, sim: &Sim, count: usize, delay: SimDuration) -> Self {
-        let mut cq = Cq::new(cpu);
+    pub(crate) fn with_coalescing(
+        cpu: Cpu,
+        sim: &Sim,
+        count: usize,
+        delay: SimDuration,
+        series: &HcaSeries,
+    ) -> Self {
+        let mut cq = Cq::new(cpu, series);
         if count > 1 {
             cq.coalesce_count = count;
             cq.coalesce_delay = delay;
             cq.sim = Some(sim.clone());
         }
         cq
-    }
-
-    /// Report interrupt/coalescing totals into shared registry counters
-    /// (in addition to the per-CQ accessors).
-    pub fn bind_metrics(&self, interrupts: Rc<Counter>, coalesced: Rc<Counter>) {
-        let mut inner = self.inner.borrow_mut();
-        inner.interrupts_metric = Some(interrupts);
-        inner.coalesced_metric = Some(coalesced);
     }
 
     /// Deliver a completion (called by the HCA).
@@ -178,14 +182,27 @@ impl Cq {
     /// moderation enabled the interrupt is delayed until a batch
     /// accumulates (or the timer fires), and every completion drained
     /// beyond the first is counted as coalesced.
+    ///
+    /// # Panics
+    /// If the CQ closes first (every QP completing into it is gone):
+    /// nothing could ever wake the caller. A consumer that outlives its
+    /// QPs awaits [`Cq::next_open`] instead.
     pub async fn next(&self) -> Completion {
+        (self.next_open().await).expect("completion queue closed: its queue pairs are gone")
+    }
+
+    /// [`Cq::next`], or `None` once the queue is empty and closed: the
+    /// end of a consumer task that drains a CQ for as long as it lives.
+    /// Closing costs no interrupt.
+    pub async fn next_open(&self) -> Option<Completion> {
         if let Some(c) = self.poll() {
-            return c;
+            return Some(c);
         }
-        // Park until a push (or the moderation timer) wakes us.
+        // Park until a push (or the moderation timer, or the last
+        // producer's teardown) wakes us.
         std::future::poll_fn(|cx| {
             let mut inner = self.inner.borrow_mut();
-            if inner.queue.is_empty() {
+            if inner.queue.is_empty() && !inner.closed {
                 inner.waker.park(cx);
                 std::task::Poll::Pending
             } else {
@@ -194,21 +211,36 @@ impl Cq {
         })
         .await;
         {
-            let mut inner = self.inner.borrow_mut();
-            inner.interrupts += 1;
-            if let Some(m) = &inner.interrupts_metric {
-                m.inc();
+            let inner = self.inner.borrow();
+            if inner.queue.is_empty() {
+                return None;
             }
-            let extra = inner.queue.len().saturating_sub(1) as u64;
-            inner.coalesced += extra;
-            if extra > 0 {
-                if let Some(m) = &inner.coalesced_metric {
-                    m.add(extra);
-                }
-            }
+            inner.interrupts.inc();
+            inner
+                .coalesced
+                .add(inner.queue.len().saturating_sub(1) as u64);
         }
         self.cpu.interrupt().await;
-        self.poll().expect("completion vanished after wake")
+        Some(self.poll().expect("completion vanished after wake"))
+    }
+
+    /// A queue pair now completes into this CQ.
+    pub(crate) fn attach_producer(&self) {
+        self.inner.borrow_mut().producers += 1;
+    }
+
+    /// A queue pair completing into this CQ is gone; the last one closes
+    /// the CQ and wakes a parked consumer. Runs in a QP's `Drop`, so it
+    /// must not panic: a CQ busy at that instant is left open.
+    pub(crate) fn detach_producer(&self) {
+        let Ok(mut inner) = self.inner.try_borrow_mut() else {
+            return;
+        };
+        inner.producers -= 1;
+        if inner.producers == 0 {
+            inner.closed = true;
+            inner.fire();
+        }
     }
 
     /// Completions delivered so far.
@@ -216,31 +248,29 @@ impl Cq {
         self.inner.borrow().pushed
     }
 
-    /// Interrupts taken by consumers of this CQ.
-    pub fn interrupts(&self) -> u64 {
-        self.inner.borrow().interrupts
-    }
-
-    /// Completions that shared an interrupt another completion paid for.
-    pub fn coalesced(&self) -> u64 {
-        self.inner.borrow().coalesced
-    }
-
     /// Outstanding (unconsumed) completions.
     pub fn depth(&self) -> usize {
         self.inner.borrow().queue.len()
-    }
-
-    /// Identity of the underlying queue (distinguishes shared CQs).
-    pub(crate) fn id(&self) -> usize {
-        Rc::as_ptr(&self.inner) as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::NodeId;
     use sim_core::{CpuCosts, SimDuration, SimTime, Simulation};
+
+    fn series(sim: &Simulation) -> HcaSeries {
+        HcaSeries::new(&sim.metrics(), NodeId(0))
+    }
+
+    fn interrupts(sim: &Simulation) -> u64 {
+        sim.metrics().get("hca.node0.cq_interrupts").unwrap()
+    }
+
+    fn coalesced(sim: &Simulation) -> u64 {
+        sim.metrics().get("hca.node0.cq_coalesced").unwrap()
+    }
 
     fn cq_on(sim: &Simulation) -> (Cq, Cpu) {
         let cpu = Cpu::new(
@@ -252,7 +282,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        (Cq::new(cpu.clone()), cpu)
+        (Cq::new(cpu.clone(), &series(sim)), cpu)
     }
 
     fn comp(id: u64) -> Completion {
@@ -276,7 +306,7 @@ mod tests {
         });
         assert_eq!(c.wr_id, WrId(1));
         assert_eq!(cpu.busy_time(), SimDuration::ZERO);
-        assert_eq!(cq.interrupts(), 0);
+        assert_eq!(interrupts(&sim), 0);
     }
 
     #[test]
@@ -293,7 +323,7 @@ mod tests {
         let c = sim.block_on(async move { cq3.next().await });
         assert_eq!(c.wr_id, WrId(7));
         assert_eq!(cpu.busy_time(), SimDuration::from_micros(5));
-        assert_eq!(cq.interrupts(), 1);
+        assert_eq!(interrupts(&sim), 1);
         assert_eq!(sim.now(), SimTime::from_nanos(15_000));
     }
 
@@ -334,6 +364,7 @@ mod tests {
             &sim.handle(),
             count,
             SimDuration::from_micros(delay_us),
+            &series(sim),
         );
         (cq, cpu)
     }
@@ -359,8 +390,8 @@ mod tests {
             v
         });
         assert_eq!(ids, vec![0, 1, 2, 3], "drain stays in push order");
-        assert_eq!(cq.interrupts(), 1, "one interrupt for the burst");
-        assert_eq!(cq.coalesced(), 3);
+        assert_eq!(interrupts(&sim), 1, "one interrupt for the burst");
+        assert_eq!(coalesced(&sim), 3);
         assert_eq!(cpu.busy_time(), SimDuration::from_micros(5));
     }
 
@@ -377,8 +408,8 @@ mod tests {
         let cq3 = cq.clone();
         let c = sim.block_on(async move { cq3.next().await });
         assert_eq!(c.wr_id, WrId(9));
-        assert_eq!(cq.interrupts(), 1);
-        assert_eq!(cq.coalesced(), 0);
+        assert_eq!(interrupts(&sim), 1);
+        assert_eq!(coalesced(&sim), 0);
         // Arrived at 10µs, held 20µs by the moderation timer, then a
         // 5µs interrupt: consumed at 35µs.
         assert_eq!(sim.now(), SimTime::from_nanos(35_000));
@@ -395,7 +426,7 @@ mod tests {
         });
         assert_eq!(c.wr_id, WrId(1));
         assert_eq!(cpu.busy_time(), SimDuration::ZERO);
-        assert_eq!(cq.interrupts(), 0);
+        assert_eq!(interrupts(&sim), 0);
         assert_eq!(sim.now(), SimTime::from_nanos(0));
     }
 
@@ -420,7 +451,7 @@ mod tests {
             assert_eq!((a.wr_id.0, b.wr_id.0), (1, 2));
             h2.now()
         });
-        assert_eq!(cq.interrupts(), 1);
+        assert_eq!(interrupts(&sim), 1);
         // Woken at the 2nd push (5µs) + 5µs interrupt — not at 55µs
         // when the stale timer would have fired.
         assert_eq!(drained_at, SimTime::from_nanos(10_000));

@@ -14,17 +14,18 @@ use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
 use sim_core::sync::{Receiver, Sender};
-use sim_core::{Cpu, Payload, Resource, Sim, SimDuration};
+use sim_core::{Counter, Cpu, MetricsRegistry, Payload, Resource, Sim, SimDuration};
 
 use crate::config::HcaConfig;
 use crate::cq::{Completion, Cq};
 use crate::fabric::Fabric;
 use crate::memory::{Buffer, HostMem};
-use crate::qp::{sender_loop, Qp, WireMsg};
+use crate::qp::{sender_loop, Qp, QpInner, QpTable, WireMsg};
 use crate::tpt::{ExposureReport, RemoteOp, Tpt};
 use crate::types::{Access, NodeId, Opcode, QpNum, Rkey, VerbsError};
 
-/// Registration statistics, for tests and the experiment reports.
+/// Registration statistics, for tests and the experiment reports: a
+/// snapshot of the HCA's `hca.node{N}.*` series ([`Hca::reg_stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RegStats {
     /// Dynamic registrations performed.
@@ -46,6 +47,45 @@ pub struct RegStats {
     pub pages_unpinned: u64,
 }
 
+/// The series one HCA counts into, `hca.node{N}.*`, taken when it is
+/// built: per node, because each HCA's totals are read on their own.
+/// Its QPs and CQs bump the same handles, so a torn-down QP's doorbells
+/// and interrupts stay counted.
+pub(crate) struct HcaSeries {
+    dynamic_regs: Rc<Counter>,
+    pub(crate) deregs: Rc<Counter>,
+    pub(crate) fmr_maps: Rc<Counter>,
+    pub(crate) fmr_unmaps: Rc<Counter>,
+    /// Maps an FMR pool refused (region too large, pool exhausted): the
+    /// caller falls back to dynamic registration.
+    pub(crate) fmr_fallbacks: Rc<Counter>,
+    pub(crate) leaked_mrs: Rc<Counter>,
+    pages_pinned: Rc<Counter>,
+    pages_unpinned: Rc<Counter>,
+    pub(crate) doorbells: Rc<Counter>,
+    pub(crate) cq_interrupts: Rc<Counter>,
+    pub(crate) cq_coalesced: Rc<Counter>,
+}
+
+impl HcaSeries {
+    pub(crate) fn new(registry: &MetricsRegistry, node: NodeId) -> HcaSeries {
+        let series = |name: &str| registry.counter(&format!("hca.node{}.{name}", node.0));
+        HcaSeries {
+            dynamic_regs: series("dynamic_regs"),
+            deregs: series("deregs"),
+            fmr_maps: series("fmr_maps"),
+            fmr_unmaps: series("fmr_unmaps"),
+            fmr_fallbacks: series("fmr_fallbacks"),
+            leaked_mrs: series("leaked_mrs"),
+            pages_pinned: series("pages_pinned"),
+            pages_unpinned: series("pages_unpinned"),
+            doorbells: series("doorbells"),
+            cq_interrupts: series("cq_interrupts"),
+            cq_coalesced: series("cq_coalesced"),
+        }
+    }
+}
+
 pub(crate) struct HcaInner {
     pub(crate) sim: Sim,
     pub(crate) node: NodeId,
@@ -57,9 +97,9 @@ pub(crate) struct HcaInner {
     /// time).
     pub(crate) tpt_engine: Resource,
     pub(crate) fabric: Fabric<WireMsg>,
-    pub(crate) qps: RefCell<HashMap<u32, Qp>>,
+    qps: QpTable,
     next_qpn: Cell<u32>,
-    pub(crate) stats: RefCell<RegStats>,
+    pub(crate) series: HcaSeries,
     /// Mirror of the TPT's global (all-physical) steering tag, shared
     /// with every QP so post-time SG checks see enablement regardless
     /// of ordering between `enable_all_physical` and `connect`.
@@ -100,23 +140,19 @@ impl Hca {
                     respond(&Hca { inner: hca }, msg);
                 }
             });
-            // The security ledger's violation/revocation counters feed
-            // the shared `tpt.*` registry series from day one, so chaos
-            // and adversary snapshots always carry them.
-            let mut tpt = Tpt::new(sim.fork_rng());
-            tpt.bind_metrics(&sim.metrics());
+            let registry = sim.metrics();
             HcaInner {
                 sim: sim.clone(),
                 node,
                 cfg,
                 cpu,
                 mem,
-                tpt: RefCell::new(tpt),
+                tpt: RefCell::new(Tpt::new(sim.fork_rng(), &registry, node)),
                 tpt_engine: Resource::new(sim, format!("hca{}.tpt", node.0), 1),
                 fabric: fabric.clone(),
-                qps: RefCell::new(HashMap::new()),
+                qps: QpTable::default(),
                 next_qpn: Cell::new(1),
-                stats: RefCell::new(RegStats::default()),
+                series: HcaSeries::new(&registry, node),
                 global_rkey_cell: Rc::new(Cell::new(None)),
                 watches: RefCell::new(HashMap::new()),
             }
@@ -156,7 +192,16 @@ impl Hca {
 
     /// Registration statistics snapshot.
     pub fn reg_stats(&self) -> RegStats {
-        *self.inner.stats.borrow()
+        let s = &self.inner.series;
+        RegStats {
+            dynamic_regs: s.dynamic_regs.get(),
+            deregs: s.deregs.get(),
+            fmr_maps: s.fmr_maps.get(),
+            fmr_unmaps: s.fmr_unmaps.get(),
+            leaked_mrs: s.leaked_mrs.get(),
+            pages_pinned: s.pages_pinned.get(),
+            pages_unpinned: s.pages_unpinned.get(),
+        }
     }
 
     /// Security ledger snapshot.
@@ -209,13 +254,13 @@ impl Hca {
             access,
             self.inner.sim.now(),
         );
-        self.inner.stats.borrow_mut().dynamic_regs += 1;
+        self.inner.series.dynamic_regs.inc();
         crate::mr::Mr::new_dynamic(self.clone(), rkey, buffer.clone(), base, len, access, pages)
     }
 
     /// Charge the CPU for pinning `pages` pages.
     pub async fn pin_pages(&self, pages: u64) {
-        self.inner.stats.borrow_mut().pages_pinned += pages;
+        self.inner.series.pages_pinned.add(pages);
         self.inner
             .cpu
             .execute(SimDuration::from_nanos(
@@ -235,7 +280,7 @@ impl Hca {
         self.inner.sim.spawn(async move {
             let ns = inner.cfg.pin_per_page.as_nanos() * pages / 2;
             inner.cpu.execute(SimDuration::from_nanos(ns)).await;
-            inner.stats.borrow_mut().pages_unpinned += pages;
+            inner.series.pages_unpinned.add(pages);
         });
     }
 
@@ -274,49 +319,39 @@ impl Hca {
             send_cq,
             recv_cq,
             self.inner.global_rkey_cell.clone(),
+            self.inner.series.doorbells.clone(),
+            self.inner.qps.clone(),
         );
-        qp.bind_doorbell_metric(self.inner.sim.metrics().counter("hca.doorbells"));
-        self.inner.qps.borrow_mut().insert(qpn.0, qp.clone());
         (qp, wqe_rx)
     }
 
+    /// The live QP numbered `qpn`, if any.
+    fn qp(&self, qpn: QpNum) -> Option<Rc<QpInner>> {
+        self.inner.qps.borrow().get(&qpn.0).and_then(Weak::upgrade)
+    }
+
     /// A fresh CQ on this HCA's host CPU, honoring the configured
-    /// interrupt moderation and bound to the shared `cq.*` metrics.
+    /// interrupt moderation and counting into this node's series.
     pub(crate) fn make_cq(&self) -> Cq {
-        let cq = Cq::with_coalescing(
+        Cq::with_coalescing(
             self.inner.cpu.clone(),
             &self.inner.sim,
             self.inner.cfg.cq_coalesce_count,
             self.inner.cfg.cq_coalesce_delay,
-        );
-        let metrics = self.inner.sim.metrics();
-        cq.bind_metrics(
-            metrics.counter("cq.interrupts"),
-            metrics.counter("cq.coalesced"),
-        );
-        cq
+            &self.inner.series,
+        )
     }
 
-    /// Total doorbells rung across this HCA's QPs.
+    /// Doorbells rung by every QP this HCA ever had
+    /// (`hca.node{N}.doorbells`).
     pub fn doorbells(&self) -> u64 {
-        self.inner
-            .qps
-            .borrow()
-            .values()
-            .map(|q| q.doorbells())
-            .sum()
+        self.inner.series.doorbells.get()
     }
 
-    /// Total CQ interrupts taken across this HCA's QPs' completion
-    /// queues (each distinct CQ counted once, even when QPs share one).
+    /// Interrupts taken on every CQ this HCA ever made
+    /// (`hca.node{N}.cq_interrupts`).
     pub fn cq_interrupts(&self) -> u64 {
-        self.fold_cqs(|cq| cq.interrupts())
-    }
-
-    /// Total completions that shared an interrupt across this HCA's
-    /// completion queues.
-    pub fn cq_coalesced(&self) -> u64 {
-        self.fold_cqs(|cq| cq.coalesced())
+        self.inner.series.cq_interrupts.get()
     }
 
     /// Subscribe to RDMA Write placements into the region behind
@@ -334,22 +369,6 @@ impl Hca {
     pub fn unwatch_writes(&self, rkey: Rkey) {
         self.inner.watches.borrow_mut().remove(&rkey);
     }
-
-    fn fold_cqs(&self, f: impl Fn(&Cq) -> u64) -> u64 {
-        let mut seen = Vec::new();
-        let mut total = 0;
-        #[allow(clippy::iter_over_hash_type)] // a sum over distinct CQs: order-free
-        for qp in self.inner.qps.borrow().values() {
-            for cq in [qp.send_cq(), qp.recv_cq()] {
-                let id = cq.id();
-                if !seen.contains(&id) {
-                    seen.push(id);
-                    total += f(cq);
-                }
-            }
-        }
-        total
-    }
 }
 
 /// Create and connect a reliable-connection queue pair between two
@@ -364,8 +383,12 @@ pub fn connect(a: &Hca, b: &Hca) -> (Qp, Qp) {
     qb.inner.peer_node.set(a.inner.node);
     qb.inner.peer_qpn.set(qa.qpn());
     qb.inner.connected.set(true);
-    a.inner.sim.spawn(sender_loop(qa.inner.clone(), rx_a));
-    b.inner.sim.spawn(sender_loop(qb.inner.clone(), rx_b));
+    a.inner
+        .sim
+        .spawn(sender_loop(Rc::downgrade(&qa.inner), rx_a));
+    b.inner
+        .sim
+        .spawn(sender_loop(Rc::downgrade(&qb.inner), rx_b));
     (qa, qb)
 }
 
@@ -387,18 +410,17 @@ fn respond(hca: &Hca, msg: WireMsg) {
             tail,
             ack,
         } => {
-            let qp = hca.inner.qps.borrow().get(&dst_qpn.0).cloned();
-            let Some(qp) = qp else {
+            let Some(qp) = hca.qp(dst_qpn) else {
                 return ack.complete(Err(VerbsError::NotConnected));
             };
-            let posted = qp.take_recv();
+            let posted = qp.recv_queue.borrow_mut().pop_front();
             let Some(recv) = posted else {
-                qp.inner.set_error();
+                qp.set_error();
                 return ack.complete(Err(VerbsError::ReceiverNotReady));
             };
             let len = data.len() + tail.as_ref().map_or(0, Payload::len);
             if len > recv.len {
-                qp.inner.set_error();
+                qp.set_error();
                 return ack.complete(Err(VerbsError::ReceiveTooSmall {
                     needed: len,
                     have: recv.len,
@@ -411,7 +433,7 @@ fn respond(hca: &Hca, msg: WireMsg) {
             if let Some(tail) = &tail {
                 recv.buffer.write(recv.offset + data.len(), tail.clone());
             }
-            qp.inner.recv_cq.push(Completion {
+            qp.recv_cq.push(Completion {
                 wr_id: recv.wr_id,
                 opcode: Opcode::Recv,
                 result: Ok(len),
@@ -458,8 +480,8 @@ fn respond(hca: &Hca, msg: WireMsg) {
                     }
                 }
                 Err(e) => {
-                    if let Some(qp) = hca.inner.qps.borrow().get(&dst_qpn.0) {
-                        qp.inner.set_error();
+                    if let Some(qp) = hca.qp(dst_qpn) {
+                        qp.set_error();
                     }
                     ack.complete(Err(e));
                 }
@@ -481,16 +503,15 @@ fn respond(hca: &Hca, msg: WireMsg) {
                 hca.inner.sim.now(),
                 move |a, l| mem.lookup(a, l),
             );
-            let qp = hca.inner.qps.borrow().get(&dst_qpn.0).cloned();
-            match (check, qp) {
+            match (check, hca.qp(dst_qpn)) {
                 (Ok((buffer, off)), Some(qp)) => {
                     // Service the read concurrently, bounded by IRD.
                     let hca2 = hca.clone();
                     hca.inner.sim.spawn(async move {
-                        let _slot = qp.inner.read_engine.acquire().await;
+                        let _slot = qp.read_engine.acquire().await;
                         hca2.inner.sim.sleep(hca2.inner.cfg.read_turnaround).await;
                         let payload = buffer.read(off, len);
-                        let requester = qp.inner.peer_node.get();
+                        let requester = qp.peer_node.get();
                         hca2.inner
                             .fabric
                             .raw_transfer(
@@ -504,7 +525,7 @@ fn respond(hca: &Hca, msg: WireMsg) {
                 }
                 (Err(e), qp) => {
                     if let Some(qp) = qp {
-                        qp.inner.set_error();
+                        qp.set_error();
                     }
                     // Nak propagation delay.
                     let hca2 = hca.clone();
@@ -569,10 +590,9 @@ mod tests {
                 p.inner.peer_qpn.set(q.qpn());
                 p.inner.connected.set(true);
             }
-            h.spawn(sender_loop(q1.inner.clone(), rx1));
-            h.spawn(sender_loop(q2.inner.clone(), rx2));
-            h.spawn(sender_loop(p1.inner.clone(), rxp1));
-            h.spawn(sender_loop(p2.inner.clone(), rxp2));
+            for (q, rx) in [(&q1, rx1), (&q2, rx2), (&p1, rxp1), (&p2, rxp2)] {
+                h.spawn(sender_loop(Rc::downgrade(&q.inner), rx));
+            }
 
             let target = bmem.alloc(1 << 20);
             let drain_cq = shared.clone();
@@ -595,7 +615,7 @@ mod tests {
                 }
                 order
             });
-            (order, shared.interrupts())
+            (order, h.metrics().get("hca.node0.cq_interrupts").unwrap())
         };
         let (o1, i1) = run(7);
         let (o2, i2) = run(7);

@@ -133,11 +133,11 @@ impl Mr {
                     .tpt_engine
                     .use_for(hca.inner.cfg.dereg_cost(self.pages))
                     .await;
-                hca.inner.stats.borrow_mut().deregs += 1;
+                hca.inner.series.deregs.inc();
             }
             MrKind::Fmr => {
                 hca.inner.tpt_engine.use_for(hca.inner.cfg.fmr_unmap).await;
-                hca.inner.stats.borrow_mut().fmr_unmaps += 1;
+                hca.inner.series.fmr_unmaps.inc();
                 if let Some(pool) = &self.pool {
                     pool.release(self.rkey);
                 }
@@ -157,7 +157,7 @@ impl Drop for Mr {
                 .tpt
                 .borrow_mut()
                 .invalidate(self.rkey, self.hca.inner.sim.now());
-            self.hca.inner.stats.borrow_mut().leaked_mrs += 1;
+            self.hca.inner.series.leaked_mrs.inc();
             if self.kind == MrKind::Fmr {
                 if let Some(pool) = &self.pool {
                     pool.release(self.rkey);
@@ -170,7 +170,6 @@ impl Drop for Mr {
 struct FmrPoolInner {
     free: RefCell<Vec<Rkey>>,
     max_len: u64,
-    fallbacks: Cell<u64>,
 }
 
 /// A pool of pre-allocated FMR entries.
@@ -190,7 +189,6 @@ impl FmrPool {
             inner: Rc::new(FmrPoolInner {
                 free: RefCell::new(free),
                 max_len,
-                fallbacks: Cell::new(0),
             }),
         }
     }
@@ -212,7 +210,7 @@ impl FmrPool {
     ) -> Result<Mr, VerbsError> {
         assert!(offset + len <= buffer.len(), "fmr map out of bounds");
         if len > self.inner.max_len {
-            self.inner.fallbacks.set(self.inner.fallbacks.get() + 1);
+            self.hca.inner.series.fmr_fallbacks.inc();
             return Err(VerbsError::FmrUnavailable("region exceeds FMR max size"));
         }
         let rkey = {
@@ -220,7 +218,7 @@ impl FmrPool {
             match free.pop() {
                 Some(k) => k,
                 None => {
-                    self.inner.fallbacks.set(self.inner.fallbacks.get() + 1);
+                    self.hca.inner.series.fmr_fallbacks.inc();
                     return Err(VerbsError::FmrUnavailable("pool exhausted"));
                 }
             }
@@ -241,7 +239,7 @@ impl FmrPool {
             access,
             hca.inner.sim.now(),
         );
-        hca.inner.stats.borrow_mut().fmr_maps += 1;
+        hca.inner.series.fmr_maps.inc();
         Ok(Mr {
             hca: hca.clone(),
             rkey,
@@ -259,11 +257,6 @@ impl FmrPool {
     /// Entries currently available.
     pub fn available(&self) -> usize {
         self.inner.free.borrow().len()
-    }
-
-    /// Times a caller had to fall back to dynamic registration.
-    pub fn fallbacks(&self) -> u64 {
-        self.inner.fallbacks.get()
     }
 
     /// Largest mappable region.

@@ -27,8 +27,8 @@
 //! the classic one-doorbell-per-WQE behavior.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::rc::Rc;
+use std::collections::{HashMap, VecDeque};
+use std::rc::{Rc, Weak};
 
 use sim_core::sync::{channel, oneshot, OneshotSender, Receiver, Semaphore, Sender};
 use sim_core::{Counter, Payload, Sim};
@@ -199,6 +199,10 @@ pub(crate) enum Wqe {
     },
 }
 
+/// An HCA's queue pairs by number, as the responder finds them: weak,
+/// so a QP nobody holds any more is gone from it.
+pub(crate) type QpTable = Rc<RefCell<HashMap<u32, Weak<QpInner>>>>;
+
 pub(crate) struct QpInner {
     pub(crate) sim: Sim,
     pub(crate) cfg: HcaConfig,
@@ -229,19 +233,37 @@ pub(crate) struct QpInner {
     doorbell_batch: Cell<usize>,
     /// Inside a [`Qp::chain`]: posts queue without ringing.
     chaining: Cell<bool>,
-    /// Doorbells rung on this QP.
-    doorbells: Cell<u64>,
-    /// Shared registry counter (bound by the owning HCA).
-    doorbell_metric: RefCell<Option<Rc<Counter>>>,
+    /// Sequence number of this QP's last doorbell ([`Qp::ring_seq`]).
+    ring_seq: Cell<u64>,
+    /// The owning HCA's `doorbells` series.
+    doorbells: Rc<Counter>,
     /// The HCA's all-physical global steering tag, if enabled — needed
     /// to enforce the no-local-scatter/gather rule at post time.
     pub(crate) global_rkey: Rc<Cell<Option<Rkey>>>,
+    /// The owning HCA's table, which this QP leaves when dropped.
+    table: QpTable,
+    /// The send queue engine's channel: the QP owns its only sender, so
+    /// dropping the QP ends [`sender_loop`].
     wqe_tx: Sender<Vec<Wqe>>,
 }
 
 impl QpInner {
     pub(crate) fn set_error(&self) {
         self.error.set(true);
+    }
+}
+
+/// Teardown: the last handle is gone. The QP leaves its HCA's table,
+/// its engine's channel closes, and its CQs lose a producer — so the
+/// tasks draining them end instead of parking for good.
+impl Drop for QpInner {
+    fn drop(&mut self) {
+        // A table busy elsewhere keeps a dead entry, which finds no QP.
+        if let Ok(mut table) = self.table.try_borrow_mut() {
+            table.remove(&self.qpn.0);
+        }
+        self.send_cq.detach_producer();
+        self.recv_cq.detach_producer();
     }
 }
 
@@ -262,8 +284,12 @@ impl Qp {
         send_cq: Cq,
         recv_cq: Cq,
         global_rkey: Rc<Cell<Option<Rkey>>>,
+        doorbells: Rc<Counter>,
+        table: QpTable,
     ) -> (Qp, Receiver<Vec<Wqe>>) {
         let (wqe_tx, wqe_rx) = channel();
+        send_cq.attach_producer();
+        recv_cq.attach_producer();
         let qp = Qp {
             inner: Rc::new(QpInner {
                 sim,
@@ -284,12 +310,14 @@ impl Qp {
                 drained: RefCell::new(Vec::new()),
                 doorbell_batch: Cell::new(1),
                 chaining: Cell::new(false),
-                doorbells: Cell::new(0),
-                doorbell_metric: RefCell::new(None),
+                ring_seq: Cell::new(0),
+                doorbells,
                 global_rkey,
+                table: table.clone(),
                 wqe_tx,
             }),
         };
+        table.borrow_mut().insert(qpn.0, Rc::downgrade(&qp.inner));
         (qp, wqe_rx)
     }
 
@@ -327,11 +355,6 @@ impl Qp {
     /// Number of receives currently posted.
     pub fn posted_recvs(&self) -> usize {
         self.inner.recv_queue.borrow().len()
-    }
-
-    /// Take the next posted receive.
-    pub(crate) fn take_recv(&self) -> Option<PostedRecv> {
-        self.inner.recv_queue.borrow_mut().pop_front()
     }
 
     /// Force the QP into the error state (failure injection: peer
@@ -559,10 +582,8 @@ impl Qp {
         let next = self.inner.drained.borrow_mut().pop().unwrap_or_default();
         let batch = std::mem::replace(&mut *pending, next);
         drop(pending);
-        self.inner.doorbells.set(self.inner.doorbells.get() + 1);
-        if let Some(m) = self.inner.doorbell_metric.borrow().as_ref() {
-            m.inc();
-        }
+        self.inner.ring_seq.set(self.inner.ring_seq.get() + 1);
+        self.inner.doorbells.inc();
         // A send on a torn-down engine loses the batch; the QP is (or
         // is about to be) in the error state and receives flush there.
         let _ = self.inner.wqe_tx.send(batch);
@@ -574,23 +595,23 @@ impl Qp {
         self.inner.doorbell_batch.set(depth.max(1));
     }
 
-    /// Doorbells rung on this QP so far.
-    pub fn doorbells(&self) -> u64 {
-        self.inner.doorbells.get()
-    }
-
-    /// Report doorbell rings into a shared registry counter.
-    pub fn bind_doorbell_metric(&self, counter: Rc<Counter>) {
-        *self.inner.doorbell_metric.borrow_mut() = Some(counter);
+    /// Changes whenever this QP rings its doorbell: a caller that saw
+    /// the same value before and after a wait knows no ring carried its
+    /// posts out (the server's backstop flush). The count of rings is
+    /// the HCA's `hca.node{N}.doorbells` series.
+    pub fn ring_seq(&self) -> u64 {
+        self.inner.ring_seq.get()
     }
 }
 
 /// Per-QP send-queue engine: drains doorbell batches strictly in post
 /// order. The WQE-processing charge (doorbell write, WQE fetch, DMA
 /// setup) is paid once per doorbell ring — amortizing it across the
-/// batch is the point of doorbell batching.
-pub(crate) async fn sender_loop(qp: Rc<QpInner>, mut wqe_rx: Receiver<Vec<Wqe>>) {
+/// batch is the point of doorbell batching. Holds the QP weakly: it
+/// ends when the QP is dropped.
+pub(crate) async fn sender_loop(qp: Weak<QpInner>, mut wqe_rx: Receiver<Vec<Wqe>>) {
     while let Ok(mut batch) = wqe_rx.recv().await {
+        let Some(qp) = qp.upgrade() else { return };
         // HCA processing for this doorbell (skipped when the QP is
         // already flushing errors).
         if !qp.error.get() {

@@ -19,7 +19,7 @@ use sim_core::stats::Counter;
 use sim_core::{MetricsRegistry, SimRng, SimTime};
 
 use crate::memory::Buffer;
-use crate::types::{Access, Rkey, VerbsError};
+use crate::types::{Access, NodeId, Rkey, VerbsError};
 
 /// One registered region.
 #[derive(Clone)]
@@ -56,11 +56,6 @@ pub struct ExposureReport {
     pub current_bytes: u64,
     /// Number of registrations that ever granted remote access.
     pub exposures: u64,
-    /// Remote-access validation failures (attack probes, bugs).
-    pub violations: u64,
-    /// Registrations force-invalidated by policy (exposure TTL expiry,
-    /// quarantine teardown) rather than by their owner's deregister.
-    pub revocations: u64,
 }
 
 /// Translation & Protection Table for one HCA.
@@ -74,23 +69,22 @@ pub struct Tpt {
     /// Whether the privileged all-physical steering tag is enabled.
     global_enabled: bool,
     closed_byte_ns: u128,
-    exposures: u64,
-    violations: u64,
-    revocations: u64,
-    /// Registry-backed mirrors of the ledger counters (shared series
-    /// across every HCA in the simulation), bound by
-    /// [`Tpt::bind_metrics`].
-    metrics: Option<TptMetrics>,
-}
-
-struct TptMetrics {
+    /// Registrations that ever granted remote access:
+    /// `tpt.node{N}.exposures`, each HCA's own.
+    exposures: Rc<Counter>,
+    /// Remote-access validation failures (attack probes, bugs):
+    /// `tpt.violations`, one series for every HCA of a simulation.
     violations: Rc<Counter>,
+    /// Registrations force-invalidated by policy (exposure TTL expiry,
+    /// quarantine teardown) rather than by their owner's deregister:
+    /// `tpt.revocations`, likewise fleet-wide.
     revocations: Rc<Counter>,
 }
 
 impl Tpt {
-    /// Create a TPT with randomized steering tags drawn from `rng`.
-    pub fn new(mut rng: SimRng) -> Self {
+    /// Create the TPT of node `node`'s HCA, with randomized steering
+    /// tags drawn from `rng`, counting into `registry`.
+    pub fn new(mut rng: SimRng, registry: &MetricsRegistry, node: NodeId) -> Self {
         let global_rkey = Rkey(rng.next_u32() | 1);
         Tpt {
             entries: HashMap::new(),
@@ -99,29 +93,9 @@ impl Tpt {
             global_rkey,
             global_enabled: false,
             closed_byte_ns: 0,
-            exposures: 0,
-            violations: 0,
-            revocations: 0,
-            metrics: None,
-        }
-    }
-
-    /// Mirror the ledger's violation/revocation counters onto the
-    /// simulation's metrics registry (`tpt.violations`,
-    /// `tpt.revocations`). Counters are shared by name, so every HCA
-    /// in a simulation feeds the same series and `chaos`/`adversary`
-    /// snapshots carry them without extra plumbing.
-    pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
-        self.metrics = Some(TptMetrics {
+            exposures: registry.counter(&format!("tpt.node{}.exposures", node.0)),
             violations: registry.counter("tpt.violations"),
             revocations: registry.counter("tpt.revocations"),
-        });
-    }
-
-    fn count_violation(&mut self) {
-        self.violations += 1;
-        if let Some(m) = &self.metrics {
-            m.violations.inc();
         }
     }
 
@@ -129,10 +103,7 @@ impl Tpt {
     /// registrations have no entry to remove; the pinning still had to
     /// be torn down by policy).
     pub fn note_revocation(&mut self) {
-        self.revocations += 1;
-        if let Some(m) = &self.metrics {
-            m.revocations.inc();
-        }
+        self.revocations.inc();
     }
 
     /// Force-invalidate an entry by policy (TTL expiry, quarantine):
@@ -179,7 +150,7 @@ impl Tpt {
         now: SimTime,
     ) {
         if access.remotely_exposed() {
-            self.exposures += 1;
+            self.exposures.inc();
         }
         let prev = self.entries.insert(
             rkey.0,
@@ -250,7 +221,7 @@ impl Tpt {
                     Ok((buf, off))
                 }
                 None => {
-                    self.count_violation();
+                    self.violations.inc();
                     Err(VerbsError::RemoteAccess {
                         rkey,
                         reason: "global rkey: address not mapped",
@@ -259,14 +230,14 @@ impl Tpt {
             };
         }
         let Some(e) = self.entries.get(&rkey.0) else {
-            self.count_violation();
+            self.violations.inc();
             return Err(VerbsError::RemoteAccess {
                 rkey,
                 reason: "no such steering tag",
             });
         };
         if addr < e.base || addr + len > e.base + e.len {
-            self.count_violation();
+            self.violations.inc();
             return Err(VerbsError::RemoteAccess {
                 rkey,
                 reason: "out of registered bounds",
@@ -277,7 +248,7 @@ impl Tpt {
             RemoteOp::Write => e.access.allows_remote_write(),
         };
         if !allowed {
-            self.count_violation();
+            self.violations.inc();
             return Err(VerbsError::RemoteAccess {
                 rkey,
                 reason: "access rights do not permit operation",
@@ -302,9 +273,7 @@ impl Tpt {
         ExposureReport {
             byte_ns,
             current_bytes: current,
-            exposures: self.exposures,
-            violations: self.violations,
-            revocations: self.revocations,
+            exposures: self.exposures.get(),
         }
     }
 
@@ -330,7 +299,14 @@ mod tests {
     fn setup() -> (Tpt, Buffer) {
         let mem = HostMem::new(NodeId(0), PhysLayout::default(), SimRng::new(3));
         let buf = mem.alloc(8192);
-        (Tpt::new(SimRng::new(5)), buf)
+        (
+            Tpt::new(SimRng::new(5), &MetricsRegistry::new(), NodeId(0)),
+            buf,
+        )
+    }
+
+    fn counted(tpt: &Tpt) -> (u64, u64) {
+        (tpt.violations.get(), tpt.revocations.get())
     }
 
     fn t(ns: u64) -> SimTime {
@@ -357,7 +333,7 @@ mod tests {
             .check_remote(Rkey(0x1234), 0, 1, RemoteOp::Read, t(0), |_, _| None)
             .unwrap_err();
         assert!(matches!(err, VerbsError::RemoteAccess { .. }));
-        assert_eq!(tpt.exposure_report(t(0)).violations, 1);
+        assert_eq!(counted(&tpt).0, 1);
     }
 
     #[test]
@@ -451,35 +427,34 @@ mod tests {
             .check_remote(r, buf.addr(), 4, RemoteOp::Read, t(501), |_, _| None)
             .is_err());
         let rep = tpt.exposure_report(t(9999));
-        assert_eq!(rep.revocations, 1);
+        assert_eq!(counted(&tpt).1, 1);
         assert_eq!(rep.byte_ns, 500_000);
         assert_eq!(rep.current_bytes, 0);
         // Revoking an already-dead tag is a no-op, not a double count.
         assert!(tpt.revoke(r, t(600)).is_none());
-        assert_eq!(tpt.exposure_report(t(9999)).revocations, 1);
+        assert_eq!(counted(&tpt).1, 1);
     }
 
     #[test]
-    fn bound_metrics_mirror_ledger() {
-        let (mut tpt, buf) = setup();
-        let registry = sim_core::MetricsRegistry::new();
-        tpt.bind_metrics(&registry);
-        let r = tpt.insert(buf.clone(), buf.addr(), 64, Access::REMOTE_READ, t(0));
-        let _ = tpt.check_remote(Rkey(1), buf.addr(), 4, RemoteOp::Read, t(1), |_, _| None);
-        tpt.revoke(r, t(2)).unwrap();
-        tpt.note_revocation();
+    fn ledger_counts_are_shared_registry_series() {
+        let registry = MetricsRegistry::new();
+        let mem = HostMem::new(NodeId(0), PhysLayout::default(), SimRng::new(3));
+        let buf = mem.alloc(64);
+        let mut a = Tpt::new(SimRng::new(5), &registry, NodeId(0));
+        let mut b = Tpt::new(SimRng::new(6), &registry, NodeId(1));
+        let r = a.insert(buf.clone(), buf.addr(), 64, Access::REMOTE_READ, t(0));
+        let _ = b.check_remote(Rkey(1), buf.addr(), 4, RemoteOp::Read, t(1), |_, _| None);
+        a.revoke(r, t(2)).unwrap();
+        b.note_revocation();
         assert_eq!(registry.get("tpt.violations"), Some(1));
         assert_eq!(registry.get("tpt.revocations"), Some(2));
-        let rep = tpt.exposure_report(t(3));
-        assert_eq!(rep.violations, 1);
-        assert_eq!(rep.revocations, 2);
     }
 
     #[test]
     fn global_rkey_reaches_any_mapped_buffer() {
         let mem = HostMem::new(NodeId(0), PhysLayout::default(), SimRng::new(3));
         let buf = mem.alloc(4096);
-        let mut tpt = Tpt::new(SimRng::new(5));
+        let mut tpt = Tpt::new(SimRng::new(5), &MetricsRegistry::new(), NodeId(0));
         let g = tpt.enable_global_rkey();
         let buf2 = buf.clone();
         let (b, off) = tpt
@@ -535,7 +510,7 @@ mod tests {
     #[test]
     fn steering_tags_are_unpredictable_across_rng_streams() {
         let (mut t1, buf) = setup();
-        let mut t2 = Tpt::new(SimRng::new(999));
+        let mut t2 = Tpt::new(SimRng::new(999), &MetricsRegistry::new(), NodeId(0));
         let a = t1.insert(buf.clone(), buf.addr(), 64, Access::REMOTE_READ, t(0));
         let b = t2.insert(buf.clone(), buf.addr(), 64, Access::REMOTE_READ, t(0));
         assert_ne!(a, b);

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use ib_verbs::tpt::{RemoteOp, Tpt};
 use ib_verbs::{Access, HostMem, NodeId, PhysLayout, Rkey};
-use sim_core::{SimRng, SimTime};
+use sim_core::{MetricsRegistry, SimRng, SimTime};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -65,7 +65,7 @@ proptest! {
     #[test]
     fn tpt_agrees_with_reference_model(ops in proptest::collection::vec(arb_op(), 1..128)) {
         let mem = HostMem::new(NodeId(0), PhysLayout::default(), SimRng::new(11));
-        let mut tpt = Tpt::new(SimRng::new(13));
+        let mut tpt = Tpt::new(SimRng::new(13), &MetricsRegistry::new(), NodeId(0));
         let t = SimTime::ZERO;
         // Live registrations in creation order (slots index into this).
         let mut live: Vec<(Rkey, ModelEntry)> = Vec::new();
@@ -134,7 +134,8 @@ proptest! {
     #[test]
     fn invalidated_tags_stay_dead(len in 1u64..65536, probes in 1usize..16) {
         let mem = HostMem::new(NodeId(0), PhysLayout::default(), SimRng::new(3));
-        let mut tpt = Tpt::new(SimRng::new(5));
+        let registry = MetricsRegistry::new();
+        let mut tpt = Tpt::new(SimRng::new(5), &registry, NodeId(0));
         let t = SimTime::ZERO;
         let buf = mem.alloc(len);
         let rkey = tpt.insert(
@@ -150,6 +151,6 @@ proptest! {
                 .check_remote(rkey, buf.addr() + off, 1, RemoteOp::Read, t, |_, _| None)
                 .is_err());
         }
-        prop_assert_eq!(tpt.exposure_report(t).violations as usize, probes);
+        prop_assert_eq!(registry.get("tpt.violations"), Some(probes as u64));
     }
 }

@@ -209,7 +209,7 @@ fn rdma_read_with_guessed_rkey_is_rejected_and_audited() {
     });
     assert!(matches!(comp.result, Err(VerbsError::RemoteAccess { .. })));
     assert!(qa.is_error(), "attacker connection must be torn down");
-    assert_eq!(b.hca.exposure_report().violations, 1);
+    assert_eq!(h.metrics().get("tpt.violations"), Some(1));
     // No data leaked.
     assert_eq!(&dst.read(0, 64).materialize()[..], &[0u8; 64]);
 }
@@ -462,7 +462,12 @@ fn fmr_pool_exhaustion_and_oversize_fall_back() {
             assert_eq!(pool.available(), 0);
             let e = pool.map(&buf, 8192, 4096, Access::REMOTE_READ).await;
             assert!(matches!(e, Err(VerbsError::FmrUnavailable(_))));
-            assert_eq!(pool.fallbacks(), 2);
+            assert_eq!(
+                hca.sim()
+                    .metrics()
+                    .get(&format!("hca.node{}.fmr_fallbacks", hca.node().0)),
+                Some(2)
+            );
             // Unmapping returns entries to the pool.
             m1.deregister().await;
             m2.deregister().await;
@@ -712,7 +717,7 @@ fn vectored_write_gathers_pieces_contiguously() {
     assert!(placed[..100].iter().all(|&x| x == 1));
     assert!(placed[100..300].iter().all(|&x| x == 2));
     assert!(placed[300..600].iter().all(|&x| x == 3));
-    assert_eq!(qa.doorbells(), 1);
+    assert_eq!(a.hca.doorbells(), 1);
 }
 
 #[test]
@@ -804,7 +809,7 @@ fn doorbell_batching_rings_once_per_batch() {
 
     let target = b.mem.alloc(64 * 1024);
     sim.block_on({
-        let bh = b.hca.clone();
+        let (ah, bh) = (a.hca.clone(), b.hca.clone());
         let target = target.clone();
         let qa = qa.clone();
         async move {
@@ -825,7 +830,7 @@ fn doorbell_batching_rings_once_per_batch() {
             for _ in 0..4 {
                 assert_eq!(qa.send_cq().next().await.result, Ok(1024));
             }
-            assert_eq!(qa.doorbells(), 1, "full batch is one doorbell");
+            assert_eq!(ah.doorbells(), 1, "full batch is one doorbell");
 
             // A partial batch stays pending until an explicit flush —
             // the operation-boundary contract for batched callers.
@@ -839,12 +844,12 @@ fn doorbell_batching_rings_once_per_batch() {
                 )
                 .unwrap();
             }
-            assert_eq!(qa.doorbells(), 1, "partial batch must not ring");
+            assert_eq!(ah.doorbells(), 1, "partial batch must not ring");
             qa.flush();
             for _ in 0..2 {
                 assert_eq!(qa.send_cq().next().await.result, Ok(1024));
             }
-            assert_eq!(qa.doorbells(), 2);
+            assert_eq!(ah.doorbells(), 2);
         }
     });
     assert_eq!(a.hca.doorbells(), 2);
@@ -888,23 +893,23 @@ fn wr_chain_rings_once_when_it_closes() {
     };
     // Unchained, depth 1: a doorbell and its processing each.
     (0..3).try_for_each(post).unwrap();
-    assert_eq!(qa.doorbells(), 3);
+    assert_eq!(a.hca.doorbells(), 3);
     assert_eq!(gaps(3), [HcaConfig::sdr().wqe_process; 2]);
     // Chained: one of each, and nothing rings before it closes.
     qa.chain(|| {
         (3..6).try_for_each(post).unwrap();
-        assert_eq!(qa.doorbells(), 3, "rang inside the chain");
+        assert_eq!(a.hca.doorbells(), 3, "rang inside the chain");
     });
-    assert_eq!(qa.doorbells(), 4);
+    assert_eq!(a.hca.doorbells(), 4);
     assert_eq!(gaps(3), [SimDuration::ZERO; 2]);
 
     // Depth 4: a short chain waits like any partial batch, a chain
     // that fills the batch rings once for all of it.
     qa.set_doorbell_batch(4);
     qa.chain(|| (6..8).try_for_each(post)).unwrap();
-    assert_eq!(qa.doorbells(), 4, "partial batch must not ring");
+    assert_eq!(a.hca.doorbells(), 4, "partial batch must not ring");
     qa.chain(|| (8..11).try_for_each(post)).unwrap();
-    assert_eq!(qa.doorbells(), 5, "five WQEs, one doorbell");
+    assert_eq!(a.hca.doorbells(), 5, "five WQEs, one doorbell");
     assert_eq!(gaps(5), [SimDuration::ZERO; 4]);
 }
 
@@ -964,7 +969,7 @@ fn unsignaled_write_to_bad_rkey_errors_one_latency_after_arrival() {
     assert!(matches!(c.result, Err(VerbsError::RemoteAccess { .. })));
     sim.run();
     assert_eq!(qa.send_cq().depth(), 0, "exactly one error completion");
-    assert_eq!(b.hca.exposure_report().violations, 1);
+    assert_eq!(h.metrics().get("tpt.violations"), Some(1));
 }
 
 #[test]

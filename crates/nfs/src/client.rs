@@ -8,7 +8,7 @@
 //! synthetic payloads compact. This is the baseline the paper
 //! measures against.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -16,7 +16,7 @@ use bytes::Bytes;
 use ib_verbs::Buffer;
 use onc_rpc::{RpcError, StreamRpcClient};
 use rpcrdma::{BulkParams, RdmaRpcClient};
-use sim_core::Payload;
+use sim_core::{Counter, Payload, Sim};
 use xdr::{Encoder, XdrCodec};
 
 use crate::proto::*;
@@ -98,40 +98,37 @@ struct PendingFile {
     writes: Vec<PendingWrite>,
 }
 
-/// Client-side write/commit counters.
-#[derive(Default)]
-pub struct NfsClientStats {
-    /// UNSTABLE writes re-sent after a COMMIT verifier mismatch.
-    pub redriven_writes: Cell<u64>,
-    /// COMMIT rounds that observed a verifier mismatch.
-    pub verf_mismatches: Cell<u64>,
-}
-
 /// An NFSv3 client handle (one mount).
 pub struct NfsClient {
     transport: Transport,
     /// UNSTABLE writes not yet covered by a matching COMMIT, per file.
     pending: RefCell<HashMap<u64, PendingFile>>,
-    /// Statistics.
-    pub stats: NfsClientStats,
+    /// `nfs.client.redriven_writes` (every mount of a simulation):
+    /// UNSTABLE writes re-sent after a COMMIT verifier mismatch.
+    redriven_writes: Rc<Counter>,
+    /// `nfs.client.verf_mismatches`: COMMIT rounds that observed a
+    /// verifier mismatch.
+    verf_mismatches: Rc<Counter>,
 }
 
 impl NfsClient {
     /// Mount over RPC/RDMA.
-    pub fn over_rdma(client: RdmaRpcClient) -> NfsClient {
-        NfsClient {
-            transport: Transport::Rdma(client),
-            pending: RefCell::new(HashMap::new()),
-            stats: NfsClientStats::default(),
-        }
+    pub fn over_rdma(sim: &Sim, client: RdmaRpcClient) -> NfsClient {
+        NfsClient::over(sim, Transport::Rdma(client))
     }
 
     /// Mount over TCP.
-    pub fn over_tcp(client: Rc<StreamRpcClient>) -> NfsClient {
+    pub fn over_tcp(sim: &Sim, client: Rc<StreamRpcClient>) -> NfsClient {
+        NfsClient::over(sim, Transport::Tcp(client))
+    }
+
+    fn over(sim: &Sim, transport: Transport) -> NfsClient {
+        let registry = sim.metrics();
         NfsClient {
-            transport: Transport::Tcp(client),
+            transport,
             pending: RefCell::new(HashMap::new()),
-            stats: NfsClientStats::default(),
+            redriven_writes: registry.counter("nfs.client.redriven_writes"),
+            verf_mismatches: registry.counter("nfs.client.verf_mismatches"),
         }
     }
 
@@ -406,7 +403,7 @@ impl NfsClient {
     /// pending UNSTABLE writes were acked, the server rebooted and may
     /// have lost them: re-drive every pending write for this file and
     /// COMMIT again, until the verifiers agree (bounded by
-    /// [`MAX_REDRIVE_ROUNDS`]).
+    /// `MAX_REDRIVE_ROUNDS`).
     pub async fn commit(&self, fh: FileHandle) -> NfsResult<()> {
         let mut verf = self.commit_once(fh).await?;
         for _ in 0..MAX_REDRIVE_ROUNDS {
@@ -418,9 +415,7 @@ impl NfsClient {
                 self.pending.borrow_mut().remove(&fh.0);
                 return Ok(());
             }
-            self.stats
-                .verf_mismatches
-                .set(self.stats.verf_mismatches.get() + 1);
+            self.verf_mismatches.inc();
             // Replay the whole pending burst under the new boot
             // instance, then re-commit and re-check.
             let replay: Vec<(u64, Buffer, u64, u32, Payload)> = {
@@ -440,9 +435,7 @@ impl NfsClient {
                 let r = self
                     .write_once(fh, offset, &buf, buf_off, count, false)
                     .await?;
-                self.stats
-                    .redriven_writes
-                    .set(self.stats.redriven_writes.get() + 1);
+                self.redriven_writes.inc();
                 last_verf = r.verf;
             }
             if let Some(p) = self.pending.borrow_mut().get_mut(&fh.0) {

@@ -34,7 +34,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use rpcrdma::{LogRing, RdmaRpcServer, ReplError, RingTarget, Shipper, RING_SENTINEL};
 use sim_core::sync::{Notify, SemPermit, Semaphore};
-use sim_core::{Payload, Sim, TraceCtx};
+use sim_core::{Counter, Payload, Sim, TraceCtx};
 
 use crate::proto::NfsProc;
 use crate::server::{NfsServer, WRITE_VERF_BASE};
@@ -78,7 +78,7 @@ pub struct ReplRecord {
     /// Trace context of the primary's service span
     /// ([`TraceCtx::NONE`] when span tracing was off): the backup's
     /// apply span joins the client's causal tree through it. Not part
-    /// of the encoding — it travels under [`trace_key`].
+    /// of the encoding — it travels under `trace_key`.
     pub trace: TraceCtx,
 }
 
@@ -158,22 +158,6 @@ struct LogEntry {
     trace: TraceCtx,
 }
 
-/// Replicator statistics (plain cells; the wire-side counters live in
-/// [`rpcrdma::ShipperStats`]).
-#[derive(Default)]
-pub struct ReplicatorStats {
-    /// Records appended to the replicated log.
-    pub logged: Cell<u64>,
-    /// Commit markers whose backup ack was awaited successfully.
-    pub acked_markers: Cell<u64>,
-    /// Commit markers caught by a kill between the local group commit
-    /// (flush + local marker) and the backup's acknowledgement — the
-    /// "flush-to-marker" window of the chaos matrix.
-    pub interrupted_markers: Cell<u64>,
-    /// Records re-shipped during a rejoin catch-up.
-    pub resync_records: Cell<u64>,
-}
-
 /// Primary-side sequencer of the replicated log.
 ///
 /// Detached (no [`Shipper`]) it runs in logging-only mode: records are
@@ -196,13 +180,24 @@ pub struct Replicator {
     /// Snapshot of the local WAL's committed-record count, taken at
     /// marker append time (inside the lock, after the group commit).
     wal_cut: RefCell<Option<Box<dyn Fn() -> u64>>>,
-    /// Statistics.
-    pub stats: ReplicatorStats,
+    // The `repl.*` series, shared by both nodes' replicators (the
+    // wire-side ones are the [`Shipper`]'s).
+    /// Records appended to the replicated log.
+    logged: Rc<Counter>,
+    /// Commit markers whose backup ack was awaited successfully.
+    acked_markers: Rc<Counter>,
+    /// Commit markers caught by a kill between the local group commit
+    /// (flush + local marker) and the backup's acknowledgement — the
+    /// "flush-to-marker" window of the chaos matrix.
+    interrupted_markers: Rc<Counter>,
+    /// Records re-shipped during a rejoin catch-up.
+    resync_records: Rc<Counter>,
 }
 
 impl Replicator {
     /// A detached (logging-only) replicator at epoch 0.
     pub fn new(sim: &Sim) -> Rc<Replicator> {
+        let registry = sim.metrics();
         Rc::new(Replicator {
             sim: sim.clone(),
             shipper: RefCell::new(None),
@@ -211,7 +206,10 @@ impl Replicator {
             durable: Cell::new(0),
             epoch: Cell::new(0),
             wal_cut: RefCell::new(None),
-            stats: ReplicatorStats::default(),
+            logged: registry.counter("repl.logged"),
+            acked_markers: registry.counter("repl.acked_markers"),
+            interrupted_markers: registry.counter("repl.interrupted_markers"),
+            resync_records: registry.counter("repl.resync_records"),
         })
     }
 
@@ -323,7 +321,7 @@ impl Replicator {
             wal_cut,
             trace,
         });
-        self.stats.logged.set(self.stats.logged.get() + 1);
+        self.logged.inc();
         let shipper = self.shipper.borrow().clone();
         let shipped = match &shipper {
             Some(s) => {
@@ -338,24 +336,18 @@ impl Replicator {
                 Some(s) if shipped => {
                     if s.wait_acked(seq).await.is_ok() {
                         self.set_durable(seq);
-                        self.stats
-                            .acked_markers
-                            .set(self.stats.acked_markers.get() + 1);
+                        self.acked_markers.inc();
                     } else {
                         // A poisoned/fenced channel: this node has been
                         // deposed mid-marker; the reply will die on its
                         // errored QP.
-                        self.stats
-                            .interrupted_markers
-                            .set(self.stats.interrupted_markers.get() + 1);
+                        self.interrupted_markers.inc();
                     }
                 }
                 Some(_) => {
                     // The deposit itself died (kill landed even
                     // earlier in the window).
-                    self.stats
-                        .interrupted_markers
-                        .set(self.stats.interrupted_markers.get() + 1);
+                    self.interrupted_markers.inc();
                 }
                 None => {
                     // Logging-only: local durability is cluster
@@ -381,7 +373,7 @@ impl Replicator {
             wal_cut,
             trace: rec.trace,
         });
-        self.stats.logged.set(self.stats.logged.get() + 1);
+        self.logged.inc();
     }
 
     /// Rejoin catch-up: install `shipper`, attach `ring` (the restarted
@@ -407,9 +399,7 @@ impl Replicator {
             bytes += p.len();
             self.sim.trace_inject(trace_key(seq), trace);
             shipper.ship(p).await?;
-            self.stats
-                .resync_records
-                .set(self.stats.resync_records.get() + 1);
+            self.resync_records.inc();
         }
         Ok(bytes)
     }

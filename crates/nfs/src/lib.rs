@@ -21,7 +21,6 @@ pub mod server;
 pub use client::{NfsClient, NfsError, NfsResult};
 pub use cluster::{
     promote_backup, run_backup, BackupSession, ClusterMount, ReplRecord, Replicator,
-    ReplicatorStats,
 };
 pub use mount::{MountClient, Mountd, MountdHandle, MOUNT_PROGRAM, MOUNT_VERSION};
 pub use proto::{

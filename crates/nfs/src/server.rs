@@ -10,7 +10,7 @@ use bytes::Bytes;
 use fs_backend::Vfs;
 use onc_rpc::{AcceptStat, CallContext, LocalBoxFuture};
 use rpcrdma::{RdmaDispatch, RdmaService};
-use sim_core::{Payload, SgList};
+use sim_core::{Counter, Payload, SgList, Sim};
 use xdr::{Decoder, XdrCodec};
 
 use crate::proto::*;
@@ -18,26 +18,44 @@ use crate::proto::*;
 /// Base of the deterministic write verifier; each (re)boot adds one.
 pub(crate) const WRITE_VERF_BASE: u64 = 0xb007_0000_0000_0000;
 
-/// Operation counters.
-#[derive(Default)]
+/// Operation counters: the server's own `nfs.node{N}.*` series (each
+/// node's WRITE count is read on its own — a backup applies every
+/// WRITE its primary served).
 pub struct NfsServerStats {
     /// READ calls served.
-    pub reads: Cell<u64>,
+    pub reads: Rc<Counter>,
     /// WRITE calls served.
-    pub writes: Cell<u64>,
+    pub writes: Rc<Counter>,
     /// All other calls served.
-    pub others: Cell<u64>,
+    pub others: Rc<Counter>,
     /// Data bytes read from the VFS.
-    pub bytes_read: Cell<u64>,
+    bytes_read: Rc<Counter>,
     /// Data bytes written to the VFS.
-    pub bytes_written: Cell<u64>,
+    bytes_written: Rc<Counter>,
     /// UNSTABLE (stable=false) WRITE calls acked from dirty cache.
-    pub unstable_writes: Cell<u64>,
+    unstable_writes: Rc<Counter>,
     /// COMMIT calls that triggered a group commit (the file had dirty
     /// uncommitted data).
-    pub commits: Cell<u64>,
+    commits: Rc<Counter>,
     /// COMMIT calls answered without touching storage (nothing dirty).
-    pub clean_commits: Cell<u64>,
+    clean_commits: Rc<Counter>,
+}
+
+impl NfsServerStats {
+    fn new(sim: &Sim, node: u32) -> NfsServerStats {
+        let registry = sim.metrics();
+        let series = |name: &str| registry.counter(&format!("nfs.node{node}.{name}"));
+        NfsServerStats {
+            reads: series("reads"),
+            writes: series("writes"),
+            others: series("others"),
+            bytes_read: series("bytes_read"),
+            bytes_written: series("bytes_written"),
+            unstable_writes: series("unstable_writes"),
+            commits: series("commits"),
+            clean_commits: series("clean_commits"),
+        }
+    }
 }
 
 /// The server. Construct once, register with one or both transports.
@@ -70,15 +88,15 @@ struct OpResult {
 }
 
 impl NfsServer {
-    /// Serve `fs`.
-    pub fn new(fs: Rc<dyn Vfs>) -> Rc<NfsServer> {
+    /// Serve `fs` as fabric node `node`.
+    pub fn new(sim: &Sim, node: u32, fs: Rc<dyn Vfs>) -> Rc<NfsServer> {
         Rc::new(NfsServer {
             fs,
             verf: Cell::new(WRITE_VERF_BASE + 1),
             dirty: RefCell::new(HashMap::new()),
             dead: Cell::new(false),
             replicator: RefCell::new(None),
-            stats: NfsServerStats::default(),
+            stats: NfsServerStats::new(sim, node),
         })
     }
 
@@ -199,11 +217,11 @@ impl NfsServer {
 
         let result = match proc_id {
             NfsProc::Null => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 ok(Bytes::new())
             }
             NfsProc::Getattr => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let fh = FileHandle::from_bytes(&args).map_err(bad)?;
                 let res = fs.getattr(Self::fid(fh));
                 ok(match res {
@@ -212,7 +230,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Setattr => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let mut dec = Decoder::new(&args);
                 let fh = FileHandle::decode(&mut dec).map_err(bad)?;
                 let size = dec.get_u64().map_err(bad)?;
@@ -223,7 +241,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Lookup => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let a = DirOpArgs::from_bytes(&args).map_err(bad)?;
                 let res = fs.lookup(Self::fid(a.dir), &a.name);
                 ok(match res {
@@ -232,7 +250,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Access => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let mut dec = Decoder::new(&args);
                 let fh = FileHandle::decode(&mut dec).map_err(bad)?;
                 let requested = dec.get_u32().map_err(bad)?;
@@ -248,7 +266,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Readlink => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let fh = FileHandle::from_bytes(&args).map_err(bad)?;
                 let res = fs.readlink(Self::fid(fh));
                 ok(match res {
@@ -259,14 +277,14 @@ impl NfsServer {
                 })
             }
             NfsProc::Read => {
-                self.stats.reads.set(self.stats.reads.get() + 1);
+                self.stats.reads.inc();
                 let a = ReadArgs::from_bytes(&args).map_err(bad)?;
                 let id = Self::fid(a.file);
                 match fs.read_sg(id, a.offset, a.count as u64).await {
                     Ok(data) => {
                         let attr = fs.getattr(id).map_err(|_| AcceptStat::GarbageArgs)?;
                         let n = data.len();
-                        self.stats.bytes_read.set(self.stats.bytes_read.get() + n);
+                        self.stats.bytes_read.add(n);
                         let eof = a.offset + n >= attr.size;
                         let head = ReadResHead {
                             attr: Fattr::from_attr(&attr),
@@ -282,7 +300,7 @@ impl NfsServer {
                 }
             }
             NfsProc::Write => {
-                self.stats.writes.set(self.stats.writes.get() + 1);
+                self.stats.writes.inc();
                 let mut dec = Decoder::new(&args);
                 let head = WriteArgsHead::decode(&mut dec).map_err(bad)?;
                 let data = bulk_in.ok_or(AcceptStat::GarbageArgs)?;
@@ -303,9 +321,7 @@ impl NfsServer {
                 // the file system at its own offset, unflattened.
                 match fs.write_sg(id, head.offset, data).await {
                     Ok(written) => {
-                        self.stats
-                            .bytes_written
-                            .set(self.stats.bytes_written.get() + written);
+                        self.stats.bytes_written.add(written);
                         if head.stable {
                             let _ = fs.commit(id).await;
                             self.dirty.borrow_mut().remove(&head.file.0);
@@ -313,9 +329,7 @@ impl NfsServer {
                             // UNSTABLE: acked as soon as the pages are
                             // dirty in cache; durability waits for
                             // COMMIT's group commit.
-                            self.stats
-                                .unstable_writes
-                                .set(self.stats.unstable_writes.get() + 1);
+                            self.stats.unstable_writes.inc();
                             *self.dirty.borrow_mut().entry(head.file.0).or_insert(0) += written;
                         }
                         let attr = fs.getattr(id).map_err(|_| AcceptStat::GarbageArgs)?;
@@ -333,7 +347,7 @@ impl NfsServer {
                 }
             }
             NfsProc::Create | NfsProc::Mkdir => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let a = DirOpArgs::from_bytes(&args).map_err(bad)?;
                 let res = if proc_id == NfsProc::Create {
                     fs.create(Self::fid(a.dir), &a.name)
@@ -346,7 +360,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Symlink => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let mut dec = Decoder::new(&args);
                 let dir = FileHandle::decode(&mut dec).map_err(bad)?;
                 let name = dec.get_string().map_err(bad)?;
@@ -362,7 +376,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Remove | NfsProc::Rmdir => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let a = DirOpArgs::from_bytes(&args).map_err(bad)?;
                 let res = if proc_id == NfsProc::Remove {
                     fs.remove(Self::fid(a.dir), &a.name)
@@ -375,7 +389,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Rename => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let mut dec = Decoder::new(&args);
                 let fdir = FileHandle::decode(&mut dec).map_err(bad)?;
                 let fname = dec.get_string().map_err(bad)?;
@@ -388,7 +402,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Readdir | NfsProc::ReaddirPlus => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let plus = proc_id == NfsProc::ReaddirPlus;
                 let a = ReaddirArgs::decode(&mut Decoder::new(&args), plus).map_err(bad)?;
                 // One page: entries in name order from the cookie on,
@@ -408,7 +422,7 @@ impl NfsServer {
                 })
             }
             NfsProc::Fsstat => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let _fh = FileHandle::from_bytes(&args).map_err(bad)?;
                 let st = fs.fsstat();
                 ok(encode_res(NfsStat::Ok, |e| {
@@ -416,15 +430,13 @@ impl NfsServer {
                 }))
             }
             NfsProc::Commit => {
-                self.stats.others.set(self.stats.others.get() + 1);
+                self.stats.others.inc();
                 let fh = FileHandle::from_bytes(&args).map_err(bad)?;
                 let was_dirty = self.dirty.borrow_mut().remove(&fh.0).is_some();
                 if was_dirty {
-                    self.stats.commits.set(self.stats.commits.get() + 1);
+                    self.stats.commits.inc();
                 } else {
-                    self.stats
-                        .clean_commits
-                        .set(self.stats.clean_commits.get() + 1);
+                    self.stats.clean_commits.inc();
                 }
                 if let Some(r) = &repl {
                     repl_marker = true;

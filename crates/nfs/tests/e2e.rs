@@ -39,7 +39,7 @@ fn rdma_bed_parts(
     let (chca, cmem) = mk(0);
     let (shca, _) = mk(1);
     let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(Rc::new(fs.clone()));
+    let server = NfsServer::new(sim, 1, Rc::new(fs.clone()));
     let cfg = RpcRdmaConfig::default().with_design(design);
     let (qc, qs) = connect(&chca, &shca);
     let rpc_server = RdmaRpcServer::new(
@@ -60,7 +60,7 @@ fn rdma_bed_parts(
         nfs::NFS_VERSION,
     );
     let bed = Bed {
-        client: Rc::new(NfsClient::over_rdma(rpc_client)),
+        client: Rc::new(NfsClient::over_rdma(sim, rpc_client)),
         server,
         client_mem: cmem,
     };
@@ -75,7 +75,7 @@ async fn tcp_bed_async(sim: &Sim) -> Bed {
     net.attach(NodeId(0), c_cpu);
     net.attach(NodeId(1), s_cpu);
     let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(Rc::new(fs.clone()));
+    let server = NfsServer::new(sim, 1, Rc::new(fs.clone()));
     let handle = NfsServerHandle(server.clone());
     let mut listener = net.listen(NodeId(1), 2049);
     let sim2 = sim.clone();
@@ -97,7 +97,7 @@ async fn tcp_bed_async(sim: &Sim) -> Bed {
     let stream = net.connect(NodeId(0), NodeId(1), 2049).await;
     let rpc = StreamRpcClient::new(sim, stream, nfs::NFS_PROGRAM, nfs::NFS_VERSION);
     Bed {
-        client: Rc::new(NfsClient::over_tcp(rpc)),
+        client: Rc::new(NfsClient::over_tcp(sim, rpc)),
         server,
         client_mem: cmem,
     }
@@ -384,7 +384,8 @@ fn write_reply_drop_retransmits_without_double_apply() {
 
             // Applied exactly once, despite the retransmission.
             assert_eq!(bed.server.stats.writes.get(), 1, "{design:?}");
-            assert_eq!(bed.server.stats.bytes_written.get(), 512, "{design:?}");
+            let written = h.metrics().get("nfs.node1.bytes_written");
+            assert_eq!(written, Some(512), "{design:?}");
             let cs = bed.client.rdma().unwrap().stats();
             assert!(cs.retransmits.get() >= 1, "{design:?}: no retransmission");
             assert!(cs.timeouts.get() >= 1, "{design:?}: no timeout observed");
@@ -456,7 +457,8 @@ fn chunked_write_reply_drop_replays_and_applies_once() {
             let tag = format!("{design:?}/{strategy:?}");
             assert_eq!(sim.metrics().get("client.retransmits"), Some(1), "{tag}");
             assert_eq!(nfs_server.stats.writes.get(), 1, "{tag}");
-            assert_eq!(nfs_server.stats.bytes_written.get(), LEN as u64, "{tag}");
+            let written = sim.metrics().get("nfs.node1.bytes_written");
+            assert_eq!(written, Some(LEN as u64), "{tag}");
             assert_eq!(rpc_server.stats.drc_replays.get(), 1, "{tag}");
             // Fetched twice, landed in the file system once.
             assert_eq!(rpc_server.stats.bulk_in.get(), 2 * LEN as u64, "{tag}");

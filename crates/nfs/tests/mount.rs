@@ -33,7 +33,7 @@ fn mount_then_io_over_rdma() {
     let (chca, cmem) = mk(0);
     let (shca, _) = mk(1);
     let fs = Rc::new(tmpfs(&h));
-    let server = NfsServer::new(Rc::new(fs.clone()));
+    let server = NfsServer::new(&h, 1, Rc::new(fs.clone()));
     let mountd = Mountd::new();
     mountd.export("/export/data", server.root_handle());
 
@@ -57,7 +57,7 @@ fn mount_then_io_over_rdma() {
         nfs::NFS_VERSION,
     );
     let mount = MountClient::over_rdma(rpc_client.clone());
-    let nfs_client = NfsClient::over_rdma(rpc_client);
+    let nfs_client = NfsClient::over_rdma(&h, rpc_client);
 
     sim.block_on(async move {
         // Discover and mount the export.
@@ -97,7 +97,7 @@ fn mount_then_io_over_tcp() {
     net.attach(NodeId(0), Cpu::new(&h, "c", 2, CpuCosts::default()));
     net.attach(NodeId(1), Cpu::new(&h, "s", 2, CpuCosts::default()));
     let fs = Rc::new(tmpfs(&h));
-    let server = NfsServer::new(Rc::new(fs.clone()));
+    let server = NfsServer::new(&h, 1, Rc::new(fs.clone()));
     let mountd = Mountd::new();
     mountd.export("/export", server.root_handle());
     let svc = registry(&server, &mountd);
@@ -119,7 +119,7 @@ fn mount_then_io_over_tcp() {
         let stream = net2.connect(NodeId(0), NodeId(1), 2049).await;
         let rpc = StreamRpcClient::new(&h, stream, nfs::NFS_PROGRAM, nfs::NFS_VERSION);
         let mount = MountClient::over_tcp(rpc.clone());
-        let nfs_client = NfsClient::over_tcp(rpc);
+        let nfs_client = NfsClient::over_tcp(&h, rpc);
 
         let root = mount.mnt("/export").await.unwrap();
         let f = nfs_client.create(root, "x").await.unwrap();
@@ -143,7 +143,7 @@ fn unknown_program_rejected_by_registry() {
     net.attach(NodeId(0), Cpu::new(&h, "c", 2, CpuCosts::default()));
     net.attach(NodeId(1), Cpu::new(&h, "s", 2, CpuCosts::default()));
     let fs = Rc::new(tmpfs(&h));
-    let server = NfsServer::new(Rc::new(fs.clone()));
+    let server = NfsServer::new(&h, 1, Rc::new(fs.clone()));
     let mountd = Mountd::new();
     let svc = registry(&server, &mountd);
     let mut listener = net.listen(NodeId(1), 2049);

@@ -37,7 +37,7 @@ fn rdma_bed(sim: &Sim, design: Design, strategy: StrategyKind) -> Bed {
     };
     let (chca, shca) = (mk(0), mk(1));
     let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(Rc::new(fs.clone()));
+    let server = NfsServer::new(sim, 1, Rc::new(fs.clone()));
     let cfg = RpcRdmaConfig::default().with_design(design);
     let (qc, qs) = connect(&chca, &shca);
     let handle = Rc::new(NfsServerHandle(server.clone()));
@@ -47,7 +47,7 @@ fn rdma_bed(sim: &Sim, design: Design, strategy: StrategyKind) -> Bed {
     let (prog, vers) = (nfs::NFS_PROGRAM, nfs::NFS_VERSION);
     let rpc = RdmaRpcClient::new(sim, &chca, qc, registrar, cfg, prog, vers);
     Bed {
-        client: Rc::new(NfsClient::over_rdma(rpc)),
+        client: Rc::new(NfsClient::over_rdma(sim, rpc)),
         server,
         fs,
         client_hca: Some(chca),
@@ -60,7 +60,7 @@ async fn tcp_bed(sim: &Sim) -> Bed {
     net.attach(NodeId(0), Cpu::new(sim, "c", 2, CpuCosts::default()));
     net.attach(NodeId(1), Cpu::new(sim, "s", 2, CpuCosts::default()));
     let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(Rc::new(fs.clone()));
+    let server = NfsServer::new(sim, 1, Rc::new(fs.clone()));
     let handle = NfsServerHandle(server.clone());
     let mut listener = net.listen(NodeId(1), 2049);
     let sim2 = sim.clone();
@@ -74,7 +74,7 @@ async fn tcp_bed(sim: &Sim) -> Bed {
     let stream = net.connect(NodeId(0), NodeId(1), 2049).await;
     let rpc = StreamRpcClient::new(sim, stream, nfs::NFS_PROGRAM, nfs::NFS_VERSION);
     Bed {
-        client: Rc::new(NfsClient::over_tcp(rpc)),
+        client: Rc::new(NfsClient::over_tcp(sim, rpc)),
         server,
         fs,
         client_hca: None,

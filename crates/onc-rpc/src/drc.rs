@@ -50,26 +50,21 @@ enum Entry<V> {
     Done(V),
 }
 
-/// Registry handles mirroring the cache's statistics (see
-/// [`DuplicateRequestCache::bind_metrics`]).
-struct DrcMetrics {
-    hits: Rc<Counter>,
-    inprogress_drops: Rc<Counter>,
-    inserts: Rc<Counter>,
-    evictions: Rc<Counter>,
-}
-
 struct DrcInner<V> {
     entries: HashMap<DrcKey, Entry<V>>,
     /// Completed keys, least recently touched first.
     order: VecDeque<DrcKey>,
     capacity: usize,
-    hits: u64,
-    inprogress_drops: u64,
-    inserts: u64,
-    evictions: u64,
-    /// When bound, every statistic bump mirrors into the registry.
-    metrics: Option<DrcMetrics>,
+    /// `{prefix}.hits`: replays served from completed entries.
+    hits: Rc<Counter>,
+    /// `{prefix}.inprogress_drops`: duplicates that found their call
+    /// still executing (dropped).
+    inprogress_drops: Rc<Counter>,
+    /// `{prefix}.inserts`: replies published into the cache.
+    inserts: Rc<Counter>,
+    /// `{prefix}.evictions`: completed entries discarded by the LRU
+    /// bound.
+    evictions: Rc<Counter>,
 }
 
 /// A bounded, XID-keyed duplicate request cache (cheap to clone).
@@ -123,41 +118,23 @@ impl<V: Clone> Drop for DrcReservation<V> {
 }
 
 impl<V: Clone> DuplicateRequestCache<V> {
-    /// A cache retaining up to `capacity` completed replies.
-    pub fn new(capacity: usize) -> Self {
+    /// A cache retaining up to `capacity` completed replies, counting
+    /// into the `registry` series `{prefix}.hits`,
+    /// `{prefix}.inprogress_drops`, `{prefix}.inserts` and
+    /// `{prefix}.evictions` (e.g. `server.drc.hits`).
+    pub fn new(capacity: usize, registry: &MetricsRegistry, prefix: &str) -> Self {
+        let series = |name: &str| registry.counter(&format!("{prefix}.{name}"));
         DuplicateRequestCache {
             inner: Rc::new(RefCell::new(DrcInner {
                 entries: HashMap::new(),
                 order: VecDeque::new(),
                 capacity: capacity.max(1),
-                hits: 0,
-                inprogress_drops: 0,
-                inserts: 0,
-                evictions: 0,
-                metrics: None,
+                hits: series("hits"),
+                inprogress_drops: series("inprogress_drops"),
+                inserts: series("inserts"),
+                evictions: series("evictions"),
             })),
         }
-    }
-
-    /// Register this cache's statistics under `prefix` (e.g.
-    /// `server.drc`) in `registry`, yielding `prefix.hits`,
-    /// `prefix.inprogress_drops`, `prefix.inserts`, `prefix.evictions`.
-    /// Bumps made before binding are carried over.
-    pub fn bind_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
-        let mut g = self.inner.borrow_mut();
-        let m = DrcMetrics {
-            hits: registry.counter(&format!("{prefix}.hits")),
-            inprogress_drops: registry.counter(&format!("{prefix}.inprogress_drops")),
-            inserts: registry.counter(&format!("{prefix}.inserts")),
-            evictions: registry.counter(&format!("{prefix}.evictions")),
-        };
-        m.hits.add(g.hits.saturating_sub(m.hits.get()));
-        m.inprogress_drops
-            .add(g.inprogress_drops.saturating_sub(m.inprogress_drops.get()));
-        m.inserts.add(g.inserts.saturating_sub(m.inserts.get()));
-        m.evictions
-            .add(g.evictions.saturating_sub(m.evictions.get()));
-        g.metrics = Some(m);
     }
 
     /// Admit an arriving call.
@@ -166,10 +143,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
         match g.entries.get_mut(&key) {
             Some(Entry::Done(v)) => {
                 let v = v.clone();
-                g.hits += 1;
-                if let Some(m) = &g.metrics {
-                    m.hits.inc();
-                }
+                g.hits.inc();
                 // Touch: a replayed entry is hot again.
                 if let Some(pos) = g.order.iter().position(|k| *k == key) {
                     g.order.remove(pos);
@@ -178,10 +152,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
                 DrcOutcome::Cached(v)
             }
             Some(Entry::InProgress) => {
-                g.inprogress_drops += 1;
-                if let Some(m) = &g.metrics {
-                    m.inprogress_drops.inc();
-                }
+                g.inprogress_drops.inc();
                 DrcOutcome::InProgress
             }
             None => {
@@ -199,17 +170,11 @@ impl<V: Clone> DuplicateRequestCache<V> {
         let mut g = self.inner.borrow_mut();
         g.entries.insert(key, Entry::Done(value.clone()));
         g.order.push_back(key);
-        g.inserts += 1;
-        if let Some(m) = &g.metrics {
-            m.inserts.inc();
-        }
+        g.inserts.inc();
         while g.order.len() > g.capacity {
             if let Some(victim) = g.order.pop_front() {
                 g.entries.remove(&victim);
-                g.evictions += 1;
-                if let Some(m) = &g.metrics {
-                    m.evictions.inc();
-                }
+                g.evictions.inc();
             }
         }
     }
@@ -225,10 +190,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
             return None;
         };
         let v = v.clone();
-        g.hits += 1;
-        if let Some(m) = &g.metrics {
-            m.hits.inc();
-        }
+        g.hits.inc();
         if let Some(pos) = g.order.iter().position(|k| *k == key) {
             g.order.remove(pos);
             g.order.push_back(key);
@@ -268,31 +230,21 @@ impl<V: Clone> DuplicateRequestCache<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Replays served from completed entries.
-    pub fn hits(&self) -> u64 {
-        self.inner.borrow().hits
-    }
-
-    /// Duplicates that found their call still executing (dropped).
-    pub fn inprogress_drops(&self) -> u64 {
-        self.inner.borrow().inprogress_drops
-    }
-
-    /// Replies published into the cache.
-    pub fn inserts(&self) -> u64 {
-        self.inner.borrow().inserts
-    }
-
-    /// Completed entries discarded by the LRU bound.
-    pub fn evictions(&self) -> u64 {
-        self.inner.borrow().evictions
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A capacity-`cap` cache counting into its own registry, read back
+    /// by `count("hits")` and friends.
+    fn drc(cap: usize) -> (DuplicateRequestCache<u32>, impl Fn(&str) -> u64) {
+        let reg = MetricsRegistry::new();
+        let drc = DuplicateRequestCache::new(cap, &reg, "server.drc");
+        (drc, move |name| {
+            reg.get(&format!("server.drc.{name}")).unwrap()
+        })
+    }
 
     fn k(xid: u32) -> DrcKey {
         DrcKey {
@@ -304,7 +256,7 @@ mod tests {
 
     #[test]
     fn first_call_executes_then_replays() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(8);
+        let (drc, count) = drc(8);
         let DrcOutcome::New(slot) = drc.begin(k(1)) else {
             panic!("first sighting must be New");
         };
@@ -313,12 +265,12 @@ mod tests {
             DrcOutcome::Cached(v) => assert_eq!(v, 42),
             _ => panic!("retransmit must replay"),
         }
-        assert_eq!(drc.hits(), 1);
+        assert_eq!(count("hits"), 1);
     }
 
     #[test]
     fn duplicate_of_in_progress_call_is_dropped_until_the_reply_is_cached() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(8);
+        let (drc, count) = drc(8);
         let DrcOutcome::New(slot) = drc.begin(k(7)) else {
             panic!()
         };
@@ -328,16 +280,16 @@ mod tests {
                 "a copy of an executing call is neither run nor answered"
             );
         }
-        assert_eq!((drc.inprogress_drops(), drc.hits()), (2, 0));
+        assert_eq!((count("inprogress_drops"), count("hits")), (2, 0));
         slot.fill(&9);
         // The retransmission after the reply went out replays it.
         assert!(matches!(drc.begin(k(7)), DrcOutcome::Cached(9)));
-        assert_eq!((drc.inprogress_drops(), drc.hits()), (2, 1));
+        assert_eq!((count("inprogress_drops"), count("hits")), (2, 1));
     }
 
     #[test]
     fn dropped_reservation_lets_retransmit_re_execute() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(8);
+        let (drc, _) = drc(8);
         let DrcOutcome::New(slot) = drc.begin(k(3)) else {
             panic!()
         };
@@ -348,7 +300,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_completed_entry_only() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(2);
+        let (drc, count) = drc(2);
         for xid in 1..=3 {
             let DrcOutcome::New(slot) = drc.begin(k(xid)) else {
                 panic!()
@@ -356,7 +308,7 @@ mod tests {
             slot.fill(&xid);
         }
         assert_eq!(drc.len(), 2);
-        assert_eq!(drc.evictions(), 1);
+        assert_eq!(count("evictions"), 1);
         assert!(!drc.contains(k(1)));
         assert!(drc.contains(k(2)) && drc.contains(k(3)));
         // Replaying 2 makes 3 the LRU victim for the next insert.
@@ -369,37 +321,27 @@ mod tests {
     }
 
     #[test]
-    fn bound_metrics_mirror_stats_and_carry_over_history() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(2);
-        // History before binding: one insert, one hit.
-        let DrcOutcome::New(slot) = drc.begin(k(1)) else {
+    fn caches_sharing_a_prefix_share_its_series() {
+        let reg = MetricsRegistry::new();
+        let a: DuplicateRequestCache<u32> = DuplicateRequestCache::new(2, &reg, "server.drc");
+        let b: DuplicateRequestCache<u32> = DuplicateRequestCache::new(2, &reg, "server.drc");
+        let DrcOutcome::New(slot) = a.begin(k(1)) else {
             panic!()
         };
         slot.fill(&1);
-        assert!(matches!(drc.begin(k(1)), DrcOutcome::Cached(1)));
-
-        let reg = MetricsRegistry::new();
-        drc.bind_metrics(&reg, "server.drc");
-        assert_eq!(reg.get("server.drc.inserts"), Some(1));
-        assert_eq!(reg.get("server.drc.hits"), Some(1));
-
-        // Bumps after binding land in both places; the third insert
-        // overflows capacity 2 and evicts.
-        for xid in 2..=3 {
-            let DrcOutcome::New(slot) = drc.begin(k(xid)) else {
-                panic!()
-            };
-            slot.fill(&xid);
+        assert!(matches!(a.begin(k(1)), DrcOutcome::Cached(1)));
+        // The third insert overflows `b`'s capacity and evicts.
+        for xid in 2..=4 {
+            b.insert_completed(k(xid), &xid);
         }
-        assert_eq!(reg.get("server.drc.inserts"), Some(3));
+        assert_eq!(reg.get("server.drc.inserts"), Some(4));
+        assert_eq!(reg.get("server.drc.hits"), Some(1));
         assert_eq!(reg.get("server.drc.evictions"), Some(1));
-        assert_eq!(drc.inserts(), 3);
-        assert_eq!(drc.evictions(), 1);
     }
 
     #[test]
     fn distinct_peers_do_not_collide_on_xid() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(8);
+        let (drc, _) = drc(8);
         let a = DrcKey {
             peer: 1,
             xid: 5,
@@ -419,7 +361,7 @@ mod tests {
 
     #[test]
     fn distinct_epochs_do_not_collide_on_xid() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(8);
+        let (drc, _) = drc(8);
         let DrcOutcome::New(s) = drc.begin(k(5)) else {
             panic!()
         };
@@ -434,7 +376,7 @@ mod tests {
 
     #[test]
     fn lookup_cached_replays_without_admitting() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(8);
+        let (drc, count) = drc(8);
         // Miss leaves no in-progress residue: a later begin is New.
         assert_eq!(drc.lookup_cached(k(9)), None);
         assert!(!drc.contains(k(9)));
@@ -443,16 +385,16 @@ mod tests {
         };
         s.fill(&7);
         assert_eq!(drc.lookup_cached(k(9)), Some(7));
-        assert_eq!(drc.hits(), 1);
+        assert_eq!(count("hits"), 1);
     }
 
     #[test]
     fn insert_completed_mirrors_a_window_entry() {
-        let drc: DuplicateRequestCache<u32> = DuplicateRequestCache::new(8);
+        let (drc, count) = drc(8);
         // A backup installs the primary's reply directly; a retransmit
         // arriving after promotion replays it.
         drc.insert_completed(k(11), &99);
-        assert_eq!(drc.inserts(), 1);
+        assert_eq!(count("inserts"), 1);
         match drc.begin(k(11)) {
             DrcOutcome::Cached(v) => assert_eq!(v, 99),
             _ => panic!("imported entry must replay"),

@@ -11,6 +11,7 @@
 
 use onc_rpc::{DrcKey, DrcOutcome, DrcReservation, DuplicateRequestCache};
 use proptest::prelude::*;
+use sim_core::MetricsRegistry;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -70,7 +71,8 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..120),
         cap in 1usize..5,
     ) {
-        let drc: DuplicateRequestCache<u64> = DuplicateRequestCache::new(cap);
+        let registry = MetricsRegistry::new();
+        let drc: DuplicateRequestCache<u64> = DuplicateRequestCache::new(cap, &registry, "drc");
         let mut model = Model { in_progress: Vec::new(), completed: Vec::new(), capacity: cap };
 
         // Open executions: (xid, reservation).
@@ -140,7 +142,7 @@ proptest! {
 
         // Every such duplicate was counted, and none of them became a
         // hit or an execution.
-        prop_assert_eq!(drc.inprogress_drops(), dropped);
+        prop_assert_eq!(registry.get("drc.inprogress_drops"), Some(dropped));
         prop_assert!(model.in_progress.is_empty());
     }
 }

@@ -89,8 +89,6 @@ struct Tenant<T> {
     credit: u32,
     queue: VecDeque<T>,
     in_ring: bool,
-    /// Lifetime dispatches (fairness accounting / tests).
-    dispatched: u64,
 }
 
 /// Deterministic weighted-DRR dispatch queue over per-tenant FIFOs.
@@ -125,7 +123,6 @@ impl<T> TenantScheduler<T> {
             credit: 0,
             queue: VecDeque::new(),
             in_ring: false,
-            dispatched: 0,
         });
         t.weight = weight.max(1);
     }
@@ -143,7 +140,6 @@ impl<T> TenantScheduler<T> {
             credit: 0,
             queue: VecDeque::new(),
             in_ring: false,
-            dispatched: 0,
         });
         if t.queue.len() as u32 >= self.tenant_cap {
             return Err((ShedReason::TenantBacklog, item));
@@ -177,7 +173,6 @@ impl<T> TenantScheduler<T> {
             }
             let item = t.queue.pop_front().expect("non-empty queue");
             t.credit -= 1;
-            t.dispatched += 1;
             self.queued.set(self.queued.get() - 1);
             if t.credit == 0 || t.queue.is_empty() {
                 ring.pop_front();
@@ -215,15 +210,6 @@ impl<T> TenantScheduler<T> {
             .borrow()
             .get(&tenant)
             .map(|t| t.queue.len() as u32)
-            .unwrap_or(0)
-    }
-
-    /// One tenant's lifetime dispatch count.
-    pub fn dispatched(&self, tenant: u32) -> u64 {
-        self.tenants
-            .borrow()
-            .get(&tenant)
-            .map(|t| t.dispatched)
             .unwrap_or(0)
     }
 }

@@ -322,7 +322,6 @@ pub struct Registrar {
     kind: StrategyKind,
     fmr: Option<FmrPool>,
     cache: Option<RegCache>,
-    fallbacks: Rc<Cell<u64>>,
 }
 
 impl Registrar {
@@ -340,7 +339,6 @@ impl Registrar {
             kind,
             fmr,
             cache,
-            fallbacks: Rc::new(Cell::new(0)),
         }
     }
 
@@ -363,11 +361,6 @@ impl Registrar {
     /// buffers (so callers must copy into/out of the [`IoBuf`]).
     pub fn is_staged(&self) -> bool {
         self.kind == StrategyKind::Cache
-    }
-
-    /// Times FMR fell back to dynamic registration.
-    pub fn fmr_fallbacks(&self) -> u64 {
-        self.fallbacks.get()
     }
 
     /// Connection-recovery hook: drop state tied to the torn-down
@@ -467,8 +460,8 @@ impl Registrar {
                         handle: Handle::Mr(mr),
                     },
                     Err(_) => {
-                        // Transparent fall-back path (paper §4.3).
-                        self.fallbacks.set(self.fallbacks.get() + 1);
+                        // Transparent fall-back path (paper §4.3),
+                        // counted by the pool (`hca.node{N}.fmr_fallbacks`).
                         let mr = self.hca.register(buffer, off, len, access).await;
                         IoBuf {
                             buffer: buffer.clone(),
@@ -792,7 +785,7 @@ mod tests {
                 reg.release(io).await;
             }
         });
-        assert_eq!(reg.fmr_fallbacks(), 1);
+        assert_eq!(h.metrics().get("hca.node0.fmr_fallbacks"), Some(1));
         let stats = reg.hca().reg_stats();
         assert_eq!(stats.dynamic_regs, 1);
         assert_eq!(stats.fmr_maps, 1);

@@ -242,28 +242,6 @@ impl CtrlWriter {
 // Primary side: the shipper.
 // ---------------------------------------------------------------------
 
-/// Shipper statistics (cells so tests can read them directly).
-#[derive(Default)]
-pub struct ShipperStats {
-    /// Records deposited into the remote ring.
-    pub shipped_records: Cell<u64>,
-    /// Record bytes deposited (excluding pad skips).
-    pub shipped_bytes: Cell<u64>,
-    /// Tail bytes pad-skipped at ring wrap.
-    pub skipped_bytes: Cell<u64>,
-    /// Times a deposit had to wait for ring credits (backpressure).
-    pub blocked: Cell<u64>,
-    /// Credit-return snapshots observed from the backup.
-    pub credit_returns: Cell<u64>,
-}
-
-struct ShipperMetrics {
-    shipped_records: Rc<Counter>,
-    shipped_bytes: Rc<Counter>,
-    blocked: Rc<Counter>,
-    credit_returns: Rc<Counter>,
-}
-
 /// Primary-side record shipper: owns the ring head cursor, the byte
 /// credits, and the control block the backup writes its counters into.
 pub struct Shipper {
@@ -290,9 +268,20 @@ pub struct Shipper {
     ctrl_target: CtrlTarget,
     wr: Cell<u64>,
     last_drained: Cell<u64>,
-    /// Statistics.
-    pub stats: ShipperStats,
-    metrics: ShipperMetrics,
+    /// `repl.shipped_records`: records deposited into the remote ring.
+    shipped_records: Rc<Counter>,
+    /// `repl.shipped_bytes`: record bytes deposited (excluding pad
+    /// skips).
+    shipped_bytes: Rc<Counter>,
+    /// `repl.skipped_bytes`: tail bytes pad-skipped at ring wrap.
+    skipped_bytes: Rc<Counter>,
+    /// `repl.blocked`: times a deposit had to wait for ring credits
+    /// (backpressure).
+    blocked: Rc<Counter>,
+    /// `repl.node{N}.credit_returns`: credit-return snapshots observed
+    /// from the backup, per shipping node (the failover timeline reads
+    /// the serving node's).
+    credit_returns: Rc<Counter>,
 }
 
 impl Shipper {
@@ -325,13 +314,11 @@ impl Shipper {
             _ctrl_mr: ctrl_mr,
             wr: Cell::new(0),
             last_drained: Cell::new(0),
-            stats: ShipperStats::default(),
-            metrics: ShipperMetrics {
-                shipped_records: registry.counter("repl.shipped_records"),
-                shipped_bytes: registry.counter("repl.shipped_bytes"),
-                blocked: registry.counter("repl.blocked"),
-                credit_returns: registry.counter("repl.credit_returns"),
-            },
+            shipped_records: registry.counter("repl.shipped_records"),
+            shipped_bytes: registry.counter("repl.shipped_bytes"),
+            skipped_bytes: registry.counter("repl.skipped_bytes"),
+            blocked: registry.counter("repl.blocked"),
+            credit_returns: registry.counter(&format!("repl.node{}.credit_returns", hca.node().0)),
         });
         sim.spawn(Shipper::feeder(shipper.clone(), ctrl_buf, rx));
         shipper
@@ -342,10 +329,7 @@ impl Shipper {
     async fn feeder(self: Rc<Shipper>, buf: Buffer, mut rx: Receiver<RingEvent>) {
         while rx.recv().await.is_ok() {
             let (drained, acked_seq) = decode_ctrl(&buf.read(0, CTRL_BYTES));
-            self.stats
-                .credit_returns
-                .set(self.stats.credit_returns.get() + 1);
-            self.metrics.credit_returns.inc();
+            self.credit_returns.inc();
             let last = self.last_drained.get();
             if drained > last {
                 self.last_drained.set(drained);
@@ -441,8 +425,7 @@ impl Shipper {
             if self.poisoned.get() {
                 return Err(ReplError::Channel);
             }
-            self.stats.blocked.set(self.stats.blocked.get() + 1);
-            self.metrics.blocked.inc();
+            self.blocked.inc();
             self.credit_notify.notified().await;
         }
         if self.poisoned.get() {
@@ -461,17 +444,9 @@ impl Shipper {
             self.poison();
             return Err(ReplError::Channel);
         }
-        self.stats
-            .shipped_records
-            .set(self.stats.shipped_records.get() + 1);
-        self.stats
-            .shipped_bytes
-            .set(self.stats.shipped_bytes.get() + len);
-        self.stats
-            .skipped_bytes
-            .set(self.stats.skipped_bytes.get() + skip);
-        self.metrics.shipped_records.inc();
-        self.metrics.shipped_bytes.add(len);
+        self.shipped_records.inc();
+        self.shipped_bytes.add(len);
+        self.skipped_bytes.add(skip);
         Ok(())
     }
 

@@ -40,13 +40,13 @@ impl CompletionRouter {
         }
     }
 
-    /// Spawn the router task draining `cq`.
+    /// Spawn the router task draining `cq`, for as long as a QP
+    /// completes into it.
     pub fn spawn(sim: &Sim, cq: Cq) -> CompletionRouter {
         let router = CompletionRouter::new();
         let r2 = router.clone();
         sim.spawn(async move {
-            loop {
-                let c = cq.next().await;
+            while let Some(c) = cq.next_open().await {
                 r2.dispatch(c);
             }
         });
@@ -113,7 +113,9 @@ impl CompletionRouter {
                     // Dry spin: something is taking far longer than a
                     // fetch should. Yield the core and take the
                     // interrupt when the completion finally lands.
-                    let c = cq.next().await;
+                    let Some(c) = cq.next_open().await else {
+                        return;
+                    };
                     r2.dispatch(c);
                 }
             }

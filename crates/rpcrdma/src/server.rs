@@ -57,12 +57,12 @@ use std::pin::pin;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Hca, Qp, Sge, VerbsError};
+use ib_verbs::{Access, Hca, NodeId, Qp, Sge, VerbsError};
 use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{
     AcceptStat, CallContext, CallHeader, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader,
 };
-use sim_core::stats::Counter;
+use sim_core::stats::{Counter, Gauge};
 use sim_core::sync::Semaphore;
 use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime};
 use xdr::XdrCodec;
@@ -107,10 +107,10 @@ pub const DOORBELL_FLUSH: SimDuration = SimDuration::from_micros(32);
 /// loops instead of queueing behind whatever woke first.
 const QOS_DISPATCH_CLASS: usize = 1;
 
-/// Server-side statistics. The monotonic fields *are* the `server.*`
-/// series of the metrics registry (named in `ServerStats::new`): one
-/// counter per series, shared by name — so fleet-wide when servers
-/// share a simulation. The gauges are per-server cells.
+/// Server-side statistics: every field *is* a `server.*` series of the
+/// metrics registry (named in `ServerStats::new`). The counters are
+/// shared by name — so fleet-wide when servers share a simulation; the
+/// gauges are each server's own, `server.node{N}.*`.
 pub struct ServerStats {
     /// Operations dispatched.
     pub ops: Rc<Counter>,
@@ -125,7 +125,7 @@ pub struct ServerStats {
     /// Gauge: exposed buffers currently awaiting `RDMA_DONE` — a
     /// resource the client controls (§4.1 "Malicious or Malfunctioning
     /// clients").
-    pub exposures_pending: Cell<u64>,
+    pub exposures_pending: Rc<Gauge>,
     /// Server-side staging copies, bytes.
     pub copied_bytes: Rc<Counter>,
     /// READ reply bytes gathered straight from file-system pages onto
@@ -137,9 +137,9 @@ pub struct ServerStats {
     /// [`ServerStats::zero_copy_bytes`] on the READ side.
     pub write_zero_copy_bytes: Rc<Counter>,
     /// Gauge: operations currently being serviced.
-    pub inflight: Cell<u64>,
+    pub inflight: Rc<Gauge>,
     /// Gauge: high-water mark of concurrent operations.
-    pub peak_inflight: Cell<u64>,
+    pub peak_inflight: Rc<Gauge>,
     /// Retransmitted calls answered from the duplicate request cache
     /// instead of re-executing. (A duplicate of a call still executing
     /// is dropped unanswered: `server.drc.inprogress_drops`.)
@@ -164,7 +164,7 @@ pub struct ServerStats {
     /// retryable busy reply instead of being serviced).
     pub sheds: Rc<Counter>,
     /// Gauge: high-water mark of the QoS dispatch queue depth.
-    pub qos_peak_depth: Cell<u64>,
+    pub qos_peak_depth: Rc<Gauge>,
     /// Small replies deposited into reply-slot rings instead of being
     /// sent (RFP fast path): each one is a server doorbell, a send
     /// completion and a client interrupt that never happened.
@@ -189,20 +189,21 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    fn new(registry: &MetricsRegistry) -> ServerStats {
+    fn new(registry: &MetricsRegistry, node: NodeId) -> ServerStats {
         let series = |name: &str| registry.counter(name);
+        let gauge = |name: &str| registry.gauge(&format!("server.node{}.{name}", node.0));
         ServerStats {
             ops: series("server.ops"),
             bulk_in: series("server.bulk_in"),
             bulk_out: series("server.bulk_out"),
             dones: series("server.dones"),
             msgp_recvs: series("server.msgp_recvs"),
-            exposures_pending: Cell::new(0),
+            exposures_pending: gauge("exposures_pending"),
             copied_bytes: series("server.copied_bytes"),
             zero_copy_bytes: series("server.read.zero_copy_bytes"),
             write_zero_copy_bytes: series("server.write.zero_copy_bytes"),
-            inflight: Cell::new(0),
-            peak_inflight: Cell::new(0),
+            inflight: gauge("inflight"),
+            peak_inflight: gauge("peak_inflight"),
             drc_replays: series("server.drc.replays"),
             cross_epoch_replays: series("server.drc.cross_epoch_replays"),
             violations: series("server.violations.total"),
@@ -210,7 +211,7 @@ impl ServerStats {
             credit_clamps: series("server.credit_clamps"),
             exposures_revoked: series("server.exposures.revoked"),
             sheds: series("server.sheds"),
-            qos_peak_depth: Cell::new(0),
+            qos_peak_depth: gauge("qos_peak_depth"),
             rfp_deposits: series("server.rfp.deposits"),
             rfp_fallback_sends: series("server.rfp.fallback_sends"),
             rfp_ads: series("server.rfp.ads"),
@@ -310,8 +311,7 @@ impl RdmaRpcServer {
         cfg: RpcRdmaConfig,
     ) -> Rc<RdmaRpcServer> {
         let registry = sim.metrics();
-        let drc = DuplicateRequestCache::new(DRC_CAPACITY);
-        drc.bind_metrics(&registry, "server.drc");
+        let drc = DuplicateRequestCache::new(DRC_CAPACITY, &registry, "server.drc");
         let server = Rc::new(RdmaRpcServer {
             sim: sim.clone(),
             hca: hca.clone(),
@@ -323,7 +323,7 @@ impl RdmaRpcServer {
             drc,
             service_epoch: Cell::new(0),
             qos: cfg.qos_enabled.then(|| Rc::new(QosState::new(&registry))),
-            stats: Rc::new(ServerStats::new(&registry)),
+            stats: Rc::new(ServerStats::new(&registry, hca.node())),
         });
         if server.qos.is_some() {
             for _ in 0..QOS_WORKERS {
@@ -1469,10 +1469,10 @@ async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -
         // the reply with it — the backstop checks the ring count and
         // stands down rather than ring a partial batch early.
         let (qp, sim) = (conn.ep.qp.clone(), server.sim.clone());
-        let rung = qp.doorbells();
+        let rung = qp.ring_seq();
         server.sim.spawn(async move {
             sim.sleep(DOORBELL_FLUSH).await;
-            if qp.doorbells() == rung {
+            if qp.ring_seq() == rung {
                 qp.flush();
             }
         });

@@ -108,12 +108,13 @@ fn run_ring(
         let _ = done_rx.await;
 
         let received = received.borrow().clone();
+        let count = |name: &str| h.metrics().get(&format!("repl.{name}")).unwrap();
         RunOut {
             received,
-            blocked: shipper.stats.blocked.get(),
-            shipped_records: shipper.stats.shipped_records.get(),
-            shipped_bytes: shipper.stats.shipped_bytes.get(),
-            skipped_bytes: shipper.stats.skipped_bytes.get(),
+            blocked: count("blocked"),
+            shipped_records: count("shipped_records"),
+            shipped_bytes: count("shipped_bytes"),
+            skipped_bytes: count("skipped_bytes"),
         }
     })
 }

@@ -2681,7 +2681,7 @@ fn mib_read(strategy: StrategyKind) -> MibRead {
     let before = (
         cpu.busy_time(),
         bed.server_hca.reg_stats().pages_pinned,
-        bed.server_qp.doorbells(),
+        bed.server_hca.doorbells(),
     );
     sim.block_on(read_mib(bed.client.clone(), user));
     sim.run();
@@ -2703,7 +2703,7 @@ fn mib_read(strategy: StrategyKind) -> MibRead {
         segments,
         server_cpu: cpu.busy_time() - before.0,
         server_pages_pinned: bed.server_hca.reg_stats().pages_pinned - before.1,
-        doorbells: bed.server_qp.doorbells() - before.2,
+        doorbells: bed.server_hca.doorbells() - before.2,
     }
 }
 
@@ -3118,7 +3118,16 @@ struct Served {
     /// for a chunked WRITE (a Read-Read client's pulls are its own).
     reads: u64,
     completions: u64,
+    /// Interrupts the server HCA took: the send CQ's, plus one per
+    /// message received ([`received`]).
     interrupts: u64,
+}
+
+/// Messages the server receives for one `shape` call, each an
+/// interrupt on its receive CQ: the call, and Read-Read's `RDMA_DONE`
+/// for a buffer the reply exposed.
+fn received(design: Design, shape: Shape) -> u64 {
+    1 + (design == Design::ReadRead && shape.holds_a_buffer()) as u64
 }
 
 /// Serve one warmed-up `shape` call on a `solaris_sdr` bed and account
@@ -3135,7 +3144,7 @@ fn serve(cfg: RpcRdmaConfig, strategy: StrategyKind, shape: Shape) -> Served {
     sim.run();
     sim.take_spans();
     let cq = bed.server_qp.send_cq();
-    let before = (cq.delivered(), cq.interrupts());
+    let before = (cq.delivered(), bed.server_hca.cq_interrupts());
     sim.block_on(shape.call(bed.client.clone(), user));
     sim.run();
     let spans = sim.take_spans();
@@ -3157,7 +3166,7 @@ fn serve(cfg: RpcRdmaConfig, strategy: StrategyKind, shape: Shape) -> Served {
         wire: wire.expect("the reply on the wire").clone(),
         reads: named("hca", "rdma_read").len() as u64,
         completions: cq.delivered() - before.0,
-        interrupts: cq.interrupts() - before.1,
+        interrupts: bed.server_hca.cq_interrupts() - before.1,
     }
 }
 
@@ -3212,14 +3221,20 @@ fn reply_send_is_signaled_iff_the_op_holds_a_buffer() {
             let tag = format!("{design:?}/{strategy:?}/{shape:?} at depth {batch}");
             let unpin = hca.pin_per_page * shape.pages_unpinned_in_op(design, strategy) / 2;
             let parent_ns = parent_ns - unpin.as_nanos();
+            let received = received(design, shape);
             if shape.holds_a_buffer() {
-                assert_eq!((s.completions, s.interrupts), (1, 1), "{tag}");
+                assert_eq!((s.completions, s.interrupts), (1, 1 + received), "{tag}");
                 assert_eq!(s.reply_send.end, s.wire.end + completion, "{tag}");
                 assert!(s.reply_send.end <= s.op.end, "{tag}");
                 assert_eq!(took(&s.op).as_nanos(), parent_ns, "{tag}");
             } else {
                 // Only a chunked WRITE's RDMA Reads complete.
-                assert_eq!((s.completions, s.interrupts), (s.reads, s.reads), "{tag}");
+                let interrupts = s.reads + received;
+                assert_eq!(
+                    (s.completions, s.interrupts),
+                    (s.reads, interrupts),
+                    "{tag}"
+                );
                 assert!(took(&s.reply_send).is_zero(), "{tag}");
                 assert_eq!(s.op.end, s.reply_send.end, "{tag}");
                 // Nobody waits, and the reply is no later for it: depth

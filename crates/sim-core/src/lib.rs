@@ -67,7 +67,7 @@ pub use metrics::MetricsRegistry;
 pub use payload::{Payload, SgList};
 pub use resource::{Link, Resource};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, Meter, Summary};
+pub use stats::{Counter, Gauge, Histogram, Meter, Summary};
 pub use time::{transfer_time, SimDuration, SimTime};
 pub use trace::{
     aggregate_phases, chrome_trace_json, validate_json, PhaseStats, SpanRecord, TraceCtx,

@@ -1,12 +1,22 @@
-//! Hierarchical metrics registry: one namespace for every counter in
-//! the simulated stack.
+//! Hierarchical metrics registry: the one store for every count the
+//! simulated stack keeps.
 //!
-//! Components register named counters (`server.drc.replays`,
-//! `fabric.port3.dropped`, `rpcrdma.regcache.hits`, `executor.polls`,
-//! ...) into the simulation's [`MetricsRegistry`] and keep the returned
-//! [`Counter`] handle for hot-path bumps — a `Cell` increment, no map
-//! lookup, no allocation. Names use dot-separated components, most
-//! general first, so prefix filters select whole subsystems.
+//! Components take named series (`server.drc.replays`,
+//! `fabric.port3.dropped`, `hca.node0.doorbells`, `executor.polls`,
+//! ...) from the simulation's [`MetricsRegistry`] when they are built
+//! and keep the returned handle for hot-path bumps — a `Cell` write, no
+//! map lookup, no allocation. There are two kinds: a [`Counter`] only
+//! grows; a [`Gauge`] is a level its owner sets (in flight, a peak).
+//! Nothing zeroes either: a measurement window is a difference of two
+//! reads.
+//!
+//! Names use dot-separated components, most general first, so prefix
+//! filters select whole subsystems. A series is shared by name: every
+//! component asking for `server.ops` bumps one counter, fleet-wide.
+//! When something reads one instance — one HCA's doorbells, one
+//! store's page cache — the name carries the node, `hca.node{N}.*`, and
+//! the fleet total is a `*` read over the per-node series, never a
+//! second counter.
 //!
 //! The registry is held by the executor core and reached from any
 //! [`crate::Sim`] handle via `Sim::metrics()`, so components need no
@@ -18,12 +28,28 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::stats::Counter;
+use crate::stats::{Counter, Gauge};
 
-/// A shared, named-counter registry (cheap to clone).
+/// One registered series.
+#[derive(Clone)]
+enum Series {
+    Counter(Rc<Counter>),
+    Gauge(Rc<Gauge>),
+}
+
+impl Series {
+    fn value(&self) -> u64 {
+        match self {
+            Series::Counter(c) => c.get(),
+            Series::Gauge(g) => g.get(),
+        }
+    }
+}
+
+/// A shared, named-series registry (cheap to clone).
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    inner: Rc<RefCell<BTreeMap<String, Rc<Counter>>>>,
+    inner: Rc<RefCell<BTreeMap<String, Series>>>,
 }
 
 impl MetricsRegistry {
@@ -35,22 +61,46 @@ impl MetricsRegistry {
     /// Get or create the counter named `name`. Every caller asking for
     /// the same name shares one counter, so independent components can
     /// aggregate into a single series.
+    ///
+    /// # Panics
+    /// If `name` is already a gauge.
     pub fn counter(&self, name: &str) -> Rc<Counter> {
-        let mut map = self.inner.borrow_mut();
-        if let Some(c) = map.get(name) {
-            return c.clone();
+        let series = self.series(name, || Series::Counter(Rc::default()));
+        match series {
+            Series::Counter(c) => c,
+            Series::Gauge(_) => panic!("series {name:?} is a gauge, not a counter"),
         }
-        let c = Rc::new(Counter::new());
-        map.insert(name.to_string(), c.clone());
-        c
+    }
+
+    /// Get or create the gauge named `name` (shared by name, like
+    /// [`MetricsRegistry::counter`]).
+    ///
+    /// # Panics
+    /// If `name` is already a counter.
+    pub fn gauge(&self, name: &str) -> Rc<Gauge> {
+        let series = self.series(name, || Series::Gauge(Rc::default()));
+        match series {
+            Series::Gauge(g) => g,
+            Series::Counter(_) => panic!("series {name:?} is a counter, not a gauge"),
+        }
+    }
+
+    fn series(&self, name: &str, make: impl FnOnce() -> Series) -> Series {
+        let mut map = self.inner.borrow_mut();
+        if let Some(s) = map.get(name) {
+            return s.clone();
+        }
+        let s = make();
+        map.insert(name.to_string(), s.clone());
+        s
     }
 
     /// Current value of `name`, or `None` if never registered.
     pub fn get(&self, name: &str) -> Option<u64> {
-        self.inner.borrow().get(name).map(|c| c.get())
+        self.inner.borrow().get(name).map(Series::value)
     }
 
-    /// Number of registered counters.
+    /// Number of registered series.
     pub fn len(&self) -> usize {
         self.inner.borrow().len()
     }
@@ -65,25 +115,18 @@ impl MetricsRegistry {
         self.inner
             .borrow()
             .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
+            .map(|(k, v)| (k.clone(), v.value()))
             .collect()
     }
 
-    /// Zero every registered counter (exclude warmup from a report).
-    pub fn reset(&self) {
-        for c in self.inner.borrow().values() {
-            c.reset();
-        }
-    }
-
-    /// Deterministic `name value` text dump, one counter per line,
+    /// Deterministic `name value` text dump, one series per line,
     /// sorted by name.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for (k, v) in self.inner.borrow().iter() {
             out.push_str(k);
             out.push(' ');
-            out.push_str(&v.get().to_string());
+            out.push_str(&v.value().to_string());
             out.push('\n');
         }
         out
@@ -101,7 +144,7 @@ impl MetricsRegistry {
             out.push('"');
             out.push_str(&escape_json(k));
             out.push_str("\":");
-            out.push_str(&v.get().to_string());
+            out.push_str(&v.value().to_string());
         }
         out.push('}');
         out
@@ -145,7 +188,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("z.last").add(1);
         reg.counter("a.first").add(2);
-        reg.counter("m.mid").add(3);
+        reg.gauge("m.mid").set(3);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names, vec!["a.first", "m.mid", "z.last"]);
@@ -154,13 +197,21 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
+    fn gauge_is_a_level_shared_by_name() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("executor.polls");
-        c.add(10);
-        reg.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(reg.get("executor.polls"), Some(0));
+        let g = reg.gauge("server.node0.inflight");
+        g.set(4);
+        g.set(g.get() - 1);
+        assert_eq!(reg.gauge("server.node0.inflight").get(), 3);
+        assert_eq!(reg.get("server.node0.inflight"), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "is a gauge")]
+    fn a_name_has_one_kind() {
+        let reg = MetricsRegistry::new();
+        reg.gauge("x");
+        reg.counter("x");
     }
 
     #[test]

@@ -6,8 +6,9 @@ use std::cell::Cell;
 use crate::time::{SimDuration, SimTime};
 
 /// A monotonic event counter cheap enough for per-message hot paths
-/// (a [`Cell`] bump, no allocation). Used by the fabric's fault
-/// observability (dropped messages, link-level retransmits).
+/// (a [`Cell`] bump, no allocation). Taken from the
+/// [`crate::MetricsRegistry`] by name, so a count and its series are one
+/// cell.
 #[derive(Debug, Default)]
 pub struct Counter(Cell<u64>);
 
@@ -31,10 +32,24 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.get()
     }
+}
 
-    /// Zero the counter.
-    pub fn reset(&self) {
-        self.0.set(0);
+/// A level that is set and read: operations in flight, a high-water
+/// mark. Unlike a [`Counter`] it may go down; like one, it is a
+/// registry series (`MetricsRegistry::gauge`) and nothing zeroes it
+/// behind its owner's back.
+#[derive(Debug, Default)]
+pub struct Gauge(Cell<u64>);
+
+impl Gauge {
+    /// Set the level.
+    pub fn set(&self, v: u64) {
+        self.0.set(v);
+    }
+
+    /// The current level.
+    pub fn get(&self) -> u64 {
+        self.0.get()
     }
 }
 

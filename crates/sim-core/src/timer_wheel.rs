@@ -18,7 +18,7 @@
 //!    popped in O(1). Late registrations that land inside the drain
 //!    window are sorted in (rare: only a shorter sleep created *after*
 //!    the window opened).
-//! 2. **wheel** — [`BUCKETS`] buckets of [`GRAIN`] ns each, covering
+//! 2. **wheel** — `BUCKETS` buckets of `GRAIN` ns each, covering
 //!    `[base, base + BUCKETS·GRAIN)`. Insert is O(1): push onto
 //!    `buckets[(deadline - base) / GRAIN]`. The wheel is *non-cyclic*:
 //!    a bucket holds exactly one grain-window, never a future lap, so
@@ -39,7 +39,7 @@
 //! counters on slots make stale handles (a fired timer's `Sleep`
 //! dropped later) harmless. Lazy deletion is *bounded*: cancelled
 //! entries in the far heap are counted and purged wholesale once they
-//! outnumber live ones (see [`TimerWheel::maybe_purge_heap`]), so a
+//! outnumber live ones (see `TimerWheel::maybe_purge_heap`), so a
 //! workload that registers long timeouts and always cancels them keeps
 //! memory proportional to the live set.
 
@@ -273,7 +273,7 @@ impl<W> TimerWheel<W> {
     ///
     /// `now` is the caller's current virtual time; it anchors the wheel
     /// window when the far heap has to be consulted (see
-    /// [`TimerWheel::refill`]), so a pending long timeout never drags
+    /// `TimerWheel::refill`), so a pending long timeout never drags
     /// the window away from the present.
     pub fn pop_due(&mut self, limit: SimTime, now: SimTime) -> Option<(SimTime, W)> {
         loop {

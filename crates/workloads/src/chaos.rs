@@ -63,19 +63,15 @@ impl Default for ChaosParams {
 /// What survived one chaos run. What the fault layer and the recovery
 /// machinery did is in the run's registry: `fabric.*.dropped`,
 /// `fabric.*.retransmits`, `client.retransmits`, `client.timeouts`,
-/// `client.reconnects`, `server.ops`, `server.drc.replays`.
+/// `client.reconnects`, `server.ops`, `server.drc.replays`; the WRITE
+/// calls the server applied, `nfs.node0.writes` (a corruption-free run
+/// applies each record exactly once); and, when a server crash made
+/// clients re-drive, `nfs.client.verf_mismatches` and
+/// `nfs.client.redriven_writes`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosResult {
-    /// WRITE calls applied by the NFS server — corruption-free runs
-    /// apply each record exactly once.
-    pub fs_writes: u64,
     /// Records whose read-back bytes differed from what was written.
     pub corrupt_records: u64,
-    /// UNSTABLE writes clients re-sent after a COMMIT verifier
-    /// mismatch (server crash scenarios).
-    pub redriven_writes: u64,
-    /// COMMIT rounds that observed a verifier mismatch.
-    pub verf_mismatches: u64,
     /// WAL records behind a commit marker at the end of the run (0
     /// without a WAL backend).
     pub wal_committed_records: u64,
@@ -151,13 +147,9 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: ChaosParams) -> ChaosResult {
         scenario::verified_writers(sim, &bed.clients, root, writers, &Default::default()).await;
 
     bed.stop();
-    let (redriven_writes, verf_mismatches) = scenario::redrive_counts(&bed.clients);
     let wal = bed.disk_store.as_ref().and_then(|fs| fs.store().wal());
     ChaosResult {
-        fs_writes: bed.server.stats.writes.get(),
         corrupt_records,
-        redriven_writes,
-        verf_mismatches,
         wal_committed_records: wal.map_or(0, |w| w.committed_records()),
     }
 }

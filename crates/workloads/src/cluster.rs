@@ -66,8 +66,6 @@ pub struct Cluster {
     pub killed_at: Cell<Option<SimTime>>,
     /// Virtual time promotion completed.
     pub promoted_at: Rc<Cell<Option<SimTime>>>,
-    /// Bytes re-shipped during the last rejoin catch-up.
-    pub resync_bytes: Cell<u64>,
     /// Workload-over flag ([`crate::Testbed::stop`]): ends the
     /// heartbeat pacer so the simulation can quiesce (the executor runs
     /// to event-queue exhaustion).
@@ -93,7 +91,6 @@ impl Cluster {
             promoted: Rc::new(Cell::new(false)),
             killed_at: Cell::new(None),
             promoted_at: Rc::new(Cell::new(None)),
-            resync_bytes: Cell::new(0),
             stop: Rc::new(Cell::new(false)),
             cfg,
             nodes,
@@ -269,7 +266,6 @@ impl Cluster {
                 wal.note_resync(bytes);
             }
         }
-        self.resync_bytes.set(bytes);
         *self.ring.borrow_mut() = Some(ring);
         *self.session.borrow_mut() = Some(session);
         sim.flight("cluster", "resynced", bytes, from);

@@ -77,10 +77,15 @@ impl Default for FailoverParams {
 /// the backup's one-sided control writes.
 const TIMELINE_GAUGES: [&str; 4] = ["in_flight", "ring_occupancy", "wal_lag", "credit_grants"];
 
-/// What one failover run produced. DRC replays across both nodes, and
-/// the ones answered from the *previous* epoch's imported window
-/// (replayed, not re-executed, across the failover), are the registry
-/// series `server.drc.replays` and `server.drc.cross_epoch_replays`.
+/// What one failover run produced, past its registry series: among
+/// them `server.drc.replays` and `server.drc.cross_epoch_replays` (DRC
+/// replays across both nodes, and the ones answered from the *previous*
+/// epoch's imported window), `nfs.client.redriven_writes` and
+/// `nfs.client.verf_mismatches`, `repl.shipped_records`,
+/// `repl.shipped_bytes`, `repl.blocked`, `repl.interrupted_markers`
+/// (commit markers a kill caught between the local group commit and
+/// the backup's ack), `fs.wal.resync_bytes` (the rejoin catch-up) and
+/// each node's WRITE count, `nfs.node{N}.writes`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FailoverResult {
     /// The backup promoted itself.
@@ -95,29 +100,12 @@ pub struct FailoverResult {
     pub stall_max_us: u64,
     /// Records whose read-back differed from what was written.
     pub corrupt_records: u64,
-    /// UNSTABLE writes re-driven after a verifier mismatch.
-    pub redriven_writes: u64,
-    /// COMMIT rounds observing a verifier mismatch.
-    pub verf_mismatches: u64,
-    /// Records deposited into the backup ring.
-    pub shipped_records: u64,
-    /// Record bytes deposited.
-    pub shipped_bytes: u64,
-    /// Deposits that waited for ring credits (backpressure events).
-    pub ship_blocked: u64,
-    /// Bytes re-shipped during the rejoin catch-up.
-    pub resync_bytes: u64,
     /// Highest sequence the backup applied.
     pub backup_applied: u64,
     /// Replicated-log length on the serving node at the end.
     pub log_len: u64,
-    /// Commit markers whose backup ack a kill interrupted between the
-    /// local group commit and the marker acknowledgement.
-    pub interrupted_markers: u64,
     /// Cluster-durable watermark at the end.
     pub durable_seq: u64,
-    /// WRITE calls executed by node 0 / node 1 (fresh + applied).
-    pub fs_writes: [u64; 2],
     /// Virtual elapsed time of the whole run (µs).
     pub elapsed_us: u64,
     /// UNSTABLE-write goodput over the run, MB/s.
@@ -199,6 +187,7 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverRes
 
     let probes = params.timeline.then(|| {
         let (stopped, cluster, log) = (cluster.clone(), cluster.clone(), log.clone());
+        let metrics = sim.metrics();
         Timeline::sample(
             sim,
             move || stopped.stop.get(),
@@ -210,13 +199,15 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverRes
                     .borrow()
                     .as_ref()
                     .map_or(0, |s| s.applied.get());
-                let shipper = serving.shipper.borrow();
-                let credits = shipper.as_ref().map_or(0, |s| s.stats.credit_returns.get());
+                // Each node ships through one shipper at a time, so its
+                // series is the serving shipper's (0 before it has one).
+                let node = serving.hca.node().0;
+                let credits = metrics.get(&format!("repl.node{node}.credit_returns"));
                 vec![
                     log.in_flight(),
                     log_len.saturating_sub(applied),
                     log_len.saturating_sub(serving.repl.durable_seq()),
-                    credits,
+                    credits.unwrap_or(0),
                 ]
             },
         )
@@ -247,7 +238,6 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverRes
         }
     }
 
-    let (redriven_writes, verf_mismatches) = scenario::redrive_counts(clients);
     let ops = log.take();
     let mut lat: Vec<SimDuration> = ops.iter().map(|c| c.latency()).collect();
     lat.sort();
@@ -256,14 +246,6 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverRes
     });
 
     let serving = cluster.nodes[cluster.mount.primary()].clone();
-    let mut ship = (0u64, 0u64, 0u64);
-    for n in &cluster.nodes {
-        if let Some(s) = n.shipper.borrow().as_ref() {
-            ship.0 += s.stats.shipped_records.get();
-            ship.1 += s.stats.shipped_bytes.get();
-            ship.2 += s.stats.blocked.get();
-        }
-    }
     let failover_us = match (cluster.killed_at.get(), cluster.promoted_at.get()) {
         (Some(k), Some(p)) => (p - k).as_micros(),
         _ => 0,
@@ -280,24 +262,9 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverRes
         stall_p99_us: scenario::percentile_us(&lat, 0.99),
         stall_max_us: lat.last().map_or(0, |d| d.as_micros()),
         corrupt_records,
-        redriven_writes,
-        verf_mismatches,
-        shipped_records: ship.0,
-        shipped_bytes: ship.1,
-        ship_blocked: ship.2,
-        resync_bytes: cluster.resync_bytes.get(),
         backup_applied,
         log_len: serving.repl.log_len(),
         durable_seq: serving.repl.durable_seq(),
-        interrupted_markers: cluster
-            .nodes
-            .iter()
-            .map(|n| n.repl.stats.interrupted_markers.get())
-            .sum(),
-        fs_writes: [
-            cluster.nodes[0].server.stats.writes.get(),
-            cluster.nodes[1].server.stats.writes.get(),
-        ],
         elapsed_us: elapsed.as_micros(),
         write_mbps: if elapsed.as_micros() == 0 {
             0.0

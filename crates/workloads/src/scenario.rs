@@ -286,19 +286,6 @@ pub async fn verified_writers(
     corrupt.get()
 }
 
-/// `(UNSTABLE writes re-driven, COMMIT rounds that saw a verifier
-/// mismatch)` summed over `clients`: what a server crash or a failover
-/// cost them.
-pub fn redrive_counts(clients: &[ClientHost]) -> (u64, u64) {
-    let stats = clients.iter().map(|c| &c.nfs.stats);
-    stats.fold((0, 0), |(redriven, mismatches), s| {
-        (
-            redriven + s.redriven_writes.get(),
-            mismatches + s.verf_mismatches.get(),
-        )
-    })
-}
-
 /// Timeline bucket width in virtual µs (also the sampler cadence).
 pub const TIMELINE_BUCKET_US: u64 = 100;
 

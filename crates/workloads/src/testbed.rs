@@ -148,8 +148,8 @@ impl Bed {
         let net = TcpNet::new(sim, cfg);
         let (profile, nic) = (&self.profile, Nic::Tcp(&net));
         let server_cpu = host(sim, profile, NodeId(0), "server-cpu".into(), true, nic).cpu;
-        let (fs, disk_store) = build_fs_for(sim, self.backend);
-        let server = NfsServer::new(fs.clone());
+        let (fs, disk_store) = build_fs_for(sim, NodeId(0), self.backend);
+        let server = NfsServer::new(sim, 0, fs.clone());
         let handle = NfsServerHandle(server.clone());
         let mut listener = net.listen(NodeId(0), 2049);
         let sim2 = sim.clone();
@@ -170,7 +170,7 @@ impl Bed {
             let stream = net.connect(node, NodeId(0), 2049).await;
             let rpc = StreamRpcClient::new(sim, stream, nfs::NFS_PROGRAM, nfs::NFS_VERSION);
             clients.push(ClientHost {
-                nfs: Rc::new(NfsClient::over_tcp(rpc)),
+                nfs: Rc::new(NfsClient::over_tcp(sim, rpc)),
                 mem: h.mem.expect("a TCP client holds memory"),
                 cpu: h.cpu,
                 hca: None,
@@ -303,8 +303,10 @@ impl Testbed {
     }
 }
 
+/// The file system of the server at `node`.
 pub(crate) fn build_fs_for(
     sim: &Sim,
+    node: NodeId,
     backend: Backend,
 ) -> (Rc<dyn Vfs>, Option<Rc<Fs<CachedDiskStore>>>) {
     let (ram_bytes, wal) = match backend {
@@ -319,13 +321,11 @@ pub(crate) fn build_fs_for(
     let cache = ram_bytes.saturating_sub(OS_RESERVE).max(128 << 20);
     let store = if wal {
         let wal = fs_backend::Wal::new(sim, fs_backend::WalConfig::default());
-        wal.bind_metrics(&sim.metrics());
-        CachedDiskStore::with_wal(raid, cache, 256 * 1024, wal)
+        CachedDiskStore::with_wal(sim, node.0, raid, cache, 256 * 1024, wal)
     } else {
-        CachedDiskStore::new(raid, cache, 256 * 1024)
+        CachedDiskStore::new(sim, node.0, raid, cache, 256 * 1024)
     };
     let fs: Rc<Fs<CachedDiskStore>> = Rc::new(Fs::new(sim, store));
-    fs.store().cache().bind_metrics(&sim.metrics());
     (Rc::new(fs.clone()) as Rc<dyn Vfs>, Some(fs))
 }
 
@@ -434,8 +434,8 @@ fn server_node(
     let nic = Nic::Hca(fabric, bed.server_hca.unwrap_or(bed.profile.hca));
     let h = host(sim, &bed.profile, node, cpu_name.into(), true, nic);
     let hca = h.hca.expect("an RDMA host has an HCA");
-    let (fs, disk) = build_fs_for(sim, bed.backend);
-    let server = NfsServer::new(fs.clone());
+    let (fs, disk) = build_fs_for(sim, node, bed.backend);
+    let server = NfsServer::new(sim, node.0, fs.clone());
     let rpc = RdmaRpcServer::new(
         sim,
         &hca,
@@ -511,7 +511,7 @@ fn mount(
         })
     });
     ClientHost {
-        nfs: Rc::new(NfsClient::over_rdma(rpc)),
+        nfs: Rc::new(NfsClient::over_rdma(sim, rpc)),
         mem: h.mem.expect("an RDMA host holds memory"),
         cpu: h.cpu,
         hca: Some(hca),

@@ -143,12 +143,6 @@ fn a_reconnect_replaces_its_server_half() {
     assert_eq!(run.2, (0, 0), "backup: (server halves, errored)");
 }
 
-/// Tasks a dead connection leaves parked for good: its queue pairs'
-/// two sender loops and two send-queue completion routers wait on a
-/// work-request channel and a CQ that the dead pair keeps open. The
-/// reply dispatcher and the server's connection loop end.
-const STRANDED_PER_RECONNECT: usize = 4;
-
 /// Bursts of verified writes on the single server with client 0's QP
 /// forced into error mid-burst and recovered: `(live tasks once
 /// mounted, live tasks at quiescence, reconnects)`.
@@ -181,9 +175,12 @@ fn tasks_across_a_reconnect(design: Design, strategy: StrategyKind) -> (usize, u
 
 /// Live-task closure on the single server, under both designs and two
 /// strategies: at quiescence the recovered connection's tasks stand in
-/// for the dead one's, and the dead one left exactly
-/// [`STRANDED_PER_RECONNECT`] behind. A builder or layer that leaks one task
-/// more per reconnect fails here by bed.
+/// for the dead one's and the dead one left nothing parked — its queue
+/// pairs' sender loops end when the pair is dropped (the engine's
+/// channel closes), its send-queue completion routers when their CQs
+/// lose their last QP, and the reply dispatcher and the server's
+/// connection loop on the flushed receives. A builder or layer that
+/// leaks a task per reconnect fails here by bed.
 #[test]
 fn a_reconnect_leaves_only_the_known_residue() {
     for design in [Design::ReadWrite, Design::ReadRead] {
@@ -191,16 +188,14 @@ fn a_reconnect_leaves_only_the_known_residue() {
             let (mounted, live, reconnects) = tasks_across_a_reconnect(design, strategy);
             let tag = format!("{design:?}/{strategy:?}");
             assert_eq!(reconnects, 1, "{tag}");
-            let residue = STRANDED_PER_RECONNECT;
-            assert_eq!(live, mounted + residue, "{tag}: tasks alive at quiescence");
+            assert_eq!(live, mounted, "{tag}: tasks alive at quiescence");
         }
     }
 }
 
 /// The closure proper: the recovered connection's tasks replace the dead
-/// one's one for one. Fails by [`STRANDED_PER_RECONNECT`] per reconnect.
+/// one's one for one.
 #[test]
-#[ignore = "known defect: a dead connection strands 4 parked tasks — see ROADMAP item 1"]
 fn a_reconnect_replaces_its_tasks_one_for_one() {
     let (mounted, live, _) = tasks_across_a_reconnect(Design::ReadWrite, StrategyKind::Dynamic);
     assert_eq!(live, mounted);

@@ -45,7 +45,7 @@ fn one_percent_drop_completes_with_zero_corruption_both_designs() {
         assert_eq!(r.corrupt_records, 0, "{design:?}: corrupted data");
         // Exactly-once: every record applied once despite retransmits.
         assert_eq!(
-            r.fs_writes,
+            r.metric("nfs.node0.writes"),
             CLIENTS * params.records_per_client,
             "{design:?}: lost or double-applied WRITE"
         );
@@ -72,7 +72,10 @@ fn heavy_drop_forces_recovery_machinery_and_still_no_corruption() {
     assert!(r.metric("client.timeouts") > 0, "no reply timeout");
     assert!(r.metric("client.retransmits") > 0, "no RPC retransmission");
     assert_eq!(r.corrupt_records, 0);
-    assert_eq!(r.fs_writes, CLIENTS * params.records_per_client);
+    assert_eq!(
+        r.metric("nfs.node0.writes"),
+        CLIENTS * params.records_per_client
+    );
 }
 
 #[test]
@@ -180,17 +183,20 @@ fn server_power_failure_mid_unstable_burst_re_drives_cleanly() {
     let r = run_chaos(13, &wal_bed(), params, Capture::SPANS);
     assert_eq!(r.corrupt_records, 0, "crash+re-drive corrupted data");
     assert!(
-        r.verf_mismatches >= CLIENTS,
+        r.metric("nfs.client.verf_mismatches") >= CLIENTS,
         "every client's COMMIT must observe the verifier change, got {}",
-        r.verf_mismatches
+        r.metric("nfs.client.verf_mismatches")
     );
-    assert!(r.redriven_writes > 0, "no UNSTABLE write was re-driven");
+    assert!(
+        r.metric("nfs.client.redriven_writes") > 0,
+        "no UNSTABLE write was re-driven"
+    );
     // Re-driven records are applied a second time, so the server sees
     // strictly more WRITE calls than the logical record count.
     assert!(
-        r.fs_writes > CLIENTS * params.records_per_client,
+        r.metric("nfs.node0.writes") > CLIENTS * params.records_per_client,
         "re-drive must re-apply lost records (fs_writes={})",
-        r.fs_writes
+        r.metric("nfs.node0.writes")
     );
     assert!(
         r.wal_committed_records > 0,
@@ -218,7 +224,7 @@ fn qp_error_alone_recovers_without_data_loss() {
         assert!(reconnects >= 1, "{design:?}: no recovery happened");
         assert_eq!(r.corrupt_records, 0, "{design:?}");
         assert_eq!(
-            r.fs_writes,
+            r.metric("nfs.node0.writes"),
             CLIENTS * params.records_per_client,
             "{design:?}"
         );

@@ -248,8 +248,9 @@ fn broken_under_faults(
     if r.corrupt_records != 0 {
         wrong.push(format!("{} corrupt records", r.corrupt_records));
     }
-    if r.fs_writes != RECORDS + r.redriven_writes || (r.redriven_writes != 0 && !f.power_fail) {
-        let (applied, redriven) = (r.fs_writes, r.redriven_writes);
+    let applied = r.metric("nfs.node0.writes");
+    let redriven = r.metric("nfs.client.redriven_writes");
+    if applied != RECORDS + redriven || (redriven != 0 && !f.power_fail) {
         wrong.push(format!("{applied} WRITEs applied, {redriven} re-driven"));
     }
     if r != rerun {

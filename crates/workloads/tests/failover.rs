@@ -23,13 +23,21 @@ fn replicated_steady_state_ships_everything() {
         "read-back must match what was written"
     );
     assert!(!r.promoted, "no kill, no promotion");
-    assert!(r.shipped_records > 0, "mutations must ship to the backup");
+    assert!(
+        r.metric("repl.shipped_records") > 0,
+        "mutations must ship to the backup"
+    );
     assert_eq!(
         r.backup_applied, r.log_len,
         "backup applies the full replicated log"
     );
     assert!(r.durable_seq > 0, "commit markers advance the durable seq");
-    assert_eq!(r.fs_writes[0], r.fs_writes[1], "backup mirrors every WRITE");
+    // The backup is node 4, behind the three clients.
+    assert_eq!(
+        r.metric("nfs.node0.writes"),
+        r.metric("nfs.node4.writes"),
+        "backup mirrors every WRITE"
+    );
 }
 
 #[test]
@@ -41,9 +49,17 @@ fn overhead_baseline_runs_without_replication() {
     let bed = failover_bed(&linux_sdr(), cluster);
     let r = run_failover(11, &bed, base(), Capture::default());
     assert_eq!(r.corrupt_records, 0);
-    assert_eq!(r.shipped_records, 0);
+    let shipper = r
+        .metrics
+        .iter()
+        .any(|(name, _)| name.starts_with("repl.shipped"));
+    assert!(!shipper, "no replication channel, no shipper");
     assert_eq!(r.log_len, 0);
-    assert_eq!(r.fs_writes[1], 0, "backup idle without replication");
+    assert_eq!(
+        r.metric("nfs.node4.writes"),
+        0,
+        "backup idle without replication"
+    );
 }
 
 #[test]
@@ -55,7 +71,10 @@ fn mid_burst_kill_fails_over_without_corruption() {
     assert_eq!(r.corrupt_records, 0, "zero corruption across failover");
     assert!(r.failover_us > 0);
     assert!(
-        r.fs_writes[0] + r.redriven_writes + r.metric("server.drc.replays") > 0,
+        r.metric("nfs.node0.writes")
+            + r.metric("nfs.client.redriven_writes")
+            + r.metric("server.drc.replays")
+            > 0,
         "the cluster must have made progress through the kill"
     );
 }
@@ -186,7 +205,7 @@ fn killed_node_rejoins_and_resyncs() {
     assert!(r.promoted);
     assert_eq!(r.corrupt_records, 0);
     assert!(
-        r.resync_bytes > 0,
+        r.metric("fs.wal.resync_bytes") > 0,
         "rejoin must re-ship the missing log tail"
     );
     // A re-shipped record keeps the trace of the call that wrote it, so

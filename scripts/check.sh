@@ -24,6 +24,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps with -D warnings (a link to a deleted or private item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 if [ "${SKIP_TESTS:-0}" != "1" ]; then
     echo "==> cargo build --release"
     cargo build --release
