@@ -14,27 +14,20 @@ use xdr::XdrCodec;
 
 fn bench_header_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("rpcrdma_header");
-    let hdr = RdmaHeader {
-        xid: 7,
-        credits: 32,
-        msg_type: MsgType::Msg,
-        msgp: None,
-        rfp_ad: None,
-        read_chunks: vec![ReadChunk {
-            position: 128,
-            segment: Segment {
-                rkey: Rkey(0xabcd),
-                len: 131072,
-                addr: 0x10_0000,
-            },
-        }],
-        write_chunks: vec![vec![Segment {
-            rkey: Rkey(0x1234),
+    let mut hdr = RdmaHeader::new(7, 32, MsgType::Msg);
+    hdr.read_chunks = vec![ReadChunk {
+        position: 128,
+        segment: Segment {
+            rkey: Rkey(0xabcd),
             len: 131072,
-            addr: 0x20_0000,
-        }]],
-        reply_chunk: None,
-    };
+            addr: 0x10_0000,
+        },
+    }];
+    hdr.write_chunks = vec![vec![Segment {
+        rkey: Rkey(0x1234),
+        len: 131072,
+        addr: 0x20_0000,
+    }]];
     g.bench_function("encode", |b| {
         b.iter(|| black_box(hdr.to_bytes()));
     });

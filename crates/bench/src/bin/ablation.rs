@@ -24,8 +24,7 @@ use sim_core::sweep::parallel_sweep;
 use sim_core::SimDuration;
 use workloads::scenario::{self, Capture};
 use workloads::{
-    linux_sdr, mb, pct, run_openloop, solaris_sdr, Arrival, Bed, IoMode, IozoneParams,
-    IozoneResult, OpMix, OpenLoopParams, OpenLoopResult, Profile, Run, Table,
+    linux_sdr, mb, pct, solaris_sdr, Bed, IoMode, IozoneParams, IozoneResult, Profile, Table,
 };
 
 const SEED: u64 = 0xAB1A;
@@ -695,220 +694,7 @@ fn write_path_sweep() {
     );
 }
 
-/// One closed-loop metadata run for the RFP ablation: same seed, same
-/// personality, only the reply path differs. At saturation the
-/// serialized server stage pins closed-loop p50 (queue wait absorbs
-/// any reply-leg difference), so the latency gate runs a single
-/// stream — one connection, one worker — where the reply path shows
-/// up directly in every op, the way the remote-fetching papers
-/// measure small-RPC latency. The sweep adds saturated points for
-/// throughput and per-op server-cost rates.
-///
-/// Both modes run on an RFP-era read engine: the paper's 2005 SDR HCA
-/// charges 107 us of responder turnaround per RDMA Read, which buries
-/// any fetch-based reply path; the remote-fetching literature targets
-/// the later generation where a small read costs ~2 us. The override
-/// applies to baseline and RFP alike, so the comparison stays fair.
-fn rfp_point(
-    mix: OpMix,
-    rfp: bool,
-    duration_ms: u64,
-    connections: usize,
-    workers: u32,
-) -> Run<OpenLoopResult> {
-    let mut profile = linux_sdr();
-    profile.hca.read_turnaround = SimDuration::from_micros(2);
-    profile.rpc.rfp = rfp;
-    let bed = Bed {
-        clients: connections,
-        ..Bed::new(&profile, Design::ReadWrite, StrategyKind::AllPhysical)
-    };
-    let params = OpenLoopParams {
-        arrival: Arrival::ClosedLoop { workers },
-        mix,
-        duration: SimDuration::from_millis(duration_ms),
-        grace: SimDuration::from_millis(5),
-        waiting_room: 0,
-        ..OpenLoopParams::default()
-    };
-    run_openloop(SEED, &bed, params, Capture::default())
-}
-
-/// Derived per-op rates for one RFP ablation point. Server counters
-/// span prepopulation too, so rates use the server's own op count.
-struct RfpRates {
-    sends_per_op: f64,
-    deposits_per_op: f64,
-    doorbells_per_op: f64,
-    interrupts_per_op: f64,
-}
-
-fn rfp_rates(r: &OpenLoopResult) -> RfpRates {
-    let ops = r.server_ops.max(1) as f64;
-    RfpRates {
-        sends_per_op: (r.server_ops - r.rfp_deposits) as f64 / ops,
-        deposits_per_op: r.rfp_deposits as f64 / ops,
-        doorbells_per_op: r.server_doorbells as f64 / ops,
-        interrupts_per_op: r.server_interrupts as f64 / ops,
-    }
-}
-
-/// Probe Reads per slot hit at the single-stream smoke point under the
-/// old fixed-floor pacing (544 / 449, EXPERIMENTS.md Ablation 8): the
-/// estimator-paced poller must not fetch more often for the same
-/// replies.
-const RFP_POLLS_PER_HIT: f64 = 1.2116;
-
-/// RFP acceptance gates for `check.sh`: on a pure metadata storm the
-/// reply-slot path must all but eliminate server Sends (and with them
-/// doorbells), beat the RPC baseline's small-op p50 without probing
-/// more than [`RFP_POLLS_PER_HIT`], and replay byte-identically under
-/// the same seed.
-fn rfp_smoke() {
-    let runs = parallel_sweep(vec![false, true, true], |rfp| {
-        rfp_point(OpMix::stat_storm(), rfp, 20, 1, 1)
-    });
-    let (rpc, rfp, rfp2) = (&runs[0], &runs[1], &runs[2]);
-    let (rr, fr) = (rfp_rates(rpc), rfp_rates(rfp));
-    println!(
-        "rfp smoke: p50 {} -> {} us, p99 {} -> {} us; deposits/op {:.3}, \
-         sends/op {:.3} -> {:.4}, doorbells/op {:.3} -> {:.3}",
-        rpc.p50_us,
-        rfp.p50_us,
-        rpc.p99_us,
-        rfp.p99_us,
-        fr.deposits_per_op,
-        rr.sends_per_op,
-        fr.sends_per_op,
-        rr.doorbells_per_op,
-        fr.doorbells_per_op,
-    );
-    assert!(
-        rpc.rfp_deposits == 0,
-        "baseline deposited {} replies with rfp off",
-        rpc.rfp_deposits
-    );
-    assert!(
-        fr.deposits_per_op > 0.9,
-        "deposits/op {:.3} not > 0.9 — the metadata storm should ride the slots",
-        fr.deposits_per_op
-    );
-    assert!(
-        fr.sends_per_op < 0.05,
-        "server Sends/op {:.4} not < 0.05 in RFP mode",
-        fr.sends_per_op
-    );
-    assert!(
-        fr.doorbells_per_op < rr.doorbells_per_op,
-        "RFP doorbells/op {:.3} not below RPC baseline {:.3}",
-        fr.doorbells_per_op,
-        rr.doorbells_per_op
-    );
-    assert!(
-        rfp.p50_us <= rpc.p50_us,
-        "RFP small-op p50 {} us above RPC baseline {} us",
-        rfp.p50_us,
-        rpc.p50_us
-    );
-    let polls_per_hit =
-        rfp.metric("client.rfp.polls") as f64 / rfp.metric("client.rfp.hits") as f64;
-    println!("rfp smoke: {polls_per_hit:.4} probe Reads per slot hit");
-    assert!(
-        polls_per_hit <= RFP_POLLS_PER_HIT,
-        "RFP probes {polls_per_hit:.4} Reads per hit, above the {RFP_POLLS_PER_HIT} recorded"
-    );
-    assert!(rfp == rfp2, "same-seed RFP runs diverged");
-    BenchJson::new("rfp", true)
-        .section(
-            "rpc",
-            0,
-            &[
-                ("p50_us", &rpc.p50_us),
-                ("p99_us", &rpc.p99_us),
-                ("goodput_ops", &format_args!("{:.0}", rpc.goodput_ops)),
-                ("sends_per_op", &format_args!("{:.4}", rr.sends_per_op)),
-                (
-                    "doorbells_per_op",
-                    &format_args!("{:.4}", rr.doorbells_per_op),
-                ),
-            ],
-        )
-        .section(
-            "rfp",
-            0,
-            &[
-                ("p50_us", &rfp.p50_us),
-                ("p99_us", &rfp.p99_us),
-                ("goodput_ops", &format_args!("{:.0}", rfp.goodput_ops)),
-                ("sends_per_op", &format_args!("{:.4}", fr.sends_per_op)),
-                (
-                    "doorbells_per_op",
-                    &format_args!("{:.4}", fr.doorbells_per_op),
-                ),
-                (
-                    "deposits_per_op",
-                    &format_args!("{:.4}", fr.deposits_per_op),
-                ),
-                ("polls_per_hit", &format_args!("{polls_per_hit:.4}")),
-            ],
-        )
-        .write();
-    println!("rfp smoke OK");
-}
-
-fn rfp_sweep() {
-    let mixes: Vec<(&str, OpMix)> = vec![
-        ("varmail", OpMix::varmail()),
-        ("webserver", OpMix::webserver()),
-        ("stat-storm", OpMix::stat_storm()),
-        ("oltp", OpMix::oltp()),
-    ];
-    let points: Vec<(&str, OpMix, bool)> = mixes
-        .iter()
-        .flat_map(|&(name, mix)| [(name, mix, false), (name, mix, true)])
-        .collect();
-    let results = parallel_sweep(points.clone(), |(_, mix, rfp)| {
-        rfp_point(mix, rfp, 60, 2, 4)
-    });
-    let mut t = Table::new(
-        "Ablation 8 — RFP reply slots vs Send replies (RW design, closed loop, \
-         2 conns x 4 workers)",
-        &[
-            "mix",
-            "replies",
-            "ops/s",
-            "p50 us",
-            "p99 us",
-            "deposits/op",
-            "sends/op",
-            "doorbells/op",
-            "interrupts/op",
-        ],
-    );
-    for ((name, _, rfp), r) in points.iter().zip(&results) {
-        let rates = rfp_rates(r);
-        t.row(&[
-            name.to_string(),
-            if *rfp { "RFP slots" } else { "Send" }.to_string(),
-            format!("{:.0}", r.goodput_ops),
-            r.p50_us.to_string(),
-            r.p99_us.to_string(),
-            format!("{:.3}", rates.deposits_per_op),
-            format!("{:.3}", rates.sends_per_op),
-            format!("{:.3}", rates.doorbells_per_op),
-            format!("{:.3}", rates.interrupts_per_op),
-        ]);
-    }
-    bench::emit("ablation_rfp", &t);
-    println!(
-        "Takeaway: letting the client fetch small replies out of registered \
-         slots removes the server's Send (doorbell + completion) from every \
-         metadata op; bulk READ/WRITE replies keep their chunks and fall \
-         back, so mixed personalities land between the extremes.\n"
-    );
-}
-
-/// One ablation: the flag that runs it alone (the four with a
+/// One ablation: the flag that runs it alone (the three with a
 /// `check.sh` gate have one), that gate, and the full sweep.
 struct Sweep {
     flag: Option<&'static str>,
@@ -932,7 +718,7 @@ const fn gated(flag: &'static str, smoke: fn(), full: fn()) -> Sweep {
     }
 }
 
-/// Ablations 1–8, in the order a flagless run prints them.
+/// Ablations 1–7, in the order a flagless run prints them.
 const SWEEPS: &[Sweep] = &[
     unflagged(zero_copy_decomposition),
     unflagged(ord_sensitivity),
@@ -941,7 +727,6 @@ const SWEEPS: &[Sweep] = &[
     unflagged(msgp_small_write_fast_path),
     gated("--batching", batching_smoke, batching_sweep),
     gated("--write-path", write_path_smoke, write_path_sweep),
-    gated("--rfp", rfp_smoke, rfp_sweep),
 ];
 
 fn main() {

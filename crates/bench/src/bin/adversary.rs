@@ -26,11 +26,10 @@ use workloads::{
 const SEED: u64 = 0xAD5A11;
 
 /// The contest's bed: 2 honest clients against a server whose exposure
-/// TTL is 200 us, with or without the RFP reply-slot fast path.
-fn bed(design: Design, strategy: StrategyKind, rfp: bool) -> Bed {
+/// TTL is 200 us.
+fn bed(design: Design, strategy: StrategyKind) -> Bed {
     let mut profile = linux_sdr();
     profile.rpc.exposure_ttl = SimDuration::from_micros(200);
-    profile.rpc.rfp = rfp;
     Bed {
         clients: 2,
         ..Bed::new(&profile, design, strategy)
@@ -43,18 +42,11 @@ fn pair(bed: &Bed, p: AdversaryParams) -> (Run<AdversaryResult>, Run<AdversaryRe
     (run(AdversaryParams { attackers: 0, ..p }), run(p))
 }
 
-/// Invariants every point of the sweep must hold — with `rfp`, also
-/// that every reply-slot probe of a dead session was refused. The
-/// caller chains its own onto the returned gate (which dumps the
-/// attacked run's ring).
-fn check<'a>(
-    tag: &str,
-    rfp: bool,
-    base: &Run<AdversaryResult>,
-    atk: &'a Run<AdversaryResult>,
-) -> Gate<'a> {
-    let tag = format!("adversary {tag}{}", if rfp { "+rfp" } else { "" });
-    let (landed, refused) = (atk.rfp_stale_ok, atk.rfp_stale_refused);
+/// Invariants every point of the sweep must hold. The caller chains
+/// its own onto the returned gate (which dumps the attacked run's
+/// ring).
+fn check<'a>(tag: &str, base: &Run<AdversaryResult>, atk: &'a Run<AdversaryResult>) -> Gate<'a> {
+    let tag = format!("adversary {tag}");
     let (violations, quarantines) = ("server.violations.total", "server.quarantines");
     Gate::new(&*tag, &base.flight).require(
         base.metric(violations) == 0 && base.metric(quarantines) == 0,
@@ -81,12 +73,6 @@ fn check<'a>(
             "honest goodput degraded {:.1}% under attack (bound 20%)",
             (1.0 - ratio) * 100.0
         )
-    })
-    .require(!rfp || (landed == 0 && refused != 0), || {
-        format!(
-            "dead-session reply-slot probes: {landed} landed, {refused} refused \
-             (want 0 landed, > 0 refused)"
-        )
     });
     gate
 }
@@ -98,9 +84,9 @@ fn smoke() {
         ..AdversaryParams::default()
     };
     for design in [Design::ReadWrite, Design::ReadRead] {
-        let (base, atk) = pair(&bed(design, StrategyKind::Dynamic, false), quick);
+        let (base, atk) = pair(&bed(design, StrategyKind::Dynamic), quick);
         let revoked = atk.metric("server.exposures.revoked");
-        check(&format!("{design:?}"), false, &base, &atk)
+        check(&format!("{design:?}"), &base, &atk)
             .require(design != Design::ReadRead || revoked != 0, || {
                 "TTL reaper never revoked a withheld exposure".into()
             })
@@ -116,20 +102,6 @@ fn smoke() {
             atk.metric("server.quarantines"),
             revoked,
             atk.stale_reads_refused,
-        );
-    }
-    // RFP leg: the reply-slot ring is one more piece of server memory a
-    // session leaves behind. Attackers capture their ring advertisement
-    // and fetch through it after their connection dies; teardown must
-    // have revoked the ring (every probe NAKs, none lands), and the
-    // same hygiene invariants hold with the fast path on.
-    for design in [Design::ReadWrite, Design::ReadRead] {
-        let (base, atk) = pair(&bed(design, StrategyKind::Dynamic, true), quick);
-        check(&format!("{design:?}"), true, &base, &atk);
-        println!(
-            "adversary smoke {design:?}+rfp: ok (goodput {:.0}%, {} ring probes refused, 0 landed)",
-            100.0 * atk.goodput_mb_s / base.goodput_mb_s,
-            atk.rfp_stale_refused,
         );
     }
     println!("adversary smoke: bounded damage, zero corruption, accounting consistent");
@@ -154,16 +126,11 @@ fn main() {
             "stale ok",
             "stale nak",
             "scan ok",
-            "rfp ok",
-            "rfp nak",
             "pending",
             "corrupt",
         ],
     );
-    // Every (design x strategy) point, plus an RFP row per design: the
-    // Dynamic strategy with the reply-slot fast path on, where the
-    // attackers also probe their dead session's ring advertisement.
-    let mut points: Vec<(Design, StrategyKind, bool)> = Vec::new();
+    let mut runs = Vec::new();
     for design in [Design::ReadWrite, Design::ReadRead] {
         for strategy in [
             StrategyKind::Dynamic,
@@ -171,41 +138,33 @@ fn main() {
             StrategyKind::Cache,
             StrategyKind::AllPhysical,
         ] {
-            points.push((design, strategy, false));
+            let (base, atk) = pair(&bed(design, strategy), AdversaryParams::default());
+            t.row(&[
+                format!("{design:?}"),
+                format!("{strategy:?}"),
+                format!("{:.1}", base.goodput_mb_s),
+                format!("{:.1}", atk.goodput_mb_s),
+                format!("{:.2}", atk.goodput_mb_s / base.goodput_mb_s),
+                atk.metric("server.violations.total").to_string(),
+                atk.metric("server.quarantines").to_string(),
+                atk.metric("server.exposures.revoked").to_string(),
+                atk.stale_reads_ok.to_string(),
+                atk.stale_reads_refused.to_string(),
+                atk.scan_reads_ok.to_string(),
+                atk.exposures_pending.to_string(),
+                atk.corrupt_records.to_string(),
+            ]);
+            runs.push((format!("{design:?}/{strategy:?}"), base, atk));
         }
-        points.push((design, StrategyKind::Dynamic, true));
-    }
-    let mut runs = Vec::new();
-    for (design, strategy, rfp) in points {
-        let (base, atk) = pair(&bed(design, strategy, rfp), AdversaryParams::default());
-        t.row(&[
-            format!("{design:?}"),
-            format!("{strategy:?}{}", if rfp { "+RFP" } else { "" }),
-            format!("{:.1}", base.goodput_mb_s),
-            format!("{:.1}", atk.goodput_mb_s),
-            format!("{:.2}", atk.goodput_mb_s / base.goodput_mb_s),
-            atk.metric("server.violations.total").to_string(),
-            atk.metric("server.quarantines").to_string(),
-            atk.metric("server.exposures.revoked").to_string(),
-            atk.stale_reads_ok.to_string(),
-            atk.stale_reads_refused.to_string(),
-            atk.scan_reads_ok.to_string(),
-            atk.rfp_stale_ok.to_string(),
-            atk.rfp_stale_refused.to_string(),
-            atk.exposures_pending.to_string(),
-            atk.corrupt_records.to_string(),
-        ]);
-        runs.push((format!("{design:?}/{strategy:?}"), rfp, base, atk));
     }
     // The table first, the verdict second: a point that fails its gate
     // is still in the artifact, with the number that failed it.
     bench::emit("adversary_sweep", &t);
-    for (tag, rfp, base, atk) in &runs {
-        check(tag, *rfp, base, atk);
+    for (tag, base, atk) in &runs {
+        check(tag, base, atk);
     }
     println!(
         "All points held the 20% goodput bound with zero corruption; \
-         only all-physical Read-Read leaks via its global rkey (scan ok > 0), \
-         and every dead-session reply-slot probe was refused."
+         only all-physical Read-Read leaks via its global rkey (scan ok > 0)."
     );
 }

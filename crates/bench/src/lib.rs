@@ -12,7 +12,7 @@
 //! | `fig8`      | FileBench OLTP ops/s + CPU/op per strategy | `fig8.*` |
 //! | `fig9`      | Registration strategies on Linux (incl. all-physical) | `fig9a.*`, `fig9b.*` |
 //! | `fig10`     | Multi-client aggregate read bandwidth, 4 GB / 8 GB server | `fig10a.*`, `fig10b.*` |
-//! | `ablation`  | Ablations 1–8 (`--batching`, `--write-path`, `--inline`, `--rfp` pick one; with `--smoke`, its gate) | `ablation_*.*`; gates: `BENCH_{read,write,rfp}.json` |
+//! | `ablation`  | Ablations 1–7 (`--batching`, `--write-path`, `--inline` pick one; with `--smoke`, its gate) | `ablation_*.*`; gates: `BENCH_{read,write}.json` |
 //! | `all`       | every target above, in sequence | — |
 //! | `chaos`     | fault sweep + crash matrix; `--failover`: the replicated-cluster kill matrix | `chaos_sweep.*`, `crash_matrix.*`; `failover_matrix.*`, `trace_failover_cluster.json`, `timeline_failover.{csv,md}`, `BENCH_failover.json` |
 //! | `adversary` | honest goodput and server hygiene under the attack catalog | `adversary_sweep.*` |

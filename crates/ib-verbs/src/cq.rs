@@ -59,9 +59,6 @@ struct CqInner {
     /// Set when the last producer is gone: nothing can arrive any more,
     /// and a parked consumer is woken to see it ([`Cq::next_open`]).
     closed: bool,
-    /// A consumer idling somewhere else that must still learn of the
-    /// close ([`Cq::closed_or_watch`]).
-    close_watch: WakeSlot,
     /// Generation of the armed moderation timer; bumping it cancels the
     /// in-flight timer without tracking the task.
     timer_gen: u64,
@@ -109,7 +106,6 @@ impl Cq {
                 pushed: 0,
                 producers: 0,
                 closed: false,
-                close_watch: WakeSlot::new(),
                 timer_gen: 0,
                 timer_armed: false,
                 interrupts: series.cq_interrupts.clone(),
@@ -244,20 +240,7 @@ impl Cq {
         if inner.producers == 0 {
             inner.closed = true;
             inner.fire();
-            inner.close_watch.wake();
         }
-    }
-
-    /// Whether the CQ is closed; while it is not, the task polling with
-    /// `cx` is woken when it closes — and by nothing else, unlike a
-    /// consumer parked in [`Cq::next_open`]. For a consumer that idles
-    /// on something else and must not outlive the CQ's last producer.
-    pub fn closed_or_watch(&self, cx: &std::task::Context<'_>) -> bool {
-        let mut inner = self.inner.borrow_mut();
-        if !inner.closed {
-            inner.close_watch.park(cx);
-        }
-        inner.closed
     }
 
     /// Completions delivered so far.

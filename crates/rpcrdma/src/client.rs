@@ -17,9 +17,9 @@
 //! one function that owns its span and its counters: **marshal**
 //! (syscall + RPC encode, then a flow-control credit) → **provision**
 //! (the `reg` span: register what the server will pull or push into,
-//! points 1–2) → **mark** (RFP) → **transmit** (per attempt: post →
-//! `wait_reply` → `finish`, which collects bulk data the way the design
-//! says) → **release** (deregister, point 10, and settle the credit).
+//! points 1–2) → **transmit** (per attempt: post → `wait_reply` →
+//! `finish`, which collects bulk data the way the design says) →
+//! **release** (deregister, point 10, and settle the credit).
 //! The connection's QP, completion router, receive window and scratch
 //! encoder live in one `endpoint::Endpoint`; recovery swaps it whole.
 
@@ -35,16 +35,14 @@ use onc_rpc::msg::{decode_reply, encode_call};
 use onc_rpc::{AcceptStat, CallHeader, RpcError, TransportError};
 use sim_core::stats::Counter;
 use sim_core::sync::{oneshot, OneshotReceiver, OneshotSender, SemPermit, Semaphore};
-use sim_core::{MetricsRegistry, Payload, Sim, SimDuration, SimRng, SimTime};
+use sim_core::{MetricsRegistry, Payload, Sim, SimDuration, SimRng};
 use xdr::XdrCodec;
 
 use crate::config::{Design, RpcRdmaConfig};
 use crate::endpoint::{Endpoint, RecvPool};
-use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
+use crate::header::{MsgType, RdmaHeader, ReadChunk, Segment};
 use crate::qos::{QOS_MAX_REJECTIONS, QOS_SHED_BACKOFF};
 use crate::reg::{IoBuf, Registrar};
-use crate::rfp::{decode_slot, SlotView, RFP_POLL_MAX, SLOT_OVERHEAD};
-use crate::router::CompletionRouter;
 use crate::sanitize::MAX_CHUNK_BYTES;
 
 /// Alignment of `RDMA_MSGP` payloads: the data rides in the Send after
@@ -56,11 +54,6 @@ pub(crate) const MSGP_ALIGN: usize = 64;
 /// retransmission (and busy-reply) wait — decorrelates client retry
 /// storms.
 const RETRANS_JITTER: SimDuration = SimDuration::from_micros(500);
-
-/// Finest step of the reply-slot poller's pacing, RFC 6298's clock
-/// granularity: the spin quantum of the RFP client's completion thread,
-/// which sees no fetch complete sooner than that.
-const RFP_POLL_GRAIN: SimDuration = SimDuration::from_micros(1);
 
 /// Wait before rebuilding a connection after a QP error (models CM
 /// teardown + route resolution + QP re-creation).
@@ -124,14 +117,6 @@ pub struct ClientStats {
     pub busy_replies: Rc<Counter>,
     /// Successful connection recoveries (fresh QP after an error).
     pub reconnects: Rc<Counter>,
-    /// Calls sent RFP-marked: the reply was fetched from the reply
-    /// slot (or fell back to the Send path) instead of arriving as an
-    /// unsolicited Send.
-    pub rfp_marked: Rc<Counter>,
-    /// Reply-slot fetches issued (RDMA Reads by the pollers).
-    pub rfp_polls: Rc<Counter>,
-    /// Calls completed from a fetched reply slot.
-    pub rfp_hits: Rc<Counter>,
 }
 
 impl ClientStats {
@@ -148,9 +133,6 @@ impl ClientStats {
             timeouts: series("client.timeouts"),
             busy_replies: series("client.busy_replies"),
             reconnects: series("client.reconnects"),
-            rfp_marked: series("client.rfp.marked"),
-            rfp_polls: series("client.rfp.polls"),
-            rfp_hits: series("client.rfp.hits"),
         }
     }
 }
@@ -193,8 +175,8 @@ impl ReplyClock {
     }
 }
 
-/// A reply as the dispatcher (or a slot poller) hands it to its call:
-/// the transport header and the inline RPC message behind it.
+/// A reply as the dispatcher hands it to its call: the transport header
+/// and the inline RPC message behind it.
 type Reply = (RdmaHeader, Bytes);
 
 struct ClientInner {
@@ -226,24 +208,7 @@ struct ClientInner {
     /// never perturbs the rng streams existing components fork; it is
     /// only drawn when a timeout actually fires.
     retrans_rng: RefCell<SimRng>,
-    /// The server's reply-slot ring advertisement, once received
-    /// (refreshed by every `MsgRfpAd` reply; cleared on recovery —
-    /// rings are per-connection).
-    rfp_ad: RefCell<Option<RfpAd>>,
-    /// Last RFP activity (ad received, marked call sent, or slot
-    /// fetched): calls stop being marked once this goes stale relative
-    /// to the server's idle-revocation horizon.
-    rfp_last: Cell<SimTime>,
-    /// Bounds outstanding reply-slot fetches across all pollers to the
-    /// HCA's IRD/ORD window (paper §4.1: responders execute reads
-    /// serially past that depth, so issuing more only queues).
-    rfp_reads: Semaphore,
-    /// Post-to-reply times of calls answered on their first copy: the
-    /// retransmission timer.
     replies: ReplyClock,
-    /// Post-to-probe times of the slot fetches that found their reply
-    /// (when replies become fetchable): the poller's pacing.
-    fetches: ReplyClock,
 }
 
 impl ClientInner {
@@ -356,14 +321,7 @@ impl RdmaRpcClient {
             recovering: Cell::new(false),
             connector: RefCell::new(None),
             retrans_rng: RefCell::new(SimRng::new(retrans_seed)),
-            rfp_ad: RefCell::new(None),
-            rfp_last: Cell::new(SimTime::ZERO),
-            rfp_reads: Semaphore::new({
-                let hc = hca.config();
-                hc.max_ord.min(hc.max_ird).max(1)
-            }),
             replies: ReplyClock::default(),
-            fetches: ReplyClock::default(),
         });
         install_error_handler(&inner, &ep);
         sim.spawn(reply_dispatcher(inner.clone(), ep));
@@ -440,8 +398,7 @@ impl RdmaRpcClient {
         }
         let _call_span = inner.sim.span_proc("client", "call", proc_num);
         let (credit, xid, rpc_msg) = self.marshal(prog, vers, proc_num, &args).await;
-        let mut call = self.provision(credit, xid, rpc_msg, bulk).await;
-        self.mark(&mut call);
+        let call = self.provision(credit, xid, rpc_msg, bulk).await;
         let result = self.transmit(&call).await;
         self.release(call).await;
         if result.is_ok() {
@@ -614,19 +571,6 @@ impl RdmaRpcClient {
         }
     }
 
-    /// *Mark* stage (hybrid transport): a chunkless inline call whose
-    /// reply will also be small can be RFP-marked — the server deposits
-    /// the reply in this client's reply-slot ring and posts no Send at
-    /// all; a poller fetches it with RDMA Read. Only once the server
-    /// has advertised a ring, and only while that ring is fresh enough
-    /// that the server's idle reaper cannot be close to revoking it.
-    fn mark(&self, call: &mut Call) {
-        if self.inner.cfg.rfp && call.hdr.is_chunkless() && self.rfp_ready() {
-            call.hdr.msg_type = MsgType::MsgRfp;
-            self.inner.stats.rfp_marked.inc();
-        }
-    }
-
     /// *Transmit* stage: send the call and see it to a reply,
     /// retransmitting on timeout. Every attempt resends the same wire
     /// image — same XID — so the server's duplicate request cache can
@@ -654,7 +598,7 @@ impl RdmaRpcClient {
         let trace_key = ((inner.endpoint().qp.node().0 as u64) << 32) | xid as u64;
         let result = loop {
             inner.sim.trace_inject(trace_key, inner.sim.current_ctx());
-            let Some(mut rx) = self.post(call, &wire, attempt) else {
+            let Some(mut rx) = self.post(call, &wire) else {
                 break Err(RpcError::Disconnected);
             };
             if attempt > 0 {
@@ -690,11 +634,10 @@ impl RdmaRpcClient {
         result
     }
 
-    /// Register for the reply and put copy `attempt` (0-based) of the
-    /// call on the wire (unless a reconnect is in flight: the
-    /// retransmission timer then carries the call onto the fresh
-    /// endpoint). `None` once the endpoint is dead.
-    fn post(&self, call: &Call, wire: &Bytes, attempt: u32) -> Option<OneshotReceiver<Reply>> {
+    /// Register for the reply and put the call on the wire (unless a
+    /// reconnect is in flight: the retransmission timer then carries the
+    /// call onto the fresh endpoint). `None` once the endpoint is dead.
+    fn post(&self, call: &Call, wire: &Bytes) -> Option<OneshotReceiver<Reply>> {
         let (inner, xid) = (&self.inner, call.hdr.xid);
         if inner.dead.get() {
             return None;
@@ -715,12 +658,6 @@ impl RdmaRpcClient {
                 inner.pending.borrow_mut().remove(&xid);
                 return None;
             }
-        } else if call.hdr.msg_type == MsgType::MsgRfp {
-            // One poller per transmission attempt; it exits as soon as
-            // the call is no longer pending (slot hit, Send fallback,
-            // or a retransmission taking over).
-            inner.rfp_last.set(inner.sim.now());
-            inner.sim.spawn(poll_slot(inner.clone(), xid, attempt));
         }
         Some(rx)
     }
@@ -781,20 +718,6 @@ impl RdmaRpcClient {
             inner.credit_deficit.set(deficit - 1);
             call.credit.forget();
         }
-    }
-
-    /// Whether calls may be RFP-marked right now: a ring has been
-    /// advertised on this connection and saw activity within half the
-    /// exposure TTL — far inside the server's idle-revocation horizon
-    /// (TTL plus two poll periods), so a marked call can never race a
-    /// ring revocation.
-    fn rfp_ready(&self) -> bool {
-        let inner = &self.inner;
-        if inner.recovering.get() || inner.rfp_ad.borrow().is_none() {
-            return false;
-        }
-        let ttl = inner.cfg.exposure_ttl;
-        ttl.is_zero() || inner.sim.now().saturating_since(inner.rfp_last.get()) < ttl / 2
     }
 
     /// Wait before try `n` (0-based) of something that failed `n` times:
@@ -971,14 +894,8 @@ fn accepted(rpc_reply: Bytes) -> Result<Bytes, RpcError> {
 }
 
 /// Open a client endpoint on a connected QP: post the credit window of
-/// receives (one reply per outstanding call) and start the send-CQ
-/// router for this transport mode. The classic Send-reply client is
-/// interrupt-driven: the router parks on the CQ and each wakeup costs
-/// one interrupt. In RFP mode the client follows the remote-fetching
-/// discipline end to end — a dedicated completion thread busy-polls the
-/// send CQ on a short quantum, so slot-fetch (and call-send)
-/// completions are consumed interrupt-free at the price of burning the
-/// polling core.
+/// receives (one reply per outstanding call) and start its send-CQ
+/// router.
 fn open_endpoint(
     sim: &Sim,
     hca: &Hca,
@@ -986,13 +903,7 @@ fn open_endpoint(
     qp: Qp,
 ) -> Result<Rc<Endpoint>, VerbsError> {
     let recv = RecvPool::post(hca, cfg, 1, &qp)?;
-    let cq = qp.send_cq().clone();
-    let router = if cfg.rfp {
-        CompletionRouter::spawn_polling(sim, cq, hca.cpu().clone(), RFP_POLL_GRAIN)
-    } else {
-        CompletionRouter::spawn(sim, cq)
-    };
-    Ok(Rc::new(Endpoint::new(qp, recv, router)))
+    Ok(Rc::new(Endpoint::new(sim, qp, recv)))
 }
 
 /// Consumes reply receives, reposts buffers, routes by XID. Bound to
@@ -1006,123 +917,12 @@ async fn reply_dispatcher(inner: Rc<ClientInner>, ep: Rc<Endpoint>) {
         let Ok(hdr) = RdmaHeader::decode(&mut dec) else {
             continue;
         };
-        // A reply carrying a reply-slot ring advertisement: capture it
-        // (geometry sanity-checked) so subsequent small calls can be
-        // RFP-marked, then deliver the inline reply as usual.
-        let ad = hdr.rfp_ad.filter(|_| hdr.msg_type == MsgType::MsgRfpAd);
-        let sane = |ad: &RfpAd| {
-            ad.nslots > 0
-                && ad.slot_size as u64 > SLOT_OVERHEAD
-                && ad.seg.len == ad.nslots as u64 * ad.slot_size as u64
-        };
-        if let Some(ad) = ad.filter(sane) {
-            *inner.rfp_ad.borrow_mut() = Some(ad);
-            inner.rfp_last.set(inner.sim.now());
-        }
         let body = raw.slice(dec.position()..);
         if let Some(tx) = inner.pending.borrow_mut().remove(&hdr.xid) {
             tx.send((hdr, body));
         }
     }
     start_recovery(&inner);
-}
-
-/// Poll a marked call's reply slot with RDMA Read, paced by the
-/// connection's fetch clock. Probes go on a schedule counted from the
-/// post, whatever each Read takes: the first half a deviation before
-/// the smoothed fetch time, the next ones half a deviation apart (never
-/// finer than [`RFP_POLL_GRAIN`]) until the clock's own timeout,
-/// `srtt + 4·rttvar`, has passed; from there the gap doubles up to
-/// [`RFP_POLL_MAX`]. A cold clock starts the doubling at an eighth of
-/// it. A hit on a call's first copy is the clock's sample (Karn's
-/// rule): the reply became fetchable after the probe before it and by
-/// the one that hit, so the sample is the middle of the two (or the
-/// hit, if it was the first probe) — the post instant of the hit alone
-/// only ever overstates readiness, and an estimate fed by it ratchets
-/// upward. Spawned once per transmission attempt; exits as soon as the
-/// call is no longer pending, the connection is recovering, or the ring
-/// ad it captured at spawn is no longer current. Outstanding fetches
-/// across all of this client's pollers share the IRD/ORD-sized permit
-/// pool.
-async fn poll_slot(inner: Rc<ClientInner>, xid: u32, attempt: u32) {
-    let Some(ad) = *inner.rfp_ad.borrow() else {
-        return;
-    };
-    let slot_size = ad.slot_size as u64;
-    let slot_addr = ad.seg.addr + (xid % ad.nslots.max(1)) as u64 * slot_size;
-    // Local landing buffer for the fetched slot image (allocation is
-    // outside the per-op cost model, like the recv pool).
-    let fetch_buf = inner.hca.mem().alloc(slot_size);
-    let t0 = inner.sim.now();
-    let cold = (RFP_POLL_MAX / 8, RFP_POLL_MAX / 8);
-    let (mut wait, step) = inner.fetches.0.get().map_or(cold, |(srtt, rttvar)| {
-        let half = (rttvar / 2).clamp(RFP_POLL_GRAIN, RFP_POLL_MAX);
-        (srtt.saturating_sub(half).max(RFP_POLL_GRAIN), half)
-    });
-    let window = inner.fetches.rto();
-    let (mut due, mut last_probe) = (SimDuration::ZERO, None);
-    loop {
-        due += wait;
-        inner.sim.sleep_until(t0 + due).await;
-        wait = if due < window {
-            step
-        } else {
-            (wait + wait).min(RFP_POLL_MAX)
-        };
-        let ring = (*inner.rfp_ad.borrow()).map(|a| a.seg.rkey);
-        if inner.dead.get() || inner.recovering.get() || ring != Some(ad.seg.rkey) {
-            return; // gone, recovering, or the ring changed (re-ad)
-        }
-        if !inner.pending.borrow().contains_key(&xid) {
-            return; // reply already delivered, or between attempts
-        }
-        // IRD/ORD pacing: a fetch holds a permit until it completes.
-        let permit = inner.rfp_reads.acquire().await;
-        if !inner.pending.borrow().contains_key(&xid) {
-            return;
-        }
-        let ep = inner.endpoint();
-        let posted_rel = inner.sim.now().saturating_since(t0);
-        let missed = last_probe.replace(posted_rel);
-        let (buf, rkey) = (fetch_buf.clone(), ad.seg.rkey);
-        let fetch = |wr| ep.qp.post_rdma_read(buf, 0, slot_addr, rkey, slot_size, wr);
-        let Some(rx) = ep.signaled(fetch) else {
-            return;
-        };
-        inner.stats.rfp_polls.inc();
-        let Ok(c) = rx.await else { return };
-        drop(permit);
-        if c.result.is_err() {
-            // The fetch was refused (ring revoked): the router's error
-            // handler is already driving recovery, and the retransmit
-            // machinery re-delivers the call.
-            return;
-        }
-        // Not (yet) this call's reply: torn, another call's (ring
-        // reuse), or undecodable.
-        let image = fetch_buf.read(0, slot_size).materialize();
-        let SlotView::Valid {
-            xid: sxid, payload, ..
-        } = decode_slot(&image)
-        else {
-            continue;
-        };
-        let mut dec = xdr::Decoder::new(&payload);
-        let rhdr = match RdmaHeader::decode(&mut dec) {
-            Ok(rhdr) if sxid == xid && rhdr.xid == xid => rhdr,
-            _ => continue,
-        };
-        let body = payload.slice(dec.position()..);
-        inner.rfp_last.set(inner.sim.now());
-        let fetchable = missed.map_or(posted_rel, |m| (m + posted_rel) / 2);
-        inner.fetches.sample(attempt, fetchable);
-        let tx = inner.pending.borrow_mut().remove(&xid);
-        if let Some(tx) = tx {
-            inner.stats.rfp_hits.inc();
-            tx.send((rhdr, body));
-        }
-        return;
-    }
 }
 
 /// Route error completions on `ep`'s send CQ into the recovery path (or
@@ -1155,10 +955,6 @@ fn start_recovery(inner: &Rc<ClientInner>) {
         return;
     }
     inner.recovering.set(true);
-    // Reply-slot rings are per-connection: the old ring dies with the
-    // QP, so forget its ad. The first inline reply on the fresh
-    // connection re-advertises before any call is marked again.
-    *inner.rfp_ad.borrow_mut() = None;
     let (node, pending) = (inner.hca.node().0 as u64, inner.pending.borrow().len());
     inner
         .sim

@@ -71,17 +71,6 @@ pub struct RpcRdmaConfig {
     /// spawning one handler task per call. Off by default — the direct
     /// path reproduces the historical dispatch order exactly.
     pub qos_enabled: bool,
-    /// REMOTE FETCHING PARADIGM (RFP): deposit small replies into a
-    /// per-connection registered reply-slot ring instead of posting a
-    /// Send, and let the *client* pull them with RDMA Read — the
-    /// server pays zero doorbells, zero Send completions and zero
-    /// interrupts per small reply. Replies that don't fit a slot (or
-    /// that carry chunks/exposures) fall back to the Send path
-    /// transparently. Off by default: the Send/Send reply path
-    /// reproduces the historical figures byte-for-byte. The client paces
-    /// its fetches by its own estimate of when replies land; there is
-    /// nothing to tune.
-    pub rfp: bool,
 }
 
 /// What a receive buffer holds beyond the inline message and the
@@ -103,7 +92,6 @@ impl Default for RpcRdmaConfig {
             exposure_ttl: SimDuration::ZERO,
             server_doorbell_batch: 1,
             qos_enabled: false,
-            rfp: false,
         }
     }
 }
@@ -148,9 +136,8 @@ mod tests {
         let d = RpcRdmaConfig::default();
         assert_eq!(d.design, Design::ReadWrite);
         assert_eq!(d.with_design(Design::ReadRead).design, Design::ReadRead);
-        // Paper-era defaults: one doorbell per WQE, Send/Send replies.
+        // Paper-era default: one doorbell per WQE.
         assert_eq!(d.server_doorbell_batch, 1);
-        assert!(!d.rfp);
         // A page of MSGP data rides behind a 1 KiB head: two pages.
         assert_eq!(d.recv_size(), 8192);
 

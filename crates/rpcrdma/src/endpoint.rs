@@ -9,9 +9,9 @@
 //!
 //! The endpoint does not choose its own shape. Its caller counts the
 //! receive window (one credit window on the client: a reply per
-//! outstanding call; two on the server: calls plus `RDMA_DONE`s) and
-//! picks the router mode (interrupt-driven, or busy-polling when RFP is
-//! on). What the endpoint does decide is how big a receive buffer is:
+//! outstanding call; two on the server: calls plus `RDMA_DONE`s). What
+//! the endpoint does decide is how its send CQ is drained (one
+//! interrupt-driven router task) and how big a receive buffer is:
 //! [`RpcRdmaConfig::recv_size`], derived from the inline threshold, so
 //! no caller can post buffers smaller than the messages it agreed to.
 
@@ -22,7 +22,7 @@ use std::cell::{Cell, RefCell};
 use bytes::Bytes;
 use ib_verbs::{Buffer, Completion, Hca, Opcode, Qp, VerbsError, WrId};
 use sim_core::sync::OneshotReceiver;
-use sim_core::Payload;
+use sim_core::{Payload, Sim};
 use xdr::{Encoder, XdrCodec};
 
 use crate::config::RpcRdmaConfig;
@@ -84,12 +84,12 @@ pub(crate) struct Endpoint {
 }
 
 impl Endpoint {
-    /// Bundle a connected QP with the receive window feeding it and the
-    /// router draining its send CQ.
-    pub(crate) fn new(qp: Qp, recv: RecvPool, router: CompletionRouter) -> Endpoint {
+    /// Bundle a connected QP with the receive window feeding it, and
+    /// spawn the router draining its send CQ.
+    pub(crate) fn new(sim: &Sim, qp: Qp, recv: RecvPool) -> Endpoint {
         Endpoint {
+            router: CompletionRouter::spawn(sim, qp.send_cq().clone()),
             qp,
-            router,
             recv,
             next_wr: Cell::new(1 << 32),
             scratch: RefCell::new(Encoder::with_capacity(256)),

@@ -40,16 +40,6 @@ pub enum MsgType {
     /// Client signals read-chunk completion so the server may free its
     /// exposed buffers (Read-Read design only).
     Done,
-    /// RFP-marked call: the client will *fetch* the reply from its
-    /// reply slot with RDMA Read instead of waiting for a Send.
-    /// Otherwise identical to `Msg`. Only sent after the server has
-    /// advertised a reply-slot ring (`MsgRfpAd`).
-    MsgRfp,
-    /// Send reply carrying a reply-slot ring advertisement
-    /// ([`RfpAd`]) alongside the inline RPC reply: the steering tag,
-    /// geometry and slot size of the per-connection ring the client
-    /// may poll for subsequent small replies.
-    MsgRfpAd,
 }
 
 impl MsgType {
@@ -59,8 +49,6 @@ impl MsgType {
             MsgType::Nomsg => 1,
             MsgType::Msgp => 2,
             MsgType::Done => 3,
-            MsgType::MsgRfp => 4,
-            MsgType::MsgRfpAd => 5,
         }
     }
 
@@ -70,8 +58,6 @@ impl MsgType {
             1 => MsgType::Nomsg,
             2 => MsgType::Msgp,
             3 => MsgType::Done,
-            4 => MsgType::MsgRfp,
-            5 => MsgType::MsgRfpAd,
             d => return Err(XdrError::BadDiscriminant(d)),
         })
     }
@@ -100,35 +86,6 @@ impl XdrCodec for Segment {
             rkey: Rkey(dec.get_u32()?),
             len: dec.get_u32()? as u64,
             addr: dec.get_u64()?,
-        })
-    }
-}
-
-/// A reply-slot ring advertisement (RFP hybrid transport): everything
-/// the client needs to poll its replies out of server memory. Carried
-/// on a `MsgRfpAd` Send reply; the segment spans the *whole* ring, the
-/// client computes its slot as `xid % nslots`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RfpAd {
-    /// The ring's steering tag, total length and base address.
-    pub seg: Segment,
-    /// Number of slots in the ring.
-    pub nslots: u32,
-    /// Bytes per slot, seqlock frame included.
-    pub slot_size: u32,
-}
-
-impl XdrCodec for RfpAd {
-    fn encode(&self, enc: &mut Encoder) {
-        self.seg.encode(enc);
-        enc.put_u32(self.nslots).put_u32(self.slot_size);
-    }
-
-    fn decode(dec: &mut Decoder) -> XdrResult<Self> {
-        Ok(RfpAd {
-            seg: Segment::decode(dec)?,
-            nslots: dec.get_u32()?,
-            slot_size: dec.get_u32()?,
         })
     }
 }
@@ -172,10 +129,12 @@ pub struct RdmaHeader {
     /// the alignment boundary, letting the receiver place them without
     /// a pull-up copy.
     pub msgp: Option<(u32, u32)>,
-    /// For `MsgRfpAd`: the reply-slot ring advertisement. Encoded only
-    /// for that message type, so every pre-RFP encoding is
-    /// byte-identical to what it was before the field existed.
-    pub rfp_ad: Option<RfpAd>,
+    /// Placeholder where the retired RFP reply-slot ring advertisement
+    /// was: zero-sized, never `Some`, never on the wire. It stays only
+    /// while one struct literal outside the workspace still names it;
+    /// ROADMAP 6(i) deletes it once that caller builds its header with
+    /// [`RdmaHeader::new`].
+    pub rfp_ad: Option<std::convert::Infallible>,
     /// Read chunk list: data the *receiver* of this header may RDMA
     /// Read from the sender.
     pub read_chunks: Vec<ReadChunk>,
@@ -199,15 +158,6 @@ impl RdmaHeader {
             write_chunks: Vec::new(),
             reply_chunk: None,
         }
-    }
-
-    /// A plain inline message that names no chunk at all — the only
-    /// shape the RFP reply-slot path carries.
-    pub fn is_chunkless(&self) -> bool {
-        self.msg_type == MsgType::Msg
-            && self.read_chunks.is_empty()
-            && self.write_chunks.is_empty()
-            && self.reply_chunk.is_none()
     }
 
     /// Total bytes advertised in the read chunk list.
@@ -248,9 +198,6 @@ impl XdrCodec for RdmaHeader {
             let (align, head_len) = self.msgp.expect("RDMA_MSGP without align info");
             enc.put_u32(align).put_u32(head_len);
         }
-        if self.msg_type == MsgType::MsgRfpAd {
-            self.rfp_ad.expect("MsgRfpAd without ring ad").encode(enc);
-        }
         // Read list: (bool, chunk)* false
         for c in &self.read_chunks {
             enc.put_bool(true).put_u32(c.position);
@@ -282,11 +229,6 @@ impl XdrCodec for RdmaHeader {
         } else {
             None
         };
-        let rfp_ad = if msg_type == MsgType::MsgRfpAd {
-            Some(RfpAd::decode(dec)?)
-        } else {
-            None
-        };
         let mut read_chunks = Vec::new();
         while dec.get_bool()? {
             if read_chunks.len() as u32 >= MAX_WIRE_SEGMENTS {
@@ -305,14 +247,11 @@ impl XdrCodec for RdmaHeader {
         }
         let reply_chunk = dec.get_option(decode_segments)?;
         Ok(RdmaHeader {
-            xid,
-            credits,
-            msg_type,
             msgp,
-            rfp_ad,
             read_chunks,
             write_chunks,
             reply_chunk,
+            ..RdmaHeader::new(xid, credits, msg_type)
         })
     }
 }
@@ -338,28 +277,22 @@ mod tests {
 
     #[test]
     fn full_header_roundtrip() {
-        let h = RdmaHeader {
-            xid: 0xabcd,
-            credits: 16,
-            msg_type: MsgType::Nomsg,
-            msgp: None,
-            rfp_ad: None,
-            read_chunks: vec![
-                ReadChunk {
-                    position: 0,
-                    segment: seg(1, 4096, 0x1000),
-                },
-                ReadChunk {
-                    position: 128,
-                    segment: seg(2, 65536, 0x2000),
-                },
-            ],
-            write_chunks: vec![
-                vec![seg(3, 1 << 20, 0x10_0000)],
-                vec![seg(4, 4096, 0x20_0000), seg(5, 4096, 0x30_0000)],
-            ],
-            reply_chunk: Some(vec![seg(6, 32768, 0x40_0000)]),
-        };
+        let mut h = RdmaHeader::new(0xabcd, 16, MsgType::Nomsg);
+        h.read_chunks = vec![
+            ReadChunk {
+                position: 0,
+                segment: seg(1, 4096, 0x1000),
+            },
+            ReadChunk {
+                position: 128,
+                segment: seg(2, 65536, 0x2000),
+            },
+        ];
+        h.write_chunks = vec![
+            vec![seg(3, 1 << 20, 0x10_0000)],
+            vec![seg(4, 4096, 0x20_0000), seg(5, 4096, 0x30_0000)],
+        ];
+        h.reply_chunk = Some(vec![seg(6, 32768, 0x40_0000)]);
         let got = RdmaHeader::from_bytes(&h.to_bytes()).unwrap();
         assert_eq!(got, h);
     }
@@ -369,42 +302,6 @@ mod tests {
         let h = RdmaHeader::new(1, 0, MsgType::Done);
         // xid+vers+credits+type + 2 list terminators + option = 28 bytes.
         assert_eq!(h.to_bytes().len(), 28);
-    }
-
-    #[test]
-    fn rfp_call_encoding_matches_msg_shape() {
-        // A MsgRfp call is a Msg call with a different discriminant:
-        // same length, and pre-RFP types never pay for the new field.
-        let msg = RdmaHeader::new(9, 4, MsgType::Msg);
-        let rfp = RdmaHeader::new(9, 4, MsgType::MsgRfp);
-        assert_eq!(msg.to_bytes().len(), rfp.to_bytes().len());
-        assert_eq!(RdmaHeader::from_bytes(&rfp.to_bytes()).unwrap(), rfp);
-    }
-
-    #[test]
-    fn rfp_ad_roundtrip() {
-        let mut h = RdmaHeader::new(3, 32, MsgType::MsgRfpAd);
-        h.rfp_ad = Some(RfpAd {
-            seg: seg(0xbeef, 64 * 544, 0x9000),
-            nslots: 64,
-            slot_size: 544,
-        });
-        let got = RdmaHeader::from_bytes(&h.to_bytes()).unwrap();
-        assert_eq!(got, h);
-        assert_eq!(got.rfp_ad.unwrap().nslots, 64);
-    }
-
-    #[test]
-    fn rfp_ad_truncated_rejected() {
-        let mut h = RdmaHeader::new(3, 32, MsgType::MsgRfpAd);
-        h.rfp_ad = Some(RfpAd {
-            seg: seg(1, 64, 0),
-            nslots: 8,
-            slot_size: 8,
-        });
-        let wire = h.to_bytes();
-        // Chop inside the ad body: decode must error, not mis-parse.
-        assert!(RdmaHeader::from_bytes(&wire[..20]).is_err());
     }
 
     #[test]
@@ -426,12 +323,67 @@ mod tests {
         assert_eq!(h.write_chunk_bytes(1), 0);
     }
 
+    /// `h` on the wire with the 32-bit word at byte `at` replaced.
+    fn patched(h: &RdmaHeader, at: usize, word: u32) -> Vec<u8> {
+        let mut raw = h.to_bytes().to_vec();
+        raw[at..at + 4].copy_from_slice(&word.to_be_bytes());
+        raw
+    }
+
+    /// A retired reply-ring advertisement: type 5, then the segment,
+    /// slot count and slot size it carried ahead of the chunk lists.
+    fn rfp_ad_wire() -> Vec<u8> {
+        let mut raw = patched(&RdmaHeader::new(3, 32, MsgType::Msg), 12, 5);
+        let mut ad = Encoder::new();
+        seg(0xbeef, 64 * 544, 0x9000).encode(&mut ad);
+        ad.put_u32(64).put_u32(544);
+        raw.splice(16..16, ad.finish().iter().copied());
+        raw
+    }
+
+    /// A version or message type outside the four of Figure 2 is no
+    /// header.
     #[test]
     fn wrong_version_rejected() {
         let h = RdmaHeader::new(7, 32, MsgType::Msg);
-        let mut raw = h.to_bytes().to_vec();
-        raw[4..8].copy_from_slice(&9u32.to_be_bytes());
-        assert!(RdmaHeader::from_bytes(&raw).is_err());
+        assert!(RdmaHeader::from_bytes(&patched(&h, 4, 9)).is_err());
+        let err = RdmaHeader::from_bytes(&patched(&h, 12, 6)).unwrap_err();
+        assert!(matches!(err, XdrError::BadDiscriminant(6)));
+    }
+
+    #[test]
+    fn rfp_call_encoding_matches_msg_shape() {
+        // The retired RFP-marked call was a Msg call with discriminant
+        // 4. That shape is refused now; the Msg it mirrored still
+        // round-trips at its pre-RFP length.
+        let msg = RdmaHeader::new(9, 4, MsgType::Msg);
+        assert_eq!(msg.to_bytes().len(), 28);
+        assert_eq!(RdmaHeader::from_bytes(&msg.to_bytes()).unwrap(), msg);
+        let err = RdmaHeader::from_bytes(&patched(&msg, 12, 4)).unwrap_err();
+        assert!(matches!(err, XdrError::BadDiscriminant(4)));
+    }
+
+    #[test]
+    fn rfp_ad_roundtrip() {
+        // A ring advertisement no longer round-trips: the decoder
+        // refuses its type word, and no header it yields carries an ad.
+        let err = RdmaHeader::from_bytes(&rfp_ad_wire()).unwrap_err();
+        assert!(matches!(err, XdrError::BadDiscriminant(5)));
+        let h = RdmaHeader::new(3, 32, MsgType::Msg);
+        assert!(RdmaHeader::from_bytes(&h.to_bytes())
+            .unwrap()
+            .rfp_ad
+            .is_none());
+    }
+
+    #[test]
+    fn rfp_ad_truncated_rejected() {
+        // Chopped anywhere, inside the old ad body or not, the
+        // advertisement errors rather than mis-parsing.
+        let wire = rfp_ad_wire();
+        for cut in 0..wire.len() {
+            assert!(RdmaHeader::from_bytes(&wire[..cut]).is_err());
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod header;
 pub mod qos;
 pub mod reg;
 pub mod repl;
-pub mod rfp;
 pub mod router;
 pub mod sanitize;
 pub mod server;
@@ -37,13 +36,11 @@ pub mod service;
 pub use client::{BulkParams, CallReply, ClientStats, RdmaRpcClient};
 pub use config::{Design, RpcRdmaConfig};
 pub use header::{
-    MsgType, RdmaHeader, ReadChunk, RfpAd, Segment, MAX_WIRE_CHUNKS, MAX_WIRE_SEGMENTS,
-    RPCRDMA_VERSION,
+    MsgType, RdmaHeader, ReadChunk, Segment, MAX_WIRE_CHUNKS, MAX_WIRE_SEGMENTS, RPCRDMA_VERSION,
 };
 pub use qos::{ShedReason, TenantScheduler};
 pub use reg::{IoBuf, RegCache, Registrar, StrategyKind};
 pub use repl::{CtrlTarget, CtrlWriter, LogRing, ReplError, RingTarget, Shipper, RING_SENTINEL};
-pub use rfp::{RingLayout, SlotView, SLOT_OVERHEAD};
-pub use sanitize::{sanitize_header, ProtocolViolation};
+pub use sanitize::{sanitize_header, sanitize_wire, ProtocolViolation};
 pub use server::{RdmaRpcServer, ServerStats};
 pub use service::{RdmaDispatch, RdmaService};

@@ -8,7 +8,7 @@ use std::rc::Rc;
 use ib_verbs::{Completion, Cq, WrId};
 use onc_rpc::TransportError;
 use sim_core::sync::{oneshot, OneshotReceiver, OneshotSender};
-use sim_core::{Cpu, Sim, SimDuration};
+use sim_core::Sim;
 
 type ErrorHandler = Box<dyn Fn(&Completion)>;
 
@@ -16,10 +16,6 @@ struct RouterInner {
     waiters: RefCell<HashMap<u64, OneshotSender<Completion>>>,
     /// Callback invoked on any error completion (e.g. fail-all).
     on_error: RefCell<Option<ErrorHandler>>,
-    /// Parked busy-poll consumer waiting for a waiter to register
-    /// (polling routers only; a registration wake is a local task
-    /// switch, not an interrupt).
-    spin_wake: RefCell<sim_core::WakeSlot>,
 }
 
 /// Demultiplexes one CQ to per-WR waiters.
@@ -29,92 +25,19 @@ pub struct CompletionRouter {
 }
 
 impl CompletionRouter {
-    /// A router with nothing registered and no task draining for it yet.
-    fn new() -> CompletionRouter {
-        CompletionRouter {
-            inner: Rc::new(RouterInner {
-                waiters: RefCell::new(HashMap::new()),
-                on_error: RefCell::new(None),
-                spin_wake: RefCell::default(),
-            }),
-        }
-    }
-
     /// Spawn the router task draining `cq`, for as long as a QP
     /// completes into it.
     pub fn spawn(sim: &Sim, cq: Cq) -> CompletionRouter {
-        let router = CompletionRouter::new();
+        let router = CompletionRouter {
+            inner: Rc::new(RouterInner {
+                waiters: RefCell::new(HashMap::new()),
+                on_error: RefCell::new(None),
+            }),
+        };
         let r2 = router.clone();
         sim.spawn(async move {
             while let Some(c) = cq.next_open().await {
                 r2.dispatch(c);
-            }
-        });
-        router
-    }
-
-    /// Spawn a *spin-then-block* router: while any work request has a
-    /// registered waiter, a dedicated consumer drains the CQ every
-    /// `quantum` in polling mode — completions are consumed
-    /// interrupt-free at the price of burning the polling core (the
-    /// RFP trade: client CPU for reply latency). With nothing
-    /// outstanding it parks until the next [`expect`](Self::expect)
-    /// wakes it (a local task switch, not an interrupt), and a spin
-    /// that stays dry past `quantum * 256` falls back to parking on
-    /// the CQ like the interrupt-driven router — so an idle or wedged
-    /// client neither spins forever nor keeps the simulation's timer
-    /// wheel populated. Either way it ends when the CQ closes.
-    pub fn spawn_polling(sim: &Sim, cq: Cq, cpu: Cpu, quantum: SimDuration) -> CompletionRouter {
-        let router = CompletionRouter::new();
-        let r2 = router.clone();
-        let sim2 = sim.clone();
-        let quantum = quantum.max(SimDuration::from_nanos(100));
-        let park_after = quantum * 256;
-        sim.spawn(async move {
-            loop {
-                if r2.inner.waiters.borrow().is_empty() {
-                    // Drain stragglers (unsignaled flushes), then park
-                    // until a waiter registers — or for good, once the
-                    // CQ has lost its last queue pair.
-                    while let Some(c) = cq.poll() {
-                        r2.dispatch(c);
-                    }
-                    let inner = &r2.inner;
-                    let closed = std::future::poll_fn(|cx| {
-                        if !inner.waiters.borrow().is_empty() {
-                            std::task::Poll::Ready(false)
-                        } else if cq.closed_or_watch(cx) {
-                            std::task::Poll::Ready(true)
-                        } else {
-                            inner.spin_wake.borrow_mut().park(cx);
-                            std::task::Poll::Pending
-                        }
-                    });
-                    if closed.await {
-                        return;
-                    }
-                }
-                let mut dry = SimDuration::ZERO;
-                while !r2.inner.waiters.borrow().is_empty() && dry < park_after {
-                    dry += quantum;
-                    while let Some(c) = cq.poll() {
-                        r2.dispatch(c);
-                        dry = SimDuration::ZERO;
-                    }
-                    // The spin occupies the polling core whether or
-                    // not a completion showed up.
-                    cpu.charge(quantum);
-                    sim2.sleep(quantum).await;
-                }
-                if !r2.inner.waiters.borrow().is_empty() {
-                    // Dry spin: something is taking far longer than a
-                    // fetch should. Yield the core and take the
-                    // interrupt when the completion finally lands.
-                    let Some(c) = cq.next_open().await else {
-                        return;
-                    };
-                    r2.dispatch(c);
-                }
             }
         });
         router
@@ -150,7 +73,6 @@ impl CompletionRouter {
             }
             waiters.insert(wr_id.0, tx);
         }
-        self.inner.spin_wake.borrow_mut().wake();
         Ok(rx)
     }
 

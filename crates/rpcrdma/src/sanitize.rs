@@ -20,6 +20,7 @@
 
 use crate::config::RpcRdmaConfig;
 use crate::header::{MsgType, RdmaHeader, Segment};
+use xdr::XdrCodec;
 
 /// Most bytes a single header may advertise across all its chunk
 /// lists. Bounds the scratch memory + RDMA traffic one hostile call can
@@ -81,14 +82,6 @@ pub enum ProtocolViolation {
         /// The window the client was granted.
         window: u32,
     },
-    /// An RFP-marked call (`MsgRfp`) on a server that never advertised
-    /// a reply-slot ring — either RFP is disabled or the peer is
-    /// probing for one.
-    RfpNotAdvertised,
-    /// A `MsgRfpAd` header arriving *at* the server: the ring
-    /// advertisement is strictly a server-to-client message, so an
-    /// inbound one is a forgery attempt.
-    RfpAdFromClient,
 }
 
 impl ProtocolViolation {
@@ -104,8 +97,6 @@ impl ProtocolViolation {
             ProtocolViolation::BadMsgp => "bad_msgp",
             ProtocolViolation::CreditOverflow { .. } => "credit_overflow",
             ProtocolViolation::WindowExceeded { .. } => "window_exceeded",
-            ProtocolViolation::RfpNotAdvertised => "rfp_not_advertised",
-            ProtocolViolation::RfpAdFromClient => "rfp_ad_from_client",
         }
     }
 }
@@ -129,12 +120,6 @@ impl std::fmt::Display for ProtocolViolation {
             ProtocolViolation::WindowExceeded { in_flight, window } => {
                 write!(f, "{in_flight} calls in flight (window {window})")
             }
-            ProtocolViolation::RfpNotAdvertised => {
-                write!(f, "RFP-marked call without an advertised reply ring")
-            }
-            ProtocolViolation::RfpAdFromClient => {
-                write!(f, "client sent a reply-ring advertisement")
-            }
         }
     }
 }
@@ -142,6 +127,21 @@ impl std::fmt::Display for ProtocolViolation {
 /// Largest credit request the server will take seriously. Anything
 /// above this is a flow-control probe, not a real window.
 const MAX_CREDIT_REQUEST: u32 = 4096;
+
+/// Decode the transport header at the front of `raw` and vet it with
+/// [`sanitize_header`]. Bytes that are no header — an unknown version
+/// or message type, a truncated list — are
+/// [`ProtocolViolation::GarbageHeader`]. On success, returns the header
+/// and the offset of the RPC message behind it.
+pub fn sanitize_wire(
+    raw: &[u8],
+    cfg: &RpcRdmaConfig,
+) -> Result<(RdmaHeader, usize), ProtocolViolation> {
+    let mut dec = xdr::Decoder::new(raw);
+    let hdr = RdmaHeader::decode(&mut dec).map_err(|_| ProtocolViolation::GarbageHeader)?;
+    sanitize_header(&hdr, cfg)?;
+    Ok((hdr, dec.position()))
+}
 
 /// Validate every client-advertised chunk list of `hdr` against the
 /// server's configured caps. Allocation-free on the honest path (the
@@ -151,13 +151,6 @@ pub fn sanitize_header(hdr: &RdmaHeader, cfg: &RpcRdmaConfig) -> Result<(), Prot
         return Err(ProtocolViolation::CreditOverflow {
             requested: hdr.credits,
         });
-    }
-    if hdr.msg_type == MsgType::MsgRfpAd {
-        // Ring advertisements only ever flow server -> client.
-        return Err(ProtocolViolation::RfpAdFromClient);
-    }
-    if hdr.msg_type == MsgType::MsgRfp && !cfg.rfp {
-        return Err(ProtocolViolation::RfpNotAdvertised);
     }
     if hdr.msg_type == MsgType::Msgp {
         // Full placement arithmetic needs the message length; here we
@@ -338,34 +331,42 @@ mod tests {
         ));
     }
 
+    /// `h` on the wire with its message-type word replaced by `msg_type`.
+    fn retyped(h: &RdmaHeader, msg_type: u32) -> Vec<u8> {
+        let mut raw = h.to_bytes().to_vec();
+        raw[12..16].copy_from_slice(&msg_type.to_be_bytes());
+        raw
+    }
+
     #[test]
     fn rfp_call_rejected_when_disabled() {
-        // RFP defaults to off: an RFP-marked call is a probe.
-        let h = RdmaHeader::new(1, 1, MsgType::MsgRfp);
+        // The reply-slot path is gone, so RFP is disabled for good: a
+        // call typed 4 (the retired RFP-marked call) is byte soup, while
+        // the same header typed as a plain Msg passes.
+        let h = RdmaHeader::new(1, 1, MsgType::Msg);
         assert_eq!(
-            sanitize_header(&h, &cfg()),
-            Err(ProtocolViolation::RfpNotAdvertised)
+            sanitize_wire(&retyped(&h, 4), &cfg()),
+            Err(ProtocolViolation::GarbageHeader)
         );
-        let mut on = cfg();
-        on.rfp = true;
-        assert!(sanitize_header(&h, &on).is_ok());
+        let (got, at) = sanitize_wire(&h.to_bytes(), &cfg()).unwrap();
+        assert_eq!((got, at), (h.clone(), h.to_bytes().len()));
     }
 
     #[test]
     fn client_sent_ring_ad_rejected() {
-        use crate::header::RfpAd;
-        let mut h = RdmaHeader::new(1, 1, MsgType::MsgRfpAd);
-        h.rfp_ad = Some(RfpAd {
-            seg: seg(4096, 0x8000),
-            nslots: 8,
-            slot_size: 512,
-        });
-        let mut on = cfg();
-        on.rfp = true;
-        // Forged even with RFP on: the ad direction is server->client.
+        // A forged reply-ring advertisement: type 5 followed by the
+        // body the retired ad carried (segment, slot count, slot size).
+        // It is refused at the type word, before any of the body is
+        // read.
+        let h = RdmaHeader::new(1, 1, MsgType::Msg);
+        let mut raw = retyped(&h, 5);
+        let mut ad = xdr::Encoder::new();
+        seg(4096, 0x8000).encode(&mut ad);
+        ad.put_u32(8).put_u32(512);
+        raw.splice(16..16, ad.finish().iter().copied());
         assert_eq!(
-            sanitize_header(&h, &on),
-            Err(ProtocolViolation::RfpAdFromClient)
+            sanitize_wire(&raw, &cfg()),
+            Err(ProtocolViolation::GarbageHeader)
         );
     }
 

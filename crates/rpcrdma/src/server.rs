@@ -32,8 +32,8 @@
 //! task queue) beside **fetch** (scratch provisioning and the RDMA Reads
 //! of what did not arrive inline) → **land** (what the service thread
 //! does with the fetched bytes) → **service** (the duplicate request
-//! cache around the RPC program) → **push** → **reply** (Send, or an RFP
-//! deposit) → **retire**.
+//! cache around the RPC program) → **push** → **reply** (a Send) →
+//! **retire**.
 //!
 //! # Adversarial hardening
 //!
@@ -65,20 +65,15 @@ use onc_rpc::{
 use sim_core::stats::{Counter, Gauge};
 use sim_core::sync::Semaphore;
 use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime};
-use xdr::XdrCodec;
 
 use crate::config::{Design, RpcRdmaConfig};
 use crate::endpoint::{Endpoint, RecvPool};
-use crate::header::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
+use crate::header::{MsgType, RdmaHeader, ReadChunk, Segment};
 use crate::qos::{
     ShedReason, TenantScheduler, QOS_QUEUE_CAP, QOS_TARGET_DELAY, QOS_TENANT_BACKLOG, QOS_WORKERS,
 };
 use crate::reg::{IoBuf, Registrar};
-use crate::rfp::{
-    encode_slot, encode_torn_marker, RingLayout, RFP_POLL_MAX, RFP_SLOTS, RFP_SLOT_SIZE,
-};
-use crate::router::CompletionRouter;
-use crate::sanitize::{sanitize_header, ProtocolViolation};
+use crate::sanitize::{sanitize_wire, ProtocolViolation};
 use crate::service::{RdmaDispatch, RdmaService};
 
 /// Good calls a clamped connection must complete before its credit
@@ -165,20 +160,6 @@ pub struct ServerStats {
     pub sheds: Rc<Counter>,
     /// Gauge: high-water mark of the QoS dispatch queue depth.
     pub qos_peak_depth: Rc<Gauge>,
-    /// Small replies deposited into reply-slot rings instead of being
-    /// sent (RFP fast path): each one is a server doorbell, a send
-    /// completion and a client interrupt that never happened.
-    pub rfp_deposits: Rc<Counter>,
-    /// RFP-marked calls whose reply went out on the Send path anyway
-    /// (reply too large for a slot, ring revoked mid-call, or the ring
-    /// was never advertised on this connection).
-    pub rfp_fallback_sends: Rc<Counter>,
-    /// Reply-slot ring advertisements piggybacked on Send replies.
-    pub rfp_ads: Rc<Counter>,
-    /// Reply-slot rings revoked (idle past the exposure TTL, or at
-    /// connection teardown) — each one invalidates the advertised
-    /// steering tag, so later fetches are refused by the HCA.
-    pub rfp_rings_revoked: Rc<Counter>,
     /// Long replies that outgrew the reply chunk the client provisioned
     /// (its `reply_max` was no bound): answered with an inline error,
     /// nothing written.
@@ -212,10 +193,6 @@ impl ServerStats {
             exposures_revoked: series("server.exposures.revoked"),
             sheds: series("server.sheds"),
             qos_peak_depth: gauge("qos_peak_depth"),
-            rfp_deposits: series("server.rfp.deposits"),
-            rfp_fallback_sends: series("server.rfp.fallback_sends"),
-            rfp_ads: series("server.rfp.ads"),
-            rfp_rings_revoked: series("server.rfp.rings_revoked"),
             reply_chunk_overflows: series("server.reply_chunk_overflows"),
             write_chunk_overflows: series("server.write_chunk_overflows"),
         }
@@ -464,31 +441,6 @@ struct ConnState {
     /// pending exposures — an idle timer loop would keep the whole
     /// simulation from ever quiescing.
     exposure_signal: Semaphore,
-    /// The RFP reply-slot ring, once built (`cfg.rfp` only).
-    rfp: RefCell<Option<RfpRing>>,
-    /// Ring construction in progress (registration awaits); calls
-    /// arriving meanwhile just reply without an advertisement.
-    rfp_building: Cell<bool>,
-    /// The *current* ring's ad has been carried on a Send reply.
-    /// Deposits are gated on this: a reply must never go into a ring
-    /// the client was never told about — it would simply never arrive.
-    rfp_ad_sent: Cell<bool>,
-    /// Wakes the ring reaper when a ring is created (or at teardown);
-    /// it parks here while the connection has no ring.
-    rfp_signal: Semaphore,
-}
-
-/// A connection's RFP reply-slot ring: registered, remotely readable
-/// memory the server deposits small marshalled replies into, plus the
-/// generation bookkeeping and the advertisement sent to the client.
-struct RfpRing {
-    io: IoBuf,
-    layout: RingLayout,
-    ad: RfpAd,
-    /// Last deposit, advertisement (or creation) instant — whatever
-    /// keeps the ring fresh in the client's eyes; the ring reaper
-    /// revokes a ring that has idled past the exposure TTL.
-    last_activity: Cell<SimTime>,
 }
 
 impl ConnState {
@@ -504,10 +456,6 @@ impl ConnState {
             closed: Cell::new(false),
             in_flight: Cell::new(0),
             exposure_signal: Semaphore::new(0),
-            rfp: RefCell::new(None),
-            rfp_building: Cell::new(false),
-            rfp_ad_sent: Cell::new(false),
-            rfp_signal: Semaphore::new(0),
         }
     }
 
@@ -603,13 +551,12 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
     let Ok(pool) = RecvPool::post(&server.hca, &cfg, 2, &qp) else {
         return;
     };
-    let router = CompletionRouter::spawn(&server.sim, qp.send_cq().clone());
-    let conn = Rc::new(ConnState::new(&server, Endpoint::new(qp, pool, router)));
+    let conn = Rc::new(ConnState::new(
+        &server,
+        Endpoint::new(&server.sim, qp, pool),
+    ));
     if cfg.exposure_ttl > SimDuration::ZERO {
         spawn_exposure_reaper(&conn);
-        if cfg.rfp {
-            spawn_rfp_reaper(&conn);
-        }
     }
 
     while let Some((payload, tail)) = conn.ep.next_message().await {
@@ -627,10 +574,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                     server.sim.spawn(release);
                 }
             }
-            // A client never sends `MsgRfpAd`; the sanitizer rejected
-            // it above, so this arm is unreachable.
-            MsgType::MsgRfpAd => {}
-            MsgType::Msg | MsgType::Nomsg | MsgType::Msgp | MsgType::MsgRfp => {
+            MsgType::Msg | MsgType::Nomsg | MsgType::Msgp => {
                 if admit(&conn) {
                     schedule(&conn, call);
                 }
@@ -646,13 +590,9 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
 /// to the sender like any other violation.
 fn sanitize_stage(conn: &ConnState, payload: Payload, tail: Option<Payload>) -> Option<Inbound> {
     let raw = payload.materialize();
-    let mut dec = xdr::Decoder::new(&raw);
-    let checked = RdmaHeader::decode(&mut dec)
-        .map_err(|_| ProtocolViolation::GarbageHeader)
-        .and_then(|hdr| sanitize_header(&hdr, &conn.server.cfg).map(|()| hdr));
-    match checked {
-        Ok(hdr) => {
-            let body = raw.slice(dec.position()..);
+    match sanitize_wire(&raw, &conn.server.cfg) {
+        Ok((hdr, at)) => {
+            let body = raw.slice(at..);
             Some(Inbound { hdr, body, tail })
         }
         Err(v) => {
@@ -722,52 +662,44 @@ fn schedule(conn: &Rc<ConnState>, call: Inbound) {
 /// Connection teardown. Ring out anything still sitting in the
 /// software send queue so no WQE is silently dropped by the batching
 /// layer, then deal with what the dead peer still holds: it can no
-/// longer send `RDMA_DONE` on this QP, and the rkeys of the reply-slot
-/// ring and of every still-exposed buffer were advertised to it — so
-/// *revoke* them (registration dropped, ledger records it) rather than
-/// release them. A parked cache entry with a live registration the
-/// dead peer knows about would be a standing leak.
+/// longer send `RDMA_DONE` on this QP, and the rkey of every
+/// still-exposed buffer was advertised to it — so *revoke* them
+/// (registration dropped, ledger records it) rather than release them.
+/// A parked cache entry with a live registration the dead peer knows
+/// about would be a standing leak.
 async fn teardown(conn: &ConnState) {
     conn.ep.qp.flush();
     conn.closed.set(true);
-    conn.exposure_signal.add_permits(1); // unpark the reapers so they exit
-    conn.rfp_signal.add_permits(1);
-    revoke_ring(conn).await;
+    conn.exposure_signal.add_permits(1); // unpark the reaper so it exits
     let leftover = std::mem::take(&mut *conn.pending_exposures.borrow_mut());
     for (_, exp) in sim_core::key_order(leftover) {
         retire_exposure(conn, exp, Retire::Revoke).await;
     }
 }
 
-/// One turn of a per-connection reaper: park on `signal` while there is
-/// nothing to watch (instead of spinning the timer wheel), then sleep a
-/// quarter of the exposure TTL. `false` once the connection has closed.
-async fn reaper_turn(conn: &ConnState, signal: &Semaphore, watching: impl Fn() -> bool) -> bool {
-    loop {
-        if conn.closed.get() {
-            return false;
-        }
-        if watching() {
-            break;
-        }
-        signal.acquire().await.forget();
-    }
-    let tick = (conn.server.cfg.exposure_ttl / 4).max(SimDuration::from_micros(1));
-    conn.server.sim.sleep(tick).await;
-    !conn.closed.get()
-}
-
 /// Spawn the per-connection exposure reaper: every quarter-TTL it
 /// force-revokes Read-Read exposures whose `RDMA_DONE` is overdue. The
 /// TPT ledger records each invalidation as a revocation, so the attack
-/// (and the defense) shows up in `tpt.revocations`.
+/// (and the defense) shows up in `tpt.revocations`. While nothing is
+/// exposed it parks on the connection's exposure signal instead of
+/// spinning the timer wheel; it ends when the connection closes.
 fn spawn_exposure_reaper(conn: &Rc<ConnState>) {
     let conn = conn.clone();
     let sim = conn.server.sim.clone();
     let ttl = conn.server.cfg.exposure_ttl;
+    let tick = (ttl / 4).max(SimDuration::from_micros(1));
     sim.clone().spawn(async move {
-        let watching = || !conn.pending_exposures.borrow().is_empty();
-        while reaper_turn(&conn, &conn.exposure_signal, watching).await {
+        loop {
+            while !conn.closed.get() && conn.pending_exposures.borrow().is_empty() {
+                conn.exposure_signal.acquire().await.forget();
+            }
+            if conn.closed.get() {
+                return;
+            }
+            sim.sleep(tick).await;
+            if conn.closed.get() {
+                return;
+            }
             let now = sim.now();
             let expired: Vec<(u32, Exposure)> = {
                 let mut map = conn.pending_exposures.borrow_mut();
@@ -785,141 +717,6 @@ fn spawn_exposure_reaper(conn: &Rc<ConnState>) {
             for (xid, exp) in expired {
                 sim.flight("server", "ttl_revoke", xid as u64, exp.bufs.len() as u64);
                 retire_exposure(&conn, exp, Retire::Revoke).await;
-            }
-        }
-    });
-}
-
-/// Build the connection's reply-slot ring if it doesn't exist yet:
-/// one registered, remotely readable buffer of [`RFP_SLOTS`] seqlock
-/// slots — or the credit window if that is wider, so concurrent
-/// in-flight calls never share a slot. Registration strategies that
-/// fan the range out into multiple segments (all-physical) can't be
-/// described by a single advertisement, so RFP quietly stays off there.
-async fn ensure_rfp_ring(conn: &ConnState) {
-    if conn.rfp.borrow().is_some() || conn.rfp_building.get() || conn.closed.get() {
-        return;
-    }
-    conn.rfp_building.set(true);
-    let server = &conn.server;
-    let layout = RingLayout::new(RFP_SLOTS.max(server.cfg.credits), RFP_SLOT_SIZE);
-    let io = server
-        .registrar
-        .acquire_scratch(layout.ring_bytes(), Access::REMOTE_READ)
-        .await;
-    let segs = io.segments(0, layout.ring_bytes(), &server.hca);
-    if conn.closed.get() || segs.len() != 1 {
-        server.registrar.release(io).await;
-        conn.rfp_building.set(false);
-        return;
-    }
-    let ad = RfpAd {
-        seg: segs[0],
-        nslots: layout.nslots(),
-        slot_size: layout.slot_size() as u32,
-    };
-    let (rkey, nslots) = (ad.seg.rkey.0 as u64, ad.nslots as u64);
-    server.sim.flight("rfp", "ring_up", rkey, nslots);
-    *conn.rfp.borrow_mut() = Some(RfpRing {
-        io,
-        layout,
-        ad,
-        last_activity: Cell::new(server.sim.now()),
-    });
-    conn.rfp_building.set(false);
-    conn.rfp_signal.add_permits(1);
-}
-
-/// Deposit a marshalled reply into the connection's reply-slot ring.
-/// Seqlock discipline: the odd torn marker lands first, the host copy
-/// of the reply bytes is the torn window, and the committed frame
-/// (even generation) lands last — a concurrent fetch decodes Torn,
-/// never a splice of two occupants. Returns `false` (caller falls
-/// back to the Send path) if the ring is gone or the reply is too
-/// large for a slot.
-async fn deposit_reply(conn: &ConnState, xid: u32, wire: &Bytes) -> bool {
-    let server = &conn.server;
-    let len = wire.len() as u64;
-    let (off, marker) = {
-        let mut ring = conn.rfp.borrow_mut();
-        let Some(ring) = ring.as_mut() else {
-            return false;
-        };
-        if len > ring.layout.payload_cap() {
-            return false;
-        }
-        let slot = ring.layout.slot_of(xid);
-        let marker = ring.layout.begin_deposit(slot);
-        let off = ring.layout.slot_offset(slot);
-        ring.io.write(
-            off,
-            Payload::real(Bytes::copy_from_slice(&encode_torn_marker(marker))),
-        );
-        (off, marker)
-    };
-    // The copy into the ring is the deposit's only host cost — and the
-    // torn window a racing fetch can land in.
-    server.hca.cpu().copy(len).await;
-    let mut ringref = conn.rfp.borrow_mut();
-    let Some(ring) = ringref.as_mut() else {
-        // Ring revoked mid-deposit (reaper/teardown): the caller's
-        // Send fallback still delivers the reply.
-        return false;
-    };
-    let slot = ring.layout.slot_of(xid);
-    // A concurrent deposit can race into the same slot (an old-XID DRC
-    // replay colliding with a newer call); if our marker is no longer
-    // the current generation, re-begin so the parity discipline holds.
-    if ring.layout.generation(slot) != marker {
-        ring.layout.begin_deposit(slot);
-    }
-    let gen = ring.layout.commit_deposit(slot);
-    ring.io
-        .write(off, Payload::real(encode_slot(gen, xid, wire)));
-    ring.last_activity.set(server.sim.now());
-    drop(ringref);
-    server.stats.rfp_deposits.inc();
-    true
-}
-
-/// Invalidate the reply-slot ring, if any. The rkey was advertised to the peer,
-/// so this is a *revocation* (TPT ledger invalidation, counted with
-/// the other exposure revocations), not a quiet release: any fetch
-/// arriving afterwards — honest straggler or replayed advertisement —
-/// is refused by the HCA.
-async fn revoke_ring(conn: &ConnState) {
-    let Some(ring) = conn.rfp.borrow_mut().take() else {
-        return;
-    };
-    let server = &conn.server;
-    conn.rfp_ad_sent.set(false);
-    server.stats.rfp_rings_revoked.inc();
-    server.stats.exposures_revoked.inc();
-    let (rkey, peer) = (ring.ad.seg.rkey.0 as u64, conn.peer() as u64);
-    server.sim.flight("rfp", "ring_revoked", rkey, peer);
-    server.registrar.revoke(ring.io).await;
-}
-
-/// Spawn the per-connection ring reaper: once the connection has gone
-/// fully idle — no calls in flight and no deposit or advertisement for
-/// an exposure TTL *plus two poll periods* — revoke the ring's
-/// registration. The client stops marking calls half a TTL after the
-/// last deposit or advertisement it saw, and the margin covers the
-/// largest gap between a deposit and its final backed-off fetch, so a
-/// well-behaved client can never have a fetch refused; the next inline
-/// reply re-advertises a fresh ring. Gated on `cfg.exposure_ttl` like
-/// the exposure reaper.
-fn spawn_rfp_reaper(conn: &Rc<ConnState>) {
-    let conn = conn.clone();
-    let sim = conn.server.sim.clone();
-    let idle = conn.server.cfg.exposure_ttl + RFP_POLL_MAX * 2;
-    sim.clone().spawn(async move {
-        let watching = || conn.rfp.borrow().is_some();
-        while reaper_turn(&conn, &conn.rfp_signal, watching).await {
-            let last = conn.rfp.borrow().as_ref().map(|r| r.last_activity.get());
-            let idled = last.is_some_and(|t| sim.now().saturating_since(t) >= idle);
-            if idled && conn.in_flight.get() == 0 {
-                revoke_ring(&conn).await;
             }
         }
     });
@@ -1037,7 +834,7 @@ async fn run_op(conn: &Rc<ConnState>, call: &mut Inbound) -> Option<()> {
     let (call_msg, bulk_in) = land_stage(server, fetched, call_msg, inline_bulk).await;
     let (xid, dispatch) = service_stage(conn, call_msg, bulk_in).await?;
     let mut out = push_stage(conn, hdr, xid, &dispatch).await;
-    let sent = reply_stage(conn, hdr.msg_type, &mut out).await;
+    let sent = reply_stage(conn, &mut out).await;
     retire_stage(conn, out, sent.is_some()).await;
     Some(())
 }
@@ -1399,54 +1196,16 @@ async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &RdmaDispatch, out: 
     }
 }
 
-/// RFP routing for one reply: `true` = a small chunkless reply to a
-/// marked call on an advertised ring, to be *deposited* for the client
-/// to fetch. Any other inline reply goes by Send and piggybacks the
-/// ring advertisement so the client learns (or refreshes) the steering
-/// tag — unmarked calls, and marked retransmissions onto a connection
-/// that never advertised (e.g. after client recovery).
-async fn rfp_route(conn: &ConnState, call_type: MsgType, rhdr: &mut RdmaHeader) -> bool {
-    ensure_rfp_ring(conn).await;
-    let ring = conn.rfp.borrow();
-    let (true, Some(ring)) = (rhdr.is_chunkless(), ring.as_ref()) else {
-        return false;
-    };
-    if call_type == MsgType::MsgRfp && conn.rfp_ad_sent.get() {
-        return true;
-    }
-    rhdr.msg_type = MsgType::MsgRfpAd;
-    rhdr.rfp_ad = Some(ring.ad);
-    // The client counts every advertisement as ring activity and keeps
-    // marking calls on the strength of it; so must the reaper.
-    ring.last_activity.set(conn.server.sim.now());
-    conn.rfp_ad_sent.set(true);
-    conn.server.stats.rfp_ads.inc();
-    false
-}
-
-/// *Reply* stage: put the reply header (and inline RPC message) on the
-/// wire — deposited into the RFP reply-slot ring, or by Send. `Some` =
-/// a Send the op waited for completed: the proof that every preceding
-/// RDMA Write has been placed (§4.2), and what makes Read-Read buffers
-/// exposed.
-async fn reply_stage(conn: &ConnState, call_type: MsgType, out: &mut Outgoing) -> Option<()> {
+/// *Reply* stage: Send the reply header (and inline RPC message).
+/// `Some` = a Send the op waited for completed: the proof that every
+/// preceding RDMA Write has been placed (§4.2), and what makes
+/// Read-Read buffers exposed.
+async fn reply_stage(conn: &ConnState, out: &mut Outgoing) -> Option<()> {
     let server = &conn.server;
-    let deposit = server.cfg.rfp && rfp_route(conn, call_type, &mut out.rhdr).await;
     if out.rhdr.msg_type == MsgType::Nomsg {
         out.reply_msg = Bytes::new(); // travelled by chunk
     }
     let wire = conn.ep.encode_wire(&out.rhdr, &out.reply_msg);
-    if deposit {
-        if deposit_reply(conn, out.rhdr.xid, &wire).await {
-            // No Send, no doorbell, no completion: the client's Read
-            // engine does the rest. Nothing was exposed (chunkless).
-            debug_assert!(out.held.is_empty());
-            return None;
-        }
-        // Reply outgrew the slot or the ring vanished mid-call: the
-        // Send path below still delivers it.
-        server.stats.rfp_fallback_sends.inc();
-    }
     server.hca.cpu().copy(wire.len() as u64).await;
 
     let _s = server.sim.span("server", "reply_send");

@@ -3,7 +3,7 @@
 
 use ib_verbs::Rkey;
 use proptest::prelude::*;
-use rpcrdma::{MsgType, RdmaHeader, ReadChunk, RfpAd, Segment};
+use rpcrdma::{MsgType, RdmaHeader, ReadChunk, Segment};
 use xdr::XdrCodec;
 
 fn arb_segment() -> impl Strategy<Value = Segment> {
@@ -20,8 +20,6 @@ fn arb_msg_type() -> impl Strategy<Value = MsgType> {
         Just(MsgType::Nomsg),
         Just(MsgType::Msgp),
         Just(MsgType::Done),
-        Just(MsgType::MsgRfp),
-        Just(MsgType::MsgRfpAd),
     ]
 }
 
@@ -34,29 +32,17 @@ fn arb_header() -> impl Strategy<Value = RdmaHeader> {
         proptest::collection::vec(proptest::collection::vec(arb_segment(), 1..6), 0..4),
         proptest::option::of(proptest::collection::vec(arb_segment(), 1..6)),
     )
-        .prop_map(
-            |(xid, credits, msg_type, reads, writes, reply)| RdmaHeader {
-                xid,
-                credits,
-                msg_type,
-                msgp: (msg_type == MsgType::Msgp).then_some((64, 1024)),
-                rfp_ad: (msg_type == MsgType::MsgRfpAd).then_some(RfpAd {
-                    seg: Segment {
-                        rkey: Rkey(0x5107),
-                        len: 64 * 544,
-                        addr: 0x9000,
-                    },
-                    nslots: 64,
-                    slot_size: 544,
-                }),
-                read_chunks: reads
-                    .into_iter()
-                    .map(|(position, segment)| ReadChunk { position, segment })
-                    .collect(),
-                write_chunks: writes,
-                reply_chunk: reply,
-            },
-        )
+        .prop_map(|(xid, credits, msg_type, reads, writes, reply)| {
+            let mut hdr = RdmaHeader::new(xid, credits, msg_type);
+            hdr.msgp = (msg_type == MsgType::Msgp).then_some((64, 1024));
+            hdr.read_chunks = reads
+                .into_iter()
+                .map(|(position, segment)| ReadChunk { position, segment })
+                .collect();
+            hdr.write_chunks = writes;
+            hdr.reply_chunk = reply;
+            hdr
+        })
 }
 
 proptest! {

@@ -1441,6 +1441,44 @@ fn msgp_data_past_a_page_is_bad_msgp() {
     assert!(!qs.is_error() && !qc.is_error());
 }
 
+/// Figure 2's four message types are the whole vocabulary: a header
+/// whose type word is 4 or 5 (the retired reply-slot call and ring
+/// advertisement) or 6 does not decode, and the server charges it to
+/// the sender as `garbage_header` like any byte soup — counted, never
+/// dispatched, the connection kept while its violation budget lasts.
+#[test]
+fn retired_message_types_are_garbage_headers() {
+    use xdr::XdrCodec;
+    let mut sim = Simulation::new(94);
+    let h = sim.handle();
+    let bed = setup(&h, Design::ReadWrite, StrategyKind::Dynamic);
+    let (qc, qs) = connect(&bed.client_hca, &bed.server_hca);
+    bed.server.serve_connection(qs);
+    let (xid, prog, vers, proc_num) = (1, PROG, VERS, 0);
+    let call = onc_rpc::CallHeader {
+        xid,
+        prog,
+        vers,
+        proc_num,
+    };
+    let head = onc_rpc::msg::encode_call(&call, &Bytes::new());
+    let hdr = rpcrdma::RdmaHeader::new(xid, 32, rpcrdma::MsgType::Msg);
+    for msg_type in [4u32, 5, 6] {
+        let mut wire = hdr.to_bytes().to_vec();
+        wire[12..16].copy_from_slice(&msg_type.to_be_bytes());
+        wire.extend_from_slice(&head);
+        let wr = ib_verbs::WrId(msg_type as u64);
+        qc.post_send(Payload::real(Bytes::from(wire)), wr, false)
+            .unwrap();
+    }
+    sim.run();
+    let ss = &bed.server.stats;
+    assert_eq!(h.metrics().get("server.violations.garbage_header"), Some(3));
+    assert_eq!((ss.violations.get(), ss.quarantines.get()), (3, 0));
+    assert_eq!(ss.ops.get(), 0);
+    assert!(!qc.is_error());
+}
+
 #[test]
 fn suppressed_done_pins_server_buffers_indefinitely() {
     // The §4.1 attack, end to end: a Read-Read client that never sends
@@ -1513,126 +1551,6 @@ fn credit_window_bounds_outstanding_calls() {
     });
     assert!(!bed.client.qp().is_error(), "flow control was violated");
     assert_eq!(bed.server.stats.ops.get(), 100);
-}
-
-/// Build a testbed with the RFP hybrid transport enabled.
-fn setup_rfp(sim: &Sim, design: Design, strategy: StrategyKind) -> TestBed {
-    let mut cfg = RpcRdmaConfig::default().with_design(design);
-    cfg.rfp = true;
-    setup_with(sim, cfg, strategy)
-}
-
-#[test]
-fn rfp_small_replies_are_fetched_not_sent() {
-    for design in [Design::ReadWrite, Design::ReadRead] {
-        let mut sim = Simulation::new(11);
-        let h = sim.handle();
-        let bed = setup_rfp(&h, design, StrategyKind::Dynamic);
-        let client = bed.client.clone();
-        sim.block_on(async move {
-            for i in 0..20u32 {
-                // 8 bytes: XDR-aligned, so the echoed head is exact.
-                let got = client
-                    .call(3, Bytes::from(format!("ping{i:04}")), BulkParams::default())
-                    .await
-                    .unwrap();
-                assert_eq!(&got.body[..], format!("ping{i:04}").as_bytes());
-            }
-        });
-        // Call 0 ran unmarked (no ad yet) and carried the ring ad back;
-        // every later call's reply was deposited, not sent.
-        assert!(
-            bed.server.stats.rfp_ads.get() >= 1,
-            "{design:?}: no ring advertisement"
-        );
-        assert_eq!(
-            bed.server.stats.rfp_deposits.get(),
-            19,
-            "{design:?}: calls after the ad handshake must deposit"
-        );
-        assert_eq!(bed.server.stats.rfp_fallback_sends.get(), 0);
-        let cs = bed.client.stats();
-        assert_eq!(cs.rfp_marked.get(), 19, "{design:?}");
-        assert_eq!(
-            cs.rfp_hits.get(),
-            19,
-            "{design:?}: every marked call slot-hit"
-        );
-        assert!(cs.rfp_polls.get() >= cs.rfp_hits.get(), "{design:?}");
-        assert_eq!(cs.calls.get(), 20, "{design:?}");
-        assert_eq!(cs.retransmits.get(), 0, "{design:?}");
-    }
-}
-
-#[test]
-fn rfp_large_replies_fall_back_to_send() {
-    let mut sim = Simulation::new(13);
-    let h = sim.handle();
-    let bed = setup_rfp(&h, Design::ReadWrite, StrategyKind::Dynamic);
-    let client = bed.client.clone();
-    sim.block_on(async move {
-        // Handshake: the first reply carries the ring ad.
-        client
-            .call(3, Bytes::from_static(b"hi"), BulkParams::default())
-            .await
-            .unwrap();
-        // A marked call whose reply (~700 B head) outgrows the 512 B
-        // slot but stays inline: the server must fall back to Send and
-        // the call must still complete with the full payload.
-        let mut enc = xdr::Encoder::new();
-        enc.put_u32(700);
-        let got = client
-            .call(4, enc.finish(), BulkParams::default())
-            .await
-            .unwrap();
-        let mut dec = xdr::Decoder::new(&got.body);
-        assert_eq!(dec.get_opaque().unwrap().len(), 700);
-    });
-    assert_eq!(bed.server.stats.rfp_fallback_sends.get(), 1);
-    assert_eq!(bed.server.stats.rfp_deposits.get(), 0);
-    let cs = bed.client.stats();
-    assert_eq!(cs.rfp_marked.get(), 1);
-    assert_eq!(cs.rfp_hits.get(), 0);
-    assert_eq!(cs.calls.get(), 2);
-    assert_eq!(cs.retransmits.get(), 0, "fallback must not cost a timeout");
-}
-
-#[test]
-fn rfp_saves_server_doorbells_and_interrupts() {
-    // Same 32-call echo workload, RPC vs RFP: the RFP run must ring
-    // strictly fewer server doorbells and take strictly fewer client
-    // receive interrupts (replies arrive by the client's own Read).
-    let run = |rfp: bool| {
-        let mut sim = Simulation::new(17);
-        let h = sim.handle();
-        let bed = if rfp {
-            setup_rfp(&h, Design::ReadWrite, StrategyKind::Dynamic)
-        } else {
-            setup(&h, Design::ReadWrite, StrategyKind::Dynamic)
-        };
-        let client = bed.client.clone();
-        sim.block_on(async move {
-            for i in 0..32u32 {
-                client
-                    .call(3, Bytes::from(format!("op {i}")), BulkParams::default())
-                    .await
-                    .unwrap();
-            }
-        });
-        (
-            bed.server_hca.doorbells(),
-            bed.server.stats.rfp_deposits.get(),
-        )
-    };
-    let (rpc_doorbells, rpc_deposits) = run(false);
-    let (rfp_doorbells, rfp_deposits) = run(true);
-    assert_eq!(rpc_deposits, 0);
-    assert_eq!(rfp_deposits, 31);
-    assert!(
-        rfp_doorbells + rfp_deposits <= rpc_doorbells,
-        "every deposit should have saved (at least) a server doorbell: \
-         rpc={rpc_doorbells} rfp={rfp_doorbells}"
-    );
 }
 
 /// The server pipeline's span anatomy, per design: one traced READ
@@ -2010,7 +1928,7 @@ fn read_read_pull_error_releases_its_scratch_registration() {
 fn client_counters_are_registry_series() {
     let mut sim = Simulation::new(23);
     let h = sim.handle();
-    let bed = setup_rfp(&h, Design::ReadRead, StrategyKind::Cache);
+    let bed = setup(&h, Design::ReadRead, StrategyKind::Cache);
     install_connector(&bed);
     let (client, fabric) = (bed.client.clone(), bed.fabric.clone());
     let user = bed.client_mem.alloc(128 * 1024);
@@ -2018,7 +1936,6 @@ fn client_counters_are_registry_series() {
     sim.block_on(async move {
         let small = || Bytes::from_static(b"getattr!");
         for _ in 0..3 {
-            // The first reply advertises the ring; the rest are fetched.
             client
                 .call(3, small(), BulkParams::default())
                 .await
@@ -2060,9 +1977,6 @@ fn client_counters_are_registry_series() {
         ("client.timeouts", &cs.timeouts),
         ("client.reconnects", &cs.reconnects),
         ("client.busy_replies", &cs.busy_replies),
-        ("client.rfp.marked", &cs.rfp_marked),
-        ("client.rfp.polls", &cs.rfp_polls),
-        ("client.rfp.hits", &cs.rfp_hits),
     ];
     for (name, counter) in series {
         assert_eq!(sim.metrics().get(name), Some(counter.get()), "{name}");
@@ -2467,162 +2381,6 @@ fn shed_writes_fetch_nothing() {
         .filter(|s| (s.component, s.name) == ("hca", "rdma_read"));
     assert_eq!(reads.count() as u64, WRITES, "a shed call posted a Read");
     assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0);
-}
-
-/// A credit window wider than the reply-slot ring's base size: the
-/// ring grows to cover it, so a full window of concurrent small calls
-/// all deposit without two in-flight XIDs ever sharing a slot.
-#[test]
-fn rfp_ring_covers_a_credit_window_wider_than_its_base_size() {
-    const WINDOW: u32 = 128;
-    let mut sim = Simulation::new(23);
-    let h = sim.handle();
-    let cfg = RpcRdmaConfig {
-        rfp: true,
-        credits: WINDOW,
-        ..Default::default()
-    };
-    let bed = setup_with(&h, cfg, StrategyKind::Dynamic);
-    let client = bed.client.clone();
-    // Handshake: the first reply travels by Send and carries the ad.
-    sim.block_on(async move {
-        client
-            .call(3, Bytes::from_static(b"hi"), BulkParams::default())
-            .await
-            .unwrap();
-    });
-    let done = sim_core::sync::Semaphore::new(0);
-    for i in 0..WINDOW {
-        let client = bed.client.clone();
-        let done = done.clone();
-        sim.spawn(async move {
-            let msg = format!("ping{i:04}");
-            let got = client
-                .call(3, Bytes::from(msg.clone()), BulkParams::default())
-                .await
-                .unwrap();
-            assert_eq!(&got.body[..], msg.as_bytes());
-            done.add_permits(1);
-        });
-    }
-    sim.block_on(async move {
-        for _ in 0..WINDOW {
-            done.acquire().await.forget();
-        }
-    });
-    assert_eq!(bed.server.stats.rfp_deposits.get(), WINDOW as u64);
-    assert_eq!(bed.server.stats.rfp_fallback_sends.get(), 0);
-    assert!(
-        bed.server.stats.peak_inflight.get() > 64,
-        "calls overlapped"
-    );
-    let cs = bed.client.stats();
-    assert_eq!(cs.rfp_hits.get(), WINDOW as u64, "every reply was fetched");
-    assert_eq!(
-        cs.retransmits.get(),
-        0,
-        "no reply was overwritten in its slot"
-    );
-    // `rfp/ring_up` is (rkey, nslots). No retransmission means the
-    // window's calls took the consecutive xids after the handshake's 1,
-    // and a reply lands in slot `xid % nslots`.
-    let flight = sim.flight_records();
-    let ring_up = flight
-        .iter()
-        .find(|f| (f.component, f.event) == ("rfp", "ring_up"));
-    let nslots = ring_up.expect("ring built").b;
-    assert!(
-        nslots >= WINDOW as u64,
-        "ring of {nslots} under a {WINDOW} window"
-    );
-    let slots: std::collections::HashSet<u64> =
-        (2..2 + WINDOW as u64).map(|xid| xid % nslots).collect();
-    assert_eq!(
-        slots.len(),
-        WINDOW as usize,
-        "two in-flight XIDs shared a slot"
-    );
-}
-
-/// The reply-slot ring has two idle clocks — the client's, which decides
-/// whether the next small call may be marked, and the server reaper's,
-/// which decides when the ring's registration goes — and both must
-/// count the same events. An advertisement piggybacked on a Send reply
-/// is one: a connection kept busy with chunked WRITEs (never marked,
-/// their small replies sent, each carrying the ad) keeps its ring on
-/// both ends, so the small call that follows is fetched, not refused.
-/// And a connection left truly idle past the horizon does lose the
-/// ring; its next small call goes unmarked and is answered by Send with
-/// a fresh advertisement.
-#[test]
-fn rfp_ring_idle_clocks_agree_on_advertisements_and_true_idleness_revokes() {
-    use rpcrdma::rfp::RFP_POLL_MAX;
-    use sim_core::SimDuration;
-    let ttl = SimDuration::from_millis(5);
-    let horizon = ttl + RFP_POLL_MAX * 2;
-    let mut sim = Simulation::new(29);
-    let h = sim.handle();
-    let cfg = RpcRdmaConfig {
-        rfp: true,
-        exposure_ttl: ttl,
-        ..Default::default()
-    };
-    let bed = setup_with(&h, cfg, StrategyKind::Dynamic);
-    install_connector(&bed);
-    let (client, server, mem) = (
-        bed.client.clone(),
-        bed.server.clone(),
-        bed.client_mem.clone(),
-    );
-    let metric = {
-        let registry = h.metrics();
-        move |name: &str| registry.get(name).unwrap_or(0)
-    };
-    let sim2 = h.clone();
-    sim.block_on(async move {
-        let small = || client.call(3, Bytes::from_static(b"ping"), BulkParams::default());
-        let (cs, ss) = (client.stats(), &server.stats);
-        // The handshake call learns the ring; the next one is deposited.
-        small().await.unwrap();
-        small().await.unwrap();
-        assert_eq!((ss.rfp_deposits.get(), cs.rfp_hits.get()), (1, 1));
-        let last_deposit = sim2.now();
-
-        // Only chunked WRITEs from here, well past the reaper's horizon,
-        // each followed by a gap in which the connection has nothing in
-        // flight. The gap is under TTL/2, so by the client's clock the
-        // ring stays fresh throughout.
-        let gap = SimDuration::from_millis(2);
-        let user = mem.alloc(32 * 1024);
-        user.write(0, Payload::synthetic(5, 32 * 1024));
-        while ss.rfp_rings_revoked.get() == 0 && sim2.now() - last_deposit < horizon * 3 {
-            let bulk = BulkParams {
-                send: Some((user.clone(), 0, 32 * 1024)),
-                ..Default::default()
-            };
-            client.call(2, Bytes::new(), bulk).await.unwrap();
-            sim2.sleep(gap).await;
-        }
-        small().await.unwrap();
-        assert_eq!(metric("tpt.violations"), 0, "an honest fetch was refused");
-        assert_eq!((cs.reconnects.get(), cs.timeouts.get()), (0, 0));
-        assert_eq!(ss.rfp_rings_revoked.get(), 0, "ring revoked while fresh");
-        assert_eq!((cs.rfp_marked.get(), cs.rfp_hits.get()), (2, 2));
-
-        // Truly idle past the horizon (plus a reaper tick): the ring goes,
-        // on the ledger; the client's clock has run out too.
-        let (revocations, ads) = (metric("tpt.revocations"), ss.rfp_ads.get());
-        sim2.sleep(horizon + ttl).await;
-        assert_eq!(ss.rfp_rings_revoked.get(), 1);
-        assert_eq!(metric("tpt.revocations"), revocations + 1);
-        small().await.unwrap();
-        assert_eq!(cs.rfp_marked.get(), 2, "marked onto a revoked ring");
-        assert_eq!(ss.rfp_ads.get(), ads + 1, "no fresh advertisement");
-        small().await.unwrap();
-        assert_eq!(cs.rfp_hits.get(), 3, "the fresh ring does not serve");
-        assert_eq!(metric("tpt.violations"), 0);
-        assert_eq!((cs.reconnects.get(), cs.timeouts.get()), (0, 0));
-    });
 }
 
 /// One 1 MiB READ on the `linux_ddr_raid` machines, in the terms the

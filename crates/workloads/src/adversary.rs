@@ -16,10 +16,6 @@
 //! * **stale steering tags** — RDMA Reads against rkeys captured from
 //!   earlier replies, after the TTL should have killed them. A probe
 //!   that *succeeds* is a real data leak and is counted separately;
-//! * **stale reply-slot rings** (RFP mode) — RDMA Reads against the
-//!   ring advertisement captured from this session's first reply,
-//!   fired after the owning connection died. Teardown revokes the
-//!   ring with the rest of the session's exposures, so these must NAK.
 //!
 //! The run is fully deterministic under [`sim_core::SimRng`]; the
 //! result carries the honest clients' goodput (compare against an
@@ -45,9 +41,7 @@ use crate::testbed::{host, Bed, Nic, Testbed};
 
 /// Parameters of one adversary run. The bed's clients are the honest
 /// ones; its transport config's exposure TTL (`ZERO` = reaper off, the
-/// paper's original pin-forever behavior) also paces the attackers, and
-/// with RFP on they capture their session's ring advertisement and
-/// probe it after teardown should have revoked it.
+/// paper's original pin-forever behavior) also paces the attackers.
 #[derive(Clone, Copy, Debug)]
 pub struct AdversaryParams {
     /// Attacker hosts (0 = baseline run).
@@ -94,12 +88,6 @@ pub struct AdversaryResult {
     pub stale_reads_ok: u64,
     /// Stale-rkey probes refused with a NAK.
     pub stale_reads_refused: u64,
-    /// Reply-slot ring probes that succeeded after the ring should
-    /// have been revoked (teardown/reaper). A non-zero count means a
-    /// dead session's reply memory stayed remotely readable.
-    pub rfp_stale_ok: u64,
-    /// Reply-slot ring probes refused with a NAK.
-    pub rfp_stale_refused: u64,
     /// Phys-scan probes that succeeded: a captured steering tag read
     /// the *bottom* of the server's memory. Only the all-physical
     /// strategy's global rkey can do this; it is the paper's argument
@@ -138,8 +126,6 @@ struct Ledger {
     stale_ok: Cell<u64>,
     stale_refused: Cell<u64>,
     scan_ok: Cell<u64>,
-    rfp_stale_ok: Cell<u64>,
-    rfp_stale_refused: Cell<u64>,
 }
 
 fn bump(count: &Cell<u64>) {
@@ -162,10 +148,6 @@ enum ProbeKind {
     /// under all-physical registration the captured tag is the global
     /// rkey, so this reads live server state that was never exposed.
     Scan,
-    /// The session's advertised reply-slot ring, probed after the
-    /// connection that owned it was torn down (teardown revokes the
-    /// ring alongside every other exposure).
-    RfpSlot,
 }
 
 async fn run_inner(sim: &Sim, spec: &Bed, params: AdversaryParams) -> AdversaryResult {
@@ -255,8 +237,6 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: AdversaryParams) -> AdversaryR
         attacker_reconnects: ledger.reconnects.get(),
         stale_reads_ok: ledger.stale_ok.get(),
         stale_reads_refused: ledger.stale_refused.get(),
-        rfp_stale_ok: ledger.rfp_stale_ok.get(),
-        rfp_stale_refused: ledger.rfp_stale_refused.get(),
         scan_reads_ok: ledger.scan_ok.get(),
         corrupt_records,
         honest_bytes,
@@ -299,41 +279,25 @@ impl AttackerTask {
         // Steering tags captured from withheld-DONE replies, probed
         // after the TTL has had time to kill them.
         let mut captured: Vec<Segment> = Vec::new();
-        // The reply-slot ring the server advertised to *this* session
-        // (RFP mode only), probed once the owning connection is dead.
-        let mut ring: Option<Segment> = None;
         for round in 0..self.rounds {
             // The previous round's violations error the QP from the
             // server side; a failed send then errors it locally too.
             if dead || qp.is_error() {
                 qp = self.reconnect(&recv_bufs).await;
-                dead = false;
             }
             let base_xid = 0x4000_0000 + (round as u32) * 256;
 
             // 1. XID replay: the same NULL call twice; the DRC must
-            // answer the duplicate without re-executing. In RFP mode
-            // the first small reply carries the session's reply-slot
-            // ring advertisement — capture its steering tag too.
+            // answer the duplicate without re-executing.
             let call = null_call(&self.cfg, base_xid);
-            match self
+            dead = self
                 .call_and_wait(&qp, call.clone(), &recv_bufs, &mut wr)
                 .await
-            {
-                Some(raw) => {
-                    if let Some(ad) = decode_header_prefix(&raw).and_then(|h| h.rfp_ad) {
-                        ring = Some(ad.seg);
-                    }
-                    if self
-                        .call_and_wait(&qp, call, &recv_bufs, &mut wr)
-                        .await
-                        .is_none()
-                    {
-                        dead = true;
-                    }
-                }
-                None => dead = true,
-            }
+                .is_none()
+                || self
+                    .call_and_wait(&qp, call, &recv_bufs, &mut wr)
+                    .await
+                    .is_none();
 
             // 2. Withheld RDMA_DONE: a genuine READ whose exposure we
             // never release. Under Read-Read the reply advertises the
@@ -424,23 +388,6 @@ impl AttackerTask {
                 },
                 ProbeKind::Guess,
             ));
-            // 5. Reply-slot ring probe: once the connection the ring
-            // was advertised to is dead, teardown must have revoked
-            // it — fetching through the captured tag has to NAK. (A
-            // live session reading its own ring is the granted fast
-            // path, not a leak, so only dead-session rings count.)
-            if dead || qp.is_error() {
-                if let Some(seg) = ring.take() {
-                    probes.push((
-                        Segment {
-                            rkey: seg.rkey,
-                            len: seg.len.min(8192),
-                            addr: seg.addr,
-                        },
-                        ProbeKind::RfpSlot,
-                    ));
-                }
-            }
             for (seg, kind) in probes {
                 if dead || qp.is_error() {
                     qp = self.reconnect(&recv_bufs).await;
@@ -462,13 +409,11 @@ impl AttackerTask {
                     match kind {
                         ProbeKind::Stale => bump(&ledger.stale_ok),
                         ProbeKind::Scan => bump(&ledger.scan_ok),
-                        ProbeKind::RfpSlot => bump(&ledger.rfp_stale_ok),
                         ProbeKind::Guess => {}
                     }
                 } else {
                     match kind {
                         ProbeKind::Stale => bump(&ledger.stale_refused),
-                        ProbeKind::RfpSlot => bump(&ledger.rfp_stale_refused),
                         ProbeKind::Scan | ProbeKind::Guess => {}
                     }
                     dead = true; // the NAK killed this QP

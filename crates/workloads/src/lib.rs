@@ -27,7 +27,7 @@
 //! * [`failover`] — the replicated two-node cluster ([`cluster`]) under
 //!   a seeded primary kill and rejoin;
 //! * [`openloop`] — open-loop arrival-rate load with per-tenant skew
-//!   (overload, QoS, RFP and the composition floor).
+//!   (overload, QoS and the composition floor).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

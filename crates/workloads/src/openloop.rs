@@ -137,20 +137,6 @@ impl OpMix {
         }
     }
 
-    /// Pure metadata storm: every op is a small-reply NFS call — the
-    /// RFP ablation's best case (no READ/WRITE bulk traffic at all).
-    pub fn stat_storm() -> OpMix {
-        OpMix {
-            getattr_pct: 50,
-            lookup_pct: 30,
-            readdir_pct: 0,
-            access_pct: 20,
-            read_pct: 0,
-            write_pct: 0,
-            io_size: 4096,
-        }
-    }
-
     /// Combined share of the ops that need the metadata tree.
     pub fn meta_pct(&self) -> u32 {
         self.lookup_pct + self.readdir_pct + self.access_pct
@@ -159,8 +145,7 @@ impl OpMix {
 
 /// Parameters of one open-loop run. Each of the bed's clients is one
 /// mounted connection (one server tenant); the server's overload
-/// control ([`rpcrdma::qos`]) and the RFP reply-slot fast path are the
-/// bed's transport config.
+/// control ([`rpcrdma::qos`]) is the bed's transport config.
 #[derive(Clone, Copy, Debug)]
 pub struct OpenLoopParams {
     /// Simulated tenant population behind the connections.
@@ -268,17 +253,6 @@ pub struct OpenLoopResult {
     pub hog_completed: u64,
     /// Virtual elapsed time of the whole run, µs.
     pub elapsed_us: u64,
-    /// RPC operations the server executed during the measurement
-    /// phase (prepopulation traffic excluded).
-    pub server_ops: u64,
-    /// Server HCA doorbell rings over the measurement phase.
-    pub server_doorbells: u64,
-    /// Server HCA completion interrupts over the measurement phase.
-    pub server_interrupts: u64,
-    /// Replies deposited into RFP reply slots (0 with `rfp` off).
-    pub rfp_deposits: u64,
-    /// RFP-marked calls whose replies fell back to Send.
-    pub rfp_fallbacks: u64,
     /// Telemetry timeline (no buckets unless
     /// [`OpenLoopParams::timeline`]).
     pub timeline: Timeline,
@@ -623,16 +597,6 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: OpenLoopParams) -> OpenLoopRes
         }
     }
 
-    // Per-op server rates cover the measurement phase only: snapshot
-    // the counters the prepopulation traffic already burned.
-    let (doorbells0, interrupts0) = bed
-        .server_hca
-        .as_ref()
-        .map_or((0, 0), |h| (h.doorbells(), h.cq_interrupts()));
-    let ops0 = rpc.stats.ops.get();
-    let deposits0 = rpc.stats.rfp_deposits.get();
-    let fallbacks0 = rpc.stats.rfp_fallback_sends.get();
-
     let shared = Rc::new(Shared {
         samples: RefCell::new(Vec::new()),
         outstanding: (0..connections).map(|_| Cell::new(0)).collect(),
@@ -786,17 +750,6 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: OpenLoopParams) -> OpenLoopRes
         honest_completed: honest.len() as u64,
         hog_completed: hog.len() as u64,
         elapsed_us: elapsed.as_micros(),
-        server_ops: rpc.stats.ops.get() - ops0,
-        server_doorbells: bed
-            .server_hca
-            .as_ref()
-            .map_or(0, |h| h.doorbells() - doorbells0),
-        server_interrupts: bed
-            .server_hca
-            .as_ref()
-            .map_or(0, |h| h.cq_interrupts() - interrupts0),
-        rfp_deposits: rpc.stats.rfp_deposits.get() - deposits0,
-        rfp_fallbacks: rpc.stats.rfp_fallback_sends.get() - fallbacks0,
         timeline,
     }
 }

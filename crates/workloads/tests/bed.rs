@@ -14,7 +14,7 @@ use rpcrdma::client::RECONNECT_DELAY;
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{SimDuration, SimTime, Simulation};
 use workloads::scenario::{self, WriterSpec};
-use workloads::{linux_sdr, Bed, Capture, ClusterConfig, Profile, Run, Topology};
+use workloads::{linux_sdr, Bed, Capture, ClusterConfig, Run, Topology};
 
 /// Two clients, both sides on the registration cache.
 fn bed(design: Design, topology: Topology) -> Bed {
@@ -175,11 +175,11 @@ fn tasks_across_reconnects(spec: Bed, errors: u64) -> (usize, usize, u64) {
     (mounted, sim.live_tasks(), rdma.stats().reconnects.get())
 }
 
-/// Two clients on `design`/`strategy` under `profile`'s transport.
-fn single(profile: &Profile, design: Design, strategy: StrategyKind) -> Bed {
+/// Two clients on `design`/`strategy`.
+fn single(design: Design, strategy: StrategyKind) -> Bed {
     Bed {
         clients: 2,
-        ..Bed::new(profile, design, strategy)
+        ..Bed::new(&linux_sdr(), design, strategy)
     }
 }
 
@@ -195,7 +195,7 @@ fn single(profile: &Profile, design: Design, strategy: StrategyKind) -> Bed {
 fn a_reconnect_leaves_only_the_known_residue() {
     for design in [Design::ReadWrite, Design::ReadRead] {
         for strategy in [StrategyKind::Dynamic, StrategyKind::Cache] {
-            let spec = single(&linux_sdr(), design, strategy);
+            let spec = single(design, strategy);
             let (mounted, live, reconnects) = tasks_across_reconnects(spec, 1);
             let tag = format!("{design:?}/{strategy:?}");
             assert_eq!(reconnects, 1, "{tag}");
@@ -205,19 +205,14 @@ fn a_reconnect_leaves_only_the_known_residue() {
 }
 
 /// The closure proper: the recovered connection's tasks replace the dead
-/// one's one for one — on the RFP transport too, across three
-/// reconnects: its send CQ's polling router idles on its own waker
-/// between fetches, and still ends when the CQ loses its last QP.
+/// one's one for one, however many times it reconnects.
 #[test]
 fn a_reconnect_replaces_its_tasks_one_for_one() {
     let (design, strategy) = (Design::ReadWrite, StrategyKind::Dynamic);
-    let (mounted, live, _) = tasks_across_reconnects(single(&linux_sdr(), design, strategy), 1);
-    assert_eq!(live, mounted);
-    let mut rfp = linux_sdr();
-    rfp.rpc.rfp = true;
-    let (mounted, live, reconnects) = tasks_across_reconnects(single(&rfp, design, strategy), 3);
-    assert_eq!(reconnects, 3, "rfp: every forced error reconnected");
-    assert_eq!(live, mounted, "rfp: tasks alive at quiescence");
+    let spec = single(design, strategy);
+    let (mounted, live, reconnects) = tasks_across_reconnects(spec, 3);
+    assert_eq!(reconnects, 3, "every forced error reconnected");
+    assert_eq!(live, mounted, "tasks alive at quiescence");
 }
 
 /// On the replicated bed the heartbeat pacer is the one task that paces

@@ -1,7 +1,7 @@
 //! The composition floor: the transport's extensions running together.
 //!
-//! Each of doorbell batching, exposure TTLs, QoS and RFP has a harness
-//! that turns it on alone. Here every subset of the four runs fault-free
+//! Each of doorbell batching, exposure TTLs and QoS has a harness that
+//! turns it on alone. Here every subset of the three runs fault-free
 //! under both designs and two mix/registration pairings, and each run
 //! must look like a healthy one: every offered op completes, and no
 //! client ever times out, reconnects, or has an RDMA access refused.
@@ -11,7 +11,7 @@
 //! harness's fault families — drops, forced QP errors, a storage
 //! power-fail — and asks for what must survive them: no corruption,
 //! exactly-once WRITEs, and a same-seed rerun equal as a whole run
-//! (`fault_floor` gated, `fault_matrix` the 640-point form;
+//! (`fault_floor` gated, `fault_matrix` the 320-point form;
 //! EXPERIMENTS.md, "Composition floor").
 
 use rpcrdma::{Design, StrategyKind};
@@ -29,7 +29,7 @@ const STRATEGIES: [StrategyKind; 4] = [
 ];
 
 /// Bit `i` of `subset` turns extension `i` on: doorbell batch 4,
-/// `exposure_ttl` 5 ms, QoS, RFP.
+/// `exposure_ttl` 5 ms, QoS.
 fn extensions(subset: u32) -> Profile {
     let on = |bit: u32| subset & (1 << bit) != 0;
     let mut profile = linux_sdr();
@@ -40,7 +40,6 @@ fn extensions(subset: u32) -> Profile {
         profile.rpc.exposure_ttl = SimDuration::from_millis(5);
     }
     profile.rpc.qos_enabled = on(2);
-    profile.rpc.rfp = on(3);
     profile
 }
 
@@ -67,7 +66,7 @@ fn run(
     run_openloop(7, &bed, params, Capture::default())
 }
 
-/// All sixteen subsets at one (design, mix, strategy, topology) point.
+/// All eight subsets at one (design, mix, strategy, topology) point.
 /// Returns the unhealthy ones by name, so a failure shows which
 /// extensions clash.
 fn unhealthy_subsets(
@@ -77,7 +76,7 @@ fn unhealthy_subsets(
     topology: Topology,
 ) -> Vec<String> {
     let mut unhealthy = Vec::new();
-    for subset in 0..16 {
+    for subset in 0..8 {
         let r = run(subset, design, mix, strategy, topology);
         assert!(r.offered > 0, "nothing offered");
         let lost = r.offered - r.completed;
@@ -86,7 +85,7 @@ fn unhealthy_subsets(
         let refused = r.metric("tpt.violations");
         if lost + errors + timeouts + reconnects + refused != 0 {
             unhealthy.push(format!(
-                "{design:?}/{strategy:?} on {topology:?} rfp|qos|ttl|batch = {subset:04b}: \
+                "{design:?}/{strategy:?} on {topology:?} qos|ttl|batch = {subset:03b}: \
                  {lost} ops lost, {errors} failed, {timeouts} reply timeouts, \
                  {reconnects} reconnects, {refused} accesses refused"
             ));
@@ -101,7 +100,7 @@ fn unhealthy_subsets(
 fn every_subset_runs_clean(design: Design, mix: OpMix, strategy: StrategyKind, topology: Topology) {
     let unhealthy = unhealthy_subsets(design, mix, strategy, topology);
     assert!(unhealthy.is_empty(), "{unhealthy:#?}");
-    let run = || run(15, design, mix, strategy, topology);
+    let run = || run(7, design, mix, strategy, topology);
     let all_on = run();
     assert_eq!(all_on, run());
     if let Topology::Replicated(_) = topology {
@@ -143,11 +142,11 @@ fn read_write_oltp_dynamic_replicated() {
     every_subset_runs_clean(Design::ReadWrite, mix, strategy, backup);
 }
 
-/// 2 designs x 3 mixes x 4 strategies x 16 subsets = 384 runs (~10 s in
+/// 2 designs x 3 mixes x 4 strategies x 8 subsets = 192 runs (~4 s in
 /// the release profile), every unhealthy one listed:
 /// `cargo test --release -p workloads --test compose -- --ignored`.
 #[test]
-#[ignore = "384 runs; the four tests above are the gated slice of it"]
+#[ignore = "192 runs; the four single-server tests above are the gated slice of it"]
 fn wide_matrix() {
     let mut unhealthy = Vec::new();
     for design in [Design::ReadRead, Design::ReadWrite] {
@@ -159,7 +158,7 @@ fn wide_matrix() {
     }
     assert!(
         unhealthy.is_empty(),
-        "{} of 384: {unhealthy:#?}",
+        "{} of 192: {unhealthy:#?}",
         unhealthy.len()
     );
 }
@@ -199,24 +198,16 @@ const SHAPES: [Faults; 5] = [
 
 const RECORDS: u64 = 3 * 12;
 
-/// RFP and the exposure TTL both on: the fault-only seam of DESIGN.md
-/// §16, held to the lighter predicate everywhere but in
-/// `rfp_ttl_under_faults_never_refuses_an_honest_fetch`.
-fn rfp_with_ttl(subset: u32) -> bool {
-    subset & 0b1010 == 0b1010
-}
-
 /// One point under faults, run twice on seed 7. `None` if it held:
 /// nothing corrupt, every WRITE applied exactly once (plus the ones a
 /// power-fail made the clients re-drive), the rerun equal as a whole
-/// run — and, with `honest_fetches`, no RDMA access of these honest
-/// clients refused and no reconnect beyond the forced QP errors.
+/// run, no RDMA access of these honest clients refused and no
+/// reconnect beyond the forced QP errors.
 fn broken_under_faults(
     subset: u32,
     design: Design,
     strategy: StrategyKind,
     f: Faults,
-    honest_fetches: bool,
 ) -> Option<String> {
     let bed = Bed {
         clients: 3,
@@ -258,27 +249,24 @@ fn broken_under_faults(
         wrong.push(format!("same seed, different run ({a:#x} vs {b:#x})"));
     }
     let (refused, reconnects) = (r.metric("tpt.violations"), r.metric("client.reconnects"));
-    if honest_fetches && (refused != 0 || reconnects > f.qp_errors as u64) {
+    if refused != 0 || reconnects > f.qp_errors as u64 {
         wrong.push(format!(
             "{refused} accesses refused, {reconnects} reconnects"
         ));
     }
     let what = wrong.join("; ");
     (!wrong.is_empty())
-        .then(|| format!("{design:?}/{strategy:?} rfp|qos|ttl|batch = {subset:04b} {f:?}: {what}"))
+        .then(|| format!("{design:?}/{strategy:?} qos|ttl|batch = {subset:03b} {f:?}: {what}"))
 }
 
-/// Every subset × both designs over `strategies` × `shapes`, the
-/// RFP × TTL points excused from the honest-fetch half — or, `pinned`,
-/// only those points, held to all of it.
-fn broken_points(strategies: &[StrategyKind], shapes: &[Faults], pinned: bool) -> Vec<String> {
+/// Every subset × both designs over `strategies` × `shapes`.
+fn broken_points(strategies: &[StrategyKind], shapes: &[Faults]) -> Vec<String> {
     let mut broken = Vec::new();
-    for subset in (0..16).filter(|&s| !pinned || rfp_with_ttl(s)) {
+    for subset in 0..8 {
         for design in [Design::ReadRead, Design::ReadWrite] {
             for &strategy in strategies {
                 for &f in shapes {
-                    let honest = pinned || !rfp_with_ttl(subset);
-                    broken.extend(broken_under_faults(subset, design, strategy, f, honest));
+                    broken.extend(broken_under_faults(subset, design, strategy, f));
                 }
             }
         }
@@ -288,28 +276,16 @@ fn broken_points(strategies: &[StrategyKind], shapes: &[Faults], pinned: bool) -
 
 #[test]
 fn fault_floor() {
-    let broken = broken_points(&STRATEGIES[..1], &SHAPES[..2], false);
-    assert!(broken.is_empty(), "{} of 64: {broken:#?}", broken.len());
+    let broken = broken_points(&STRATEGIES[..1], &SHAPES[..2]);
+    assert!(broken.is_empty(), "{} of 32: {broken:#?}", broken.len());
 }
 
-/// 16 subsets x 2 designs x 4 strategies x 5 shapes = 640 points, each
+/// 8 subsets x 2 designs x 4 strategies x 5 shapes = 320 points, each
 /// run twice: `cargo test --release -p workloads --test compose --
 /// --ignored fault_matrix`.
 #[test]
-#[ignore = "1280 runs; fault_floor is the gated slice of it"]
+#[ignore = "640 runs; fault_floor is the gated slice of it"]
 fn fault_matrix() {
-    let broken = broken_points(&STRATEGIES, &SHAPES, false);
-    assert!(broken.is_empty(), "{} of 640: {broken:#?}", broken.len());
-}
-
-/// The 160 points the two tests above excuse, held to the whole
-/// predicate. An honest client's RDMA fetch from its reply-slot ring is
-/// refused (each refusal a QP error and a reconnect) because the
-/// server's idle clock for the ring runs behind the client's on three
-/// paths, written up in DESIGN.md §16.
-#[test]
-#[ignore = "known defect, 78 of 160 on seed 7 — see DESIGN.md §16"]
-fn rfp_ttl_under_faults_never_refuses_an_honest_fetch() {
-    let broken = broken_points(&STRATEGIES, &SHAPES, true);
-    assert!(broken.is_empty(), "{} of 160: {broken:#?}", broken.len());
+    let broken = broken_points(&STRATEGIES, &SHAPES);
+    assert!(broken.is_empty(), "{} of 320: {broken:#?}", broken.len());
 }
