@@ -9,7 +9,7 @@
 //! aggregate rate.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use sim_core::{Counter, Sim};
@@ -29,33 +29,58 @@ enum PageState {
 struct CacheInner {
     /// Resident pages: state + recency stamp.
     pages: HashMap<PageKey, (PageState, u64)>,
-    /// Recency order: stamp -> key (front = coldest). O(log n) LRU.
-    order: BTreeMap<u64, PageKey>,
+    /// Recency order, coldest first: every touch queues `(stamp, key)`
+    /// at the back and leaves the page's older entry behind, stale. An
+    /// entry is live while its stamp is still its page's, so the live
+    /// entries are in stamp order and eviction, skipping the stale
+    /// ones, is exact LRU at amortised O(1) a touch and a pop.
+    order: VecDeque<(u64, PageKey)>,
     next_stamp: u64,
 }
 
+/// Stale recency entries tolerated beyond one per resident page before
+/// the queue is compacted: it never holds more than `2 × resident +
+/// STALE_FLOOR` entries after a touch.
+const STALE_FLOOR: usize = 64;
+
 impl CacheInner {
-    fn touch(&mut self, key: PageKey, state: PageState) {
-        if let Some((_, old)) = self.pages.get(&key) {
-            self.order.remove(old);
-        }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.order.insert(stamp, key);
-        self.pages.insert(key, (state, stamp));
+    fn live(pages: &HashMap<PageKey, (PageState, u64)>, &(stamp, key): &(u64, PageKey)) -> bool {
+        pages.get(&key).is_some_and(|&(_, s)| s == stamp)
     }
 
-    fn remove(&mut self, key: &PageKey) -> Option<PageState> {
-        let (state, stamp) = self.pages.remove(key)?;
-        self.order.remove(&stamp);
-        Some(state)
+    /// Make `key` resident in `state`, hottest.
+    fn touch(&mut self, key: PageKey, state: PageState) {
+        self.pages.insert(key, (state, self.next_stamp));
+        self.queue(key);
+    }
+
+    /// Make `key` hottest if it is resident (one hash lookup).
+    fn hit(&mut self, key: PageKey) -> bool {
+        let Some(page) = self.pages.get_mut(&key) else {
+            return false;
+        };
+        page.1 = self.next_stamp;
+        self.queue(key);
+        true
+    }
+
+    /// Queue `key` under the stamp its page was just given.
+    fn queue(&mut self, key: PageKey) {
+        self.order.push_back((self.next_stamp, key));
+        self.next_stamp += 1;
+        if self.order.len() > 2 * self.pages.len() + STALE_FLOOR {
+            let pages = &self.pages;
+            self.order.retain(|e| Self::live(pages, e));
+        }
     }
 
     fn pop_coldest(&mut self) -> Option<(PageKey, PageState)> {
-        let (&stamp, &key) = self.order.iter().next()?;
-        self.order.remove(&stamp);
-        let (state, _) = self.pages.remove(&key)?;
-        Some((key, state))
+        while let Some(entry) = self.order.pop_front() {
+            if Self::live(&self.pages, &entry) {
+                return Some((entry.1, self.pages.remove(&entry.1)?.0));
+            }
+        }
+        None
     }
 }
 
@@ -110,7 +135,7 @@ impl PageCache {
             next_expected: RefCell::new(HashMap::new()),
             inner: RefCell::new(CacheInner {
                 pages: HashMap::new(),
-                order: BTreeMap::new(),
+                order: VecDeque::new(),
                 next_stamp: 0,
             }),
             hits: own("hits"),
@@ -142,6 +167,18 @@ impl PageCache {
         self.inner.borrow().pages.len() as u64
     }
 
+    /// Resident pages as `(file, page)`, coldest first: the order
+    /// eviction takes them in (diagnostic).
+    pub fn resident_coldest_first(&self) -> Vec<(FileId, u64)> {
+        let inner = self.inner.borrow();
+        let live = inner
+            .order
+            .iter()
+            .filter(|e| CacheInner::live(&inner.pages, e));
+        live.map(|&(_, (file, page))| (FileId(file), page))
+            .collect()
+    }
+
     /// Make `[off, off+len)` of `file` resident for reading, charging
     /// disk time for missing pages. `disk_base` maps the file onto the
     /// array's address space.
@@ -161,11 +198,8 @@ impl PageCache {
         self.next_expected.borrow_mut().insert(file.0, last + 1);
         let mut page = first;
         while page <= last {
-            let key = (file.0, page);
-            let state = self.inner.borrow().pages.get(&key).map(|(s, _)| *s);
-            if let Some(state) = state {
+            if self.inner.borrow_mut().hit((file.0, page)) {
                 self.hits.inc();
-                self.inner.borrow_mut().touch(key, state);
                 page += 1;
                 continue;
             }
@@ -239,9 +273,8 @@ impl PageCache {
         self.raid.transfer(disk_base, bytes).await;
         let mut inner = self.inner.borrow_mut();
         for p in dirty {
-            let key = (file.0, p);
-            if let Some((_, stamp)) = inner.pages.get(&key).copied() {
-                inner.pages.insert(key, (PageState::Clean, stamp));
+            if let Some(page) = inner.pages.get_mut(&(file.0, p)) {
+                page.0 = PageState::Clean;
             }
         }
     }
@@ -252,19 +285,11 @@ impl PageCache {
     /// writeback is elided (log-structured durability).
     pub fn mark_clean_all(&self) -> u64 {
         let mut inner = self.inner.borrow_mut();
-        let dirty: Vec<PageKey> = inner
+        let dirty = inner
             .pages
-            .iter()
-            .filter(|(_, (s, _))| *s == PageState::Dirty)
-            .map(|(k, _)| *k)
-            .collect();
-        let n = dirty.len() as u64;
-        for key in dirty {
-            if let Some((_, stamp)) = inner.pages.get(&key).copied() {
-                inner.pages.insert(key, (PageState::Clean, stamp));
-            }
-        }
-        n
+            .values_mut()
+            .filter(|page| page.0 == PageState::Dirty);
+        dirty.map(|page| page.0 = PageState::Clean).count() as u64
     }
 
     /// Drop every resident page without write-back — power failure:
@@ -279,16 +304,11 @@ impl PageCache {
     /// Drop all pages of `file` (delete/truncate).
     pub fn invalidate(&self, file: FileId) {
         self.next_expected.borrow_mut().remove(&file.0);
-        let mut inner = self.inner.borrow_mut();
-        let victims: Vec<PageKey> = inner
+        // Their recency entries go stale, skipped by eviction.
+        self.inner
+            .borrow_mut()
             .pages
-            .keys()
-            .filter(|(f, _)| *f == file.0)
-            .copied()
-            .collect();
-        for key in victims {
-            inner.remove(&key);
-        }
+            .retain(|(f, _), _| *f != file.0);
     }
 
     async fn evict_for(&self, need: u64) {
@@ -443,6 +463,25 @@ mod tests {
             // A jump elsewhere in the file is not sequential.
             c2.read_range(FileId(1), 0, 8 << 20, 256 * 1024).await;
             assert_eq!(count("readahead.sequential"), 1);
+        });
+    }
+
+    /// A working set that fits re-touches every page each lap: every
+    /// hit leaves a stale recency entry behind, and the queue still
+    /// never holds more than two entries a resident page plus the floor.
+    #[test]
+    fn stale_recency_entries_stay_bounded_over_a_cyclic_scan() {
+        let mut sim = Simulation::new(1);
+        let c = cache(&sim, 256 << 18); // 256 pages
+        sim.block_on(async move {
+            let mut longest = 0;
+            for i in 0..10_000u64 {
+                c.read_range(FileId(1), 0, (i % 200) << 18, 1 << 18).await;
+                let inner = c.inner.borrow();
+                assert!(inner.order.len() <= 2 * inner.pages.len() + STALE_FLOOR);
+                longest = longest.max(inner.order.len());
+            }
+            assert!(longest > 2 * 200, "the scan never needed compacting");
         });
     }
 

@@ -30,7 +30,7 @@ impl Contents {
         self.files
             .borrow()
             .get(&file.0)
-            .map(|m| SgList::from_pieces(m.read_sg(off, len)))
+            .map(|m| m.read_sg(off, len))
             .unwrap_or_else(|| SgList::from(Payload::zeros(len)))
     }
 

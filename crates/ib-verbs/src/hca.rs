@@ -449,7 +449,7 @@ fn respond(hca: &Hca, msg: WireMsg) {
             ack,
         } => {
             let mem = hca.inner.mem.clone();
-            let total: u64 = data.iter().map(|p| p.len()).sum();
+            let total = data.len();
             // One protection check covers the whole gathered range;
             // the pieces then DMA back to back, each placed without
             // flattening (zero-copy on both ends).

@@ -107,7 +107,7 @@ impl Buffer {
     /// page-cache pages without a pull-up copy.
     pub fn read_sg(&self, offset: u64, len: u64) -> sim_core::SgList {
         assert!(offset + len <= self.len, "buffer read out of bounds");
-        sim_core::SgList::from_pieces(self.inner.data.borrow().read_sg(offset, len))
+        self.inner.data.borrow().read_sg(offset, len)
     }
 
     /// Write a payload at byte `offset` within the buffer.

@@ -31,7 +31,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use sim_core::sync::{channel, oneshot, OneshotSender, Receiver, Semaphore, Sender};
-use sim_core::{Counter, Payload, Sim};
+use sim_core::{Counter, Payload, SgList, Sim};
 
 use crate::config::HcaConfig;
 use crate::cq::{Completion, Cq};
@@ -65,7 +65,7 @@ pub enum WireMsg {
         /// responder places the pieces back to back — keeping them
         /// separate end to end is what makes the server READ path
         /// copy-free.
-        data: Vec<Payload>,
+        data: SgList,
         /// Ack/nak path back to the requester.
         ack: Ack,
     },
@@ -184,7 +184,7 @@ pub(crate) enum Wqe {
     },
     Write {
         wr_id: WrId,
-        sgl: Vec<Payload>,
+        sgl: SgList,
         raddr: u64,
         rkey: Rkey,
         signaled: bool,
@@ -458,7 +458,7 @@ impl Qp {
         self.check_postable()?;
         self.enqueue(Wqe::Write {
             wr_id,
-            sgl: vec![data],
+            sgl: SgList::from(data),
             raddr,
             rkey,
             signaled,
@@ -499,9 +499,13 @@ impl Qp {
                 }
             }
         }
+        let mut sgl = SgList::new();
+        for s in sges {
+            sgl.push(s.data);
+        }
         self.enqueue(Wqe::Write {
             wr_id,
-            sgl: sges.into_iter().map(|s| s.data).collect(),
+            sgl,
             raddr,
             rkey,
             signaled,
@@ -676,7 +680,7 @@ async fn run_wqe(qp: &Rc<QpInner>, wqe: Wqe) {
             rkey,
             signaled,
         } => {
-            let dlen: u64 = sgl.iter().map(|p| p.len()).sum();
+            let dlen = sgl.len();
             let bytes = qp.cfg.wire_header_bytes + dlen;
             let msg = WireMsg::Write {
                 dst_qpn: qp.peer_qpn.get(),

@@ -1359,18 +1359,18 @@ async fn write_sg_into_segments(conn: &ConnState, io: &mut IoBuf, sgl: &SgList, 
     let mut segs = spread(segs, sgl.len());
     // The remote segment being filled: its pieces, the next one to
     // post, where it lands, and its offset in the payload.
-    let (mut pieces, mut next, mut addr, mut rkey, mut at) = (Vec::new(), 0, 0, lkey, 0);
+    let (mut pieces, mut next, mut addr, mut rkey, mut at) = (SgList::new(), 0, 0, lkey, 0);
     loop {
         let covered = io.provisioned();
         let uncovered: Result<_, VerbsError> = qp.chain(|| loop {
-            if next == pieces.len() {
+            if next == pieces.piece_count() {
                 let Some((seg, off, n)) = segs.next() else {
                     return Ok(None);
                 };
-                pieces = sgl.slice(off, n).into_pieces();
+                pieces = sgl.slice(off, n);
                 (next, addr, rkey, at) = (0, seg.addr, seg.rkey, off);
             }
-            let group = &pieces[next..pieces.len().min(next + max_sge)];
+            let group = &pieces.pieces()[next..pieces.piece_count().min(next + max_sge)];
             let end = at + group.iter().map(Payload::len).sum::<u64>();
             if end > covered {
                 return Ok(Some(end.max(2 * covered)));

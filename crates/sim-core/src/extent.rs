@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::payload::Payload;
+use crate::payload::{Payload, SgList};
 
 /// Non-overlapping, offset-keyed payload extents over a fixed length.
 #[derive(Clone, Debug, Default)]
@@ -59,55 +59,46 @@ impl ExtentMap {
 
     /// Read `len` bytes at `offset`; unwritten gaps read as zeros.
     pub fn read(&self, offset: u64, len: u64) -> Payload {
-        Payload::concat(&self.read_sg(offset, len))
+        self.read_sg(offset, len).to_payload()
     }
 
     /// Read `len` bytes at `offset` as a scatter list of extent slices
     /// (unwritten gaps appear as zero payloads). Each piece is a
     /// reference-counted slice of the stored extent — nothing is
     /// flattened or copied, which is what lets the server READ path
-    /// gather straight out of the page cache.
-    pub fn read_sg(&self, offset: u64, len: u64) -> Vec<Payload> {
+    /// gather straight out of the page cache. One descent finds the
+    /// head, one in-order pass the rest.
+    pub fn read_sg(&self, offset: u64, len: u64) -> SgList {
+        let mut sg = SgList::new();
         if len == 0 {
-            return Vec::new();
+            return sg;
         }
         let end = offset + len;
-        let mut pieces: Vec<Payload> = Vec::new();
         let mut cursor = offset;
 
         // The extent that may start before `offset` but reach into it.
-        let head = self
-            .extents
-            .range(..=offset)
-            .next_back()
-            .filter(|(start, p)| **start + p.len() > offset)
-            .map(|(start, p)| (*start, p.clone()));
-        if let Some((start, p)) = head {
-            let take = (start + p.len()).min(end) - offset;
-            pieces.push(p.slice(offset - start, take));
-            cursor = offset + take;
+        if let Some((start, p)) = self.extents.range(..=offset).next_back() {
+            if start + p.len() > offset {
+                let take = (start + p.len()).min(end) - offset;
+                sg.push(p.slice(offset - start, take));
+                cursor = offset + take;
+            }
         }
 
-        // Walk extents whose start lies in [cursor, end), zero-filling
-        // gaps between them.
-        loop {
-            let next = self
-                .extents
-                .range(cursor..end)
-                .next()
-                .map(|(s, p)| (*s, p.clone()));
-            let Some((start, p)) = next else { break };
+        // Extents whose start lies in [cursor, end), zero-filling gaps
+        // between them.
+        for (&start, p) in self.extents.range(cursor..end) {
             if start > cursor {
-                pieces.push(Payload::zeros(start - cursor));
+                sg.push(Payload::zeros(start - cursor));
             }
             let take = (start + p.len()).min(end) - start;
-            pieces.push(p.slice(0, take));
+            sg.push(p.slice(0, take));
             cursor = start + take;
         }
         if cursor < end {
-            pieces.push(Payload::zeros(end - cursor));
+            sg.push(Payload::zeros(end - cursor));
         }
-        pieces
+        sg
     }
 
     /// Number of stored extents (diagnostic).
@@ -221,10 +212,14 @@ mod tests {
         let mut m = ExtentMap::new();
         m.write(0, bytes(&[1; 8]));
         m.write(16, Payload::synthetic(3, 8));
-        let pieces = m.read_sg(4, 24);
-        assert!(pieces.len() >= 3, "head, gap, tail = {}", pieces.len());
-        let total: u64 = pieces.iter().map(|p| p.len()).sum();
+        let sg = m.read_sg(4, 24);
+        assert!(
+            sg.piece_count() >= 3,
+            "head, gap, tail = {}",
+            sg.piece_count()
+        );
+        let total: u64 = sg.pieces().iter().map(|p| p.len()).sum();
         assert_eq!(total, 24);
-        assert!(Payload::concat(&pieces).content_eq(&m.read(4, 24)));
+        assert!(sg.to_payload().content_eq(&m.read(4, 24)));
     }
 }

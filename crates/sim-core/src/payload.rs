@@ -194,10 +194,28 @@ impl Payload {
 /// them into an `SgList`, and the transport posts them as the SG
 /// entries of a vectored RDMA Write — no piece is ever flattened into a
 /// contiguous buffer unless a legacy consumer calls [`SgList::to_payload`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// A one-piece list — most of them: one extent, one physical run, one
+/// WQE — holds its piece inline and never touches the heap; the second
+/// piece moves the list into a `Vec`. Equality and `Debug` see only
+/// [`SgList::pieces`], never the representation.
+#[derive(Clone, Default)]
 pub struct SgList {
-    pieces: Vec<Payload>,
+    pieces: Pieces,
     total: u64,
+}
+
+/// Exactly one piece is `One`; none, or two and more, are `Many`.
+#[derive(Clone)]
+enum Pieces {
+    One(Payload),
+    Many(Vec<Payload>),
+}
+
+impl Default for Pieces {
+    fn default() -> Pieces {
+        Pieces::Many(Vec::new())
+    }
 }
 
 impl SgList {
@@ -206,13 +224,16 @@ impl SgList {
         SgList::default()
     }
 
-    /// Build from pieces (empty pieces are dropped).
-    pub fn from_pieces(pieces: Vec<Payload>) -> SgList {
-        let mut sg = SgList::new();
-        for p in pieces {
-            sg.push(p);
-        }
-        sg
+    /// Build from pieces (empty pieces are dropped). Keeps the `Vec` it
+    /// is given: no allocation.
+    pub fn from_pieces(mut pieces: Vec<Payload>) -> SgList {
+        pieces.retain(|p| !p.is_empty());
+        let total = pieces.iter().map(Payload::len).sum();
+        let pieces = match pieces.len() {
+            1 => Pieces::One(pieces.pop().expect("one piece")),
+            _ => Pieces::Many(pieces),
+        };
+        SgList { pieces, total }
     }
 
     /// Append a piece (no copy; empty pieces are dropped).
@@ -221,7 +242,19 @@ impl SgList {
             return;
         }
         self.total += piece.len();
-        self.pieces.push(piece);
+        self.pieces = match std::mem::take(&mut self.pieces) {
+            Pieces::Many(v) if v.is_empty() => Pieces::One(piece),
+            Pieces::Many(mut v) => {
+                v.push(piece);
+                Pieces::Many(v)
+            }
+            // The capacity a `Vec` grows to at its first push.
+            Pieces::One(first) => {
+                let mut v = Vec::with_capacity(4);
+                v.extend([first, piece]);
+                Pieces::Many(v)
+            }
+        };
     }
 
     /// Total length in bytes.
@@ -236,17 +269,15 @@ impl SgList {
 
     /// Number of scatter/gather entries.
     pub fn piece_count(&self) -> usize {
-        self.pieces.len()
+        self.pieces().len()
     }
 
     /// The pieces, in order.
     pub fn pieces(&self) -> &[Payload] {
-        &self.pieces
-    }
-
-    /// Consume the list, yielding the pieces.
-    pub fn into_pieces(self) -> Vec<Payload> {
-        self.pieces
+        match &self.pieces {
+            Pieces::One(p) => std::slice::from_ref(p),
+            Pieces::Many(v) => v,
+        }
     }
 
     /// The pieces paired with their byte offset within the list, in
@@ -255,7 +286,7 @@ impl SgList {
     /// without flattening the list first.
     pub fn pieces_with_offsets(&self) -> impl Iterator<Item = (u64, &Payload)> {
         let mut off = 0u64;
-        self.pieces.iter().map(move |p| {
+        self.pieces().iter().map(move |p| {
             let at = off;
             off += p.len();
             (at, p)
@@ -264,7 +295,7 @@ impl SgList {
 
     /// Append every piece of `other` (zero-copy).
     pub fn append(&mut self, other: SgList) {
-        for p in other.pieces {
+        for p in other {
             self.push(p);
         }
     }
@@ -280,7 +311,7 @@ impl SgList {
         let mut out = SgList::new();
         let mut pos = 0u64;
         let end = start + len;
-        for p in &self.pieces {
+        for p in self.pieces() {
             let p_end = pos + p.len();
             if p_end > start && pos < end {
                 let lo = start.max(pos) - pos;
@@ -298,7 +329,7 @@ impl SgList {
     /// Flatten into a single [`Payload`]. Single-piece lists and
     /// contiguous synthetic runs stay zero-copy (see [`Payload::concat`]).
     pub fn to_payload(&self) -> Payload {
-        Payload::concat(&self.pieces)
+        Payload::concat(self.pieces())
     }
 
     /// Produce the actual bytes (see [`Payload::materialize`]).
@@ -307,17 +338,39 @@ impl SgList {
     }
 }
 
+/// Consuming iteration yields the pieces, in order, without building a
+/// `Vec` for a one-piece list.
+impl IntoIterator for SgList {
+    type Item = Payload;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Payload>, std::vec::IntoIter<Payload>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        match self.pieces {
+            Pieces::One(p) => Some(p).into_iter().chain(Vec::new()),
+            Pieces::Many(v) => None.into_iter().chain(v),
+        }
+    }
+}
+
+impl PartialEq for SgList {
+    fn eq(&self, other: &SgList) -> bool {
+        self.pieces() == other.pieces()
+    }
+}
+
+impl Eq for SgList {}
+
+impl std::fmt::Debug for SgList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("SgList").field(&self.pieces()).finish()
+    }
+}
+
 impl From<Payload> for SgList {
     fn from(p: Payload) -> SgList {
         let mut sg = SgList::new();
         sg.push(p);
         sg
-    }
-}
-
-impl From<Vec<Payload>> for SgList {
-    fn from(pieces: Vec<Payload>) -> SgList {
-        SgList::from_pieces(pieces)
     }
 }
 

@@ -30,8 +30,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 if [ "${SKIP_TESTS:-0}" != "1" ]; then
     echo "==> cargo build --release"
     cargo build --release
-    echo "==> cargo test -q"
-    cargo test -q
+    # --no-fail-fast: one failing test binary does not hide the others;
+    # cargo still exits non-zero if any failed.
+    echo "==> cargo test -q --no-fail-fast"
+    cargo test -q --no-fail-fast
     echo "==> compose --ignored wide_matrix fault_matrix (the release-only composition matrices: 192 fault-free runs, 320 points under faults each run twice)"
     cargo test -q --release -p workloads --test compose -- --ignored wide_matrix fault_matrix
 fi

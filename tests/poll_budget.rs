@@ -291,15 +291,25 @@ fn polls_and_allocations_per_rung_are_pinned() {
         // 71 polls a READ: the client's sink and the server's source
         // window each unpin on a task of their own, 2 polls and 1
         // allocation apiece, where an unpin awaited inline cost its
-        // caller 1 poll (69 then; 73 with a doorbell per Write)
-        (4_544, 4_730),
-        (2_176, 1_671), // 34 polls a WRITE (39 with its reply Send signaled)
+        // caller 1 poll (69 then; 73 with a doorbell per Write). 40
+        // allocations a READ: a one-piece gather list holds its piece
+        // inline from the extent map to the wire message (74 when every
+        // list, WQE and remote segment built a `Vec`)
+        (4_544, 2_582),
+        // 34 polls a WRITE (39 with its reply Send signaled); 21
+        // allocations (26 when the pulled pieces were gathered twice)
+        (2_176, 1_351),
         // 19 polls a WRITE, a GETATTR's: nothing to pin, nothing to
-        // fetch. 8 allocations more, none of them the page.
-        (1_216, 1_094),
+        // fetch. 6 allocations more, none of them the page.
+        (1_216, 966),
     ];
+    // Every rung is printed before any is asserted, so a re-record sees
+    // all the moved ones at once.
     for ((rung, got), want) in got.iter().zip(want) {
-        println!("{rung}: {got:?}");
+        let moved = if *got == want { "" } else { " MOVED" };
+        println!("{rung}: {got:?}, pinned {want:?}{moved}");
+    }
+    for ((rung, got), want) in got.iter().zip(want) {
         assert_eq!(*got, want, "{rung}: (polls, allocations) moved");
     }
     // A page of data copied onto the heap anywhere on the MSGP path (the

@@ -21,6 +21,10 @@
 //! - With span tracing **disabled**, the observability hooks on the
 //!   RPC hot path (span/inject/adopt/current_ctx) and the always-on
 //!   flight-recorder ring must perform **zero** heap allocations.
+//! - A one-piece scatter/gather list, sliced and posted as a one-piece
+//!   RDMA Write that the responder places, performs **zero** heap
+//!   allocations: the list holds its piece inline from the file to the
+//!   wire.
 //! - A steady-state **cached NFS READ** on the Read-Write design with
 //!   the server's zero-copy gather path must move zero payload bytes
 //!   through host copies (`copied_bytes` frozen, `zero_copy_bytes`
@@ -33,9 +37,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ib_verbs::Rkey;
+use std::rc::Rc;
+
+use ib_verbs::{connect, Access, Fabric, Hca, HcaConfig, HostMem, NodeId, PhysLayout, Rkey, WrId};
 use rpcrdma::{Design, MsgType, RdmaHeader, ReadChunk, Segment, StrategyKind};
-use sim_core::{yield_now, ExtentMap, Payload, SimDuration, Simulation};
+use sim_core::{yield_now, Cpu, CpuCosts, ExtentMap, Payload, SgList, SimDuration, Simulation};
 use workloads::{solaris_sdr, Bed};
 use xdr::{Encoder, XdrCodec};
 
@@ -325,6 +331,71 @@ fn steady_state_hot_paths_do_not_allocate() {
         );
     });
     sim.run();
+
+    // ---- A one-piece gather list, file to wire. ---------------------
+    // The list a one-extent read hands the transport is sliced to a
+    // remote segment and posted as a one-piece unsignaled RDMA Write
+    // (the server's READ push); the responder places it over the range
+    // the last Write placed. None of it may touch the heap: the piece
+    // lives inline in the list, the WQE and the wire message.
+    let mut sim = Simulation::new(0x5617);
+    let h = sim.handle();
+    sim.block_on(async move {
+        let fabric = Fabric::new(&h);
+        let host = |id: u32| {
+            let cpu = Cpu::new(&h, format!("cpu{id}"), 1, CpuCosts::default());
+            let mem = Rc::new(HostMem::new(
+                NodeId(id),
+                PhysLayout::default(),
+                h.fork_rng(),
+            ));
+            (
+                Hca::new(&h, NodeId(id), HcaConfig::sdr(), cpu, mem.clone(), &fabric),
+                mem,
+            )
+        };
+        let ((a, _), (b, b_mem)) = (host(0), host(1));
+        let (qa, _qb) = connect(&a, &b);
+        let target = b_mem.alloc(64 << 10);
+        let mr = b.register(&target, 0, 64 << 10, Access::REMOTE_WRITE).await;
+        let file = Payload::synthetic(0x5EED, 1 << 20);
+        // Alternate two file offsets, so every placement shows.
+        let write_one = |i: u64| {
+            let at = 4096 * (1 + i % 2);
+            let sg = SgList::from(file.clone()).slice(at, 16 << 10);
+            let piece = sg.into_iter().next().expect("one piece");
+            qa.post_rdma_write(piece, mr.addr(), mr.rkey(), WrId(i), false)
+                .expect("post");
+            let (h, target, file) = (&h, &target, &file);
+            async move {
+                // Long past the Write's wire time: it has been placed.
+                h.sleep(SimDuration::from_nanos(100_000)).await;
+                let placed = target.read(0, 16 << 10);
+                assert!(
+                    placed.content_eq(&file.slice(at, 16 << 10)),
+                    "write {i} not placed"
+                );
+            }
+        };
+        for i in 0..64 {
+            write_one(i).await;
+        }
+        let mut write_allocs = u64::MAX;
+        for _ in 0..5 {
+            let before = allocs();
+            for i in 0..1_000 {
+                write_one(i).await;
+            }
+            write_allocs = write_allocs.min(allocs() - before);
+            if write_allocs == 0 {
+                break;
+            }
+        }
+        assert_eq!(
+            write_allocs, 0,
+            "a one-piece RDMA Write allocated {write_allocs} times over 1000 posts"
+        );
+    });
 
     // ---- Cached READ through the zero-copy server pipeline. ---------
     // Read-Write design, all-physical server window: the reply gathers
