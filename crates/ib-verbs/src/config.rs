@@ -22,9 +22,8 @@ pub struct HcaConfig {
     /// HCA processing time per *doorbell* (the doorbell write, fetching
     /// the WQEs it submits, DMA setup), serialized per QP: the send
     /// engine charges it once per ring, however many WQEs the ring
-    /// carries. At batch depth 1 without chains that is once per WQE;
-    /// a WR chain or a deeper batch amortizes it (DESIGN.md §4, "Known
-    /// model errors").
+    /// carries: once per WQE, except that a WR chain pays it once for
+    /// all of its WQEs (DESIGN.md §4, "Known model errors").
     pub wqe_process: SimDuration,
     /// Outbound RDMA Read queue depth: max reads this HCA may have in
     /// flight per QP. Mellanox firmware of the era allowed 8. ORD

@@ -15,16 +15,12 @@
 //! * **ORD head-of-line blocking**: when `max_ord` Reads are in flight,
 //!   the next Read WQE stalls the entire send queue.
 //!
-//! Work requests are submitted to the HCA through a software pending
-//! queue that models **doorbell batching**: past
-//! [`Qp::set_doorbell_batch`]`(n > 1)`, posts accumulate and one
-//! doorbell ring (one WQE-processing charge) submits the whole batch.
-//! A caller with a list of work requests in hand posts it as one
-//! [`Qp::chain`] — the verbs API's own linked-list post: the depth rule
-//! is applied to the list once, so at depth 1 it is a single doorbell.
-//! Callers must [`Qp::flush`] at operation boundaries before waiting on
-//! a completion; a QP starts at depth 1, which rings on every post —
-//! the classic one-doorbell-per-WQE behavior.
+//! Every post rings the doorbell (one WQE-processing charge) on its
+//! own — the classic one-doorbell-per-WQE behavior — except inside a
+//! **WR chain**: a caller with a list of work requests in hand posts it
+//! as one [`Qp::chain`], the verbs API's own linked-list post, and the
+//! whole list goes out behind the single doorbell rung when the chain
+//! closes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -223,18 +219,14 @@ pub(crate) struct QpInner {
     /// IRD only bounds how many requests may be queued (enforced by the
     /// peer's ORD in this workspace's configurations).
     pub(crate) read_engine: Semaphore,
-    /// Software pending queue: posted WQEs awaiting a doorbell ring.
+    /// The WQEs of the open [`Qp::chain`], awaiting its doorbell.
+    /// Empty whenever no chain is open.
     pending: RefCell<Vec<Wqe>>,
-    /// Batch vectors the engine has drained, for `flush` to refill: as
+    /// WQE vectors the engine has drained, for `ring` to refill: as
     /// many as were ever in flight at once.
     drained: RefCell<Vec<Vec<Wqe>>>,
-    /// WQEs per doorbell ring ([`Qp::set_doorbell_batch`]): per QP, so
-    /// a server can batch while its peer stays unbatched.
-    doorbell_batch: Cell<usize>,
     /// Inside a [`Qp::chain`]: posts queue without ringing.
     chaining: Cell<bool>,
-    /// Sequence number of this QP's last doorbell ([`Qp::ring_seq`]).
-    ring_seq: Cell<u64>,
     /// The owning HCA's `doorbells` series.
     doorbells: Rc<Counter>,
     /// The HCA's all-physical global steering tag, if enabled — needed
@@ -308,9 +300,7 @@ impl Qp {
                 read_engine: Semaphore::new(1),
                 pending: RefCell::new(Vec::new()),
                 drained: RefCell::new(Vec::new()),
-                doorbell_batch: Cell::new(1),
                 chaining: Cell::new(false),
-                ring_seq: Cell::new(0),
                 doorbells,
                 global_rkey,
                 table: table.clone(),
@@ -361,13 +351,10 @@ impl Qp {
     /// crash, retry-count exceeded, cable pull). As on real hardware,
     /// posted receives are flushed with error completions, which is
     /// how consumers blocked on the receive CQ learn about the
-    /// teardown. WQEs still sitting in the software pending queue are
-    /// handed to the engine, which flushes them the same way.
+    /// teardown. Posted WQEs already rang their doorbells and flush
+    /// the same way in the engine.
     pub fn force_error(&self) {
         self.inner.set_error();
-        // Ring out anything the batcher was holding so its completions
-        // (error-flushed) still surface.
-        self.flush();
         let flushed: Vec<PostedRecv> = self.inner.recv_queue.borrow_mut().drain(..).collect();
         for r in flushed {
             self.inner.recv_cq.push(Completion {
@@ -473,8 +460,8 @@ impl Qp {
     /// privileged all-physical registration (its lkey is the global
     /// steering tag) must be the *only* entry — all-physical addresses
     /// memory by physical run and the HCA cannot locally scatter/gather
-    /// across runs (paper §4.3); such callers post one WQE per run and
-    /// lean on doorbell batching instead.
+    /// across runs (paper §4.3); such callers post one WQE per run, as
+    /// one [`Qp::chain`].
     pub fn post_rdma_write_vec(
         &self,
         sges: Vec<Sge>,
@@ -538,93 +525,71 @@ impl Qp {
         })
     }
 
-    /// Queue a WQE in the software pending queue, ringing the doorbell
-    /// when the batch depth is reached (a chain decides that once, when
-    /// it closes).
+    /// Queue a WQE behind the open chain's doorbell, or ring one for it
+    /// alone.
     fn enqueue(&self, wqe: Wqe) -> Result<(), VerbsError> {
-        self.inner.pending.borrow_mut().push(wqe);
-        if !self.inner.chaining.get() {
-            self.ring_if_due();
+        let chaining = self.inner.chaining.get();
+        let mut pending = self.inner.pending.borrow_mut();
+        debug_assert!(chaining || pending.is_empty(), "WQEs left unrung");
+        pending.push(wqe);
+        drop(pending);
+        if !chaining {
+            self.ring();
         }
         Ok(())
     }
 
-    fn ring_if_due(&self) {
-        if self.inner.pending.borrow().len() >= self.inner.doorbell_batch.get() {
-            self.flush();
-        }
-    }
-
     /// Post a list of work requests as one WR chain (what
     /// `ibv_post_send` does with a linked list): the WQEs `posts`
-    /// enqueues do not ring individually, and the batch-depth rule is
-    /// applied once when it returns — at depth 1 the whole chain goes
-    /// out behind one doorbell, past it the chain counts toward the
-    /// batch like any other posts. `posts` is synchronous, so a chain
-    /// can never hold the doorbell across an await while other tasks
-    /// post on the same QP.
+    /// enqueues do not ring individually, and one doorbell carries all
+    /// of them when it returns — whatever `posts` queued, even if it
+    /// gave up part-way. `posts` is synchronous, so a chain can never
+    /// hold the doorbell across an await while other tasks post on the
+    /// same QP. Chains do not nest.
     pub fn chain<R>(&self, posts: impl FnOnce() -> R) -> R {
-        let outer = self.inner.chaining.replace(true);
+        let nested = self.inner.chaining.replace(true);
+        debug_assert!(!nested, "WR chains do not nest");
         let posted = posts();
-        self.inner.chaining.set(outer);
-        if !outer {
-            self.ring_if_due();
-        }
+        self.inner.chaining.set(false);
+        self.ring();
         posted
     }
 
-    /// Ring the doorbell: submit every pending WQE to the HCA engine as
-    /// one batch. A no-op when nothing is pending. Callers running with
-    /// a batch depth > 1 must flush at operation boundaries — before
-    /// waiting on any completion of a pending WQE, and on connection
-    /// quiesce.
-    pub fn flush(&self) {
+    /// Ring the doorbell: submit every pending WQE to the HCA engine
+    /// behind it. A no-op when nothing is pending (a chain that posted
+    /// nothing rings nothing).
+    fn ring(&self) {
         let mut pending = self.inner.pending.borrow_mut();
         if pending.is_empty() {
             return;
         }
         let next = self.inner.drained.borrow_mut().pop().unwrap_or_default();
-        let batch = std::mem::replace(&mut *pending, next);
+        let wqes = std::mem::replace(&mut *pending, next);
         drop(pending);
-        self.inner.ring_seq.set(self.inner.ring_seq.get() + 1);
         self.inner.doorbells.inc();
-        // A send on a torn-down engine loses the batch; the QP is (or
+        // A send on a torn-down engine loses the WQEs; the QP is (or
         // is about to be) in the error state and receives flush there.
-        let _ = self.inner.wqe_tx.send(batch);
-    }
-
-    /// Set the doorbell batch depth for this QP (takes effect for
-    /// subsequent posts; depth 0 is clamped to 1).
-    pub fn set_doorbell_batch(&self, depth: usize) {
-        self.inner.doorbell_batch.set(depth.max(1));
-    }
-
-    /// Changes whenever this QP rings its doorbell: a caller that saw
-    /// the same value before and after a wait knows no ring carried its
-    /// posts out (the server's backstop flush). The count of rings is
-    /// the HCA's `hca.node{N}.doorbells` series.
-    pub fn ring_seq(&self) -> u64 {
-        self.inner.ring_seq.get()
+        let _ = self.inner.wqe_tx.send(wqes);
     }
 }
 
-/// Per-QP send-queue engine: drains doorbell batches strictly in post
+/// Per-QP send-queue engine: runs each doorbell's WQEs strictly in post
 /// order. The WQE-processing charge (doorbell write, WQE fetch, DMA
-/// setup) is paid once per doorbell ring — amortizing it across the
-/// batch is the point of doorbell batching. Holds the QP weakly: it
-/// ends when the QP is dropped.
+/// setup) is paid once per doorbell ring — so a WR chain pays it once
+/// for every WQE it carries. Holds the QP weakly: it ends when the QP
+/// is dropped.
 pub(crate) async fn sender_loop(qp: Weak<QpInner>, mut wqe_rx: Receiver<Vec<Wqe>>) {
-    while let Ok(mut batch) = wqe_rx.recv().await {
+    while let Ok(mut wqes) = wqe_rx.recv().await {
         let Some(qp) = qp.upgrade() else { return };
         // HCA processing for this doorbell (skipped when the QP is
         // already flushing errors).
         if !qp.error.get() {
             qp.sim.sleep(qp.cfg.wqe_process).await;
         }
-        for wqe in batch.drain(..) {
+        for wqe in wqes.drain(..) {
             run_wqe(&qp, wqe).await;
         }
-        qp.drained.borrow_mut().push(batch);
+        qp.drained.borrow_mut().push(wqes);
     }
 }
 

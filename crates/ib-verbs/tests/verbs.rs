@@ -799,65 +799,77 @@ fn all_physical_refuses_local_scatter_gather() {
     assert_eq!(&target.read(0, 64).materialize()[..], &[6u8; 64]);
 }
 
+/// The one doorbell rule, pinned by equality: every unchained post
+/// rings once; a WR chain rings once, when it closes, for whatever it
+/// queued — also when its closure gave up part-way (those WQEs still
+/// complete), and not at all when it queued nothing; and a QP forced
+/// into error outside a chain has nothing left to ring.
 #[test]
-fn doorbell_batching_rings_once_per_batch() {
+fn one_doorbell_per_post_and_one_per_chain() {
     let mut sim = Simulation::new(14);
     let h = sim.handle();
     let (a, b) = two_hosts(&h);
     let (qa, _qb) = connect(&a.hca, &b.hca);
-    qa.set_doorbell_batch(4);
-
     let target = b.mem.alloc(64 * 1024);
-    sim.block_on({
-        let (ah, bh) = (a.hca.clone(), b.hca.clone());
-        let target = target.clone();
-        let qa = qa.clone();
+    let mr = sim.block_on({
+        let bh = b.hca.clone();
         async move {
-            let mr = bh
-                .register(&target, 0, 64 * 1024, Access::REMOTE_WRITE)
-                .await;
-            // Four posts fill the batch: the doorbell rings itself.
-            for i in 0..4u64 {
-                qa.post_rdma_write(
-                    Payload::synthetic(3, 1024),
-                    mr.addr() + i * 1024,
-                    mr.rkey(),
-                    WrId(i),
-                    true,
-                )
-                .unwrap();
-            }
-            for _ in 0..4 {
-                assert_eq!(qa.send_cq().next().await.result, Ok(1024));
-            }
-            assert_eq!(ah.doorbells(), 1, "full batch is one doorbell");
-
-            // A partial batch stays pending until an explicit flush —
-            // the operation-boundary contract for batched callers.
-            for i in 4..6u64 {
-                qa.post_rdma_write(
-                    Payload::synthetic(3, 1024),
-                    mr.addr() + i * 1024,
-                    mr.rkey(),
-                    WrId(i),
-                    true,
-                )
-                .unwrap();
-            }
-            assert_eq!(ah.doorbells(), 1, "partial batch must not ring");
-            qa.flush();
-            for _ in 0..2 {
-                assert_eq!(qa.send_cq().next().await.result, Ok(1024));
-            }
-            assert_eq!(ah.doorbells(), 2);
+            bh.register(&target, 0, 64 * 1024, Access::REMOTE_WRITE)
+                .await
         }
     });
-    assert_eq!(a.hca.doorbells(), 2);
+    let post = |i: u64| {
+        let data = Payload::synthetic(3, 1024);
+        qa.post_rdma_write(data, mr.addr() + i * 1024, mr.rkey(), WrId(i), true)
+    };
+    // A post the QP refuses without going into error.
+    let refused = || qa.post_rdma_write_vec(Vec::new(), mr.addr(), mr.rkey(), WrId(99), true);
+    let mut results = |n: usize| {
+        let cq = qa.send_cq().clone();
+        sim.block_on(async move {
+            let mut results = Vec::new();
+            for _ in 0..n {
+                results.push(cq.next().await.result);
+            }
+            results
+        })
+    };
+    let doorbells = || a.hca.doorbells();
+
+    (0..3).try_for_each(post).unwrap();
+    assert_eq!(doorbells(), 3, "one per unchained post");
+    assert_eq!(results(3), vec![Ok(1024); 3]);
+
+    qa.chain(|| {
+        (3..6).try_for_each(post).unwrap();
+        assert_eq!(doorbells(), 3, "rang inside the chain");
+    });
+    assert_eq!(doorbells(), 4, "one for the chain");
+    assert_eq!(results(3), vec![Ok(1024); 3]);
+
+    let gave_up = qa.chain(|| {
+        post(6)?;
+        post(7)?;
+        refused()?;
+        post(8)
+    });
+    assert!(matches!(gave_up, Err(VerbsError::InvalidRequest(_))));
+    assert_eq!(doorbells(), 5, "one for the two WQEs queued");
+    assert_eq!(results(2), vec![Ok(1024); 2]);
+    assert!(qa.chain(refused).is_err());
+    assert_eq!(doorbells(), 5, "an empty chain rings nothing");
+
+    (9..11).try_for_each(post).unwrap();
+    qa.force_error();
+    assert_eq!(doorbells(), 7, "nothing pending for the error to ring");
+    assert_eq!(results(2), vec![Err(VerbsError::Flushed); 2]);
+    sim.run();
+    assert_eq!(qa.send_cq().depth(), 0);
+    assert_eq!(doorbells(), 7);
 }
 
-/// A WR chain is one doorbell at depth 1 however long it is, pays the
-/// doorbell's processing once, and at a deeper batch counts toward the
-/// depth like any other posts: decided once, when the chain closes.
+/// A WR chain is one doorbell however long it is, and pays the
+/// doorbell's processing once: its WQEs leave back to back.
 #[test]
 fn wr_chain_rings_once_when_it_closes() {
     let mut sim = Simulation::new(14);
@@ -891,7 +903,7 @@ fn wr_chain_rings_once_when_it_closes() {
         let gap = |w: &[sim_core::SpanRecord]| w[1].start.saturating_since(w[0].end);
         spans.windows(2).map(gap).collect::<Vec<_>>()
     };
-    // Unchained, depth 1: a doorbell and its processing each.
+    // Unchained: a doorbell and its processing each.
     (0..3).try_for_each(post).unwrap();
     assert_eq!(a.hca.doorbells(), 3);
     assert_eq!(gaps(3), [HcaConfig::sdr().wqe_process; 2]);
@@ -902,15 +914,6 @@ fn wr_chain_rings_once_when_it_closes() {
     });
     assert_eq!(a.hca.doorbells(), 4);
     assert_eq!(gaps(3), [SimDuration::ZERO; 2]);
-
-    // Depth 4: a short chain waits like any partial batch, a chain
-    // that fills the batch rings once for all of it.
-    qa.set_doorbell_batch(4);
-    qa.chain(|| (6..8).try_for_each(post)).unwrap();
-    assert_eq!(a.hca.doorbells(), 4, "partial batch must not ring");
-    qa.chain(|| (8..11).try_for_each(post)).unwrap();
-    assert_eq!(a.hca.doorbells(), 5, "five WQEs, one doorbell");
-    assert_eq!(gaps(5), [SimDuration::ZERO; 4]);
 }
 
 // ---------------------------------------------------------------------

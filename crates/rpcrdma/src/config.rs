@@ -59,13 +59,6 @@ pub struct RpcRdmaConfig {
     /// (the ledger records the revocation). `ZERO` disables the reaper
     /// (the paper's original, pin-forever behavior).
     pub exposure_ttl: SimDuration,
-    /// Doorbell batch depth for server-side QPs: the server enqueues up
-    /// to this many WQEs (RDMA Writes plus the reply Send) before
-    /// ringing the doorbell once for the whole batch. `1` rings per
-    /// WQE (the paper-era default). The server always schedules a
-    /// backstop flush before awaiting a completion, so no depth can
-    /// deadlock an op.
-    pub server_doorbell_batch: usize,
     /// OVERLOAD CONTROL: route admitted calls through the per-tenant
     /// weighted fair dispatch queue ([`crate::qos`]) instead of
     /// spawning one handler task per call. Off by default — the direct
@@ -90,7 +83,6 @@ impl Default for RpcRdmaConfig {
             call_timeout: SimDuration::from_millis(50),
             max_retransmits: 8,
             exposure_ttl: SimDuration::ZERO,
-            server_doorbell_batch: 1,
             qos_enabled: false,
         }
     }
@@ -136,8 +128,6 @@ mod tests {
         let d = RpcRdmaConfig::default();
         assert_eq!(d.design, Design::ReadWrite);
         assert_eq!(d.with_design(Design::ReadRead).design, Design::ReadRead);
-        // Paper-era default: one doorbell per WQE.
-        assert_eq!(d.server_doorbell_batch, 1);
         // A page of MSGP data rides behind a 1 KiB head: two pages.
         assert_eq!(d.recv_size(), 8192);
 

@@ -165,11 +165,9 @@ impl Endpoint {
     }
 
     /// Pull a chunk list into `io`: post one RDMA Read per segment into
-    /// consecutive ranges of it, ring the doorbell once for the batch (a
-    /// no-op on a depth-1 QP, which rang on every post), and wait for
-    /// all of them — §4.1's synchronous wait. `false` if any Read could
-    /// not be posted or failed; `io` is the caller's to release either
-    /// way.
+    /// consecutive ranges of it and wait for all of them — §4.1's
+    /// synchronous wait. `false` if any Read could not be posted or
+    /// failed; `io` is the caller's to release either way.
     pub(crate) async fn read_into(
         &self,
         io: &IoBuf,
@@ -186,7 +184,6 @@ impl Endpoint {
             waits.push(rx);
             off += seg.len;
         }
-        self.qp.flush();
         for rx in waits {
             if !matches!(rx.await, Ok(c) if c.result.is_ok()) {
                 return false;

@@ -89,12 +89,6 @@ pub const VIOLATION_QUARANTINE: u32 = 8;
 /// evicted entries mean very late duplicates re-execute).
 pub const DRC_CAPACITY: usize = 1024;
 
-/// Backstop for doorbell batching (`cfg.server_doorbell_batch` > 1): a
-/// WQE posted without filling the batch rings at most this much later,
-/// so concurrent ops posting within the window share the doorbell. The
-/// latency each op trades for the shared ring.
-pub const DOORBELL_FLUSH: SimDuration = SimDuration::from_micros(32);
-
 /// Executor scheduling class the QoS dispatch workers run in. Nothing
 /// spawns here unless `cfg.qos_enabled`, so default-configuration
 /// schedules (and their pinned fingerprints) are untouched; with QoS
@@ -544,10 +538,6 @@ fn retire_exposure(conn: &ConnState, exp: Exposure, how: Retire) -> impl Future<
 /// schedule** for every inbound message, then teardown.
 async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
     let cfg = server.cfg;
-    // Doorbell batching on the server's send side: WQEs queue in
-    // software and one doorbell flushes the batch. Safe because every
-    // path below flushes before awaiting a completion.
-    qp.set_doorbell_batch(cfg.server_doorbell_batch);
     let Ok(pool) = RecvPool::post(&server.hca, &cfg, 2, &qp) else {
         return;
     };
@@ -659,16 +649,13 @@ fn schedule(conn: &Rc<ConnState>, call: Inbound) {
     }
 }
 
-/// Connection teardown. Ring out anything still sitting in the
-/// software send queue so no WQE is silently dropped by the batching
-/// layer, then deal with what the dead peer still holds: it can no
-/// longer send `RDMA_DONE` on this QP, and the rkey of every
-/// still-exposed buffer was advertised to it — so *revoke* them
-/// (registration dropped, ledger records it) rather than release them.
-/// A parked cache entry with a live registration the dead peer knows
-/// about would be a standing leak.
+/// Connection teardown. The dead peer can no longer send `RDMA_DONE`
+/// on this QP, and the rkey of every still-exposed buffer was
+/// advertised to it — so *revoke* them (registration dropped, ledger
+/// records it) rather than release them. A parked cache entry with a
+/// live registration the dead peer knows about would be a standing
+/// leak.
 async fn teardown(conn: &ConnState) {
-    conn.ep.qp.flush();
     conn.closed.set(true);
     conn.exposure_signal.add_permits(1); // unpark the reaper so it exits
     let leftover = std::mem::take(&mut *conn.pending_exposures.borrow_mut());
@@ -741,9 +728,6 @@ fn shed_call(why: &'static str, call: QueuedCall) {
     // a shed client also learns to shrink its window.
     let rhdr = RdmaHeader::new(xid, conn.grant(), MsgType::Msg);
     let _ = conn.ep.send(conn.ep.encode_wire(&rhdr, &reply));
-    if server.cfg.server_doorbell_batch > 1 {
-        conn.ep.qp.flush();
-    }
 }
 
 /// One QoS dispatch worker: parks on the work signal, takes the next
@@ -1218,24 +1202,6 @@ async fn reply_stage(conn: &ConnState, out: &mut Outgoing) -> Option<()> {
     } else {
         Some(conn.ep.send_signaled(wire)?)
     };
-    if server.cfg.server_doorbell_batch > 1 {
-        // Doorbell moderation: if the batch doesn't fill (which rings
-        // on its own), a backstop task rings at most
-        // [`DOORBELL_FLUSH`] later, so ops posting within the
-        // window share one doorbell. The ring is always scheduled
-        // before the await, so the completion cannot hang. (Depth 1
-        // rang on post already.) Any doorbell after this post carries
-        // the reply with it — the backstop checks the ring count and
-        // stands down rather than ring a partial batch early.
-        let (qp, sim) = (conn.ep.qp.clone(), server.sim.clone());
-        let rung = qp.ring_seq();
-        server.sim.spawn(async move {
-            sim.sleep(DOORBELL_FLUSH).await;
-            if qp.ring_seq() == rung {
-                qp.flush();
-            }
-        });
-    }
     completion?.await.ok().map(drop)
 }
 

@@ -2989,29 +2989,24 @@ fn serve(cfg: RpcRdmaConfig, strategy: StrategyKind, shape: Shape) -> Served {
 /// completion, retires inside the `op` span, and the span is what it
 /// was to the nanosecond — less, in both halves, the unpin the handler
 /// no longer waits for ([`Shape::pages_unpinned_in_op`] × half a pin,
-/// 350 ns a page on `solaris_sdr`). The rule reads the op, not the
-/// configuration: the same at doorbell batch depth 4, where an
-/// unsignaled reply leaves with the 32 us backstop and the handler does
-/// not wait for that either.
+/// 350 ns a page on `solaris_sdr`).
 #[test]
 fn reply_send_is_signaled_iff_the_op_holds_a_buffer() {
     use Design::{ReadRead, ReadWrite};
     use StrategyKind::{AllPhysical, Cache, Dynamic, Fmr};
-    /// `(server_doorbell_batch, design, strategy, the op span of each
-    /// [`Shape::ALL`] at 056c230 in ns)`.
-    type Row = (usize, Design, StrategyKind, [u64; 5]);
+    /// `(design, strategy, the op span of each [`Shape::ALL`] at
+    /// 056c230 in ns)`.
+    type Row = (Design, StrategyKind, [u64; 5]);
     #[rustfmt::skip]
-    const PARENT_OP_NS: [Row; 10] = [
-        (1, ReadWrite, Dynamic,     [201_781, 548_904, 201_790, 734_145, 328_578]),
-        (1, ReadWrite, Fmr,         [201_781, 523_904, 201_790, 686_745, 367_578]),
-        (1, ReadWrite, Cache,       [201_781, 327_654, 201_790, 467_710, 244_353]),
-        (1, ReadWrite, AllPhysical, [201_781, 372_264, 201_790, 375_240, 233_957]),
-        (1, ReadRead,  Dynamic,     [201_781, 548_904, 201_790, 478_221, 270_265]),
-        (1, ReadRead,  Fmr,         [201_781, 523_904, 201_790, 447_621, 261_265]),
-        (1, ReadRead,  Cache,       [201_781, 327_654, 201_790, 319_786, 219_790]),
-        (1, ReadRead,  AllPhysical, [201_781, 372_264, 201_790, 224_270, 205_265]),
-        (4, ReadWrite, Dynamic,     [233_781, 580_904, 233_790, 765_217, 359_621]),
-        (4, ReadRead,  Cache,       [233_781, 359_654, 233_790, 351_786, 251_790]),
+    const PARENT_OP_NS: [Row; 8] = [
+        (ReadWrite, Dynamic,     [201_781, 548_904, 201_790, 734_145, 328_578]),
+        (ReadWrite, Fmr,         [201_781, 523_904, 201_790, 686_745, 367_578]),
+        (ReadWrite, Cache,       [201_781, 327_654, 201_790, 467_710, 244_353]),
+        (ReadWrite, AllPhysical, [201_781, 372_264, 201_790, 375_240, 233_957]),
+        (ReadRead,  Dynamic,     [201_781, 548_904, 201_790, 478_221, 270_265]),
+        (ReadRead,  Fmr,         [201_781, 523_904, 201_790, 447_621, 261_265]),
+        (ReadRead,  Cache,       [201_781, 327_654, 201_790, 319_786, 219_790]),
+        (ReadRead,  AllPhysical, [201_781, 372_264, 201_790, 224_270, 205_265]),
     ];
     let hca = HcaConfig::sdr();
     // What follows the reply's last byte landing at the client, for a
@@ -3019,14 +3014,11 @@ fn reply_send_is_signaled_iff_the_op_holds_a_buffer() {
     // interrupt.
     let completion = hca.link_latency + SimDuration::from_nanos(solaris_sdr_cpu().interrupt_ns);
     let took = |s: &SpanRecord| s.end.saturating_since(s.start);
-    for (batch, design, strategy, parent_ns) in PARENT_OP_NS {
+    for (design, strategy, parent_ns) in PARENT_OP_NS {
         for (shape, parent_ns) in Shape::ALL.into_iter().zip(parent_ns) {
-            let cfg = RpcRdmaConfig {
-                server_doorbell_batch: batch,
-                ..RpcRdmaConfig::default().with_design(design)
-            };
+            let cfg = RpcRdmaConfig::default().with_design(design);
             let s = serve(cfg, strategy, shape);
-            let tag = format!("{design:?}/{strategy:?}/{shape:?} at depth {batch}");
+            let tag = format!("{design:?}/{strategy:?}/{shape:?}");
             let unpin = hca.pin_per_page * shape.pages_unpinned_in_op(design, strategy) / 2;
             let parent_ns = parent_ns - unpin.as_nanos();
             let received = received(design, shape);
@@ -3045,11 +3037,10 @@ fn reply_send_is_signaled_iff_the_op_holds_a_buffer() {
                 );
                 assert!(took(&s.reply_send).is_zero(), "{tag}");
                 assert_eq!(s.op.end, s.reply_send.end, "{tag}");
-                // Nobody waits, and the reply is no later for it: depth
-                // 1 rang on the post, past it the backstop rings.
+                // Nobody waits, and the reply is no later for it: the
+                // post rang the doorbell.
                 let rung = s.wire.start.saturating_since(s.reply_send.start);
-                let backstop = rpcrdma::server::DOORBELL_FLUSH * (batch > 1) as u64;
-                assert_eq!(rung, backstop + hca.wqe_process, "{tag}");
+                assert_eq!(rung, hca.wqe_process, "{tag}");
                 let flight = s.wire.end.saturating_since(s.reply_send.start) + completion;
                 assert_eq!(
                     took(&s.op).as_nanos(),

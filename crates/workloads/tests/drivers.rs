@@ -163,15 +163,13 @@ fn testbed_reset_accounting_clears_utilization() {
     });
 }
 
-/// One full batched-READ run; returns the whole metrics registry plus
+/// One full coalesced-READ run; returns the whole metrics registry plus
 /// the measured bandwidth so callers can compare runs bit-for-bit.
 fn batched_read_run(seed: u64) -> (Vec<(String, u64)>, f64) {
     let mut sim = Simulation::new(seed);
     let h = sim.handle();
     let profile = workloads::linux_sdr();
     sim.block_on(async move {
-        let mut profile = profile;
-        profile.rpc.server_doorbell_batch = 4;
         let mut server_hca = profile.hca;
         server_hca.cq_coalesce_count = 4;
         server_hca.cq_coalesce_delay = SimDuration::from_micros(64);
@@ -197,11 +195,10 @@ fn batched_read_run(seed: u64) -> (Vec<(String, u64)>, f64) {
     })
 }
 
-/// The full batched pipeline — doorbell batching, backstop flush tasks,
-/// CQ completion coalescing, zero-copy gather — must stay bit-for-bit
-/// deterministic: two runs from the same seed produce identical metric
-/// registries (every counter, including the batching ones, is part of
-/// the fingerprint).
+/// The full batched pipeline — CQ completion coalescing, zero-copy
+/// gather — must stay bit-for-bit deterministic: two runs from the same
+/// seed produce identical metric registries (every counter, including
+/// the coalescing ones, is part of the fingerprint).
 #[test]
 fn batched_read_pipeline_same_seed_metrics_fingerprint() {
     let (a, bw_a) = batched_read_run(0xFEED);
@@ -222,19 +219,15 @@ fn batched_read_pipeline_same_seed_metrics_fingerprint() {
         let per_node = |n: &&(String, u64)| n.0.starts_with("hca.node") && n.0.ends_with(what);
         a.iter().filter(per_node).map(|(_, v)| v).sum()
     };
-    // The batching machinery actually engaged in the fingerprinted run.
-    assert!(fleet(".doorbells") > 0);
+    // The coalescing machinery actually engaged in the fingerprinted run.
     assert!(fleet(".cq_coalesced") > 0, "CQ coalescing never engaged");
     // Every cached READ byte rode the zero-copy gather path.
     assert_eq!(get("server.read.zero_copy_bytes"), 8 * 128 * 1024);
-    // Batched doorbells ring less than once per WQE: the READ pass
-    // alone posts two WQEs per op (RDMA Write + reply Send).
-    let ops = get("server.ops");
-    assert!(ops > 0);
-    assert!(
-        fleet(".doorbells") < 2 * ops,
-        "doorbell batching never amortized a ring"
-    );
+    // One doorbell per post: each 4 KiB READ posts its RDMA Write and
+    // its reply Send, each of the 8 threads' CREATEs only its reply.
+    let reads = get("nfs.node0.reads");
+    assert_eq!((reads, get("server.ops")), (8 * 32, 8 * 32 + 8));
+    assert_eq!(get("hca.node0.doorbells"), 2 * reads + 8);
 }
 
 /// The load an open-loop run is offered is the seed's, not the waiting

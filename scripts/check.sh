@@ -27,6 +27,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps with -D warnings (a link to a deleted or private item fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "==> code lines per crate (scripts/loc.sh; informational, no gate)"
+./scripts/loc.sh
+
 if [ "${SKIP_TESTS:-0}" != "1" ]; then
     echo "==> cargo build --release"
     cargo build --release
@@ -34,14 +37,14 @@ if [ "${SKIP_TESTS:-0}" != "1" ]; then
     # cargo still exits non-zero if any failed.
     echo "==> cargo test -q --no-fail-fast"
     cargo test -q --no-fail-fast
-    echo "==> compose --ignored wide_matrix fault_matrix (the release-only composition matrices: 192 fault-free runs, 320 points under faults each run twice)"
+    echo "==> compose --ignored wide_matrix fault_matrix (the release-only composition matrices: 96 fault-free runs, 160 points under faults each run twice)"
     cargo test -q --release -p workloads --test compose -- --ignored wide_matrix fault_matrix
 fi
 
 echo "==> simperf --smoke (poll counts of the executor and READ loops by equality + span-tracing overhead gate <=10%)"
 cargo run --release -p bench --bin simperf -- --smoke
 
-echo "==> ablation --batching --smoke (zero-copy >= 1.3x; doorbells/op and interrupts/op < 1 at depth 4)"
+echo "==> ablation --batching --smoke (zero-copy >= 1.3x; interrupts/op < 1 at CQ coalesce count 4; server doorbells == 2 x READs + CREATEs)"
 cargo run --release -p bench --bin ablation -- --batching --smoke
 
 echo "==> ablation --write-path --smoke (zero-copy WRITE >= 1.3x; copied_bytes frozen; Cache still the one bouncing strategy)"
