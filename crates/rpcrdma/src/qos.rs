@@ -88,6 +88,7 @@ struct Tenant<T> {
     /// Dispatches left in the tenant's current ring visit.
     credit: u32,
     queue: VecDeque<T>,
+    /// In the service ring; true exactly while `queue` is non-empty.
     in_ring: bool,
 }
 
@@ -155,62 +156,37 @@ impl<T> TenantScheduler<T> {
 
     /// Take the next call in weighted fair order, with the tenant it
     /// belongs to. `None` when nothing is queued.
+    ///
+    /// A tenant is in the ring exactly while its queue is non-empty:
+    /// `enqueue` rings it with its first call, and this is the only
+    /// place a call leaves, unringing the tenant with its last.
     pub fn dequeue(&self) -> Option<(u32, T)> {
         let mut ring = self.ring.borrow_mut();
         let mut tenants = self.tenants.borrow_mut();
-        loop {
-            let tenant = *ring.front()?;
-            let t = tenants.get_mut(&tenant).expect("ringed tenant exists");
-            if t.queue.is_empty() {
-                // Drained while waiting its turn (deadline sheds).
-                t.in_ring = false;
-                t.credit = 0;
-                ring.pop_front();
-                continue;
-            }
-            if t.credit == 0 {
-                t.credit = t.weight;
-            }
-            let item = t.queue.pop_front().expect("non-empty queue");
-            t.credit -= 1;
-            self.queued.set(self.queued.get() - 1);
-            if t.credit == 0 || t.queue.is_empty() {
-                ring.pop_front();
-                t.credit = 0;
-                if t.queue.is_empty() {
-                    t.in_ring = false;
-                } else {
-                    ring.push_back(tenant);
-                }
-            }
-            return Some((tenant, item));
+        let tenant = *ring.front()?;
+        let t = tenants.get_mut(&tenant).expect("ringed tenant exists");
+        debug_assert!(t.in_ring && !t.queue.is_empty(), "ringed tenant idle");
+        if t.credit == 0 {
+            t.credit = t.weight;
         }
-    }
-
-    /// Remove and return a tenant's entire backlog (used by deadline
-    /// sheds that drop a stale tenant queue wholesale, and teardown).
-    pub fn drain_tenant(&self, tenant: u32) -> Vec<T> {
-        let mut tenants = self.tenants.borrow_mut();
-        let Some(t) = tenants.get_mut(&tenant) else {
-            return Vec::new();
-        };
-        let drained: Vec<T> = t.queue.drain(..).collect();
-        self.queued.set(self.queued.get() - drained.len() as u32);
-        drained
+        let item = t.queue.pop_front().expect("ringed tenant has a call");
+        t.credit -= 1;
+        self.queued.set(self.queued.get() - 1);
+        if t.credit == 0 || t.queue.is_empty() {
+            ring.pop_front();
+            t.credit = 0;
+            if t.queue.is_empty() {
+                t.in_ring = false;
+            } else {
+                ring.push_back(tenant);
+            }
+        }
+        Some((tenant, item))
     }
 
     /// Calls queued across all tenants.
     pub fn queued(&self) -> u32 {
         self.queued.get()
-    }
-
-    /// One tenant's current backlog.
-    pub fn backlog(&self, tenant: u32) -> u32 {
-        self.tenants
-            .borrow()
-            .get(&tenant)
-            .map(|t| t.queue.len() as u32)
-            .unwrap_or(0)
     }
 }
 
@@ -262,18 +238,5 @@ mod tests {
         // Other tenants unaffected.
         s.enqueue(2, 0).unwrap();
         assert_eq!(s.queued(), 4);
-    }
-
-    #[test]
-    fn drain_tenant_empties_backlog() {
-        let s: TenantScheduler<u32> = TenantScheduler::new(16, 16);
-        s.enqueue(1, 0).unwrap();
-        s.enqueue(1, 1).unwrap();
-        s.enqueue(2, 9).unwrap();
-        assert_eq!(s.drain_tenant(1), vec![0, 1]);
-        assert_eq!(s.queued(), 1);
-        // The emptied tenant's ring entry is skipped harmlessly.
-        assert_eq!(s.dequeue(), Some((2, 9)));
-        assert_eq!(s.dequeue(), None);
     }
 }

@@ -89,13 +89,6 @@ pub const VIOLATION_QUARANTINE: u32 = 8;
 /// evicted entries mean very late duplicates re-execute).
 pub const DRC_CAPACITY: usize = 1024;
 
-/// Executor scheduling class the QoS dispatch workers run in. Nothing
-/// spawns here unless `cfg.qos_enabled`, so default-configuration
-/// schedules (and their pinned fingerprints) are untouched; with QoS
-/// on, dispatch workers interleave fairly with connection receive
-/// loops instead of queueing behind whatever woke first.
-const QOS_DISPATCH_CLASS: usize = 1;
-
 /// Server-side statistics: every field *is* a `server.*` series of the
 /// metrics registry (named in `ServerStats::new`). The counters are
 /// shared by name — so fleet-wide when servers share a simulation; the
@@ -298,8 +291,7 @@ impl RdmaRpcServer {
         });
         if server.qos.is_some() {
             for _ in 0..QOS_WORKERS {
-                let worker = qos_worker(server.clone());
-                sim.spawn_class(QOS_DISPATCH_CLASS, worker);
+                sim.spawn(qos_worker(server.clone()));
             }
         }
         server
@@ -423,7 +415,8 @@ struct ConnState {
     violations: Cell<u32>,
     /// Consecutive clean calls since the last violation.
     good_streak: Cell<u32>,
-    /// Set at teardown so the exposure reaper exits.
+    /// Set at teardown: the exposure reaper exits, and a QoS worker
+    /// drops this connection's calls still queued.
     closed: Cell<bool>,
     /// Calls dispatched and not yet completed. The server *enforces*
     /// its credit grant: a call arriving past the window is dropped
@@ -731,9 +724,10 @@ fn shed_call(why: &'static str, call: QueuedCall) {
 }
 
 /// One QoS dispatch worker: parks on the work signal, takes the next
-/// call in weighted fair order, sheds it if its queue sojourn blew the
-/// CoDel-style target, and otherwise services it inline — the worker
-/// pool size is the server's service concurrency under overload.
+/// call in weighted fair order, drops it if its connection has torn
+/// down, sheds it if its queue sojourn blew the CoDel-style target, and
+/// otherwise services it inline — the worker pool size is the server's
+/// service concurrency under overload.
 async fn qos_worker(server: Rc<RdmaRpcServer>) {
     let qos = server.qos.clone().expect("qos worker without qos state");
     loop {
@@ -741,6 +735,14 @@ async fn qos_worker(server: Rc<RdmaRpcServer>) {
         let Some((_, call)) = qos.sched.dequeue() else {
             continue;
         };
+        if call.conn.closed.get() {
+            // Torn down while it waited: the QP is gone, so nobody is
+            // left to answer, and a task-queue pass for it would only
+            // delay live connections. Give back its slot, drop it.
+            let conn = &call.conn;
+            conn.in_flight.set(conn.in_flight.get() - 1);
+            continue;
+        }
         if server.sim.now() - call.enq > QOS_TARGET_DELAY {
             // The queue already added more delay than the target;
             // answering "busy" now is cheaper for everyone than

@@ -14,7 +14,6 @@ enum Act {
     Enq { tenant: u32 },
     Deq,
     SetWeight { tenant: u32, w: u32 },
-    Drain { tenant: u32 },
 }
 
 fn arb_act() -> impl Strategy<Value = Act> {
@@ -29,17 +28,15 @@ fn arb_act() -> impl Strategy<Value = Act> {
         Just(Act::Deq),
         Just(Act::Deq),
         (0..6u32, 1..=4u32).prop_map(|(tenant, w)| Act::SetWeight { tenant, w }),
-        (0..6u32).prop_map(|tenant| Act::Drain { tenant }),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Model-based accounting: every accepted item is dispatched (or
-    /// drained) exactly once, per-tenant FIFO holds, sheds happen
-    /// exactly at the caps, and `queued()` always equals the model's
-    /// total backlog.
+    /// Model-based accounting: every accepted item is dispatched exactly
+    /// once, per-tenant FIFO holds, sheds happen exactly at the caps,
+    /// and `queued()` always equals the model's total backlog.
     #[test]
     fn scheduler_matches_reference_model(
         acts in proptest::collection::vec(arb_act(), 1..200),
@@ -83,12 +80,6 @@ proptest! {
                     None => prop_assert_eq!(total(&model), 0, "dequeue None with backlog"),
                 },
                 Act::SetWeight { tenant, w } => s.set_weight(tenant, w),
-                Act::Drain { tenant } => {
-                    let got = s.drain_tenant(tenant);
-                    let want: Vec<u64> =
-                        model.remove(&tenant).unwrap_or_default().into_iter().collect();
-                    prop_assert_eq!(got, want);
-                }
             }
             prop_assert_eq!(s.queued(), total(&model), "queued() drifted from model");
         }
@@ -180,9 +171,6 @@ proptest! {
                     }
                     Act::Deq => log.push(format!("deq {:?}", s.dequeue())),
                     Act::SetWeight { tenant, w } => s.set_weight(*tenant, *w),
-                    Act::Drain { tenant } => {
-                        log.push(format!("drain {tenant} {:?}", s.drain_tenant(*tenant)));
-                    }
                 }
             }
             log

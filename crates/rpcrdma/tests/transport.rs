@@ -2383,6 +2383,56 @@ fn shed_writes_fetch_nothing() {
     assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0);
 }
 
+/// A call still parked in the QoS queue when its connection tears down
+/// has no one to answer: the worker that dequeues it drops it, with no
+/// task-queue pass, no service and no busy reply — the serialized queue
+/// goes to live connections only.
+#[test]
+fn a_torn_down_connection_leaves_nothing_in_the_dispatch_queue() {
+    const CALLS: u64 = 48;
+    let mut sim = Simulation::new(41);
+    sim.enable_span_tracing();
+    let h = sim.handle();
+    let cfg = RpcRdmaConfig {
+        qos_enabled: true,
+        credits: 128,
+        ..Default::default()
+    };
+    let bed = setup_on(&h, cfg, StrategyKind::Dynamic, solaris_sdr_cpu());
+    for _ in 0..CALLS {
+        let client = bed.client.clone();
+        sim.spawn(async move {
+            let _ = client
+                .call(3, Bytes::from_static(b"late"), BulkParams::default())
+                .await;
+        });
+    }
+    // The burst is queued in well under a millisecond; at 180 µs a
+    // task-queue pass, most of it is still waiting at 1 ms. (Off the
+    // µs grid, so nothing but the strike happens at that instant.)
+    let strike = sim_core::SimTime::from_nanos(1_000_017);
+    sim.run_until(strike);
+    let stats = &bed.server.stats;
+    let queued = bed.server.qos_depth();
+    assert!(queued > 8, "only {queued} calls left in the queue");
+    let sheds = stats.sheds.get();
+    // The client dies: both ends of its connection error out.
+    bed.client.qp().force_error();
+    bed.server_qp.force_error();
+    sim.run();
+    assert_eq!(bed.server.qos_depth(), 0);
+    let late: Vec<_> = server_spans(&sim)
+        .into_iter()
+        .filter(|s| s.name == "dispatch" && s.start > strike)
+        .map(|s| s.start)
+        .collect();
+    assert!(
+        late.is_empty(),
+        "dispatched for a dead connection at {late:?}"
+    );
+    assert_eq!(stats.sheds.get(), sheds, "answered a dead connection busy");
+}
+
 /// One 1 MiB READ on the `linux_ddr_raid` machines, in the terms the
 /// push's timing contract is stated in.
 struct MibRead {

@@ -28,13 +28,14 @@
 //!   (e.g. from a timer outliving its task) addresses a reused slot
 //!   harmlessly: the generation no longer matches and the wake is
 //!   dropped.
-//! - **A wake is a push.** The ready queue is plain data beside the
-//!   slab, behind one `RefCell`. Waking task `id` checks the slot's
+//! - **A wake is a push.** The ready queue is one `Vec<TaskId>` beside
+//!   the slab, behind one `RefCell`. Waking task `id` checks the slot's
 //!   generation and its "already scheduled" flag (a `bool`), sets the
-//!   flag and pushes the id onto its class lane. Waking a task that is
-//!   still queued is a no-op rather than a duplicate entry and a wasted
-//!   poll. The flag clears *before* the poll runs so a task that wakes
-//!   itself (`yield_now`) re-queues correctly.
+//!   flag and pushes the id. Waking a task that is still queued is a
+//!   no-op rather than a duplicate entry and a wasted poll. The flag
+//!   clears *before* the poll runs so a task that wakes itself
+//!   (`yield_now`) re-queues correctly. Every task, whoever spawned it,
+//!   shares this one queue.
 //! - **Park by id.** Timers and this crate's primitives record the id
 //!   of the task being polled (`wake::Parked`) — two integers
 //!   — not a cloned `Waker`. Each slot still caches one `Arc`-backed
@@ -89,27 +90,6 @@ fn task_gen(id: TaskId) -> u32 {
     (id >> 32) as u32
 }
 
-/// The scheduling class every task belongs to unless spawned with
-/// [`Sim::spawn_class`]. Plain [`Sim::spawn`] always lands here.
-pub const DEFAULT_CLASS: usize = 0;
-
-/// One scheduling class's slice of the ready queue.
-struct ClassLane {
-    queue: Vec<TaskId>,
-    /// Tasks this class may contribute per interleave round when more
-    /// than one class is ready (weighted round-robin quantum).
-    weight: u32,
-}
-
-impl ClassLane {
-    fn new() -> ClassLane {
-        ClassLane {
-            queue: Vec::new(),
-            weight: 1,
-        }
-    }
-}
-
 /// One slab slot: a task's scheduling state, its future while parked,
 /// and the waker every tenant of the slot shares.
 #[derive(Default)]
@@ -119,8 +99,6 @@ struct TaskSlot {
     /// True while the tenant sits in the ready queue; extra wakes are
     /// no-ops. Cleared by the executor just before polling.
     scheduled: bool,
-    /// Scheduling class of the tenant; fixed for its life.
-    class: usize,
     /// The tenant's future. `None` on a free slot, and while the task
     /// is being polled (taken out so the body can re-entrantly spawn).
     fut: Option<BoxFuture>,
@@ -129,45 +107,17 @@ struct TaskSlot {
     waker: Option<SlotWaker>,
 }
 
-/// The task slab and the queue of tasks woken and awaiting a poll,
-/// partitioned into weighted scheduling classes. Thread-confined, so
-/// plain data: wakes reach it through [`Core::wake_task`].
-///
-/// Class [`DEFAULT_CLASS`] always exists. When it is the only class
-/// with queued tasks (the overwhelmingly common case — every component
-/// predating QoS spawns there), the drain is the historical whole-queue
-/// swap and the batch order is exactly the old FIFO order; the
-/// golden-schedule gate pins this. Only when two or more classes hold
-/// ready tasks does the drain interleave them, `weight` tasks per class
-/// per round, in ascending class index — deterministic, starvation-free
-/// (every positive-weight class contributes to every round), and
-/// proportional to the configured weights within a batch.
+/// The task slab and the FIFO of tasks woken and awaiting a poll.
+/// Thread-confined, so plain data: wakes reach it through
+/// [`Core::wake_task`].
+#[derive(Default)]
 struct Sched {
     slots: Vec<TaskSlot>,
     free: Vec<u32>,
-    lanes: Vec<ClassLane>,
-    /// Ids queued across all lanes.
-    queued: usize,
+    ready: Vec<TaskId>,
 }
 
 impl Sched {
-    fn new() -> Sched {
-        Sched {
-            slots: Vec::new(),
-            free: Vec::new(),
-            lanes: vec![ClassLane::new()],
-            queued: 0,
-        }
-    }
-
-    /// The lane of `class`; classes are created on first use.
-    fn lane(&mut self, class: usize) -> &mut ClassLane {
-        while self.lanes.len() <= class {
-            self.lanes.push(ClassLane::new());
-        }
-        &mut self.lanes[class]
-    }
-
     /// Queue task `id` unless it is gone (stale generation) or already
     /// queued.
     fn wake(&mut self, id: TaskId) {
@@ -178,52 +128,15 @@ impl Sched {
             return;
         }
         slot.scheduled = true;
-        let class = slot.class;
-        self.lane(class).queue.push(id);
-        self.queued += 1;
+        self.ready.push(id);
     }
 
-    /// Move the queued batch into `buf` (cleared first). With a single
-    /// non-empty lane this swaps the whole queue (the historical FIFO
-    /// drain, zero-alloc in steady state); with several it interleaves
-    /// them weight-proportionally.
+    /// Move the queued batch into `buf` (cleared first). A swap: the
+    /// two buffers trade places, so steady state allocates nothing.
     fn drain_into(&mut self, buf: &mut Vec<TaskId>) {
         buf.clear();
-        if self.queued == 0 {
-            return;
-        }
-        self.queued = 0;
-        let mut nonempty = self.lanes.iter_mut().filter(|l| !l.queue.is_empty());
-        let (first, second) = (nonempty.next(), nonempty.next());
-        match (first, second) {
-            (Some(only), None) => std::mem::swap(&mut only.queue, buf),
-            (Some(first), Some(second)) => {
-                // Weighted round-robin interleave: each round visits
-                // classes in index order and takes up to `weight` tasks
-                // from each, so a positive-weight class waits at most
-                // one round's worth of higher-priority work.
-                let rest = nonempty;
-                let mut ready: Vec<(&mut ClassLane, usize)> = Vec::with_capacity(4);
-                ready.push((first, 0));
-                ready.push((second, 0));
-                ready.extend(rest.map(|l| (l, 0)));
-                loop {
-                    let mut moved = false;
-                    for (lane, cursor) in ready.iter_mut() {
-                        let take = (lane.weight as usize).min(lane.queue.len() - *cursor);
-                        buf.extend_from_slice(&lane.queue[*cursor..*cursor + take]);
-                        *cursor += take;
-                        moved |= take > 0;
-                    }
-                    if !moved {
-                        break;
-                    }
-                }
-                for (lane, _) in ready {
-                    lane.queue.clear();
-                }
-            }
-            (None, _) => {}
+        if !self.ready.is_empty() {
+            std::mem::swap(&mut self.ready, buf);
         }
     }
 }
@@ -290,7 +203,7 @@ impl Simulation {
             core: Rc::new_cyclic(|core| Core {
                 id: wake::register(core),
                 now: Cell::new(SimTime::ZERO),
-                sched: RefCell::new(Sched::new()),
+                sched: RefCell::new(Sched::default()),
                 timers: RefCell::new(TimerWheel::new()),
                 rng: RefCell::new(SimRng::new(seed)),
                 polls,
@@ -312,17 +225,6 @@ impl Simulation {
     /// Spawn a root task.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
         self.handle().spawn(fut);
-    }
-
-    /// Spawn a root task in scheduling class `class` (see
-    /// [`Sim::spawn_class`]).
-    pub fn spawn_class(&self, class: usize, fut: impl Future<Output = ()> + 'static) {
-        self.handle().spawn_class(class, fut);
-    }
-
-    /// Set a scheduling class's weight (see [`Sim::set_class_weight`]).
-    pub fn set_class_weight(&self, class: usize, weight: u32) {
-        self.handle().set_class_weight(class, weight);
     }
 
     /// Current virtual time.
@@ -520,17 +422,8 @@ impl Sim {
         self.core.now.get()
     }
 
-    /// Spawn a detached task in the default scheduling class.
+    /// Spawn a detached task. It joins the back of the ready queue.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
-        self.spawn_class(DEFAULT_CLASS, fut);
-    }
-
-    /// Spawn a detached task in scheduling class `class`. Classes are
-    /// created on first use with weight 1; see
-    /// [`Sim::set_class_weight`]. Tasks in different classes that are
-    /// ready at the same instant are polled interleaved in proportion
-    /// to their class weights instead of global FIFO order.
-    pub fn spawn_class(&self, class: usize, fut: impl Future<Output = ()> + 'static) {
         let fut: BoxFuture = Box::pin(fut);
         let mut sched = self.core.sched.borrow_mut();
         let idx = match sched.free.pop() {
@@ -548,19 +441,9 @@ impl Sim {
             slot.waker = Some(SlotWaker::new(self.core.id, id));
         }
         slot.fut = Some(fut);
-        slot.class = class;
         // Born queued.
         slot.scheduled = false;
         sched.wake(id);
-    }
-
-    /// Set the weight of scheduling class `class` (clamped to ≥ 1):
-    /// the number of tasks the class contributes per interleave round
-    /// when several classes are ready at once. Uniform weights (the
-    /// default) reproduce round-robin; the default class alone
-    /// reproduces the historical FIFO drain exactly.
-    pub fn set_class_weight(&self, class: usize, weight: u32) {
-        self.core.sched.borrow_mut().lane(class).weight = weight.max(1);
     }
 
     /// Sleep for a span of virtual time.
@@ -1139,80 +1022,6 @@ mod tests {
         );
         let (order2, _) = run();
         assert_eq!(order, order2, "same-seed completion order diverged");
-    }
-
-    #[test]
-    fn class_interleave_follows_weights() {
-        // Nine tasks ready at the same instant: 3 in class 0, 3 in
-        // class 1 (weight 2), 3 in class 2 (weight 1). One interleave
-        // round takes 1 from class 0, 2 from class 1, 1 from class 2.
-        let mut sim = Simulation::new(1);
-        sim.set_class_weight(1, 2);
-        let log: Rc<RefCell<Vec<(usize, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-        for class in 0..3usize {
-            for i in 0..3u32 {
-                let log = log.clone();
-                sim.spawn_class(class, async move {
-                    log.borrow_mut().push((class, i));
-                });
-            }
-        }
-        sim.run();
-        assert_eq!(
-            *log.borrow(),
-            vec![
-                (0, 0),
-                (1, 0),
-                (1, 1),
-                (2, 0),
-                (0, 1),
-                (1, 2),
-                (2, 1),
-                (0, 2),
-                (2, 2),
-            ]
-        );
-    }
-
-    #[test]
-    fn single_class_drain_is_plain_fifo() {
-        // Tasks spawned into one non-default class behave exactly like
-        // the default class alone: plain FIFO.
-        let mut sim = Simulation::new(1);
-        sim.set_class_weight(3, 7);
-        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..6u32 {
-            let log = log.clone();
-            sim.spawn_class(3, async move {
-                log.borrow_mut().push(i);
-            });
-        }
-        sim.run();
-        assert_eq!(*log.borrow(), (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn positive_weight_class_is_not_starved() {
-        // A huge-weight class cannot push a weight-1 class out of a
-        // batch: every round still visits every non-empty lane.
-        let mut sim = Simulation::new(1);
-        sim.set_class_weight(1, 1000);
-        let log: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
-        for _ in 0..50u32 {
-            let log = log.clone();
-            sim.spawn_class(1, async move {
-                log.borrow_mut().push(1);
-            });
-        }
-        let log0 = log.clone();
-        sim.spawn_class(0, async move {
-            log0.borrow_mut().push(0);
-        });
-        sim.run();
-        // The lone class-0 task runs in the very first round, i.e.
-        // before the bulk of the 50 class-1 tasks completes.
-        let pos = log.borrow().iter().position(|&c| c == 0).unwrap();
-        assert!(pos <= 1, "class-0 task ran at position {pos}");
     }
 
     #[test]

@@ -60,14 +60,14 @@ pub mod trace;
 pub mod wake;
 
 pub use cpu::{Cpu, CpuCosts};
-pub use executor::{join, yield_now, Sim, Simulation, Span, Timeout, DEFAULT_CLASS};
+pub use executor::{join, yield_now, Sim, Simulation, Span, Timeout};
 pub use extent::ExtentMap;
 pub use flight::{format_flight, FlightRecord, FLIGHT_CAPACITY};
 pub use metrics::MetricsRegistry;
 pub use payload::{Payload, SgList};
 pub use resource::{Link, Resource};
 pub use rng::SimRng;
-pub use stats::{Counter, Gauge, Histogram, Meter, Summary};
+pub use stats::{Counter, Gauge, Histogram};
 pub use time::{transfer_time, SimDuration, SimTime};
 pub use trace::{
     aggregate_phases, chrome_trace_json, validate_json, PhaseStats, SpanRecord, TraceCtx,

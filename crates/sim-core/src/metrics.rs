@@ -20,9 +20,8 @@
 //!
 //! The registry is held by the executor core and reached from any
 //! [`crate::Sim`] handle via `Sim::metrics()`, so components need no
-//! extra constructor plumbing. Snapshots iterate a `BTreeMap`, which
-//! makes the text/JSON dumps deterministic: two same-seed runs produce
-//! byte-identical output (pinned by a chaos-harness test).
+//! extra constructor plumbing. Snapshots iterate a `BTreeMap`, so they
+//! are deterministic: two same-seed runs read back identical series.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -118,37 +117,6 @@ impl MetricsRegistry {
             .map(|(k, v)| (k.clone(), v.value()))
             .collect()
     }
-
-    /// Deterministic `name value` text dump, one series per line,
-    /// sorted by name.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in self.inner.borrow().iter() {
-            out.push_str(k);
-            out.push(' ');
-            out.push_str(&v.value().to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Deterministic JSON object dump (`{"name": value, ...}`), sorted
-    /// by name.
-    pub fn to_json(&self) -> String {
-        let map = self.inner.borrow();
-        let mut out = String::from("{");
-        for (i, (k, v)) in map.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&escape_json(k));
-            out.push_str("\":");
-            out.push_str(&v.value().to_string());
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -192,8 +160,8 @@ mod tests {
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names, vec!["a.first", "m.mid", "z.last"]);
-        assert_eq!(reg.to_text(), "a.first 2\nm.mid 3\nz.last 1\n");
-        assert_eq!(reg.to_json(), r#"{"a.first":2,"m.mid":3,"z.last":1}"#);
+        let values: Vec<u64> = snap.iter().map(|(_, v)| *v).collect();
+        assert_eq!(values, vec![2, 3, 1]);
     }
 
     #[test]

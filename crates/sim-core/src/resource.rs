@@ -114,11 +114,6 @@ impl Resource {
         self.inner.ops.set(0);
         self.inner.opened_at.set(self.sim.now());
     }
-
-    /// Queued waiters right now (diagnostic).
-    pub fn queue_len(&self) -> usize {
-        self.sem.queue_len()
-    }
 }
 
 /// A unidirectional link: serialization at `bandwidth` plus a fixed

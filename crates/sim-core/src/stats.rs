@@ -1,9 +1,9 @@
-//! Measurement helpers: throughput meters and summary statistics used
-//! by the workload drivers and the figure harnesses.
+//! Measurement helpers: the registry's counter and gauge cells, and the
+//! latency histogram the workload drivers and figure harnesses report.
 
 use std::cell::Cell;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A monotonic event counter cheap enough for per-message hot paths
 /// (a [`Cell`] bump, no allocation). Taken from the
@@ -50,65 +50,6 @@ impl Gauge {
     /// The current level.
     pub fn get(&self) -> u64 {
         self.0.get()
-    }
-}
-
-/// Accumulates bytes/ops over a virtual-time window and reports rates.
-#[derive(Clone, Debug)]
-pub struct Meter {
-    start: SimTime,
-    bytes: u64,
-    ops: u64,
-}
-
-impl Meter {
-    /// Open a measurement window at `start`.
-    pub fn new(start: SimTime) -> Self {
-        Meter {
-            start,
-            bytes: 0,
-            ops: 0,
-        }
-    }
-
-    /// Record one completed operation of `bytes`.
-    pub fn record(&mut self, bytes: u64) {
-        self.bytes += bytes;
-        self.ops += 1;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total operations recorded.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Window start.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
-    /// Throughput in MB/s (decimal megabytes, as the paper reports) over
-    /// the window ending at `now`.
-    pub fn mb_per_sec(&self, now: SimTime) -> f64 {
-        let secs = now.saturating_since(self.start).as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 / 1e6 / secs
-    }
-
-    /// Operations per second over the window ending at `now`.
-    pub fn ops_per_sec(&self, now: SimTime) -> f64 {
-        let secs = now.saturating_since(self.start).as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.ops as f64 / secs
     }
 }
 
@@ -248,20 +189,6 @@ impl Histogram {
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
     }
-
-    /// Summary as a JSON object: count, mean/p50/p90/p99/max in
-    /// nanoseconds.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-            self.count,
-            self.mean().as_nanos(),
-            self.quantile(0.50).as_nanos(),
-            self.quantile(0.90).as_nanos(),
-            self.quantile(0.99).as_nanos(),
-            self.max_ns,
-        )
-    }
 }
 
 impl std::fmt::Display for Histogram {
@@ -282,107 +209,9 @@ impl std::fmt::Display for Histogram {
     }
 }
 
-/// Online min/mean/max summary of a series of durations.
-#[derive(Clone, Debug, Default)]
-pub struct Summary {
-    count: u64,
-    sum_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Summary {
-    /// Empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        self.count += 1;
-        self.sum_ns += ns as u128;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample, or zero if empty.
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos((self.sum_ns / self.count as u128) as u64)
-    }
-
-    /// Smallest sample, or zero if empty.
-    pub fn min(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.min_ns)
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.max_ns)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meter_rates() {
-        let mut m = Meter::new(SimTime::ZERO);
-        m.record(500_000);
-        m.record(500_000);
-        let now = SimTime::from_nanos(1_000_000_000); // 1s
-        assert!((m.mb_per_sec(now) - 1.0).abs() < 1e-9);
-        assert!((m.ops_per_sec(now) - 2.0).abs() < 1e-9);
-        assert_eq!(m.bytes(), 1_000_000);
-        assert_eq!(m.ops(), 2);
-    }
-
-    #[test]
-    fn meter_zero_window() {
-        let m = Meter::new(SimTime::ZERO);
-        assert_eq!(m.mb_per_sec(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        for us in [5u64, 1, 9, 3] {
-            s.add(SimDuration::from_micros(us));
-        }
-        assert_eq!(s.count(), 4);
-        assert_eq!(s.min(), SimDuration::from_micros(1));
-        assert_eq!(s.max(), SimDuration::from_micros(9));
-        assert_eq!(
-            s.mean(),
-            SimDuration::from_micros(4) + SimDuration::from_nanos(500)
-        );
-    }
-
-    #[test]
-    fn empty_summary_is_zero() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), SimDuration::ZERO);
-        assert_eq!(s.min(), SimDuration::ZERO);
-        assert_eq!(s.max(), SimDuration::ZERO);
-    }
 
     #[test]
     fn histogram_quantiles_roughly_right() {
@@ -485,18 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_summary_display_and_json() {
+    fn histogram_summary_display() {
         let mut h = Histogram::new();
         h.record(SimDuration::from_micros(10));
         let text = h.to_string();
         assert!(text.contains("count=1"), "{text}");
         assert!(text.contains("p50=10.0us"), "{text}");
         assert!(text.contains("max=10.0us"), "{text}");
-        let json = h.to_json();
-        assert_eq!(
-            json,
-            "{\"count\":1,\"mean_ns\":10000,\"p50_ns\":10000,\
-             \"p90_ns\":10000,\"p99_ns\":10000,\"max_ns\":10000}"
-        );
     }
 }

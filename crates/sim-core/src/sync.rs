@@ -122,11 +122,6 @@ impl<T> Receiver<T> {
         Recv { rx: self }
     }
 
-    /// Non-blocking take.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.inner.borrow_mut().queue.pop_front()
-    }
-
     /// Number of queued messages.
     pub fn len(&self) -> usize {
         self.inner.borrow().queue.len()
@@ -308,11 +303,6 @@ impl Semaphore {
     /// Currently available permits.
     pub fn available(&self) -> usize {
         self.inner.borrow().permits
-    }
-
-    /// Number of queued waiters.
-    pub fn queue_len(&self) -> usize {
-        self.inner.borrow().waiters.len()
     }
 
     /// Add permits (used by resources that grow, e.g. credit grants).

@@ -123,20 +123,6 @@ impl OpMix {
         }
     }
 
-    /// Web-server personality: path resolution (LOOKUP + ACCESS per
-    /// component) dominating, small reads, no writes.
-    pub fn webserver() -> OpMix {
-        OpMix {
-            getattr_pct: 15,
-            lookup_pct: 35,
-            readdir_pct: 5,
-            access_pct: 25,
-            read_pct: 20,
-            write_pct: 0,
-            io_size: 4096,
-        }
-    }
-
     /// Combined share of the ops that need the metadata tree.
     pub fn meta_pct(&self) -> u32 {
         self.lookup_pct + self.readdir_pct + self.access_pct

@@ -2,7 +2,9 @@
 # Code lines per crate: the lines of `crates/*/src/**/*.rs` that are
 # neither blank nor a `//` comment (`///` and `//!` docs included).
 # Block comments and trailing comments count as code. Run from
-# anywhere; prints one `crate lines` row per crate, then the total.
+# anywhere; prints one `crate code library` row per crate, then the
+# totals. `library` is the same count without the top-level
+# `#[cfg(test)]` items (the in-file unit tests), attribute included.
 #
 #   ./scripts/loc.sh
 set -eu
@@ -11,7 +13,16 @@ cd "$(dirname "$0")/.."
 
 for src in crates/*/src; do
     crate=$(basename "$(dirname "$src")")
-    n=$(find "$src" -name '*.rs' -exec cat {} + |
-        grep -cvE '^[[:space:]]*(//.*)?$' || true)
-    printf '%-12s %6d\n' "$crate" "$n"
-done | awk '{ print; total += $2 } END { printf "%-12s %6d\n", "total", total }'
+    find "$src" -name '*.rs' -exec awk -v crate="$crate" '
+        FNR == 1 { skip = 0; armed = 0 }
+        /^[[:space:]]*(\/\/.*)?$/ { next }
+        { code++ }
+        # A top-level `#[cfg(test)]` item runs to its `;` or to the
+        # closing brace in column 0 (rustfmt layout).
+        /^#\[cfg\(test\)\]/ { armed = 1; next }
+        armed && !skip { skip = 1; if (/;[[:space:]]*$/ || /}[[:space:]]*$/) { skip = armed = 0 }; next }
+        skip { if (/^}/) skip = armed = 0; next }
+        { lib++ }
+        END { printf "%-12s %6d %7d\n", crate, code, lib }
+    ' {} +
+done | awk '{ print; code += $2; lib += $3 } END { printf "%-12s %6d %7d\n", "total", code, lib }'
