@@ -19,6 +19,8 @@
 //! flight-recorder ring and the tail of the telemetry timeline to
 //! `results/` for postmortem.
 
+use std::num::NonZeroU32;
+
 use bench::{same_seed, write_result, BenchJson, Gate};
 use rpcrdma::{Design, StrategyKind};
 use sim_core::sweep::parallel_sweep;
@@ -41,6 +43,15 @@ const COLLAPSE_FACTOR: u64 = 3;
 /// Honest p99 inflation allowed when the hog arrives, percent.
 const FAIRNESS_INFLATION_PCT: f64 = 20.0;
 
+/// The server's service concurrency with the QoS stack on. Small on
+/// purpose: every call in service is already committed to the
+/// serialized task queue, so a just-arrived honest call waits at least
+/// `8 × server_op_serial` (≈ 180 µs on the Linux profile) behind
+/// in-service hog work whatever the DRR order says — the fairness
+/// gate's bound is calibrated against that floor. Eight still cover
+/// per-op wire and CPU latency and keep the serial stage saturated.
+const THREADS: Option<NonZeroU32> = NonZeroU32::new(8);
+
 /// The harness's default population (2000 Zipf-0.9 tenants, the OLTP
 /// mix) over one arrival window.
 fn base_params(duration_ms: u64) -> OpenLoopParams {
@@ -52,10 +63,11 @@ fn base_params(duration_ms: u64) -> OpenLoopParams {
 }
 
 /// One run on 4 connections to an all-physical Read-Write server, its
-/// overload control (QoS) on or off.
+/// overload control (QoS: [`THREADS`] service slots, the fair queue
+/// waiting for them) on or off.
 fn openloop(qos: bool, p: OpenLoopParams) -> Run<OpenLoopResult> {
     let mut profile = linux_sdr();
-    profile.rpc.qos_enabled = qos;
+    profile.rpc.threads = if qos { THREADS } else { None };
     let bed = Bed {
         clients: 4,
         ..Bed::new(&profile, Design::ReadWrite, StrategyKind::AllPhysical)

@@ -4,8 +4,9 @@
 //! modelled host ([`sim_core::CpuCosts`]), and everything no caller
 //! ever varied is a constant in the module that owns the decision.
 
-// A fourth on/off switch needs a better reason than a third: each one
-// doubles the configurations the harnesses have to compose.
+// A second on/off switch needs a better reason than the first: each
+// one doubles the configurations the harnesses have to compose
+// (`clippy.toml` sets the bound to one).
 #![deny(clippy::struct_excessive_bools)]
 
 use ib_verbs::PAGE_SIZE;
@@ -59,11 +60,11 @@ pub struct RpcRdmaConfig {
     /// (the ledger records the revocation). `ZERO` disables the reaper
     /// (the paper's original, pin-forever behavior).
     pub exposure_ttl: SimDuration,
-    /// OVERLOAD CONTROL: route admitted calls through the per-tenant
-    /// weighted fair dispatch queue ([`crate::qos`]) instead of
-    /// spawning one handler task per call. Off by default — the direct
-    /// path reproduces the historical dispatch order exactly.
-    pub qos_enabled: bool,
+    /// Service concurrency: calls in service at once, all connections
+    /// (`threads` in `nfs.conf`). A call finding every slot busy waits in
+    /// the fair dispatch queue ([`crate::qos`]), which sheds what it
+    /// cannot hold. `None`, the default, is unbounded: no call waits.
+    pub threads: Option<std::num::NonZeroU32>,
 }
 
 /// What a receive buffer holds beyond the inline message and the
@@ -83,7 +84,7 @@ impl Default for RpcRdmaConfig {
             call_timeout: SimDuration::from_millis(50),
             max_retransmits: 8,
             exposure_ttl: SimDuration::ZERO,
-            qos_enabled: false,
+            threads: None,
         }
     }
 }

@@ -1,13 +1,10 @@
 //! Per-tenant weighted fair queueing for the server's dispatch path.
 //!
-//! Under closed-loop load the per-connection credit window (PR-4
-//! admission control) bounds how much work any client can have in
-//! flight, and one spawned handler task per call is fine. Under
-//! *open-loop* overload — offered load beyond capacity — the spawn-
-//! per-call model lets every admitted call queue on the serialized
-//! task queue with no arrival-order arbitration and no bound on
-//! sojourn time. [`TenantScheduler`] replaces that with an explicit
-//! dispatch queue:
+//! Under *open-loop* overload — offered load beyond capacity — servicing
+//! every admitted call at once queues it on the serialized task queue
+//! with no arbitration and no bound on its sojourn. With
+//! [`crate::RpcRdmaConfig::threads`] set, a call that finds every service
+//! slot busy waits in [`TenantScheduler`] instead, an explicit queue:
 //!
 //! * **Weighted deficit round-robin across tenants.** Backlogged
 //!   tenants are visited in a ring; a visit dispatches up to `weight`
@@ -23,31 +20,20 @@
 //!   answers immediately with a retryable busy reply instead of
 //!   queueing without bound.
 //!
-//! The structure is deterministic: tenants are kept in a `BTreeMap`,
-//! the service ring is an explicit `VecDeque`, and no hashing or RNG
-//! is involved — the same arrival sequence always produces the same
-//! dispatch and shed sequence, which the same-seed byte-identical
-//! artifact gate relies on.
+//! The structure is deterministic — tenants in a `BTreeMap`, the
+//! service ring an explicit `VecDeque`, no hashing or RNG — so one
+//! arrival sequence always gives one dispatch and shed sequence, which
+//! the same-seed byte-identical artifact gate relies on.
 //!
-//! The CoDel-style sojourn deadline (shed a call that waited longer
-//! than the target before dispatch) lives with the caller: the queued
-//! item carries its enqueue time and the dispatch worker checks it
-//! against [`QOS_TARGET_DELAY`], so the scheduler itself stays
-//! clock-free.
+//! The CoDel-style sojourn deadline (shed a call that waited longer than
+//! the target) lives with the caller: a queued item carries its enqueue
+//! time, which the server's dispatch pump checks against
+//! [`QOS_TARGET_DELAY`], so the scheduler itself stays clock-free.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
 use sim_core::SimDuration;
-
-/// Dispatcher tasks draining the QoS queue: the server's effective
-/// service concurrency under overload. Small on purpose: each worker
-/// occupies the serialized task queue when it dispatches, so the pool
-/// depth bounds how much in-service work a backlogged tenant can put in
-/// front of a just-arrived one — the fairness harness's honest-p99
-/// bound depends on it. Enough workers remain to cover per-op wire/CPU
-/// latency and keep the serial stage saturated.
-pub const QOS_WORKERS: u32 = 8;
 
 /// Calls the QoS queue holds across all tenants before enqueue itself
 /// sheds (busy reply, no dispatch).
@@ -92,6 +78,17 @@ struct Tenant<T> {
     in_ring: bool,
 }
 
+impl<T> Tenant<T> {
+    fn new() -> Self {
+        Tenant {
+            weight: 1,
+            credit: 0,
+            queue: VecDeque::new(),
+            in_ring: false,
+        }
+    }
+}
+
 /// Deterministic weighted-DRR dispatch queue over per-tenant FIFOs.
 pub struct TenantScheduler<T> {
     tenants: RefCell<BTreeMap<u32, Tenant<T>>>,
@@ -119,13 +116,7 @@ impl<T> TenantScheduler<T> {
     /// visit while backlogged. Takes effect at the tenant's next visit.
     pub fn set_weight(&self, tenant: u32, weight: u32) {
         let mut tenants = self.tenants.borrow_mut();
-        let t = tenants.entry(tenant).or_insert_with(|| Tenant {
-            weight: 1,
-            credit: 0,
-            queue: VecDeque::new(),
-            in_ring: false,
-        });
-        t.weight = weight.max(1);
+        tenants.entry(tenant).or_insert_with(Tenant::new).weight = weight.max(1);
     }
 
     /// Offer one call. `Ok(backlog)` queues it and reports the
@@ -136,12 +127,7 @@ impl<T> TenantScheduler<T> {
             return Err((ShedReason::QueueFull, item));
         }
         let mut tenants = self.tenants.borrow_mut();
-        let t = tenants.entry(tenant).or_insert_with(|| Tenant {
-            weight: 1,
-            credit: 0,
-            queue: VecDeque::new(),
-            in_ring: false,
-        });
+        let t = tenants.entry(tenant).or_insert_with(Tenant::new);
         if t.queue.len() as u32 >= self.tenant_cap {
             return Err((ShedReason::TenantBacklog, item));
         }

@@ -28,12 +28,12 @@
 //! that owns its span and its counters. Per connection
 //! (`connection_loop`): **receive** from the `RecvPool` → **sanitize**
 //! → **admit** (the credit window) → **schedule** (a task per call, or
-//! the QoS queue). Per call (`handle_op`): **dispatch** (the serialized
-//! task queue) beside **fetch** (scratch provisioning and the RDMA Reads
-//! of what did not arrive inline) → **land** (what the service thread
-//! does with the fetched bytes) → **service** (the duplicate request
-//! cache around the RPC program) → **push** → **reply** (a Send) →
-//! **retire**.
+//! the QoS queue while every service slot is busy). Per call
+//! (`handle_op`): **dispatch** (the serialized task queue) beside
+//! **fetch** (scratch provisioning and the RDMA Reads of what did not
+//! arrive inline) → **land** (what the service thread does with the
+//! fetched bytes) → **service** (the duplicate request cache around the
+//! RPC program) → **push** → **reply** (a Send) → **retire**.
 //!
 //! # Adversarial hardening
 //!
@@ -70,7 +70,7 @@ use crate::config::{Design, RpcRdmaConfig};
 use crate::endpoint::{Endpoint, RecvPool};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, Segment};
 use crate::qos::{
-    ShedReason, TenantScheduler, QOS_QUEUE_CAP, QOS_TARGET_DELAY, QOS_TENANT_BACKLOG, QOS_WORKERS,
+    ShedReason, TenantScheduler, QOS_QUEUE_CAP, QOS_TARGET_DELAY, QOS_TENANT_BACKLOG,
 };
 use crate::reg::{IoBuf, Registrar};
 use crate::sanitize::{sanitize_wire, ProtocolViolation};
@@ -199,19 +199,16 @@ struct Inbound {
 /// One admitted call parked in the QoS dispatch queue.
 struct QueuedCall {
     call: Inbound,
-    conn: Rc<ConnState>,
-    /// Arrival instant; the dispatch worker sheds the call if its
-    /// sojourn exceeds [`QOS_TARGET_DELAY`] (CoDel-style).
+    conn: Admitted,
+    /// Arrival instant, for the pump's [`QOS_TARGET_DELAY`] check.
     enq: SimTime,
 }
 
-/// Overload-control state (present when `cfg.qos_enabled`): the
-/// per-tenant weighted fair dispatch queue, the signal the worker pool
-/// parks on, and the `server.qos.*` series of the schedule stage.
+/// The schedule stage's service slots, dispatch queue and `qos.*` series.
 struct QosState {
     sched: TenantScheduler<QueuedCall>,
-    /// One permit per queued call; idle workers park here.
-    work: Semaphore,
+    /// Handler tasks started and not yet ended, all connections.
+    in_service: Cell<u32>,
     enqueued: Rc<Counter>,
     dispatched: Rc<Counter>,
     shed_queue_full: Rc<Counter>,
@@ -224,7 +221,7 @@ impl QosState {
     fn new(registry: &MetricsRegistry) -> QosState {
         QosState {
             sched: TenantScheduler::new(QOS_QUEUE_CAP, QOS_TENANT_BACKLOG),
-            work: Semaphore::new(0),
+            in_service: Cell::new(0),
             enqueued: registry.counter("server.qos.enqueued"),
             dispatched: registry.counter("server.qos.dispatched"),
             shed_queue_full: registry.counter("server.qos.shed.queue_full"),
@@ -258,9 +255,8 @@ pub struct RdmaRpcServer {
     /// calls that miss the current epoch probe the previous one so
     /// retransmissions across a failover replay instead of re-executing.
     service_epoch: Cell<u32>,
-    /// Overload control (per-tenant fair dispatch queue + shedding);
-    /// `None` unless `cfg.qos_enabled`.
-    qos: Option<Rc<QosState>>,
+    /// Service slots and the dispatch queue that waits for them.
+    qos: QosState,
     /// Statistics.
     pub stats: Rc<ServerStats>,
 }
@@ -276,7 +272,7 @@ impl RdmaRpcServer {
     ) -> Rc<RdmaRpcServer> {
         let registry = sim.metrics();
         let drc = DuplicateRequestCache::new(DRC_CAPACITY, &registry, "server.drc");
-        let server = Rc::new(RdmaRpcServer {
+        Rc::new(RdmaRpcServer {
             sim: sim.clone(),
             hca: hca.clone(),
             service,
@@ -286,15 +282,9 @@ impl RdmaRpcServer {
             credit_grant: Cell::new(cfg.credits),
             drc,
             service_epoch: Cell::new(0),
-            qos: cfg.qos_enabled.then(|| Rc::new(QosState::new(&registry))),
+            qos: QosState::new(&registry),
             stats: Rc::new(ServerStats::new(&registry, hca.node())),
-        });
-        if server.qos.is_some() {
-            for _ in 0..QOS_WORKERS {
-                sim.spawn(qos_worker(server.clone()));
-            }
-        }
-        server
+        })
     }
 
     /// The serialized task-queue resource (for utilization reports).
@@ -315,18 +305,16 @@ impl RdmaRpcServer {
     }
 
     /// Set a tenant's weight in the QoS dispatch queue (dispatches per
-    /// fair-queue visit while backlogged; clamped to ≥ 1). No-op when
-    /// QoS is disabled. Tenants are keyed by peer node id.
+    /// fair-queue visit while backlogged; clamped to ≥ 1). Tenants are
+    /// keyed by peer node id.
     pub fn set_tenant_weight(&self, peer: u32, weight: u32) {
-        if let Some(qos) = &self.qos {
-            qos.sched.set_weight(peer, weight);
-        }
+        self.qos.sched.set_weight(peer, weight);
     }
 
-    /// Calls currently parked in the QoS dispatch queue (0 when QoS is
-    /// disabled) — the telemetry probe's queue-depth series.
+    /// Calls currently parked in the QoS dispatch queue — the telemetry
+    /// probe's queue-depth series.
     pub fn qos_depth(&self) -> u32 {
-        self.qos.as_ref().map(|q| q.sched.queued()).unwrap_or(0)
+        self.qos.sched.queued()
     }
 
     /// The duplicate request cache (diagnostics).
@@ -369,6 +357,12 @@ impl RdmaRpcServer {
     /// Attach one accepted connection (a connected QP) and serve it.
     pub fn serve_connection(self: &Rc<Self>, qp: Qp) {
         self.sim.spawn(connection_loop(self.clone(), qp));
+    }
+
+    /// Fewer than `cfg.threads` calls in service.
+    fn slot_free(&self) -> bool {
+        let busy = self.qos.in_service.get();
+        self.cfg.threads.is_none_or(|t| busy < t.get())
     }
 
     /// The zero-copy test *pull* (scatter WRITE chunks into the file
@@ -415,13 +409,13 @@ struct ConnState {
     violations: Cell<u32>,
     /// Consecutive clean calls since the last violation.
     good_streak: Cell<u32>,
-    /// Set at teardown: the exposure reaper exits, and a QoS worker
-    /// drops this connection's calls still queued.
+    /// Set at teardown: the exposure reaper exits, and the pump drops
+    /// this connection's calls still queued.
     closed: Cell<bool>,
-    /// Calls dispatched and not yet completed. The server *enforces*
-    /// its credit grant: a call arriving past the window is dropped
-    /// and charged as a violation instead of being dispatched, so
-    /// credit overcommit never buys server CPU.
+    /// Live [`Admitted`] guards. The server *enforces* its credit grant:
+    /// a call arriving past the window is dropped and charged as a
+    /// violation instead of being dispatched, so credit overcommit
+    /// never buys server CPU.
     in_flight: Cell<u32>,
     /// Wakes the exposure reaper when a new exposure is created (or at
     /// teardown). The reaper parks on this while the connection has no
@@ -454,6 +448,25 @@ impl ConnState {
     /// (violation-clamped) window, never more than the server-wide one.
     fn grant(&self) -> u32 {
         self.granted.get().min(self.server.credit_grant.get())
+    }
+}
+
+/// An admitted call's slot in its connection's credit window: the
+/// connection handle the call carries until it is serviced, shed or
+/// dropped, whose `Drop` gives the slot back — exactly once.
+struct Admitted(Rc<ConnState>);
+
+impl std::ops::Deref for Admitted {
+    type Target = Rc<ConnState>;
+
+    fn deref(&self) -> &Rc<ConnState> {
+        &self.0
+    }
+}
+
+impl Drop for Admitted {
+    fn drop(&mut self) {
+        self.in_flight.set(self.in_flight.get() - 1);
     }
 }
 
@@ -558,8 +571,8 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                 }
             }
             MsgType::Msg | MsgType::Nomsg | MsgType::Msgp => {
-                if admit(&conn) {
-                    schedule(&conn, call);
+                if let Some(slot) = admit(&conn) {
+                    schedule(slot, call);
                 }
             }
         }
@@ -588,49 +601,42 @@ fn sanitize_stage(conn: &ConnState, payload: Payload, tail: Option<Payload>) -> 
 /// *Admit* stage: enforce the credit window. The base grant bounds how
 /// many calls any client may have in flight, whatever it chooses to
 /// believe about its credits; a call past it is charged and dropped.
-fn admit(conn: &ConnState) -> bool {
+fn admit(conn: &Rc<ConnState>) -> Option<Admitted> {
     let window = conn.server.credit_grant.get();
     let in_flight = conn.in_flight.get() + 1;
     if in_flight > window {
         let v = ProtocolViolation::WindowExceeded { in_flight, window };
         note_violation(conn, v);
-        return false;
+        return None;
     }
     conn.in_flight.set(in_flight);
-    true
+    Some(Admitted(conn.clone()))
 }
 
-/// *Schedule* stage: one spawned handler task per admitted call, or
-/// (overload control) the per-tenant fair dispatch queue the QoS
-/// workers drain — which sheds what it refuses instead of queueing.
-fn schedule(conn: &Rc<ConnState>, call: Inbound) {
-    let server = &conn.server;
-    let Some(qos) = &server.qos else {
-        server.sim.spawn(handle_op(conn.clone(), call));
+/// *Schedule* stage: a call finding a slot free and nobody queued starts
+/// at once (weighted DRR would dequeue it). Any other waits in the fair
+/// dispatch queue, which sheds what it refuses; every slot is busy then,
+/// and each pumps as it frees.
+fn schedule(conn: Admitted, call: Inbound) {
+    let server = conn.server.clone();
+    let qos = &server.qos;
+    if qos.sched.queued() == 0 && server.slot_free() {
+        start(&server, conn, call);
         return;
-    };
-    let peer = conn.peer();
-    let call = QueuedCall {
-        call,
-        conn: conn.clone(),
-        enq: server.sim.now(),
-    };
-    match qos.sched.enqueue(peer, call) {
+    }
+    let (owner, peer, enq) = (Rc::clone(&conn), conn.peer(), server.sim.now());
+    match qos.sched.enqueue(peer, QueuedCall { call, conn, enq }) {
         Ok(backlog) => {
             qos.enqueued.inc();
-            let depth = qos.sched.queued() as u64;
-            if depth > server.stats.qos_peak_depth.get() {
-                server.stats.qos_peak_depth.set(depth);
-            }
+            server.stats.qos_peak_depth.raise(qos.sched.queued() as u64);
             // Hog pressure: a tenant holding more than half its
             // backlog cap gets its credit grant halved, pushing back
             // through flow control before the hard cap sheds.
-            if backlog > QOS_TENANT_BACKLOG / 2 && clamp_credits(conn) {
+            if backlog > QOS_TENANT_BACKLOG / 2 && clamp_credits(&owner) {
                 qos.credit_clamps.inc();
                 let sim = &server.sim;
                 sim.flight("qos", "credit_clamp", peer as u64, backlog as u64);
             }
-            qos.work.add_permits(1);
         }
         Err((reason, call)) => {
             match reason {
@@ -708,11 +714,10 @@ fn spawn_exposure_reaper(conn: &Rc<ConnState>) {
 /// forget: shedding must stay cheap under exactly the load that
 /// triggers it, so no taskq pass, no CPU charge, no completion wait —
 /// just a small inline send. The call leaves the connection's
-/// in-flight window here.
+/// in-flight window here, with its guard.
 fn shed_call(why: &'static str, call: QueuedCall) {
     let QueuedCall { call, conn, .. } = call;
     let (server, peer, xid) = (&conn.server, conn.peer(), call.hdr.xid);
-    conn.in_flight.set(conn.in_flight.get() - 1);
     server.stats.sheds.inc();
     server.sim.flight("qos", why, peer as u64, xid as u64);
     let stat = AcceptStat::SystemErr;
@@ -723,24 +728,26 @@ fn shed_call(why: &'static str, call: QueuedCall) {
     let _ = conn.ep.send(conn.ep.encode_wire(&rhdr, &reply));
 }
 
-/// One QoS dispatch worker: parks on the work signal, takes the next
-/// call in weighted fair order, drops it if its connection has torn
-/// down, sheds it if its queue sojourn blew the CoDel-style target, and
-/// otherwise services it inline — the worker pool size is the server's
-/// service concurrency under overload.
-async fn qos_worker(server: Rc<RdmaRpcServer>) {
-    let qos = server.qos.clone().expect("qos worker without qos state");
-    loop {
-        qos.work.acquire().await.forget();
+/// Put an admitted call into service: a handler task holding a slot.
+fn start(server: &RdmaRpcServer, conn: Admitted, call: Inbound) {
+    server.qos.in_service.set(server.qos.in_service.get() + 1);
+    server.sim.spawn(handle_op(conn, call));
+}
+
+/// A handler ended: free its slot and fill free slots from the queue in
+/// weighted fair order — drop a call whose connection tore down, shed one
+/// whose sojourn blew the CoDel-style target, start the rest.
+fn pump(server: &RdmaRpcServer) {
+    let qos = &server.qos;
+    qos.in_service.set(qos.in_service.get() - 1);
+    while server.slot_free() {
         let Some((_, call)) = qos.sched.dequeue() else {
-            continue;
+            return;
         };
         if call.conn.closed.get() {
             // Torn down while it waited: the QP is gone, so nobody is
             // left to answer, and a task-queue pass for it would only
-            // delay live connections. Give back its slot, drop it.
-            let conn = &call.conn;
-            conn.in_flight.set(conn.in_flight.get() - 1);
+            // delay live connections. Dropping it gives back its slot.
             continue;
         }
         if server.sim.now() - call.enq > QOS_TARGET_DELAY {
@@ -752,7 +759,7 @@ async fn qos_worker(server: Rc<RdmaRpcServer>) {
             continue;
         }
         qos.dispatched.inc();
-        handle_op(call.conn, call.call).await;
+        start(server, call.conn, call.call);
     }
 }
 
@@ -770,17 +777,15 @@ struct Outgoing {
 }
 
 /// Run one admitted call to completion, keeping the server's in-flight
-/// gauges and the connection's credit window around it.
-async fn handle_op(conn: Rc<ConnState>, mut call: Inbound) {
+/// gauges around it, then pump; its credit slot returns with `conn`.
+async fn handle_op(conn: Admitted, mut call: Inbound) {
     let stats = &conn.server.stats;
     let inflight = stats.inflight.get() + 1;
     stats.inflight.set(inflight);
-    stats
-        .peak_inflight
-        .set(stats.peak_inflight.get().max(inflight));
+    stats.peak_inflight.raise(inflight);
     let _dropped = run_op(&conn, &mut call).await;
     stats.inflight.set(stats.inflight.get() - 1);
-    conn.in_flight.set(conn.in_flight.get() - 1);
+    pump(&conn.server);
 }
 
 /// The per-call pipeline: **(dispatch ∥ fetch) → land → service → push

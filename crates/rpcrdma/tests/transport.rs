@@ -2,6 +2,8 @@
 //! registration strategy, bulk paths, long calls/replies, security
 //! properties, and failure injection.
 
+use std::cell::Cell;
+use std::num::NonZeroU32;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -2333,8 +2335,8 @@ fn teardown_mid_overlap_releases_the_fetch_and_the_write_applies_once() {
     }
 }
 
-/// Under overload control the overlap starts when a worker dequeues the
-/// call, so a call shed at arrival or at its deadline has fetched
+/// With every service slot busy the overlap starts when the pump starts
+/// the call, so a call shed at arrival or at its deadline has fetched
 /// nothing: every RDMA Read the server issues belongs to a WRITE it then
 /// services, however many times the others were turned away first.
 #[test]
@@ -2345,7 +2347,7 @@ fn shed_writes_fetch_nothing() {
     sim.enable_span_tracing();
     let h = sim.handle();
     let cfg = RpcRdmaConfig {
-        qos_enabled: true,
+        threads: NonZeroU32::new(8),
         credits: 128,
         ..Default::default()
     };
@@ -2383,8 +2385,73 @@ fn shed_writes_fetch_nothing() {
     assert_eq!(bed.server_hca.reg_stats().leaked_mrs, 0);
 }
 
+/// One service slot (`threads = 1`): calls are serviced one at a time,
+/// the rest wait in the dispatch queue or leave it shed — at arrival past
+/// the tenant's backlog cap, at dequeue past the sojourn target. Every
+/// credit slot comes back exactly once whichever way its call left, so a
+/// later burst that fills the whole window on the same connection is
+/// admitted whole: one slot never returned, and its last call would be
+/// `WindowExceeded`.
+#[test]
+fn one_service_slot_returns_every_credit_slot_once() {
+    let mut sim = Simulation::new(43);
+    let h = sim.handle();
+    let cfg = RpcRdmaConfig {
+        threads: NonZeroU32::new(1),
+        credits: 128,
+        ..Default::default()
+    };
+    let bed = setup_on(&h, cfg, StrategyKind::Dynamic, solaris_sdr_cpu());
+    let ok = Rc::new(Cell::new(0));
+    let burst = |sim: &mut Simulation, calls: u32| {
+        ok.set(0);
+        for _ in 0..calls {
+            let (client, ok) = (bed.client.clone(), ok.clone());
+            sim.spawn(async move {
+                let echo = Bytes::from_static(b"burst");
+                if client.call(3, echo, BulkParams::default()).await.is_ok() {
+                    ok.set(ok.get() + 1);
+                }
+            });
+        }
+        sim.run();
+        assert_eq!(ok.get(), calls);
+    };
+    let count = |name: &str| h.metrics().get(name).unwrap_or(0);
+
+    // Twice what one slot and one tenant's queue hold: both sheds.
+    burst(&mut sim, 128);
+    let peak = format!("server.node{}.peak_inflight", bed.server_hca.node().0);
+    assert_eq!(count(&peak), 1);
+    assert!(
+        count("server.qos.shed.tenant_backlog") > 0,
+        "no arrival shed"
+    );
+    assert!(count("server.qos.shed.deadline") > 0, "no deadline shed");
+    assert!(count("server.qos.credit_clamps") > 0);
+
+    // A window the queue holds whole (one in service, the rest queued),
+    // so nothing is shed at arrival and every admitted call's slot is
+    // still taken when the window's last call arrives. Clean calls walk
+    // the clamped grant back up and carry it to the client.
+    let window = rpcrdma::qos::QOS_TENANT_BACKLOG;
+    bed.server.set_credit_grant(window);
+    let client = bed.client.clone();
+    sim.block_on(async move {
+        for _ in 0..64 {
+            let echo = Bytes::from_static(b"sync");
+            client.call(3, echo, BulkParams::default()).await.unwrap();
+        }
+    });
+    let arrival_sheds = count("server.qos.shed.tenant_backlog");
+    burst(&mut sim, window);
+    assert_eq!(count("server.qos.shed.tenant_backlog"), arrival_sheds);
+    assert_eq!(count("server.violations.window_exceeded"), 0);
+    assert_eq!(bed.server.qos_depth(), 0);
+}
+
 /// A call still parked in the QoS queue when its connection tears down
-/// has no one to answer: the worker that dequeues it drops it, with no
+/// has no one to answer: the pump that dequeues it drops it, with no
 /// task-queue pass, no service and no busy reply — the serialized queue
 /// goes to live connections only.
 #[test]
@@ -2394,7 +2461,7 @@ fn a_torn_down_connection_leaves_nothing_in_the_dispatch_queue() {
     sim.enable_span_tracing();
     let h = sim.handle();
     let cfg = RpcRdmaConfig {
-        qos_enabled: true,
+        threads: NonZeroU32::new(8),
         credits: 128,
         ..Default::default()
     };

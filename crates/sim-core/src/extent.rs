@@ -105,11 +105,6 @@ impl ExtentMap {
     pub fn extent_count(&self) -> usize {
         self.extents.len()
     }
-
-    /// Bytes of stored (written) data.
-    pub fn stored_bytes(&self) -> u64 {
-        self.extents.values().map(|p| p.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +175,7 @@ mod tests {
     fn synthetic_writes_stay_compact() {
         let mut m = ExtentMap::new();
         m.write(0, Payload::synthetic(7, 1 << 30)); // 1 GiB, no allocation
-        assert_eq!(m.stored_bytes(), 1 << 30);
+        assert_eq!(m.extent_count(), 1);
         let s = m.read(12345, 64);
         assert!(s.content_eq(&Payload::synthetic(7, 1 << 30).slice(12345, 64)));
     }

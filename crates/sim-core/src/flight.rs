@@ -81,11 +81,6 @@ impl FlightRing {
         self.total.set(total + 1);
     }
 
-    /// Records ever written (not capped by the ring size).
-    pub(crate) fn total(&self) -> u64 {
-        self.total.get()
-    }
-
     /// The ring's contents in chronological order (oldest surviving
     /// record first). Allocates — dump-time only.
     pub(crate) fn snapshot(&self) -> Vec<FlightRecord> {
@@ -152,7 +147,6 @@ mod tests {
         for i in 3..7 {
             ring.record(rec(i, i));
         }
-        assert_eq!(ring.total(), 7);
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 4);
         assert_eq!(snap.iter().map(|r| r.a).collect::<Vec<_>>(), [3, 4, 5, 6]);

@@ -126,7 +126,6 @@ pub struct Link {
     wire: Resource,
     bandwidth: u64,
     latency: SimDuration,
-    bytes: Rc<Cell<u64>>,
 }
 
 impl Link {
@@ -138,7 +137,6 @@ impl Link {
             wire: Resource::new(sim, name, 1),
             bandwidth,
             latency,
-            bytes: Rc::new(Cell::new(0)),
         }
     }
 
@@ -147,7 +145,6 @@ impl Link {
     pub async fn transfer(&self, bytes: u64) {
         let occupancy = transfer_time(bytes, self.bandwidth);
         self.wire.use_for(occupancy).await;
-        self.bytes.set(self.bytes.get() + bytes);
         if !self.latency.is_zero() {
             self.sim.sleep(self.latency).await;
         }
@@ -163,11 +160,6 @@ impl Link {
         self.latency
     }
 
-    /// Total payload bytes carried.
-    pub fn bytes_carried(&self) -> u64 {
-        self.bytes.get()
-    }
-
     /// Wire utilization since the accounting window opened.
     pub fn utilization(&self) -> f64 {
         self.wire.utilization()
@@ -176,7 +168,6 @@ impl Link {
     /// Reset accounting (exclude warmup).
     pub fn reset_accounting(&self) {
         self.wire.reset_accounting();
-        self.bytes.set(0);
     }
 }
 
@@ -259,7 +250,6 @@ mod tests {
         sim.run();
         // Serialization 1ms apart, each + 5us propagation.
         assert_eq!(*done.borrow(), vec![1_005_000, 2_005_000, 3_005_000]);
-        assert_eq!(link.bytes_carried(), 3_000_000);
     }
 
     #[test]

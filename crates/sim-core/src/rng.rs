@@ -54,12 +54,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform value in `[lo, hi)`.
-    pub fn gen_range_in(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        lo + self.gen_range(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -76,14 +70,6 @@ impl SimRng {
         // Avoid ln(0).
         let u = 1.0 - self.gen_f64();
         -mean * u.ln()
-    }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -114,8 +100,6 @@ mod tests {
         for _ in 0..10_000 {
             let v = r.gen_range(13);
             assert!(v < 13);
-            let w = r.gen_range_in(5, 9);
-            assert!((5..9).contains(&w));
         }
     }
 
@@ -145,17 +129,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.gen_exp(10.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 10.0).abs() < 0.5, "mean={mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(9);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "shuffle should move something");
     }
 
     #[test]

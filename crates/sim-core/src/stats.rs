@@ -51,6 +51,11 @@ impl Gauge {
     pub fn get(&self) -> u64 {
         self.0.get()
     }
+
+    /// Raise the level to `v` if it is higher: a high-water mark.
+    pub fn raise(&self, v: u64) {
+        self.0.set(self.0.get().max(v));
+    }
 }
 
 /// Log-bucketed latency histogram: ~4% relative resolution across

@@ -79,13 +79,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest
-    /// nanosecond. Panics on negative or non-finite input.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -268,7 +261,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_micros(2).as_nanos(), 2_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
     }
 

@@ -190,7 +190,7 @@ const TIMELINE_GAUGES: [&str; 4] = ["in_flight", "queue_depth", "server_sheds", 
 /// What one open-loop run produced. Whole-run server and client
 /// counters are in the run's registry: `server.sheds` (busy replies
 /// sent), `server.qos.shed.deadline` (of those, sheds at dispatch for
-/// missing the sojourn target; registered only with QoS on),
+/// missing the sojourn target),
 /// `client.busy_replies` (as clients saw them, retransmit dupes
 /// included), `server.credit_clamps` (charged to hogs).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -502,15 +502,13 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: OpenLoopParams) -> OpenLoopRes
     let connections = spec.clients;
 
     // Tenant weights: connection i is server tenant (peer node) i+1.
-    if spec.profile.rpc.qos_enabled {
-        for i in 0..connections {
-            let w = if params.hog_rate > 0.0 && i == 0 {
-                params.hog_weight
-            } else {
-                params.honest_weight
-            };
-            rpc.set_tenant_weight(i as u32 + 1, w);
-        }
+    for i in 0..connections {
+        let w = if params.hog_rate > 0.0 && i == 0 {
+            params.hog_weight
+        } else {
+            params.honest_weight
+        };
+        rpc.set_tenant_weight(i as u32 + 1, w);
     }
 
     // Prepopulate one file per connection so READs always hit.

@@ -14,6 +14,8 @@
 //! (`fault_floor` gated, `fault_matrix` the 160-point form;
 //! EXPERIMENTS.md, "Composition floor").
 
+use std::num::NonZeroU32;
+
 use rpcrdma::{Design, StrategyKind};
 use sim_core::SimDuration;
 use workloads::{
@@ -29,14 +31,16 @@ const STRATEGIES: [StrategyKind; 4] = [
 ];
 
 /// Bit `i` of `subset` turns extension `i` on: `exposure_ttl` 5 ms,
-/// QoS.
+/// QoS (8 service slots, the fair queue waiting for them).
 fn extensions(subset: u32) -> Profile {
     let on = |bit: u32| subset & (1 << bit) != 0;
     let mut profile = linux_sdr();
     if on(0) {
         profile.rpc.exposure_ttl = SimDuration::from_millis(5);
     }
-    profile.rpc.qos_enabled = on(1);
+    if on(1) {
+        profile.rpc.threads = NonZeroU32::new(8);
+    }
     profile
 }
 

@@ -1,6 +1,8 @@
 //! Unit-level tests of the workload drivers themselves: correct data,
 //! correct op counts, sensible accounting — independent of calibration.
 
+use std::num::NonZeroU32;
+
 use rpcrdma::{Design, StrategyKind};
 use sim_core::{Payload, SimDuration, Simulation};
 use workloads::{
@@ -238,7 +240,7 @@ fn batched_read_pipeline_same_seed_metrics_fingerprint() {
 #[test]
 fn waiting_room_sheds_arrivals_without_changing_what_is_offered() {
     let mut profile = linux_sdr();
-    profile.rpc.qos_enabled = true;
+    profile.rpc.threads = NonZeroU32::new(8);
     let bed = Bed {
         clients: 2,
         ..Bed::new(&profile, Design::ReadWrite, StrategyKind::AllPhysical)
