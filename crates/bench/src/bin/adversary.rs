@@ -7,9 +7,9 @@
 //! lists, credit overcommit, XID replays, withheld `RDMA_DONE`, stale
 //! and guessed steering-tag probes, and the all-physical phys-scan) —
 //! and reports the goodput ratio alongside what the defenses did.
-//! Read-Read advertises server steering tags so its exposure TTL and
-//! teardown revocations carry the security story; Read-Write never
-//! puts a tag on the wire.
+//! Read-Read advertises server steering tags, so its learned exposure
+//! deadline and teardown revocations carry the security story, in
+//! exposed byte·µs; Read-Write never puts a tag on the wire.
 //!
 //! Run with `--smoke` for the fixed-seed gate used by
 //! `scripts/check.sh`: one combination per design, the <= 20% honest
@@ -18,21 +18,17 @@
 
 use bench::Gate;
 use rpcrdma::{Design, StrategyKind};
-use sim_core::SimDuration;
 use workloads::{
     linux_sdr, run_adversary, AdversaryParams, AdversaryResult, Bed, Capture, Run, Table,
 };
 
 const SEED: u64 = 0xAD5A11;
 
-/// The contest's bed: 2 honest clients against a server whose exposure
-/// TTL is 200 us.
+/// The contest's bed: 2 honest clients against one server.
 fn bed(design: Design, strategy: StrategyKind) -> Bed {
-    let mut profile = linux_sdr();
-    profile.rpc.exposure_ttl = SimDuration::from_micros(200);
     Bed {
         clients: 2,
-        ..Bed::new(&profile, design, strategy)
+        ..Bed::new(&linux_sdr(), design, strategy)
     }
 }
 
@@ -88,7 +84,7 @@ fn smoke() {
         let revoked = atk.metric("server.exposures.revoked");
         check(&format!("{design:?}"), &base, &atk)
             .require(design != Design::ReadRead || revoked != 0, || {
-                "TTL reaper never revoked a withheld exposure".into()
+                "no withheld exposure was revoked at its deadline".into()
             })
             .require(atk.stale_reads_ok == 0, || {
                 let landed = atk.stale_reads_ok;
@@ -96,12 +92,13 @@ fn smoke() {
             });
         println!(
             "adversary smoke {design:?}: ok (goodput {:.0}%, {} violations, {} quarantines, \
-             {} revocations, {} stale probes refused)",
+             {} revocations, {} stale probes refused, {} exposed byte·us)",
             100.0 * atk.goodput_mb_s / base.goodput_mb_s,
             atk.metric("server.violations.total"),
             atk.metric("server.quarantines"),
             revoked,
             atk.stale_reads_refused,
+            atk.exposed_byte_us,
         );
     }
     println!("adversary smoke: bounded damage, zero corruption, accounting consistent");
@@ -113,7 +110,7 @@ fn main() {
         return;
     }
     let mut t = Table::new(
-        "Adversary sweep — 2 honest clients + 2 attackers, full catalog, 200 us exposure TTL",
+        "Adversary sweep — 2 honest clients + 2 attackers, full catalog",
         &[
             "design",
             "strategy",
@@ -127,6 +124,7 @@ fn main() {
             "stale nak",
             "scan ok",
             "pending",
+            "exposed byte·us",
             "corrupt",
         ],
     );
@@ -151,7 +149,8 @@ fn main() {
                 atk.stale_reads_ok.to_string(),
                 atk.stale_reads_refused.to_string(),
                 atk.scan_reads_ok.to_string(),
-                atk.exposures_pending.to_string(),
+                atk.metric("server.node0.exposures_pending").to_string(),
+                atk.exposed_byte_us.to_string(),
                 atk.corrupt_records.to_string(),
             ]);
             runs.push((format!("{design:?}/{strategy:?}"), base, atk));

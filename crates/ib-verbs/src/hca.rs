@@ -505,6 +505,7 @@ fn respond(hca: &Hca, msg: WireMsg) {
             );
             match (check, hca.qp(dst_qpn)) {
                 (Ok((buffer, off)), Some(qp)) => {
+                    qp.last_read.set(Some(hca.inner.sim.now()));
                     // Service the read concurrently, bounded by IRD.
                     let hca2 = hca.clone();
                     hca.inner.sim.spawn(async move {

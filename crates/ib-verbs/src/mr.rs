@@ -101,7 +101,7 @@ impl Mr {
         self.retire(false).await;
     }
 
-    /// Force-invalidate by policy (exposure TTL expiry, quarantine):
+    /// Force-invalidate by policy (overdue `RDMA_DONE`, quarantine):
     /// identical teardown costs to [`Mr::deregister`], but the TPT
     /// ledger records the invalidation as a *revocation* — the owner
     /// did not give the region up, the server took it away.

@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
 use sim_core::sync::{channel, oneshot, OneshotSender, Receiver, Semaphore, Sender};
-use sim_core::{Counter, Payload, SgList, Sim};
+use sim_core::{Counter, Payload, SgList, Sim, SimTime};
 
 use crate::config::HcaConfig;
 use crate::cq::{Completion, Cq};
@@ -219,6 +219,8 @@ pub(crate) struct QpInner {
     /// IRD only bounds how many requests may be queued (enforced by the
     /// peer's ORD in this workspace's configurations).
     pub(crate) read_engine: Semaphore,
+    /// When the responder last accepted an RDMA Read from the peer.
+    pub(crate) last_read: Cell<Option<SimTime>>,
     /// The WQEs of the open [`Qp::chain`], awaiting its doorbell.
     /// Empty whenever no chain is open.
     pending: RefCell<Vec<Wqe>>,
@@ -298,6 +300,7 @@ impl Qp {
                 recv_queue: RefCell::new(VecDeque::new()),
                 ord: Semaphore::new(cfg.max_ord),
                 read_engine: Semaphore::new(1),
+                last_read: Cell::new(None),
                 pending: RefCell::new(Vec::new()),
                 drained: RefCell::new(Vec::new()),
                 chaining: Cell::new(false),
@@ -325,6 +328,13 @@ impl Qp {
     /// [`crate::hca::connect`] pairs this QP).
     pub fn peer_node(&self) -> NodeId {
         self.inner.peer_node.get()
+    }
+
+    /// When this QP last accepted an RDMA Read from its peer (the
+    /// request passed the TPT check), if ever: a responder's view of
+    /// the peer pulling what it was shown.
+    pub fn last_remote_read(&self) -> Option<SimTime> {
+        self.inner.last_read.get()
     }
 
     /// True if the QP has transitioned to the error state.

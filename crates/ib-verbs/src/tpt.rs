@@ -48,10 +48,10 @@ pub enum RemoteOp {
 /// Cumulative security ledger.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ExposureReport {
-    /// Integral of remotely-exposed bytes over time (byte·ns), counting
-    /// closed exposure windows only — call [`Tpt::exposure_report`] to
-    /// fold in currently-open windows.
-    pub byte_ns: u128,
+    /// Integral of remotely-exposed bytes over time (byte·µs): the
+    /// closed windows of `tpt.node{N}.exposed_byte_us` plus the windows
+    /// still open at the time of the report.
+    pub byte_us: u64,
     /// Bytes exposed right now.
     pub current_bytes: u64,
     /// Number of registrations that ever granted remote access.
@@ -68,16 +68,18 @@ pub struct Tpt {
     global_rkey: Rkey,
     /// Whether the privileged all-physical steering tag is enabled.
     global_enabled: bool,
-    closed_byte_ns: u128,
+    /// Byte·µs of every closed exposure window:
+    /// `tpt.node{N}.exposed_byte_us`, each HCA's own.
+    exposed_byte_us: Rc<Counter>,
     /// Registrations that ever granted remote access:
     /// `tpt.node{N}.exposures`, each HCA's own.
     exposures: Rc<Counter>,
     /// Remote-access validation failures (attack probes, bugs):
     /// `tpt.violations`, one series for every HCA of a simulation.
     violations: Rc<Counter>,
-    /// Registrations force-invalidated by policy (exposure TTL expiry,
-    /// quarantine teardown) rather than by their owner's deregister:
-    /// `tpt.revocations`, likewise fleet-wide.
+    /// Registrations force-invalidated by policy (an overdue
+    /// `RDMA_DONE`, quarantine teardown) rather than by their owner's
+    /// deregister: `tpt.revocations`, likewise fleet-wide.
     revocations: Rc<Counter>,
 }
 
@@ -92,7 +94,7 @@ impl Tpt {
             rng,
             global_rkey,
             global_enabled: false,
-            closed_byte_ns: 0,
+            exposed_byte_us: registry.counter(&format!("tpt.node{}.exposed_byte_us", node.0)),
             exposures: registry.counter(&format!("tpt.node{}.exposures", node.0)),
             violations: registry.counter("tpt.violations"),
             revocations: registry.counter("tpt.revocations"),
@@ -106,9 +108,9 @@ impl Tpt {
         self.revocations.inc();
     }
 
-    /// Force-invalidate an entry by policy (TTL expiry, quarantine):
-    /// closes the exposure window like [`Tpt::invalidate`] and records
-    /// the revocation in the ledger.
+    /// Force-invalidate an entry by policy (overdue `RDMA_DONE`,
+    /// quarantine): closes the exposure window like [`Tpt::invalidate`]
+    /// and records the revocation in the ledger.
     pub fn revoke(&mut self, rkey: Rkey, now: SimTime) -> Option<TptEntry> {
         let e = self.invalidate(rkey, now)?;
         self.note_revocation();
@@ -169,7 +171,7 @@ impl Tpt {
     pub fn invalidate(&mut self, rkey: Rkey, now: SimTime) -> Option<TptEntry> {
         let e = self.entries.remove(&rkey.0)?;
         if e.access.remotely_exposed() {
-            self.closed_byte_ns += e.len as u128 * now.saturating_since(e.since).as_nanos() as u128;
+            self.exposed_byte_us.add(byte_us_of(&e, now));
         }
         Some(e)
     }
@@ -261,17 +263,17 @@ impl Tpt {
     /// Snapshot the security ledger, folding still-open exposure windows
     /// up to `now`.
     pub fn exposure_report(&self, now: SimTime) -> ExposureReport {
-        let mut byte_ns = self.closed_byte_ns;
+        let mut byte_us = self.exposed_byte_us.get();
         let mut current = 0u64;
         #[allow(clippy::iter_over_hash_type)] // integer sums: order-free
         for e in self.entries.values() {
             if e.access.remotely_exposed() {
                 current += e.len;
-                byte_ns += e.len as u128 * now.saturating_since(e.since).as_nanos() as u128;
+                byte_us += byte_us_of(e, now);
             }
         }
         ExposureReport {
-            byte_ns,
+            byte_us,
             current_bytes: current,
             exposures: self.exposures.get(),
         }
@@ -288,6 +290,13 @@ impl Tpt {
         let global = if self.global_enabled { 1.0 } else { 0.0 };
         (readable + global) / 2f64.powi(32)
     }
+}
+
+/// `e`'s window up to `now` in byte·µs (computed in byte·ns, so only
+/// the window's last partial µs is dropped).
+fn byte_us_of(e: &TptEntry, now: SimTime) -> u64 {
+    let byte_ns = e.len as u128 * now.saturating_since(e.since).as_nanos() as u128;
+    (byte_ns / 1_000) as u64
 }
 
 #[cfg(test)]
@@ -406,11 +415,11 @@ mod tests {
         let r = tpt.insert(buf.clone(), buf.addr(), 1000, Access::REMOTE_READ, t(100));
         // Open window at t=600: 1000 bytes * 500ns.
         let rep = tpt.exposure_report(t(600));
-        assert_eq!(rep.byte_ns, 500_000);
+        assert_eq!(rep.byte_us, 500);
         assert_eq!(rep.current_bytes, 1000);
         tpt.invalidate(r, t(1100)).unwrap();
         let rep = tpt.exposure_report(t(9999));
-        assert_eq!(rep.byte_ns, 1_000_000); // closed at 1000ns duration
+        assert_eq!(rep.byte_us, 1_000); // closed at 1000ns duration
         assert_eq!(rep.current_bytes, 0);
         assert_eq!(rep.exposures, 1);
     }
@@ -428,7 +437,7 @@ mod tests {
             .is_err());
         let rep = tpt.exposure_report(t(9999));
         assert_eq!(counted(&tpt).1, 1);
-        assert_eq!(rep.byte_ns, 500_000);
+        assert_eq!(rep.byte_us, 500);
         assert_eq!(rep.current_bytes, 0);
         // Revoking an already-dead tag is a no-op, not a double count.
         assert!(tpt.revoke(r, t(600)).is_none());
@@ -444,10 +453,13 @@ mod tests {
         let mut b = Tpt::new(SimRng::new(6), &registry, NodeId(1));
         let r = a.insert(buf.clone(), buf.addr(), 64, Access::REMOTE_READ, t(0));
         let _ = b.check_remote(Rkey(1), buf.addr(), 4, RemoteOp::Read, t(1), |_, _| None);
-        a.revoke(r, t(2)).unwrap();
+        a.revoke(r, t(2_000)).unwrap();
         b.note_revocation();
         assert_eq!(registry.get("tpt.violations"), Some(1));
         assert_eq!(registry.get("tpt.revocations"), Some(2));
+        // Exposure is each node's own: 64 bytes for 2 µs on node 0.
+        assert_eq!(registry.get("tpt.node0.exposed_byte_us"), Some(128));
+        assert_eq!(registry.get("tpt.node1.exposed_byte_us"), Some(0));
     }
 
     #[test]

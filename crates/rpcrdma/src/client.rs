@@ -39,7 +39,7 @@ use sim_core::{MetricsRegistry, Payload, Sim, SimDuration, SimRng};
 use xdr::XdrCodec;
 
 use crate::config::{Design, RpcRdmaConfig};
-use crate::endpoint::{Endpoint, RecvPool};
+use crate::endpoint::{Endpoint, RecvPool, ReplyClock};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, Segment};
 use crate::qos::{QOS_MAX_REJECTIONS, QOS_SHED_BACKOFF};
 use crate::reg::{IoBuf, Registrar};
@@ -144,36 +144,6 @@ impl ClientStats {
 /// connector returning an un-postable QP kills the client for good.
 /// Plain single-server connectors resolve immediately.
 pub type Connector = Box<dyn Fn() -> onc_rpc::LocalBoxFuture<Qp>>;
-
-/// When a reply should come, learned from the replies that came: RFC
-/// 6298's smoothed round-trip time and mean deviation, `(srtt,
-/// rttvar)` once sampled.
-#[derive(Default)]
-struct ReplyClock(Cell<Option<(SimDuration, SimDuration)>>);
-
-impl ReplyClock {
-    /// Fold in `r`, the time to a reply to transmission `attempt` of a
-    /// call (RFC 6298 §2): the first sets srtt = r, rttvar = r/2; each
-    /// later one moves rttvar a quarter of the way to |srtt − r|, then
-    /// srtt an eighth of the way to r. Karn's rule: a reply to a
-    /// retransmitted call may answer any of its copies, so it is no
-    /// sample.
-    fn sample(&self, attempt: u32, r: SimDuration) {
-        let next = self.0.get().map_or((r, r / 2), |(srtt, rttvar)| {
-            let deviation = srtt.max(r) - srtt.min(r);
-            ((srtt * 7 + r) / 8, (rttvar * 3 + deviation) / 4)
-        });
-        if attempt == 0 {
-            self.0.set(Some(next));
-        }
-    }
-
-    /// `srtt + 4·rttvar`, RFC 6298's timeout before its floor; zero
-    /// until the first sample.
-    fn rto(&self) -> SimDuration {
-        self.0.get().map_or(SimDuration::ZERO, |(s, v)| s + v * 4)
-    }
-}
 
 /// A reply as the dispatcher hands it to its call: the transport header
 /// and the inline RPC message behind it.
@@ -990,26 +960,4 @@ fn start_recovery(inner: &Rc<ClientInner>) {
             .flight("client", "recovery_done", node, reconnects);
         inner.sim.spawn(reply_dispatcher(inner.clone(), ep));
     });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// RFC 6298 §2 in integers — the first sample sets srtt and half of
-    /// it as rttvar, later ones move rttvar by a quarter, then srtt by
-    /// an eighth — and Karn's rule. A cold clock's timeout is zero: the
-    /// `call_timeout` floor is the whole timer until a reply is timed.
-    #[test]
-    fn the_reply_clock_follows_rfc_6298_and_karn() {
-        let (ms, clock) = (SimDuration::from_millis, ReplyClock::default());
-        assert_eq!((clock.0.get(), clock.rto()), (None, SimDuration::ZERO));
-        clock.sample(0, ms(8));
-        assert_eq!((clock.0.get(), clock.rto()), (Some((ms(8), ms(4))), ms(24)));
-        // rttvar = (3·4 + |8 − 16|) / 4 = 5; srtt = (7·8 + 16) / 8 = 9;
-        // the reply to a call's third copy is no sample.
-        clock.sample(0, ms(16));
-        clock.sample(2, ms(400));
-        assert_eq!((clock.0.get(), clock.rto()), (Some((ms(9), ms(5))), ms(29)));
-    }
 }

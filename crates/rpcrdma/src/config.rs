@@ -1,8 +1,11 @@
 //! RPC/RDMA transport configuration: only what two callers set
 //! differently. Sizes that follow from another field are derived
 //! ([`RpcRdmaConfig::recv_size`]), per-op stack costs belong to the
-//! modelled host ([`sim_core::CpuCosts`]), and everything no caller
-//! ever varied is a constant in the module that owns the decision.
+//! modelled host ([`sim_core::CpuCosts`]), everything no caller ever
+//! varied is a constant in the module that owns the decision, and what
+//! the transport can learn from its own traffic it learns (reply
+//! timers, the Read-Read exposure deadline: [`crate::server`]). No
+//! field chooses between two implementations of one job.
 
 // A second on/off switch needs a better reason than the first: each
 // one doubles the configurations the harnesses have to compose
@@ -55,11 +58,6 @@ pub struct RpcRdmaConfig {
     /// Retransmissions allowed per call before it fails with
     /// [`onc_rpc::TransportError::TimedOut`].
     pub max_retransmits: u32,
-    /// ADVERSARIAL HARDENING: how long a Read-Read exposure may sit
-    /// un-`RDMA_DONE`d before the server force-revokes the registration
-    /// (the ledger records the revocation). `ZERO` disables the reaper
-    /// (the paper's original, pin-forever behavior).
-    pub exposure_ttl: SimDuration,
     /// Service concurrency: calls in service at once, all connections
     /// (`threads` in `nfs.conf`). A call finding every slot busy waits in
     /// the fair dispatch queue ([`crate::qos`]), which sheds what it
@@ -74,7 +72,7 @@ const RECV_HEADER_ROOM: u64 = 2048;
 
 impl Default for RpcRdmaConfig {
     /// The paper's transport: Read-Write, 1 KiB inline, 32 credits,
-    /// every later extension off.
+    /// unbounded service concurrency.
     fn default() -> Self {
         RpcRdmaConfig {
             design: Design::ReadWrite,
@@ -83,7 +81,6 @@ impl Default for RpcRdmaConfig {
             zero_copy_read: true,
             call_timeout: SimDuration::from_millis(50),
             max_retransmits: 8,
-            exposure_ttl: SimDuration::ZERO,
             threads: None,
         }
     }

@@ -14,6 +14,12 @@
 //! interrupt-driven router task) and how big a receive buffer is:
 //! [`RpcRdmaConfig::recv_size`], derived from the inline threshold, so
 //! no caller can post buffers smaller than the messages it agreed to.
+//!
+//! Each side also keeps, per connection, an RFC 6298 estimate of how
+//! long its peer takes to answer ([`ReplyClock`]): the client times the
+//! replies to its calls and sets its retransmission timer from it; the
+//! Read-Read server times the `RDMA_DONE`s that answer its exposures and
+//! revokes an exposure whose `RDMA_DONE` is overdue by it.
 
 #![deny(clippy::too_many_lines)]
 
@@ -22,7 +28,7 @@ use std::cell::{Cell, RefCell};
 use bytes::Bytes;
 use ib_verbs::{Buffer, Completion, Hca, Opcode, Qp, VerbsError, WrId};
 use sim_core::sync::OneshotReceiver;
-use sim_core::{Payload, Sim};
+use sim_core::{Payload, Sim, SimDuration};
 use xdr::{Encoder, XdrCodec};
 
 use crate::config::RpcRdmaConfig;
@@ -193,6 +199,36 @@ impl Endpoint {
     }
 }
 
+/// When an answer should come, learned from the answers that came: RFC
+/// 6298's smoothed round-trip time and mean deviation, `(srtt,
+/// rttvar)` once sampled.
+#[derive(Default)]
+pub(crate) struct ReplyClock(Cell<Option<(SimDuration, SimDuration)>>);
+
+impl ReplyClock {
+    /// Fold in `r`, the time to an answer to transmission `attempt` of
+    /// a message (RFC 6298 §2): the first sets srtt = r, rttvar = r/2;
+    /// each later one moves rttvar a quarter of the way to |srtt − r|,
+    /// then srtt an eighth of the way to r. Karn's rule: an answer to a
+    /// retransmitted message may answer any of its copies, so it is no
+    /// sample.
+    pub(crate) fn sample(&self, attempt: u32, r: SimDuration) {
+        let next = self.0.get().map_or((r, r / 2), |(srtt, rttvar)| {
+            let deviation = srtt.max(r) - srtt.min(r);
+            ((srtt * 7 + r) / 8, (rttvar * 3 + deviation) / 4)
+        });
+        if attempt == 0 {
+            self.0.set(Some(next));
+        }
+    }
+
+    /// `srtt + 4·rttvar`, RFC 6298's timeout before its floor; zero
+    /// until the first sample.
+    pub(crate) fn rto(&self) -> SimDuration {
+        self.0.get().map_or(SimDuration::ZERO, |(s, v)| s + v * 4)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::rc::Rc;
@@ -235,5 +271,22 @@ mod tests {
             let ordinary: Vec<_> = (0..8).map(|_| hca.mem().alloc(cfg.recv_size())).collect();
             assert!(!ordinary.iter().all(one_run), "the layout never fragments");
         }
+    }
+
+    /// RFC 6298 §2 in integers — the first sample sets srtt and half of
+    /// it as rttvar, later ones move rttvar by a quarter, then srtt by
+    /// an eighth — and Karn's rule. A cold clock's timeout is zero: the
+    /// caller's floor is the whole timer until an answer is timed.
+    #[test]
+    fn the_reply_clock_follows_rfc_6298_and_karn() {
+        let (ms, clock) = (SimDuration::from_millis, ReplyClock::default());
+        assert_eq!((clock.0.get(), clock.rto()), (None, SimDuration::ZERO));
+        clock.sample(0, ms(8));
+        assert_eq!((clock.0.get(), clock.rto()), (Some((ms(8), ms(4))), ms(24)));
+        // rttvar = (3·4 + |8 − 16|) / 4 = 5; srtt = (7·8 + 16) / 8 = 9;
+        // the reply to a call's third copy is no sample.
+        clock.sample(0, ms(16));
+        clock.sample(2, ms(400));
+        assert_eq!((clock.0.get(), clock.rto()), (Some((ms(9), ms(5))), ms(29)));
     }
 }

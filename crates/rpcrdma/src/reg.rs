@@ -502,7 +502,7 @@ impl Registrar {
         }
     }
 
-    /// Force-retire an [`IoBuf`] by policy (exposure TTL expiry): the
+    /// Force-retire an [`IoBuf`] by policy (an overdue `RDMA_DONE`): the
     /// steering tag is invalidated *now* and the TPT ledger records a
     /// revocation. Cached slab entries are dropped rather than parked —
     /// their registration was advertised to an untrusted peer and must

@@ -43,31 +43,35 @@
 //! credit grant (halved per strike, restored after a streak of good
 //! calls), and — past [`VIOLATION_QUARANTINE`] strikes — quarantine
 //! the connection by forcing its QP into the error state. Honest
-//! clients on other QPs keep their full windows. When
-//! `cfg.exposure_ttl` is non-zero, a per-connection reaper
-//! force-revokes Read-Read exposures whose `RDMA_DONE` never arrived,
-//! bounding how long a client can pin server memory.
+//! clients on other QPs keep their full windows. Every Read-Read
+//! exposure carries a deadline learned from the connection's own
+//! `RDMA_DONE`s, never earlier than what an honest pull of everything
+//! the connection has exposed needs on this HCA; the receive loop
+//! revokes an exposure whose `RDMA_DONE` is overdue, bounding how long
+//! a client can pin server memory.
 
 #![deny(clippy::too_many_lines)]
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::future::Future;
-use std::pin::pin;
+use std::future::{poll_fn, Future};
+use std::pin::{pin, Pin};
 use std::rc::Rc;
+use std::task::Poll;
 
 use bytes::Bytes;
-use ib_verbs::{Access, Hca, NodeId, Qp, Sge, VerbsError};
+use ib_verbs::{Access, Hca, HcaConfig, NodeId, Qp, Sge, VerbsError, PAGE_SIZE};
 use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{
     AcceptStat, CallContext, CallHeader, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader,
 };
 use sim_core::stats::{Counter, Gauge};
-use sim_core::sync::Semaphore;
-use sim_core::{MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime};
+use sim_core::{
+    transfer_time, MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime, WakeSlot,
+};
 
 use crate::config::{Design, RpcRdmaConfig};
-use crate::endpoint::{Endpoint, RecvPool};
+use crate::endpoint::{Endpoint, RecvPool, ReplyClock};
 use crate::header::{MsgType, RdmaHeader, ReadChunk, Segment};
 use crate::qos::{
     ShedReason, TenantScheduler, QOS_QUEUE_CAP, QOS_TARGET_DELAY, QOS_TENANT_BACKLOG,
@@ -139,8 +143,8 @@ pub struct ServerStats {
     /// Times a connection's credit grant was halved under violation
     /// (or QoS hog) pressure.
     pub credit_clamps: Rc<Counter>,
-    /// Read-Read exposures force-revoked by the TTL reaper because the
-    /// client never sent `RDMA_DONE`.
+    /// Read-Read exposures revoked because their `RDMA_DONE` was
+    /// overdue, or because their connection tore down first.
     pub exposures_revoked: Rc<Counter>,
     /// Calls shed by the overload controller (answered with a
     /// retryable busy reply instead of being serviced).
@@ -374,18 +378,49 @@ impl RdmaRpcServer {
     }
 }
 
-/// A Read-Read exposure awaiting the client's `RDMA_DONE`: the buffers
-/// plus the time they went on the wire, so the TTL reaper can tell how
-/// long the client has been sitting on them.
+/// A Read-Read exposure awaiting the client's `RDMA_DONE`: the buffers,
+/// when they went on the wire, what pulling them takes, and when the
+/// server stops waiting.
 struct Exposure {
     since: SimTime,
+    deadline: SimTime,
+    /// Bytes the reply advertised, and the RDMA Reads (one per segment)
+    /// that pull them.
+    pull: (u64, u64),
+    /// 1 if a DRC replay re-exposed its call's reply: its `RDMA_DONE`
+    /// may answer either copy, so it times nothing (Karn's rule).
+    attempt: u32,
+    /// The deadline passed once while the peer was pulling, and was
+    /// granted again.
+    renewed: bool,
     bufs: Vec<IoBuf>,
+}
+
+/// What an honest in-order pull of `pending` — every exposure a
+/// connection has not yet released, as (bytes, RDMA Reads) — needs on
+/// `hca`: for each, a sink registered at this HCA's rate and one
+/// responder turnaround per Read; then the wire time of every byte and
+/// one round trip.
+fn pull_floor(hca: &HcaConfig, pending: impl Iterator<Item = (u64, u64)>) -> SimDuration {
+    let (mut floor, mut bytes) = (hca.link_latency * 2, 0);
+    for (b, reads) in pending {
+        floor += hca.reg_cost(b.div_ceil(PAGE_SIZE)) + hca.read_turnaround * reads;
+        bytes += b;
+    }
+    floor + transfer_time(bytes, hca.link_bandwidth)
+}
+
+/// When an exposure made at `since` is overdue: after `floor`, or after
+/// the connection's RFC 6298 timeout once its `RDMA_DONE`s have been
+/// timed, whichever is later.
+fn overdue_at(since: SimTime, floor: SimDuration, dones: &ReplyClock) -> SimTime {
+    since + floor.max(dones.rto())
 }
 
 /// How an [`Exposure`] ends: quietly *released* (the client sent
 /// `RDMA_DONE`, or never acted on the reply that advertised it), or
 /// *revoked* on the TPT ledger because the client can no longer be
-/// trusted to let go (teardown, TTL expiry).
+/// trusted to let go (teardown, an overdue `RDMA_DONE`).
 #[derive(Clone, Copy)]
 enum Retire {
     Release,
@@ -400,6 +435,12 @@ struct ConnState {
     ep: Endpoint,
     /// Read-Read design: xid -> buffers exposed until RDMA_DONE.
     pending_exposures: RefCell<HashMap<u32, Exposure>>,
+    /// How long this client takes to answer an exposure with
+    /// `RDMA_DONE`.
+    dones: ReplyClock,
+    /// Where the receive loop parks: a new exposure wakes it to wait
+    /// for that deadline too.
+    reaper: RefCell<WakeSlot>,
     /// Per-connection credit grant: starts at the server's base grant,
     /// halves on every protocol violation, doubles back after a streak
     /// of clean calls. Never exceeds the server-wide grant.
@@ -409,19 +450,14 @@ struct ConnState {
     violations: Cell<u32>,
     /// Consecutive clean calls since the last violation.
     good_streak: Cell<u32>,
-    /// Set at teardown: the exposure reaper exits, and the pump drops
-    /// this connection's calls still queued.
+    /// Set at teardown: the pump drops this connection's calls still
+    /// queued.
     closed: Cell<bool>,
     /// Live [`Admitted`] guards. The server *enforces* its credit grant:
     /// a call arriving past the window is dropped and charged as a
     /// violation instead of being dispatched, so credit overcommit
     /// never buys server CPU.
     in_flight: Cell<u32>,
-    /// Wakes the exposure reaper when a new exposure is created (or at
-    /// teardown). The reaper parks on this while the connection has no
-    /// pending exposures — an idle timer loop would keep the whole
-    /// simulation from ever quiescing.
-    exposure_signal: Semaphore,
 }
 
 impl ConnState {
@@ -431,12 +467,13 @@ impl ConnState {
             server: server.clone(),
             ep,
             pending_exposures: RefCell::new(HashMap::new()),
+            dones: ReplyClock::default(),
+            reaper: RefCell::new(WakeSlot::new()),
             granted: Cell::new(server.credit_grant.get()),
             violations: Cell::new(0),
             good_streak: Cell::new(0),
             closed: Cell::new(false),
             in_flight: Cell::new(0),
-            exposure_signal: Semaphore::new(0),
         }
     }
 
@@ -551,11 +588,8 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
         &server,
         Endpoint::new(&server.sim, qp, pool),
     ));
-    if cfg.exposure_ttl > SimDuration::ZERO {
-        spawn_exposure_reaper(&conn);
-    }
 
-    while let Some((payload, tail)) = conn.ep.next_message().await {
+    while let Some((payload, tail)) = next_message(&conn).await {
         let Some(call) = sanitize_stage(&conn, payload, tail) else {
             continue;
         };
@@ -566,6 +600,7 @@ async fn connection_loop(server: Rc<RdmaRpcServer>, qp: Qp) {
                 let exp = conn.pending_exposures.borrow_mut().remove(&call.hdr.xid);
                 if let Some(exp) = exp {
                     server.stats.dones.inc();
+                    conn.dones.sample(exp.attempt, server.sim.now() - exp.since);
                     let release = retire_exposure(&conn, exp, Retire::Release);
                     server.sim.spawn(release);
                 }
@@ -656,56 +691,64 @@ fn schedule(conn: Admitted, call: Inbound) {
 /// leak.
 async fn teardown(conn: &ConnState) {
     conn.closed.set(true);
-    conn.exposure_signal.add_permits(1); // unpark the reaper so it exits
     let leftover = std::mem::take(&mut *conn.pending_exposures.borrow_mut());
     for (_, exp) in sim_core::key_order(leftover) {
         retire_exposure(conn, exp, Retire::Revoke).await;
     }
 }
 
-/// Spawn the per-connection exposure reaper: every quarter-TTL it
-/// force-revokes Read-Read exposures whose `RDMA_DONE` is overdue. The
-/// TPT ledger records each invalidation as a revocation, so the attack
-/// (and the defense) shows up in `tpt.revocations`. While nothing is
-/// exposed it parks on the connection's exposure signal instead of
-/// spinning the timer wheel; it ends when the connection closes.
-fn spawn_exposure_reaper(conn: &Rc<ConnState>) {
-    let conn = conn.clone();
-    let sim = conn.server.sim.clone();
-    let ttl = conn.server.cfg.exposure_ttl;
-    let tick = (ttl / 4).max(SimDuration::from_micros(1));
-    sim.clone().spawn(async move {
-        loop {
-            while !conn.closed.get() && conn.pending_exposures.borrow().is_empty() {
-                conn.exposure_signal.acquire().await.forget();
-            }
-            if conn.closed.get() {
-                return;
-            }
-            sim.sleep(tick).await;
-            if conn.closed.get() {
-                return;
-            }
-            let now = sim.now();
-            let expired: Vec<(u32, Exposure)> = {
-                let mut map = conn.pending_exposures.borrow_mut();
-                let mut overdue: Vec<u32> = map
-                    .iter()
-                    .filter(|(_, exp)| now - exp.since >= ttl)
-                    .map(|(xid, _)| *xid)
-                    .collect();
-                overdue.sort_unstable();
-                overdue
-                    .into_iter()
-                    .filter_map(|xid| map.remove_entry(&xid))
-                    .collect()
-            };
-            for (xid, exp) in expired {
-                sim.flight("server", "ttl_revoke", xid as u64, exp.bufs.len() as u64);
-                retire_exposure(&conn, exp, Retire::Revoke).await;
+/// The connection's next inbound message. While Read-Read exposures
+/// are pending the wait also ends at each deadline, to reap what is
+/// overdue: the reaper runs only while something is exposed, on this
+/// loop's task (and a new exposure wakes it to re-arm).
+async fn next_message(conn: &ConnState) -> Option<(Payload, Option<Payload>)> {
+    let mut next = pin!(conn.ep.next_message());
+    let (sim, mut armed, mut timer) = (&conn.server.sim, None, None);
+    poll_fn(|cx| loop {
+        if let Poll::Ready(message) = next.as_mut().poll(cx) {
+            return Poll::Ready(message);
+        }
+        let due = (conn.pending_exposures.borrow().values())
+            .map(|e| e.deadline)
+            .min();
+        if due != armed {
+            (armed, timer) = (due, due.map(|at| sim.sleep_until(at)));
+        }
+        match timer.as_mut().map(|t| Pin::new(t).poll(cx)) {
+            Some(Poll::Ready(())) => reap(conn),
+            _ => {
+                conn.reaper.borrow_mut().park(cx);
+                return Poll::Pending;
             }
         }
-    });
+    })
+    .await
+}
+
+/// Revoke, in xid order, every exposure whose `RDMA_DONE` is overdue —
+/// each forgiven at most once: one the peer has been pulling from since
+/// it went out is mid-pull (copying out, releasing its sink, about to
+/// send `RDMA_DONE`) and gets its wait again. The TPT ledger records
+/// each revocation, so an attack (and the defense) shows up in
+/// `tpt.revocations`.
+fn reap(conn: &ConnState) {
+    let (sim, pulled) = (&conn.server.sim, conn.ep.qp.last_remote_read());
+    let now = sim.now();
+    let mut map = conn.pending_exposures.borrow_mut();
+    let mut overdue: Vec<u32> = (map.iter().filter(|(_, e)| e.deadline <= now))
+        .map(|(xid, _)| *xid)
+        .collect();
+    overdue.sort_unstable();
+    for xid in overdue {
+        let exp = map.get_mut(&xid).expect("an overdue exposure is pending");
+        if !exp.renewed && pulled.is_some_and(|t| t >= exp.since) {
+            exp.renewed = true;
+            exp.deadline += exp.deadline - exp.since;
+        } else if let Some(exp) = map.remove(&xid) {
+            sim.flight("server", "ttl_revoke", xid as u64, exp.bufs.len() as u64);
+            sim.spawn(retire_exposure(conn, exp, Retire::Revoke));
+        }
+    }
 }
 
 /// Answer a shed call immediately with a retryable busy reply
@@ -1215,23 +1258,37 @@ async fn reply_stage(conn: &ConnState, out: &mut Outgoing) -> Option<()> {
 /// *Retire* stage: settle what the op held once the reply has left
 /// (`sent`: its signaled Send completed, so it held something).
 /// Read-Read buffers a completed Send advertised stay exposed until
-/// `RDMA_DONE`; everything else is released.
+/// `RDMA_DONE` or their deadline; everything else is released.
 async fn retire_stage(conn: &ConnState, out: Outgoing, sent: bool) {
     let server = &conn.server;
     if server.cfg.design == Design::ReadRead && sent {
         let pending = &server.stats.exposures_pending;
         pending.set(pending.get() + out.held.len() as u64);
+        let xid = out.rhdr.xid;
+        // A replayed reply re-exposes fresh buffers under the same XID;
+        // the originals' rkeys were advertised in a reply the client
+        // never acted on.
+        let old = conn.pending_exposures.borrow_mut().remove(&xid);
+        let chunks = &out.rhdr.read_chunks;
+        let bytes = chunks.iter().map(|c| c.segment.len).sum();
+        let pull = (bytes, chunks.len() as u64);
+        let floor = {
+            let map = conn.pending_exposures.borrow();
+            let pending = map.values().map(|e| e.pull).chain([pull]);
+            pull_floor(server.hca.config(), pending)
+        };
+        let since = server.sim.now();
         let exposure = Exposure {
-            since: server.sim.now(),
+            since,
+            deadline: overdue_at(since, floor, &conn.dones),
+            pull,
+            attempt: u32::from(old.is_some()),
+            renewed: false,
             bufs: out.held,
         };
-        let xid = out.rhdr.xid;
-        let old = conn.pending_exposures.borrow_mut().insert(xid, exposure);
-        conn.exposure_signal.add_permits(1);
+        conn.pending_exposures.borrow_mut().insert(xid, exposure);
+        conn.reaper.borrow_mut().wake();
         if let Some(old) = old {
-            // A replayed reply re-exposes fresh buffers under the same
-            // XID; retire the originals (their rkeys were advertised
-            // in a reply the client never acted on).
             retire_exposure(conn, old, Retire::Release).await;
         }
         return;
@@ -1389,4 +1446,37 @@ fn echo_actual(segs: &[Segment], len: u64) -> Vec<Segment> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The deadline arithmetic. With no `RDMA_DONE` timed, an exposure
+    /// waits the pull floor of everything its connection has pending;
+    /// once timed, the later of that floor and srtt + 4·rttvar; and the
+    /// `RDMA_DONE` of an exposure a DRC replay made times nothing.
+    #[test]
+    fn an_exposure_waits_its_pull_floor_until_its_dones_are_timed() {
+        let (hca, us) = (HcaConfig::sdr(), SimDuration::from_micros);
+        let wire = |bytes| transfer_time(bytes, hca.link_bandwidth);
+        let rtt = SimDuration::from_nanos(2_600);
+        // 8 KiB in one Read: a 2-page sink (30 + 2·7 µs), one
+        // turnaround (107 µs), the wire, a round trip.
+        let one = pull_floor(&hca, [(8192, 1)].into_iter());
+        assert_eq!(one, us(30 + 14 + 107) + wire(8192) + rtt);
+        // Another pending 8 KiB in two Reads queues ahead of it.
+        let two = pull_floor(&hca, [(8192, 2), (8192, 1)].into_iter());
+        assert_eq!(two, us(2 * (30 + 14) + 3 * 107) + wire(16384) + rtt);
+
+        let (dones, since) = (ReplyClock::default(), SimTime::from_nanos(1_000_000));
+        assert_eq!(overdue_at(since, one, &dones), since + one);
+        // One DONE after 100 µs: srtt 100, rttvar 50, so 300 µs.
+        dones.sample(0, us(100));
+        assert_eq!(overdue_at(since, one, &dones), since + us(300));
+        assert_eq!(overdue_at(since, two, &dones), since + two);
+        // A replay's exposure is attempt 1: its DONE moves nothing.
+        dones.sample(u32::from(true), us(5_000));
+        assert_eq!(overdue_at(since, one, &dones), since + us(300));
+    }
 }

@@ -602,7 +602,7 @@ fn read_read_design_exposes_server_memory() {
     });
     let server_report = bed.server_hca.exposure_report();
     assert_eq!(server_report.exposures, 5, "each READ exposes a buffer");
-    assert!(server_report.byte_ns > 0);
+    assert!(server_report.byte_us > 0);
     // RDMA_DONE was sent and processed; nothing left pinned.
     assert_eq!(bed.server.stats.dones.get(), 5);
     assert_eq!(bed.server.stats.exposures_pending.get(), 0);
@@ -743,7 +743,7 @@ fn malicious_client_withholding_done_pins_server_buffers() {
     let report = bed.server_hca.exposure_report();
     // The exposure window integrated nonzero byte-time: the attack
     // surface the Read-Write design removes entirely.
-    assert!(report.byte_ns > 0);
+    assert!(report.byte_us > 0);
 }
 
 #[test]
@@ -1482,12 +1482,14 @@ fn retired_message_types_are_garbage_headers() {
 }
 
 #[test]
-fn suppressed_done_pins_server_buffers_indefinitely() {
-    // The §4.1 attack, end to end: a Read-Read client that never sends
-    // RDMA_DONE leaves the server's buffers registered and exposed. The
-    // transport's own client cannot be told to misbehave, so the
-    // attacker is a bare queue pair: genuine READ calls, each reply
-    // received, its read chunks never acknowledged.
+fn suppressed_done_is_revoked_at_the_pull_floor() {
+    // The §4.1 attack, end to end: a Read-Read client that never pulls
+    // and never sends RDMA_DONE. The transport's own client cannot be
+    // told to misbehave, so the attacker is a bare queue pair: genuine
+    // READ calls, each reply received, its read chunks never touched.
+    // It has never sent a DONE, so each exposure waits only what an
+    // honest pull of everything the connection has pending needs —
+    // then the server revokes it: exposure is bounded, not indefinite.
     use onc_rpc::msg::encode_call;
     use rpcrdma::{MsgType, RdmaHeader};
     use xdr::XdrCodec;
@@ -1519,12 +1521,57 @@ fn suppressed_done_pins_server_buffers_indefinitely() {
         }
     });
     sim.run();
-    // Every READ's buffer is still pinned and remotely readable.
-    assert_eq!(bed.server.stats.dones.get(), 0);
-    assert_eq!(bed.server.stats.exposures_pending.get(), 6);
+    // Every READ's buffer was revoked: nothing pinned, nothing readable.
+    let stats = &bed.server.stats;
+    assert_eq!(stats.dones.get(), 0);
+    assert_eq!(stats.exposures_pending.get(), 0);
+    assert_eq!(stats.exposures_revoked.get(), 6);
+    let overdue = sim.flight_records();
+    let overdue = overdue.iter().filter(|f| f.event == "ttl_revoke").count();
+    assert_eq!(overdue, 6, "each exposure revoked as overdue");
     let report = bed.server_hca.exposure_report();
-    assert_eq!(report.current_bytes, 600_000);
-    assert!(report.byte_ns > 0);
+    assert_eq!(report.current_bytes, 0);
+    // Each window is shorter than the pull of all six at once plus the
+    // invalidation that closes it.
+    let hca = HcaConfig::sdr();
+    let pages = 100_000u64.div_ceil(4096);
+    let all_six = (hca.reg_cost(pages) + hca.read_turnaround) * 6
+        + sim_core::transfer_time(600_000, hca.link_bandwidth)
+        + hca.link_latency * 2;
+    let window = all_six + hca.dereg_cost(pages);
+    assert!(report.byte_us > 0);
+    assert!(report.byte_us <= 6 * 100_000 * window.as_micros());
+}
+
+/// A cold connection — no `RDMA_DONE` timed yet — starts eight 1 MiB
+/// Read-Read READs at once. Each exposure's deadline counts every byte
+/// the connection has pending ahead of it, so no honest pull is ever
+/// refused and no exposure revoked; counting only its own bytes, the
+/// later ones would be.
+#[test]
+fn a_cold_burst_of_mib_reads_is_never_revoked() {
+    let mut sim = Simulation::new(37);
+    let h = sim.handle();
+    let bed = setup(&h, Design::ReadRead, StrategyKind::Dynamic);
+    for _ in 0..8 {
+        let user = bed.client_mem.alloc(MIB);
+        sim.spawn(read_mib(bed.client.clone(), user));
+    }
+    sim.run();
+    let stats = &bed.server.stats;
+    assert_eq!(stats.dones.get(), 8, "every READ finished and let go");
+    let flights = sim.flight_records();
+    let overdue = flights
+        .iter()
+        .filter(|f| (f.component, f.event) == ("server", "ttl_revoke"));
+    assert_eq!(overdue.count(), 0, "an honest exposure was revoked");
+    assert_eq!(stats.exposures_revoked.get(), 0);
+    assert_eq!(
+        sim.metrics().get("tpt.violations"),
+        Some(0),
+        "a pull was refused"
+    );
+    assert_eq!(stats.exposures_pending.get(), 0);
 }
 
 #[test]

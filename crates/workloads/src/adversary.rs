@@ -11,11 +11,12 @@
 //! * **XID replay** — the same call sent twice (exercises the DRC);
 //! * **credit overcommit** — a burst far past the granted window;
 //! * **withheld `RDMA_DONE`** (Read-Read) — genuine READ calls whose
-//!   exposures the attacker never releases, pinning server buffers
-//!   until the exposure TTL reaper revokes them;
+//!   exposures the attacker never pulls nor releases, pinning server
+//!   buffers until the server revokes them at their deadline;
 //! * **stale steering tags** — RDMA Reads against rkeys captured from
-//!   earlier replies, after the TTL should have killed them. A probe
-//!   that *succeeds* is a real data leak and is counted separately;
+//!   earlier replies, one attacker pause later, when the deadline
+//!   should have killed them. A probe that *succeeds* is a real data
+//!   leak and is counted separately;
 //!
 //! The run is fully deterministic under [`sim_core::SimRng`]; the
 //! result carries the honest clients' goodput (compare against an
@@ -39,9 +40,17 @@ use xdr::{Encoder, XdrCodec};
 use crate::scenario::{self, Capture, Run, WriterSpec};
 use crate::testbed::{host, Bed, Nic, Testbed};
 
+/// How long an attacker sits between catalog rounds: the captured
+/// steering tags age this long before they are probed, and the attack
+/// spreads over the whole honest workload instead of front-loading.
+const ATTACK_PAUSE: SimDuration = SimDuration::from_micros(400);
+
+/// How long a run waits, once the attackers are done, for the server
+/// to revoke what they left exposed.
+const GRACE: SimDuration = SimDuration::from_millis(20);
+
 /// Parameters of one adversary run. The bed's clients are the honest
-/// ones; its transport config's exposure TTL (`ZERO` = reaper off, the
-/// paper's original pin-forever behavior) also paces the attackers.
+/// ones.
 #[derive(Clone, Copy, Debug)]
 pub struct AdversaryParams {
     /// Attacker hosts (0 = baseline run).
@@ -70,15 +79,16 @@ impl Default for AdversaryParams {
 /// What one adversary run produced. What the defenses did is in the
 /// run's registry: `server.violations.total` (charged by the
 /// sanitizer), `server.quarantines`, `server.credit_clamps`,
-/// `server.exposures.revoked` (by the TTL reaper or a teardown; must
-/// equal the TPT ledger's `tpt.revocations`), `tpt.violations` (rkey
-/// probes refused with a NAK), `server.ops`, `server.drc.replays`.
+/// `server.exposures.revoked` (at an overdue `RDMA_DONE` or a teardown;
+/// must equal the TPT ledger's `tpt.revocations`), `tpt.violations`
+/// (rkey probes refused with a NAK), `server.ops`, `server.drc.replays`,
+/// `tpt.node0.exposed_byte_us` (closed exposure windows) and
+/// `server.node0.exposures_pending` (still pinned when the run ended).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AdversaryResult {
-    /// Exposures still pinned when the honest workload finished.
-    pub exposures_pending: u64,
-    /// Bytes × time the server's memory sat remotely readable.
-    pub exposure_byte_ns: u128,
+    /// Bytes × time the server's memory sat remotely readable (byte·µs),
+    /// windows still open at the end included.
+    pub exposed_byte_us: u64,
     /// Attack messages the attackers fired.
     pub attack_probes: u64,
     /// Attacker reconnects (each quarantine/self-destruct costs one).
@@ -140,7 +150,7 @@ const SCAN_BASE: u64 = 0x1000_0000;
 /// What a steering-tag probe is aimed at.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ProbeKind {
-    /// A captured tag at its advertised address, after the TTL.
+    /// A captured tag at its advertised address, one pause later.
     Stale,
     /// A random rkey nobody ever advertised.
     Guess,
@@ -219,20 +229,23 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: AdversaryParams) -> AdversaryR
     let elapsed = sim.now() - start;
 
     // Let the attackers finish the catalog (goodput is already
-    // measured), then — if the TTL reaper is armed — wait out two TTLs
-    // so every withheld exposure they left behind gets reaped.
+    // measured), age the last withheld exposure one pause like the
+    // others, then wait — within the grace — until the server has
+    // revoked every exposure they left behind.
     for _ in 0..params.attackers {
         attackers_done.acquire().await.forget();
     }
-    if cfg.exposure_ttl > SimDuration::ZERO {
-        sim.sleep(cfg.exposure_ttl * 2).await;
+    let pending = &rpc_server.stats.exposures_pending;
+    let give_up = sim.now() + GRACE;
+    sim.sleep(ATTACK_PAUSE).await;
+    while pending.get() > 0 && sim.now() < give_up {
+        sim.sleep(ATTACK_PAUSE).await;
     }
 
     let honest_bytes = 2 * spec.clients as u64 * params.records_per_client * params.record;
     let secs = elapsed.as_secs_f64();
     AdversaryResult {
-        exposures_pending: rpc_server.stats.exposures_pending.get(),
-        exposure_byte_ns: server_hca.exposure_report().byte_ns,
+        exposed_byte_us: server_hca.exposure_report().byte_us,
         attack_probes: ledger.probes.get(),
         attacker_reconnects: ledger.reconnects.get(),
         stale_reads_ok: ledger.stale_ok.get(),
@@ -277,7 +290,7 @@ impl AttackerTask {
         let mut wr = 1u64;
         let mut dead = false;
         // Steering tags captured from withheld-DONE replies, probed
-        // after the TTL has had time to kill them.
+        // one pause later, when their deadline has killed them.
         let mut captured: Vec<Segment> = Vec::new();
         for round in 0..self.rounds {
             // The previous round's violations error the QP from the
@@ -316,7 +329,7 @@ impl AttackerTask {
 
             // Rounds rotate through three postures: a quiet round that
             // only withholds its DONE (the connection stays alive, so
-            // the exposure sits there until the TTL reaper takes it —
+            // the exposure sits there until its deadline —
             // quiet comes first so the leak is on display before any
             // quarantine teardown revokes it), a strike batch
             // (quarantine path), and a credit burst (overload path).
@@ -349,21 +362,13 @@ impl AttackerTask {
                 dead = true;
             }
 
-            // Age the captured tags past the TTL (also paces the
-            // catalog so the attack overlaps the whole honest workload
-            // rather than front-loading).
-            let pause = if self.cfg.exposure_ttl > SimDuration::ZERO {
-                self.cfg.exposure_ttl * 2
-            } else {
-                SimDuration::from_micros(100)
-            };
-            self.sim.sleep(pause).await;
+            self.sim.sleep(ATTACK_PAUSE).await;
 
             // 4. Steering-tag probes: every captured (stale) tag plus
-            // one guessed rkey. With the TTL reaper armed the stale
-            // probes must all NAK; without it (or under all-physical
-            // registration) the read lands — a measured leak. Each NAK
-            // kills the probing QP, so reconnect as needed.
+            // one guessed rkey. Every exposure has been revoked by now,
+            // so the stale probes must all NAK; a read that lands is a
+            // measured leak. Each NAK kills the probing QP, so
+            // reconnect as needed.
             let mut probes: Vec<(Segment, ProbeKind)> = Vec::new();
             for seg in captured.drain(..) {
                 // The captured tag where it was advertised (stale), and

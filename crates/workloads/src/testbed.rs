@@ -69,7 +69,7 @@ pub enum Topology {
 #[derive(Clone, Copy, Debug)]
 pub struct Bed {
     /// Host profile. Its `rpc` is the whole transport config — design,
-    /// credits, TTL, QoS — and every server and client runs it.
+    /// credits, QoS — and every server and client runs it.
     pub profile: Profile,
     /// Client-side registration strategy.
     pub client_strategy: StrategyKind,

@@ -1,23 +1,20 @@
 //! Adversary suite: hostile clients hammer the server with the whole
 //! attack catalog while honest clients run; every layer must survive
 //! with bounded damage — no corruption, no panic, violations all
-//! accounted, exposures reaped, and honest goodput within 20% of the
+//! accounted, exposures revoked, and honest goodput within 20% of the
 //! attacker-free baseline.
 
 use rpcrdma::{Design, StrategyKind};
-use sim_core::SimDuration;
 use workloads::{linux_sdr, run_adversary, AdversaryParams, Bed, Capture};
 
-/// The exposure TTL the server runs unless a test turns the reaper off.
-const TTL: SimDuration = SimDuration::from_micros(200);
+/// The server's gauge of exposures awaiting `RDMA_DONE`.
+const PENDING: &str = "server.node0.exposures_pending";
 
-/// Two honest clients against a server whose exposure TTL is `ttl`.
-fn bed(design: Design, strategy: StrategyKind, ttl: SimDuration) -> Bed {
-    let mut profile = linux_sdr();
-    profile.rpc.exposure_ttl = ttl;
+/// Two honest clients against one server.
+fn bed(design: Design, strategy: StrategyKind) -> Bed {
     Bed {
         clients: 2,
-        ..Bed::new(&profile, design, strategy)
+        ..Bed::new(&linux_sdr(), design, strategy)
     }
 }
 
@@ -33,7 +30,7 @@ fn base() -> AdversaryParams {
 #[test]
 fn attack_catalog_survived_with_bounded_damage_both_designs() {
     for design in [Design::ReadWrite, Design::ReadRead] {
-        let bed = bed(design, StrategyKind::Dynamic, TTL);
+        let bed = bed(design, StrategyKind::Dynamic);
         let baseline = run_adversary(
             3,
             &bed,
@@ -87,23 +84,22 @@ fn attack_catalog_survived_with_bounded_damage_both_designs() {
 }
 
 #[test]
-fn exposure_ttl_reaper_revokes_withheld_done_exposures() {
-    // Read-Read + TTL: the attacker's withheld-DONE exposures must be
-    // force-revoked, the revocations must land in the TPT ledger, and
-    // every aged steering-tag probe must be refused.
-    let bed = bed(Design::ReadRead, StrategyKind::Dynamic, TTL);
+fn withheld_done_exposures_are_revoked_at_their_deadline() {
+    // Read-Read: the attacker's withheld-DONE exposures must be
+    // revoked at their deadline, the revocations must land in the TPT
+    // ledger, and every aged steering-tag probe must be refused.
+    let bed = bed(Design::ReadRead, StrategyKind::Dynamic);
     let r = run_adversary(5, &bed, base(), Capture::default());
     let revoked = r.metric("server.exposures.revoked");
-    assert!(revoked > 0, "reaper never fired");
+    assert!(revoked > 0, "no withheld exposure was revoked");
+    let overdue = r.flight.iter().filter(|f| f.event == "ttl_revoke");
+    assert!(overdue.count() > 0, "no exposure was revoked as overdue");
     assert_eq!(
         r.metric("tpt.revocations"),
         revoked,
         "revocations not accounted in the TPT ledger"
     );
-    assert_eq!(
-        r.exposures_pending, 0,
-        "exposures still pinned after reaping"
-    );
+    assert_eq!(r.metric(PENDING), 0, "exposures still pinned after reaping");
     assert_eq!(r.stale_reads_ok, 0, "stale steering tag read server memory");
     assert!(
         r.stale_reads_refused > 0,
@@ -116,31 +112,39 @@ fn exposure_ttl_reaper_revokes_withheld_done_exposures() {
 }
 
 #[test]
-fn without_ttl_read_read_leaks_and_read_write_does_not() {
-    // The paper's security argument, measured: withheld-DONE exposures
-    // stay pinned forever without the TTL, and the attacker's aged
-    // steering tags still read server memory. Read-Write never puts
-    // server tags on the wire, so there is nothing to probe.
-    let no_ttl = |design| bed(design, StrategyKind::Dynamic, SimDuration::ZERO);
-    let rr = run_adversary(9, &no_ttl(Design::ReadRead), base(), Capture::default());
-    // Quarantine teardowns still revoke, but exposures on connections
-    // that just went quiet are pinned forever — and their steering
-    // tags still read server memory.
-    assert!(rr.stale_reads_ok > 0, "Read-Read without TTL should leak");
-    assert!(
-        rr.exposures_pending > 0,
-        "withheld DONEs should pin exposures"
+fn read_read_exposure_is_bounded_and_read_write_has_none() {
+    // The paper's security argument, measured as a number: Read-Read
+    // exposes server memory for a while — the attackers' withheld
+    // exposures included, each until its deadline — and then none is
+    // left, nor does any aged steering tag still read. Read-Write never
+    // puts a server tag on the wire, so there is nothing to expose.
+    let run = |design| {
+        run_adversary(
+            9,
+            &bed(design, StrategyKind::Dynamic),
+            base(),
+            Capture::default(),
+        )
+    };
+    let rr = run(Design::ReadRead);
+    assert!(rr.exposed_byte_us > 0, "Read-Read exposed nothing");
+    assert_eq!(rr.metric("tpt.node0.exposed_byte_us"), rr.exposed_byte_us);
+    assert_eq!(rr.metric(PENDING), 0, "withheld DONEs still pin memory");
+    assert_eq!(
+        rr.stale_reads_ok, 0,
+        "an aged steering tag read server memory"
     );
 
-    let rw = run_adversary(9, &no_ttl(Design::ReadWrite), base(), Capture::default());
+    let rw = run(Design::ReadWrite);
+    assert_eq!(rw.exposed_byte_us, 0, "Read-Write exposed server memory");
+    assert_eq!(rw.metric(PENDING), 0, "Read-Write pinned server buffers");
     assert_eq!(rw.stale_reads_ok, 0, "Read-Write leaked a steering tag");
-    assert_eq!(rw.exposures_pending, 0, "Read-Write pinned server buffers");
     assert_eq!(rw.corrupt_records, 0);
 }
 
 #[test]
 fn adversary_runs_are_deterministic() {
-    let bed = bed(Design::ReadRead, StrategyKind::Dynamic, TTL);
+    let bed = bed(Design::ReadRead, StrategyKind::Dynamic);
     let a = run_adversary(21, &bed, base(), Capture::SPANS);
     let b = run_adversary(21, &bed, base(), Capture::SPANS);
     assert_eq!(a.metrics, b.metrics, "metrics diverge");
@@ -162,15 +166,15 @@ fn all_registration_strategies_survive_the_catalog() {
                 attack_rounds: 3,
                 ..base()
             };
-            let r = run_adversary(13, &bed(design, strategy, TTL), params, Capture::default());
+            let r = run_adversary(13, &bed(design, strategy), params, Capture::default());
             assert_eq!(
                 r.corrupt_records, 0,
                 "{design:?}/{strategy:?}: corrupted data"
             );
             let violations = r.metric("server.violations.total");
             assert!(violations > 0, "{design:?}/{strategy:?}: sanitizer idle");
-            // With the TTL armed no aged tag works anywhere — even
-            // all-physical revokes the scratch buffer behind it. But
+            // No aged tag works anywhere — even all-physical revokes
+            // the scratch buffer behind it at its deadline. But
             // the all-physical *global* rkey captured from any exposure
             // still reads arbitrary live server memory (the phys-scan),
             // the paper's argument against that strategy.

@@ -1,17 +1,19 @@
 //! The composition floor: the transport's extensions running together.
 //!
-//! Exposure TTLs and QoS each have a harness that turns them on alone.
-//! Here every subset of the two runs fault-free
-//! under both designs and two mix/registration pairings, and each run
-//! must look like a healthy one: every offered op completes, and no
-//! client ever times out, reconnects, or has an RDMA access refused.
+//! Bounded service concurrency (QoS) has a harness that turns it on
+//! alone. Here the transport runs with and without it, fault-free,
+//! under both designs — every Read-Read point with its exposure
+//! deadline — and two mix/registration pairings, and each run must look
+//! like a healthy one: every offered op completes, and no client ever
+//! times out, reconnects, has an RDMA access refused, or has an
+//! exposure revoked.
 //! One more row runs the subsets on a replicated bed (a primary with one
 //! backup, replication on). `wide_matrix` is the single-server floor
 //! over every registration strategy and a third mix. The second half
 //! puts the same subsets under the chaos harness's fault families — drops, forced QP errors, a storage
 //! power-fail — and asks for what must survive them: no corruption,
 //! exactly-once WRITEs, and a same-seed rerun equal as a whole run
-//! (`fault_floor` gated, `fault_matrix` the 160-point form;
+//! (`fault_floor` gated, `fault_matrix` the 80-point form;
 //! EXPERIMENTS.md, "Composition floor").
 
 use std::num::NonZeroU32;
@@ -30,15 +32,11 @@ const STRATEGIES: [StrategyKind; 4] = [
     StrategyKind::AllPhysical,
 ];
 
-/// Bit `i` of `subset` turns extension `i` on: `exposure_ttl` 5 ms,
-/// QoS (8 service slots, the fair queue waiting for them).
+/// Subset 1 turns QoS on (8 service slots, the fair queue waiting for
+/// them); subset 0 is the default transport.
 fn extensions(subset: u32) -> Profile {
-    let on = |bit: u32| subset & (1 << bit) != 0;
     let mut profile = linux_sdr();
-    if on(0) {
-        profile.rpc.exposure_ttl = SimDuration::from_millis(5);
-    }
-    if on(1) {
+    if subset & 1 != 0 {
         profile.rpc.threads = NonZeroU32::new(8);
     }
     profile
@@ -67,7 +65,7 @@ fn run(
     run_openloop(7, &bed, params, Capture::default())
 }
 
-/// All four subsets at one (design, mix, strategy, topology) point.
+/// Both subsets at one (design, mix, strategy, topology) point.
 /// Returns the unhealthy ones by name, so a failure shows which
 /// extensions clash.
 fn unhealthy_subsets(
@@ -77,18 +75,20 @@ fn unhealthy_subsets(
     topology: Topology,
 ) -> Vec<String> {
     let mut unhealthy = Vec::new();
-    for subset in 0..4 {
+    for subset in 0..2 {
         let r = run(subset, design, mix, strategy, topology);
         assert!(r.offered > 0, "nothing offered");
         let lost = r.offered - r.completed;
         let errors = r.overload_failures + r.other_errors + r.unfinished + r.client_sheds;
         let (timeouts, reconnects) = (r.metric("client.timeouts"), r.metric("client.reconnects"));
         let refused = r.metric("tpt.violations");
-        if lost + errors + timeouts + reconnects + refused != 0 {
+        let revoked = r.metric("server.exposures.revoked");
+        if lost + errors + timeouts + reconnects + refused + revoked != 0 {
             unhealthy.push(format!(
-                "{design:?}/{strategy:?} on {topology:?} qos|ttl = {subset:02b}: \
+                "{design:?}/{strategy:?} on {topology:?} qos = {subset}: \
                  {lost} ops lost, {errors} failed, {timeouts} reply timeouts, \
-                 {reconnects} reconnects, {refused} accesses refused"
+                 {reconnects} reconnects, {refused} accesses refused, \
+                 {revoked} exposures revoked"
             ));
         }
     }
@@ -101,7 +101,7 @@ fn unhealthy_subsets(
 fn every_subset_runs_clean(design: Design, mix: OpMix, strategy: StrategyKind, topology: Topology) {
     let unhealthy = unhealthy_subsets(design, mix, strategy, topology);
     assert!(unhealthy.is_empty(), "{unhealthy:#?}");
-    let run = || run(0b11, design, mix, strategy, topology);
+    let run = || run(1, design, mix, strategy, topology);
     let all_on = run();
     assert_eq!(all_on, run());
     if let Topology::Replicated(_) = topology {
@@ -143,11 +143,11 @@ fn read_write_oltp_dynamic_replicated() {
     every_subset_runs_clean(Design::ReadWrite, mix, strategy, backup);
 }
 
-/// 2 designs x 3 mixes x 4 strategies x 4 subsets = 96 runs (~2 s in
+/// 2 designs x 3 mixes x 4 strategies x 2 subsets = 48 runs (~1 s in
 /// the release profile), every unhealthy one listed:
 /// `cargo test --release -p workloads --test compose -- --ignored`.
 #[test]
-#[ignore = "96 runs; the four single-server tests above are the gated slice of it"]
+#[ignore = "48 runs; the four single-server tests above are the gated slice of it"]
 fn wide_matrix() {
     let mut unhealthy = Vec::new();
     for design in [Design::ReadRead, Design::ReadWrite] {
@@ -159,7 +159,7 @@ fn wide_matrix() {
     }
     assert!(
         unhealthy.is_empty(),
-        "{} of 96: {unhealthy:#?}",
+        "{} of 48: {unhealthy:#?}",
         unhealthy.len()
     );
 }
@@ -256,14 +256,13 @@ fn broken_under_faults(
         ));
     }
     let what = wrong.join("; ");
-    (!wrong.is_empty())
-        .then(|| format!("{design:?}/{strategy:?} qos|ttl = {subset:02b} {f:?}: {what}"))
+    (!wrong.is_empty()).then(|| format!("{design:?}/{strategy:?} qos = {subset} {f:?}: {what}"))
 }
 
 /// Every subset × both designs over `strategies` × `shapes`.
 fn broken_points(strategies: &[StrategyKind], shapes: &[Faults]) -> Vec<String> {
     let mut broken = Vec::new();
-    for subset in 0..4 {
+    for subset in 0..2 {
         for design in [Design::ReadRead, Design::ReadWrite] {
             for &strategy in strategies {
                 for &f in shapes {
@@ -278,15 +277,15 @@ fn broken_points(strategies: &[StrategyKind], shapes: &[Faults]) -> Vec<String> 
 #[test]
 fn fault_floor() {
     let broken = broken_points(&STRATEGIES[..1], &SHAPES[..2]);
-    assert!(broken.is_empty(), "{} of 16: {broken:#?}", broken.len());
+    assert!(broken.is_empty(), "{} of 8: {broken:#?}", broken.len());
 }
 
-/// 4 subsets x 2 designs x 4 strategies x 5 shapes = 160 points, each
+/// 2 subsets x 2 designs x 4 strategies x 5 shapes = 80 points, each
 /// run twice: `cargo test --release -p workloads --test compose --
 /// --ignored fault_matrix`.
 #[test]
-#[ignore = "320 runs; fault_floor is the gated slice of it"]
+#[ignore = "160 runs; fault_floor is the gated slice of it"]
 fn fault_matrix() {
     let broken = broken_points(&STRATEGIES, &SHAPES);
-    assert!(broken.is_empty(), "{} of 160: {broken:#?}", broken.len());
+    assert!(broken.is_empty(), "{} of 80: {broken:#?}", broken.len());
 }

@@ -134,6 +134,7 @@ fn unread_series() -> Vec<String> {
             "pagecache.node{}.writebacks",
             "server.node{}.inflight",
             "server.node{}.exposures_pending",
+            "tpt.node{}.exposed_byte_us",
             "server.node{}.qos_peak_depth",
             "repl.node{}.credit_returns",
             "hca.node{}.cq_coalesced",

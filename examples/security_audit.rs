@@ -10,14 +10,14 @@
 //! * what a client that *withholds* `RDMA_DONE` pins on the server;
 //! * the hardened server under a live adversary running the whole
 //!   attack catalog next to an honest workload — violations charged,
-//!   QPs quarantined, withheld exposures revoked by the TTL reaper.
+//!   QPs quarantined, withheld exposures revoked at their deadline.
 //!
 //! ```text
 //! cargo run --release -p bench --example security_audit
 //! ```
 
 use rpcrdma::{Design, StrategyKind};
-use sim_core::{Payload, SimDuration, Simulation};
+use sim_core::{Payload, Simulation};
 use workloads::{solaris_sdr, Bed};
 
 fn audit(design: Design) {
@@ -66,7 +66,7 @@ fn audit(design: Design) {
         );
         println!(
             "  exposure integral           : {:>6} MB*ms",
-            report.byte_ns / 1_000_000 / 1_000_000
+            report.byte_us / 1_000_000 / 1_000
         );
         println!(
             "  peak rkey-guess hit chance  : {:.2e} per probe",
@@ -164,8 +164,8 @@ fn withheld_done() {
         }
         let after = bed.server_hca.as_ref().unwrap().exposure_report();
         println!(
-            "  exposure opened by 4 READs  : {} MB*ms (attacker decides when it closes)",
-            (after.byte_ns - before.byte_ns) / 1_000_000 / 1_000_000
+            "  exposure opened by 4 READs  : {} MB*ms (a client that never sends DONE holds it to the deadline)",
+            (after.byte_us - before.byte_us) / 1_000_000 / 1_000
         );
         println!(
             "  RDMA_DONEs the server needed: {} (a crashed/malicious client sends none)",
@@ -184,8 +184,7 @@ fn adversary_alongside_honest() {
         "  {:<10} {:>8} {:>10} {:>11} {:>11} {:>9} {:>8}",
         "design", "goodput", "violations", "quarantines", "revocations", "stale ok", "corrupt"
     );
-    let mut profile = workloads::linux_sdr();
-    profile.rpc.exposure_ttl = SimDuration::from_micros(200);
+    let profile = workloads::linux_sdr();
     for design in [Design::ReadRead, Design::ReadWrite] {
         let bed = Bed {
             clients: 2,
@@ -211,7 +210,9 @@ fn adversary_alongside_honest() {
         assert_eq!(r.corrupt_records, 0, "attack corrupted honest data");
         assert_eq!(r.stale_reads_ok, 0, "aged steering tag read server memory");
     }
-    println!("  (TTL reaper armed: every aged steering-tag probe refused)");
+    println!(
+        "  (every withheld exposure revoked at its deadline: aged steering-tag probes refused)"
+    );
 }
 
 fn main() {

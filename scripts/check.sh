@@ -37,7 +37,7 @@ if [ "${SKIP_TESTS:-0}" != "1" ]; then
     # cargo still exits non-zero if any failed.
     echo "==> cargo test -q --no-fail-fast"
     cargo test -q --no-fail-fast
-    echo "==> compose --ignored wide_matrix fault_matrix (the release-only composition matrices: 96 fault-free runs, 160 points under faults each run twice)"
+    echo "==> compose --ignored wide_matrix fault_matrix (the release-only composition matrices: 48 fault-free runs, 80 points under faults each run twice)"
     cargo test -q --release -p workloads --test compose -- --ignored wide_matrix fault_matrix
 fi
 

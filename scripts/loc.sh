@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Code lines per crate: the lines of `crates/*/src/**/*.rs` that are
-# neither blank nor a `//` comment (`///` and `//!` docs included).
+# neither blank nor a `//` comment (`///` and `//!` doc comments are
+# skipped too).
 # Block comments and trailing comments count as code. Run from
 # anywhere; prints one `crate code library` row per crate, then the
 # totals. `library` is the same count without the top-level
