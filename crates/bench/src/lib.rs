@@ -1,28 +1,35 @@
 //! # bench — figure, ablation and gate harnesses
 //!
-//! One binary per table/figure in the paper's evaluation, then the
-//! studies and gates that go beyond it. Everything lands in `results/`:
+//! One binary, `bench`, runs any experiment of one catalogue
+//! ([`CATALOGUE`]) by name: `cargo run --release -p bench -- <name>...
+//! [--smoke]`. The figures and Table 1 reproduce the paper's
+//! evaluation; the rest are studies and gates that go beyond it.
+//! Everything lands in `results/`:
 //!
-//! | target      | reproduces / checks | writes |
-//! |-------------|---------------------|--------|
-//! | `table1`    | Table 1 (communication-primitive properties) | `table1.{md,csv}` |
-//! | `fig5`      | IOzone Read bandwidth, Solaris, RR vs RW; `--anatomy`: per-phase RPC latency | `fig5.*`; `fig5_anatomy.*`, `trace_fig5_{rr,rw}.json` |
-//! | `fig6`      | IOzone Write bandwidth + client CPU, RR vs RW | `fig6.*` |
-//! | `fig7`      | Registration strategies on OpenSolaris (read/write + CPU) | `fig7a.*`, `fig7b.*` |
-//! | `fig8`      | FileBench OLTP ops/s + CPU/op per strategy | `fig8.*` |
-//! | `fig9`      | Registration strategies on Linux (incl. all-physical) | `fig9a.*`, `fig9b.*` |
-//! | `fig10`     | Multi-client aggregate read bandwidth, 4 GB / 8 GB server | `fig10a.*`, `fig10b.*` |
-//! | `ablation`  | Ablations 1–7 (`--batching`: zero-copy READ + CQ coalescing, `--write-path`, `--inline` pick one; with `--smoke`, its gate) | `ablation_*.*`; gates: `BENCH_{read,write}.json` |
-//! | `all`       | every target above, in sequence | — |
-//! | `chaos`     | fault sweep + crash matrix; `--failover`: the replicated-cluster kill matrix | `chaos_sweep.*`, `crash_matrix.*`; `failover_matrix.*`, `trace_failover_cluster.json`, `timeline_failover.{csv,md}`, `BENCH_failover.json` |
-//! | `adversary` | honest goodput and server hygiene under the attack catalog | `adversary_sweep.*` |
-//! | `loadcurve` | open-loop load sweep, overload control on/off, hog fairness | `loadcurve.*`, `loadcurve_fairness.*`, `loadcurve_timeline.csv`, `BENCH_loadcurve.json` |
-//! | `simperf`   | the simulator's own wall-clock speed (executor, RPC path, tracing overhead) | `BENCH_hotpath.json` (full mode only) |
+//! | name          | reproduces / checks | writes |
+//! |---------------|---------------------|--------|
+//! | `table1`      | Table 1 (communication-primitive properties) | `table1.{md,csv}` |
+//! | `fig5`        | IOzone Read bandwidth, Solaris, RR vs RW | `fig5.*` |
+//! | `fig6`        | IOzone Write bandwidth + client CPU, RR vs RW | `fig6.*` |
+//! | `fig7`        | Registration strategies on OpenSolaris (read/write + CPU) | `fig7a.*`, `fig7b.*` |
+//! | `fig8`        | FileBench OLTP ops/s + CPU/op per strategy | `fig8.*` |
+//! | `fig9`        | Registration strategies on Linux (incl. all-physical) | `fig9a.*`, `fig9b.*` |
+//! | `fig10`       | Multi-client aggregate read bandwidth, 4 GB / 8 GB server | `fig10a.*`, `fig10b.*` |
+//! | `ablation-zerocopy`, `-ord`, `-inline`, `-credits`, `-msgp`, `-batching`, `-write` | Ablations 1–7 | `ablation_*.*`; gates: `BENCH_{read,write}.json` |
+//! | `fig5-anatomy` | per-phase RPC latency of a traced pass | `fig5_anatomy.*`, `trace_fig5_{rr,rw}.json` |
+//! | `all`         | Table 1, the figures but `fig5-anatomy`, the ablations, in that order | — |
+//! | `chaos`       | fault sweep + crash matrix | `chaos_sweep.*`, `crash_matrix.*` |
+//! | `failover`    | the replicated-cluster kill matrix | `failover_matrix.*`, `trace_failover_cluster.json`, `timeline_failover.{csv,md}`, `BENCH_failover.json` |
+//! | `adversary`   | honest goodput and server hygiene under the attack catalog | `adversary_sweep.*` |
+//! | `loadcurve`   | open-loop load sweep, overload control on/off, hog fairness | `loadcurve.*`, `loadcurve_fairness.*`, `loadcurve_timeline.csv`, `BENCH_loadcurve.json` |
+//! | `simperf`     | the simulator's own wall-clock speed (executor, RPC path, tracing overhead) | `BENCH_hotpath.json` (full mode only) |
 //!
-//! `chaos`, `adversary`, `loadcurve`, `simperf` and the flagged
-//! ablations take `--smoke` for the fixed-seed gate `scripts/check.sh`
-//! runs; a failed gate dumps the run's flight ring to
-//! `flight_<gate>.txt` ([`Gate`]).
+//! `ablation-inline`, `ablation-batching`, `ablation-write`, `chaos`,
+//! `failover`, `adversary`, `loadcurve` and `simperf` take `--smoke` for
+//! the fixed-seed gate `scripts/check.sh` runs; a failed gate dumps the
+//! run's flight ring to `flight_<gate>.txt` ([`Gate`]). An unknown name
+//! or flag, or `--smoke` on an experiment without a gate, runs nothing
+//! ([`parse`]).
 //!
 //! Parameter points run in parallel (independent simulations on OS
 //! threads) via [`sim_core::sweep::parallel_sweep`]; results are
@@ -30,71 +37,139 @@
 
 #![forbid(unsafe_code)]
 
+mod ablation;
+mod adversary;
+mod chaos;
+mod failover;
+mod figures;
+mod loadcurve;
+pub mod report;
+mod simperf;
+
 use std::fmt::{Debug, Display};
 
-use sim_core::sweep::parallel_sweep;
 use sim_core::FlightRecord;
-use workloads::{
-    run_iozone, scenario, Bed, Capture, IoMode, IozoneParams, IozoneResult, Run, Table,
-};
+use workloads::{run_iozone, scenario, Bed, Capture, IoMode, IozoneParams, IozoneResult, Run};
 
-/// What the server did over one [`iozone_on`] run (the timed pass plus
-/// the prepopulation and one CREATE per thread).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ServerCounts {
-    /// RPC operations executed.
-    pub ops: u64,
-    /// NFS READs served.
-    pub reads: u64,
-    /// Server HCA doorbell rings.
-    pub doorbells: u64,
-    /// Server HCA completion interrupts.
-    pub interrupts: u64,
-    /// Completions that rode an earlier completion's interrupt.
-    pub coalesced: u64,
-    /// READ bytes gathered straight from file-system pages.
-    pub read_zero_copy_bytes: u64,
-    /// WRITE bytes scattered straight into file-system pages.
-    pub write_zero_copy_bytes: u64,
-    /// WRITEs whose data rode the call's Send (`RDMA_MSGP`).
-    pub msgp_writes: u64,
-    /// Bytes staged through a bounce buffer.
-    pub copied_bytes: u64,
-    /// UNSTABLE WRITEs the NFS server applied.
-    pub unstable_writes: u64,
-    /// COMMITs the NFS server served.
-    pub commits: u64,
-}
+use report::{axis_table, mb, pct, Series};
 
-impl ServerCounts {
-    /// `count` per RPC the server executed.
-    pub fn per_op(&self, count: u64) -> f64 {
-        count as f64 / self.ops.max(1) as f64
+/// One experiment: its name, its fixed-seed gate (`--smoke`) if it has
+/// one, and its full run.
+pub type Entry = (&'static str, Option<fn()>, fn());
+
+/// Every experiment `bench` runs, by name. `all` runs the first
+/// fourteen: Table 1, the figures and the full ablations, what no gate
+/// writes.
+pub const CATALOGUE: &[Entry] = &[
+    ("table1", None, figures::table1),
+    ("fig5", None, figures::fig5),
+    ("fig6", None, figures::fig6),
+    ("fig7", None, figures::fig7),
+    ("fig8", None, figures::fig8),
+    ("fig9", None, figures::fig9),
+    ("fig10", None, figures::fig10),
+    ("ablation-zerocopy", None, ablation::zero_copy),
+    ("ablation-ord", None, ablation::ord),
+    (
+        "ablation-inline",
+        Some(ablation::inline_smoke),
+        ablation::inline,
+    ),
+    ("ablation-credits", None, ablation::credits),
+    ("ablation-msgp", None, ablation::msgp),
+    (
+        "ablation-batching",
+        Some(ablation::batching_smoke),
+        ablation::batching,
+    ),
+    (
+        "ablation-write",
+        Some(ablation::write_smoke),
+        ablation::write,
+    ),
+    ("fig5-anatomy", None, figures::fig5_anatomy),
+    ("chaos", Some(chaos::smoke), chaos::full),
+    ("failover", Some(|| failover::run(true)), || {
+        failover::run(false)
+    }),
+    ("adversary", Some(adversary::smoke), adversary::full),
+    ("loadcurve", Some(|| loadcurve::run(true)), || {
+        loadcurve::run(false)
+    }),
+    ("simperf", Some(|| simperf::run(true)), || {
+        simperf::run(false)
+    }),
+    ("all", None, all),
+];
+
+/// How many of the catalogue's entries `all` runs.
+const ALL: usize = 14;
+
+fn all() {
+    for (name, _, full) in &CATALOGUE[..ALL] {
+        println!("==== {name} ====");
+        full();
     }
 }
 
+/// The catalogue entry called `name`.
+fn entry(name: &str) -> Option<&'static Entry> {
+    CATALOGUE.iter().find(|e| e.0 == name)
+}
+
+/// The runs a command line asks for, in order: each named experiment's
+/// gate with `--smoke`, its full run without.
+/// Refused — nothing runs — on an unknown name or flag, on no name, and
+/// on `--smoke` for an experiment without a gate.
+pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Vec<fn()>, String> {
+    let (mut names, mut smoke) = (Vec::new(), false);
+    for arg in args {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            name => match entry(name) {
+                Some(entry) => names.push(entry),
+                None => return Err(format!("unknown experiment `{name}`")),
+            },
+        }
+    }
+    if names.is_empty() {
+        return Err("name at least one experiment".into());
+    }
+    let pick = |&(name, gate, full): &Entry| match (smoke, gate) {
+        (false, _) => Ok(full),
+        (true, Some(gate)) => Ok(gate),
+        (true, None) => Err(format!("`{name}` has no --smoke gate")),
+    };
+    names.into_iter().map(pick).collect()
+}
+
+/// The usage line and the catalogue, one name a line, `[--smoke]` after
+/// each that has a gate.
+pub fn usage() -> String {
+    let mut out = String::from("usage: bench <name>... [--smoke]\n");
+    for (name, gate, _) in CATALOGUE {
+        let flag = if gate.is_some() { " [--smoke]" } else { "" };
+        out.push_str(&format!("  {name}{flag}\n"));
+    }
+    out
+}
+
 /// One IOzone run on `bed` (an RDMA bed), in a fresh simulation: the
-/// run every figure point and every single-bed ablation point is.
-pub fn iozone_on(seed: u64, bed: Bed, params: IozoneParams) -> (IozoneResult, ServerCounts) {
-    let run = scenario::run(seed, Capture::default(), |sim| async move {
+/// run every figure point and every single-bed ablation point is. The
+/// one server is node 0: its counts are `server.*`, `hca.node0.*` and
+/// `nfs.node0.*`, over the timed pass plus the prepopulation and one
+/// CREATE per thread.
+pub fn iozone_on(seed: u64, bed: Bed, params: IozoneParams) -> Run<IozoneResult> {
+    scenario::run(seed, Capture::default(), |sim| async move {
         let bed = bed.build(&sim).await;
         run_iozone(&sim, &bed, params).await
-    });
-    // The one server is node 0.
-    let counts = ServerCounts {
-        ops: run.metric("server.ops"),
-        reads: run.metric("nfs.node0.reads"),
-        doorbells: run.metric("hca.node0.doorbells"),
-        interrupts: run.metric("hca.node0.cq_interrupts"),
-        coalesced: run.metric("hca.node0.cq_coalesced"),
-        read_zero_copy_bytes: run.metric("server.read.zero_copy_bytes"),
-        write_zero_copy_bytes: run.metric("server.write.zero_copy_bytes"),
-        msgp_writes: run.metric("server.msgp_recvs"),
-        copied_bytes: run.metric("server.copied_bytes"),
-        unstable_writes: run.metric("nfs.node0.unstable_writes"),
-        commits: run.metric("nfs.node0.commits"),
-    };
-    (run.out, counts)
+    })
+}
+
+/// A whole-run count of `run` per RPC its server executed.
+pub(crate) fn per_op<T>(run: &Run<T>, series: &str) -> f64 {
+    run.metric(series) as f64 / run.metric("server.ops").max(1) as f64
 }
 
 /// The testbed and access pattern behind one series of a figure.
@@ -108,66 +183,31 @@ pub struct IozonePoint {
     pub record: u64,
 }
 
-/// Run one IOzone point at `threads` threads, `file_size` bytes each.
-pub fn run_iozone_point(seed: u64, p: &IozonePoint, threads: u32, file_size: u64) -> IozoneResult {
-    let params = IozoneParams {
+/// An IOzone pass: `threads` threads, `file_size` bytes each, in
+/// `record`-byte records.
+pub(crate) fn iozone_params(
+    mode: IoMode,
+    threads: u32,
+    record: u64,
+    file_size: u64,
+) -> IozoneParams {
+    IozoneParams {
         threads_per_client: threads,
         file_size,
-        record: p.record,
-        mode: p.mode,
+        record,
+        mode,
         ..Default::default()
-    };
-    iozone_on(seed, p.bed, params).0
+    }
 }
-
-/// One column of an axis × series figure: its header, the index of the
-/// point whose runs it reads (columns showing different measures of one
-/// point share its runs), and the cell read off each run.
-pub type Series<'a, R> = (&'a str, usize, fn(&R) -> String);
 
 /// A [`Series`] measure: aggregate bandwidth, MB/s.
 pub fn bandwidth(r: &IozoneResult) -> String {
-    workloads::mb(r.bandwidth_mb)
+    mb(r.bandwidth_mb)
 }
 
 /// A [`Series`] measure: mean client CPU utilization, percent.
 pub fn client_cpu(r: &IozoneResult) -> String {
-    workloads::pct(r.client_cpu)
-}
-
-/// Write one figure of the paper's common shape to stdout and
-/// `results/<name>.{md,csv}`: `run` every point at every value of the
-/// x axis (in parallel), then a row per axis value, a column per
-/// series. Returns the runs, point-major.
-pub fn axis_table<X, P, R>(
-    (name, title): (&str, &str),
-    (axis_header, axis): (&str, &[X]),
-    points: &[P],
-    run: impl Fn(P, X) -> R + Sync,
-    series: &[Series<R>],
-) -> Vec<R>
-where
-    X: Copy + Display + Send,
-    P: Copy + Send,
-    R: Send,
-{
-    let runs: Vec<(P, X)> = points
-        .iter()
-        .flat_map(|&p| axis.iter().map(move |&x| (p, x)))
-        .collect();
-    let results = parallel_sweep(runs, |(p, x)| run(p, x));
-
-    let mut headers = vec![axis_header];
-    headers.extend(series.iter().map(|(column, ..)| column));
-    let mut t = Table::new(title, &headers);
-    for (row, x) in axis.iter().enumerate() {
-        let mut cells = vec![x.to_string()];
-        let cell = |(_, point, measure): &Series<R>| measure(&results[point * axis.len() + row]);
-        cells.extend(series.iter().map(cell));
-        t.row(&cells);
-    }
-    emit(name, &t);
-    results
+    pct(r.client_cpu)
 }
 
 /// Figures 5, 6, 7 and 9: [`axis_table`] over the thread counts in
@@ -179,7 +219,10 @@ pub fn threads_table(
     points: &[IozonePoint],
     series: &[Series<IozoneResult>],
 ) {
-    let run = |p, threads| run_iozone_point(0xF00D, &p, threads, file_size_scaled());
+    let run = |p: IozonePoint, threads| {
+        let params = iozone_params(p.mode, threads, p.record, PAPER_FILE_SIZE);
+        iozone_on(0xF00D, p.bed, params).out
+    };
     axis_table((name, title), ("threads", &THREADS), points, run, series);
 }
 
@@ -188,15 +231,6 @@ pub const PAPER_FILE_SIZE: u64 = 128 << 20;
 
 /// Thread counts swept in Figures 5-9.
 pub const THREADS: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-
-/// Scale factor for quick runs: `QUICK=1` divides file sizes by 8.
-pub fn file_size_scaled() -> u64 {
-    if std::env::var("QUICK").is_ok() {
-        PAPER_FILE_SIZE / 8
-    } else {
-        PAPER_FILE_SIZE
-    }
-}
 
 /// Write `results/<name>` — the one place an artifact reaches the disk.
 /// Returns the path written, for the caller's own progress line.
@@ -212,14 +246,6 @@ pub fn write_result(name: &str, contents: &str) -> String {
         panic!("could not write {}: {e}", path.display());
     }
     path.display().to_string()
-}
-
-/// Write a rendered table to stdout and `results/<name>.{md,csv}`.
-pub fn emit(name: &str, table: &Table) {
-    let md = table.render();
-    println!("{md}");
-    write_result(&format!("{name}.md"), &md);
-    write_result(&format!("{name}.csv"), &table.to_csv());
 }
 
 /// One harness gate: a tag naming the point under test and the flight
@@ -354,6 +380,92 @@ impl BenchJson {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_command_line_resolves_to_gates_or_full_runs() {
+        assert_eq!(parse(args("chaos failover --smoke")).unwrap().len(), 2);
+        assert_eq!(parse(args("fig5 ablation-msgp")).unwrap().len(), 2);
+        assert_eq!(parse(args("all")).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn an_unknown_name_is_refused() {
+        let refused = parse(args("ablation-batchng --smoke")).unwrap_err();
+        assert_eq!(refused, "unknown experiment `ablation-batchng`");
+    }
+
+    #[test]
+    fn an_unknown_flag_is_refused() {
+        let refused = parse(args("chaos --smoke --failovr")).unwrap_err();
+        assert_eq!(refused, "unknown flag `--failovr`");
+    }
+
+    #[test]
+    fn smoke_without_a_gate_is_refused() {
+        assert_eq!(
+            parse(args("fig5 --smoke")).unwrap_err(),
+            "`fig5` has no --smoke gate"
+        );
+        // One gateless name refuses the whole line.
+        assert!(parse(args("chaos all --smoke")).is_err());
+        assert!(parse(args("")).is_err());
+    }
+
+    #[test]
+    fn the_catalogue_names_each_experiment_once() {
+        for (i, (name, ..)) in CATALOGUE.iter().enumerate() {
+            let later = &CATALOGUE[i + 1..];
+            assert!(later.iter().all(|e| e.0 != *name), "{name} twice");
+        }
+        // `all` runs Table 1, the figures and every ablation.
+        let all: Vec<&str> = CATALOGUE[..ALL].iter().map(|e| e.0).collect();
+        let figures = ["table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"];
+        assert_eq!(all[..7], figures);
+        assert!(all[7..].iter().all(|name| name.starts_with("ablation-")));
+        assert!(CATALOGUE[ALL..]
+            .iter()
+            .all(|e| !e.0.starts_with("ablation-")));
+        let usage = usage();
+        assert!(usage.contains("  chaos [--smoke]\n") && usage.contains("  fig5\n"));
+    }
+
+    /// Every `bench` command line `scripts/check.sh` runs, as its
+    /// arguments.
+    fn check_sh_lines() -> Vec<Vec<String>> {
+        let script = format!("{}/../../scripts/check.sh", env!("CARGO_MANIFEST_DIR"));
+        let script = std::fs::read_to_string(script).unwrap();
+        let lines = script.lines().filter_map(|l| {
+            let (_, rest) = l.trim().split_once("cargo run --release -p bench -- ")?;
+            let rest = rest.split(['>', '|', ';', '&']).next().unwrap_or("");
+            Some(args(rest))
+        });
+        lines.collect()
+    }
+
+    /// CI runs every gate, and names nothing the catalogue lacks.
+    #[test]
+    fn check_sh_runs_every_gate() {
+        let lines = check_sh_lines();
+        assert!(!lines.is_empty(), "check.sh runs no bench command");
+        for line in &lines {
+            assert!(
+                parse(line.clone()).is_ok(),
+                "check.sh: bench {line:?} is refused"
+            );
+        }
+        for (name, ..) in CATALOGUE.iter().filter(|e| e.1.is_some()) {
+            let gated =
+                |l: &&Vec<String>| l.contains(&"--smoke".into()) && l.contains(&name.to_string());
+            assert!(
+                lines.iter().any(|l| gated(&l)),
+                "check.sh never runs `{name} --smoke`"
+            );
+        }
+    }
 
     /// The committed gate artifact comes back, byte for byte, from the
     /// numbers in it.

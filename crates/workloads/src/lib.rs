@@ -41,7 +41,6 @@ pub mod multiclient;
 pub mod oltp;
 pub mod openloop;
 pub mod profiles;
-pub mod report;
 pub mod scenario;
 pub mod testbed;
 
@@ -54,7 +53,6 @@ pub use multiclient::{raid_bed, run_multiclient, MultiClientParams, MultiClientR
 pub use oltp::{run_oltp, OltpParams, OltpResult};
 pub use openloop::{run_openloop, Arrival, OpMix, OpenLoopParams, OpenLoopResult};
 pub use profiles::{linux_ddr_raid, linux_sdr, solaris_sdr, Profile};
-pub use report::{mb, pct, Table};
 pub use scenario::{Capture, Run, Timeline, TIMELINE_BUCKET_US};
 pub use testbed::{
     build_rdma, Backend, Bed, ClientHost, ServerNode, Testbed, Topology, OS_RESERVE,

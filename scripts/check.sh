@@ -42,25 +42,25 @@ if [ "${SKIP_TESTS:-0}" != "1" ]; then
 fi
 
 echo "==> simperf --smoke (poll counts of the executor and READ loops by equality + span-tracing overhead gate <=10%)"
-cargo run --release -p bench --bin simperf -- --smoke
+cargo run --release -p bench -- simperf --smoke
 
 echo "==> ablation --batching --smoke (zero-copy >= 1.3x; interrupts/op < 1 at CQ coalesce count 4; server doorbells == 2 x READs + CREATEs)"
-cargo run --release -p bench --bin ablation -- --batching --smoke
+cargo run --release -p bench -- ablation-batching --smoke
 
 echo "==> ablation --write-path --smoke (zero-copy WRITE >= 1.3x; copied_bytes frozen; Cache still the one bouncing strategy)"
-cargo run --release -p bench --bin ablation -- --write-path --smoke
+cargo run --release -p bench -- ablation-write --smoke
 
 echo "==> ablation --inline --smoke (reply-chunk gate: pages registered per READDIR within the NFS_DTSIZE bound, inline replies faster than long replies, same-seed determinism)"
-cargo run --release -p bench --bin ablation -- --inline --smoke
+cargo run --release -p bench -- ablation-inline --smoke
 
 echo "==> chaos --smoke (fault sweep + crash-matrix gate: power-fail mid-burst, WAL replay, re-drive, zero corruption)"
-cargo run --release -p bench --bin chaos -- --smoke
+cargo run --release -p bench -- chaos --smoke
 
 echo "==> adversary --smoke (hostile-client catalog, 20% goodput bound)"
-cargo run --release -p bench --bin adversary -- --smoke
+cargo run --release -p bench -- adversary --smoke
 
 echo "==> chaos --failover --smoke (replicated-cluster kill matrix: promotion, zero corruption, exactly-once, <=15% replication overhead, same-seed determinism, observability exports)"
-cargo run --release -p bench --bin chaos -- --failover --smoke
+cargo run --release -p bench -- failover --smoke
 # The observability leg of the failover gate exports the cluster-wide
 # causal trace and the promotion timeline; make sure they landed and
 # the trace carries Perfetto flow events (client -> primary -> backup).
@@ -70,11 +70,11 @@ grep -q '"ph":"s"' results/trace_failover_cluster.json || {
 echo "    results/trace_failover_cluster.json ok (flow events present)"
 
 echo "==> loadcurve --smoke (open-loop overload gate: p99 bounded past saturation, goodput plateau, collapse demonstrated with shedding off, 1-hog fairness, same-seed determinism)"
-cargo run --release -p bench --bin loadcurve -- --smoke
+cargo run --release -p bench -- loadcurve --smoke
 need results/loadcurve.csv results/BENCH_loadcurve.json
 
 echo "==> fig5 --anatomy (traced-workload smoke + trace JSON validation)"
-cargo run --release -p bench --bin fig5 -- --anatomy >/dev/null
+cargo run --release -p bench -- fig5-anatomy >/dev/null
 need results/trace_fig5_rr.json results/trace_fig5_rw.json
 
 echo "==> trace_one_op example (Figure 4 as one READ's span tree; exits non-zero if a step is missing)"
@@ -102,9 +102,8 @@ for f in results/benchmark_smoke_pin.txt results/benchmark_smoke_counts.txt; do
     [ -s "$f" ] || { echo "empty $f" >&2; exit 1; }
 done
 
-echo "==> bench --bin all (regenerates what the diff below compares and no leg above writes: Figures 5-10, Table 1, the full ablations)"
-cargo build --release -p bench --bins
-cargo run --release -p bench --bin all >/dev/null
+echo "==> bench all (regenerates what the diff below compares and no leg above writes: Figures 5-10, Table 1, the full ablations)"
+cargo run --release -p bench -- all >/dev/null
 
 echo "==> results/ unchanged (simulated numbers are deterministic: a refactor that moves a figure, fingerprint, trace or benchmark schedule fails here)"
 git diff --exit-code -- results/
