@@ -8,8 +8,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use fs_backend::Vfs;
-use onc_rpc::{AcceptStat, CallContext, LocalBoxFuture};
-use rpcrdma::{RdmaDispatch, RdmaService};
+use onc_rpc::{AcceptStat, BulkDispatch, BulkService, CallContext, LocalBoxFuture};
 use sim_core::{Counter, Payload, SgList, Sim};
 use xdr::{Decoder, XdrCodec};
 
@@ -497,7 +496,7 @@ impl NfsServer {
 #[derive(Clone)]
 pub struct NfsServerHandle(pub Rc<NfsServer>);
 
-impl RdmaService for NfsServerHandle {
+impl BulkService for NfsServerHandle {
     fn program(&self) -> u32 {
         NFS_PROGRAM
     }
@@ -510,15 +509,15 @@ impl RdmaService for NfsServerHandle {
         proc_num: u32,
         args: Bytes,
         bulk_in: Option<SgList>,
-    ) -> LocalBoxFuture<RdmaDispatch> {
+    ) -> LocalBoxFuture<BulkDispatch> {
         let server = self.0.clone();
         Box::pin(async move {
             match server
                 .run_op(cx.peer, cx.xid, proc_num, args, bulk_in, true, cx.trace)
                 .await
             {
-                Ok(r) => RdmaDispatch::success(r.head, r.bulk),
-                Err(stat) => RdmaDispatch::error(stat),
+                Ok(r) => BulkDispatch::success(r.head, r.bulk),
+                Err(stat) => BulkDispatch::error(stat),
             }
         })
     }

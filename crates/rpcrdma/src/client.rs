@@ -311,25 +311,15 @@ impl RdmaRpcClient {
     }
 
     /// Install the connection-recovery path. On a QP error the client
-    /// waits [`RECONNECT_DELAY`], asks the connector for a fresh
+    /// waits [`RECONNECT_DELAY`], awaits the connector for a fresh
     /// connected QP (the callback also rebuilds the server side),
     /// re-registers through the registrar, and lets pending calls
     /// retransmit. Without a connector, QP errors are fatal and every
-    /// call fails with [`RpcError::Disconnected`].
-    pub fn set_connector(&self, f: impl Fn() -> Qp + 'static) {
-        // Synchronous connectors wrap into an already-resolved future,
-        // so recovery timing is identical to the pre-async contract.
-        self.set_connector_async(move || {
-            let qp = f();
-            Box::pin(async move { qp })
-        });
-    }
-
-    /// Like [`RdmaRpcClient::set_connector`], but the connector itself
-    /// is async: a `ClusterMount` connector awaits the failure
-    /// detector's promotion before resolving to a QP on the *new*
-    /// primary, so recovery never hands back a dead endpoint.
-    pub fn set_connector_async(&self, f: impl Fn() -> onc_rpc::LocalBoxFuture<Qp> + 'static) {
+    /// call fails with [`RpcError::Disconnected`]. The connector is
+    /// async: a `ClusterMount` connector awaits the failure detector's
+    /// promotion before resolving to a QP on the *new* primary, so
+    /// recovery never hands back a dead endpoint.
+    pub fn set_connector(&self, f: impl Fn() -> onc_rpc::LocalBoxFuture<Qp> + 'static) {
         *self.inner.connector.borrow_mut() = Some(Box::new(f));
     }
 

@@ -31,7 +31,6 @@ pub mod repl;
 pub mod router;
 pub mod sanitize;
 pub mod server;
-pub mod service;
 
 pub use client::{BulkParams, CallReply, ClientStats, RdmaRpcClient};
 pub use config::{Design, RpcRdmaConfig};
@@ -43,4 +42,3 @@ pub use reg::{IoBuf, RegCache, Registrar, StrategyKind};
 pub use repl::{CtrlTarget, CtrlWriter, LogRing, ReplError, RingTarget, Shipper, RING_SENTINEL};
 pub use sanitize::{sanitize_header, sanitize_wire, ProtocolViolation};
 pub use server::{RdmaRpcServer, ServerStats};
-pub use service::{RdmaDispatch, RdmaService};

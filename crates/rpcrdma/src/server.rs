@@ -63,7 +63,8 @@ use bytes::Bytes;
 use ib_verbs::{Access, Hca, HcaConfig, NodeId, Qp, Sge, VerbsError, PAGE_SIZE};
 use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{
-    AcceptStat, CallContext, CallHeader, DrcKey, DrcOutcome, DuplicateRequestCache, ReplyHeader,
+    AcceptStat, BulkDispatch, BulkService, CallContext, CallHeader, DrcKey, DrcOutcome,
+    DuplicateRequestCache, ReplyHeader,
 };
 use sim_core::stats::{Counter, Gauge};
 use sim_core::{
@@ -78,7 +79,6 @@ use crate::qos::{
 };
 use crate::reg::{IoBuf, Registrar};
 use crate::sanitize::{sanitize_wire, ProtocolViolation};
-use crate::service::{RdmaDispatch, RdmaService};
 
 /// Good calls a clamped connection must complete before its credit
 /// window doubles back toward the server's base grant.
@@ -241,7 +241,7 @@ impl QosState {
 pub struct RdmaRpcServer {
     sim: Sim,
     hca: Hca,
-    service: Rc<dyn RdmaService>,
+    service: Rc<dyn BulkService>,
     registrar: Registrar,
     cfg: RpcRdmaConfig,
     /// The serialized RPC task queue of Figure 1.
@@ -253,7 +253,7 @@ pub struct RdmaRpcServer {
     credit_grant: Cell<u32>,
     /// Duplicate request cache: retransmitted calls (same peer + XID)
     /// replay the original dispatch instead of re-executing it.
-    drc: DuplicateRequestCache<RdmaDispatch>,
+    drc: DuplicateRequestCache<BulkDispatch>,
     /// Service epoch qualifying DRC keys. 0 for a standalone server;
     /// a replicated cluster bumps it when this server is promoted, and
     /// calls that miss the current epoch probe the previous one so
@@ -270,7 +270,7 @@ impl RdmaRpcServer {
     pub fn new(
         sim: &Sim,
         hca: &Hca,
-        service: Rc<dyn RdmaService>,
+        service: Rc<dyn BulkService>,
         registrar: Registrar,
         cfg: RpcRdmaConfig,
     ) -> Rc<RdmaRpcServer> {
@@ -322,7 +322,7 @@ impl RdmaRpcServer {
     }
 
     /// The duplicate request cache (diagnostics).
-    pub fn drc(&self) -> &DuplicateRequestCache<RdmaDispatch> {
+    pub fn drc(&self) -> &DuplicateRequestCache<BulkDispatch> {
         &self.drc
     }
 
@@ -352,7 +352,7 @@ impl RdmaRpcServer {
         head: Bytes,
         trace: sim_core::TraceCtx,
     ) {
-        let mut dispatch = RdmaDispatch::success(head, None);
+        let mut dispatch = BulkDispatch::success(head, None);
         dispatch.trace = trace;
         self.drc
             .insert_completed(DrcKey { peer, xid, epoch }, &dispatch);
@@ -1026,7 +1026,7 @@ async fn land_stage(
 /// *original* execution's context: the `drc_replay` span flows from the
 /// service span that first ran the call — on the failed primary for a
 /// cross-epoch hit, stitching the epochs together.
-fn note_replay(server: &RdmaRpcServer, call: &CallHeader, dispatch: &RdmaDispatch) {
+fn note_replay(server: &RdmaRpcServer, call: &CallHeader, dispatch: &BulkDispatch) {
     server.stats.drc_replays.inc();
     let _s = server
         .sim
@@ -1041,7 +1041,7 @@ async fn service_stage(
     conn: &ConnState,
     call_msg: Bytes,
     bulk_in: Option<SgList>,
-) -> Option<(u32, RdmaDispatch)> {
+) -> Option<(u32, BulkDispatch)> {
     let server = &conn.server;
     let Ok((call, args)) = decode_call(call_msg) else {
         // An RPC message that does not decode is the same class of
@@ -1093,7 +1093,7 @@ async fn service_stage(
                 dispatch.trace = trace;
                 dispatch
             } else {
-                RdmaDispatch::error(AcceptStat::ProgUnavail)
+                BulkDispatch::error(AcceptStat::ProgUnavail)
             };
             server.stats.ops.inc();
             note_good_op(conn);
@@ -1122,7 +1122,7 @@ async fn push_stage(
     conn: &ConnState,
     hdr: &RdmaHeader,
     xid: u32,
-    dispatch: &RdmaDispatch,
+    dispatch: &BulkDispatch,
 ) -> Outgoing {
     let stat = dispatch.stat;
     let mut out = Outgoing {
@@ -1149,7 +1149,7 @@ async fn push_stage(
 async fn push_by_write(
     conn: &ConnState,
     hdr: &RdmaHeader,
-    dispatch: &RdmaDispatch,
+    dispatch: &BulkDispatch,
     out: &mut Outgoing,
 ) {
     let server = &conn.server;
@@ -1209,7 +1209,7 @@ async fn push_by_write(
 /// Read-Read push: stage bulk results (and a long reply, at position
 /// 0) in remotely readable buffers and advertise them as read chunks;
 /// the client pulls, then sends `RDMA_DONE`.
-async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &RdmaDispatch, out: &mut Outgoing) {
+async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &BulkDispatch, out: &mut Outgoing) {
     let mut expose = |io: &IoBuf, len: u64, position: u32| {
         for segment in io.segments(0, len, &server.hca) {
             out.rhdr.read_chunks.push(ReadChunk { position, segment });

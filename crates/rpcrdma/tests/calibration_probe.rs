@@ -7,15 +7,14 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use ib_verbs::{connect, Fabric, Hca, HcaConfig, HostMem, NodeId, PhysLayout};
-use onc_rpc::{CallContext, LocalBoxFuture};
+use onc_rpc::{BulkDispatch, BulkService, CallContext, LocalBoxFuture};
 use rpcrdma::{
-    BulkParams, Design, RdmaDispatch, RdmaRpcClient, RdmaRpcServer, RdmaService, Registrar,
-    RpcRdmaConfig, StrategyKind,
+    BulkParams, Design, RdmaRpcClient, RdmaRpcServer, Registrar, RpcRdmaConfig, StrategyKind,
 };
 use sim_core::{Cpu, CpuCosts, Payload, Sim, Simulation};
 
 struct Reader;
-impl RdmaService for Reader {
+impl BulkService for Reader {
     fn program(&self) -> u32 {
         100003
     }
@@ -28,7 +27,7 @@ impl RdmaService for Reader {
         _p: u32,
         args: Bytes,
         bulk_in: Option<sim_core::SgList>,
-    ) -> LocalBoxFuture<RdmaDispatch> {
+    ) -> LocalBoxFuture<BulkDispatch> {
         Box::pin(async move {
             let mut dec = xdr::Decoder::new(&args);
             let len = dec.get_u32().unwrap_or(0) as u64;
@@ -36,11 +35,11 @@ impl RdmaService for Reader {
                 // write path
                 let mut enc = xdr::Encoder::new();
                 enc.put_u32(data.len() as u32);
-                return RdmaDispatch::success(enc.finish(), None);
+                return BulkDispatch::success(enc.finish(), None);
             }
             let mut enc = xdr::Encoder::new();
             enc.put_u32(len as u32);
-            RdmaDispatch::success(
+            BulkDispatch::success(
                 enc.finish(),
                 Some(sim_core::SgList::from(Payload::synthetic(9, len))),
             )

@@ -8,10 +8,9 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use ib_verbs::{connect, Fabric, Hca, HcaConfig, HostMem, NodeId, PhysLayout};
-use onc_rpc::{AcceptStat, CallContext, LocalBoxFuture};
+use onc_rpc::{AcceptStat, BulkDispatch, BulkService, CallContext, LocalBoxFuture};
 use rpcrdma::{
-    BulkParams, Design, RdmaDispatch, RdmaRpcClient, RdmaRpcServer, RdmaService, Registrar,
-    RpcRdmaConfig, StrategyKind,
+    BulkParams, Design, RdmaRpcClient, RdmaRpcServer, Registrar, RpcRdmaConfig, StrategyKind,
 };
 use sim_core::{Cpu, CpuCosts, Payload, Sim, SimDuration, Simulation, SpanRecord};
 
@@ -24,7 +23,7 @@ struct ToyFs {
     seed: u64,
 }
 
-impl RdmaService for ToyFs {
+impl BulkService for ToyFs {
     fn program(&self) -> u32 {
         PROG
     }
@@ -37,7 +36,7 @@ impl RdmaService for ToyFs {
         proc_num: u32,
         args: Bytes,
         bulk_in: Option<sim_core::SgList>,
-    ) -> LocalBoxFuture<RdmaDispatch> {
+    ) -> LocalBoxFuture<BulkDispatch> {
         let seed = self.seed;
         Box::pin(async move {
             match proc_num {
@@ -47,7 +46,7 @@ impl RdmaService for ToyFs {
                     let len = dec.get_u32().unwrap_or(0) as u64;
                     let mut enc = xdr::Encoder::new();
                     enc.put_u32(len as u32);
-                    RdmaDispatch::success_flat(enc.finish(), Some(Payload::synthetic(seed, len)))
+                    BulkDispatch::success_flat(enc.finish(), Some(Payload::synthetic(seed, len)))
                 }
                 // write: bulk_in is the data; returns its checksum-ish len
                 2 => {
@@ -55,19 +54,19 @@ impl RdmaService for ToyFs {
                     let sum: u64 = data.materialize().iter().map(|&b| b as u64).sum();
                     let mut enc = xdr::Encoder::new();
                     enc.put_u32(data.len() as u32).put_u64(sum);
-                    RdmaDispatch::success(enc.finish(), None)
+                    BulkDispatch::success(enc.finish(), None)
                 }
                 // echo
-                3 => RdmaDispatch::success(args, None),
+                3 => BulkDispatch::success(args, None),
                 // bigdir: returns a head of the requested size (long reply)
                 4 => {
                     let mut dec = xdr::Decoder::new(&args);
                     let len = dec.get_u32().unwrap_or(0) as usize;
                     let mut enc = xdr::Encoder::new();
                     enc.put_opaque(&vec![0x2f; len]);
-                    RdmaDispatch::success(enc.finish(), None)
+                    BulkDispatch::success(enc.finish(), None)
                 }
-                _ => RdmaDispatch::error(AcceptStat::ProcUnavail),
+                _ => BulkDispatch::error(AcceptStat::ProcUnavail),
             }
         })
     }
@@ -176,7 +175,7 @@ fn setup_serving(
     cfg: RpcRdmaConfig,
     strategy: StrategyKind,
     (costs, hca): (CpuCosts, HcaConfig),
-    service: Rc<dyn RdmaService>,
+    service: Rc<dyn BulkService>,
 ) -> TestBed {
     let fabric = Fabric::new(sim);
     let (client_hca, client_mem) = host_on(sim, &fabric, 0, costs, hca);
@@ -214,7 +213,7 @@ fn install_connector(bed: &TestBed) -> Rc<std::cell::RefCell<ib_verbs::Qp>> {
         let (qc, qs) = connect(&chca, &shca);
         server.serve_connection(qs.clone());
         *old.borrow_mut() = qs;
-        qc
+        Box::pin(async move { qc })
     });
     live
 }
@@ -1243,7 +1242,7 @@ struct Keeper {
     writes: std::cell::RefCell<Vec<sim_core::SgList>>,
 }
 
-impl RdmaService for Keeper {
+impl BulkService for Keeper {
     fn program(&self) -> u32 {
         PROG
     }
@@ -1256,15 +1255,15 @@ impl RdmaService for Keeper {
         proc_num: u32,
         _args: Bytes,
         bulk_in: Option<sim_core::SgList>,
-    ) -> LocalBoxFuture<RdmaDispatch> {
+    ) -> LocalBoxFuture<BulkDispatch> {
         let dispatch = match (proc_num, bulk_in) {
             (2, Some(data)) => {
                 let mut enc = xdr::Encoder::new();
                 enc.put_u32(data.len() as u32);
                 self.writes.borrow_mut().push(data);
-                RdmaDispatch::success(enc.finish(), None)
+                BulkDispatch::success(enc.finish(), None)
             }
-            _ => RdmaDispatch::error(AcceptStat::ProcUnavail),
+            _ => BulkDispatch::error(AcceptStat::ProcUnavail),
         };
         Box::pin(async move { dispatch })
     }
@@ -2881,7 +2880,7 @@ impl SlowFs {
     }
 }
 
-impl RdmaService for SlowFs {
+impl BulkService for SlowFs {
     fn program(&self) -> u32 {
         PROG
     }
@@ -2894,7 +2893,7 @@ impl RdmaService for SlowFs {
         proc_num: u32,
         args: Bytes,
         bulk_in: Option<sim_core::SgList>,
-    ) -> LocalBoxFuture<RdmaDispatch> {
+    ) -> LocalBoxFuture<BulkDispatch> {
         let n = self.served.replace(self.served.get() + 1);
         let delay = self.delays[n.min(self.delays.len() - 1)];
         let sim = self.sim.clone();

@@ -51,9 +51,10 @@
 //!   into a local buffer once per batch. FIFO order is preserved: wakes
 //!   raised while a batch runs land in the (empty) queue and form the
 //!   next batch.
-//! - **Timer wheel.** Pending timers live in a bucketed wheel with a
-//!   far-future heap and O(1) lazy cancellation ([`crate::timer_wheel`])
-//!   instead of a `BinaryHeap` + `HashMap` pair.
+//! - **One timer heap.** Pending timers live in one `BinaryHeap` keyed
+//!   by `(deadline, sequence)`, beside a generation-tagged slab of who
+//!   each one wakes: O(log n) register and pop, O(1) lazy cancellation
+//!   (see the private `timers` module).
 //!
 //! The executor is intentionally `!Send`: tasks may freely hold
 //! `Rc`/`RefCell` state across `.await`. Parameter sweeps parallelize by
@@ -70,7 +71,7 @@ use crate::metrics::MetricsRegistry;
 use crate::rng::SimRng;
 use crate::stats::Counter;
 use crate::time::{SimDuration, SimTime};
-use crate::timer_wheel::{TimerHandle, TimerWheel};
+use crate::timers::{TimerHandle, Timers};
 use crate::trace::{SpanRecord, TraceCtx, Tracer};
 use crate::wake::{self, Parked, SlotWaker};
 
@@ -146,7 +147,7 @@ pub(crate) struct Core {
     id: u64,
     now: Cell<SimTime>,
     sched: RefCell<Sched>,
-    timers: RefCell<TimerWheel<Parked>>,
+    timers: RefCell<Timers<Parked>>,
     rng: RefCell<SimRng>,
     /// Count of task polls, a cheap progress metric for tests/benches.
     /// Registered as `executor.polls` in the metrics registry.
@@ -204,7 +205,7 @@ impl Simulation {
                 id: wake::register(core),
                 now: Cell::new(SimTime::ZERO),
                 sched: RefCell::new(Sched::default()),
-                timers: RefCell::new(TimerWheel::new()),
+                timers: RefCell::new(Timers::new()),
                 rng: RefCell::new(SimRng::new(seed)),
                 polls,
                 current_task: Cell::new(NO_TASK),
@@ -302,12 +303,8 @@ impl Simulation {
                 }
             }
             // Advance to the earliest pending timer. (Cancelled timers
-            // are skipped inside the wheel without touching the clock.)
-            let fired = self
-                .core
-                .timers
-                .borrow_mut()
-                .pop_due(deadline, self.core.now.get());
+            // are skipped inside the heap without touching the clock.)
+            let fired = self.core.timers.borrow_mut().pop_due(deadline);
             match fired {
                 Some((at, parked)) => {
                     debug_assert!(at >= self.core.now.get());
@@ -984,7 +981,7 @@ mod tests {
     fn ten_k_concurrent_sleepers_bound_slab_and_keep_order() {
         // Open-loop arrival audit: 10k tasks pending at once, each
         // parked on its own staggered timer. The task slab must be
-        // sized by peak concurrency, the timer wheel must fire them in
+        // sized by peak concurrency, the timer heap must fire them in
         // deadline order, and a second same-seed run must produce the
         // identical completion sequence.
         const N: u64 = 10_000;

@@ -55,7 +55,7 @@ pub mod stats;
 pub mod sweep;
 pub mod sync;
 pub mod time;
-pub mod timer_wheel;
+mod timers;
 pub mod trace;
 pub mod wake;
 

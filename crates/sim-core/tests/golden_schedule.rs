@@ -22,8 +22,9 @@ use sim_core::{yield_now, SimDuration, SimTime, Simulation};
 const GOLDEN_EVENTS: usize = 4096;
 
 /// Pinned hash, captured from the pre-overhaul executor (HashMap task
-/// table + BinaryHeap timers). The slab/timer-wheel rewrite must
-/// reproduce the identical schedule.
+/// table + BinaryHeap timers). The slab executor and its one
+/// `(deadline, sequence)` timer heap must reproduce the identical
+/// schedule.
 const GOLDEN_HASH: u64 = 0x9d8a13b2e8ec18f7;
 
 /// One logged step: when, which kind, which task and round.

@@ -495,7 +495,7 @@ fn mount(
     );
     let live = Rc::new(RefCell::new((0, qs)));
     let (nodes, cluster, peer) = (nodes.to_vec(), cluster.cloned(), hca.clone());
-    rpc.set_connector_async(move || {
+    rpc.set_connector(move || {
         let (live, nodes, cluster, peer) =
             (live.clone(), nodes.clone(), cluster.clone(), peer.clone());
         Box::pin(async move {

@@ -1,0 +1,183 @@
+#!/usr/bin/env bash
+# A/B the benchmark: a base revision against this checkout's working
+# tree, both driven through their own unchanged `benchmark/run.sh`.
+#
+#   scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S]
+#
+# <rev> is exported with `git archive` into $AB_DIR/<sha> (default
+# ${TMPDIR:-/tmp}/nfs-rdma-ab) and built there once; later calls reuse
+# the build. Nothing tracked in the checkout is written.
+#
+# (a) Same schedule: every workload traced at seeds 1 and 2 on both
+#     sides; prints each last-line JSON key that differs, or `0 moved`.
+#     Skipped as wall clock: `host*`, `ladder.*`, `setup_s`, and
+#     `attempted` (the repetitions that fit in S seconds, times the ops
+#     in one; every repetition of a seed is the same schedule).
+# (b) Wall clock: N interleaved untraced pairs per workload (default
+#     10), alternating which side runs first. Prints every pair, then
+#     for each BENCHMARK.json end-to-end metric the two medians, the
+#     base's IQR, the change's wins out of N, the median pair ratio
+#     (change / base) and a verdict: `worse` when the change's median
+#     is worse by more than the metric's bound, `unresolved` when the
+#     base's IQR exceeds the bound, else `no change`.
+#
+# --workload W restricts both parts to one workload; --seconds S
+# (default 25) is each run's length. Run nothing else meanwhile: the
+# host metrics are wall clock.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+here=$(pwd)
+
+usage() {
+    echo "usage: scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S]" >&2
+    exit 2
+}
+
+[[ $# -ge 1 && $1 != --* ]] || usage
+rev=$1
+shift
+pairs=10
+seconds=25
+workloads="seq_read seq_write meta_mix raid_read"
+while [[ $# -gt 0 ]]; do
+    [[ $# -ge 2 ]] || usage
+    case $1 in
+    --pairs) pairs=$2 ;;
+    --workload) workloads=$2 ;;
+    --seconds) seconds=$2 ;;
+    *) usage ;;
+    esac
+    shift 2
+done
+
+sha=$(git rev-parse --verify --quiet "$rev^{commit}") || {
+    echo "ab.sh: unknown revision $rev" >&2
+    exit 2
+}
+base="${AB_DIR:-${TMPDIR:-/tmp}/nfs-rdma-ab}/$sha"
+if [[ ! -f $base/benchmark/run.sh ]]; then
+    mkdir -p "$base"
+    git archive "$sha" | tar -x -C "$base"
+fi
+# Each side builds into its own benchmark/target.
+unset CARGO_TARGET_DIR
+
+# run SIDE WORKLOAD SEED TRACE: the run's last-line JSON.
+run() {
+    (cd "$1" && bash benchmark/run.sh --workload "$2" --seed "$3" \
+        --seconds "$seconds" --trace "$4" 2>/dev/null | tail -n 1)
+}
+
+# One `key value` line per top-level scalar and per metric of a run's
+# JSON.
+flat_json() {
+    {
+        grep -o '"\(correct\|attempted\|failed\)": [^,}]*' <<<"$1" || true
+        grep -o '"[^"]*": {"value": [^,}]*' <<<"$1" || true
+    } | sed 's/"\([^"]*\)": \({"value": \)\{0,1\}/\1 /'
+}
+
+# key VALUE from a flattened run.
+value() {
+    awk -v k="$2" '$1 == k { print $2 }' <<<"$1"
+}
+
+echo "==> building $rev ($sha) and the working tree"
+run "$base" seq_read 1 0 >/dev/null
+run "$here" seq_read 1 0 >/dev/null
+
+echo "==> (a) traced, seeds 1 and 2: keys that moved ($rev -> working tree)"
+moved=0
+for w in $workloads; do
+    for seed in 1 2; do
+        a=$(flat_json "$(run "$base" "$w" "$seed" 1)")
+        b=$(flat_json "$(run "$here" "$w" "$seed" 1)")
+        [[ -n $a && -n $b ]] || {
+            echo "ab.sh: $w seed $seed produced no JSON" >&2
+            exit 1
+        }
+        diffs=$(join -a 1 -a 2 -e missing -o 0,1.2,2.2 \
+            <(sort <<<"$a") <(sort <<<"$b") |
+            awk '$1 !~ /^(host|ladder\.|setup_s$|attempted$)/ && $2 != $3')
+        if [[ -n $diffs ]]; then
+            awk -v w="$w" -v s="$seed" '{ printf "  %s seed %s  %s: %s -> %s\n", w, s, $1, $2, $3 }' <<<"$diffs"
+            moved=$((moved + $(wc -l <<<"$diffs")))
+        fi
+    done
+done
+echo "$moved moved"
+
+# End-to-end metrics with their direction and bound, from BENCHMARK.json.
+bounds=$(awk '
+    /"end_to_end"/ { on = 1 }
+    /"per_layer"/ { on = 0 }
+    on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+    on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }
+' BENCHMARK.json)
+
+# stats: reads `base change` per line; prints
+# `median_base median_change iqr_base wins median_ratio` where a win is
+# the change being better than the base of its own pair.
+stats() {
+    awk -v better="$1" '
+        function q(v, n, p,    h, i) {
+            h = (n - 1) * p; i = int(h)
+            return i + 1 < n ? v[i] + (h - i) * (v[i + 1] - v[i]) : v[i]
+        }
+        function sorted(v, n,    i, j, t) {
+            for (i = 1; i < n; i++)
+                for (j = i; j > 0 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        }
+        BEGIN { n = 0 }
+        {
+            a[n] = $1; b[n] = $2; r[n] = $1 == 0 ? 1 : $2 / $1
+            wins += (better == "higher") ? ($2 > $1) : ($2 < $1)
+            n++
+        }
+        END {
+            sorted(a, n); sorted(b, n); sorted(r, n)
+            printf "%.6g %.6g %.6g %d %.4f\n", q(a, n, .5), q(b, n, .5),
+                q(a, n, .75) - q(a, n, .25), wins, q(r, n, .5)
+        }'
+}
+
+echo "==> (b) $pairs interleaved untraced pairs per workload, seed 1, ${seconds} s a run ($rev vs working tree)"
+worse=0
+for w in $workloads; do
+    echo "-- $w"
+    table=""
+    for i in $(seq 1 "$pairs"); do
+        if ((i % 2)); then
+            a=$(flat_json "$(run "$base" "$w" 1 0)")
+            b=$(flat_json "$(run "$here" "$w" 1 0)")
+            first=base
+        else
+            b=$(flat_json "$(run "$here" "$w" 1 0)")
+            a=$(flat_json "$(run "$base" "$w" 1 0)")
+            first=change
+        fi
+        line="pair $i ($first first):"
+        while read -r name _ _; do
+            line+=" $name $(value "$a" "$name")/$(value "$b" "$name")"
+            table+="$name $(value "$a" "$name") $(value "$b" "$name")"$'\n'
+        done <<<"$bounds"
+        echo "  $line  failed $(value "$a" failed)/$(value "$b" failed)"
+    done
+    printf '  %-18s %14s %14s %10s %6s %7s  %s\n' metric "base median" "change median" "base IQR" wins ratio verdict
+    while read -r name better bound; do
+        read -r ma mb iqr wins ratio < <(awk -v k="$name" '$1 == k { print $2, $3 }' <<<"$table" | stats "$better")
+        verdict=$(awk -v ma="$ma" -v mb="$mb" -v iqr="$iqr" -v bound="$bound" -v better="$better" 'BEGIN {
+            loss = ma == 0 ? 0 : (better == "higher" ? ma - mb : mb - ma) / ma
+            if (ma != 0 && iqr / ma > bound) print "unresolved"
+            else if (loss > bound) print "worse"
+            else print "no change"
+        }')
+        [[ $verdict == worse ]] && worse=$((worse + 1))
+        printf '  %-18s %14s %14s %9.1f%% %3d/%-2d %7s  %s\n' "$name" "$ma" "$mb" \
+            "$(awk -v i="$iqr" -v m="$ma" 'BEGIN { print m == 0 ? 0 : 100 * i / m }')" \
+            "$wins" "$pairs" "$ratio" "$verdict"
+    done <<<"$bounds"
+done
+echo "$worse worse"

@@ -11,10 +11,10 @@
 //! - Rewriting a range an `ExtentMap` already holds (every receive
 //!   lands on the same posted buffer) must perform **zero** beyond the
 //!   payload's own.
-//! - A warmed executor (slab, ready queue, timer wheel and all bucket
-//!   vectors at capacity) must poll tasks without per-event
-//!   allocations; only the `run()`-scoped batch buffer may grow, so the
-//!   bound is a small constant independent of the poll count.
+//! - A warmed executor (slab, ready queue and timer heap at capacity)
+//!   must poll tasks without per-event allocations; only the
+//!   `run()`-scoped batch buffer may grow, so the bound is a small
+//!   constant independent of the poll count.
 //! - Waking is by task id: a timer firing and a channel hand-off in a
 //!   warmed simulation perform **zero** allocations, and a spawn into
 //!   a recycled task slot performs exactly **one**, the boxed future.
@@ -197,10 +197,10 @@ fn steady_state_hot_paths_do_not_allocate() {
     );
 
     // ---- Executor poll/timer churn after warmup passes. -------------
-    // Warmup runs: grow the task slab, free list, ready queue, timer
-    // wheel buckets and drain vector to capacity. Two passes, because
-    // each wheel rebase aligns deadlines to buckets differently and
-    // the per-bucket capacity maxima take a pass to be discovered.
+    // Warmup runs: grow the task slab, free list, ready queue and timer
+    // heap to the workload's peak. The heap and the timer slab only
+    // ever hold the timers pending at once, so the measured run, the
+    // same shape of work, finds them large enough.
     let mut sim = Simulation::new(9);
     spawn_churn(&mut sim);
     sim.run();
@@ -221,9 +221,8 @@ fn steady_state_hot_paths_do_not_allocate() {
     assert!(polls >= warm_polls, "later passes should repeat the work");
     assert!(polls > 10_000, "workload too small to be meaningful");
     // Per-event cost is zero; what remains is bounded buffer-capacity
-    // discovery (the run()-scoped batch vector plus the occasional
-    // timer-wheel bucket finding a new load maximum) — a small
-    // constant, independent of how many events are processed.
+    // discovery (the run()-scoped batch vector) — a small constant,
+    // independent of how many events are processed.
     assert!(
         run_allocs <= 64,
         "steady-state executor run allocated {run_allocs} times for {polls} polls"
@@ -251,7 +250,7 @@ fn steady_state_hot_paths_do_not_allocate() {
                 }
             }
         });
-        // Warm: queues, wheel buckets, drain vector.
+        // Warm: queues, timer heap.
         ping_pong(&h, &to_b, &mut from_b, 4_096).await;
         let mut wake_allocs = u64::MAX;
         for _ in 0..5 {
