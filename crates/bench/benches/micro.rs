@@ -3,7 +3,6 @@
 //! end-to-end NFS READ through the simulated stack.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::future::Future;
 use std::hint::black_box;
 
 use ib_verbs::Rkey;
@@ -128,8 +127,12 @@ fn bench_executor(c: &mut Criterion) {
                 let h2 = h.clone();
                 sim.spawn(async move {
                     let mut s = h2.sleep(SimDuration::from_millis(10));
+                    #[allow(
+                        clippy::disallowed_methods,
+                        reason = "the sleep is abandoned, so it is polled under `poll_not_last`"
+                    )]
                     std::future::poll_fn(|cx| {
-                        let _ = std::pin::Pin::new(&mut s).poll(cx);
+                        let _ = sim_core::poll_not_last(std::pin::Pin::new(&mut s), cx);
                         std::task::Poll::Ready(())
                     })
                     .await;

@@ -200,6 +200,10 @@ impl Cq {
         }
         // Park until a push (or the moderation timer, or the last
         // producer's teardown) wakes us.
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "one lane: parks on the queue's `WakeSlot`"
+        )]
         std::future::poll_fn(|cx| {
             let mut inner = self.inner.borrow_mut();
             if inner.queue.is_empty() && !inner.closed {

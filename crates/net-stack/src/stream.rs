@@ -151,6 +151,10 @@ impl TcpStream {
             return Payload::empty();
         }
         let rx = self.rx.clone();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "one lane: parks on the reader's `WakeSlot`"
+        )]
         std::future::poll_fn(move |cx| {
             if rx.avail.get() >= n {
                 std::task::Poll::Ready(())

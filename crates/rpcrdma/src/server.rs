@@ -700,12 +700,17 @@ async fn teardown(conn: &ConnState) {
 /// The connection's next inbound message. While Read-Read exposures
 /// are pending the wait also ends at each deadline, to reap what is
 /// overdue: the reaper runs only while something is exposed, on this
-/// loop's task (and a new exposure wakes it to re-arm).
+/// loop's task (and a new exposure wakes it to re-arm). The message
+/// lane is polled before the reaper timer, so never as the last one.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "two lanes: the message lane is polled under `poll_not_last`"
+)]
 async fn next_message(conn: &ConnState) -> Option<(Payload, Option<Payload>)> {
     let mut next = pin!(conn.ep.next_message());
     let (sim, mut armed, mut timer) = (&conn.server.sim, None, None);
     poll_fn(|cx| loop {
-        if let Poll::Ready(message) = next.as_mut().poll(cx) {
+        if let Poll::Ready(message) = sim_core::poll_not_last(next.as_mut(), cx) {
             return Poll::Ready(message);
         }
         let due = (conn.pending_exposures.borrow().values())

@@ -55,6 +55,15 @@
 //!   by `(deadline, sequence)`, beside a generation-tagged slab of who
 //!   each one wakes: O(log n) register and pop, O(1) lazy cancellation
 //!   (see the private `timers` module).
+//! - **Run to completion.** A [`Sleep`] that is the simulation's next
+//!   event — polled by its own task as the last lane, nothing ready,
+//!   strictly before every live timer and within the `run_until` limit
+//!   — fires in place on its first poll: the clock moves to its
+//!   deadline and the task keeps running, with no timer, no park and
+//!   no second poll. Registering it would have popped that very timer
+//!   next with nothing run in between, so the schedule is the same. A
+//!   hand-written future polls every lane but its last through
+//!   [`crate::poll_not_last`].
 //!
 //! The executor is intentionally `!Send`: tasks may freely hold
 //! `Rc`/`RefCell` state across `.await`. Parameter sweeps parallelize by
@@ -73,7 +82,7 @@ use crate::stats::Counter;
 use crate::time::{SimDuration, SimTime};
 use crate::timers::{TimerHandle, Timers};
 use crate::trace::{SpanRecord, TraceCtx, Tracer};
-use crate::wake::{self, Parked, SlotWaker};
+use crate::wake::{self, poll_not_last, Parked, SlotWaker};
 
 /// Packed task id: `generation << 32 | slot index`.
 pub(crate) type TaskId = u64;
@@ -152,6 +161,11 @@ pub(crate) struct Core {
     /// Count of task polls, a cheap progress metric for tests/benches.
     /// Registered as `executor.polls` in the metrics registry.
     polls: Rc<Counter>,
+    /// The limit of the running `run_until`, and the tasks of its
+    /// current batch still to be polled: what a [`Sleep`] checks to
+    /// know it is the simulation's next event.
+    limit: Cell<SimTime>,
+    batch_left: Cell<usize>,
     /// Task currently being polled ([`NO_TASK`] outside a poll); spans
     /// entered during the poll attach to it.
     current_task: Cell<TaskId>,
@@ -178,6 +192,20 @@ impl Core {
             Parked::Task { sim, id } if sim == self.id => self.wake_task(id),
             other => other.wake(),
         }
+    }
+
+    /// True when a sleep until `deadline`, first polled with `cx`, is
+    /// the simulation's next event: its own task polls it as the last
+    /// lane, no task is ready, and the deadline is within the
+    /// `run_until` limit and strictly before every live timer.
+    /// Registering it would park the task, pop this very timer next and
+    /// poll the task again at `deadline`, with nothing run in between.
+    fn is_next_event(&self, deadline: SimTime, cx: &Context<'_>) -> bool {
+        wake::polled_last_by(self.id, cx)
+            && self.batch_left.get() == 0
+            && self.sched.borrow().ready.is_empty()
+            && deadline <= self.limit.get()
+            && (self.timers.borrow_mut().next_deadline()).is_none_or(|next| deadline < next)
     }
 }
 
@@ -208,6 +236,8 @@ impl Simulation {
                 timers: RefCell::new(Timers::new()),
                 rng: RefCell::new(SimRng::new(seed)),
                 polls,
+                limit: Cell::new(SimTime::ZERO),
+                batch_left: Cell::new(0),
                 current_task: Cell::new(NO_TASK),
                 tracer: Tracer::default(),
                 flight: FlightRing::new(FLIGHT_CAPACITY),
@@ -289,6 +319,7 @@ impl Simulation {
     /// advances beyond the last fired timer.
     pub fn run_until(&mut self, deadline: SimTime) {
         let mut batch: Vec<TaskId> = Vec::new();
+        self.core.limit.set(deadline);
         loop {
             // Drain every ready task at the current instant, a batch at
             // a time. Wakes raised while the batch runs form the next
@@ -298,7 +329,8 @@ impl Simulation {
                 if batch.is_empty() {
                     break;
                 }
-                for &id in &batch {
+                for (i, &id) in batch.iter().enumerate() {
+                    self.core.batch_left.set(batch.len() - 1 - i);
                     self.poll_task(id);
                 }
             }
@@ -636,16 +668,21 @@ pub struct Sleep {
 impl Future for Sleep {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.core.now.get() >= self.deadline {
-            if let Some(h) = self.timer.take() {
+        let this = &mut *self;
+        if this.core.now.get() >= this.deadline {
+            if let Some(h) = this.timer.take() {
                 // Woken by something other than our own timer (which
                 // would have consumed the registration); cancel it.
-                self.core.timers.borrow_mut().cancel(h);
+                this.core.timers.borrow_mut().cancel(h);
             }
             return Poll::Ready(());
         }
+        if this.timer.is_none() && this.core.is_next_event(this.deadline, cx) {
+            // Run to completion: nothing can happen before the deadline.
+            this.core.now.set(this.deadline);
+            return Poll::Ready(());
+        }
         let parked = Parked::current(cx);
-        let this = &mut *self;
         let mut timers = this.core.timers.borrow_mut();
         match this.timer {
             // Polled again before firing (spuriously, or moved to
@@ -675,7 +712,7 @@ impl<F: Future + Unpin> Future for Timeout<'_, F> {
     type Output = Option<F::Output>;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
-        if let Poll::Ready(v) = Pin::new(&mut *this.fut).poll(cx) {
+        if let Poll::Ready(v) = poll_not_last(Pin::new(&mut *this.fut), cx) {
             return Poll::Ready(Some(v));
         }
         match Pin::new(&mut this.sleep).poll(cx) {
@@ -718,14 +755,18 @@ impl Future for YieldNow {
 /// finishes early simply waits for the other: neither is ever dropped
 /// half-run. The futures are borrowed pinned (`std::pin::pin!`), like
 /// [`Sim::timeout`]'s, so they are stored once, in the caller's frame.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "two lanes: the first is polled under `poll_not_last` while the second is unfinished"
+)]
 pub async fn join<A: Future, B: Future>(
     mut first: Pin<&mut A>,
     mut second: Pin<&mut B>,
 ) -> (A::Output, B::Output) {
     let (mut a, mut b) = (None, None);
     std::future::poll_fn(move |cx| {
-        drive(&mut first, &mut a, cx);
-        drive(&mut second, &mut b, cx);
+        drive(&mut first, &mut a, b.is_some(), cx);
+        drive(&mut second, &mut b, true, cx);
         match (a.take(), b.take()) {
             (Some(a), Some(b)) => Poll::Ready((a, b)),
             unfinished => {
@@ -737,10 +778,21 @@ pub async fn join<A: Future, B: Future>(
     .await
 }
 
-/// Poll one lane of a [`join`] unless it has already produced `out`.
-fn drive<F: Future>(lane: &mut Pin<&mut F>, out: &mut Option<F::Output>, cx: &mut Context<'_>) {
+/// Poll one lane of a [`join`] unless it has already produced `out`;
+/// `last` when no unfinished lane is polled after it.
+fn drive<F: Future>(
+    lane: &mut Pin<&mut F>,
+    out: &mut Option<F::Output>,
+    last: bool,
+    cx: &mut Context<'_>,
+) {
     if out.is_none() {
-        if let Poll::Ready(v) = lane.as_mut().poll(cx) {
+        let poll = if last {
+            lane.as_mut().poll(cx)
+        } else {
+            poll_not_last(lane.as_mut(), cx)
+        };
+        if let Poll::Ready(v) = poll {
             *out = Some(v);
         }
     }

@@ -72,7 +72,7 @@ pub use time::{transfer_time, SimDuration, SimTime};
 pub use trace::{
     aggregate_phases, chrome_trace_json, validate_json, PhaseStats, SpanRecord, TraceCtx,
 };
-pub use wake::WakeSlot;
+pub use wake::{poll_not_last, WakeSlot};
 
 /// The entries of a hash map, in key order. A `HashMap` yields them in
 /// its hasher's order, which differs between two maps in one process:

@@ -131,24 +131,28 @@ impl<W> Timers<W> {
         }
     }
 
-    /// Pop the earliest live timer with `deadline <= limit`, if any.
-    /// Cancelled keys on top of the heap are discarded on the way; a
-    /// live timer beyond `limit` is left in place.
-    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, W)> {
+    /// The earliest live timer's deadline. Cancelled keys on top of the
+    /// heap are discarded on the way.
+    pub(crate) fn next_deadline(&mut self) -> Option<SimTime> {
         loop {
             let Reverse(key) = *self.heap.peek()?;
-            let slot = &mut self.slots[key.slot as usize];
-            if slot.wakee.is_some() && key.deadline > limit.as_nanos() {
-                return None;
+            if self.slots[key.slot as usize].wakee.is_some() {
+                return Some(SimTime::from_nanos(key.deadline));
             }
-            let wakee = slot.wakee.take();
             self.heap.pop();
             free_slot(&mut self.slots, &mut self.free, key.slot);
-            match wakee {
-                Some(w) => return Some((SimTime::from_nanos(key.deadline), w)),
-                None => self.dead -= 1,
-            }
+            self.dead -= 1;
         }
+    }
+
+    /// Pop the earliest live timer with `deadline <= limit`, if any; a
+    /// live timer beyond `limit` is left in place.
+    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, W)> {
+        let at = self.next_deadline().filter(|&at| at <= limit)?;
+        let Reverse(key) = self.heap.pop()?;
+        let wakee = self.slots[key.slot as usize].wakee.take();
+        free_slot(&mut self.slots, &mut self.free, key.slot);
+        wakee.map(|w| (at, w))
     }
 }
 

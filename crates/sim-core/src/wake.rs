@@ -34,11 +34,13 @@
 //! all.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::marker::PhantomData;
+use std::pin::Pin;
 use std::rc::Weak;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Wake, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 use std::thread::ThreadId;
 
 use crate::executor::{Core, TaskId, NO_TASK};
@@ -52,12 +54,15 @@ struct Polling {
     /// waker with this pointer is the executor's, anything else is
     /// foreign. Only ever compared, never dereferenced.
     waker: *const (),
+    /// [`poll_not_last`] lanes the poll is inside.
+    lanes: u32,
 }
 
 const IDLE: Polling = Polling {
     sim: 0,
     task: NO_TASK,
     waker: std::ptr::null(),
+    lanes: 0,
 };
 
 thread_local! {
@@ -80,7 +85,49 @@ pub(crate) fn enter_poll(sim: u64, task: TaskId, waker: &Waker) -> PollScope {
         sim,
         task,
         waker: waker.data(),
+        lanes: 0,
     }))
+}
+
+/// True when `cx` is the context of the task simulation `sim` is
+/// polling and no [`poll_not_last`] lane is open: whatever the future
+/// being polled does next, the task does next.
+pub(crate) fn polled_last_by(sim: u64, cx: &Context<'_>) -> bool {
+    let polling = POLLING.get();
+    polling.sim == sim
+        && polling.task != NO_TASK
+        && polling.lanes == 0
+        && std::ptr::eq(cx.waker().data(), polling.waker)
+}
+
+/// Poll `lane`, one of the futures a hand-written combinator polls in
+/// one poll of its task, when another is still to be polled after it.
+/// A [`Sleep`](crate::executor::Sleep) first polled in here registers
+/// its timer even when it is the simulation's next event, rather than
+/// fire in place: the lanes after it must run at this instant. Every
+/// non-final lane of a hand-written combinator is polled through this.
+pub fn poll_not_last<F: Future + ?Sized>(
+    lane: Pin<&mut F>,
+    cx: &mut Context<'_>,
+) -> Poll<F::Output> {
+    /// Closes the lane, also when the poll unwinds.
+    struct Lane;
+    impl Drop for Lane {
+        fn drop(&mut self) {
+            let polling = POLLING.get();
+            POLLING.set(Polling {
+                lanes: polling.lanes - 1,
+                ..polling
+            });
+        }
+    }
+    let polling = POLLING.get();
+    POLLING.set(Polling {
+        lanes: polling.lanes + 1,
+        ..polling
+    });
+    let _lane = Lane;
+    lane.poll(cx)
 }
 
 impl Drop for PollScope {

@@ -5,13 +5,13 @@
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
-use std::pin::Pin;
+use std::pin::{pin, Pin};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
-use sim_core::sync::{oneshot, OneshotReceiver};
-use sim_core::{SimDuration, SimTime, Simulation};
+use sim_core::sync::oneshot;
+use sim_core::{poll_not_last, Sim, SimDuration, SimTime, Simulation};
 
 /// Parks forever, handing its task's waker out on the first poll.
 struct Lend(Rc<RefCell<Option<Waker>>>);
@@ -89,6 +89,10 @@ fn primitive_signalled_from_another_simulation_wakes_its_own_task() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "polls the sleep once under `poll_not_last`, then hands it on"
+)]
 fn sleep_moved_between_tasks_wakes_the_task_that_polled_it_last() {
     let mut sim = Simulation::new(1);
     let h = sim.handle();
@@ -101,7 +105,7 @@ fn sleep_moved_between_tasks_wakes_the_task_that_polled_it_last() {
     sim.spawn(async move {
         let mut sleep = Box::pin(h2.sleep(SimDuration::from_micros(10)));
         std::future::poll_fn(|cx| {
-            assert!(sleep.as_mut().poll(cx).is_pending());
+            assert!(poll_not_last(sleep.as_mut(), cx).is_pending());
             Poll::Ready(())
         })
         .await;
@@ -132,18 +136,15 @@ impl Wake for Forward {
     }
 }
 
-/// Awaits `rx` under a context of its own making, as a hand-written
-/// select or join would.
-struct Foreign(OneshotReceiver<u32>);
+/// Awaits its future under a context of its own making, as a
+/// hand-written select or join would.
+struct Foreign<F>(F);
 
-impl Future for Foreign {
-    type Output = u32;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
+impl<F: Future + Unpin> Future for Foreign<F> {
+    type Output = F::Output;
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
         let waker = Waker::from(Arc::new(Forward(cx.waker().clone())));
-        let mut inner_cx = Context::from_waker(&waker);
-        Pin::new(&mut self.0)
-            .poll(&mut inner_cx)
-            .map(|v| v.expect("sender alive"))
+        Pin::new(&mut self.0).poll(&mut Context::from_waker(&waker))
     }
 }
 
@@ -162,8 +163,7 @@ fn foreign_context_wakes_join_the_fifo_in_call_order() {
             let log = log.clone();
             if name == "y" {
                 sim.spawn(async move {
-                    let v = Foreign(rx).await;
-                    assert_eq!(v, 1);
+                    assert_eq!(Foreign(rx).await, Ok(1));
                     log.borrow_mut().push(name);
                 });
             } else {
@@ -208,14 +208,14 @@ fn join_overlaps_two_lanes_in_fixed_order_on_one_task() {
     let mut sim = Simulation::new(1);
     let h = sim.handle();
     let log: Rc<RefCell<Vec<(&str, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-    // Each case: the two lanes' sleeps, and who logs what when
-    // (microseconds since the join began).
+    // Each case: the two lanes' sleeps, who logs what when
+    // (microseconds since the join began), and the task's polls.
     let cases = [
-        ((30, 10), [("a", 0), ("b", 0), ("b", 10), ("a", 30)]),
-        ((10, 30), [("a", 0), ("b", 0), ("a", 10), ("b", 30)]),
-        ((0, 20), [("a", 0), ("a", 0), ("b", 0), ("b", 20)]),
+        ((30, 10), [("a", 0), ("b", 0), ("b", 10), ("a", 30)], 2),
+        ((10, 30), [("a", 0), ("b", 0), ("a", 10), ("b", 30)], 3),
+        ((0, 20), [("a", 0), ("a", 0), ("b", 0), ("b", 20)], 1),
     ];
-    for ((a, b), expect) in cases {
+    for ((a, b), expect, want_polls) in cases {
         let (start, polls) = (sim.now(), sim.polls());
         let lane = |name: &'static str, us: u64| {
             let (h, log) = (h.clone(), log.clone());
@@ -237,9 +237,148 @@ fn join_overlaps_two_lanes_in_fixed_order_on_one_task() {
         // First lane first; the longer lane sets the time, not the
         // sum; a finished lane is not polled again.
         assert_eq!(std::mem::take(&mut *log.borrow_mut()), expect);
-        // One task, one poll per wake.
+        // One task. The second lane's sleep fires in place when it is
+        // the next event (10 µs before the first lane's pending 30; 20
+        // once the first lane is done); the first lane's, polled with
+        // the second still to come, registers, and its wake is a poll.
         assert_eq!(sim.task_slots(), 1);
-        let wakes = [a, b].iter().filter(|&&us| us > 0).count() as u64;
-        assert_eq!(sim.polls() - polls, 1 + wakes);
+        assert_eq!(sim.polls() - polls, want_polls);
+    }
+}
+
+fn us(n: u64) -> SimDuration {
+    SimDuration::from_micros(n)
+}
+
+/// Runs what `setup` spawns on a fresh simulation to quiescence: the
+/// polls it took and where the clock stopped, in microseconds.
+fn polls_and_clock(setup: impl FnOnce(&Sim)) -> (u64, u64) {
+    let mut sim = Simulation::new(1);
+    setup(&sim.handle());
+    sim.run();
+    (sim.polls(), sim.now().as_nanos() / 1_000)
+}
+
+/// A task that sleeps `d` once.
+fn sleeper(h: &Sim, d: SimDuration) {
+    let h2 = h.clone();
+    h.spawn(async move { h2.sleep(d).await });
+}
+
+#[test]
+fn a_sleep_that_is_the_next_event_fires_in_place() {
+    // One task, no timer pending, no limit: both sleeps fire in place,
+    // and the task's first poll is its only one.
+    let got = polls_and_clock(|h| {
+        let h2 = h.clone();
+        h.spawn(async move {
+            h2.sleep(us(10)).await;
+            h2.sleep(us(20)).await;
+        });
+    });
+    assert_eq!(got, (1, 30));
+}
+
+#[test]
+fn a_sleep_registers_while_a_task_is_ready() {
+    // Spawning first queues the child: the sleep registers, and its
+    // wake costs the sleeper a second poll. Sleeping first fires in
+    // place.
+    for (spawn_first, want) in [(true, (3, 10)), (false, (2, 10))] {
+        let got = polls_and_clock(|h| {
+            let h2 = h.clone();
+            h.spawn(async move {
+                if spawn_first {
+                    h2.spawn(async {});
+                }
+                h2.sleep(us(10)).await;
+                if !spawn_first {
+                    h2.spawn(async {});
+                }
+            });
+        });
+        assert_eq!(got, want, "spawn first: {spawn_first}");
+    }
+    // A task still to poll in the current batch counts as ready.
+    let got = polls_and_clock(|h| {
+        sleeper(h, us(10));
+        h.spawn(async {});
+    });
+    assert_eq!(got, (3, 10), "sleeper first in its batch");
+    let got = polls_and_clock(|h| {
+        h.spawn(async {});
+        sleeper(h, us(10));
+    });
+    assert_eq!(got, (2, 10), "sleeper last in its batch");
+}
+
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the lane is polled under `poll_not_last`"
+)]
+fn a_sleep_registers_in_a_lane_that_is_not_last_or_under_a_foreign_waker() {
+    let got = polls_and_clock(|h| {
+        let h2 = h.clone();
+        h.spawn(async move {
+            let mut lane = pin!(h2.sleep(us(10)));
+            std::future::poll_fn(|cx| poll_not_last(lane.as_mut(), cx)).await;
+        });
+    });
+    assert_eq!(got, (2, 10), "a lane that is not last");
+    let got = polls_and_clock(|h| {
+        let h2 = h.clone();
+        h.spawn(async move { Foreign(h2.sleep(us(10))).await });
+    });
+    assert_eq!(got, (2, 10), "a foreign waker");
+}
+
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "polls a sleep once under `poll_not_last`, then drops it"
+)]
+fn a_sleep_registers_unless_it_is_strictly_first_and_within_the_limit() {
+    // A tie with a pending deadline registers, so equal deadlines fire
+    // in registration order; one strictly earlier fires in place.
+    let got = polls_and_clock(|h| {
+        sleeper(h, us(10));
+        sleeper(h, us(10));
+    });
+    assert_eq!(got, (4, 10), "a tie");
+    let got = polls_and_clock(|h| {
+        sleeper(h, us(10));
+        sleeper(h, us(9));
+    });
+    assert_eq!(got, (3, 10), "strictly earlier");
+    // A cancelled earlier timer does not count.
+    let got = polls_and_clock(|h| {
+        let h2 = h.clone();
+        h.spawn(async move {
+            let mut early = h2.sleep(us(5));
+            std::future::poll_fn(|cx| {
+                assert!(poll_not_last(Pin::new(&mut early), cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            drop(early);
+            h2.sleep(us(10)).await;
+        });
+    });
+    assert_eq!(got, (1, 10), "past a cancelled timer");
+    // Past the `run_until` limit the sleep registers and the clock
+    // stays put; at the limit (inclusive) it fires in place.
+    for (limit_ns, want) in [(9_999, (1, 0)), (10_000, (1, 10_000))] {
+        let mut sim = Simulation::new(1);
+        sleeper(&sim.handle(), us(10));
+        sim.run_until(SimTime::from_nanos(limit_ns));
+        assert_eq!(
+            (sim.polls(), sim.now().as_nanos()),
+            want,
+            "limit {limit_ns}"
+        );
+        sim.run();
+        assert_eq!(sim.now().as_nanos(), 10_000);
+        assert_eq!(sim.polls(), want.0 + u64::from(limit_ns < 10_000));
     }
 }

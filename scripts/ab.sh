@@ -2,7 +2,7 @@
 # A/B the benchmark: a base revision against this checkout's working
 # tree, both driven through their own unchanged `benchmark/run.sh`.
 #
-#   scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S]
+#   scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S] [--seed K]
 #
 # <rev> is exported with `git archive` into $AB_DIR/<sha> (default
 # ${TMPDIR:-/tmp}/nfs-rdma-ab) and built there once; later calls reuse
@@ -14,12 +14,15 @@
 #     `attempted` (the repetitions that fit in S seconds, times the ops
 #     in one; every repetition of a seed is the same schedule).
 # (b) Wall clock: N interleaved untraced pairs per workload (default
-#     10), alternating which side runs first. Prints every pair, then
-#     for each BENCHMARK.json end-to-end metric the two medians, the
-#     base's IQR, the change's wins out of N, the median pair ratio
-#     (change / base) and a verdict: `worse` when the change's median
-#     is worse by more than the metric's bound, `unresolved` when the
-#     base's IQR exceeds the bound, else `no change`.
+#     10) at seed K (default 1), alternating which side runs first.
+#     Prints every pair, then for each BENCHMARK.json end-to-end
+#     metric the two medians, the base's IQR, the change's wins out of
+#     N (ties count for neither side), the median pair ratio (change /
+#     base) and a verdict: `better` when the change wins at least nine
+#     tenths of the pairs and its median is better than the base's by
+#     more than the base's IQR; otherwise `unresolved` when the base's
+#     IQR exceeds the metric's bound, `worse` when the change's median
+#     is worse by more than the bound, else `no change`.
 #
 # --workload W restricts both parts to one workload; --seconds S
 # (default 25) is each run's length. Run nothing else meanwhile: the
@@ -30,7 +33,7 @@ cd "$(dirname "$0")/.."
 here=$(pwd)
 
 usage() {
-    echo "usage: scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S]" >&2
+    echo "usage: scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S] [--seed K]" >&2
     exit 2
 }
 
@@ -39,6 +42,7 @@ rev=$1
 shift
 pairs=10
 seconds=25
+pair_seed=1
 workloads="seq_read seq_write meta_mix raid_read"
 while [[ $# -gt 0 ]]; do
     [[ $# -ge 2 ]] || usage
@@ -46,6 +50,7 @@ while [[ $# -gt 0 ]]; do
     --pairs) pairs=$2 ;;
     --workload) workloads=$2 ;;
     --seconds) seconds=$2 ;;
+    --seed) pair_seed=$2 ;;
     *) usage ;;
     esac
     shift 2
@@ -143,19 +148,19 @@ stats() {
         }'
 }
 
-echo "==> (b) $pairs interleaved untraced pairs per workload, seed 1, ${seconds} s a run ($rev vs working tree)"
+echo "==> (b) $pairs interleaved untraced pairs per workload, seed $pair_seed, ${seconds} s a run ($rev vs working tree)"
 worse=0
 for w in $workloads; do
     echo "-- $w"
     table=""
     for i in $(seq 1 "$pairs"); do
         if ((i % 2)); then
-            a=$(flat_json "$(run "$base" "$w" 1 0)")
-            b=$(flat_json "$(run "$here" "$w" 1 0)")
+            a=$(flat_json "$(run "$base" "$w" "$pair_seed" 0)")
+            b=$(flat_json "$(run "$here" "$w" "$pair_seed" 0)")
             first=base
         else
-            b=$(flat_json "$(run "$here" "$w" 1 0)")
-            a=$(flat_json "$(run "$base" "$w" 1 0)")
+            b=$(flat_json "$(run "$here" "$w" "$pair_seed" 0)")
+            a=$(flat_json "$(run "$base" "$w" "$pair_seed" 0)")
             first=change
         fi
         line="pair $i ($first first):"
@@ -168,9 +173,12 @@ for w in $workloads; do
     printf '  %-18s %14s %14s %10s %6s %7s  %s\n' metric "base median" "change median" "base IQR" wins ratio verdict
     while read -r name better bound; do
         read -r ma mb iqr wins ratio < <(awk -v k="$name" '$1 == k { print $2, $3 }' <<<"$table" | stats "$better")
-        verdict=$(awk -v ma="$ma" -v mb="$mb" -v iqr="$iqr" -v bound="$bound" -v better="$better" 'BEGIN {
-            loss = ma == 0 ? 0 : (better == "higher" ? ma - mb : mb - ma) / ma
-            if (ma != 0 && iqr / ma > bound) print "unresolved"
+        verdict=$(awk -v ma="$ma" -v mb="$mb" -v iqr="$iqr" -v bound="$bound" -v better="$better" \
+            -v wins="$wins" -v pairs="$pairs" 'BEGIN {
+            gain = better == "higher" ? mb - ma : ma - mb
+            loss = ma == 0 ? 0 : -gain / ma
+            if (10 * wins >= 9 * pairs && gain > iqr) print "better"
+            else if (ma != 0 && iqr / ma > bound) print "unresolved"
             else if (loss > bound) print "worse"
             else print "no change"
         }')

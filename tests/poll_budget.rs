@@ -287,23 +287,26 @@ fn polls_and_allocations_per_rung_are_pinned() {
         // A warmed timer heap allocates nothing (358 when a bucketed
         // wheel's per-bucket vectors kept finding new load maxima)
         (41_000, 1),
-        (768, 0),     // 12 polls a round trip
-        (1_216, 448), // 19 polls a call (24 with every reply Send signaled)
-        (1_216, 576),
-        // 71 polls a READ: the client's sink and the server's source
-        // window each unpin on a task of their own, 2 polls and 1
-        // allocation apiece, where an unpin awaited inline cost its
-        // caller 1 poll (69 then; 73 with a doorbell per Write). 40
-        // allocations a READ: a one-piece gather list holds its piece
-        // inline from the extent map to the wire message (74 when every
-        // list, WQE and remote segment built a `Vec`)
-        (4_544, 2_582),
-        // 34 polls a WRITE (39 with its reply Send signaled); 21
-        // allocations (26 when the pulled pieces were gathered twice)
-        (2_176, 1_345),
-        // 19 polls a WRITE, a GETATTR's: nothing to pin, nothing to
+        // A sleep that is the simulation's next event fires in place,
+        // so a poll here is a wake by another task or an event that
+        // ties or follows another pending one (12 polls a round trip,
+        // 19 a call, 71 a READ, 34 a WRITE when every sleep registered
+        // its timer).
+        (256, 0),   // 4 polls a round trip
+        (512, 448), // 8 polls a call
+        (512, 576),
+        // 26 polls a READ: the client's sink and the server's source
+        // window each unpin on a task of their own, 1 allocation
+        // apiece. 40 allocations a READ: a one-piece gather list holds
+        // its piece inline from the extent map to the wire message (74
+        // when every list, WQE and remote segment built a `Vec`)
+        (1_664, 2_582),
+        // 17 polls a WRITE; 21 allocations (26 when the pulled pieces
+        // were gathered twice)
+        (1_088, 1_345),
+        // 8 polls a WRITE, a GETATTR's: nothing to pin, nothing to
         // fetch. 6 allocations more, none of them the page.
-        (1_216, 960),
+        (512, 960),
     ];
     // Every rung is printed before any is asserted, so a re-record sees
     // all the moved ones at once.
