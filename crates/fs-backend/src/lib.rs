@@ -11,7 +11,11 @@
 //! Architecture: a shared namespace layer ([`vfs::Fs`]) over a
 //! [`vfs::DataStore`] that owns data timing; contents are exact
 //! (extent maps), timing is modelled (disk arms, page-cache
-//! residency), and the two never disagree.
+//! residency), and the two never disagree. The NFS server calls the
+//! one file system it serves directly, as an `Rc<Fs>` whose store sits
+//! behind `dyn DataStore`. A store has five methods: gather-read,
+//! scatter-write, commit, truncate and delete; a flat write is a
+//! one-piece scatter ([`vfs::Fs::write`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,6 +32,6 @@ pub use disk::{Disk, Raid0};
 pub use pagecache::PageCache;
 pub use stores::{diskfs, diskfs_wal, tmpfs, CachedDiskStore, DiskFs, MemStore, Tmpfs};
 pub use vfs::{
-    Attr, DataStore, DirEntry, DirPage, FileId, FileKind, Fs, FsError, FsResult, FsStat, Vfs,
+    Attr, DataStore, DirEntry, DirPage, FileId, FileKind, Fs, FsError, FsResult, FsStat,
 };
 pub use wal::{Wal, WalConfig, WalRecord};

@@ -19,10 +19,6 @@ struct Contents {
 }
 
 impl Contents {
-    fn read(&self, file: FileId, off: u64, len: u64) -> Payload {
-        self.read_sg(file, off, len).to_payload()
-    }
-
     /// Hand out the backing extents as reference-counted slices — the
     /// store-side half of the zero-copy READ path. No flattening: a
     /// caller that can gather keeps each piece as-is.
@@ -34,6 +30,7 @@ impl Contents {
             .unwrap_or_else(|| SgList::from(Payload::zeros(len)))
     }
 
+    /// Lay one record down as-is (WAL replay).
     fn write(&self, file: FileId, off: u64, data: Payload) {
         self.files
             .borrow_mut()
@@ -49,6 +46,13 @@ impl Contents {
         let map = files.entry(file.0).or_default();
         for (at, p) in data.pieces_with_offsets() {
             map.write(off + at, p.clone());
+        }
+    }
+
+    /// Drop everything at or past `size`.
+    fn truncate(&self, file: FileId, size: u64) {
+        if let Some(map) = self.files.borrow_mut().get_mut(&file.0) {
+            map.truncate(size);
         }
     }
 
@@ -70,20 +74,9 @@ pub struct MemStore {
 }
 
 impl DataStore for MemStore {
-    fn read(&self, file: FileId, off: u64, len: u64) -> LocalBoxFuture<Payload> {
-        let data = self.contents.read(file, off, len);
-        Box::pin(async move { data })
-    }
-
     fn read_sg(&self, file: FileId, off: u64, len: u64) -> LocalBoxFuture<SgList> {
         let data = self.contents.read_sg(file, off, len);
         Box::pin(async move { data })
-    }
-
-    fn write(&self, file: FileId, off: u64, data: Payload) -> LocalBoxFuture<u64> {
-        let n = data.len();
-        self.contents.write(file, off, data);
-        Box::pin(async move { n })
     }
 
     fn write_sg(&self, file: FileId, off: u64, data: SgList) -> LocalBoxFuture<u64> {
@@ -96,7 +89,9 @@ impl DataStore for MemStore {
         Box::pin(async {})
     }
 
-    fn truncate(&self, _file: FileId, _size: u64) {}
+    fn truncate(&self, file: FileId, size: u64) {
+        self.contents.truncate(file, size);
+    }
 
     fn delete(&self, file: FileId) {
         self.contents.delete(file);
@@ -215,16 +210,6 @@ impl CachedDiskStore {
 }
 
 impl DataStore for CachedDiskStore {
-    fn read(&self, file: FileId, off: u64, len: u64) -> LocalBoxFuture<Payload> {
-        let cache = self.cache.clone();
-        let contents = self.contents.clone();
-        let base = self.base_of(file);
-        Box::pin(async move {
-            cache.read_range(file, base, off, len).await;
-            contents.read(file, off, len)
-        })
-    }
-
     fn read_sg(&self, file: FileId, off: u64, len: u64) -> LocalBoxFuture<SgList> {
         let cache = self.cache.clone();
         let contents = self.contents.clone();
@@ -232,21 +217,6 @@ impl DataStore for CachedDiskStore {
         Box::pin(async move {
             cache.read_range(file, base, off, len).await;
             contents.read_sg(file, off, len)
-        })
-    }
-
-    fn write(&self, file: FileId, off: u64, data: Payload) -> LocalBoxFuture<u64> {
-        let cache = self.cache.clone();
-        let contents = self.contents.clone();
-        let wal = self.wal.clone();
-        Box::pin(async move {
-            let n = data.len();
-            contents.write(file, off, data.clone());
-            cache.write_range(file, off, n).await;
-            if let Some(wal) = wal {
-                wal.append(file, off, data).await;
-            }
-            n
         })
     }
 
@@ -287,6 +257,7 @@ impl DataStore for CachedDiskStore {
     }
 
     fn truncate(&self, file: FileId, size: u64) {
+        self.contents.truncate(file, size);
         if size == 0 {
             self.cache.invalidate(file);
         }

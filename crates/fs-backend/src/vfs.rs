@@ -1,5 +1,5 @@
-//! The VFS interface the NFS server dispatches into, plus the shared
-//! namespace (inode/dentry) implementation both back ends reuse.
+//! The file system the NFS server dispatches into: the shared namespace
+//! (inode/dentry) layer both back ends reuse, over a [`DataStore`].
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -112,40 +112,21 @@ pub struct FsStat {
 }
 
 /// Where file *data* lives and what it costs to touch it. The
-/// namespace above it is shared between tmpfs and the disk back end.
+/// namespace above it ([`Fs`]) is shared between tmpfs and the disk
+/// back end. Every method does its own work; there are no defaults.
 pub trait DataStore {
-    /// Read `[off, off+len)` of `file` (timing included).
-    fn read(&self, file: FileId, off: u64, len: u64) -> LocalBoxFuture<Payload>;
     /// Read `[off, off+len)` as a scatter/gather list of
-    /// reference-counted cache slices — the zero-copy READ hot path.
-    /// Stores that can hand out their extents directly override this;
-    /// the default wraps the flat read.
-    fn read_sg(&self, file: FileId, off: u64, len: u64) -> LocalBoxFuture<SgList> {
-        let flat = self.read(file, off, len);
-        Box::pin(async move { SgList::from(flat.await) })
-    }
-    /// Write data at `off` (timing included); returns bytes written.
-    fn write(&self, file: FileId, off: u64, data: Payload) -> LocalBoxFuture<u64>;
-    /// Scatter a gather list at `off` — the zero-copy WRITE hot path:
-    /// each reference-counted piece lands at its own sub-offset with no
-    /// flattening copy. Stores that can scatter directly override this;
-    /// the default forwards piece-by-piece to [`DataStore::write`].
-    fn write_sg(&self, file: FileId, off: u64, data: SgList) -> LocalBoxFuture<u64> {
-        let futs: Vec<LocalBoxFuture<u64>> = data
-            .pieces_with_offsets()
-            .map(|(at, p)| self.write(file, off + at, p.clone()))
-            .collect();
-        Box::pin(async move {
-            let mut n = 0;
-            for f in futs {
-                n += f.await;
-            }
-            n
-        })
-    }
+    /// reference-counted slices of the stored extents (timing
+    /// included) — the zero-copy READ path.
+    fn read_sg(&self, file: FileId, off: u64, len: u64) -> LocalBoxFuture<SgList>;
+    /// Scatter a gather list at `off` (timing included); returns bytes
+    /// written. Each reference-counted piece lands at its own
+    /// sub-offset with no flattening copy. [`Fs::write`] comes here
+    /// too, as a one-piece list.
+    fn write_sg(&self, file: FileId, off: u64, data: SgList) -> LocalBoxFuture<u64>;
     /// Flush dirty state for `file` to stable storage.
     fn commit(&self, file: FileId) -> LocalBoxFuture<()>;
-    /// Discard data beyond `size` / zero-extend bookkeeping.
+    /// Discard data beyond `size`: a later extension reads zeros there.
     fn truncate(&self, file: FileId, size: u64);
     /// Drop all data for `file`.
     fn delete(&self, file: FileId);
@@ -181,11 +162,14 @@ struct NamespaceInner {
     root: FileId,
 }
 
-/// The shared directory-tree / inode-table layer.
+/// A file system: the shared directory-tree / inode-table layer over a
+/// [`DataStore`]. The NFS server holds an `Rc<Fs>` (the store behind
+/// `dyn DataStore`); an `Rc<Fs<MemStore>>` or
+/// `Rc<Fs<CachedDiskStore>>` coerces to it.
 ///
-/// Combined with a [`DataStore`], this forms a complete file system:
-/// [`Fs`].
-pub struct Fs<S: DataStore> {
+/// [`MemStore`]: crate::MemStore
+/// [`CachedDiskStore`]: crate::CachedDiskStore
+pub struct Fs<S: DataStore + ?Sized = dyn DataStore> {
     ns: Rc<NamespaceInner>,
     store: S,
 }
@@ -223,7 +207,9 @@ impl<S: DataStore> Fs<S> {
             store,
         }
     }
+}
 
+impl<S: DataStore + ?Sized> Fs<S> {
     /// The data store.
     pub fn store(&self) -> &S {
         &self.store
@@ -481,30 +467,27 @@ impl<S: DataStore> Fs<S> {
         Ok(self.store.read_sg(id, off, n).await)
     }
 
-    /// Write file data, extending the size as needed.
+    /// Write file data, extending the size as needed: a one-piece
+    /// [`Fs::write_sg`].
     pub async fn write(&self, id: FileId, off: u64, data: Payload) -> FsResult<u64> {
-        self.note_write(id, off, data.len())?;
-        let _s = self.ns.sim.span("fs", "write");
-        Ok(self.store.write(id, off, data).await)
+        self.write_sg(id, off, SgList::from(data)).await
     }
 
-    /// Scatter a gather list into the file (no flattening): the server
-    /// WRITE path hands transport pieces straight to the store.
+    /// Scatter a gather list into the file (no flattening), extending
+    /// the size as needed: the server WRITE path hands transport pieces
+    /// straight to the store.
     pub async fn write_sg(&self, id: FileId, off: u64, data: SgList) -> FsResult<u64> {
-        self.note_write(id, off, data.len())?;
+        {
+            let mut inodes = self.ns.inodes.borrow_mut();
+            let inode = inodes.get_mut(&id.0).ok_or(FsError::Stale)?;
+            if inode.attr.kind != FileKind::Regular {
+                return Err(FsError::IsDir);
+            }
+            inode.attr.size = inode.attr.size.max(off + data.len());
+            inode.attr.mtime = self.ns.sim.now();
+        }
         let _s = self.ns.sim.span("fs", "write");
         Ok(self.store.write_sg(id, off, data).await)
-    }
-
-    fn note_write(&self, id: FileId, off: u64, len: u64) -> FsResult<()> {
-        let mut inodes = self.ns.inodes.borrow_mut();
-        let inode = inodes.get_mut(&id.0).ok_or(FsError::Stale)?;
-        if inode.attr.kind != FileKind::Regular {
-            return Err(FsError::IsDir);
-        }
-        inode.attr.size = inode.attr.size.max(off + len);
-        inode.attr.mtime = self.ns.sim.now();
-        Ok(())
     }
 
     /// Flush a file to stable storage.
@@ -521,119 +504,5 @@ impl<S: DataStore> Fs<S> {
             bytes_used: inodes.values().map(|i| i.attr.size).sum(),
             inodes: inodes.len() as u64,
         }
-    }
-}
-
-/// Object-safe facade over [`Fs`] so servers can hold any back end.
-pub trait Vfs {
-    /// Root directory id.
-    fn root(&self) -> FileId;
-    /// Attributes of `id`.
-    fn getattr(&self, id: FileId) -> FsResult<Attr>;
-    /// Truncate/extend a file.
-    fn setattr_size(&self, id: FileId, size: u64) -> FsResult<Attr>;
-    /// Find `name` in `dir`.
-    fn lookup(&self, dir: FileId, name: &str) -> FsResult<Attr>;
-    /// Create a regular file.
-    fn create(&self, dir: FileId, name: &str) -> FsResult<Attr>;
-    /// Create a directory.
-    fn mkdir(&self, dir: FileId, name: &str) -> FsResult<Attr>;
-    /// Create a symlink.
-    fn symlink(&self, dir: FileId, name: &str, target: &str) -> FsResult<Attr>;
-    /// Read a symlink target.
-    fn readlink(&self, id: FileId) -> FsResult<String>;
-    /// Remove a non-directory.
-    fn remove(&self, dir: FileId, name: &str) -> FsResult<()>;
-    /// Remove an empty directory.
-    fn rmdir(&self, dir: FileId, name: &str) -> FsResult<()>;
-    /// Rename an entry.
-    fn rename(&self, fdir: FileId, fname: &str, tdir: FileId, tname: &str) -> FsResult<()>;
-    /// List a directory from a resume point (see [`Fs::readdir_from`]).
-    fn readdir_from(
-        &self,
-        dir: FileId,
-        cookie: u64,
-        verf: u64,
-        fill: &mut dyn FnMut(&str, &Attr) -> bool,
-    ) -> FsResult<DirPage>;
-    /// Read file data.
-    fn read(&self, id: FileId, off: u64, len: u64) -> LocalBoxFuture<FsResult<Payload>>;
-    /// Read file data as zero-copy scatter/gather pieces.
-    fn read_sg(&self, id: FileId, off: u64, len: u64) -> LocalBoxFuture<FsResult<SgList>>;
-    /// Write file data.
-    fn write(&self, id: FileId, off: u64, data: Payload) -> LocalBoxFuture<FsResult<u64>>;
-    /// Write file data as zero-copy scatter/gather pieces.
-    fn write_sg(&self, id: FileId, off: u64, data: SgList) -> LocalBoxFuture<FsResult<u64>>;
-    /// Flush to stable storage.
-    fn commit(&self, id: FileId) -> LocalBoxFuture<FsResult<()>>;
-    /// Aggregate statistics.
-    fn fsstat(&self) -> FsStat;
-}
-
-impl<S: DataStore + 'static> Vfs for Rc<Fs<S>> {
-    fn root(&self) -> FileId {
-        Fs::root(self)
-    }
-    fn getattr(&self, id: FileId) -> FsResult<Attr> {
-        Fs::getattr(self, id)
-    }
-    fn setattr_size(&self, id: FileId, size: u64) -> FsResult<Attr> {
-        Fs::setattr_size(self, id, size)
-    }
-    fn lookup(&self, dir: FileId, name: &str) -> FsResult<Attr> {
-        Fs::lookup(self, dir, name)
-    }
-    fn create(&self, dir: FileId, name: &str) -> FsResult<Attr> {
-        Fs::create(self, dir, name)
-    }
-    fn mkdir(&self, dir: FileId, name: &str) -> FsResult<Attr> {
-        Fs::mkdir(self, dir, name)
-    }
-    fn symlink(&self, dir: FileId, name: &str, target: &str) -> FsResult<Attr> {
-        Fs::symlink(self, dir, name, target)
-    }
-    fn readlink(&self, id: FileId) -> FsResult<String> {
-        Fs::readlink(self, id)
-    }
-    fn remove(&self, dir: FileId, name: &str) -> FsResult<()> {
-        Fs::remove(self, dir, name)
-    }
-    fn rmdir(&self, dir: FileId, name: &str) -> FsResult<()> {
-        Fs::rmdir(self, dir, name)
-    }
-    fn rename(&self, fdir: FileId, fname: &str, tdir: FileId, tname: &str) -> FsResult<()> {
-        Fs::rename(self, fdir, fname, tdir, tname)
-    }
-    fn readdir_from(
-        &self,
-        dir: FileId,
-        cookie: u64,
-        verf: u64,
-        fill: &mut dyn FnMut(&str, &Attr) -> bool,
-    ) -> FsResult<DirPage> {
-        Fs::readdir_from(self, dir, cookie, verf, fill)
-    }
-    fn read(&self, id: FileId, off: u64, len: u64) -> LocalBoxFuture<FsResult<Payload>> {
-        let fs = self.clone();
-        Box::pin(async move { fs.as_ref().read(id, off, len).await })
-    }
-    fn read_sg(&self, id: FileId, off: u64, len: u64) -> LocalBoxFuture<FsResult<SgList>> {
-        let fs = self.clone();
-        Box::pin(async move { fs.as_ref().read_sg(id, off, len).await })
-    }
-    fn write(&self, id: FileId, off: u64, data: Payload) -> LocalBoxFuture<FsResult<u64>> {
-        let fs = self.clone();
-        Box::pin(async move { fs.as_ref().write(id, off, data).await })
-    }
-    fn write_sg(&self, id: FileId, off: u64, data: SgList) -> LocalBoxFuture<FsResult<u64>> {
-        let fs = self.clone();
-        Box::pin(async move { fs.as_ref().write_sg(id, off, data).await })
-    }
-    fn commit(&self, id: FileId) -> LocalBoxFuture<FsResult<()>> {
-        let fs = self.clone();
-        Box::pin(async move { fs.as_ref().commit(id).await })
-    }
-    fn fsstat(&self) -> FsStat {
-        Fs::fsstat(self)
     }
 }

@@ -1,7 +1,7 @@
 //! File-system behaviour tests across both back ends.
 
-use fs_backend::{diskfs, tmpfs, FileKind, FsError};
-use sim_core::{Payload, Simulation};
+use fs_backend::{diskfs, diskfs_wal, tmpfs, DataStore, FileKind, Fs, FsError, WalConfig};
+use sim_core::{Payload, SgList, Simulation};
 
 #[test]
 fn create_write_read_roundtrip_tmpfs() {
@@ -302,4 +302,131 @@ fn interleaved_streams_pay_a_seek_per_switch() {
     sim.run();
     let each = sim_core::SimDuration::from_millis(4) + sim_core::transfer_time(BYTES, 30_000_000);
     assert_eq!(sim.now().as_nanos(), (each * (2 * REQUESTS)).as_nanos());
+}
+
+/// A shrink discards the bytes past the new size: growing the file back
+/// reads zeros there, not what was written before the shrink.
+#[test]
+fn tmpfs_truncate_then_extend_reads_zeros() {
+    let mut sim = Simulation::new(1);
+    let fs = tmpfs(&sim.handle());
+    let root = fs.root();
+    sim.block_on(async move {
+        let f = fs.create(root, "t").unwrap().id;
+        fs.write(f, 0, Payload::real(b"AAAAAAAA".to_vec()))
+            .await
+            .unwrap();
+        fs.setattr_size(f, 0).unwrap();
+        fs.setattr_size(f, 8).unwrap();
+        let got = fs.read(f, 0, 8).await.unwrap();
+        assert_eq!(&got.materialize()[..], &[0u8; 8]);
+    });
+}
+
+/// The same on the disk store, with the file regrown by a write past
+/// the cut: the gap between the cut and the write reads zeros.
+#[test]
+fn diskfs_truncate_then_write_past_the_cut_leaves_zeros() {
+    let mut sim = Simulation::new(1);
+    let fs = diskfs(&sim.handle(), 64 << 20);
+    let root = fs.root();
+    sim.block_on(async move {
+        let f = fs.create(root, "t").unwrap().id;
+        fs.write(f, 0, Payload::real(b"AAAAAAAA".to_vec()))
+            .await
+            .unwrap();
+        fs.setattr_size(f, 4).unwrap();
+        fs.write(f, 7, Payload::real(b"B".to_vec())).await.unwrap();
+        let got = fs.read(f, 0, 8).await.unwrap();
+        assert_eq!(&got.materialize()[..], b"AAAA\0\0\0B");
+    });
+}
+
+/// What one run of [`fold_writes`] through one entry point leaves
+/// behind: the file's bytes, the `fs.wal.{appends,appended_bytes}`
+/// counts of its fresh simulation (`None` without a log) and the
+/// instant it finished.
+#[derive(Debug, PartialEq)]
+struct FoldRun {
+    contents: Vec<u8>,
+    wal: Option<(u64, u64)>,
+    finished_ns: u64,
+}
+
+/// Overlapping small writes, one past the 1 MiB WAL flush watermark,
+/// a commit between them.
+fn fold_writes() -> Vec<(u64, Payload)> {
+    vec![
+        (0, Payload::real(vec![b'x'; 4096])),
+        (1000, Payload::synthetic(3, 2 << 20)),
+        (3 << 20, Payload::real(vec![b'y'; 100])),
+        (500, Payload::real(vec![b'z'; 10])),
+    ]
+}
+
+/// Write `writes` into one new file of `fs`, committing halfway and at
+/// the end; the file's bytes.
+async fn fold_drive<S: DataStore>(fs: Fs<S>, sg: bool, writes: Vec<(u64, Payload)>) -> Vec<u8> {
+    let f = fs.create(fs.root(), "f").unwrap().id;
+    let half = writes.len() / 2;
+    for (i, (off, data)) in writes.into_iter().enumerate() {
+        let n = data.len();
+        let wrote = if sg {
+            fs.write_sg(f, off, SgList::from(data)).await
+        } else {
+            fs.write(f, off, data).await
+        };
+        assert_eq!(wrote.unwrap(), n);
+        if i == half {
+            fs.commit(f).await.unwrap();
+        }
+    }
+    fs.commit(f).await.unwrap();
+    let size = fs.getattr(f).unwrap().size;
+    fs.read(f, 0, size).await.unwrap().materialize().to_vec()
+}
+
+/// Feed `writes` to a fresh tmpfs (`wal` false) or WAL-journaled disk
+/// file system, through `Fs::write` or, with `sg`, through
+/// `Fs::write_sg` with each payload as a one-piece list.
+fn fold_run(wal: bool, sg: bool, writes: Vec<(u64, Payload)>) -> FoldRun {
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let registry = h.metrics();
+    let counts = move || {
+        let get = |name| registry.get(&format!("fs.wal.{name}"));
+        get("appends").zip(get("appended_bytes"))
+    };
+    let contents = if wal {
+        let fs = diskfs_wal(&h, 64 << 20, WalConfig::default());
+        sim.block_on(fold_drive(fs, sg, writes))
+    } else {
+        sim.block_on(fold_drive(tmpfs(&h), sg, writes))
+    };
+    FoldRun {
+        contents,
+        wal: counts(),
+        finished_ns: h.now().as_nanos(),
+    }
+}
+
+/// `Fs::write(p)` is `Fs::write_sg` of the one-piece list `[p]`: the
+/// same bytes, the same WAL records and the same simulated instant.
+#[test]
+fn write_is_a_one_piece_write_sg() {
+    for wal in [false, true] {
+        let flat = fold_run(wal, false, fold_writes());
+        let sg = fold_run(wal, true, fold_writes());
+        assert_eq!(flat.wal.is_some(), wal);
+        assert_eq!(flat, sg, "wal = {wal}");
+    }
+}
+
+/// An empty payload appends no WAL record through either entry point.
+#[test]
+fn an_empty_write_appends_no_wal_record() {
+    for sg in [false, true] {
+        let writes = vec![(0, Payload::real(vec![1; 8])), (4, Payload::empty())];
+        assert_eq!(fold_run(true, sg, writes).wal, Some((1, 8)), "sg = {sg}");
+    }
 }

@@ -69,9 +69,36 @@ impl std::error::Error for NfsError {}
 /// Result alias.
 pub type NfsResult<T> = Result<T, NfsError>;
 
-enum Transport {
+/// The RPC connection under a mount: NFS and MOUNT calls both go
+/// through it.
+pub(crate) enum Transport {
     Rdma(RdmaRpcClient),
     Tcp(Rc<StreamRpcClient>),
+}
+
+impl Transport {
+    /// One call of `(prog, vers, proc_num)`; the reply body and, over
+    /// RDMA, the bulk `bulk` asked for. A TCP call sends and returns no
+    /// bulk (READ and WRITE move theirs themselves).
+    pub(crate) async fn call_as(
+        &self,
+        prog: u32,
+        vers: u32,
+        proc_num: u32,
+        args: Bytes,
+        bulk: BulkParams,
+    ) -> Result<(Bytes, Option<Payload>), RpcError> {
+        match self {
+            Transport::Rdma(c) => {
+                let reply = c.call_as(prog, vers, proc_num, args, bulk).await?;
+                Ok((reply.body, reply.bulk))
+            }
+            Transport::Tcp(c) => {
+                let (body, _) = c.call_as(prog, vers, proc_num, args, None).await?;
+                Ok((body, None))
+            }
+        }
+    }
 }
 
 /// One UNSTABLE write awaiting COMMIT, kept so the client can re-drive
@@ -147,16 +174,11 @@ impl NfsClient {
         args: Bytes,
         bulk: BulkParams,
     ) -> NfsResult<(Bytes, Option<Payload>)> {
-        match &self.transport {
-            Transport::Rdma(c) => {
-                let reply = c.call(proc_id as u32, args, bulk).await?;
-                Ok((reply.body, reply.bulk))
-            }
-            Transport::Tcp(c) => {
-                let body = c.call(proc_id as u32, args).await?;
-                Ok((body, None))
-            }
-        }
+        let proc_num = proc_id as u32;
+        let reply = self
+            .transport
+            .call_as(NFS_PROGRAM, NFS_VERSION, proc_num, args, bulk);
+        Ok(reply.await?)
     }
 
     /// Simple status+attr result decoder.

@@ -14,6 +14,7 @@ use bytes::Bytes;
 use onc_rpc::{AcceptStat, BulkDispatch, BulkService, CallContext, LocalBoxFuture};
 use xdr::{Decoder, Encoder, XdrCodec};
 
+use crate::client::Transport;
 use crate::proto::FileHandle;
 
 /// MOUNT program number.
@@ -175,57 +176,46 @@ impl BulkService for MountdHandle {
     }
 }
 
-type MountCallFn = Box<dyn Fn(u32, Bytes) -> LocalBoxFuture<Result<Bytes, onc_rpc::RpcError>>>;
-
 /// Client-side mount operations over either transport.
 pub struct MountClient {
-    call: MountCallFn,
+    transport: Transport,
 }
 
 impl MountClient {
     /// Over RPC/RDMA.
     pub fn over_rdma(client: rpcrdma::RdmaRpcClient) -> MountClient {
         MountClient {
-            call: Box::new(move |proc_num, args| {
-                let client = client.clone();
-                Box::pin(async move {
-                    let reply = client
-                        .call_as(
-                            MOUNT_PROGRAM,
-                            MOUNT_VERSION,
-                            proc_num,
-                            args,
-                            rpcrdma::BulkParams::default(),
-                        )
-                        .await?;
-                    Ok(reply.body)
-                })
-            }),
+            transport: Transport::Rdma(client),
         }
     }
 
     /// Over TCP.
     pub fn over_tcp(client: Rc<onc_rpc::StreamRpcClient>) -> MountClient {
         MountClient {
-            call: Box::new(move |proc_num, args| {
-                let client = client.clone();
-                Box::pin(async move {
-                    let (body, _) = client
-                        .call_as(MOUNT_PROGRAM, MOUNT_VERSION, proc_num, args, None)
-                        .await?;
-                    Ok(body)
-                })
-            }),
+            transport: Transport::Tcp(client),
         }
+    }
+
+    /// One MOUNT call; the reply body.
+    async fn call(&self, proc_num: MountProc, args: Bytes) -> Result<Bytes, crate::NfsError> {
+        let (body, _) = self
+            .transport
+            .call_as(
+                MOUNT_PROGRAM,
+                MOUNT_VERSION,
+                proc_num as u32,
+                args,
+                Default::default(),
+            )
+            .await?;
+        Ok(body)
     }
 
     /// Mount `path`, returning the export's root file handle.
     pub async fn mnt(&self, path: &str) -> Result<FileHandle, crate::NfsError> {
         let mut enc = Encoder::new();
         enc.put_string(path);
-        let body = (self.call)(MountProc::Mnt as u32, enc.finish())
-            .await
-            .map_err(crate::NfsError::Rpc)?;
+        let body = self.call(MountProc::Mnt, enc.finish()).await?;
         let mut dec = Decoder::new(&body);
         let stat = MountStat::from_u32(dec.get_u32().map_err(|_| crate::NfsError::Protocol)?)
             .map_err(|_| crate::NfsError::Protocol)?;
@@ -240,17 +230,13 @@ impl MountClient {
     pub async fn umnt(&self, path: &str) -> Result<(), crate::NfsError> {
         let mut enc = Encoder::new();
         enc.put_string(path);
-        (self.call)(MountProc::Umnt as u32, enc.finish())
-            .await
-            .map_err(crate::NfsError::Rpc)?;
+        self.call(MountProc::Umnt, enc.finish()).await?;
         Ok(())
     }
 
     /// List the server's exports.
     pub async fn exports(&self) -> Result<Vec<String>, crate::NfsError> {
-        let body = (self.call)(MountProc::Export as u32, Bytes::new())
-            .await
-            .map_err(crate::NfsError::Rpc)?;
+        let body = self.call(MountProc::Export, Bytes::new()).await?;
         let mut dec = Decoder::new(&body);
         dec.get_array(|d| d.get_string())
             .map_err(|_| crate::NfsError::Protocol)
@@ -258,9 +244,7 @@ impl MountClient {
 
     /// List active mounts (DUMP).
     pub async fn dump(&self) -> Result<Vec<(String, String)>, crate::NfsError> {
-        let body = (self.call)(MountProc::Dump as u32, Bytes::new())
-            .await
-            .map_err(crate::NfsError::Rpc)?;
+        let body = self.call(MountProc::Dump, Bytes::new()).await?;
         let mut dec = Decoder::new(&body);
         dec.get_array(|d| Ok((d.get_string()?, d.get_string()?)))
             .map_err(|_| crate::NfsError::Protocol)

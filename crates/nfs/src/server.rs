@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use fs_backend::Vfs;
+use fs_backend::Fs;
 use onc_rpc::{AcceptStat, BulkDispatch, BulkService, CallContext, LocalBoxFuture};
 use sim_core::{Counter, Payload, SgList, Sim};
 use xdr::{Decoder, XdrCodec};
@@ -59,7 +59,7 @@ impl NfsServerStats {
 
 /// The server. Construct once, register with one or both transports.
 pub struct NfsServer {
-    fs: Rc<dyn Vfs>,
+    fs: Rc<Fs>,
     /// Write verifier: boot-instance cookie returned with every WRITE
     /// and COMMIT reply (RFC 1813 §3.3.7). Deterministic — derived from
     /// the boot count, never from wall-clock time.
@@ -88,7 +88,7 @@ struct OpResult {
 
 impl NfsServer {
     /// Serve `fs` as fabric node `node`.
-    pub fn new(sim: &Sim, node: u32, fs: Rc<dyn Vfs>) -> Rc<NfsServer> {
+    pub fn new(sim: &Sim, node: u32, fs: Rc<Fs>) -> Rc<NfsServer> {
         Rc::new(NfsServer {
             fs,
             verf: Cell::new(WRITE_VERF_BASE + 1),

@@ -39,7 +39,7 @@ fn rdma_bed_parts(
     let (chca, cmem) = mk(0);
     let (shca, _) = mk(1);
     let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(sim, 1, Rc::new(fs.clone()));
+    let server = NfsServer::new(sim, 1, fs.clone());
     let cfg = RpcRdmaConfig::default().with_design(design);
     let (qc, qs) = connect(&chca, &shca);
     let rpc_server = RdmaRpcServer::new(
@@ -75,7 +75,7 @@ async fn tcp_bed_async(sim: &Sim) -> Bed {
     net.attach(NodeId(0), c_cpu);
     net.attach(NodeId(1), s_cpu);
     let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(sim, 1, Rc::new(fs.clone()));
+    let server = NfsServer::new(sim, 1, fs.clone());
     let handle = NfsServerHandle(server.clone());
     let mut listener = net.listen(NodeId(1), 2049);
     let sim2 = sim.clone();

@@ -33,7 +33,7 @@ fn mount_then_io_over_rdma() {
     let (chca, cmem) = mk(0);
     let (shca, _) = mk(1);
     let fs = Rc::new(tmpfs(&h));
-    let server = NfsServer::new(&h, 1, Rc::new(fs.clone()));
+    let server = NfsServer::new(&h, 1, fs.clone());
     let mountd = Mountd::new();
     mountd.export("/export/data", server.root_handle());
 
@@ -97,7 +97,7 @@ fn mount_then_io_over_tcp() {
     net.attach(NodeId(0), Cpu::new(&h, "c", 2, CpuCosts::default()));
     net.attach(NodeId(1), Cpu::new(&h, "s", 2, CpuCosts::default()));
     let fs = Rc::new(tmpfs(&h));
-    let server = NfsServer::new(&h, 1, Rc::new(fs.clone()));
+    let server = NfsServer::new(&h, 1, fs.clone());
     let mountd = Mountd::new();
     mountd.export("/export", server.root_handle());
     let svc = registry(&server, &mountd);
@@ -143,7 +143,7 @@ fn unknown_program_rejected_by_registry() {
     net.attach(NodeId(0), Cpu::new(&h, "c", 2, CpuCosts::default()));
     net.attach(NodeId(1), Cpu::new(&h, "s", 2, CpuCosts::default()));
     let fs = Rc::new(tmpfs(&h));
-    let server = NfsServer::new(&h, 1, Rc::new(fs.clone()));
+    let server = NfsServer::new(&h, 1, fs.clone());
     let mountd = Mountd::new();
     let svc = registry(&server, &mountd);
     let mut listener = net.listen(NodeId(1), 2049);

@@ -37,7 +37,7 @@ fn rdma_bed(sim: &Sim, design: Design, strategy: StrategyKind) -> Bed {
     };
     let (chca, shca) = (mk(0), mk(1));
     let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(sim, 1, Rc::new(fs.clone()));
+    let server = NfsServer::new(sim, 1, fs.clone());
     let cfg = RpcRdmaConfig::default().with_design(design);
     let (qc, qs) = connect(&chca, &shca);
     let handle = Rc::new(NfsServerHandle(server.clone()));
@@ -60,7 +60,7 @@ async fn tcp_bed(sim: &Sim) -> Bed {
     net.attach(NodeId(0), Cpu::new(sim, "c", 2, CpuCosts::default()));
     net.attach(NodeId(1), Cpu::new(sim, "s", 2, CpuCosts::default()));
     let fs = Rc::new(tmpfs(sim));
-    let server = NfsServer::new(sim, 1, Rc::new(fs.clone()));
+    let server = NfsServer::new(sim, 1, fs.clone());
     let handle = NfsServerHandle(server.clone());
     let mut listener = net.listen(NodeId(1), 2049);
     let sim2 = sim.clone();

@@ -101,6 +101,18 @@ impl ExtentMap {
         sg
     }
 
+    /// Drop everything at or past `size`; an extent straddling it keeps
+    /// its head. Reads past `size` then see zeros.
+    pub fn truncate(&mut self, size: u64) {
+        self.extents.split_off(&size);
+        if let Some((&start, p)) = self.extents.last_key_value() {
+            if start + p.len() > size {
+                let head = p.slice(0, size - start);
+                self.extents.insert(start, head);
+            }
+        }
+    }
+
     /// Number of stored extents (diagnostic).
     pub fn extent_count(&self) -> usize {
         self.extents.len()
@@ -200,6 +212,26 @@ mod tests {
         assert_eq!(m.extent_count(), 0);
         assert!(m.read(5, 0).is_empty());
         assert!(m.read_sg(5, 0).is_empty());
+    }
+
+    #[test]
+    fn truncate_drops_and_trims_extents_past_the_cut() {
+        let mut m = ExtentMap::new();
+        m.write(0, bytes(&[1; 4]));
+        m.write(6, bytes(&[2; 4]));
+        m.write(12, bytes(&[3; 2]));
+        m.truncate(8);
+        assert_eq!(m.extent_count(), 2);
+        assert_eq!(
+            &m.read(0, 14).materialize()[..],
+            &[1, 1, 1, 1, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0]
+        );
+        // A cut on an extent boundary keeps the extent before it whole.
+        m.truncate(4);
+        assert_eq!(m.extent_count(), 1);
+        assert_eq!(&m.read(0, 8).materialize()[..], &[1, 1, 1, 1, 0, 0, 0, 0]);
+        m.truncate(0);
+        assert_eq!(m.extent_count(), 0);
     }
 
     #[test]

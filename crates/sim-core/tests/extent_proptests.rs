@@ -1,5 +1,6 @@
 //! Model-based property tests: the sparse extent map must agree with a
-//! flat byte-array reference under arbitrary write/read interleavings.
+//! flat byte-array reference under arbitrary write/read/truncate
+//! interleavings.
 
 use proptest::prelude::*;
 use sim_core::{ExtentMap, Payload};
@@ -10,6 +11,7 @@ const SPACE: usize = 4096;
 enum Op {
     Write { off: usize, data: Vec<u8> },
     Read { off: usize, len: usize },
+    Truncate { size: usize },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -28,6 +30,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             off,
             len: len.min(SPACE - off).max(1),
         }),
+        (0..=SPACE).prop_map(|size| Op::Truncate { size }),
     ]
 }
 
@@ -49,6 +52,10 @@ proptest! {
                 Op::Read { off, len } => {
                     let got = map.read(off as u64, len as u64).materialize();
                     prop_assert_eq!(&got[..], &flat[off..off + len]);
+                }
+                Op::Truncate { size } => {
+                    map.truncate(size as u64);
+                    flat[size..].fill(0);
                 }
             }
         }

@@ -23,6 +23,34 @@ use sim_core::{Sim, SimDuration, SimTime};
 
 use crate::testbed::{Bed, ServerNode};
 
+/// Open a replication channel from `primary` to `backup`: one QP pair,
+/// the primary's shipper (installed as its outbound shipper), a
+/// `ring_bytes` log ring on the backup and the backup's consumer task.
+/// The caller attaches the shipper to the ring.
+async fn channel(
+    sim: &Sim,
+    primary: &ServerNode,
+    backup: &ServerNode,
+    ring_bytes: u64,
+) -> (Rc<Shipper>, Rc<LogRing>, Rc<BackupSession>) {
+    let (qp_p, qp_b) = connect(&primary.hca, &backup.hca);
+    let shipper = Shipper::new(sim, &primary.hca, qp_p).await;
+    let ring = LogRing::new(&backup.hca, ring_bytes).await;
+    let ctrl = CtrlWriter::new(qp_b, shipper.ctrl_target());
+    *primary.shipper.borrow_mut() = Some(shipper.clone());
+    let session = BackupSession::new();
+    sim.spawn(run_backup(
+        sim.clone(),
+        ring.clone(),
+        ctrl,
+        backup.server.clone(),
+        backup.rpc.clone(),
+        backup.repl.clone(),
+        session.clone(),
+    ));
+    (shipper, ring, session)
+}
+
 /// Knobs of the replication/failover machinery.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
@@ -106,23 +134,9 @@ impl Cluster {
         // records into the backup's ring, the backup writes credit/ack
         // counters back into the primary's control block — both
         // one-sided, so no part of the protocol is ULP-droppable.
-        let (qp_p, qp_b) = connect(&primary.hca, &backup.hca);
-        let shipper = Shipper::new(sim, &primary.hca, qp_p).await;
-        let ring = LogRing::new(&backup.hca, cfg.ring_bytes).await;
-        let ctrl = CtrlWriter::new(qp_b, shipper.ctrl_target());
+        let (shipper, ring, session) = channel(sim, primary, backup, cfg.ring_bytes).await;
         shipper.attach(ring.target());
-        primary.repl.set_shipper(Some(shipper.clone()));
-        *primary.shipper.borrow_mut() = Some(shipper);
-        let session = BackupSession::new();
-        sim.spawn(run_backup(
-            sim.clone(),
-            ring.clone(),
-            ctrl,
-            backup.server.clone(),
-            backup.rpc.clone(),
-            backup.repl.clone(),
-            session.clone(),
-        ));
+        primary.repl.set_shipper(Some(shipper));
 
         // Heartbeats: the backup probes the primary with NULL RPCs on
         // a dedicated connection with no retransmission budget — a
@@ -236,21 +250,7 @@ impl Cluster {
         sim.flight("cluster", "rejoin", idx as u64, durable);
 
         // Fresh replication channel, reversed: current primary ships.
-        let (qp_p, qp_j) = connect(&primary.hca, &joiner.hca);
-        let shipper = Shipper::new(sim, &primary.hca, qp_p).await;
-        let ring = LogRing::new(&joiner.hca, self.cfg.ring_bytes).await;
-        let ctrl = CtrlWriter::new(qp_j, shipper.ctrl_target());
-        *primary.shipper.borrow_mut() = Some(shipper.clone());
-        let session = BackupSession::new();
-        sim.spawn(run_backup(
-            sim.clone(),
-            ring.clone(),
-            ctrl,
-            joiner.server.clone(),
-            joiner.rpc.clone(),
-            joiner.repl.clone(),
-            session.clone(),
-        ));
+        let (shipper, ring, session) = channel(sim, &primary, &joiner, self.cfg.ring_bytes).await;
         self.mount.revive(idx);
 
         // Catch-up: the primary re-ships its log past the joiner's

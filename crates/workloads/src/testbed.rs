@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fs_backend::{CachedDiskStore, Fs, MemStore, Raid0, Vfs};
+use fs_backend::{CachedDiskStore, Fs, MemStore, Raid0};
 use ib_verbs::{connect, Fabric, Hca, HcaConfig, HostMem, NodeId, Qp, WireMsg};
 use net_stack::{TcpConfig, TcpNet};
 use nfs::cluster::{ClusterMount, Replicator};
@@ -236,7 +236,7 @@ pub struct Testbed {
     /// The RPC/RDMA server engine (taskq stats; RDMA testbeds only).
     pub rpc_server: Option<Rc<RdmaRpcServer>>,
     /// Direct VFS access (test prepopulation).
-    pub fs: Rc<dyn Vfs>,
+    pub fs: Rc<Fs>,
     /// Page-cache statistics for RAID back ends.
     pub disk_store: Option<Rc<Fs<CachedDiskStore>>>,
     /// The fabric (RDMA testbeds only), for wire accounting.
@@ -308,11 +308,10 @@ pub(crate) fn build_fs_for(
     sim: &Sim,
     node: NodeId,
     backend: Backend,
-) -> (Rc<dyn Vfs>, Option<Rc<Fs<CachedDiskStore>>>) {
+) -> (Rc<Fs>, Option<Rc<Fs<CachedDiskStore>>>) {
     let (ram_bytes, wal) = match backend {
         Backend::Tmpfs => {
-            let fs: Rc<Fs<MemStore>> = Rc::new(Fs::new(sim, MemStore::default()));
-            return (Rc::new(fs) as Rc<dyn Vfs>, None);
+            return (Rc::new(Fs::new(sim, MemStore::default())), None);
         }
         Backend::Raid { ram_bytes } => (ram_bytes, false),
         Backend::WalRaid { ram_bytes } => (ram_bytes, true),
@@ -326,7 +325,7 @@ pub(crate) fn build_fs_for(
         CachedDiskStore::new(sim, node.0, raid, cache, 256 * 1024)
     };
     let fs: Rc<Fs<CachedDiskStore>> = Rc::new(Fs::new(sim, store));
-    (Rc::new(fs.clone()) as Rc<dyn Vfs>, Some(fs))
+    (fs.clone(), Some(fs))
 }
 
 /// What a host plugs into.
@@ -396,7 +395,7 @@ pub struct ServerNode {
     /// The replicated-log sequencer (installed on replicated beds only).
     pub repl: Rc<Replicator>,
     /// Direct VFS access.
-    pub fs: Rc<dyn Vfs>,
+    pub fs: Rc<Fs>,
     /// Disk-backed store (RAID and WAL back ends).
     pub disk: Option<Rc<Fs<CachedDiskStore>>>,
     /// Server halves of the live connections — one per client, plus the

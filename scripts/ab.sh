@@ -3,6 +3,7 @@
 # tree, both driven through their own unchanged `benchmark/run.sh`.
 #
 #   scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S] [--seed K]
+#   scripts/ab.sh <rev> --results
 #
 # <rev> is exported with `git archive` into $AB_DIR/<sha> (default
 # ${TMPDIR:-/tmp}/nfs-rdma-ab) and built there once; later calls reuse
@@ -27,6 +28,17 @@
 # --workload W restricts both parts to one workload; --seconds S
 # (default 25) is each run's length. Run nothing else meanwhile: the
 # host metrics are wall clock.
+#
+# (c) --results, instead of (a) and (b): the recorded artifacts. The
+#     working tree (tracked and untracked files that are not ignored)
+#     is copied into $AB_DIR/worktree, whose builds are kept between
+#     calls. On each side, in its own copy, run `bench all`, every
+#     `bench` leg its own scripts/check.sh runs (the --smoke gates and
+#     fig5-anatomy) and the benchmark smoke, and write the two
+#     benchmark pin files the way check.sh does; then `diff -r` the two
+#     results/ directories. Prints a leg that exits non-zero, each
+#     differing file, and `results: N differ`. The checkout's results/
+#     is never written. About 6 minutes for both sides on 2 cores.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,6 +46,7 @@ here=$(pwd)
 
 usage() {
     echo "usage: scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S] [--seed K]" >&2
+    echo "       scripts/ab.sh <rev> --results" >&2
     exit 2
 }
 
@@ -44,7 +57,13 @@ pairs=10
 seconds=25
 pair_seed=1
 workloads="seq_read seq_write meta_mix raid_read"
+results=0
 while [[ $# -gt 0 ]]; do
+    if [[ $1 == --results ]]; then
+        results=1
+        shift
+        continue
+    fi
     [[ $# -ge 2 ]] || usage
     case $1 in
     --pairs) pairs=$2 ;;
@@ -60,13 +79,65 @@ sha=$(git rev-parse --verify --quiet "$rev^{commit}") || {
     echo "ab.sh: unknown revision $rev" >&2
     exit 2
 }
-base="${AB_DIR:-${TMPDIR:-/tmp}/nfs-rdma-ab}/$sha"
+ab_dir="${AB_DIR:-${TMPDIR:-/tmp}/nfs-rdma-ab}"
+base="$ab_dir/$sha"
 if [[ ! -f $base/benchmark/run.sh ]]; then
     mkdir -p "$base"
     git archive "$sha" | tar -x -C "$base"
 fi
-# Each side builds into its own benchmark/target.
+# Each side builds into its own target/ and benchmark/target.
 unset CARGO_TARGET_DIR
+
+# results_side DIR: regenerate DIR's results/ from DIR's sources.
+results_side() {
+    (
+        cd "$1" || exit 1
+        # A failing leg is reported, and the rest still run.
+        set +e +o pipefail
+        sed -n 's/^cargo run --release -p bench -- \([^>]*\).*/\1/p' scripts/check.sh |
+            while read -r leg; do
+                # shellcheck disable=SC2086 # a leg is a name and its flags
+                cargo run --release -q -p bench -- $leg </dev/null >/dev/null 2>&1 ||
+                    echo "  $1: bench $leg exited non-zero"
+            done
+        bash benchmark/run.sh --smoke </dev/null >/dev/null 2>&1 ||
+            echo "  $1: benchmark/run.sh --smoke exited non-zero"
+        # The pin files, as scripts/check.sh writes them.
+        pin() {
+            for f in benchmark/out/*.trace[01].json; do
+                grep -oE "\"($1)\": \{\"value\": [^,]*" "$f" |
+                    sed "s|^\"\([^\"]*\)\": {\"value\": |$(basename "$f" .json) \1 |"
+            done | LC_ALL=C sort
+        }
+        pin 'sim_[a-z0-9_]*' >results/benchmark_smoke_pin.txt
+        pin 'sim-core\.polls_per_op|host\.alloc[a-z_]*_per_op' >results/benchmark_smoke_counts.txt
+    )
+}
+
+if ((results)); then
+    tree="$ab_dir/worktree"
+    echo "==> (c) copying the working tree to $tree"
+    mkdir -p "$tree/benchmark"
+    # Everything but the two build directories goes, so a file deleted
+    # from the checkout is gone from the copy too.
+    find "$tree" -mindepth 1 -maxdepth 1 ! -name target ! -name benchmark -exec rm -rf {} +
+    find "$tree/benchmark" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+    git ls-files -z --cached --others --exclude-standard |
+        while IFS= read -r -d '' f; do [[ -e $f ]] && printf '%s\0' "$f"; done |
+        tar --null -T - -cf - | tar -xf - -C "$tree"
+    for side in "$base" "$tree"; do
+        echo "==> (c) regenerating results/ in $side"
+        results_side "$side"
+    done
+    echo "==> (c) results/ that differ ($rev -> working tree)"
+    differ=$(diff -rq "$base/results" "$tree/results" |
+        sed -e "s|^Files $base/results/\([^ ]*\) and .* differ\$|\1|" \
+            -e "s|^Only in $base/results: |only in $rev: |" \
+            -e "s|^Only in $tree/results: |only in the working tree: |") || true
+    [[ -z $differ ]] || sed 's/^/  /' <<<"$differ"
+    echo "results: $(grep -c . <<<"$differ" || true) differ"
+    exit 0
+fi
 
 # run SIDE WORKLOAD SEED TRACE: the run's last-line JSON.
 run() {

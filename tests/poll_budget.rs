@@ -297,16 +297,19 @@ fn polls_and_allocations_per_rung_are_pinned() {
         (512, 576),
         // 26 polls a READ: the client's sink and the server's source
         // window each unpin on a task of their own, 1 allocation
-        // apiece. 40 allocations a READ: a one-piece gather list holds
+        // apiece. 39 allocations a READ: a one-piece gather list holds
         // its piece inline from the extent map to the wire message (74
-        // when every list, WQE and remote segment built a `Vec`)
-        (1_664, 2_582),
-        // 17 polls a WRITE; 21 allocations (26 when the pulled pieces
-        // were gathered twice)
-        (1_088, 1_345),
+        // when every list, WQE and remote segment built a `Vec`; 40
+        // when the server reached the file system through a boxed
+        // facade, one box a data call)
+        (1_664, 2_518),
+        // 17 polls a WRITE; 20 allocations (26 when the pulled pieces
+        // were gathered twice, 21 through the boxed facade)
+        (1_088, 1_281),
         // 8 polls a WRITE, a GETATTR's: nothing to pin, nothing to
-        // fetch. 6 allocations more, none of them the page.
-        (512, 960),
+        // fetch. 4 allocations more, none of them the page (6 through
+        // the boxed facade: a write and a commit)
+        (512, 832),
     ];
     // Every rung is printed before any is asserted, so a re-record sees
     // all the moved ones at once.
