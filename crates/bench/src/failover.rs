@@ -34,10 +34,7 @@ const STALL_BOUND_US: u64 = 300_000;
 type Spec = (u64, bool, FailoverParams);
 
 fn failover_run((seed, replicate, p): Spec) -> Run<FailoverResult> {
-    let cluster = ClusterConfig {
-        replicate,
-        ..ClusterConfig::default()
-    };
+    let cluster = ClusterConfig { replicate };
     run_failover(
         seed,
         &failover_bed(&linux_sdr(), cluster),

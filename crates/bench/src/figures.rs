@@ -13,8 +13,7 @@ use sim_core::{aggregate_phases, chrome_trace_json, validate_json, PhaseStats, S
 use workloads::scenario::{self, Capture};
 use workloads::{
     linux_ddr_raid, linux_sdr, raid_bed, run_iozone, run_multiclient, run_oltp, solaris_sdr, Bed,
-    IoMode, IozoneParams, MultiClientParams, MultiClientResult, OltpParams, OltpResult, Profile,
-    Topology,
+    IoMode, IozoneParams, MultiClientResult, OltpParams, OltpResult, Profile, Topology,
 };
 
 use crate::report::{axis_table, mb, pct, Table};
@@ -256,7 +255,6 @@ pub(crate) fn fig8() {
                 io_size: 128 * 1024,
                 db_size: 512 << 20,
                 duration: SimDuration::from_millis(400),
-                ..Default::default()
             };
             run_oltp(&sim, &bed, params).await
         });
@@ -331,11 +329,11 @@ pub(crate) fn fig10() {
         ),
     ] {
         let run = |(topology, file_size), clients| {
-            let params = MultiClientParams {
+            run_multiclient(
+                0xCAFE,
+                &raid_bed(&profile, topology, clients, ram),
                 file_size,
-                record: 1 << 20,
-            };
-            run_multiclient(0xCAFE, &raid_bed(&profile, topology, clients, ram), params)
+            )
         };
         let read_mb: fn(&MultiClientResult) -> String = |r| mb(r.read_bandwidth_mb);
         let title = format!(

@@ -144,7 +144,6 @@ pub(crate) fn run(smoke: bool) {
         waiting_room: 64,
         timeline: true,
         hog_rate,
-        hog_weight: 1,
         honest_weight: 4,
         ..base_params(duration_ms)
     };

@@ -95,11 +95,6 @@ impl Raid0 {
         Raid0::new((0..8).map(|i| Disk::scsi_30mb(sim, i)).collect(), 64 * 1024)
     }
 
-    /// Number of member disks.
-    pub fn width(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Transfer `[addr, addr+len)` of the array's address space,
     /// striping across members and waiting for the slowest.
     pub async fn transfer(&self, addr: u64, len: u64) {

@@ -34,4 +34,4 @@ pub use stores::{diskfs, diskfs_wal, tmpfs, CachedDiskStore, DiskFs, MemStore, T
 pub use vfs::{
     Attr, DataStore, DirEntry, DirPage, FileId, FileKind, Fs, FsError, FsResult, FsStat,
 };
-pub use wal::{Wal, WalConfig, WalRecord};
+pub use wal::{Wal, WalRecord};

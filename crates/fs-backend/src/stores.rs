@@ -9,7 +9,7 @@ use sim_core::{ExtentMap, Payload, SgList, Sim};
 use crate::disk::Raid0;
 use crate::pagecache::PageCache;
 use crate::vfs::{DataStore, FileId, Fs, LocalBoxFuture};
-use crate::wal::{Wal, WalConfig};
+use crate::wal::Wal;
 
 /// Shared per-file content maps (contents are always exact; only
 /// timing differs between stores).
@@ -171,7 +171,8 @@ impl CachedDiskStore {
     /// residency are gone; recovery replays the WAL's committed records
     /// (in append order — idempotent) into fresh contents. Without a
     /// WAL everything is lost. Namespace metadata is assumed journaled
-    /// separately and survives; uncommitted ranges read back as zeros.
+    /// separately and survives; uncommitted ranges, and ranges a
+    /// truncate cut from the log, read back as zeros.
     pub async fn power_fail_restart(&self) {
         self.contents.clear();
         self.cache.drop_all();
@@ -258,6 +259,9 @@ impl DataStore for CachedDiskStore {
 
     fn truncate(&self, file: FileId, size: u64) {
         self.contents.truncate(file, size);
+        if let Some(wal) = &self.wal {
+            wal.truncate_file(file, size);
+        }
         if size == 0 {
             self.cache.invalidate(file);
         }
@@ -285,9 +289,9 @@ pub fn diskfs(sim: &Sim, ram_bytes: u64) -> DiskFs {
 /// The §5.3 array plus a write-ahead log on a dedicated log disk:
 /// COMMIT group-commits sequentially instead of sweeping the RAID, and
 /// power failures recover committed data by replay.
-pub fn diskfs_wal(sim: &Sim, ram_bytes: u64, cfg: WalConfig) -> DiskFs {
+pub fn diskfs_wal(sim: &Sim, ram_bytes: u64) -> DiskFs {
     let raid = Raid0::paper_array(sim);
-    let wal = Wal::new(sim, cfg);
+    let wal = Wal::new(sim);
     Fs::new(
         sim,
         CachedDiskStore::with_wal(sim, 0, raid, ram_bytes, 256 * 1024, wal),

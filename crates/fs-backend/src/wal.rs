@@ -24,7 +24,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use sim_core::{Counter, Payload, Sim, SimDuration, SimTime};
+use sim_core::{Counter, Payload, Sim, SimDuration};
 
 use crate::disk::Disk;
 use crate::vfs::FileId;
@@ -40,45 +40,26 @@ pub struct WalRecord {
     pub data: Payload,
 }
 
-/// Tuning knobs. The defaults flush on a 1 MiB tail and place no
-/// interval bound, matching a throughput-oriented group commit.
-#[derive(Clone, Copy)]
-pub struct WalConfig {
-    /// Flush the volatile tail once it holds this many bytes
-    /// (size watermark; 0 flushes every append).
-    pub flush_watermark_bytes: u64,
-    /// Also flush when this much virtual time has passed since the
-    /// last flush (checked lazily at append; no background task).
-    pub flush_interval: Option<SimDuration>,
-    /// Per-record on-log framing overhead.
-    pub record_header_bytes: u64,
-    /// Size of the commit marker append.
-    pub commit_marker_bytes: u64,
-}
+/// Flush the volatile tail once it holds this many bytes (framing
+/// included): a throughput-oriented group commit. Only a COMMIT
+/// flushes it sooner.
+const FLUSH_WATERMARK_BYTES: u64 = 1 << 20;
 
-impl Default for WalConfig {
-    fn default() -> WalConfig {
-        WalConfig {
-            flush_watermark_bytes: 1 << 20,
-            flush_interval: None,
-            record_header_bytes: 32,
-            commit_marker_bytes: 512,
-        }
-    }
-}
+/// Per-record on-log framing overhead.
+const RECORD_HEADER_BYTES: u64 = 32;
+
+/// Size of the commit marker append.
+const COMMIT_MARKER_BYTES: u64 = 512;
 
 /// The write-ahead log. One per store; owns its own (sequential) log
 /// device so data traffic on the array never forces a log seek.
 pub struct Wal {
-    sim: Sim,
     disk: Disk,
-    cfg: WalConfig,
     /// Bumped by every power failure; in-flight flush/commit awaits
     /// re-check it and abandon their batch if it moved.
     epoch: Cell<u64>,
     /// Log-device append cursor.
     head_addr: Cell<u64>,
-    last_flush: Cell<SimTime>,
     /// Volatile tail: appended, not yet on the log device.
     tail: RefCell<Vec<WalRecord>>,
     tail_bytes: Cell<u64>,
@@ -117,22 +98,14 @@ pub struct Wal {
 
 impl Wal {
     /// A WAL over its own dedicated 30 MB/s log disk.
-    pub fn new(sim: &Sim, cfg: WalConfig) -> Rc<Wal> {
+    pub fn new(sim: &Sim) -> Rc<Wal> {
         let disk = Disk::new(sim, "wal-log", 30_000_000, SimDuration::from_millis(4));
-        Wal::with_disk(sim, disk, cfg)
-    }
-
-    /// A WAL over an explicit log device.
-    pub fn with_disk(sim: &Sim, disk: Disk, cfg: WalConfig) -> Rc<Wal> {
         let registry = sim.metrics();
         let series = |name: &str| registry.counter(&format!("fs.wal.{name}"));
         Rc::new(Wal {
-            sim: sim.clone(),
             disk,
-            cfg,
             epoch: Cell::new(0),
             head_addr: Cell::new(0),
-            last_flush: Cell::new(sim.now()),
             tail: RefCell::new(Vec::new()),
             tail_bytes: Cell::new(0),
             flushed: RefCell::new(Vec::new()),
@@ -151,8 +124,8 @@ impl Wal {
         })
     }
 
-    fn framed(&self, data_len: u64) -> u64 {
-        self.cfg.record_header_bytes + data_len
+    fn framed(data_len: u64) -> u64 {
+        RECORD_HEADER_BYTES + data_len
     }
 
     /// Records in the volatile tail.
@@ -171,19 +144,14 @@ impl Wal {
     }
 
     /// Append one write to the volatile tail. Costs no disk time
-    /// unless a watermark triggers a flush.
+    /// unless the tail reaches the watermark and flushes.
     pub async fn append(&self, file: FileId, off: u64, data: Payload) {
         let n = data.len();
         self.tail.borrow_mut().push(WalRecord { file, off, data });
-        self.tail_bytes.set(self.tail_bytes.get() + self.framed(n));
+        self.tail_bytes.set(self.tail_bytes.get() + Wal::framed(n));
         self.appends.inc();
         self.appended_bytes.add(n);
-        let over_size = self.tail_bytes.get() >= self.cfg.flush_watermark_bytes;
-        let over_time = self
-            .cfg
-            .flush_interval
-            .is_some_and(|iv| self.sim.now().saturating_since(self.last_flush.get()) >= iv);
-        if over_size || over_time {
+        if self.tail_bytes.get() >= FLUSH_WATERMARK_BYTES {
             self.flush().await;
         }
     }
@@ -196,12 +164,11 @@ impl Wal {
         if batch.is_empty() {
             return;
         }
-        let bytes: u64 = batch.iter().map(|r| self.framed(r.data.len())).sum();
+        let bytes: u64 = batch.iter().map(|r| Wal::framed(r.data.len())).sum();
         self.tail_bytes.set(0);
         let addr = self.head_addr.get();
         self.head_addr.set(addr + bytes);
         self.disk.transfer_at(addr, bytes).await;
-        self.last_flush.set(self.sim.now());
         if self.epoch.get() != epoch {
             // Power failed while the burst was in flight: the batch
             // never became durable.
@@ -224,10 +191,8 @@ impl Wal {
             return;
         }
         let addr = self.head_addr.get();
-        self.head_addr.set(addr + self.cfg.commit_marker_bytes);
-        self.disk
-            .transfer_at(addr, self.cfg.commit_marker_bytes)
-            .await;
+        self.head_addr.set(addr + COMMIT_MARKER_BYTES);
+        self.disk.transfer_at(addr, COMMIT_MARKER_BYTES).await;
         if self.epoch.get() != epoch {
             // Marker never landed: the batch stays uncommitted and
             // recovery will truncate it.
@@ -250,6 +215,28 @@ impl Wal {
         self.tail.borrow_mut().clear();
         self.tail_bytes.set(0);
         self.flushed.borrow_mut().clear();
+    }
+
+    /// `file` was truncated to `size`: its records, in every stage,
+    /// lose their bytes at or past `size`, so recovery cannot replay
+    /// them. Each record keeps its place (one wholly past the cut
+    /// becomes empty), so record counts stay aligned with the
+    /// replicated log that [`Wal::truncate_committed_to`] cuts to.
+    pub fn truncate_file(&self, file: FileId, size: u64) {
+        let cut = |records: &RefCell<Vec<WalRecord>>| {
+            let mut dropped = 0;
+            for r in records.borrow_mut().iter_mut().filter(|r| r.file == file) {
+                let keep = size.saturating_sub(r.off).min(r.data.len());
+                if keep < r.data.len() {
+                    dropped += r.data.len() - keep;
+                    r.data = r.data.slice(0, keep);
+                }
+            }
+            dropped
+        };
+        self.tail_bytes.set(self.tail_bytes.get() - cut(&self.tail));
+        cut(&self.flushed);
+        cut(&self.committed);
     }
 
     /// Cluster rejoin, step 1: discard committed records beyond the
@@ -283,7 +270,7 @@ impl Wal {
     /// prefix again converges to the same contents.
     pub async fn recover(&self) -> Vec<WalRecord> {
         let records = self.committed.borrow().clone();
-        let bytes: u64 = records.iter().map(|r| self.framed(r.data.len())).sum();
+        let bytes: u64 = records.iter().map(|r| Wal::framed(r.data.len())).sum();
         if bytes > 0 {
             self.disk.transfer(bytes).await;
         }

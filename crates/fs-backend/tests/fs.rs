@@ -1,6 +1,6 @@
 //! File-system behaviour tests across both back ends.
 
-use fs_backend::{diskfs, diskfs_wal, tmpfs, DataStore, FileKind, Fs, FsError, WalConfig};
+use fs_backend::{diskfs, diskfs_wal, tmpfs, DataStore, FileKind, Fs, FsError};
 use sim_core::{Payload, SgList, Simulation};
 
 #[test]
@@ -398,7 +398,7 @@ fn fold_run(wal: bool, sg: bool, writes: Vec<(u64, Payload)>) -> FoldRun {
         get("appends").zip(get("appended_bytes"))
     };
     let contents = if wal {
-        let fs = diskfs_wal(&h, 64 << 20, WalConfig::default());
+        let fs = diskfs_wal(&h, 64 << 20);
         sim.block_on(fold_drive(fs, sg, writes))
     } else {
         sim.block_on(fold_drive(tmpfs(&h), sg, writes))

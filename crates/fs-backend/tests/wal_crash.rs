@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use fs_backend::{diskfs_wal, FileId, Wal, WalConfig};
+use fs_backend::{diskfs_wal, FileId, Wal};
 use sim_core::{ExtentMap, Payload, Sim, SimDuration, Simulation};
 
 /// Reads the series `fs.wal.{name}` of the simulation behind `h`.
@@ -18,7 +18,7 @@ fn committed_survives_uncommitted_cleanly_lost() {
     let mut sim = Simulation::new(7);
     let h = sim.handle();
     let count = wal_count(&h);
-    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30, WalConfig::default()));
+    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30));
     let root = fs.root();
     sim.block_on(async move {
         let a = fs.create(root, "durable").unwrap();
@@ -50,7 +50,7 @@ fn group_commit_covers_all_files_in_one_batch() {
     let mut sim = Simulation::new(9);
     let h = sim.handle();
     let count = wal_count(&h);
-    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30, WalConfig::default()));
+    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30));
     let root = fs.root();
     sim.block_on(async move {
         let a = fs.create(root, "a").unwrap();
@@ -79,7 +79,7 @@ fn group_commit_covers_all_files_in_one_batch() {
 fn clean_commit_costs_no_time_with_wal() {
     let mut sim = Simulation::new(3);
     let h = sim.handle();
-    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30, WalConfig::default()));
+    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30));
     let root = fs.root();
     sim.block_on({
         let h = h.clone();
@@ -106,7 +106,7 @@ fn seeded_midcommit_run(seed: u64) -> (u64, u64, u64, u64, bool) {
     let mut sim = Simulation::new(seed);
     let h = sim.handle();
     let count = wal_count(&h);
-    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30, WalConfig::default()));
+    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30));
     let root = fs.root();
     let out = sim.block_on({
         let h = h.clone();
@@ -176,7 +176,7 @@ fn seeded_power_fail_during_group_commit_is_deterministic() {
 fn recovery_after_interrupted_commit_then_recommit_survives() {
     let mut sim = Simulation::new(0xD00D);
     let h = sim.handle();
-    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30, WalConfig::default()));
+    let fs = std::rc::Rc::new(diskfs_wal(&h, 1 << 30));
     let root = fs.root();
     sim.block_on({
         let h = h.clone();
@@ -207,7 +207,7 @@ fn recovery_after_interrupted_commit_then_recommit_survives() {
 fn wal_direct_two_phase_semantics() {
     let mut sim = Simulation::new(1);
     let h = sim.handle();
-    let wal = Wal::new(&h, WalConfig::default());
+    let wal = Wal::new(&h);
     sim.block_on(async move {
         wal.append(FileId(1), 0, Payload::synthetic(1, 4096)).await;
         wal.append(FileId(1), 4096, Payload::synthetic(2, 4096))
@@ -250,7 +250,7 @@ proptest! {
         const BLOCK: u64 = 4096;
         let mut sim = Simulation::new(42);
         let h = sim.handle();
-        let wal = Wal::new(&h, WalConfig::default());
+        let wal = Wal::new(&h);
         let replayed = sim.block_on(async move {
             for &(file, block, blocks, seed) in &writes {
                 wal.append(
@@ -283,25 +283,88 @@ proptest! {
     }
 }
 
+/// The volatile tail flushes on append once it holds the 1 MiB
+/// watermark (record framing included) and not one record before:
+/// without a COMMIT, nothing else flushes it.
 #[test]
 fn size_watermark_triggers_flush_on_append() {
     let mut sim = Simulation::new(1);
     let h = sim.handle();
     let count = wal_count(&h);
-    let cfg = WalConfig {
-        flush_watermark_bytes: 64 * 1024,
-        ..Default::default()
-    };
-    let wal = Wal::new(&h, cfg);
+    let wal = Wal::new(&h);
     sim.block_on(async move {
-        for i in 0..8 {
-            wal.append(FileId(1), i * 16384, Payload::synthetic(i, 16384))
+        // 16 KiB records frame to 16 416 bytes: 63 stay under 1 MiB,
+        // the 64th reaches it.
+        let record = 16 * 1024;
+        for i in 0..63 {
+            wal.append(FileId(1), i * record, Payload::synthetic(i, record))
                 .await;
         }
+        assert_eq!(count("flushes"), 0, "one record under the watermark");
+        assert_eq!(wal.tail_records(), 63);
+        wal.append(FileId(1), 63 * record, Payload::synthetic(63, record))
+            .await;
         assert!(
             count("flushes") >= 1,
             "watermark must flush the tail during appends"
         );
-        assert!(wal.tail_records() < 8);
+        assert!(wal.tail_records() < 64);
+    });
+}
+
+/// A truncate reaches the log as well as the contents: after a
+/// power-fail, recovery must not replay committed bytes past a later
+/// committed cut, whether the cut drops a record whole (0) or trims it
+/// (4). The namespace keeps the cut size, so only a regrown file shows
+/// the difference.
+#[test]
+fn a_power_fail_does_not_bring_truncated_bytes_back() {
+    for cut in [0u64, 4] {
+        let mut sim = Simulation::new(5);
+        let fs = diskfs_wal(&sim.handle(), 64 << 20);
+        let root = fs.root();
+        let got = sim.block_on(async move {
+            let f = fs.create(root, "t").unwrap().id;
+            fs.write(f, 0, Payload::real(b"AAAAAAAA".to_vec()))
+                .await
+                .unwrap();
+            fs.commit(f).await.unwrap();
+            fs.setattr_size(f, cut).unwrap();
+            fs.commit(f).await.unwrap();
+            fs.store().power_fail_restart().await;
+            fs.setattr_size(f, 8).unwrap();
+            fs.read(f, 0, 8).await.unwrap().materialize().to_vec()
+        });
+        let mut want = vec![0u8; 8];
+        want[..cut as usize].fill(b'A');
+        assert_eq!(got, want, "cut at {cut}");
+    }
+}
+
+/// A truncate shrinks the volatile tail it cuts: 63 records that sat
+/// one under the watermark hold only their framing once their file is
+/// cut to 0, so a 64th record no longer flushes.
+#[test]
+fn a_truncate_shrinks_the_tail_it_cuts() {
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let count = wal_count(&h);
+    let wal = Wal::new(&h);
+    sim.block_on(async move {
+        let record = 16 * 1024;
+        for i in 0..63 {
+            wal.append(FileId(1), i * record, Payload::synthetic(i, record))
+                .await;
+        }
+        wal.truncate_file(FileId(1), 0);
+        wal.append(FileId(2), 0, Payload::synthetic(63, record))
+            .await;
+        assert_eq!(count("flushes"), 0);
+        assert_eq!(wal.tail_records(), 64, "a cut record keeps its place");
+        wal.commit().await;
+        let replayed = wal.recover().await;
+        assert_eq!(replayed.len(), 64);
+        let bytes: u64 = replayed.iter().map(|r| r.data.len()).sum();
+        assert_eq!(bytes, record);
     });
 }

@@ -51,31 +51,18 @@ use sim_core::{transfer_time, Resource, Sim, SimDuration, SimRng, SimTime};
 use crate::types::NodeId;
 
 /// Per-link fault parameters (the link is keyed by its receiving node).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FaultConfig {
     /// Probability that a message arriving on this link is dropped.
     pub drop_probability: f64,
     /// Extra uniformly-distributed delay `[0, delay_jitter]` added to
     /// every transfer into this node.
     pub delay_jitter: SimDuration,
-    /// Link-level retransmission timeout used by
-    /// [`Fabric::send_reliable`] after a drop.
-    pub retry_delay: SimDuration,
 }
 
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            drop_probability: 0.0,
-            delay_jitter: SimDuration::ZERO,
-            retry_delay: DEFAULT_RETRY_DELAY,
-        }
-    }
-}
-
-/// Link-level retry timeout when no per-link config overrides it
-/// (order of an IB end-to-end timeout tick at SDR rates).
-const DEFAULT_RETRY_DELAY: SimDuration = SimDuration::from_micros(10);
+/// Link-level retransmission timeout of [`Fabric::send_reliable`]
+/// after a drop (order of an IB end-to-end timeout tick at SDR rates).
+const RETRY_DELAY: SimDuration = SimDuration::from_micros(10);
 
 struct FaultState {
     rng: SimRng,
@@ -209,7 +196,7 @@ impl<M: 'static> Fabric<M> {
     }
 
     /// [`Fabric::send`] with link-level retransmission: on a drop, wait
-    /// the link's retry delay and transmit again (paying serialization
+    /// `RETRY_DELAY` and transmit again (paying serialization
     /// each time) until the message is delivered. Models the RC
     /// transport's guarantee for one-sided operations.
     pub async fn send_reliable(&self, from: NodeId, to: NodeId, wire_bytes: u64, msg: M) {
@@ -220,7 +207,7 @@ impl<M: 'static> Fabric<M> {
                 Some(returned) => {
                     msg = returned;
                     self.with_port(to, |p| p.retransmits.inc());
-                    self.inner.sim.sleep(self.retry_delay(to)).await;
+                    self.inner.sim.sleep(RETRY_DELAY).await;
                 }
             }
         }
@@ -354,15 +341,6 @@ impl<M: 'static> Fabric<M> {
             return SimDuration::ZERO;
         }
         SimDuration::from_nanos(f.rng.gen_range(cfg.delay_jitter.as_nanos() + 1))
-    }
-
-    fn retry_delay(&self, to: NodeId) -> SimDuration {
-        self.inner
-            .faults
-            .borrow()
-            .as_ref()
-            .and_then(|f| f.links.get(&to).map(|c| c.retry_delay))
-            .unwrap_or(DEFAULT_RETRY_DELAY)
     }
 
     /// Messages dropped on arrival at `node` (cumulative): the
@@ -622,7 +600,6 @@ mod tests {
                 FaultConfig {
                     drop_probability: 0.3,
                     delay_jitter: SimDuration::from_nanos(200),
-                    ..FaultConfig::default()
                 },
             );
             let f = fab.clone();

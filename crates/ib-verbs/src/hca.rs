@@ -543,11 +543,6 @@ fn respond(hca: &Hca, msg: WireMsg) {
     }
 }
 
-/// Convenience: materialize a payload for assertions in tests.
-pub fn payload_bytes(p: &Payload) -> Vec<u8> {
-    p.materialize().to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

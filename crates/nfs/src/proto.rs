@@ -9,7 +9,6 @@
 use bytes::Bytes;
 use fs_backend::{Attr, FileKind, FsError};
 use onc_rpc::REPLY_HEADER_LEN;
-use sim_core::SimTime;
 use xdr::{Decoder, Encoder, Result as XdrResult, XdrCodec, XdrError};
 
 /// The NFS program number.
@@ -230,11 +229,6 @@ impl Fattr {
     /// The file handle for this attribute record.
     pub fn handle(&self) -> FileHandle {
         FileHandle(self.fileid)
-    }
-
-    /// Modification instant.
-    pub fn mtime(&self) -> SimTime {
-        SimTime::from_nanos(self.mtime_ns)
     }
 }
 

@@ -106,11 +106,6 @@ impl NfsServer {
         *self.replicator.borrow_mut() = Some(r);
     }
 
-    /// The installed replicator, if any.
-    pub fn replicator(&self) -> Option<Rc<crate::cluster::Replicator>> {
-        self.replicator.borrow().clone()
-    }
-
     /// Fence or unfence the server (failed nodes stop executing).
     pub fn set_dead(&self, dead: bool) {
         self.dead.set(dead);

@@ -47,8 +47,6 @@ pub enum TransportError {
         /// Send attempts made (1 original + retransmissions).
         attempts: u32,
     },
-    /// The connection died and no recovery path is configured.
-    ConnectionLost,
     /// The server shed the call (SYSTEM_ERR busy replies) more times
     /// than the retry budget allows: it is overloaded and backing off
     /// further is the caller's problem. Distinct from [`TimedOut`]
@@ -73,7 +71,6 @@ impl std::fmt::Display for TransportError {
             TransportError::TimedOut { xid, attempts } => {
                 write!(f, "call xid={xid} timed out after {attempts} attempts")
             }
-            TransportError::ConnectionLost => write!(f, "connection lost"),
             TransportError::Overloaded { xid, rejections } => {
                 write!(f, "call xid={xid} shed by server {rejections} times")
             }
@@ -101,10 +98,7 @@ pub enum RpcError {
 
 impl From<TransportError> for RpcError {
     fn from(e: TransportError) -> Self {
-        match e {
-            TransportError::ConnectionLost => RpcError::Disconnected,
-            other => RpcError::Transport(other),
-        }
+        RpcError::Transport(e)
     }
 }
 

@@ -1,5 +1,7 @@
 //! RPC/RDMA transport configuration: only what two callers set
-//! differently. Sizes that follow from another field are derived
+//! differently, the workspace's rule for every configuration struct
+//! (DESIGN.md §3, "A setting needs a second value"). Sizes that follow
+//! from another field are derived
 //! ([`RpcRdmaConfig::recv_size`]), per-op stack costs belong to the
 //! modelled host ([`sim_core::CpuCosts`]), everything no caller ever
 //! varied is a constant in the module that owns the decision, and what

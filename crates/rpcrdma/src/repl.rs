@@ -360,18 +360,6 @@ impl Shipper {
         self.poisoned.set(false);
     }
 
-    /// Detach (no backup). Blocked ships/waits are released with
-    /// [`ReplError::Detached`]-style errors via poisoning first if the
-    /// channel died; a clean detach assumes no traffic in flight.
-    pub fn detach(&self) {
-        self.ring.set(None);
-    }
-
-    /// True while a backup ring is attached.
-    pub fn attached(&self) -> bool {
-        self.ring.get().is_some()
-    }
-
     /// Mark the channel dead and wake every waiter with an error.
     pub fn poison(&self) {
         self.poisoned.set(true);

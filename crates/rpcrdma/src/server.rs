@@ -303,11 +303,6 @@ impl RdmaRpcServer {
         self.credit_grant.set(credits.clamp(1, self.cfg.credits));
     }
 
-    /// The grant currently in force.
-    pub fn credit_grant(&self) -> u32 {
-        self.credit_grant.get()
-    }
-
     /// Set a tenant's weight in the QoS dispatch queue (dispatches per
     /// fair-queue visit while backlogged; clamped to ≥ 1). Tenants are
     /// keyed by peer node id.
@@ -324,11 +319,6 @@ impl RdmaRpcServer {
     /// The duplicate request cache (diagnostics).
     pub fn drc(&self) -> &DuplicateRequestCache<BulkDispatch> {
         &self.drc
-    }
-
-    /// The service epoch qualifying DRC keys (0 = standalone).
-    pub fn service_epoch(&self) -> u32 {
-        self.service_epoch.get()
     }
 
     /// Install a new service epoch (promotion). New calls key the DRC

@@ -122,7 +122,7 @@ fn run_ring(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Bursty streams of arbitrary record sizes — up to the half-ring
+    /// Back-to-back streams of arbitrary record sizes — up to the half-ring
     /// bound, forcing wraps and credit stalls — are delivered
     /// completely, in order, byte-for-byte, with credit accounting
     /// intact.

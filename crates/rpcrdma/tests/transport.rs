@@ -116,7 +116,6 @@ fn solaris_sdr_cpu() -> CpuCosts {
     CpuCosts {
         copy_ns_per_byte: 0.9,
         interrupt_ns: 6_000,
-        syscall_ns: 1_500,
         server_op_serial: SimDuration::from_micros(180),
         per_op_client_cpu: SimDuration::from_micros(18),
         per_op_server_cpu: SimDuration::from_micros(12),
@@ -141,7 +140,6 @@ fn linux_ddr_raid_costs() -> (CpuCosts, HcaConfig) {
     let cpu = CpuCosts {
         copy_ns_per_byte: 0.45,
         interrupt_ns: 4_000,
-        syscall_ns: 1_000,
         server_op_serial: SimDuration::from_micros(22),
         per_op_client_cpu: SimDuration::from_micros(10),
         per_op_server_cpu: SimDuration::from_micros(7),

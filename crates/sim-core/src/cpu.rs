@@ -19,8 +19,6 @@ pub struct CpuCosts {
     pub copy_ns_per_byte: f64,
     /// Cost to take and service one interrupt, in nanoseconds.
     pub interrupt_ns: u64,
-    /// Cost of a syscall / context-switch boundary, in nanoseconds.
-    pub syscall_ns: u64,
     /// Serialized per-operation time in an RPC server's task queue
     /// (the paper's Figure 1 "server task queue": interrupt handler
     /// hand-off, transport walkers, dispatch) — large on 2007
@@ -39,7 +37,6 @@ impl Default for CpuCosts {
         CpuCosts {
             copy_ns_per_byte: 0.5,
             interrupt_ns: 5_000,
-            syscall_ns: 1_000,
             server_op_serial: SimDuration::from_micros(180),
             per_op_client_cpu: SimDuration::from_micros(18),
             per_op_server_cpu: SimDuration::from_micros(12),
@@ -86,12 +83,6 @@ impl Cpu {
     /// Service one interrupt.
     pub async fn interrupt(&self) {
         self.execute(SimDuration::from_nanos(self.costs.interrupt_ns))
-            .await;
-    }
-
-    /// Cross a syscall boundary.
-    pub async fn syscall(&self) {
-        self.execute(SimDuration::from_nanos(self.costs.syscall_ns))
             .await;
     }
 
@@ -164,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_and_syscall_costs() {
+    fn interrupt_cost() {
         let mut sim = Simulation::new(1);
         let h = sim.handle();
         let cpu = Cpu::new(
@@ -173,15 +164,11 @@ mod tests {
             1,
             CpuCosts {
                 interrupt_ns: 4_000,
-                syscall_ns: 1_500,
                 ..Default::default()
             },
         );
         let c2 = cpu.clone();
-        sim.block_on(async move {
-            c2.interrupt().await;
-            c2.syscall().await;
-        });
-        assert_eq!(cpu.busy_time(), SimDuration::from_nanos(5_500));
+        sim.block_on(async move { c2.interrupt().await });
+        assert_eq!(cpu.busy_time(), SimDuration::from_nanos(4_000));
     }
 }

@@ -29,14 +29,9 @@ pub struct ChaosParams {
     pub drop_probability: f64,
     /// Extra uniform delivery jitter on every host's inbound port.
     pub delay_jitter: SimDuration,
-    /// Forced client-QP errors injected while the workload runs.
+    /// Forced client-QP errors injected while the workload runs: the
+    /// first at 200 µs of virtual time, the others 1 ms apart.
     pub qp_errors: u32,
-    /// Virtual time of the first forced QP error; later ones follow at
-    /// [`ChaosParams::qp_error_spacing`] intervals. Pick a time inside
-    /// the workload's span or the error lands after the run.
-    pub first_qp_error: SimDuration,
-    /// Spacing between consecutive forced QP errors.
-    pub qp_error_spacing: SimDuration,
     /// Power-fail the server's storage at this virtual time and
     /// restart it (WAL replay + write-verifier bump); the bed needs a
     /// WAL back end ([`crate::Backend::WalRaid`]). Clients notice
@@ -53,12 +48,16 @@ impl Default for ChaosParams {
             drop_probability: 0.01,
             delay_jitter: SimDuration::from_micros(5),
             qp_errors: 1,
-            first_qp_error: SimDuration::from_micros(200),
-            qp_error_spacing: SimDuration::from_millis(1),
             server_crash_at: None,
         }
     }
 }
+
+/// Virtual time of the first forced QP error.
+const FIRST_QP_ERROR: SimDuration = SimDuration::from_micros(200);
+
+/// Spacing between consecutive forced QP errors.
+const QP_ERROR_SPACING: SimDuration = SimDuration::from_millis(1);
 
 /// What survived one chaos run. What the fault layer and the recovery
 /// machinery did is in the run's registry: `fabric.*.dropped`,
@@ -102,12 +101,11 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: ChaosParams) -> ChaosResult {
         let victim = bed.clients[0].nfs.rdma().expect("rdma mount").clone();
         let sim2 = sim.clone();
         let n = params.qp_errors;
-        let (first, spacing) = (params.first_qp_error, params.qp_error_spacing);
         sim.spawn(async move {
-            sim2.sleep(first).await;
+            sim2.sleep(FIRST_QP_ERROR).await;
             for k in 0..n {
                 if k > 0 {
-                    sim2.sleep(spacing).await;
+                    sim2.sleep(QP_ERROR_SPACING).await;
                 }
                 sim2.flight("chaos", "qp_error", 0, k as u64);
                 victim.inject_qp_error();

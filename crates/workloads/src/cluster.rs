@@ -25,17 +25,16 @@ use crate::testbed::{Bed, ServerNode};
 
 /// Open a replication channel from `primary` to `backup`: one QP pair,
 /// the primary's shipper (installed as its outbound shipper), a
-/// `ring_bytes` log ring on the backup and the backup's consumer task.
+/// [`RING_BYTES`] log ring on the backup and the backup's consumer task.
 /// The caller attaches the shipper to the ring.
 async fn channel(
     sim: &Sim,
     primary: &ServerNode,
     backup: &ServerNode,
-    ring_bytes: u64,
 ) -> (Rc<Shipper>, Rc<LogRing>, Rc<BackupSession>) {
     let (qp_p, qp_b) = connect(&primary.hca, &backup.hca);
     let shipper = Shipper::new(sim, &primary.hca, qp_p).await;
-    let ring = LogRing::new(&backup.hca, ring_bytes).await;
+    let ring = LogRing::new(&backup.hca, RING_BYTES).await;
     let ctrl = CtrlWriter::new(qp_b, shipper.ctrl_target());
     *primary.shipper.borrow_mut() = Some(shipper.clone());
     let session = BackupSession::new();
@@ -51,15 +50,20 @@ async fn channel(
     (shipper, ring, session)
 }
 
-/// Knobs of the replication/failover machinery.
+/// Backup log-ring size in bytes (the replication flow-control
+/// window).
+const RING_BYTES: u64 = 256 * 1024;
+
+/// Heartbeat probe interval (backup → primary NULL RPCs); also each
+/// probe's call timeout.
+const HB_INTERVAL: SimDuration = SimDuration::from_micros(500);
+
+/// Consecutive missed heartbeats before the backup promotes.
+const HB_MISS_LIMIT: u32 = 3;
+
+/// How the replicated topology joins its two nodes.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
-    /// Backup log-ring size in bytes (flow-control window).
-    pub ring_bytes: u64,
-    /// Heartbeat probe interval (backup → primary NULL RPCs).
-    pub hb_interval: SimDuration,
-    /// Consecutive missed heartbeats before the backup promotes.
-    pub hb_miss_limit: u32,
     /// Install the replication machinery at all. `false` builds the
     /// same two-node topology but primary-only (the overhead baseline).
     pub replicate: bool,
@@ -67,12 +71,7 @@ pub struct ClusterConfig {
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        ClusterConfig {
-            ring_bytes: 256 * 1024,
-            hb_interval: SimDuration::from_micros(500),
-            hb_miss_limit: 3,
-            replicate: true,
-        }
+        ClusterConfig { replicate: true }
     }
 }
 
@@ -98,8 +97,6 @@ pub struct Cluster {
     /// heartbeat pacer so the simulation can quiesce (the executor runs
     /// to event-queue exhaustion).
     pub stop: Rc<Cell<bool>>,
-    /// Cluster knobs the testbed was built with.
-    pub cfg: ClusterConfig,
 }
 
 impl Cluster {
@@ -120,7 +117,6 @@ impl Cluster {
             killed_at: Cell::new(None),
             promoted_at: Rc::new(Cell::new(None)),
             stop: Rc::new(Cell::new(false)),
-            cfg,
             nodes,
         };
         if !cfg.replicate {
@@ -134,7 +130,7 @@ impl Cluster {
         // records into the backup's ring, the backup writes credit/ack
         // counters back into the primary's control block — both
         // one-sided, so no part of the protocol is ULP-droppable.
-        let (shipper, ring, session) = channel(sim, primary, backup, cfg.ring_bytes).await;
+        let (shipper, ring, session) = channel(sim, primary, backup).await;
         shipper.attach(ring.target());
         primary.repl.set_shipper(Some(shipper));
 
@@ -144,7 +140,7 @@ impl Cluster {
         let (hb_qc, _) = primary.accept(&backup.hca);
         let hb_cfg = RpcRdmaConfig {
             max_retransmits: 0,
-            call_timeout: cfg.hb_interval,
+            call_timeout: HB_INTERVAL,
             ..bed.profile.rpc
         };
         let hb = RdmaRpcClient::new(
@@ -160,14 +156,14 @@ impl Cluster {
         let (mount, backup) = (cluster.mount.clone(), backup.clone());
         let (ring2, session2) = (ring.clone(), session.clone());
         let (promoted, promoted_at) = (cluster.promoted.clone(), cluster.promoted_at.clone());
-        let (interval, limit, stop) = (cfg.hb_interval, cfg.hb_miss_limit, cluster.stop.clone());
+        let stop = cluster.stop.clone();
         sim.spawn(async move {
             let mut misses = 0u32;
             loop {
                 if promoted.get() || stop.get() {
                     break;
                 }
-                sim2.sleep(interval).await;
+                sim2.sleep(HB_INTERVAL).await;
                 let alive = hb
                     .call(0, bytes::Bytes::new(), rpcrdma::BulkParams::default())
                     .await
@@ -177,8 +173,8 @@ impl Cluster {
                     continue;
                 }
                 misses += 1;
-                sim2.flight("cluster", "hb_miss", misses as u64, limit as u64);
-                if misses < limit {
+                sim2.flight("cluster", "hb_miss", misses as u64, HB_MISS_LIMIT as u64);
+                if misses < HB_MISS_LIMIT {
                     continue;
                 }
                 promote_backup(
@@ -250,7 +246,7 @@ impl Cluster {
         sim.flight("cluster", "rejoin", idx as u64, durable);
 
         // Fresh replication channel, reversed: current primary ships.
-        let (shipper, ring, session) = channel(sim, &primary, &joiner, self.cfg.ring_bytes).await;
+        let (shipper, ring, session) = channel(sim, &primary, &joiner).await;
         self.mount.revive(idx);
 
         // Catch-up: the primary re-ships its log past the joiner's

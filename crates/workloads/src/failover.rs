@@ -40,12 +40,8 @@ pub struct FailoverParams {
     pub records_per_client: u64,
     /// Record size in bytes.
     pub record: u64,
-    /// COMMIT after every this many records (plus a final COMMIT).
-    pub commit_every: u64,
     /// Per-arrival drop probability on client/server ports.
     pub drop_probability: f64,
-    /// Extra delivery jitter.
-    pub delay_jitter: SimDuration,
     /// Kill the primary at this virtual time.
     pub kill_at: Option<SimDuration>,
     /// Rejoin the killed node this long after promotion completes.
@@ -60,15 +56,17 @@ impl Default for FailoverParams {
         FailoverParams {
             records_per_client: 24,
             record: 8192,
-            commit_every: 8,
             drop_probability: 0.0,
-            delay_jitter: SimDuration::ZERO,
             kill_at: None,
             rejoin_after: None,
             timeline: false,
         }
     }
 }
+
+/// Each writer COMMITs after every this many records (plus a final
+/// COMMIT).
+const COMMIT_EVERY: u64 = 8;
 
 /// Gauge columns of [`FailoverResult::timeline`]: client ops in flight;
 /// records sequenced into the log but not yet applied by the backup;
@@ -141,7 +139,7 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverRes
         .clone()
         .expect("failover runs on a replicated bed");
 
-    if params.drop_probability > 0.0 || params.delay_jitter > SimDuration::ZERO {
+    if params.drop_probability > 0.0 {
         // Client and primary ports only: the replication channel rides
         // link-reliable RDMA Writes regardless, and heartbeat loss is
         // the failure detector's signal, not noise to inject.
@@ -150,7 +148,7 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverRes
             testbed.fabric.as_ref().expect("rdma testbed has a fabric"),
             spec.clients as u32,
             params.drop_probability,
-            params.delay_jitter,
+            SimDuration::ZERO,
         );
     }
 
@@ -219,7 +217,7 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: FailoverParams) -> FailoverRes
         record: params.record,
         // Distinct from the plain chaos harness's payload space.
         seed_base: 0x0fa1_0000,
-        commit_every: params.commit_every,
+        commit_every: COMMIT_EVERY,
     };
     let root = testbed.server.root_handle();
     let clients = &testbed.clients;

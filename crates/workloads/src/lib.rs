@@ -49,7 +49,7 @@ pub use chaos::{run_chaos, ChaosParams, ChaosResult};
 pub use cluster::{Cluster, ClusterConfig};
 pub use failover::{failover_bed, run_failover, FailoverParams, FailoverResult};
 pub use iozone::{run_iozone, IoMode, IozoneParams, IozoneResult};
-pub use multiclient::{raid_bed, run_multiclient, MultiClientParams, MultiClientResult};
+pub use multiclient::{raid_bed, run_multiclient, MultiClientResult};
 pub use oltp::{run_oltp, OltpParams, OltpResult};
 pub use openloop::{run_openloop, Arrival, OpMix, OpenLoopParams, OpenLoopResult};
 pub use profiles::{linux_ddr_raid, linux_sdr, solaris_sdr, Profile};

@@ -28,14 +28,8 @@ pub fn raid_bed(profile: &Profile, topology: Topology, clients: usize, ram_bytes
     }
 }
 
-/// Parameters of one Figure-10 run.
-#[derive(Clone, Copy, Debug)]
-pub struct MultiClientParams {
-    /// Per-client file size (1 GB in the paper).
-    pub file_size: u64,
-    /// Record size (1 MB in the paper).
-    pub record: u64,
-}
+/// Record size of both passes (1 MB in the paper).
+const RECORD: u64 = 1 << 20;
 
 /// Result of one run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -49,16 +43,17 @@ pub struct MultiClientResult {
 }
 
 /// Run one multi-client point on `bed` ([`raid_bed`]) inside a fresh
-/// simulation.
-pub fn run_multiclient(seed: u64, bed: &Bed, params: MultiClientParams) -> MultiClientResult {
+/// simulation, each client writing and reading back `file_size` bytes
+/// (1 GB in the paper).
+pub fn run_multiclient(seed: u64, bed: &Bed, file_size: u64) -> MultiClientResult {
     let spec = *bed;
     let run = scenario::run(seed, Capture::default(), |sim| async move {
-        run_inner(&sim, &spec, params).await
+        run_inner(&sim, &spec, file_size).await
     });
     run.out
 }
 
-async fn run_inner(sim: &Sim, spec: &Bed, params: MultiClientParams) -> MultiClientResult {
+async fn run_inner(sim: &Sim, spec: &Bed, file_size: u64) -> MultiClientResult {
     let bed: Testbed = spec.build(sim).await;
 
     let root = bed.server.root_handle();
@@ -77,17 +72,16 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: MultiClientParams) -> MultiCli
     for (ci, client) in bed.clients.iter().enumerate() {
         let nfs = client.nfs.clone();
         let fh = handles[ci];
-        let buf = client.mem.alloc(params.record);
-        buf.write(0, Payload::synthetic(ci as u64 + 1, params.record));
+        let buf = client.mem.alloc(RECORD);
+        buf.write(0, Payload::synthetic(ci as u64 + 1, RECORD));
         let done = done.clone();
-        let (file_size, record) = (params.file_size, params.record);
         sim.spawn(async move {
             let mut off = 0;
             while off < file_size {
-                nfs.write(fh, off, &buf, 0, record as u32, false)
+                nfs.write(fh, off, &buf, 0, RECORD as u32, false)
                     .await
                     .expect("write pass");
-                off += record;
+                off += RECORD;
             }
             done.add_permits(1);
         });
@@ -113,16 +107,15 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: MultiClientParams) -> MultiCli
     for (ci, client) in bed.clients.iter().enumerate() {
         let nfs = client.nfs.clone();
         let fh = handles[ci];
-        let buf = client.mem.alloc(params.record);
+        let buf = client.mem.alloc(RECORD);
         let done = done.clone();
-        let (file_size, record) = (params.file_size, params.record);
         sim.spawn(async move {
             let mut off = 0;
             while off < file_size {
-                nfs.read(fh, off, record as u32, Some((&buf, 0)))
+                nfs.read(fh, off, RECORD as u32, Some((&buf, 0)))
                     .await
                     .expect("read pass");
-                off += record;
+                off += RECORD;
             }
             done.add_permits(1);
         });
@@ -131,7 +124,7 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: MultiClientParams) -> MultiCli
         done.acquire().await.forget();
     }
     let secs = sim.now().saturating_since(t0).as_secs_f64();
-    let total = params.file_size * bed.clients.len() as u64;
+    let total = file_size * bed.clients.len() as u64;
 
     let cache_hit_rate = bed
         .disk_store

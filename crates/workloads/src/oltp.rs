@@ -23,9 +23,6 @@ pub struct OltpParams {
     pub db_size: u64,
     /// Virtual duration of the measured window.
     pub duration: SimDuration,
-    /// Writers COMMIT after every N of their writes (fsync-heavy OLTP;
-    /// 0 — the paper-era default — never commits).
-    pub fsync_every: u32,
 }
 
 impl Default for OltpParams {
@@ -36,7 +33,6 @@ impl Default for OltpParams {
             io_size: 128 * 1024,
             db_size: 512 << 20,
             duration: SimDuration::from_millis(500),
-            fsync_every: 0,
         }
     }
 }
@@ -123,21 +119,14 @@ pub async fn run_oltp(sim: &Sim, bed: &Testbed, params: OltpParams) -> OltpResul
         let sim2 = sim.clone();
         let mut rng = sim.fork_rng();
         let io = params.io_size;
-        let fsync_every = params.fsync_every;
         tasks += 1;
         sim.spawn(async move {
-            let mut since_fsync = 0u32;
             while sim2.now() < deadline {
                 let block = rng.gen_range(blocks);
                 nfs.write(fh, block * io, &buf, 0, io as u32, false)
                     .await
                     .expect("oltp write");
                 ops.set(ops.get() + 1);
-                since_fsync += 1;
-                if fsync_every > 0 && since_fsync >= fsync_every {
-                    since_fsync = 0;
-                    nfs.commit(fh).await.expect("oltp fsync");
-                }
             }
             done.add_permits(1);
         });

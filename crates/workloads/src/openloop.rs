@@ -11,10 +11,10 @@
 //! without bound — and whether the server's overload controls
 //! ([`rpcrdma::qos`]) keep them bounded instead.
 //!
-//! The generator draws inter-arrival gaps from a Poisson (or on/off
-//! bursty) process, picks one of thousands of simulated tenants by a
-//! Zipf popularity draw, maps the tenant onto one of the mounted
-//! client connections, and fires the op without waiting for it. A
+//! The generator draws inter-arrival gaps from a Poisson process,
+//! picks one of 2000 simulated tenants by a Zipf(0.9) popularity draw,
+//! maps the tenant onto one of the mounted client connections, and
+//! fires the op without waiting for it. A
 //! bounded per-connection waiting room models the client host's own
 //! admission limit: arrivals finding it full are counted as
 //! client-side sheds rather than queued forever (set it to 0 to model
@@ -41,16 +41,6 @@ pub enum Arrival {
     Poisson {
         /// Offered load, ops per second.
         rate: f64,
-    },
-    /// Open-loop on/off bursts: Poisson at `rate` during `on`, silent
-    /// during `off` — same mean gap inside a burst, harder tail.
-    Bursty {
-        /// Offered load during a burst, ops per second.
-        rate: f64,
-        /// Burst length.
-        on: SimDuration,
-        /// Gap between bursts.
-        off: SimDuration,
     },
     /// Closed-loop: `workers` tasks per connection issue ops
     /// back-to-back (the capacity probe; waiting room is ignored).
@@ -134,10 +124,6 @@ impl OpMix {
 /// control ([`rpcrdma::qos`]) is the bed's transport config.
 #[derive(Clone, Copy, Debug)]
 pub struct OpenLoopParams {
-    /// Simulated tenant population behind the connections.
-    pub tenants: u32,
-    /// Zipf skew of tenant popularity (0 = uniform).
-    pub zipf_theta: f64,
     /// Arrival process.
     pub arrival: Arrival,
     /// Per-tenant op mix.
@@ -155,9 +141,8 @@ pub struct OpenLoopParams {
     /// connection 0 (the hog). 0 disables; when set, honest arrivals
     /// use only connections 1.. so the hog's tenant is isolated.
     pub hog_rate: f64,
-    /// QoS weight for the hog's tenant (connection 0), with QoS on.
-    pub hog_weight: u32,
-    /// QoS weight for honest tenants.
+    /// QoS weight for honest tenants (the hog's tenant, connection 0,
+    /// weighs 1).
     pub honest_weight: u32,
     /// Sample the streaming telemetry timeline.
     pub timeline: bool,
@@ -166,20 +151,23 @@ pub struct OpenLoopParams {
 impl Default for OpenLoopParams {
     fn default() -> Self {
         OpenLoopParams {
-            tenants: 2000,
-            zipf_theta: 0.9,
             arrival: Arrival::Poisson { rate: 20_000.0 },
             mix: OpMix::oltp(),
             duration: SimDuration::from_millis(100),
             grace: SimDuration::from_millis(20),
             waiting_room: 64,
             hog_rate: 0.0,
-            hog_weight: 1,
             honest_weight: 1,
             timeline: false,
         }
     }
 }
+
+/// Simulated tenant population behind the connections.
+const TENANTS: u32 = 2000;
+
+/// Zipf skew of tenant popularity.
+const ZIPF_THETA: f64 = 0.9;
 
 /// Gauge columns of [`OpenLoopResult::timeline`]: ops outstanding on
 /// all connections; server QoS dispatch-queue depth; cumulative server
@@ -430,13 +418,12 @@ impl OpCtx {
     }
 
     /// Spawn one open-loop arrival process: Poisson at `rate` until the
-    /// window closes (silent for `off` after every `on` of `bursts`),
-    /// each arrival sent where `aim` says — a `(connection, tenant)` —
-    /// unless that connection's waiting room is full.
+    /// window closes, each arrival sent where `aim` says — a
+    /// `(connection, tenant)` — unless that connection's waiting room
+    /// is full.
     fn spawn_arrivals(
         self: &Rc<Self>,
         rate: f64,
-        bursts: Option<(SimDuration, SimDuration)>,
         mut aim: impl FnMut(&mut SimRng) -> (usize, u32) + 'static,
         done: &sim_core::sync::Semaphore,
     ) {
@@ -444,22 +431,12 @@ impl OpCtx {
         let mut rng = sim.fork_rng();
         self.sim.spawn(async move {
             let (t_end, room, shared) = (ctx.t_end, ctx.room, &ctx.shared);
-            let mut burst_left = bursts.map(|(on, _)| sim.now() + on);
             while sim.now() < t_end {
                 let gap = rng.gen_exp(1e9 / rate.max(1.0)); // ns
                 sim.sleep(SimDuration::from_nanos((gap as u64).max(1)))
                     .await;
                 if sim.now() >= t_end {
                     break;
-                }
-                if let (Some((on, off)), Some(until)) = (bursts, burst_left.as_mut()) {
-                    if sim.now() >= *until {
-                        sim.sleep(off).await;
-                        *until = sim.now() + on;
-                        if sim.now() >= t_end {
-                            break;
-                        }
-                    }
                 }
                 // Every arrival draws its op, shed or not: the stream of
                 // arrivals offered must not depend on who got through.
@@ -504,7 +481,7 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: OpenLoopParams) -> OpenLoopRes
     // Tenant weights: connection i is server tenant (peer node) i+1.
     for i in 0..connections {
         let w = if params.hog_rate > 0.0 && i == 0 {
-            params.hog_weight
+            1
         } else {
             params.honest_weight
         };
@@ -635,18 +612,14 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: OpenLoopParams) -> OpenLoopRes
     let done = sim_core::sync::Semaphore::new(0);
     let mut waited = 0u32;
     match params.arrival {
-        Arrival::Poisson { rate } | Arrival::Bursty { rate, .. } => {
-            let bursts = match params.arrival {
-                Arrival::Bursty { on, off, .. } => Some((on, off)),
-                _ => None,
-            };
-            let zipf = Zipf::new(params.tenants.max(1), params.zipf_theta);
+        Arrival::Poisson { rate } => {
+            let zipf = Zipf::new(TENANTS, ZIPF_THETA);
             let aim = move |rng: &mut SimRng| {
                 let tenant = zipf.draw(rng);
                 (honest_conns[tenant as usize % honest_conns.len()], tenant)
             };
             waited += 1;
-            ctx.spawn_arrivals(rate, bursts, aim, &done);
+            ctx.spawn_arrivals(rate, aim, &done);
         }
         Arrival::ClosedLoop { workers } => {
             for conn in 0..connections {
@@ -677,7 +650,7 @@ async fn run_inner(sim: &Sim, spec: &Bed, params: OpenLoopParams) -> OpenLoopRes
     // The hog: a second open-loop process aimed only at connection 0.
     if params.hog_rate > 0.0 {
         waited += 1;
-        ctx.spawn_arrivals(params.hog_rate, None, |_| (0, 0), &done);
+        ctx.spawn_arrivals(params.hog_rate, |_| (0, 0), &done);
     }
 
     for _ in 0..waited {

@@ -5,7 +5,7 @@
 //! calibration tests); everything else — crossovers, orderings,
 //! scaling shapes — then emerges from the simulation.
 
-use ib_verbs::{HcaConfig, PhysLayout};
+use ib_verbs::HcaConfig;
 use rpcrdma::RpcRdmaConfig;
 use sim_core::{CpuCosts, SimDuration};
 
@@ -19,17 +19,10 @@ pub struct Profile {
     /// RPC/RDMA transport parameters (protocol policy; the per-op stack
     /// costs of the host running it are in the CPU cost tables).
     pub rpc: RpcRdmaConfig,
-    /// Client CPU cores.
-    pub client_cores: usize,
-    /// Server CPU cores.
-    pub server_cores: usize,
     /// Client CPU cost table.
     pub client_cpu: CpuCosts,
     /// Server CPU cost table.
     pub server_cpu: CpuCosts,
-    /// Physical memory fragmentation (drives all-physical chunk
-    /// counts).
-    pub phys: PhysLayout,
 }
 
 /// The §5.1/§5.2 testbed: dual 2.2 GHz Opteron x2100s, SDR x8 HCAs,
@@ -39,13 +32,8 @@ pub fn solaris_sdr() -> Profile {
         name: "opensolaris-sdr",
         hca: HcaConfig::sdr(),
         rpc: RpcRdmaConfig::default(),
-        client_cores: 2,
-        server_cores: 2,
         client_cpu: opteron_cpu(),
         server_cpu: opteron_cpu(),
-        phys: PhysLayout {
-            mean_run_bytes: 64 * 1024,
-        },
     }
 }
 
@@ -56,13 +44,8 @@ pub fn linux_sdr() -> Profile {
         name: "linux-sdr",
         hca: linux_hca_costs(HcaConfig::sdr()),
         rpc: RpcRdmaConfig::default(),
-        client_cores: 2,
-        server_cores: 2,
         client_cpu: xeon_cpu(),
         server_cpu: xeon_cpu(),
-        phys: PhysLayout {
-            mean_run_bytes: 64 * 1024,
-        },
     }
 }
 
@@ -77,13 +60,8 @@ pub fn linux_ddr_raid() -> Profile {
         name: "linux-ddr-raid",
         hca,
         rpc: RpcRdmaConfig::default(),
-        client_cores: 2,
-        server_cores: 2,
         client_cpu: xeon_cpu(),
         server_cpu: xeon_cpu(),
-        phys: PhysLayout {
-            mean_run_bytes: 64 * 1024,
-        },
     }
 }
 
@@ -93,7 +71,6 @@ fn opteron_cpu() -> CpuCosts {
     CpuCosts {
         copy_ns_per_byte: 0.9,
         interrupt_ns: 6_000,
-        syscall_ns: 1_500,
         server_op_serial: SimDuration::from_micros(180),
         per_op_client_cpu: SimDuration::from_micros(18),
         per_op_server_cpu: SimDuration::from_micros(12),
@@ -105,7 +82,6 @@ fn xeon_cpu() -> CpuCosts {
     CpuCosts {
         copy_ns_per_byte: 0.45,
         interrupt_ns: 4_000,
-        syscall_ns: 1_000,
         server_op_serial: SimDuration::from_micros(22),
         per_op_client_cpu: SimDuration::from_micros(10),
         per_op_server_cpu: SimDuration::from_micros(7),

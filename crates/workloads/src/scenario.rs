@@ -151,7 +151,6 @@ pub fn arm_link_faults(
     let cfg = FaultConfig {
         drop_probability,
         delay_jitter,
-        ..Default::default()
     };
     for node in 0..=last_node {
         fabric.set_link_faults(NodeId(node), cfg);

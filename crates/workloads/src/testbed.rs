@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use fs_backend::{CachedDiskStore, Fs, MemStore, Raid0};
-use ib_verbs::{connect, Fabric, Hca, HcaConfig, HostMem, NodeId, Qp, WireMsg};
+use ib_verbs::{connect, Fabric, Hca, HcaConfig, HostMem, NodeId, PhysLayout, Qp, WireMsg};
 use net_stack::{TcpConfig, TcpNet};
 use nfs::cluster::{ClusterMount, Replicator};
 use nfs::{NfsClient, NfsServer, NfsServerHandle};
@@ -319,7 +319,7 @@ pub(crate) fn build_fs_for(
     let raid = Raid0::paper_array(sim);
     let cache = ram_bytes.saturating_sub(OS_RESERVE).max(128 << 20);
     let store = if wal {
-        let wal = fs_backend::Wal::new(sim, fs_backend::WalConfig::default());
+        let wal = fs_backend::Wal::new(sim);
         CachedDiskStore::with_wal(sim, node.0, raid, cache, 256 * 1024, wal)
     } else {
         CachedDiskStore::new(sim, node.0, raid, cache, 256 * 1024)
@@ -346,10 +346,15 @@ pub(crate) struct Host {
     pub(crate) hca: Option<Hca>,
 }
 
+/// CPU cores of every host, client or server: the paper's testbeds
+/// are dual-socket machines.
+const HOST_CORES: usize = 2;
+
 /// Build a host at `node` whose CPU is called `name`: every CPU, host
 /// memory and HCA of a bed — the adversary's attacker hosts included —
-/// comes from here. A `server` runs on the profile's server cores and
-/// costs, any other host on the client's. A TCP server holds no host
+/// comes from here. A `server` runs on the profile's server costs, any
+/// other host on the client's; every host has [`HOST_CORES`] cores and
+/// the default physical layout. A TCP server holds no host
 /// memory: nothing on it is registered or handed to a user, and a host
 /// memory's physical layout costs a draw from the simulation's root RNG.
 pub(crate) fn host(
@@ -360,14 +365,18 @@ pub(crate) fn host(
     server: bool,
     nic: Nic,
 ) -> Host {
-    let (cores, costs) = match server {
-        true => (profile.server_cores, profile.server_cpu),
-        false => (profile.client_cores, profile.client_cpu),
+    let costs = match server {
+        true => profile.server_cpu,
+        false => profile.client_cpu,
     };
-    let cpu = Cpu::new(sim, name, cores, costs);
+    let cpu = Cpu::new(sim, name, HOST_CORES, costs);
     let mem = match nic {
         Nic::Tcp(_) if server => None,
-        _ => Some(Rc::new(HostMem::new(node, profile.phys, sim.fork_rng()))),
+        _ => Some(Rc::new(HostMem::new(
+            node,
+            PhysLayout::default(),
+            sim.fork_rng(),
+        ))),
     };
     let hca = match nic {
         Nic::Hca(fabric, cfg) => {

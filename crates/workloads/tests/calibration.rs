@@ -9,8 +9,7 @@ use net_stack::TcpConfig;
 use rpcrdma::{Design, StrategyKind};
 use sim_core::Simulation;
 use workloads::{
-    raid_bed, run_iozone, run_multiclient, solaris_sdr, Bed, IoMode, IozoneParams,
-    MultiClientParams, Topology,
+    raid_bed, run_iozone, run_multiclient, solaris_sdr, Bed, IoMode, IozoneParams, Topology,
 };
 
 fn iozone_solaris(
@@ -168,11 +167,8 @@ fn fig10_cache_capacity_crossover() {
     // With 1 GiB, three clients fit; beyond that reads go to disk.
     let profile = workloads::linux_ddr_raid();
     let point = |clients: usize, ram: u64| {
-        let params = MultiClientParams {
-            file_size: 256 << 20,
-            record: 1 << 20,
-        };
-        run_multiclient(7, &raid_bed(&profile, Topology::Rdma, clients, ram), params)
+        let bed = raid_bed(&profile, Topology::Rdma, clients, ram);
+        run_multiclient(7, &bed, 256 << 20)
     };
     // Backend::Raid reserves 512 MiB for the OS, so 1.5 GiB of RAM
     // gives a 1 GiB page cache.
@@ -215,11 +211,7 @@ fn fig10_cache_capacity_crossover() {
 fn fig10_transport_ordering_rdma_ipoib_gige() {
     let profile = workloads::linux_ddr_raid();
     let point = |topology: Topology| {
-        let params = MultiClientParams {
-            file_size: 128 << 20,
-            record: 1 << 20,
-        };
-        run_multiclient(9, &raid_bed(&profile, topology, 3, 2 << 30), params)
+        run_multiclient(9, &raid_bed(&profile, topology, 3, 2 << 30), 128 << 20)
     };
     let rdma = point(Topology::Rdma);
     let ipoib = point(Topology::Tcp(TcpConfig::ipoib()));

@@ -124,7 +124,6 @@ fn oltp_mix_produces_reads_writes_and_log_appends() {
                 io_size: 64 * 1024,
                 db_size: 16 << 20,
                 duration: SimDuration::from_millis(20),
-                ..Default::default()
             },
         )
         .await;

@@ -42,10 +42,7 @@ fn replicated_steady_state_ships_everything() {
 
 #[test]
 fn overhead_baseline_runs_without_replication() {
-    let cluster = ClusterConfig {
-        replicate: false,
-        ..ClusterConfig::default()
-    };
+    let cluster = ClusterConfig { replicate: false };
     let bed = failover_bed(&linux_sdr(), cluster);
     let r = run_failover(11, &bed, base(), Capture::default());
     assert_eq!(r.corrupt_records, 0);

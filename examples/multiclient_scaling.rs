@@ -7,7 +7,7 @@
 //! ```
 
 use net_stack::TcpConfig;
-use workloads::{linux_ddr_raid, raid_bed, run_multiclient, MultiClientParams, Topology};
+use workloads::{linux_ddr_raid, raid_bed, run_multiclient, Topology};
 
 fn main() {
     let profile = linux_ddr_raid();
@@ -33,11 +33,7 @@ fn main() {
         ];
         for topology in topologies {
             let bed = raid_bed(&profile, topology, clients, ram);
-            let params = MultiClientParams {
-                file_size,
-                record: 1 << 20,
-            };
-            let r = run_multiclient(11, &bed, params);
+            let r = run_multiclient(11, &bed, file_size);
             if let Topology::Rdma = topology {
                 hit = r.cache_hit_rate;
             }

@@ -31,7 +31,6 @@ fn run(strategy: StrategyKind) -> workloads::OltpResult {
                 io_size: 128 * 1024,
                 db_size: 512 << 20,
                 duration: SimDuration::from_millis(400),
-                ..Default::default()
             },
         )
         .await

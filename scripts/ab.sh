@@ -9,8 +9,10 @@
 # ${TMPDIR:-/tmp}/nfs-rdma-ab) and built there once; later calls reuse
 # the build. Nothing tracked in the checkout is written.
 #
-# (a) Same schedule: every workload traced at seeds 1 and 2 on both
-#     sides; prints each last-line JSON key that differs, or `0 moved`.
+# (a) Same schedule: every workload untraced and traced at seeds 1 and
+#     2 on both sides (only an untraced run reports the `sim_*` keys,
+#     only a traced one the per-layer keys); prints each last-line
+#     JSON key that differs, or `0 moved`.
 #     Skipped as wall clock: `host*`, `ladder.*`, `setup_s`, and
 #     `attempted` (the repetitions that fit in S seconds, times the ops
 #     in one; every repetition of a seed is the same schedule).
@@ -163,23 +165,26 @@ echo "==> building $rev ($sha) and the working tree"
 run "$base" seq_read 1 0 >/dev/null
 run "$here" seq_read 1 0 >/dev/null
 
-echo "==> (a) traced, seeds 1 and 2: keys that moved ($rev -> working tree)"
+echo "==> (a) untraced and traced, seeds 1 and 2: keys that moved ($rev -> working tree)"
 moved=0
 for w in $workloads; do
     for seed in 1 2; do
-        a=$(flat_json "$(run "$base" "$w" "$seed" 1)")
-        b=$(flat_json "$(run "$here" "$w" "$seed" 1)")
-        [[ -n $a && -n $b ]] || {
-            echo "ab.sh: $w seed $seed produced no JSON" >&2
-            exit 1
-        }
-        diffs=$(join -a 1 -a 2 -e missing -o 0,1.2,2.2 \
-            <(sort <<<"$a") <(sort <<<"$b") |
-            awk '$1 !~ /^(host|ladder\.|setup_s$|attempted$)/ && $2 != $3')
-        if [[ -n $diffs ]]; then
-            awk -v w="$w" -v s="$seed" '{ printf "  %s seed %s  %s: %s -> %s\n", w, s, $1, $2, $3 }' <<<"$diffs"
-            moved=$((moved + $(wc -l <<<"$diffs")))
-        fi
+        for trace in 0 1; do
+            a=$(flat_json "$(run "$base" "$w" "$seed" "$trace")")
+            b=$(flat_json "$(run "$here" "$w" "$seed" "$trace")")
+            [[ -n $a && -n $b ]] || {
+                echo "ab.sh: $w seed $seed trace $trace produced no JSON" >&2
+                exit 1
+            }
+            diffs=$(join -a 1 -a 2 -e missing -o 0,1.2,2.2 \
+                <(sort <<<"$a") <(sort <<<"$b") |
+                awk '$1 !~ /^(host|ladder\.|setup_s$|attempted$)/ && $2 != $3')
+            if [[ -n $diffs ]]; then
+                awk -v w="$w" -v s="$seed" -v t="$trace" \
+                    '{ printf "  %s seed %s trace %s  %s: %s -> %s\n", w, s, t, $1, $2, $3 }' <<<"$diffs"
+                moved=$((moved + $(wc -l <<<"$diffs")))
+            fi
+        done
     done
 done
 echo "$moved moved"

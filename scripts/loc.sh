@@ -7,6 +7,13 @@
 # totals. `library` is the same count without the top-level
 # `#[cfg(test)]` items (the in-file unit tests), attribute included.
 #
+# The last line, `settable N`, counts settable values: the `pub`
+# fields of every `pub struct` under `crates/*/src` named `*Config`,
+# `*Params`, `*Costs`, `Profile`, `Bed`, `Capture` or `PhysLayout`
+# (`BulkParams`, per-call arguments, excluded). Quote it beside the
+# line counts: a field exists only where two callers set it
+# differently (DESIGN.md §3).
+#
 #   ./scripts/loc.sh
 set -eu
 
@@ -27,3 +34,14 @@ for src in crates/*/src; do
         END { printf "%-12s %6d %7d\n", crate, code, lib }
     ' {} +
 done | awk '{ print; code += $2; lib += $3 } END { printf "%-12s %6d %7d\n", "total", code, lib }'
+
+find crates/*/src -name '*.rs' -exec awk '
+    /^pub struct [A-Za-z0-9_]+ *\{ *$/ {
+        name = $3
+        inside = name != "BulkParams" &&
+            (name ~ /(Config|Params|Costs)$/ || name ~ /^(Profile|Bed|Capture|PhysLayout)$/)
+        next
+    }
+    inside && /^}/ { inside = 0 }
+    inside && /^    pub [a-z_0-9]+:/ { print }
+' {} + | awk 'END { printf "%-12s %6d\n", "settable", NR }'
