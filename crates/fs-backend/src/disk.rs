@@ -6,6 +6,7 @@
 //! transfer; [`Raid0`] stripes requests across members so sequential
 //! streams approach `disks × 30 MB/s`.
 
+use sim_core::sync::Latch;
 use sim_core::{transfer_time, Resource, Sim, SimDuration};
 
 /// One rotating disk.
@@ -84,25 +85,31 @@ pub struct Raid0 {
 }
 
 impl Raid0 {
-    /// Stripe across `disks` with the given stripe unit.
+    /// Stripe across `disks` (at most [`Raid0::MAX_MEMBERS`]) with the
+    /// given stripe unit.
     pub fn new(disks: Vec<Disk>, stripe: u64) -> Raid0 {
-        assert!(!disks.is_empty() && stripe > 0);
+        assert!(!disks.is_empty() && disks.len() <= Raid0::MAX_MEMBERS && stripe > 0);
         Raid0 { disks, stripe }
     }
+
+    /// The widest array: a request's per-member table lives on the
+    /// stack.
+    pub const MAX_MEMBERS: usize = 16;
 
     /// The paper's array: 8 × 30 MB/s disks, 64 KiB stripe unit.
     pub fn paper_array(sim: &Sim) -> Raid0 {
         Raid0::new((0..8).map(|i| Disk::scsi_30mb(sim, i)).collect(), 64 * 1024)
     }
 
-    /// Transfer `[addr, addr+len)` of the array's address space,
-    /// striping across members and waiting for the slowest.
-    pub async fn transfer(&self, addr: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        // Bytes and start address for each member in this request.
-        let mut per_disk: Vec<Option<(u64, u64)>> = vec![None; self.disks.len()];
+    /// Transfer `[addr, addr+len)` of the array's address space: one
+    /// member task per disk the range touches starts now, and the
+    /// returned latch opens when the slowest finishes. Its waiter is
+    /// woken once (each member finishes in the drain after its own
+    /// timer pop, so the wake lands where a per-member join's last one
+    /// did; DESIGN.md §3 "Executor internals").
+    pub fn transfer(&self, addr: u64, len: u64) -> Latch {
+        // Start address and bytes for each member in this request.
+        let mut per_disk = [None::<(u64, u64)>; Raid0::MAX_MEMBERS];
         let mut cursor = addr;
         let end = addr + len;
         while cursor < end {
@@ -116,24 +123,17 @@ impl Raid0 {
             }
             cursor += n;
         }
-        // Issue in parallel; complete when all members finish.
-        let done = sim_core::sync::Semaphore::new(0);
-        let mut issued = 0;
-        for (i, req) in per_disk.iter().enumerate() {
-            let Some((start, bytes)) = *req else { continue };
-            issued += 1;
-            let disk = self.disks[i].clone();
-            let done = done.clone();
-            // Spawn via the disk's own resource context.
-            let sim = disk.arm_sim();
-            sim.spawn(async move {
+        let done = Latch::new(per_disk.iter().flatten().count());
+        for (disk, req) in self.disks.iter().zip(per_disk) {
+            let Some((start, bytes)) = req else { continue };
+            let disk = disk.clone();
+            let arrival = done.arrival();
+            disk.arm.sim().spawn(async move {
                 disk.transfer_at(start, bytes).await;
-                done.add_permits(1);
+                arrival.arrive();
             });
         }
-        for _ in 0..issued {
-            done.acquire().await.forget();
-        }
+        done
     }
 
     /// Mean utilization across members.
@@ -146,12 +146,6 @@ impl Raid0 {
         for d in &self.disks {
             d.reset_accounting();
         }
-    }
-}
-
-impl Disk {
-    fn arm_sim(&self) -> Sim {
-        self.arm.sim()
     }
 }
 

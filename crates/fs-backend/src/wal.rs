@@ -63,6 +63,9 @@ pub struct Wal {
     /// Volatile tail: appended, not yet on the log device.
     tail: RefCell<Vec<WalRecord>>,
     tail_bytes: Cell<u64>,
+    /// Taken from the tail by a flush whose log-disk transfer has not
+    /// finished, oldest batch first.
+    in_flight: RefCell<Vec<WalRecord>>,
     /// On the log device, awaiting a commit marker.
     flushed: RefCell<Vec<WalRecord>>,
     /// Behind a commit marker: survives power failure.
@@ -108,6 +111,7 @@ impl Wal {
             head_addr: Cell::new(0),
             tail: RefCell::new(Vec::new()),
             tail_bytes: Cell::new(0),
+            in_flight: RefCell::new(Vec::new()),
             flushed: RefCell::new(Vec::new()),
             committed: RefCell::new(Vec::new()),
             appends: series("appends"),
@@ -157,37 +161,47 @@ impl Wal {
     }
 
     /// Flush the volatile tail to the log device (durable but
-    /// uncommitted until a marker follows).
+    /// uncommitted until a marker follows). The batch waits in flight
+    /// meanwhile, where a commit and a truncate still find it.
     pub async fn flush(&self) {
         let epoch = self.epoch.get();
         let batch: Vec<WalRecord> = std::mem::take(&mut *self.tail.borrow_mut());
         if batch.is_empty() {
             return;
         }
+        let records = batch.len();
         let bytes: u64 = batch.iter().map(|r| Wal::framed(r.data.len())).sum();
         self.tail_bytes.set(0);
+        self.in_flight.borrow_mut().extend(batch);
         let addr = self.head_addr.get();
         self.head_addr.set(addr + bytes);
         self.disk.transfer_at(addr, bytes).await;
         if self.epoch.get() != epoch {
             // Power failed while the burst was in flight: the batch
-            // never became durable.
-            self.truncated_records.add(batch.len() as u64);
+            // never became durable (and went with the in-flight stage).
+            self.truncated_records.add(records as u64);
             return;
         }
         self.flushes.inc();
         self.flushed_bytes.add(bytes);
-        self.flushed.borrow_mut().extend(batch);
+        // The log disk is FIFO, so the oldest batch in flight is ours.
+        self.flushed
+            .borrow_mut()
+            .extend(self.in_flight.borrow_mut().drain(..records));
     }
 
     /// Group commit: flush the tail, then append the commit marker.
     /// Only once the marker is durable does the whole pending batch —
     /// every file's records, in append order — become committed. A
-    /// commit with nothing pending is free.
+    /// batch another flush has in flight is pending too: the marker
+    /// queues behind its transfer on the FIFO log disk, and the batch
+    /// is flushed by the time the marker lands. A commit with nothing
+    /// pending is free.
     pub async fn commit(&self) {
         let epoch = self.epoch.get();
         self.flush().await;
-        if self.epoch.get() != epoch || self.flushed.borrow().is_empty() {
+        let pending = !self.flushed.borrow().is_empty() || !self.in_flight.borrow().is_empty();
+        if self.epoch.get() != epoch || !pending {
             return;
         }
         let addr = self.head_addr.get();
@@ -214,6 +228,8 @@ impl Wal {
         self.truncated_records.add(lost as u64);
         self.tail.borrow_mut().clear();
         self.tail_bytes.set(0);
+        // An in-flight flush counts its own batch when it sees the epoch.
+        self.in_flight.borrow_mut().clear();
         self.flushed.borrow_mut().clear();
     }
 
@@ -235,6 +251,7 @@ impl Wal {
             dropped
         };
         self.tail_bytes.set(self.tail_bytes.get() - cut(&self.tail));
+        cut(&self.in_flight);
         cut(&self.flushed);
         cut(&self.committed);
     }

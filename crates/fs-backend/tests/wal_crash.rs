@@ -368,3 +368,57 @@ fn a_truncate_shrinks_the_tail_it_cuts() {
         assert_eq!(bytes, record);
     });
 }
+
+/// A COMMIT that starts while a watermark flush is on the log disk
+/// covers that flush's batch: the 4 KiB record appended before the
+/// 1 MiB append that started the flush survives a power failure.
+#[test]
+fn a_commit_during_a_watermark_flush_covers_its_batch() {
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let count = wal_count(&h);
+    let wal = Wal::new(&h);
+    sim.block_on(async move {
+        wal.append(FileId(1), 0, Payload::synthetic(1, 4096)).await;
+        let flusher = wal.clone();
+        h.spawn(async move {
+            flusher
+                .append(FileId(2), 0, Payload::synthetic(2, 1 << 20))
+                .await;
+        });
+        h.sleep(SimDuration::from_millis(1)).await;
+        assert_eq!((wal.tail_records(), wal.flushed_records()), (0, 0));
+        wal.commit().await;
+        assert_eq!(wal.committed_records(), 2, "the in-flight batch");
+        assert_eq!(count("commits"), 1);
+        wal.power_fail();
+        let replayed = wal.recover().await;
+        assert!(
+            replayed.iter().any(|r| r.file == FileId(1)),
+            "the 4 KiB record acknowledged before the COMMIT was lost"
+        );
+    });
+}
+
+/// A truncate reaches a batch that is on its way to the log disk: the
+/// cut bytes are not replayed once the batch is committed.
+#[test]
+fn a_truncate_during_a_flush_cuts_the_in_flight_batch() {
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let wal = Wal::new(&h);
+    sim.block_on(async move {
+        let flusher = wal.clone();
+        h.spawn(async move {
+            flusher
+                .append(FileId(1), 0, Payload::synthetic(1, 1 << 20))
+                .await;
+        });
+        h.sleep(SimDuration::from_millis(1)).await;
+        wal.truncate_file(FileId(1), 4096);
+        wal.commit().await;
+        let replayed = wal.recover().await;
+        let bytes: u64 = replayed.iter().map(|r| r.data.len()).sum();
+        assert_eq!(bytes, 4096);
+    });
+}

@@ -126,22 +126,33 @@ impl Buffer {
     /// as `(buffer_offset, run_len)` pairs. All-physical registration
     /// must emit one RDMA segment per returned run.
     pub fn phys_runs(&self, offset: u64, len: u64) -> Vec<(u64, u64)> {
-        assert!(offset + len <= self.len, "phys_runs out of bounds");
-        let mut out = Vec::new();
-        let mut run_start = 0u64;
-        for &run_len in &self.inner.phys_runs {
-            let run_end = run_start + run_len;
-            let lo = offset.max(run_start);
-            let hi = (offset + len).min(run_end);
-            if lo < hi {
-                out.push((lo, hi - lo));
-            }
-            run_start = run_end;
-            if run_start >= offset + len {
-                break;
-            }
-        }
+        let mut out = Vec::with_capacity(self.phys_run_count(offset, len));
+        out.extend(self.runs_in(offset, len));
         out
+    }
+
+    /// How many physically contiguous runs `[offset, offset+len)`
+    /// overlaps: the length of [`Buffer::phys_runs`], without the list.
+    pub fn phys_run_count(&self, offset: u64, len: u64) -> usize {
+        self.runs_in(offset, len).count()
+    }
+
+    fn runs_in(&self, offset: u64, len: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        assert!(offset + len <= self.len, "phys_runs out of bounds");
+        let end = offset + len;
+        let mut run_start = 0u64;
+        self.inner
+            .phys_runs
+            .iter()
+            .map_while(move |&run_len| {
+                let run = (run_start < end).then_some((run_start, run_start + run_len));
+                run_start += run_len;
+                run
+            })
+            .filter_map(move |(run_start, run_end)| {
+                let (lo, hi) = (offset.max(run_start), end.min(run_end));
+                (lo < hi).then(|| (lo, hi - lo))
+            })
     }
 
     /// True if `[addr, addr+len)` (virtual addresses) lies inside this
@@ -265,18 +276,26 @@ impl HostMem {
 
     fn draw_runs(&self, span: u64) -> Vec<u64> {
         let mut rng = self.rng.borrow_mut();
-        let mut runs = Vec::new();
-        let mut left = span;
-        while left > 0 {
-            // Geometric-ish run lengths in whole pages with the
-            // configured mean, at least one page.
-            let mean_pages = (self.layout.mean_run_bytes / PAGE_SIZE).max(1);
-            let pages = 1 + rng.gen_range(2 * mean_pages);
-            let run = (pages * PAGE_SIZE).min(left);
-            runs.push(run);
-            left -= run;
-        }
+        // Count the runs on a copy of the generator, then draw the same
+        // ones into a list of that size.
+        let mut runs = Vec::with_capacity(self.run_lengths(&mut rng.clone(), span).count());
+        runs.extend(self.run_lengths(&mut rng, span));
         runs
+    }
+
+    /// Physical run lengths covering `span`: geometric-ish whole pages
+    /// with the configured mean, at least one page each.
+    fn run_lengths<'a>(&self, rng: &'a mut SimRng, span: u64) -> impl Iterator<Item = u64> + 'a {
+        let mean_pages = (self.layout.mean_run_bytes / PAGE_SIZE).max(1);
+        let mut left = span;
+        std::iter::from_fn(move || {
+            (left > 0).then(|| {
+                let pages = 1 + rng.gen_range(2 * mean_pages);
+                let run = (pages * PAGE_SIZE).min(left);
+                left -= run;
+                run
+            })
+        })
     }
 }
 

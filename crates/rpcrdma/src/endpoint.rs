@@ -256,7 +256,7 @@ mod tests {
         };
         let (hca, peer) = (host(0), host(1));
         let (qp, _peer_qp) = connect(&hca, &peer);
-        let one_run = |buf: &Buffer| buf.phys_runs(0, buf.len()).len() == 1;
+        let one_run = |buf: &Buffer| buf.phys_run_count(0, buf.len()) == 1;
         for inline_threshold in [1024, 16 << 10] {
             let cfg = RpcRdmaConfig {
                 inline_threshold,

@@ -1430,17 +1430,25 @@ async fn write_sg_into_segments(conn: &ConnState, io: &mut IoBuf, sgl: &SgList, 
 /// client can size the result (paper §4: "the client uses this Write
 /// chunk list to determine how much data was returned").
 fn echo_actual(segs: &[Segment], len: u64) -> Vec<Segment> {
+    // Every segment up to the one the last byte lands in (the first,
+    // for an empty result).
+    let used = segs
+        .iter()
+        .scan(0, |end, seg| {
+            *end += seg.len;
+            Some(*end)
+        })
+        .position(|end| end >= len)
+        .map_or(segs.len(), |last| last + 1);
     let mut remaining = len;
-    let mut out = Vec::new();
-    for seg in segs {
-        let n = seg.len.min(remaining);
-        out.push(Segment { len: n, ..*seg });
-        remaining -= n;
-        if remaining == 0 {
-            break;
-        }
-    }
-    out
+    segs[..used]
+        .iter()
+        .map(|seg| {
+            let n = seg.len.min(remaining);
+            remaining -= n;
+            Segment { len: n, ..*seg }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! and 9 come straight out of this accounting.
 
 use crate::executor::Sim;
-use crate::resource::Resource;
+use crate::resource::{Resource, UseFor};
 use crate::time::{SimDuration, SimTime};
 
 /// Cost constants for a host's CPU-bound operations: properties of the
@@ -63,8 +63,8 @@ impl Cpu {
     }
 
     /// Execute `d` of CPU work on one core (queueing if all busy).
-    pub async fn execute(&self, d: SimDuration) {
-        self.cores.use_for(d).await;
+    pub fn execute(&self, d: SimDuration) -> UseFor<'_> {
+        self.cores.use_for(d)
     }
 
     /// Record `d` of busy time without occupying a core slot — for
@@ -75,15 +75,14 @@ impl Cpu {
     }
 
     /// Copy `bytes` through the CPU (one core).
-    pub async fn copy(&self, bytes: u64) {
+    pub fn copy(&self, bytes: u64) -> UseFor<'_> {
         let ns = (bytes as f64 * self.costs.copy_ns_per_byte).round() as u64;
-        self.execute(SimDuration::from_nanos(ns)).await;
+        self.execute(SimDuration::from_nanos(ns))
     }
 
     /// Service one interrupt.
-    pub async fn interrupt(&self) {
+    pub fn interrupt(&self) -> UseFor<'_> {
         self.execute(SimDuration::from_nanos(self.costs.interrupt_ns))
-            .await;
     }
 
     /// The cost table.

@@ -66,12 +66,27 @@ impl ExtentMap {
     /// (unwritten gaps appear as zero payloads). Each piece is a
     /// reference-counted slice of the stored extent — nothing is
     /// flattened or copied, which is what lets the server READ path
-    /// gather straight out of the page cache. One descent finds the
-    /// head, one in-order pass the rest.
+    /// gather straight out of the page cache. A first walk counts the
+    /// pieces, so a list of two or more is one `Vec` of its final size
+    /// and a list of one stays inline.
     pub fn read_sg(&self, offset: u64, len: u64) -> SgList {
-        let mut sg = SgList::new();
-        if len == 0 {
+        let mut count = 0;
+        self.walk(offset, len, |_| count += 1);
+        if count == 1 {
+            let mut sg = SgList::new();
+            self.walk(offset, len, |piece| sg.push(piece.payload()));
             return sg;
+        }
+        let mut pieces = Vec::with_capacity(count);
+        self.walk(offset, len, |piece| pieces.push(piece.payload()));
+        SgList::from_pieces(pieces)
+    }
+
+    /// Visit the pieces of `[offset, offset + len)` in order: one
+    /// descent finds the head, one in-order pass the rest.
+    fn walk<'a>(&'a self, offset: u64, len: u64, mut visit: impl FnMut(Piece<'a>)) {
+        if len == 0 {
+            return;
         }
         let end = offset + len;
         let mut cursor = offset;
@@ -80,7 +95,7 @@ impl ExtentMap {
         if let Some((start, p)) = self.extents.range(..=offset).next_back() {
             if start + p.len() > offset {
                 let take = (start + p.len()).min(end) - offset;
-                sg.push(p.slice(offset - start, take));
+                visit(Piece::Slice(p, offset - start, take));
                 cursor = offset + take;
             }
         }
@@ -89,16 +104,15 @@ impl ExtentMap {
         // between them.
         for (&start, p) in self.extents.range(cursor..end) {
             if start > cursor {
-                sg.push(Payload::zeros(start - cursor));
+                visit(Piece::Zeros(start - cursor));
             }
             let take = (start + p.len()).min(end) - start;
-            sg.push(p.slice(0, take));
+            visit(Piece::Slice(p, 0, take));
             cursor = start + take;
         }
         if cursor < end {
-            sg.push(Payload::zeros(end - cursor));
+            visit(Piece::Zeros(end - cursor));
         }
-        sg
     }
 
     /// Drop everything at or past `size`; an extent straddling it keeps
@@ -116,6 +130,23 @@ impl ExtentMap {
     /// Number of stored extents (diagnostic).
     pub fn extent_count(&self) -> usize {
         self.extents.len()
+    }
+}
+
+/// One piece of a read, not yet sliced out: counting the pieces
+/// touches no payload.
+enum Piece<'a> {
+    /// `(extent, start within it, length)`.
+    Slice(&'a Payload, u64, u64),
+    Zeros(u64),
+}
+
+impl Piece<'_> {
+    fn payload(self) -> Payload {
+        match self {
+            Piece::Slice(p, start, len) => p.slice(start, len),
+            Piece::Zeros(len) => Payload::zeros(len),
+        }
     }
 }
 

@@ -65,7 +65,7 @@ pub use extent::ExtentMap;
 pub use flight::{format_flight, FlightRecord, FLIGHT_CAPACITY};
 pub use metrics::MetricsRegistry;
 pub use payload::{Payload, SgList};
-pub use resource::{Link, Resource};
+pub use resource::{Link, Resource, UseFor};
 pub use rng::SimRng;
 pub use stats::{Counter, Gauge, Histogram};
 pub use time::{transfer_time, SimDuration, SimTime};

@@ -8,10 +8,13 @@
 //! lets the paper's bottleneck crossovers reproduce.
 
 use std::cell::Cell;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
-use crate::executor::Sim;
-use crate::sync::{SemPermit, Semaphore};
+use crate::executor::{Sim, Sleep};
+use crate::sync::{Acquire, SemPermit, Semaphore};
 use crate::time::{transfer_time, SimDuration, SimTime};
 
 struct ResourceInner {
@@ -64,20 +67,19 @@ impl Resource {
 
     /// Occupy one slot for `d`, queueing FIFO behind earlier users.
     /// This is the fundamental "spend hardware time" operation.
-    pub async fn use_for(&self, d: SimDuration) {
-        if d.is_zero() {
-            return;
+    pub fn use_for(&self, d: SimDuration) -> UseFor<'_> {
+        UseFor {
+            res: self,
+            d,
+            state: UseState::Start,
         }
-        let _permit = self.sem.acquire().await;
-        self.sim.sleep(d).await;
-        self.charge(d);
     }
 
     /// Acquire a slot without a fixed duration; the caller models the
     /// occupancy itself and should call [`Resource::charge`] for
     /// accounting. Used when holding across multiple sub-steps.
-    pub async fn acquire(&self) -> SemPermit {
-        self.sem.acquire().await
+    pub fn acquire(&self) -> Acquire {
+        self.sem.acquire()
     }
 
     /// Record `d` of busy time without occupying a slot (for work that
@@ -113,6 +115,62 @@ impl Resource {
         self.inner.busy.set(SimDuration::ZERO);
         self.inner.ops.set(0);
         self.inner.opened_at.set(self.sim.now());
+    }
+}
+
+/// Future returned by [`Resource::use_for`]: one leaf future for the
+/// wait for a slot, the occupancy and the charge, where an `async fn`
+/// would nest the semaphore's [`Acquire`] and the [`Sleep`] in a
+/// generator of its own. Dropped while queued, it leaves the queue;
+/// while occupying, it cancels its timer and frees the slot.
+#[must_use = "futures do nothing unless polled"]
+pub struct UseFor<'a> {
+    res: &'a Resource,
+    d: SimDuration,
+    state: UseState,
+}
+
+enum UseState {
+    Start,
+    Queued(Acquire),
+    /// The sleep is made once the slot is held: it ends `d` after that.
+    Busy {
+        sleep: Sleep,
+        _slot: SemPermit,
+    },
+    Done,
+}
+
+impl Future for UseFor<'_> {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = &mut *self;
+        loop {
+            match &mut this.state {
+                UseState::Start if this.d.is_zero() => break,
+                UseState::Start => this.state = UseState::Queued(this.res.sem.acquire()),
+                UseState::Queued(acquire) => {
+                    let Poll::Ready(permit) = Pin::new(acquire).poll(cx) else {
+                        return Poll::Pending;
+                    };
+                    this.state = UseState::Busy {
+                        sleep: this.res.sim.sleep(this.d),
+                        _slot: permit,
+                    };
+                }
+                UseState::Busy { sleep, .. } => {
+                    if Pin::new(sleep).poll(cx).is_pending() {
+                        return Poll::Pending;
+                    }
+                    this.res.charge(this.d);
+                    break;
+                }
+                UseState::Done => panic!("`UseFor` polled after completion"),
+            }
+        }
+        // Frees the slot, after the charge.
+        this.state = UseState::Done;
+        Poll::Ready(())
     }
 }
 
@@ -229,6 +287,84 @@ mod tests {
         sim.run();
         // busy 10us of 2 slots * 20us elapsed = 0.25
         assert!((r.utilization() - 0.25).abs() < 1e-9);
+    }
+
+    /// Polls of the future it wraps.
+    struct Polls<F> {
+        fut: Pin<Box<F>>,
+        polls: Rc<Cell<u32>>,
+    }
+
+    impl<F: Future<Output = ()>> Future for Polls<F> {
+        type Output = ();
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            self.polls.set(self.polls.get() + 1);
+            self.fut.as_mut().poll(cx)
+        }
+    }
+
+    /// A one-slot resource held by A over [0, 10 µs), then a user B that
+    /// gives up its `use_for(10 µs)` at 5 µs, then C from 1 µs on.
+    /// Returns C's start, B's task polls and the busy time.
+    fn abandoned(b_first: bool) -> (u64, u32, SimDuration) {
+        let mut sim = Simulation::new(1);
+        let h = sim.handle();
+        let r = Resource::new(&h, "arm", 1);
+        let us = SimDuration::from_micros;
+        if !b_first {
+            let r = r.clone();
+            sim.spawn(async move { r.use_for(us(10)).await });
+        }
+        let b_polls = Rc::new(Cell::new(0));
+        let (r2, h2) = (r.clone(), h.clone());
+        sim.spawn(Polls {
+            fut: Box::pin(async move {
+                let mut used = Box::pin(r2.use_for(us(10)));
+                assert_eq!(h2.timeout(us(5), &mut used).await, None);
+                drop(used);
+                h2.sleep(us(100)).await;
+            }),
+            polls: b_polls.clone(),
+        });
+        let started = Rc::new(Cell::new(0));
+        let (r3, h3, s) = (r.clone(), h.clone(), started.clone());
+        sim.spawn(async move {
+            h3.sleep(us(1)).await;
+            let _slot = r3.acquire().await;
+            s.set(h3.now().as_nanos());
+        });
+        sim.run();
+        (started.get(), b_polls.get(), r.busy_time())
+    }
+
+    /// Dropped while queued, `use_for` leaves the queue: C starts when
+    /// A frees the slot, at 10 µs.
+    #[test]
+    fn use_for_dropped_while_queued_leaves_the_queue() {
+        let (c_start, b_polls, busy) = abandoned(false);
+        assert_eq!(c_start, 10_000);
+        assert_eq!(b_polls, 3, "parked, timed out, slept");
+        assert_eq!(busy, SimDuration::from_micros(10));
+    }
+
+    /// Dropped while occupying the slot, `use_for` frees it at once and
+    /// charges nothing: C starts at 5 µs. Its timer is cancelled, or B
+    /// would be polled at 10 µs too.
+    #[test]
+    fn use_for_dropped_while_busy_frees_the_slot_and_cancels_its_timer() {
+        let (c_start, b_polls, busy) = abandoned(true);
+        assert_eq!(c_start, 5_000);
+        assert_eq!(b_polls, 3, "parked, timed out, slept");
+        assert_eq!(busy, SimDuration::ZERO);
+    }
+
+    /// Made and dropped unpolled, `use_for` takes nothing.
+    #[test]
+    fn use_for_dropped_unpolled_takes_nothing() {
+        let sim = Simulation::new(1);
+        let r = Resource::new(&sim.handle(), "arm", 1);
+        drop(r.use_for(SimDuration::from_micros(10)));
+        assert!(r.sem.try_acquire().is_some());
     }
 
     #[test]

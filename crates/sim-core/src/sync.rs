@@ -412,6 +412,90 @@ impl Drop for Acquire {
 }
 
 // ---------------------------------------------------------------------------
+// Latch (a countdown with one waiter)
+// ---------------------------------------------------------------------------
+
+struct LatchInner {
+    left: usize,
+    waiter: WakeSlot,
+}
+
+/// A countdown join: resolves once [`Arrival::arrive`] has been called
+/// as many times as the latch counts, and wakes its one waiter exactly
+/// once, at the last arrival. A join that acquires a [`Semaphore`] once
+/// per arrival wakes and re-polls its waiter at every arrival instead.
+/// The final wake is the same push in both, so the waiter resumes at
+/// the same place whenever the semaphore's waiter would have been
+/// parked at the last arrival — true when each arrival runs in the
+/// drain after its own timer pop or in-place fire, since the executor
+/// empties the ready queue before it pops the next timer. A latch of
+/// zero is ready at once; a dropped waiter is not woken.
+#[must_use = "a latch waits for nothing unless awaited"]
+pub struct Latch {
+    inner: Rc<RefCell<LatchInner>>,
+}
+
+/// One party's handle on a [`Latch`]: counts down by one per
+/// [`Arrival::arrive`]. Clonable, so each party takes its own.
+#[derive(Clone)]
+pub struct Arrival {
+    inner: Rc<RefCell<LatchInner>>,
+}
+
+impl Latch {
+    /// A latch that opens after `count` arrivals.
+    pub fn new(count: usize) -> Latch {
+        Latch {
+            inner: Rc::new(RefCell::new(LatchInner {
+                left: count,
+                waiter: WakeSlot::new(),
+            })),
+        }
+    }
+
+    /// A handle for the parties that arrive.
+    pub fn arrival(&self) -> Arrival {
+        Arrival {
+            inner: self.inner.clone(),
+        }
+    }
+}
+
+impl Arrival {
+    /// Count one arrival; the last wakes the waiter. Panics past the
+    /// count.
+    pub fn arrive(&self) {
+        let mut inner = self.inner.borrow_mut();
+        inner.left = inner
+            .left
+            .checked_sub(1)
+            .expect("more arrivals than the latch counts");
+        if inner.left == 0 {
+            inner.waiter.wake();
+        }
+    }
+}
+
+impl Future for Latch {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let mut inner = self.inner.borrow_mut();
+        if inner.left == 0 {
+            return Poll::Ready(());
+        }
+        inner.waiter.park(cx);
+        Poll::Pending
+    }
+}
+
+impl Drop for Latch {
+    fn drop(&mut self) {
+        // A waiter that is gone is not woken by the last arrival.
+        self.inner.borrow_mut().waiter = WakeSlot::new();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Notify (condition-variable-ish broadcast)
 // ---------------------------------------------------------------------------
 
@@ -475,7 +559,7 @@ impl Future for Notified {
 mod tests {
     use super::*;
     use crate::executor::Simulation;
-    use crate::time::SimDuration;
+    use crate::time::{SimDuration, SimTime};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -659,10 +743,80 @@ mod tests {
         assert_eq!(count.get(), 3);
     }
 
+    /// Four members arrive at 10, 20, 30 and 40 µs. The run with a
+    /// waiter polls exactly twice more than the one without: once to
+    /// park, once at the last arrival, where it resumes. A semaphore
+    /// join would have polled it at every arrival.
+    #[test]
+    fn a_latch_wakes_its_waiter_once_at_the_last_arrival() {
+        fn run(wait: bool) -> (u64, Option<SimTime>) {
+            let mut sim = Simulation::new(1);
+            let latch = Latch::new(4);
+            for i in 1..=4 {
+                let (h, arrival) = (sim.handle(), latch.arrival());
+                sim.spawn(async move {
+                    h.sleep(SimDuration::from_micros(10 * i)).await;
+                    arrival.arrive();
+                });
+            }
+            let resumed = Rc::new(std::cell::Cell::new(None));
+            if wait {
+                let (h, resumed) = (sim.handle(), resumed.clone());
+                sim.spawn(async move {
+                    latch.await;
+                    resumed.set(Some(h.now()));
+                });
+            }
+            sim.run();
+            (sim.polls(), resumed.get())
+        }
+        let (alone, _) = run(false);
+        let (waited, resumed) = run(true);
+        assert_eq!(waited - alone, 2);
+        assert_eq!(resumed, Some(SimTime::from_nanos(40_000)));
+    }
+
+    #[test]
+    fn a_latch_of_zero_is_open() {
+        let mut sim = Simulation::new(1);
+        sim.block_on(Latch::new(0));
+        assert_eq!(sim.polls(), 1);
+    }
+
+    /// A waiter that gives up (here, a timeout before any arrival) and
+    /// drops its latch is not woken by the arrivals: its task polls as
+    /// often as when nothing arrives at all.
+    #[test]
+    fn a_dropped_waiter_is_not_woken() {
+        fn run(arrive: bool) -> u64 {
+            let mut sim = Simulation::new(1);
+            let mut latch = Latch::new(2);
+            for i in 1..=2 {
+                let (h, arrival) = (sim.handle(), latch.arrival());
+                sim.spawn(async move {
+                    h.sleep(SimDuration::from_micros(10 * i)).await;
+                    if arrive {
+                        arrival.arrive();
+                    }
+                });
+            }
+            let h = sim.handle();
+            sim.spawn(async move {
+                let waited = h.timeout(SimDuration::from_micros(5), &mut latch).await;
+                assert_eq!(waited, None);
+                drop(latch);
+                h.sleep(SimDuration::from_micros(100)).await;
+            });
+            sim.run();
+            sim.polls()
+        }
+        assert_eq!(run(true), run(false));
+    }
+
     #[test]
     fn forgotten_permit_lets_go_of_the_semaphore() {
         // `forget` keeps the slot, not the handle: a completion
-        // semaphore whose permits are all forgotten (`Raid0::transfer`)
+        // semaphore whose permits are all forgotten (`run_multiclient`)
         // must still be freed with its last user.
         let sem = Semaphore::new(2);
         sem.try_acquire().unwrap().forget();

@@ -1,9 +1,10 @@
 //! Model-based property tests: the sparse extent map must agree with a
 //! flat byte-array reference under arbitrary write/read/truncate
-//! interleavings.
+//! interleavings, and its scatter reads must be exactly the pieces a
+//! list built one push at a time from a per-byte owner model holds.
 
 use proptest::prelude::*;
-use sim_core::{ExtentMap, Payload};
+use sim_core::{ExtentMap, Payload, SgList};
 
 const SPACE: usize = 4096;
 
@@ -85,5 +86,45 @@ proptest! {
         }
         let got = map.read(0, SPACE as u64).materialize();
         prop_assert_eq!(&got[..], &flat[..]);
+    }
+
+    #[test]
+    fn read_sg_is_the_push_built_list(ops in proptest::collection::vec(arb_op(), 1..64)) {
+        let mut map = ExtentMap::new();
+        // Per byte: the write that owns it (its payload and where that
+        // payload starts), or `None` for a zero gap.
+        let mut owner: Vec<Option<(usize, usize)>> = vec![None; SPACE];
+        let mut writes = Vec::new();
+        for op in ops {
+            let (off, len) = match op {
+                Op::Write { off, data } => {
+                    let data = Payload::synthetic(writes.len() as u64 + 1, data.len() as u64);
+                    map.write(off as u64, data.clone());
+                    owner[off..off + data.len() as usize].fill(Some((writes.len(), off)));
+                    writes.push(data);
+                    (0, SPACE)
+                }
+                Op::Read { off, len } => (off, len),
+                Op::Truncate { size } => {
+                    map.truncate(size as u64);
+                    owner[size..].fill(None);
+                    (0, SPACE)
+                }
+            };
+            // One piece per run of bytes with one owner, pushed in order.
+            let mut want = SgList::new();
+            let mut at = off;
+            while at < off + len {
+                let run = owner[at..off + len].iter().take_while(|o| **o == owner[at]).count();
+                want.push(match owner[at] {
+                    Some((w, start)) => writes[w].slice((at - start) as u64, run as u64),
+                    None => Payload::zeros(run as u64),
+                });
+                at += run;
+            }
+            let got = map.read_sg(off as u64, len as u64);
+            prop_assert_eq!(got.pieces(), want.pieces());
+            prop_assert_eq!(got.len(), len as u64);
+        }
     }
 }

@@ -19,9 +19,10 @@
 # (b) Wall clock: N interleaved untraced pairs per workload (default
 #     10) at seed K (default 1), alternating which side runs first.
 #     Prints every pair, then for each BENCHMARK.json end-to-end
-#     metric the two medians, the base's IQR, the change's wins out of
-#     N (ties count for neither side), the median pair ratio (change /
-#     base) and a verdict: `better` when the change wins at least nine
+#     metric each side's median and quartiles (Q1..Q3), the base's IQR
+#     as a share of its median, the change's wins out of N (ties count
+#     for neither side), the median pair ratio (change / base) and a
+#     verdict: `better` when the change wins at least nine
 #     tenths of the pairs and its median is better than the base's by
 #     more than the base's IQR; otherwise `unresolved` when the base's
 #     IQR exceeds the metric's bound, `worse` when the change's median
@@ -198,9 +199,10 @@ bounds=$(awk '
     on && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }
 ' BENCHMARK.json)
 
-# stats: reads `base change` per line; prints
-# `median_base median_change iqr_base wins median_ratio` where a win is
-# the change being better than the base of its own pair.
+# stats: reads `base change` per line; prints `median_base
+# median_change iqr_base wins median_ratio q1_base q3_base q1_change
+# q3_change` where a win is the change being better than the base of
+# its own pair.
 stats() {
     awk -v better="$1" '
         function q(v, n, p,    h, i) {
@@ -219,8 +221,9 @@ stats() {
         }
         END {
             sorted(a, n); sorted(b, n); sorted(r, n)
-            printf "%.6g %.6g %.6g %d %.4f\n", q(a, n, .5), q(b, n, .5),
-                q(a, n, .75) - q(a, n, .25), wins, q(r, n, .5)
+            printf "%.6g %.6g %.6g %d %.4f %.6g %.6g %.6g %.6g\n", q(a, n, .5), q(b, n, .5),
+                q(a, n, .75) - q(a, n, .25), wins, q(r, n, .5),
+                q(a, n, .25), q(a, n, .75), q(b, n, .25), q(b, n, .75)
         }'
 }
 
@@ -246,9 +249,10 @@ for w in $workloads; do
         done <<<"$bounds"
         echo "  $line  failed $(value "$a" failed)/$(value "$b" failed)"
     done
-    printf '  %-18s %14s %14s %10s %6s %7s  %s\n' metric "base median" "change median" "base IQR" wins ratio verdict
+    printf '  %-18s %14s %23s %14s %23s %9s %6s %7s  %s\n' metric "base median" "base Q1..Q3" \
+        "change median" "change Q1..Q3" "base IQR" wins ratio verdict
     while read -r name better bound; do
-        read -r ma mb iqr wins ratio < <(awk -v k="$name" '$1 == k { print $2, $3 }' <<<"$table" | stats "$better")
+        read -r ma mb iqr wins ratio q1a q3a q1b q3b < <(awk -v k="$name" '$1 == k { print $2, $3 }' <<<"$table" | stats "$better")
         verdict=$(awk -v ma="$ma" -v mb="$mb" -v iqr="$iqr" -v bound="$bound" -v better="$better" \
             -v wins="$wins" -v pairs="$pairs" 'BEGIN {
             gain = better == "higher" ? mb - ma : ma - mb
@@ -259,7 +263,8 @@ for w in $workloads; do
             else print "no change"
         }')
         [[ $verdict == worse ]] && worse=$((worse + 1))
-        printf '  %-18s %14s %14s %9.1f%% %3d/%-2d %7s  %s\n' "$name" "$ma" "$mb" \
+        printf '  %-18s %14s %23s %14s %23s %8.1f%% %3d/%-2d %7s  %s\n' "$name" "$ma" "$q1a..$q3a" \
+            "$mb" "$q1b..$q3b" \
             "$(awk -v i="$iqr" -v m="$ma" 'BEGIN { print m == 0 ? 0 : 100 * i / m }')" \
             "$wins" "$pairs" "$ratio" "$verdict"
     done <<<"$bounds"

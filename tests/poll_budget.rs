@@ -1,10 +1,11 @@
 //! Poll and allocation budgets of the five rungs the benchmark's host
 //! ladder *times*, here *counted*: the executor alone, a raw send/recv
 //! ping-pong, a NULL call, a GETATTR and a cached 1 MiB READ — plus the
-//! two WRITE paths none of them walks, a chunked 128 KiB WRITE (the
-//! server's two-lane dispatch ∥ fetch) and a 4 KiB one that rides the
-//! Send as `RDMA_MSGP` (its heap bytes bounded too: the page must never
-//! be copied onto the heap).
+//! paths none of them walks: a 1 MiB READ that misses the page cache
+//! (the disk array's member tasks and their join), a chunked 128 KiB
+//! WRITE (the server's two-lane dispatch ∥ fetch) and a 4 KiB one that
+//! rides the Send as `RDMA_MSGP` (its heap bytes bounded too: the page
+//! must never be copied onto the heap).
 //!
 //! Both counts are deterministic — polls always, allocations once the
 //! beds are warm — so every budget is an equality: a change that adds a
@@ -228,6 +229,51 @@ fn cached_read() -> (u64, u64) {
     })
 }
 
+/// (h) A 1 MiB READ that misses the page cache on the `raid_read`
+/// bed's array: every op reads a record no op has read before (every
+/// other one of a sparse file, so the miss's readahead window never
+/// serves the next op), and the READ waits on its disk transfer — one
+/// member task per disk and one join.
+fn uncached_read() -> (u64, u64) {
+    const RECORD: u64 = 1 << 20;
+    let mut sim = Simulation::new(5);
+    let h = sim.handle();
+    sim.block_on(async move {
+        let bed = Bed {
+            // The smallest page cache a RAID bed gets, 128 MiB.
+            backend: Backend::Raid { ram_bytes: 0 },
+            ..Bed::new(
+                &linux_ddr_raid(),
+                Design::ReadWrite,
+                StrategyKind::AllPhysical,
+            )
+        };
+        let bed = bed.build(&h).await;
+        let client = &bed.clients[0];
+        let nfs = &client.nfs;
+        let root = bed.server.root_handle();
+        let fh = nfs.create(root, "f").await.expect("create").handle();
+        // Room for the warm-up and the three windows, two records an op.
+        let reads = 5 * OPS;
+        nfs.setattr_size(fh, 2 * reads * RECORD)
+            .await
+            .expect("setattr");
+        let buf = client.mem.alloc(RECORD);
+        let (buf, next) = (&buf, &Cell::new(0));
+        let (counted, _) = budget(&h, |_| async move {
+            let off = 2 * next.replace(next.get() + 1) * RECORD;
+            let (data, _eof) = nfs
+                .read(fh, off, RECORD as u32, Some((buf, 0)))
+                .await
+                .expect("read");
+            assert_eq!(data.len(), RECORD);
+        })
+        .await;
+        assert_eq!(next.get(), reads, "every op read a fresh record");
+        counted
+    })
+}
+
 /// (f) A 128 KiB UNSTABLE WRITE on the `seq_write` bed (Solaris SDR,
 /// registration cache): the server fetches the payload by RDMA Read
 /// beside the call's wait in the task queue, on the one handler task.
@@ -274,6 +320,10 @@ fn polls_and_allocations_per_rung_are_pinned() {
             cached_read(),
         ),
         (
+            "1 MiB uncached READ x 64 (linux_ddr_raid, all-physical)",
+            uncached_read(),
+        ),
+        (
             "128 KiB chunked WRITE x 64 (solaris_sdr, cache)",
             chunked_write(),
         ),
@@ -297,12 +347,21 @@ fn polls_and_allocations_per_rung_are_pinned() {
         (512, 576),
         // 26 polls a READ: the client's sink and the server's source
         // window each unpin on a task of their own, 1 allocation
-        // apiece. 39 allocations a READ: a one-piece gather list holds
-        // its piece inline from the extent map to the wire message (74
+        // apiece. 29 allocations a READ: a one-piece gather list holds
+        // its piece inline from the extent map to the wire message, and
+        // every other list is allocated once, at its final size (74
         // when every list, WQE and remote segment built a `Vec`; 40
         // when the server reached the file system through a boxed
-        // facade, one box a data call)
-        (1_664, 2_518),
+        // facade, one box a data call; 39 when the page-cache gather
+        // list, the buffer's physical runs and the echoed write chunk
+        // grew one push at a time)
+        (1_664, 1_856),
+        // 43 polls a READ: the cached READ's 26, two for each of the
+        // eight member tasks (one per disk) and one for the join, which
+        // wakes the READ once. 36 allocations a READ (50 polls and 47
+        // allocations when the join was a semaphore that woke the READ
+        // at every member, over a per-disk table on the heap)
+        (2_752, 2_304),
         // 17 polls a WRITE; 20 allocations (26 when the pulled pieces
         // were gathered twice, 21 through the boxed facade)
         (1_088, 1_281),
