@@ -11,7 +11,7 @@
 //! then the observability run and `BENCH_failover.json`.
 
 use sim_core::sweep::parallel_sweep;
-use sim_core::SimDuration;
+use sim_core::{FxMap, FxSet, SimDuration};
 use workloads::{
     failover_bed, linux_sdr, run_failover, Capture, ClusterConfig, FailoverParams, FailoverResult,
     Run,
@@ -125,12 +125,11 @@ fn observe(r: &Run<FailoverResult>) {
     let gate = failover_gate("observability", r, true);
     let json = sim_core::chrome_trace_json(&r.spans);
     let links_all_roles = {
-        use std::collections::{HashMap, HashSet};
-        let mut roles: HashMap<u64, HashSet<&str>> = HashMap::new();
+        let mut roles: FxMap<u64, FxSet<&str>> = FxMap::default();
         for s in r.spans.iter().filter(|s| s.trace_id != 0) {
             roles.entry(s.trace_id).or_default().insert(s.component);
         }
-        let all = |c: &HashSet<&str>| ["client", "server", "backup"].iter().all(|r| c.contains(r));
+        let all = |c: &FxSet<&str>| ["client", "server", "backup"].iter().all(|r| c.contains(r));
         roles.values().any(all)
     };
     let buckets = &r.timeline.buckets;

@@ -9,10 +9,10 @@
 //! aggregate rate.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use sim_core::{Counter, Sim};
+use sim_core::{Counter, FxMap, Sim};
 
 use crate::disk::Raid0;
 use crate::vfs::FileId;
@@ -28,7 +28,7 @@ enum PageState {
 
 struct CacheInner {
     /// Resident pages: state + recency stamp.
-    pages: HashMap<PageKey, (PageState, u64)>,
+    pages: FxMap<PageKey, (PageState, u64)>,
     /// Recency order, coldest first: every touch queues `(stamp, key)`
     /// at the back and leaves the page's older entry behind, stale. An
     /// entry is live while its stamp is still its page's, so the live
@@ -44,7 +44,7 @@ struct CacheInner {
 const STALE_FLOOR: usize = 64;
 
 impl CacheInner {
-    fn live(pages: &HashMap<PageKey, (PageState, u64)>, &(stamp, key): &(u64, PageKey)) -> bool {
+    fn live(pages: &FxMap<PageKey, (PageState, u64)>, &(stamp, key): &(u64, PageKey)) -> bool {
         pages.get(&key).is_some_and(|&(_, s)| s == stamp)
     }
 
@@ -94,7 +94,7 @@ pub struct PageCache {
     page_size: u64,
     capacity_pages: u64,
     /// Per-file next expected page, for classifying access patterns.
-    next_expected: RefCell<HashMap<u64, u64>>,
+    next_expected: RefCell<FxMap<u64, u64>>,
     inner: RefCell<CacheInner>,
     /// `pagecache.node{N}.hits`: pages found resident.
     hits: Rc<Counter>,
@@ -132,9 +132,9 @@ impl PageCache {
             raid,
             page_size,
             capacity_pages: (capacity_bytes / page_size).max(1),
-            next_expected: RefCell::new(HashMap::new()),
+            next_expected: RefCell::new(FxMap::default()),
             inner: RefCell::new(CacheInner {
-                pages: HashMap::new(),
+                pages: FxMap::default(),
                 order: VecDeque::new(),
                 next_stamp: 0,
             }),

@@ -1,10 +1,9 @@
 //! Data-store back ends: tmpfs (memory) and the cached disk store.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use sim_core::{ExtentMap, Payload, SgList, Sim};
+use sim_core::{ExtentMap, FxMap, Payload, SgList, Sim};
 
 use crate::disk::Raid0;
 use crate::pagecache::PageCache;
@@ -15,7 +14,7 @@ use crate::wal::Wal;
 /// timing differs between stores).
 #[derive(Default)]
 struct Contents {
-    files: RefCell<HashMap<u64, ExtentMap>>,
+    files: RefCell<FxMap<u64, ExtentMap>>,
 }
 
 impl Contents {
@@ -116,7 +115,7 @@ pub struct CachedDiskStore {
     wal: Option<Rc<Wal>>,
     /// File -> base address in the array's space (simple contiguous
     /// allocation; fragmentation is not modelled).
-    layout: RefCell<HashMap<u64, u64>>,
+    layout: RefCell<FxMap<u64, u64>>,
     next_base: std::cell::Cell<u64>,
 }
 
@@ -134,7 +133,7 @@ impl CachedDiskStore {
             contents: Rc::default(),
             cache: Rc::new(PageCache::new(sim, node, raid, ram_bytes, cache_page)),
             wal: None,
-            layout: RefCell::new(HashMap::new()),
+            layout: RefCell::new(FxMap::default()),
             next_base: std::cell::Cell::new(0),
         }
     }

@@ -2,13 +2,13 @@
 //! (inode/dentry) layer both back ends reuse, over a [`DataStore`].
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::ops::Bound;
 use std::pin::Pin;
 use std::rc::Rc;
 
-use sim_core::{Payload, SgList, Sim, SimTime};
+use sim_core::{FxMap, Payload, SgList, Sim, SimTime};
 
 /// Single-threaded boxed future.
 pub type LocalBoxFuture<T> = Pin<Box<dyn Future<Output = T> + 'static>>;
@@ -157,7 +157,7 @@ impl Inode {
 
 struct NamespaceInner {
     sim: Sim,
-    inodes: RefCell<HashMap<u64, Inode>>,
+    inodes: RefCell<FxMap<u64, Inode>>,
     next_id: std::cell::Cell<u64>,
     root: FileId,
 }
@@ -179,7 +179,7 @@ impl<S: DataStore> Fs<S> {
     pub fn new(sim: &Sim, store: S) -> Self {
         let root = FileId(1);
         let now = sim.now();
-        let mut inodes = HashMap::new();
+        let mut inodes = FxMap::default();
         inodes.insert(
             1,
             Inode {

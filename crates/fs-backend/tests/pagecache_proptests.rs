@@ -3,10 +3,10 @@
 //! and the cache must be exactly a stamp-ordered `BTreeMap` LRU.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use fs_backend::{FileId, PageCache, Raid0};
-use sim_core::Simulation;
+use sim_core::{FxMap, FxSet, Simulation};
 
 const PAGE: u64 = 4096;
 const CAP_PAGES: u64 = 16;
@@ -49,7 +49,7 @@ proptest! {
             // Reference model of *which pages could possibly be
             // resident* (superset: readahead may add more, evictions
             // remove — so we check the invariants, not exact equality).
-            let mut ever_touched: HashSet<(u64, u64)> = HashSet::new();
+            let mut ever_touched: FxSet<(u64, u64)> = FxSet::default();
             for op in ops {
                 match op {
                     Op::Read { file, page, pages } => {
@@ -120,7 +120,7 @@ const READAHEAD_PAGES: u64 = 8;
 /// `BTreeMap` from stamp to page beside the page map.
 #[derive(Default)]
 struct ReferenceLru {
-    pages: HashMap<(u64, u64), (bool, u64)>,
+    pages: FxMap<(u64, u64), (bool, u64)>,
     order: BTreeMap<u64, (u64, u64)>,
     next_stamp: u64,
     hits: u64,

@@ -42,11 +42,10 @@
 //!   guarantees the RC transport provides in hardware.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use sim_core::stats::Counter;
-use sim_core::{transfer_time, Resource, Sim, SimDuration, SimRng, SimTime};
+use sim_core::{transfer_time, FxMap, Resource, Sim, SimDuration, SimRng, SimTime};
 
 use crate::types::NodeId;
 
@@ -66,13 +65,13 @@ const RETRY_DELAY: SimDuration = SimDuration::from_micros(10);
 
 struct FaultState {
     rng: SimRng,
-    links: HashMap<NodeId, FaultConfig>,
+    links: FxMap<NodeId, FaultConfig>,
     /// Outage windows per receiving node: everything arriving inside
     /// `[from, until)` is dropped.
-    flaps: HashMap<NodeId, Vec<(SimTime, SimTime)>>,
+    flaps: FxMap<NodeId, Vec<(SimTime, SimTime)>>,
     /// One-shot forced drops per receiving node (deterministic fault
     /// targeting for tests; consumes no randomness).
-    forced: HashMap<NodeId, u64>,
+    forced: FxMap<NodeId, u64>,
 }
 
 struct Port<M> {
@@ -255,9 +254,9 @@ impl<M: 'static> Fabric<M> {
         if f.is_none() {
             *f = Some(FaultState {
                 rng,
-                links: HashMap::new(),
-                flaps: HashMap::new(),
-                forced: HashMap::new(),
+                links: FxMap::default(),
+                flaps: FxMap::default(),
+                forced: FxMap::default(),
             });
             self.inner.faults_armed.set(true);
         }
@@ -274,9 +273,9 @@ impl<M: 'static> Fabric<M> {
             // Deterministic fallback stream for callers that only use
             // draw-free faults (forced drops, flaps).
             rng: SimRng::new(0xFA_B0_17),
-            links: HashMap::new(),
-            flaps: HashMap::new(),
-            forced: HashMap::new(),
+            links: FxMap::default(),
+            flaps: FxMap::default(),
+            forced: FxMap::default(),
         });
         self.inner.faults_armed.set(true);
         f(state)

@@ -10,11 +10,10 @@
 //! the dominant bottleneck the paper's registration strategies attack.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
 use sim_core::sync::{Receiver, Sender};
-use sim_core::{Counter, Cpu, MetricsRegistry, Payload, Resource, Sim, SimDuration};
+use sim_core::{Counter, Cpu, FxMap, MetricsRegistry, Payload, Resource, Sim, SimDuration};
 
 use crate::config::HcaConfig;
 use crate::cq::{Completion, Cq};
@@ -110,7 +109,7 @@ pub(crate) struct HcaInner {
     /// (a replication log ring) without burning simulated CPU — the
     /// poll hit coincides with DMA placement, which is exactly the
     /// ordering a real poller observes.
-    watches: RefCell<HashMap<Rkey, Sender<(u64, u64)>>>,
+    watches: RefCell<FxMap<Rkey, Sender<(u64, u64)>>>,
 }
 
 /// Handle to a simulated HCA.
@@ -154,7 +153,7 @@ impl Hca {
                 next_qpn: Cell::new(1),
                 series: HcaSeries::new(&registry, node),
                 global_rkey_cell: Rc::new(Cell::new(None)),
-                watches: RefCell::new(HashMap::new()),
+                watches: RefCell::new(FxMap::default()),
             }
         });
         Hca { inner }

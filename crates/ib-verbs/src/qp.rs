@@ -23,11 +23,11 @@
 //! closes.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use sim_core::sync::{channel, oneshot, OneshotSender, Receiver, Semaphore, Sender};
-use sim_core::{Counter, Payload, SgList, Sim, SimTime};
+use sim_core::{Counter, FxMap, Payload, SgList, Sim, SimTime};
 
 use crate::config::HcaConfig;
 use crate::cq::{Completion, Cq};
@@ -197,7 +197,7 @@ pub(crate) enum Wqe {
 
 /// An HCA's queue pairs by number, as the responder finds them: weak,
 /// so a QP nobody holds any more is gone from it.
-pub(crate) type QpTable = Rc<RefCell<HashMap<u32, Weak<QpInner>>>>;
+pub(crate) type QpTable = Rc<RefCell<FxMap<u32, Weak<QpInner>>>>;
 
 pub(crate) struct QpInner {
     pub(crate) sim: Sim,

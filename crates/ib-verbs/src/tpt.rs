@@ -12,11 +12,10 @@
 //! security comparison in the `security_audit` example reads straight
 //! from it.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use sim_core::stats::Counter;
-use sim_core::{MetricsRegistry, SimRng, SimTime};
+use sim_core::{FxMap, FxSet, MetricsRegistry, SimRng, SimTime};
 
 use crate::memory::Buffer;
 use crate::types::{Access, NodeId, Rkey, VerbsError};
@@ -60,10 +59,10 @@ pub struct ExposureReport {
 
 /// Translation & Protection Table for one HCA.
 pub struct Tpt {
-    entries: HashMap<u32, TptEntry>,
+    entries: FxMap<u32, TptEntry>,
     /// Steering tags pre-allocated to FMR pools; dynamic registration
     /// must never mint one of these.
-    reserved: std::collections::HashSet<u32>,
+    reserved: FxSet<u32>,
     rng: SimRng,
     global_rkey: Rkey,
     /// Whether the privileged all-physical steering tag is enabled.
@@ -89,8 +88,8 @@ impl Tpt {
     pub fn new(mut rng: SimRng, registry: &MetricsRegistry, node: NodeId) -> Self {
         let global_rkey = Rkey(rng.next_u32() | 1);
         Tpt {
-            entries: HashMap::new(),
-            reserved: std::collections::HashSet::new(),
+            entries: FxMap::default(),
+            reserved: FxSet::default(),
             rng,
             global_rkey,
             global_enabled: false,

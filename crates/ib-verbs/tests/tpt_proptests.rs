@@ -4,11 +4,10 @@
 //! must never leak across invalidation.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 use ib_verbs::tpt::{RemoteOp, Tpt};
 use ib_verbs::{Access, HostMem, NodeId, PhysLayout, Rkey};
-use sim_core::{MetricsRegistry, SimRng, SimTime};
+use sim_core::{FxMap, MetricsRegistry, SimRng, SimTime};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -69,7 +68,7 @@ proptest! {
         let t = SimTime::ZERO;
         // Live registrations in creation order (slots index into this).
         let mut live: Vec<(Rkey, ModelEntry)> = Vec::new();
-        let mut model: HashMap<u32, ModelEntry> = HashMap::new();
+        let mut model: FxMap<u32, ModelEntry> = FxMap::default();
 
         for op in ops {
             match op {

@@ -2,13 +2,12 @@
 //! per-segment cost model.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ib_verbs::fabric::Fabric;
 use ib_verbs::types::NodeId;
 use sim_core::sync::{channel, Receiver, Sender};
-use sim_core::{Cpu, Payload, Sim, SimDuration};
+use sim_core::{Cpu, FxMap, Payload, Sim, SimDuration};
 
 use crate::stream::{RxBuf, StreamId, TcpStream};
 
@@ -95,7 +94,7 @@ pub(crate) struct NodeState {
     /// Receive-path protocol processing (softirq context), likewise
     /// serialized.
     pub(crate) rx_softirq: sim_core::Resource,
-    pub(crate) listeners: RefCell<HashMap<u16, Sender<PendingConn>>>,
+    pub(crate) listeners: RefCell<FxMap<u16, Sender<PendingConn>>>,
 }
 
 /// A connection waiting in a listener's accept queue.
@@ -110,10 +109,10 @@ pub(crate) struct TcpNetInner {
     pub(crate) sim: Sim,
     pub(crate) cfg: TcpConfig,
     pub(crate) fabric: Fabric<Segment>,
-    pub(crate) nodes: RefCell<HashMap<NodeId, Rc<NodeState>>>,
+    pub(crate) nodes: RefCell<FxMap<NodeId, Rc<NodeState>>>,
     /// Stream-id -> receive buffer at that stream's *receiving* side.
     /// Keyed by (stream, direction-endpoint node).
-    pub(crate) rx_bufs: RefCell<HashMap<(StreamId, NodeId), Rc<RxBuf>>>,
+    pub(crate) rx_bufs: RefCell<FxMap<(StreamId, NodeId), Rc<RxBuf>>>,
     next_stream: Cell<u64>,
 }
 
@@ -131,8 +130,8 @@ impl TcpNet {
                 sim: sim.clone(),
                 cfg,
                 fabric: Fabric::new(sim),
-                nodes: RefCell::new(HashMap::new()),
-                rx_bufs: RefCell::new(HashMap::new()),
+                nodes: RefCell::new(FxMap::default()),
+                rx_bufs: RefCell::new(FxMap::default()),
                 next_stream: Cell::new(1),
             }),
         }
@@ -162,7 +161,7 @@ impl TcpNet {
                 format!("node{}.tcp-rx", node.0),
                 1,
             ),
-            listeners: RefCell::new(HashMap::new()),
+            listeners: RefCell::new(FxMap::default()),
         });
         self.inner.nodes.borrow_mut().insert(node, state.clone());
         let net = self.clone();

@@ -9,14 +9,13 @@
 //! measures against.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use ib_verbs::Buffer;
 use onc_rpc::{RpcError, StreamRpcClient};
 use rpcrdma::{BulkParams, RdmaRpcClient};
-use sim_core::{Counter, Payload, Sim};
+use sim_core::{Counter, FxMap, Payload, Sim};
 use xdr::{Encoder, XdrCodec};
 
 use crate::proto::*;
@@ -129,7 +128,7 @@ struct PendingFile {
 pub struct NfsClient {
     transport: Transport,
     /// UNSTABLE writes not yet covered by a matching COMMIT, per file.
-    pending: RefCell<HashMap<u64, PendingFile>>,
+    pending: RefCell<FxMap<u64, PendingFile>>,
     /// `nfs.client.redriven_writes` (every mount of a simulation):
     /// UNSTABLE writes re-sent after a COMMIT verifier mismatch.
     redriven_writes: Rc<Counter>,
@@ -153,7 +152,7 @@ impl NfsClient {
         let registry = sim.metrics();
         NfsClient {
             transport,
-            pending: RefCell::new(HashMap::new()),
+            pending: RefCell::new(FxMap::default()),
             redriven_writes: registry.counter("nfs.client.redriven_writes"),
             verf_mismatches: registry.counter("nfs.client.verf_mismatches"),
         }

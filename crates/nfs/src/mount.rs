@@ -6,8 +6,8 @@
 //! the transport endpoint with the NFS program via
 //! [`onc_rpc::ServiceRegistry`].
 
+use sim_core::FxMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -56,7 +56,7 @@ impl MountStat {
 /// The mount daemon: an export table plus the active-mount list that
 /// `DUMP` reports.
 pub struct Mountd {
-    exports: RefCell<HashMap<String, FileHandle>>,
+    exports: RefCell<FxMap<String, FileHandle>>,
     /// (client node, path) pairs currently mounted.
     mounts: RefCell<Vec<(u32, String)>>,
 }
@@ -65,7 +65,7 @@ impl Mountd {
     /// A mountd with no exports.
     pub fn new() -> Rc<Mountd> {
         Rc::new(Mountd {
-            exports: RefCell::new(HashMap::new()),
+            exports: RefCell::new(FxMap::default()),
             mounts: RefCell::new(Vec::new()),
         })
     }

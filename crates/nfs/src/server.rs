@@ -3,13 +3,12 @@
 //! TCP stream transport (bulk data behind the record, the baseline).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use fs_backend::Fs;
 use onc_rpc::{AcceptStat, BulkDispatch, BulkService, CallContext, LocalBoxFuture};
-use sim_core::{Counter, Payload, SgList, Sim};
+use sim_core::{Counter, FxMap, Payload, SgList, Sim};
 use xdr::{Decoder, XdrCodec};
 
 use crate::proto::*;
@@ -67,7 +66,7 @@ pub struct NfsServer {
     /// Uncommitted (UNSTABLE-written) bytes per file: the dirty side of
     /// the per-file dirty/commit ledger. COMMIT consults it to decide
     /// between a group commit and a free clean-commit reply.
-    dirty: RefCell<HashMap<u64, u64>>,
+    dirty: RefCell<FxMap<u64, u64>>,
     /// Fenced/failed: a deposed primary stops executing (its replies
     /// would die on errored QPs anyway; this stops zombie mutations).
     dead: Cell<bool>,
@@ -92,7 +91,7 @@ impl NfsServer {
         Rc::new(NfsServer {
             fs,
             verf: Cell::new(WRITE_VERF_BASE + 1),
-            dirty: RefCell::new(HashMap::new()),
+            dirty: RefCell::new(FxMap::default()),
             dead: Cell::new(false),
             replicator: RefCell::new(None),
             stats: NfsServerStats::new(sim, node),

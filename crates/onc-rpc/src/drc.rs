@@ -22,11 +22,11 @@
 //! make — size the cache to cover the client's retransmission horizon.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use sim_core::stats::Counter;
-use sim_core::MetricsRegistry;
+use sim_core::{FxMap, MetricsRegistry};
 
 /// Cache key: requesting peer plus the call's XID, qualified by the
 /// *service epoch* the call first executed under. A replicated cluster
@@ -51,7 +51,7 @@ enum Entry<V> {
 }
 
 struct DrcInner<V> {
-    entries: HashMap<DrcKey, Entry<V>>,
+    entries: FxMap<DrcKey, Entry<V>>,
     /// Completed keys, least recently touched first.
     order: VecDeque<DrcKey>,
     capacity: usize,
@@ -126,7 +126,7 @@ impl<V: Clone> DuplicateRequestCache<V> {
         let series = |name: &str| registry.counter(&format!("{prefix}.{name}"));
         DuplicateRequestCache {
             inner: Rc::new(RefCell::new(DrcInner {
-                entries: HashMap::new(),
+                entries: FxMap::default(),
                 order: VecDeque::new(),
                 capacity: capacity.max(1),
                 hits: series("hits"),

@@ -18,7 +18,9 @@ pub mod service;
 pub mod stream_transport;
 
 pub use drc::{DrcKey, DrcOutcome, DrcReservation, DuplicateRequestCache};
-pub use msg::{AcceptStat, CallHeader, ReplyHeader, REPLY_HEADER_LEN, RPC_VERSION};
+pub use msg::{
+    AcceptStat, CallHeader, ReplyHeader, CALL_HEADER_LEN, REPLY_HEADER_LEN, RPC_VERSION,
+};
 pub use service::{
     BulkDispatch, BulkService, BulkServiceRef, CallContext, LocalBoxFuture, ServiceRegistry,
     PROG_WILDCARD,

@@ -9,6 +9,10 @@ pub const RPC_VERSION: u32 = 2;
 const MSG_CALL: u32 = 0;
 const MSG_REPLY: u32 = 1;
 
+/// Encoded size of a [`CallHeader`]: what a call adds in front of its
+/// arguments (AUTH_NONE credential and verifier).
+pub const CALL_HEADER_LEN: usize = 40;
+
 /// Header of an RPC call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CallHeader {
@@ -149,7 +153,7 @@ impl XdrCodec for ReplyHeader {
 
 /// Encode a complete call message: header + argument body.
 pub fn encode_call(hdr: &CallHeader, args: &Bytes) -> Bytes {
-    let mut enc = Encoder::with_capacity(40 + args.len());
+    let mut enc = Encoder::with_capacity(CALL_HEADER_LEN + args.len());
     hdr.encode(&mut enc);
     enc.put_opaque_fixed(args);
     enc.finish()

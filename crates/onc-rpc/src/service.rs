@@ -5,6 +5,7 @@
 //! `rpcrdma` crate — mirroring how a kernel RPC program is transport
 //! agnostic.
 
+use sim_core::FxMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -44,14 +45,14 @@ pub const PROG_WILDCARD: u32 = u32::MAX;
 /// Routes calls to multiple RPC programs sharing one transport
 /// endpoint (e.g. NFS + MOUNT on the same connection).
 pub struct ServiceRegistry {
-    services: std::collections::HashMap<(u32, u32), BulkServiceRef>,
+    services: FxMap<(u32, u32), BulkServiceRef>,
 }
 
 impl ServiceRegistry {
     /// Empty registry.
     pub fn new() -> ServiceRegistry {
         ServiceRegistry {
-            services: std::collections::HashMap::new(),
+            services: FxMap::default(),
         }
     }
 

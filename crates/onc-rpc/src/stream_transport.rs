@@ -22,13 +22,12 @@
 //! of materializing gigabytes of pattern bytes.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use net_stack::TcpStream;
 use sim_core::sync::{oneshot, OneshotSender, Semaphore};
-use sim_core::{Payload, Sim};
+use sim_core::{FxMap, Payload, Sim};
 
 use crate::msg::{
     decode_call, decode_reply, encode_call, encode_reply, AcceptStat, CallHeader, ReplyHeader,
@@ -153,7 +152,7 @@ pub struct StreamRpcClient {
     prog: u32,
     vers: u32,
     next_xid: Cell<u32>,
-    pending: Rc<RefCell<HashMap<u32, OneshotSender<PendingReply>>>>,
+    pending: Rc<RefCell<FxMap<u32, OneshotSender<PendingReply>>>>,
     send_lock: Semaphore,
 }
 
@@ -165,7 +164,7 @@ impl StreamRpcClient {
             prog,
             vers,
             next_xid: Cell::new(1),
-            pending: Rc::new(RefCell::new(HashMap::new())),
+            pending: Rc::new(RefCell::new(FxMap::default())),
             send_lock: Semaphore::new(1),
         });
         let stream = client.stream.clone();

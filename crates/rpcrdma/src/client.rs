@@ -26,17 +26,19 @@
 #![deny(clippy::too_many_lines)]
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use bytes::Bytes;
 use ib_verbs::{Access, Buffer, Hca, Qp, VerbsError, PAGE_SIZE};
 use onc_rpc::msg::{decode_reply, encode_call};
-use onc_rpc::{AcceptStat, CallHeader, RpcError, TransportError};
+use onc_rpc::{AcceptStat, CallHeader, RpcError, TransportError, CALL_HEADER_LEN};
 use sim_core::stats::Counter;
-use sim_core::sync::{oneshot, OneshotReceiver, OneshotSender, SemPermit, Semaphore};
-use sim_core::{MetricsRegistry, Payload, Sim, SimDuration, SimRng};
-use xdr::XdrCodec;
+use sim_core::sync::{SemPermit, Semaphore};
+use sim_core::{FxMap, MetricsRegistry, Payload, Sim, SimDuration, SimRng, WakeSlot};
+use xdr::{Encoder, XdrCodec};
 
 use crate::config::{Design, RpcRdmaConfig};
 use crate::endpoint::{Endpoint, RecvPool, ReplyClock};
@@ -149,6 +151,46 @@ pub type Connector = Box<dyn Fn() -> onc_rpc::LocalBoxFuture<Qp>>;
 /// and the inline RPC message behind it.
 type Reply = (RdmaHeader, Bytes);
 
+/// A posted call's entry in `pending`: where the dispatcher leaves the
+/// reply to its current attempt, and who waits for it. Removing an entry
+/// wakes its waiter, which then finds no reply: that is how a dead
+/// connection fails its calls.
+#[derive(Default)]
+struct Waiting {
+    reply: Option<Reply>,
+    waker: WakeSlot,
+}
+
+impl Drop for Waiting {
+    fn drop(&mut self) {
+        self.waker.wake();
+    }
+}
+
+/// The reply to call `xid`'s current attempt, taken out of its `pending`
+/// entry (which goes with it); `None` once the entry is gone with no
+/// reply in it.
+struct ReplyWait<'a> {
+    pending: &'a RefCell<FxMap<u32, Waiting>>,
+    xid: u32,
+}
+
+impl Future for ReplyWait<'_> {
+    type Output = Option<Reply>;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<Reply>> {
+        let mut pending = self.pending.borrow_mut();
+        let Some(entry) = pending.get_mut(&self.xid) else {
+            return Poll::Ready(None);
+        };
+        if entry.reply.is_none() {
+            entry.waker.park(cx);
+            return Poll::Pending;
+        }
+        Poll::Ready(pending.remove(&self.xid).and_then(|mut e| e.reply.take()))
+    }
+}
+
 struct ClientInner {
     sim: Sim,
     hca: Hca,
@@ -159,7 +201,8 @@ struct ClientInner {
     prog: u32,
     vers: u32,
     next_xid: Cell<u32>,
-    pending: RefCell<HashMap<u32, OneshotSender<Reply>>>,
+    /// Posted calls by XID (see [`Waiting`]).
+    pending: RefCell<FxMap<u32, Waiting>>,
     credits: Semaphore,
     /// Credits the server last granted us.
     granted: Cell<u32>,
@@ -187,13 +230,22 @@ impl ClientInner {
         self.ep.borrow().clone()
     }
 
-    /// The endpoint is gone for good: fail every pending call (their
-    /// reply senders drop) and every later one.
+    /// The endpoint is gone for good: fail every call still waiting for
+    /// its reply (its entry goes) and every later one. A reply already in
+    /// its entry stays for its call.
     fn fail(&self) {
         self.dead.set(true);
         self.recovering.set(false);
+        let mut pending = self.pending.borrow_mut();
+        let waiting = pending.extract_if(|_, entry| entry.reply.is_none());
         // Dropped in XID order, so the callers wake in XID order.
-        drop(sim_core::key_order(self.pending.borrow_mut().drain()));
+        drop(sim_core::key_order(waiting));
+    }
+
+    /// Calls whose current attempt is still waiting for its reply.
+    fn awaiting_reply(&self) -> usize {
+        let pending = self.pending.borrow();
+        pending.values().filter(|e| e.reply.is_none()).count()
     }
 }
 
@@ -205,8 +257,10 @@ struct Call {
     credit: SemPermit,
     /// The header going on the wire; `hdr.xid` names the call.
     hdr: RdmaHeader,
-    /// What rides in the Send behind the header.
-    inline_body: Bytes,
+    /// The RPC message, call header then arguments: encoded straight
+    /// into the wire image behind `hdr` unless it is a long call.
+    rpc: CallHeader,
+    args: Bytes,
     /// Registrations the server pulls from (WRITE payload, long call).
     held: Vec<IoBuf>,
     /// Write-chunk sink the server pushes bulk results into.
@@ -220,6 +274,27 @@ struct Call {
 }
 
 impl Call {
+    /// Encoded length of the RPC message.
+    fn rpc_len(&self) -> usize {
+        CALL_HEADER_LEN + self.args.len().next_multiple_of(4)
+    }
+
+    /// Write what rides in the Send behind the transport header: the RPC
+    /// message — padded to [`MSGP_ALIGN`] for `RDMA_MSGP`, whose data
+    /// each post gathers behind it — or, for a long call, whose message
+    /// moves by a position-0 read chunk, nothing.
+    fn encode_inline(&self, enc: &mut Encoder) {
+        if self.hdr.msg_type == MsgType::Nomsg {
+            return;
+        }
+        self.rpc.encode(enc);
+        enc.put_opaque_fixed(&self.args);
+        if self.hdr.msg_type == MsgType::Msgp {
+            let pad = (MSGP_ALIGN - self.rpc_len() % MSGP_ALIGN) % MSGP_ALIGN;
+            enc.put_raw(&[0; MSGP_ALIGN][..pad]);
+        }
+    }
+
     /// The caller's window an `RDMA_MSGP` call's data comes from: every
     /// post gathers it into the Send behind the inline bytes as the
     /// caller's own piece, never flattened into them.
@@ -282,7 +357,7 @@ impl RdmaRpcClient {
             prog,
             vers,
             next_xid: Cell::new(1),
-            pending: RefCell::new(HashMap::new()),
+            pending: RefCell::new(FxMap::default()),
             credits: Semaphore::new(cfg.credits as usize),
             granted: Cell::new(cfg.credits),
             credit_deficit: Cell::new(0),
@@ -357,8 +432,8 @@ impl RdmaRpcClient {
             return Err(RpcError::Disconnected);
         }
         let _call_span = inner.sim.span_proc("client", "call", proc_num);
-        let (credit, xid, rpc_msg) = self.marshal(prog, vers, proc_num, &args).await;
-        let call = self.provision(credit, xid, rpc_msg, bulk).await;
+        let (credit, rpc) = self.marshal(prog, vers, proc_num).await;
+        let call = self.provision(credit, rpc, args, bulk).await;
         let result = self.transmit(&call).await;
         self.release(call).await;
         if result.is_ok() {
@@ -368,14 +443,9 @@ impl RdmaRpcClient {
     }
 
     /// *Marshal* stage: syscall + VFS + RPC marshalling under the
-    /// `marshal` span, then a flow-control credit and the call's XID.
-    async fn marshal(
-        &self,
-        prog: u32,
-        vers: u32,
-        proc_num: u32,
-        args: &Bytes,
-    ) -> (SemPermit, u32, Bytes) {
+    /// `marshal` span, then a flow-control credit and the call's RPC
+    /// header, XID included.
+    async fn marshal(&self, prog: u32, vers: u32, proc_num: u32) -> (SemPermit, CallHeader) {
         let inner = &self.inner;
         {
             let _s = inner.sim.span("client", "marshal");
@@ -385,13 +455,13 @@ impl RdmaRpcClient {
         let credit = inner.credits.acquire().await;
         let xid = inner.next_xid.get();
         inner.next_xid.set(xid.wrapping_add(1));
-        let hdr = CallHeader {
+        let rpc = CallHeader {
             xid,
             prog,
             vers,
             proc_num,
         };
-        (credit, xid, encode_call(&hdr, args))
+        (credit, rpc)
     }
 
     /// *Provision* stage, the `reg` span (Figure 4, points 1-2): make
@@ -400,16 +470,17 @@ impl RdmaRpcClient {
     async fn provision(
         &self,
         credit: SemPermit,
-        xid: u32,
-        rpc_msg: Bytes,
+        rpc: CallHeader,
+        args: Bytes,
         bulk: BulkParams,
     ) -> Call {
         let inner = &self.inner;
         let _s = inner.sim.span("client", "reg");
         let mut call = Call {
             credit,
-            hdr: RdmaHeader::new(xid, inner.cfg.credits, MsgType::Msg),
-            inline_body: Bytes::new(),
+            hdr: RdmaHeader::new(rpc.xid, inner.cfg.credits, MsgType::Msg),
+            rpc,
+            args,
             held: Vec::new(),
             sink: None,
             reply_sink: None,
@@ -422,13 +493,13 @@ impl RdmaRpcClient {
             bulk,
         };
         let msgp = match call.bulk.send.clone() {
-            Some(send) => self.provision_send(&mut call, &rpc_msg, send).await,
+            Some(send) => self.provision_send(&mut call, send).await,
             None => false,
         };
         if inner.cfg.design == Design::ReadWrite {
             self.provision_sinks(&mut call).await;
         }
-        self.frame(&mut call, rpc_msg, msgp).await;
+        self.frame(&mut call, msgp).await;
         call
     }
 
@@ -441,13 +512,12 @@ impl RdmaRpcClient {
     async fn provision_send(
         &self,
         call: &mut Call,
-        rpc_msg: &Bytes,
         (buffer, off, len): (Buffer, u64, u64),
     ) -> bool {
         let inner = &self.inner;
         let (cpu, stats) = (inner.hca.cpu(), &inner.stats);
         stats.bulk_out.add(len);
-        if len <= inner.cfg.msgp_max() && rpc_msg.len() as u64 <= inner.cfg.inline_threshold {
+        if len <= inner.cfg.msgp_max() && call.rpc_len() as u64 <= inner.cfg.inline_threshold {
             stats.msgp_sends.inc();
             return true;
         }
@@ -461,7 +531,7 @@ impl RdmaRpcClient {
             cpu.copy(len).await;
             stats.copied_bytes.add(len);
         }
-        let position = rpc_msg.len() as u32;
+        let position = call.rpc_len() as u32;
         for segment in io.segments(0, len, &inner.hca) {
             call.hdr.read_chunks.push(ReadChunk { position, segment });
         }
@@ -495,27 +565,23 @@ impl RdmaRpcClient {
         }
     }
 
-    /// Decide what rides in the Send behind the header: the `RDMA_MSGP`
-    /// frame (head and padding to the alignment inline; the data is
-    /// gathered behind them at each post), nothing at all for a long
-    /// call (the RPC message itself moves via a position-0 read chunk),
-    /// or the RPC message.
-    async fn frame(&self, call: &mut Call, rpc_msg: Bytes, msgp: bool) {
+    /// Decide what rides in the Send behind the header
+    /// ([`Call::encode_inline`] writes it): the `RDMA_MSGP` frame (head
+    /// and padding to the alignment inline; the data is gathered behind
+    /// them at each post), nothing at all for a long call (the RPC
+    /// message itself moves via a position-0 read chunk, the one case
+    /// that encodes it on its own), or the RPC message.
+    async fn frame(&self, call: &mut Call, msgp: bool) {
         let inner = &self.inner;
-        let head_len = rpc_msg.len();
+        let head_len = call.rpc_len();
         if msgp {
             call.hdr.msg_type = MsgType::Msgp;
             call.hdr.msgp = Some((MSGP_ALIGN as u32, head_len as u32));
-            let pad = (MSGP_ALIGN - head_len % MSGP_ALIGN) % MSGP_ALIGN;
-            let mut head = Vec::with_capacity(head_len + pad);
-            head.extend_from_slice(&rpc_msg);
-            head.resize(head_len + pad, 0);
-            call.inline_body = Bytes::from(head);
         } else if head_len as u64 > inner.cfg.inline_threshold {
             call.hdr.msg_type = MsgType::Nomsg;
             let len = head_len as u64;
             let buf = inner.hca.mem().alloc(len);
-            buf.write(0, Payload::real(rpc_msg));
+            buf.write(0, Payload::real(encode_call(&call.rpc, &call.args)));
             inner.hca.cpu().copy(len).await; // marshal into DMA buffer
             let io = inner
                 .registrar
@@ -526,8 +592,6 @@ impl RdmaRpcClient {
                 call.hdr.read_chunks.push(ReadChunk { position, segment });
             }
             call.held.push(io);
-        } else {
-            call.inline_body = rpc_msg;
         }
     }
 
@@ -541,7 +605,9 @@ impl RdmaRpcClient {
     async fn transmit(&self, call: &Call) -> Result<CallReply, RpcError> {
         let inner = &self.inner;
         let xid = call.hdr.xid;
-        let wire = inner.endpoint().encode_wire(&call.hdr, &call.inline_body);
+        let wire = inner
+            .endpoint()
+            .encode_wire(&call.hdr, |enc| call.encode_inline(enc));
         let data_len = call.msgp_window().map_or(0, |&(_, _, len)| len);
         inner.hca.cpu().copy(wire.len() as u64 + data_len).await;
         let mut attempt: u32 = 0;
@@ -558,13 +624,13 @@ impl RdmaRpcClient {
         let trace_key = ((inner.endpoint().qp.node().0 as u64) << 32) | xid as u64;
         let result = loop {
             inner.sim.trace_inject(trace_key, inner.sim.current_ctx());
-            let Some(mut rx) = self.post(call, &wire) else {
+            if !self.post(call, &wire) {
                 break Err(RpcError::Disconnected);
-            };
+            }
             if attempt > 0 {
                 inner.stats.retransmits.inc();
             }
-            match self.await_reply(call, &mut rx, attempt).await {
+            match self.await_reply(call, attempt).await {
                 Attempt::Done(result) => break result,
                 Attempt::Shed => {
                     sheds += 1;
@@ -594,18 +660,18 @@ impl RdmaRpcClient {
         result
     }
 
-    /// Register for the reply and put the call on the wire (unless a
-    /// reconnect is in flight: the retransmission timer then carries the
-    /// call onto the fresh endpoint). `None` once the endpoint is dead.
-    fn post(&self, call: &Call, wire: &Bytes) -> Option<OneshotReceiver<Reply>> {
+    /// Open the call's `pending` entry, where its reply will land, and
+    /// put the call on the wire (unless a reconnect is in flight: the
+    /// retransmission timer then carries the call onto the fresh
+    /// endpoint). `false` once the endpoint is dead.
+    fn post(&self, call: &Call, wire: &Bytes) -> bool {
         let (inner, xid) = (&self.inner, call.hdr.xid);
         if inner.dead.get() {
-            return None;
+            return false;
         }
-        let (tx, rx) = oneshot();
-        inner.pending.borrow_mut().insert(xid, tx);
+        inner.pending.borrow_mut().insert(xid, Waiting::default());
         if inner.recovering.get() {
-            return Some(rx);
+            return true;
         }
         let ep = inner.endpoint();
         let sent = match call.msgp_window() {
@@ -616,10 +682,10 @@ impl RdmaRpcClient {
             start_recovery(inner);
             if inner.dead.get() {
                 inner.pending.borrow_mut().remove(&xid);
-                return None;
+                return false;
             }
         }
-        Some(rx)
+        true
     }
 
     /// Await the reply to one transmission (the `wait_reply` span,
@@ -627,26 +693,29 @@ impl RdmaRpcClient {
     /// timeout: RFC 6298's `srtt + 4·rttvar`, never under
     /// `call_timeout`), time it, collect it (the `finish` span), and say
     /// what the attempt came to.
-    async fn await_reply(
-        &self,
-        call: &Call,
-        rx: &mut OneshotReceiver<Reply>,
-        attempt: u32,
-    ) -> Attempt {
+    async fn await_reply(&self, call: &Call, attempt: u32) -> Attempt {
         let inner = &self.inner;
         let posted = inner.sim.now();
         let awaited = {
             let _s = inner.sim.span("client", "wait_reply");
             let timeout = inner.cfg.call_timeout.max(inner.replies.rto());
-            inner.sim.timeout(self.backoff(timeout, attempt), rx).await
+            let pending = &inner.pending;
+            let mut reply = ReplyWait {
+                pending,
+                xid: call.hdr.xid,
+            };
+            inner
+                .sim
+                .timeout(self.backoff(timeout, attempt), &mut reply)
+                .await
         };
         let (rhdr, reply_body) = match awaited {
-            Some(Ok(reply)) => {
+            Some(Some(reply)) => {
                 inner.replies.sample(attempt, inner.sim.now() - posted);
                 reply
             }
-            // Sender dropped: connection died with no recovery path.
-            Some(Err(_)) => return Attempt::Done(Err(RpcError::Disconnected)),
+            // Entry gone: the connection died with no recovery path.
+            Some(None) => return Attempt::Done(Err(RpcError::Disconnected)),
             None => {
                 inner.stats.timeouts.inc();
                 return Attempt::Retransmit;
@@ -827,7 +896,7 @@ impl RdmaRpcClient {
             // RDMA_DONE lets the server free its exposed buffers.
             let done = RdmaHeader::new(rhdr.xid, inner.cfg.credits, MsgType::Done);
             let ep = inner.endpoint();
-            ep.send(ep.encode_wire(&done, &[]))
+            ep.send(ep.encode_wire(&done, |_| {}))
                 .map_err(|_| RpcError::Disconnected)?;
             inner.stats.dones_sent.inc();
             pulled = Some(data);
@@ -878,8 +947,12 @@ async fn reply_dispatcher(inner: Rc<ClientInner>, ep: Rc<Endpoint>) {
             continue;
         };
         let body = raw.slice(dec.position()..);
-        if let Some(tx) = inner.pending.borrow_mut().remove(&hdr.xid) {
-            tx.send((hdr, body));
+        let mut pending = inner.pending.borrow_mut();
+        // The first reply to an attempt is its reply; a duplicate is
+        // dropped.
+        if let Some(entry) = pending.get_mut(&hdr.xid).filter(|e| e.reply.is_none()) {
+            entry.reply = Some((hdr, body));
+            entry.waker.wake();
         }
     }
     start_recovery(&inner);
@@ -915,7 +988,7 @@ fn start_recovery(inner: &Rc<ClientInner>) {
         return;
     }
     inner.recovering.set(true);
-    let (node, pending) = (inner.hca.node().0 as u64, inner.pending.borrow().len());
+    let (node, pending) = (inner.hca.node().0 as u64, inner.awaiting_reply());
     inner
         .sim
         .flight("client", "recovery_start", node, pending as u64);

@@ -107,13 +107,14 @@ impl Endpoint {
         WrId(self.next_wr.replace(self.next_wr.get() + 1))
     }
 
-    /// Assemble an outgoing wire message (header + inline body) in the
-    /// scratch encoder; the single copy out models staging into the
-    /// pre-registered inline send buffer.
-    pub(crate) fn encode_wire(&self, hdr: &RdmaHeader, inline: &[u8]) -> Bytes {
+    /// Assemble an outgoing wire message in the scratch encoder — the
+    /// transport header, then whatever `inline` writes behind it (the RPC
+    /// message, straight from its parts) — and copy it out once: that
+    /// copy models staging into the pre-registered inline send buffer.
+    pub(crate) fn encode_wire(&self, hdr: &RdmaHeader, inline: impl FnOnce(&mut Encoder)) -> Bytes {
         let mut enc = self.scratch.borrow_mut();
         hdr.encode_into(&mut enc);
-        enc.put_raw(inline);
+        inline(&mut enc);
         Bytes::copy_from_slice(enc.as_slice())
     }
 

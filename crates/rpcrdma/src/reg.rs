@@ -21,12 +21,11 @@
 //!   ruins NFS WRITE in Figure 9(b)).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ib_verbs::{Access, Buffer, FmrPool, Hca, Mr, Rkey, PAGE_SIZE};
 use sim_core::stats::Counter;
-use sim_core::Payload;
+use sim_core::{FxMap, Payload};
 
 use crate::header::Segment;
 
@@ -184,7 +183,7 @@ struct CacheEntry {
 struct RegCacheInner {
     hca: Hca,
     /// (log2 size class, access bits) -> free entries.
-    classes: RefCell<HashMap<(u32, u8), Vec<CacheEntry>>>,
+    classes: RefCell<FxMap<(u32, u8), Vec<CacheEntry>>>,
     /// Bytes currently parked in the free lists.
     free_bytes: Cell<u64>,
     /// Free-list capacity; beyond this, releases evict (deregister).
@@ -212,7 +211,7 @@ impl RegCache {
         RegCache {
             inner: Rc::new(RegCacheInner {
                 hca: hca.clone(),
-                classes: RefCell::new(HashMap::new()),
+                classes: RefCell::new(FxMap::default()),
                 free_bytes: Cell::new(0),
                 max_bytes,
                 hits: metrics.counter(&format!("{prefix}.hits")),

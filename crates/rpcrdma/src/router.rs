@@ -2,18 +2,17 @@
 //! work completions on one CQ, the way kernel ULPs demultiplex CQEs.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use ib_verbs::{Completion, Cq, WrId};
 use onc_rpc::TransportError;
 use sim_core::sync::{oneshot, OneshotReceiver, OneshotSender};
-use sim_core::Sim;
+use sim_core::{FxMap, Sim};
 
 type ErrorHandler = Box<dyn Fn(&Completion)>;
 
 struct RouterInner {
-    waiters: RefCell<HashMap<u64, OneshotSender<Completion>>>,
+    waiters: RefCell<FxMap<u64, OneshotSender<Completion>>>,
     /// Callback invoked on any error completion (e.g. fail-all).
     on_error: RefCell<Option<ErrorHandler>>,
 }
@@ -30,7 +29,7 @@ impl CompletionRouter {
     pub fn spawn(sim: &Sim, cq: Cq) -> CompletionRouter {
         let router = CompletionRouter {
             inner: Rc::new(RouterInner {
-                waiters: RefCell::new(HashMap::new()),
+                waiters: RefCell::new(FxMap::default()),
                 on_error: RefCell::new(None),
             }),
         };

@@ -53,7 +53,6 @@
 #![deny(clippy::too_many_lines)]
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::future::{poll_fn, Future};
 use std::pin::{pin, Pin};
 use std::rc::Rc;
@@ -64,12 +63,14 @@ use ib_verbs::{Access, Hca, HcaConfig, NodeId, Qp, Sge, VerbsError, PAGE_SIZE};
 use onc_rpc::msg::{decode_call, encode_reply};
 use onc_rpc::{
     AcceptStat, BulkDispatch, BulkService, CallContext, CallHeader, DrcKey, DrcOutcome,
-    DuplicateRequestCache, ReplyHeader,
+    DuplicateRequestCache, ReplyHeader, REPLY_HEADER_LEN,
 };
 use sim_core::stats::{Counter, Gauge};
 use sim_core::{
-    transfer_time, MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime, WakeSlot,
+    transfer_time, FxMap, MetricsRegistry, Payload, Resource, SgList, Sim, SimDuration, SimTime,
+    WakeSlot,
 };
+use xdr::XdrCodec;
 
 use crate::config::{Design, RpcRdmaConfig};
 use crate::endpoint::{Endpoint, RecvPool, ReplyClock};
@@ -424,7 +425,7 @@ struct ConnState {
     server: Rc<RdmaRpcServer>,
     ep: Endpoint,
     /// Read-Read design: xid -> buffers exposed until RDMA_DONE.
-    pending_exposures: RefCell<HashMap<u32, Exposure>>,
+    pending_exposures: RefCell<FxMap<u32, Exposure>>,
     /// How long this client takes to answer an exposure with
     /// `RDMA_DONE`.
     dones: ReplyClock,
@@ -456,7 +457,7 @@ impl ConnState {
         ConnState {
             server: server.clone(),
             ep,
-            pending_exposures: RefCell::new(HashMap::new()),
+            pending_exposures: RefCell::new(FxMap::default()),
             dones: ReplyClock::default(),
             reaper: RefCell::new(WakeSlot::new()),
             granted: Cell::new(server.credit_grant.get()),
@@ -759,11 +760,12 @@ fn shed_call(why: &'static str, call: QueuedCall) {
     server.stats.sheds.inc();
     server.sim.flight("qos", why, peer as u64, xid as u64);
     let stat = AcceptStat::SystemErr;
-    let reply = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
+    let reply = ReplyHeader { xid, stat };
     // Busy replies still carry the (possibly clamped) credit grant:
     // a shed client also learns to shrink its window.
     let rhdr = RdmaHeader::new(xid, conn.grant(), MsgType::Msg);
-    let _ = conn.ep.send(conn.ep.encode_wire(&rhdr, &reply));
+    let wire = conn.ep.encode_wire(&rhdr, |enc| reply.encode(enc));
+    let _ = conn.ep.send(wire);
 }
 
 /// Put an admitted call into service: a handler task holding a slot.
@@ -802,16 +804,32 @@ fn pump(server: &RdmaRpcServer) {
 }
 
 /// What the *push* stage hands to *reply* and *retire*: the reply
-/// header with its chunk lists filled in, the RPC reply message, and
-/// the buffers the bulk data was staged in.
+/// header with its chunk lists filled in, the RPC reply message in its
+/// two parts, and the buffers the bulk data was staged in.
 struct Outgoing {
     rhdr: RdmaHeader,
-    reply_msg: Bytes,
+    /// The RPC reply: this header, then the program's `results`.
+    /// Encoded straight into the wire image behind `rhdr`, or on its own
+    /// for a long reply, the one that travels by chunk.
+    reply: ReplyHeader,
+    results: Bytes,
     /// What the op holds until its reply Send has completed. Read-Write:
     /// the source windows of its RDMA Writes, then released. Read-Read:
     /// the buffers the reply advertises, from then exposed until the
     /// client's `RDMA_DONE`. Empty for a reply that is all inline.
     held: Vec<IoBuf>,
+}
+
+impl Outgoing {
+    /// Encoded length of the RPC reply message.
+    fn reply_len(&self) -> usize {
+        REPLY_HEADER_LEN + self.results.len().next_multiple_of(4)
+    }
+
+    /// The RPC reply message as bytes of its own, for a long reply.
+    fn reply_msg(&self) -> Payload {
+        Payload::real(encode_reply(&self.reply, &self.results))
+    }
 }
 
 /// Run one admitted call to completion, keeping the server's in-flight
@@ -1122,7 +1140,8 @@ async fn push_stage(
     let stat = dispatch.stat;
     let mut out = Outgoing {
         rhdr: RdmaHeader::new(xid, conn.grant(), MsgType::Msg),
-        reply_msg: encode_reply(&ReplyHeader { xid, stat }, &dispatch.head),
+        reply: ReplyHeader { xid, stat },
+        results: dispatch.head.clone(),
         held: Vec::new(),
     };
     match conn.server.cfg.design {
@@ -1150,8 +1169,8 @@ async fn push_by_write(
     let server = &conn.server;
     let room = |segs: &[Segment]| segs.iter().map(|s| s.len).sum::<u64>();
     let refuse = |out: &mut Outgoing| {
-        let (xid, stat) = (out.rhdr.xid, AcceptStat::GarbageArgs);
-        out.reply_msg = encode_reply(&ReplyHeader { xid, stat }, &Bytes::new());
+        out.reply.stat = AcceptStat::GarbageArgs;
+        out.results = Bytes::new();
     };
     if let (Some(bulk), Some(segs)) = (&dispatch.bulk_out, hdr.write_chunks.first()) {
         if bulk.len() > room(segs) {
@@ -1181,11 +1200,11 @@ async fn push_by_write(
         server.stats.bulk_out.add(bulk.len());
         out.held.push(io);
     }
-    if out.reply_msg.len() as u64 <= server.cfg.inline_threshold {
+    if out.reply_len() as u64 <= server.cfg.inline_threshold {
         return;
     }
     let reply_segs = match &hdr.reply_chunk {
-        Some(segs) if out.reply_msg.len() as u64 <= room(segs) => segs,
+        Some(segs) if out.reply_len() as u64 <= room(segs) => segs,
         provisioned => {
             if provisioned.is_some() {
                 server.stats.reply_chunk_overflows.inc();
@@ -1193,7 +1212,7 @@ async fn push_by_write(
             return refuse(out);
         }
     };
-    let payload = SgList::from(Payload::real(out.reply_msg.clone()));
+    let payload = SgList::from(out.reply_msg());
     let io = stage_source(server, &payload, Access::LOCAL).await;
     write_into_segments(conn, &io, payload.len(), reply_segs);
     out.rhdr.msg_type = MsgType::Nomsg;
@@ -1205,6 +1224,8 @@ async fn push_by_write(
 /// 0) in remotely readable buffers and advertise them as read chunks;
 /// the client pulls, then sends `RDMA_DONE`.
 async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &BulkDispatch, out: &mut Outgoing) {
+    let reply_len = out.reply_len();
+    let long_reply = (reply_len as u64 > server.cfg.inline_threshold).then(|| out.reply_msg());
     let mut expose = |io: &IoBuf, len: u64, position: u32| {
         for segment in io.segments(0, len, &server.hca) {
             out.rhdr.read_chunks.push(ReadChunk { position, segment });
@@ -1212,12 +1233,12 @@ async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &BulkDispatch, out: 
     };
     if let Some(bulk) = &dispatch.bulk_out {
         let io = stage_source(server, bulk, Access::REMOTE_READ).await;
-        expose(&io, bulk.len(), out.reply_msg.len() as u32);
+        expose(&io, bulk.len(), reply_len as u32);
         server.stats.bulk_out.add(bulk.len());
         out.held.push(io);
     }
-    if out.reply_msg.len() as u64 > server.cfg.inline_threshold {
-        let payload = SgList::from(Payload::real(out.reply_msg.clone()));
+    if let Some(reply) = long_reply {
+        let payload = SgList::from(reply);
         let io = stage_source(server, &payload, Access::REMOTE_READ).await;
         expose(&io, payload.len(), 0);
         out.rhdr.msg_type = MsgType::Nomsg;
@@ -1231,10 +1252,13 @@ async fn push_by_exposure(server: &RdmaRpcServer, dispatch: &BulkDispatch, out: 
 /// Read-Read buffers exposed.
 async fn reply_stage(conn: &ConnState, out: &mut Outgoing) -> Option<()> {
     let server = &conn.server;
-    if out.rhdr.msg_type == MsgType::Nomsg {
-        out.reply_msg = Bytes::new(); // travelled by chunk
-    }
-    let wire = conn.ep.encode_wire(&out.rhdr, &out.reply_msg);
+    let wire = conn.ep.encode_wire(&out.rhdr, |enc| {
+        // A long reply travelled by chunk.
+        if out.rhdr.msg_type != MsgType::Nomsg {
+            out.reply.encode(enc);
+            enc.put_opaque_fixed(&out.results);
+        }
+    });
     server.hca.cpu().copy(wire.len() as u64).await;
 
     let _s = server.sim.span("server", "reply_send");

@@ -51,10 +51,11 @@
 //!   into a local buffer once per batch. FIFO order is preserved: wakes
 //!   raised while a batch runs land in the (empty) queue and form the
 //!   next batch.
-//! - **One timer heap.** Pending timers live in one `BinaryHeap` keyed
-//!   by `(deadline, sequence)`, beside a generation-tagged slab of who
-//!   each one wakes: O(log n) register and pop, O(1) lazy cancellation
-//!   (see the private `timers` module).
+//! - **One timer heap.** Pending timers live in one indexed binary heap
+//!   keyed by `(deadline, sequence)`, beside a generation-tagged slab of
+//!   who each one wakes and where its key sits: O(log n) register, pop
+//!   and cancel, and the heap holds live timers only (see the private
+//!   `timers` module).
 //! - **Run to completion.** A [`Sleep`] that is the simulation's next
 //!   event — polled by its own task as the last lane, nothing ready,
 //!   strictly before every live timer and within the `run_until` limit
@@ -205,7 +206,7 @@ impl Core {
             && self.batch_left.get() == 0
             && self.sched.borrow().ready.is_empty()
             && deadline <= self.limit.get()
-            && (self.timers.borrow_mut().next_deadline()).is_none_or(|next| deadline < next)
+            && (self.timers.borrow().next_deadline()).is_none_or(|next| deadline < next)
     }
 }
 
@@ -334,8 +335,7 @@ impl Simulation {
                     self.poll_task(id);
                 }
             }
-            // Advance to the earliest pending timer. (Cancelled timers
-            // are skipped inside the heap without touching the clock.)
+            // Advance to the earliest pending timer.
             let fired = self.core.timers.borrow_mut().pop_due(deadline);
             match fired {
                 Some((at, parked)) => {

@@ -47,6 +47,7 @@ pub mod cpu;
 pub mod executor;
 pub mod extent;
 pub mod flight;
+pub mod hash;
 pub mod metrics;
 pub mod payload;
 pub mod resource;
@@ -63,6 +64,7 @@ pub use cpu::{Cpu, CpuCosts};
 pub use executor::{join, yield_now, Sim, Simulation, Span, Timeout};
 pub use extent::ExtentMap;
 pub use flight::{format_flight, FlightRecord, FLIGHT_CAPACITY};
+pub use hash::{FxMap, FxSet};
 pub use metrics::MetricsRegistry;
 pub use payload::{Payload, SgList};
 pub use resource::{Link, Resource, UseFor};

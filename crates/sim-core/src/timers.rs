@@ -1,4 +1,5 @@
-//! The executor's pending timers: one binary heap.
+//! The executor's pending timers: an indexed binary heap of live
+//! timers.
 //!
 //! Timers fire in `(deadline, registration)` order — the contract
 //! `tests/golden_schedule.rs` pins. The heap is keyed by exactly that
@@ -7,23 +8,27 @@
 //! ## Handles and cancellation
 //!
 //! Each timer owns a slot of a generation-tagged slab; its
-//! [`TimerHandle`] names the slot and the generation. A fired or
-//! cancelled timer's slot is freed with its generation bumped, so a
-//! stale handle (a fired timer's `Sleep` dropped later) addresses
-//! nothing. [`Timers::cancel`] is O(1) and lazy: it clears the slot's
-//! wakee and leaves the key in the heap, where it is discarded when it
-//! reaches the top. Once cancelled keys outnumber 64 and half the heap,
-//! `BinaryHeap::retain` purges them in place, so a workload that arms
-//! long timeouts and always cancels them (RPC retransmission timers)
-//! keeps memory proportional to its live timers and allocates nothing.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! [`TimerHandle`] names the slot and the generation, and the slot
+//! records where the timer's key sits in the heap. [`Timers::cancel`]
+//! therefore removes the key at once, in O(log n): the heap holds live
+//! timers only, so a pop sifts past no dead keys and a workload that
+//! arms long timeouts and always cancels them (RPC retransmission
+//! timers) keeps at most its live timers and allocates nothing once
+//! warm. A fired or cancelled timer's slot is freed with its
+//! generation bumped, so a stale handle (a fired timer's `Sleep`
+//! dropped later) addresses nothing.
+//!
+//! A key is 16 bytes: the deadline, then the registration sequence and
+//! the slot packed into one word, sequence above slot. Comparing the
+//! word compares sequences, which are unique, so the slot never decides
+//! an order.
 
 use crate::time::SimTime;
 
-/// Cancelled keys the heap may hold before a purge is considered.
-const DEAD_FLOOR: usize = 64;
+/// Low bits of [`Key::order`] that hold the slab slot: up to 2^24
+/// timers pending at once. The sequence keeps the other 40, 2^40
+/// registrations per simulation.
+const SLOT_BITS: u32 = 24;
 
 /// Handle to a registered timer; needed to cancel or retarget it.
 /// Stale handles (timer already fired) are detected by generation and
@@ -34,19 +39,27 @@ pub(crate) struct TimerHandle {
     gen: u32,
 }
 
-/// One timer's firing order and slab slot. `seq` is unique, so `slot`
-/// never decides an order.
+/// One timer's firing order: its deadline, then `seq << SLOT_BITS |
+/// slot`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     deadline: u64,
-    seq: u64,
-    slot: u32,
+    order: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() == 16);
+
+impl Key {
+    fn slot(self) -> usize {
+        (self.order & ((1 << SLOT_BITS) - 1)) as usize
+    }
 }
 
 struct Slot<W> {
     gen: u32,
-    /// Who the timer wakes; `Some` while it is live, cleared by
-    /// cancel/fire.
+    /// Index of the timer's key in the heap while it is live.
+    pos: u32,
+    /// Who the timer wakes; `Some` exactly while it is live.
     wakee: Option<W>,
 }
 
@@ -58,9 +71,8 @@ pub(crate) struct Timers<W> {
     free: Vec<u32>,
     /// Global registration counter; ties on deadline fire in seq order.
     seq: u64,
-    heap: BinaryHeap<Reverse<Key>>,
-    /// Cancelled keys still in the heap.
-    dead: usize,
+    /// Binary min-heap of the live timers' keys.
+    heap: Vec<Key>,
 }
 
 impl<W> Timers<W> {
@@ -70,8 +82,7 @@ impl<W> Timers<W> {
             slots: Vec::new(),
             free: Vec::new(),
             seq: 0,
-            heap: BinaryHeap::new(),
-            dead: 0,
+            heap: Vec::new(),
         }
     }
 
@@ -79,21 +90,25 @@ impl<W> Timers<W> {
     /// have grown to the peak number of pending timers.
     pub(crate) fn register(&mut self, deadline: SimTime, wakee: W) -> TimerHandle {
         let slot = self.free.pop().unwrap_or_else(|| {
+            assert!(self.slots.len() < 1 << SLOT_BITS, "timer slab full");
             self.slots.push(Slot {
                 gen: 0,
+                pos: 0,
                 wakee: None,
             });
             (self.slots.len() - 1) as u32
         });
+        self.seq += 1;
+        assert!(self.seq < 1 << (64 - SLOT_BITS), "timer sequence spent");
         let s = &mut self.slots[slot as usize];
         s.wakee = Some(wakee);
-        self.seq += 1;
-        self.heap.push(Reverse(Key {
+        let gen = s.gen;
+        self.heap.push(Key {
             deadline: deadline.as_nanos(),
-            seq: self.seq,
-            slot,
-        }));
-        TimerHandle { slot, gen: s.gen }
+            order: self.seq << SLOT_BITS | u64::from(slot),
+        });
+        self.sift_up(self.heap.len() - 1);
+        TimerHandle { slot, gen }
     }
 
     /// The handle's slot while its timer is live.
@@ -103,24 +118,15 @@ impl<W> Timers<W> {
             .filter(|s| s.gen == h.gen && s.wakee.is_some())
     }
 
-    /// Cancel a timer: O(1), lazy. A stale handle is a no-op.
+    /// Cancel a timer: its key leaves the heap now, O(log n). A stale
+    /// handle is a no-op.
     pub(crate) fn cancel(&mut self, h: TimerHandle) {
         let Some(slot) = self.live_slot(h) else {
             return;
         };
-        slot.wakee = None;
-        self.dead += 1;
-        if self.dead > DEAD_FLOOR && self.dead * 2 > self.heap.len() {
-            let (slots, free) = (&mut self.slots, &mut self.free);
-            self.heap.retain(|Reverse(key)| {
-                let live = slots[key.slot as usize].wakee.is_some();
-                if !live {
-                    free_slot(slots, free, key.slot);
-                }
-                live
-            });
-            self.dead = 0;
-        }
+        let pos = slot.pos as usize;
+        let key = self.remove_at(pos);
+        self.free_slot(key.slot());
     }
 
     /// Replace who a live timer wakes (used by `Sleep::poll` when it is
@@ -131,37 +137,82 @@ impl<W> Timers<W> {
         }
     }
 
-    /// The earliest live timer's deadline. Cancelled keys on top of the
-    /// heap are discarded on the way.
-    pub(crate) fn next_deadline(&mut self) -> Option<SimTime> {
-        loop {
-            let Reverse(key) = *self.heap.peek()?;
-            if self.slots[key.slot as usize].wakee.is_some() {
-                return Some(SimTime::from_nanos(key.deadline));
-            }
-            self.heap.pop();
-            free_slot(&mut self.slots, &mut self.free, key.slot);
-            self.dead -= 1;
-        }
+    /// The earliest live timer's deadline.
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
+        self.heap.first().map(|k| SimTime::from_nanos(k.deadline))
     }
 
     /// Pop the earliest live timer with `deadline <= limit`, if any; a
     /// live timer beyond `limit` is left in place.
     pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, W)> {
         let at = self.next_deadline().filter(|&at| at <= limit)?;
-        let Reverse(key) = self.heap.pop()?;
-        let wakee = self.slots[key.slot as usize].wakee.take();
-        free_slot(&mut self.slots, &mut self.free, key.slot);
+        let key = self.remove_at(0);
+        let wakee = self.free_slot(key.slot());
         wakee.map(|w| (at, w))
     }
-}
 
-/// Return a slot to the free list, invalidating its outstanding handle.
-fn free_slot<W>(slots: &mut [Slot<W>], free: &mut Vec<u32>, slot: u32) {
-    let s = &mut slots[slot as usize];
-    s.gen = s.gen.wrapping_add(1);
-    s.wakee = None;
-    free.push(slot);
+    /// Put `key` at heap index `pos` and tell its slot.
+    fn place(&mut self, pos: usize, key: Key) {
+        self.heap[pos] = key;
+        self.slots[key.slot()].pos = pos as u32;
+    }
+
+    /// Move the key at `pos` up past every parent later than it.
+    fn sift_up(&mut self, mut pos: usize) {
+        let key = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.heap[parent] <= key {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        self.place(pos, key);
+    }
+
+    /// Move the key at `pos` down past every child earlier than it.
+    fn sift_down(&mut self, mut pos: usize) {
+        let (key, len) = (self.heap[pos], self.heap.len());
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.heap[child + 1] < self.heap[child] {
+                child += 1;
+            }
+            if key <= self.heap[child] {
+                break;
+            }
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        self.place(pos, key);
+    }
+
+    /// Take the key at `pos` out of the heap. The last key fills the
+    /// hole and sifts whichever way its new neighbours say.
+    fn remove_at(&mut self, pos: usize) -> Key {
+        let key = self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            if pos > 0 && self.heap[pos] < self.heap[(pos - 1) / 2] {
+                self.sift_up(pos);
+            } else {
+                self.sift_down(pos);
+            }
+        }
+        key
+    }
+
+    /// Return a slot to the free list, invalidating its outstanding
+    /// handle; hands back who it would have woken.
+    fn free_slot(&mut self, slot: usize) -> Option<W> {
+        let s = &mut self.slots[slot];
+        s.gen = s.gen.wrapping_add(1);
+        self.free.push(slot as u32);
+        s.wakee.take()
+    }
 }
 
 #[cfg(test)]
@@ -170,9 +221,16 @@ mod tests {
     use proptest::prelude::*;
 
     impl<W> Timers<W> {
-        /// Registered timers neither cancelled nor fired.
+        /// Registered timers neither cancelled nor fired: the heap's
+        /// keys, once every live slot is checked to index its own key.
         fn live(&self) -> usize {
-            self.heap.len() - self.dead
+            for (i, s) in self.slots.iter().enumerate() {
+                if s.wakee.is_some() {
+                    let key = self.heap.get(s.pos as usize);
+                    assert_eq!(key.map(|k| k.slot()), Some(i), "slot {i} misindexed");
+                }
+            }
+            self.heap.len()
         }
     }
 
@@ -309,20 +367,44 @@ mod tests {
     }
 
     #[test]
+    fn a_cancel_heavy_run_holds_two_keys_and_allocates_nothing_once_warm() {
+        // The RPC retransmission pattern at its leanest: every
+        // operation arms a far-future timeout and a near sleep, the
+        // sleep fires, the timeout is cancelled. Only the two live keys
+        // are ever in the heap, and once the first operation has grown
+        // the heap, the slab and the free list, none of them grows.
+        let mut tm = Timers::new();
+        let (mut now, mut warm) = (0u64, None);
+        for op in 0..10_000u64 {
+            let timeout = tm.register(t(now + 50_000_000), w());
+            tm.register(t(now + 100), w());
+            assert_eq!(tm.live(), 2, "op {op}");
+            let (at, _) = tm.pop_due(t(u64::MAX)).expect("near sleep pending");
+            assert_eq!(at.as_nanos(), now + 100, "op {op}: the timeout fired first");
+            now = at.as_nanos();
+            tm.cancel(timeout);
+            assert_eq!(tm.live(), 0, "op {op}: a cancelled key stayed in the heap");
+            let footprint = (tm.heap.capacity(), tm.slots.capacity(), tm.free.capacity());
+            assert_eq!(
+                *warm.get_or_insert(footprint),
+                footprint,
+                "op {op} allocated"
+            );
+        }
+        assert!(fire_all(&mut tm, u64::MAX).is_empty());
+    }
+
+    #[test]
     fn heap_purge_bounds_dead_entries() {
         let mut tm = Timers::new();
         // Register and cancel many far-future timers; the heap must not
-        // retain them all.
+        // retain them.
         for i in 0..10_000u64 {
             let h = tm.register(t((1 << 40) + i), w());
             tm.cancel(h);
+            assert!(tm.heap.is_empty(), "a cancelled key stayed in the heap");
         }
         assert_eq!(tm.live(), 0);
-        assert!(
-            tm.heap.len() < 1000,
-            "lazy deletion unbounded: {} dead heap entries",
-            tm.heap.len()
-        );
         assert!(fire_all(&mut tm, u64::MAX).is_empty());
     }
 
@@ -428,9 +510,9 @@ mod tests {
         /// Against a sorted list of the live `(deadline, seq, wakee)`:
         /// every pop fires the model's minimum (or nothing when it is
         /// past the limit) and hands back its latest wakee, cancelled
-        /// timers never fire, stale handles change nothing, and the
-        /// cancelled keys left in the heap never exceed 64 or the peak
-        /// live count.
+        /// timers never fire, stale handles change nothing, and after
+        /// every step the heap holds exactly the live timers, each live
+        /// slot's position indexing its own key.
         #[test]
         fn heap_matches_a_sorted_reference_model(
             ops in proptest::collection::vec(op(), 1..400)
@@ -438,7 +520,7 @@ mod tests {
             let mut tm = Timers::new();
             let mut model: Vec<(u64, u64, u64)> = Vec::new();
             let mut issued: Vec<(TimerHandle, u64)> = Vec::new();
-            let (mut now, mut seq, mut peak) = (0u64, 0u64, 0usize);
+            let (mut now, mut seq) = (0u64, 0u64);
             for (step, op) in ops.into_iter().enumerate() {
                 let step = step as u64;
                 match op {
@@ -477,9 +559,7 @@ mod tests {
                     }
                     Op::Cancel(_) | Op::Retarget(_) => {}
                 }
-                peak = peak.max(model.len());
                 prop_assert_eq!(tm.live(), model.len());
-                prop_assert!(tm.dead <= DEAD_FLOOR.max(peak), "{} dead keys", tm.dead);
             }
             model.sort_unstable();
             let rest: Vec<u64> = model.iter().map(|m| m.0).collect();

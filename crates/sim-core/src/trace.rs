@@ -23,8 +23,9 @@
 //!   RPC needs `Sim::span_proc`.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
+use crate::hash::FxMap;
 use crate::metrics::escape_json;
 use crate::stats::Histogram;
 use crate::time::SimTime;
@@ -79,116 +80,103 @@ pub struct SpanRecord {
     pub end: SimTime,
 }
 
-/// Retained span storage: one fixed 48-byte plain-old-data record
+/// Retained span storage: one fixed 32-byte plain-old-data record
 /// per span, written **once at enter** into the `done` buffer and
-/// patched in place (`end_ns` only) at exit. Retention cost per span
-/// is thus under one cache line streamed plus one hot-line store —
-/// the previous design (open-span structs copied into 104-byte
-/// records at exit) more than doubled the tracing-enabled hot-path
-/// overhead. Strings are interned (see [`Tracer::intern`]); sentinel
+/// patched in place (`end_ns` only) at exit. Much of a traced run's
+/// extra cost is these bytes — a record padded by 16 bytes costs the
+/// gated READ loop about a point of overhead — so a record stores
+/// nothing it can be told some cheaper way: its id is its position
+/// (`base` plus its index), its task an index into the task table, its
+/// procedure part of its interned names, and the flow trigger of the
+/// few spans that adopt a remote context sits in a side list. Sentinel
 /// fields stand in for the `Option`s of the public [`SpanRecord`].
 #[derive(Clone, Copy, Default)]
 struct Packed {
     start_ns: u64,
-    /// [`OPEN_NS`] until the span exits.
+    /// [`OPEN_NS`] until the span exits, [`TAKEN_NS`] once drained.
     end_ns: u64,
-    task: u64,
-    id: u32,
+    /// Index into the task table.
+    task: u32,
     /// [`NO_PARENT`] for roots.
     parent: u32,
-    /// 0 when the trigger was local.
-    flow: u32,
     trace: u32,
-    /// [`NO_PROC`] when untagged.
-    proc_num: u32,
-    /// Index into the intern table of (component, name) pairs.
+    /// Index into the intern table of (component, name, procedure).
     names: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Packed>() == 32);
+
 const OPEN_NS: u64 = u64::MAX;
+const TAKEN_NS: u64 = u64::MAX - 1;
 const NO_PARENT: u32 = u32::MAX;
 const NO_PROC: u32 = u32::MAX;
-
-/// Stack entry for one open span: everything enter/exit and
-/// [`Tracer::current_ctx`] need without touching the `done` buffer —
-/// the record index (to patch `end_ns`), the span id, and the cached
-/// trace id children inherit.
-#[derive(Clone, Copy)]
-struct OpenEntry {
-    id: u32,
-    idx: u32,
-    trace: u32,
-}
-
-/// Multiplicative u64 hasher (FxHash-style) for the span hot path's
-/// integer-keyed maps — SipHash dominates the tracing-enabled span
-/// cost otherwise. No map is ever iterated for output, so the
-/// hasher cannot affect determinism.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl std::hash::Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
 
 /// (ptr, len) identity of one `&'static str` — the intern key half.
 type StrKey = (usize, usize);
 
-/// Open span stacks, indexed by executor task *slot* (low id bits) —
-/// a dense vector, not a map, because the span enter/exit pair is the
-/// tracing-enabled hot path and a direct offset beats hashing and
-/// bucket probing. Slots are reused from the executor's free list, so
-/// the vector stays bounded by peak task concurrency; emptied stacks
-/// keep their capacity, making steady-state enter/exit
-/// allocation-free. Generation reuse cannot mix stacks: span guards
-/// are RAII, so a task's stack is empty again before its slot is
-/// freed.
+/// `SlotSpans::top` of a slot with no span open.
+const NO_TOP: u32 = u32::MAX;
+
+/// One task slot's innermost open span, and the task that last opened
+/// a span there with its index in the task table. The slot's other
+/// open spans are the innermost one's ancestors: each record's
+/// `parent` names the span that was innermost when it opened, so the
+/// records themselves are the stack.
+struct SlotSpans {
+    /// `done` index of the innermost open span, or [`NO_TOP`].
+    top: u32,
+    task: Option<(u64, u32)>,
+}
+
+impl Default for SlotSpans {
+    fn default() -> SlotSpans {
+        SlotSpans {
+            top: NO_TOP,
+            task: None,
+        }
+    }
+}
+
+/// Open spans by executor task *slot* (low id bits) — a dense vector,
+/// not a map, because the span enter/exit pair is the tracing-enabled
+/// hot path and a direct offset beats hashing and bucket probing.
+/// Slots are reused from the executor's free list, so the vector stays
+/// bounded by peak task concurrency. Generation reuse cannot mix
+/// tasks' spans: span guards are RAII, so a task has closed every span
+/// before its slot is freed.
 #[derive(Default)]
 struct OpenStacks {
-    by_slot: Vec<Vec<OpenEntry>>,
+    by_slot: Vec<SlotSpans>,
     /// Spans entered outside any task (`block_on` driver code).
-    detached: Vec<OpenEntry>,
+    detached: SlotSpans,
 }
 
 /// `task_slot(NO_TASK)`: the executor's "no current task" sentinel.
 const DETACHED_SLOT: usize = u32::MAX as usize;
 
 impl OpenStacks {
-    fn stack_mut(&mut self, task: u64) -> &mut Vec<OpenEntry> {
+    fn slot_mut(&mut self, task: u64) -> &mut SlotSpans {
         let slot = crate::executor::task_slot(task);
         if slot == DETACHED_SLOT {
             return &mut self.detached;
         }
         if slot >= self.by_slot.len() {
-            self.by_slot.resize_with(slot + 1, Vec::new);
+            self.by_slot.resize_with(slot + 1, SlotSpans::default);
         }
         &mut self.by_slot[slot]
     }
 
-    fn stack(&self, task: u64) -> &[OpenEntry] {
+    /// `done` index of `task`'s innermost open span, or [`NO_TOP`].
+    fn top(&self, task: u64) -> u32 {
         let slot = crate::executor::task_slot(task);
         if slot == DETACHED_SLOT {
-            return &self.detached;
+            return self.detached.top;
         }
-        self.by_slot.get(slot).map_or(&[], Vec::as_slice)
+        self.by_slot.get(slot).map_or(NO_TOP, |s| s.top)
+    }
+
+    fn slots_mut(&mut self) -> impl Iterator<Item = &mut SlotSpans> {
+        self.by_slot.iter_mut().chain([&mut self.detached])
     }
 }
 
@@ -205,15 +193,23 @@ const PREFAULT_RECORDS: usize = 1 << 15;
 /// the buffer, stacks and intern maps would cost per span.
 #[derive(Default)]
 struct TracerState {
-    next_id: u32,
+    /// Id of `done[0]`: a record's id is `base` plus its index.
+    base: u32,
     open: OpenStacks,
     done: Vec<Packed>,
-    /// Intern table: `names` index in a [`Packed`] record → strings.
-    names: Vec<(&'static str, &'static str)>,
-    /// Reverse interning by the `&'static str`s' (ptr, len) identity —
-    /// distinct literals with equal text intern separately, which only
-    /// costs a duplicate table entry.
-    name_ids: FxMap<(StrKey, StrKey), u32>,
+    /// Task table: the task ids `done`'s records index. Emptied with
+    /// `done`.
+    tasks: Vec<u64>,
+    /// `(span id, remote span it links from)` of the spans in `done`
+    /// that adopted a remote context, in id order.
+    flows: Vec<(u32, u32)>,
+    /// Intern table: `names` index in a [`Packed`] record → strings and
+    /// procedure ([`NO_PROC`] when untagged).
+    names: Vec<(&'static str, &'static str, u32)>,
+    /// Reverse interning by the `&'static str`s' (ptr, len) identity and
+    /// the procedure — distinct literals with equal text intern
+    /// separately, which only costs a duplicate table entry.
+    name_ids: FxMap<(StrKey, StrKey, u32), u32>,
     /// Trace contexts of in-flight messages, keyed by
     /// `(client_node << 32) | xid` for RPCs and `1 << 63 | seq` for
     /// replication records — the out-of-band channel that lets the
@@ -223,16 +219,17 @@ struct TracerState {
 }
 
 impl TracerState {
-    fn intern(&mut self, component: &'static str, name: &'static str) -> u32 {
+    fn intern(&mut self, component: &'static str, name: &'static str, proc_num: u32) -> u32 {
         let key = (
             (component.as_ptr() as usize, component.len()),
             (name.as_ptr() as usize, name.len()),
+            proc_num,
         );
         if let Some(&i) = self.name_ids.get(&key) {
             return i;
         }
         let i = u32::try_from(self.names.len()).expect("intern table overflow");
-        self.names.push((component, name));
+        self.names.push((component, name, proc_num));
         self.name_ids.insert(key, i);
         i
     }
@@ -292,31 +289,39 @@ impl Tracer {
         ctx: TraceCtx,
     ) -> u64 {
         let state = &mut *self.state.borrow_mut();
-        let id = state.next_id;
-        state.next_id = id + 1;
-        let names = state.intern(component, name);
-        let stack = state.open.stack_mut(task);
-        let parent = stack.last().map_or(NO_PARENT, |e| e.id);
-        let (trace, flow) = if ctx.trace_id != 0 {
-            (ctx.trace_id as u32, ctx.parent_span as u32)
-        } else if let Some(top) = stack.last() {
-            (top.trace, 0)
-        } else {
-            (id + 1, 0)
-        };
         let idx = state.done.len() as u32;
+        let id = state.base + idx;
+        let names = state.intern(component, name, proc_num.unwrap_or(NO_PROC));
+        let slot = state.open.slot_mut(task);
+        let task_index = match slot.task {
+            Some((t, i)) if t == task => i,
+            _ => {
+                let i = u32::try_from(state.tasks.len()).expect("task table overflow");
+                state.tasks.push(task);
+                slot.task = Some((task, i));
+                i
+            }
+        };
+        let top = std::mem::replace(&mut slot.top, idx);
+        let enclosing = state.done.get(top as usize);
+        let parent = enclosing.map_or(NO_PARENT, |_| state.base + top);
+        let trace = if ctx.trace_id != 0 {
+            let flow = ctx.parent_span as u32;
+            if flow != 0 {
+                state.flows.push((id, flow));
+            }
+            ctx.trace_id as u32
+        } else {
+            enclosing.map_or(id + 1, |e| e.trace)
+        };
         state.done.push(Packed {
             start_ns: now.as_nanos(),
             end_ns: OPEN_NS,
-            task,
-            id,
+            task: task_index,
             parent,
-            flow,
             trace,
-            proc_num: proc_num.unwrap_or(NO_PROC),
             names,
         });
-        stack.push(OpenEntry { id, idx, trace });
         u64::from(id)
     }
 
@@ -325,10 +330,11 @@ impl Tracer {
     /// point. [`TraceCtx::NONE`] when no span is open.
     pub(crate) fn current_ctx(&self, task: u64) -> TraceCtx {
         let state = self.state.borrow();
-        match state.open.stack(task).last() {
-            Some(top) => TraceCtx {
-                trace_id: u64::from(top.trace),
-                parent_span: u64::from(top.id),
+        let top = state.open.top(task);
+        match state.done.get(top as usize) {
+            Some(rec) => TraceCtx {
+                trace_id: u64::from(rec.trace),
+                parent_span: u64::from(state.base + top),
             },
             None => TraceCtx::NONE,
         }
@@ -353,72 +359,88 @@ impl Tracer {
             .unwrap_or_default()
     }
 
-    /// Close span `id` on `task` at `now`: pop the stack entry and
-    /// patch the record's end time in place (one store to a line the
-    /// op just wrote). Closes are LIFO in normal use; a guard dropped
-    /// out of order (e.g. a future torn down mid `.await`) is found
-    /// by searching down the stack.
+    /// Close span `id` on `task` at `now`: patch the record's end time
+    /// in place (one store to a line the op just wrote) and, if it was
+    /// the task's innermost open span, make its nearest open ancestor
+    /// the innermost. Closes are LIFO in normal use; a guard dropped out
+    /// of order (e.g. a future torn down mid `.await`) leaves the
+    /// innermost span as it is, and is skipped once that one closes.
     pub(crate) fn exit(&self, now: SimTime, task: u64, id: u64) {
         let state = &mut *self.state.borrow_mut();
-        let stack = state.open.stack_mut(task);
-        let Some(pos) = stack.iter().rposition(|e| u64::from(e.id) == id) else {
+        let idx = (id as u32).wrapping_sub(state.base);
+        let Some(rec) = state.done.get_mut(idx as usize) else {
             return;
         };
-        // An emptied stack keeps its capacity: the slot will host
-        // another task's spans soon enough.
-        let e = stack.remove(pos);
-        if let Some(rec) = state.done.get_mut(e.idx as usize) {
-            rec.end_ns = now.as_nanos();
+        rec.end_ns = now.as_nanos();
+        let parent = rec.parent;
+        let slot = state.open.slot_mut(task);
+        if slot.top == idx {
+            slot.top = open_ancestor(&state.done, state.base, parent);
         }
     }
 
     /// Drain completed spans (in **enter order**), leaving tracing
-    /// enabled. Spans still open stay behind — compacted to the front
-    /// of the buffer with their stack entries re-indexed — and
-    /// complete into the next drain.
+    /// enabled. Spans still open stay behind and complete into the next
+    /// drain; the buffer gives up its records only up to the first of
+    /// them, so every record keeps its index's id.
     pub(crate) fn take(&self) -> Vec<SpanRecord> {
         let state = &mut *self.state.borrow_mut();
         let mut out = Vec::with_capacity(state.done.len());
-        let mut remap: FxMap<u32, u32> = FxMap::default();
-        let mut write = 0usize;
-        for read in 0..state.done.len() {
-            let rec = state.done[read];
-            if rec.end_ns == OPEN_NS {
-                remap.insert(read as u32, write as u32);
-                state.done[write] = rec;
-                write += 1;
+        let mut flows = state.flows.iter().peekable();
+        for (id, rec) in (state.base..).zip(&mut state.done) {
+            let flow = flows.next_if(|f| f.0 == id).map_or(0, |f| f.1);
+            if matches!(rec.end_ns, OPEN_NS | TAKEN_NS) {
                 continue;
             }
-            let (component, name) = state.names[rec.names as usize];
+            let (component, name, proc_num) = state.names[rec.names as usize];
             out.push(SpanRecord {
-                id: u64::from(rec.id),
+                id: u64::from(id),
                 parent: (rec.parent != NO_PARENT).then(|| u64::from(rec.parent)),
-                task: rec.task,
+                task: state.tasks[rec.task as usize],
                 component,
                 name,
-                proc_num: (rec.proc_num != NO_PROC).then_some(rec.proc_num),
+                proc_num: (proc_num != NO_PROC).then_some(proc_num),
                 trace_id: u64::from(rec.trace),
-                flow_from: u64::from(rec.flow),
+                flow_from: u64::from(flow),
                 start: SimTime::from_nanos(rec.start_ns),
                 end: SimTime::from_nanos(rec.end_ns),
             });
+            rec.end_ns = TAKEN_NS;
         }
-        state.done.truncate(write);
-        if write > 0 {
-            let fix = |stack: &mut Vec<OpenEntry>| {
-                for e in stack {
-                    if let Some(&n) = remap.get(&e.idx) {
-                        e.idx = n;
-                    }
-                }
-            };
-            for stack in &mut state.open.by_slot {
-                fix(stack);
+        let drained = (state.done.iter()).position(|r| r.end_ns == OPEN_NS);
+        let drained = drained.unwrap_or(state.done.len());
+        state.done.drain(..drained);
+        state.base += drained as u32;
+        let base = state.base;
+        state.flows.retain(|f| f.0 >= base);
+        let empty = state.done.is_empty();
+        if empty {
+            state.tasks.clear();
+        }
+        for slot in state.open.slots_mut() {
+            if slot.top != NO_TOP {
+                slot.top -= drained as u32;
             }
-            fix(&mut state.open.detached);
+            if empty {
+                slot.task = None;
+            }
         }
         out
     }
+}
+
+/// `done` index of the nearest span still open among span `id` and its
+/// ancestors, or [`NO_TOP`]. A span already drained is closed, and so
+/// is every ancestor of it: an open one would have kept it in `done`.
+fn open_ancestor(done: &[Packed], base: u32, mut id: u32) -> u32 {
+    while let Some(idx) = id.checked_sub(base).filter(|_| id != NO_PARENT) {
+        let rec = &done[idx as usize];
+        if rec.end_ns == OPEN_NS {
+            return idx;
+        }
+        id = rec.parent;
+    }
+    NO_TOP
 }
 
 /// Format nanoseconds as fractional microseconds (Chrome's `ts` unit)
@@ -464,7 +486,7 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
         }
         out.push_str("}}");
     }
-    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+    let by_id: FxMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
     for s in spans.iter().filter(|s| s.flow_from != 0) {
         let Some(src) = by_id.get(&s.flow_from) else {
             continue; // source span still open (or dropped): no edge
@@ -508,7 +530,7 @@ pub struct PhaseStats {
 /// nearest proc-tagged ancestor. Deterministically ordered by
 /// (procedure, component, phase).
 pub fn aggregate_phases(spans: &[SpanRecord]) -> Vec<PhaseStats> {
-    let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+    let by_id: FxMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
     let resolve = |s: &SpanRecord| -> Option<u32> {
         let mut cur = Some(s);
         while let Some(s) = cur {
@@ -894,5 +916,47 @@ mod tests {
         assert_eq!(spans[0].name, "a");
         assert_eq!(spans[1].name, "b");
         assert_eq!(spans[1].parent, Some(a));
+    }
+
+    /// A drain while spans are open hands out what closed and keeps
+    /// the rest: ids, parents, tasks and flows come out the same either
+    /// side of it, and a span closed out of order is no parent after
+    /// its open child closes.
+    #[test]
+    fn a_drain_with_spans_open_keeps_ids_parents_and_flows() {
+        let t = Tracer::default();
+        t.enable();
+        let at = SimTime::from_nanos;
+        let p = t.enter(at(0), 1, "c", "p", Some(3));
+        let a = t.enter(at(1), 1, "c", "a", None);
+        let b = t.enter(at(2), 1, "c", "b", None);
+        t.exit(at(3), 1, a);
+        let ctx = t.current_ctx(1);
+        assert_eq!(ctx.parent_span, b);
+        let s = t.enter_remote(at(4), 2, "s", "op", None, ctx);
+        t.exit(at(5), 2, s);
+        let first = t.take();
+        let ids: Vec<u64> = first.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [a, s]);
+        assert_eq!((first[0].parent, first[0].task), (Some(p), 1));
+        assert_eq!((first[1].flow_from, first[1].task), (b, 2));
+        assert_eq!(first[1].trace_id, ctx.trace_id);
+        t.exit(at(6), 1, b);
+        assert_eq!(t.current_ctx(1).parent_span, p);
+        let c = t.enter(at(7), 1, "c", "c", None);
+        t.exit(at(8), 1, c);
+        t.exit(at(9), 1, p);
+        let second = t.take();
+        let got: Vec<_> = (second.iter())
+            .map(|r| (r.id, r.parent, r.task, r.flow_from, r.proc_num))
+            .collect();
+        let want = [
+            (p, None, 1, 0, Some(3)),
+            (b, Some(a), 1, 0, None),
+            (c, Some(p), 1, 0, None),
+        ];
+        assert_eq!(got, want);
+        assert!(second.iter().all(|r| r.trace_id == ctx.trace_id));
+        assert!(t.take().is_empty());
     }
 }

@@ -4,7 +4,9 @@
 //! sanity on the JSON export.
 
 use proptest::prelude::*;
-use sim_core::{chrome_trace_json, validate_json, Sim, SimDuration, Simulation, Span, SpanRecord};
+use sim_core::{
+    chrome_trace_json, validate_json, FxMap, FxSet, Sim, SimDuration, Simulation, Span, SpanRecord,
+};
 
 const COMPONENTS: [&str; 4] = ["client", "hca", "server", "fs"];
 const NAMES: [&str; 4] = ["call", "reg", "io", "send"];
@@ -53,13 +55,12 @@ async fn run_plan(sim: Sim, proc_num: u32, plan: Vec<Step>) {
 fn check_invariants(spans: &[SpanRecord]) {
     // Ids unique; parents recorded, same-task, opened earlier, and the
     // parent interval encloses the child's.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FxSet::default();
     for s in spans {
         assert!(seen.insert(s.id), "duplicate span id {}", s.id);
         assert!(s.start <= s.end, "span {} ends before it starts", s.id);
     }
-    let by_id: std::collections::HashMap<u64, &SpanRecord> =
-        spans.iter().map(|s| (s.id, s)).collect();
+    let by_id: FxMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
     for s in spans {
         if let Some(pid) = s.parent {
             let p = by_id

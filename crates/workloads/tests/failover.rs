@@ -2,7 +2,7 @@
 //! intact across a mid-workload primary kill, rejoins the crashed
 //! node, and replays identically under the same seed.
 
-use sim_core::SimDuration;
+use sim_core::{FxMap, FxSet, SimDuration};
 use workloads::{
     failover_bed, linux_sdr, run_failover, Bed, Capture, ClusterConfig, FailoverParams,
 };
@@ -154,8 +154,7 @@ fn traced_failover_links_all_roles_and_replays_bit_for_bit() {
 
     // One trace id collects spans from all three roles: the client's
     // call, the (possibly promoted) server's op, and the backup apply.
-    use std::collections::{HashMap, HashSet};
-    let mut roles: HashMap<u64, HashSet<&str>> = HashMap::new();
+    let mut roles: FxMap<u64, FxSet<&str>> = FxMap::default();
     for s in &a.spans {
         if s.trace_id != 0 {
             roles.entry(s.trace_id).or_default().insert(s.component);
@@ -207,7 +206,7 @@ fn killed_node_rejoins_and_resyncs() {
     );
     // A re-shipped record keeps the trace of the call that wrote it, so
     // every backup apply — live or resync — joins some client's tree.
-    let client_traces: std::collections::HashSet<u64> = (r.spans.iter())
+    let client_traces: FxSet<u64> = (r.spans.iter())
         .filter(|s| s.component == "client")
         .map(|s| s.trace_id)
         .collect();

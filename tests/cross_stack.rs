@@ -3,11 +3,10 @@
 //! design equivalence, concurrent-client isolation and a deterministic
 //! random-operation fuzz against a reference model.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use rpcrdma::{Design, StrategyKind};
-use sim_core::{Payload, SimRng, Simulation};
+use sim_core::{FxMap, Payload, SimRng, Simulation};
 use workloads::{solaris_sdr, Bed, Testbed};
 
 fn bed(sim: &Simulation, design: Design, strategy: StrategyKind, clients: usize) -> Testbed {
@@ -138,8 +137,8 @@ fn randomized_ops_match_reference_model() {
             let c = &bed.clients[0];
             let mut rng = SimRng::new(seed ^ 0xfeed);
             // Model: file name -> expected contents.
-            let mut model: HashMap<String, Vec<u8>> = HashMap::new();
-            let mut handles: HashMap<String, nfs::FileHandle> = HashMap::new();
+            let mut model: FxMap<String, Vec<u8>> = FxMap::default();
+            let mut handles: FxMap<String, nfs::FileHandle> = FxMap::default();
             let buf = c.mem.alloc(64 * 1024);
 
             for _op in 0..300 {

@@ -342,12 +342,18 @@ fn polls_and_allocations_per_rung_are_pinned() {
         // ties or follows another pending one (12 polls a round trip,
         // 19 a call, 71 a READ, 34 a WRITE when every sleep registered
         // its timer).
-        (256, 0),   // 4 polls a round trip
-        (512, 448), // 8 polls a call
-        (512, 576),
+        (256, 0), // 4 polls a round trip
+        // 8 polls a call. 4 allocations a call: each RPC message is
+        // encoded once, behind its transport header, into the wire
+        // image, and the reply lands in the call's `pending` entry (7
+        // when the call and the reply were each a `Bytes` of their own
+        // first and every attempt waited on a oneshot)
+        (512, 256),
+        (512, 384),
         // 26 polls a READ: the client's sink and the server's source
         // window each unpin on a task of their own, 1 allocation
-        // apiece. 29 allocations a READ: a one-piece gather list holds
+        // apiece. 26 allocations a READ (29 before the one-buffer RPC
+        // messages above): a one-piece gather list holds
         // its piece inline from the extent map to the wire message, and
         // every other list is allocated once, at its final size (74
         // when every list, WQE and remote segment built a `Vec`; 40
@@ -355,20 +361,23 @@ fn polls_and_allocations_per_rung_are_pinned() {
         // facade, one box a data call; 39 when the page-cache gather
         // list, the buffer's physical runs and the echoed write chunk
         // grew one push at a time)
-        (1_664, 1_856),
+        (1_664, 1_664),
         // 43 polls a READ: the cached READ's 26, two for each of the
         // eight member tasks (one per disk) and one for the join, which
-        // wakes the READ once. 36 allocations a READ (50 polls and 47
-        // allocations when the join was a semaphore that woke the READ
-        // at every member, over a per-disk table on the heap)
-        (2_752, 2_304),
-        // 17 polls a WRITE; 20 allocations (26 when the pulled pieces
-        // were gathered twice, 21 through the boxed facade)
-        (1_088, 1_281),
+        // wakes the READ once. 33 allocations a READ (36 before the
+        // one-buffer RPC messages; 50 polls and 47 allocations when the
+        // join was a semaphore that woke the READ at every member, over
+        // a per-disk table on the heap)
+        (2_752, 2_112),
+        // 17 polls a WRITE; 17 allocations (20 before the one-buffer RPC
+        // messages, 26 when the pulled pieces were gathered twice, 21
+        // through the boxed facade)
+        (1_088, 1_089),
         // 8 polls a WRITE, a GETATTR's: nothing to pin, nothing to
-        // fetch. 4 allocations more, none of them the page (6 through
+        // fetch. 2 allocations more, none of them the page (4 when the
+        // padded MSGP head was a `Vec` copied into a `Bytes`, 6 through
         // the boxed facade: a write and a commit)
-        (512, 832),
+        (512, 512),
     ];
     // Every rung is printed before any is asserted, so a re-record sees
     // all the moved ones at once.
