@@ -7,7 +7,11 @@
 #
 # <rev> is exported with `git archive` into $AB_DIR/<sha> (default
 # ${TMPDIR:-/tmp}/nfs-rdma-ab) and built there once; later calls reuse
-# the build. Nothing tracked in the checkout is written.
+# the build. Nothing tracked in the checkout is written. An AB_DIR that
+# resolves inside the checkout is refused: Cargo reads .cargo/config.toml
+# from every directory above the one it runs in, so a base built there
+# would take this checkout's build profile, not its own, and both sides
+# would build alike.
 #
 # (a) Same schedule: every workload untraced and traced at seeds 1 and
 #     2 on both sides (only an untraced run reports the `sim_*` keys,
@@ -45,7 +49,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-here=$(pwd)
+here=$(pwd -P)
 
 usage() {
     echo "usage: scripts/ab.sh <rev> [--pairs N] [--workload W] [--seconds S] [--seed K]" >&2
@@ -82,7 +86,11 @@ sha=$(git rev-parse --verify --quiet "$rev^{commit}") || {
     echo "ab.sh: unknown revision $rev" >&2
     exit 2
 }
-ab_dir="${AB_DIR:-${TMPDIR:-/tmp}/nfs-rdma-ab}"
+ab_dir=$(realpath -m "${AB_DIR:-${TMPDIR:-/tmp}/nfs-rdma-ab}")
+if [[ $ab_dir/ == "$here"/* ]]; then
+    echo "ab.sh: AB_DIR $ab_dir is inside the checkout $here; a base built there reads its .cargo/config.toml" >&2
+    exit 2
+fi
 base="$ab_dir/$sha"
 if [[ ! -f $base/benchmark/run.sh ]]; then
     mkdir -p "$base"
