@@ -24,6 +24,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use sim_core::sync::Notify;
 use sim_core::{Counter, Payload, Sim, SimDuration};
 
 use crate::disk::Disk;
@@ -70,6 +71,17 @@ pub struct Wal {
     flushed: RefCell<Vec<WalRecord>>,
     /// Behind a commit marker: survives power failure.
     committed: RefCell<Vec<WalRecord>>,
+    // Watermarks, counted in records taken from the tail (a power
+    // failure rewinds the first two to `committed_to`):
+    // `committed_to <= marked_to <= taken_to`.
+    /// Records taken from the tail by a flush.
+    taken_to: Cell<u64>,
+    /// Records the newest queued commit marker covers.
+    marked_to: Cell<u64>,
+    /// Records behind a landed commit marker.
+    committed_to: Cell<u64>,
+    /// Notified each time a commit marker lands.
+    marker_landed: Notify,
     // The `fs.wal.*` series, shared by every log of a simulation.
     /// Records appended to the volatile tail.
     appends: Rc<Counter>,
@@ -114,6 +126,10 @@ impl Wal {
             in_flight: RefCell::new(Vec::new()),
             flushed: RefCell::new(Vec::new()),
             committed: RefCell::new(Vec::new()),
+            taken_to: Cell::new(0),
+            marked_to: Cell::new(0),
+            committed_to: Cell::new(0),
+            marker_landed: Notify::new(),
             appends: series("appends"),
             appended_bytes: series("appended_bytes"),
             flushes: series("flushes"),
@@ -172,6 +188,7 @@ impl Wal {
         let records = batch.len();
         let bytes: u64 = batch.iter().map(|r| Wal::framed(r.data.len())).sum();
         self.tail_bytes.set(0);
+        self.taken_to.set(self.taken_to.get() + records as u64);
         self.in_flight.borrow_mut().extend(batch);
         let addr = self.head_addr.get();
         self.head_addr.set(addr + bytes);
@@ -196,26 +213,38 @@ impl Wal {
     /// batch another flush has in flight is pending too: the marker
     /// queues behind its transfer on the FIFO log disk, and the batch
     /// is flushed by the time the marker lands. A commit with nothing
-    /// pending is free.
+    /// pending is free, and one whose batch a marker already queued
+    /// covers waits for that marker instead of writing its own.
     pub async fn commit(&self) {
         let epoch = self.epoch.get();
         self.flush().await;
-        let pending = !self.flushed.borrow().is_empty() || !self.in_flight.borrow().is_empty();
-        if self.epoch.get() != epoch || !pending {
+        let upto = self.taken_to.get();
+        if self.epoch.get() != epoch || upto == self.committed_to.get() {
             return;
         }
+        if upto <= self.marked_to.get() {
+            while self.committed_to.get() < upto && self.epoch.get() == epoch {
+                self.marker_landed.notified().await;
+            }
+            return;
+        }
+        self.marked_to.set(upto);
         let addr = self.head_addr.get();
         self.head_addr.set(addr + COMMIT_MARKER_BYTES);
         self.disk.transfer_at(addr, COMMIT_MARKER_BYTES).await;
+        self.marker_landed.notify_all();
         if self.epoch.get() != epoch {
             // Marker never landed: the batch stays uncommitted and
             // recovery will truncate it.
             return;
         }
+        // The log disk is FIFO: what is flushed now is exactly what was
+        // in flight or flushed when the marker was queued.
         let batch: Vec<WalRecord> = std::mem::take(&mut *self.flushed.borrow_mut());
         self.commits.inc();
         self.committed_records.add(batch.len() as u64);
         self.committed.borrow_mut().extend(batch);
+        self.committed_to.set(upto);
     }
 
     /// Power failure: the volatile tail vanishes, and any flushed
@@ -231,6 +260,8 @@ impl Wal {
         // An in-flight flush counts its own batch when it sees the epoch.
         self.in_flight.borrow_mut().clear();
         self.flushed.borrow_mut().clear();
+        self.taken_to.set(self.committed_to.get());
+        self.marked_to.set(self.committed_to.get());
     }
 
     /// `file` was truncated to `size`: its records, in every stage,

@@ -2,6 +2,9 @@
 //! seeded point, replay on restart, committed-survives /
 //! uncommitted-cleanly-lost, and same-seed determinism.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
 use fs_backend::{diskfs_wal, FileId, Wal};
@@ -420,5 +423,41 @@ fn a_truncate_during_a_flush_cuts_the_in_flight_batch() {
         let replayed = wal.recover().await;
         let bytes: u64 = replayed.iter().map(|r| r.data.len()).sum();
         assert_eq!(bytes, 4096);
+    });
+}
+
+/// A COMMIT whose batch a marker already queued will commit writes no
+/// marker of its own: it waits for that marker, returns when it lands,
+/// and the log counts one commit for the one record.
+#[test]
+fn a_commit_behind_a_queued_marker_writes_none() {
+    let mut sim = Simulation::new(1);
+    let h = sim.handle();
+    let count = wal_count(&h);
+    let wal = Wal::new(&h);
+    sim.block_on(async move {
+        wal.append(FileId(1), 0, Payload::synthetic(1, 4096)).await;
+        let first = wal.clone();
+        let first_done = Rc::new(Cell::new(None));
+        let done = first_done.clone();
+        let clock = h.clone();
+        h.spawn(async move {
+            first.commit().await;
+            done.set(Some((clock.now(), first.committed_records())));
+        });
+        h.sleep(SimDuration::from_micros(10)).await;
+        wal.commit().await;
+        let second_at = h.now();
+        h.sleep(SimDuration::from_millis(100)).await;
+        let (first_at, durable) = first_done.get().expect("the first commit returned");
+        assert_eq!(
+            durable, 1,
+            "the first commit returned before its record was durable"
+        );
+        assert_eq!(
+            first_at, second_at,
+            "the first commit waited for a marker of its own"
+        );
+        assert_eq!((count("commits"), count("committed_records")), (1, 1));
     });
 }
