@@ -38,12 +38,13 @@
 #
 # (c) --results, instead of (a) and (b): the recorded artifacts. The
 #     working tree (tracked and untracked files that are not ignored)
-#     is copied into $AB_DIR/worktree, whose builds are kept between
-#     calls. On each side, in its own copy, run `bench all`, every
-#     `bench` leg its own scripts/check.sh runs (the --smoke gates and
-#     fig5-anatomy) and the benchmark smoke, and write the two
-#     benchmark pin files the way check.sh does; then `diff -r` the two
-#     results/ directories. Prints a leg that exits non-zero, each
+#     is copied into $AB_DIR/worktree, whose build directories are kept
+#     between calls (every copied file is new to them, so each call
+#     rebuilds the workspace). On each side, in its own copy, run
+#     `bench all`, every `bench` leg its own scripts/check.sh runs (the
+#     --smoke gates and fig5-anatomy) and the benchmark smoke, and
+#     write the two benchmark pin files the way check.sh does; then
+#     `diff -r` the two results/ directories. Prints a leg that exits non-zero, each
 #     differing file, and `results: N differ`. The checkout's results/
 #     is never written. About 6 minutes for both sides on 2 cores.
 set -euo pipefail
@@ -133,9 +134,12 @@ if ((results)); then
     # from the checkout is gone from the copy too.
     find "$tree" -mindepth 1 -maxdepth 1 ! -name target ! -name benchmark -exec rm -rf {} +
     find "$tree/benchmark" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+    # Extracted with the time of the copy (-m), not the checkout's: the
+    # kept build's freshness is by mtime, and an edit older than that
+    # build would otherwise not be rebuilt.
     git ls-files -z --cached --others --exclude-standard |
         while IFS= read -r -d '' f; do [[ -e $f ]] && printf '%s\0' "$f"; done |
-        tar --null -T - -cf - | tar -xf - -C "$tree"
+        tar --null -T - -cf - | tar -xmf - -C "$tree"
     for side in "$base" "$tree"; do
         echo "==> (c) regenerating results/ in $side"
         results_side "$side"
