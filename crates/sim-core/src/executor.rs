@@ -348,6 +348,13 @@ impl Simulation {
         }
     }
 
+    /// The deadline of the earliest pending timer: the next instant at
+    /// which anything can happen once the current one is drained. With
+    /// [`Simulation::run_until`] it steps a run one instant at a time.
+    pub fn next_event(&self) -> Option<SimTime> {
+        self.core.timers.borrow().next_deadline()
+    }
+
     /// Drive the simulation until `fut` completes and return its output.
     /// Panics if the simulation quiesces with `fut` still pending (a
     /// deadlock in the modelled system).
