@@ -8,18 +8,17 @@
 //! avoid the seek + page-granularity write-back cost that makes
 //! fsync-heavy workloads collapse on the plain cached store.
 //!
-//! Durability model (two-phase, crash-consistent):
-//!
-//! 1. records flushed to the log device are durable but *uncommitted*
-//!    until a marker lands behind them;
-//! 2. the commit marker is a single small sequential append; once it is
-//!    on the platter the whole batch is committed atomically.
-//!
-//! A power failure at any point loses the volatile tail and truncates
-//! any flushed-but-unmarked records at recovery — committed data
-//! survives, uncommitted data is *cleanly* lost (never torn). Replay
-//! is idempotent: records are applied in append order, so replaying a
-//! prefix twice converges to the same contents.
+//! Every record lives in one log, indexed by its log sequence number
+//! (LSN), and four watermarks say how far each step has reached:
+//! `committed_to <= durable_to, marked_to <= taken_to <= log.len()`.
+//! Records past `taken_to` are the volatile tail; a flush takes them
+//! and moves `durable_to` when its transfer lands; a commit marker
+//! queued behind them moves `marked_to`, and `committed_to` when it
+//! lands. Only a landed marker makes records survive a power failure:
+//! flushed records without one are truncated at recovery, so
+//! committed data survives and uncommitted data is *cleanly* lost
+//! (never torn). Replay is idempotent: records are applied in LSN
+//! order, so replaying a prefix twice converges to the same contents.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -61,24 +60,20 @@ pub struct Wal {
     epoch: Cell<u64>,
     /// Log-device append cursor.
     head_addr: Cell<u64>,
-    /// Volatile tail: appended, not yet on the log device.
-    tail: RefCell<Vec<WalRecord>>,
+    /// Every record, indexed by LSN. A power failure truncates it to
+    /// `committed_to`, a rejoin cut to the replicated prefix.
+    log: RefCell<Vec<WalRecord>>,
+    /// Framed bytes of the volatile tail (`taken_to..`).
     tail_bytes: Cell<u64>,
-    /// Taken from the tail by a flush whose log-disk transfer has not
-    /// finished, oldest batch first.
-    in_flight: RefCell<Vec<WalRecord>>,
-    /// On the log device, awaiting a commit marker.
-    flushed: RefCell<Vec<WalRecord>>,
-    /// Behind a commit marker: survives power failure.
-    committed: RefCell<Vec<WalRecord>>,
-    // Watermarks, counted in records taken from the tail (a power
-    // failure rewinds the first two to `committed_to`):
-    // `committed_to <= marked_to <= taken_to`.
-    /// Records taken from the tail by a flush.
+    // The watermarks, LSNs that only grow between power failures:
+    // `committed_to <= durable_to, marked_to <= taken_to <= log.len()`.
+    /// Taken from the tail by a flush.
     taken_to: Cell<u64>,
-    /// Records the newest queued commit marker covers.
+    /// On the log device: the flush that took them has landed.
+    durable_to: Cell<u64>,
+    /// Covered by the newest queued commit marker.
     marked_to: Cell<u64>,
-    /// Records behind a landed commit marker.
+    /// Behind a landed commit marker: survives power failure.
     committed_to: Cell<u64>,
     /// Notified each time a commit marker lands.
     marker_landed: Notify,
@@ -121,12 +116,10 @@ impl Wal {
             disk,
             epoch: Cell::new(0),
             head_addr: Cell::new(0),
-            tail: RefCell::new(Vec::new()),
+            log: RefCell::new(Vec::new()),
             tail_bytes: Cell::new(0),
-            in_flight: RefCell::new(Vec::new()),
-            flushed: RefCell::new(Vec::new()),
-            committed: RefCell::new(Vec::new()),
             taken_to: Cell::new(0),
+            durable_to: Cell::new(0),
             marked_to: Cell::new(0),
             committed_to: Cell::new(0),
             marker_landed: Notify::new(),
@@ -150,24 +143,25 @@ impl Wal {
 
     /// Records in the volatile tail.
     pub fn tail_records(&self) -> u64 {
-        self.tail.borrow().len() as u64
+        self.log.borrow().len() as u64 - self.taken_to.get()
     }
 
     /// Records on the log device awaiting a marker.
     pub fn flushed_records(&self) -> u64 {
-        self.flushed.borrow().len() as u64
+        self.durable_to.get() - self.committed_to.get()
     }
 
-    /// Records behind a commit marker (what recovery will replay).
+    /// Records behind a commit marker (what recovery will replay): the
+    /// committed LSN.
     pub fn committed_records(&self) -> u64 {
-        self.committed.borrow().len() as u64
+        self.committed_to.get()
     }
 
     /// Append one write to the volatile tail. Costs no disk time
     /// unless the tail reaches the watermark and flushes.
     pub async fn append(&self, file: FileId, off: u64, data: Payload) {
         let n = data.len();
-        self.tail.borrow_mut().push(WalRecord { file, off, data });
+        self.log.borrow_mut().push(WalRecord { file, off, data });
         self.tail_bytes.set(self.tail_bytes.get() + Wal::framed(n));
         self.appends.inc();
         self.appended_bytes.add(n);
@@ -177,42 +171,35 @@ impl Wal {
     }
 
     /// Flush the volatile tail to the log device (durable but
-    /// uncommitted until a marker follows). The batch waits in flight
-    /// meanwhile, where a commit and a truncate still find it.
+    /// uncommitted until a marker follows).
     pub async fn flush(&self) {
         let epoch = self.epoch.get();
-        let batch: Vec<WalRecord> = std::mem::take(&mut *self.tail.borrow_mut());
-        if batch.is_empty() {
+        let (from, to) = (self.taken_to.get(), self.log.borrow().len() as u64);
+        if from == to {
             return;
         }
-        let records = batch.len();
-        let bytes: u64 = batch.iter().map(|r| Wal::framed(r.data.len())).sum();
-        self.tail_bytes.set(0);
-        self.taken_to.set(self.taken_to.get() + records as u64);
-        self.in_flight.borrow_mut().extend(batch);
+        let bytes = self.tail_bytes.replace(0);
+        self.taken_to.set(to);
         let addr = self.head_addr.get();
         self.head_addr.set(addr + bytes);
         self.disk.transfer_at(addr, bytes).await;
         if self.epoch.get() != epoch {
             // Power failed while the burst was in flight: the batch
-            // never became durable (and went with the in-flight stage).
-            self.truncated_records.add(records as u64);
+            // never became durable.
+            self.truncated_records.add(to - from);
             return;
         }
         self.flushes.inc();
         self.flushed_bytes.add(bytes);
-        // The log disk is FIFO, so the oldest batch in flight is ours.
-        self.flushed
-            .borrow_mut()
-            .extend(self.in_flight.borrow_mut().drain(..records));
+        self.durable_to.set(to);
     }
 
     /// Group commit: flush the tail, then append the commit marker.
     /// Only once the marker is durable does the whole pending batch —
-    /// every file's records, in append order — become committed. A
-    /// batch another flush has in flight is pending too: the marker
-    /// queues behind its transfer on the FIFO log disk, and the batch
-    /// is flushed by the time the marker lands. A commit with nothing
+    /// every file's records, in LSN order — become committed. A batch
+    /// another flush has in flight is pending too: the marker queues
+    /// behind its transfer on the FIFO log disk, and the batch is
+    /// flushed by the time the marker lands. A commit with nothing
     /// pending is free, and one whose batch a marker already queued
     /// covers waits for that marker instead of writing its own.
     pub async fn commit(&self) {
@@ -238,71 +225,72 @@ impl Wal {
             // recovery will truncate it.
             return;
         }
-        // The log disk is FIFO: what is flushed now is exactly what was
-        // in flight or flushed when the marker was queued.
-        let batch: Vec<WalRecord> = std::mem::take(&mut *self.flushed.borrow_mut());
+        // The log disk is FIFO: every flush queued before the marker,
+        // so every record up to `upto`, has landed.
         self.commits.inc();
-        self.committed_records.add(batch.len() as u64);
-        self.committed.borrow_mut().extend(batch);
+        self.committed_records.add(upto - self.committed_to.get());
         self.committed_to.set(upto);
     }
 
-    /// Power failure: the volatile tail vanishes, and any flushed
-    /// records without a marker behind them are logically truncated
-    /// (recovery stops at the last commit marker). In-flight flushes
-    /// and commits notice the epoch change and abandon their batches.
+    /// Power failure: the log loses everything past `committed_to` —
+    /// the volatile tail, and flushed records without a marker behind
+    /// them (recovery stops at the last commit marker). In-flight
+    /// flushes and commits notice the epoch change and abandon their
+    /// batches.
     pub fn power_fail(&self) {
         self.epoch.set(self.epoch.get() + 1);
-        let lost = self.tail.borrow().len() + self.flushed.borrow().len();
-        self.truncated_records.add(lost as u64);
-        self.tail.borrow_mut().clear();
-        self.tail_bytes.set(0);
         // An in-flight flush counts its own batch when it sees the epoch.
-        self.in_flight.borrow_mut().clear();
-        self.flushed.borrow_mut().clear();
-        self.taken_to.set(self.committed_to.get());
-        self.marked_to.set(self.committed_to.get());
+        self.truncated_records
+            .add(self.tail_records() + self.flushed_records());
+        self.cut_to(self.committed_to.get());
     }
 
-    /// `file` was truncated to `size`: its records, in every stage,
-    /// lose their bytes at or past `size`, so recovery cannot replay
-    /// them. Each record keeps its place (one wholly past the cut
+    /// Truncate the log to `lsn` records, every watermark with it.
+    fn cut_to(&self, lsn: u64) {
+        self.log.borrow_mut().truncate(lsn as usize);
+        self.tail_bytes.set(0);
+        for mark in [&self.taken_to, &self.durable_to, &self.marked_to] {
+            mark.set(lsn);
+        }
+        self.committed_to.set(lsn);
+    }
+
+    /// `file` was truncated to `size`: its records, anywhere in the
+    /// log, lose their bytes at or past `size`, so recovery cannot
+    /// replay them. Each record keeps its LSN (one wholly past the cut
     /// becomes empty), so record counts stay aligned with the
     /// replicated log that [`Wal::truncate_committed_to`] cuts to.
     pub fn truncate_file(&self, file: FileId, size: u64) {
-        let cut = |records: &RefCell<Vec<WalRecord>>| {
-            let mut dropped = 0;
-            for r in records.borrow_mut().iter_mut().filter(|r| r.file == file) {
-                let keep = size.saturating_sub(r.off).min(r.data.len());
-                if keep < r.data.len() {
-                    dropped += r.data.len() - keep;
-                    r.data = r.data.slice(0, keep);
-                }
+        let tail = self.taken_to.get() as usize;
+        for (lsn, r) in self.log.borrow_mut().iter_mut().enumerate() {
+            let keep = size.saturating_sub(r.off).min(r.data.len());
+            if r.file != file || keep == r.data.len() {
+                continue;
             }
-            dropped
-        };
-        self.tail_bytes.set(self.tail_bytes.get() - cut(&self.tail));
-        cut(&self.in_flight);
-        cut(&self.flushed);
-        cut(&self.committed);
+            if lsn >= tail {
+                self.tail_bytes
+                    .set(self.tail_bytes.get() + keep - r.data.len());
+            }
+            r.data = r.data.slice(0, keep);
+        }
     }
 
-    /// Cluster rejoin, step 1: discard committed records beyond the
-    /// replicated prefix the new primary acknowledged. A primary that
-    /// died between its local group commit and the backup's ack holds
-    /// committed records the rest of the cluster never saw; rejoining
-    /// as a backup means adopting the survivor's history, so the
-    /// divergent tail is truncated before replay (the real-system
-    /// analogue: the rejoin handshake compares log sequence numbers
-    /// stored in the commit markers).
+    /// Cluster rejoin, step 1, on a node that crashed: the power
+    /// failure's losses, then the committed records past `keep_records`,
+    /// the replicated prefix the new primary acknowledged. A primary
+    /// that died between its local group commit and the backup's ack
+    /// holds committed records the rest of the cluster never saw;
+    /// rejoining as a backup means adopting the survivor's history, so
+    /// the divergent tail is truncated before replay (the real-system
+    /// analogue: the rejoin handshake compares the LSNs stored in the
+    /// commit markers).
     pub fn truncate_committed_to(&self, keep_records: u64) {
-        let mut committed = self.committed.borrow_mut();
-        if (committed.len() as u64) <= keep_records {
-            return;
+        self.power_fail();
+        let committed = self.committed_to.get();
+        if keep_records < committed {
+            self.rejoin_truncated_records.add(committed - keep_records);
+            self.cut_to(keep_records);
         }
-        let dropped = committed.len() as u64 - keep_records;
-        committed.truncate(keep_records as usize);
-        self.rejoin_truncated_records.add(dropped);
     }
 
     /// Cluster rejoin, step 2 accounting: `bytes` of log records were
@@ -313,11 +301,11 @@ impl Wal {
     }
 
     /// Recovery replay: scan the log sequentially (charged as one
-    /// sequential read) and return every committed record in append
+    /// sequential read) and return every committed record in LSN
     /// order. Applying them in order is idempotent — replaying any
     /// prefix again converges to the same contents.
     pub async fn recover(&self) -> Vec<WalRecord> {
-        let records = self.committed.borrow().clone();
+        let records = self.log.borrow()[..self.committed_to.get() as usize].to_vec();
         let bytes: u64 = records.iter().map(|r| Wal::framed(r.data.len())).sum();
         if bytes > 0 {
             self.disk.transfer(bytes).await;
