@@ -451,10 +451,7 @@ fn server_node(
         Registrar::new(&hca, bed.server_strategy),
         bed.profile.rpc,
     );
-    let repl = Replicator::new(sim);
-    if let Some(wal) = disk.as_ref().and_then(|d| d.store().wal().cloned()) {
-        repl.set_wal_cut(move || wal.committed_records());
-    }
+    let repl = Replicator::new(sim, disk.as_ref().and_then(|d| d.store().wal().cloned()));
     Rc::new(ServerNode {
         cpu: h.cpu,
         hca,
