@@ -77,6 +77,9 @@ echo "==> fig5 --anatomy (traced-workload smoke + trace JSON validation)"
 cargo run --release -p bench -- fig5-anatomy >/dev/null
 need results/trace_fig5_rr.json results/trace_fig5_rw.json
 
+echo "==> quickstart example (the README's first command: one NFS-over-RDMA mount, WRITE and READ)"
+cargo run --release -p bench --example quickstart >/dev/null
+
 echo "==> trace_one_op example (Figure 4 as one READ's span tree; exits non-zero if a step is missing)"
 cargo run --release -p bench --example trace_one_op >/dev/null
 
